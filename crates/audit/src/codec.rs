@@ -1,0 +1,786 @@
+//! The canonical binary encoding of an [`AuditRecord`].
+//!
+//! One encoder, one decoder, and two consumers of the same bytes: the chain hash
+//! ([`record_hash`], which [`crate::AuditLog`] calls for every record it appends or
+//! verifies) and the on-disk frame body ([`encode_record`] / [`decode_record`], which
+//! [`crate::SegmentStore`] calls for every frame). The hash is *defined* over the
+//! encoding, so a record means the same thing to the chain and to the disk.
+//!
+//! # Layout
+//!
+//! ```text
+//! record   := body hash:u64le
+//! body     := id:varint at_millis:varint recorded_by:str event previous_hash:u64le
+//! event    := variant:u8 fields…           (variant numbers and field order below)
+//! str      := len:varint utf8-bytes
+//! bool     := 0x00 | 0x01
+//! opt-str  := 0x00 | 0x01 str
+//! strs     := count:varint str*
+//! tags     := count:varint str*            (each a valid tag name)
+//! context  := secrecy:tags integrity:tags  (each list strictly ascending)
+//! decision := 0x00                         (allowed)
+//!           | 0x01 missing_secrecy:tags missing_integrity:tags
+//! ```
+//!
+//! The record's chain hash is the FNV-1a 64 ([`StableHasher`]) of exactly the `body`
+//! bytes — everything in the record's encoding before the trailing `hash` field.
+//!
+//! | variant | event | fields, in order |
+//! |---|---|---|
+//! | 0 | `FlowChecked` | source:str destination:str source_context:context destination_context:context decision data_item:opt-str |
+//! | 1 | `FlowSummary` | source:str destination:str allowed:varint denied:varint window_start_millis:varint window_end_millis:varint |
+//! | 2 | `LabelChanged` | entity:str before:context after:context algorithm:opt-str |
+//! | 3 | `PrivilegeChanged` | entity:str tag:str change:str authority:str |
+//! | 4 | `Reconfigured` | component:str issued_by:str action:str accepted:bool |
+//! | 5 | `PolicyFired` | policy:str trigger:str actions:varint |
+//! | 6 | `ChannelChanged` | from:str to:str established:bool reason:str |
+//! | 7 | `DataDerived` | output:str inputs:strs process:str agent:str context |
+//! | 8 | `BreakGlass` | policy:str active:bool justification:str |
+//! | 9 | `MessageQuenched` | source:str destination:str message_type:str attributes:strs |
+//! | 10 | `DeliveryDropped` | source:str destination:str message_type:str dropped:varint |
+//! | 11 | `ShardRestarted` | shard:str restart:varint cause:str |
+//! | 12 | `DeliveryLost` | source:str destination:str message_type:opt-str lost:varint cause:str |
+//!
+//! # Canonical form
+//!
+//! Every record has exactly one encoding and [`decode_record`] accepts nothing else, so
+//! equal bytes ⇔ equal records (which is what makes a hash over the bytes injective
+//! where the retired `Debug`-string hash was not — `{"a, b"}` and `{"a", "b"}` print
+//! alike but encode differently):
+//!
+//! * integers are unsigned LEB128 varints in their *shortest* form (7 bits per byte,
+//!   low group first, high bit = "more follows"); a padded varint or one that
+//!   overflows 64 bits is rejected. The two hashes are fixed 8-byte little-endian —
+//!   they are uniformly distributed, a varint would only make them longer;
+//! * strings are length-prefixed UTF-8, never terminated; invalid UTF-8 is rejected;
+//! * a label is its tag names in strictly ascending byte order (the order
+//!   [`legaliot_ifc::Label`] iterates in), so duplicates and permutations are
+//!   rejected; every tag name — in labels and in denial reasons — must be one
+//!   [`Tag::try_new`] returns unchanged (non-empty, no surrounding whitespace). The
+//!   `missing_*` lists of a denial are plain vectors and keep their order;
+//! * booleans and option markers are one byte, `0x00` or `0x01`; any other value is
+//!   rejected;
+//! * a record is exactly its fields: trailing bytes are rejected, and because every
+//!   field is self-delimiting no strict prefix of a record decodes.
+//!
+//! Lengths and counts read from input are bounded by the bytes actually remaining
+//! before anything is allocated, so arbitrary input can neither panic the decoder nor
+//! make it reserve more than the input's own size.
+
+use legaliot_ifc::{FlowDecision, FlowDenialReason, Label, SecurityContext, StableHasher, Tag};
+
+use crate::event::{AuditEvent, AuditRecord, RecordId};
+
+/// Where encoded bytes go: a buffer (the frame body) or the chain hasher. The encoder
+/// is written once against this, so the hash is over the frame's bytes by construction.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for StableHasher {
+    fn put(&mut self, bytes: &[u8]) {
+        *self = self.write_bytes(bytes);
+    }
+}
+
+fn put_varint(out: &mut impl Sink, mut value: u64) {
+    let mut bytes = [0u8; 10];
+    let mut len = 0;
+    while value >= 0x80 {
+        bytes[len] = value as u8 | 0x80;
+        value >>= 7;
+        len += 1;
+    }
+    bytes[len] = value as u8;
+    out.put(&bytes[..=len]);
+}
+
+fn put_str(out: &mut impl Sink, value: &str) {
+    put_varint(out, value.len() as u64);
+    out.put(value.as_bytes());
+}
+
+fn put_bool(out: &mut impl Sink, value: bool) {
+    out.put(&[u8::from(value)]);
+}
+
+fn put_opt_str(out: &mut impl Sink, value: Option<&str>) {
+    put_bool(out, value.is_some());
+    if let Some(value) = value {
+        put_str(out, value);
+    }
+}
+
+fn put_strs<T: AsRef<str>>(out: &mut impl Sink, count: usize, values: impl Iterator<Item = T>) {
+    put_varint(out, count as u64);
+    for value in values {
+        put_str(out, value.as_ref());
+    }
+}
+
+fn put_context(out: &mut impl Sink, context: &SecurityContext) {
+    for label in [context.secrecy(), context.integrity()] {
+        put_strs(out, label.len(), label.iter());
+    }
+}
+
+fn put_decision(out: &mut impl Sink, decision: &FlowDecision) {
+    put_bool(out, decision.is_denied());
+    if let FlowDecision::Denied(reason) = decision {
+        put_strs(out, reason.missing_secrecy.len(), reason.missing_secrecy.iter());
+        put_strs(out, reason.missing_integrity.len(), reason.missing_integrity.iter());
+    }
+}
+
+fn put_event(out: &mut impl Sink, event: &AuditEvent) {
+    match event {
+        AuditEvent::FlowChecked {
+            source,
+            destination,
+            source_context,
+            destination_context,
+            decision,
+            data_item,
+        } => {
+            out.put(&[0]);
+            put_str(out, source);
+            put_str(out, destination);
+            put_context(out, source_context);
+            put_context(out, destination_context);
+            put_decision(out, decision);
+            put_opt_str(out, data_item.as_deref());
+        }
+        AuditEvent::FlowSummary {
+            source,
+            destination,
+            allowed,
+            denied,
+            window_start_millis,
+            window_end_millis,
+        } => {
+            out.put(&[1]);
+            put_str(out, source);
+            put_str(out, destination);
+            put_varint(out, *allowed);
+            put_varint(out, *denied);
+            put_varint(out, *window_start_millis);
+            put_varint(out, *window_end_millis);
+        }
+        AuditEvent::LabelChanged { entity, before, after, algorithm } => {
+            out.put(&[2]);
+            put_str(out, entity);
+            put_context(out, before);
+            put_context(out, after);
+            put_opt_str(out, algorithm.as_deref());
+        }
+        AuditEvent::PrivilegeChanged { entity, tag, change, authority } => {
+            out.put(&[3]);
+            put_str(out, entity);
+            put_str(out, tag);
+            put_str(out, change);
+            put_str(out, authority);
+        }
+        AuditEvent::Reconfigured { component, issued_by, action, accepted } => {
+            out.put(&[4]);
+            put_str(out, component);
+            put_str(out, issued_by);
+            put_str(out, action);
+            put_bool(out, *accepted);
+        }
+        AuditEvent::PolicyFired { policy, trigger, actions } => {
+            out.put(&[5]);
+            put_str(out, policy);
+            put_str(out, trigger);
+            put_varint(out, *actions as u64);
+        }
+        AuditEvent::ChannelChanged { from, to, established, reason } => {
+            out.put(&[6]);
+            put_str(out, from);
+            put_str(out, to);
+            put_bool(out, *established);
+            put_str(out, reason);
+        }
+        AuditEvent::DataDerived { output, inputs, process, agent, context } => {
+            out.put(&[7]);
+            put_str(out, output);
+            put_strs(out, inputs.len(), inputs.iter());
+            put_str(out, process);
+            put_str(out, agent);
+            put_context(out, context);
+        }
+        AuditEvent::BreakGlass { policy, active, justification } => {
+            out.put(&[8]);
+            put_str(out, policy);
+            put_bool(out, *active);
+            put_str(out, justification);
+        }
+        AuditEvent::MessageQuenched { source, destination, message_type, attributes } => {
+            out.put(&[9]);
+            put_str(out, source);
+            put_str(out, destination);
+            put_str(out, message_type);
+            put_strs(out, attributes.len(), attributes.iter());
+        }
+        AuditEvent::DeliveryDropped { source, destination, message_type, dropped } => {
+            out.put(&[10]);
+            put_str(out, source);
+            put_str(out, destination);
+            put_str(out, message_type);
+            put_varint(out, *dropped);
+        }
+        AuditEvent::ShardRestarted { shard, restart, cause } => {
+            out.put(&[11]);
+            put_str(out, shard);
+            put_varint(out, *restart);
+            put_str(out, cause);
+        }
+        AuditEvent::DeliveryLost { source, destination, message_type, lost, cause } => {
+            out.put(&[12]);
+            put_str(out, source);
+            put_str(out, destination);
+            put_opt_str(out, message_type.as_deref());
+            put_varint(out, *lost);
+            put_str(out, cause);
+        }
+    }
+}
+
+/// The part of a record its chain hash covers (`body` in the module docs).
+fn put_body(
+    out: &mut impl Sink,
+    id: RecordId,
+    at_millis: u64,
+    recorded_by: &str,
+    event: &AuditEvent,
+    previous_hash: u64,
+) {
+    put_varint(out, id.0);
+    put_varint(out, at_millis);
+    put_str(out, recorded_by);
+    put_event(out, event);
+    out.put(&previous_hash.to_le_bytes());
+}
+
+/// The chain hash of a record with these contents: FNV-1a 64 over the record's
+/// canonical encoding up to (not including) its `hash` field. The bytes are folded
+/// into the hasher as they are produced — nothing is allocated.
+pub fn record_hash(
+    id: RecordId,
+    at_millis: u64,
+    recorded_by: &str,
+    event: &AuditEvent,
+    previous_hash: u64,
+) -> u64 {
+    let mut hasher = StableHasher::new();
+    put_body(&mut hasher, id, at_millis, recorded_by, event, previous_hash);
+    hasher.finish()
+}
+
+/// Appends the canonical encoding of `record` to `out`.
+pub fn encode_record(record: &AuditRecord, out: &mut Vec<u8>) {
+    put_body(
+        out,
+        record.id,
+        record.at_millis,
+        &record.recorded_by,
+        &record.event,
+        record.previous_hash,
+    );
+    out.put(&record.hash.to_le_bytes());
+}
+
+/// Decodes exactly one canonically encoded record spanning all of `bytes`. Anything
+/// else — a truncated record, trailing bytes, a non-canonical or malformed field —
+/// is `None`; no input panics.
+pub fn decode_record(bytes: &[u8]) -> Option<AuditRecord> {
+    let mut reader = Reader { bytes };
+    let record = AuditRecord {
+        id: RecordId(reader.varint()?),
+        at_millis: reader.varint()?,
+        recorded_by: reader.string()?,
+        event: reader.event()?,
+        previous_hash: reader.u64_le()?,
+        hash: reader.u64_le()?,
+    };
+    reader.bytes.is_empty().then_some(record)
+}
+
+/// A cursor over undecoded input; every read either consumes what it returns or
+/// fails.
+struct Reader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
+        if len > self.bytes.len() {
+            return None;
+        }
+        let (head, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        Some(head)
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    fn u64_le(&mut self) -> Option<u64> {
+        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("took 8 bytes")))
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte()?;
+            let group = u64::from(byte & 0x7f);
+            // The tenth group holds bit 63 only.
+            if shift == 63 && group > 1 {
+                return None;
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                // Shortest form: only a lone byte may be zero.
+                return (byte != 0 || shift == 0).then_some(value);
+            }
+        }
+        None
+    }
+
+    /// A length or count, usable as an allocation size: each counted item occupies at
+    /// least one byte, so anything above the remaining input is malformed.
+    fn len(&mut self) -> Option<usize> {
+        let len = usize::try_from(self.varint()?).ok()?;
+        (len <= self.bytes.len()).then_some(len)
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let len = self.len()?;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.str().map(str::to_owned)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.byte()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn opt_string(&mut self) -> Option<Option<String>> {
+        Some(if self.bool()? { Some(self.string()?) } else { None })
+    }
+
+    fn strings(&mut self) -> Option<Vec<String>> {
+        (0..self.len()?).map(|_| self.string()).collect()
+    }
+
+    fn tag(&mut self) -> Option<Tag> {
+        let name = self.str()?;
+        Tag::try_new(name).filter(|tag| tag.name() == name)
+    }
+
+    fn tags(&mut self) -> Option<Vec<Tag>> {
+        (0..self.len()?).map(|_| self.tag()).collect()
+    }
+
+    fn label(&mut self) -> Option<Label> {
+        let tags = self.tags()?;
+        tags.windows(2).all(|pair| pair[0] < pair[1]).then(|| tags.into_iter().collect())
+    }
+
+    fn context(&mut self) -> Option<SecurityContext> {
+        Some(SecurityContext::new(self.label()?, self.label()?))
+    }
+
+    fn decision(&mut self) -> Option<FlowDecision> {
+        Some(if self.bool()? {
+            FlowDecision::Denied(FlowDenialReason {
+                missing_secrecy: self.tags()?,
+                missing_integrity: self.tags()?,
+            })
+        } else {
+            FlowDecision::Allowed
+        })
+    }
+
+    fn event(&mut self) -> Option<AuditEvent> {
+        Some(match self.byte()? {
+            0 => AuditEvent::FlowChecked {
+                source: self.string()?,
+                destination: self.string()?,
+                source_context: self.context()?,
+                destination_context: self.context()?,
+                decision: self.decision()?,
+                data_item: self.opt_string()?,
+            },
+            1 => AuditEvent::FlowSummary {
+                source: self.string()?,
+                destination: self.string()?,
+                allowed: self.varint()?,
+                denied: self.varint()?,
+                window_start_millis: self.varint()?,
+                window_end_millis: self.varint()?,
+            },
+            2 => AuditEvent::LabelChanged {
+                entity: self.string()?,
+                before: self.context()?,
+                after: self.context()?,
+                algorithm: self.opt_string()?,
+            },
+            3 => AuditEvent::PrivilegeChanged {
+                entity: self.string()?,
+                tag: self.string()?,
+                change: self.string()?,
+                authority: self.string()?,
+            },
+            4 => AuditEvent::Reconfigured {
+                component: self.string()?,
+                issued_by: self.string()?,
+                action: self.string()?,
+                accepted: self.bool()?,
+            },
+            5 => AuditEvent::PolicyFired {
+                policy: self.string()?,
+                trigger: self.string()?,
+                actions: usize::try_from(self.varint()?).ok()?,
+            },
+            6 => AuditEvent::ChannelChanged {
+                from: self.string()?,
+                to: self.string()?,
+                established: self.bool()?,
+                reason: self.string()?,
+            },
+            7 => AuditEvent::DataDerived {
+                output: self.string()?,
+                inputs: self.strings()?,
+                process: self.string()?,
+                agent: self.string()?,
+                context: self.context()?,
+            },
+            8 => AuditEvent::BreakGlass {
+                policy: self.string()?,
+                active: self.bool()?,
+                justification: self.string()?,
+            },
+            9 => AuditEvent::MessageQuenched {
+                source: self.string()?,
+                destination: self.string()?,
+                message_type: self.string()?,
+                attributes: self.strings()?,
+            },
+            10 => AuditEvent::DeliveryDropped {
+                source: self.string()?,
+                destination: self.string()?,
+                message_type: self.string()?,
+                dropped: self.varint()?,
+            },
+            11 => AuditEvent::ShardRestarted {
+                shard: self.string()?,
+                restart: self.varint()?,
+                cause: self.string()?,
+            },
+            12 => AuditEvent::DeliveryLost {
+                source: self.string()?,
+                destination: self.string()?,
+                message_type: self.opt_string()?,
+                lost: self.varint()?,
+                cause: self.string()?,
+            },
+            _ => return None,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Free text: may be empty, holds non-ASCII, spaces and the `", "` that made two
+    /// different labels print alike.
+    const TEXT: &str = "[a-cé雪 ,]{0,6}";
+    /// Tag names: non-empty, nothing to trim.
+    const TAG: &str = "[a-cé,]{1,3}";
+
+    fn number() -> impl Strategy<Value = u64> {
+        // Every varint length: one byte, two bytes, up to all ten.
+        prop_oneof![0u64..0x80, 0x80u64..0x4000, 0u64..u64::MAX, Just(u64::MAX)]
+    }
+
+    fn opt_text() -> impl Strategy<Value = Option<String>> {
+        (prop::bool::ANY, TEXT).prop_map(|(some, text)| some.then_some(text))
+    }
+
+    fn texts() -> impl Strategy<Value = Vec<String>> {
+        collection::vec(TEXT, 0..4)
+    }
+
+    fn tags() -> impl Strategy<Value = Vec<Tag>> {
+        collection::vec(TAG, 0..4).prop_map(|names| names.into_iter().map(Tag::new).collect())
+    }
+
+    fn context() -> impl Strategy<Value = SecurityContext> {
+        (tags(), tags()).prop_map(|(secrecy, integrity)| {
+            SecurityContext::new(secrecy.into_iter().collect(), integrity.into_iter().collect())
+        })
+    }
+
+    fn decision() -> impl Strategy<Value = FlowDecision> {
+        prop_oneof![
+            Just(FlowDecision::Allowed),
+            (tags(), tags()).prop_map(|(missing_secrecy, missing_integrity)| {
+                FlowDecision::Denied(FlowDenialReason { missing_secrecy, missing_integrity })
+            }),
+        ]
+    }
+
+    fn event() -> impl Strategy<Value = AuditEvent> {
+        prop_oneof![
+            ((TEXT, TEXT, context(), context()), (decision(), opt_text())).prop_map(
+                |(
+                    (source, destination, source_context, destination_context),
+                    (decision, data_item),
+                )| {
+                    AuditEvent::FlowChecked {
+                        source,
+                        destination,
+                        source_context,
+                        destination_context,
+                        decision,
+                        data_item,
+                    }
+                }
+            ),
+            ((TEXT, TEXT), (number(), number(), number(), number())).prop_map(
+                |((source, destination), (allowed, denied, start, end))| AuditEvent::FlowSummary {
+                    source,
+                    destination,
+                    allowed,
+                    denied,
+                    window_start_millis: start,
+                    window_end_millis: end,
+                }
+            ),
+            (TEXT, context(), context(), opt_text()).prop_map(
+                |(entity, before, after, algorithm)| AuditEvent::LabelChanged {
+                    entity,
+                    before,
+                    after,
+                    algorithm
+                }
+            ),
+            (TEXT, TEXT, TEXT, TEXT).prop_map(|(entity, tag, change, authority)| {
+                AuditEvent::PrivilegeChanged { entity, tag, change, authority }
+            }),
+            (TEXT, TEXT, TEXT, prop::bool::ANY).prop_map(
+                |(component, issued_by, action, accepted)| AuditEvent::Reconfigured {
+                    component,
+                    issued_by,
+                    action,
+                    accepted
+                }
+            ),
+            (TEXT, TEXT, number()).prop_map(|(policy, trigger, actions)| {
+                AuditEvent::PolicyFired { policy, trigger, actions: actions as usize }
+            }),
+            (TEXT, TEXT, prop::bool::ANY, TEXT).prop_map(|(from, to, established, reason)| {
+                AuditEvent::ChannelChanged { from, to, established, reason }
+            }),
+            ((TEXT, texts()), (TEXT, TEXT, context())).prop_map(
+                |((output, inputs), (process, agent, context))| AuditEvent::DataDerived {
+                    output,
+                    inputs,
+                    process,
+                    agent,
+                    context
+                }
+            ),
+            (TEXT, prop::bool::ANY, TEXT).prop_map(|(policy, active, justification)| {
+                AuditEvent::BreakGlass { policy, active, justification }
+            }),
+            (TEXT, TEXT, TEXT, texts()).prop_map(
+                |(source, destination, message_type, attributes)| AuditEvent::MessageQuenched {
+                    source,
+                    destination,
+                    message_type,
+                    attributes
+                }
+            ),
+            (TEXT, TEXT, TEXT, number()).prop_map(
+                |(source, destination, message_type, dropped)| AuditEvent::DeliveryDropped {
+                    source,
+                    destination,
+                    message_type,
+                    dropped
+                }
+            ),
+            (TEXT, number(), TEXT).prop_map(|(shard, restart, cause)| {
+                AuditEvent::ShardRestarted { shard, restart, cause }
+            }),
+            ((TEXT, TEXT, opt_text()), (number(), TEXT)).prop_map(
+                |((source, destination, message_type), (lost, cause))| AuditEvent::DeliveryLost {
+                    source,
+                    destination,
+                    message_type,
+                    lost,
+                    cause
+                }
+            ),
+        ]
+    }
+
+    fn record() -> impl Strategy<Value = AuditRecord> {
+        ((number(), number(), TEXT, event()), (number(), number())).prop_map(
+            |((id, at_millis, recorded_by, event), (previous_hash, hash))| AuditRecord {
+                id: RecordId(id),
+                at_millis,
+                recorded_by,
+                event,
+                previous_hash,
+                hash,
+            },
+        )
+    }
+
+    fn encoded(record: &AuditRecord) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_record(record, &mut bytes);
+        bytes
+    }
+
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        collection::vec((0u16..256).prop_map(|b| b as u8), len)
+    }
+
+    /// The format, byte for byte, on a record small enough to encode by hand.
+    #[test]
+    fn a_small_record_encodes_to_the_documented_bytes() {
+        let record = AuditRecord {
+            id: RecordId(1),
+            at_millis: 300,
+            recorded_by: "n".into(),
+            event: AuditEvent::PolicyFired {
+                policy: "pé".into(),
+                trigger: String::new(),
+                actions: 128,
+            },
+            previous_hash: 0x0102_0304_0506_0708,
+            hash: 0x1112_1314_1516_1718,
+        };
+        #[rustfmt::skip]
+        let expected = [
+            0x01,                               // id
+            0xac, 0x02,                         // at_millis = 300
+            0x01, b'n',                         // recorded_by
+            0x05,                               // PolicyFired
+            0x03, b'p', 0xc3, 0xa9,             // policy (length in bytes, not chars)
+            0x00,                               // trigger: empty
+            0x80, 0x01,                         // actions = 128
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // previous_hash, LE
+            0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // hash, LE
+        ];
+        assert_eq!(encoded(&record), expected);
+        assert_eq!(decode_record(&expected), Some(record));
+    }
+
+    #[test]
+    fn non_canonical_fields_are_rejected() {
+        let label_changed = |secrecy: &[&[u8]]| {
+            // id 0, at 0, recorded_by "", LabelChanged, entity "", then `before`.
+            let mut bytes = vec![0, 0, 0, 2, 0, secrecy.len() as u8];
+            for name in secrecy {
+                bytes.push(name.len() as u8);
+                bytes.extend_from_slice(name);
+            }
+            // before.integrity, after (two empty labels), no algorithm, two hashes.
+            bytes.extend_from_slice(&[0, 0, 0, 0]);
+            bytes.extend_from_slice(&[0; 16]);
+            bytes
+        };
+        assert!(decode_record(&label_changed(&[b"a", b"b"])).is_some());
+        assert!(decode_record(&label_changed(&[b"b", b"a"])).is_none(), "unsorted tags");
+        assert!(decode_record(&label_changed(&[b"a", b"a"])).is_none(), "duplicate tag");
+        assert!(decode_record(&label_changed(&[b" a"])).is_none(), "untrimmed tag");
+        assert!(decode_record(&label_changed(&[b""])).is_none(), "empty tag");
+        assert!(decode_record(&label_changed(&[b"\xff"])).is_none(), "invalid UTF-8");
+
+        let with_id = |id: &[u8]| {
+            let mut bytes = id.to_vec();
+            // at 0, recorded_by "", ShardRestarted { "", 0, "" }, two hashes.
+            bytes.extend_from_slice(&[0, 0, 11, 0, 0, 0]);
+            bytes.extend_from_slice(&[0; 16]);
+            bytes
+        };
+        assert_eq!(decode_record(&with_id(&[0x7f])).map(|r| r.id), Some(RecordId(127)));
+        assert!(decode_record(&with_id(&[0xff, 0x00])).is_none(), "padded varint");
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(decode_record(&with_id(&max)).map(|r| r.id), Some(RecordId(u64::MAX)));
+        let overflow = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+        assert!(decode_record(&with_id(&overflow)).is_none(), "varint overflows 64 bits");
+        assert!(decode_record(&with_id(&[0xff; 11])).is_none(), "varint never ends");
+        // A bool that is neither 0 nor 1, an unknown variant, a count beyond the input.
+        assert!(decode_record(&[0, 0, 0, 8, 0, 2, 0]).is_none());
+        assert!(decode_record(&[0, 0, 0, 13]).is_none());
+        assert!(decode_record(&[0, 0, 0, 9, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f]).is_none());
+    }
+
+    proptest! {
+        /// Any record over all 13 variants survives the round trip, its chain hash is
+        /// the FNV-1a of the encoding minus the trailing hash field, and the encoding
+        /// is neither extensible nor truncatable.
+        #[test]
+        fn prop_round_trip_and_framing(record in record(), garbage in bytes(1..8)) {
+            let bytes = encoded(&record);
+            prop_assert_eq!(decode_record(&bytes), Some(record.clone()));
+            prop_assert_eq!(
+                record_hash(
+                    record.id,
+                    record.at_millis,
+                    &record.recorded_by,
+                    &record.event,
+                    record.previous_hash
+                ),
+                StableHasher::new().write_bytes(&bytes[..bytes.len() - 8]).finish()
+            );
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_record(&bytes[..cut]).is_none(), "prefix of {cut} bytes decoded");
+            }
+            let mut extended = bytes;
+            extended.extend_from_slice(&garbage);
+            prop_assert!(decode_record(&extended).is_none(), "trailing {garbage:?} accepted");
+        }
+
+        /// Arbitrary input never panics, and whatever does decode re-encodes to the
+        /// very same bytes: one record, one encoding.
+        #[test]
+        fn prop_arbitrary_bytes_never_panic_and_decode_canonically(
+            noise in bytes(0..64),
+            record in record(),
+            position in 0usize..4096,
+            flip in 1u16..256,
+        ) {
+            if let Some(decoded) = decode_record(&noise) {
+                prop_assert_eq!(encoded(&decoded), noise);
+            }
+            // Damage near a valid encoding reaches far deeper into the decoder than
+            // noise does.
+            let mut damaged = encoded(&record);
+            let position = position % damaged.len();
+            damaged[position] ^= flip as u8;
+            if let Some(decoded) = decode_record(&damaged) {
+                prop_assert_eq!(encoded(&decoded), damaged);
+            }
+        }
+    }
+}

@@ -17,6 +17,8 @@
 //!   offloaded to others for distributed audit?");
 //! * [`ProvenanceGraph`] — the audit graph of Fig. 11 (data items, processes, agents)
 //!   built from the log, with ancestry/taint queries and DOT export;
+//! * [`codec`] — the one canonical binary encoding of a record, which both the chain
+//!   hash and the on-disk frames are defined over;
 //! * [`SegmentStore`] — crash-safe on-disk segments for retained-out records, with
 //!   torn-write recovery ([`SegmentStore::recover`]) and pluggable IO fault injection,
 //!   so the tamper-evident chain survives pruning *and* process crashes.
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod codec;
 pub mod event;
 pub mod log;
 pub mod provenance;

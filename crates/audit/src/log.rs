@@ -2,17 +2,19 @@
 //!
 //! Tamper evidence is provided by chaining each record's hash with its predecessor's
 //! (the paper cites hardware-backed secure logs, e.g. BBox \[6\]; we model the chain in
-//! software — the integrity *property* is what compliance checking relies on).
+//! software — the integrity *property* is what compliance checking relies on). A
+//! record's hash is [`crate::codec::record_hash`]: an algorithm and an input this
+//! repository pins (golden vectors below), because persisted segments must still verify
+//! after a toolchain upgrade — which `std`'s `DefaultHasher` does not promise.
 //! Challenge 6 asks "when can logs safely be pruned? Can logs be offloaded to others for
 //! distributed audit?" — [`AuditLog::prune_before`] and [`AuditLog::offload`] model
 //! both, preserving chain verifiability across the cut by retaining the anchor hash.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::record_hash;
 use crate::event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 
 /// The outcome of verifying the hash chain of a log.
@@ -126,7 +128,7 @@ impl AuditLog {
         let previous_hash = self.records.last().map(|r| r.hash).unwrap_or(self.anchor_hash);
         let id = RecordId(self.next_id);
         self.next_id += 1;
-        let hash = Self::hash_record(id, at_millis, &self.authority, &event, previous_hash);
+        let hash = record_hash(id, at_millis, &self.authority, &event, previous_hash);
         self.records.push(AuditRecord {
             id,
             at_millis,
@@ -136,24 +138,6 @@ impl AuditLog {
             hash,
         });
         id
-    }
-
-    fn hash_record(
-        id: RecordId,
-        at_millis: u64,
-        authority: &str,
-        event: &AuditEvent,
-        previous_hash: u64,
-    ) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        id.0.hash(&mut hasher);
-        at_millis.hash(&mut hasher);
-        authority.hash(&mut hasher);
-        // The event is hashed via its debug representation: deterministic for our types
-        // and independent of serde formatting choices.
-        format!("{event:?}").hash(&mut hasher);
-        previous_hash.hash(&mut hasher);
-        hasher.finish()
     }
 
     /// Number of records currently held.
@@ -200,12 +184,10 @@ impl AuditLog {
     pub fn verify_records(anchor_hash: u64, records: &[AuditRecord]) -> ChainVerification {
         let mut expected_prev = anchor_hash;
         for r in records {
-            if r.previous_hash != expected_prev {
-                return ChainVerification::Broken { at: r.id };
-            }
-            let recomputed =
-                Self::hash_record(r.id, r.at_millis, &r.recorded_by, &r.event, r.previous_hash);
-            if recomputed != r.hash {
+            if r.previous_hash != expected_prev
+                || record_hash(r.id, r.at_millis, &r.recorded_by, &r.event, r.previous_hash)
+                    != r.hash
+            {
                 return ChainVerification::Broken { at: r.id };
             }
             expected_prev = r.hash;
@@ -494,6 +476,65 @@ mod tests {
             AuditLog::verify_records(7, log.records()),
             ChainVerification::Broken { at: RecordId(0) }
         );
+    }
+
+    /// Golden vectors: persisted segments carry these hashes, so neither the algorithm
+    /// (FNV-1a 64) nor its input (the canonical encoding) may drift — not with a
+    /// toolchain, not with a refactor. The expected values were computed independently
+    /// of this crate, from the layout documented in [`crate::codec`].
+    #[test]
+    fn chain_hashes_are_pinned() {
+        let source = SecurityContext::from_names(["medical", "ann"], ["hosp-dev"]);
+        let destination = SecurityContext::from_names(["medical"], ["consent"]);
+        let mut log = AuditLog::new("gateway");
+        log.record(
+            AuditEvent::FlowChecked {
+                source: "sensor".into(),
+                destination: "analyser".into(),
+                decision: can_flow(&source, &destination),
+                source_context: source,
+                destination_context: destination,
+                data_item: Some("reading-1".into()),
+            },
+            10,
+        );
+        log.record(
+            AuditEvent::PolicyFired {
+                policy: "emergency".into(),
+                trigger: "hr>180".into(),
+                actions: 3,
+            },
+            20,
+        );
+        assert!(log.records()[0].event.is_denied_flow());
+        assert_eq!(log.records()[0].hash, 0x7fa9_4201_b134_afd9);
+        assert_eq!(log.records()[1].previous_hash, 0x7fa9_4201_b134_afd9);
+        assert_eq!(log.records()[1].hash, 0x7cb9_427e_c210_250e);
+        assert!(log.verify_chain().is_intact());
+    }
+
+    /// The retired hash went through `Debug`, where the one-tag label `{"a, b"}` and the
+    /// two-tag label `{"a", "b"}` both print `Label{a, b}` — two different records, one
+    /// hash. Hashing the length-prefixed encoding tells them apart.
+    #[test]
+    fn labels_that_print_alike_hash_apart() {
+        let one_tag = SecurityContext::from_names(["a, b"], Vec::<&str>::new());
+        let two_tags = SecurityContext::from_names(["a", "b"], Vec::<&str>::new());
+        assert_eq!(format!("{one_tag:?}"), format!("{two_tags:?}"));
+        let hash_of = |context: &SecurityContext| {
+            let mut log = AuditLog::new("n");
+            log.record(
+                AuditEvent::LabelChanged {
+                    entity: "e".into(),
+                    before: SecurityContext::public(),
+                    after: context.clone(),
+                    algorithm: None,
+                },
+                1,
+            );
+            log.records()[0].hash
+        };
+        assert_ne!(hash_of(&one_tag), hash_of(&two_tags));
     }
 
     #[test]

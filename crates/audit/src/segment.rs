@@ -8,14 +8,14 @@
 //! the on-disk prefix and the in-memory suffix verify as **one** hash chain
 //! ([`crate::AuditLog::verify_records`] over their concatenation).
 //!
-//! # On-disk format
+//! # On-disk format (version 2)
 //!
 //! ```text
 //! segment-00000003.seg
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ header (24 bytes)                                            │
 //! │   magic  b"LGAS"          4 bytes                            │
-//! │   version u32 LE          4 bytes                            │
+//! │   version u32 LE          4 bytes  (2)                       │
 //! │   sequence u64 LE         8 bytes  (must match the filename) │
 //! │   anchor  u64 LE          8 bytes  (hash the first frame's   │
 //! │                                     record chains from)      │
@@ -23,11 +23,27 @@
 //! │ frame 0                                                      │
 //! │   len      u32 LE         4 bytes  (payload length)          │
 //! │   checksum u64 LE         8 bytes  (FNV-1a 64 of payload)    │
-//! │   payload  len bytes      (JSON-serialised [`AuditRecord`])  │
+//! │   payload  len bytes      (one record, [`crate::codec`])     │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ frame 1 … frame N                                            │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The payload is the record's canonical binary encoding — the same bytes its chain
+//! hash is computed over, see [`crate::codec`] for the field-by-field layout. Version
+//! 1 (a JSON payload, chain hashes over `Debug` strings under `std`'s unpinned
+//! `DefaultHasher`) is retired: its hashes cannot be re-verified, so no reader for it
+//! exists. [`SegmentStore::recover`] leaves a version-1 segment untouched and reports
+//! it.
+//!
+//! # Writing
+//!
+//! [`SegmentStore::append_batch`] encodes a whole slice of records into one
+//! store-owned buffer and hands it to the file in one `write_all` (split only at
+//! segment rotations and every 256 KiB, so the buffer — and RSS — stays bounded);
+//! [`SegmentStore::append`] is the one-record batch. The buffer is always empty when
+//! a call returns: the store holds no bytes in user space between calls, so what
+//! [`SegmentStats::records_persisted`] counts has reached the file.
 //!
 //! # Crash model and recovery
 //!
@@ -40,8 +56,9 @@
 //! process whose disk state stays a clean prefix.
 //!
 //! Fault injection is pluggable via [`FaultHook`] so the store stays decoupled from
-//! any particular failpoint registry: the hook is consulted before every write, fsync
-//! and rotation and may demand a short write, a hard error or a delay.
+//! any particular failpoint registry: the hook is consulted before every record's
+//! write (once per record, in order, batched or not), every fsync and every rotation,
+//! and may demand a short write, a hard error or a delay.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -49,28 +66,32 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use legaliot_ifc::StableHasher;
+
+use crate::codec::{decode_record, encode_record};
 use crate::event::AuditRecord;
 use crate::log::{AuditLog, ChainVerification};
 
 /// Magic bytes opening every segment file.
 const MAGIC: [u8; 4] = *b"LGAS";
 /// On-disk format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// The retired JSON-framed format: recognised so it is never mistaken for damage.
+const RETIRED_VERSION: u32 = 1;
 /// Fixed header length: magic + version + sequence + anchor.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// Per-frame prefix length: payload length + checksum.
 const FRAME_PREFIX_LEN: usize = 4 + 8;
 /// Upper bound on a frame payload; anything larger is treated as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+/// Bytes [`SegmentStore::append_batch`] buffers before handing them to the file: large
+/// enough that a prune batch is a handful of writes, small enough that the buffer
+/// never shows in RSS.
+const WRITE_CHUNK: usize = 256 * 1024;
 
-/// FNV-1a 64 over the frame payload.
+/// FNV-1a 64 over the frame payload — the same fold the chain hash uses.
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    StableHasher::new().write_bytes(bytes).finish()
 }
 
 /// The IO operation a [`FaultHook`] is consulted about.
@@ -223,6 +244,12 @@ pub struct SegmentStore {
     wedged: Option<String>,
     stats: SegmentStats,
     hook: Option<FaultHook>,
+    /// Frames encoded but not yet handed to the file. Reused across calls for its
+    /// capacity only: empty whenever a public method returns.
+    buffer: Vec<u8>,
+    /// How many complete frames `buffer` holds, and the hash of the last one's record.
+    buffered_frames: usize,
+    buffered_head: u64,
 }
 
 impl fmt::Debug for SegmentStore {
@@ -289,6 +316,9 @@ impl SegmentStore {
             wedged: None,
             stats: SegmentStats::default(),
             hook: None,
+            buffer: Vec::new(),
+            buffered_frames: 0,
+            buffered_head: anchor_hash,
         })
     }
 
@@ -382,68 +412,129 @@ impl SegmentStore {
 
     /// Appends one record frame. Returns `true` when the record reached the segment
     /// file, `false` when the store is (or became) wedged — the drop is counted in
-    /// [`SegmentStats::records_dropped`], never silent.
+    /// [`SegmentStats::records_dropped`], never silent. The one-record case of
+    /// [`Self::append_batch`].
     pub fn append(&mut self, record: &AuditRecord) -> bool {
-        if self.wedged.is_some() {
-            self.stats.records_dropped += 1;
-            return false;
-        }
-        if self.file.is_none() {
-            self.open_segment();
+        self.append_batch(std::slice::from_ref(record)) == 1
+    }
+
+    /// Appends `records`, in order, as one frame each, encoding them into one buffer
+    /// and handing that to the file in a single `write_all` (more only when the batch
+    /// crosses a segment rotation or 256 KiB). Returns how many reached the segment
+    /// file — always a prefix of `records`; the rest, once the store is (or becomes)
+    /// wedged, are counted in [`SegmentStats::records_dropped`], never silent.
+    ///
+    /// The fault hook sees exactly what it would for one [`Self::append`] per record:
+    /// `IoOp::Write` once per record in order, rotations and their fsyncs between the
+    /// same records. A fault at record *k* leaves frames `0..k` in the file (plus, for
+    /// a short write, the synced torn half of frame *k*) and drops `k..`.
+    pub fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
+        let persisted_before = self.stats.records_persisted;
+        for record in records {
+            if self.wedged.is_none() && self.file.is_none() {
+                self.open_segment();
+            }
             if self.wedged.is_some() {
-                self.stats.records_dropped += 1;
-                return false;
+                break;
+            }
+            match self.fault(IoOp::Write) {
+                Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
+                Some(IoFault::ShortWrite) => {
+                    // Tear the frame: after the clean frames before it, write a strict
+                    // prefix, then wedge. Disk now ends in a torn tail for recovery to
+                    // truncate.
+                    if self.write_buffered() {
+                        self.buffer_frame(record);
+                        let torn = &self.buffer[..self.buffer.len() / 2];
+                        if let Some(file) = self.file.as_mut() {
+                            let _ = file.write_all(torn);
+                            let _ = file.sync_all();
+                        }
+                        self.discard_buffered();
+                        self.wedge("short write injected at segment append".into());
+                    }
+                    break;
+                }
+                Some(IoFault::Error) => {
+                    if self.write_buffered() {
+                        self.wedge("io error injected at segment append".into());
+                    }
+                    break;
+                }
+                None => {}
+            }
+            if !self.buffer_frame(record) {
+                if self.write_buffered() {
+                    self.wedge(format!("record {} exceeds the frame size limit", record.id));
+                }
+                break;
+            }
+            if self.records_in_segment + self.buffered_frames >= self.max_segment_records {
+                if self.write_buffered() {
+                    self.rotate();
+                }
+            } else if self.buffer.len() >= WRITE_CHUNK {
+                self.write_buffered();
             }
         }
-        let payload = match serde_json::to_string(record) {
-            Ok(json) => json.into_bytes(),
-            Err(err) => {
-                self.wedge(format!("serialising record {}: {err}", record.id));
-                self.stats.records_dropped += 1;
+        self.write_buffered();
+        let persisted = (self.stats.records_persisted - persisted_before) as usize;
+        self.stats.records_dropped += (records.len() - persisted) as u64;
+        persisted
+    }
+
+    /// Encodes `record` as one frame at the end of the buffer. Returns `false`, with
+    /// the buffer as it was, when the record is too large for a frame.
+    fn buffer_frame(&mut self, record: &AuditRecord) -> bool {
+        let start = self.buffer.len();
+        self.buffer.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+        encode_record(record, &mut self.buffer);
+        let payload_start = start + FRAME_PREFIX_LEN;
+        let len = match u32::try_from(self.buffer.len() - payload_start) {
+            Ok(len) if len <= MAX_FRAME_LEN => len,
+            _ => {
+                self.buffer.truncate(start);
                 return false;
             }
         };
-        let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-
-        match self.fault(IoOp::Write) {
-            Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
-            Some(IoFault::ShortWrite) => {
-                // Tear the frame: write a strict prefix, then wedge. Disk now ends in
-                // a torn tail for recovery to truncate.
-                let torn = &frame[..frame.len() / 2];
-                if let Some(file) = self.file.as_mut() {
-                    let _ = file.write_all(torn);
-                    let _ = file.sync_all();
-                }
-                self.wedge("short write injected at segment append".into());
-                self.stats.records_dropped += 1;
-                return false;
-            }
-            Some(IoFault::Error) => {
-                self.wedge("io error injected at segment append".into());
-                self.stats.records_dropped += 1;
-                return false;
-            }
-            None => {}
-        }
-        let result = self.file.as_mut().expect("segment open").write_all(&frame);
-        if let Err(err) = result {
-            self.wedge(format!("appending record {}: {err}", record.id));
-            self.stats.records_dropped += 1;
-            return false;
-        }
-        self.stats.records_persisted += 1;
-        self.stats.bytes_written += frame.len() as u64;
-        self.stats.unsynced_bytes += frame.len() as u64;
-        self.head_hash = record.hash;
-        self.records_in_segment += 1;
-        if self.records_in_segment >= self.max_segment_records {
-            self.rotate();
-        }
+        let sum = checksum(&self.buffer[payload_start..]);
+        self.buffer[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buffer[start + 4..payload_start].copy_from_slice(&sum.to_le_bytes());
+        self.buffered_frames += 1;
+        self.buffered_head = record.hash;
         true
+    }
+
+    fn discard_buffered(&mut self) -> usize {
+        self.buffer.clear();
+        std::mem::take(&mut self.buffered_frames)
+    }
+
+    /// Hands the buffered frames to the file in one `write_all`. Only a complete
+    /// write counts: a real IO error wedges the store and the whole buffer is
+    /// unpersisted (`false`), whatever part of it the OS took.
+    fn write_buffered(&mut self) -> bool {
+        if self.buffered_frames == 0 {
+            return true;
+        }
+        let file = self.file.as_mut().expect("a segment is open while frames are buffered");
+        let result = file.write_all(&self.buffer);
+        let bytes = self.buffer.len() as u64;
+        let frames = self.discard_buffered();
+        match result {
+            Ok(()) => {
+                self.stats.records_persisted += frames as u64;
+                self.stats.bytes_written += bytes;
+                self.stats.unsynced_bytes += bytes;
+                self.head_hash = self.buffered_head;
+                self.records_in_segment += frames;
+                true
+            }
+            Err(err) => {
+                self.wedge(format!("appending {frames} record(s): {err}"));
+                false
+            }
+        }
     }
 
     /// Fsyncs the current segment. Returns `true` when everything written is now
@@ -558,7 +649,7 @@ impl SegmentStore {
                     offset: 0,
                     bytes_dropped: bytes,
                     records_recovered_before: report.records.len(),
-                    reason: format!("unreachable: segment {torn_seq} has a torn tail"),
+                    reason: format!("unreachable: the scan stopped at segment {torn_seq}"),
                 });
                 continue;
             }
@@ -578,28 +669,40 @@ impl SegmentStore {
                 truncate_to = Some((0, "short segment header".into()));
             } else if bytes[0..4] != MAGIC {
                 truncate_to = Some((0, "bad magic".into()));
-            } else if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != VERSION {
-                truncate_to = Some((0, "unsupported version".into()));
             } else if u64::from_le_bytes(bytes[8..16].try_into().unwrap()) != sequence {
                 truncate_to = Some((0, "sequence mismatch with filename".into()));
             } else {
+                let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
                 let anchor = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-                if first {
+                // Unlike a bad header (which means the segment never held records),
+                // these two mean the file holds history the scan cannot use: it is
+                // left untouched as evidence, and nothing after it can chain either.
+                let mut keep_whole: Option<String> = None;
+                if version == RETIRED_VERSION {
+                    // A well-formed header of the retired format is not damage:
+                    // never a tombstone.
+                    keep_whole = Some(
+                        "retired segment format v1 (JSON frames): left untouched, \
+                         not readable by this version"
+                            .into(),
+                    );
+                } else if version != VERSION {
+                    truncate_to = Some((0, "unsupported version".into()));
+                } else if first {
                     report.initial_anchor = anchor;
                     head = anchor;
                 } else if anchor != head {
-                    // Unlike a bad header (which means the segment never held
-                    // records), an anchor mismatch means this segment was written
-                    // against history we no longer have — leave the file untouched
-                    // as evidence and stop: nothing after it can chain either.
-                    let dropped = bytes.len() as u64;
+                    // Written against history we no longer have.
+                    keep_whole = Some(format!("anchor {anchor:#x} does not chain from {head:#x}"));
+                }
+                if let Some(reason) = keep_whole {
                     report.truncations.push(Truncation {
                         sequence,
                         path,
                         offset: 0,
-                        bytes_dropped: dropped,
+                        bytes_dropped: bytes.len() as u64,
                         records_recovered_before: report.records.len(),
-                        reason: format!("anchor {anchor:#x} does not chain from {head:#x}"),
+                        reason,
                     });
                     stopped_at = Some(sequence);
                     continue;
@@ -632,15 +735,9 @@ impl SegmentStore {
                             truncate_to = Some((offset as u64, "frame checksum mismatch".into()));
                             break;
                         }
-                        let record: AuditRecord = match std::str::from_utf8(payload)
-                            .ok()
-                            .and_then(|json| serde_json::from_str(json).ok())
-                        {
-                            Some(record) => record,
-                            None => {
-                                truncate_to = Some((offset as u64, "frame decode failure".into()));
-                                break;
-                            }
+                        let Some(record) = decode_record(payload) else {
+                            truncate_to = Some((offset as u64, "frame decode failure".into()));
+                            break;
                         };
                         if !AuditLog::verify_records(head, std::slice::from_ref(&record))
                             .is_intact()
@@ -685,7 +782,7 @@ impl SegmentStore {
                         stopped_at = Some(sequence);
                     }
                     // Header-level failures (offset 0: a rotation torn mid-header,
-                    // bad magic/version) mean the segment never held a record the
+                    // bad magic, an unknown version) mean the segment never held a record the
                     // chain could depend on — the file becomes a zero-length
                     // tombstone and the scan continues: a later incarnation's
                     // segments still chain from `head` and must not be orphaned.
@@ -703,7 +800,8 @@ impl SegmentStore {
             }
         }
         report.head_hash = report.records.last().map(|r| r.hash).unwrap_or(report.initial_anchor);
-        report.chain = AuditLog::verify_records(report.initial_anchor, &report.records);
+        // Every record was verified against its predecessor as it was scanned.
+        report.chain = ChainVerification::Intact { records: report.records.len() };
         Ok(report)
     }
 }
@@ -730,10 +828,11 @@ pub struct Truncation {
     /// Path of the affected segment file.
     pub path: PathBuf,
     /// Byte offset the file was truncated to (length of the surviving clean prefix).
-    /// 0 covers three shapes: a header-level failure (the file becomes a zero-length
-    /// tombstone and the scan continues), an anchor mismatch, or a segment that is
-    /// unreachable behind a torn tail (both of the latter are reported but left
-    /// untouched as evidence, and stop the scan).
+    /// 0 covers four shapes: a header-level failure (the file becomes a zero-length
+    /// tombstone and the scan continues), an anchor mismatch, a segment of the retired
+    /// version-1 format, or a segment that is unreachable behind one the scan stopped
+    /// at (the latter three are reported but left untouched as evidence, and stop the
+    /// scan).
     pub offset: u64,
     /// Bytes discarded (or unreachable) past the clean prefix.
     pub bytes_dropped: u64,
@@ -1009,6 +1108,179 @@ mod tests {
         let report = SegmentStore::recover(&dir).unwrap();
         assert!(report.is_clean(), "truncations: {:?}", report.truncations);
         assert_eq!(report.records, records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Arms `store` to fault the `k`-th (0-based) record write and returns the counter
+    /// of `IoOp::Write` consultations.
+    fn fault_write(store: &mut SegmentStore, k: usize, fault: IoFault) -> Arc<AtomicUsize> {
+        let writes = Arc::new(AtomicUsize::new(0));
+        let hook_writes = Arc::clone(&writes);
+        store.set_fault_hook(Box::new(move |op| {
+            (op == IoOp::Write && hook_writes.fetch_add(1, Ordering::Relaxed) == k).then_some(fault)
+        }));
+        writes
+    }
+
+    /// A fault at record `k` of a batch behaves as it would in a loop of single
+    /// appends: frames `0..k` are on disk, `k..` are counted dropped, the hook was
+    /// asked once per record up to and including `k`, and only a short write leaves a
+    /// torn tail. A delay is not a failure: everything persists.
+    #[test]
+    fn batch_fault_at_record_k_keeps_exactly_the_first_k() {
+        const N: usize = 6;
+        let records = sample_records(N);
+        let delay = IoFault::Delay(Duration::from_micros(20));
+        for fault in [IoFault::ShortWrite, IoFault::Error, delay] {
+            for k in 0..N {
+                let ctx = format!("[{fault:?} at record {k} of {N}]");
+                let dir = temp_dir("batchfault");
+                let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
+                let writes = fault_write(&mut store, k, fault);
+                let (kept, consulted) = if fault == delay { (N, N) } else { (k, k + 1) };
+
+                assert_eq!(store.append_batch(&records), kept, "{ctx}");
+                assert_eq!(writes.load(Ordering::Relaxed), consulted, "{ctx}");
+                assert_eq!(store.stats().records_persisted, kept as u64, "{ctx}");
+                assert_eq!(store.stats().records_dropped, (N - kept) as u64, "{ctx}");
+                assert_eq!(store.is_wedged(), fault != delay, "{ctx}");
+                // A wedged store keeps counting, batch or not.
+                if store.is_wedged() {
+                    assert_eq!(store.append_batch(&records[..2]), 0, "{ctx}");
+                    assert_eq!(store.stats().records_dropped, (N - kept + 2) as u64, "{ctx}");
+                }
+                drop(store);
+
+                let report = SegmentStore::recover(&dir).unwrap();
+                assert_eq!(report.records, records[..kept], "{ctx}");
+                assert!(report.chain.is_intact(), "{ctx}");
+                let torn = usize::from(fault == IoFault::ShortWrite);
+                assert_eq!(report.truncations.len(), torn, "{ctx}: {:?}", report.truncations);
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
+    fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .map(|entry| {
+                (entry.file_name().into_string().unwrap(), std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// One batch larger than a segment rotates exactly where single appends would:
+    /// the same files byte for byte (so the same anchors) and the same counters.
+    #[test]
+    fn batch_across_rotations_matches_single_appends() {
+        let records = sample_records(10);
+        let (batch_dir, single_dir) = (temp_dir("rotbatch"), temp_dir("rotsingle"));
+        let mut batched = SegmentStore::create(&batch_dir, 0, 3).unwrap();
+        assert_eq!(batched.append_batch(&records), 10);
+        let mut single = SegmentStore::create(&single_dir, 0, 3).unwrap();
+        for record in &records {
+            assert!(single.append(record));
+        }
+        for store in [&mut batched, &mut single] {
+            assert_eq!(store.head_hash(), records[9].hash);
+            assert!(store.seal());
+        }
+
+        let files = segment_files(&batch_dir);
+        assert_eq!(files.len(), 4);
+        assert_eq!(files, segment_files(&single_dir));
+        let (a, b) = (batched.stats(), single.stats());
+        assert_eq!(a.fsync.count(), b.fsync.count());
+        let timeless = |stats: &SegmentStats| SegmentStats {
+            fsync: FsyncHistogram::default(),
+            ..stats.clone()
+        };
+        assert_eq!(timeless(a), timeless(b));
+        assert_eq!((a.segments_written, a.segments_sealed, a.records_persisted), (4, 4, 10));
+
+        let report = SegmentStore::recover(&batch_dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, records);
+        std::fs::remove_dir_all(&batch_dir).unwrap();
+        std::fs::remove_dir_all(&single_dir).unwrap();
+    }
+
+    /// A batch far larger than the write chunk goes out in several writes, and the
+    /// store's buffer stays chunk-sized however large the batch was.
+    #[test]
+    fn batch_buffer_stays_bounded() {
+        let dir = temp_dir("chunks");
+        let mut log = AuditLog::new("shard-0");
+        for i in 0..40 {
+            let event = AuditEvent::ShardRestarted {
+                shard: "s".into(),
+                restart: i,
+                cause: "x".repeat(32 * 1024),
+            };
+            log.record(event, i);
+        }
+        let mut store = SegmentStore::create(&dir, 0, 1000).unwrap();
+        assert_eq!(store.append_batch(log.records()), 40);
+        assert!(store.stats().bytes_written > 4 * WRITE_CHUNK as u64);
+        assert!(store.buffer.is_empty());
+        // One chunk plus the frame that crossed it, at `Vec`'s doubling growth.
+        assert!(store.buffer.capacity() < 3 * WRITE_CHUNK, "{}", store.buffer.capacity());
+        assert!(store.seal());
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, log.records());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A segment of the retired version-1 format is history, not damage: recovery
+    /// reports it, stops there, and leaves every byte in place — where any *other*
+    /// unknown version is still a header failure and becomes a tombstone.
+    #[test]
+    fn retired_v1_segment_is_reported_and_left_untouched() {
+        let dir = temp_dir("v1");
+        let records = sample_records(5);
+        let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
+        assert_eq!(store.append_batch(&records[..4]), 4); // segments 0 and 1, sealed
+        drop(store);
+        // Segment 2: what the previous release wrote. Segment 3: written after it.
+        let mut v1 = encode_header(2, records[3].hash).to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(br#"....json frames of the old format...."#);
+        std::fs::write(dir.join(segment_file_name(2)), &v1).unwrap();
+        let mut store = SegmentStore::create(&dir, records[3].hash, 2).unwrap();
+        assert!(store.append(&records[4]));
+        assert!(store.seal());
+        let before = segment_files(&dir);
+        assert_eq!(before.len(), 4);
+
+        for pass in 0..2 {
+            let report = SegmentStore::recover(&dir).unwrap();
+            assert_eq!(report.records, records[..4], "pass {pass}");
+            assert!(report.chain.is_intact());
+            assert!(!report.is_clean());
+            assert_eq!(report.truncations.len(), 2, "{:?}", report.truncations);
+            let retired = &report.truncations[0];
+            assert_eq!((retired.sequence, retired.offset), (2, 0));
+            assert_eq!(retired.bytes_dropped, v1.len() as u64);
+            assert_eq!(retired.records_recovered_before, 4);
+            assert!(retired.reason.contains("retired segment format v1"), "{}", retired.reason);
+            assert!(report.truncations[1].reason.contains("unreachable"));
+            assert_eq!(segment_files(&dir), before, "pass {pass} changed a file");
+        }
+
+        // Version 3 does not exist: that header is damage, as before.
+        let mut v3 = v1.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(dir.join(segment_file_name(2)), &v3).unwrap();
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert_eq!(report.truncations.len(), 1);
+        assert_eq!(report.truncations[0].reason, "unsupported version");
+        assert_eq!(std::fs::metadata(dir.join(segment_file_name(2))).unwrap().len(), 0);
+        assert_eq!(report.records, records, "the scan went on past the tombstone");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1160,4 +1160,39 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A shard directory left by a release that wrote the retired version-1 segment
+    /// format: startup reports it (`recovery_truncations`) and must not touch it —
+    /// audit history this build cannot read is still audit history.
+    #[test]
+    fn startup_leaves_a_retired_v1_segment_untouched() {
+        let dir = durable_dir("v1");
+        let config = durable_config(&dir);
+        let persistence = config.persistence.clone().unwrap();
+        let mut v1 = b"LGAS".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes()); // version
+        v1.extend_from_slice(&0u64.to_le_bytes()); // sequence
+        v1.extend_from_slice(&0u64.to_le_bytes()); // anchor
+        v1.extend_from_slice(b"{\"id\":0,\"at_millis\":10,\"recorded_by\":\"durable-shard-0\"}");
+        let path = persistence.shard_dir(0).join("segment-00000000.seg");
+        std::fs::create_dir_all(persistence.shard_dir(0)).unwrap();
+        std::fs::write(&path, &v1).unwrap();
+
+        let dataplane = two_pair_plane(config);
+        assert_eq!(dataplane.stats().recovery_truncations, 1);
+        for round in 0..100 {
+            dataplane.publish("a", Timestamp(10 + round)).unwrap();
+            dataplane.publish("c", Timestamp(10 + round)).unwrap();
+        }
+        dataplane.drain();
+        let report = dataplane.shutdown();
+        assert_eq!(report.unsynced_bytes, 0);
+        assert_eq!(std::fs::read(&path).unwrap(), v1, "the v1 segment was modified");
+
+        let recovered = legaliot_audit::SegmentStore::recover(persistence.shard_dir(0)).unwrap();
+        assert!(recovered.records.is_empty(), "nothing chains through unreadable history");
+        assert!(recovered.truncations[0].reason.contains("retired segment format v1"));
+        assert_eq!(std::fs::read(&path).unwrap(), v1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

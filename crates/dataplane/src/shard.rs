@@ -385,9 +385,7 @@ pub(crate) fn run_worker(
             .with_retention(config.audit_retention)
             .with_prune_sink(move |records: &[AuditRecord]| {
                 let mut segments = segments.lock();
-                for record in records {
-                    segments.append(record);
-                }
+                segments.append_batch(records);
                 if sync_on_flush {
                     segments.sync();
                 }
@@ -486,9 +484,7 @@ pub(crate) fn run_worker(
         // join observes this worker as done. A store wedged by an IO fault
         // counts these appends as drops instead — visible, never silent.
         let mut segments = persistence.store.lock();
-        for record in audit.records() {
-            segments.append(record);
-        }
+        segments.append_batch(audit.records());
         segments.seal();
     }
     ShardReport { audit, cache_stats: state.cache.stats(), ac_cache_stats: state.ac_cache.stats() }

@@ -82,6 +82,15 @@ impl StableHasher {
         self
     }
 
+    /// Folds in raw bytes with no separator: the plain FNV-1a 64 of everything written
+    /// so far. Callers hashing several variable-length fields must make the byte stream
+    /// self-delimiting themselves (the audit codec's length prefixes do).
+    #[must_use]
+    pub fn write_bytes(mut self, bytes: &[u8]) -> Self {
+        fnv1a(&mut self.0, bytes);
+        self
+    }
+
     /// Folds in a little-endian 64-bit value.
     #[must_use]
     pub fn write_u64(mut self, value: u64) -> Self {
@@ -336,6 +345,19 @@ mod tests {
             fnv1a(&mut h, b"|I|");
             h
         });
+    }
+
+    #[test]
+    fn write_bytes_is_plain_fnv1a_64() {
+        // Published FNV-1a 64 test vectors: persisted audit segments depend on these.
+        assert_eq!(StableHasher::new().write_bytes(b"").finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(StableHasher::new().write_bytes(b"a").finish(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(StableHasher::new().write_bytes(b"foobar").finish(), 0x8594_4171_f739_67e8);
+        // Incremental writes fold the same stream.
+        assert_eq!(
+            StableHasher::new().write_bytes(b"foo").write_bytes(b"bar").finish(),
+            StableHasher::new().write_bytes(b"foobar").finish()
+        );
     }
 
     #[test]

@@ -52,6 +52,16 @@ fn recover_and_report(dir: &Path) -> RecoveryReport {
                 t.sequence, t.offset, t.bytes_dropped, t.records_recovered_before, t.reason,
             );
         }
+        // Not every reported segment was cut: a segment in the retired v1 format, one
+        // whose anchor does not chain, and everything behind either stay on disk.
+        let kept = report
+            .truncations
+            .iter()
+            .filter(|t| std::fs::metadata(&t.path).is_ok_and(|m| m.len() > t.offset))
+            .count();
+        if kept > 0 {
+            println!("  left untouched as evidence: {kept} of the segments above (see reasons)");
+        }
     }
 
     println!(
