@@ -357,8 +357,7 @@ impl ProvenanceGraph {
         visited == self.nodes.len()
     }
 
-    /// Renders the graph in Graphviz DOT format (the Cytoscape/Neo4J substitution noted
-    /// in DESIGN.md).
+    /// Renders the graph in Graphviz DOT format (standing in for Cytoscape/Neo4J).
     pub fn to_dot(&self) -> String {
         let mut out = String::from("digraph provenance {\n");
         for n in &self.nodes {

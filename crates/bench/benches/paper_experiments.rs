@@ -1,4 +1,4 @@
-//! Criterion harnesses for the experiments in EXPERIMENTS.md (E2, E3, E7, E8, E11–E17).
+//! Criterion harnesses for the paper experiments (E2, E3, E7, E8, E11–E17).
 //!
 //! The paper is a vision paper with no quantitative tables, so these benchmarks
 //! quantify the claims it makes qualitatively: per-flow IFC checks are cheap and scale

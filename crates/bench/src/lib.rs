@@ -1,5 +1,5 @@
-//! Benchmark support crate. The Criterion harnesses in `benches/` regenerate the
-//! experiments listed in `EXPERIMENTS.md`; this library only hosts shared helpers.
+//! Benchmark support crate. The Criterion harness `benches/paper_experiments.rs` runs
+//! the paper experiments (E2–E17); this library only hosts shared helpers.
 
 /// Builds a secrecy-only security context with `n` distinct tags, used by the label-size
 /// and tag-scale experiments (E3, E14).

@@ -23,7 +23,7 @@ use legaliot_obs::ObsConfig;
 use legaliot_policy::AcCacheStats;
 
 use crate::failpoint::{self, FailpointRegistry};
-use crate::shard::{panic_message, run_worker, DeliveryBody, ShardReport, ShardState, ShardTask};
+use crate::shard::{panic_message, run_worker, ShardReport, ShardState, ShardTask};
 use crate::subscriber::{Mailbox, OverflowPolicy, Subscriber};
 use crate::telemetry::TelemetrySnapshot;
 
@@ -48,7 +48,9 @@ pub enum AuditDetail {
     Summarised,
 }
 
-/// How [`Dataplane::publish_message`] carries message bodies to the shards.
+/// How [`Dataplane::publish_message`] carries message bodies to the shards. A
+/// one-value enum kept for source compatibility with `benchmark/`; collapsing it
+/// belongs to the next `benchmark`-archetype PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadMode {
     /// Freeze the message once at ingress ([`FrozenMessage`]) and hand every
@@ -56,10 +58,6 @@ pub enum PayloadMode {
     /// is a bitmask over the shared buffer.
     #[default]
     ZeroCopy,
-    /// Deep-clone the [`Message`] (its `BTreeMap` and every `String` in it) once per
-    /// subscriber and quench by map clone on the shard — the naive port of the bus's
-    /// per-delivery behaviour, kept as the measured baseline for the zero-copy path.
-    CloneEach,
 }
 
 /// Durable-audit persistence: stream retained-out audit records into per-shard
@@ -118,13 +116,8 @@ pub struct DataplaneConfig {
     /// [`legaliot_audit::AuditLog::retain_recent`]). `None` retains everything, which
     /// is unbounded memory under [`AuditDetail::Full`] at dataplane rates.
     pub audit_retention: Option<usize>,
-    /// How message bodies travel through the shards (zero-copy vs the clone-per-
-    /// delivery baseline).
+    /// How message bodies travel through the shards (one value; see [`PayloadMode`]).
     pub payload_mode: PayloadMode,
-    /// When non-zero, each endpoint keeps its newest `retain_deliveries` delivered
-    /// (post-quench) messages for inspection via [`Dataplane::take_delivered`]. Off
-    /// (`0`) by default: the hot path then never materialises delivered bodies.
-    pub retain_deliveries: usize,
     /// Bounded capacity of each subscriber mailbox opened by
     /// [`Dataplane::open_subscriber`] / [`Dataplane::subscribe_receiver`] (clamped to
     /// ≥ 1). Endpoints without an open mailbox pay nothing.
@@ -141,8 +134,7 @@ pub struct DataplaneConfig {
     /// Deterministic, seeded fault injection ([`crate::failpoint`]): panics, delays
     /// and queue-full faults at named sites on the data path, for exercising shard
     /// supervision and churn soaks. `None` (the default) disables every probe down
-    /// to a single branch, the same zero-cost-when-off discipline as `telemetry` —
-    /// kept measured by the bench example's `failpoint_overhead` A/B.
+    /// to a single branch, the same zero-cost-when-off discipline as `telemetry`.
     pub failpoints: Option<Arc<FailpointRegistry>>,
     /// How many times a panicked shard worker is restarted (caches cold, audit
     /// chain re-anchored, the in-flight batch resumed) before the shard degrades.
@@ -172,7 +164,6 @@ impl Default for DataplaneConfig {
             audit_detail: AuditDetail::Summarised,
             audit_retention: None,
             payload_mode: PayloadMode::ZeroCopy,
-            retain_deliveries: 0,
             mailbox_capacity: 1024,
             overflow: OverflowPolicy::Block,
             telemetry: ObsConfig::default(),
@@ -277,10 +268,6 @@ pub(crate) struct Endpoint {
     /// Behind an `Arc` so `publish` can snapshot the fan-out with one refcount bump
     /// instead of cloning the list on every message.
     pub subscribers: Arc<Vec<(Arc<str>, usize)>>,
-    /// Newest delivered (post-quench) messages, kept only when
-    /// [`DataplaneConfig::retain_deliveries`] is non-zero. Interior mutability so the
-    /// shard can append under the directory *read* lock.
-    pub inbox: parking_lot::Mutex<std::collections::VecDeque<Message>>,
     /// The streaming receiver's bounded mailbox, present while a [`Subscriber`] has
     /// been opened for this endpoint. Shards push enforced (post-quench) deliveries
     /// into it under the directory *read* lock; a closed mailbox is skipped with one
@@ -341,7 +328,9 @@ pub struct DataplaneStats {
     pub published: u64,
     /// Messages whose flow check allowed delivery.
     pub delivered: u64,
-    /// Messages denied (IFC or isolation).
+    /// Messages denied: by isolation, by per-message contextual AC (payload
+    /// deliveries) or by IFC. Only IFC denials carry a `FlowChecked` record; the
+    /// other two are evidenced in the per-pair `FlowSummary` counts.
     pub denied: u64,
     /// Messages dropped because an endpoint had been deregistered mid-flight.
     pub missing_endpoint: u64,
@@ -618,7 +607,6 @@ impl Dataplane {
                 context_hash,
                 shard,
                 subscribers: Arc::new(Vec::new()),
-                inbox: parking_lot::Mutex::new(std::collections::VecDeque::new()),
                 mailbox: None,
             },
         );
@@ -666,7 +654,6 @@ impl Dataplane {
                     context_hash,
                     shard,
                     subscribers: Arc::new(Vec::new()),
-                    inbox: parking_lot::Mutex::new(std::collections::VecDeque::new()),
                     mailbox: None,
                 },
             );
@@ -745,23 +732,6 @@ impl Dataplane {
         let mut directory = self.shared.directory.write();
         directory.schemas.insert(schema.message_type.clone(), Arc::new(frozen));
         Ok(())
-    }
-
-    /// Drains the retained deliveries of an endpoint (newest
-    /// [`DataplaneConfig::retain_deliveries`] post-quench messages). Always empty when
-    /// retention is off.
-    ///
-    /// # Errors
-    ///
-    /// [`DataplaneError::UnknownEndpoint`] if the endpoint is unregistered.
-    pub fn take_delivered(&self, name: &str) -> Result<Vec<Message>, DataplaneError> {
-        let directory = self.shared.directory.read();
-        let endpoint = directory
-            .endpoints
-            .get(name)
-            .ok_or_else(|| DataplaneError::UnknownEndpoint { name: name.to_string() })?;
-        let drained: Vec<Message> = endpoint.inbox.lock().drain(..).collect();
-        Ok(drained)
     }
 
     /// Removes an endpoint and every subscription involving it. In-flight messages to
@@ -915,17 +885,17 @@ impl Dataplane {
     }
 
     /// The single fan-out path every publish variant goes through: one
-    /// [`ShardTask::Deliver`] per subscriber, `body()` supplying the (possibly absent)
-    /// message body for each. Blocking and non-blocking pushes, in-flight accounting
-    /// and the published counter live here so the flow-only and payload-carrying
-    /// entry points cannot drift apart.
+    /// [`ShardTask::Deliver`] per subscriber, each carrying one more reference to the
+    /// (possibly absent) frozen body. Blocking and non-blocking pushes, in-flight
+    /// accounting and the published counter live here so the flow-only and
+    /// payload-carrying entry points cannot drift apart.
     fn enqueue_fanout(
         &self,
         from: &Arc<str>,
         subscribers: &[(Arc<str>, usize)],
         now: Timestamp,
         block: bool,
-        mut body: impl FnMut() -> Option<DeliveryBody>,
+        body: Option<&Arc<FrozenMessage>>,
     ) -> Result<usize, DataplaneError> {
         // One clock read per fan-out (not per subscriber); 0 when telemetry is off,
         // which the workers treat as "no timing".
@@ -958,7 +928,7 @@ impl Dataplane {
                 to: Arc::clone(to),
                 at_millis: now.as_millis(),
                 enqueued_ns,
-                body: body(),
+                body: body.cloned(),
             };
             state.counters.in_flight.fetch_add(1, Ordering::SeqCst);
             if block {
@@ -997,14 +967,14 @@ impl Dataplane {
     /// [`DataplaneError::UnknownEndpoint`] if the publisher is unregistered.
     pub fn publish(&self, publisher: &str, now: Timestamp) -> Result<usize, DataplaneError> {
         let (from, subscribers) = self.fanout(publisher)?;
-        self.enqueue_fanout(&from, &subscribers, now, true, || None)
+        self.enqueue_fanout(&from, &subscribers, now, true, None)
     }
 
     /// Like [`Self::publish`] but fails with [`DataplaneError::QueueFull`] instead of
     /// blocking. Deliveries already enqueued for earlier subscribers stay enqueued.
     pub fn try_publish(&self, publisher: &str, now: Timestamp) -> Result<usize, DataplaneError> {
         let (from, subscribers) = self.fanout(publisher)?;
-        self.enqueue_fanout(&from, &subscribers, now, false, || None)
+        self.enqueue_fanout(&from, &subscribers, now, false, None)
     }
 
     /// Publishes a payload-carrying message from `publisher` to every admitted
@@ -1012,13 +982,11 @@ impl Dataplane {
     /// enqueued.
     ///
     /// The message is validated against its registered schema once at ingress, then
-    /// carried per [`DataplaneConfig::payload_mode`]: frozen once and shared
-    /// zero-copy (one `Arc` bump per subscriber), or deep-cloned per subscriber
-    /// (the measured baseline). Shards run the full §8.2.2 per-delivery sequence —
-    /// isolation, contextual AC at message-type granularity (cache-amortised), IFC
-    /// over the message's effective context, then per-attribute source quenching
-    /// against the subscriber's secrecy label (Fig. 10), with quenched attribute
-    /// names recorded in the per-shard audit.
+    /// frozen once and shared zero-copy (one `Arc` bump per subscriber). Shards run
+    /// the full §8.2.2 per-delivery sequence — isolation, contextual AC at
+    /// message-type granularity (cache-amortised), IFC over the message's effective
+    /// context, then per-attribute source quenching against the subscriber's secrecy
+    /// label (Fig. 10), with quenched attribute names recorded in the per-shard audit.
     ///
     /// # Errors
     ///
@@ -1043,30 +1011,12 @@ impl Dataplane {
                 })?;
             (Arc::clone(key), Arc::clone(&endpoint.subscribers), schema)
         };
-        match self.config.payload_mode {
-            PayloadMode::ZeroCopy => {
-                let frozen = FrozenMessage::freeze(message, schema)
-                    .map_err(|reason| DataplaneError::SchemaViolation { reason })?
-                    .with_sender(Arc::clone(&from))
-                    .with_sent_at(now.as_millis());
-                let frozen = Arc::new(frozen);
-                self.enqueue_fanout(&from, &subscribers, now, true, || {
-                    Some(DeliveryBody::Frozen(Arc::clone(&frozen)))
-                })
-            }
-            PayloadMode::CloneEach => {
-                schema
-                    .validate(message)
-                    .map_err(|reason| DataplaneError::SchemaViolation { reason })?;
-                let mut stamped = message.clone();
-                stamped.sender = from.to_string();
-                stamped.sent_at_millis = now.as_millis();
-                self.enqueue_fanout(&from, &subscribers, now, true, || {
-                    // The per-subscriber deep clone *is* the baseline being measured.
-                    Some(DeliveryBody::Cloned(Box::new(stamped.clone())))
-                })
-            }
-        }
+        let frozen = FrozenMessage::freeze(message, schema)
+            .map_err(|reason| DataplaneError::SchemaViolation { reason })?
+            .with_sender(Arc::clone(&from))
+            .with_sent_at(now.as_millis());
+        let frozen = Arc::new(frozen);
+        self.enqueue_fanout(&from, &subscribers, now, true, Some(&frozen))
     }
 
     /// Changes an entity's security context and broadcasts invalidation of its old

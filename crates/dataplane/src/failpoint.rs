@@ -9,8 +9,7 @@
 //!
 //! Probes follow the same zero-cost-when-disabled discipline as
 //! [`ObsConfig`](legaliot_obs::ObsConfig): with no registry configured (the
-//! default) each probe is a single branch on an `Option`, and the
-//! `failpoint_overhead` A/B in the bench example keeps that claim measured.
+//! default) each probe is a single branch on an `Option`.
 //! With a registry attached, every probe execution increments the site's hit
 //! counter and evaluates each spec **as a pure function of the hit index**, so
 //! a given seed and hit order reproduce the same fault schedule exactly. (With

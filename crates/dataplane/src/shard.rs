@@ -16,10 +16,9 @@
 //! Payload-carrying deliveries run the full §8.2.2 per-message sequence — isolation,
 //! contextual AC at message-type granularity, IFC over the message's *effective*
 //! context (sender secrecy ∪ message-level secrecy), then per-attribute source
-//! quenching against the subscriber's secrecy label (Fig. 10). In zero-copy mode the
-//! body is an `Arc<FrozenMessage>` and quenching is a cached bitmask; in clone-each
-//! mode (the measured baseline) the body is a deep-cloned [`Message`] quenched by map
-//! clone.
+//! quenching against the subscriber's secrecy label (Fig. 10). The body is an
+//! `Arc<FrozenMessage>` shared across the whole fan-out and quenching is a cached
+//! bitmask.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -31,50 +30,13 @@ use legaliot_audit::{AuditEvent, AuditLog, AuditRecord, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{can_flow, context_hash64, DecisionCache, FlowDecision, SecurityContext};
 use legaliot_middleware::admission::AdmissionCache;
-use legaliot_middleware::{encoded_payload_len, FrozenMessage, Message, MessageType, Operation};
+use legaliot_middleware::{FrozenMessage, Operation};
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, Endpoint, SharedState};
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::BoundedQueue;
 use crate::subscriber::{MailboxPush, ReceivedMessage};
 use crate::telemetry::{DeliveryProbe, ShardTelemetry, Stage};
-
-/// A message body carried by a [`ShardTask::Deliver`].
-#[derive(Debug)]
-pub(crate) enum DeliveryBody {
-    /// Zero-copy: the frozen message is shared across the whole fan-out; this clone
-    /// cost one refcount bump at publish time.
-    Frozen(Arc<FrozenMessage>),
-    /// Clone-per-delivery baseline: a deep copy made for this subscriber at publish
-    /// time.
-    Cloned(Box<Message>),
-}
-
-impl DeliveryBody {
-    fn message_type(&self) -> &MessageType {
-        match self {
-            DeliveryBody::Frozen(message) => message.message_type(),
-            DeliveryBody::Cloned(message) => &message.message_type,
-        }
-    }
-
-    /// The message-level security context (application-supplied extra tags).
-    fn extra_context(&self) -> &SecurityContext {
-        match self {
-            DeliveryBody::Frozen(message) => message.extra_context(),
-            DeliveryBody::Cloned(message) => &message.context,
-        }
-    }
-
-    /// The cheapest handle on this body's message type that can still name it
-    /// in loss evidence (an `Arc` bump in zero-copy mode).
-    fn lost_type(&self) -> LostType {
-        match self {
-            DeliveryBody::Frozen(message) => LostType::Frozen(Arc::clone(message)),
-            DeliveryBody::Cloned(message) => LostType::Named(message.message_type.clone()),
-        }
-    }
-}
 
 /// Work items delivered to a shard's ingress queue.
 #[derive(Debug)]
@@ -92,8 +54,9 @@ pub(crate) enum ShardTask {
         /// latency from it. Taken once per fan-out, not per subscriber.
         enqueued_ns: u64,
         /// The message body, if this is a payload-carrying delivery (`None` for the
-        /// flow-only fast path).
-        body: Option<DeliveryBody>,
+        /// flow-only fast path): the frozen message shared across the whole fan-out,
+        /// one refcount bump per subscriber at publish time.
+        body: Option<Arc<FrozenMessage>>,
     },
     /// Drop every cached decision involving this context hash (an entity changed
     /// context — §8.2.2 re-evaluation). Also drops quench masks computed against the
@@ -171,9 +134,6 @@ type PairKey = (Arc<str>, Arc<str>);
 struct PairSummary {
     allowed: u64,
     denied: u64,
-    /// Attributes quenched on this pair so far (also gates the one
-    /// `MessageQuenched` record per pair in summarised clone-each mode).
-    quenched: u64,
     /// Deliveries of this pair shed by drop-oldest mailbox overflow, counted per
     /// message type (summarised mode only — full mode records each shed individually
     /// instead), folded into one `DeliveryDropped` record per `(pair, type)` at
@@ -217,22 +177,6 @@ struct PendingHandOff {
     item: ReceivedMessage,
 }
 
-/// The message type of a delivery that may need loss evidence, held as cheaply
-/// as possible until the evidence actually needs the string.
-enum LostType {
-    Frozen(Arc<FrozenMessage>),
-    Named(MessageType),
-}
-
-impl LostType {
-    fn name(&self) -> String {
-        match self {
-            LostType::Frozen(message) => message.message_type().to_string(),
-            LostType::Named(message_type) => message_type.to_string(),
-        }
-    }
-}
-
 /// What the supervisor knows about the unit of work currently being processed,
 /// captured before dispatch so a panic mid-unit can be evidenced as a loss
 /// (never a silent drop).
@@ -245,7 +189,9 @@ struct InFlight {
     from: Arc<str>,
     to: Arc<str>,
     at_millis: u64,
-    message_type: Option<LostType>,
+    /// The body, held (one `Arc` bump) so loss evidence can name its message type
+    /// without building the string unless the evidence is actually written.
+    message: Option<Arc<FrozenMessage>>,
 }
 
 /// Cross-restart batch progress, owned by the supervisor (it lives *outside*
@@ -558,7 +504,7 @@ fn recover_unit(state: &mut WorkerState, progress: &mut BatchProgress, cause: &s
     progress.local = progress.saved_counters;
     progress.pending.truncate(progress.saved_pending);
     if let Some(unit) = progress.unit.take() {
-        let message_type = unit.message_type.as_ref().map(LostType::name);
+        let message_type = unit.message.as_ref().map(|m| m.message_type().to_string());
         if unit.hand_off {
             state.appender.append(
                 AuditEvent::DeliveryLost {
@@ -691,7 +637,7 @@ fn run_batch(
                         from: Arc::clone(&from),
                         to: Arc::clone(&to),
                         at_millis,
-                        message_type: body.as_ref().map(DeliveryBody::lost_type),
+                        message: body.clone(),
                     });
                     let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
                     process_delivery(
@@ -740,19 +686,10 @@ fn run_batch(
             from: Arc::clone(&hand_off.from),
             to: Arc::clone(&hand_off.to),
             at_millis: hand_off.at_millis,
-            message_type: Some(received_lost_type(&hand_off.item)),
+            message: hand_off.item.frozen().cloned(),
         });
         complete_hand_off(config, state, &mut progress.local, telemetry, hand_off);
         progress.unit = None;
-    }
-}
-
-/// The cheapest handle on an enforced delivery's message type, for hand-off
-/// loss evidence.
-fn received_lost_type(item: &ReceivedMessage) -> LostType {
-    match item {
-        ReceivedMessage::Frozen(message) => LostType::Frozen(Arc::clone(message)),
-        ReceivedMessage::Thawed(message) => LostType::Named(message.message_type.clone()),
     }
 }
 
@@ -824,7 +761,7 @@ fn abandon_progress(state: &mut WorkerState, progress: &mut BatchProgress, shard
             AuditEvent::DeliveryLost {
                 source: hand_off.from.to_string(),
                 destination: hand_off.to.to_string(),
-                message_type: Some(received_lost_type(&hand_off.item).name()),
+                message_type: Some(hand_off.item.message_type().to_string()),
                 lost: 1,
                 cause: format!("mailbox hand-off abandoned: {CAUSE}"),
             },
@@ -907,7 +844,7 @@ fn process_delivery(
     from: Arc<str>,
     to: Arc<str>,
     at_millis: u64,
-    body: Option<DeliveryBody>,
+    body: Option<Arc<FrozenMessage>>,
 ) {
     failpoint::inject(&config.failpoints, FailpointSite::ShardProcess);
     // Read both endpoints' *current* contexts: a message is always judged against the
@@ -975,7 +912,7 @@ fn process_delivery(
     // joined with any message-level secrecy tags (integrity comes from the sender
     // alone, as on the bus). The common case — no extra tags — reuses the endpoint's
     // precomputed context hash, so cache keying costs nothing.
-    let extra = body.as_ref().map(DeliveryBody::extra_context);
+    let extra = body.as_ref().map(|message| message.extra_context());
     let effective: Option<(SecurityContext, u64)> = match extra {
         Some(context) if !context.secrecy().is_empty() => {
             let joined = SecurityContext::new(
@@ -1043,12 +980,10 @@ fn process_delivery(
     }
 
     // Per-attribute source quenching and delivery accounting (allowed payloads only).
-    let mut quenched_now = 0u64;
     if !denied {
         if let Some(body) = body {
-            quenched_now = deliver_payload(
-                directory, config, state, local, pending, &mut probe, &from, &to, dst, at_millis,
-                body,
+            deliver_payload(
+                config, state, local, pending, &mut probe, &from, &to, dst, at_millis, body,
             );
         }
         // End-to-end publish→enforced latency, recorded for allowed messages only
@@ -1066,16 +1001,13 @@ fn process_delivery(
         } else {
             summary.allowed += 1;
         }
-        summary.quenched += quenched_now;
         summary.last_millis = at_millis;
     }
 }
 
-/// Quenches and delivers an allowed payload; returns how many attributes were
-/// quenched on this delivery.
+/// Quenches and delivers an allowed payload.
 #[allow(clippy::too_many_arguments)]
 fn deliver_payload(
-    directory: &Directory,
     config: &DataplaneConfig,
     state: &mut WorkerState,
     local: &mut BatchCounters,
@@ -1085,121 +1017,61 @@ fn deliver_payload(
     to: &Arc<str>,
     dst: &Endpoint,
     at_millis: u64,
-    body: DeliveryBody,
-) -> u64 {
+    message: Arc<FrozenMessage>,
+) {
     // A closed mailbox is skipped with one atomic load — torn-down consumers cost the
     // hot path nothing beyond that check. The push itself happens after the batch
     // releases the directory lock (see `PendingHandOff`).
     let mailbox = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed());
-    match body {
-        DeliveryBody::Frozen(message) => {
-            // The quench mask is a pure function of (schema, destination secrecy):
-            // cache it per (schema hash, destination context hash). A destination
-            // context change either misses (new hash) or was dropped by the
-            // invalidation broadcast, so stale masks never apply.
-            let schema = message.schema();
-            let key = (schema.schema_hash(), dst.context_hash);
-            let (mask, fresh) = match state.quench_cache.get(&key) {
-                Some(mask) => (*mask, false),
-                None => {
-                    if state.quench_cache.len() >= config.cache_capacity {
-                        state.quench_cache.clear();
-                    }
-                    let mask = schema.quench_mask_for(dst.component.context().secrecy());
-                    state.quench_cache.insert(key, mask);
-                    (mask, true)
-                }
-            };
-            let quenched = u64::from(mask.count_ones());
-            if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
-                state.appender.append(
-                    AuditEvent::MessageQuenched {
-                        source: from.to_string(),
-                        destination: to.to_string(),
-                        message_type: message.message_type().to_string(),
-                        attributes: schema.mask_names(mask).map(str::to_string).collect(),
-                    },
-                    at_millis,
-                );
+    // The quench mask is a pure function of (schema, destination secrecy): cache it
+    // per (schema hash, destination context hash). A destination context change
+    // either misses (new hash) or was dropped by the invalidation broadcast, so stale
+    // masks never apply.
+    let schema = message.schema();
+    let key = (schema.schema_hash(), dst.context_hash);
+    let (mask, fresh) = match state.quench_cache.get(&key) {
+        Some(mask) => (*mask, false),
+        None => {
+            if state.quench_cache.len() >= config.cache_capacity {
+                state.quench_cache.clear();
             }
-            local.quenched += quenched;
-            // Effective bytes moved: quenched attributes' spans never reach a receiver.
-            local.payload_bytes += message.byte_len_after_quench(mask) as u64;
-            if config.retain_deliveries > 0 {
-                // Observation affordance, off the hot path: materialise the quenched
-                // view only when retention is enabled.
-                push_inbox(dst, config.retain_deliveries, message.quench(mask).thaw());
-            }
-            if let Some(mailbox) = mailbox {
-                // The zero-copy hand-off: an untouched message moves the fan-out's
-                // `Arc` straight into the mailbox; quenching shares every buffer and
-                // only re-wraps the cleared presence mask.
-                let item = if mask == 0 {
-                    ReceivedMessage::Frozen(message)
-                } else {
-                    ReceivedMessage::Frozen(Arc::new(message.quench(mask)))
-                };
-                pending.push_back(PendingHandOff {
-                    mailbox: Arc::clone(mailbox),
-                    from: Arc::clone(from),
-                    to: Arc::clone(to),
-                    at_millis,
-                    item,
-                });
-            }
-            probe.lap(Stage::Quench);
-            quenched
+            let mask = schema.quench_mask_for(dst.component.context().secrecy());
+            state.quench_cache.insert(key, mask);
+            (mask, true)
         }
-        DeliveryBody::Cloned(message) => {
-            // The naive baseline: recompute the quench mask per delivery (no cache)
-            // and produce a quenched deep clone, exactly as the synchronous bus does.
-            let mut names: Vec<&str> = Vec::new();
-            if let Some(schema) = directory.schemas.get(&message.message_type) {
-                let mask = schema.quench_mask_for(dst.component.context().secrecy());
-                names.extend(schema.mask_names(mask));
-            }
-            let delivered = message.quenched(names.iter().copied());
-            let quenched = names.len() as u64;
-            let first_of_pair = state
-                .summaries
-                .get(&(Arc::clone(from), Arc::clone(to)))
-                .map_or(true, |summary| summary.quenched == 0);
-            if quenched > 0 && (config.audit_detail == AuditDetail::Full || first_of_pair) {
-                state.appender.append(
-                    AuditEvent::MessageQuenched {
-                        source: from.to_string(),
-                        destination: to.to_string(),
-                        message_type: message.message_type.to_string(),
-                        attributes: names.into_iter().map(String::from).collect(),
-                    },
-                    at_millis,
-                );
-            }
-            local.quenched += quenched;
-            local.payload_bytes += encoded_payload_len(&delivered) as u64;
-            let mut delivered = Some(delivered);
-            if config.retain_deliveries > 0 {
-                let retained = if mailbox.is_some() {
-                    delivered.as_ref().expect("not yet taken").clone()
-                } else {
-                    delivered.take().expect("not yet taken")
-                };
-                push_inbox(dst, config.retain_deliveries, retained);
-            }
-            if let Some(mailbox) = mailbox {
-                let body = delivered.take().expect("kept for the mailbox");
-                pending.push_back(PendingHandOff {
-                    mailbox: Arc::clone(mailbox),
-                    from: Arc::clone(from),
-                    to: Arc::clone(to),
-                    at_millis,
-                    item: ReceivedMessage::Thawed(Box::new(body)),
-                });
-            }
-            probe.lap(Stage::Quench);
-            quenched
-        }
+    };
+    if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
+        state.appender.append(
+            AuditEvent::MessageQuenched {
+                source: from.to_string(),
+                destination: to.to_string(),
+                message_type: message.message_type().to_string(),
+                attributes: schema.mask_names(mask).map(str::to_string).collect(),
+            },
+            at_millis,
+        );
     }
+    local.quenched += u64::from(mask.count_ones());
+    // Effective bytes moved: quenched attributes' spans never reach a receiver.
+    local.payload_bytes += message.byte_len_after_quench(mask) as u64;
+    if let Some(mailbox) = mailbox {
+        // The zero-copy hand-off: an untouched message moves the fan-out's `Arc`
+        // straight into the mailbox; quenching shares every buffer and only re-wraps
+        // the cleared presence mask.
+        let item = if mask == 0 {
+            ReceivedMessage::Frozen(message)
+        } else {
+            ReceivedMessage::Frozen(Arc::new(message.quench(mask)))
+        };
+        pending.push_back(PendingHandOff {
+            mailbox: Arc::clone(mailbox),
+            from: Arc::clone(from),
+            to: Arc::clone(to),
+            at_millis,
+            item,
+        });
+    }
+    probe.lap(Stage::Quench);
 }
 
 /// Performs a deferred mailbox hand-off (the directory lock is no longer held) and
@@ -1256,12 +1128,4 @@ fn complete_hand_off(
         }
         MailboxPush::Closed => {}
     }
-}
-
-fn push_inbox(dst: &Endpoint, capacity: usize, message: Message) {
-    let mut inbox = dst.inbox.lock();
-    if inbox.len() >= capacity {
-        inbox.pop_front();
-    }
-    inbox.push_back(message);
 }

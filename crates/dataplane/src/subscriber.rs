@@ -4,9 +4,8 @@
 //! The paper's guarantee is about what a subscriber *ultimately observes* — messages
 //! admitted, IFC-checked and quenched per its context. The dataplane's shards enforce
 //! per delivery; a bounded per-endpoint mailbox is the hand-off point where an
-//! enforced (post-quench) body becomes visible to application code. In zero-copy mode the hand-off is an
-//! `Arc<FrozenMessage>` — refcount bumps, never a payload copy — and in clone-each mode
-//! it is the per-subscriber deep clone the baseline already paid for.
+//! enforced (post-quench) body becomes visible to application code. The hand-off is an
+//! `Arc<FrozenMessage>` — refcount bumps, never a payload copy.
 //!
 //! Mailboxes are bounded. What happens on overflow is the subscriber's
 //! [`OverflowPolicy`]:
@@ -49,74 +48,55 @@ pub enum OverflowPolicy {
     DropOldest,
 }
 
-/// A message as a subscriber observes it: the post-quench body in whichever
-/// representation the dataplane carried it.
+/// A message as a subscriber observes it: the post-quench body. A one-variant enum
+/// kept for source compatibility with `benchmark/`; collapsing it belongs to the next
+/// `benchmark`-archetype PR.
 #[derive(Debug, Clone)]
 pub enum ReceivedMessage {
     /// Zero-copy delivery: shares the publisher-frozen payload buffer and name table
     /// (quenching only cleared presence bits). Cloning this is refcount bumps.
     Frozen(Arc<FrozenMessage>),
-    /// Clone-each delivery: the per-subscriber deep clone the baseline mode makes.
-    Thawed(Box<Message>),
 }
 
 impl ReceivedMessage {
+    fn body(&self) -> &Arc<FrozenMessage> {
+        let ReceivedMessage::Frozen(message) = self;
+        message
+    }
+
     /// The message's type.
     pub fn message_type(&self) -> &MessageType {
-        match self {
-            ReceivedMessage::Frozen(m) => m.message_type(),
-            ReceivedMessage::Thawed(m) => &m.message_type,
-        }
+        self.body().message_type()
     }
 
     /// The publishing endpoint's name.
     pub fn sender(&self) -> &str {
-        match self {
-            ReceivedMessage::Frozen(m) => m.sender(),
-            ReceivedMessage::Thawed(m) => &m.sender,
-        }
+        self.body().sender()
     }
 
     /// Simulated publish time (ms).
     pub fn sent_at_millis(&self) -> u64 {
-        match self {
-            ReceivedMessage::Frozen(m) => m.sent_at_millis(),
-            ReceivedMessage::Thawed(m) => m.sent_at_millis,
-        }
+        self.body().sent_at_millis()
     }
 
-    /// A present attribute's value, decoding on the fly in the frozen representation.
-    /// Quenched attributes are absent in both representations.
+    /// A present attribute's value, decoded on the fly. Quenched attributes are absent.
     pub fn get(&self, name: &str) -> Option<AttributeValue> {
-        match self {
-            ReceivedMessage::Frozen(m) => m.get(name),
-            ReceivedMessage::Thawed(m) => m.attributes.get(name).cloned(),
-        }
+        self.body().get(name)
     }
 
     /// Number of attributes the subscriber can observe (post-quench).
     pub fn attribute_count(&self) -> usize {
-        match self {
-            ReceivedMessage::Frozen(m) => m.attribute_count(),
-            ReceivedMessage::Thawed(m) => m.attributes.len(),
-        }
+        self.body().attribute_count()
     }
 
-    /// The shared frozen form, when this was a zero-copy delivery.
+    /// The shared frozen form.
     pub fn frozen(&self) -> Option<&Arc<FrozenMessage>> {
-        match self {
-            ReceivedMessage::Frozen(m) => Some(m),
-            ReceivedMessage::Thawed(_) => None,
-        }
+        Some(self.body())
     }
 
-    /// The mutable [`Message`] form (decodes the frozen representation; moves out of
-    /// the thawed one).
+    /// The mutable [`Message`] form (decodes the frozen representation).
     pub fn thaw(self) -> Message {
-        match self {
-            ReceivedMessage::Frozen(m) => m.thaw(),
-            ReceivedMessage::Thawed(m) => *m,
-        }
+        self.body().thaw()
     }
 }
 
@@ -485,9 +465,11 @@ mod tests {
 
     fn item(tag: u64) -> ReceivedMessage {
         use legaliot_ifc::SecurityContext;
-        let mut message = Message::new("t", SecurityContext::public());
-        message.sent_at_millis = tag;
-        ReceivedMessage::Thawed(Box::new(message))
+        use legaliot_middleware::{FrozenSchema, MessageSchema};
+        let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
+        let message = Message::new("t", SecurityContext::public());
+        let frozen = FrozenMessage::freeze(&message, schema).unwrap().with_sent_at(tag);
+        ReceivedMessage::Frozen(Arc::new(frozen))
     }
 
     #[test]

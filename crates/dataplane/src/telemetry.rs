@@ -6,7 +6,8 @@
 //! When [`DataplaneConfig::telemetry`](crate::DataplaneConfig::telemetry) is disabled,
 //! every clock read is skipped — the internal `DeliveryProbe` carries no `Instant` and each
 //! instrumentation point reduces to one branch — so the hot path keeps its
-//! uninstrumented cost (the bench's `telemetry_overhead` block quantifies this).
+//! uninstrumented cost (`benchmark/` measures end to end with it off; the gap to its
+//! `--traced` run is the overhead).
 //!
 //! ## Stage glossary
 //!

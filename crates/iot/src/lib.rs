@@ -9,7 +9,7 @@
 //! * [`workload`] — deterministic synthetic workloads: the medical home-monitoring
 //!   deployment of §7 (patients, hospital-issued and third-party devices, analysers,
 //!   statistics generation, emergencies) and a smart-city sensing workload, substituting
-//!   for the real deployments the paper envisions (see DESIGN.md);
+//!   for the real deployments the paper envisions;
 //! * [`catalog`] — device/deployment archetype catalogs (homes, hospital wards,
 //!   vehicle fleets) that fleet generators instantiate into things at scale.
 

@@ -3,9 +3,8 @@
 //! The paper motivates its design with a medical home-monitoring deployment (§7,
 //! Figs. 4–7) and applications such as smart cities (§1). Neither deployment's real
 //! data is available, so the workloads here generate deterministic synthetic equivalents
-//! that exercise the same code paths (see the substitution table in DESIGN.md): streams
-//! of sensor readings with occasional emergencies, and city sensors spread across
-//! administrative domains.
+//! that exercise the same code paths: streams of sensor readings with occasional
+//! emergencies, and city sensors spread across administrative domains.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

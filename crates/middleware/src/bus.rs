@@ -418,8 +418,12 @@ impl Middleware {
     /// conformance (if a schema is registered for the type); AC for the sender on the
     /// destination at message-type granularity; IFC between the *message's effective
     /// context* (sender context joined with message context) and the destination; then
-    /// per-attribute source quenching against message-level tags (Fig. 10). Every
-    /// attempted send is audited as a flow check.
+    /// per-attribute source quenching against message-level tags (Fig. 10). A send
+    /// that reaches the IFC check is audited as one `FlowChecked` record, allowed or
+    /// denied; a send refused earlier (`NoChannel`, `Isolated`, `SchemaViolation`,
+    /// `DeniedByAccessControl`, or the [`MiddlewareError::QueueFull`] error) ran no
+    /// flow check and leaves no audit record — the caller sees it in the returned
+    /// outcome only.
     ///
     /// # Errors
     ///

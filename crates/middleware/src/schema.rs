@@ -420,8 +420,8 @@ fn encoded_value_len(value: &AttributeValue) -> usize {
 }
 
 /// The encoded payload size of a message's attribute values under the
-/// [`Payload`] wire format, without encoding anything (used for bytes-moved
-/// accounting in clone-based baselines).
+/// [`Payload`] wire format, without encoding anything (a count independent of the
+/// frozen encoder, which tests check the dataplane's bytes-moved accounting against).
 pub fn encoded_payload_len(message: &Message) -> usize {
     message.attributes.values().map(encoded_value_len).sum()
 }

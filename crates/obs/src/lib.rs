@@ -8,8 +8,8 @@
 //! The paper's central claim (Singh et al., Middleware 2016) is that policy enforcement
 //! can live *inside* the messaging layer at low overhead. Substantiating that requires
 //! more than end-to-end msgs/s: each pipeline stage — isolation, contextual AC, IFC,
-//! quenching, audit — has its own tax, and regressions (e.g. the 4-shard scaling dip in
-//! `BENCH_dataplane.json`) are only attributable when per-stage latency is visible.
+//! quenching, audit — has its own tax, and regressions (e.g. a 4-shard run slower than
+//! a 1-shard one) are only attributable when per-stage latency is visible.
 //! This crate provides the recording primitives; `legaliot-dataplane` threads them
 //! through the shard workers and exposes [`MetricsSnapshot`] via
 //! `Dataplane::telemetry()`.

@@ -15,7 +15,7 @@
 //! keyed hashes, and attestation quotes are structured claims signed by a simulated
 //! hardware root. What matters for the reproduction is that the *protocol shape* —
 //! issue, present, verify, revoke, attest-before-interacting — is exercised by the
-//! middleware and scenarios, not that the cryptography is real (see DESIGN.md).
+//! middleware and scenarios, not that the cryptography is real.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,8 @@
 //! 2016). It re-exports the workspace crates so examples, integration tests and
 //! downstream users can depend on a single crate.
 //!
-//! See `README.md` for an overview, `DESIGN.md` for the system inventory and
-//! substitutions, and `EXPERIMENTS.md` for the figure-by-figure reproduction record.
+//! See `README.md` for an overview; its "Workspace layout" table lists every crate and
+//! what it simulates, and `tests/figures.rs` is the figure-by-figure reproduction.
 //!
 //! ```
 //! use legaliot::core::HomeMonitoringScenario;

@@ -3,11 +3,10 @@
 //! guarantee is about what a consumer ultimately observes (messages admitted,
 //! IFC-checked and quenched per its context), not about internal counters.
 //!
-//! Scenarios run over the smart-home (Fig. 7) and smart-city topologies, in both
-//! payload representations ([`PayloadMode::ZeroCopy`] and the clone-per-delivery
-//! baseline), and cover: post-quench payload contents, §8.2.2 re-evaluation observed
-//! mid-stream from the consumer side, mailbox-overflow policies with `DeliveryDropped`
-//! evidence, teardown races, and zero-copy preservation on the receive path.
+//! Scenarios run over the smart-home (Fig. 7) and smart-city topologies and cover:
+//! post-quench payload contents, §8.2.2 re-evaluation observed mid-stream from the
+//! consumer side, mailbox-overflow policies with `DeliveryDropped` evidence, teardown
+//! races, and zero-copy preservation on the receive path.
 //!
 //! The shard count is configurable from the environment (`LEGALIOT_E2E_SHARDS`,
 //! default 2) so CI can run the suite across a shard matrix.
@@ -19,12 +18,13 @@ use std::time::Duration;
 use legaliot::audit::AuditEvent;
 use legaliot::context::{ContextSnapshot, Timestamp};
 use legaliot::dataplane::{
-    smart_city, smart_home, Dataplane, DataplaneConfig, OverflowPolicy, PayloadMode,
-    ReceivedMessage, RecvError, RecvTimeoutError, Subscriber, Topology, TryRecvError,
+    smart_city, smart_home, Dataplane, DataplaneConfig, OverflowPolicy, ReceivedMessage, RecvError,
+    RecvTimeoutError, Subscriber, Topology, TryRecvError,
 };
 use legaliot::ifc::{Label, SecurityContext};
 use legaliot::middleware::{
-    AttributeKind, AttributeValue, Component, Message, MessageSchema, Principal,
+    encoded_payload_len, AttributeKind, AttributeValue, Component, Message, MessageSchema,
+    Principal,
 };
 
 /// Shard count under test; CI runs the suite with 1 and 4.
@@ -32,11 +32,9 @@ fn shards() -> usize {
     std::env::var("LEGALIOT_E2E_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(2)
 }
 
-fn config(mode: PayloadMode) -> DataplaneConfig {
-    DataplaneConfig { shards: shards(), payload_mode: mode, ..DataplaneConfig::default() }
+fn config() -> DataplaneConfig {
+    DataplaneConfig { shards: shards(), ..DataplaneConfig::default() }
 }
-
-const BOTH_MODES: [PayloadMode; 2] = [PayloadMode::ZeroCopy, PayloadMode::CloneEach];
 
 fn topologies() -> Vec<Topology> {
     vec![smart_home(4, 7), smart_city(3, 4)]
@@ -59,8 +57,8 @@ fn receive_all(subscriber: &Subscriber) -> Vec<ReceivedMessage> {
     }
 }
 
-/// Acceptance core: on both scenario topologies, in both payload modes, every
-/// subscriber observes exactly the enforced deliveries — the sensitive `subject-id`
+/// Acceptance core: on both scenario topologies every subscriber observes
+/// exactly the enforced deliveries — the sensitive `subject-id`
 /// attribute (message-level `identity` tag no scenario subscriber holds) is absent
 /// from every received payload, the open attributes are intact, and the sender is one
 /// of the endpoint's admitted publishers.
@@ -73,62 +71,60 @@ fn subscribers_observe_post_quench_payloads_on_scenario_topologies() {
         for (from, to) in &topology.edges {
             publishers_of.entry(to.as_str()).or_default().insert(from.as_str());
         }
-        for mode in BOTH_MODES {
-            let dataplane = Dataplane::new(topology.name.clone(), config(mode));
-            topology
-                .install_with_payload_schemas(&dataplane, &snap(), Timestamp(1))
-                .expect("topology installs");
-            let receivers: Vec<Subscriber> = publishers_of
-                .keys()
-                .map(|name| dataplane.open_subscriber(name).expect("receiver opens"))
-                .collect();
+        let dataplane = Dataplane::new(topology.name.clone(), config());
+        topology
+            .install_with_payload_schemas(&dataplane, &snap(), Timestamp(1))
+            .expect("topology installs");
+        let receivers: Vec<Subscriber> = publishers_of
+            .keys()
+            .map(|name| dataplane.open_subscriber(name).expect("receiver opens"))
+            .collect();
 
-            let pairs = topology.publisher_messages();
-            let mut clock = 2;
-            for _ in 0..ROUNDS {
-                for (publisher, message) in &pairs {
-                    dataplane.publish_message(publisher, message, Timestamp(clock)).unwrap();
-                    clock += 1;
-                }
+        let pairs = topology.publisher_messages();
+        let mut clock = 2;
+        for _ in 0..ROUNDS {
+            for (publisher, message) in &pairs {
+                dataplane.publish_message(publisher, message, Timestamp(clock)).unwrap();
+                clock += 1;
             }
-            dataplane.drain();
-            let stats = dataplane.stats();
-            assert_eq!(stats.delivered, ROUNDS * topology.edges.len() as u64);
-            assert_eq!(stats.receiver_enqueued, stats.delivered);
-            assert_eq!(stats.receiver_dropped, 0);
-            // Every delivery quenches exactly `subject-id`.
-            assert_eq!(stats.quenched_attributes, stats.delivered);
-
-            let report = dataplane.shutdown();
-            assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
-            let mut received_total = 0u64;
-            for subscriber in &receivers {
-                let allowed_senders = &publishers_of[subscriber.name()];
-                for message in receive_all(subscriber) {
-                    received_total += 1;
-                    assert!(
-                        allowed_senders.contains(message.sender()),
-                        "{} received from unadmitted {}",
-                        subscriber.name(),
-                        message.sender()
-                    );
-                    // The quenched attribute never reaches a consumer; the open
-                    // attributes arrive intact.
-                    assert!(message.get("subject-id").is_none());
-                    assert_eq!(message.get("value"), Some(AttributeValue::Float(98.6)));
-                    assert_eq!(message.get("unit"), Some(AttributeValue::Text("bpm".into())));
-                    assert_eq!(message.attribute_count(), 2);
-                    // The representation matches the mode, zero-copy preserved.
-                    assert_eq!(message.frozen().is_some(), mode == PayloadMode::ZeroCopy);
-                }
-            }
-            assert_eq!(received_total, stats.delivered, "{} {mode:?}", topology.name);
         }
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!(stats.delivered, ROUNDS * topology.edges.len() as u64);
+        assert_eq!(stats.receiver_enqueued, stats.delivered);
+        assert_eq!(stats.receiver_dropped, 0);
+        // Every delivery quenches exactly `subject-id`.
+        assert_eq!(stats.quenched_attributes, stats.delivered);
+
+        let report = dataplane.shutdown();
+        assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
+        let mut received_total = 0u64;
+        for subscriber in &receivers {
+            let allowed_senders = &publishers_of[subscriber.name()];
+            for message in receive_all(subscriber) {
+                received_total += 1;
+                assert!(
+                    allowed_senders.contains(message.sender()),
+                    "{} received from unadmitted {}",
+                    subscriber.name(),
+                    message.sender()
+                );
+                // The quenched attribute never reaches a consumer; the open
+                // attributes arrive intact.
+                assert!(message.get("subject-id").is_none());
+                assert_eq!(message.get("value"), Some(AttributeValue::Float(98.6)));
+                assert_eq!(message.get("unit"), Some(AttributeValue::Text("bpm".into())));
+                assert_eq!(message.attribute_count(), 2);
+                // Zero-copy preserved.
+                assert!(message.frozen().is_some());
+            }
+        }
+        assert_eq!(received_total, stats.delivered, "{}", topology.name);
     }
 }
 
-/// Drop-oldest overflow on both topologies, both modes: tiny mailboxes shed the
-/// oldest deliveries, the sheds are counted per subscriber and globally, and the
+/// Drop-oldest overflow on both topologies: tiny mailboxes shed the oldest
+/// deliveries, the sheds are counted per subscriber and globally, and the
 /// audit evidence (`DeliveryDropped` records) totals every shed message.
 #[test]
 fn drop_oldest_overflow_is_evidenced_on_scenario_topologies() {
@@ -139,70 +135,67 @@ fn drop_oldest_overflow_is_evidenced_on_scenario_topologies() {
         for (_, to) in &topology.edges {
             *incoming.entry(to.as_str()).or_default() += 1;
         }
-        for mode in BOTH_MODES {
-            let config = DataplaneConfig {
-                mailbox_capacity: CAPACITY,
-                overflow: OverflowPolicy::DropOldest,
-                ..config(mode)
-            };
-            let dataplane = Dataplane::new(topology.name.clone(), config);
-            topology
-                .install_with_payload_schemas(&dataplane, &snap(), Timestamp(1))
-                .expect("topology installs");
-            let receivers: Vec<Subscriber> = incoming
-                .keys()
-                .map(|name| dataplane.open_subscriber(name).expect("receiver opens"))
-                .collect();
-            let pairs = topology.publisher_messages();
-            let mut clock = 2;
-            for _ in 0..ROUNDS {
-                for (publisher, message) in &pairs {
-                    dataplane.publish_message(publisher, message, Timestamp(clock)).unwrap();
-                    clock += 1;
-                }
+        let config = DataplaneConfig {
+            mailbox_capacity: CAPACITY,
+            overflow: OverflowPolicy::DropOldest,
+            ..config()
+        };
+        let dataplane = Dataplane::new(topology.name.clone(), config);
+        topology
+            .install_with_payload_schemas(&dataplane, &snap(), Timestamp(1))
+            .expect("topology installs");
+        let receivers: Vec<Subscriber> = incoming
+            .keys()
+            .map(|name| dataplane.open_subscriber(name).expect("receiver opens"))
+            .collect();
+        let pairs = topology.publisher_messages();
+        let mut clock = 2;
+        for _ in 0..ROUNDS {
+            for (publisher, message) in &pairs {
+                dataplane.publish_message(publisher, message, Timestamp(clock)).unwrap();
+                clock += 1;
             }
-            dataplane.drain();
-
-            let mut expected_dropped_total = 0u64;
-            for subscriber in &receivers {
-                let enqueued = ROUNDS * incoming[subscriber.name()];
-                let expected_dropped = enqueued.saturating_sub(CAPACITY as u64);
-                assert_eq!(
-                    subscriber.dropped(),
-                    expected_dropped,
-                    "{} drops at {}",
-                    topology.name,
-                    subscriber.name()
-                );
-                expected_dropped_total += expected_dropped;
-                // The survivors are the *newest* deliveries.
-                let survivors = subscriber.drain();
-                assert_eq!(survivors.len() as u64, enqueued.min(CAPACITY as u64));
-                let stamps: Vec<u64> =
-                    survivors.iter().map(ReceivedMessage::sent_at_millis).collect();
-                let sorted = {
-                    let mut s = stamps.clone();
-                    s.sort_unstable();
-                    s
-                };
-                assert_eq!(stamps, sorted, "mailbox preserves delivery order");
-            }
-            let stats = dataplane.stats();
-            assert_eq!(stats.receiver_dropped, expected_dropped_total);
-            assert_eq!(stats.receiver_enqueued, stats.delivered);
-
-            // Evidence: the per-pair DeliveryDropped totals account for every shed.
-            let report = dataplane.shutdown();
-            let evidenced: u64 = report
-                .merged_timeline()
-                .into_iter()
-                .filter_map(|r| match r.event {
-                    AuditEvent::DeliveryDropped { dropped, .. } => Some(dropped),
-                    _ => None,
-                })
-                .sum();
-            assert_eq!(evidenced, expected_dropped_total, "{} {mode:?}", topology.name);
         }
+        dataplane.drain();
+
+        let mut expected_dropped_total = 0u64;
+        for subscriber in &receivers {
+            let enqueued = ROUNDS * incoming[subscriber.name()];
+            let expected_dropped = enqueued.saturating_sub(CAPACITY as u64);
+            assert_eq!(
+                subscriber.dropped(),
+                expected_dropped,
+                "{} drops at {}",
+                topology.name,
+                subscriber.name()
+            );
+            expected_dropped_total += expected_dropped;
+            // The survivors are the *newest* deliveries.
+            let survivors = subscriber.drain();
+            assert_eq!(survivors.len() as u64, enqueued.min(CAPACITY as u64));
+            let stamps: Vec<u64> = survivors.iter().map(ReceivedMessage::sent_at_millis).collect();
+            let sorted = {
+                let mut s = stamps.clone();
+                s.sort_unstable();
+                s
+            };
+            assert_eq!(stamps, sorted, "mailbox preserves delivery order");
+        }
+        let stats = dataplane.stats();
+        assert_eq!(stats.receiver_dropped, expected_dropped_total);
+        assert_eq!(stats.receiver_enqueued, stats.delivered);
+
+        // Evidence: the per-pair DeliveryDropped totals account for every shed.
+        let report = dataplane.shutdown();
+        let evidenced: u64 = report
+            .merged_timeline()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                AuditEvent::DeliveryDropped { dropped, .. } => Some(dropped),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(evidenced, expected_dropped_total, "{}", topology.name);
     }
 }
 
@@ -232,73 +225,71 @@ fn endpoint(name: &str, secrecy: &[&str]) -> Component {
 /// finally nothing at all once the publisher's context makes the flow illegal.
 #[test]
 fn context_change_mid_stream_flips_subscriber_observations() {
-    for mode in BOTH_MODES {
-        let dataplane = Dataplane::new("ctx-flip", config(mode));
-        dataplane.register(endpoint("pub", &["t"])).unwrap();
-        dataplane.register(endpoint("sub", &["t", "sink"])).unwrap();
-        dataplane.allow_sends_to("sub");
-        dataplane.register_schema(patient_schema()).unwrap();
-        let (outcome, subscriber) =
-            dataplane.subscribe_receiver("pub", "sub", &snap(), Timestamp(1)).unwrap();
-        assert!(outcome.is_delivered());
+    let dataplane = Dataplane::new("ctx-flip", config());
+    dataplane.register(endpoint("pub", &["t"])).unwrap();
+    dataplane.register(endpoint("sub", &["t", "sink"])).unwrap();
+    dataplane.allow_sends_to("sub");
+    dataplane.register_schema(patient_schema()).unwrap();
+    let (outcome, subscriber) =
+        dataplane.subscribe_receiver("pub", "sub", &snap(), Timestamp(1)).unwrap();
+    assert!(outcome.is_delivered());
 
-        let recv_next = |deadline_tag: &str| -> ReceivedMessage {
-            subscriber
-                .recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|e| panic!("expected delivery at {deadline_tag}: {e}"))
-        };
+    let recv_next = |deadline_tag: &str| -> ReceivedMessage {
+        subscriber
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("expected delivery at {deadline_tag}: {e}"))
+    };
 
-        // Phase 1: `sub` lacks `secret-id` — `patient` is quenched before hand-off.
-        dataplane.publish_message("pub", &patient_message(), Timestamp(10)).unwrap();
-        dataplane.drain();
-        let observed = recv_next("phase 1");
-        assert!(observed.get("patient").is_none());
-        assert_eq!(observed.get("value"), Some(AttributeValue::Float(72.0)));
+    // Phase 1: `sub` lacks `secret-id` — `patient` is quenched before hand-off.
+    dataplane.publish_message("pub", &patient_message(), Timestamp(10)).unwrap();
+    dataplane.drain();
+    let observed = recv_next("phase 1");
+    assert!(observed.get("patient").is_none());
+    assert_eq!(observed.get("value"), Some(AttributeValue::Float(72.0)));
 
-        // Phase 2: `sub` gains the tag — the very next receive carries the full body.
-        dataplane
-            .set_context(
-                "sub",
-                SecurityContext::from_names(["t", "sink", "secret-id"], Vec::<&str>::new()),
-                Timestamp(11),
-            )
-            .unwrap();
-        dataplane.publish_message("pub", &patient_message(), Timestamp(12)).unwrap();
-        dataplane.drain();
-        let observed = recv_next("phase 2");
-        assert_eq!(observed.get("patient"), Some(AttributeValue::Text("ann".into())));
+    // Phase 2: `sub` gains the tag — the very next receive carries the full body.
+    dataplane
+        .set_context(
+            "sub",
+            SecurityContext::from_names(["t", "sink", "secret-id"], Vec::<&str>::new()),
+            Timestamp(11),
+        )
+        .unwrap();
+    dataplane.publish_message("pub", &patient_message(), Timestamp(12)).unwrap();
+    dataplane.drain();
+    let observed = recv_next("phase 2");
+    assert_eq!(observed.get("patient"), Some(AttributeValue::Text("ann".into())));
 
-        // Phase 3: the tag is withdrawn — quenching resumes (no stale cached mask).
-        dataplane
-            .set_context(
-                "sub",
-                SecurityContext::from_names(["t", "sink"], Vec::<&str>::new()),
-                Timestamp(13),
-            )
-            .unwrap();
-        dataplane.publish_message("pub", &patient_message(), Timestamp(14)).unwrap();
-        dataplane.drain();
-        assert!(recv_next("phase 3").get("patient").is_none());
+    // Phase 3: the tag is withdrawn — quenching resumes (no stale cached mask).
+    dataplane
+        .set_context(
+            "sub",
+            SecurityContext::from_names(["t", "sink"], Vec::<&str>::new()),
+            Timestamp(13),
+        )
+        .unwrap();
+    dataplane.publish_message("pub", &patient_message(), Timestamp(14)).unwrap();
+    dataplane.drain();
+    assert!(recv_next("phase 3").get("patient").is_none());
 
-        // Phase 4: the publisher's context makes the established flow illegal — the
-        // subscriber observes *nothing*, and the denial is counted.
-        dataplane
-            .set_context(
-                "pub",
-                SecurityContext::from_names(["t", "quarantine"], Vec::<&str>::new()),
-                Timestamp(15),
-            )
-            .unwrap();
-        dataplane.publish_message("pub", &patient_message(), Timestamp(16)).unwrap();
-        dataplane.drain();
-        assert_eq!(subscriber.try_recv().unwrap_err(), TryRecvError::Empty);
-        let stats = dataplane.stats();
-        assert_eq!(stats.denied, 1);
-        assert_eq!(stats.receiver_enqueued, 3);
-        drop(dataplane);
-        // Teardown closed the mailbox behind the live handle.
-        assert_eq!(subscriber.recv().unwrap_err(), RecvError::Disconnected);
-    }
+    // Phase 4: the publisher's context makes the established flow illegal — the
+    // subscriber observes *nothing*, and the denial is counted.
+    dataplane
+        .set_context(
+            "pub",
+            SecurityContext::from_names(["t", "quarantine"], Vec::<&str>::new()),
+            Timestamp(15),
+        )
+        .unwrap();
+    dataplane.publish_message("pub", &patient_message(), Timestamp(16)).unwrap();
+    dataplane.drain();
+    assert_eq!(subscriber.try_recv().unwrap_err(), TryRecvError::Empty);
+    let stats = dataplane.stats();
+    assert_eq!(stats.denied, 1);
+    assert_eq!(stats.receiver_enqueued, 3);
+    drop(dataplane);
+    // Teardown closed the mailbox behind the live handle.
+    assert_eq!(subscriber.recv().unwrap_err(), RecvError::Disconnected);
 }
 
 /// Zero-copy preserved on the receive path: subscribers of one publish share the
@@ -307,7 +298,7 @@ fn context_change_mid_stream_flips_subscriber_observations() {
 /// froze (no per-subscriber allocation at all).
 #[test]
 fn receive_path_shares_the_frozen_payload_buffer() {
-    let dataplane = Dataplane::new("zero-copy", config(PayloadMode::ZeroCopy));
+    let dataplane = Dataplane::new("zero-copy", config());
     dataplane.register(endpoint("pub", &[])).unwrap();
     // Two subscribers holding `secret-id` (unquenched view) and one without (quenched).
     for (name, secrecy) in
@@ -353,8 +344,8 @@ fn teardown_races_release_shards_and_report_disconnected() {
     // (1) Handle dropped mid-fanout while a Block-policy mailbox is full: without the
     // drop the shard would park forever (capacity 1, no consumer); the close must
     // wake it and let the remaining fan-out proceed.
-    for mode in BOTH_MODES {
-        let config = DataplaneConfig { mailbox_capacity: 1, ..config(mode) };
+    {
+        let config = DataplaneConfig { mailbox_capacity: 1, ..config() };
         let dataplane = Dataplane::new("teardown", config);
         dataplane.register(endpoint("pub", &["t"])).unwrap();
         dataplane.register(endpoint("sub", &["t"])).unwrap();
@@ -382,7 +373,7 @@ fn teardown_races_release_shards_and_report_disconnected() {
 
     // (2) recv on a torn-down dataplane: backlog first, then Disconnected — never a
     // hang. try_recv and recv_timeout report the same.
-    let dataplane = Dataplane::new("torn-down", config(PayloadMode::ZeroCopy));
+    let dataplane = Dataplane::new("torn-down", config());
     dataplane.register(endpoint("pub", &["t"])).unwrap();
     dataplane.register(endpoint("sub", &["t"])).unwrap();
     dataplane.allow_sends_to("sub");
@@ -403,8 +394,8 @@ fn teardown_races_release_shards_and_report_disconnected() {
     // (3) Dropping the *dataplane* while a live handle keeps a Block-policy mailbox
     // full: Drop must close mailboxes before joining the workers, or the shard
     // parked on the full mailbox would never pop its Shutdown task (deadlock).
-    for mode in BOTH_MODES {
-        let config = DataplaneConfig { mailbox_capacity: 1, ..config(mode) };
+    {
+        let config = DataplaneConfig { mailbox_capacity: 1, ..config() };
         let dataplane = Dataplane::new("abandoned", config);
         dataplane.register(endpoint("pub", &["t"])).unwrap();
         dataplane.register(endpoint("sub", &["t"])).unwrap();
@@ -423,7 +414,7 @@ fn teardown_races_release_shards_and_report_disconnected() {
     }
 
     // (4) Deregistering the endpoint closes its receiver the same way.
-    let dataplane = Dataplane::new("deregister", config(PayloadMode::ZeroCopy));
+    let dataplane = Dataplane::new("deregister", config());
     dataplane.register(endpoint("pub", &["t"])).unwrap();
     dataplane.register(endpoint("sub", &["t"])).unwrap();
     dataplane.allow_sends_to("sub");
@@ -442,7 +433,7 @@ fn teardown_races_release_shards_and_report_disconnected() {
     // hand-off, so `deregister` (which needs the write lock, and whose mailbox
     // close is the very thing that unparks the shard) completes instead of
     // deadlocking.
-    let config = DataplaneConfig { mailbox_capacity: 1, ..config(PayloadMode::ZeroCopy) };
+    let config = DataplaneConfig { mailbox_capacity: 1, ..config() };
     let dataplane = Dataplane::new("parked", config);
     dataplane.register(endpoint("pub", &["t"])).unwrap();
     dataplane.register(endpoint("sub", &["t"])).unwrap();
@@ -468,53 +459,47 @@ fn teardown_races_release_shards_and_report_disconnected() {
 /// documented lossless behaviour rather than a hang.
 #[test]
 fn block_overflow_with_concurrent_consumer_is_lossless() {
-    for mode in BOTH_MODES {
-        let config = DataplaneConfig {
-            mailbox_capacity: 4,
-            overflow: OverflowPolicy::Block,
-            ..config(mode)
-        };
-        let dataplane = Dataplane::new("lossless", config);
-        dataplane.register(endpoint("pub", &["t"])).unwrap();
-        dataplane.register(endpoint("sub", &["t"])).unwrap();
-        dataplane.allow_sends_to("sub");
-        dataplane.register_schema(patient_schema()).unwrap();
-        let (outcome, subscriber) =
-            dataplane.subscribe_receiver("pub", "sub", &snap(), Timestamp(1)).unwrap();
-        assert!(outcome.is_delivered());
-        let consumer = std::thread::spawn(move || {
-            let mut stamps = Vec::new();
-            while let Ok(message) = subscriber.recv() {
-                stamps.push(message.sent_at_millis());
-            }
-            stamps
-        });
-        for t in 10..110 {
-            dataplane.publish_message("pub", &patient_message(), Timestamp(t)).unwrap();
+    let config =
+        DataplaneConfig { mailbox_capacity: 4, overflow: OverflowPolicy::Block, ..config() };
+    let dataplane = Dataplane::new("lossless", config);
+    dataplane.register(endpoint("pub", &["t"])).unwrap();
+    dataplane.register(endpoint("sub", &["t"])).unwrap();
+    dataplane.allow_sends_to("sub");
+    dataplane.register_schema(patient_schema()).unwrap();
+    let (outcome, subscriber) =
+        dataplane.subscribe_receiver("pub", "sub", &snap(), Timestamp(1)).unwrap();
+    assert!(outcome.is_delivered());
+    let consumer = std::thread::spawn(move || {
+        let mut stamps = Vec::new();
+        while let Ok(message) = subscriber.recv() {
+            stamps.push(message.sent_at_millis());
         }
-        dataplane.drain();
-        let stats = dataplane.stats();
-        assert_eq!(stats.receiver_enqueued, 100);
-        assert_eq!(stats.receiver_dropped, 0);
-        dataplane.shutdown();
-        let stamps = consumer.join().unwrap();
-        assert_eq!(stamps, (10..110).collect::<Vec<u64>>(), "{mode:?}");
+        stamps
+    });
+    for t in 10..110 {
+        dataplane.publish_message("pub", &patient_message(), Timestamp(t)).unwrap();
     }
+    dataplane.drain();
+    let stats = dataplane.stats();
+    assert_eq!(stats.receiver_enqueued, 100);
+    assert_eq!(stats.receiver_dropped, 0);
+    dataplane.shutdown();
+    let stamps = consumer.join().unwrap();
+    assert_eq!(stamps, (10..110).collect::<Vec<u64>>());
 }
 
 mod mode_equivalence {
     use super::*;
     use proptest::prelude::*;
 
-    /// Runs one publish through a fresh dataplane in `mode` and returns what the
-    /// subscriber received (thawed) plus the effective payload-byte count.
+    /// Runs one publish through a fresh dataplane and returns what the subscriber
+    /// received (thawed) plus the effective payload-byte count.
     fn observe(
-        mode: PayloadMode,
         schema: &MessageSchema,
         message: &Message,
         destination_secrecy: &[String],
     ) -> (Vec<Message>, u64) {
-        let dataplane = Dataplane::new("equivalence", config(mode));
+        let dataplane = Dataplane::new("equivalence", config());
         dataplane.register(endpoint("pub", &[])).unwrap();
         let secrecy: Vec<&str> = destination_secrecy.iter().map(String::as_str).collect();
         dataplane.register(endpoint("sub", &secrecy)).unwrap();
@@ -534,9 +519,9 @@ mod mode_equivalence {
     proptest! {
         /// Satellite: for random schemas (random sensitivity pattern), random values
         /// and random destination contexts (hence random quench masks), a subscriber
-        /// receives *byte-identical* thawed messages under `PayloadMode::ZeroCopy`
-        /// and `PayloadMode::CloneEach` — and both match the reference
-        /// `Message::quenched` semantics, with identical effective byte accounting.
+        /// receives exactly the reference `Message::quenched` view of the message,
+        /// and the effective byte accounting equals `encoded_payload_len` of that
+        /// view — a count that does not go through the frozen encoder.
         #[test]
         fn prop_subscriber_observations_agree_across_payload_modes(
             count in -1_000i64..1_000,
@@ -581,15 +566,10 @@ mod mode_equivalence {
                 .with("d-note", AttributeValue::Text(note))
                 .with("e-who", AttributeValue::Text(who));
 
-            let (zero_copy, zero_copy_bytes) =
-                observe(PayloadMode::ZeroCopy, &schema, &message, &held);
-            let (clone_each, clone_each_bytes) =
-                observe(PayloadMode::CloneEach, &schema, &message, &held);
-            prop_assert_eq!(&zero_copy, &clone_each);
-            prop_assert_eq!(zero_copy_bytes, clone_each_bytes);
+            let (received, payload_bytes) = observe(&schema, &message, &held);
 
-            // Both agree with the reference semantics: quench exactly the sensitive
-            // attributes whose tag the destination does not hold.
+            // The reference semantics: quench exactly the sensitive attributes whose
+            // tag the destination does not hold.
             let expected_quenched: Vec<&str> = (0..5)
                 .filter(|index| {
                     sensitive_bits & (1 << index) != 0 && held_bits & (1 << index) == 0
@@ -599,8 +579,9 @@ mod mode_equivalence {
             let mut expected = message.quenched(expected_quenched.iter().copied());
             expected.sender = "pub".into();
             expected.sent_at_millis = 2;
-            prop_assert_eq!(zero_copy.len(), 1);
-            prop_assert_eq!(&zero_copy[0], &expected);
+            prop_assert_eq!(received.len(), 1);
+            prop_assert_eq!(&received[0], &expected);
+            prop_assert_eq!(payload_bytes, encoded_payload_len(&expected) as u64);
         }
     }
 }

@@ -91,11 +91,11 @@ fn compliance_audit_entry_path() {
     assert_eq!(liability.data_item, "ann-analysis");
 }
 
-/// `examples/dataplane_throughput.rs`: the smart-home and smart-city topologies
-/// install onto the dataplane, traffic is enforced with the decision cache hot,
-/// and every per-shard audit chain verifies.
+/// The flow-only dataplane path (`Dataplane::publish`): the smart-home and
+/// smart-city topologies install onto the dataplane, traffic is enforced with the
+/// decision cache hot, and every per-shard audit chain verifies.
 #[test]
-fn dataplane_throughput_entry_path() {
+fn dataplane_flow_only_entry_path() {
     use legaliot::context::Timestamp;
     use legaliot::dataplane::{smart_city, smart_home, Dataplane, DataplaneConfig};
 

@@ -1,5 +1,5 @@
 //! Integration tests reproducing the paper's figures end-to-end across crates.
-//! One test (or group) per figure; see EXPERIMENTS.md for the index.
+//! One test (or group) per figure.
 
 use legaliot::audit::{AuditEventKind, ProvenanceGraph};
 use legaliot::compliance::RegulationSet;

@@ -6,8 +6,8 @@
 //! against that prediction **record for record**:
 //!
 //! 1. fault-free runs match exactly — every observed delivery equals its
-//!    predicted post-quench content (both payload modes), every admission
-//!    outcome matches, and the counters agree to the unit;
+//!    predicted post-quench content, every admission outcome matches, and the
+//!    counters agree to the unit;
 //! 2. under injected faults (mid-unit shard panics, audit-append crashes,
 //!    scheduling delays) enforcement stays contained: every observed delivery
 //!    was predicted with exactly its predicted content, every abandoned unit
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use legaliot::dataplane::{
-    DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec, FaultKind, PayloadMode,
+    DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec, FaultKind,
 };
 use legaliot::fleet::{
     generate, predict, run_fleet, Fleet, FleetConfig, PredictedOutcome, Prediction, RunOutcome,
@@ -130,13 +130,12 @@ fn assert_admissions_match(outcome: &RunOutcome, prediction: &Prediction, ctx: &
     }
 }
 
-/// Fault-free conformance in one payload mode: exact content, exact counters,
-/// nothing lost, nothing missing, chains intact.
-fn conformance_without_faults(mode: PayloadMode) {
+/// Fault-free conformance: exact content, exact counters, nothing lost, nothing
+/// missing, chains intact.
+fn conformance_without_faults() {
     let (fleet, shards, ctx) = fleet_under_test();
-    let ctx = format!("{ctx} mode={mode:?}");
     let prediction = predict(&fleet);
-    let config = DataplaneConfig { shards, payload_mode: mode, ..DataplaneConfig::default() };
+    let config = DataplaneConfig { shards, ..DataplaneConfig::default() };
     let outcome = run_fleet(&fleet, "fleet-conformance", config)
         .unwrap_or_else(|error| panic!("fleet run failed {ctx}: {error}"));
 
@@ -174,15 +173,7 @@ fn conformance_without_faults(mode: PayloadMode) {
 fn generated_fleet_conforms_zero_copy() {
     let done = Arc::new(AtomicBool::new(false));
     watchdog("fleet_conformance_zero_copy", Duration::from_secs(240), Arc::clone(&done));
-    conformance_without_faults(PayloadMode::ZeroCopy);
-    done.store(true, Ordering::Relaxed);
-}
-
-#[test]
-fn generated_fleet_conforms_clone_each() {
-    let done = Arc::new(AtomicBool::new(false));
-    watchdog("fleet_conformance_clone_each", Duration::from_secs(240), Arc::clone(&done));
-    conformance_without_faults(PayloadMode::CloneEach);
+    conformance_without_faults();
     done.store(true, Ordering::Relaxed);
 }
 
