@@ -6,8 +6,9 @@
 //! monotonically increasing version, and subscribers can drain the changes since the
 //! last version they processed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -45,11 +46,37 @@ impl fmt::Display for ContextChange {
 
 /// An immutable snapshot of the store at a particular version, handed to policy
 /// condition evaluation so a whole rule set sees a consistent view.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Copy-on-write: the snapshot shares the store's value map, so taking (or cloning)
+/// one is a reference-count bump whatever the number of keys. The store copies the map
+/// on its first write after a snapshot that is still alive — a snapshot never changes.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ContextSnapshot {
     version: u64,
     at: Timestamp,
-    values: BTreeMap<ContextKey, ContextValue>,
+    values: Arc<BTreeMap<ContextKey, ContextValue>>,
+}
+
+// By hand, field for field what the derive would emit: the serde in use has no generic
+// `Deserialize for Arc<T>`.
+impl Deserialize for ContextSnapshot {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let object = value.as_object().ok_or_else(|| {
+            serde::Error::custom(format!(
+                "ContextSnapshot: expected object, found {}",
+                value.kind()
+            ))
+        })?;
+        fn field<T: Deserialize>(object: &serde::Map, name: &str) -> Result<T, serde::Error> {
+            T::from_value(object.get(name).unwrap_or(&serde::Value::Null))
+                .map_err(|e| e.context(format!("ContextSnapshot.{name}")))
+        }
+        Ok(ContextSnapshot {
+            version: field(object, "version")?,
+            at: field(object, "at")?,
+            values: Arc::new(field(object, "values")?),
+        })
+    }
 }
 
 impl ContextSnapshot {
@@ -103,15 +130,17 @@ impl ContextSnapshot {
         ContextSnapshot {
             version: 0,
             at: Timestamp::ZERO,
-            values: pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect(),
+            values: Arc::new(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect()),
         }
     }
 }
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    values: BTreeMap<ContextKey, ContextValue>,
-    changes: Vec<ContextChange>,
+    /// Shared with every live snapshot; written through `Arc::make_mut`.
+    values: Arc<BTreeMap<ContextKey, ContextValue>>,
+    /// Version-sorted, oldest first.
+    changes: VecDeque<ContextChange>,
     version: u64,
     next_subscription: u64,
     /// Last version delivered to each subscriber.
@@ -134,9 +163,15 @@ impl StoreInner {
             return;
         }
         let min_cursor = self.cursors.values().copied().min().unwrap_or(u64::MAX);
-        let cut = self.changes[..len - keep].partition_point(|c| c.version <= min_cursor);
-        if cut > 0 {
-            self.changes.drain(..cut);
+        let cut = self.changes.partition_point(|c| c.version <= min_cursor).min(len - keep);
+        self.changes.drain(..cut);
+    }
+
+    fn snapshot(&self) -> ContextSnapshot {
+        ContextSnapshot {
+            version: self.version,
+            at: self.changes.back().map(|c| c.at).unwrap_or(Timestamp::ZERO),
+            values: Arc::clone(&self.values),
         }
     }
 }
@@ -199,8 +234,8 @@ impl ContextStore {
         let mut inner = self.inner.write();
         inner.version += 1;
         let version = inner.version;
-        let previous = inner.values.insert(key.clone(), value.clone());
-        inner.changes.push(ContextChange { version, at, key, previous, current: Some(value) });
+        let previous = Arc::make_mut(&mut inner.values).insert(key.clone(), value.clone());
+        inner.changes.push_back(ContextChange { version, at, key, previous, current: Some(value) });
         inner.compact();
         version
     }
@@ -209,14 +244,16 @@ impl ContextStore {
     /// (unchanged if the key was absent).
     pub fn remove(&self, key: &ContextKey, at: Timestamp) -> u64 {
         let mut inner = self.inner.write();
-        if let Some(previous) = inner.values.remove(key) {
+        // Checked first so that removing an absent key never copies a shared map.
+        if inner.values.contains_key(key) {
+            let previous = Arc::make_mut(&mut inner.values).remove(key);
             inner.version += 1;
             let version = inner.version;
-            inner.changes.push(ContextChange {
+            inner.changes.push_back(ContextChange {
                 version,
                 at,
                 key: key.clone(),
-                previous: Some(previous),
+                previous,
                 current: None,
             });
             inner.compact();
@@ -234,30 +271,18 @@ impl ContextStore {
         self.inner.read().version
     }
 
-    /// Takes a consistent snapshot of the whole store.
+    /// Takes a consistent snapshot of the whole store: a reference-count bump on the
+    /// shared value map, whatever the number of keys.
     pub fn snapshot(&self) -> ContextSnapshot {
-        let inner = self.inner.read();
-        ContextSnapshot {
-            version: inner.version,
-            at: inner.changes.last().map(|c| c.at).unwrap_or(Timestamp::ZERO),
-            values: inner.values.clone(),
-        }
+        self.inner.read().snapshot()
     }
 
     /// Takes a snapshot only if the store has moved past `seen_version`, under a
     /// single read-lock acquisition. Hot loops that keep a cached snapshot (e.g. a
-    /// dataplane shard's enforcement view) use this to refresh per batch without
-    /// cloning the value map when nothing changed.
+    /// dataplane shard's enforcement view) use this to refresh per batch.
     pub fn snapshot_if_newer(&self, seen_version: u64) -> Option<ContextSnapshot> {
         let inner = self.inner.read();
-        if inner.version == seen_version {
-            return None;
-        }
-        Some(ContextSnapshot {
-            version: inner.version,
-            at: inner.changes.last().map(|c| c.at).unwrap_or(Timestamp::ZERO),
-            values: inner.values.clone(),
-        })
+        (inner.version != seen_version).then(|| inner.snapshot())
     }
 
     /// Registers a subscriber; its cursor starts at the current version, so it will
@@ -286,8 +311,9 @@ impl ContextStore {
     pub fn poll(&self, id: SubscriptionId) -> Vec<ContextChange> {
         let mut inner = self.inner.write();
         let cursor = inner.cursors.get(&id).copied().unwrap_or(0);
-        let fresh: Vec<ContextChange> =
-            inner.changes.iter().filter(|c| c.version > cursor).cloned().collect();
+        // The history is version-sorted: only the unseen suffix is visited.
+        let seen = inner.changes.partition_point(|c| c.version <= cursor);
+        let fresh: Vec<ContextChange> = inner.changes.range(seen..).cloned().collect();
         let newest = inner.version;
         inner.cursors.insert(id, newest);
         inner.compact();
@@ -297,7 +323,7 @@ impl ContextStore {
     /// The retained change history (for audit and tests). Unbounded by default;
     /// with a retention bound set this is only the compacted tail.
     pub fn history(&self) -> Vec<ContextChange> {
-        self.inner.read().changes.clone()
+        self.inner.read().changes.iter().cloned().collect()
     }
 }
 
@@ -451,6 +477,61 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_share_the_map_until_the_next_write() {
+        let store = ContextStore::new();
+        store.set("a", 1i64, Timestamp(1));
+        let first = store.snapshot();
+        let second = store.snapshot();
+        assert!(Arc::ptr_eq(&first.values, &second.values), "a snapshot is a refcount bump");
+        // The first write after a live snapshot copies; the snapshots keep the old map.
+        store.set("b", 2i64, Timestamp(2));
+        store.remove(&ContextKey::new("a"), Timestamp(3));
+        assert_eq!(first.get_name("a"), Some(&ContextValue::Integer(1)));
+        assert_eq!(first.len(), 1);
+        assert_eq!(first, second);
+        let third = store.snapshot();
+        assert!(!Arc::ptr_eq(&first.values, &third.values));
+        assert_eq!((third.version(), third.len()), (3, 1));
+        // Removing an absent key neither copies nor changes anything.
+        store.remove(&ContextKey::new("missing"), Timestamp(4));
+        assert!(Arc::ptr_eq(&third.values, &store.snapshot().values));
+    }
+
+    #[test]
+    fn poll_returns_only_the_unseen_suffix() {
+        let store = ContextStore::new();
+        let early = store.subscribe();
+        for i in 0..50u64 {
+            store.set("k", i as i64, Timestamp(i));
+        }
+        let late = store.subscribe();
+        store.set("k", 50i64, Timestamp(50));
+        store.set("k", 51i64, Timestamp(51));
+        let versions = |changes: Vec<ContextChange>| -> Vec<u64> {
+            changes.iter().map(|c| c.version).collect()
+        };
+        assert_eq!(versions(store.poll(late)), vec![51, 52]);
+        assert_eq!(versions(store.poll(early)), (1..=52).collect::<Vec<u64>>());
+        assert!(store.poll(late).is_empty());
+        // An unknown (unsubscribed) id polls like a fresh cursor at 0.
+        store.unsubscribe(late);
+        assert_eq!(store.poll(late).len(), 52);
+    }
+
+    #[test]
+    fn snapshot_serde_round_trips() {
+        let store = ContextStore::new();
+        store.set("emergency.active", true, Timestamp(7));
+        store.set("ward", "w3", Timestamp(8));
+        let snapshot = store.snapshot();
+        let back = ContextSnapshot::from_value(&snapshot.to_value()).unwrap();
+        assert_eq!(back, snapshot);
+        assert_eq!((back.version(), back.taken_at()), (2, Timestamp(8)));
+        let error = ContextSnapshot::from_value(&serde::Value::Null).unwrap_err();
+        assert!(error.to_string().contains("ContextSnapshot"));
+    }
+
+    #[test]
     fn snapshot_iter_is_sorted() {
         let snap = ContextSnapshot::from_pairs([("b", 1i64), ("a", 2i64)]);
         let keys: Vec<_> = snap.iter().map(|(k, _)| k.name().to_string()).collect();
@@ -485,6 +566,86 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             prop_assert_eq!(versions, sorted);
+        }
+
+        /// The store against a naive deep-copy model under random operations: every
+        /// snapshot equals the model at its version forever after (copy-on-write
+        /// isolation), and every subscriber receives every change made while it was
+        /// subscribed exactly once and in order, whatever the retention bound.
+        #[test]
+        fn prop_store_matches_a_deep_copy_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..4, 0i64..100, 0usize..3), 1..80)
+        ) {
+            const KEYS: [&str; 4] = ["a", "b", "c", "d"];
+            let store = ContextStore::new();
+            let mut model: BTreeMap<ContextKey, ContextValue> = BTreeMap::new();
+            let mut version = 0u64;
+            // (snapshot, deep copy of the model when it was taken)
+            let mut snapshots: Vec<(ContextSnapshot, BTreeMap<ContextKey, ContextValue>)> = Vec::new();
+            // Per slot: (id, versions received, versions it should have received).
+            type Feed = (SubscriptionId, Vec<u64>, Vec<u64>);
+            let mut subscribers: [Option<Feed>; 3] = [None, None, None];
+            for (step, (op, key, value, slot)) in ops.into_iter().enumerate() {
+                let at = Timestamp(step as u64);
+                let changed = match op {
+                    0..=2 => {
+                        model.insert(ContextKey::new(KEYS[key]), ContextValue::Integer(value));
+                        prop_assert_eq!(store.set(KEYS[key], value, at), version + 1);
+                        true
+                    }
+                    3 => {
+                        let existed = model.remove(&ContextKey::new(KEYS[key])).is_some();
+                        let after = store.remove(&ContextKey::new(KEYS[key]), at);
+                        prop_assert_eq!(after, version + u64::from(existed));
+                        existed
+                    }
+                    4 => {
+                        let snapshot = match store.snapshot_if_newer(version) {
+                            None => store.snapshot(),
+                            Some(_) => return Err(TestCaseError::fail("newer than the newest")),
+                        };
+                        prop_assert_eq!(snapshot.version(), version);
+                        snapshots.push((snapshot, model.clone()));
+                        false
+                    }
+                    5 => {
+                        match &mut subscribers[slot] {
+                            Some((id, received, _)) => {
+                                received.extend(store.poll(*id).iter().map(|c| c.version));
+                            }
+                            empty => *empty = Some((store.subscribe(), Vec::new(), Vec::new())),
+                        }
+                        false
+                    }
+                    6 => {
+                        if let Some((id, mut received, expected)) = subscribers[slot].take() {
+                            received.extend(store.poll(id).iter().map(|c| c.version));
+                            store.unsubscribe(id);
+                            prop_assert_eq!(received, expected);
+                        }
+                        false
+                    }
+                    _ => {
+                        store.set_retention((value % 2 == 0).then_some(value as usize % 5));
+                        false
+                    }
+                };
+                if changed {
+                    version += 1;
+                    for (_, _, expected) in subscribers.iter_mut().flatten() {
+                        expected.push(version);
+                    }
+                }
+                prop_assert_eq!(store.version(), version);
+                for (snapshot, copy) in &snapshots {
+                    prop_assert!(snapshot.iter().eq(copy.iter()), "a snapshot changed after the fact");
+                }
+            }
+            prop_assert!(store.snapshot().iter().eq(model.iter()));
+            for (id, mut received, expected) in subscribers.into_iter().flatten() {
+                received.extend(store.poll(id).iter().map(|c| c.version));
+                prop_assert_eq!(received, expected);
+            }
         }
     }
 }

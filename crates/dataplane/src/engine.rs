@@ -103,7 +103,8 @@ pub struct DataplaneConfig {
     pub cache_decisions: bool,
     /// Whether to cache contextual AC decisions (per-message and admission checks)
     /// keyed on the context keys the rules actually read, invalidated through the
-    /// engine's [`ContextStore`] subscription and on AC-regime changes.
+    /// engine's [`ContextStore`] subscription and, per component, when the rules
+    /// governing that component change.
     pub cache_ac_decisions: bool,
     /// Maximum cached decisions per shard (flow cache and AC cache each).
     pub cache_capacity: usize,
@@ -258,7 +259,7 @@ impl fmt::Display for DataplaneError {
 impl std::error::Error for DataplaneError {}
 
 /// A registered endpoint: its component (context, principal, isolation), its shard, its
-/// current stable context hash, and its subscribers.
+/// current stable context hash, and its subscription edges in both directions.
 #[derive(Debug)]
 pub(crate) struct Endpoint {
     pub component: Component,
@@ -268,6 +269,10 @@ pub(crate) struct Endpoint {
     /// Behind an `Arc` so `publish` can snapshot the fan-out with one refcount bump
     /// instead of cloning the list on every message.
     pub subscribers: Arc<Vec<(Arc<str>, usize)>>,
+    /// The inverse edges: every endpoint whose `subscribers` names this one. Kept in
+    /// step by `subscribe` / `unsubscribe` / `deregister`, so a leaving endpoint
+    /// visits its neighbours and not the whole directory.
+    pub publishers: Vec<Arc<str>>,
     /// The streaming receiver's bounded mailbox, present while a [`Subscriber`] has
     /// been opened for this endpoint. Shards push enforced (post-quench) deliveries
     /// into it under the directory *read* lock; a closed mailbox is skipped with one
@@ -487,18 +492,25 @@ pub struct Dataplane {
     published: std::sync::atomic::AtomicU64,
 }
 
+/// Change-history retention of the store an engine creates for itself
+/// ([`Dataplane::new`]): nothing reads that history but the engine's own change-feed
+/// cursors, which compaction never overtakes, so a tail for debugging is all it keeps.
+const OWN_STORE_RETENTION: usize = 1024;
+
 impl Dataplane {
-    /// Creates the engine (with a fresh private [`ContextStore`]) and spawns one
-    /// worker thread per shard.
+    /// Creates the engine (with a fresh private [`ContextStore`], its change history
+    /// compacted to a fixed tail) and spawns one worker thread per shard.
     pub fn new(name: impl Into<String>, config: DataplaneConfig) -> Self {
-        Self::with_context_store(name, config, Arc::new(ContextStore::new()))
+        let store = ContextStore::with_retention(OWN_STORE_RETENTION);
+        Self::with_context_store(name, config, Arc::new(store))
     }
 
     /// Creates the engine around an externally owned [`ContextStore`]: enforcement-
     /// time AC decisions (per-message and admission) are evaluated against snapshots
     /// of this store, and the per-shard AC caches subscribe to it so a
     /// [`ContextStore::set`] on a key a rule reads forces re-evaluation on every
-    /// shard.
+    /// shard. The store's retention stays its owner's choice
+    /// ([`ContextStore::set_retention`]; unbounded by default).
     ///
     /// # Panics
     ///
@@ -607,6 +619,7 @@ impl Dataplane {
                 context_hash,
                 shard,
                 subscribers: Arc::new(Vec::new()),
+                publishers: Vec::new(),
                 mailbox: None,
             },
         );
@@ -654,6 +667,7 @@ impl Dataplane {
                     context_hash,
                     shard,
                     subscribers: Arc::new(Vec::new()),
+                    publishers: Vec::new(),
                     mailbox: None,
                 },
             );
@@ -746,9 +760,16 @@ impl Dataplane {
         if let Some(mailbox) = &endpoint.mailbox {
             mailbox.close();
         }
-        for endpoint in directory.endpoints.values_mut() {
-            if endpoint.subscribers.iter().any(|(sub, _)| &**sub == name) {
-                Arc::make_mut(&mut endpoint.subscribers).retain(|(sub, _)| &**sub != name);
+        // Only the neighbours hold an edge to the leaver (a self-subscription went
+        // with the endpoint itself).
+        for publisher in &endpoint.publishers {
+            if let Some(neighbour) = directory.endpoints.get_mut(publisher) {
+                Arc::make_mut(&mut neighbour.subscribers).retain(|(sub, _)| &**sub != name);
+            }
+        }
+        for (subscriber, _) in endpoint.subscribers.iter() {
+            if let Some(neighbour) = directory.endpoints.get_mut(subscriber) {
+                neighbour.publishers.retain(|publisher| &**publisher != name);
             }
         }
         Ok(())
@@ -830,14 +851,20 @@ impl Dataplane {
         };
         let admitted = outcome.is_delivered();
         if admitted {
-            let publisher_endpoint = directory.endpoints.get_mut(publisher).expect("checked above");
+            let (publisher_key, publisher_endpoint) =
+                directory.endpoints.get_key_value(publisher).expect("checked above");
             if !publisher_endpoint
                 .subscribers
                 .iter()
                 .any(|(existing, _)| *existing == subscriber_key)
             {
-                Arc::make_mut(&mut publisher_endpoint.subscribers)
-                    .push((subscriber_key, subscriber_shard));
+                // Both directions of the edge, each name the directory's own key.
+                let publisher_key = Arc::clone(publisher_key);
+                let endpoints = &mut directory.endpoints;
+                let destination = endpoints.get_mut(&subscriber_key).expect("checked above");
+                destination.publishers.push(Arc::clone(&publisher_key));
+                let source = endpoints.get_mut(&publisher_key).expect("checked above");
+                Arc::make_mut(&mut source.subscribers).push((subscriber_key, subscriber_shard));
             }
         }
         directory.control_audit.append(
@@ -866,6 +893,9 @@ impl Dataplane {
             .get_mut(publisher)
             .ok_or_else(|| DataplaneError::UnknownEndpoint { name: publisher.to_string() })?;
         Arc::make_mut(&mut endpoint.subscribers).retain(|(sub, _)| &**sub != subscriber);
+        if let Some(endpoint) = directory.endpoints.get_mut(subscriber) {
+            endpoint.publishers.retain(|existing| &**existing != publisher);
+        }
         Ok(())
     }
 
@@ -1269,6 +1299,26 @@ impl Dataplane {
             unsynced_bytes,
             segment_stats,
         }
+    }
+
+    /// Test hook: every edge as `(publisher, subscriber)`, once as the `subscribers`
+    /// lists hold it and once as the `publishers` lists do; both sorted.
+    #[cfg(test)]
+    pub(crate) fn edges_both_ways(&self) -> [Vec<(String, String)>; 2] {
+        let directory = self.shared.directory.read();
+        let (mut forward, mut inverse) = (Vec::new(), Vec::new());
+        for (name, endpoint) in &directory.endpoints {
+            for (subscriber, shard) in endpoint.subscribers.iter() {
+                assert_eq!(*shard, directory.endpoints[subscriber].shard);
+                forward.push((name.to_string(), subscriber.to_string()));
+            }
+            for publisher in &endpoint.publishers {
+                inverse.push((publisher.to_string(), name.to_string()));
+            }
+        }
+        forward.sort();
+        inverse.sort();
+        [forward, inverse]
     }
 
     #[cfg(test)]

@@ -29,7 +29,14 @@
 //!   granularity) are cached per shard too
 //!   ([`legaliot_middleware::AdmissionCache`]), keyed on the context keys the rules
 //!   actually read and invalidated through the engine's
-//!   [`legaliot_context::ContextStore`] subscriptions.
+//!   [`legaliot_context::ContextStore`] subscriptions; a rule change re-evaluates
+//!   the decisions of the component it governs and no other.
+//! * **A control plane that costs what it changes** — a context snapshot is a
+//!   reference-count bump on the store's copy-on-write map, a change-feed poll visits
+//!   only unseen changes, and `deregister` follows the leaver's own edges (each
+//!   endpoint keeps its publishers beside its subscribers), so joins, leaves and
+//!   rule updates do not slow as the fleet grows
+//!   (`tests/control_plane_scaling.rs`).
 //! * **Batched, tamper-evident audit** — every shard writes its own hash-chained log
 //!   through a [`legaliot_audit::BatchedAppender`]; in
 //!   [`AuditDetail::Summarised`] mode repeated checks of a pair fold into one
@@ -301,6 +308,138 @@ mod tests {
             dataplane.register(endpoint("a", &["t"])),
             Err(DataplaneError::DuplicateEndpoint { name: "a".into() })
         );
+    }
+
+    /// `publishers` is the exact inverse of `subscribers` after any sequence of
+    /// subscribe / unsubscribe / deregister / re-register, checked against a plain
+    /// edge set; a name that leaves and comes back inherits no edge.
+    #[test]
+    fn publishers_stay_the_exact_inverse_of_subscribers() {
+        use std::collections::BTreeSet;
+        const NAMES: [&str; 6] = ["n0", "n1", "n2", "n3", "n4", "n5"];
+        for seed in 1..=4u64 {
+            let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
+            let dataplane = Dataplane::new("edges", config);
+            let mut registered: BTreeSet<&str> = BTreeSet::new();
+            let mut model: BTreeSet<(String, String)> = BTreeSet::new();
+            // SplitMix64: a fixed, seed-replayable operation stream.
+            let mut state = seed;
+            let mut next = move |bound: usize| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % bound as u64) as usize
+            };
+            for step in 0..400u64 {
+                let (from, to) = (NAMES[next(NAMES.len())], NAMES[next(NAMES.len())]);
+                match next(8) {
+                    0 | 1 => {
+                        let fresh = dataplane.register(endpoint(from, &["t"])).is_ok();
+                        assert_eq!(fresh, registered.insert(from));
+                        dataplane.allow_sends_to(from);
+                    }
+                    2 => {
+                        assert_eq!(dataplane.deregister(from).is_ok(), registered.remove(from));
+                        model.retain(|(publisher, subscriber)| {
+                            publisher != from && subscriber != from
+                        });
+                    }
+                    3 => {
+                        let known = dataplane.unsubscribe(from, to).is_ok();
+                        assert_eq!(known, registered.contains(from));
+                        model.remove(&(from.to_string(), to.to_string()));
+                    }
+                    // Same context and open rules everywhere: every edge (a
+                    // self-subscription too) is admitted, repeats are idempotent.
+                    _ => match dataplane.subscribe(from, to, &snap(), Timestamp(step)) {
+                        Ok(outcome) => {
+                            assert!(outcome.is_delivered());
+                            model.insert((from.to_string(), to.to_string()));
+                        }
+                        Err(_) => {
+                            assert!(!registered.contains(from) || !registered.contains(to));
+                        }
+                    },
+                }
+                let [forward, inverse] = dataplane.edges_both_ways();
+                let expected: Vec<(String, String)> = model.iter().cloned().collect();
+                assert_eq!(forward, expected, "seed {seed} step {step}");
+                assert_eq!(inverse, expected, "seed {seed} step {step}");
+            }
+        }
+    }
+
+    /// Bugfix acceptance: the store an engine creates for itself keeps a bounded
+    /// change history, and bounding it loses nothing — compaction only ever drops
+    /// what all three change-feed cursors (two shards, the control plane's admission
+    /// cache) have consumed, and each of them keeps flipping its cached decision.
+    #[test]
+    fn own_store_history_stays_bounded_and_every_cursor_sees_every_change() {
+        use legaliot_middleware::{AccessRule, Operation, Subject};
+        use legaliot_policy::Condition;
+
+        const BURST: usize = 100;
+        let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
+        let dataplane = Dataplane::new("bounded-history", config);
+        let store = Arc::clone(dataplane.context_store());
+        assert!(store.retention().is_some());
+        dataplane.register(endpoint("pub", &["t"])).unwrap();
+        // One subscriber per shard, each guarded by a rule reading the churned key.
+        let candidates = ["s-alpha", "s-beta", "s-gamma", "s-delta", "s-epsilon", "s-zeta"];
+        let subscribers: Vec<&str> = (0..2)
+            .map(|shard| *candidates.iter().find(|name| dataplane.shard_of(name) == shard).unwrap())
+            .collect();
+        store.set("load", 10i64, Timestamp(0));
+        for name in &subscribers {
+            dataplane.register(endpoint(name, &["t", "sink"])).unwrap();
+            dataplane.with_access(|access| {
+                access.add_rule(
+                    *name,
+                    AccessRule::allow(Subject::Anyone, Operation::Send, None)
+                        .when(Condition::number_below("load", 50.0)),
+                );
+            });
+            assert!(dataplane
+                .subscribe("pub", name, &store.snapshot(), Timestamp(1))
+                .unwrap()
+                .is_delivered());
+        }
+        dataplane.register_schema(reading_schema()).unwrap();
+        let message = reading_message();
+
+        let (mut delivered, mut denied) = (0u64, 0u64);
+        for burst in 0..(10_000 / BURST) {
+            // The burst ends high on odd bursts, low on even ones.
+            let allowed = burst % 2 == 0;
+            for write in 0..BURST {
+                let low = (write % 2 == 1) == allowed;
+                let at = Timestamp((burst * BURST + write) as u64);
+                store.set("load", if low { 10i64 } else { 90i64 }, at);
+            }
+            let now = Timestamp(10 + burst as u64);
+            dataplane.publish_message("pub", &message, now).unwrap();
+            dataplane.drain();
+            if allowed {
+                delivered += 2;
+            } else {
+                denied += 2;
+            }
+            let stats = dataplane.stats();
+            assert_eq!((stats.delivered, stats.denied), (delivered, denied), "burst {burst}");
+            // The control plane's cursor: a repeat admission check through its cache.
+            let outcome =
+                dataplane.subscribe("pub", subscribers[0], &store.snapshot(), now).unwrap();
+            assert_eq!(outcome.is_delivered(), allowed, "burst {burst}");
+            // All three cursors are now at the head, so the next write compacts to
+            // the retention tail: at most one burst ever sits on top of it.
+            let retained = store.history().len();
+            assert!(retained <= store.retention().unwrap() + BURST, "{retained} at burst {burst}");
+        }
+        assert_eq!(store.version(), 10_001);
+        let report = dataplane.shutdown();
+        assert!(report.ac_cache_stats.iter().all(|shard| shard.invalidated >= 99));
+        assert!(report.admission_cache_stats.invalidated >= 99);
     }
 
     #[test]
@@ -577,7 +716,28 @@ mod tests {
         store.set("patient.heart-rate", 90i64, Timestamp(6));
         dataplane.publish_message("pub", &message, Timestamp(7)).unwrap();
         dataplane.drain();
-        assert_eq!(dataplane.stats().delivered, 18);
+        let calm = dataplane.stats();
+        assert_eq!(calm.delivered, 18);
+
+        // A rule change is per component: deny one subscriber on every shard, and
+        // exactly those decisions flip (one fresh evaluation each) while every other
+        // subscriber's cached allow is still served as a hit.
+        let mut flipped = Vec::new();
+        for shard in &shards {
+            let name = subscribers.iter().find(|name| dataplane.shard_of(name) == *shard).unwrap();
+            dataplane.with_access(|access| {
+                access.add_rule(*name, AccessRule::deny(Subject::Anyone, Operation::Send, None));
+            });
+            flipped.push(*name);
+        }
+        let (changed, untouched) = (flipped.len() as u64, (6 - flipped.len()) as u64);
+        dataplane.publish_message("pub", &message, Timestamp(8)).unwrap();
+        dataplane.drain();
+        let ruled = dataplane.stats();
+        assert_eq!(ruled.denied - calm.denied, changed);
+        assert_eq!(ruled.delivered - calm.delivered, untouched);
+        assert_eq!(ruled.ac_cache_misses - calm.ac_cache_misses, changed);
+        assert_eq!(ruled.ac_cache_hits - calm.ac_cache_hits, untouched);
 
         let report = dataplane.shutdown();
         let invalidated: u64 = report.ac_cache_stats.iter().map(|s| s.invalidated).sum();

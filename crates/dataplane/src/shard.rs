@@ -262,13 +262,57 @@ struct WorkerState {
     cache: DecisionCache,
     /// Contextual-AC decision cache, subscribed to the engine's context store.
     ac_cache: AdmissionCache,
-    /// Quench-mask cache keyed by (schema hash, destination ctx hash): the mask is a
-    /// pure function of the two, so it is recomputed only when either changes.
-    quench_cache: HashMap<(u64, u64), u64>,
+    /// Quench-mask cache: the mask is a pure function of (schema, destination
+    /// context), so it is recomputed only when either changes.
+    quench_cache: QuenchCache,
     /// Enforcement-time view of the context store, refreshed per batch when stale.
     snapshot: ContextSnapshot,
     appender: BatchedAppender,
     summaries: HashMap<PairKey, PairSummary>,
+}
+
+/// Quench masks keyed by destination context hash first, so that superseding a context
+/// ([`ShardTask::Invalidate`]) drops its masks with one removal. Under a destination
+/// sit `(schema hash, mask)` pairs — as many as message types reach that context, a
+/// handful — searched linearly.
+#[derive(Debug)]
+struct QuenchCache {
+    by_destination: HashMap<u64, Vec<(u64, u64)>>,
+    /// Masks held across all destinations, at most `capacity`.
+    len: usize,
+    capacity: usize,
+}
+
+impl QuenchCache {
+    fn with_capacity(capacity: usize) -> Self {
+        QuenchCache { by_destination: HashMap::new(), len: 0, capacity }
+    }
+
+    fn get(&self, schema_hash: u64, destination_hash: u64) -> Option<u64> {
+        let masks = self.by_destination.get(&destination_hash)?;
+        masks.iter().find(|(schema, _)| *schema == schema_hash).map(|(_, mask)| *mask)
+    }
+
+    /// Caches a mask [`Self::get`] just missed; a full cache is cleared first (epoch
+    /// eviction, as in the decision caches).
+    fn insert(&mut self, schema_hash: u64, destination_hash: u64, mask: u64) {
+        if self.len >= self.capacity {
+            self.clear();
+        }
+        self.by_destination.entry(destination_hash).or_default().push((schema_hash, mask));
+        self.len += 1;
+    }
+
+    fn invalidate_destination(&mut self, destination_hash: u64) {
+        if let Some(masks) = self.by_destination.remove(&destination_hash) {
+            self.len -= masks.len();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.by_destination.clear();
+        self.len = 0;
+    }
 }
 
 /// Maximum tasks drained from the ingress queue per lock acquisition.
@@ -449,7 +493,7 @@ impl WorkerState {
         WorkerState {
             cache: DecisionCache::with_capacity(config.cache_capacity),
             ac_cache,
-            quench_cache: HashMap::new(),
+            quench_cache: QuenchCache::with_capacity(config.cache_capacity),
             snapshot: store.snapshot(),
             appender,
             summaries: HashMap::new(),
@@ -655,7 +699,7 @@ fn run_batch(
                 }
                 ShardTask::Invalidate { context_hash } => {
                     state.cache.invalidate_context(context_hash);
-                    state.quench_cache.retain(|(_, dst_hash), _| *dst_hash != context_hash);
+                    state.quench_cache.invalidate_destination(context_hash);
                 }
                 ShardTask::Shutdown => {
                     progress.shutdown = true;
@@ -1028,15 +1072,11 @@ fn deliver_payload(
     // either misses (new hash) or was dropped by the invalidation broadcast, so stale
     // masks never apply.
     let schema = message.schema();
-    let key = (schema.schema_hash(), dst.context_hash);
-    let (mask, fresh) = match state.quench_cache.get(&key) {
-        Some(mask) => (*mask, false),
+    let (mask, fresh) = match state.quench_cache.get(schema.schema_hash(), dst.context_hash) {
+        Some(mask) => (mask, false),
         None => {
-            if state.quench_cache.len() >= config.cache_capacity {
-                state.quench_cache.clear();
-            }
             let mask = schema.quench_mask_for(dst.component.context().secrecy());
-            state.quench_cache.insert(key, mask);
+            state.quench_cache.insert(schema.schema_hash(), dst.context_hash, mask);
             (mask, true)
         }
     };

@@ -173,6 +173,19 @@ struct MailboxInner {
     queue: VecDeque<ReceivedMessage>,
     /// Deliveries shed by drop-oldest overflow since the mailbox opened.
     dropped: u64,
+    /// Consumers parked on `not_empty` / producers parked on `not_full`. Raised
+    /// under the lock before the wait releases it, so whoever changes the queue
+    /// under the lock afterwards sees the count and notifies; at zero the notify —
+    /// a futex wake with nobody to wake — is skipped.
+    waiting_consumers: usize,
+    waiting_producers: usize,
+}
+
+impl MailboxInner {
+    /// Takes the oldest delivery and says whether a parked producer is owed a wake.
+    fn pop(&mut self) -> Option<(ReceivedMessage, bool)> {
+        self.queue.pop_front().map(|item| (item, self.waiting_producers > 0))
+    }
 }
 
 /// The bounded hand-off queue between a subscriber's shard and its consumer.
@@ -256,15 +269,20 @@ impl Mailbox {
                     let shed = inner.queue.pop_front().expect("full implies non-empty");
                     inner.dropped += 1;
                     inner.queue.push_back(item);
+                    let wake = inner.waiting_consumers > 0;
                     drop(inner);
-                    self.not_empty.notify_one();
+                    if wake {
+                        self.not_empty.notify_one();
+                    }
                     return MailboxPush::DroppedOldest(shed);
                 }
                 OverflowPolicy::Block => {
                     if stall.is_some() && stalled_since.is_none() {
                         stalled_since = Some(Instant::now());
                     }
+                    inner.waiting_producers += 1;
                     inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                    inner.waiting_producers -= 1;
                     if self.is_closed() {
                         drop(inner);
                         record_stall(stalled_since);
@@ -274,37 +292,42 @@ impl Mailbox {
             }
         }
         inner.queue.push_back(item);
+        let wake = inner.waiting_consumers > 0;
         drop(inner);
         record_stall(stalled_since);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         MailboxPush::Enqueued
-    }
-
-    fn pop(inner: &mut MailboxInner) -> Option<ReceivedMessage> {
-        inner.queue.pop_front()
     }
 
     fn recv(&self) -> Result<ReceivedMessage, RecvError> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(item) = Self::pop(&mut inner) {
+            if let Some((item, wake)) = inner.pop() {
                 drop(inner);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Ok(item);
             }
             if self.is_closed() {
                 return Err(RecvError::Disconnected);
             }
+            inner.waiting_consumers += 1;
             inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.waiting_consumers -= 1;
         }
     }
 
     fn try_recv(&self) -> Result<ReceivedMessage, TryRecvError> {
         let mut inner = self.inner.lock();
-        match Self::pop(&mut inner) {
-            Some(item) => {
+        match inner.pop() {
+            Some((item, wake)) => {
                 drop(inner);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 Ok(item)
             }
             None if self.is_closed() => Err(TryRecvError::Disconnected),
@@ -316,9 +339,11 @@ impl Mailbox {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
-            if let Some(item) = Self::pop(&mut inner) {
+            if let Some((item, wake)) = inner.pop() {
                 drop(inner);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Ok(item);
             }
             if self.is_closed() {
@@ -328,19 +353,22 @@ impl Mailbox {
             if remaining.is_zero() {
                 return Err(RecvTimeoutError::Timeout);
             }
+            inner.waiting_consumers += 1;
             let (guard, _timed_out) = self
                 .not_empty
                 .wait_timeout(inner, remaining)
                 .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
+            inner.waiting_consumers -= 1;
         }
     }
 
     fn drain(&self) -> Vec<ReceivedMessage> {
         let mut inner = self.inner.lock();
         let items: Vec<ReceivedMessage> = inner.queue.drain(..).collect();
+        let wake = inner.waiting_producers > 0;
         drop(inner);
-        if !items.is_empty() {
+        if wake && !items.is_empty() {
             self.not_full.notify_all();
         }
         items
@@ -528,6 +556,91 @@ mod tests {
         assert_eq!(mailbox.recv().unwrap_err(), RecvError::Disconnected);
         assert_eq!(mailbox.try_recv().unwrap_err(), TryRecvError::Disconnected);
         assert!(matches!(mailbox.push(item(9), None), MailboxPush::Closed));
+    }
+
+    /// Capacity 1 under `Block` makes every message a hand-off in both directions:
+    /// the producer parks on the full mailbox, the consumer on the empty one, and
+    /// each relies on the other's conditional notify. A skipped wake-up that was owed
+    /// hangs this test (or trips the `recv_timeout` arm), not production.
+    #[test]
+    fn capacity_one_ping_pong_never_loses_a_wake_up() {
+        use legaliot_ifc::SecurityContext;
+        use legaliot_middleware::{FrozenSchema, MessageSchema};
+        const MESSAGES: u64 = 100_000;
+        let mailbox = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
+        let producer = {
+            let mailbox = Arc::clone(&mailbox);
+            thread::spawn(move || {
+                let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
+                let message = Message::new("t", SecurityContext::public());
+                for tag in 1..=MESSAGES {
+                    let frozen = FrozenMessage::freeze(&message, Arc::clone(&schema)).unwrap();
+                    let item = ReceivedMessage::Frozen(Arc::new(frozen.with_sent_at(tag)));
+                    assert!(matches!(mailbox.push(item, None), MailboxPush::Enqueued));
+                }
+            })
+        };
+        let mut next = 1;
+        let mut turn = 0u64;
+        while next <= MESSAGES {
+            turn += 1;
+            let batch = match turn % 3 {
+                0 => vec![mailbox.recv().expect("open")],
+                1 => vec![mailbox
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("a wake-up owed to a parked consumer was skipped")],
+                _ => mailbox.drain(),
+            };
+            for received in batch {
+                assert_eq!(received.sent_at_millis(), next, "in order, exactly once");
+                next += 1;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(mailbox.try_recv().unwrap_err(), TryRecvError::Empty);
+        let inner = mailbox.inner.lock();
+        assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
+    }
+
+    /// Closing wakes a parked producer and a parked consumer. "Parked" is observed,
+    /// not slept for: the waiter count is raised under the lock the wait then
+    /// releases, so seeing it under that lock means the thread is inside the wait.
+    #[test]
+    fn close_wakes_waiters_parked_on_either_side() {
+        let wait_until = |mailbox: &Mailbox, parked: fn(&MailboxInner) -> bool| {
+            while !parked(&mailbox.inner.lock()) {
+                thread::yield_now();
+            }
+        };
+        let full = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
+        full.push(item(1), None);
+        let producer = {
+            let full = Arc::clone(&full);
+            thread::spawn(move || full.push(item(2), None))
+        };
+        wait_until(&full, |inner| inner.waiting_producers == 1);
+        full.close();
+        assert!(matches!(producer.join().unwrap(), MailboxPush::Closed));
+
+        let empty = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
+        let consumers: Vec<_> = (0..2)
+            .map(|index| {
+                let empty = Arc::clone(&empty);
+                thread::spawn(move || match index {
+                    0 => empty.recv().map_err(|_| ()),
+                    _ => empty.recv_timeout(Duration::from_secs(60)).map_err(|error| {
+                        assert_eq!(error, RecvTimeoutError::Disconnected);
+                    }),
+                })
+            })
+            .collect();
+        wait_until(&empty, |inner| inner.waiting_consumers == 2);
+        empty.close();
+        for consumer in consumers {
+            assert!(consumer.join().unwrap().is_err());
+        }
+        let inner = empty.inner.lock();
+        assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! consulted at channel establishment, on every message, and — crucially — when a
 //! third-party reconfiguration control message arrives (Fig. 8).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -182,9 +182,20 @@ impl AccessDecision {
 pub struct AccessRegime {
     /// Rules scoped to a component name (the component whose resources are accessed).
     rules: BTreeMap<String, Vec<AccessRule>>,
-    /// Bumped on every rule-set mutation, so decision caches keyed on this regime can
-    /// detect staleness without comparing rule lists.
+    /// Bumped on every rule-set mutation.
     revision: u64,
+    /// What decision caches ask about a component, beside the rules so that asking
+    /// walks no rule list: one entry per component that ever had rules (a cleared
+    /// component keeps its, so its `changed_at` survives the clear).
+    cache_facts: HashMap<String, CacheFacts>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct CacheFacts {
+    /// The regime revision at which the component's rules last changed.
+    changed_at: u64,
+    /// Whether any of its rules has a time-dependent condition.
+    time_dependent: bool,
 }
 
 impl AccessRegime {
@@ -196,12 +207,23 @@ impl AccessRegime {
     /// Adds a rule governing access to `component`.
     pub fn add_rule(&mut self, component: impl Into<String>, rule: AccessRule) {
         self.revision += 1;
-        self.rules.entry(component.into()).or_default().push(rule);
+        let component = component.into();
+        // Only a component's first rule copies its name.
+        let facts = match self.cache_facts.get_mut(&component) {
+            Some(facts) => facts,
+            None => self.cache_facts.entry(component.clone()).or_default(),
+        };
+        facts.changed_at = self.revision;
+        facts.time_dependent |= rule.condition.is_time_dependent();
+        self.rules.entry(component).or_default().push(rule);
     }
 
     /// Removes all rules for a component, returning how many were removed.
     pub fn clear_component(&mut self, component: &str) -> usize {
         self.revision += 1;
+        if let Some(facts) = self.cache_facts.get_mut(component) {
+            *facts = CacheFacts { changed_at: self.revision, time_dependent: false };
+        }
         self.rules.remove(component).map(|v| v.len()).unwrap_or(0)
     }
 
@@ -210,10 +232,22 @@ impl AccessRegime {
         self.rules.values().map(Vec::len).sum()
     }
 
-    /// A counter bumped on every rule mutation. Decision caches remember the revision
-    /// their entries were computed under and clear themselves when it moves.
+    /// A counter bumped on every rule mutation, whichever component it touched.
     pub fn revision(&self) -> u64 {
         self.revision
+    }
+
+    /// What a decision cache needs to know about `component`, in one lookup: `None`
+    /// when its decisions must not be cached ([`Self::has_time_dependent_rules`]),
+    /// otherwise the [`Self::revision`] at which the rules governing it last changed
+    /// (0 if they never have). A decision cached for `component` stays valid exactly
+    /// as long as this value does — rule changes elsewhere do not move it.
+    pub fn cacheable_revision(&self, component: &str) -> Option<u64> {
+        match self.cache_facts.get(component) {
+            Some(facts) if facts.time_dependent => None,
+            Some(facts) => Some(facts.changed_at),
+            None => Some(0),
+        }
     }
 
     /// The context keys any rule governing `component` references, deduplicated.
@@ -239,9 +273,7 @@ impl AccessRegime {
     /// ([`Condition::is_time_dependent`]); such components' decisions must not be
     /// cached, as they can flip without any context change.
     pub fn has_time_dependent_rules(&self, component: &str) -> bool {
-        self.rules
-            .get(component)
-            .is_some_and(|rules| rules.iter().any(|rule| rule.condition.is_time_dependent()))
+        self.cache_facts.get(component).is_some_and(|facts| facts.time_dependent)
     }
 
     /// Decides whether `principal` may perform `operation` (optionally on
@@ -459,6 +491,47 @@ mod tests {
     }
 
     #[test]
+    fn cacheable_revision_moves_only_with_the_components_own_rules() {
+        let mut regime = AccessRegime::new();
+        assert_eq!(regime.cacheable_revision("a"), Some(0));
+        regime.add_rule("a", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        assert_eq!(regime.cacheable_revision("a"), Some(1));
+        assert_eq!(regime.cacheable_revision("b"), Some(2));
+        regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Receive, None));
+        assert_eq!(regime.cacheable_revision("a"), Some(1));
+        assert_eq!(regime.cacheable_revision("b"), Some(3));
+        // Clearing moves it too, and the cleared component remembers: rules re-added
+        // later can never collide with a revision handed out before the clear.
+        assert_eq!(regime.clear_component("a"), 1);
+        assert_eq!(regime.cacheable_revision("a"), Some(4));
+        regime.clear_component("never-governed");
+        assert_eq!(regime.cacheable_revision("never-governed"), Some(0));
+        assert_eq!(regime.revision(), 5);
+        // A cleared component reads exactly like one that never had rules.
+        let decision = regime.decide(
+            "a",
+            &nurse(),
+            Operation::Send,
+            None,
+            &ContextSnapshot::default(),
+            Timestamp::ZERO,
+        );
+        assert_eq!(
+            decision,
+            AccessRegime::new().decide(
+                "a",
+                &nurse(),
+                Operation::Send,
+                None,
+                &ContextSnapshot::default(),
+                Timestamp::ZERO,
+            )
+        );
+        assert!(regime.referenced_context_keys("a").is_empty());
+    }
+
+    #[test]
     fn referenced_keys_union_all_rules_for_a_component() {
         let mut regime = AccessRegime::new();
         regime.add_rule(
@@ -489,6 +562,13 @@ mod tests {
         );
         assert!(regime.has_time_dependent_rules("c"));
         assert!(!regime.has_time_dependent_rules("other"));
+        assert_eq!(regime.cacheable_revision("c"), None);
+        assert_eq!(regime.cacheable_revision("other"), Some(3));
+        assert_eq!(regime.cacheable_revision("missing"), Some(0));
+        // Clearing the rules clears the time dependence with them.
+        regime.clear_component("c");
+        assert!(!regime.has_time_dependent_rules("c"));
+        assert_eq!(regime.cacheable_revision("c"), Some(regime.revision()));
     }
 
     #[test]

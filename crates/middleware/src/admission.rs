@@ -69,17 +69,27 @@ pub fn admit_channel(
 
 /// A cache of [`AccessRegime`] decisions for one enforcement surface (an engine's
 /// control plane, or one dataplane shard), wrapping a context-keyed
-/// [`AcDecisionCache`] with regime-revision staleness detection.
+/// [`AcDecisionCache`] with per-component rule-set staleness detection: an entry
+/// remembers the [`AccessRegime::cacheable_revision`] it was computed under and is
+/// re-evaluated at its next lookup once the rules governing *its* component have
+/// changed. Rule changes for other components leave it a hit.
 ///
 /// Correctness contract: snapshots passed to [`AdmissionCache::decide`] must derive
 /// from the [`ContextStore`] the cache is [`AdmissionCache::attach`]ed to (and
-/// [`AdmissionCache::sync`] must run after store or regime changes, before deciding) —
-/// key-level invalidation watches exactly that store. Components governed by
-/// time-dependent rules are never cached and always re-evaluated.
+/// [`AdmissionCache::sync`] must run after store changes, before deciding) —
+/// key-level invalidation watches exactly that store — and every call must be given
+/// the same regime. Components governed by time-dependent rules are never cached and
+/// always re-evaluated.
 #[derive(Debug, Default)]
 pub struct AdmissionCache {
-    cache: AcDecisionCache<AccessDecision>,
-    regime_revision: u64,
+    cache: AcDecisionCache<StampedDecision>,
+}
+
+/// A cached decision with the component revision it was computed under.
+#[derive(Debug, Clone)]
+struct StampedDecision {
+    decision: AccessDecision,
+    revision: u64,
 }
 
 impl AdmissionCache {
@@ -90,7 +100,7 @@ impl AdmissionCache {
 
     /// Creates a cache holding at most `capacity` decisions.
     pub fn with_capacity(capacity: usize) -> Self {
-        AdmissionCache { cache: AcDecisionCache::with_capacity(capacity), regime_revision: 0 }
+        AdmissionCache { cache: AcDecisionCache::with_capacity(capacity) }
     }
 
     /// Subscribes to `store` for key-level invalidation (see [`AcDecisionCache::attach`]).
@@ -106,17 +116,13 @@ impl AdmissionCache {
         self.cache.detach(store);
     }
 
-    /// Brings the cache up to date: clears it when the regime's rule set changed, and
-    /// drops entries whose referenced context keys changed in the store. Returns how
-    /// many entries were dropped.
-    pub fn sync(&mut self, store: &ContextStore, access: &AccessRegime) -> usize {
-        let mut dropped = 0;
-        if access.revision() != self.regime_revision {
-            self.regime_revision = access.revision();
-            dropped += self.cache.len();
-            self.cache.clear();
-        }
-        dropped + self.cache.sync(store)
+    /// Brings the cache up to date with the store: drops entries whose referenced
+    /// context keys changed. Returns how many entries were dropped. Rule-set changes
+    /// need no sync — [`Self::decide`] checks the component's revision per lookup — so
+    /// the regime is not read; the parameter stays because `benchmark/` names this
+    /// signature.
+    pub fn sync(&mut self, store: &ContextStore, _access: &AccessRegime) -> usize {
+        self.cache.sync(store)
     }
 
     /// The stable cache key for an AC question. Includes the principal's roles: rule
@@ -161,17 +167,21 @@ impl AdmissionCache {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> (AccessDecision, bool) {
-        if access.has_time_dependent_rules(component) {
+        let Some(revision) = access.cacheable_revision(component) else {
             let decision =
                 access.decide(component, principal, operation, message_type, snapshot, now);
             return (decision, false);
-        }
+        };
         let key = Self::decision_key(component, principal, operation, message_type);
-        if let Some(decision) = self.cache.lookup(key) {
-            return (decision, true);
+        if let Some(hit) = self.cache.lookup_if(key, |entry| entry.revision == revision) {
+            return (hit.decision, true);
         }
         let decision = access.decide(component, principal, operation, message_type, snapshot, now);
-        self.cache.insert(key, decision.clone(), access.referenced_context_keys(component));
+        self.cache.insert(
+            key,
+            StampedDecision { decision: decision.clone(), revision },
+            access.referenced_context_keys(component),
+        );
         (decision, false)
     }
 
@@ -300,12 +310,60 @@ mod tests {
             admit_channel_cached(&src, &dst, &access, &store.snapshot(), Timestamp(4), &mut cache);
         assert!(outcome.is_delivered());
 
-        // A rule-set change clears the cache wholesale.
+        // A rule-set change for the component is seen at its next lookup, sync or not.
         access.clear_component("dst");
-        assert!(cache.sync(&store, &access) >= 1);
         let outcome =
             admit_channel_cached(&src, &dst, &access, &store.snapshot(), Timestamp(5), &mut cache);
         assert!(matches!(outcome, DeliveryOutcome::DeniedByAccessControl { .. }));
+    }
+
+    #[test]
+    fn a_rule_change_invalidates_only_its_own_component() {
+        use legaliot_context::ContextStore;
+
+        let store = ContextStore::new();
+        let mut access = open_access(&["a", "b"]);
+        let mut cache = AdmissionCache::new();
+        cache.attach(&store);
+        let principal = Principal::new("owner");
+        let snapshot = store.snapshot();
+        let ask = |cache: &mut AdmissionCache, access: &AccessRegime, component: &str| {
+            cache.sync(&store, access);
+            let (decision, hit) = cache.decide(
+                access,
+                component,
+                &principal,
+                Operation::Send,
+                None,
+                &snapshot,
+                Timestamp(1),
+            );
+            (decision.is_allowed(), hit)
+        };
+        assert_eq!(ask(&mut cache, &access, "a"), (true, false));
+        assert_eq!(ask(&mut cache, &access, "b"), (true, false));
+        assert_eq!(ask(&mut cache, &access, "never-governed"), (false, false));
+
+        // A deny rule on `a` flips `a` on its next lookup; `b` stays a hit.
+        access.add_rule(
+            "a",
+            AccessRule::deny(Subject::Principal("owner".into()), Operation::Send, None),
+        );
+        assert_eq!(ask(&mut cache, &access, "b"), (true, true));
+        assert_eq!(ask(&mut cache, &access, "a"), (false, false));
+        assert_eq!(ask(&mut cache, &access, "a"), (false, true));
+        assert_eq!(cache.stats().entries, 3, "the stale entry was replaced, not duplicated");
+
+        // Clear then re-add: neither step can resurrect a decision cached before it.
+        access.clear_component("a");
+        assert_eq!(ask(&mut cache, &access, "a"), (false, false));
+        access.add_rule("a", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        assert_eq!(ask(&mut cache, &access, "a"), (true, false));
+        // The first rule ever for a component invalidates its cached default-deny.
+        access
+            .add_rule("never-governed", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        assert_eq!(ask(&mut cache, &access, "never-governed"), (true, false));
+        assert_eq!(ask(&mut cache, &access, "b"), (true, true));
     }
 
     #[test]

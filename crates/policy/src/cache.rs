@@ -20,6 +20,7 @@
 //! (e.g. the middleware's `AccessDecision`) without this crate depending on them.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use legaliot_context::{ContextStore, SubscriptionId};
 
@@ -51,8 +52,9 @@ impl AcCacheStats {
 #[derive(Debug, Clone)]
 struct Entry<V> {
     value: V,
-    /// The context keys this entry depends on (for removal from the reverse index).
-    keys: Vec<String>,
+    /// The context keys this entry depends on (for removal from the reverse index);
+    /// each name is the reverse index's own allocation.
+    keys: Vec<Arc<str>>,
 }
 
 /// A cache of access-control decisions keyed by a caller-provided stable 64-bit key
@@ -80,7 +82,7 @@ struct Entry<V> {
 pub struct AcDecisionCache<V> {
     entries: HashMap<u64, Entry<V>>,
     /// Reverse index: context key name → cache keys of entries referencing it.
-    by_context_key: HashMap<String, HashSet<u64>>,
+    by_context_key: HashMap<Arc<str>, HashSet<u64>>,
     /// Store subscription used by [`Self::sync`] (set by [`Self::attach`]).
     subscription: Option<SubscriptionId>,
     /// Last store version [`Self::sync`] processed (version-check fast path).
@@ -178,7 +180,7 @@ impl<V> AcDecisionCache<V> {
     pub fn insert<I, K>(&mut self, key: u64, value: V, referenced_keys: I)
     where
         I: IntoIterator<Item = K>,
-        K: Into<String>,
+        K: AsRef<str>,
     {
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             self.entries.clear();
@@ -187,11 +189,18 @@ impl<V> AcDecisionCache<V> {
         if let Some(old) = self.entries.remove(&key) {
             self.unindex(key, &old.keys);
         }
-        let mut keys: Vec<String> = referenced_keys.into_iter().map(Into::into).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for name in &keys {
-            self.by_context_key.entry(name.clone()).or_default().insert(key);
+        // A name the index already holds is shared, not copied: only the first entry
+        // to reference a context key allocates its name. (A repeated name only
+        // repeats work in `unindex`.)
+        let mut keys = Vec::new();
+        for name in referenced_keys {
+            let name = name.as_ref();
+            let shared = match self.by_context_key.get_key_value(name) {
+                Some((shared, _)) => Arc::clone(shared),
+                None => Arc::from(name),
+            };
+            self.by_context_key.entry(Arc::clone(&shared)).or_default().insert(key);
+            keys.push(shared);
         }
         self.entries.insert(key, Entry { value, keys });
     }
@@ -213,7 +222,7 @@ impl<V> AcDecisionCache<V> {
         removed
     }
 
-    fn unindex(&mut self, cache_key: u64, keys: &[String]) {
+    fn unindex(&mut self, cache_key: u64, keys: &[Arc<str>]) {
         for name in keys {
             if let Some(set) = self.by_context_key.get_mut(name) {
                 set.remove(&cache_key);
@@ -254,12 +263,20 @@ impl<V> AcDecisionCache<V> {
 impl<V: Clone> AcDecisionCache<V> {
     /// Returns the cached decision for `key`, if present.
     pub fn lookup(&mut self, key: u64) -> Option<V> {
+        self.lookup_if(key, |_| true)
+    }
+
+    /// Returns the cached decision for `key` if present *and* `still_valid` accepts
+    /// it; otherwise counts a miss. For owners whose entries can go stale for reasons
+    /// this cache cannot observe (e.g. a rule-set revision stored in `V`): the stale
+    /// entry stays until the owner's fresh [`Self::insert`] replaces it.
+    pub fn lookup_if(&mut self, key: u64, still_valid: impl FnOnce(&V) -> bool) -> Option<V> {
         match self.entries.get(&key) {
-            Some(entry) => {
+            Some(entry) if still_valid(&entry.value) => {
                 self.hits += 1;
                 Some(entry.value.clone())
             }
-            None => {
+            _ => {
                 self.misses += 1;
                 None
             }
@@ -374,6 +391,39 @@ mod tests {
     }
 
     #[test]
+    fn key_names_are_shared_between_entries_and_index() {
+        let mut cache: AcDecisionCache<u32> = AcDecisionCache::new();
+        cache.insert(1, 10, ["emergency.active", "emergency.active"]);
+        cache.insert(2, 20, [String::from("emergency.active")]);
+        let (indexed, _) = cache.by_context_key.get_key_value("emergency.active").unwrap();
+        for entry in cache.entries.values() {
+            assert!(entry.keys.iter().all(|name| Arc::ptr_eq(name, indexed)));
+        }
+        // One allocation: the index's key plus one reference per mention.
+        assert_eq!(Arc::strong_count(indexed), 4);
+        // A repeated name is harmless: replacing and invalidating still balance.
+        cache.insert(1, 11, Vec::<&str>::new());
+        assert_eq!(cache.invalidate_key("emergency.active"), 1);
+        assert!(cache.by_context_key.is_empty());
+        assert_eq!(cache.lookup(1), Some(11));
+    }
+
+    #[test]
+    fn lookup_if_counts_a_rejected_entry_as_a_miss() {
+        let mut cache: AcDecisionCache<(u32, u64)> = AcDecisionCache::new();
+        cache.insert(1, (10, 7), ["a"]);
+        assert_eq!(cache.lookup_if(1, |(_, stamp)| *stamp == 7), Some((10, 7)));
+        assert_eq!(cache.lookup_if(1, |(_, stamp)| *stamp == 8), None);
+        assert_eq!(cache.lookup_if(2, |_| true), None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
+        // The owner's fresh insert replaces the stale entry and its dependencies.
+        cache.insert(1, (11, 8), ["b"]);
+        assert_eq!(cache.invalidate_key("a"), 0);
+        assert_eq!(cache.lookup_if(1, |(_, stamp)| *stamp == 8), Some((11, 8)));
+    }
+
+    #[test]
     fn capacity_eviction_clears_and_refills() {
         let mut cache: AcDecisionCache<u32> = AcDecisionCache::with_capacity(2);
         cache.insert(1, 1, ["a"]);
@@ -386,5 +436,63 @@ mod tests {
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    proptest::proptest! {
+        /// Against a naive model (a map of values with their key sets): lookups agree,
+        /// invalidation drops exactly the dependants, and the reverse index stays the
+        /// exact inverse of the entries' key lists.
+        #[test]
+        fn prop_cache_matches_a_naive_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..6, 0usize..4, 0usize..4), 1..60)
+        ) {
+            use std::collections::{BTreeMap, BTreeSet};
+            const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+            let mut cache: AcDecisionCache<usize> = AcDecisionCache::with_capacity(4);
+            let mut model: BTreeMap<u64, (usize, BTreeSet<&str>)> = BTreeMap::new();
+            for (step, (op, key, first, second)) in ops.into_iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        let names = &NAMES[first.min(second)..first.max(second)];
+                        if model.len() >= 4 && !model.contains_key(&key) {
+                            model.clear();
+                        }
+                        model.insert(key, (step, names.iter().copied().collect()));
+                        cache.insert(key, step, names);
+                    }
+                    2 => {
+                        let dependants: Vec<u64> = model
+                            .iter()
+                            .filter(|(_, (_, names))| names.contains(NAMES[first]))
+                            .map(|(key, _)| *key)
+                            .collect();
+                        proptest::prop_assert_eq!(
+                            cache.invalidate_key(NAMES[first]),
+                            dependants.len()
+                        );
+                        for key in dependants {
+                            model.remove(&key);
+                        }
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(
+                            cache.lookup(key),
+                            model.get(&key).map(|(value, _)| *value)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(cache.len(), model.len());
+                let mut indexed: BTreeSet<(&str, u64)> = BTreeSet::new();
+                for (name, keys) in &cache.by_context_key {
+                    proptest::prop_assert!(!keys.is_empty(), "empty index sets are removed");
+                    indexed.extend(keys.iter().map(|key| (&**name, *key)));
+                }
+                let expected: BTreeSet<(&str, u64)> = model
+                    .iter()
+                    .flat_map(|(key, (_, names))| names.iter().map(|name| (*name, *key)))
+                    .collect();
+                proptest::prop_assert_eq!(indexed, expected);
+            }
+        }
     }
 }
