@@ -793,10 +793,12 @@ impl Dataplane {
     /// Admission-checks and establishes the subscription `subscriber ← publisher`
     /// (messages published by `publisher` flow to `subscriber`).
     ///
-    /// Runs the full §8.2.2 admission sequence (isolation → AC → IFC) via
-    /// [`legaliot_middleware::admission::admit_channel`]; the subscription is recorded
-    /// only when admitted, and the attempt is audited on the control-plane log either
-    /// way. Per-message enforcement still re-checks IFC against current contexts.
+    /// Runs the one §8.2.2 sequence ([`legaliot_middleware::admission::enforce`]:
+    /// isolation → AC → IFC) on the bare channel via [`admit_channel`] or, for the
+    /// engine store's current snapshot, [`admit_channel_cached`]. The subscription is
+    /// recorded only when admitted; the attempt is audited on the control-plane log
+    /// either way, with the record the bus writes. Per-message enforcement runs the
+    /// sequence again against current contexts.
     ///
     /// # Errors
     ///
@@ -867,21 +869,8 @@ impl Dataplane {
                 Arc::make_mut(&mut source.subscribers).push((subscriber_key, subscriber_shard));
             }
         }
-        directory.control_audit.append(
-            AuditEvent::ChannelChanged {
-                from: publisher.to_string(),
-                to: subscriber.to_string(),
-                established: admitted,
-                reason: match &outcome {
-                    DeliveryOutcome::Delivered { .. } => "admission checks passed".to_string(),
-                    DeliveryOutcome::Isolated => "endpoint isolated".to_string(),
-                    DeliveryOutcome::DeniedByAccessControl { reason } => reason.clone(),
-                    DeliveryOutcome::DeniedByIfc(decision) => format!("ifc: {decision}"),
-                    other => format!("{other:?}"),
-                },
-            },
-            now.as_millis(),
-        );
+        let evidence = outcome.channel_evidence(publisher, subscriber);
+        directory.control_audit.append(evidence, now.as_millis());
         Ok(outcome)
     }
 
@@ -987,10 +976,11 @@ impl Dataplane {
     /// blocking on full shard queues (backpressure). Returns the number of deliveries
     /// enqueued.
     ///
-    /// This is the *flow-only fast path*: shards enforce isolation and IFC per
-    /// delivery but carry no payload, so there is no schema check, no per-message AC
-    /// and no quenching. Use [`Self::publish_message`] for full per-delivery
-    /// enforcement over a real body; both run through the same fan-out code path.
+    /// A body-less delivery takes the same fan-out and the same shard-side call of
+    /// [`legaliot_middleware::admission::enforce`] as a payload, made with no message
+    /// facts and no AC question (the channel was admission-checked at subscribe
+    /// time): isolation and IFC per delivery; there being no body, no schema check
+    /// and no quenching. Use [`Self::publish_message`] to enforce over a real body.
     ///
     /// # Errors
     ///
@@ -1012,11 +1002,12 @@ impl Dataplane {
     /// enqueued.
     ///
     /// The message is validated against its registered schema once at ingress, then
-    /// frozen once and shared zero-copy (one `Arc` bump per subscriber). Shards run
-    /// the full §8.2.2 per-delivery sequence — isolation, contextual AC at
-    /// message-type granularity (cache-amortised), IFC over the message's effective
-    /// context, then per-attribute source quenching against the subscriber's secrecy
-    /// label (Fig. 10), with quenched attribute names recorded in the per-shard audit.
+    /// frozen once and shared zero-copy (one `Arc` bump per subscriber). Per delivery
+    /// the destination's shard calls [`legaliot_middleware::admission::enforce`] —
+    /// isolation, contextual AC at message-type granularity (cache-amortised), IFC
+    /// over the message's effective context — then quenches per attribute against the
+    /// subscriber's secrecy label (Fig. 10), with quenched attribute names recorded in
+    /// the per-shard audit.
     ///
     /// # Errors
     ///

@@ -42,9 +42,9 @@
 //!   [`AuditDetail::Summarised`] mode repeated checks of a pair fold into one
 //!   `FlowSummary` record (whose counts total every check in the window) while IFC
 //!   denials and first-of-pair checks stay individually recorded.
-//! * **Admission reuse** — subscriptions run the exact bus admission sequence via
-//!   [`legaliot_middleware::admission::admit_channel`] (isolation → access control →
-//!   IFC), audited on a control-plane log.
+//! * **One enforcement core** — subscriptions and every shard delivery call the
+//!   sequence the bus calls, [`legaliot_middleware::admission::enforce`] (isolation →
+//!   access control → IFC); admission is audited on a control-plane log.
 //! * **Streaming receivers** — [`Dataplane::open_subscriber`] /
 //!   [`Dataplane::subscribe_receiver`] hand consumers a [`Subscriber`] over a bounded
 //!   per-endpoint mailbox ([`subscriber`]): enforced, post-quench bodies arrive as

@@ -13,12 +13,15 @@
 //! flush of the statistics counters per batch of up to [`POP_BATCH`] tasks, rather
 //! than per message.
 //!
-//! Payload-carrying deliveries run the full §8.2.2 per-message sequence — isolation,
-//! contextual AC at message-type granularity, IFC over the message's *effective*
-//! context (sender secrecy ∪ message-level secrecy), then per-attribute source
-//! quenching against the subscriber's secrecy label (Fig. 10). The body is an
-//! `Arc<FrozenMessage>` shared across the whole fan-out and quenching is a cached
-//! bitmask.
+//! The §8.2.2 sequence — isolation, contextual AC at message-type granularity, IFC
+//! over the message's *effective* context — is not written here: each delivery is one
+//! call of [`legaliot_middleware::admission::enforce`], the core the synchronous bus
+//! and channel admission also call, answered through this shard's caches by two
+//! closures that also lap the stage spans (a body-less delivery: the same call with
+//! no AC question). This module is the driver side: counters, pair summaries, audit
+//! appends, per-attribute source quenching against the subscriber's secrecy label
+//! (Fig. 10; a cached bitmask over the `Arc<FrozenMessage>` shared across the whole
+//! fan-out), the deferred mailbox hand-off, and the supervisor evidencing every loss.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -28,11 +31,11 @@ use std::time::Instant;
 
 use legaliot_audit::{AuditEvent, AuditLog, AuditRecord, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
-use legaliot_ifc::{can_flow, context_hash64, DecisionCache, FlowDecision, SecurityContext};
-use legaliot_middleware::admission::AdmissionCache;
-use legaliot_middleware::{FrozenMessage, Operation};
+use legaliot_ifc::{can_flow, context_hash64, DecisionCache, SecurityContext};
+use legaliot_middleware::admission::{enforce, AdmissionCache, MessageFacts, Verdict};
+use legaliot_middleware::{FrozenMessage, MessageType, Operation};
 
-use crate::engine::{AuditDetail, DataplaneConfig, Directory, Endpoint, SharedState};
+use crate::engine::{AuditDetail, DataplaneConfig, Directory, SharedState};
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::BoundedQueue;
 use crate::subscriber::{MailboxPush, ReceivedMessage};
@@ -519,17 +522,12 @@ fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>, config: &Da
     let mut rebuilt = BatchedAppender::over(appender.into_log(), config.audit_batch)
         .with_retention(config.audit_retention);
     rebuilt.set_prune_sink(prune_sink);
-    state.appender = rebuilt;
-    state.cache = DecisionCache::with_capacity(config.cache_capacity);
-    let mut ac_cache = AdmissionCache::with_capacity(config.cache_capacity);
-    ac_cache.attach(store);
     // Release the crashed incarnation's store subscription before dropping it:
     // an abandoned cursor would pin the store's change-history compaction (and
     // so its memory) for the rest of the store's life.
     state.ac_cache.detach(store);
-    state.ac_cache = ac_cache;
-    state.quench_cache.clear();
-    state.snapshot = store.snapshot();
+    let summaries = std::mem::take(&mut state.summaries);
+    *state = WorkerState { summaries, ..WorkerState::fresh(store, config, rebuilt) };
 }
 
 /// Rolls back the effects of a panicked unit of work and evidences its loss.
@@ -548,33 +546,23 @@ fn recover_unit(state: &mut WorkerState, progress: &mut BatchProgress, cause: &s
     progress.local = progress.saved_counters;
     progress.pending.truncate(progress.saved_pending);
     if let Some(unit) = progress.unit.take() {
-        let message_type = unit.message.as_ref().map(|m| m.message_type().to_string());
-        if unit.hand_off {
-            state.appender.append(
-                AuditEvent::DeliveryLost {
-                    source: unit.from.to_string(),
-                    destination: unit.to.to_string(),
-                    message_type,
-                    lost: 1,
-                    cause: format!("mailbox hand-off abandoned: {cause}"),
-                },
-                unit.at_millis,
-            );
+        let cause = if unit.hand_off {
+            format!("mailbox hand-off abandoned: {cause}")
         } else {
             progress.local.lost += 1;
-            state.appender.append(
-                AuditEvent::DeliveryLost {
-                    source: unit.from.to_string(),
-                    destination: unit.to.to_string(),
-                    message_type,
-                    lost: 1,
-                    cause: cause.to_string(),
-                },
-                unit.at_millis,
-            );
             // Skip the poisoned task on resume.
             progress.cursor += 1;
-        }
+            cause.to_string()
+        };
+        let message_type = unit.message.as_deref().map(FrozenMessage::message_type);
+        evidence_loss(
+            &mut state.appender,
+            &unit.from,
+            &unit.to,
+            message_type,
+            cause,
+            unit.at_millis,
+        );
     }
     // `unit == None`: the panic hit batch scanning or a non-delivery task.
     // The cursor stays put — the slot holds at worst an inert tombstone, so
@@ -759,6 +747,57 @@ fn flush_batch(shard: &ShardState, progress: &mut BatchProgress) {
     progress.popped = 0;
 }
 
+/// Why a degraded shard evidences accepted work as lost.
+const DEGRADED: &str = "shard degraded: restart budget exhausted";
+
+/// Appends the one `DeliveryLost` record for an accepted delivery (or its hand-off)
+/// that will never complete — every loss is evidenced, never silent.
+fn evidence_loss(
+    appender: &mut BatchedAppender,
+    from: &str,
+    to: &str,
+    message_type: Option<&MessageType>,
+    cause: String,
+    at_millis: u64,
+) {
+    appender.append(
+        AuditEvent::DeliveryLost {
+            source: from.to_string(),
+            destination: to.to_string(),
+            message_type: message_type.map(MessageType::to_string),
+            lost: 1,
+            cause,
+        },
+        at_millis,
+    );
+}
+
+/// A degraded shard's treatment of queued tasks: every delivery is evidenced as lost
+/// and discarded, a `Shutdown` is noted. Returns how many deliveries were lost.
+fn discard_as_lost(
+    appender: &mut BatchedAppender,
+    tasks: impl Iterator<Item = ShardTask>,
+    shutdown: &mut bool,
+) -> u64 {
+    let mut lost = 0;
+    for task in tasks {
+        match task {
+            ShardTask::Deliver { from, to, at_millis, body, .. } => {
+                lost += 1;
+                let message_type = body.as_deref().map(FrozenMessage::message_type);
+                evidence_loss(appender, &from, &to, message_type, DEGRADED.to_string(), at_millis);
+            }
+            ShardTask::Invalidate { .. } => {}
+            ShardTask::Shutdown => *shutdown = true,
+            #[cfg(test)]
+            ShardTask::Block(barrier) => {
+                barrier.wait();
+            }
+        }
+    }
+    lost
+}
+
 /// Degraded-mode turn-down of the active batch: every remaining task and
 /// prepared hand-off is evidenced as lost (never silently dropped), then the
 /// batch's counters are flushed and its `in_flight` hold released so `drain`
@@ -767,48 +806,19 @@ fn abandon_progress(state: &mut WorkerState, progress: &mut BatchProgress, shard
     if !progress.active {
         return;
     }
-    const CAUSE: &str = "shard degraded: restart budget exhausted";
-    while progress.cursor < progress.batch.len() {
-        let task = std::mem::replace(
-            &mut progress.batch[progress.cursor],
-            ShardTask::Invalidate { context_hash: 0 },
-        );
-        match task {
-            ShardTask::Deliver { from, to, at_millis, body, .. } => {
-                progress.local.lost += 1;
-                state.appender.append(
-                    AuditEvent::DeliveryLost {
-                        source: from.to_string(),
-                        destination: to.to_string(),
-                        message_type: body.as_ref().map(|b| b.message_type().to_string()),
-                        lost: 1,
-                        cause: CAUSE.to_string(),
-                    },
-                    at_millis,
-                );
-            }
-            ShardTask::Invalidate { .. } => {}
-            ShardTask::Shutdown => progress.shutdown = true,
-            #[cfg(test)]
-            ShardTask::Block(barrier) => {
-                barrier.wait();
-            }
-        }
-        progress.cursor += 1;
-    }
+    let remaining = progress.batch.drain(progress.cursor..);
+    progress.local.lost += discard_as_lost(&mut state.appender, remaining, &mut progress.shutdown);
     progress.batch.clear();
     progress.cursor = 0;
     while let Some(hand_off) = progress.pending.pop_front() {
         // Already enforced and counted delivered; evidence the abandoned
         // receiver-side hand-off without re-counting it.
-        state.appender.append(
-            AuditEvent::DeliveryLost {
-                source: hand_off.from.to_string(),
-                destination: hand_off.to.to_string(),
-                message_type: Some(hand_off.item.message_type().to_string()),
-                lost: 1,
-                cause: format!("mailbox hand-off abandoned: {CAUSE}"),
-            },
+        evidence_loss(
+            &mut state.appender,
+            &hand_off.from,
+            &hand_off.to,
+            Some(hand_off.item.message_type()),
+            format!("mailbox hand-off abandoned: {DEGRADED}"),
             hand_off.at_millis,
         );
     }
@@ -824,34 +834,11 @@ fn reject_until_shutdown(
     shard: &ShardState,
     progress: &mut BatchProgress,
 ) {
-    const CAUSE: &str = "shard degraded: restart budget exhausted";
     loop {
         shard.queue.pop_batch(&mut progress.batch, POP_BATCH);
         let popped = progress.batch.len() as u64;
-        let mut lost = 0u64;
-        for task in progress.batch.drain(..) {
-            match task {
-                ShardTask::Deliver { from, to, at_millis, body, .. } => {
-                    lost += 1;
-                    state.appender.append(
-                        AuditEvent::DeliveryLost {
-                            source: from.to_string(),
-                            destination: to.to_string(),
-                            message_type: body.as_ref().map(|b| b.message_type().to_string()),
-                            lost: 1,
-                            cause: CAUSE.to_string(),
-                        },
-                        at_millis,
-                    );
-                }
-                ShardTask::Invalidate { .. } => {}
-                ShardTask::Shutdown => progress.shutdown = true,
-                #[cfg(test)]
-                ShardTask::Block(barrier) => {
-                    barrier.wait();
-                }
-            }
-        }
+        let lost =
+            discard_as_lost(&mut state.appender, progress.batch.drain(..), &mut progress.shutdown);
         shard.counters.lost.fetch_add(lost, Ordering::Relaxed);
         shard.counters.in_flight.fetch_sub(popped, Ordering::SeqCst);
         if progress.shutdown {
@@ -860,23 +847,28 @@ fn reject_until_shutdown(
     }
 }
 
-/// Records a denial that carries no flow check (isolation, per-message AC) in the
-/// pair summary — in *both* audit modes, so [`AuditDetail::Full`] still evidences
-/// refused messages that never reached the IFC stage (its `FlowSummary` records,
-/// when present, cover exactly those denials).
-fn summarise_denial(
+/// The pair's summary entry, opened at `at_millis` on first use.
+fn pair_summary(
     summaries: &mut HashMap<PairKey, PairSummary>,
     from: Arc<str>,
     to: Arc<str>,
     at_millis: u64,
-) {
-    let summary = summaries
+) -> &mut PairSummary {
+    summaries
         .entry((from, to))
-        .or_insert_with(|| PairSummary { first_millis: at_millis, ..PairSummary::default() });
-    summary.denied += 1;
-    summary.last_millis = at_millis;
+        .or_insert_with(|| PairSummary { first_millis: at_millis, ..PairSummary::default() })
 }
 
+/// Counts one AC answer by where it came from.
+fn count_access(local: &mut BatchCounters, cache_hit: bool) {
+    if cache_hit {
+        local.ac_cache_hits += 1;
+    } else {
+        local.ac_cache_misses += 1;
+    }
+}
+
+/// One delivery: the core's verdict, then this driver's effects.
 #[allow(clippy::too_many_arguments)]
 fn process_delivery(
     directory: &Directory,
@@ -884,7 +876,7 @@ fn process_delivery(
     state: &mut WorkerState,
     local: &mut BatchCounters,
     pending: &mut VecDeque<PendingHandOff>,
-    mut probe: DeliveryProbe<'_>,
+    probe: DeliveryProbe<'_>,
     from: Arc<str>,
     to: Arc<str>,
     at_millis: u64,
@@ -899,100 +891,76 @@ fn process_delivery(
         local.missing_endpoint += 1;
         return;
     };
-    if src.component.is_isolated() || dst.component.is_isolated() {
-        // No flow check ran, so there is no FlowChecked record (as on the bus, where
-        // isolation short-circuits before the flow-check audit); the imposition of
-        // isolation itself is audited on the control-plane log, and the denial is
-        // still counted in the pair summary so the evidence totals add up.
+    let facts = body.as_deref().map(|message| MessageFacts {
+        message_type: message.message_type(),
+        secrecy: message.extra_context().secrecy(),
+    });
+    // The shard answers the core's two questions through its private caches, or from
+    // the regime and `can_flow` when the config says so, and laps the stage spans
+    // there: only the answers sit between the steps of the sequence.
+    let (ac_cache, snapshot) = (&mut state.ac_cache, &state.snapshot);
+    let ask_access = || {
         probe.lap(Stage::Isolation);
-        local.denied += 1;
-        summarise_denial(&mut state.summaries, from, to, at_millis);
-        return;
-    }
-    probe.lap(Stage::Isolation);
-
-    // Per-message contextual AC at message-type granularity (payload deliveries only —
-    // flow-only tasks were admission-checked at subscribe time). Mirrors the bus's
-    // send-time AC check; denials carry no flow check, so they are counted in the
-    // pair summary like isolation denials.
-    if let Some(body) = &body {
-        let message_type = body.message_type();
-        let (ac, hit) = if config.cache_ac_decisions {
-            state.ac_cache.decide(
-                &directory.access,
-                &to,
-                src.component.principal(),
-                Operation::Send,
-                Some(message_type),
-                &state.snapshot,
-                Timestamp(at_millis),
-            )
+        // A body-less delivery has no AC question: its channel was admission-checked
+        // at subscribe time.
+        let message_type = Some(facts?.message_type);
+        let (access, principal, now) =
+            (&directory.access, src.component.principal(), Timestamp(at_millis));
+        let answer = if config.cache_ac_decisions {
+            ac_cache.decide(access, &to, principal, Operation::Send, message_type, snapshot, now)
         } else {
-            let decision = directory.access.decide(
-                &to,
-                src.component.principal(),
-                Operation::Send,
-                Some(message_type),
-                &state.snapshot,
-                Timestamp(at_millis),
-            );
-            (decision, false)
+            (access.decide(&to, principal, Operation::Send, message_type, snapshot, now), false)
         };
-        if hit {
-            local.ac_cache_hits += 1;
-            probe.lap(Stage::AcHit);
+        probe.lap(if answer.1 { Stage::AcHit } else { Stage::AcMiss });
+        Some(answer)
+    };
+    let cache = &mut state.cache;
+    let ask_flow = |source: &SecurityContext, joined: bool| {
+        let destination = dst.component.context();
+        let answer = if config.cache_decisions {
+            // With no message-level tags the endpoint's precomputed context hash keys
+            // the cache for free.
+            let source_hash = if joined { context_hash64(source) } else { src.context_hash };
+            cache.check(source, source_hash, destination, dst.context_hash)
         } else {
-            local.ac_cache_misses += 1;
-            probe.lap(Stage::AcMiss);
+            (can_flow(source, destination), false)
+        };
+        probe.lap(Stage::Ifc);
+        answer
+    };
+    let flow = match enforce(&src.component, &dst.component, facts, ask_access, ask_flow) {
+        Verdict::Flow(flow) => Some(flow),
+        Verdict::Isolated => {
+            probe.lap(Stage::Isolation);
+            None
         }
-        if !ac.is_allowed() {
-            local.denied += 1;
-            summarise_denial(&mut state.summaries, from, to, at_millis);
-            return;
+        Verdict::AccessDenied { cache_hit, .. } => {
+            count_access(local, cache_hit);
+            None
         }
+    };
+    let Some(flow) = flow else {
+        // No flow check ran, so there is no FlowChecked record (as on the bus); the
+        // imposition of isolation itself is audited on the control-plane log, and the
+        // denial is counted in the pair summary — in *both* audit modes, where
+        // `FlowSummary` records then cover exactly these denials — so the evidence
+        // totals add up.
+        local.denied += 1;
+        let summary = pair_summary(&mut state.summaries, from, to, at_millis);
+        summary.denied += 1;
+        summary.last_millis = at_millis;
+        return;
+    };
+    if let Some(cache_hit) = flow.access_hit {
+        count_access(local, cache_hit);
     }
-
-    // IFC over the message's *effective* source context: the sender's current secrecy
-    // joined with any message-level secrecy tags (integrity comes from the sender
-    // alone, as on the bus). The common case — no extra tags — reuses the endpoint's
-    // precomputed context hash, so cache keying costs nothing.
-    let extra = body.as_ref().map(|message| message.extra_context());
-    let effective: Option<(SecurityContext, u64)> = match extra {
-        Some(context) if !context.secrecy().is_empty() => {
-            let joined = SecurityContext::new(
-                src.component.context().secrecy().union(context.secrecy()),
-                src.component.context().integrity().clone(),
-            );
-            let hash = context_hash64(&joined);
-            Some((joined, hash))
-        }
-        _ => None,
-    };
-    let (source_context, source_hash) = match &effective {
-        Some((context, hash)) => (context, *hash),
-        None => (src.component.context(), src.context_hash),
-    };
-
-    let (decision, hit): (FlowDecision, bool) = if config.cache_decisions {
-        let (decision, hit) = state.cache.check(
-            source_context,
-            source_hash,
-            dst.component.context(),
-            dst.context_hash,
-        );
-        if hit {
-            local.cache_hits += 1;
-        } else {
-            local.cache_misses += 1;
-        }
-        (decision, hit)
+    let hit = flow.flow_hit;
+    if hit {
+        local.cache_hits += 1;
     } else {
         local.cache_misses += 1;
-        (can_flow(source_context, dst.component.context()), false)
-    };
-    probe.lap(Stage::Ifc);
-
-    let denied = decision.is_denied();
+    }
+    let denied = flow.decision.is_denied();
     if denied {
         local.denied += 1;
     } else {
@@ -1007,28 +975,57 @@ fn process_delivery(
     };
     if full_record {
         failpoint::inject(&config.failpoints, FailpointSite::AuditAppend);
-        state.appender.append(
-            AuditEvent::FlowChecked {
-                source: from.to_string(),
-                destination: to.to_string(),
-                source_context: source_context.clone(),
-                destination_context: dst.component.context().clone(),
-                decision,
-                data_item: body.as_ref().map(|b| format!("{}@{at_millis}", b.message_type())),
-            },
-            at_millis,
-        );
+        state.appender.append(flow.into_evidence(at_millis), at_millis);
         probe.lap(Stage::AuditAppend);
     } else {
         probe.skip();
     }
 
-    // Per-attribute source quenching and delivery accounting (allowed payloads only).
     if !denied {
-        if let Some(body) = body {
-            deliver_payload(
-                config, state, local, pending, &mut probe, &from, &to, dst, at_millis, body,
-            );
+        if let Some(message) = body {
+            // Per-attribute source quenching. The mask is a pure function of (schema,
+            // destination secrecy): cache it per (schema hash, destination context
+            // hash). A destination context change either misses (new hash) or was
+            // dropped by the invalidation broadcast, so stale masks never apply.
+            let schema = message.schema();
+            let cached = state.quench_cache.get(schema.schema_hash(), dst.context_hash);
+            let mask = cached.unwrap_or_else(|| {
+                let mask = schema.quench_mask_for(dst.component.context().secrecy());
+                state.quench_cache.insert(schema.schema_hash(), dst.context_hash, mask);
+                mask
+            });
+            let fresh = cached.is_none();
+            if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
+                state.appender.append(
+                    AuditEvent::MessageQuenched {
+                        source: from.to_string(),
+                        destination: to.to_string(),
+                        message_type: message.message_type().to_string(),
+                        attributes: schema.mask_names(mask).map(str::to_string).collect(),
+                    },
+                    at_millis,
+                );
+            }
+            local.quenched += u64::from(mask.count_ones());
+            // Effective bytes moved: quenched attributes' spans never reach a receiver.
+            local.payload_bytes += message.byte_len_after_quench(mask) as u64;
+            // A closed mailbox is skipped with one atomic load — torn-down consumers
+            // cost the hot path nothing beyond that check. The push itself happens
+            // after the batch releases the directory lock (see `PendingHandOff`).
+            if let Some(mailbox) = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed()) {
+                // The zero-copy hand-off: an untouched message moves the fan-out's
+                // `Arc` straight into the mailbox; quenching shares every buffer and
+                // only re-wraps the cleared presence mask.
+                let message = if mask == 0 { message } else { Arc::new(message.quench(mask)) };
+                pending.push_back(PendingHandOff {
+                    mailbox: Arc::clone(mailbox),
+                    from: Arc::clone(&from),
+                    to: Arc::clone(&to),
+                    at_millis,
+                    item: ReceivedMessage::Frozen(message),
+                });
+            }
+            probe.lap(Stage::Quench);
         }
         // End-to-end publish→enforced latency, recorded for allowed messages only
         // (the mailbox hand-off itself is deferred and timed as its own stage).
@@ -1036,10 +1033,7 @@ fn process_delivery(
     }
 
     if config.audit_detail == AuditDetail::Summarised {
-        let summary = state
-            .summaries
-            .entry((from, to))
-            .or_insert_with(|| PairSummary { first_millis: at_millis, ..PairSummary::default() });
+        let summary = pair_summary(&mut state.summaries, from, to, at_millis);
         if denied {
             summary.denied += 1;
         } else {
@@ -1047,71 +1041,6 @@ fn process_delivery(
         }
         summary.last_millis = at_millis;
     }
-}
-
-/// Quenches and delivers an allowed payload.
-#[allow(clippy::too_many_arguments)]
-fn deliver_payload(
-    config: &DataplaneConfig,
-    state: &mut WorkerState,
-    local: &mut BatchCounters,
-    pending: &mut VecDeque<PendingHandOff>,
-    probe: &mut DeliveryProbe<'_>,
-    from: &Arc<str>,
-    to: &Arc<str>,
-    dst: &Endpoint,
-    at_millis: u64,
-    message: Arc<FrozenMessage>,
-) {
-    // A closed mailbox is skipped with one atomic load — torn-down consumers cost the
-    // hot path nothing beyond that check. The push itself happens after the batch
-    // releases the directory lock (see `PendingHandOff`).
-    let mailbox = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed());
-    // The quench mask is a pure function of (schema, destination secrecy): cache it
-    // per (schema hash, destination context hash). A destination context change
-    // either misses (new hash) or was dropped by the invalidation broadcast, so stale
-    // masks never apply.
-    let schema = message.schema();
-    let (mask, fresh) = match state.quench_cache.get(schema.schema_hash(), dst.context_hash) {
-        Some(mask) => (mask, false),
-        None => {
-            let mask = schema.quench_mask_for(dst.component.context().secrecy());
-            state.quench_cache.insert(schema.schema_hash(), dst.context_hash, mask);
-            (mask, true)
-        }
-    };
-    if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
-        state.appender.append(
-            AuditEvent::MessageQuenched {
-                source: from.to_string(),
-                destination: to.to_string(),
-                message_type: message.message_type().to_string(),
-                attributes: schema.mask_names(mask).map(str::to_string).collect(),
-            },
-            at_millis,
-        );
-    }
-    local.quenched += u64::from(mask.count_ones());
-    // Effective bytes moved: quenched attributes' spans never reach a receiver.
-    local.payload_bytes += message.byte_len_after_quench(mask) as u64;
-    if let Some(mailbox) = mailbox {
-        // The zero-copy hand-off: an untouched message moves the fan-out's `Arc`
-        // straight into the mailbox; quenching shares every buffer and only re-wraps
-        // the cleared presence mask.
-        let item = if mask == 0 {
-            ReceivedMessage::Frozen(message)
-        } else {
-            ReceivedMessage::Frozen(Arc::new(message.quench(mask)))
-        };
-        pending.push_back(PendingHandOff {
-            mailbox: Arc::clone(mailbox),
-            from: Arc::clone(from),
-            to: Arc::clone(to),
-            at_millis,
-            item,
-        });
-    }
-    probe.lap(Stage::Quench);
 }
 
 /// Performs a deferred mailbox hand-off (the directory lock is no longer held) and
@@ -1158,9 +1087,7 @@ fn complete_hand_off(
                     );
                 }
                 AuditDetail::Summarised => {
-                    let summary = state.summaries.entry((source, to)).or_insert_with(|| {
-                        PairSummary { first_millis: at_millis, ..PairSummary::default() }
-                    });
+                    let summary = pair_summary(&mut state.summaries, source, to, at_millis);
                     *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
                     summary.last_millis = summary.last_millis.max(at_millis);
                 }

@@ -42,6 +42,7 @@
 //!
 //! [`AdmissionCache`]: legaliot_middleware::admission::AdmissionCache
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use legaliot_obs::{HistogramSnapshot, LatencyHistogram, MaxGauge, MetricsSnapshot};
@@ -162,7 +163,8 @@ pub(crate) struct DeliveryProbe<'a> {
     telemetry: &'a ShardTelemetry,
     epoch: Instant,
     enqueued_ns: u64,
-    last: Option<Instant>,
+    /// A `Cell` so the shard's two policy-answer closures can both lap.
+    last: Cell<Option<Instant>>,
 }
 
 impl<'a> DeliveryProbe<'a> {
@@ -181,33 +183,33 @@ impl<'a> DeliveryProbe<'a> {
         } else {
             None
         };
-        DeliveryProbe { telemetry, epoch, enqueued_ns, last }
+        DeliveryProbe { telemetry, epoch, enqueued_ns, last: Cell::new(last) }
     }
 
     /// Ends the current span, attributing it to `stage`, and starts the next one.
     #[inline]
-    pub(crate) fn lap(&mut self, stage: Stage) {
-        if let Some(last) = self.last {
+    pub(crate) fn lap(&self, stage: Stage) {
+        if let Some(last) = self.last.get() {
             let now = Instant::now();
             self.telemetry.record_ns(stage, now.duration_since(last).as_nanos() as u64);
-            self.last = Some(now);
+            self.last.set(Some(now));
         }
     }
 
     /// Restarts the span anchor without recording (the stage did not run, e.g. no
     /// audit record was appended for this message).
     #[inline]
-    pub(crate) fn skip(&mut self) {
-        if self.last.is_some() {
-            self.last = Some(Instant::now());
+    pub(crate) fn skip(&self) {
+        if self.last.get().is_some() {
+            self.last.set(Some(Instant::now()));
         }
     }
 
     /// Records the end-to-end `delivery` latency (enqueue → enforcement complete).
     /// Called once per *allowed* message.
     #[inline]
-    pub(crate) fn finish(&mut self) {
-        if self.last.is_some() {
+    pub(crate) fn finish(&self) {
+        if self.last.get().is_some() {
             let now_ns = Instant::now().duration_since(self.epoch).as_nanos() as u64;
             self.telemetry.record_ns(Stage::Delivery, now_ns.saturating_sub(self.enqueued_ns));
         }
@@ -370,7 +372,7 @@ mod tests {
     fn disabled_probe_records_nothing() {
         let telemetry = ShardTelemetry::new(false);
         let epoch = Instant::now();
-        let mut probe = DeliveryProbe::begin(&telemetry, epoch, 0);
+        let probe = DeliveryProbe::begin(&telemetry, epoch, 0);
         probe.lap(Stage::Isolation);
         probe.skip();
         probe.finish();
@@ -384,7 +386,7 @@ mod tests {
     fn enabled_probe_attributes_spans() {
         let telemetry = ShardTelemetry::new(true);
         let epoch = Instant::now();
-        let mut probe = DeliveryProbe::begin(&telemetry, epoch, 0);
+        let probe = DeliveryProbe::begin(&telemetry, epoch, 0);
         probe.lap(Stage::Isolation);
         probe.lap(Stage::Ifc);
         probe.finish();

@@ -1,16 +1,22 @@
-//! Channel-admission checks, factored out of the bus so every enforcement surface
-//! (the synchronous [`crate::bus::Middleware`], the sharded `legaliot-dataplane`)
-//! applies the identical §8.2.2 sequence: isolation, then the access-control regime
-//! (the *sender's* principal must hold `Send` rights on the destination), then IFC
-//! between the two components' security contexts.
+//! The one enforcement sequence of §8.2.2, and the channel-admission checks built on it.
 //!
-//! Admission is a pure function of the two components and the AC regime — it mutates
-//! nothing and records nothing, so callers stay in charge of channel bookkeeping and
-//! audit. A [`crate::bus::DeliveryOutcome`] (not an error) is returned because a refusal
-//! is an expected, auditable outcome.
+//! [`enforce`] is the only place the order is written: isolation, then contextual
+//! access control (the *sender's* principal must hold `Send` rights on the
+//! destination), then IFC over the message's *effective* context. It is a pure
+//! function of two [`Component`]s, the optional [`MessageFacts`] and the caller's two
+//! answers — no clock, thread, lock, queue or audit log — and returns a [`Verdict`];
+//! one that reached the flow check also builds the one `FlowChecked` record for it
+//! ([`FlowVerdict::into_evidence`]). Quenching and every effect (channel table,
+//! mailboxes, counters, audit appends) belong to its drivers: [`admit_channel`] /
+//! [`admit_channel_cached`], [`crate::bus::Middleware`] (`establish_channel`, `send`,
+//! `reevaluate_channels`) and `legaliot-dataplane` (`Dataplane::subscribe` and each
+//! shard worker's per-delivery step).
 
+use std::borrow::Cow;
+
+use legaliot_audit::AuditEvent;
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
-use legaliot_ifc::{can_flow, StableHasher};
+use legaliot_ifc::{can_flow, FlowDecision, Label, SecurityContext, StableHasher};
 use legaliot_policy::{AcCacheStats, AcDecisionCache};
 
 use crate::acl::{AccessDecision, AccessRegime, Operation, Principal};
@@ -18,8 +24,135 @@ use crate::bus::DeliveryOutcome;
 use crate::component::Component;
 use crate::schema::MessageType;
 
-/// Runs the full channel-admission sequence for a prospective channel
-/// `source → destination`.
+/// What the sequence needs to know about a typed message; `None` in [`enforce`]
+/// judges the bare channel.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageFacts<'a> {
+    /// The declared type: AC is decided at message-type granularity.
+    pub message_type: &'a MessageType,
+    /// Message-level secrecy tags, joined into the effective source context.
+    pub secrecy: &'a Label,
+}
+
+/// What [`enforce`] decided, in the order the sequence can stop.
+#[derive(Debug)]
+pub enum Verdict<'a> {
+    /// An endpoint is isolated; no policy question was asked.
+    Isolated,
+    /// The access-control regime refused; no flow check ran.
+    AccessDenied {
+        /// The regime's explanation.
+        reason: String,
+        /// Whether a cache answered.
+        cache_hit: bool,
+    },
+    /// The sequence reached the IFC check; the decision may be a denial.
+    Flow(FlowVerdict<'a>),
+}
+
+impl Verdict<'_> {
+    /// The outcome as channel admission reports it (nothing quenched — quenching is
+    /// a per-message, driver-side step).
+    pub fn into_outcome(self) -> DeliveryOutcome {
+        match self {
+            Verdict::Isolated => DeliveryOutcome::Isolated,
+            Verdict::AccessDenied { reason, .. } => {
+                DeliveryOutcome::DeniedByAccessControl { reason }
+            }
+            Verdict::Flow(flow) if flow.decision.is_denied() => {
+                DeliveryOutcome::DeniedByIfc(flow.decision)
+            }
+            Verdict::Flow(_) => DeliveryOutcome::Delivered { quenched_attributes: Vec::new() },
+        }
+    }
+}
+
+/// The IFC step's result, with what a driver needs to act on and evidence it.
+#[derive(Debug)]
+pub struct FlowVerdict<'a> {
+    source: &'a Component,
+    destination: &'a Component,
+    message_type: Option<&'a MessageType>,
+    /// The effective source context the decision was taken over: the sender's own
+    /// (borrowed) when the message adds no secrecy tags, the join when it does.
+    pub source_context: Cow<'a, SecurityContext>,
+    /// The flow decision.
+    pub decision: FlowDecision,
+    /// Whether a cache answered the AC question; `None` when none was asked.
+    pub access_hit: Option<bool>,
+    /// Whether a cache answered the IFC question.
+    pub flow_hit: bool,
+}
+
+impl FlowVerdict<'_> {
+    /// The one `FlowChecked` record of this check. A message is named
+    /// `"{type}@{at_millis}"`; a bare channel check names no data item.
+    pub fn into_evidence(self, at_millis: u64) -> AuditEvent {
+        AuditEvent::FlowChecked {
+            source: self.source.name().to_string(),
+            destination: self.destination.name().to_string(),
+            source_context: self.source_context.into_owned(),
+            destination_context: self.destination.context().clone(),
+            decision: self.decision,
+            data_item: self.message_type.map(|message_type| format!("{message_type}@{at_millis}")),
+        }
+    }
+}
+
+/// The §8.2.2 enforcement sequence for `source → destination`, written once:
+/// isolation, then the AC question, then IFC over the effective source context.
+///
+/// The caller answers the two policy questions with whatever it owns — the regime and
+/// [`can_flow`] directly, or its decision caches; an answer's boolean is `true` when
+/// a cache produced it. `access` answers "may `source`'s principal `Send` this to
+/// `destination`?", or `None` when the caller has no AC question because the channel
+/// was admission-checked when it was established. `flow` is handed the effective
+/// source context and whether it is a fresh join (no precomputed hash of the
+/// sender's own context applies). A message carries at least the sender's current
+/// context: message-level secrecy tags are *added* (they can only constrain further),
+/// while integrity comes from the sender alone — an application cannot endorse its
+/// own messages beyond its process-level integrity.
+#[inline]
+pub fn enforce<'a>(
+    source: &'a Component,
+    destination: &'a Component,
+    message: Option<MessageFacts<'a>>,
+    access: impl FnOnce() -> Option<(AccessDecision, bool)>,
+    flow: impl FnOnce(&SecurityContext, bool) -> (FlowDecision, bool),
+) -> Verdict<'a> {
+    if source.is_isolated() || destination.is_isolated() {
+        return Verdict::Isolated;
+    }
+    let mut access_hit = None;
+    if let Some((decision, cache_hit)) = access() {
+        if let AccessDecision::Denied { reason } = decision {
+            return Verdict::AccessDenied { reason, cache_hit };
+        }
+        access_hit = Some(cache_hit);
+    }
+    let source_context = match message {
+        Some(facts) if !facts.secrecy.is_empty() => Cow::Owned(SecurityContext::new(
+            source.context().secrecy().union(facts.secrecy),
+            source.context().integrity().clone(),
+        )),
+        _ => Cow::Borrowed(source.context()),
+    };
+    let joined = matches!(source_context, Cow::Owned(_));
+    let (decision, flow_hit) = flow(&source_context, joined);
+    let message_type = message.map(|facts| facts.message_type);
+    Verdict::Flow(FlowVerdict {
+        source,
+        destination,
+        message_type,
+        source_context,
+        decision,
+        access_hit,
+        flow_hit,
+    })
+}
+
+/// Runs the admission sequence for a prospective channel `source → destination`,
+/// answering from the regime directly.
 ///
 /// Returns [`DeliveryOutcome::Delivered`] (with no quenched attributes — quenching is a
 /// per-message concern) when the channel may be established, and the precise refusal
@@ -51,20 +184,16 @@ pub fn admit_channel(
     snapshot: &ContextSnapshot,
     now: Timestamp,
 ) -> DeliveryOutcome {
-    if source.is_isolated() || destination.is_isolated() {
-        return DeliveryOutcome::Isolated;
-    }
-    let ac =
-        access.decide(destination.name(), source.principal(), Operation::Send, None, snapshot, now);
-    if let AccessDecision::Denied { reason } = ac {
-        return DeliveryOutcome::DeniedByAccessControl { reason };
-    }
-    let decision = can_flow(source.context(), destination.context());
-    if decision.is_denied() {
-        DeliveryOutcome::DeniedByIfc(decision)
-    } else {
-        DeliveryOutcome::Delivered { quenched_attributes: Vec::new() }
-    }
+    let (to, principal) = (destination.name(), source.principal());
+    let ask = || Some((access.decide(to, principal, Operation::Send, None, snapshot, now), false));
+    enforce(source, destination, None, ask, direct_flow(destination)).into_outcome()
+}
+
+/// The IFC answer of a caller that holds no decision cache: [`can_flow`] itself.
+pub(crate) fn direct_flow(
+    destination: &Component,
+) -> impl FnOnce(&SecurityContext, bool) -> (FlowDecision, bool) + '_ {
+    |source, _joined| (can_flow(source, destination.context()), false)
 }
 
 /// A cache of [`AccessRegime`] decisions for one enforcement surface (an engine's
@@ -191,9 +320,9 @@ impl AdmissionCache {
     }
 }
 
-/// [`admit_channel`] with the AC step answered through an [`AdmissionCache`]: the same
-/// §8.2.2 sequence (isolation → AC → IFC), with the rule-set evaluation amortised
-/// across repeated admission checks of the same `(destination, principal)` question.
+/// [`admit_channel`] with the AC question answered through an [`AdmissionCache`], so
+/// the rule-set evaluation is amortised across repeated admission checks of the same
+/// `(destination, principal)` question.
 ///
 /// The caller owns cache hygiene: [`AdmissionCache::sync`] against the regime and the
 /// attached [`ContextStore`] before deciding, and snapshots derived from that store.
@@ -205,27 +334,9 @@ pub fn admit_channel_cached(
     now: Timestamp,
     cache: &mut AdmissionCache,
 ) -> DeliveryOutcome {
-    if source.is_isolated() || destination.is_isolated() {
-        return DeliveryOutcome::Isolated;
-    }
-    let (ac, _hit) = cache.decide(
-        access,
-        destination.name(),
-        source.principal(),
-        Operation::Send,
-        None,
-        snapshot,
-        now,
-    );
-    if let AccessDecision::Denied { reason } = ac {
-        return DeliveryOutcome::DeniedByAccessControl { reason };
-    }
-    let decision = can_flow(source.context(), destination.context());
-    if decision.is_denied() {
-        DeliveryOutcome::DeniedByIfc(decision)
-    } else {
-        DeliveryOutcome::Delivered { quenched_attributes: Vec::new() }
-    }
+    let (to, principal) = (destination.name(), source.principal());
+    let ask = || Some(cache.decide(access, to, principal, Operation::Send, None, snapshot, now));
+    enforce(source, destination, None, ask, direct_flow(destination)).into_outcome()
 }
 
 #[cfg(test)]
@@ -239,6 +350,8 @@ mod tests {
             .context(SecurityContext::from_names(secrecy.iter().copied(), Vec::<&str>::new()))
             .build()
     }
+
+    const NOW: Timestamp = Timestamp(1);
 
     fn open_access(names: &[&str]) -> AccessRegime {
         let mut access = AccessRegime::new();
@@ -273,6 +386,173 @@ mod tests {
         // Everything passing admits the channel with nothing quenched.
         let outcome = admit_channel(&src, &dst, &open_access(&["dst"]), &snapshot, Timestamp(4));
         assert_eq!(outcome, DeliveryOutcome::Delivered { quenched_attributes: vec![] });
+    }
+
+    /// The core driven bare — two components and two closures; no `Middleware`,
+    /// `Dataplane`, thread or clock — over a table of cases, each answered directly and
+    /// again through an `AdmissionCache` + `DecisionCache`.
+    #[test]
+    fn enforce_orders_the_steps_joins_message_secrecy_and_ignores_who_answers() {
+        use legaliot_context::ContextStore;
+        use legaliot_ifc::{context_hash64, DecisionCache};
+
+        #[derive(Debug, PartialEq)]
+        enum Stops {
+            Isolated,
+            AccessDenied,
+            FlowDenied,
+            FlowAllowed,
+        }
+        struct Case {
+            why: &'static str,
+            isolated: (bool, bool),
+            ac_allows: bool,
+            source: (&'static [&'static str], &'static [&'static str]),
+            message_secrecy: Option<&'static [&'static str]>,
+            destination: (&'static [&'static str], &'static [&'static str]),
+            stops: Stops,
+            effective_secrecy: &'static [&'static str],
+        }
+        let case = |why, stops| Case {
+            why,
+            isolated: (false, false),
+            ac_allows: true,
+            source: (&["medical"], &["hosp-dev"]),
+            message_secrecy: Some(&[]),
+            destination: (&["medical"], &[]),
+            stops,
+            effective_secrecy: &["medical"],
+        };
+        let leaky: (&[&str], &[&str]) = (&[], &[]);
+        let cases = [
+            case("everything passes", Stops::FlowAllowed),
+            Case {
+                isolated: (true, false),
+                ac_allows: false,
+                destination: leaky,
+                ..case("an isolated source beats an AC and an IFC denial", Stops::Isolated)
+            },
+            Case {
+                isolated: (false, true),
+                ac_allows: false,
+                ..case("an isolated destination beats an AC denial", Stops::Isolated)
+            },
+            Case {
+                ac_allows: false,
+                destination: leaky,
+                ..case("an AC denial beats an IFC denial", Stops::AccessDenied)
+            },
+            Case { destination: leaky, ..case("the sender's secrecy binds", Stops::FlowDenied) },
+            Case {
+                message_secrecy: Some(&["identity"]),
+                effective_secrecy: &["identity", "medical"],
+                ..case("message-level secrecy joins the sender's", Stops::FlowDenied)
+            },
+            Case {
+                message_secrecy: Some(&["identity"]),
+                destination: (&["identity", "medical"], &["hosp-dev"]),
+                effective_secrecy: &["identity", "medical"],
+                ..case("a destination holding the joined tags receives", Stops::FlowAllowed)
+            },
+            Case {
+                destination: (&["medical"], &["consent"]),
+                ..case("integrity comes from the sender alone", Stops::FlowDenied)
+            },
+            Case { message_secrecy: None, ..case("a bare channel", Stops::FlowAllowed) },
+        ];
+
+        let store = ContextStore::new();
+        let snapshot = store.snapshot();
+        let reading = MessageType::new("reading");
+        for case in &cases {
+            let build = |name: &str, (secrecy, integrity): (&[&str], &[&str]), isolated| {
+                let context =
+                    SecurityContext::from_names(secrecy.iter().copied(), integrity.iter().copied());
+                let mut built =
+                    Component::builder(name, Principal::new("owner")).context(context).build();
+                built.set_isolated(isolated);
+                built
+            };
+            let src = build("src", case.source, case.isolated.0);
+            let dst = build("dst", case.destination, case.isolated.1);
+            let access = if case.ac_allows { open_access(&["dst"]) } else { AccessRegime::new() };
+            let secrecy =
+                case.message_secrecy.map(|names| Label::from_names(names.iter().copied()));
+            let facts =
+                secrecy.as_ref().map(|secrecy| MessageFacts { message_type: &reading, secrecy });
+            let mut ac_cache = AdmissionCache::new();
+            ac_cache.attach(&store);
+            let mut flow_cache = DecisionCache::new();
+            let (to, principal, message_type) =
+                (dst.name(), src.principal(), facts.map(|facts| facts.message_type));
+
+            // Direct, cache-answered cold, cache-answered warm: one verdict.
+            for (round, cached) in [false, true, true].into_iter().enumerate() {
+                let warm = round == 2;
+                let ask = || {
+                    let (regime, at) = (&access, &snapshot);
+                    Some(if cached {
+                        ac_cache.decide(
+                            regime,
+                            to,
+                            principal,
+                            Operation::Send,
+                            message_type,
+                            at,
+                            NOW,
+                        )
+                    } else {
+                        (
+                            regime.decide(to, principal, Operation::Send, message_type, at, NOW),
+                            false,
+                        )
+                    })
+                };
+                let flow = |source: &SecurityContext, joined: bool| {
+                    assert_eq!(joined, source != src.context(), "{}", case.why);
+                    if cached {
+                        let hashes = (context_hash64(source), context_hash64(dst.context()));
+                        flow_cache.check(source, hashes.0, dst.context(), hashes.1)
+                    } else {
+                        (can_flow(source, dst.context()), false)
+                    }
+                };
+                let verdict = enforce(&src, &dst, facts, ask, flow);
+                let stops = match &verdict {
+                    Verdict::Isolated => Stops::Isolated,
+                    Verdict::AccessDenied { cache_hit, .. } => {
+                        assert_eq!(*cache_hit, warm, "{}", case.why);
+                        Stops::AccessDenied
+                    }
+                    Verdict::Flow(flow) => {
+                        assert_eq!((flow.access_hit, flow.flow_hit), (Some(warm), warm));
+                        let expected = Label::from_names(case.effective_secrecy.iter().copied());
+                        assert_eq!(flow.source_context.secrecy(), &expected, "{}", case.why);
+                        assert_eq!(flow.source_context.integrity(), src.context().integrity());
+                        assert_eq!(flow.decision, can_flow(&flow.source_context, dst.context()));
+                        if flow.decision.is_denied() {
+                            Stops::FlowDenied
+                        } else {
+                            Stops::FlowAllowed
+                        }
+                    }
+                };
+                assert_eq!(stops, case.stops, "{} (cached: {cached})", case.why);
+
+                // The one evidence record names the message, or nothing for a channel.
+                if let Verdict::Flow(flow) = verdict {
+                    match flow.into_evidence(7) {
+                        AuditEvent::FlowChecked { source, destination, data_item, .. } => {
+                            assert_eq!((source.as_str(), destination.as_str()), ("src", "dst"));
+                            let named = message_type.map(|_| "reading@7".to_string());
+                            assert_eq!(data_item, named, "{}", case.why);
+                        }
+                        other => panic!("{}: not a flow check: {other:?}", case.why),
+                    }
+                }
+            }
+            ac_cache.detach(&store);
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@ use serde::{Deserialize, Serialize};
 
 use legaliot_audit::{AuditEvent, AuditLog};
 use legaliot_context::{ContextSnapshot, Timestamp};
-use legaliot_ifc::{can_flow, FlowDecision, SecurityContext, TagRegistry};
+use legaliot_ifc::{FlowDecision, TagRegistry};
 use legaliot_obs::{HistogramSnapshot, LatencyHistogram, ObsConfig};
 use legaliot_policy::ReconfigurationCommand;
 
-use crate::acl::{AccessRegime, Operation, Principal};
+use crate::acl::{AccessDecision, AccessRegime, Operation, Principal};
+use crate::admission::{admit_channel, direct_flow, enforce, MessageFacts, Verdict};
 use crate::component::{Component, Registry};
 use crate::control::{ControlMessage, ControlOutcome, ReconfigureOp};
 use crate::schema::Message;
@@ -152,6 +153,31 @@ impl DeliveryOutcome {
     pub fn is_delivered(&self) -> bool {
         matches!(self, DeliveryOutcome::Delivered { .. })
     }
+
+    /// The `ChannelChanged` record of an admission attempt `from → to` that ended in
+    /// this outcome: the one outcome-to-reason mapping every surface writes.
+    pub fn channel_evidence(&self, from: &str, to: &str) -> AuditEvent {
+        let reason = match self {
+            DeliveryOutcome::Delivered { .. } => "admission checks passed".to_string(),
+            DeliveryOutcome::NoChannel => "no channel".to_string(),
+            DeliveryOutcome::DeniedByAccessControl { reason }
+            | DeliveryOutcome::SchemaViolation { reason } => reason.clone(),
+            DeliveryOutcome::DeniedByIfc(decision) => format!("ifc: {decision}"),
+            DeliveryOutcome::Isolated => "endpoint isolated".to_string(),
+        };
+        channel_changed(from, to, self.is_delivered(), reason)
+    }
+}
+
+/// The `ChannelChanged` record for `from → to`.
+fn channel_changed(from: &str, to: &str, established: bool, reason: String) -> AuditEvent {
+    AuditEvent::ChannelChanged { from: from.to_string(), to: to.to_string(), established, reason }
+}
+
+/// Looks `name` up in the registry. A free function over the one field so callers can
+/// keep the component borrowed while they mutate channels, mailboxes and audit.
+fn lookup<'a>(registry: &'a Registry, name: &str) -> Result<&'a Component, MiddlewareError> {
+    registry.get(name).ok_or_else(|| MiddlewareError::UnknownComponent { name: name.to_string() })
 }
 
 /// The policy-enforcing middleware: component registry, AC regime, channels, per-node
@@ -303,17 +329,12 @@ impl Middleware {
         self.channels.values().filter(|s| **s == ChannelState::Open).count()
     }
 
-    fn component(&self, name: &str) -> Result<&Component, MiddlewareError> {
-        self.registry
-            .get(name)
-            .ok_or_else(|| MiddlewareError::UnknownComponent { name: name.to_string() })
-    }
-
     /// Attempts to establish a channel `from → to`.
     ///
-    /// The full check sequence of §8.2.2: isolation, then AC (the *sender's* principal
-    /// must hold `Send` rights on the destination component), then IFC between the two
-    /// components' security contexts. Every attempt is audited.
+    /// Runs the §8.2.2 sequence ([`crate::admission::enforce`], via
+    /// [`admit_channel`]) on the bare channel: isolation, then AC (the *sender's*
+    /// principal must hold `Send` rights on the destination component), then IFC
+    /// between the two components' security contexts. Every attempt is audited.
     ///
     /// # Errors
     ///
@@ -325,32 +346,14 @@ impl Middleware {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> Result<DeliveryOutcome, MiddlewareError> {
-        let source = self.component(from)?.clone();
-        let destination = self.component(to)?.clone();
+        let source = lookup(&self.registry, from)?;
+        let destination = lookup(&self.registry, to)?;
+        let outcome = admit_channel(source, destination, &self.access, snapshot, now);
 
-        let outcome =
-            crate::admission::admit_channel(&source, &destination, &self.access, snapshot, now);
-
-        let established = outcome.is_delivered();
-        if established {
+        if outcome.is_delivered() {
             self.channels.insert((from.to_string(), to.to_string()), ChannelState::Open);
         }
-        self.audit.record(
-            AuditEvent::ChannelChanged {
-                from: from.to_string(),
-                to: to.to_string(),
-                established,
-                reason: match &outcome {
-                    DeliveryOutcome::Delivered { .. } => "checks passed".to_string(),
-                    DeliveryOutcome::Isolated => "endpoint isolated".to_string(),
-                    DeliveryOutcome::DeniedByAccessControl { reason } => reason.clone(),
-                    DeliveryOutcome::DeniedByIfc(d) => format!("ifc: {d}"),
-                    DeliveryOutcome::SchemaViolation { reason } => reason.clone(),
-                    DeliveryOutcome::NoChannel => "no channel".to_string(),
-                },
-            },
-            now.as_millis(),
-        );
+        self.audit.record(outcome.channel_evidence(from, to), now.as_millis());
         Ok(outcome)
     }
 
@@ -358,15 +361,8 @@ impl Middleware {
     pub fn teardown_channel(&mut self, from: &str, to: &str, now: Timestamp) {
         if let Some(state) = self.channels.get_mut(&(from.to_string(), to.to_string())) {
             *state = ChannelState::Closed;
-            self.audit.record(
-                AuditEvent::ChannelChanged {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                    established: false,
-                    reason: "torn down".to_string(),
-                },
-                now.as_millis(),
-            );
+            let evidence = channel_changed(from, to, false, "torn down".to_string());
+            self.audit.record(evidence, now.as_millis());
         }
     }
 
@@ -375,38 +371,26 @@ impl Middleware {
         self.channels.get(&(from.to_string(), to.to_string())) == Some(&ChannelState::Open)
     }
 
-    /// Re-evaluates every open channel against the endpoints' *current* security
-    /// contexts, closing those whose IFC check no longer passes. Returns the closed
-    /// pairs. Called after any reconfiguration that changes labels (§8.2.2).
+    /// Re-evaluates every open channel against the endpoints' *current* state — the
+    /// same sequence with no AC question, the channel having been admitted — closing
+    /// those now isolated or failing IFC. Returns the closed pairs. Called after any
+    /// reconfiguration that changes labels (§8.2.2).
     pub fn reevaluate_channels(&mut self, now: Timestamp) -> Vec<(String, String)> {
         let mut closed = Vec::new();
-        let pairs: Vec<(String, String)> = self
-            .channels
-            .iter()
-            .filter(|(_, s)| **s == ChannelState::Open)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for (from, to) in pairs {
-            let ok = match (self.registry.get(&from), self.registry.get(&to)) {
-                (Some(a), Some(b)) => {
-                    !a.is_isolated()
-                        && !b.is_isolated()
-                        && can_flow(a.context(), b.context()).is_allowed()
-                }
+        let open = self.channels.iter_mut().filter(|(_, state)| **state == ChannelState::Open);
+        for ((from, to), state) in open {
+            let still_allowed = match (self.registry.get(from), self.registry.get(to)) {
+                (Some(a), Some(b)) => matches!(
+                    enforce(a, b, None, || None, direct_flow(b)),
+                    Verdict::Flow(flow) if flow.decision.is_allowed()
+                ),
                 _ => false,
             };
-            if !ok {
-                self.channels.insert((from.clone(), to.clone()), ChannelState::Closed);
-                self.audit.record(
-                    AuditEvent::ChannelChanged {
-                        from: from.clone(),
-                        to: to.clone(),
-                        established: false,
-                        reason: "re-evaluation after context change".to_string(),
-                    },
-                    now.as_millis(),
-                );
-                closed.push((from, to));
+            if !still_allowed {
+                *state = ChannelState::Closed;
+                let reason = "re-evaluation after context change".to_string();
+                self.audit.record(channel_changed(from, to, false, reason), now.as_millis());
+                closed.push((from.clone(), to.clone()));
             }
         }
         closed
@@ -414,16 +398,16 @@ impl Middleware {
 
     /// Sends a typed message over an established channel.
     ///
-    /// Checks, in order: channel exists and is open; neither endpoint isolated; schema
-    /// conformance (if a schema is registered for the type); AC for the sender on the
-    /// destination at message-type granularity; IFC between the *message's effective
-    /// context* (sender context joined with message context) and the destination; then
-    /// per-attribute source quenching against message-level tags (Fig. 10). A send
-    /// that reaches the IFC check is audited as one `FlowChecked` record, allowed or
-    /// denied; a send refused earlier (`NoChannel`, `Isolated`, `SchemaViolation`,
-    /// `DeniedByAccessControl`, or the [`MiddlewareError::QueueFull`] error) ran no
-    /// flow check and leaves no audit record — the caller sees it in the returned
-    /// outcome only.
+    /// The bus checks that the channel is open and that the message conforms to its
+    /// schema (if one is registered — validation at ingress, as on the dataplane), runs
+    /// the one §8.2.2 sequence, [`crate::admission::enforce`] — isolation; AC for the
+    /// sender on the destination at message-type granularity; IFC between the
+    /// *message's effective context* and the destination — then quenches per attribute
+    /// against message-level tags (Fig. 10) and enqueues. A send that reaches the IFC
+    /// check is audited as one `FlowChecked` record, allowed or denied; a send refused
+    /// earlier (`NoChannel`, `SchemaViolation`, `Isolated`, `DeniedByAccessControl`, or
+    /// the [`MiddlewareError::QueueFull`] error) leaves no audit record — the caller
+    /// sees it in the returned outcome only.
     ///
     /// # Errors
     ///
@@ -440,8 +424,8 @@ impl Middleware {
         now: Timestamp,
     ) -> Result<DeliveryOutcome, MiddlewareError> {
         let started = self.telemetry.is_enabled().then(Instant::now);
-        let source = self.component(from)?.clone();
-        let destination = self.component(to)?.clone();
+        let source = lookup(&self.registry, from)?;
+        let destination = lookup(&self.registry, to)?;
 
         match self.channels.get(&(from.to_string(), to.to_string())) {
             Some(ChannelState::Open) => {}
@@ -453,29 +437,28 @@ impl Middleware {
             }
             None => return Ok(DeliveryOutcome::NoChannel),
         }
-        if source.is_isolated() || destination.is_isolated() {
-            return Ok(DeliveryOutcome::Isolated);
-        }
-        if let Some(schema) = self.registry.schema(&message.message_type) {
+        let schema = self.registry.schema(&message.message_type);
+        if let Some(schema) = schema {
             if let Err(reason) = schema.validate(&message) {
                 return Ok(DeliveryOutcome::SchemaViolation { reason });
             }
         }
-        let ac = self.access.decide(
-            to,
-            source.principal(),
-            Operation::Send,
-            Some(&message.message_type),
-            snapshot,
-            now,
-        );
-        if !ac.is_allowed() {
-            let reason = match ac {
-                crate::acl::AccessDecision::Denied { reason } => reason,
-                _ => unreachable!(),
-            };
-            return Ok(DeliveryOutcome::DeniedByAccessControl { reason });
-        }
+        let facts = MessageFacts {
+            message_type: &message.message_type,
+            secrecy: message.context.secrecy(),
+        };
+        let ask = || {
+            let principal = source.principal();
+            let message_type = Some(facts.message_type);
+            Some((
+                self.access.decide(to, principal, Operation::Send, message_type, snapshot, now),
+                false,
+            ))
+        };
+        let flow = match enforce(source, destination, Some(facts), ask, direct_flow(destination)) {
+            Verdict::Flow(flow) => flow,
+            refused => return Ok(refused.into_outcome()),
+        };
 
         // Backpressure is checked before the flow is audited: a QueueFull error must
         // not leave an allowed-with-data-item FlowChecked record for a transfer that
@@ -489,36 +472,20 @@ impl Middleware {
             }
         }
 
-        // The message carries at least the sender's current context: application-supplied
-        // message-level secrecy tags are *added* (they can only constrain further), while
-        // integrity comes from the sender alone — an application cannot endorse its own
-        // messages beyond its process-level integrity (§8.2.2).
-        let effective_context: SecurityContext = SecurityContext::new(
-            source.context().secrecy().union(message.context.secrecy()),
-            source.context().integrity().clone(),
-        );
-        let decision = can_flow(&effective_context, destination.context());
-        self.audit.record(
-            AuditEvent::FlowChecked {
-                source: from.to_string(),
-                destination: to.to_string(),
-                source_context: effective_context.clone(),
-                destination_context: destination.context().clone(),
-                decision: decision.clone(),
-                data_item: Some(format!("{}@{}", message.message_type, now.as_millis())),
-            },
-            now.as_millis(),
-        );
-        if decision.is_denied() {
+        if flow.decision.is_denied() {
+            let decision = flow.decision.clone();
+            self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
             return Ok(DeliveryOutcome::DeniedByIfc(decision));
         }
+        let effective_context = flow.source_context.clone().into_owned();
+        self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
 
         // Source quenching: attributes whose message-level secrecy tags are not all
         // present in the destination's secrecy label are removed (Fig. 10). Names are
         // borrowed from the schema; the only `String`s allocated are the ones the
         // outcome itself reports.
         let mut quenched: Vec<&str> = Vec::new();
-        if let Some(schema) = self.registry.schema(&message.message_type) {
+        if let Some(schema) = schema {
             for (name, label) in &schema.attribute_secrecy {
                 if message.attributes.contains_key(name)
                     && !label.is_subset(destination.context().secrecy())
@@ -615,11 +582,7 @@ impl Middleware {
             snapshot,
             now,
         );
-        if !ac.is_allowed() {
-            let reason = match ac {
-                crate::acl::AccessDecision::Denied { reason } => reason,
-                _ => unreachable!(),
-            };
+        if let AccessDecision::Denied { reason } = ac {
             return ControlOutcome::Unauthorised { reason };
         }
 
@@ -722,7 +685,7 @@ mod tests {
     use super::*;
     use crate::acl::{AccessRule, Subject};
     use crate::schema::{AttributeKind, AttributeValue, MessageSchema};
-    use legaliot_ifc::{Label, Tag, TagScope};
+    use legaliot_ifc::{Label, SecurityContext, Tag, TagScope};
 
     fn medical_ctx(patient: &str) -> SecurityContext {
         SecurityContext::from_names(["medical", patient], ["hosp-dev", "consent"])

@@ -490,38 +490,170 @@ fn block_overflow_with_concurrent_consumer_is_lossless() {
 
 mod mode_equivalence {
     use super::*;
+    use legaliot::dataplane::AuditDetail;
+    use legaliot::ifc::FlowDecision;
+    use legaliot::middleware::{AccessRule, DeliveryOutcome, Middleware, Operation, Subject};
     use proptest::prelude::*;
 
-    /// Runs one publish through a fresh dataplane and returns what the subscriber
-    /// received (thawed) plus the effective payload-byte count.
-    fn observe(
-        schema: &MessageSchema,
-        message: &Message,
-        destination_secrecy: &[String],
-    ) -> (Vec<Message>, u64) {
-        let dataplane = Dataplane::new("equivalence", config());
+    /// One generated enforcement case. Both drivers first establish `pub → sub`
+    /// between two public endpoints, then are put in this state, then carry the
+    /// message — so it is the per-message sequence, not admission, that decides.
+    struct Case {
+        schema: MessageSchema,
+        message: Message,
+        source: SecurityContext,
+        destination: SecurityContext,
+        isolated: (bool, bool),
+        ac_denied: bool,
+    }
+
+    /// Where the sequence stopped, as far as both drivers can tell an observer.
+    #[derive(Debug, PartialEq, Clone, Copy)]
+    enum Class {
+        Delivered,
+        /// Isolation or AC: refused with no flow check, hence no `FlowChecked` record.
+        RefusedBeforeFlow,
+        DeniedByIfc,
+    }
+
+    /// The compared fields of a `FlowChecked` record.
+    type FlowCheck = (SecurityContext, SecurityContext, FlowDecision, Option<String>);
+
+    /// Everything a consumer and an auditor can observe of one case on one driver.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        class: Class,
+        quenched: Vec<String>,
+        received: Vec<Message>,
+        flow_checks: Vec<FlowCheck>,
+        /// Re-admission of the channel in the case's state.
+        admission: DeliveryOutcome,
+    }
+
+    fn flow_check(event: &AuditEvent) -> Option<FlowCheck> {
+        match event {
+            AuditEvent::FlowChecked {
+                source_context,
+                destination_context,
+                decision,
+                data_item,
+                ..
+            } => Some((
+                source_context.clone(),
+                destination_context.clone(),
+                decision.clone(),
+                data_item.clone(),
+            )),
+            _ => None,
+        }
+    }
+
+    /// Runs the case through a fresh dataplane (full audit detail); also returns the
+    /// effective payload-byte count.
+    fn observe_dataplane(case: &Case) -> (Observed, u64) {
+        let config = DataplaneConfig { audit_detail: AuditDetail::Full, ..config() };
+        let dataplane = Dataplane::new("equivalence", config);
         dataplane.register(endpoint("pub", &[])).unwrap();
-        let secrecy: Vec<&str> = destination_secrecy.iter().map(String::as_str).collect();
-        dataplane.register(endpoint("sub", &secrecy)).unwrap();
+        dataplane.register(endpoint("sub", &[])).unwrap();
         dataplane.allow_sends_to("sub");
-        dataplane.register_schema(schema.clone()).unwrap();
+        dataplane.register_schema(case.schema.clone()).unwrap();
         let (outcome, subscriber) =
             dataplane.subscribe_receiver("pub", "sub", &snap(), Timestamp(1)).unwrap();
         assert!(outcome.is_delivered());
-        dataplane.publish_message("pub", message, Timestamp(2)).unwrap();
+
+        dataplane.set_context("pub", case.source.clone(), Timestamp(1)).unwrap();
+        dataplane.set_context("sub", case.destination.clone(), Timestamp(1)).unwrap();
+        dataplane.set_isolated("pub", case.isolated.0, Timestamp(1)).unwrap();
+        dataplane.set_isolated("sub", case.isolated.1, Timestamp(1)).unwrap();
+        if case.ac_denied {
+            dataplane.with_access(|access| {
+                access.add_rule("sub", AccessRule::deny(Subject::Anyone, Operation::Send, None));
+            });
+        }
+        dataplane.publish_message("pub", &case.message, Timestamp(2)).unwrap();
         dataplane.drain();
-        let payload_bytes = dataplane.stats().payload_bytes;
-        dataplane.shutdown();
+        let stats = dataplane.stats();
+        assert_eq!(stats.delivered + stats.denied, 1);
+        let admission = dataplane.subscribe("pub", "sub", &snap(), Timestamp(3)).unwrap();
+        let timeline = dataplane.shutdown().merged_timeline();
+
+        let flow_checks: Vec<FlowCheck> =
+            timeline.iter().filter_map(|record| flow_check(&record.event)).collect();
+        let class = match (stats.delivered, flow_checks.is_empty()) {
+            (1, _) => Class::Delivered,
+            (_, true) => Class::RefusedBeforeFlow,
+            (_, false) => Class::DeniedByIfc,
+        };
+        let quenched = timeline
+            .iter()
+            .filter_map(|record| match &record.event {
+                AuditEvent::MessageQuenched { attributes, .. } => Some(attributes.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
         let received = receive_all(&subscriber).into_iter().map(ReceivedMessage::thaw).collect();
-        (received, payload_bytes)
+        (Observed { class, quenched, received, flow_checks, admission }, stats.payload_bytes)
+    }
+
+    /// Runs the same case through the synchronous bus: `send`, then `try_recv`.
+    fn observe_bus(case: &Case) -> Observed {
+        let mut bus = Middleware::new("equivalence");
+        bus.registry_mut().register(endpoint("pub", &[]));
+        bus.registry_mut().register(endpoint("sub", &[]));
+        bus.access_mut().add_rule("sub", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        bus.registry_mut().register_schema(case.schema.clone());
+        assert!(bus.establish_channel("pub", "sub", &snap(), Timestamp(1)).unwrap().is_delivered());
+
+        // Straight into the registry: a control message would re-evaluate (and close)
+        // the channel, and it is `send`'s own sequence that is under test.
+        for (name, context, isolated) in
+            [("pub", &case.source, case.isolated.0), ("sub", &case.destination, case.isolated.1)]
+        {
+            let component = bus.registry_mut().get_mut(name).unwrap();
+            component.entity_mut().set_context_trusted(context.clone());
+            component.set_isolated(isolated);
+        }
+        if case.ac_denied {
+            let deny = AccessRule::deny(Subject::Anyone, Operation::Send, None);
+            bus.access_mut().add_rule("sub", deny);
+        }
+        let outcome = bus.send("pub", "sub", case.message.clone(), &snap(), Timestamp(2)).unwrap();
+        let (class, mut quenched) = match outcome {
+            DeliveryOutcome::Delivered { quenched_attributes } => {
+                (Class::Delivered, quenched_attributes)
+            }
+            DeliveryOutcome::Isolated | DeliveryOutcome::DeniedByAccessControl { .. } => {
+                (Class::RefusedBeforeFlow, Vec::new())
+            }
+            DeliveryOutcome::DeniedByIfc(_) => (Class::DeniedByIfc, Vec::new()),
+            other => panic!("the bus stopped outside the sequence: {other:?}"),
+        };
+        quenched.sort();
+        let flow_checks: Vec<FlowCheck> =
+            bus.audit().records().iter().filter_map(|record| flow_check(&record.event)).collect();
+        let mut received: Vec<Message> = std::iter::from_fn(|| bus.try_recv("sub")).collect();
+        // The one representational difference: the bus hands over the *effective*
+        // context it audited, a thawed frozen message its own message-level context.
+        for message in &mut received {
+            assert_eq!(message.context, flow_checks[0].0);
+            message.context = case.message.context.clone();
+        }
+        let admission = bus.establish_channel("pub", "sub", &snap(), Timestamp(3)).unwrap();
+        Observed { class, quenched, received, flow_checks, admission }
     }
 
     proptest! {
-        /// Satellite: for random schemas (random sensitivity pattern), random values
-        /// and random destination contexts (hence random quench masks), a subscriber
-        /// receives exactly the reference `Message::quenched` view of the message,
-        /// and the effective byte accounting equals `encoded_payload_len` of that
-        /// view — a count that does not go through the frozen encoder.
+        /// For random schemas (random sensitivity pattern), random values, random
+        /// source, message-level and destination secrecy (hence random flow
+        /// decisions and quench masks), isolation on either side and an allow or
+        /// deny AC rule, the sharded dataplane and the synchronous bus — two drivers
+        /// of the one `enforce` core — agree on the outcome class, the quenched
+        /// attribute names, the received body, the `FlowChecked` evidence and channel
+        /// re-admission; both agree with the model of the sequence; a delivered body
+        /// is exactly the reference `Message::quenched` view, and the effective byte
+        /// accounting equals `encoded_payload_len` of that view — a count that does
+        /// not go through the frozen encoder.
         #[test]
         fn prop_subscriber_observations_agree_across_payload_modes(
             count in -1_000i64..1_000,
@@ -531,10 +663,18 @@ mod mode_equivalence {
             who in "[a-z]{1,6}",
             sensitive_bits in 0u64..32,
             held_bits in 0u64..32,
+            source_bits in 0u64..4,
+            message_tagged in proptest::bool::ANY,
+            held_flow_bits in 0u64..8,
+            isolation in 0u8..6,
+            access in 0u8..4,
         ) {
             // Five attributes; bit i of `sensitive_bits` gives attribute i the
             // message-level tag `tag-i`; bit i of `held_bits` puts `tag-i` in the
-            // destination's secrecy label.
+            // destination's secrecy label. The flow tags `flow-0`/`flow-1` (source
+            // secrecy, by `source_bits`) and `flow-2` (message-level secrecy, when
+            // `message_tagged`) are held by the destination per `held_flow_bits`.
+            // One case in three isolates an endpoint, one in four denies by AC.
             let names = ["a-count", "b-level", "c-ok", "d-note", "e-who"];
             let kinds = [
                 AttributeKind::Integer,
@@ -555,18 +695,59 @@ mod mode_equivalence {
                     schema = schema.attribute(*name, kind);
                 }
             }
-            let held: Vec<String> = (0..5)
-                .filter(|index| held_bits & (1 << index) != 0)
-                .map(|index| format!("tag-{index}"))
-                .collect();
-            let message = Message::new("mixed", SecurityContext::public())
+            let tags = |prefix: &str, bits: u64| {
+                (0..5)
+                    .filter(|index| bits & (1 << index) != 0)
+                    .map(|index| format!("{prefix}-{index}"))
+                    .collect::<Vec<String>>()
+            };
+            let secrecy = |names: Vec<String>| SecurityContext::from_names(names, Vec::<&str>::new());
+            let message_bits = if message_tagged { 0b100 } else { 0 };
+            let mut held = tags("tag", held_bits);
+            held.extend(tags("flow", held_flow_bits));
+            let message = Message::new("mixed", secrecy(tags("flow", message_bits)))
                 .with("a-count", AttributeValue::Integer(count))
                 .with("b-level", AttributeValue::Float(level))
                 .with("c-ok", AttributeValue::Bool(ok))
                 .with("d-note", AttributeValue::Text(note))
                 .with("e-who", AttributeValue::Text(who));
+            let case = Case {
+                schema,
+                message,
+                source: secrecy(tags("flow", source_bits)),
+                destination: secrecy(held),
+                isolated: (isolation == 4, isolation == 5),
+                ac_denied: access == 0,
+            };
 
-            let (received, payload_bytes) = observe(&schema, &message, &held);
+            let (on_dataplane, payload_bytes) = observe_dataplane(&case);
+            let on_bus = observe_bus(&case);
+            prop_assert_eq!(&on_dataplane, &on_bus);
+
+            // The model of the sequence: isolation, then AC, then IFC over the
+            // sender's secrecy joined with the message's.
+            let flows = (source_bits | message_bits) & !held_flow_bits == 0;
+            let expected_class = if case.isolated.0 || case.isolated.1 || case.ac_denied {
+                Class::RefusedBeforeFlow
+            } else if flows {
+                Class::Delivered
+            } else {
+                Class::DeniedByIfc
+            };
+            prop_assert_eq!(on_bus.class, expected_class);
+            prop_assert_eq!(
+                on_bus.flow_checks.len(),
+                usize::from(expected_class != Class::RefusedBeforeFlow)
+            );
+            if let Some((_, _, decision, data_item)) = on_bus.flow_checks.first() {
+                prop_assert_eq!(decision.is_allowed(), flows);
+                prop_assert_eq!(data_item.as_deref(), Some("mixed@2"));
+            }
+            if expected_class != Class::Delivered {
+                prop_assert!(on_bus.received.is_empty() && on_bus.quenched.is_empty());
+                prop_assert_eq!(payload_bytes, 0);
+                return Ok(());
+            }
 
             // The reference semantics: quench exactly the sensitive attributes whose
             // tag the destination does not hold.
@@ -576,11 +757,12 @@ mod mode_equivalence {
                 })
                 .map(|index| names[index as usize])
                 .collect();
-            let mut expected = message.quenched(expected_quenched.iter().copied());
+            let mut expected = case.message.quenched(expected_quenched.iter().copied());
             expected.sender = "pub".into();
             expected.sent_at_millis = 2;
-            prop_assert_eq!(received.len(), 1);
-            prop_assert_eq!(&received[0], &expected);
+            prop_assert_eq!(&on_bus.quenched, &expected_quenched);
+            prop_assert_eq!(on_bus.received.len(), 1);
+            prop_assert_eq!(&on_bus.received[0], &expected);
             prop_assert_eq!(payload_bytes, encoded_payload_len(&expected) as u64);
         }
     }
