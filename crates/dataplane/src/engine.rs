@@ -1,5 +1,14 @@
 //! The dataplane engine: registration, subscription (admission-checked channels),
 //! sharded publishing, context changes with cache invalidation, and shutdown reports.
+//!
+//! Endpoint names are interned once, in the directory's `EndpointTable`: a name gets
+//! a small `Copy` `EndpointId` the first time it registers and keeps it for the
+//! engine's lifetime. Subscription edges, queued deliveries and the shards' pair
+//! summaries carry ids; a shard resolves an id to the endpoint *currently* holding the
+//! name by index, and the name string is read only where an audit record is written.
+//! Memory: every distinct name ever registered costs its string plus a few words
+//! (name-table entry, slot pointer, map entry) for as long as the engine lives; the
+//! `Endpoint` itself is freed when it leaves.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -258,6 +267,17 @@ impl fmt::Display for DataplaneError {
 
 impl std::error::Error for DataplaneError {}
 
+/// The handle of an endpoint *name*: an index into the [`EndpointTable`]. `Copy`, so a
+/// queued delivery names its two endpoints in two words and no reference count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct EndpointId(u32);
+
+impl EndpointId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A registered endpoint: its component (context, principal, isolation), its shard, its
 /// current stable context hash, and its subscription edges in both directions.
 #[derive(Debug)]
@@ -265,14 +285,14 @@ pub(crate) struct Endpoint {
     pub component: Component,
     pub context_hash: u64,
     pub shard: usize,
-    /// `(subscriber name, subscriber's shard)`, admission-checked at subscribe time.
+    /// `(subscriber, subscriber's shard)`, admission-checked at subscribe time.
     /// Behind an `Arc` so `publish` can snapshot the fan-out with one refcount bump
     /// instead of cloning the list on every message.
-    pub subscribers: Arc<Vec<(Arc<str>, usize)>>,
+    pub subscribers: Arc<Vec<(EndpointId, usize)>>,
     /// The inverse edges: every endpoint whose `subscribers` names this one. Kept in
     /// step by `subscribe` / `unsubscribe` / `deregister`, so a leaving endpoint
     /// visits its neighbours and not the whole directory.
-    pub publishers: Vec<Arc<str>>,
+    pub publishers: Vec<EndpointId>,
     /// The streaming receiver's bounded mailbox, present while a [`Subscriber`] has
     /// been opened for this endpoint. Shards push enforced (post-quench) deliveries
     /// into it under the directory *read* lock; a closed mailbox is skipped with one
@@ -280,12 +300,126 @@ pub(crate) struct Endpoint {
     pub mailbox: Option<Arc<Mailbox>>,
 }
 
+impl Endpoint {
+    fn new(component: Component, shard: usize) -> Self {
+        Endpoint {
+            context_hash: context_hash64(component.context()),
+            component,
+            shard,
+            subscribers: Arc::new(Vec::new()),
+            publishers: Vec::new(),
+            mailbox: None,
+        }
+    }
+}
+
+fn unknown(name: &str) -> DataplaneError {
+    DataplaneError::UnknownEndpoint { name: name.to_string() }
+}
+
+/// The endpoint directory: every name ever registered, interned once, and the endpoint
+/// currently holding each.
+///
+/// A name keeps its id for the engine's lifetime and a name that registers again
+/// refills its slot, so an id always means "whoever holds this name now": lookup is by
+/// name exactly as with a name-keyed map, an id held by a queued delivery resolves to
+/// the registration in force at enforcement time (or to nothing), and evidence can
+/// name an endpoint that has left.
+#[derive(Debug, Default)]
+pub(crate) struct EndpointTable {
+    /// id → name. Never shrinks.
+    names: Vec<Arc<str>>,
+    /// id → the endpoint holding the name, `None` once it has left. Boxed, so a
+    /// retired name costs one word here and not an `Endpoint`-sized hole.
+    slots: Vec<Option<Box<Endpoint>>>,
+    /// name → id, for every name in `names`.
+    ids: HashMap<Arc<str>, EndpointId>,
+}
+
+impl EndpointTable {
+    /// The id of a name that is or ever was registered.
+    pub fn id_of(&self, name: &str) -> Option<EndpointId> {
+        self.ids.get(name).copied()
+    }
+
+    /// The name behind an id — also after its endpoint has left.
+    pub fn name(&self, id: EndpointId) -> &Arc<str> {
+        &self.names[id.index()]
+    }
+
+    /// The endpoint currently holding the id's name.
+    pub fn get(&self, id: EndpointId) -> Option<&Endpoint> {
+        self.slots[id.index()].as_deref()
+    }
+
+    fn get_mut(&mut self, id: EndpointId) -> Option<&mut Endpoint> {
+        self.slots[id.index()].as_deref_mut()
+    }
+
+    /// The registered endpoint of this name, if there is one.
+    fn find(&self, name: &str) -> Option<(EndpointId, &Endpoint)> {
+        let id = self.id_of(name)?;
+        Some((id, self.get(id)?))
+    }
+
+    /// [`Self::find`], or the error for a name nobody holds.
+    fn lookup(&self, name: &str) -> Result<(EndpointId, &Endpoint), DataplaneError> {
+        self.find(name).ok_or_else(|| unknown(name))
+    }
+
+    fn lookup_mut(&mut self, name: &str) -> Result<(EndpointId, &mut Endpoint), DataplaneError> {
+        let found = self.id_of(name).and_then(|id| Some((id, self.get_mut(id)?)));
+        found.ok_or_else(|| unknown(name))
+    }
+
+    /// Puts `endpoint` under its component's name: a new id for a name never seen, the
+    /// old one for a name that comes back.
+    fn register(&mut self, endpoint: Endpoint) -> Result<EndpointId, DataplaneError> {
+        let name = endpoint.component.name();
+        if let Some(id) = self.id_of(name) {
+            let slot = &mut self.slots[id.index()];
+            if slot.is_some() {
+                return Err(DataplaneError::DuplicateEndpoint { name: name.to_string() });
+            }
+            *slot = Some(Box::new(endpoint));
+            return Ok(id);
+        }
+        let id = EndpointId(u32::try_from(self.names.len()).expect("under 2^32 endpoint names"));
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
+        self.slots.push(Some(Box::new(endpoint)));
+        Ok(id)
+    }
+
+    /// Makes room for `additional` names never seen before.
+    fn reserve(&mut self, additional: usize) {
+        self.names.reserve(additional);
+        self.slots.reserve(additional);
+        self.ids.reserve(additional);
+    }
+
+    /// Takes the endpoint of this name out; the name keeps its id.
+    fn retire(&mut self, name: &str) -> Result<(EndpointId, Box<Endpoint>), DataplaneError> {
+        let retired = self.id_of(name).and_then(|id| Some((id, self.slots[id.index()].take()?)));
+        retired.ok_or_else(|| unknown(name))
+    }
+
+    /// Every registered endpoint with its id.
+    fn registered(&self) -> impl Iterator<Item = (EndpointId, &Endpoint)> + '_ {
+        (0u32..)
+            .map(EndpointId)
+            .zip(&self.slots)
+            .filter_map(|(id, slot)| Some((id, slot.as_deref()?)))
+    }
+}
+
 /// Shared mutable state: the endpoint directory, registered (frozen) message schemas,
 /// the AC regime and its control-plane admission cache, plus the control-plane audit
 /// appender (subscriptions, context changes).
 #[derive(Debug)]
 pub(crate) struct Directory {
-    pub endpoints: HashMap<Arc<str>, Endpoint>,
+    pub endpoints: EndpointTable,
     pub schemas: HashMap<MessageType, Arc<FrozenSchema>>,
     pub access: AccessRegime,
     pub admission_cache: AdmissionCache,
@@ -559,7 +693,7 @@ impl Dataplane {
         admission_cache.attach(&context_store);
         let shared = Arc::new(SharedState {
             directory: RwLock::new(Directory {
-                endpoints: HashMap::new(),
+                endpoints: EndpointTable::default(),
                 schemas: HashMap::new(),
                 access: AccessRegime::new(),
                 admission_cache,
@@ -605,24 +739,9 @@ impl Dataplane {
     ///
     /// [`DataplaneError::DuplicateEndpoint`] if the name is taken.
     pub fn register(&self, component: Component) -> Result<(), DataplaneError> {
-        let name: Arc<str> = Arc::from(component.name());
-        let shard = self.shard_of(&name);
-        let context_hash = context_hash64(component.context());
-        let mut directory = self.shared.directory.write();
-        if directory.endpoints.contains_key(&name) {
-            return Err(DataplaneError::DuplicateEndpoint { name: name.to_string() });
-        }
-        directory.endpoints.insert(
-            name,
-            Endpoint {
-                component,
-                context_hash,
-                shard,
-                subscribers: Arc::new(Vec::new()),
-                publishers: Vec::new(),
-                mailbox: None,
-            },
-        );
+        let shard = self.shard_of(component.name());
+        let endpoint = Endpoint::new(component, shard);
+        self.shared.directory.write().endpoints.register(endpoint)?;
         Ok(())
     }
 
@@ -641,36 +760,25 @@ impl Dataplane {
         &self,
         components: impl IntoIterator<Item = Component>,
     ) -> Result<usize, DataplaneError> {
-        let prepared: Vec<(Arc<str>, usize, u64, Component)> = components
+        let prepared: Vec<Endpoint> = components
             .into_iter()
             .map(|component| {
-                let name: Arc<str> = Arc::from(component.name());
-                let shard = self.shard_of(&name);
-                let context_hash = context_hash64(component.context());
-                (name, shard, context_hash, component)
+                let shard = self.shard_of(component.name());
+                Endpoint::new(component, shard)
             })
             .collect();
         let mut directory = self.shared.directory.write();
         let mut batch_names = std::collections::HashSet::with_capacity(prepared.len());
-        for (name, _, _, _) in &prepared {
-            if directory.endpoints.contains_key(name) || !batch_names.insert(Arc::clone(name)) {
+        for endpoint in &prepared {
+            let name = endpoint.component.name();
+            if directory.endpoints.find(name).is_some() || !batch_names.insert(name) {
                 return Err(DataplaneError::DuplicateEndpoint { name: name.to_string() });
             }
         }
         let registered = prepared.len();
         directory.endpoints.reserve(registered);
-        for (name, shard, context_hash, component) in prepared {
-            directory.endpoints.insert(
-                name,
-                Endpoint {
-                    component,
-                    context_hash,
-                    shard,
-                    subscribers: Arc::new(Vec::new()),
-                    publishers: Vec::new(),
-                    mailbox: None,
-                },
-            );
+        for endpoint in prepared {
+            directory.endpoints.register(endpoint).expect("names checked above");
         }
         Ok(registered)
     }
@@ -692,18 +800,13 @@ impl Dataplane {
     /// mailbox has exactly one consuming handle).
     pub fn open_subscriber(&self, name: &str) -> Result<Subscriber, DataplaneError> {
         let mut directory = self.shared.directory.write();
-        let (key, endpoint) = directory
-            .endpoints
-            .get_key_value(name)
-            .ok_or_else(|| DataplaneError::UnknownEndpoint { name: name.to_string() })?;
-        let key = Arc::clone(key);
+        let (id, endpoint) = directory.endpoints.lookup_mut(name)?;
         if endpoint.mailbox.as_ref().is_some_and(|mailbox| !mailbox.is_closed()) {
             return Err(DataplaneError::ReceiverAttached { name: name.to_string() });
         }
         let mailbox = Arc::new(Mailbox::new(self.config.mailbox_capacity, self.config.overflow));
-        directory.endpoints.get_mut(name).expect("checked above").mailbox =
-            Some(Arc::clone(&mailbox));
-        Ok(Subscriber::new(key, mailbox))
+        endpoint.mailbox = Some(Arc::clone(&mailbox));
+        Ok(Subscriber::new(Arc::clone(directory.endpoints.name(id)), mailbox))
     }
 
     /// [`Self::open_subscriber`] plus [`Self::subscribe`] in one call: opens the
@@ -754,22 +857,20 @@ impl Dataplane {
     /// `Disconnected`).
     pub fn deregister(&self, name: &str) -> Result<(), DataplaneError> {
         let mut directory = self.shared.directory.write();
-        let Some(endpoint) = directory.endpoints.remove(name) else {
-            return Err(DataplaneError::UnknownEndpoint { name: name.to_string() });
-        };
+        let (id, endpoint) = directory.endpoints.retire(name)?;
         if let Some(mailbox) = &endpoint.mailbox {
             mailbox.close();
         }
         // Only the neighbours hold an edge to the leaver (a self-subscription went
         // with the endpoint itself).
         for publisher in &endpoint.publishers {
-            if let Some(neighbour) = directory.endpoints.get_mut(publisher) {
-                Arc::make_mut(&mut neighbour.subscribers).retain(|(sub, _)| &**sub != name);
+            if let Some(neighbour) = directory.endpoints.get_mut(*publisher) {
+                Arc::make_mut(&mut neighbour.subscribers).retain(|(sub, _)| *sub != id);
             }
         }
         for (subscriber, _) in endpoint.subscribers.iter() {
-            if let Some(neighbour) = directory.endpoints.get_mut(subscriber) {
-                neighbour.publishers.retain(|publisher| &**publisher != name);
+            if let Some(neighbour) = directory.endpoints.get_mut(*subscriber) {
+                neighbour.publishers.retain(|publisher| *publisher != id);
             }
         }
         Ok(())
@@ -811,20 +912,10 @@ impl Dataplane {
         now: Timestamp,
     ) -> Result<DeliveryOutcome, DataplaneError> {
         let mut directory = self.shared.directory.write();
-        // Reuse the stored key so subscriber lists share one allocation per name.
-        let subscriber_key: Arc<str> = directory
-            .endpoints
-            .get_key_value(subscriber)
-            .map(|(key, _)| Arc::clone(key))
-            .ok_or_else(|| DataplaneError::UnknownEndpoint { name: subscriber.to_string() })?;
-        let subscriber_shard = directory.endpoints[&subscriber_key].shard;
+        let dir = &mut *directory;
+        let (subscriber_id, destination) = dir.endpoints.lookup(subscriber)?;
+        let (publisher_id, source) = dir.endpoints.lookup(publisher)?;
         let outcome = {
-            let dir = &mut *directory;
-            let source = dir
-                .endpoints
-                .get(publisher)
-                .ok_or_else(|| DataplaneError::UnknownEndpoint { name: publisher.to_string() })?;
-            let destination = &dir.endpoints[&subscriber_key];
             // The admission cache may only answer for snapshots that reflect the
             // engine's own context store (its key-level invalidation watches exactly
             // that store); ad-hoc snapshots fall back to a direct evaluation. Sync
@@ -851,39 +942,33 @@ impl Dataplane {
                 admit_channel(&source.component, &destination.component, &dir.access, snapshot, now)
             }
         };
-        let admitted = outcome.is_delivered();
-        if admitted {
-            let (publisher_key, publisher_endpoint) =
-                directory.endpoints.get_key_value(publisher).expect("checked above");
-            if !publisher_endpoint
-                .subscribers
-                .iter()
-                .any(|(existing, _)| *existing == subscriber_key)
-            {
-                // Both directions of the edge, each name the directory's own key.
-                let publisher_key = Arc::clone(publisher_key);
-                let endpoints = &mut directory.endpoints;
-                let destination = endpoints.get_mut(&subscriber_key).expect("checked above");
-                destination.publishers.push(Arc::clone(&publisher_key));
-                let source = endpoints.get_mut(&publisher_key).expect("checked above");
-                Arc::make_mut(&mut source.subscribers).push((subscriber_key, subscriber_shard));
-            }
+        if outcome.is_delivered()
+            && !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id)
+        {
+            // Both directions of the edge.
+            let subscriber_shard = destination.shard;
+            let endpoints = &mut dir.endpoints;
+            let destination = endpoints.get_mut(subscriber_id).expect("looked up above");
+            destination.publishers.push(publisher_id);
+            let source = endpoints.get_mut(publisher_id).expect("looked up above");
+            Arc::make_mut(&mut source.subscribers).push((subscriber_id, subscriber_shard));
         }
         let evidence = outcome.channel_evidence(publisher, subscriber);
-        directory.control_audit.append(evidence, now.as_millis());
+        dir.control_audit.append(evidence, now.as_millis());
         Ok(outcome)
     }
 
     /// Removes the subscription `subscriber ← publisher`, if present.
     pub fn unsubscribe(&self, publisher: &str, subscriber: &str) -> Result<(), DataplaneError> {
         let mut directory = self.shared.directory.write();
-        let endpoint = directory
-            .endpoints
-            .get_mut(publisher)
-            .ok_or_else(|| DataplaneError::UnknownEndpoint { name: publisher.to_string() })?;
-        Arc::make_mut(&mut endpoint.subscribers).retain(|(sub, _)| &**sub != subscriber);
-        if let Some(endpoint) = directory.endpoints.get_mut(subscriber) {
-            endpoint.publishers.retain(|existing| &**existing != publisher);
+        let endpoints = &mut directory.endpoints;
+        let (publisher_id, _) = endpoints.lookup(publisher)?;
+        // A name that never registered has no id, and so no edge to remove.
+        let Some(subscriber_id) = endpoints.id_of(subscriber) else { return Ok(()) };
+        let source = endpoints.get_mut(publisher_id).expect("looked up above");
+        Arc::make_mut(&mut source.subscribers).retain(|(sub, _)| *sub != subscriber_id);
+        if let Some(destination) = endpoints.get_mut(subscriber_id) {
+            destination.publishers.retain(|existing| *existing != publisher_id);
         }
         Ok(())
     }
@@ -894,27 +979,25 @@ impl Dataplane {
     fn fanout(
         &self,
         publisher: &str,
-    ) -> Result<(Arc<str>, Arc<Vec<(Arc<str>, usize)>>), DataplaneError> {
+    ) -> Result<(EndpointId, Arc<Vec<(EndpointId, usize)>>), DataplaneError> {
         let directory = self.shared.directory.read();
-        let (key, endpoint) = directory
-            .endpoints
-            .get_key_value(publisher)
-            .ok_or_else(|| DataplaneError::UnknownEndpoint { name: publisher.to_string() })?;
-        Ok((Arc::clone(key), Arc::clone(&endpoint.subscribers)))
+        let (id, endpoint) = directory.endpoints.lookup(publisher)?;
+        Ok((id, Arc::clone(&endpoint.subscribers)))
     }
 
     /// The single fan-out path every publish variant goes through: one
-    /// [`ShardTask::Deliver`] per subscriber, each carrying one more reference to the
-    /// (possibly absent) frozen body. Blocking and non-blocking pushes, in-flight
-    /// accounting and the published counter live here so the flow-only and
-    /// payload-carrying entry points cannot drift apart.
+    /// [`ShardTask::Deliver`] per subscriber, each carrying a reference to the
+    /// (possibly absent) frozen body — the last one the publisher's own, so at fan-out
+    /// 1 the body's count is never written by publisher and shard at once. Blocking
+    /// and non-blocking pushes, in-flight accounting and the published counter live
+    /// here so the flow-only and payload-carrying entry points cannot drift apart.
     fn enqueue_fanout(
         &self,
-        from: &Arc<str>,
-        subscribers: &[(Arc<str>, usize)],
+        from: EndpointId,
+        subscribers: &[(EndpointId, usize)],
         now: Timestamp,
         block: bool,
-        body: Option<&Arc<FrozenMessage>>,
+        mut body: Option<Arc<FrozenMessage>>,
     ) -> Result<usize, DataplaneError> {
         // One clock read per fan-out (not per subscriber); 0 when telemetry is off,
         // which the workers treat as "no timing".
@@ -924,30 +1007,27 @@ impl Dataplane {
             0
         };
         let mut enqueued = 0;
-        for (to, shard) in subscribers {
-            let state = &self.shared.shards[*shard];
+        for (index, &(to, shard)) in subscribers.iter().enumerate() {
+            let state = &self.shared.shards[shard];
             // A degraded shard no longer enforces anything: fail fast instead of
             // enqueueing work that would only be evidenced as lost (or, under a
             // blocking publish, hanging on a queue nobody fully services).
             if state.counters.degraded.load(Ordering::Relaxed) {
                 self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
-                return Err(DataplaneError::ShardUnavailable { shard: *shard });
+                return Err(DataplaneError::ShardUnavailable { shard });
             }
             // The `ingress.enqueue` failpoint: injected queue-full backpressure
             // (or a publisher-side delay), before any in-flight accounting.
             if failpoint::inject_ingress(&self.config.failpoints) {
                 self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
-                return Err(DataplaneError::QueueFull {
-                    shard: *shard,
-                    capacity: state.queue.capacity(),
-                });
+                return Err(DataplaneError::QueueFull { shard, capacity: state.queue.capacity() });
             }
             let task = ShardTask::Deliver {
-                from: Arc::clone(from),
-                to: Arc::clone(to),
+                from,
+                to,
                 at_millis: now.as_millis(),
                 enqueued_ns,
-                body: body.cloned(),
+                body: if index + 1 == subscribers.len() { body.take() } else { body.clone() },
             };
             state.counters.in_flight.fetch_add(1, Ordering::SeqCst);
             if block {
@@ -960,7 +1040,7 @@ impl Dataplane {
                         state.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
                         self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
                         return Err(DataplaneError::QueueFull {
-                            shard: *shard,
+                            shard,
                             capacity: state.queue.capacity(),
                         });
                     }
@@ -987,14 +1067,14 @@ impl Dataplane {
     /// [`DataplaneError::UnknownEndpoint`] if the publisher is unregistered.
     pub fn publish(&self, publisher: &str, now: Timestamp) -> Result<usize, DataplaneError> {
         let (from, subscribers) = self.fanout(publisher)?;
-        self.enqueue_fanout(&from, &subscribers, now, true, None)
+        self.enqueue_fanout(from, &subscribers, now, true, None)
     }
 
     /// Like [`Self::publish`] but fails with [`DataplaneError::QueueFull`] instead of
     /// blocking. Deliveries already enqueued for earlier subscribers stay enqueued.
     pub fn try_publish(&self, publisher: &str, now: Timestamp) -> Result<usize, DataplaneError> {
         let (from, subscribers) = self.fanout(publisher)?;
-        self.enqueue_fanout(&from, &subscribers, now, false, None)
+        self.enqueue_fanout(from, &subscribers, now, false, None)
     }
 
     /// Publishes a payload-carrying message from `publisher` to every admitted
@@ -1002,7 +1082,8 @@ impl Dataplane {
     /// enqueued.
     ///
     /// The message is validated against its registered schema once at ingress, then
-    /// frozen once and shared zero-copy (one `Arc` bump per subscriber). Per delivery
+    /// frozen once — sender and send time stamped as the body is built — and shared
+    /// zero-copy (one `Arc` bump per subscriber after the first). Per delivery
     /// the destination's shard calls [`legaliot_middleware::admission::enforce`] —
     /// isolation, contextual AC at message-type granularity (cache-amortised), IFC
     /// over the message's effective context — then quenches per attribute against the
@@ -1020,24 +1101,19 @@ impl Dataplane {
         message: &Message,
         now: Timestamp,
     ) -> Result<usize, DataplaneError> {
-        let (from, subscribers, schema) = {
+        let (from, sender, subscribers, schema) = {
             let directory = self.shared.directory.read();
-            let (key, endpoint) = directory
-                .endpoints
-                .get_key_value(publisher)
-                .ok_or_else(|| DataplaneError::UnknownEndpoint { name: publisher.to_string() })?;
+            let (id, endpoint) = directory.endpoints.lookup(publisher)?;
             let schema =
                 directory.schemas.get(&message.message_type).cloned().ok_or_else(|| {
                     DataplaneError::UnknownSchema { message_type: message.message_type.to_string() }
                 })?;
-            (Arc::clone(key), Arc::clone(&endpoint.subscribers), schema)
+            let sender = Arc::clone(directory.endpoints.name(id));
+            (id, sender, Arc::clone(&endpoint.subscribers), schema)
         };
-        let frozen = FrozenMessage::freeze(message, schema)
-            .map_err(|reason| DataplaneError::SchemaViolation { reason })?
-            .with_sender(Arc::clone(&from))
-            .with_sent_at(now.as_millis());
-        let frozen = Arc::new(frozen);
-        self.enqueue_fanout(&from, &subscribers, now, true, Some(&frozen))
+        let frozen = FrozenMessage::freeze_stamped(message, schema, sender, now.as_millis())
+            .map_err(|reason| DataplaneError::SchemaViolation { reason })?;
+        self.enqueue_fanout(from, &subscribers, now, true, Some(Arc::new(frozen)))
     }
 
     /// Changes an entity's security context and broadcasts invalidation of its old
@@ -1053,10 +1129,7 @@ impl Dataplane {
     ) -> Result<(), DataplaneError> {
         let old_hash = {
             let mut directory = self.shared.directory.write();
-            let endpoint = directory
-                .endpoints
-                .get_mut(name)
-                .ok_or_else(|| DataplaneError::UnknownEndpoint { name: name.to_string() })?;
+            let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
             let old_hash = endpoint.context_hash;
             let before = endpoint.component.context().clone();
             endpoint.component.entity_mut().set_context_trusted(context.clone());
@@ -1093,10 +1166,7 @@ impl Dataplane {
         now: Timestamp,
     ) -> Result<(), DataplaneError> {
         let mut directory = self.shared.directory.write();
-        let endpoint = directory
-            .endpoints
-            .get_mut(name)
-            .ok_or_else(|| DataplaneError::UnknownEndpoint { name: name.to_string() })?;
+        let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
         endpoint.component.set_isolated(isolated);
         directory.control_audit.append(
             AuditEvent::Reconfigured {
@@ -1218,7 +1288,7 @@ impl Dataplane {
     /// drained. Run at shutdown (after workers exit, so nothing enqueued is lost).
     fn close_mailboxes(&self) {
         let directory = self.shared.directory.read();
-        for endpoint in directory.endpoints.values() {
+        for (_, endpoint) in directory.endpoints.registered() {
             if let Some(mailbox) = &endpoint.mailbox {
                 mailbox.close();
             }
@@ -1293,18 +1363,28 @@ impl Dataplane {
     }
 
     /// Test hook: every edge as `(publisher, subscriber)`, once as the `subscribers`
-    /// lists hold it and once as the `publishers` lists do; both sorted.
+    /// lists hold it and once as the `publishers` lists do; both sorted. Checks on the
+    /// way that the handle table is consistent: `id → name → id` round-trips for every
+    /// name ever seen, and an occupied slot holds the component of that name.
     #[cfg(test)]
     pub(crate) fn edges_both_ways(&self) -> [Vec<(String, String)>; 2] {
         let directory = self.shared.directory.read();
+        let table = &directory.endpoints;
+        assert_eq!((table.names.len(), table.ids.len()), (table.slots.len(), table.slots.len()));
+        for (index, name) in table.names.iter().enumerate() {
+            let id = table.id_of(name).expect("every interned name has an id");
+            assert_eq!((id.index(), &**table.name(id)), (index, &**name));
+            assert!(table.get(id).map_or(true, |endpoint| endpoint.component.name() == &**name));
+        }
+        let name_of = |id: EndpointId| table.name(id).to_string();
         let (mut forward, mut inverse) = (Vec::new(), Vec::new());
-        for (name, endpoint) in &directory.endpoints {
+        for (id, endpoint) in table.registered() {
             for (subscriber, shard) in endpoint.subscribers.iter() {
-                assert_eq!(*shard, directory.endpoints[subscriber].shard);
-                forward.push((name.to_string(), subscriber.to_string()));
+                assert_eq!(*shard, table.get(*subscriber).expect("edges end at the living").shard);
+                forward.push((name_of(id), name_of(*subscriber)));
             }
             for publisher in &endpoint.publishers {
-                inverse.push((publisher.to_string(), name.to_string()));
+                inverse.push((name_of(*publisher), name_of(id)));
             }
         }
         forward.sort();
@@ -1312,11 +1392,25 @@ impl Dataplane {
         [forward, inverse]
     }
 
+    /// Test hook: the id a name holds, as a plain number (`None` before it first
+    /// registers).
+    #[cfg(test)]
+    pub(crate) fn endpoint_id(&self, name: &str) -> Option<u32> {
+        self.shared.directory.read().endpoints.id_of(name).map(|id| id.0)
+    }
+
+    /// Test hook: parks the worker of a drained shard on the returned barrier. Returns
+    /// once the worker has taken the task — alone in its batch, so it parks holding no
+    /// directory lock and the test may run control-plane writes meanwhile.
     #[cfg(test)]
     pub(crate) fn block_shard(&self, shard: usize) -> Arc<std::sync::Barrier> {
         let barrier = Arc::new(std::sync::Barrier::new(2));
-        self.shared.shards[shard].counters.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.shared.shards[shard].queue.push(ShardTask::Block(Arc::clone(&barrier)));
+        let state = &self.shared.shards[shard];
+        state.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+        state.queue.push(ShardTask::Block(Arc::clone(&barrier)));
+        while !state.queue.is_empty() {
+            thread::yield_now();
+        }
         barrier
     }
 }

@@ -14,12 +14,18 @@
 //!   ([`Dataplane::publish`] blocks, [`Dataplane::try_publish`] reports
 //!   [`DataplaneError::QueueFull`]).
 //! * **Zero-copy payloads** — [`Dataplane::publish_message`] freezes a message once at
-//!   ingress ([`legaliot_middleware::FrozenMessage`]: interned attribute-name table,
-//!   values in one shared [`bytes`-backed](legaliot_middleware::Payload) buffer) and
-//!   fans an `Arc` of it out to the shards. Per-delivery source quenching (Fig. 10) is
-//!   a cached bitmask over the shared buffer instead of a map clone; quenched
-//!   attribute names are evidenced in the per-shard audit
+//!   ingress ([`legaliot_middleware::FrozenMessage`]: one reference-counted body
+//!   holding the schema's interned name table, context, sender, send time and a
+//!   single-buffer [`Payload`](legaliot_middleware::Payload)) and fans an `Arc` of it
+//!   out to the shards. Per-delivery source quenching (Fig. 10) is a cached bitmask
+//!   over the shared body instead of a map clone; quenched attribute names are
+//!   evidenced in the per-shard audit
 //!   ([`legaliot_audit::AuditEvent::MessageQuenched`]).
+//! * **Endpoint handles** — a name is interned once, when it first registers, into a
+//!   small `Copy` id that it keeps for the engine's lifetime. Subscription edges,
+//!   queued deliveries and pair summaries carry ids, shards resolve them by index,
+//!   and the string is read only where an audit record is written — no name reference
+//!   count is touched per message.
 //! * **Decision caching** — each shard holds a private [`legaliot_ifc::DecisionCache`]
 //!   keyed by the stable 64-bit hashes of the (source, destination) security contexts.
 //!   Lookups always key on the entities' *current* hashes, and a context change
@@ -312,7 +318,9 @@ mod tests {
 
     /// `publishers` is the exact inverse of `subscribers` after any sequence of
     /// subscribe / unsubscribe / deregister / re-register, checked against a plain
-    /// edge set; a name that leaves and comes back inherits no edge.
+    /// edge set; a name that leaves and comes back inherits no edge — but it does get
+    /// its id back, and `id → name → id` round-trips for every name ever registered
+    /// (asserted inside `edges_both_ways`).
     #[test]
     fn publishers_stay_the_exact_inverse_of_subscribers() {
         use std::collections::BTreeSet;
@@ -322,6 +330,8 @@ mod tests {
             let dataplane = Dataplane::new("edges", config);
             let mut registered: BTreeSet<&str> = BTreeSet::new();
             let mut model: BTreeSet<(String, String)> = BTreeSet::new();
+            // The id each name was given when it first registered.
+            let mut first_ids: std::collections::BTreeMap<&str, u32> = Default::default();
             // SplitMix64: a fixed, seed-replayable operation stream.
             let mut state = seed;
             let mut next = move |bound: usize| {
@@ -366,6 +376,17 @@ mod tests {
                 let expected: Vec<(String, String)> = model.iter().cloned().collect();
                 assert_eq!(forward, expected, "seed {seed} step {step}");
                 assert_eq!(inverse, expected, "seed {seed} step {step}");
+                for name in NAMES {
+                    match (dataplane.endpoint_id(name), first_ids.get(name)) {
+                        (None, None) => assert!(!registered.contains(name)),
+                        (Some(id), None) => {
+                            // Ids are handed out densely, in order of first arrival.
+                            assert_eq!(id as usize, first_ids.len(), "seed {seed} step {step}");
+                            first_ids.insert(name, id);
+                        }
+                        (now, first) => assert_eq!(now, first.copied(), "seed {seed} step {step}"),
+                    }
+                }
             }
         }
     }
@@ -1034,6 +1055,168 @@ mod tests {
             .collect();
         assert_eq!(hand_off_losses, vec![1]);
         assert!(report.shard_audit[0].verify_chain().is_intact());
+    }
+
+    /// A queued delivery names its destination by handle, and a handle stands for the
+    /// *name*: whoever holds the name when the shard gets to the delivery is who it is
+    /// enforced against — the new registration's context, mailbox and quench mask after
+    /// a leave + re-join, nobody (`missing_endpoint`) after a leave.
+    #[test]
+    fn queued_delivery_is_enforced_against_whoever_holds_the_name_then() {
+        let config = DataplaneConfig { shards: 1, ..DataplaneConfig::default() };
+        let dataplane = two_pair_plane(config);
+        dataplane.register_schema(reading_schema()).unwrap();
+        let id = dataplane.endpoint_id("b");
+        let rejoin = |secrecy: &[&str]| {
+            dataplane.deregister("b").unwrap();
+            dataplane.register(endpoint("b", secrecy)).unwrap();
+            assert_eq!(dataplane.endpoint_id("b"), id, "a name keeps its id");
+            dataplane.open_subscriber("b").unwrap()
+        };
+        let queue_one = |at: u64| {
+            let barrier = dataplane.block_shard(0);
+            assert_eq!(dataplane.publish_message("a", &reading_message(), Timestamp(at)), Ok(1));
+            barrier
+        };
+
+        // Re-joined holding the message-level tag too: delivered to the new mailbox,
+        // nothing quenched (the `b` that was subscribed would have lost `patient`).
+        let barrier = queue_one(10);
+        let receiver = rejoin(&["t", "b-only", "secret-id"]);
+        barrier.wait();
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!((stats.delivered, stats.quenched_attributes), (1, 0));
+        let received = receiver.drain();
+        assert_eq!(received.len(), 1);
+        assert_eq!((received[0].sender(), received[0].attribute_count()), ("a", 2));
+        // The edge went with the old registration: nothing new is fanned out.
+        assert_eq!(dataplane.publish("a", Timestamp(11)), Ok(0));
+
+        // Re-joined below the source's secrecy: the queued delivery is an IFC denial.
+        assert!(dataplane.subscribe("a", "b", &snap(), Timestamp(12)).unwrap().is_delivered());
+        let barrier = queue_one(13);
+        let receiver = rejoin(&[]);
+        barrier.wait();
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!((stats.delivered, stats.denied, stats.missing_endpoint), (1, 1, 0));
+        assert!(receiver.drain().is_empty());
+
+        // Left and did not come back: nobody holds the name.
+        dataplane.deregister("b").unwrap();
+        dataplane.register(endpoint("b", &["t", "b-only"])).unwrap();
+        assert!(dataplane.subscribe("a", "b", &snap(), Timestamp(14)).unwrap().is_delivered());
+        let barrier = queue_one(15);
+        dataplane.deregister("b").unwrap();
+        barrier.wait();
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!((stats.delivered, stats.denied, stats.missing_endpoint), (1, 1, 1));
+        assert_eq!(stats.published, 3);
+        assert_eq!(dataplane.endpoint_id("b"), id, "also after it has left");
+    }
+
+    /// Evidence names endpoints through the handle table, which keeps the name of an
+    /// endpoint that has left: a shard that degrades over a queue of deliveries whose
+    /// destination deregistered meanwhile still writes source and destination into
+    /// every `DeliveryLost` — the crashed unit's and the abandoned remainder's.
+    #[test]
+    fn loss_evidence_names_an_endpoint_that_has_left() {
+        use legaliot_audit::AuditEvent;
+
+        let registry = Arc::new(FailpointRegistry::new(3).with_spec(FailpointSpec::on_hits(
+            FailpointSite::ShardProcess,
+            FaultKind::Panic,
+            0,
+            0,
+        )));
+        let config = DataplaneConfig {
+            shards: 1,
+            restart_budget: 0,
+            failpoints: Some(registry),
+            ..DataplaneConfig::default()
+        };
+        let dataplane = two_pair_plane(config);
+        dataplane.register_schema(reading_schema()).unwrap();
+        let barrier = dataplane.block_shard(0);
+        for t in 10..13 {
+            dataplane.publish_message("a", &reading_message(), Timestamp(t)).unwrap();
+        }
+        dataplane.deregister("b").unwrap();
+        barrier.wait();
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!((stats.degraded_shards, stats.deliveries_lost, stats.published), (1, 3, 3));
+        let report = dataplane.shutdown();
+        let lost: Vec<u64> = report
+            .merged_timeline()
+            .into_iter()
+            .filter_map(|record| match record.event {
+                AuditEvent::DeliveryLost { source, destination, message_type, lost, .. } => {
+                    assert_eq!((source.as_str(), destination.as_str()), ("a", "b"));
+                    assert_eq!(message_type.as_deref(), Some("reading"));
+                    Some(lost)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lost, vec![1, 1, 1]);
+        assert!(report.shard_audit[0].verify_chain().is_intact());
+    }
+
+    /// The shutdown `FlowSummary` / `DeliveryDropped` records come out ordered by
+    /// source then destination *name* — not by the ids the pairs are keyed on, which
+    /// follow registration order — so the same traffic yields the same chain however
+    /// the deployment was brought up.
+    #[test]
+    fn shutdown_summaries_are_ordered_by_name_not_by_id() {
+        use legaliot_audit::AuditEvent;
+
+        let config = DataplaneConfig {
+            shards: 1,
+            mailbox_capacity: 1,
+            overflow: OverflowPolicy::DropOldest,
+            ..DataplaneConfig::default()
+        };
+        let dataplane = Dataplane::new("ordered", config);
+        // Registration (and so id) order is the reverse of name order.
+        const NAMES: [&str; 5] = ["z-pub", "y-sub", "m-pub", "b-sub", "a-pub"];
+        for name in NAMES {
+            dataplane.register(endpoint(name, &["t"])).unwrap();
+            dataplane.allow_sends_to(name);
+        }
+        dataplane.register_schema(reading_schema()).unwrap();
+        let edges =
+            [("z-pub", "y-sub"), ("z-pub", "b-sub"), ("m-pub", "b-sub"), ("a-pub", "y-sub")];
+        for (publisher, subscriber) in edges {
+            let admitted = dataplane.subscribe(publisher, subscriber, &snap(), Timestamp(1));
+            assert!(admitted.unwrap().is_delivered());
+        }
+        let _receivers = [dataplane.open_subscriber("y-sub"), dataplane.open_subscriber("b-sub")];
+        for t in 10..13 {
+            for publisher in ["z-pub", "m-pub", "a-pub"] {
+                dataplane.publish_message(publisher, &reading_message(), Timestamp(t)).unwrap();
+            }
+        }
+        let report = dataplane.shutdown();
+        let (mut summaries, mut drops) = (Vec::new(), Vec::new());
+        for record in report.shard_audit[0].records() {
+            match &record.event {
+                AuditEvent::FlowSummary { source, destination, .. } => {
+                    summaries.push((source.as_str(), destination.as_str()));
+                }
+                AuditEvent::DeliveryDropped { source, destination, .. } => {
+                    drops.push((source.as_str(), destination.as_str()));
+                }
+                _ => {}
+            }
+        }
+        let by_name =
+            [("a-pub", "y-sub"), ("m-pub", "b-sub"), ("z-pub", "b-sub"), ("z-pub", "y-sub")];
+        assert_eq!(summaries, by_name);
+        // Each mailbox holds one message, so every pair shed something.
+        assert_eq!(drops, by_name);
     }
 
     /// Once a shard exhausts its restart budget it degrades instead of crash

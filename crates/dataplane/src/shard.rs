@@ -8,6 +8,15 @@
 //! name; a message is enforced on the *destination's* shard, so one overloaded
 //! subscriber backpressures only its own shard.
 //!
+//! Everything a delivery passes through here — the queued task, the supervisor's
+//! in-flight descriptor, the deferred hand-off, the pair-summary key — names its two
+//! endpoints by [`EndpointId`], two `Copy` words: no name reference count is touched
+//! per message, and source and destination are resolved by index into the directory's
+//! handle table. The name strings are read only where a record is written
+//! (`MessageQuenched`, `DeliveryLost`, `DeliveryDropped`, the shutdown `FlowSummary`),
+//! and the table keeps the name of an endpoint that has left, so such evidence can
+//! always be written.
+//!
 //! The loop amortises synchronisation over pop batches: one directory read-lock
 //! acquisition, one context-store freshness check, one `in_flight` decrement and one
 //! flush of the statistics counters per batch of up to [`POP_BATCH`] tasks, rather
@@ -35,7 +44,7 @@ use legaliot_ifc::{can_flow, context_hash64, DecisionCache, SecurityContext};
 use legaliot_middleware::admission::{enforce, AdmissionCache, MessageFacts, Verdict};
 use legaliot_middleware::{FrozenMessage, MessageType, Operation};
 
-use crate::engine::{AuditDetail, DataplaneConfig, Directory, SharedState};
+use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedState};
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::BoundedQueue;
 use crate::subscriber::{MailboxPush, ReceivedMessage};
@@ -46,10 +55,10 @@ use crate::telemetry::{DeliveryProbe, ShardTelemetry, Stage};
 pub(crate) enum ShardTask {
     /// Enforce and deliver one message `from → to`.
     Deliver {
-        /// Source endpoint name.
-        from: Arc<str>,
-        /// Destination endpoint name (owned by this shard).
-        to: Arc<str>,
+        /// The source endpoint's name.
+        from: EndpointId,
+        /// The destination endpoint's name (owned by this shard).
+        to: EndpointId,
         /// Simulated send time in milliseconds.
         at_millis: u64,
         /// Enqueue time in nanoseconds since the engine's epoch (0 when telemetry is
@@ -130,7 +139,7 @@ pub(crate) struct ShardReport {
 }
 
 /// A `(source, destination)` endpoint-name pair.
-type PairKey = (Arc<str>, Arc<str>);
+type PairKey = (EndpointId, EndpointId);
 
 /// Per-pair counters folded into one `FlowSummary` record at shutdown.
 #[derive(Debug, Default)]
@@ -174,8 +183,8 @@ struct BatchCounters {
 /// release the mailbox.
 struct PendingHandOff {
     mailbox: Arc<crate::subscriber::Mailbox>,
-    from: Arc<str>,
-    to: Arc<str>,
+    from: EndpointId,
+    to: EndpointId,
     at_millis: u64,
     item: ReceivedMessage,
 }
@@ -189,8 +198,8 @@ struct InFlight {
     /// was already enforced and counted `delivered`; only the receiver-side
     /// hand-off is abandoned, so the loss is evidenced but not re-counted).
     hand_off: bool,
-    from: Arc<str>,
-    to: Arc<str>,
+    from: EndpointId,
+    to: EndpointId,
     at_millis: u64,
     /// The body, held (one `Arc` bump) so loss evidence can name its message type
     /// without building the string unless the evidence is actually written.
@@ -398,7 +407,7 @@ pub(crate) fn run_worker(
             Ok(()) => break,
             Err(payload) => {
                 let cause = panic_message(payload.as_ref());
-                recover_unit(&mut state, &mut progress, &cause);
+                recover_unit(&shared, &mut state, &mut progress, &cause);
                 let shard = &shared.shards[index];
                 if restarts < config.restart_budget {
                     restarts += 1;
@@ -421,9 +430,9 @@ pub(crate) fn run_worker(
                     // publishers start failing fast, then evidence everything
                     // already accepted and keep draining until Shutdown.
                     shard.counters.degraded.store(true, Ordering::SeqCst);
-                    abandon_progress(&mut state, &mut progress, shard);
+                    abandon_progress(&shared, &mut state, &mut progress, shard);
                     if !progress.shutdown {
-                        reject_until_shutdown(&mut state, shard, &mut progress);
+                        reject_until_shutdown(&shared, &mut state, shard, &mut progress);
                     }
                     break;
                 }
@@ -431,19 +440,24 @@ pub(crate) fn run_worker(
         }
     }
 
-    // Emit one FlowSummary per pair (deterministic order for reproducible chains),
-    // plus — in summarised mode, where sheds are not recorded individually — one
-    // DeliveryDropped total per (pair, message type) that shed mailbox deliveries,
-    // so every shed is evidenced exactly once, against its own type, in either
-    // audit mode.
-    let mut pairs: Vec<(PairKey, PairSummary)> = state.summaries.into_iter().collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    for ((from, to), summary) in pairs {
+    // Emit one FlowSummary per pair (ordered by source then destination *name*, so
+    // chains are reproducible whatever ids the names were given), plus — in summarised
+    // mode, where sheds are not recorded individually — one DeliveryDropped total per
+    // (pair, message type) that shed mailbox deliveries, so every shed is evidenced
+    // exactly once, against its own type, in either audit mode.
+    let mut pairs: Vec<(String, String, PairSummary)> = {
+        let directory = shared.directory.read();
+        let name = |id| directory.endpoints.name(id).to_string();
+        let named = |((from, to), summary)| (name(from), name(to), summary);
+        state.summaries.into_iter().map(named).collect()
+    };
+    pairs.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+    for (from, to, summary) in pairs {
         if summary.allowed + summary.denied > 0 {
             state.appender.append(
                 AuditEvent::FlowSummary {
-                    source: from.to_string(),
-                    destination: to.to_string(),
+                    source: from.clone(),
+                    destination: to.clone(),
                     allowed: summary.allowed,
                     denied: summary.denied,
                     window_start_millis: summary.first_millis,
@@ -455,8 +469,8 @@ pub(crate) fn run_worker(
         for (message_type, dropped) in summary.dropped {
             state.appender.append(
                 AuditEvent::DeliveryDropped {
-                    source: from.to_string(),
-                    destination: to.to_string(),
+                    source: from.clone(),
+                    destination: to.clone(),
                     message_type,
                     dropped,
                 },
@@ -538,7 +552,12 @@ fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>, config: &Da
 /// not), never a partial mixture. A panicked *hand-off* is the at-most-once
 /// edge: its delivery was already enforced and counted, so the abandoned push
 /// is evidenced but not re-counted.
-fn recover_unit(state: &mut WorkerState, progress: &mut BatchProgress, cause: &str) {
+fn recover_unit(
+    shared: &SharedState,
+    state: &mut WorkerState,
+    progress: &mut BatchProgress,
+    cause: &str,
+) {
     if !progress.active {
         // Panicked between batches (the `shard.loop` site): nothing in flight.
         return;
@@ -557,8 +576,8 @@ fn recover_unit(state: &mut WorkerState, progress: &mut BatchProgress, cause: &s
         let message_type = unit.message.as_deref().map(FrozenMessage::message_type);
         evidence_loss(
             &mut state.appender,
-            &unit.from,
-            &unit.to,
+            shared,
+            (unit.from, unit.to),
             message_type,
             cause,
             unit.at_millis,
@@ -666,8 +685,8 @@ fn run_batch(
                     progress.last_millis = at_millis;
                     progress.unit = Some(InFlight {
                         hand_off: false,
-                        from: Arc::clone(&from),
-                        to: Arc::clone(&to),
+                        from,
+                        to,
                         at_millis,
                         message: body.clone(),
                     });
@@ -715,12 +734,12 @@ fn run_batch(
         let Some(hand_off) = progress.pending.pop_front() else { break };
         progress.unit = Some(InFlight {
             hand_off: true,
-            from: Arc::clone(&hand_off.from),
-            to: Arc::clone(&hand_off.to),
+            from: hand_off.from,
+            to: hand_off.to,
             at_millis: hand_off.at_millis,
             message: hand_off.item.frozen().cloned(),
         });
-        complete_hand_off(config, state, &mut progress.local, telemetry, hand_off);
+        complete_hand_off(shared, config, state, &mut progress.local, telemetry, hand_off);
         progress.unit = None;
     }
 }
@@ -751,19 +770,26 @@ fn flush_batch(shard: &ShardState, progress: &mut BatchProgress) {
 const DEGRADED: &str = "shard degraded: restart budget exhausted";
 
 /// Appends the one `DeliveryLost` record for an accepted delivery (or its hand-off)
-/// that will never complete — every loss is evidenced, never silent.
+/// that will never complete — every loss is evidenced, never silent. Runs on the
+/// supervisor's side of the worker, with no directory lock held: the names are read
+/// under a short read lock of their own, and are there whether or not either endpoint
+/// is still registered.
 fn evidence_loss(
     appender: &mut BatchedAppender,
-    from: &str,
-    to: &str,
+    shared: &SharedState,
+    (from, to): PairKey,
     message_type: Option<&MessageType>,
     cause: String,
     at_millis: u64,
 ) {
+    let (source, destination) = {
+        let directory = shared.directory.read();
+        (directory.endpoints.name(from).to_string(), directory.endpoints.name(to).to_string())
+    };
     appender.append(
         AuditEvent::DeliveryLost {
-            source: from.to_string(),
-            destination: to.to_string(),
+            source,
+            destination,
             message_type: message_type.map(MessageType::to_string),
             lost: 1,
             cause,
@@ -776,6 +802,7 @@ fn evidence_loss(
 /// and discarded, a `Shutdown` is noted. Returns how many deliveries were lost.
 fn discard_as_lost(
     appender: &mut BatchedAppender,
+    shared: &SharedState,
     tasks: impl Iterator<Item = ShardTask>,
     shutdown: &mut bool,
 ) -> u64 {
@@ -785,7 +812,8 @@ fn discard_as_lost(
             ShardTask::Deliver { from, to, at_millis, body, .. } => {
                 lost += 1;
                 let message_type = body.as_deref().map(FrozenMessage::message_type);
-                evidence_loss(appender, &from, &to, message_type, DEGRADED.to_string(), at_millis);
+                let cause = DEGRADED.to_string();
+                evidence_loss(appender, shared, (from, to), message_type, cause, at_millis);
             }
             ShardTask::Invalidate { .. } => {}
             ShardTask::Shutdown => *shutdown = true,
@@ -802,12 +830,18 @@ fn discard_as_lost(
 /// prepared hand-off is evidenced as lost (never silently dropped), then the
 /// batch's counters are flushed and its `in_flight` hold released so `drain`
 /// completes.
-fn abandon_progress(state: &mut WorkerState, progress: &mut BatchProgress, shard: &ShardState) {
+fn abandon_progress(
+    shared: &SharedState,
+    state: &mut WorkerState,
+    progress: &mut BatchProgress,
+    shard: &ShardState,
+) {
     if !progress.active {
         return;
     }
     let remaining = progress.batch.drain(progress.cursor..);
-    progress.local.lost += discard_as_lost(&mut state.appender, remaining, &mut progress.shutdown);
+    progress.local.lost +=
+        discard_as_lost(&mut state.appender, shared, remaining, &mut progress.shutdown);
     progress.batch.clear();
     progress.cursor = 0;
     while let Some(hand_off) = progress.pending.pop_front() {
@@ -815,8 +849,8 @@ fn abandon_progress(state: &mut WorkerState, progress: &mut BatchProgress, shard
         // receiver-side hand-off without re-counting it.
         evidence_loss(
             &mut state.appender,
-            &hand_off.from,
-            &hand_off.to,
+            shared,
+            (hand_off.from, hand_off.to),
             Some(hand_off.item.message_type()),
             format!("mailbox hand-off abandoned: {DEGRADED}"),
             hand_off.at_millis,
@@ -830,6 +864,7 @@ fn abandon_progress(state: &mut WorkerState, progress: &mut BatchProgress, shard
 /// evidenced as lost, their `in_flight` released) until Shutdown arrives.
 /// Without this, `drain()` and `shutdown()` would hang on a dead shard.
 fn reject_until_shutdown(
+    shared: &SharedState,
     state: &mut WorkerState,
     shard: &ShardState,
     progress: &mut BatchProgress,
@@ -837,8 +872,8 @@ fn reject_until_shutdown(
     loop {
         shard.queue.pop_batch(&mut progress.batch, POP_BATCH);
         let popped = progress.batch.len() as u64;
-        let lost =
-            discard_as_lost(&mut state.appender, progress.batch.drain(..), &mut progress.shutdown);
+        let tasks = progress.batch.drain(..);
+        let lost = discard_as_lost(&mut state.appender, shared, tasks, &mut progress.shutdown);
         shard.counters.lost.fetch_add(lost, Ordering::Relaxed);
         shard.counters.in_flight.fetch_sub(popped, Ordering::SeqCst);
         if progress.shutdown {
@@ -850,12 +885,11 @@ fn reject_until_shutdown(
 /// The pair's summary entry, opened at `at_millis` on first use.
 fn pair_summary(
     summaries: &mut HashMap<PairKey, PairSummary>,
-    from: Arc<str>,
-    to: Arc<str>,
+    pair: PairKey,
     at_millis: u64,
 ) -> &mut PairSummary {
     summaries
-        .entry((from, to))
+        .entry(pair)
         .or_insert_with(|| PairSummary { first_millis: at_millis, ..PairSummary::default() })
 }
 
@@ -877,16 +911,17 @@ fn process_delivery(
     local: &mut BatchCounters,
     pending: &mut VecDeque<PendingHandOff>,
     probe: DeliveryProbe<'_>,
-    from: Arc<str>,
-    to: Arc<str>,
+    from: EndpointId,
+    to: EndpointId,
     at_millis: u64,
     body: Option<Arc<FrozenMessage>>,
 ) {
     failpoint::inject(&config.failpoints, FailpointSite::ShardProcess);
     // Read both endpoints' *current* contexts: a message is always judged against the
     // state of the world at enforcement time, so an entity's context change is in force
-    // for every message behind it in the queue (§8.2.2 re-evaluation).
-    let (Some(src), Some(dst)) = (directory.endpoints.get(&*from), directory.endpoints.get(&*to))
+    // for every message behind it in the queue (§8.2.2 re-evaluation). An id stands for
+    // a name, so this finds whoever holds the name now — or nobody.
+    let (Some(src), Some(dst)) = (directory.endpoints.get(from), directory.endpoints.get(to))
     else {
         local.missing_endpoint += 1;
         return;
@@ -906,10 +941,11 @@ fn process_delivery(
         let message_type = Some(facts?.message_type);
         let (access, principal, now) =
             (&directory.access, src.component.principal(), Timestamp(at_millis));
+        let to = dst.component.name();
         let answer = if config.cache_ac_decisions {
-            ac_cache.decide(access, &to, principal, Operation::Send, message_type, snapshot, now)
+            ac_cache.decide(access, to, principal, Operation::Send, message_type, snapshot, now)
         } else {
-            (access.decide(&to, principal, Operation::Send, message_type, snapshot, now), false)
+            (access.decide(to, principal, Operation::Send, message_type, snapshot, now), false)
         };
         probe.lap(if answer.1 { Stage::AcHit } else { Stage::AcMiss });
         Some(answer)
@@ -946,7 +982,7 @@ fn process_delivery(
         // `FlowSummary` records then cover exactly these denials — so the evidence
         // totals add up.
         local.denied += 1;
-        let summary = pair_summary(&mut state.summaries, from, to, at_millis);
+        let summary = pair_summary(&mut state.summaries, (from, to), at_millis);
         summary.denied += 1;
         summary.last_millis = at_millis;
         return;
@@ -998,8 +1034,8 @@ fn process_delivery(
             if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
                 state.appender.append(
                     AuditEvent::MessageQuenched {
-                        source: from.to_string(),
-                        destination: to.to_string(),
+                        source: src.component.name().to_string(),
+                        destination: dst.component.name().to_string(),
                         message_type: message.message_type().to_string(),
                         attributes: schema.mask_names(mask).map(str::to_string).collect(),
                     },
@@ -1014,13 +1050,13 @@ fn process_delivery(
             // after the batch releases the directory lock (see `PendingHandOff`).
             if let Some(mailbox) = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed()) {
                 // The zero-copy hand-off: an untouched message moves the fan-out's
-                // `Arc` straight into the mailbox; quenching shares every buffer and
-                // only re-wraps the cleared presence mask.
+                // `Arc` straight into the mailbox; quenching shares the body and only
+                // re-wraps the cleared presence mask.
                 let message = if mask == 0 { message } else { Arc::new(message.quench(mask)) };
                 pending.push_back(PendingHandOff {
                     mailbox: Arc::clone(mailbox),
-                    from: Arc::clone(&from),
-                    to: Arc::clone(&to),
+                    from,
+                    to,
                     at_millis,
                     item: ReceivedMessage::Frozen(message),
                 });
@@ -1033,7 +1069,7 @@ fn process_delivery(
     }
 
     if config.audit_detail == AuditDetail::Summarised {
-        let summary = pair_summary(&mut state.summaries, from, to, at_millis);
+        let summary = pair_summary(&mut state.summaries, (from, to), at_millis);
         if denied {
             summary.denied += 1;
         } else {
@@ -1050,6 +1086,7 @@ fn process_delivery(
 /// per-pair `DeliveryDropped` total emitted at shutdown — so summing `dropped` over
 /// all records counts every shed delivery exactly once in either mode.
 fn complete_hand_off(
+    shared: &SharedState,
     config: &DataplaneConfig,
     state: &mut WorkerState,
     local: &mut BatchCounters,
@@ -1057,7 +1094,7 @@ fn complete_hand_off(
     hand_off: PendingHandOff,
 ) {
     failpoint::inject(&config.failpoints, FailpointSite::MailboxHandOff);
-    let PendingHandOff { mailbox, from, to, at_millis, item } = hand_off;
+    let PendingHandOff { mailbox, to, at_millis, item, .. } = hand_off;
     // The hand-off span is the whole push (including any Block stall); the stall
     // histogram additionally isolates just the parked portion, one sample per push
     // that actually waited.
@@ -1072,14 +1109,15 @@ fn complete_hand_off(
         MailboxPush::DroppedOldest(shed) => {
             local.receiver_enqueued += 1;
             local.receiver_dropped += 1;
-            let source: Arc<str> =
-                if shed.sender() == &*from { from } else { Arc::from(shed.sender()) };
+            // The shed delivery names its own source; the directory (not locked here,
+            // so read under a short lock of its own) has the rest.
             match config.audit_detail {
                 AuditDetail::Full => {
+                    let destination = shared.directory.read().endpoints.name(to).to_string();
                     state.appender.append(
                         AuditEvent::DeliveryDropped {
-                            source: source.to_string(),
-                            destination: to.to_string(),
+                            source: shed.sender().to_string(),
+                            destination,
                             message_type: shed.message_type().to_string(),
                             dropped: 1,
                         },
@@ -1087,7 +1125,9 @@ fn complete_hand_off(
                     );
                 }
                 AuditDetail::Summarised => {
-                    let summary = pair_summary(&mut state.summaries, source, to, at_millis);
+                    let source = shared.directory.read().endpoints.id_of(shed.sender());
+                    let source = source.expect("a published message's sender has an id");
+                    let summary = pair_summary(&mut state.summaries, (source, to), at_millis);
                     *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
                     summary.last_millis = summary.last_millis.max(at_millis);
                 }

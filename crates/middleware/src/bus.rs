@@ -54,14 +54,6 @@ pub enum MiddlewareError {
         /// The configured mailbox capacity.
         capacity: usize,
     },
-    /// The enforcement shard that owns the destination has degraded (its worker
-    /// exhausted the restart budget), so the send is refused instead of hanging —
-    /// the middleware-level counterpart of the dataplane's
-    /// `DataplaneError::ShardUnavailable`.
-    ShardUnavailable {
-        /// The degraded shard's index.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for MiddlewareError {
@@ -75,12 +67,6 @@ impl fmt::Display for MiddlewareError {
             }
             MiddlewareError::QueueFull { component, capacity } => {
                 write!(f, "mailbox of `{component}` is full (capacity {capacity})")
-            }
-            MiddlewareError::ShardUnavailable { shard } => {
-                write!(
-                    f,
-                    "shard {shard} is unavailable (degraded after exhausting its restart budget)"
-                )
             }
         }
     }

@@ -6,12 +6,21 @@
 //! `country`" (§8.2.2). Message-level tags augment the component's security context
 //! (Fig. 10); enforcement "may entail source quenching, in that messages/attribute
 //! values are not transferred if the tags of each party do not accord".
+//!
+//! Two forms of a message live here. [`Message`] is the mutable map form the bus
+//! carries. [`FrozenMessage`] is what the dataplane shares between threads: a
+//! validated message compiled against a [`FrozenSchema`] into one reference-counted
+//! body — schema handle, message-level context, sender, send time and a [`Payload`]
+//! whose offset table and value bytes are a single buffer — plus a `u64` mask of the
+//! attributes still present. Freezing costs two allocations, payload and body (a
+//! third in [`FrozenMessage::freeze`], for the sender name the middleware otherwise
+//! supplies); cloning and quenching are one refcount bump, the latter with a smaller
+//! mask, and neither allocates.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use legaliot_ifc::{Label, SecurityContext, StableHasher};
@@ -426,59 +435,70 @@ pub fn encoded_payload_len(message: &Message) -> usize {
     message.attributes.values().map(encoded_value_len).sum()
 }
 
-/// The attribute values of one message encoded back-to-back into a single immutable,
-/// reference-counted buffer ([`Bytes`]), with an offset table shared via `Arc`.
+/// The attribute values of one message and their offset table, in *one* allocation:
+/// `len` little-endian `u32` end offsets, then the values encoded back-to-back.
+/// Attribute `i` occupies `values[end(i - 1)..end(i)]` (from 0 for the first).
 ///
-/// Cloning a payload is two refcount bumps; no message data is ever copied after
-/// freezing. Values decode lazily against the schema's kind table.
+/// A payload lives inside its message's shared body, so it carries no reference count
+/// of its own; values decode lazily against the schema's kind table.
 #[derive(Debug, Clone)]
 pub struct Payload {
-    buffer: Bytes,
-    /// `len + 1` byte offsets into `buffer`; attribute `i` occupies
-    /// `buffer[offsets[i]..offsets[i + 1]]`.
-    offsets: Arc<[u32]>,
+    buffer: Box<[u8]>,
+    /// Where the values start in `buffer`: 4 × the attribute count.
+    values_at: usize,
 }
 
 impl Payload {
-    fn encode(message: &Message, schema: &FrozenSchema) -> Payload {
-        let total: usize = message.attributes.values().map(encoded_value_len).sum();
-        let mut buffer = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(schema.len() + 1);
-        offsets.push(0u32);
-        for name in schema.names.iter() {
-            let value = &message.attributes[&**name];
+    /// Encodes a message already validated against the schema it will be read with.
+    fn encode(message: &Message) -> Result<Payload, String> {
+        let total = encoded_payload_len(message);
+        if u32::try_from(total).is_err() {
+            return Err(format!("payload of {total} bytes exceeds the 4 GiB offset range"));
+        }
+        let values_at = 4 * message.attributes.len();
+        let mut buffer = Vec::with_capacity(values_at + total);
+        buffer.resize(values_at, 0);
+        // A validated message holds exactly the schema's names, and both are sorted:
+        // its values are already in table order.
+        for (index, value) in message.attributes.values().enumerate() {
             match value {
                 AttributeValue::Text(s) => buffer.extend_from_slice(s.as_bytes()),
                 AttributeValue::Integer(i) => buffer.extend_from_slice(&i.to_le_bytes()),
                 AttributeValue::Float(x) => buffer.extend_from_slice(&x.to_bits().to_le_bytes()),
                 AttributeValue::Bool(b) => buffer.push(u8::from(*b)),
             }
-            offsets.push(buffer.len() as u32);
+            let end = (buffer.len() - values_at) as u32;
+            buffer[4 * index..4 * index + 4].copy_from_slice(&end.to_le_bytes());
         }
-        Payload { buffer: Bytes::from(buffer), offsets: Arc::from(offsets) }
+        // Filled to exactly its capacity, so boxing it does not reallocate.
+        Ok(Payload { buffer: buffer.into_boxed_slice(), values_at })
     }
 
-    /// Total encoded size in bytes.
+    /// Total encoded size of the values in bytes.
     pub fn byte_len(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.values_at
     }
 
-    /// The whole encoded buffer. Clones of a payload (and quenched forms of its
-    /// message) share this allocation, so pointer identity of the returned slice
+    /// The encoded values (not the offset table). Clones and quenched forms of a
+    /// message share this allocation, so pointer identity of the returned slice
     /// witnesses that no copy happened.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buffer
+        &self.buffer[self.values_at..]
     }
 
-    /// Encoded size in bytes of the attribute at `index`.
-    fn span_len(&self, index: usize) -> usize {
-        (self.offsets[index + 1] - self.offsets[index]) as usize
+    /// The byte range of the attribute at `index` within [`Self::as_slice`].
+    fn span(&self, index: usize) -> std::ops::Range<usize> {
+        let end = |index: usize| {
+            let mut raw = [0u8; 4];
+            raw.copy_from_slice(&self.buffer[4 * index..4 * index + 4]);
+            u32::from_le_bytes(raw) as usize
+        };
+        let start = if index == 0 { 0 } else { end(index - 1) };
+        start..end(index)
     }
 
     fn decode(&self, index: usize, kind: AttributeKind) -> AttributeValue {
-        let start = self.offsets[index] as usize;
-        let end = self.offsets[index + 1] as usize;
-        let bytes = &self.buffer[start..end];
+        let bytes = &self.as_slice()[self.span(index)];
         match kind {
             AttributeKind::Text => {
                 AttributeValue::Text(String::from_utf8_lossy(bytes).into_owned())
@@ -498,87 +518,108 @@ impl Payload {
     }
 }
 
-/// A validated, immutable message frozen against a [`FrozenSchema`]: the zero-copy
-/// representation the dataplane carries through its shards.
-///
-/// All heavy state is shared (`Arc`/[`Bytes`]), so cloning one — e.g. once per
-/// subscriber in a fan-out — is a handful of refcount bumps. Quenching clears bits in
-/// the `present` mask and shares everything else, in contrast to
-/// [`Message::quenched`]'s full map clone.
+/// Everything about a frozen message that never changes once it is published, behind
+/// the one reference count its clones and quenched forms share.
 #[derive(Debug, Clone)]
-pub struct FrozenMessage {
+struct Body {
     schema: Arc<FrozenSchema>,
     payload: Payload,
     /// The message-level security context the application attached (extra secrecy
     /// tags; integrity always comes from the sender at enforcement time).
-    extra_context: Arc<SecurityContext>,
+    extra_context: SecurityContext,
     sender: Arc<str>,
     sent_at_millis: u64,
+}
+
+/// A validated, immutable message frozen against a [`FrozenSchema`]: the zero-copy
+/// representation the dataplane carries through its shards.
+///
+/// A message is one shared body — schema, payload, context, sender, send time — plus
+/// the mask of attributes still present. Cloning one (once per subscriber in a
+/// fan-out) is one refcount bump; quenching is that bump and a mask, in contrast to
+/// [`Message::quenched`]'s full map clone.
+#[derive(Debug, Clone)]
+pub struct FrozenMessage {
+    body: Arc<Body>,
     /// Bitmask of attributes still present (quenching clears bits).
     present: u64,
 }
 
 impl FrozenMessage {
-    /// Validates `message` against `schema` and freezes it.
+    /// Validates `message` against `schema` and freezes it, sender and send time as
+    /// the message states them.
     ///
     /// # Errors
     ///
     /// Returns the same schema-violation message [`MessageSchema::validate`] would.
     pub fn freeze(message: &Message, schema: Arc<FrozenSchema>) -> Result<FrozenMessage, String> {
+        let sender = Arc::from(message.sender.as_str());
+        Self::freeze_stamped(message, schema, sender, message.sent_at_millis)
+    }
+
+    /// [`Self::freeze`] with the sender and send time the middleware stamps (the
+    /// publishing endpoint's interned name, the publish timestamp) in place of the
+    /// message's own, so a publish builds its body once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::freeze`].
+    pub fn freeze_stamped(
+        message: &Message,
+        schema: Arc<FrozenSchema>,
+        sender: Arc<str>,
+        sent_at_millis: u64,
+    ) -> Result<FrozenMessage, String> {
         schema.validate(message)?;
-        let payload = Payload::encode(message, &schema);
+        let payload = Payload::encode(message)?;
         let present = if schema.len() == MAX_FROZEN_ATTRIBUTES {
             u64::MAX
         } else {
             (1u64 << schema.len()) - 1
         };
-        Ok(FrozenMessage {
-            payload,
-            extra_context: Arc::new(message.context.clone()),
-            sender: Arc::from(message.sender.as_str()),
-            sent_at_millis: message.sent_at_millis,
-            present,
-            schema,
-        })
+        let extra_context = message.context.clone();
+        let body = Body { schema, payload, extra_context, sender, sent_at_millis };
+        Ok(FrozenMessage { body: Arc::new(body), present })
     }
 
-    /// Replaces the sender (the middleware stamps the publishing endpoint's name).
+    /// Replaces the sender. Copies the body first if a clone shares it, so other
+    /// clones keep theirs.
     #[must_use]
     pub fn with_sender(mut self, sender: Arc<str>) -> Self {
-        self.sender = sender;
+        Arc::make_mut(&mut self.body).sender = sender;
         self
     }
 
-    /// Replaces the send time (the middleware stamps the publish timestamp).
+    /// Replaces the send time, copying a shared body as [`Self::with_sender`] does.
     #[must_use]
     pub fn with_sent_at(mut self, at_millis: u64) -> Self {
-        self.sent_at_millis = at_millis;
+        Arc::make_mut(&mut self.body).sent_at_millis = at_millis;
         self
     }
 
     /// The schema this message was frozen against.
     pub fn schema(&self) -> &Arc<FrozenSchema> {
-        &self.schema
+        &self.body.schema
     }
 
     /// The message's type.
     pub fn message_type(&self) -> &MessageType {
-        self.schema.message_type()
+        self.body.schema.message_type()
     }
 
     /// The sending component's name.
     pub fn sender(&self) -> &str {
-        &self.sender
+        &self.body.sender
     }
 
     /// Simulated send time (ms).
     pub fn sent_at_millis(&self) -> u64 {
-        self.sent_at_millis
+        self.body.sent_at_millis
     }
 
     /// The message-level security context (application-supplied extra tags).
     pub fn extra_context(&self) -> &SecurityContext {
-        &self.extra_context
+        &self.body.extra_context
     }
 
     /// Bitmask of attributes still present.
@@ -593,13 +634,13 @@ impl FrozenMessage {
 
     /// Encoded payload size in bytes (shared across clones and quenched forms).
     pub fn payload_byte_len(&self) -> usize {
-        self.payload.byte_len()
+        self.body.payload.byte_len()
     }
 
     /// The shared encoded payload (for byte-level inspection; the buffer is common to
     /// every clone and quenched form of this message).
     pub fn payload(&self) -> &Payload {
-        &self.payload
+        &self.body.payload
     }
 
     /// Encoded size in bytes of the attributes still *present* — the effective bytes a
@@ -620,52 +661,51 @@ impl FrozenMessage {
         while present != 0 {
             let index = present.trailing_zeros() as usize;
             present &= present - 1;
-            total += self.payload.span_len(index);
+            total += self.body.payload.span(index).len();
         }
         total
     }
 
     /// Decodes a present attribute by name.
     pub fn get(&self, name: &str) -> Option<AttributeValue> {
-        let index = self.schema.index_of(name)?;
+        let schema = &self.body.schema;
+        let index = schema.index_of(name)?;
         if self.present & (1 << index) == 0 {
             return None;
         }
-        Some(self.payload.decode(index, self.schema.kind(index)))
+        Some(self.body.payload.decode(index, schema.kind(index)))
     }
 
     /// Iterates the present attributes as `(name, value)` in name order, decoding
     /// values on the fly.
     pub fn attributes(&self) -> impl Iterator<Item = (&str, AttributeValue)> + '_ {
-        self.schema
+        let body = &*self.body;
+        body.schema
             .names
             .iter()
             .enumerate()
             .filter(move |(index, _)| self.present & (1 << index) != 0)
             .map(move |(index, name)| {
-                (&**name, self.payload.decode(index, self.schema.kind(index)))
+                (&**name, body.payload.decode(index, body.schema.kind(index)))
             })
     }
 
-    /// The source-quenched form with the attributes in `mask` removed: shares the
-    /// payload buffer, the name table and the context — only the presence bitmask
-    /// changes.
+    /// The source-quenched form with the attributes in `mask` removed: the same body,
+    /// a smaller presence mask.
     #[must_use]
     pub fn quench(&self, mask: u64) -> FrozenMessage {
-        let mut out = self.clone();
-        out.present &= !mask;
-        out
+        FrozenMessage { body: Arc::clone(&self.body), present: self.present & !mask }
     }
 
     /// Reconstructs the mutable [`Message`] form (decoding every present attribute).
     /// `freeze` followed by `thaw` round-trips exactly.
     pub fn thaw(&self) -> Message {
         Message {
-            message_type: self.schema.message_type.clone(),
+            message_type: self.message_type().clone(),
             attributes: self.attributes().map(|(name, value)| (name.to_string(), value)).collect(),
-            context: (*self.extra_context).clone(),
-            sender: self.sender.to_string(),
-            sent_at_millis: self.sent_at_millis,
+            context: self.body.extra_context.clone(),
+            sender: self.body.sender.to_string(),
+            sent_at_millis: self.body.sent_at_millis,
         }
     }
 }
@@ -675,10 +715,10 @@ impl fmt::Display for FrozenMessage {
         write!(
             f,
             "{}({} attrs, {} bytes) from {}",
-            self.schema.message_type,
+            self.message_type(),
             self.attribute_count(),
-            self.payload.byte_len(),
-            self.sender
+            self.payload_byte_len(),
+            self.sender()
         )
     }
 }
@@ -855,6 +895,47 @@ mod tests {
             frozen.payload().as_slice().as_ptr(),
             quenched.payload().as_slice().as_ptr()
         ));
+    }
+
+    #[test]
+    fn successive_quenches_compose_and_share_one_body() {
+        let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
+        let frozen = FrozenMessage::freeze(&reading_message(), schema).unwrap();
+        for (a, b) in [(0b001u64, 0b100u64), (0b011, 0b110), (0, 0b010), (0b111, 0b111)] {
+            let stepwise = frozen.quench(a).quench(b);
+            let at_once = frozen.quench(a | b);
+            assert_eq!(stepwise.present_mask(), at_once.present_mask());
+            assert_eq!(stepwise.thaw(), at_once.thaw());
+            assert!(Arc::ptr_eq(&stepwise.body, &frozen.body));
+            assert!(Arc::ptr_eq(&at_once.body, &frozen.body));
+        }
+    }
+
+    #[test]
+    fn restamping_a_clone_leaves_the_other_clone_untouched() {
+        let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
+        let mut message = reading_message();
+        message.sender = "ann-sensor".into();
+        message.sent_at_millis = 42;
+        let original = FrozenMessage::freeze(&message, schema).unwrap();
+        let restamped = original.clone().with_sender(Arc::from("relay")).with_sent_at(43);
+        assert_eq!((restamped.sender(), restamped.sent_at_millis()), ("relay", 43));
+        assert_eq!((original.sender(), original.sent_at_millis()), ("ann-sensor", 42));
+        assert_eq!(original.thaw(), message);
+        assert_eq!(restamped.payload().as_slice(), original.payload().as_slice());
+        // An unshared message is restamped in place: same body, no copy.
+        let body = Arc::as_ptr(&restamped.body);
+        let again = restamped.with_sent_at(44);
+        assert_eq!(Arc::as_ptr(&again.body), body);
+        // The stamping constructor agrees with stamping afterwards.
+        let stamped = FrozenMessage::freeze_stamped(
+            &message,
+            Arc::clone(original.schema()),
+            Arc::from("relay"),
+            44,
+        )
+        .unwrap();
+        assert_eq!(stamped.thaw(), again.thaw());
     }
 
     #[test]

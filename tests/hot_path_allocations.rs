@@ -1,0 +1,165 @@
+//! What one message costs the allocator, counted — not timed.
+//!
+//! A payload publish shares one frozen body between the publisher, the destination's
+//! shard and the consumer, and names its endpoints by handle. On the smart-home
+//! topology (fan-out 1, one attribute quenched per delivery) that is four allocations
+//! per message — payload buffer, body, the `Arc<FrozenMessage>` the fan-out shares, the
+//! quenched `Arc<FrozenMessage>` the shard hands the mailbox — and four frees. The
+//! fraction above four is amortised queue growth plus the `Vec` each
+//! `Subscriber::drain` returns. A delivery that quenches nothing moves the fan-out's
+//! `Arc` into the mailbox, so the shard allocates nothing at all.
+//!
+//! The counts come from a counting `#[global_allocator]`; what *other* threads
+//! allocated is the global count minus this thread's own, which works because the
+//! test thread and the engine's shard workers are the only threads doing anything.
+//! CI runs this in `--release` (the `e2e-enforcement` job).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use legaliot::context::{ContextSnapshot, Timestamp};
+use legaliot::dataplane::{smart_home, Dataplane, DataplaneConfig, Subscriber, TopologyBuilder};
+use legaliot::ifc::{SecurityContext, Tag};
+use legaliot::middleware::{Component, Message, Principal};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a destructor, so
+    /// reading it from inside the allocator never allocates and never finds it gone.
+    static OWN_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls. A `realloc` goes through the trait's default —
+/// an `alloc` and a `dealloc` — and so counts as one of each.
+struct Counting;
+
+// SAFETY: every request is passed to `System` unchanged and its result returned
+// unchanged, so `System`'s guarantees are this allocator's; the counters touch no
+// memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = OWN_ALLOCATIONS.try_with(|own| own.set(own.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `alloc` above, that is from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The counters are process-wide: one measurement at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+const MESSAGES: u64 = 1000;
+
+/// `(allocations, frees, allocations by other threads)` during `work`.
+fn counted(work: impl FnOnce()) -> (u64, u64, u64) {
+    let own = || OWN_ALLOCATIONS.with(Cell::get);
+    let before = (ALLOCATIONS.load(Ordering::SeqCst), FREES.load(Ordering::SeqCst), own());
+    work();
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before.0;
+    (allocations, FREES.load(Ordering::SeqCst) - before.1, allocations - (own() - before.2))
+}
+
+/// An engine with `topology` installed and a receiver on every subscribing endpoint.
+fn install(topology: &legaliot::dataplane::Topology) -> (Dataplane, Vec<Subscriber>) {
+    let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
+    let dataplane = Dataplane::new("allocations", config);
+    let admitted = topology
+        .install_with_payload_schemas(&dataplane, &ContextSnapshot::default(), Timestamp(1))
+        .expect("a fresh engine takes the topology");
+    assert_eq!(admitted, topology.edges.len());
+    let mut receivers: Vec<&str> = topology.edges.iter().map(|(_, to)| to.as_str()).collect();
+    receivers.sort_unstable();
+    receivers.dedup();
+    let subscribers =
+        receivers.iter().map(|name| dataplane.open_subscriber(name).expect("registered")).collect();
+    (dataplane, subscribers)
+}
+
+/// One cycle: `MESSAGES` publishes round-robin over the feeds, the shards run dry, every
+/// mailbox is drained, the bodies are dropped. Returns how many bodies arrived.
+fn cycle(dataplane: &Dataplane, subscribers: &[Subscriber], feeds: &[(String, Message)]) -> u64 {
+    for (seq, (publisher, message)) in (0..MESSAGES).zip(feeds.iter().cycle()) {
+        dataplane.publish_message(publisher, message, Timestamp(seq)).expect("publishes");
+    }
+    dataplane.drain();
+    subscribers.iter().map(|subscriber| subscriber.drain().len() as u64).sum()
+}
+
+#[test]
+fn a_message_costs_four_allocations_and_four_frees() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let topology = smart_home(8, 1);
+    let feeds = topology.publisher_messages();
+    let (dataplane, subscribers) = install(&topology);
+    // Warm-up: caches, first-of-pair audit records, queue and mailbox capacity.
+    for _ in 0..3 {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES, "fan-out 1");
+    }
+    let quenched_before = dataplane.stats().quenched_attributes;
+    let (allocations, frees, _) = counted(|| {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
+    });
+    assert_eq!(dataplane.stats().quenched_attributes - quenched_before, MESSAGES);
+    let per_message = |count: u64| count as f64 / MESSAGES as f64;
+    println!(
+        "per message: {:.3} allocations, {:.3} frees",
+        per_message(allocations),
+        per_message(frees)
+    );
+    assert!(
+        per_message(allocations) <= 4.1,
+        "{:.3} allocations per message (payload, body, shared Arc, quenched Arc = 4)",
+        per_message(allocations)
+    );
+    assert!(per_message(frees) <= 4.1, "{:.3} frees per message", per_message(frees));
+    dataplane.shutdown();
+}
+
+#[test]
+fn an_unquenched_delivery_allocates_nothing_on_the_shard() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // One smart-home publisher and a sink cleared for everything it says, the
+    // message-level `identity` tag included: quench mask 0.
+    let home = smart_home(8, 1);
+    let (publisher, message) = home.publisher_messages().swap_remove(0);
+    let source = home.components.iter().find(|c| c.name() == publisher).expect("a component");
+    let mut secrecy = source.context().secrecy().clone();
+    secrecy.insert(Tag::new("identity"));
+    let sink = Component::builder("identity-sink", Principal::new("owner"))
+        .context(SecurityContext::new(secrecy, Default::default()))
+        .build();
+    let topology = TopologyBuilder::new("unquenched")
+        .component(source.clone())
+        .component(sink)
+        .edge(publisher.as_str(), "identity-sink")
+        .build();
+    let feeds = [(publisher, message)];
+    let (dataplane, subscribers) = install(&topology);
+    for _ in 0..3 {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
+    }
+    let (allocations, frees, elsewhere) = counted(|| {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
+    });
+    let stats = dataplane.stats();
+    assert_eq!((stats.delivered, stats.quenched_attributes), (4 * MESSAGES, 0));
+    println!(
+        "{MESSAGES} messages: {allocations} allocations ({elsewhere} off-thread), {frees} frees"
+    );
+    assert_eq!(elsewhere, 0, "the shard allocated while delivering unquenched bodies");
+    assert!(allocations as f64 <= 3.1 * MESSAGES as f64, "{allocations} allocations");
+    dataplane.shutdown();
+}
