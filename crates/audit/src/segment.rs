@@ -67,6 +67,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use legaliot_ifc::StableHasher;
+use legaliot_obs::HistogramSnapshot;
 
 use crate::codec::{decode_record, encode_record};
 use crate::event::AuditRecord;
@@ -121,77 +122,28 @@ pub enum IoFault {
 /// `None` lets the operation proceed.
 pub type FaultHook = Box<dyn FnMut(IoOp) -> Option<IoFault> + Send>;
 
-/// Log2-bucketed fsync latency histogram. Self-contained (the audit crate has no
-/// dependency on `legaliot-obs`) so the store can report `fsync_p99_ns` to benches
-/// and stats surfaces on its own.
-#[derive(Clone, PartialEq, Eq)]
-pub struct FsyncHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    max_ns: u64,
-}
-
-impl Default for FsyncHistogram {
-    fn default() -> Self {
-        FsyncHistogram { buckets: [0; 64], count: 0, max_ns: 0 }
-    }
-}
-
-impl fmt::Debug for FsyncHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FsyncHistogram")
-            .field("count", &self.count)
-            .field("p99_ns", &self.p99_ns())
-            .field("max_ns", &self.max_ns)
-            .finish()
-    }
-}
+/// A store's fsync latency distribution: a view over the workspace's one histogram
+/// type, [`HistogramSnapshot`] (nanosecond samples, recorded by the store under its
+/// owner's lock; [`SegmentStats::merge`] merges it bucket-wise). The name and its three
+/// accessors are what `benchmark/` reads; everything else goes through `.0`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FsyncHistogram(pub HistogramSnapshot);
 
 impl FsyncHistogram {
-    fn record(&mut self, ns: u64) {
-        let bucket = if ns == 0 { 0 } else { (64 - ns.leading_zeros()) as usize - 1 };
-        self.buckets[bucket.min(63)] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
     /// Number of fsyncs recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
-    /// The slowest fsync observed, in nanoseconds.
+    /// The slowest fsync observed, in nanoseconds; 0 when nothing was recorded.
     pub fn max_ns(&self) -> u64 {
-        self.max_ns
+        self.0.max().unwrap_or(0)
     }
 
     /// Conservative (upper-bound) 99th-percentile fsync latency in nanoseconds;
     /// 0 when nothing was recorded.
     pub fn p99_ns(&self) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (self.count * 99).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Bucket i holds values in [2^i, 2^(i+1)); report its upper bound,
-                // clamped by the true maximum.
-                let upper = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
-                return upper.min(self.max_ns);
-            }
-        }
-        self.max_ns
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &FsyncHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
+        self.0.p99()
     }
 }
 
@@ -228,7 +180,7 @@ impl SegmentStats {
         self.bytes_fsynced += other.bytes_fsynced;
         self.unsynced_bytes += other.unsynced_bytes;
         self.records_dropped += other.records_dropped;
-        self.fsync.merge(&other.fsync);
+        self.fsync.0.merge(&other.fsync.0);
     }
 }
 
@@ -566,7 +518,7 @@ impl SegmentStore {
         match file.sync_all() {
             Ok(()) => {
                 let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                self.stats.fsync.record(elapsed);
+                self.stats.fsync.0.record(elapsed);
                 self.stats.bytes_fsynced += self.stats.unsynced_bytes;
                 self.stats.unsynced_bytes = 0;
                 true
@@ -1289,15 +1241,15 @@ mod tests {
         let mut h = FsyncHistogram::default();
         assert_eq!(h.p99_ns(), 0);
         for ns in [100u64, 200, 300, 1000, 50_000] {
-            h.record(ns);
+            h.0.record(ns);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.max_ns(), 50_000);
         let p99 = h.p99_ns();
         assert!((1000..=50_000).contains(&p99), "p99 = {p99}");
         let mut merged = FsyncHistogram::default();
-        merged.record(7);
-        merged.merge(&h);
+        merged.0.record(7);
+        merged.0.merge(&h.0);
         assert_eq!(merged.count(), 6);
         assert_eq!(merged.max_ns(), 50_000);
     }

@@ -34,7 +34,7 @@ use legaliot_policy::AcCacheStats;
 use crate::failpoint::{self, FailpointRegistry};
 use crate::shard::{panic_message, run_worker, ShardReport, ShardState, ShardTask};
 use crate::subscriber::{Mailbox, OverflowPolicy, Subscriber};
-use crate::telemetry::TelemetrySnapshot;
+use crate::telemetry::{DataplaneStats, EngineCounters, TelemetrySnapshot};
 
 /// How much audit evidence the data path records per message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +138,9 @@ pub struct DataplaneConfig {
     pub overflow: OverflowPolicy,
     /// Per-stage span timing and latency histograms ([`Dataplane::telemetry`]).
     /// Enabled by default; [`ObsConfig::disabled`] skips every clock read so the hot
-    /// path keeps its uninstrumented cost (counters and queue-contention series stay
-    /// on either way — they are relaxed atomics on slow paths).
+    /// path keeps its uninstrumented cost. Counters and the queue park/wait counts
+    /// stay on either way (relaxed atomics, the latter on slow paths only); the
+    /// queue-depth high-water mark travels with span timing and reads 0 when disabled.
     pub telemetry: ObsConfig,
     /// Deterministic, seeded fault injection ([`crate::failpoint`]): panics, delays
     /// and queue-full faults at named sites on the data path, for exercising shard
@@ -439,8 +440,6 @@ pub(crate) struct ShardPersistence {
     pub resume_anchor: u64,
     /// First record id this incarnation may assign (recovered `next_id`).
     pub resume_next_id: u64,
-    /// Torn/corrupt tails truncated while recovering this shard's directory.
-    pub recovery_truncations: u64,
 }
 
 /// State shared between the engine handle and the shard workers.
@@ -458,89 +457,6 @@ pub(crate) struct SharedState {
     /// Time zero for telemetry: enqueue timestamps and worker-side clock reads are
     /// nanoseconds since this instant, so a `u64` carries them through [`ShardTask`]s.
     pub epoch: Instant,
-}
-
-/// Aggregated live statistics across all shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataplaneStats {
-    /// Messages fanned out to shard queues by `publish`/`try_publish`.
-    pub published: u64,
-    /// Messages whose flow check allowed delivery.
-    pub delivered: u64,
-    /// Messages denied: by isolation, by per-message contextual AC (payload
-    /// deliveries) or by IFC. Only IFC denials carry a `FlowChecked` record; the
-    /// other two are evidenced in the per-pair `FlowSummary` counts.
-    pub denied: u64,
-    /// Messages dropped because an endpoint had been deregistered mid-flight.
-    pub missing_endpoint: u64,
-    /// Decision-cache hits across shards.
-    pub cache_hits: u64,
-    /// Decision-cache misses across shards.
-    pub cache_misses: u64,
-    /// Per-message AC cache hits across shards (payload deliveries only).
-    pub ac_cache_hits: u64,
-    /// Per-message AC cache misses across shards (payload deliveries only).
-    pub ac_cache_misses: u64,
-    /// Attributes removed by per-delivery source quenching (Fig. 10).
-    pub quenched_attributes: u64,
-    /// Effective payload bytes moved to receivers: the encoded size of each delivered
-    /// message *minus* the spans of its quenched attributes, summed over deliveries —
-    /// what subscribers actually observe, not what publishers encoded.
-    pub payload_bytes: u64,
-    /// Enforced deliveries handed to subscriber mailboxes (streaming receivers).
-    pub receiver_enqueued: u64,
-    /// Deliveries shed from full subscriber mailboxes under
-    /// [`OverflowPolicy::DropOldest`] (each evidenced as a `DeliveryDropped` record).
-    pub receiver_dropped: u64,
-    /// Times a panicked shard worker was restarted by its supervisor (caches
-    /// rebuilt cold, audit chain re-anchored; see `AuditEvent::ShardRestarted`).
-    /// Zero in normal runs.
-    pub shard_restarts: u64,
-    /// Accepted deliveries abandoned by a crashed or degraded shard, each
-    /// evidenced as an `AuditEvent::DeliveryLost` record — the accounting
-    /// identity `published == delivered + denied + missing_endpoint +
-    /// deliveries_lost` holds exactly after [`Dataplane::drain`]. Zero in
-    /// normal runs.
-    pub deliveries_lost: u64,
-    /// Shards currently degraded (restart budget exhausted; publishes routed to
-    /// them fail with [`DataplaneError::ShardUnavailable`]). Zero in normal runs.
-    pub degraded_shards: u64,
-    /// Segment files opened for writing across all shard stores. Zero when
-    /// persistence is off.
-    pub segments_written: u64,
-    /// Audit records persisted to on-disk segments (retention prune-outs plus the
-    /// shutdown tail). Zero when persistence is off.
-    pub segment_records_persisted: u64,
-    /// Bytes covered by successful segment fsyncs. Zero when persistence is off.
-    pub segment_bytes_fsynced: u64,
-    /// Records a wedged segment store had to drop (injected or real IO fault;
-    /// each loss is counted, never silent). Zero in normal runs.
-    pub segment_records_dropped: u64,
-    /// Torn or corrupt segment tails truncated while recovering the persistence
-    /// directories at engine startup. Zero in normal runs.
-    pub recovery_truncations: u64,
-}
-
-impl DataplaneStats {
-    /// Flow-decision cache hit ratio in `[0, 1]`; `0` before any lookups.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// AC-decision cache hit ratio in `[0, 1]`; `0` before any lookups.
-    pub fn ac_cache_hit_ratio(&self) -> f64 {
-        let total = self.ac_cache_hits + self.ac_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.ac_cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Everything a dataplane hands back at shutdown.
@@ -623,7 +539,7 @@ pub struct Dataplane {
     shared: Arc<SharedState>,
     workers: Vec<JoinHandle<ShardReport>>,
     config: DataplaneConfig,
-    published: std::sync::atomic::AtomicU64,
+    counters: EngineCounters,
 }
 
 /// Change-history retention of the store an engine creates for itself
@@ -659,6 +575,7 @@ impl Dataplane {
     ) -> Self {
         let name = name.into();
         let shards = config.shards.max(1);
+        let counters = EngineCounters::default();
         let persistence: Vec<Option<ShardPersistence>> = match &config.persistence {
             None => (0..shards).map(|_| None).collect(),
             Some(persistence) => (0..shards)
@@ -680,11 +597,11 @@ impl Dataplane {
                             registry,
                         )));
                     }
+                    counters.recovery_truncations.add(report.truncations.len() as u64);
                     Some(ShardPersistence {
                         store: Arc::new(Mutex::new(store)),
                         resume_anchor: report.head_hash,
                         resume_next_id: report.next_id,
-                        recovery_truncations: report.truncations.len() as u64,
                     })
                 })
                 .collect(),
@@ -714,7 +631,7 @@ impl Dataplane {
                 thread::spawn(move || run_worker(index, shared, config))
             })
             .collect();
-        Dataplane { shared, workers, config, published: std::sync::atomic::AtomicU64::new(0) }
+        Dataplane { shared, workers, config, counters }
     }
 
     /// The configuration this engine runs with.
@@ -1012,14 +929,14 @@ impl Dataplane {
             // A degraded shard no longer enforces anything: fail fast instead of
             // enqueueing work that would only be evidenced as lost (or, under a
             // blocking publish, hanging on a queue nobody fully services).
-            if state.counters.degraded.load(Ordering::Relaxed) {
-                self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
+            if state.degraded.load(Ordering::Relaxed) {
+                self.counters.published.add(enqueued as u64);
                 return Err(DataplaneError::ShardUnavailable { shard });
             }
             // The `ingress.enqueue` failpoint: injected queue-full backpressure
             // (or a publisher-side delay), before any in-flight accounting.
             if failpoint::inject_ingress(&self.config.failpoints) {
-                self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
+                self.counters.published.add(enqueued as u64);
                 return Err(DataplaneError::QueueFull { shard, capacity: state.queue.capacity() });
             }
             let task = ShardTask::Deliver {
@@ -1029,7 +946,7 @@ impl Dataplane {
                 enqueued_ns,
                 body: if index + 1 == subscribers.len() { body.take() } else { body.clone() },
             };
-            state.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+            state.in_flight.fetch_add(1, Ordering::SeqCst);
             if block {
                 let depth = state.queue.push(task);
                 state.telemetry.record_queue_depth(depth);
@@ -1037,8 +954,8 @@ impl Dataplane {
                 match state.queue.try_push(task) {
                     Ok(depth) => state.telemetry.record_queue_depth(depth),
                     Err(_) => {
-                        state.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
+                        state.in_flight.fetch_sub(1, Ordering::SeqCst);
+                        self.counters.published.add(enqueued as u64);
                         return Err(DataplaneError::QueueFull {
                             shard,
                             capacity: state.queue.capacity(),
@@ -1048,7 +965,7 @@ impl Dataplane {
             }
             enqueued += 1;
         }
-        self.published.fetch_add(enqueued as u64, Ordering::Relaxed);
+        self.counters.published.add(enqueued as u64);
         Ok(enqueued)
     }
 
@@ -1148,7 +1065,7 @@ impl Dataplane {
         // Broadcast after releasing the write lock: a full queue must not deadlock the
         // workers (which take the read lock) against this writer.
         for shard in &self.shared.shards {
-            shard.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+            shard.in_flight.fetch_add(1, Ordering::SeqCst);
             shard.queue.push(ShardTask::Invalidate { context_hash: old_hash });
         }
         Ok(())
@@ -1189,12 +1106,8 @@ impl Dataplane {
     pub fn drain(&self) {
         let mut spins = 0u32;
         loop {
-            let in_flight: u64 = self
-                .shared
-                .shards
-                .iter()
-                .map(|shard| shard.counters.in_flight.load(Ordering::SeqCst))
-                .sum();
+            let in_flight: u64 =
+                self.shared.shards.iter().map(|shard| shard.in_flight.load(Ordering::SeqCst)).sum();
             if in_flight == 0 {
                 return;
             }
@@ -1212,40 +1125,8 @@ impl Dataplane {
     /// Live aggregated statistics (racy by nature while publishers are active; exact
     /// after [`Self::drain`]).
     pub fn stats(&self) -> DataplaneStats {
-        let mut stats = DataplaneStats {
-            published: self.published.load(Ordering::Relaxed),
-            ..DataplaneStats::default()
-        };
-        for shard in &self.shared.shards {
-            stats.delivered += shard.counters.delivered.load(Ordering::Relaxed);
-            stats.denied += shard.counters.denied.load(Ordering::Relaxed);
-            stats.missing_endpoint += shard.counters.missing_endpoint.load(Ordering::Relaxed);
-            stats.cache_hits += shard.counters.cache_hits.load(Ordering::Relaxed);
-            stats.cache_misses += shard.counters.cache_misses.load(Ordering::Relaxed);
-            stats.ac_cache_hits += shard.counters.ac_cache_hits.load(Ordering::Relaxed);
-            stats.ac_cache_misses += shard.counters.ac_cache_misses.load(Ordering::Relaxed);
-            stats.quenched_attributes += shard.counters.quenched.load(Ordering::Relaxed);
-            stats.payload_bytes += shard.counters.payload_bytes.load(Ordering::Relaxed);
-            stats.receiver_enqueued += shard.counters.receiver_enqueued.load(Ordering::Relaxed);
-            stats.receiver_dropped += shard.counters.receiver_dropped.load(Ordering::Relaxed);
-            stats.shard_restarts += shard.counters.restarts.load(Ordering::Relaxed);
-            stats.deliveries_lost += shard.counters.lost.load(Ordering::Relaxed);
-            stats.degraded_shards += u64::from(shard.counters.degraded.load(Ordering::Relaxed));
-        }
-        if let Some(segments) = self.segment_stats() {
-            stats.segments_written = segments.segments_written;
-            stats.segment_records_persisted = segments.records_persisted;
-            stats.segment_bytes_fsynced = segments.bytes_fsynced;
-            stats.segment_records_dropped = segments.records_dropped;
-            stats.recovery_truncations = self
-                .shared
-                .persistence
-                .iter()
-                .flatten()
-                .map(|shard| shard.recovery_truncations)
-                .sum();
-        }
-        stats
+        let segments = self.segment_stats().unwrap_or_default();
+        DataplaneStats::collect(&self.counters, &self.shared.shards, &segments)
     }
 
     /// Merged per-shard segment-store statistics, including fsync latency
@@ -1268,12 +1149,15 @@ impl Dataplane {
     /// [`TelemetrySnapshot::to_text`].
     ///
     /// When the engine runs with [`ObsConfig::disabled`], stage histograms are empty
-    /// (no span timing is taken) but counters and queue contention are still real.
+    /// (no span timing is taken) and the queue-depth high-water marks, which travel
+    /// with span timing, read 0; counters and the queue park/wait counts are still real.
     pub fn telemetry(&self) -> TelemetrySnapshot {
+        let segments = self.segment_stats().unwrap_or_default();
         TelemetrySnapshot {
             dataplane: self.shared.name.clone(),
             enabled: self.config.telemetry.is_enabled(),
-            stats: self.stats(),
+            stats: DataplaneStats::collect(&self.counters, &self.shared.shards, &segments),
+            segments,
             shards: self
                 .shared
                 .shards
@@ -1300,7 +1184,7 @@ impl Dataplane {
     pub fn shutdown(mut self) -> DataplaneReport {
         self.drain();
         for shard in &self.shared.shards {
-            shard.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+            shard.in_flight.fetch_add(1, Ordering::SeqCst);
             shard.queue.push(ShardTask::Shutdown);
         }
         let mut shard_audit = Vec::with_capacity(self.workers.len());
@@ -1406,7 +1290,7 @@ impl Dataplane {
     pub(crate) fn block_shard(&self, shard: usize) -> Arc<std::sync::Barrier> {
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let state = &self.shared.shards[shard];
-        state.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+        state.in_flight.fetch_add(1, Ordering::SeqCst);
         state.queue.push(ShardTask::Block(Arc::clone(&barrier)));
         while !state.queue.is_empty() {
             thread::yield_now();
@@ -1428,7 +1312,7 @@ impl Drop for Dataplane {
         // after the workers have finished enqueueing).
         self.close_mailboxes();
         for shard in &self.shared.shards {
-            shard.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+            shard.in_flight.fetch_add(1, Ordering::SeqCst);
             shard.queue.push(ShardTask::Shutdown);
         }
         for worker in self.workers.drain(..) {

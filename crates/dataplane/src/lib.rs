@@ -72,15 +72,15 @@ pub mod topologies;
 mod shard;
 
 pub use engine::{
-    AuditDetail, Dataplane, DataplaneConfig, DataplaneError, DataplaneReport, DataplaneStats,
-    PayloadMode, PersistenceConfig,
+    AuditDetail, Dataplane, DataplaneConfig, DataplaneError, DataplaneReport, PayloadMode,
+    PersistenceConfig,
 };
 pub use failpoint::{FailpointRegistry, FailpointSite, FailpointSpec, FaultKind};
 pub use queue::QueueContention;
 pub use subscriber::{
     OverflowPolicy, ReceivedMessage, RecvError, RecvTimeoutError, Subscriber, TryRecvError,
 };
-pub use telemetry::{ShardTelemetrySnapshot, Stage, TelemetrySnapshot};
+pub use telemetry::{DataplaneStats, ShardTelemetrySnapshot, Stage, TelemetrySnapshot};
 pub use topologies::{
     payload_schema, sample_message, smart_city, smart_home, Topology, TopologyBuilder,
 };

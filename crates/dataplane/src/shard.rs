@@ -20,7 +20,8 @@
 //! The loop amortises synchronisation over pop batches: one directory read-lock
 //! acquisition, one context-store freshness check, one `in_flight` decrement and one
 //! flush of the statistics counters per batch of up to [`POP_BATCH`] tasks, rather
-//! than per message.
+//! than per message. The counters themselves — the live ones, the batch-local deltas
+//! and the flush between them — are declared in [`crate::telemetry`]'s one table.
 //!
 //! The §8.2.2 sequence — isolation, contextual AC at message-type granularity, IFC
 //! over the message's *effective* context — is not written here: each delivery is one
@@ -48,7 +49,7 @@ use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedS
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::BoundedQueue;
 use crate::subscriber::{MailboxPush, ReceivedMessage};
-use crate::telemetry::{DeliveryProbe, ShardTelemetry, Stage};
+use crate::telemetry::{BatchCounters, DeliveryProbe, ShardCounters, ShardTelemetry, Stage};
 
 /// Work items delivered to a shard's ingress queue.
 #[derive(Debug)]
@@ -85,25 +86,13 @@ pub(crate) enum ShardTask {
     Block(Arc<std::sync::Barrier>),
 }
 
-/// Live per-shard counters, updated by the worker and readable from the engine.
-#[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
-    pub delivered: AtomicU64,
-    pub denied: AtomicU64,
-    pub missing_endpoint: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub ac_cache_hits: AtomicU64,
-    pub ac_cache_misses: AtomicU64,
-    pub quenched: AtomicU64,
-    pub payload_bytes: AtomicU64,
-    pub receiver_enqueued: AtomicU64,
-    pub receiver_dropped: AtomicU64,
-    /// Times this shard's worker panicked and was restarted by its supervisor.
-    pub restarts: AtomicU64,
-    /// Accepted deliveries abandoned by a crash or a degraded shard, each
-    /// evidenced as an [`AuditEvent::DeliveryLost`] record — never silent.
-    pub lost: AtomicU64,
+/// One shard's queue plus its counters and telemetry, and the two atomics that are
+/// synchronisation rather than metrics (so they sit outside the counter table).
+#[derive(Debug)]
+pub(crate) struct ShardState {
+    pub queue: BoundedQueue<ShardTask>,
+    pub counters: ShardCounters,
+    pub telemetry: ShardTelemetry,
     /// Set once the restart budget is exhausted: the shard only evidences and
     /// discards from then on, and publishers routed to it fail fast with
     /// `ShardUnavailable` instead of enqueueing work that cannot be enforced.
@@ -112,20 +101,14 @@ pub(crate) struct ShardCounters {
     pub in_flight: AtomicU64,
 }
 
-/// One shard's queue plus its counters and telemetry.
-#[derive(Debug)]
-pub(crate) struct ShardState {
-    pub queue: BoundedQueue<ShardTask>,
-    pub counters: ShardCounters,
-    pub telemetry: ShardTelemetry,
-}
-
 impl ShardState {
     pub(crate) fn new(queue_capacity: usize, telemetry_enabled: bool) -> Self {
         ShardState {
             queue: BoundedQueue::new(queue_capacity),
             counters: ShardCounters::default(),
             telemetry: ShardTelemetry::new(telemetry_enabled),
+            degraded: AtomicBool::new(false),
+            in_flight: AtomicU64::new(0),
         }
     }
 }
@@ -154,26 +137,6 @@ struct PairSummary {
     dropped: std::collections::BTreeMap<String, u64>,
     first_millis: u64,
     last_millis: u64,
-}
-
-/// Counter deltas accumulated over one pop batch, flushed in one go. `Copy` so
-/// the supervisor can snapshot it before each unit of work and restore the
-/// snapshot if the unit panics half-way — a crashed delivery then contributes
-/// exactly one `lost`, and nothing else, to the accounting identity.
-#[derive(Debug, Default, Clone, Copy)]
-struct BatchCounters {
-    delivered: u64,
-    denied: u64,
-    missing_endpoint: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    ac_cache_hits: u64,
-    ac_cache_misses: u64,
-    quenched: u64,
-    payload_bytes: u64,
-    receiver_enqueued: u64,
-    receiver_dropped: u64,
-    lost: u64,
 }
 
 /// A mailbox hand-off prepared under the directory read lock but performed only
@@ -235,7 +198,7 @@ struct BatchProgress {
     /// The unit being processed, if its loss can be evidenced.
     unit: Option<InFlight>,
     /// Counter snapshot taken before the in-flight unit, restored on panic so
-    /// a half-processed unit contributes nothing but its `lost`.
+    /// a half-processed unit contributes nothing but its `deliveries_lost`.
     saved_counters: BatchCounters,
     /// `pending` length before the in-flight unit (partial pushes of a crashed
     /// delivery are truncated away on restore).
@@ -411,7 +374,7 @@ pub(crate) fn run_worker(
                 let shard = &shared.shards[index];
                 if restarts < config.restart_budget {
                     restarts += 1;
-                    shard.counters.restarts.fetch_add(1, Ordering::Relaxed);
+                    shard.counters.shard_restarts.inc();
                     // Exponential backoff, capped: a crash-looping shard backs
                     // off without stalling drain for long.
                     let exponent = (restarts - 1).min(6);
@@ -429,7 +392,7 @@ pub(crate) fn run_worker(
                     // Budget exhausted: degrade. Set the flag first so
                     // publishers start failing fast, then evidence everything
                     // already accepted and keep draining until Shutdown.
-                    shard.counters.degraded.store(true, Ordering::SeqCst);
+                    shard.degraded.store(true, Ordering::SeqCst);
                     abandon_progress(&shared, &mut state, &mut progress, shard);
                     if !progress.shutdown {
                         reject_until_shutdown(&shared, &mut state, shard, &mut progress);
@@ -546,12 +509,12 @@ fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>, config: &Da
 
 /// Rolls back the effects of a panicked unit of work and evidences its loss.
 ///
-/// The counter snapshot restore plus the single `lost` increment is what keeps
-/// the accounting identity exact: a crashed delivery contributes either its
-/// full set of effects (if it completed) or exactly one `lost` (if it did
-/// not), never a partial mixture. A panicked *hand-off* is the at-most-once
-/// edge: its delivery was already enforced and counted, so the abandoned push
-/// is evidenced but not re-counted.
+/// The counter snapshot restore plus the single `deliveries_lost` increment is
+/// what keeps the accounting identity exact: a crashed delivery contributes
+/// either its full set of effects (if it completed) or exactly one
+/// `deliveries_lost` (if it did not), never a partial mixture. A panicked
+/// *hand-off* is the at-most-once edge: its delivery was already enforced and
+/// counted, so the abandoned push is evidenced but not re-counted.
 fn recover_unit(
     shared: &SharedState,
     state: &mut WorkerState,
@@ -568,7 +531,7 @@ fn recover_unit(
         let cause = if unit.hand_off {
             format!("mailbox hand-off abandoned: {cause}")
         } else {
-            progress.local.lost += 1;
+            progress.local.deliveries_lost += 1;
             // Skip the poisoned task on resume.
             progress.cursor += 1;
             cause.to_string()
@@ -746,22 +709,9 @@ fn run_batch(
 
 /// Flushes the completed batch's counters and releases its `in_flight` hold.
 fn flush_batch(shard: &ShardState, progress: &mut BatchProgress) {
-    let counters = &shard.counters;
-    let local = &progress.local;
-    counters.delivered.fetch_add(local.delivered, Ordering::Relaxed);
-    counters.denied.fetch_add(local.denied, Ordering::Relaxed);
-    counters.missing_endpoint.fetch_add(local.missing_endpoint, Ordering::Relaxed);
-    counters.cache_hits.fetch_add(local.cache_hits, Ordering::Relaxed);
-    counters.cache_misses.fetch_add(local.cache_misses, Ordering::Relaxed);
-    counters.ac_cache_hits.fetch_add(local.ac_cache_hits, Ordering::Relaxed);
-    counters.ac_cache_misses.fetch_add(local.ac_cache_misses, Ordering::Relaxed);
-    counters.quenched.fetch_add(local.quenched, Ordering::Relaxed);
-    counters.payload_bytes.fetch_add(local.payload_bytes, Ordering::Relaxed);
-    counters.receiver_enqueued.fetch_add(local.receiver_enqueued, Ordering::Relaxed);
-    counters.receiver_dropped.fetch_add(local.receiver_dropped, Ordering::Relaxed);
-    counters.lost.fetch_add(local.lost, Ordering::Relaxed);
+    shard.counters.flush(&progress.local);
     // Last: drain() may only observe zero once every effect above is visible.
-    counters.in_flight.fetch_sub(progress.popped, Ordering::SeqCst);
+    shard.in_flight.fetch_sub(progress.popped, Ordering::SeqCst);
     progress.active = false;
     progress.popped = 0;
 }
@@ -840,7 +790,7 @@ fn abandon_progress(
         return;
     }
     let remaining = progress.batch.drain(progress.cursor..);
-    progress.local.lost +=
+    progress.local.deliveries_lost +=
         discard_as_lost(&mut state.appender, shared, remaining, &mut progress.shutdown);
     progress.batch.clear();
     progress.cursor = 0;
@@ -874,8 +824,8 @@ fn reject_until_shutdown(
         let popped = progress.batch.len() as u64;
         let tasks = progress.batch.drain(..);
         let lost = discard_as_lost(&mut state.appender, shared, tasks, &mut progress.shutdown);
-        shard.counters.lost.fetch_add(lost, Ordering::Relaxed);
-        shard.counters.in_flight.fetch_sub(popped, Ordering::SeqCst);
+        shard.counters.deliveries_lost.add(lost);
+        shard.in_flight.fetch_sub(popped, Ordering::SeqCst);
         if progress.shutdown {
             return;
         }
@@ -1042,7 +992,7 @@ fn process_delivery(
                     at_millis,
                 );
             }
-            local.quenched += u64::from(mask.count_ones());
+            local.quenched_attributes += u64::from(mask.count_ones());
             // Effective bytes moved: quenched attributes' spans never reach a receiver.
             local.payload_bytes += message.byte_len_after_quench(mask) as u64;
             // A closed mailbox is skipped with one atomic load — torn-down consumers

@@ -1,5 +1,22 @@
-//! Per-stage enforcement telemetry: span timing, contention counters, and the
-//! [`TelemetrySnapshot`] behind [`Dataplane::telemetry`](crate::Dataplane::telemetry).
+//! Everything the dataplane reports about itself: the one table of counters, per-stage
+//! span timing, contention series, and the [`TelemetrySnapshot`] behind
+//! [`Dataplane::telemetry`](crate::Dataplane::telemetry).
+//!
+//! ## One table
+//!
+//! Every counter, gauge and store-side histogram is one row of the `metrics_table!`
+//! invocation below: its doc line and its one name, grouped by where the value comes
+//! from. The [`DataplaneStats`] field *is* the exposition name. The table emits
+//! [`DataplaneStats`] itself, the engine's and each shard's live counters
+//! ([`legaliot_obs::Counter`]s), the `Copy` batch-local deltas a shard worker adds to per
+//! delivery (and its supervisor snapshots and restores), the per-batch flush, the fold
+//! behind [`Dataplane::stats`](crate::Dataplane::stats) and the rows of
+//! [`TelemetrySnapshot::exposition`] — so adding a counter is one row plus its increment
+//! site, and no two lists can fall out of step. Two shard fields stay outside it because
+//! they are synchronisation, not metrics: `in_flight`, which `drain` watches, and the
+//! `degraded` flag publishers test (the table only counts it).
+//!
+//! ## Span timing
 //!
 //! Each shard owns one [`LatencyHistogram`] per [`Stage`] plus a queue-depth
 //! high-water-mark gauge; the worker records into them with relaxed atomics only.
@@ -36,19 +53,219 @@
 //!   (one sample per batch containing deliveries).
 //! - `block_stall` — time a `handoff` spent parked on a full Block-policy mailbox
 //!   (one sample per push that actually stalled).
-//! - queue depth high-water marks and consumer-park / producer-wait counts come from
-//!   each shard's ingress [`BoundedQueue`](crate::queue::BoundedQueue) and are always
-//!   on (relaxed counters on slow paths only).
+//! - consumer-park / producer-wait counts come from each shard's ingress
+//!   [`BoundedQueue`](crate::queue::BoundedQueue) and are always on (relaxed counters on
+//!   slow paths only). The queue depth high-water mark travels with span timing: feeding
+//!   it is a `fetch_max` on a shared line per push, so with telemetry disabled it is not
+//!   fed and reads 0.
 //!
 //! [`AdmissionCache`]: legaliot_middleware::admission::AdmissionCache
 
 use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use legaliot_obs::{HistogramSnapshot, LatencyHistogram, MaxGauge, MetricsSnapshot};
+use legaliot_audit::SegmentStats;
+use legaliot_obs::{Counter, HistogramSnapshot, LatencyHistogram, MaxGauge, MetricsSnapshot};
 
-use crate::engine::DataplaneStats;
 use crate::queue::QueueContention;
+use crate::shard::ShardState;
+
+/// Declares what the dataplane reports, once (see the module docs): each group is one
+/// source of values, each row one number.
+macro_rules! metrics_table {
+    (
+        engine { $($(#[$engine_doc:meta])* $engine:ident,)* }
+        batched { $($(#[$batched_doc:meta])* $batched:ident,)* }
+        live { $($(#[$live_doc:meta])* $live:ident,)* }
+        flags { $($(#[$flag_doc:meta])* $flag:ident <- $flag_field:ident,)* }
+        segments { $($(#[$segment_doc:meta])* $segment:ident <- $segment_field:ident,)* }
+        segment_histograms {
+            $($(#[$histogram_doc:meta])* $histogram:literal <- $histogram_field:ident,)*
+        }
+    ) => {
+        /// Aggregated live statistics across all shards.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct DataplaneStats {
+            $($(#[$engine_doc])* pub $engine: u64,)*
+            $($(#[$batched_doc])* pub $batched: u64,)*
+            $($(#[$live_doc])* pub $live: u64,)*
+            $($(#[$flag_doc])* pub $flag: u64,)*
+            $($(#[$segment_doc])* pub $segment: u64,)*
+        }
+
+        /// The engine handle's own live counters.
+        #[derive(Debug, Default)]
+        pub(crate) struct EngineCounters {
+            $(pub $engine: Counter,)*
+        }
+
+        /// One shard's live counters, written by its worker and read by the engine.
+        #[derive(Debug, Default)]
+        pub(crate) struct ShardCounters {
+            $(pub $batched: Counter,)*
+            $(pub $live: Counter,)*
+        }
+
+        /// Counter deltas accumulated over one pop batch in plain integers, flushed in
+        /// one go. `Copy` so the supervisor can snapshot it before each unit of work and
+        /// restore the snapshot if the unit panics half-way — a crashed delivery then
+        /// contributes exactly one `deliveries_lost`, and nothing else, to the
+        /// accounting identity.
+        #[derive(Debug, Default, Clone, Copy)]
+        pub(crate) struct BatchCounters {
+            $(pub $batched: u64,)*
+        }
+
+        impl ShardCounters {
+            /// Publishes one batch's deltas with relaxed adds. The caller releases the
+            /// batch's `in_flight` hold only afterwards.
+            pub(crate) fn flush(&self, local: &BatchCounters) {
+                $(self.$batched.add(local.$batched);)*
+            }
+        }
+
+        impl DataplaneStats {
+            /// Reads every source once: the engine's counters, each shard's counters
+            /// (summed) and flags (counted), the merged segment stores.
+            pub(crate) fn collect(
+                engine: &EngineCounters,
+                shards: &[ShardState],
+                segments: &SegmentStats,
+            ) -> Self {
+                let mut stats = DataplaneStats {
+                    $($engine: engine.$engine.get(),)*
+                    $($segment: segments.$segment_field,)*
+                    ..DataplaneStats::default()
+                };
+                for shard in shards {
+                    $(stats.$batched += shard.counters.$batched.get();)*
+                    $(stats.$live += shard.counters.$live.get();)*
+                    $(stats.$flag += u64::from(shard.$flag_field.load(Ordering::Relaxed));)*
+                }
+                stats
+            }
+        }
+
+        impl TelemetrySnapshot {
+            /// The table's rows under their one name: counters (a flag count is a
+            /// gauge — a level, not a monotone count) and the segment stores'
+            /// histograms.
+            fn expose_table(&self, out: &mut MetricsSnapshot) {
+                $(out.record_counter(stringify!($engine), self.stats.$engine);)*
+                $(out.record_counter(stringify!($batched), self.stats.$batched);)*
+                $(out.record_counter(stringify!($live), self.stats.$live);)*
+                $(out.record_gauge(stringify!($flag), self.stats.$flag);)*
+                $(out.record_counter(stringify!($segment), self.stats.$segment);)*
+                $(out.record_histogram($histogram, self.segments.$histogram_field.0);)*
+            }
+        }
+    };
+}
+
+metrics_table! {
+    // Counted by the engine handle: per fan-out, and once per shard directory at startup.
+    engine {
+        /// Messages fanned out to shard queues by `publish`/`try_publish`.
+        published,
+        /// Torn or corrupt segment tails truncated while recovering the persistence
+        /// directories at engine startup. Zero in normal runs.
+        recovery_truncations,
+    }
+    // Counted by the shard workers per delivery, batch-locally; summed over shards.
+    batched {
+        /// Messages whose flow check allowed delivery.
+        delivered,
+        /// Messages denied: by isolation, by per-message contextual AC (payload
+        /// deliveries) or by IFC. Only IFC denials carry a `FlowChecked` record; the
+        /// other two are evidenced in the per-pair `FlowSummary` counts.
+        denied,
+        /// Messages dropped because an endpoint had been deregistered mid-flight.
+        missing_endpoint,
+        /// Decision-cache hits across shards.
+        cache_hits,
+        /// Decision-cache misses across shards.
+        cache_misses,
+        /// Per-message AC cache hits across shards (payload deliveries only).
+        ac_cache_hits,
+        /// Per-message AC cache misses across shards (payload deliveries only).
+        ac_cache_misses,
+        /// Attributes removed by per-delivery source quenching (Fig. 10).
+        quenched_attributes,
+        /// Effective payload bytes moved to receivers: the encoded size of each delivered
+        /// message *minus* the spans of its quenched attributes, summed over deliveries —
+        /// what subscribers actually observe, not what publishers encoded.
+        payload_bytes,
+        /// Enforced deliveries handed to subscriber mailboxes (streaming receivers).
+        receiver_enqueued,
+        /// Deliveries shed from full subscriber mailboxes under
+        /// [`OverflowPolicy::DropOldest`](crate::OverflowPolicy::DropOldest) (each
+        /// evidenced as a `DeliveryDropped` record).
+        receiver_dropped,
+        /// Accepted deliveries abandoned by a crashed or degraded shard, each
+        /// evidenced as an `AuditEvent::DeliveryLost` record — the accounting
+        /// identity `published == delivered + denied + missing_endpoint +
+        /// deliveries_lost` holds exactly after
+        /// [`Dataplane::drain`](crate::Dataplane::drain). Zero in normal runs.
+        deliveries_lost,
+    }
+    // Counted by a shard's supervisor straight into the live counter; summed over shards.
+    live {
+        /// Times a panicked shard worker was restarted by its supervisor (caches
+        /// rebuilt cold, audit chain re-anchored; see `AuditEvent::ShardRestarted`).
+        /// Zero in normal runs.
+        shard_restarts,
+    }
+    // Shards with the named `ShardState` flag up.
+    flags {
+        /// Shards currently degraded (restart budget exhausted; publishes routed to
+        /// them fail with
+        /// [`DataplaneError::ShardUnavailable`](crate::DataplaneError::ShardUnavailable)).
+        /// Zero in normal runs.
+        degraded_shards <- degraded,
+    }
+    // Copied from the named field of the merged `SegmentStats`.
+    segments {
+        /// Segment files opened for writing across all shard stores. Zero when
+        /// persistence is off.
+        segments_written <- segments_written,
+        /// Audit records persisted to on-disk segments (retention prune-outs plus the
+        /// shutdown tail). Zero when persistence is off.
+        segment_records_persisted <- records_persisted,
+        /// Bytes covered by successful segment fsyncs. Zero when persistence is off.
+        segment_bytes_fsynced <- bytes_fsynced,
+        /// Records a wedged segment store had to drop (injected or real IO fault;
+        /// each loss is counted, never silent). Zero in normal runs.
+        segment_records_dropped <- records_dropped,
+    }
+    // The named distribution of the merged `SegmentStats`, exposed as a histogram.
+    segment_histograms {
+        /// Segment fsync latency in nanoseconds, one sample per successful sync.
+        "segment.fsync" <- fsync,
+    }
+}
+
+impl DataplaneStats {
+    /// Flow-decision cache hit ratio in `[0, 1]`; `0` before any lookups.
+    pub fn cache_hit_ratio(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
+    /// AC-decision cache hit ratio in `[0, 1]`; `0` before any lookups.
+    pub fn ac_cache_hit_ratio(&self) -> f64 {
+        let total = self.ac_cache_hits + self.ac_cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.ac_cache_hits as f64 / total as f64
+        }
+    }
+}
 
 /// The timed spans of the per-shard enforcement pipeline (see the module docs for
 /// the glossary).
@@ -254,6 +471,17 @@ impl ShardTelemetrySnapshot {
         self.queue_consumer_parks += other.queue_consumer_parks;
         self.queue_producer_waits += other.queue_producer_waits;
     }
+
+    /// The queue contention series and stage histograms, each name behind `prefix`
+    /// (empty for the merged snapshot, `shard<i>.` for one shard's).
+    fn expose(&self, prefix: &str, out: &mut MetricsSnapshot) {
+        out.record_counter(format!("{prefix}queue_consumer_parks"), self.queue_consumer_parks);
+        out.record_counter(format!("{prefix}queue_producer_waits"), self.queue_producer_waits);
+        out.record_gauge(format!("{prefix}queue_depth_hwm"), self.queue_depth_high_water);
+        for stage in Stage::ALL {
+            out.record_histogram(format!("{prefix}stage.{}", stage.name()), *self.stage(stage));
+        }
+    }
 }
 
 /// A point-in-time view of the whole dataplane's telemetry: aggregated counters,
@@ -265,12 +493,17 @@ impl ShardTelemetrySnapshot {
 pub struct TelemetrySnapshot {
     /// The dataplane's name (as passed to [`Dataplane::new`](crate::Dataplane::new)).
     pub dataplane: String,
-    /// Whether span timing was enabled; when `false` the stage histograms are empty
-    /// but counters and queue contention series are still populated.
+    /// Whether span timing was enabled; when `false` the stage histograms are empty and
+    /// the queue-depth high-water marks read 0 (they travel with span timing), but
+    /// counters and the queue park/wait counts are still populated.
     pub enabled: bool,
     /// Aggregated message counters, identical to
     /// [`Dataplane::stats`](crate::Dataplane::stats).
     pub stats: DataplaneStats,
+    /// The shards' segment stores merged
+    /// ([`Dataplane::segment_stats`](crate::Dataplane::segment_stats)); all zero when
+    /// persistence is off.
+    pub segments: SegmentStats,
     /// Per-shard stage histograms and contention counters, index-aligned with the
     /// shard numbering.
     pub shards: Vec<ShardTelemetrySnapshot>,
@@ -289,59 +522,21 @@ impl TelemetrySnapshot {
 
     /// Flattens the snapshot into named metrics for exposition.
     ///
-    /// Naming scheme (stable): [`DataplaneStats`] fields become counters under their
-    /// field names — including the fault-tolerance counters `shard_restarts` and
-    /// `deliveries_lost`, with `degraded_shards` exposed as a gauge (it is a level,
-    /// the number of shards currently past their restart budget, not a monotone
-    /// count); merged stage histograms are `stage.<name>` and per-shard ones
+    /// Naming scheme (stable): every row of this module's table under its one name —
+    /// [`DataplaneStats`] fields as counters, including the fault-tolerance counters
+    /// `shard_restarts` and `deliveries_lost`, with `degraded_shards` a gauge (it is a
+    /// level, the number of shards currently past their restart budget, not a monotone
+    /// count), and the segment stores' fsync latency as the histogram `segment.fsync`;
+    /// merged stage histograms are `stage.<name>` and per-shard ones
     /// `shard<i>.stage.<name>`; queue contention appears as the counters
     /// `queue_consumer_parks` / `queue_producer_waits` (summed) plus per-shard
     /// variants, and the `queue_depth_hwm` gauge (max, plus per-shard variants).
     pub fn exposition(&self) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::new();
-        out.record_counter("published", self.stats.published);
-        out.record_counter("delivered", self.stats.delivered);
-        out.record_counter("denied", self.stats.denied);
-        out.record_counter("missing_endpoint", self.stats.missing_endpoint);
-        out.record_counter("cache_hits", self.stats.cache_hits);
-        out.record_counter("cache_misses", self.stats.cache_misses);
-        out.record_counter("ac_cache_hits", self.stats.ac_cache_hits);
-        out.record_counter("ac_cache_misses", self.stats.ac_cache_misses);
-        out.record_counter("quenched_attributes", self.stats.quenched_attributes);
-        out.record_counter("payload_bytes", self.stats.payload_bytes);
-        out.record_counter("receiver_enqueued", self.stats.receiver_enqueued);
-        out.record_counter("receiver_dropped", self.stats.receiver_dropped);
-        out.record_counter("shard_restarts", self.stats.shard_restarts);
-        out.record_counter("deliveries_lost", self.stats.deliveries_lost);
-        out.record_gauge("degraded_shards", self.stats.degraded_shards);
-        out.record_counter("segments_written", self.stats.segments_written);
-        out.record_counter("segment_records_persisted", self.stats.segment_records_persisted);
-        out.record_counter("segment_bytes_fsynced", self.stats.segment_bytes_fsynced);
-        out.record_counter("segment_records_dropped", self.stats.segment_records_dropped);
-        out.record_counter("recovery_truncations", self.stats.recovery_truncations);
-        let merged = self.merged();
-        out.record_counter("queue_consumer_parks", merged.queue_consumer_parks);
-        out.record_counter("queue_producer_waits", merged.queue_producer_waits);
-        out.record_gauge("queue_depth_hwm", merged.queue_depth_high_water);
-        for stage in Stage::ALL {
-            out.record_histogram(format!("stage.{}", stage.name()), *merged.stage(stage));
-        }
+        self.expose_table(&mut out);
+        self.merged().expose("", &mut out);
         for (i, shard) in self.shards.iter().enumerate() {
-            out.record_counter(
-                format!("shard{i}.queue_consumer_parks"),
-                shard.queue_consumer_parks,
-            );
-            out.record_counter(
-                format!("shard{i}.queue_producer_waits"),
-                shard.queue_producer_waits,
-            );
-            out.record_gauge(format!("shard{i}.queue_depth_hwm"), shard.queue_depth_high_water);
-            for stage in Stage::ALL {
-                out.record_histogram(
-                    format!("shard{i}.stage.{}", stage.name()),
-                    *shard.stage(stage),
-                );
-            }
+            shard.expose(&format!("shard{i}."), &mut out);
         }
         out
     }
@@ -376,10 +571,12 @@ mod tests {
         probe.lap(Stage::Isolation);
         probe.skip();
         probe.finish();
+        telemetry.record_queue_depth(7);
         let snap = telemetry.snapshot(QueueContention::default());
         for stage in Stage::ALL {
             assert!(snap.stage(stage).is_empty(), "{} recorded while disabled", stage.name());
         }
+        assert_eq!(snap.queue_depth_high_water, 0, "the depth gauge travels with span timing");
     }
 
     #[test]
@@ -410,6 +607,7 @@ mod tests {
             dataplane: "t".to_string(),
             enabled: true,
             stats: DataplaneStats::default(),
+            segments: SegmentStats::default(),
             shards: vec![
                 a.snapshot(QueueContention { consumer_parks: 1, producer_waits: 2 }),
                 b.snapshot(QueueContention { consumer_parks: 3, producer_waits: 4 }),

@@ -9,14 +9,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use legaliot_audit::{AuditEvent, AuditLog};
 use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_ifc::{FlowDecision, TagRegistry};
-use legaliot_obs::{HistogramSnapshot, LatencyHistogram, ObsConfig};
 use legaliot_policy::ReconfigurationCommand;
 
 use crate::acl::{AccessDecision, AccessRegime, Operation, Principal};
@@ -182,11 +180,6 @@ pub struct Middleware {
     notifications: Vec<(String, String)>,
     actuations: Vec<(String, String)>,
     audit: AuditLog,
-    telemetry: ObsConfig,
-    /// End-to-end `send` latency (entry to mailbox enqueue) of *delivered*
-    /// messages, in nanoseconds — the bus-side twin of the dataplane's
-    /// `stage.delivery` histogram.
-    delivery_latency: LatencyHistogram,
 }
 
 impl Middleware {
@@ -204,21 +197,7 @@ impl Middleware {
             notifications: Vec::new(),
             actuations: Vec::new(),
             audit: AuditLog::new(name),
-            telemetry: ObsConfig::default(),
-            delivery_latency: LatencyHistogram::new(),
         }
-    }
-
-    /// Enables or disables latency telemetry. Disabled, [`Middleware::send`]
-    /// takes no clock readings at all.
-    pub fn set_telemetry(&mut self, telemetry: ObsConfig) {
-        self.telemetry = telemetry;
-    }
-
-    /// Snapshot of the publish→deliver latency histogram (nanoseconds), covering
-    /// every [`DeliveryOutcome::Delivered`] since construction.
-    pub fn delivery_latency(&self) -> HistogramSnapshot {
-        self.delivery_latency.snapshot()
     }
 
     /// The component registry.
@@ -409,7 +388,6 @@ impl Middleware {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> Result<DeliveryOutcome, MiddlewareError> {
-        let started = self.telemetry.is_enabled().then(Instant::now);
         let source = lookup(&self.registry, from)?;
         let destination = lookup(&self.registry, to)?;
 
@@ -504,9 +482,6 @@ impl Middleware {
             }
         }
         mailbox.push_back(delivered);
-        if let Some(started) = started {
-            self.delivery_latency.record(started.elapsed().as_nanos() as u64);
-        }
         Ok(DeliveryOutcome::Delivered {
             quenched_attributes: quenched.into_iter().map(String::from).collect(),
         })
@@ -1158,40 +1133,5 @@ mod tests {
                 .unwrap()
                 .is_delivered());
         }
-    }
-
-    /// Bus-side parity with the dataplane's delivery histogram: every delivered
-    /// `send` lands exactly one latency sample; denials and disabled telemetry
-    /// land none.
-    #[test]
-    fn delivery_latency_counts_delivered_sends_only() {
-        let mut mw = home_monitoring();
-        mw.establish_channel("ann-sensor", "ann-analyser", &snap(), Timestamp(1)).unwrap();
-        let msg = || {
-            Message::new("sensor-reading", SecurityContext::public())
-                .with("value", AttributeValue::Float(72.0))
-        };
-        for t in 2..7 {
-            assert!(mw
-                .send("ann-sensor", "ann-analyser", msg(), &snap(), Timestamp(t))
-                .unwrap()
-                .is_delivered());
-        }
-        // A non-delivered outcome (no channel) must not record a sample.
-        assert_eq!(
-            mw.send("ann-sensor", "zeb-analyser", msg(), &snap(), Timestamp(7)).unwrap(),
-            DeliveryOutcome::NoChannel
-        );
-        let latency = mw.delivery_latency();
-        assert_eq!(latency.count(), 5);
-        assert!(latency.p99() > 0);
-
-        // Disabled telemetry: no clock reads, no samples — counts stay put.
-        mw.set_telemetry(ObsConfig::disabled());
-        assert!(mw
-            .send("ann-sensor", "ann-analyser", msg(), &snap(), Timestamp(8))
-            .unwrap()
-            .is_delivered());
-        assert_eq!(mw.delivery_latency().count(), 5);
     }
 }

@@ -102,6 +102,17 @@ impl HistogramSnapshot {
         HistogramSnapshot { counts: [0; BUCKETS], sum: 0, min: u64::MAX, max: 0 }
     }
 
+    /// Records one sample: [`LatencyHistogram::record`] for a recorder with a single
+    /// owner (the audit segment store times its fsyncs under its own lock), plain
+    /// integer adds over the same buckets.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.counts[bucket_index(value)] += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -333,16 +344,24 @@ mod tests {
             values in proptest::collection::vec(0u64..1_000_000_000_000, 1..300),
             shards in 1usize..5,
         ) {
-            // Scatter samples across per-shard histograms, as the dataplane does.
+            // Scatter samples across per-shard histograms, as the dataplane does — and
+            // across single-owner recorders, as the segment stores do: the plain
+            // recorder is the atomic one bucket for bucket, and merges the same.
             let hists: Vec<LatencyHistogram> =
                 (0..shards).map(|_| LatencyHistogram::new()).collect();
+            let mut plain = vec![HistogramSnapshot::empty(); shards];
             for (i, &v) in values.iter().enumerate() {
                 hists[i % shards].record(v);
+                plain[i % shards].record(v);
             }
             let mut merged = HistogramSnapshot::empty();
-            for h in &hists {
+            let mut merged_plain = HistogramSnapshot::empty();
+            for (h, p) in hists.iter().zip(&plain) {
+                prop_assert_eq!(&h.snapshot(), p);
                 merged.merge(&h.snapshot());
+                merged_plain.merge(p);
             }
+            prop_assert_eq!(merged, merged_plain);
             prop_assert_eq!(merged.count(), values.len() as u64);
             prop_assert_eq!(merged.sum(), values.iter().sum::<u64>());
 

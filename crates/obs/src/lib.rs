@@ -2,23 +2,28 @@
 //!
 //! Lock-free observability primitives for the enforcement middleware: atomic
 //! [`Counter`]s and [`MaxGauge`]s, log2-bucketed [`LatencyHistogram`]s with mergeable
-//! [`HistogramSnapshot`]s and `p50/p90/p99/p999` estimation, a named [`Registry`], and
-//! a stable text / JSON exposition surface ([`MetricsSnapshot`]).
+//! [`HistogramSnapshot`]s and `p50/p90/p99/p999` estimation, and a stable text / JSON
+//! exposition surface ([`MetricsSnapshot`]). A leaf crate: it depends on nothing, so
+//! every layer that measures a distribution — the shards' stage spans, the audit
+//! segment stores' fsyncs — records into this one histogram type.
 //!
 //! The paper's central claim (Singh et al., Middleware 2016) is that policy enforcement
 //! can live *inside* the messaging layer at low overhead. Substantiating that requires
 //! more than end-to-end msgs/s: each pipeline stage — isolation, contextual AC, IFC,
 //! quenching, audit — has its own tax, and regressions (e.g. a 4-shard run slower than
 //! a 1-shard one) are only attributable when per-stage latency is visible.
-//! This crate provides the recording primitives; `legaliot-dataplane` threads them
-//! through the shard workers and exposes [`MetricsSnapshot`] via
-//! `Dataplane::telemetry()`.
+//! This crate provides the recording primitives and no store of names: the dataplane
+//! declares what it reports in one typed table (`legaliot-dataplane`'s `telemetry`
+//! module), threads these primitives through the shard workers and exposes a
+//! [`MetricsSnapshot`] via `Dataplane::telemetry()`.
 //!
 //! Design constraints:
 //!
 //! - **Recording is lock-free.** Every `record`/`inc` is a handful of relaxed atomic
 //!   RMWs; no allocation, no locks, no syscalls. Histograms use 65 power-of-two
-//!   buckets, so the bucket index is a `leading_zeros` away.
+//!   buckets, so the bucket index is a `leading_zeros` away. A recorder with a single
+//!   owner skips the atomics: [`HistogramSnapshot::record`] is the same bucketing over
+//!   plain integers.
 //! - **Snapshots are mergeable.** Per-shard histograms merge into one by summing
 //!   bucket counts, which is how per-shard telemetry becomes a single dataplane-wide
 //!   percentile report.
@@ -52,16 +57,14 @@
 mod expose;
 mod histogram;
 mod metrics;
-mod registry;
 
 pub use expose::MetricsSnapshot;
 pub use histogram::{bucket_bounds, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use metrics::{Counter, MaxGauge};
-pub use registry::Registry;
 
 /// Whether instrumented components should take timestamps at all.
 ///
-/// Threaded through `DataplaneConfig` (and the bus). When disabled, instrumented code
+/// Threaded through `DataplaneConfig`. When disabled, instrumented code
 /// paths skip every `Instant::now()` call; only always-on relaxed counters remain, so
 /// the enforcement hot path keeps its uninstrumented cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

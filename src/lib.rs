@@ -33,4 +33,3 @@ pub use legaliot_middleware as middleware;
 pub use legaliot_net as net;
 pub use legaliot_obs as obs;
 pub use legaliot_policy as policy;
-pub use legaliot_trust as trust;

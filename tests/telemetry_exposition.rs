@@ -1,17 +1,23 @@
 //! Exposition smoke test: builds a small dataplane, publishes through it, and
 //! round-trips the telemetry snapshot through the documented JSON exposition
 //! schema with an independent parser (the vendored `serde_json`), asserting the
-//! fields a scraper would rely on are present, typed, and internally consistent.
+//! fields a scraper would rely on are present, typed, and internally consistent —
+//! and that every number is defined once: the exposition's counters and gauges are
+//! exactly the fields of `DataplaneStats`, under the same names with the same values.
+
+use std::collections::BTreeMap;
 
 use legaliot::context::{ContextSnapshot, Timestamp};
-use legaliot::dataplane::{smart_home, Dataplane, DataplaneConfig};
+use legaliot::dataplane::{
+    smart_home, AuditDetail, Dataplane, DataplaneConfig, PersistenceConfig, TelemetrySnapshot,
+};
 use serde_json::Value;
 
 const MESSAGES: u64 = 2_000;
 
-fn driven_dataplane() -> Dataplane {
+fn driven_dataplane(config: DataplaneConfig) -> Dataplane {
     let topology = smart_home(2, 2016);
-    let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
+    let config = DataplaneConfig { shards: 2, ..config };
     let dataplane = Dataplane::new(topology.name.clone(), config);
     topology
         .install_with_payload_schemas(&dataplane, &ContextSnapshot::default(), Timestamp(1))
@@ -33,11 +39,37 @@ fn driven_dataplane() -> Dataplane {
     dataplane
 }
 
+/// "Defined once", checked from outside: every field `DataplaneStats` prints is in the
+/// exposition as a counter or gauge of that name with that value, and the exposition
+/// has no counter or gauge beyond those and the queue contention rows.
+fn assert_exposition_is_the_stats(snapshot: &TelemetrySnapshot) {
+    let debug = format!("{:?}", snapshot.stats);
+    let fields = debug.trim_start_matches("DataplaneStats {").trim_end_matches('}');
+    let fields: BTreeMap<&str, u64> = fields
+        .split(',')
+        .map(|field| {
+            let (name, value) = field.split_once(':').expect("`name: value`");
+            (name.trim(), value.trim().parse().expect("every stats field is an integer"))
+        })
+        .collect();
+    assert_eq!(fields.get("published"), Some(&snapshot.stats.published), "parsed {debug}");
+
+    let exposition = snapshot.exposition();
+    let exposed: BTreeMap<&str, u64> = exposition
+        .counters()
+        .chain(exposition.gauges())
+        .filter(|(name, _)| !name.contains("queue_"))
+        .collect();
+    assert_eq!(exposed, fields);
+    assert_eq!(exposition.gauge("degraded_shards"), Some(snapshot.stats.degraded_shards));
+}
+
 #[test]
 fn json_exposition_round_trips_through_an_independent_parser() {
-    let dataplane = driven_dataplane();
+    let dataplane = driven_dataplane(DataplaneConfig::default());
     let stats = dataplane.stats();
     let snapshot = dataplane.telemetry();
+    assert_exposition_is_the_stats(&snapshot);
     let parsed: Value =
         serde_json::from_str(&snapshot.to_json()).expect("exposition is well-formed JSON");
 
@@ -89,4 +121,41 @@ fn json_exposition_round_trips_through_an_independent_parser() {
     }));
 
     dataplane.shutdown();
+}
+
+/// A durable run: the `segment_*` counters are the merged segment stores' fields, and
+/// the stores' fsync latency — recorded into the same histogram type as the stage
+/// spans — is in the exposition as `segment.fsync`.
+#[test]
+fn segment_store_rows_mirror_segment_stats() {
+    let dir = std::env::temp_dir().join(format!("legaliot-exposition-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Full audit and a small retention window, so prunes stream to disk and sync
+    // mid-run instead of only at shutdown.
+    let dataplane = driven_dataplane(DataplaneConfig {
+        audit_detail: AuditDetail::Full,
+        audit_batch: 16,
+        audit_retention: Some(32),
+        persistence: Some(PersistenceConfig::at(&dir)),
+        ..DataplaneConfig::default()
+    });
+    let snapshot = dataplane.telemetry();
+    assert_exposition_is_the_stats(&snapshot);
+    let segments = dataplane.segment_stats().expect("persistence is on");
+    let exposition = snapshot.exposition();
+    for (name, value) in [
+        ("segments_written", segments.segments_written),
+        ("segment_records_persisted", segments.records_persisted),
+        ("segment_bytes_fsynced", segments.bytes_fsynced),
+        ("segment_records_dropped", segments.records_dropped),
+    ] {
+        assert_eq!(exposition.counter(name), Some(value), "{name}");
+    }
+    assert!(segments.records_persisted > 0 && segments.fsync.count() > 0);
+    let fsync = exposition.histogram("segment.fsync").expect("the fsync histogram is exposed");
+    assert_eq!(fsync.count(), segments.fsync.count());
+    assert_eq!(fsync.max(), Some(segments.fsync.max_ns()));
+
+    dataplane.shutdown();
+    std::fs::remove_dir_all(&dir).expect("the run's segments are removed");
 }
