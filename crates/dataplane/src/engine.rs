@@ -194,7 +194,11 @@ pub enum DataplaneError {
         /// The missing endpoint's name.
         name: String,
     },
-    /// A shard's ingress queue is full and the caller asked not to block.
+    /// A publish was refused as if a shard's ingress queue were full. A blocking
+    /// publish never produces this on its own — it waits for space; only an injected
+    /// [`crate::FaultKind::QueueFull`] does, which is how the churn soak exercises a
+    /// publisher-side refusal in mid fan-out. Deliveries already enqueued for earlier
+    /// subscribers in the fan-out stay enqueued.
     QueueFull {
         /// The shard whose queue is full.
         shard: usize,
@@ -287,7 +291,7 @@ pub(crate) struct Endpoint {
     pub context_hash: u64,
     pub shard: usize,
     /// `(subscriber, subscriber's shard)`, admission-checked at subscribe time.
-    /// Behind an `Arc` so `publish` can snapshot the fan-out with one refcount bump
+    /// Behind an `Arc` so a publish can snapshot the fan-out with one refcount bump
     /// instead of cloning the list on every message.
     pub subscribers: Arc<Vec<(EndpointId, usize)>>,
     /// The inverse edges: every endpoint whose `subscribers` names this one. Kept in
@@ -515,7 +519,7 @@ impl DataplaneReport {
 /// use legaliot_context::{ContextSnapshot, Timestamp};
 /// use legaliot_dataplane::{Dataplane, DataplaneConfig};
 /// use legaliot_ifc::SecurityContext;
-/// use legaliot_middleware::{Component, Principal};
+/// use legaliot_middleware::{Component, Message, MessageSchema, Principal};
 ///
 /// let dataplane = Dataplane::new("example", DataplaneConfig::default());
 /// let ctx = SecurityContext::from_names(["medical"], Vec::<&str>::new());
@@ -525,10 +529,12 @@ impl DataplaneReport {
 ///         .unwrap();
 ///     dataplane.allow_sends_to(name);
 /// }
+/// dataplane.register_schema(MessageSchema::new("reading")).unwrap();
 /// let snapshot = ContextSnapshot::default();
 /// let admitted = dataplane.subscribe("sensor", "analyser", &snapshot, Timestamp(1)).unwrap();
 /// assert!(admitted.is_delivered());
-/// dataplane.publish("sensor", Timestamp(2)).unwrap();
+/// let reading = Message::new("reading", SecurityContext::public());
+/// dataplane.publish_message("sensor", &reading, Timestamp(2)).unwrap();
 /// dataplane.drain();
 /// assert_eq!(dataplane.stats().delivered, 1);
 /// let report = dataplane.shutdown();
@@ -705,7 +711,7 @@ impl Dataplane {
     /// ([`DataplaneConfig::mailbox_capacity`], [`DataplaneConfig::overflow`]) and
     /// handed out through the returned [`Subscriber`] — as shared
     /// `Arc<FrozenMessage>`s in zero-copy mode, so the hand-off never copies payload
-    /// bytes. Flow-only `publish` traffic carries no body and is not queued.
+    /// bytes.
     ///
     /// Dropping (or closing) the handle tears the mailbox down: shards stop
     /// enqueueing without blocking, and the endpoint can be re-opened afterwards.
@@ -890,31 +896,17 @@ impl Dataplane {
         Ok(())
     }
 
-    /// Collects the current fan-out of `publisher` without holding the directory lock
-    /// during queue pushes (a blocked push must never hold the lock a worker needs).
-    #[allow(clippy::type_complexity)]
-    fn fanout(
-        &self,
-        publisher: &str,
-    ) -> Result<(EndpointId, Arc<Vec<(EndpointId, usize)>>), DataplaneError> {
-        let directory = self.shared.directory.read();
-        let (id, endpoint) = directory.endpoints.lookup(publisher)?;
-        Ok((id, Arc::clone(&endpoint.subscribers)))
-    }
-
-    /// The single fan-out path every publish variant goes through: one
-    /// [`ShardTask::Deliver`] per subscriber, each carrying a reference to the
-    /// (possibly absent) frozen body — the last one the publisher's own, so at fan-out
-    /// 1 the body's count is never written by publisher and shard at once. Blocking
-    /// and non-blocking pushes, in-flight accounting and the published counter live
-    /// here so the flow-only and payload-carrying entry points cannot drift apart.
+    /// The fan-out of one published message: one [`ShardTask::Deliver`] per subscriber,
+    /// each carrying a reference to the frozen body — the last one the publisher's
+    /// own, so at fan-out 1 the body's count is never written by publisher and shard
+    /// at once. Pushes block on a full shard queue (backpressure), and run with no
+    /// directory lock held: a blocked push must never hold the lock a worker needs.
     fn enqueue_fanout(
         &self,
         from: EndpointId,
         subscribers: &[(EndpointId, usize)],
         now: Timestamp,
-        block: bool,
-        mut body: Option<Arc<FrozenMessage>>,
+        body: Arc<FrozenMessage>,
     ) -> Result<usize, DataplaneError> {
         // One clock read per fan-out (not per subscriber); 0 when telemetry is off,
         // which the workers treat as "no timing".
@@ -923,12 +915,13 @@ impl Dataplane {
         } else {
             0
         };
+        let mut body = Some(body);
         let mut enqueued = 0;
         for (index, &(to, shard)) in subscribers.iter().enumerate() {
             let state = &self.shared.shards[shard];
             // A degraded shard no longer enforces anything: fail fast instead of
-            // enqueueing work that would only be evidenced as lost (or, under a
-            // blocking publish, hanging on a queue nobody fully services).
+            // enqueueing work that would only be evidenced as lost (or hanging on a
+            // queue nobody fully services).
             if state.degraded.load(Ordering::Relaxed) {
                 self.counters.published.add(enqueued as u64);
                 return Err(DataplaneError::ShardUnavailable { shard });
@@ -939,64 +932,26 @@ impl Dataplane {
                 self.counters.published.add(enqueued as u64);
                 return Err(DataplaneError::QueueFull { shard, capacity: state.queue.capacity() });
             }
+            let body = if index + 1 == subscribers.len() { body.take() } else { body.clone() };
             let task = ShardTask::Deliver {
                 from,
                 to,
                 at_millis: now.as_millis(),
                 enqueued_ns,
-                body: if index + 1 == subscribers.len() { body.take() } else { body.clone() },
+                body: body.expect("the publisher's reference moves into the last task only"),
             };
             state.in_flight.fetch_add(1, Ordering::SeqCst);
-            if block {
-                let depth = state.queue.push(task);
-                state.telemetry.record_queue_depth(depth);
-            } else {
-                match state.queue.try_push(task) {
-                    Ok(depth) => state.telemetry.record_queue_depth(depth),
-                    Err(_) => {
-                        state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        self.counters.published.add(enqueued as u64);
-                        return Err(DataplaneError::QueueFull {
-                            shard,
-                            capacity: state.queue.capacity(),
-                        });
-                    }
-                }
-            }
+            let depth = state.queue.push(task);
+            state.telemetry.record_queue_depth(depth);
             enqueued += 1;
         }
         self.counters.published.add(enqueued as u64);
         Ok(enqueued)
     }
 
-    /// Publishes one body-less message from `publisher` to every admitted subscriber,
-    /// blocking on full shard queues (backpressure). Returns the number of deliveries
-    /// enqueued.
-    ///
-    /// A body-less delivery takes the same fan-out and the same shard-side call of
-    /// [`legaliot_middleware::admission::enforce`] as a payload, made with no message
-    /// facts and no AC question (the channel was admission-checked at subscribe
-    /// time): isolation and IFC per delivery; there being no body, no schema check
-    /// and no quenching. Use [`Self::publish_message`] to enforce over a real body.
-    ///
-    /// # Errors
-    ///
-    /// [`DataplaneError::UnknownEndpoint`] if the publisher is unregistered.
-    pub fn publish(&self, publisher: &str, now: Timestamp) -> Result<usize, DataplaneError> {
-        let (from, subscribers) = self.fanout(publisher)?;
-        self.enqueue_fanout(from, &subscribers, now, true, None)
-    }
-
-    /// Like [`Self::publish`] but fails with [`DataplaneError::QueueFull`] instead of
-    /// blocking. Deliveries already enqueued for earlier subscribers stay enqueued.
-    pub fn try_publish(&self, publisher: &str, now: Timestamp) -> Result<usize, DataplaneError> {
-        let (from, subscribers) = self.fanout(publisher)?;
-        self.enqueue_fanout(from, &subscribers, now, false, None)
-    }
-
-    /// Publishes a payload-carrying message from `publisher` to every admitted
-    /// subscriber, blocking on full shard queues. Returns the number of deliveries
-    /// enqueued.
+    /// Publishes a typed message from `publisher` to every admitted subscriber,
+    /// blocking on full shard queues (backpressure) — the one way a delivery enters
+    /// the dataplane. Returns the number of deliveries enqueued.
     ///
     /// The message is validated against its registered schema once at ingress, then
     /// frozen once — sender and send time stamped as the body is built — and shared
@@ -1030,7 +985,7 @@ impl Dataplane {
         };
         let frozen = FrozenMessage::freeze_stamped(message, schema, sender, now.as_millis())
             .map_err(|reason| DataplaneError::SchemaViolation { reason })?;
-        self.enqueue_fanout(from, &subscribers, now, true, Some(Arc::new(frozen)))
+        self.enqueue_fanout(from, &subscribers, now, Arc::new(frozen))
     }
 
     /// Changes an entity's security context and broadcasts invalidation of its old
@@ -1101,7 +1056,7 @@ impl Dataplane {
     ///
     /// Under [`OverflowPolicy::Block`], a shard parked on a full subscriber mailbox
     /// counts as unprocessed work: `drain` then returns only once the consumer makes
-    /// space (or its handle closes) — the same end-to-end backpressure `publish`
+    /// space (or its handle closes) — the same end-to-end backpressure a publish
     /// exhibits. Drain from a different thread than the one consuming.
     pub fn drain(&self) {
         let mut spins = 0u32;

@@ -38,7 +38,7 @@ pub enum FailpointSite {
     /// stalled consumer, a panic abandons an already-enforced delivery.
     MailboxHandOff,
     /// The publisher-side ingress enqueue
-    /// ([`Dataplane::publish`](crate::Dataplane::publish) and friends).
+    /// ([`Dataplane::publish_message`](crate::Dataplane::publish_message)).
     /// [`FaultKind::QueueFull`] is
     /// honoured only here; [`FaultKind::Panic`] is ignored here (it would
     /// crash the publisher's thread, not a supervised worker).
@@ -117,9 +117,10 @@ pub enum FaultKind {
     /// Sleep for the given duration before proceeding (a stall, not a fault:
     /// no work is lost, but watchdogs and backpressure get exercised).
     Delay(Duration),
-    /// Report queue-full backpressure to the publisher without touching the
-    /// queue. Honoured only at [`FailpointSite::IngressEnqueue`]; elsewhere it
-    /// is ignored.
+    /// Refuse the publish with [`DataplaneError::QueueFull`](crate::DataplaneError)
+    /// without touching the queue — the only source of that error, since a real full
+    /// queue blocks the publisher. Honoured only at
+    /// [`FailpointSite::IngressEnqueue`]; elsewhere it is ignored.
     QueueFull,
     /// Write only part of the bytes, leaving a torn tail on disk, then wedge
     /// the segment store. Honoured only at the `segment.*` sites; elsewhere it

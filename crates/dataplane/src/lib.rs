@@ -10,10 +10,9 @@
 //!
 //! * **Sharding** — components hash onto `N` worker shards by name; each shard runs its
 //!   own thread and enforces the traffic of the subscribers it owns. Ingress queues are
-//!   bounded ([`queue::BoundedQueue`]): full queues backpressure publishers
-//!   ([`Dataplane::publish`] blocks, [`Dataplane::try_publish`] reports
-//!   [`DataplaneError::QueueFull`]).
-//! * **Zero-copy payloads** — [`Dataplane::publish_message`] freezes a message once at
+//!   bounded ([`queue::BoundedQueue`]): a full queue blocks the publisher.
+//! * **One way in, zero-copy** — every delivery is a typed message:
+//!   [`Dataplane::publish_message`] validates and freezes it once at
 //!   ingress ([`legaliot_middleware::FrozenMessage`]: one reference-counted body
 //!   holding the schema's interned name table, context, sender, send time and a
 //!   single-buffer [`Payload`](legaliot_middleware::Payload)) and fans an `Arc` of it
@@ -105,9 +104,11 @@ mod tests {
     }
 
     /// A 2-shard dataplane with four endpoints and two legal channels a→b, c→d, where
-    /// every endpoint has a distinct security context.
+    /// every endpoint has a distinct security context, and the schema of a `tick`: no
+    /// attribute, so nothing to quench.
     fn two_pair_plane(config: DataplaneConfig) -> Dataplane {
         let dataplane = Dataplane::new("test", config);
+        dataplane.register_schema(legaliot_middleware::MessageSchema::new("tick")).unwrap();
         for (name, secrecy) in [
             ("a", vec!["t"]),
             ("b", vec!["t", "b-only"]),
@@ -123,12 +124,18 @@ mod tests {
         dataplane
     }
 
+    /// Publishes one `tick` from `publisher`.
+    fn tick(dataplane: &Dataplane, publisher: &str, at: u64) -> Result<usize, DataplaneError> {
+        let tick = legaliot_middleware::Message::new("tick", SecurityContext::public());
+        dataplane.publish_message(publisher, &tick, Timestamp(at))
+    }
+
     #[test]
     fn publish_enforces_and_counts() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
         for round in 0..10 {
-            dataplane.publish("a", Timestamp(10 + round)).unwrap();
-            dataplane.publish("c", Timestamp(10 + round)).unwrap();
+            tick(&dataplane, "a", 10 + round).unwrap();
+            tick(&dataplane, "c", 10 + round).unwrap();
         }
         dataplane.drain();
         let stats = dataplane.stats();
@@ -148,10 +155,10 @@ mod tests {
     fn context_change_invalidates_exactly_the_affected_entity() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
         // Warm the cache for both pairs.
-        dataplane.publish("a", Timestamp(10)).unwrap();
-        dataplane.publish("c", Timestamp(10)).unwrap();
-        dataplane.publish("a", Timestamp(11)).unwrap();
-        dataplane.publish("c", Timestamp(11)).unwrap();
+        tick(&dataplane, "a", 10).unwrap();
+        tick(&dataplane, "c", 10).unwrap();
+        tick(&dataplane, "a", 11).unwrap();
+        tick(&dataplane, "c", 11).unwrap();
         dataplane.drain();
         let warm = dataplane.stats();
         assert_eq!((warm.cache_misses, warm.cache_hits), (2, 2));
@@ -165,8 +172,8 @@ mod tests {
             )
             .unwrap();
         dataplane.drain();
-        dataplane.publish("a", Timestamp(13)).unwrap();
-        dataplane.publish("c", Timestamp(13)).unwrap();
+        tick(&dataplane, "a", 13).unwrap();
+        tick(&dataplane, "c", 13).unwrap();
         dataplane.drain();
         let after = dataplane.stats();
         // Exactly one new miss (a→b recomputed) and one new hit (c→d untouched).
@@ -188,7 +195,7 @@ mod tests {
         let config =
             DataplaneConfig { audit_detail: AuditDetail::Summarised, ..DataplaneConfig::default() };
         let dataplane = two_pair_plane(config);
-        dataplane.publish("a", Timestamp(10)).unwrap();
+        tick(&dataplane, "a", 10).unwrap();
         dataplane.drain();
         assert_eq!(dataplane.stats().delivered, 1);
 
@@ -200,7 +207,7 @@ mod tests {
                 Timestamp(11),
             )
             .unwrap();
-        dataplane.publish("a", Timestamp(12)).unwrap();
+        tick(&dataplane, "a", 12).unwrap();
         dataplane.drain();
         let stats = dataplane.stats();
         assert_eq!(stats.delivered, 1);
@@ -228,7 +235,7 @@ mod tests {
         // b→a is an illegal flow (a lacks `b-only`): admission refuses, no subscription.
         let outcome = dataplane.subscribe("b", "a", &snap(), Timestamp(2)).unwrap();
         assert!(matches!(outcome, DeliveryOutcome::DeniedByIfc(_)));
-        assert_eq!(dataplane.publish("b", Timestamp(3)).unwrap(), 0);
+        assert_eq!(tick(&dataplane, "b", 3).unwrap(), 0);
         // An endpoint with no AC rule is default-deny.
         dataplane.register(endpoint("locked", &["t"])).unwrap();
         let outcome = dataplane.subscribe("a", "locked", &snap(), Timestamp(4)).unwrap();
@@ -239,7 +246,7 @@ mod tests {
             Err(DataplaneError::UnknownEndpoint { name: "ghost".into() })
         );
         assert_eq!(
-            dataplane.publish("ghost", Timestamp(6)),
+            tick(&dataplane, "ghost", 6),
             Err(DataplaneError::UnknownEndpoint { name: "ghost".into() })
         );
     }
@@ -248,11 +255,11 @@ mod tests {
     fn isolation_denies_in_flight_traffic() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
         dataplane.set_isolated("b", true, Timestamp(9)).unwrap();
-        dataplane.publish("a", Timestamp(10)).unwrap();
+        tick(&dataplane, "a", 10).unwrap();
         dataplane.drain();
         assert_eq!(dataplane.stats().denied, 1);
         dataplane.set_isolated("b", false, Timestamp(11)).unwrap();
-        dataplane.publish("a", Timestamp(12)).unwrap();
+        tick(&dataplane, "a", 12).unwrap();
         dataplane.drain();
         assert_eq!(dataplane.stats().delivered, 1);
 
@@ -275,37 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn try_publish_reports_backpressure() {
-        let config = DataplaneConfig { shards: 1, queue_capacity: 2, ..Default::default() };
-        let dataplane = two_pair_plane(config);
-        // Park the single worker so the queue cannot drain.
-        let barrier = dataplane.block_shard(0);
-        let mut full = false;
-        for round in 0..4 {
-            match dataplane.try_publish("a", Timestamp(10 + round)) {
-                Ok(_) => {}
-                Err(DataplaneError::QueueFull { shard: 0, capacity: 2 }) => {
-                    full = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        }
-        assert!(full, "bounded queue must report backpressure");
-        barrier.wait();
-        dataplane.drain();
-        // Everything that was enqueued still got enforced.
-        let stats = dataplane.stats();
-        assert_eq!(stats.delivered, stats.published);
-    }
-
-    #[test]
     fn unsubscribe_and_deregister_stop_fanout() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
         dataplane.unsubscribe("a", "b").unwrap();
-        assert_eq!(dataplane.publish("a", Timestamp(10)).unwrap(), 0);
+        assert_eq!(tick(&dataplane, "a", 10).unwrap(), 0);
         dataplane.deregister("d").unwrap();
-        assert_eq!(dataplane.publish("c", Timestamp(11)).unwrap(), 0);
+        assert_eq!(tick(&dataplane, "c", 11).unwrap(), 0);
         assert_eq!(
             dataplane.deregister("d"),
             Err(DataplaneError::UnknownEndpoint { name: "d".into() })
@@ -473,7 +455,7 @@ mod tests {
         };
         let dataplane = two_pair_plane(config);
         for round in 0..5 {
-            dataplane.publish("a", Timestamp(10 + round)).unwrap();
+            tick(&dataplane, "a", 10 + round).unwrap();
         }
         dataplane.drain();
         let report = dataplane.shutdown();
@@ -498,7 +480,7 @@ mod tests {
         let config = DataplaneConfig { audit_detail: AuditDetail::Full, ..Default::default() };
         let dataplane = two_pair_plane(config);
         dataplane.set_isolated("b", true, Timestamp(9)).unwrap();
-        dataplane.publish("a", Timestamp(10)).unwrap();
+        tick(&dataplane, "a", 10).unwrap();
         dataplane.drain();
         assert_eq!(dataplane.stats().denied, 1);
         let report = dataplane.shutdown();
@@ -519,7 +501,7 @@ mod tests {
             DataplaneConfig { audit_detail: AuditDetail::Summarised, ..Default::default() };
         let dataplane = two_pair_plane(config);
         for round in 0..50 {
-            dataplane.publish("a", Timestamp(10 + round)).unwrap();
+            tick(&dataplane, "a", 10 + round).unwrap();
         }
         dataplane.drain();
         let report = dataplane.shutdown();
@@ -928,26 +910,6 @@ mod tests {
         assert!(dataplane.shard_of("sensor-1") < dataplane.config().shards);
     }
 
-    /// Flow-only publishes carry no message body, so the per-message-type
-    /// AdmissionCache is never consulted: a cached config must report zero hits
-    /// AND zero misses.
-    #[test]
-    fn flow_only_publish_never_touches_the_admission_cache() {
-        let config = DataplaneConfig { cache_ac_decisions: true, ..DataplaneConfig::default() };
-        let dataplane = two_pair_plane(config);
-        for t in 10..30 {
-            assert_eq!(dataplane.publish("a", Timestamp(t)).unwrap(), 1);
-        }
-        dataplane.drain();
-        let stats = dataplane.stats();
-        assert_eq!(stats.delivered, 20);
-        assert_eq!(
-            (stats.ac_cache_hits, stats.ac_cache_misses),
-            (0, 0),
-            "flow path must not consult the AdmissionCache"
-        );
-    }
-
     /// Tentpole acceptance: a seeded failpoint panics the shard mid-delivery.
     /// The supervisor restarts it, the interrupted delivery is evidenced as
     /// lost (never silently dropped), the audit chain stays intact across the
@@ -968,7 +930,7 @@ mod tests {
         };
         let dataplane = two_pair_plane(config);
         for t in 10..20 {
-            dataplane.publish("a", Timestamp(t)).unwrap();
+            tick(&dataplane, "a", t).unwrap();
         }
         dataplane.drain();
         assert_eq!(registry.fired(FailpointSite::ShardProcess), 1);
@@ -1091,7 +1053,7 @@ mod tests {
         assert_eq!(received.len(), 1);
         assert_eq!((received[0].sender(), received[0].attribute_count()), ("a", 2));
         // The edge went with the old registration: nothing new is fanned out.
-        assert_eq!(dataplane.publish("a", Timestamp(11)), Ok(0));
+        assert_eq!(tick(&dataplane, "a", 11), Ok(0));
 
         // Re-joined below the source's secrecy: the queued delivery is an IFC denial.
         assert!(dataplane.subscribe("a", "b", &snap(), Timestamp(12)).unwrap().is_delivered());
@@ -1250,10 +1212,7 @@ mod tests {
         let stats = dataplane.stats();
         assert_eq!(stats.shard_restarts, 2, "every budgeted restart was attempted first");
         assert_eq!(stats.degraded_shards, 1);
-        assert_eq!(
-            dataplane.publish("a", Timestamp(10)),
-            Err(DataplaneError::ShardUnavailable { shard: 0 })
-        );
+        assert_eq!(tick(&dataplane, "a", 10), Err(DataplaneError::ShardUnavailable { shard: 0 }));
         // A rejected publish enqueues (and counts) nothing, so the accounting
         // identity is untouched and drain has nothing to wait for.
         dataplane.drain();
@@ -1366,8 +1325,8 @@ mod tests {
 
         let dataplane = two_pair_plane(config.clone());
         for round in 0..100 {
-            dataplane.publish("a", Timestamp(10 + round)).unwrap();
-            dataplane.publish("c", Timestamp(10 + round)).unwrap();
+            tick(&dataplane, "a", 10 + round).unwrap();
+            tick(&dataplane, "c", 10 + round).unwrap();
         }
         dataplane.drain();
         let live = dataplane.stats();
@@ -1404,7 +1363,7 @@ mod tests {
         let dataplane = two_pair_plane(config);
         assert_eq!(dataplane.stats().recovery_truncations, 0);
         for round in 0..20 {
-            dataplane.publish("a", Timestamp(500 + round)).unwrap();
+            tick(&dataplane, "a", 500 + round).unwrap();
         }
         dataplane.drain();
         let report = dataplane.shutdown();
@@ -1432,8 +1391,8 @@ mod tests {
 
         let dataplane = two_pair_plane(config.clone());
         for round in 0..100 {
-            dataplane.publish("a", Timestamp(10 + round)).unwrap();
-            dataplane.publish("c", Timestamp(10 + round)).unwrap();
+            tick(&dataplane, "a", 10 + round).unwrap();
+            tick(&dataplane, "c", 10 + round).unwrap();
         }
         dataplane.drain();
         drop(dataplane);
@@ -1467,7 +1426,7 @@ mod tests {
         let dataplane = two_pair_plane(config);
         assert_eq!(dataplane.stats().recovery_truncations, torn);
         for round in 0..20 {
-            dataplane.publish("a", Timestamp(500 + round)).unwrap();
+            tick(&dataplane, "a", 500 + round).unwrap();
         }
         dataplane.drain();
         let report = dataplane.shutdown();
@@ -1506,8 +1465,8 @@ mod tests {
         let dataplane = two_pair_plane(config);
         assert_eq!(dataplane.stats().recovery_truncations, 1);
         for round in 0..100 {
-            dataplane.publish("a", Timestamp(10 + round)).unwrap();
-            dataplane.publish("c", Timestamp(10 + round)).unwrap();
+            tick(&dataplane, "a", 10 + round).unwrap();
+            tick(&dataplane, "c", 10 + round).unwrap();
         }
         dataplane.drain();
         let report = dataplane.shutdown();

@@ -1,11 +1,9 @@
 //! A bounded multi-producer queue with blocking backpressure.
 //!
-//! Each shard owns one ingress queue. Producers (`publish` callers, the control plane's
+//! Each shard owns one ingress queue. Producers (publishers, the control plane's
 //! invalidation broadcasts) push from any thread; the shard's worker thread drains in
 //! batches to amortise lock traffic. When the queue is full, [`BoundedQueue::push`]
-//! blocks the producer — backpressure instead of unbounded memory — while
-//! [`BoundedQueue::try_push`] surfaces the condition to callers that would rather shed
-//! load than stall.
+//! blocks the producer — backpressure instead of unbounded memory.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -19,7 +17,7 @@ use parking_lot::Mutex;
 /// fine-grained sharding on few cores.
 const EMPTY_SPINS: usize = 32;
 
-/// A bounded FIFO queue: blocking or failing pushes, batch pops.
+/// A bounded FIFO queue: blocking pushes, batch pops.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     inner: Mutex<VecDeque<T>>,
@@ -111,23 +109,6 @@ impl<T> BoundedQueue<T> {
         depth
     }
 
-    /// Attempts to push without blocking; returns the resulting queue length, or the
-    /// item back when the queue is full.
-    pub fn try_push(&self, item: T) -> Result<usize, T> {
-        let mut queue = self.inner.lock();
-        if queue.len() >= self.capacity {
-            return Err(item);
-        }
-        queue.push_back(item);
-        let depth = queue.len();
-        let wake = self.waiting_consumers.load(Ordering::Relaxed) > 0;
-        drop(queue);
-        if wake {
-            self.not_empty.notify_one();
-        }
-        Ok(depth)
-    }
-
     /// Blocks until at least one item is available, then moves up to `max` items into
     /// `out` (which is cleared first). Returns how many items were popped.
     ///
@@ -191,18 +172,6 @@ mod tests {
         assert_eq!(q.pop_batch(&mut out, 10), 2);
         assert_eq!(out, vec![3, 4]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn try_push_fails_when_full() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.capacity(), 2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(q.try_push(3), Err(3));
-        let mut out = Vec::new();
-        q.pop_batch(&mut out, 1);
-        assert!(q.try_push(3).is_ok());
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //! over the message's *effective* context — is not written here: each delivery is one
 //! call of [`legaliot_middleware::admission::enforce`], the core the synchronous bus
 //! and channel admission also call, answered through this shard's caches by two
-//! closures that also lap the stage spans (a body-less delivery: the same call with
-//! no AC question). This module is the driver side: counters, pair summaries, audit
-//! appends, per-attribute source quenching against the subscriber's secrecy label
-//! (Fig. 10; a cached bitmask over the `Arc<FrozenMessage>` shared across the whole
-//! fan-out), the deferred mailbox hand-off, and the supervisor evidencing every loss.
+//! closures that also lap the stage spans (every delivery is a typed message, so both
+//! questions are always asked). This module is the driver side: counters, pair
+//! summaries, audit appends, per-attribute source quenching against the subscriber's
+//! secrecy label (Fig. 10; a cached bitmask over the `Arc<FrozenMessage>` shared across
+//! the whole fan-out), the deferred mailbox hand-off, and the supervisor evidencing
+//! every loss.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -66,10 +67,9 @@ pub(crate) enum ShardTask {
         /// disabled); the worker derives ingress-queue wait and end-to-end delivery
         /// latency from it. Taken once per fan-out, not per subscriber.
         enqueued_ns: u64,
-        /// The message body, if this is a payload-carrying delivery (`None` for the
-        /// flow-only fast path): the frozen message shared across the whole fan-out,
-        /// one refcount bump per subscriber at publish time.
-        body: Option<Arc<FrozenMessage>>,
+        /// The message body: the frozen message shared across the whole fan-out, one
+        /// refcount bump per subscriber at publish time.
+        body: Arc<FrozenMessage>,
     },
     /// Drop every cached decision involving this context hash (an entity changed
     /// context — §8.2.2 re-evaluation). Also drops quench masks computed against the
@@ -166,7 +166,7 @@ struct InFlight {
     at_millis: u64,
     /// The body, held (one `Arc` bump) so loss evidence can name its message type
     /// without building the string unless the evidence is actually written.
-    message: Option<Arc<FrozenMessage>>,
+    message: Arc<FrozenMessage>,
 }
 
 /// Cross-restart batch progress, owned by the supervisor (it lives *outside*
@@ -536,12 +536,11 @@ fn recover_unit(
             progress.cursor += 1;
             cause.to_string()
         };
-        let message_type = unit.message.as_deref().map(FrozenMessage::message_type);
         evidence_loss(
             &mut state.appender,
             shared,
             (unit.from, unit.to),
-            message_type,
+            unit.message.message_type(),
             cause,
             unit.at_millis,
         );
@@ -600,8 +599,6 @@ fn run_batch(
         // released, so a full mailbox never wedges control-plane writers.
         let remaining = &progress.batch[progress.cursor..];
         let has_deliver = remaining.iter().any(|t| matches!(t, ShardTask::Deliver { .. }));
-        let has_payload =
-            remaining.iter().any(|t| matches!(t, ShardTask::Deliver { body: Some(_), .. }));
         let directory = if has_deliver {
             // Directory-lock wait is a contention series: one sample per batch,
             // so a writer-heavy control plane shows up as a fat tail here.
@@ -616,7 +613,7 @@ fn run_batch(
         } else {
             None
         };
-        // Payload deliveries evaluate contextual AC: invalidate AC entries whose
+        // Every delivery evaluates contextual AC: invalidate AC entries whose
         // keys changed, then refresh the enforcement-time context view, once per
         // batch (no-op version checks when the store has not moved). The order is
         // load-bearing: sync consumes the subscription's change feed, so it must
@@ -625,8 +622,7 @@ fn run_batch(
         // conservatively drops the entries it touched. The reverse order could
         // consume a change and then cache decisions from an older snapshot,
         // leaving a stale decision nothing ever invalidates.
-        if has_payload {
-            let directory = directory.as_deref().expect("payload implies delivery");
+        if let Some(directory) = directory.as_deref() {
             state.ac_cache.sync(store, &directory.access);
             if let Some(fresh) = store.snapshot_if_newer(state.snapshot.version()) {
                 state.snapshot = fresh;
@@ -651,7 +647,7 @@ fn run_batch(
                         from,
                         to,
                         at_millis,
-                        message: body.clone(),
+                        message: Arc::clone(&body),
                     });
                     let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
                     process_delivery(
@@ -700,7 +696,7 @@ fn run_batch(
             from: hand_off.from,
             to: hand_off.to,
             at_millis: hand_off.at_millis,
-            message: hand_off.item.frozen().cloned(),
+            message: Arc::clone(hand_off.item.body()),
         });
         complete_hand_off(shared, config, state, &mut progress.local, telemetry, hand_off);
         progress.unit = None;
@@ -728,7 +724,7 @@ fn evidence_loss(
     appender: &mut BatchedAppender,
     shared: &SharedState,
     (from, to): PairKey,
-    message_type: Option<&MessageType>,
+    message_type: &MessageType,
     cause: String,
     at_millis: u64,
 ) {
@@ -740,7 +736,7 @@ fn evidence_loss(
         AuditEvent::DeliveryLost {
             source,
             destination,
-            message_type: message_type.map(MessageType::to_string),
+            message_type: Some(message_type.to_string()),
             lost: 1,
             cause,
         },
@@ -761,9 +757,8 @@ fn discard_as_lost(
         match task {
             ShardTask::Deliver { from, to, at_millis, body, .. } => {
                 lost += 1;
-                let message_type = body.as_deref().map(FrozenMessage::message_type);
                 let cause = DEGRADED.to_string();
-                evidence_loss(appender, shared, (from, to), message_type, cause, at_millis);
+                evidence_loss(appender, shared, (from, to), body.message_type(), cause, at_millis);
             }
             ShardTask::Invalidate { .. } => {}
             ShardTask::Shutdown => *shutdown = true,
@@ -801,7 +796,7 @@ fn abandon_progress(
             &mut state.appender,
             shared,
             (hand_off.from, hand_off.to),
-            Some(hand_off.item.message_type()),
+            hand_off.item.message_type(),
             format!("mailbox hand-off abandoned: {DEGRADED}"),
             hand_off.at_millis,
         );
@@ -864,7 +859,7 @@ fn process_delivery(
     from: EndpointId,
     to: EndpointId,
     at_millis: u64,
-    body: Option<Arc<FrozenMessage>>,
+    message: Arc<FrozenMessage>,
 ) {
     failpoint::inject(&config.failpoints, FailpointSite::ShardProcess);
     // Read both endpoints' *current* contexts: a message is always judged against the
@@ -876,19 +871,17 @@ fn process_delivery(
         local.missing_endpoint += 1;
         return;
     };
-    let facts = body.as_deref().map(|message| MessageFacts {
+    let facts = MessageFacts {
         message_type: message.message_type(),
         secrecy: message.extra_context().secrecy(),
-    });
+    };
     // The shard answers the core's two questions through its private caches, or from
     // the regime and `can_flow` when the config says so, and laps the stage spans
     // there: only the answers sit between the steps of the sequence.
     let (ac_cache, snapshot) = (&mut state.ac_cache, &state.snapshot);
     let ask_access = || {
         probe.lap(Stage::Isolation);
-        // A body-less delivery has no AC question: its channel was admission-checked
-        // at subscribe time.
-        let message_type = Some(facts?.message_type);
+        let message_type = Some(facts.message_type);
         let (access, principal, now) =
             (&directory.access, src.component.principal(), Timestamp(at_millis));
         let to = dst.component.name();
@@ -914,7 +907,7 @@ fn process_delivery(
         probe.lap(Stage::Ifc);
         answer
     };
-    let flow = match enforce(&src.component, &dst.component, facts, ask_access, ask_flow) {
+    let flow = match enforce(&src.component, &dst.component, Some(facts), ask_access, ask_flow) {
         Verdict::Flow(flow) => Some(flow),
         Verdict::Isolated => {
             probe.lap(Stage::Isolation);
@@ -968,51 +961,49 @@ fn process_delivery(
     }
 
     if !denied {
-        if let Some(message) = body {
-            // Per-attribute source quenching. The mask is a pure function of (schema,
-            // destination secrecy): cache it per (schema hash, destination context
-            // hash). A destination context change either misses (new hash) or was
-            // dropped by the invalidation broadcast, so stale masks never apply.
-            let schema = message.schema();
-            let cached = state.quench_cache.get(schema.schema_hash(), dst.context_hash);
-            let mask = cached.unwrap_or_else(|| {
-                let mask = schema.quench_mask_for(dst.component.context().secrecy());
-                state.quench_cache.insert(schema.schema_hash(), dst.context_hash, mask);
-                mask
-            });
-            let fresh = cached.is_none();
-            if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
-                state.appender.append(
-                    AuditEvent::MessageQuenched {
-                        source: src.component.name().to_string(),
-                        destination: dst.component.name().to_string(),
-                        message_type: message.message_type().to_string(),
-                        attributes: schema.mask_names(mask).map(str::to_string).collect(),
-                    },
-                    at_millis,
-                );
-            }
-            local.quenched_attributes += u64::from(mask.count_ones());
-            // Effective bytes moved: quenched attributes' spans never reach a receiver.
-            local.payload_bytes += message.byte_len_after_quench(mask) as u64;
-            // A closed mailbox is skipped with one atomic load — torn-down consumers
-            // cost the hot path nothing beyond that check. The push itself happens
-            // after the batch releases the directory lock (see `PendingHandOff`).
-            if let Some(mailbox) = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed()) {
-                // The zero-copy hand-off: an untouched message moves the fan-out's
-                // `Arc` straight into the mailbox; quenching shares the body and only
-                // re-wraps the cleared presence mask.
-                let message = if mask == 0 { message } else { Arc::new(message.quench(mask)) };
-                pending.push_back(PendingHandOff {
-                    mailbox: Arc::clone(mailbox),
-                    from,
-                    to,
-                    at_millis,
-                    item: ReceivedMessage::Frozen(message),
-                });
-            }
-            probe.lap(Stage::Quench);
+        // Per-attribute source quenching. The mask is a pure function of (schema,
+        // destination secrecy): cache it per (schema hash, destination context
+        // hash). A destination context change either misses (new hash) or was
+        // dropped by the invalidation broadcast, so stale masks never apply.
+        let schema = message.schema();
+        let cached = state.quench_cache.get(schema.schema_hash(), dst.context_hash);
+        let mask = cached.unwrap_or_else(|| {
+            let mask = schema.quench_mask_for(dst.component.context().secrecy());
+            state.quench_cache.insert(schema.schema_hash(), dst.context_hash, mask);
+            mask
+        });
+        let fresh = cached.is_none();
+        if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
+            state.appender.append(
+                AuditEvent::MessageQuenched {
+                    source: src.component.name().to_string(),
+                    destination: dst.component.name().to_string(),
+                    message_type: message.message_type().to_string(),
+                    attributes: schema.mask_names(mask).map(str::to_string).collect(),
+                },
+                at_millis,
+            );
         }
+        local.quenched_attributes += u64::from(mask.count_ones());
+        // Effective bytes moved: quenched attributes' spans never reach a receiver.
+        local.payload_bytes += message.byte_len_after_quench(mask) as u64;
+        // A closed mailbox is skipped with one atomic load — torn-down consumers
+        // cost the hot path nothing beyond that check. The push itself happens
+        // after the batch releases the directory lock (see `PendingHandOff`).
+        if let Some(mailbox) = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed()) {
+            // The zero-copy hand-off: an untouched message moves the fan-out's
+            // `Arc` straight into the mailbox; quenching shares the body and only
+            // re-wraps the cleared presence mask.
+            let message = if mask == 0 { message } else { Arc::new(message.quench(mask)) };
+            pending.push_back(PendingHandOff {
+                mailbox: Arc::clone(mailbox),
+                from,
+                to,
+                at_millis,
+                item: ReceivedMessage::Frozen(message),
+            });
+        }
+        probe.lap(Stage::Quench);
         // End-to-end publish→enforced latency, recorded for allowed messages only
         // (the mailbox hand-off itself is deferred and timed as its own stage).
         probe.finish();

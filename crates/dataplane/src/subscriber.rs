@@ -59,7 +59,7 @@ pub enum ReceivedMessage {
 }
 
 impl ReceivedMessage {
-    fn body(&self) -> &Arc<FrozenMessage> {
+    pub(crate) fn body(&self) -> &Arc<FrozenMessage> {
         let ReceivedMessage::Frozen(message) = self;
         message
     }
@@ -496,7 +496,7 @@ mod tests {
         use legaliot_middleware::{FrozenSchema, MessageSchema};
         let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
         let message = Message::new("t", SecurityContext::public());
-        let frozen = FrozenMessage::freeze(&message, schema).unwrap().with_sent_at(tag);
+        let frozen = FrozenMessage::freeze_stamped(&message, schema, Arc::from(""), tag).unwrap();
         ReceivedMessage::Frozen(Arc::new(frozen))
     }
 
@@ -574,8 +574,9 @@ mod tests {
                 let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
                 let message = Message::new("t", SecurityContext::public());
                 for tag in 1..=MESSAGES {
-                    let frozen = FrozenMessage::freeze(&message, Arc::clone(&schema)).unwrap();
-                    let item = ReceivedMessage::Frozen(Arc::new(frozen.with_sent_at(tag)));
+                    let (schema, sender) = (Arc::clone(&schema), Arc::from(""));
+                    let frozen = FrozenMessage::freeze_stamped(&message, schema, sender, tag);
+                    let item = ReceivedMessage::Frozen(Arc::new(frozen.unwrap()));
                     assert!(matches!(mailbox.push(item, None), MailboxPush::Enqueued));
                 }
             })

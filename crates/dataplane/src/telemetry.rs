@@ -34,8 +34,7 @@
 //!   queueing delay).
 //! - `isolation` — endpoint resolution in the directory plus the isolation check.
 //! - `ac_hit` / `ac_miss` — the per-message contextual AC decision at message-type
-//!   granularity, split by whether the [`AdmissionCache`] answered (payload
-//!   deliveries only; the flow-only path never consults it).
+//!   granularity, split by whether the [`AdmissionCache`] answered.
 //! - `ifc` — the IFC flow decision over the message's effective context (including
 //!   decision-cache lookup and any lattice walk).
 //! - `quench` — per-attribute source quenching: mask lookup/computation, its
@@ -166,7 +165,8 @@ macro_rules! metrics_table {
 metrics_table! {
     // Counted by the engine handle: per fan-out, and once per shard directory at startup.
     engine {
-        /// Messages fanned out to shard queues by `publish`/`try_publish`.
+        /// Deliveries enqueued on shard queues by `publish_message`: one per admitted
+        /// subscriber of each published message.
         published,
         /// Torn or corrupt segment tails truncated while recovering the persistence
         /// directories at engine startup. Zero in normal runs.

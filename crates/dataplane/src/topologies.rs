@@ -104,25 +104,6 @@ impl Topology {
         names
     }
 
-    /// Registers every component (with open `Send` access, as the scenarios configure)
-    /// and subscribes every edge. Returns how many edges were admitted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates registration/subscription errors (duplicate or unknown endpoints).
-    pub fn install(
-        &self,
-        dataplane: &Dataplane,
-        snapshot: &ContextSnapshot,
-        now: Timestamp,
-    ) -> Result<usize, DataplaneError> {
-        self.register(dataplane)?;
-        for component in &self.components {
-            dataplane.allow_sends_to(component.name());
-        }
-        self.subscribe_edges(dataplane, snapshot, now)
-    }
-
     /// Registers every component as an endpoint via [`Dataplane::register_bulk`]
     /// (one directory lock for the whole batch), without touching access rules or
     /// subscriptions — generated fleets install their own per-component policies
@@ -167,19 +148,26 @@ impl Topology {
         types
     }
 
-    /// [`Topology::install`] plus [`payload_schema`] registration for every produced
-    /// message type, enabling [`Dataplane::publish_message`] on all publishers.
+    /// Registers every component (with open `Send` access, as the scenarios configure),
+    /// subscribes every edge, and registers [`payload_schema`] for every produced
+    /// message type, so every publisher can [`Dataplane::publish_message`]. Returns how
+    /// many edges were admitted.
     ///
     /// # Errors
     ///
-    /// Propagates installation and schema-registration errors.
+    /// Propagates registration, subscription and schema-registration errors (duplicate
+    /// or unknown endpoints).
     pub fn install_with_payload_schemas(
         &self,
         dataplane: &Dataplane,
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> Result<usize, DataplaneError> {
-        let admitted = self.install(dataplane, snapshot, now)?;
+        self.register(dataplane)?;
+        for component in &self.components {
+            dataplane.allow_sends_to(component.name());
+        }
+        let admitted = self.subscribe_edges(dataplane, snapshot, now)?;
         for message_type in self.message_types() {
             dataplane.register_schema(payload_schema(&message_type))?;
         }
@@ -245,7 +233,7 @@ mod tests {
         let topology = smart_home(4, 7);
         let dataplane = Dataplane::new("smart-home-test", DataplaneConfig::default());
         let admitted = topology
-            .install(&dataplane, &ContextSnapshot::default(), Timestamp(1))
+            .install_with_payload_schemas(&dataplane, &ContextSnapshot::default(), Timestamp(1))
             .expect("install succeeds");
         // Every wired edge is IFC-legal in the scenario, so all must be admitted.
         assert_eq!(admitted, topology.edges.len());
@@ -278,7 +266,7 @@ mod tests {
         let topology = smart_city(3, 4);
         let dataplane = Dataplane::new("smart-city-test", DataplaneConfig::default());
         let admitted = topology
-            .install(&dataplane, &ContextSnapshot::default(), Timestamp(1))
+            .install_with_payload_schemas(&dataplane, &ContextSnapshot::default(), Timestamp(1))
             .expect("install succeeds");
         assert_eq!(admitted, topology.edges.len());
         // 3 districts × 4 sensors + 3 gateway→analytics + analytics→anonymiser.

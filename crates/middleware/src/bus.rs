@@ -27,8 +27,8 @@ use crate::schema::Message;
 ///
 /// The distinction: an enforcement *denial* (AC, IFC, isolation) is an expected,
 /// auditable [`DeliveryOutcome`]; an *error* means the operation could not be carried
-/// out at all — the caller named an unknown component, used a torn-down channel, or hit
-/// a resource limit — and should be surfaced rather than silently folded into outcomes.
+/// out at all — the caller named an unknown component or used a torn-down channel —
+/// and should be surfaced rather than silently folded into outcomes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MiddlewareError {
     /// The referenced component is not registered.
@@ -44,14 +44,6 @@ pub enum MiddlewareError {
         /// Destination component of the closed channel.
         to: String,
     },
-    /// The destination's mailbox is full (bounded-queue backpressure); the message was
-    /// not delivered and the sender should retry after the receiver drains.
-    QueueFull {
-        /// The component whose mailbox is full.
-        component: String,
-        /// The configured mailbox capacity.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for MiddlewareError {
@@ -63,28 +55,11 @@ impl fmt::Display for MiddlewareError {
             MiddlewareError::ChannelClosed { from, to } => {
                 write!(f, "channel `{from}` -> `{to}` is closed; re-establish before sending")
             }
-            MiddlewareError::QueueFull { component, capacity } => {
-                write!(f, "mailbox of `{component}` is full (capacity {capacity})")
-            }
         }
     }
 }
 
 impl std::error::Error for MiddlewareError {}
-
-/// What [`Middleware::send`] does when the destination's bounded mailbox is full —
-/// the synchronous counterpart of the dataplane's subscriber overflow policy, so the
-/// single-threaded path is testable the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MailboxOverflow {
-    /// Refuse the send with [`MiddlewareError::QueueFull`]; the sender retries after
-    /// the receiver drains (lossless backpressure).
-    #[default]
-    Backpressure,
-    /// Shed the oldest queued message to admit the new one, evidencing the shed
-    /// delivery as a [`legaliot_audit::AuditEvent::DeliveryDropped`] record.
-    DropOldest,
-}
 
 /// The state of a channel between two components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,10 +148,6 @@ pub struct Middleware {
     tag_registry: TagRegistry,
     channels: BTreeMap<(String, String), ChannelState>,
     mailboxes: BTreeMap<String, VecDeque<Message>>,
-    mailbox_capacity: Option<usize>,
-    mailbox_overflow: MailboxOverflow,
-    /// Deliveries shed per component under [`MailboxOverflow::DropOldest`].
-    dropped_deliveries: BTreeMap<String, u64>,
     notifications: Vec<(String, String)>,
     actuations: Vec<(String, String)>,
     audit: AuditLog,
@@ -191,9 +162,6 @@ impl Middleware {
             tag_registry: TagRegistry::new(),
             channels: BTreeMap::new(),
             mailboxes: BTreeMap::new(),
-            mailbox_capacity: None,
-            mailbox_overflow: MailboxOverflow::default(),
-            dropped_deliveries: BTreeMap::new(),
             notifications: Vec::new(),
             actuations: Vec::new(),
             audit: AuditLog::new(name),
@@ -233,27 +201,6 @@ impl Middleware {
     /// The audit log recorded by this middleware instance.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
-    }
-
-    /// Bounds every component mailbox to `capacity` undelivered messages (clamped to
-    /// ≥ 1, as the dataplane's `mailbox_capacity` is); what a further send does is
-    /// the configured [`MailboxOverflow`] policy ([`Self::set_mailbox_overflow`]).
-    /// `None` (the default) leaves mailboxes unbounded.
-    pub fn set_mailbox_capacity(&mut self, capacity: Option<usize>) {
-        self.mailbox_capacity = capacity.map(|capacity| capacity.max(1));
-    }
-
-    /// Sets the full-mailbox policy: refuse the send (backpressure, the default) or
-    /// shed the oldest queued message with audited `DeliveryDropped` evidence.
-    pub fn set_mailbox_overflow(&mut self, overflow: MailboxOverflow) {
-        self.mailbox_overflow = overflow;
-    }
-
-    /// Deliveries shed from `component`'s mailbox under
-    /// [`MailboxOverflow::DropOldest`] — the bus counterpart of
-    /// `legaliot_dataplane`'s `Subscriber::dropped`.
-    pub fn dropped_deliveries(&self, component: &str) -> u64 {
-        self.dropped_deliveries.get(component).copied().unwrap_or(0)
     }
 
     /// Notifications sent to principals (recipient, message), in order.
@@ -368,18 +315,17 @@ impl Middleware {
     /// the one §8.2.2 sequence, [`crate::admission::enforce`] — isolation; AC for the
     /// sender on the destination at message-type granularity; IFC between the
     /// *message's effective context* and the destination — then quenches per attribute
-    /// against message-level tags (Fig. 10) and enqueues. A send that reaches the IFC
-    /// check is audited as one `FlowChecked` record, allowed or denied; a send refused
-    /// earlier (`NoChannel`, `SchemaViolation`, `Isolated`, `DeniedByAccessControl`, or
-    /// the [`MiddlewareError::QueueFull`] error) leaves no audit record — the caller
-    /// sees it in the returned outcome only.
+    /// against message-level tags (Fig. 10) and enqueues in the destination's
+    /// (unbounded) mailbox. A send that reaches the IFC check is audited as one
+    /// `FlowChecked` record, allowed or denied; a send refused earlier (`NoChannel`,
+    /// `SchemaViolation`, `Isolated`, `DeniedByAccessControl`) leaves no audit record —
+    /// the caller sees it in the returned outcome only.
     ///
     /// # Errors
     ///
     /// Returns [`MiddlewareError::UnknownComponent`] if either endpoint is
-    /// unregistered, [`MiddlewareError::ChannelClosed`] if the channel was torn down
-    /// (re-establish to send again), and [`MiddlewareError::QueueFull`] if the
-    /// destination mailbox is at its configured capacity.
+    /// unregistered and [`MiddlewareError::ChannelClosed`] if the channel was torn
+    /// down (re-establish to send again).
     pub fn send(
         &mut self,
         from: &str,
@@ -424,18 +370,6 @@ impl Middleware {
             refused => return Ok(refused.into_outcome()),
         };
 
-        // Backpressure is checked before the flow is audited: a QueueFull error must
-        // not leave an allowed-with-data-item FlowChecked record for a transfer that
-        // never happened (audit evidence would disagree with the mailbox). Under
-        // drop-oldest the new message *is* delivered, so the overflow is handled at
-        // enqueue time instead (the shed delivery gets its own evidence record).
-        if let Some(capacity) = self.mailbox_capacity {
-            let occupied = self.mailboxes.get(to).map_or(0, VecDeque::len);
-            if occupied >= capacity && self.mailbox_overflow == MailboxOverflow::Backpressure {
-                return Err(MiddlewareError::QueueFull { component: to.to_string(), capacity });
-            }
-        }
-
         if flow.decision.is_denied() {
             let decision = flow.decision.clone();
             self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
@@ -462,26 +396,7 @@ impl Middleware {
         delivered.sender = from.to_string();
         delivered.sent_at_millis = now.as_millis();
         delivered.context = effective_context;
-        let mailbox = self.mailboxes.entry(to.to_string()).or_default();
-        if let Some(capacity) = self.mailbox_capacity {
-            // Drop-oldest overflow (the backpressure case already returned above):
-            // shed until the new message fits, evidencing each shed delivery against
-            // its own sender and type.
-            while mailbox.len() >= capacity {
-                let shed = mailbox.pop_front().expect("full implies non-empty");
-                *self.dropped_deliveries.entry(to.to_string()).or_default() += 1;
-                self.audit.record(
-                    AuditEvent::DeliveryDropped {
-                        source: shed.sender.clone(),
-                        destination: to.to_string(),
-                        message_type: shed.message_type.to_string(),
-                        dropped: 1,
-                    },
-                    now.as_millis(),
-                );
-            }
-        }
-        mailbox.push_back(delivered);
+        self.mailboxes.entry(to.to_string()).or_default().push_back(delivered);
         Ok(DeliveryOutcome::Delivered {
             quenched_attributes: quenched.into_iter().map(String::from).collect(),
         })
@@ -1028,9 +943,6 @@ mod tests {
         assert!(MiddlewareError::ChannelClosed { from: "a".into(), to: "b".into() }
             .to_string()
             .contains("closed"));
-        assert!(MiddlewareError::QueueFull { component: "a".into(), capacity: 4 }
-            .to_string()
-            .contains("capacity 4"));
     }
 
     #[test]
@@ -1052,86 +964,19 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_overflow_sheds_with_evidence_and_try_recv_pops_in_order() {
+    fn try_recv_pops_oldest_first_and_reports_empty() {
         let mut mw = home_monitoring();
-        mw.set_mailbox_capacity(Some(2));
-        mw.set_mailbox_overflow(MailboxOverflow::DropOldest);
         mw.establish_channel("ann-sensor", "ann-analyser", &snap(), Timestamp(1)).unwrap();
         let msg = Message::new("sensor-reading", SecurityContext::public());
-        // Five sends into a 2-slot mailbox: every send is delivered (never QueueFull),
-        // the three oldest are shed.
-        for t in 2..7 {
+        for t in 5..7 {
             assert!(mw
                 .send("ann-sensor", "ann-analyser", msg.clone(), &snap(), Timestamp(t))
                 .unwrap()
                 .is_delivered());
         }
-        assert_eq!(mw.dropped_deliveries("ann-analyser"), 3);
-        let dropped_records: u64 = mw
-            .audit()
-            .of_kind(legaliot_audit::AuditEventKind::DeliveryDropped)
-            .map(|r| match &r.event {
-                AuditEvent::DeliveryDropped { dropped, source, .. } => {
-                    assert_eq!(source, "ann-sensor");
-                    *dropped
-                }
-                _ => unreachable!(),
-            })
-            .sum();
-        assert_eq!(dropped_records, 3);
-        // The two newest survive, received oldest-first via the parity `try_recv`.
         assert_eq!(mw.try_recv("ann-analyser").unwrap().sent_at_millis, 5);
         assert_eq!(mw.try_recv("ann-analyser").unwrap().sent_at_millis, 6);
         assert!(mw.try_recv("ann-analyser").is_none());
         assert!(mw.try_recv("ghost").is_none());
-
-        // A zero capacity clamps to 1 under *both* policies (as on the dataplane):
-        // drop-oldest keeps exactly one message, backpressure reports capacity 1.
-        mw.set_mailbox_capacity(Some(0));
-        assert!(mw
-            .send("ann-sensor", "ann-analyser", msg.clone(), &snap(), Timestamp(7))
-            .unwrap()
-            .is_delivered());
-        mw.set_mailbox_overflow(MailboxOverflow::Backpressure);
-        assert_eq!(
-            mw.send("ann-sensor", "ann-analyser", msg, &snap(), Timestamp(8)),
-            Err(MiddlewareError::QueueFull { component: "ann-analyser".into(), capacity: 1 })
-        );
-    }
-
-    #[test]
-    fn bounded_mailboxes_apply_backpressure() {
-        let mut mw = home_monitoring();
-        mw.set_mailbox_capacity(Some(2));
-        mw.establish_channel("ann-sensor", "ann-analyser", &snap(), Timestamp(1)).unwrap();
-        let msg = Message::new("sensor-reading", SecurityContext::public());
-        for t in 2..4 {
-            assert!(mw
-                .send("ann-sensor", "ann-analyser", msg.clone(), &snap(), Timestamp(t))
-                .unwrap()
-                .is_delivered());
-        }
-        assert_eq!(
-            mw.send("ann-sensor", "ann-analyser", msg.clone(), &snap(), Timestamp(4)),
-            Err(MiddlewareError::QueueFull { component: "ann-analyser".into(), capacity: 2 })
-        );
-        // The refused send left no flow-check record: audit must not evidence a
-        // transfer that never reached the mailbox.
-        assert_eq!(mw.audit().of_kind(legaliot_audit::AuditEventKind::FlowChecked).count(), 2);
-        // Draining the receiver frees capacity again.
-        assert_eq!(mw.receive("ann-analyser").len(), 2);
-        assert!(mw
-            .send("ann-sensor", "ann-analyser", msg, &snap(), Timestamp(5))
-            .unwrap()
-            .is_delivered());
-        // Unbounded again once the cap is lifted.
-        mw.set_mailbox_capacity(None);
-        for t in 6..20 {
-            let msg = Message::new("sensor-reading", SecurityContext::public());
-            assert!(mw
-                .send("ann-sensor", "ann-analyser", msg, &snap(), Timestamp(t))
-                .unwrap()
-                .is_delivered());
-        }
     }
 }

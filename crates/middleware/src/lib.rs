@@ -30,9 +30,7 @@ pub mod schema;
 
 pub use acl::{AccessDecision, AccessRegime, AccessRule, Operation, Principal, Subject};
 pub use admission::{admit_channel, admit_channel_cached, AdmissionCache};
-pub use bus::{
-    Channel, ChannelState, DeliveryOutcome, MailboxOverflow, Middleware, MiddlewareError,
-};
+pub use bus::{Channel, ChannelState, DeliveryOutcome, Middleware, MiddlewareError};
 pub use component::{Component, ComponentBuilder, Registry};
 pub use control::{ControlMessage, ControlOutcome, ReconfigureOp};
 pub use schema::{

@@ -520,7 +520,7 @@ impl Payload {
 
 /// Everything about a frozen message that never changes once it is published, behind
 /// the one reference count its clones and quenched forms share.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Body {
     schema: Arc<FrozenSchema>,
     payload: Payload,
@@ -580,21 +580,6 @@ impl FrozenMessage {
         let extra_context = message.context.clone();
         let body = Body { schema, payload, extra_context, sender, sent_at_millis };
         Ok(FrozenMessage { body: Arc::new(body), present })
-    }
-
-    /// Replaces the sender. Copies the body first if a clone shares it, so other
-    /// clones keep theirs.
-    #[must_use]
-    pub fn with_sender(mut self, sender: Arc<str>) -> Self {
-        Arc::make_mut(&mut self.body).sender = sender;
-        self
-    }
-
-    /// Replaces the send time, copying a shared body as [`Self::with_sender`] does.
-    #[must_use]
-    pub fn with_sent_at(mut self, at_millis: u64) -> Self {
-        Arc::make_mut(&mut self.body).sent_at_millis = at_millis;
-        self
     }
 
     /// The schema this message was frozen against.
@@ -912,30 +897,17 @@ mod tests {
     }
 
     #[test]
-    fn restamping_a_clone_leaves_the_other_clone_untouched() {
+    fn freeze_stamped_stamps_sender_and_time_and_thaws_to_the_same_message() {
         let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
         let mut message = reading_message();
         message.sender = "ann-sensor".into();
         message.sent_at_millis = 42;
-        let original = FrozenMessage::freeze(&message, schema).unwrap();
-        let restamped = original.clone().with_sender(Arc::from("relay")).with_sent_at(43);
-        assert_eq!((restamped.sender(), restamped.sent_at_millis()), ("relay", 43));
-        assert_eq!((original.sender(), original.sent_at_millis()), ("ann-sensor", 42));
-        assert_eq!(original.thaw(), message);
-        assert_eq!(restamped.payload().as_slice(), original.payload().as_slice());
-        // An unshared message is restamped in place: same body, no copy.
-        let body = Arc::as_ptr(&restamped.body);
-        let again = restamped.with_sent_at(44);
-        assert_eq!(Arc::as_ptr(&again.body), body);
-        // The stamping constructor agrees with stamping afterwards.
-        let stamped = FrozenMessage::freeze_stamped(
-            &message,
-            Arc::clone(original.schema()),
-            Arc::from("relay"),
-            44,
-        )
-        .unwrap();
-        assert_eq!(stamped.thaw(), again.thaw());
+        let stamped =
+            FrozenMessage::freeze_stamped(&message, schema, Arc::from("relay"), 44).unwrap();
+        assert_eq!((stamped.sender(), stamped.sent_at_millis()), ("relay", 44));
+        message.sender = "relay".into();
+        message.sent_at_millis = 44;
+        assert_eq!(stamped.thaw(), message);
     }
 
     #[test]

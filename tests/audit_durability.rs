@@ -36,7 +36,9 @@ use legaliot::fleet::{
     Prediction,
 };
 use legaliot::ifc::SecurityContext;
-use legaliot::middleware::{Component, Message, Principal};
+use legaliot::middleware::{
+    AttributeKind, AttributeValue, Component, Message, MessageSchema, Principal,
+};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -110,7 +112,9 @@ fn recover_all(dir: &std::path::Path, shards: usize) -> Vec<RecoveryReport> {
 
 /// Checks one shard's recovered stream against the oracle: intact chain, ids
 /// dense from 0, and every `FlowChecked` record keyed at a predicted outcome
-/// with the predicted decision. Returns (flow checks seen, allowed among them).
+/// with the predicted decision and naming the message that was judged
+/// (`data_item == "{type}@{at_millis}"`). Returns (flow checks seen, allowed among
+/// them).
 fn check_recovered_shard(
     shard: usize,
     report: &RecoveryReport,
@@ -128,14 +132,22 @@ fn check_recovered_shard(
     let mut checks = 0u64;
     let mut allowed = 0u64;
     for record in &report.records {
-        if let AuditEvent::FlowChecked { source, destination, decision, .. } = &record.event {
+        if let AuditEvent::FlowChecked { source, destination, decision, data_item, .. } =
+            &record.event
+        {
             checks += 1;
             let key = (source.clone(), destination.clone(), record.at_millis);
+            let at = format!("@{}", record.at_millis);
             match prediction.outcomes.get(&key) {
-                Some(PredictedOutcome::Delivered(_)) => {
+                Some(PredictedOutcome::Delivered(message)) => {
                     assert!(
                         decision.is_allowed(),
                         "shard {shard}: disk says denied, oracle says delivered at {key:?} {ctx}"
+                    );
+                    assert_eq!(
+                        data_item.as_deref(),
+                        Some(format!("{}{at}", message.message_type).as_str()),
+                        "shard {shard}: evidence names another message at {key:?} {ctx}"
                     );
                     allowed += 1;
                 }
@@ -143,6 +155,10 @@ fn check_recovered_shard(
                     assert!(
                         decision.is_denied(),
                         "shard {shard}: disk says allowed, oracle says denied at {key:?} {ctx}"
+                    );
+                    assert!(
+                        data_item.as_deref().is_some_and(|item| item.ends_with(&at)),
+                        "shard {shard}: denial names no message at {key:?} {ctx}: {data_item:?}"
                     );
                 }
                 None => panic!("shard {shard}: unpredicted FlowChecked at {key:?} {ctx}"),
@@ -312,8 +328,13 @@ fn durable_fleet_recovers_from_mid_churn_teardown() {
         .subscribe("restart-pub", "restart-sub", &snapshot, Timestamp(1))
         .unwrap()
         .is_delivered());
+    dataplane
+        .register_schema(MessageSchema::new("restart").attribute("run", AttributeKind::Integer))
+        .unwrap();
+    let message =
+        Message::new("restart", SecurityContext::public()).with("run", AttributeValue::Integer(2));
     for t in 0..50 {
-        dataplane.publish("restart-pub", Timestamp(10 + t)).unwrap();
+        dataplane.publish_message("restart-pub", &message, Timestamp(10 + t)).unwrap();
     }
     dataplane.drain();
     let report = dataplane.shutdown();

@@ -467,7 +467,8 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
     for record in report.merged_timeline() {
         match record.event {
             AuditEvent::ShardRestarted { .. } => restart_records += 1,
-            AuditEvent::DeliveryLost { lost, ref cause, .. } => {
+            AuditEvent::DeliveryLost { lost, ref cause, ref message_type, .. } => {
+                assert!(message_type.is_some(), "every lost delivery names its type: {cause}");
                 if cause.starts_with("mailbox hand-off abandoned") {
                     lost_hand_off += lost;
                 } else {

@@ -91,11 +91,11 @@ fn compliance_audit_entry_path() {
     assert_eq!(liability.data_item, "ann-analysis");
 }
 
-/// The flow-only dataplane path (`Dataplane::publish`): the smart-home and
+/// The dataplane path (`Dataplane::publish_message`): the smart-home and
 /// smart-city topologies install onto the dataplane, traffic is enforced with the
 /// decision cache hot, and every per-shard audit chain verifies.
 #[test]
-fn dataplane_flow_only_entry_path() {
+fn dataplane_entry_path() {
     use legaliot::context::Timestamp;
     use legaliot::dataplane::{smart_city, smart_home, Dataplane, DataplaneConfig};
 
@@ -105,8 +105,8 @@ fn dataplane_flow_only_entry_path() {
         assert_eq!(admitted, topology.edges.len());
         let mut clock = 2;
         for _ in 0..50 {
-            for publisher in topology.publishers() {
-                dataplane.publish(&publisher, Timestamp(clock)).unwrap();
+            for (publisher, message) in topology.publisher_messages() {
+                dataplane.publish_message(&publisher, &message, Timestamp(clock)).unwrap();
                 clock += 1;
             }
         }
@@ -120,9 +120,9 @@ fn dataplane_flow_only_entry_path() {
     }
 }
 
-/// `examples/churn_soak.rs`: a failpoint registry injects a supervised shard
-/// panic mid-run; the accounting identity stays exact, the restart is counted
-/// and evidenced, and every audit chain verifies across the restart.
+/// A failpoint registry injects a supervised shard panic mid-run; the accounting
+/// identity stays exact, the restart is counted and evidenced, and every audit chain
+/// verifies across the restart.
 #[test]
 fn churn_soak_entry_path() {
     use legaliot::audit::AuditEvent;
@@ -230,5 +230,7 @@ fn dataplane_install(
     dataplane: &legaliot::dataplane::Dataplane,
 ) -> usize {
     use legaliot::context::{ContextSnapshot, Timestamp};
-    topology.install(dataplane, &ContextSnapshot::default(), Timestamp(1)).expect("installs")
+    topology
+        .install_with_payload_schemas(dataplane, &ContextSnapshot::default(), Timestamp(1))
+        .expect("installs")
 }
