@@ -9,6 +9,12 @@
 //! Memory: every distinct name ever registered costs its string plus a few words
 //! (name-table entry, slot pointer, map entry) for as long as the engine lives; the
 //! `Endpoint` itself is freed when it leaves.
+//!
+//! Message bodies come from one engine-wide [`BodyRing`]: a publish refills, in place,
+//! the oldest body every receiver has let go of, so in steady state the publishing
+//! thread allocates nothing per message. The ring is bounded by what the ingress
+//! queues can hold (`shards × queue_capacity` bodies) and taken with `try_lock` only —
+//! a publisher that finds another one in it builds a body of its own.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,8 +31,8 @@ use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{context_hash64, CacheStats, SecurityContext};
 use legaliot_middleware::admission::{admit_channel, admit_channel_cached, AdmissionCache};
 use legaliot_middleware::{
-    AccessRegime, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message, MessageSchema,
-    MessageType,
+    AccessRegime, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message,
+    MessageSchema, MessageType,
 };
 use legaliot_obs::ObsConfig;
 use legaliot_policy::AcCacheStats;
@@ -63,8 +69,8 @@ pub enum AuditDetail {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadMode {
     /// Freeze the message once at ingress ([`FrozenMessage`]) and hand every
-    /// subscriber an `Arc` of it: per-delivery cost is refcount bumps, and quenching
-    /// is a bitmask over the shared buffer.
+    /// subscriber a handle on that one body: per-delivery cost is refcount bumps, and
+    /// quenching is a bitmask over the shared buffer.
     #[default]
     ZeroCopy,
 }
@@ -107,6 +113,8 @@ pub struct DataplaneConfig {
     /// Number of worker shards (threads). Components hash onto shards by name.
     pub shards: usize,
     /// Bounded ingress-queue capacity per shard; full queues backpressure publishers.
+    /// With `shards` it also bounds the engine's ring of reusable message bodies
+    /// (`shards × queue_capacity`: what the queues can hold in flight).
     pub queue_capacity: usize,
     /// Whether to cache flow decisions per `(source ctx hash, destination ctx hash)`.
     pub cache_decisions: bool,
@@ -299,9 +307,10 @@ pub(crate) struct Endpoint {
     /// visits its neighbours and not the whole directory.
     pub publishers: Vec<EndpointId>,
     /// The streaming receiver's bounded mailbox, present while a [`Subscriber`] has
-    /// been opened for this endpoint. Shards push enforced (post-quench) deliveries
-    /// into it under the directory *read* lock; a closed mailbox is skipped with one
-    /// atomic load, so torn-down consumers never slow the hot path.
+    /// been opened for this endpoint. Shards find it under the directory read lock and
+    /// push enforced (post-quench) deliveries into it after releasing that lock; a
+    /// closed mailbox is skipped with one atomic load, so torn-down consumers never
+    /// slow the hot path.
     pub mailbox: Option<Arc<Mailbox>>,
 }
 
@@ -546,6 +555,10 @@ pub struct Dataplane {
     workers: Vec<JoinHandle<ShardReport>>,
     config: DataplaneConfig,
     counters: EngineCounters,
+    /// Where published bodies come from and are reused (see the module docs). Taken
+    /// with `try_lock` only, so it orders after any lock and publishers never wait on
+    /// each other.
+    bodies: Mutex<BodyRing>,
 }
 
 /// Change-history retention of the store an engine creates for itself
@@ -637,7 +650,8 @@ impl Dataplane {
                 thread::spawn(move || run_worker(index, shared, config))
             })
             .collect();
-        Dataplane { shared, workers, config, counters }
+        let bodies = Mutex::new(BodyRing::new(shards.saturating_mul(config.queue_capacity)));
+        Dataplane { shared, workers, config, counters, bodies }
     }
 
     /// The configuration this engine runs with.
@@ -709,9 +723,8 @@ impl Dataplane {
     /// Opens a streaming receiver for `name`: subsequent enforced (post-quench)
     /// payload deliveries to the endpoint are queued in a bounded mailbox
     /// ([`DataplaneConfig::mailbox_capacity`], [`DataplaneConfig::overflow`]) and
-    /// handed out through the returned [`Subscriber`] — as shared
-    /// `Arc<FrozenMessage>`s in zero-copy mode, so the hand-off never copies payload
-    /// bytes.
+    /// handed out through the returned [`Subscriber`] — each a handle on the body the
+    /// publisher froze, so the hand-off never copies payload bytes.
     ///
     /// Dropping (or closing) the handle tears the mailbox down: shards stop
     /// enqueueing without blocking, and the endpoint can be re-opened afterwards.
@@ -897,7 +910,7 @@ impl Dataplane {
     }
 
     /// The fan-out of one published message: one [`ShardTask::Deliver`] per subscriber,
-    /// each carrying a reference to the frozen body — the last one the publisher's
+    /// each carrying a handle on the frozen body — the last one the publisher's
     /// own, so at fan-out 1 the body's count is never written by publisher and shard
     /// at once. Pushes block on a full shard queue (backpressure), and run with no
     /// directory lock held: a blocked push must never hold the lock a worker needs.
@@ -906,7 +919,7 @@ impl Dataplane {
         from: EndpointId,
         subscribers: &[(EndpointId, usize)],
         now: Timestamp,
-        body: Arc<FrozenMessage>,
+        body: FrozenMessage,
     ) -> Result<usize, DataplaneError> {
         // One clock read per fan-out (not per subscriber); 0 when telemetry is off,
         // which the workers treat as "no timing".
@@ -938,7 +951,7 @@ impl Dataplane {
                 to,
                 at_millis: now.as_millis(),
                 enqueued_ns,
-                body: body.expect("the publisher's reference moves into the last task only"),
+                body: body.expect("the publisher's handle moves into the last task only"),
             };
             state.in_flight.fetch_add(1, Ordering::SeqCst);
             let depth = state.queue.push(task);
@@ -954,8 +967,9 @@ impl Dataplane {
     /// the dataplane. Returns the number of deliveries enqueued.
     ///
     /// The message is validated against its registered schema once at ingress, then
-    /// frozen once — sender and send time stamped as the body is built — and shared
-    /// zero-copy (one `Arc` bump per subscriber after the first). Per delivery
+    /// frozen once — sender and send time stamped as the body is written, into a body
+    /// the engine's ring has free when there is one — and shared zero-copy (one
+    /// refcount bump per subscriber after the first). Per delivery
     /// the destination's shard calls [`legaliot_middleware::admission::enforce`] —
     /// isolation, contextual AC at message-type granularity (cache-amortised), IFC
     /// over the message's effective context — then quenches per attribute against the
@@ -973,19 +987,31 @@ impl Dataplane {
         message: &Message,
         now: Timestamp,
     ) -> Result<usize, DataplaneError> {
-        let (from, sender, subscribers, schema) = {
+        let (from, subscribers, frozen) = {
             let directory = self.shared.directory.read();
             let (id, endpoint) = directory.endpoints.lookup(publisher)?;
-            let schema =
-                directory.schemas.get(&message.message_type).cloned().ok_or_else(|| {
-                    DataplaneError::UnknownSchema { message_type: message.message_type.to_string() }
-                })?;
-            let sender = Arc::clone(directory.endpoints.name(id));
-            (id, sender, Arc::clone(&endpoint.subscribers), schema)
+            let schema = directory.schemas.get(&message.message_type).ok_or_else(|| {
+                DataplaneError::UnknownSchema { message_type: message.message_type.to_string() }
+            })?;
+            let (sender, at_millis) = (directory.endpoints.name(id), now.as_millis());
+            // Frozen under the read lock, which lends the schema and the name: neither
+            // freeze can block.
+            let frozen = match self.bodies.try_lock() {
+                Some(mut ring) => {
+                    let reused = ring.reused();
+                    let frozen = ring.freeze_stamped(message, schema, sender, at_millis);
+                    self.counters.bodies_reused.add(ring.reused() - reused);
+                    frozen
+                }
+                None => {
+                    let (schema, sender) = (Arc::clone(schema), Arc::clone(sender));
+                    FrozenMessage::freeze_stamped(message, schema, sender, at_millis)
+                }
+            };
+            (id, Arc::clone(&endpoint.subscribers), frozen)
         };
-        let frozen = FrozenMessage::freeze_stamped(message, schema, sender, now.as_millis())
-            .map_err(|reason| DataplaneError::SchemaViolation { reason })?;
-        self.enqueue_fanout(from, &subscribers, now, Arc::new(frozen))
+        let frozen = frozen.map_err(|reason| DataplaneError::SchemaViolation { reason })?;
+        self.enqueue_fanout(from, &subscribers, now, frozen)
     }
 
     /// Changes an entity's security context and broadcasts invalidation of its old
@@ -1236,6 +1262,12 @@ impl Dataplane {
     #[cfg(test)]
     pub(crate) fn endpoint_id(&self, name: &str) -> Option<u32> {
         self.shared.directory.read().endpoints.id_of(name).map(|id| id.0)
+    }
+
+    /// Test hook: takes the body ring, as a publisher in the middle of a freeze has it.
+    #[cfg(test)]
+    pub(crate) fn hold_body_ring(&self) -> impl Drop + '_ {
+        self.bodies.lock()
     }
 
     /// Test hook: parks the worker of a drained shard on the returned barrier. Returns

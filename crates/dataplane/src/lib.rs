@@ -15,10 +15,13 @@
 //!   [`Dataplane::publish_message`] validates and freezes it once at
 //!   ingress ([`legaliot_middleware::FrozenMessage`]: one reference-counted body
 //!   holding the schema's interned name table, context, sender, send time and a
-//!   single-buffer [`Payload`](legaliot_middleware::Payload)) and fans an `Arc` of it
-//!   out to the shards. Per-delivery source quenching (Fig. 10) is a cached bitmask
-//!   over the shared body instead of a map clone; quenched attribute names are
-//!   evidenced in the per-shard audit
+//!   single-buffer [`Payload`](legaliot_middleware::Payload)) and fans handles on it
+//!   out to the shards. The body is refilled in place from an engine-wide
+//!   [`legaliot_middleware::BodyRing`] once every receiver has dropped it, and a
+//!   delivery travels by value from the publish to the mailbox, so in steady state
+//!   neither the publisher nor a shard allocates per message. Per-delivery source
+//!   quenching (Fig. 10) is a cached bitmask over the shared body instead of a map
+//!   clone; quenched attribute names are evidenced in the per-shard audit
 //!   ([`legaliot_audit::AuditEvent::MessageQuenched`]).
 //! * **Endpoint handles** — a name is interned once, when it first registers, into a
 //!   small `Copy` id that it keeps for the engine's lifetime. Subscription edges,
@@ -53,7 +56,7 @@
 //! * **Streaming receivers** — [`Dataplane::open_subscriber`] /
 //!   [`Dataplane::subscribe_receiver`] hand consumers a [`Subscriber`] over a bounded
 //!   per-endpoint mailbox ([`subscriber`]): enforced, post-quench bodies arrive as
-//!   shared `Arc<FrozenMessage>`s (zero-copy end to end), with
+//!   handles on the body the publisher froze (zero-copy end to end), with
 //!   `recv`/`try_recv`/`recv_timeout`/`drain` receives and a configurable overflow
 //!   policy — block the shard (lossless backpressure) or drop-oldest with counted,
 //!   audited [`legaliot_audit::AuditEvent::DeliveryDropped`] evidence.
@@ -908,6 +911,49 @@ mod tests {
         assert_eq!(dataplane.stats(), DataplaneStats::default());
         assert_eq!(dataplane.shard_of("sensor-1"), dataplane.shard_of("sensor-1"));
         assert!(dataplane.shard_of("sensor-1") < dataplane.config().shards);
+    }
+
+    /// Publishers never wait on each other for the body ring: one that finds it taken
+    /// builds a body of its own, and two publishing at once both get through with
+    /// every delivery accounted for.
+    #[test]
+    fn publishers_share_the_body_ring_without_waiting_on_it() {
+        const EACH: u64 = 2000;
+        let dataplane = two_pair_plane(DataplaneConfig::default());
+        {
+            // The ring is taken: this publish returns all the same, on a fresh body.
+            let _ring = dataplane.hold_body_ring();
+            assert_eq!(tick(&dataplane, "a", 1), Ok(1));
+        }
+        // Released, and the first body free again once its delivery is done.
+        dataplane.drain();
+        assert_eq!(tick(&dataplane, "a", 2), Ok(1));
+        dataplane.drain();
+        assert_eq!(tick(&dataplane, "a", 3), Ok(1));
+        assert_eq!(dataplane.stats().bodies_reused, 1, "only the third found a body to refill");
+
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for publisher in ["a", "c"] {
+                let (dataplane, start) = (&dataplane, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for at in 0..EACH {
+                        assert_eq!(tick(dataplane, publisher, 10 + at), Ok(1));
+                    }
+                });
+            }
+        });
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!(stats.published, 3 + 2 * EACH);
+        assert_eq!(
+            stats.published,
+            stats.delivered + stats.denied + stats.missing_endpoint + stats.deliveries_lost
+        );
+        assert_eq!((stats.delivered, stats.deliveries_lost), (stats.published, 0));
+        assert!(stats.bodies_reused <= stats.published);
+        dataplane.shutdown();
     }
 
     /// Tentpole acceptance: a seeded failpoint panics the shard mid-delivery.

@@ -30,9 +30,11 @@
 //! closures that also lap the stage spans (every delivery is a typed message, so both
 //! questions are always asked). This module is the driver side: counters, pair
 //! summaries, audit appends, per-attribute source quenching against the subscriber's
-//! secrecy label (Fig. 10; a cached bitmask over the `Arc<FrozenMessage>` shared across
-//! the whole fan-out), the deferred mailbox hand-off, and the supervisor evidencing
-//! every loss.
+//! secrecy label (Fig. 10; a cached bitmask cleared from the delivery's own presence
+//! mask, over the body the whole fan-out shares), the deferred mailbox hand-off, and
+//! the supervisor evidencing every loss. A delivery is a [`FrozenMessage`] by value —
+//! body handle and mask — from the queued task to the mailbox: the shard allocates
+//! nothing for it, quenched or not.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -49,7 +51,7 @@ use legaliot_middleware::{FrozenMessage, MessageType, Operation};
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedState};
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::BoundedQueue;
-use crate::subscriber::{MailboxPush, ReceivedMessage};
+use crate::subscriber::MailboxPush;
 use crate::telemetry::{BatchCounters, DeliveryProbe, ShardCounters, ShardTelemetry, Stage};
 
 /// Work items delivered to a shard's ingress queue.
@@ -67,9 +69,9 @@ pub(crate) enum ShardTask {
         /// disabled); the worker derives ingress-queue wait and end-to-end delivery
         /// latency from it. Taken once per fan-out, not per subscriber.
         enqueued_ns: u64,
-        /// The message body: the frozen message shared across the whole fan-out, one
-        /// refcount bump per subscriber at publish time.
-        body: Arc<FrozenMessage>,
+        /// This delivery's handle on the frozen body the whole fan-out shares (one
+        /// refcount bump per subscriber after the first, at publish time).
+        body: FrozenMessage,
     },
     /// Drop every cached decision involving this context hash (an entity changed
     /// context — §8.2.2 re-evaluation). Also drops quench masks computed against the
@@ -149,7 +151,7 @@ struct PendingHandOff {
     from: EndpointId,
     to: EndpointId,
     at_millis: u64,
-    item: ReceivedMessage,
+    item: FrozenMessage,
 }
 
 /// What the supervisor knows about the unit of work currently being processed,
@@ -164,9 +166,9 @@ struct InFlight {
     from: EndpointId,
     to: EndpointId,
     at_millis: u64,
-    /// The body, held (one `Arc` bump) so loss evidence can name its message type
+    /// The body, held (one refcount bump) so loss evidence can name its message type
     /// without building the string unless the evidence is actually written.
-    message: Arc<FrozenMessage>,
+    message: FrozenMessage,
 }
 
 /// Cross-restart batch progress, owned by the supervisor (it lives *outside*
@@ -647,7 +649,7 @@ fn run_batch(
                         from,
                         to,
                         at_millis,
-                        message: Arc::clone(&body),
+                        message: body.clone(),
                     });
                     let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
                     process_delivery(
@@ -696,7 +698,7 @@ fn run_batch(
             from: hand_off.from,
             to: hand_off.to,
             at_millis: hand_off.at_millis,
-            message: Arc::clone(hand_off.item.body()),
+            message: hand_off.item.clone(),
         });
         complete_hand_off(shared, config, state, &mut progress.local, telemetry, hand_off);
         progress.unit = None;
@@ -859,7 +861,7 @@ fn process_delivery(
     from: EndpointId,
     to: EndpointId,
     at_millis: u64,
-    message: Arc<FrozenMessage>,
+    message: FrozenMessage,
 ) {
     failpoint::inject(&config.failpoints, FailpointSite::ShardProcess);
     // Read both endpoints' *current* contexts: a message is always judged against the
@@ -991,16 +993,14 @@ fn process_delivery(
         // cost the hot path nothing beyond that check. The push itself happens
         // after the batch releases the directory lock (see `PendingHandOff`).
         if let Some(mailbox) = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed()) {
-            // The zero-copy hand-off: an untouched message moves the fan-out's
-            // `Arc` straight into the mailbox; quenching shares the body and only
-            // re-wraps the cleared presence mask.
-            let message = if mask == 0 { message } else { Arc::new(message.quench(mask)) };
+            // The zero-copy hand-off: the delivery's own handle moves on to the
+            // mailbox, its quenched bits cleared in place.
             pending.push_back(PendingHandOff {
                 mailbox: Arc::clone(mailbox),
                 from,
                 to,
                 at_millis,
-                item: ReceivedMessage::Frozen(message),
+                item: message.into_quenched(mask),
             });
         }
         probe.lap(Stage::Quench);

@@ -4,8 +4,11 @@
 //! The paper's guarantee is about what a subscriber *ultimately observes* — messages
 //! admitted, IFC-checked and quenched per its context. The dataplane's shards enforce
 //! per delivery; a bounded per-endpoint mailbox is the hand-off point where an
-//! enforced (post-quench) body becomes visible to application code. The hand-off is an
-//! `Arc<FrozenMessage>` — refcount bumps, never a payload copy.
+//! enforced (post-quench) body becomes visible to application code. The hand-off is a
+//! [`FrozenMessage`] by value — a body handle and a presence mask, two words, never a
+//! payload copy and no allocation on the shard; the `Arc` the public
+//! [`ReceivedMessage::Frozen`] wraps it in is made by the receive call, on the
+//! consumer's thread and outside the mailbox lock, which is also where it is freed.
 //!
 //! Mailboxes are bounded. What happens on overflow is the subscriber's
 //! [`OverflowPolicy`]:
@@ -59,7 +62,13 @@ pub enum ReceivedMessage {
 }
 
 impl ReceivedMessage {
-    pub(crate) fn body(&self) -> &Arc<FrozenMessage> {
+    /// Wraps a delivery taken out of the mailbox. Allocates, so receives call it with
+    /// the mailbox lock released.
+    fn wrap(delivery: FrozenMessage) -> Self {
+        ReceivedMessage::Frozen(Arc::new(delivery))
+    }
+
+    fn body(&self) -> &Arc<FrozenMessage> {
         let ReceivedMessage::Frozen(message) = self;
         message
     }
@@ -163,14 +172,14 @@ pub(crate) enum MailboxPush {
     Enqueued,
     /// The delivery is queued; the returned oldest queued message was shed to make
     /// room (the caller audits it against its own source and message type).
-    DroppedOldest(ReceivedMessage),
+    DroppedOldest(FrozenMessage),
     /// The mailbox is closed; the delivery was discarded without queueing.
     Closed,
 }
 
 #[derive(Debug, Default)]
 struct MailboxInner {
-    queue: VecDeque<ReceivedMessage>,
+    queue: VecDeque<FrozenMessage>,
     /// Deliveries shed by drop-oldest overflow since the mailbox opened.
     dropped: u64,
     /// Consumers parked on `not_empty` / producers parked on `not_full`. Raised
@@ -183,16 +192,17 @@ struct MailboxInner {
 
 impl MailboxInner {
     /// Takes the oldest delivery and says whether a parked producer is owed a wake.
-    fn pop(&mut self) -> Option<(ReceivedMessage, bool)> {
+    fn pop(&mut self) -> Option<(FrozenMessage, bool)> {
         self.queue.pop_front().map(|item| (item, self.waiting_producers > 0))
     }
 }
 
 /// The bounded hand-off queue between a subscriber's shard and its consumer.
 ///
-/// Shards push under the engine's directory *read* lock; consumers pop through a
-/// [`Subscriber`] without touching the directory at all, so a draining consumer can
-/// never deadlock against the control plane. The `closed` flag is additionally
+/// Shards push after releasing the engine's directory lock (a Block-policy push may
+/// park); consumers pop through a [`Subscriber`] without touching the directory at
+/// all, so neither side can deadlock against the control plane. What is queued is the
+/// delivery by value; see the module docs. The `closed` flag is additionally
 /// mirrored in an atomic so the shard's common case (open mailbox) and the
 /// engine's teardown broadcast stay cheap.
 #[derive(Debug)]
@@ -245,7 +255,7 @@ impl Mailbox {
     /// actually stalled, so the fast path takes no timestamps.
     pub(crate) fn push(
         &self,
-        item: ReceivedMessage,
+        item: FrozenMessage,
         stall: Option<&LatencyHistogram>,
     ) -> MailboxPush {
         // Cheap lock-free fast path for long-closed mailboxes; the authoritative
@@ -301,7 +311,7 @@ impl Mailbox {
         MailboxPush::Enqueued
     }
 
-    fn recv(&self) -> Result<ReceivedMessage, RecvError> {
+    fn recv(&self) -> Result<FrozenMessage, RecvError> {
         let mut inner = self.inner.lock();
         loop {
             if let Some((item, wake)) = inner.pop() {
@@ -320,7 +330,7 @@ impl Mailbox {
         }
     }
 
-    fn try_recv(&self) -> Result<ReceivedMessage, TryRecvError> {
+    fn try_recv(&self) -> Result<FrozenMessage, TryRecvError> {
         let mut inner = self.inner.lock();
         match inner.pop() {
             Some((item, wake)) => {
@@ -335,7 +345,7 @@ impl Mailbox {
         }
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<ReceivedMessage, RecvTimeoutError> {
+    fn recv_timeout(&self, timeout: Duration) -> Result<FrozenMessage, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
@@ -363,9 +373,9 @@ impl Mailbox {
         }
     }
 
-    fn drain(&self) -> Vec<ReceivedMessage> {
+    fn drain(&self) -> Vec<FrozenMessage> {
         let mut inner = self.inner.lock();
-        let items: Vec<ReceivedMessage> = inner.queue.drain(..).collect();
+        let items: Vec<FrozenMessage> = inner.queue.drain(..).collect();
         let wake = inner.waiting_producers > 0;
         drop(inner);
         if wake && !items.is_empty() {
@@ -414,7 +424,7 @@ impl Subscriber {
     ///
     /// [`RecvError::Disconnected`] once the mailbox is closed *and* drained.
     pub fn recv(&self) -> Result<ReceivedMessage, RecvError> {
-        self.mailbox.recv()
+        self.mailbox.recv().map(ReceivedMessage::wrap)
     }
 
     /// Returns the next delivery without blocking.
@@ -424,7 +434,7 @@ impl Subscriber {
     /// [`TryRecvError::Empty`] when nothing is queued;
     /// [`TryRecvError::Disconnected`] once closed and drained.
     pub fn try_recv(&self) -> Result<ReceivedMessage, TryRecvError> {
-        self.mailbox.try_recv()
+        self.mailbox.try_recv().map(ReceivedMessage::wrap)
     }
 
     /// Blocks for at most `timeout` for the next delivery.
@@ -434,14 +444,14 @@ impl Subscriber {
     /// [`RecvTimeoutError::Timeout`] when the timeout elapses;
     /// [`RecvTimeoutError::Disconnected`] once closed and drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<ReceivedMessage, RecvTimeoutError> {
-        self.mailbox.recv_timeout(timeout)
+        self.mailbox.recv_timeout(timeout).map(ReceivedMessage::wrap)
     }
 
     /// Takes everything currently queued in one batch, without blocking (possibly
     /// empty). Frees the whole mailbox capacity at once, so a periodic drain loop is
     /// the cheapest way to consume under [`OverflowPolicy::Block`].
     pub fn drain(&self) -> Vec<ReceivedMessage> {
-        self.mailbox.drain()
+        self.mailbox.drain().into_iter().map(ReceivedMessage::wrap).collect()
     }
 
     /// Number of deliveries currently queued.
@@ -491,13 +501,12 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn item(tag: u64) -> ReceivedMessage {
+    fn item(tag: u64) -> FrozenMessage {
         use legaliot_ifc::SecurityContext;
         use legaliot_middleware::{FrozenSchema, MessageSchema};
         let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
         let message = Message::new("t", SecurityContext::public());
-        let frozen = FrozenMessage::freeze_stamped(&message, schema, Arc::from(""), tag).unwrap();
-        ReceivedMessage::Frozen(Arc::new(frozen))
+        FrozenMessage::freeze_stamped(&message, schema, Arc::from(""), tag).unwrap()
     }
 
     #[test]
@@ -575,9 +584,8 @@ mod tests {
                 let message = Message::new("t", SecurityContext::public());
                 for tag in 1..=MESSAGES {
                     let (schema, sender) = (Arc::clone(&schema), Arc::from(""));
-                    let frozen = FrozenMessage::freeze_stamped(&message, schema, sender, tag);
-                    let item = ReceivedMessage::Frozen(Arc::new(frozen.unwrap()));
-                    assert!(matches!(mailbox.push(item, None), MailboxPush::Enqueued));
+                    let item = FrozenMessage::freeze_stamped(&message, schema, sender, tag);
+                    assert!(matches!(mailbox.push(item.unwrap(), None), MailboxPush::Enqueued));
                 }
             })
         };

@@ -168,6 +168,9 @@ metrics_table! {
         /// Deliveries enqueued on shard queues by `publish_message`: one per admitted
         /// subscriber of each published message.
         published,
+        /// Messages whose body was refilled in place rather than allocated — ring
+        /// effectiveness, read against messages published.
+        bodies_reused,
         /// Torn or corrupt segment tails truncated while recovering the persistence
         /// directories at engine startup. Zero in normal runs.
         recovery_truncations,

@@ -34,6 +34,6 @@ pub use bus::{Channel, ChannelState, DeliveryOutcome, Middleware, MiddlewareErro
 pub use component::{Component, ComponentBuilder, Registry};
 pub use control::{ControlMessage, ControlOutcome, ReconfigureOp};
 pub use schema::{
-    encoded_payload_len, AttributeKind, AttributeValue, FrozenMessage, FrozenSchema, Message,
-    MessageSchema, MessageType, Payload, MAX_FROZEN_ATTRIBUTES,
+    encoded_payload_len, AttributeKind, AttributeValue, BodyRing, FrozenMessage, FrozenSchema,
+    Message, MessageSchema, MessageType, Payload, MAX_FROZEN_ATTRIBUTES,
 };

@@ -14,10 +14,11 @@
 //! whose offset table and value bytes are a single buffer — plus a `u64` mask of the
 //! attributes still present. Freezing costs two allocations, payload and body (a
 //! third in [`FrozenMessage::freeze`], for the sender name the middleware otherwise
-//! supplies); cloning and quenching are one refcount bump, the latter with a smaller
-//! mask, and neither allocates.
+//! supplies) — or none, through a [`BodyRing`], which refills in place a body nobody
+//! holds any more; cloning and quenching are one refcount bump, the latter with a
+//! smaller mask, and neither allocates.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -435,28 +436,45 @@ pub fn encoded_payload_len(message: &Message) -> usize {
     message.attributes.values().map(encoded_value_len).sum()
 }
 
+/// Every check a freeze makes, before anything is written: `message` conforms to
+/// `schema` and its encoded values fit the payload's `u32` offsets. Returns their
+/// encoded size.
+fn checked_payload_len(message: &Message, schema: &FrozenSchema) -> Result<usize, String> {
+    schema.validate(message)?;
+    let total = encoded_payload_len(message);
+    if u32::try_from(total).is_err() {
+        return Err(format!("payload of {total} bytes exceeds the 4 GiB offset range"));
+    }
+    Ok(total)
+}
+
 /// The attribute values of one message and their offset table, in *one* allocation:
 /// `len` little-endian `u32` end offsets, then the values encoded back-to-back.
 /// Attribute `i` occupies `values[end(i - 1)..end(i)]` (from 0 for the first).
 ///
 /// A payload lives inside its message's shared body, so it carries no reference count
 /// of its own; values decode lazily against the schema's kind table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Payload {
-    buffer: Box<[u8]>,
+    /// A `Vec` so that a reused body's next message is encoded into the capacity
+    /// the last one left.
+    buffer: Vec<u8>,
     /// Where the values start in `buffer`: 4 × the attribute count.
     values_at: usize,
 }
 
 impl Payload {
-    /// Encodes a message already validated against the schema it will be read with.
-    fn encode(message: &Message) -> Result<Payload, String> {
-        let total = encoded_payload_len(message);
-        if u32::try_from(total).is_err() {
-            return Err(format!("payload of {total} bytes exceeds the 4 GiB offset range"));
-        }
+    /// Overwrites this payload with `message`, which has passed
+    /// [`checked_payload_len`] against the schema it will be read with and encodes to
+    /// `total` bytes. Allocates only when the buffer's capacity falls short, and then
+    /// exactly what the message needs.
+    fn encode(&mut self, message: &Message, total: usize) {
         let values_at = 4 * message.attributes.len();
-        let mut buffer = Vec::with_capacity(values_at + total);
+        let buffer = &mut self.buffer;
+        buffer.clear();
+        if buffer.capacity() < values_at + total {
+            *buffer = Vec::with_capacity(values_at + total);
+        }
         buffer.resize(values_at, 0);
         // A validated message holds exactly the schema's names, and both are sorted:
         // its values are already in table order.
@@ -470,8 +488,7 @@ impl Payload {
             let end = (buffer.len() - values_at) as u32;
             buffer[4 * index..4 * index + 4].copy_from_slice(&end.to_le_bytes());
         }
-        // Filled to exactly its capacity, so boxing it does not reallocate.
-        Ok(Payload { buffer: buffer.into_boxed_slice(), values_at })
+        self.values_at = values_at;
     }
 
     /// Total encoded size of the values in bytes.
@@ -531,6 +548,24 @@ struct Body {
     sent_at_millis: u64,
 }
 
+impl Body {
+    /// The body of `message`, its payload encoded into `payload`'s buffer — an empty
+    /// one for a new body, a reused body's own for the capacity it has. The one place
+    /// a body is written. The message has passed [`checked_payload_len`] against
+    /// `schema` (`total` is what it returned), so nothing here fails.
+    fn filled(
+        mut payload: Payload,
+        message: &Message,
+        total: usize,
+        schema: Arc<FrozenSchema>,
+        sender: Arc<str>,
+        sent_at_millis: u64,
+    ) -> Body {
+        payload.encode(message, total);
+        Body { schema, payload, extra_context: message.context.clone(), sender, sent_at_millis }
+    }
+}
+
 /// A validated, immutable message frozen against a [`FrozenSchema`]: the zero-copy
 /// representation the dataplane carries through its shards.
 ///
@@ -570,16 +605,17 @@ impl FrozenMessage {
         sender: Arc<str>,
         sent_at_millis: u64,
     ) -> Result<FrozenMessage, String> {
-        schema.validate(message)?;
-        let payload = Payload::encode(message)?;
-        let present = if schema.len() == MAX_FROZEN_ATTRIBUTES {
-            u64::MAX
-        } else {
-            (1u64 << schema.len()) - 1
-        };
-        let extra_context = message.context.clone();
-        let body = Body { schema, payload, extra_context, sender, sent_at_millis };
-        Ok(FrozenMessage { body: Arc::new(body), present })
+        let total = checked_payload_len(message, &schema)?;
+        let body = Body::filled(Payload::default(), message, total, schema, sender, sent_at_millis);
+        Ok(FrozenMessage::whole(Arc::new(body)))
+    }
+
+    /// The message over `body` with every attribute of its schema present.
+    fn whole(body: Arc<Body>) -> FrozenMessage {
+        let attributes = body.schema.len();
+        let present =
+            if attributes == MAX_FROZEN_ATTRIBUTES { u64::MAX } else { (1u64 << attributes) - 1 };
+        FrozenMessage { body, present }
     }
 
     /// The schema this message was frozen against.
@@ -679,7 +715,15 @@ impl FrozenMessage {
     /// a smaller presence mask.
     #[must_use]
     pub fn quench(&self, mask: u64) -> FrozenMessage {
-        FrozenMessage { body: Arc::clone(&self.body), present: self.present & !mask }
+        self.clone().into_quenched(mask)
+    }
+
+    /// [`Self::quench`] of a message the caller owns: the bits are cleared in place,
+    /// so the body's reference count is not touched.
+    #[must_use]
+    pub fn into_quenched(mut self, mask: u64) -> FrozenMessage {
+        self.present &= !mask;
+        self
     }
 
     /// Reconstructs the mutable [`Message`] form (decoding every present attribute).
@@ -705,6 +749,93 @@ impl fmt::Display for FrozenMessage {
             self.payload_byte_len(),
             self.sender()
         )
+    }
+}
+
+/// Frozen bodies kept for reuse: a publisher that freezes through a ring refills, in
+/// place, the oldest body it handed out once nobody holds it any more, in place of
+/// allocating a body and a payload buffer that some other thread will free.
+///
+/// The ring keeps one reference to every body it hands out, oldest first, and the
+/// reference count is the return path: a body is free again when the ring's reference
+/// is the only one left (`Arc::get_mut`), so receivers release bodies by dropping
+/// them as they always did — no hook, and no lock shared with them. While the oldest
+/// body is still held elsewhere the ring builds a new one and keeps that too, up to
+/// `bound` bodies; at the bound it lets the oldest go (whoever retains it keeps it
+/// alive) so a body held for good cannot wedge the ring. Reuse therefore needs bodies
+/// to be released before their turn comes round, which holds while at most `bound`
+/// are in flight.
+///
+/// Memory: the ring starts empty and grows to the high-water mark of bodies in flight,
+/// at most `bound` × (a body of ≈128 bytes + its offset table, 4 bytes an attribute +
+/// [`Self::MAX_KEPT_PAYLOAD`]) — a message with a larger payload is built fresh and
+/// not kept — and never shrinks. An idle body pins its schema, sender name and
+/// message-level context until it is reused.
+///
+/// A message frozen through a ring is indistinguishable from one
+/// [`FrozenMessage::freeze_stamped`] built, and a message somebody still holds is never
+/// written to.
+#[derive(Debug)]
+pub struct BodyRing {
+    /// Every body handed out and not yet let go of, oldest first.
+    slots: VecDeque<Arc<Body>>,
+    bound: usize,
+    reused: u64,
+}
+
+impl BodyRing {
+    /// The largest encoded payload ([`FrozenMessage::payload_byte_len`]) a ring keeps
+    /// for reuse; a bigger message is frozen into a body of its own that the ring
+    /// never holds, so one large message cannot raise what every kept body costs.
+    pub const MAX_KEPT_PAYLOAD: usize = 1024;
+
+    /// An empty ring that will keep at most `bound` bodies (at least one). Allocates
+    /// nothing.
+    pub fn new(bound: usize) -> Self {
+        BodyRing { slots: VecDeque::new(), bound: bound.max(1), reused: 0 }
+    }
+
+    /// How many freezes refilled a body in place rather than allocating one.
+    pub fn reused(&self) -> u64 {
+        self.reused
+    }
+
+    /// [`FrozenMessage::freeze_stamped`], into the oldest body if it is free. Every
+    /// check runs before any body is touched, so a refused message costs the ring
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrozenMessage::freeze`].
+    pub fn freeze_stamped(
+        &mut self,
+        message: &Message,
+        schema: &Arc<FrozenSchema>,
+        sender: &Arc<str>,
+        sent_at_millis: u64,
+    ) -> Result<FrozenMessage, String> {
+        let total = checked_payload_len(message, schema)?;
+        let filled = |payload| {
+            let (schema, sender) = (Arc::clone(schema), Arc::clone(sender));
+            Body::filled(payload, message, total, schema, sender, sent_at_millis)
+        };
+        if total > Self::MAX_KEPT_PAYLOAD {
+            return Ok(FrozenMessage::whole(Arc::new(filled(Payload::default()))));
+        }
+        let body = if let Some(oldest) = self.slots.front_mut().and_then(Arc::get_mut) {
+            *oldest = filled(std::mem::take(&mut oldest.payload));
+            self.reused += 1;
+            self.slots.pop_front().expect("the front was just refilled")
+        } else {
+            // The oldest is still held elsewhere (or there is none yet): build one, and
+            // at the bound let the oldest go to make room for it.
+            if self.slots.len() >= self.bound {
+                self.slots.pop_front();
+            }
+            Arc::new(filled(Payload::default()))
+        };
+        self.slots.push_back(Arc::clone(&body));
+        Ok(FrozenMessage::whole(body))
     }
 }
 
@@ -929,6 +1060,86 @@ mod tests {
         assert!(reading_message().to_string().contains("sensor-reading"));
     }
 
+    /// Everything a receiver can read of a message.
+    fn observed(message: &FrozenMessage) -> (Message, u64, Vec<u8>, String, u64, SecurityContext) {
+        (
+            message.thaw(),
+            message.present_mask(),
+            message.payload().as_slice().to_vec(),
+            message.sender().to_string(),
+            message.sent_at_millis(),
+            message.extra_context().clone(),
+        )
+    }
+
+    #[test]
+    fn ring_refills_released_bodies_and_never_writes_to_a_held_one() {
+        const BOUND: usize = 4;
+        let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
+        let sender: Arc<str> = Arc::from("ann-sensor");
+        let mut ring = BodyRing::new(BOUND);
+        let held = ring.freeze_stamped(&reading_message(), &schema, &sender, 7).unwrap();
+        let (before, buffer) = (observed(&held), held.payload().as_slice().as_ptr());
+        for at in 0..3 * BOUND as u64 {
+            let other = reading_message().with("unit", AttributeValue::Text(format!("u{at}")));
+            let frozen = ring.freeze_stamped(&other, &schema, &sender, 100 + at).unwrap();
+            assert_eq!(frozen.thaw().attributes, other.attributes);
+            assert!(ring.slots.len() <= BOUND, "{} bodies in a ring of {BOUND}", ring.slots.len());
+        }
+        assert_eq!(observed(&held), before);
+        assert!(std::ptr::eq(held.payload().as_slice().as_ptr(), buffer));
+        // The held body was at the front until the ring filled, and was then let go of;
+        // everything frozen since was dropped at once, so from there on each freeze
+        // refilled the body before it.
+        assert!(ring.slots.iter().all(|body| !Arc::ptr_eq(body, &held.body)));
+        assert_eq!(ring.reused(), 3 * BOUND as u64 - BOUND as u64);
+    }
+
+    #[test]
+    fn ring_refuses_what_freeze_refuses_and_keeps_its_bodies() {
+        let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
+        let sender: Arc<str> = Arc::from("ann-sensor");
+        let mut ring = BodyRing::new(4);
+        let first = ring.freeze_stamped(&reading_message(), &schema, &sender, 1).unwrap();
+        let buffer = first.payload().as_slice().as_ptr();
+        drop(first);
+        let violations = [
+            Message::new("other", SecurityContext::public()),
+            reading_message().with("value", AttributeValue::Text("high".into())),
+            reading_message().with("extra", AttributeValue::Bool(true)),
+        ];
+        for bad in &violations {
+            let fresh = FrozenMessage::freeze_stamped(bad, Arc::clone(&schema), sender.clone(), 2);
+            let ringed = ring.freeze_stamped(bad, &schema, &sender, 2);
+            assert_eq!(ringed.unwrap_err(), fresh.unwrap_err());
+        }
+        assert_eq!((ring.slots.len(), ring.reused()), (1, 0));
+        // The one body is as the first message left it, and is the one refilled next.
+        assert_eq!(ring.slots[0].sent_at_millis, 1);
+        let next = ring.freeze_stamped(&reading_message(), &schema, &sender, 3).unwrap();
+        assert_eq!((ring.slots.len(), ring.reused()), (1, 1));
+        assert!(std::ptr::eq(next.payload().as_slice().as_ptr(), buffer));
+        assert_eq!(next.sent_at_millis(), 3);
+    }
+
+    #[test]
+    fn ring_does_not_keep_a_body_with_a_large_payload() {
+        let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
+        let sender: Arc<str> = Arc::from("ann-sensor");
+        let mut ring = BodyRing::new(4);
+        let large = reading_message()
+            .with("unit", AttributeValue::Text("x".repeat(BodyRing::MAX_KEPT_PAYLOAD)));
+        let frozen = ring.freeze_stamped(&large, &schema, &sender, 1).unwrap();
+        assert_eq!(frozen.thaw().attributes, large.attributes);
+        assert_eq!(Arc::strong_count(&frozen.body), 1, "the ring kept a reference");
+        assert!(ring.slots.is_empty());
+        // Nor does a large message grow a kept body: it leaves the free one alone.
+        drop(ring.freeze_stamped(&reading_message(), &schema, &sender, 2).unwrap());
+        drop(ring.freeze_stamped(&large, &schema, &sender, 3).unwrap());
+        assert_eq!((ring.slots.len(), ring.reused()), (1, 0));
+        assert!(ring.slots[0].payload.buffer.capacity() <= BodyRing::MAX_KEPT_PAYLOAD);
+    }
+
     mod freeze_equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -980,6 +1191,72 @@ mod tests {
                 let thawed = frozen.quench(subset).thaw();
                 let expected = message.quenched(&names);
                 prop_assert_eq!(thawed, expected);
+            }
+
+            /// Over any sequence of messages — two schemas, three senders, tagged and
+            /// public contexts, payloads from empty to past what a ring keeps — with
+            /// some results held and some dropped, a ring-frozen message reads exactly
+            /// as a freshly frozen one, when made and for as long as it is held.
+            #[test]
+            fn prop_ring_freeze_equals_fresh_freeze(
+                steps in proptest::collection::vec(
+                    (
+                        proptest::bool::ANY,
+                        prop_oneof!["[a-z ]{0,24}", "[a-z]{1000,1040}"],
+                        0usize..3,
+                        0u8..3,
+                    ),
+                    1..48,
+                ),
+                bound in 1usize..6,
+            ) {
+                let schemas = [
+                    Arc::new(FrozenSchema::new(&reading_schema()).unwrap()),
+                    Arc::new(FrozenSchema::new(&wide_schema()).unwrap()),
+                ];
+                let senders: [Arc<str>; 3] = ["a", "b-sensor", ""].map(Arc::from);
+                let mut ring = BodyRing::new(bound);
+                let mut held: Vec<(FrozenMessage, FrozenMessage)> = Vec::new();
+                for (at, (wide, text, sender, keep)) in steps.into_iter().enumerate() {
+                    let text: String = text;
+                    let context = match text.len() % 3 {
+                        0 => SecurityContext::public(),
+                        1 => SecurityContext::from_names(["medical"], Vec::<&str>::new()),
+                        _ => SecurityContext::from_names(["medical", "identity"], ["checked"]),
+                    };
+                    let message = if wide {
+                        Message::new("mixed", context)
+                            .with("count", AttributeValue::Integer(at as i64 - 7))
+                            .with("level", AttributeValue::Float(at as f64 / 3.0))
+                            .with("ok", AttributeValue::Bool(at % 2 == 0))
+                            .with("note", AttributeValue::Text(text.clone()))
+                            .with("who", AttributeValue::Text(text))
+                    } else {
+                        reading_message().with("unit", AttributeValue::Text(text))
+                    };
+                    let (schema, sender, at) = (&schemas[usize::from(wide)], &senders[sender], at as u64);
+                    let ringed = ring.freeze_stamped(&message, schema, sender, at).unwrap();
+                    let fresh = FrozenMessage::freeze_stamped(
+                        &message,
+                        Arc::clone(schema),
+                        Arc::clone(sender),
+                        at,
+                    )
+                    .unwrap();
+                    prop_assert_eq!(observed(&ringed), observed(&fresh));
+                    prop_assert!(Arc::ptr_eq(ringed.schema(), schema));
+                    prop_assert!(ring.slots.len() <= bound);
+                    // Drop it, hold it, or hold it and release one held before.
+                    if keep > 0 {
+                        held.push((ringed, fresh));
+                    }
+                    if keep > 1 {
+                        held.swap_remove(0);
+                    }
+                    for (ringed, fresh) in &held {
+                        prop_assert_eq!(observed(ringed), observed(fresh));
+                    }
+                }
             }
         }
     }

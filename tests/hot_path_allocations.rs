@@ -1,13 +1,15 @@
 //! What one message costs the allocator, counted — not timed.
 //!
 //! A payload publish shares one frozen body between the publisher, the destination's
-//! shard and the consumer, and names its endpoints by handle. On the smart-home
-//! topology (fan-out 1, one attribute quenched per delivery) that is four allocations
-//! per message — payload buffer, body, the `Arc<FrozenMessage>` the fan-out shares, the
-//! quenched `Arc<FrozenMessage>` the shard hands the mailbox — and four frees. The
-//! fraction above four is amortised queue growth plus the `Vec` each
-//! `Subscriber::drain` returns. A delivery that quenches nothing moves the fan-out's
-//! `Arc` into the mailbox, so the shard allocates nothing at all.
+//! shard and the consumer, and names its endpoints by handle. The body is refilled in
+//! place from the engine's ring once its last receiver has dropped it, and a delivery
+//! travels by value (body handle and presence mask) from the publish to the mailbox,
+//! quenched or not. On the smart-home topology (fan-out 1, one attribute quenched per
+//! delivery) that leaves one allocation per message — the `Arc<FrozenMessage>` the
+//! public `ReceivedMessage::Frozen` wraps a delivery in, made by `Subscriber::drain` on
+//! the consumer's thread — and one free, on that same thread. The fraction above one
+//! is the `Vec`s each `Subscriber::drain` builds. The publisher allocates nothing once
+//! the ring covers what is in flight, and a shard nothing at all.
 //!
 //! The counts come from a counting `#[global_allocator]`; what *other* threads
 //! allocated is the global count minus this thread's own, which works because the
@@ -99,7 +101,7 @@ fn cycle(dataplane: &Dataplane, subscribers: &[Subscriber], feeds: &[(String, Me
 }
 
 #[test]
-fn a_message_costs_four_allocations_and_four_frees() {
+fn a_message_costs_one_allocation_and_one_free() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let topology = smart_home(8, 1);
     let feeds = topology.publisher_messages();
@@ -108,23 +110,26 @@ fn a_message_costs_four_allocations_and_four_frees() {
     for _ in 0..3 {
         assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES, "fan-out 1");
     }
-    let quenched_before = dataplane.stats().quenched_attributes;
-    let (allocations, frees, _) = counted(|| {
+    let before = dataplane.stats();
+    let (allocations, frees, elsewhere) = counted(|| {
         assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
     });
-    assert_eq!(dataplane.stats().quenched_attributes - quenched_before, MESSAGES);
+    let after = dataplane.stats();
+    assert_eq!(after.quenched_attributes - before.quenched_attributes, MESSAGES);
+    assert_eq!(after.bodies_reused - before.bodies_reused, MESSAGES, "every body was refilled");
     let per_message = |count: u64| count as f64 / MESSAGES as f64;
     println!(
-        "per message: {:.3} allocations, {:.3} frees",
+        "per message: {:.3} allocations ({elsewhere} off-thread), {:.3} frees",
         per_message(allocations),
         per_message(frees)
     );
+    assert_eq!(elsewhere, 0, "a shard allocated while delivering quenched bodies");
     assert!(
-        per_message(allocations) <= 4.1,
-        "{:.3} allocations per message (payload, body, shared Arc, quenched Arc = 4)",
+        per_message(allocations) <= 1.1,
+        "{:.3} allocations per message (the consumer's wrapper = 1)",
         per_message(allocations)
     );
-    assert!(per_message(frees) <= 4.1, "{:.3} frees per message", per_message(frees));
+    assert!(per_message(frees) <= 1.1, "{:.3} frees per message", per_message(frees));
     dataplane.shutdown();
 }
 
@@ -160,6 +165,6 @@ fn an_unquenched_delivery_allocates_nothing_on_the_shard() {
         "{MESSAGES} messages: {allocations} allocations ({elsewhere} off-thread), {frees} frees"
     );
     assert_eq!(elsewhere, 0, "the shard allocated while delivering unquenched bodies");
-    assert!(allocations as f64 <= 3.1 * MESSAGES as f64, "{allocations} allocations");
+    assert!(allocations as f64 <= 1.1 * MESSAGES as f64, "{allocations} allocations");
     dataplane.shutdown();
 }
