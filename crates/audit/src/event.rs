@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{FlowDecision, SecurityContext};
 
 /// Identifier of a record within an [`crate::AuditLog`]: its position in the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u64);
 
 impl fmt::Display for RecordId {
@@ -17,7 +15,7 @@ impl fmt::Display for RecordId {
 }
 
 /// The kind of an audit event, used for filtering and compliance checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditEventKind {
     /// A data flow was checked (and allowed or denied).
     FlowChecked,
@@ -74,7 +72,7 @@ impl fmt::Display for AuditEventKind {
 ///
 /// Entity references are plain strings (component/process/data names scoped by the
 /// caller) so the audit crate stays decoupled from the middleware and kernel models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AuditEvent {
     /// A flow from `source` to `destination` was checked.
     FlowChecked {
@@ -392,7 +390,7 @@ impl fmt::Display for AuditEvent {
 }
 
 /// A log record: an event plus its position, timestamp and hash-chain linkage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     /// Position of this record in the log (0-based).
     pub id: RecordId,

@@ -12,13 +12,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::record_hash;
 use crate::event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 
 /// The outcome of verifying the hash chain of a log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChainVerification {
     /// Every record's hash links correctly to its predecessor.
     Intact {
@@ -49,7 +47,7 @@ impl fmt::Display for ChainVerification {
 }
 
 /// The result of pruning a log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PruneOutcome {
     /// Number of records removed.
     pub removed: usize,
@@ -78,7 +76,7 @@ pub struct PruneOutcome {
 /// }, 10);
 /// assert!(log.verify_chain().is_intact());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditLog {
     authority: String,
     records: Vec<AuditRecord>,
@@ -100,6 +98,20 @@ impl AuditLog {
     /// on-disk prefix plus the resumed log verify as one chain.
     pub fn resume(authority: impl Into<String>, anchor_hash: u64, next_id: u64) -> Self {
         AuditLog { authority: authority.into(), records: Vec::new(), anchor_hash, next_id }
+    }
+
+    /// Rebuilds a log from records that came from outside this process — decoded from a
+    /// file, received from another party — so it can be verified, judged and appended
+    /// to. Nothing is trusted: no hash is checked here, [`Self::verify_chain`] decides
+    /// whether `records` chain from `anchor_hash`. The next id follows the last record
+    /// (0 when there is none; use [`Self::resume`] to continue an empty span elsewhere).
+    pub fn from_records(
+        authority: impl Into<String>,
+        anchor_hash: u64,
+        records: Vec<AuditRecord>,
+    ) -> Self {
+        let next_id = records.last().map_or(0, |last| last.id.0.saturating_add(1));
+        AuditLog { authority: authority.into(), records, anchor_hash, next_id }
     }
 
     /// The recording authority's name.
@@ -274,6 +286,7 @@ impl AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_record, encode_record};
     use legaliot_ifc::{can_flow, SecurityContext};
     use proptest::prelude::*;
 
@@ -476,6 +489,53 @@ mod tests {
             AuditLog::verify_records(7, log.records()),
             ChainVerification::Broken { at: RecordId(0) }
         );
+    }
+
+    /// What an auditor does with evidence from outside: every record through the
+    /// wire format and back, then [`AuditLog::from_records`].
+    fn through_the_codec(records: &[AuditRecord]) -> Vec<AuditRecord> {
+        records
+            .iter()
+            .map(|record| {
+                let mut bytes = Vec::new();
+                encode_record(record, &mut bytes);
+                decode_record(&bytes).expect("a canonical encoding decodes")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_records_rebuilds_a_log_from_its_encoded_records() {
+        let mut log = AuditLog::new("shard-0");
+        for t in 0..6 {
+            log.record(flow_event("s", "d", t % 2 == 0), t);
+        }
+        // Pruned first, so the anchor and the first id are not the defaults.
+        log.retain_recent(4);
+
+        let mut rebuilt =
+            AuditLog::from_records("shard-0", log.anchor_hash(), through_the_codec(log.records()));
+        assert_eq!(rebuilt.records(), log.records());
+        assert_eq!(rebuilt.anchor_hash(), log.anchor_hash());
+        assert_eq!(rebuilt.head_hash(), log.head_hash());
+        assert_eq!(rebuilt.next_id(), log.next_id());
+        assert_eq!(rebuilt.verify_chain(), ChainVerification::Intact { records: 4 });
+
+        // Appending continues the same chain.
+        rebuilt.record(flow_event("s", "d", false), 10);
+        log.record(flow_event("s", "d", false), 10);
+        assert_eq!(rebuilt, log);
+        assert!(rebuilt.verify_chain().is_intact());
+
+        // One field of one record changed: the chain breaks at that record.
+        let mut records = through_the_codec(log.records());
+        records[2].recorded_by = "someone-else".into();
+        let forged = AuditLog::from_records("shard-0", log.anchor_hash(), records);
+        assert_eq!(forged.verify_chain(), ChainVerification::Broken { at: log.records()[2].id });
+
+        // No records: an empty log on the anchor, numbering from 0.
+        let empty = AuditLog::from_records("shard-0", 7, Vec::new());
+        assert_eq!((empty.head_hash(), empty.next_id()), (7, 0));
     }
 
     /// Golden vectors: persisted segments carry these hashes, so neither the algorithm

@@ -11,15 +11,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{SecurityContext, Tag};
 
 use crate::event::AuditEvent;
 use crate::log::AuditLog;
 
 /// Identifier of a node in the provenance graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
 
 impl fmt::Display for NodeId {
@@ -29,7 +27,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The three node kinds of the Open-Provenance-style audit graph (Fig. 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeKind {
     /// A data item (`F` in the figure): a reading, a file, a message, a statistic.
     DataItem,
@@ -50,7 +48,7 @@ impl fmt::Display for NodeKind {
 }
 
 /// The edge relations of the audit graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// Data item → process that read it ("used").
     Used,
@@ -78,7 +76,7 @@ impl fmt::Display for Relation {
 }
 
 /// A node of the provenance graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvenanceNode {
     /// The node's id.
     pub id: NodeId,
@@ -91,7 +89,7 @@ pub struct ProvenanceNode {
 }
 
 /// A directed, labelled edge of the provenance graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProvenanceEdge {
     /// Source node.
     pub from: NodeId,
@@ -104,7 +102,7 @@ pub struct ProvenanceEdge {
 }
 
 /// The audit graph: data items, processes, agents and their relations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProvenanceGraph {
     nodes: Vec<ProvenanceNode>,
     edges: Vec<ProvenanceEdge>,

@@ -3,14 +3,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_audit::{AuditEvent, AuditLog, AuditRecord, NodeKind, ProvenanceGraph};
 
 use crate::regulation::{Obligation, RegulationSet};
 
 /// A detected violation of an obligation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// The obligation violated (its stable id).
     pub obligation: String,
@@ -29,7 +27,7 @@ impl fmt::Display for Violation {
 }
 
 /// The result of a compliance check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplianceReport {
     /// The regulation checked.
     pub regulation: String,
@@ -51,7 +49,7 @@ impl ComplianceReport {
 }
 
 /// Apportionment of responsibility for a violation, derived from the provenance graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiabilityReport {
     /// The data item at the centre of the investigation.
     pub data_item: String,
@@ -300,7 +298,7 @@ impl ComplianceChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legaliot_audit::AuditEvent;
+    use legaliot_audit::codec;
     use legaliot_ifc::{can_flow, SecurityContext};
 
     fn personal_ctx() -> SecurityContext {
@@ -435,10 +433,19 @@ mod tests {
     fn tampered_evidence_is_flagged() {
         let log = log_with_flow(true, "analyser");
         // AuditLog exposes no mutation of past records (by design); model an attacker
-        // rewriting the serialised log at rest instead.
-        let mut value = serde_json::to_value(&log).expect("serialise log");
-        value["records"][0]["at_millis"] = serde_json::json!(999_999);
-        let tampered: AuditLog = serde_json::from_value(value).expect("deserialise log");
+        // rewriting the encoded log at rest instead.
+        let mut records: Vec<AuditRecord> = log
+            .records()
+            .iter()
+            .map(|record| {
+                let mut bytes = Vec::new();
+                codec::encode_record(record, &mut bytes);
+                codec::decode_record(&bytes).expect("a canonical encoding decodes")
+            })
+            .collect();
+        assert!(AuditLog::verify_records(log.anchor_hash(), &records).is_intact());
+        records[0].at_millis = 999_999;
+        let tampered = AuditLog::from_records(log.authority(), log.anchor_hash(), records);
         let graph = ProvenanceGraph::new();
         let report =
             checker().check(&[&tampered], &graph, &[], &["ann".to_string()], &["regulator".into()]);

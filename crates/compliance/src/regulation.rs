@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::Tag;
 use legaliot_policy::{PolicyRule, PolicyTemplate};
 
 /// A single legal/regulatory obligation, parameterised for compilation into policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Obligation {
     /// Personal data of `subject` (identified by `data_tag`) may only be processed with
     /// recorded consent.
@@ -131,7 +129,7 @@ impl fmt::Display for Obligation {
 }
 
 /// A named body of obligations imposed by one authority (regulator, contract, DPO).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegulationSet {
     /// The regulation's name, e.g. `eu-data-protection`.
     pub name: String,

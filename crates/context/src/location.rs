@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A geographic point (latitude/longitude in degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north. Valid range −90..=90.
     pub latitude: f64,
@@ -51,7 +49,7 @@ impl fmt::Display for GeoPoint {
 /// assert!(eu.contains(&GeoPoint::new(52.2, 0.1)));   // Cambridge
 /// assert!(!eu.contains(&GeoPoint::new(40.7, -74.0))); // New York
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     name: String,
     south_west: GeoPoint,

@@ -11,17 +11,16 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 use crate::time::Timestamp;
 use crate::value::{ContextKey, ContextValue};
 
 /// Identifier handed out when subscribing to the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriptionId(u64);
 
 /// A single recorded change to the context store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextChange {
     /// Store version after this change was applied (starts at 1).
     pub version: u64,
@@ -50,33 +49,11 @@ impl fmt::Display for ContextChange {
 /// Copy-on-write: the snapshot shares the store's value map, so taking (or cloning)
 /// one is a reference-count bump whatever the number of keys. The store copies the map
 /// on its first write after a snapshot that is still alive — a snapshot never changes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContextSnapshot {
     version: u64,
     at: Timestamp,
     values: Arc<BTreeMap<ContextKey, ContextValue>>,
-}
-
-// By hand, field for field what the derive would emit: the serde in use has no generic
-// `Deserialize for Arc<T>`.
-impl Deserialize for ContextSnapshot {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let object = value.as_object().ok_or_else(|| {
-            serde::Error::custom(format!(
-                "ContextSnapshot: expected object, found {}",
-                value.kind()
-            ))
-        })?;
-        fn field<T: Deserialize>(object: &serde::Map, name: &str) -> Result<T, serde::Error> {
-            T::from_value(object.get(name).unwrap_or(&serde::Value::Null))
-                .map_err(|e| e.context(format!("ContextSnapshot.{name}")))
-        }
-        Ok(ContextSnapshot {
-            version: field(object, "version")?,
-            at: field(object, "at")?,
-            values: Arc::new(field(object, "values")?),
-        })
-    }
 }
 
 impl ContextSnapshot {
@@ -516,19 +493,6 @@ mod tests {
         // An unknown (unsubscribed) id polls like a fresh cursor at 0.
         store.unsubscribe(late);
         assert_eq!(store.poll(late).len(), 52);
-    }
-
-    #[test]
-    fn snapshot_serde_round_trips() {
-        let store = ContextStore::new();
-        store.set("emergency.active", true, Timestamp(7));
-        store.set("ward", "w3", Timestamp(8));
-        let snapshot = store.snapshot();
-        let back = ContextSnapshot::from_value(&snapshot.to_value()).unwrap();
-        assert_eq!(back, snapshot);
-        assert_eq!((back.version(), back.taken_at()), (2, Timestamp(8)));
-        let error = ContextSnapshot::from_value(&serde::Value::Null).unwrap_err();
-        assert!(error.to_string().contains("ContextSnapshot"));
     }
 
     #[test]

@@ -8,12 +8,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in milliseconds since the start of the scenario.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -85,7 +81,7 @@ impl LogicalClock {
 /// Used for shift-based and embargo-style policy conditions (§3 Concern 6: a nurse may
 /// access patient data only during their shift; §9.2 Concern 6: secret data becomes
 /// public after a period).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeWindow {
     /// Inclusive start of the window.
     pub start: Timestamp,

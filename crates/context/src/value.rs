@@ -2,15 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The name of a context attribute, e.g. `patient.location`, `nurse.on-shift`,
 /// `emergency.active`.
 ///
 /// Keys are dotted paths; the prefix conventionally names the subject and the suffix the
 /// attribute, which keeps context for different principals separated in a flat store.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContextKey(String);
 
 impl ContextKey {
@@ -58,7 +55,7 @@ impl From<String> for ContextKey {
 /// The variants cover the kinds of state IoT policy conditions typically reference:
 /// booleans (presence, emergency), numbers (heart rate, battery), strings (role, ward),
 /// locations and timestamps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ContextValue {
     /// A boolean flag, e.g. `emergency.active`.
     Bool(bool),

@@ -9,14 +9,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::can_flow;
 use crate::gateway::Gateway;
 use crate::tag::SecurityContext;
 
 /// One entry of a [`CreepReport`]: a named context and how reachable it is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreepEntry {
     /// The name of the analysed context (component name).
     pub name: String,
@@ -31,7 +29,7 @@ pub struct CreepEntry {
 }
 
 /// The result of a label-creep analysis over a system snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreepReport {
     /// Per-context entries, sorted by name.
     pub entries: Vec<CreepEntry>,

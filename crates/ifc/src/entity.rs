@@ -10,8 +10,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IfcError;
 use crate::flow::{can_flow, FlowDecision};
 use crate::privilege::{PrivilegeKind, PrivilegeSet};
@@ -23,7 +21,7 @@ static NEXT_ENTITY_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// Ids are unique within a process; distributed deployments scope them by node
 /// (see `legaliot-net`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(u64);
 
 impl EntityId {
@@ -50,7 +48,7 @@ impl fmt::Display for EntityId {
 }
 
 /// Whether an entity is active (may hold privileges, may act) or passive (pure data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntityKind {
     /// A process, component, service — anything that initiates flows.
     Active,
@@ -84,7 +82,7 @@ impl fmt::Display for EntityKind {
 /// sanitiser.remove_integrity_tag(&Tag::new("zeb-dev")).unwrap();
 /// assert!(sanitiser.context().integrity().contains_name("hosp-dev"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entity {
     id: EntityId,
     name: String,

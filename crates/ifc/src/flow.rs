@@ -13,12 +13,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tag::{SecurityContext, Tag};
 
 /// Why a flow was denied.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowDenialReason {
     /// Secrecy tags of the source that the destination's secrecy label is missing.
     /// Non-empty iff the secrecy constraint `S(A) ⊆ S(B)` failed.
@@ -72,7 +70,7 @@ fn write_tags(f: &mut fmt::Formatter<'_>, tags: &[Tag]) -> fmt::Result {
 }
 
 /// The outcome of a flow check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowDecision {
     /// The flow satisfies both constraints and may proceed.
     Allowed,
@@ -112,7 +110,7 @@ impl fmt::Display for FlowDecision {
 /// A record of a single flow check: the two contexts compared and the decision.
 ///
 /// This is the unit that enforcement points hand to the audit layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowCheck {
     /// The source entity's security context at the time of the check.
     pub source: SecurityContext,

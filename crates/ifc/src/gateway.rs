@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::entity::Entity;
 use crate::error::IfcError;
 use crate::flow::can_flow;
@@ -19,7 +17,7 @@ use crate::privilege::PrivilegeKind;
 use crate::tag::{SecurityContext, Tag};
 
 /// The kind of context change a gateway performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GatewayKind {
     /// Relaxes secrecy (removes and/or replaces secrecy tags): e.g. an anonymiser.
     Declassifier,
@@ -44,7 +42,7 @@ impl fmt::Display for GatewayKind {
 /// The paper requires that declassification/endorsement is bound to an explicit,
 /// auditable operation (an "approved algorithm"), not a silent relabel; audit records
 /// carry this name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transformation {
     /// The name of the approved algorithm, e.g. `k-anonymise(k=5)` or
     /// `convert-to-hospital-format`.
@@ -152,7 +150,7 @@ impl Transformation {
 /// let gateway = Gateway::new(sanitiser, transformation, output).unwrap();
 /// assert_eq!(gateway.kind(), GatewayKind::Endorser);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gateway {
     entity: Entity,
     transformation: Transformation,

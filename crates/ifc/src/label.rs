@@ -8,14 +8,12 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::iter::FromIterator;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tag::{Tag, TagName};
 
 /// A set of tags; one of the two components of a security context.
 ///
-/// Internally a sorted set, so iteration order, `Display` output and serialisation are
-/// deterministic — important for audit logs and for reproducible tests.
+/// Internally a sorted set, so iteration order, `Display` output and the audit encoding
+/// are deterministic — important for audit logs and for reproducible tests.
 ///
 /// ```
 /// use legaliot_ifc::{Label, Tag};
@@ -25,8 +23,7 @@ use crate::tag::{Tag, TagName};
 /// assert_eq!(l.len(), 3);
 /// assert!(Label::from_names(["medical"]).is_subset(&l));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Label {
     tags: BTreeSet<Tag>,
 }

@@ -8,13 +8,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::label::Label;
 use crate::tag::Tag;
 
 /// The four kinds of label-change privilege an active entity may hold for a tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PrivilegeKind {
     /// May add the tag to its secrecy label (raise its own secrecy).
     SecrecyAdd,
@@ -59,7 +57,7 @@ impl fmt::Display for PrivilegeKind {
 }
 
 /// A single (tag, kind) privilege grant.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Privilege {
     /// The tag the privilege applies to.
     pub tag: Tag,
@@ -89,7 +87,7 @@ impl fmt::Display for Privilege {
 /// assert!(p.permits(&Tag::new("medical"), PrivilegeKind::SecrecyRemove));
 /// assert!(!p.permits(&Tag::new("medical"), PrivilegeKind::SecrecyAdd));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrivilegeSet {
     secrecy_add: Label,
     secrecy_remove: Label,
@@ -188,7 +186,7 @@ impl FromIterator<Privilege> for PrivilegeSet {
 ///
 /// Ownership is keyed by an opaque owner identifier so that this crate does not depend
 /// on any particular entity or principal model.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagOwnership {
     owners: BTreeMap<Tag, String>,
 }

@@ -10,14 +10,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IfcError;
 use crate::privilege::TagOwnership;
 use crate::tag::Tag;
 
 /// The scope within which a registered tag is meaningful.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TagScope {
     /// Understood by every participant, e.g. `eu:data-residency`.
     Global,
@@ -38,7 +36,7 @@ impl fmt::Display for TagScope {
 }
 
 /// Metadata describing a registered tag.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagDescriptor {
     /// The tag itself.
     pub tag: Tag,
@@ -61,7 +59,7 @@ pub struct TagDescriptor {
 /// assert!(reg.lookup(&Tag::new("medical")).is_some());
 /// assert!(reg.ownership().is_owner(&Tag::new("medical"), "hospital"));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagRegistry {
     descriptors: BTreeMap<Tag, TagDescriptor>,
     ownership: TagOwnership,

@@ -11,8 +11,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::label::Label;
 
 /// The textual name of a tag.
@@ -33,8 +31,7 @@ pub type TagName = str;
 /// assert_eq!(medical.name(), "medical");
 /// assert_eq!(medical.to_string(), "medical");
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tag {
     name: Arc<str>,
 }
@@ -137,7 +134,7 @@ impl AsRef<str> for Tag {
 /// assert!(ctx.secrecy().contains_name("medical"));
 /// assert!(ctx.integrity().contains_name("hosp-dev"));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct SecurityContext {
     secrecy: Label,
     integrity: Label,

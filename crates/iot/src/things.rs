@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::SecurityContext;
 use legaliot_middleware::{Component, Principal};
 
 /// The kinds of 'thing' in the paper's architecture (§2): "an entity, physical or
 /// virtual, capable of interaction in its own right".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThingKind {
     /// A sensor producing readings.
     Sensor,
@@ -38,7 +36,7 @@ impl fmt::Display for ThingKind {
 
 /// A 'thing': a named entity of a given kind, owned by a principal, hosted on a node,
 /// with an IFC security context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Thing {
     /// The thing's name (unique in a deployment).
     pub name: String,
@@ -114,7 +112,7 @@ impl fmt::Display for Thing {
 
 /// A functional component chain (Fig. 2): an ordered sequence of things through which
 /// data flows to realise some functionality.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Chain {
     /// The chain's name (e.g. `home-manager → gateway → app → DB → analyser`).
     pub name: String,

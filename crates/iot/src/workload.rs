@@ -8,14 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use legaliot_ifc::SecurityContext;
 
 use crate::things::{Thing, ThingKind};
 
 /// A patient in the home-monitoring workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Patient {
     /// The patient's name (lower-case, used as an IFC tag).
     pub name: String,
@@ -27,7 +26,7 @@ pub struct Patient {
 }
 
 /// A single sensor reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorReading {
     /// The patient the reading belongs to.
     pub patient: String,
@@ -47,7 +46,7 @@ impl SensorReading {
 }
 
 /// An event produced by a workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadEvent {
     /// A sensor produced a reading.
     Reading(SensorReading),

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{can_flow, FlowDecision, SecurityContext};
 
 /// Whether IFC enforcement is active, audit-only, or disabled.
 ///
 /// `Disabled` is the baseline for the overhead experiment (E12): the hook is still
 /// called (as it would be with an inert LSM) but performs no label comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnforcementMode {
     /// Check labels and refuse violating calls.
     Enforce,
@@ -33,7 +31,7 @@ impl fmt::Display for EnforcementMode {
 }
 
 /// Counters kept by the hook layer, used to quantify enforcement overhead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HookStats {
     /// Total hook invocations.
     pub invocations: u64,

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_audit::{AuditEvent, AuditLog};
 use legaliot_ifc::{
     Entity, EntityKind, FlowDecision, IfcError, PrivilegeKind, SecurityContext, Tag,
@@ -13,7 +11,7 @@ use legaliot_ifc::{
 use crate::lsm::{EnforcementMode, HookStats, LsmHooks};
 
 /// Identifier of a process within one simulated OS instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
 
 impl fmt::Display for ProcessId {
@@ -23,7 +21,7 @@ impl fmt::Display for ProcessId {
 }
 
 /// Identifier of a kernel object (file, pipe, socket, shared memory segment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelObjectId(pub u32);
 
 impl fmt::Display for KernelObjectId {
@@ -33,7 +31,7 @@ impl fmt::Display for KernelObjectId {
 }
 
 /// The kinds of kernel object the simulator models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// A regular file.
     File,

@@ -10,8 +10,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_policy::Condition;
 
@@ -19,7 +17,7 @@ use crate::schema::MessageType;
 
 /// A principal known to the middleware: a person, organisation or service identity,
 /// optionally holding roles (possibly parametrised, e.g. `nurse(ward-3)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Principal {
     /// The principal's name.
     pub name: String,
@@ -56,7 +54,7 @@ impl fmt::Display for Principal {
 }
 
 /// Who a rule applies to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Subject {
     /// A specific principal by name.
     Principal(String),
@@ -67,7 +65,7 @@ pub enum Subject {
 }
 
 /// The operations the AC regime governs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operation {
     /// Sending messages of the given type.
     Send,
@@ -90,7 +88,7 @@ impl fmt::Display for Operation {
 
 /// An access rule: subject + operation + message type (or any) + optional context
 /// condition, producing allow or deny.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessRule {
     /// Who the rule applies to.
     pub subject: Subject,
@@ -157,7 +155,7 @@ impl AccessRule {
 }
 
 /// The decision reached by the regime.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessDecision {
     /// Allowed by the named rule index.
     Allowed,

@@ -10,8 +10,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_audit::{AuditEvent, AuditLog};
 use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_ifc::{FlowDecision, TagRegistry};
@@ -62,7 +60,7 @@ impl fmt::Display for MiddlewareError {
 impl std::error::Error for MiddlewareError {}
 
 /// The state of a channel between two components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelState {
     /// Established and usable.
     Open,
@@ -71,7 +69,7 @@ pub enum ChannelState {
 }
 
 /// A directed channel between two components.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel {
     /// Source component.
     pub from: String,

@@ -10,15 +10,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{Entity, EntityKind, PrivilegeSet, SecurityContext};
 
 use crate::acl::Principal;
 use crate::schema::{MessageSchema, MessageType};
 
 /// A middleware-managed component ('thing').
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     entity: Entity,
     principal: Principal,

@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{Privilege, SecurityContext, Tag};
 use legaliot_policy::{Action, ReconfigurationCommand};
 
 /// The concrete reconfiguration operations a control message can carry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReconfigureOp {
     /// Replace the target component's security context.
     SetContext {
@@ -90,7 +88,7 @@ impl fmt::Display for ReconfigureOp {
 
 /// A control message: a reconfiguration operation addressed to a component, issued by a
 /// principal on behalf of a policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlMessage {
     /// The component the operation targets.
     pub target: String,
@@ -188,7 +186,7 @@ impl fmt::Display for ControlMessage {
 }
 
 /// The middleware's response to a control message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlOutcome {
     /// The operation was authorised and applied.
     Applied,

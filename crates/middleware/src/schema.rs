@@ -22,13 +22,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{Label, SecurityContext, StableHasher};
 
 /// The name of a message type (e.g. `sensor-reading`, `actuation-command`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageType(String);
 
 impl MessageType {
@@ -56,7 +53,7 @@ impl From<&str> for MessageType {
 }
 
 /// A typed attribute value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeValue {
     /// Text.
     Text(String),
@@ -80,7 +77,7 @@ impl fmt::Display for AttributeValue {
 }
 
 /// The kind of an attribute, for schema checking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttributeKind {
     /// Text attribute.
     Text,
@@ -105,7 +102,7 @@ impl AttributeValue {
 }
 
 /// The schema of a message type: attribute names, kinds and per-attribute secrecy tags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageSchema {
     /// The message type this schema describes.
     pub message_type: MessageType,
@@ -177,7 +174,7 @@ impl MessageSchema {
 }
 
 /// A typed message: attributes plus the security context it carries end-to-end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// The message's type.
     pub message_type: MessageType,

@@ -1,13 +1,11 @@
 //! The network simulator: nodes, domains, links, gateways and message delivery.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifier of a node in the simulated network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -17,7 +15,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The role a node plays in the IoT architecture (§2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A constrained device: sensor or actuator.
     Device,
@@ -44,7 +42,7 @@ impl fmt::Display for NodeKind {
 /// An administrative domain: a set of nodes under one party's management, optionally
 /// fronted by a gateway (subsystems behind firewalls, proprietary sensor networks,
 /// workplaces — §2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdminDomain {
     /// The domain's name (e.g. `hospital`, `ann-home`, `city-council`).
     pub name: String,
@@ -56,7 +54,7 @@ pub struct AdminDomain {
 }
 
 /// Static information about a node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfo {
     /// The node's id.
     pub id: NodeId,
@@ -71,7 +69,7 @@ pub struct NodeInfo {
 }
 
 /// A directed link between two nodes with a latency in simulated milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// Source node.
     pub from: NodeId,
@@ -82,14 +80,14 @@ pub struct Link {
 }
 
 /// A message in flight or delivered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wire {
     /// Sending node.
     pub from: NodeId,
     /// Receiving node.
     pub to: NodeId,
     /// Opaque payload (the middleware layers its typed messages on top).
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
     /// Simulated send time.
     pub sent_at_millis: u64,
     /// Simulated delivery time.
@@ -102,7 +100,7 @@ pub struct Delivery {
     /// The sender.
     pub from: NodeId,
     /// The payload.
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
     /// When it was delivered (simulated time).
     pub at_millis: u64,
 }
@@ -155,7 +153,7 @@ pub struct Network {
     names: BTreeMap<String, NodeId>,
     links: Vec<Link>,
     domains: BTreeMap<String, AdminDomain>,
-    in_flight: VecDeque<Wire>,
+    in_flight: Vec<Wire>,
     mailboxes: BTreeMap<NodeId, Vec<Delivery>>,
     now_millis: u64,
     /// Count of messages delivered so far (for benchmarks).
@@ -312,7 +310,7 @@ impl Network {
         &mut self,
         from: NodeId,
         to: NodeId,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Arc<[u8]>>,
     ) -> Result<(), NetError> {
         let latency = self.route_latency(from, to)?;
         let wire = Wire {
@@ -322,36 +320,36 @@ impl Network {
             sent_at_millis: self.now_millis,
             deliver_at_millis: self.now_millis + latency,
         };
-        self.in_flight.push_back(wire);
+        self.in_flight.push(wire);
         Ok(())
     }
 
     /// Advances simulated time by `millis`, delivering every in-flight message whose
-    /// delivery time has arrived (to nodes that are still up). Returns the number of
-    /// messages delivered on this tick.
+    /// delivery time has arrived (to nodes that are still up) in arrival order, send
+    /// order breaking ties. Returns the number of messages delivered on this tick.
     pub fn advance(&mut self, millis: u64) -> usize {
         self.now_millis += millis;
         let now = self.now_millis;
+        let (mut due, remaining): (Vec<Wire>, Vec<Wire>) = std::mem::take(&mut self.in_flight)
+            .into_iter()
+            .partition(|wire| wire.deliver_at_millis <= now);
+        self.in_flight = remaining;
+        // Stable: messages arriving at the same instant keep their send order.
+        due.sort_by_key(|wire| wire.deliver_at_millis);
         let mut delivered = 0;
-        let mut remaining = VecDeque::new();
-        while let Some(wire) = self.in_flight.pop_front() {
-            if wire.deliver_at_millis <= now {
-                let up = self.node(wire.to).map(|n| n.up).unwrap_or(false);
-                if up {
-                    self.mailboxes.entry(wire.to).or_default().push(Delivery {
-                        from: wire.from,
-                        payload: wire.payload,
-                        at_millis: wire.deliver_at_millis,
-                    });
-                    delivered += 1;
-                    self.delivered_count += 1;
-                }
-                // Messages to downed nodes are dropped (the middleware retries).
-            } else {
-                remaining.push_back(wire);
+        for wire in due {
+            let up = self.node(wire.to).map(|n| n.up).unwrap_or(false);
+            // Messages to downed nodes are dropped (the middleware retries).
+            if up {
+                self.mailboxes.entry(wire.to).or_default().push(Delivery {
+                    from: wire.from,
+                    payload: wire.payload,
+                    at_millis: wire.deliver_at_millis,
+                });
+                delivered += 1;
+                self.delivered_count += 1;
             }
         }
-        self.in_flight = remaining;
         delivered
     }
 
@@ -430,7 +428,7 @@ mod tests {
     #[test]
     fn send_and_deliver_respects_latency() {
         let (mut net, sensor, _gateway, cloud) = small_network();
-        net.send(sensor, cloud, Bytes::from_static(b"reading")).unwrap();
+        net.send(sensor, cloud, &b"reading"[..]).unwrap();
         assert_eq!(net.in_flight_count(), 1);
         // Not delivered before the 25ms route latency has elapsed.
         assert_eq!(net.advance(10), 0);
@@ -439,7 +437,7 @@ mod tests {
         let inbox = net.receive(cloud);
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].from, sensor);
-        assert_eq!(inbox[0].payload, Bytes::from_static(b"reading"));
+        assert_eq!(&inbox[0].payload[..], b"reading");
         assert_eq!(inbox[0].at_millis, 25);
         assert_eq!(net.delivered_count(), 1);
         // Mailbox is drained.
@@ -447,9 +445,37 @@ mod tests {
     }
 
     #[test]
+    fn one_tick_delivers_in_arrival_order_not_send_order() {
+        let mut net = Network::new();
+        let a = net.add_node("a", NodeKind::Device, "d").unwrap();
+        let b = net.add_node("b", NodeKind::Device, "d").unwrap();
+        let c = net.add_node("c", NodeKind::Cloud, "d").unwrap();
+        net.link(a, c, 15).unwrap();
+        net.link(b, c, 5).unwrap();
+        net.send(a, c, &b"slow"[..]).unwrap();
+        net.send(b, c, &b"fast-1"[..]).unwrap();
+        net.send(b, c, &b"fast-2"[..]).unwrap();
+        assert_eq!(net.advance(20), 3);
+        let inbox = net.receive(c);
+        let seen: Vec<(u64, &[u8])> = inbox.iter().map(|d| (d.at_millis, &d.payload[..])).collect();
+        // Equal arrival times keep their send order.
+        assert_eq!(seen, [(5, &b"fast-1"[..]), (5, &b"fast-2"[..]), (15, &b"slow"[..])]);
+    }
+
+    #[test]
+    fn delivered_payload_is_the_senders_buffer() {
+        let (mut net, sensor, _gateway, cloud) = small_network();
+        let payload: Arc<[u8]> = Arc::from(&b"reading"[..]);
+        net.send(sensor, cloud, Arc::clone(&payload)).unwrap();
+        net.advance(25);
+        let inbox = net.receive(cloud);
+        assert!(Arc::ptr_eq(&inbox[0].payload, &payload));
+    }
+
+    #[test]
     fn messages_to_downed_nodes_are_dropped() {
         let (mut net, sensor, _gateway, cloud) = small_network();
-        net.send(sensor, cloud, Bytes::from_static(b"x")).unwrap();
+        net.send(sensor, cloud, &b"x"[..]).unwrap();
         net.set_node_up(cloud, false).unwrap();
         assert_eq!(net.advance(100), 0);
         net.set_node_up(cloud, true).unwrap();
@@ -478,21 +504,33 @@ mod tests {
     }
 
     proptest! {
-        /// Every sent message is delivered exactly once after enough time passes (all
-        /// nodes up, connected line topology).
+        /// Every sent message is delivered exactly once, in arrival order, after enough
+        /// time passes (all nodes up, connected line topology, two senders at different
+        /// distances from the receiver).
         #[test]
-        fn prop_all_messages_delivered(count in 1usize..30, latency in 1u64..20) {
+        fn prop_all_messages_delivered(
+            count in 1usize..30,
+            far in 1u64..20,
+            near in 1u64..20,
+        ) {
             let mut net = Network::new();
             let a = net.add_node("a", NodeKind::Device, "d").unwrap();
-            let b = net.add_node("b", NodeKind::Cloud, "d").unwrap();
-            net.link(a, b, latency).unwrap();
+            let b = net.add_node("b", NodeKind::Gateway, "d").unwrap();
+            let c = net.add_node("c", NodeKind::Cloud, "d").unwrap();
+            net.link(a, b, far).unwrap();
+            net.link(b, c, near).unwrap();
             for i in 0..count {
-                net.send(a, b, Bytes::from(vec![i as u8])).unwrap();
+                let from = if i % 2 == 0 { a } else { b };
+                net.send(from, c, vec![i as u8]).unwrap();
             }
-            net.advance(latency + 1);
-            let inbox = net.receive(b);
+            net.advance(far + near + 1);
+            let inbox = net.receive(c);
             prop_assert_eq!(inbox.len(), count);
             prop_assert_eq!(net.in_flight_count(), 0);
+            prop_assert!(inbox.windows(2).all(|pair| pair[0].at_millis <= pair[1].at_millis));
+            for node in [a, b] {
+                prop_assert!(net.receive(node).is_empty());
+            }
         }
 
         /// Route latency is symmetric for symmetric topologies.

@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::{Privilege, SecurityContext, Tag};
 
 /// A declarative action taken when a policy rule fires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Permit a flow class (used by authorisation-style rules).
     AllowFlow {
@@ -186,7 +184,7 @@ impl fmt::Display for Action {
 ///
 /// The middleware wraps these in control messages (Fig. 8) subject to its own access
 /// control before applying them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigurationCommand {
     /// The policy rule that produced the command.
     pub issued_by_policy: String,

@@ -9,15 +9,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_context::Timestamp;
 
 use crate::action::Action;
 use crate::eca::PolicyId;
 
 /// The lifecycle state of a break-glass override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakGlassState {
     /// Defined but not active.
     Armed,
@@ -59,7 +57,7 @@ impl fmt::Display for BreakGlassState {
 /// assert!(bg.is_active(Timestamp(30_000)));
 /// assert!(!bg.is_active(Timestamp(61_001)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakGlass {
     /// The override's identifier.
     pub id: PolicyId,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_context::{ContextSnapshot, ContextValue, Timestamp};
 
 /// A boolean condition over a [`ContextSnapshot`].
 ///
-/// Conditions are a small expression tree; they are serialisable so that policies can
-/// be distributed to gateways and components (Challenge 1: global policy
+/// Conditions are a small expression tree of plain data (no closures) so that policies
+/// can be distributed to gateways and components (Challenge 1: global policy
 /// representation).
 ///
 /// ```
@@ -24,7 +22,7 @@ use legaliot_context::{ContextSnapshot, ContextValue, Timestamp};
 /// ]);
 /// assert!(c.evaluate(&snap, legaliot_context::Timestamp::ZERO));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Condition {
     /// Always true.
     Always,

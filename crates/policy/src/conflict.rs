@@ -14,13 +14,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::action::{Action, ReconfigurationCommand};
 use crate::eca::{PolicyPriority, PolicyRule};
 
 /// How conflicts between simultaneously issued commands are resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolutionStrategy {
     /// Higher-priority rule wins; ties resolved by preferring the restrictive command.
     PriorityThenDenyOverrides,
@@ -48,7 +46,7 @@ impl fmt::Display for ResolutionStrategy {
 }
 
 /// A detected conflict between two commands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConflictReport {
     /// Index (in the submitted command list) of the command that was kept.
     pub kept: usize,

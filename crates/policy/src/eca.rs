@@ -8,14 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::action::Action;
 use crate::condition::Condition;
 
 /// Identifier of a policy rule (unique within a deployment).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PolicyId(String);
 
 impl PolicyId {
@@ -43,9 +40,7 @@ impl From<&str> for PolicyId {
 }
 
 /// Priority of a rule; higher wins under the priority resolution strategy.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PolicyPriority(pub i32);
 
 impl PolicyPriority {
@@ -58,7 +53,7 @@ impl PolicyPriority {
 }
 
 /// The classes of event that can trigger a policy rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyEvent {
     /// A context key changed value.
     ContextChanged {
@@ -120,7 +115,7 @@ impl fmt::Display for PolicyEvent {
 }
 
 /// What a rule is triggered by.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Trigger {
     /// Fires on any event (conditions still apply).
     AnyEvent,
@@ -178,7 +173,7 @@ impl Trigger {
 ///     .build();
 /// assert_eq!(rule.actions.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRule {
     /// The rule's identifier.
     pub id: PolicyId,

@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_context::{ContextSnapshot, Timestamp};
 
 use crate::action::ReconfigurationCommand;
@@ -19,7 +17,7 @@ use crate::conflict::{ConflictResolver, ResolutionStrategy};
 use crate::eca::{PolicyEvent, PolicyId, PolicyRule};
 
 /// The result of evaluating one event against the engine's rule set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutcome {
     /// The rules whose trigger matched and condition held.
     pub fired: Vec<PolicyId>,

@@ -10,10 +10,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The relation asserted between two terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TermRelation {
     /// The first term is a narrower kind of the second (`medical-data` ⊑ `personal-data`).
     NarrowerThan,
@@ -32,7 +30,7 @@ impl fmt::Display for TermRelation {
 
 /// A term ontology: a set of terms plus narrower/equivalent relations, with subsumption
 /// queries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ontology {
     terms: BTreeSet<String>,
     /// term -> set of directly broader terms.

@@ -7,8 +7,6 @@
 //! needed legal or operational obligation into concrete [`PolicyRule`]s (and, where
 //! relevant, the IFC tags the middleware must apply).
 
-use serde::{Deserialize, Serialize};
-
 use legaliot_ifc::Tag;
 
 use crate::action::Action;
@@ -16,7 +14,7 @@ use crate::condition::Condition;
 use crate::eca::{PolicyPriority, PolicyRule};
 
 /// A parameterised policy recipe that expands into concrete rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyTemplate {
     /// Data tagged with `data_tag` may only be handled by components inside `region`
     /// (e.g. "personal data must not leave the EU", §9.3 Challenge 1).
