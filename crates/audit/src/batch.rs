@@ -1,28 +1,139 @@
-//! Batched appending into a hash-chained [`AuditLog`].
+//! An append-only audit trail held as its wire bytes.
 //!
-//! Hash-chaining makes every [`AuditLog::record`] call serialise and hash the event
-//! synchronously — fine on control paths, a bottleneck on a dataplane moving millions of
-//! messages. A [`BatchedAppender`] decouples the two: enforcement threads stage events
-//! in an in-memory buffer (one appender per shard, no locks), and the buffer is flushed
-//! into the underlying log **in arrival order**, so the tamper-evident chain is byte-
-//! for-byte identical to what unbatched recording would have produced. The cost of
-//! chaining is still paid per record, but off the hot path and in cache-friendly runs.
+//! Hash-chaining means every record is serialised and hashed when it is appended; a
+//! durable log means it is serialised again when it reaches disk. A
+//! [`BatchedAppender`] does both once: an append assigns the record its id and
+//! previous hash, encodes it **as the segment frame it will be on disk**
+//! (`len ‖ checksum ‖ body ‖ hash`, see [`crate::segment`]) straight into the trail,
+//! takes the chain hash in one pass over those bytes and derives the frame checksum
+//! by continuing that pass (see [`crate::codec`]). The chain is byte for byte the one
+//! [`AuditLog::record`] would have produced; what differs is that nothing is built,
+//! cloned or freed per record — the two records a dataplane writes per message are
+//! encoded from borrowed fields ([`BatchedAppender::append_flow_checked`],
+//! [`BatchedAppender::append_message_quenched`]), and an owned [`AuditEvent`]
+//! ([`BatchedAppender::append`]) is encoded and dropped.
+//!
+//! The trail is a queue of fixed-size chunks of whole frames (one appender per shard,
+//! no locks). Retention — checked every `capacity` appends, the batch — prunes from the
+//! front: the pruned frames go to the [`PruneSink`] as the byte runs they already are,
+//! so persisting them is a `write_all`, and their chunks are reused for new frames.
+//! Records exist as structs only for a reader: [`BatchedAppender::into_log`] decodes
+//! what is retained.
 
+use std::collections::VecDeque;
 use std::fmt;
 
-use crate::event::{AuditEvent, AuditRecord};
+use crate::codec::{self, FlowCheckedRef, FRAME_PREFIX_LEN};
+use crate::event::{AuditEvent, AuditRecord, RecordId};
 use crate::log::AuditLog;
 
 /// A callback receiving records at the moment retention prunes them out of the
-/// in-memory log — the last point at which they are observable. A persistence layer
-/// installs one to stream retained-out history to durable storage; because the sink
-/// runs *before* the records are discarded, no record can be both pruned and
-/// unpersisted. `Sync` is required so appenders can live behind shared locks; sinks
-/// are still only ever *called* under `&mut self`.
-pub type PruneSink = Box<dyn FnMut(&[AuditRecord]) + Send + Sync>;
+/// in-memory trail — the last point at which they are observable — as runs of whole
+/// segment frames, oldest first (one run per chunk the pruned span touches; their
+/// concatenation is the span). A persistence layer installs one to stream retained-out
+/// history to durable storage ([`crate::SegmentStore::append_frames`] takes a run as
+/// it is); because the sink runs *before* the frames are released, no record can be
+/// both pruned and unpersisted. `Sync` is required so appenders can live behind shared
+/// locks; sinks are still only ever *called* under `&mut self`.
+pub type PruneSink = Box<dyn FnMut(&mut dyn Iterator<Item = &[u8]>) + Send + Sync>;
 
-/// Buffers audit events and flushes them, in order, into an append-only hash-chained
-/// [`AuditLog`].
+/// Bytes after which a chunk takes no further frame. A chunk is allocated with an
+/// eighth more, so the frame that crosses the line rarely grows it.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// A run of whole frames: `bytes[start..end]`. Frames before `start` were pruned;
+/// bytes past `end` are a frame whose encoding a panic interrupted.
+struct Chunk {
+    bytes: Vec<u8>,
+    start: usize,
+    end: usize,
+    frames: usize,
+}
+
+impl Chunk {
+    fn retained(&self) -> &[u8] {
+        &self.bytes[self.start..self.end]
+    }
+}
+
+/// The retained frames, oldest first, and the emptied chunks waiting to be refilled.
+#[derive(Default)]
+struct Trail {
+    chunks: VecDeque<Chunk>,
+    spare: Vec<Vec<u8>>,
+    /// Frames held across all chunks.
+    frames: usize,
+}
+
+impl Trail {
+    /// Where the next frame is encoded: the end of the newest chunk, or of a new one
+    /// once that is full. Nothing written there counts until [`Self::commit`].
+    fn writable(&mut self) -> &mut Vec<u8> {
+        if self.chunks.back().map_or(true, |chunk| chunk.end >= CHUNK_BYTES) {
+            let bytes = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES + CHUNK_BYTES / 8));
+            self.chunks.push_back(Chunk { bytes, start: 0, end: 0, frames: 0 });
+        }
+        let chunk = self.chunks.back_mut().expect("a chunk was just ensured");
+        chunk.bytes.truncate(chunk.end);
+        &mut chunk.bytes
+    }
+
+    /// Makes the frame just encoded into [`Self::writable`] part of the trail.
+    fn commit(&mut self) {
+        let chunk = self.chunks.back_mut().expect("commit follows writable");
+        chunk.end = chunk.bytes.len();
+        chunk.frames += 1;
+        self.frames += 1;
+    }
+
+    fn runs(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().map(Chunk::retained)
+    }
+
+    /// Drops the oldest `frames` frames (at least one, at most all), handing them to
+    /// `sink` first, and returns the hash of the last one dropped. Whole chunks are
+    /// emptied for reuse; the one the cut falls inside just moves its `start`.
+    fn prune(&mut self, frames: usize, sink: Option<&mut PruneSink>) -> u64 {
+        let (mut whole, mut partial) = (0, frames);
+        while partial > 0 && self.chunks[whole].frames <= partial {
+            partial -= self.chunks[whole].frames;
+            whole += 1;
+        }
+        // The cut inside the first chunk that stays, found by walking `partial` length
+        // prefixes.
+        let cut = (partial > 0).then(|| {
+            let chunk = &self.chunks[whole];
+            let mut rest = chunk.retained();
+            for _ in 0..partial {
+                rest = codec::split_frame(rest).expect("the trail holds whole frames").1;
+            }
+            chunk.end - rest.len()
+        });
+        let cut_run = cut.map(|cut| &self.chunks[whole].bytes[self.chunks[whole].start..cut]);
+        let last_run = cut_run.unwrap_or_else(|| self.chunks[whole - 1].retained());
+        let hash = last_run[last_run.len() - 8..].try_into().expect("a frame ends in its hash");
+        if let Some(sink) = sink {
+            sink(&mut self.chunks.iter().take(whole).map(Chunk::retained).chain(cut_run));
+        }
+        for mut chunk in self.chunks.drain(..whole) {
+            chunk.bytes.clear();
+            self.spare.push(chunk.bytes);
+        }
+        if let Some(cut) = cut {
+            let chunk = &mut self.chunks[0];
+            chunk.start = cut;
+            chunk.frames -= partial;
+        }
+        self.frames -= frames;
+        u64::from_le_bytes(hash)
+    }
+}
+
+/// Appends audit records to a hash-chained trail of encoded frames, pruning it to a
+/// retention bound in batches.
 ///
 /// ```
 /// use legaliot_audit::{AuditEvent, BatchedAppender};
@@ -31,14 +142,21 @@ pub type PruneSink = Box<dyn FnMut(&[AuditRecord]) + Send + Sync>;
 ///     AuditEvent::PolicyFired { policy: "p".into(), trigger: "t".into(), actions: 1 },
 ///     10,
 /// );
-/// assert_eq!(appender.buffered(), 1);
+/// assert_eq!((appender.len(), appender.buffered()), (1, 1));
 /// let log = appender.into_log(); // final flush included
 /// assert_eq!(log.len(), 1);
 /// assert!(log.verify_chain().is_intact());
 /// ```
 pub struct BatchedAppender {
-    log: AuditLog,
-    buffer: Vec<(AuditEvent, u64)>,
+    authority: String,
+    trail: Trail,
+    /// Hash the oldest retained record chains from.
+    anchor_hash: u64,
+    /// Hash of the newest record: what the next one chains from.
+    head_hash: u64,
+    next_id: u64,
+    /// Appends since the last [`Self::flush`].
+    buffered: usize,
     capacity: usize,
     retention: Option<usize>,
     prune_sink: Option<PruneSink>,
@@ -47,8 +165,12 @@ pub struct BatchedAppender {
 impl fmt::Debug for BatchedAppender {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BatchedAppender")
-            .field("log", &self.log)
-            .field("buffered", &self.buffer.len())
+            .field("authority", &self.authority)
+            .field("len", &self.trail.frames)
+            .field("anchor_hash", &self.anchor_hash)
+            .field("head_hash", &self.head_hash)
+            .field("next_id", &self.next_id)
+            .field("buffered", &self.buffered)
             .field("capacity", &self.capacity)
             .field("retention", &self.retention)
             .field("prune_sink", &self.prune_sink.is_some())
@@ -57,89 +179,116 @@ impl fmt::Debug for BatchedAppender {
 }
 
 impl BatchedAppender {
-    /// Creates an appender flushing into a fresh log recorded by `authority`, auto-
-    /// flushing whenever `capacity` events are buffered. A capacity of 1 degenerates to
-    /// unbatched recording (useful as an experimental baseline).
+    /// Creates an appender starting a fresh chain recorded by `authority`, flushing
+    /// (checking retention) whenever `capacity` records have been appended since the
+    /// last flush. A capacity of 1 checks after every record.
     pub fn new(authority: impl Into<String>, capacity: usize) -> Self {
         Self::over(AuditLog::new(authority), capacity)
     }
 
-    /// Creates an appender flushing into an existing log (e.g. one resumed after an
-    /// offload), preserving its chain anchor.
+    /// Creates an appender continuing an existing log (e.g. one resumed from a
+    /// persisted head, or after an offload): its anchor, numbering and records carry
+    /// over, the records re-encoded exactly as they are.
     pub fn over(log: AuditLog, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+        let mut trail = Trail::default();
+        for record in log.records() {
+            codec::put_record_frame(trail.writable(), record);
+            trail.commit();
+        }
         BatchedAppender {
-            log,
-            buffer: Vec::with_capacity(capacity),
-            capacity,
+            authority: log.authority().to_string(),
+            trail,
+            anchor_hash: log.anchor_hash(),
+            head_hash: log.head_hash(),
+            next_id: log.next_id(),
+            buffered: 0,
+            capacity: capacity.max(1),
             retention: None,
             prune_sink: None,
         }
     }
 
-    /// Bounds in-memory retention: once the log exceeds `2 × keep` records after a
-    /// flush, it is pruned back to the newest `keep` via [`AuditLog::retain_recent`]
-    /// (the chain stays anchored and verifiable; the hysteresis keeps pruning
+    /// Bounds in-memory retention: once the trail holds `2 × keep` records at a
+    /// flush, it is pruned back to the newest `keep`, re-anchored on the last pruned
+    /// record's hash (the chain stays verifiable; the hysteresis keeps pruning
     /// amortised O(1) per record). `None` (the default) retains everything.
     pub fn with_retention(mut self, keep: Option<usize>) -> Self {
         self.retention = keep.map(|k| k.max(1));
         self
     }
 
-    /// Installs a [`PruneSink`] invoked with every record retention prunes out, at the
+    /// Installs a [`PruneSink`] invoked with every frame retention prunes out, at the
     /// moment of pruning and in chain order — so a persistence layer sees each record
     /// before it stops being observable.
     pub fn with_prune_sink(
         mut self,
-        sink: impl FnMut(&[AuditRecord]) + Send + Sync + 'static,
+        sink: impl FnMut(&mut dyn Iterator<Item = &[u8]>) + Send + Sync + 'static,
     ) -> Self {
         self.prune_sink = Some(Box::new(sink));
         self
     }
 
-    /// Removes and returns the installed prune sink, if any. Supervisors use this to
-    /// carry the sink across a shard restart (the log is rebuilt via [`Self::over`],
-    /// which starts without a sink).
-    pub fn take_prune_sink(&mut self) -> Option<PruneSink> {
-        self.prune_sink.take()
-    }
-
-    /// Installs (or replaces) the prune sink on an existing appender.
-    pub fn set_prune_sink(&mut self, sink: Option<PruneSink>) {
-        self.prune_sink = sink;
-    }
-
-    /// Stages an event; flushes the whole buffer into the log once `capacity` events
-    /// are pending.
+    /// Appends an owned event: encoded like any other record, then dropped.
     pub fn append(&mut self, event: AuditEvent, at_millis: u64) {
-        self.buffer.push((event, at_millis));
-        if self.buffer.len() >= self.capacity {
+        self.append_with(at_millis, |out| codec::put_event(out, &event));
+    }
+
+    /// Appends a `FlowChecked` record from borrowed fields — the same bytes as
+    /// [`Self::append`] of the owned event, with nothing built or cloned.
+    pub fn append_flow_checked(&mut self, fields: &FlowCheckedRef<'_>, at_millis: u64) {
+        self.append_with(at_millis, |out| codec::put_flow_checked(out, fields));
+    }
+
+    /// Appends a `MessageQuenched` record from borrowed names — the same bytes as
+    /// [`Self::append`] of the owned event.
+    pub fn append_message_quenched<'a>(
+        &mut self,
+        source: &str,
+        destination: &str,
+        message_type: &str,
+        attributes: impl Iterator<Item = &'a str> + Clone,
+        at_millis: u64,
+    ) {
+        self.append_with(at_millis, |out| {
+            codec::put_message_quenched(out, source, destination, message_type, attributes)
+        });
+    }
+
+    /// The one append: the next id, the head hash and `event`'s bytes become a frame
+    /// at the end of the trail. The frame counts only once it is whole, so a panic
+    /// inside `event` leaves the trail as it was.
+    fn append_with(&mut self, at_millis: u64, event: impl FnOnce(&mut Vec<u8>)) {
+        self.head_hash = codec::put_frame(
+            self.trail.writable(),
+            RecordId(self.next_id),
+            at_millis,
+            &self.authority,
+            event,
+            self.head_hash,
+        );
+        self.trail.commit();
+        self.next_id += 1;
+        self.buffered += 1;
+        if self.buffered >= self.capacity {
             self.flush();
         }
     }
 
-    /// Writes every buffered event into the log, in arrival order, then applies the
-    /// retention bound (if configured).
+    /// Ends the batch: applies the retention bound (if configured), handing what it
+    /// prunes to the sink.
     pub fn flush(&mut self) {
-        for (event, at) in self.buffer.drain(..) {
-            self.log.record(event, at);
-        }
-        if let Some(keep) = self.retention {
-            if self.log.len() >= keep.saturating_mul(2) {
-                // Hand pruned records to the sink *before* they are dropped: the sink
-                // observing them here is what makes persistence loss-free by
-                // construction.
-                let (_, pruned) = self.log.retain_recent_taking(keep);
-                if let (Some(sink), false) = (self.prune_sink.as_mut(), pruned.is_empty()) {
-                    sink(&pruned);
-                }
-            }
+        self.buffered = 0;
+        let Some(keep) = self.retention else { return };
+        if self.trail.frames >= keep.saturating_mul(2) {
+            // The sink sees the pruned frames *before* their chunks are released:
+            // that is what makes persistence loss-free by construction.
+            self.anchor_hash = self.trail.prune(self.trail.frames - keep, self.prune_sink.as_mut());
         }
     }
 
-    /// Number of events staged but not yet written to the log.
+    /// Records appended since the last flush.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffered
     }
 
     /// The configured auto-flush threshold.
@@ -147,26 +296,92 @@ impl BatchedAppender {
         self.capacity
     }
 
-    /// The underlying log as flushed so far. Staged events ([`Self::buffered`]) are not
-    /// visible here until [`Self::flush`] runs.
-    pub fn log(&self) -> &AuditLog {
-        &self.log
+    /// Records currently retained.
+    pub fn len(&self) -> usize {
+        self.trail.frames
     }
 
-    /// Flushes any staged events and returns the completed log.
+    /// Whether no record is retained.
+    pub fn is_empty(&self) -> bool {
+        self.trail.frames == 0
+    }
+
+    /// The hash of the newest record (the anchor while there is none) — what the next
+    /// record will chain from.
+    pub fn head_hash(&self) -> u64 {
+        self.head_hash
+    }
+
+    /// The retained records as runs of whole segment frames, oldest first — what a
+    /// graceful shutdown persists behind the pruned prefix.
+    pub fn retained_frames(&self) -> impl Iterator<Item = &[u8]> {
+        self.trail.runs()
+    }
+
+    /// Flushes, then decodes the retained frames into the log a reader works with,
+    /// releasing each chunk as it is decoded.
     pub fn into_log(mut self) -> AuditLog {
         self.flush();
-        self.log
+        let mut records: Vec<AuditRecord> = Vec::with_capacity(self.trail.frames);
+        while let Some(chunk) = self.trail.chunks.pop_front() {
+            let mut rest = chunk.retained();
+            while let Some((frame, after)) = codec::split_frame(rest) {
+                let record = codec::decode_record(&frame[FRAME_PREFIX_LEN..]);
+                records.push(record.expect("the appender's own frames decode"));
+                rest = after;
+            }
+        }
+        if records.is_empty() {
+            // `from_records` numbers an empty log from 0; this chain may be further on.
+            return AuditLog::resume(self.authority, self.anchor_hash, self.next_id);
+        }
+        AuditLog::from_records(self.authority, self.anchor_hash, records)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::event as any_event;
+    use crate::codec::DataItem;
     use crate::event::AuditEventKind;
+    use crate::segment::checksum;
+    use legaliot_ifc::{can_flow, SecurityContext};
+    use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     fn event(n: usize) -> AuditEvent {
         AuditEvent::PolicyFired { policy: format!("p{n}"), trigger: "t".into(), actions: n }
+    }
+
+    /// The records in `run`, each frame's stored checksum checked against the plain
+    /// FNV-1a of its payload on the way.
+    fn decoded(run: &[u8]) -> Vec<AuditRecord> {
+        let mut records = Vec::new();
+        let mut rest = run;
+        while let Some((frame, after)) = codec::split_frame(rest) {
+            let payload = &frame[FRAME_PREFIX_LEN..];
+            let stored = u64::from_le_bytes(frame[4..FRAME_PREFIX_LEN].try_into().unwrap());
+            assert_eq!(stored, checksum(payload), "the derived checksum is the payload's");
+            records.push(codec::decode_record(payload).expect("a frame holds one record"));
+            rest = after;
+        }
+        assert!(rest.is_empty(), "a run is whole frames");
+        records
+    }
+
+    /// An appender whose sink decodes what it is handed into the returned vector.
+    fn with_decoding_sink(
+        appender: BatchedAppender,
+    ) -> (BatchedAppender, Arc<Mutex<Vec<AuditRecord>>>) {
+        let pruned: Arc<Mutex<Vec<AuditRecord>>> = Arc::default();
+        let target = Arc::clone(&pruned);
+        let appender = appender.with_prune_sink(move |runs| {
+            for run in runs {
+                target.lock().unwrap().extend(decoded(run));
+            }
+        });
+        (appender, pruned)
     }
 
     #[test]
@@ -175,8 +390,8 @@ mod tests {
         for n in 0..10 {
             appender.append(event(n), n as u64);
         }
-        // 10 events, capacity 4: two auto-flushes have happened, two events staged.
-        assert_eq!(appender.log().len(), 8);
+        // 10 events, capacity 4: two auto-flushes have happened, two appends since.
+        assert_eq!(appender.len(), 10);
         assert_eq!(appender.buffered(), 2);
         assert_eq!(appender.capacity(), 4);
         let log = appender.into_log();
@@ -195,6 +410,7 @@ mod tests {
             unbatched.record(event(n), n as u64);
             appender.append(event(n), n as u64);
         }
+        assert_eq!(appender.head_hash(), unbatched.head_hash());
         let batched = appender.into_log();
         // Identical inputs produce the identical tamper-evident chain.
         assert_eq!(batched, unbatched);
@@ -211,6 +427,11 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert!(log.verify_chain().is_intact());
         assert_eq!(log.of_kind(AuditEventKind::PolicyFired).count(), 2);
+
+        // A resumed, still empty chain keeps its place: anchor and numbering.
+        let resumed = BatchedAppender::over(AuditLog::resume("gateway", 7, 40), 2);
+        assert_eq!((resumed.len(), resumed.head_hash()), (0, 7));
+        assert_eq!(resumed.into_log(), AuditLog::resume("gateway", 7, 40));
     }
 
     #[test]
@@ -228,14 +449,8 @@ mod tests {
 
     #[test]
     fn no_record_is_both_pruned_and_unpersisted() {
-        use std::sync::{Arc, Mutex};
-
-        let persisted: Arc<Mutex<Vec<crate::AuditRecord>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_target = Arc::clone(&persisted);
-        let mut appender =
-            BatchedAppender::new("n", 4).with_retention(Some(6)).with_prune_sink(move |records| {
-                sink_target.lock().unwrap().extend(records.iter().cloned())
-            });
+        let (mut appender, persisted) =
+            with_decoding_sink(BatchedAppender::new("n", 4).with_retention(Some(6)));
         for n in 0..40 {
             appender.append(event(n), n as u64);
         }
@@ -267,6 +482,178 @@ mod tests {
         let mut appender = BatchedAppender::new("n", 0); // clamped to 1
         appender.append(event(0), 0);
         assert_eq!(appender.buffered(), 0);
-        assert_eq!(appender.log().len(), 1);
+        assert_eq!(appender.len(), 1);
+    }
+
+    /// Enough bytes for several chunks, one record larger than a chunk among them:
+    /// prunes that release whole chunks, cut inside one, and refill the released ones
+    /// still hand the sink, then the log, exactly the unbatched chain.
+    #[test]
+    fn pruning_across_chunks_hands_over_the_unbatched_chain() {
+        const RECORDS: usize = 6000;
+        let wide = |n: usize| AuditEvent::ShardRestarted {
+            shard: "s".into(),
+            restart: n as u64,
+            cause: "x".repeat(if n == 2500 { 2 * CHUNK_BYTES } else { 40 }),
+        };
+        let mut unbatched = AuditLog::new("n");
+        let (mut appender, pruned) =
+            with_decoding_sink(BatchedAppender::new("n", 64).with_retention(Some(700)));
+        for n in 0..RECORDS {
+            unbatched.record(wide(n), n as u64);
+            appender.append(wide(n), n as u64);
+            assert!(appender.len() < 1400 + 64);
+        }
+        // 6000 records of ≈80 B went through ≈1500 records' worth of chunks.
+        let chunks = appender.trail.chunks.len() + appender.trail.spare.len();
+        assert!((2..=8).contains(&chunks), "{chunks} chunks allocated");
+        appender.flush();
+        let retained: Vec<AuditRecord> = appender.retained_frames().flat_map(decoded).collect();
+        let log = appender.into_log();
+        assert_eq!(log.records(), retained);
+        let mut all = pruned.lock().unwrap().clone();
+        assert_eq!(log.anchor_hash(), all.last().unwrap().hash);
+        all.extend(retained);
+        assert_eq!(all, unbatched.records());
+        assert_eq!((log.head_hash(), log.next_id()), (unbatched.head_hash(), RECORDS as u64));
+    }
+
+    /// A frame counts once it is whole: an append that panics while encoding leaves
+    /// no record, and its bytes are gone before the next one is written.
+    #[test]
+    fn a_panic_while_encoding_leaves_no_partial_record() {
+        let mut appender = BatchedAppender::new("n", 8);
+        appender.append(event(0), 0);
+        let poisoned = ["a", "b"].into_iter().map(|name| match name {
+            "b" => panic!("an attribute name that cannot be read"),
+            name => name,
+        });
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            appender.append_message_quenched("s", "d", "t", poisoned, 1);
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(appender.len(), 1);
+        appender.append(event(2), 2);
+
+        let mut expected = AuditLog::new("n");
+        expected.record(event(0), 0);
+        expected.record(event(2), 2);
+        assert_eq!(appender.into_log(), expected);
+    }
+
+    /// The borrowed writers are the owned events' encoders: same bytes, same chain —
+    /// a message's data item included, whatever its timestamp's digit count.
+    #[test]
+    fn borrowed_appends_write_the_owned_events_bytes() {
+        let source = SecurityContext::from_names(["medical", "ann"], ["hosp-dev"]);
+        let contexts = [SecurityContext::from_names(["medical"], ["consent"]), source.clone()];
+        let mut owned = BatchedAppender::new("n", 64);
+        let mut borrowed = BatchedAppender::new("n", 64);
+        for destination in &contexts {
+            let decision = can_flow(&source, destination);
+            for at_millis in [0, 9, 10, 1_234_567_890_123, u64::MAX] {
+                let items = [
+                    (None, None),
+                    (Some(DataItem::Text("reading-1")), Some("reading-1".to_string())),
+                    (
+                        Some(DataItem::Message { message_type: "sensor-reading", at_millis }),
+                        Some(format!("sensor-reading@{at_millis}")),
+                    ),
+                ];
+                for (data_item, text) in items {
+                    let fields = FlowCheckedRef {
+                        source: "sensor",
+                        destination: "analyser",
+                        source_context: &source,
+                        destination_context: destination,
+                        decision: &decision,
+                        data_item,
+                    };
+                    borrowed.append_flow_checked(&fields, at_millis);
+                    let event = AuditEvent::FlowChecked {
+                        source: "sensor".into(),
+                        destination: "analyser".into(),
+                        source_context: source.clone(),
+                        destination_context: destination.clone(),
+                        decision: decision.clone(),
+                        data_item: text,
+                    };
+                    owned.append(event, at_millis);
+                }
+            }
+        }
+        for attributes in [vec![], vec!["name"], vec!["name", "", "雪"]] {
+            borrowed.append_message_quenched("s", "d", "t", attributes.iter().copied(), 5);
+            let event = AuditEvent::MessageQuenched {
+                source: "s".into(),
+                destination: "d".into(),
+                message_type: "t".into(),
+                attributes: attributes.iter().map(|name| name.to_string()).collect(),
+            };
+            owned.append(event, 5);
+        }
+        let runs =
+            |appender: &BatchedAppender| appender.retained_frames().collect::<Vec<_>>().concat();
+        assert_eq!(runs(&borrowed), runs(&owned));
+        assert_eq!(borrowed.len(), 2 * 5 * 3 + 3);
+        let log = borrowed.into_log();
+        assert!(log.verify_chain().is_intact());
+        assert_eq!(log, owned.into_log());
+    }
+
+    proptest! {
+        /// The trail is the log, byte for byte: any sequence over all 13 variants, any
+        /// batch size, with or without a (small) retention bound, leaves what
+        /// `AuditLog::record` would have — the sink's frames then the retained ones
+        /// are its records, each frame is `encode_record`'s bytes behind the payload's
+        /// own checksum, and anchor, head and numbering agree.
+        #[test]
+        fn prop_the_trail_is_the_unbatched_log(
+            events in collection::vec((any_event(), 0u64..1000), 0..40),
+            capacity in 1usize..12,
+            retention in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+        ) {
+            let mut unbatched = AuditLog::new("shard-é");
+            let (mut appender, pruned) = with_decoding_sink(
+                BatchedAppender::new("shard-é", capacity).with_retention(retention),
+            );
+            for (event, at_millis) in &events {
+                unbatched.record(event.clone(), *at_millis);
+                appender.append(event.clone(), *at_millis);
+                prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
+            }
+            appender.flush();
+            let retained: Vec<u8> = appender.retained_frames().collect::<Vec<_>>().concat();
+            let log = appender.into_log();
+            let pruned = pruned.lock().unwrap().clone();
+            if retention.is_none() {
+                prop_assert!(pruned.is_empty());
+                prop_assert_eq!(&log, &unbatched);
+            }
+            prop_assert_eq!(decoded(&retained), log.records());
+            let mut expected_frames = Vec::new();
+            for record in log.records() {
+                let start = expected_frames.len();
+                expected_frames.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+                codec::encode_record(record, &mut expected_frames);
+                let payload = expected_frames[start + FRAME_PREFIX_LEN..].to_vec();
+                expected_frames[start..start + 4]
+                    .copy_from_slice(&(payload.len() as u32).to_le_bytes());
+                expected_frames[start + 4..start + FRAME_PREFIX_LEN]
+                    .copy_from_slice(&checksum(&payload).to_le_bytes());
+            }
+            prop_assert_eq!(retained, expected_frames);
+
+            prop_assert_eq!(log.anchor_hash(), pruned.last().map_or(0, |record| record.hash));
+            prop_assert_eq!(log.head_hash(), unbatched.head_hash());
+            prop_assert_eq!(log.next_id(), unbatched.next_id());
+            prop_assert!(log.verify_chain().is_intact());
+            let mut all = pruned;
+            all.extend(log.records().iter().cloned());
+            prop_assert_eq!(all.as_slice(), unbatched.records());
+            let ids: Vec<u64> = all.iter().map(|record| record.id.0).collect();
+            prop_assert_eq!(ids, (0..events.len() as u64).collect::<Vec<u64>>());
+            prop_assert!(AuditLog::verify_records(0, &all).is_intact());
+        }
     }
 }

@@ -3,8 +3,15 @@
 //! One encoder, one decoder, and two consumers of the same bytes: the chain hash
 //! ([`record_hash`], which [`crate::AuditLog`] calls for every record it appends or
 //! verifies) and the on-disk frame body ([`encode_record`] / [`decode_record`], which
-//! [`crate::SegmentStore`] calls for every frame). The hash is *defined* over the
-//! encoding, so a record means the same thing to the chain and to the disk.
+//! [`crate::SegmentStore`] reads and writes in every frame). The hash is *defined* over
+//! the encoding, so a record means the same thing to the chain and to the disk.
+//!
+//! Each variant has exactly one encoder. The two a dataplane writes per message —
+//! `FlowChecked` and `MessageQuenched` — take their fields *borrowed*
+//! ([`FlowCheckedRef`], with the data item as its parts, and `&str` names plus an
+//! iterator of attribute names), so a [`crate::BatchedAppender`] encodes them straight
+//! from the enforcement point's own state without building an [`AuditEvent`]; the
+//! owned variants are encoded by lending their fields to those same writers.
 //!
 //! # Layout
 //!
@@ -41,6 +48,17 @@
 //! | 11 | `ShardRestarted` | shard:str restart:varint cause:str |
 //! | 12 | `DeliveryLost` | source:str destination:str message_type:opt-str lost:varint cause:str |
 //!
+//! # Frames
+//!
+//! On disk, and in a [`crate::BatchedAppender`]'s memory, a record travels as a
+//! *frame*: `len:u32le checksum:u64le record`, the checksum being the FNV-1a 64 of the
+//! record's bytes (see [`crate::segment`] for the file around it). A frame is built in
+//! one pass: the body is encoded, folded into the hasher once — that state is the
+//! chain hash — and the same fold is continued over the hash's eight bytes, which
+//! makes it the FNV-1a of `body ‖ hash`, the checksum a reader recomputes over the
+//! whole payload. FNV-1a being a plain running fold, and [`StableHasher::finish`]
+//! the fold's state unchanged, is what allows that; nothing about the format moves.
+//!
 //! # Canonical form
 //!
 //! Every record has exactly one encoding and [`decode_record`] accepts nothing else, so
@@ -73,7 +91,7 @@ use crate::event::{AuditEvent, AuditRecord, RecordId};
 
 /// Where encoded bytes go: a buffer (the frame body) or the chain hasher. The encoder
 /// is written once against this, so the hash is over the frame's bytes by construction.
-trait Sink {
+pub(crate) trait Sink {
     fn put(&mut self, bytes: &[u8]);
 }
 
@@ -138,7 +156,93 @@ fn put_decision(out: &mut impl Sink, decision: &FlowDecision) {
     }
 }
 
-fn put_event(out: &mut impl Sink, event: &AuditEvent) {
+/// The fields of an [`AuditEvent::FlowChecked`], borrowed from wherever the check ran:
+/// what [`crate::BatchedAppender::append_flow_checked`] encodes without an owned event.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowCheckedRef<'a> {
+    /// The entity data would flow from.
+    pub source: &'a str,
+    /// The entity data would flow to.
+    pub destination: &'a str,
+    /// The source's security context at the time of the check.
+    pub source_context: &'a SecurityContext,
+    /// The destination's security context at the time of the check.
+    pub destination_context: &'a SecurityContext,
+    /// The flow decision.
+    pub decision: &'a FlowDecision,
+    /// The data item concerned, if the check was about one.
+    pub data_item: Option<DataItem<'a>>,
+}
+
+/// The `data_item` of a flow check, as text or as the parts a message is named from.
+#[derive(Debug, Clone, Copy)]
+pub enum DataItem<'a> {
+    /// The item's name, as is.
+    Text(&'a str),
+    /// A message, named `"{message_type}@{at_millis}"` — encoded from the parts, no
+    /// string is built.
+    Message {
+        /// The message's declared type.
+        message_type: &'a str,
+        /// When it was sent.
+        at_millis: u64,
+    },
+}
+
+fn put_data_item(out: &mut impl Sink, item: Option<DataItem<'_>>) {
+    put_bool(out, item.is_some());
+    match item {
+        None => {}
+        Some(DataItem::Text(text)) => put_str(out, text),
+        Some(DataItem::Message { message_type, at_millis }) => {
+            // Decimal digits, last first; `u64::MAX` has twenty.
+            let mut digits = [0u8; 20];
+            let (mut first, mut rest) = (digits.len(), at_millis);
+            loop {
+                first -= 1;
+                digits[first] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            let digits = &digits[first..];
+            put_varint(out, (message_type.len() + 1 + digits.len()) as u64);
+            out.put(message_type.as_bytes());
+            out.put(b"@");
+            out.put(digits);
+        }
+    }
+}
+
+/// Variant 0, `FlowChecked`.
+pub(crate) fn put_flow_checked(out: &mut impl Sink, fields: &FlowCheckedRef<'_>) {
+    out.put(&[0]);
+    put_str(out, fields.source);
+    put_str(out, fields.destination);
+    put_context(out, fields.source_context);
+    put_context(out, fields.destination_context);
+    put_decision(out, fields.decision);
+    put_data_item(out, fields.data_item);
+}
+
+/// Variant 9, `MessageQuenched`. The attribute count is taken from the iterator
+/// itself, so it cannot disagree with what follows it.
+pub(crate) fn put_message_quenched<'a>(
+    out: &mut impl Sink,
+    source: &str,
+    destination: &str,
+    message_type: &str,
+    attributes: impl Iterator<Item = &'a str> + Clone,
+) {
+    out.put(&[9]);
+    put_str(out, source);
+    put_str(out, destination);
+    put_str(out, message_type);
+    put_strs(out, attributes.clone().count(), attributes);
+}
+
+pub(crate) fn put_event(out: &mut impl Sink, event: &AuditEvent) {
     match event {
         AuditEvent::FlowChecked {
             source,
@@ -147,15 +251,17 @@ fn put_event(out: &mut impl Sink, event: &AuditEvent) {
             destination_context,
             decision,
             data_item,
-        } => {
-            out.put(&[0]);
-            put_str(out, source);
-            put_str(out, destination);
-            put_context(out, source_context);
-            put_context(out, destination_context);
-            put_decision(out, decision);
-            put_opt_str(out, data_item.as_deref());
-        }
+        } => put_flow_checked(
+            out,
+            &FlowCheckedRef {
+                source,
+                destination,
+                source_context,
+                destination_context,
+                decision,
+                data_item: data_item.as_deref().map(DataItem::Text),
+            },
+        ),
         AuditEvent::FlowSummary {
             source,
             destination,
@@ -221,11 +327,8 @@ fn put_event(out: &mut impl Sink, event: &AuditEvent) {
             put_str(out, justification);
         }
         AuditEvent::MessageQuenched { source, destination, message_type, attributes } => {
-            out.put(&[9]);
-            put_str(out, source);
-            put_str(out, destination);
-            put_str(out, message_type);
-            put_strs(out, attributes.len(), attributes.iter());
+            let attributes = attributes.iter().map(String::as_str);
+            put_message_quenched(out, source, destination, message_type, attributes);
         }
         AuditEvent::DeliveryDropped { source, destination, message_type, dropped } => {
             out.put(&[10]);
@@ -251,19 +354,20 @@ fn put_event(out: &mut impl Sink, event: &AuditEvent) {
     }
 }
 
-/// The part of a record its chain hash covers (`body` in the module docs).
-fn put_body(
-    out: &mut impl Sink,
+/// The part of a record its chain hash covers (`body` in the module docs), its event
+/// written by `event` — [`put_event`] over an owned one, or a borrowed writer.
+fn put_body<S: Sink>(
+    out: &mut S,
     id: RecordId,
     at_millis: u64,
     recorded_by: &str,
-    event: &AuditEvent,
+    event: impl FnOnce(&mut S),
     previous_hash: u64,
 ) {
     put_varint(out, id.0);
     put_varint(out, at_millis);
     put_str(out, recorded_by);
-    put_event(out, event);
+    event(out);
     out.put(&previous_hash.to_le_bytes());
 }
 
@@ -278,7 +382,7 @@ pub fn record_hash(
     previous_hash: u64,
 ) -> u64 {
     let mut hasher = StableHasher::new();
-    put_body(&mut hasher, id, at_millis, recorded_by, event, previous_hash);
+    put_body(&mut hasher, id, at_millis, recorded_by, |out| put_event(out, event), previous_hash);
     hasher.finish()
 }
 
@@ -289,10 +393,73 @@ pub fn encode_record(record: &AuditRecord, out: &mut Vec<u8>) {
         record.id,
         record.at_millis,
         &record.recorded_by,
-        &record.event,
+        |out| put_event(out, &record.event),
         record.previous_hash,
     );
     out.put(&record.hash.to_le_bytes());
+}
+
+/// Bytes of a segment frame before its payload: the payload's length (`u32` LE) and
+/// checksum (`u64` LE). The payload is one record's encoding; see
+/// [`crate::segment`] for the file around it.
+pub(crate) const FRAME_PREFIX_LEN: usize = 4 + 8;
+
+/// Appends one complete frame — `len ‖ checksum ‖ body ‖ hash` — to `out`, the body
+/// written by `body`, and returns the hash it stored: `stored_hash`, or the body's
+/// chain hash when there is none yet.
+///
+/// The body is hashed once. FNV-1a is a running fold and [`StableHasher::finish`] is
+/// the fold's state, so the chain hash is the state after the body, and the frame
+/// checksum — FNV-1a of `body ‖ hash`, what a reader recomputes over the payload — is
+/// that same state continued over the hash's eight bytes.
+fn put_frame_with(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>),
+    stored_hash: Option<u64>,
+) -> u64 {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+    body(out);
+    let fold = StableHasher::new().write_bytes(&out[start + FRAME_PREFIX_LEN..]);
+    let hash = stored_hash.unwrap_or(fold.finish());
+    let checksum = fold.write_bytes(&hash.to_le_bytes()).finish();
+    out.extend_from_slice(&hash.to_le_bytes());
+    let len = u32::try_from(out.len() - start - FRAME_PREFIX_LEN)
+        .expect("one audit record encodes to less than 4 GiB");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_PREFIX_LEN].copy_from_slice(&checksum.to_le_bytes());
+    hash
+}
+
+/// Appends the frame of a new record — numbered `id`, chained from `previous_hash`,
+/// its event written by `event` — and returns the record's chain hash.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    id: RecordId,
+    at_millis: u64,
+    recorded_by: &str,
+    event: impl FnOnce(&mut Vec<u8>),
+    previous_hash: u64,
+) -> u64 {
+    put_frame_with(out, |out| put_body(out, id, at_millis, recorded_by, event, previous_hash), None)
+}
+
+/// Appends the frame of an existing record, exactly as it is: the payload is
+/// [`encode_record`]'s bytes, whatever hash the record claims.
+pub(crate) fn put_record_frame(out: &mut Vec<u8>, record: &AuditRecord) {
+    let event = |out: &mut Vec<u8>| put_event(out, &record.event);
+    let body = |out: &mut Vec<u8>| {
+        put_body(out, record.id, record.at_millis, &record.recorded_by, event, record.previous_hash)
+    };
+    put_frame_with(out, body, Some(record.hash));
+}
+
+/// Splits the first frame — prefix and payload — off a run of frames. `None` when
+/// `bytes` does not start with a whole one.
+pub(crate) fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().expect("four bytes"));
+    let end = FRAME_PREFIX_LEN.checked_add(usize::try_from(len).ok()?)?;
+    (end <= bytes.len()).then(|| bytes.split_at(end))
 }
 
 /// Decodes exactly one canonically encoded record spanning all of `bytes`. Anything
@@ -503,7 +670,7 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -545,7 +712,8 @@ mod tests {
         ]
     }
 
-    fn event() -> impl Strategy<Value = AuditEvent> {
+    /// Any event, over all 13 variants.
+    pub(crate) fn event() -> impl Strategy<Value = AuditEvent> {
         prop_oneof![
             ((TEXT, TEXT, context(), context()), (decision(), opt_text())).prop_map(
                 |(

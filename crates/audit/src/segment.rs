@@ -38,11 +38,19 @@
 //!
 //! # Writing
 //!
-//! [`SegmentStore::append_batch`] encodes a whole slice of records into one
-//! store-owned buffer and hands it to the file in one `write_all` (split only at
-//! segment rotations and every 256 KiB, so the buffer — and RSS — stays bounded);
-//! [`SegmentStore::append`] is the one-record batch. The buffer is always empty when
-//! a call returns: the store holds no bytes in user space between calls, so what
+//! There is one write path, [`SegmentStore::append_frames`], and it takes frames
+//! that already exist: a [`crate::BatchedAppender`] holds its records *as* these
+//! frames — encoded, hashed and checksummed once, when each was appended (the
+//! checksum is the chain hash's FNV-1a fold continued over the hash's own eight
+//! bytes, see [`crate::codec`]) — and hands the pruned ones over as the byte runs
+//! they are. The store walks the length prefixes, to ask the fault hook about each
+//! record and to rotate at the right ones, and gives every contiguous stretch to the
+//! file in one `write_all` straight from the caller's bytes: the appender owns those,
+//! the store copies nothing. [`SegmentStore::append_batch`] (and [`SegmentStore::append`],
+//! its one-record case) is for callers holding [`AuditRecord`]s: it encodes them into
+//! one store-owned buffer, 256 KiB at a time so the buffer — and RSS — stays bounded,
+//! and takes the same path. That buffer is always empty when a call returns: the
+//! store holds no bytes in user space between calls, so what
 //! [`SegmentStats::records_persisted`] counts has reached the file.
 //!
 //! # Crash model and recovery
@@ -69,7 +77,7 @@ use std::time::{Duration, Instant};
 use legaliot_ifc::StableHasher;
 use legaliot_obs::HistogramSnapshot;
 
-use crate::codec::{decode_record, encode_record};
+use crate::codec::{decode_record, put_record_frame, split_frame, FRAME_PREFIX_LEN};
 use crate::event::AuditRecord;
 use crate::log::{AuditLog, ChainVerification};
 
@@ -81,17 +89,15 @@ const VERSION: u32 = 2;
 const RETIRED_VERSION: u32 = 1;
 /// Fixed header length: magic + version + sequence + anchor.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
-/// Per-frame prefix length: payload length + checksum.
-const FRAME_PREFIX_LEN: usize = 4 + 8;
 /// Upper bound on a frame payload; anything larger is treated as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
-/// Bytes [`SegmentStore::append_batch`] buffers before handing them to the file: large
-/// enough that a prune batch is a handful of writes, small enough that the buffer
+/// Bytes [`SegmentStore::append_batch`] encodes before handing them to the file: large
+/// enough that a batch of records is a handful of writes, small enough that the buffer
 /// never shows in RSS.
 const WRITE_CHUNK: usize = 256 * 1024;
 
 /// FNV-1a 64 over the frame payload — the same fold the chain hash uses.
-fn checksum(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     StableHasher::new().write_bytes(bytes).finish()
 }
 
@@ -196,12 +202,9 @@ pub struct SegmentStore {
     wedged: Option<String>,
     stats: SegmentStats,
     hook: Option<FaultHook>,
-    /// Frames encoded but not yet handed to the file. Reused across calls for its
-    /// capacity only: empty whenever a public method returns.
+    /// Where [`Self::append_batch`] encodes records into frames. Reused across calls
+    /// for its capacity only: empty whenever a public method returns.
     buffer: Vec<u8>,
-    /// How many complete frames `buffer` holds, and the hash of the last one's record.
-    buffered_frames: usize,
-    buffered_head: u64,
 }
 
 impl fmt::Debug for SegmentStore {
@@ -269,8 +272,6 @@ impl SegmentStore {
             stats: SegmentStats::default(),
             hook: None,
             buffer: Vec::new(),
-            buffered_frames: 0,
-            buffered_head: anchor_hash,
         })
     }
 
@@ -370,120 +371,122 @@ impl SegmentStore {
         self.append_batch(std::slice::from_ref(record)) == 1
     }
 
-    /// Appends `records`, in order, as one frame each, encoding them into one buffer
-    /// and handing that to the file in a single `write_all` (more only when the batch
-    /// crosses a segment rotation or 256 KiB). Returns how many reached the segment
-    /// file — always a prefix of `records`; the rest, once the store is (or becomes)
-    /// wedged, are counted in [`SegmentStats::records_dropped`], never silent.
+    /// Appends `records`, in order, as one frame each: encodes them into the store's
+    /// buffer (256 KiB at a time) and hands that to [`Self::append_frames`], the one
+    /// write path. Returns how many reached the segment file — always a prefix of
+    /// `records`; the rest are counted in [`SegmentStats::records_dropped`].
+    pub fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
+        let mut buffer = std::mem::take(&mut self.buffer);
+        let mut persisted = 0;
+        for record in records {
+            put_record_frame(&mut buffer, record);
+            if buffer.len() >= WRITE_CHUNK {
+                persisted += self.append_frames(&buffer);
+                buffer.clear();
+            }
+        }
+        persisted += self.append_frames(&buffer);
+        buffer.clear();
+        self.buffer = buffer;
+        persisted
+    }
+
+    /// Appends a run of whole frames — what a [`crate::BatchedAppender`] holds and
+    /// hands its prune sink — as they are: nothing is encoded or checksummed here.
+    /// The length prefixes are walked to find the records, and each contiguous stretch
+    /// of them goes to the file in one `write_all` straight from `frames` (a stretch
+    /// ends where a segment fills and rotates). Returns how many records reached the
+    /// segment file — always a prefix of the run; the rest, once the store is (or
+    /// becomes) wedged, are counted in [`SegmentStats::records_dropped`], never silent.
     ///
     /// The fault hook sees exactly what it would for one [`Self::append`] per record:
     /// `IoOp::Write` once per record in order, rotations and their fsyncs between the
     /// same records. A fault at record *k* leaves frames `0..k` in the file (plus, for
-    /// a short write, the synced torn half of frame *k*) and drops `k..`.
-    pub fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
+    /// a short write, the synced torn half of frame *k*) and drops `k..`. Bytes that
+    /// are not whole frames wedge the store like an oversized record does.
+    pub fn append_frames(&mut self, frames: &[u8]) -> usize {
         let persisted_before = self.stats.records_persisted;
-        for record in records {
+        // `frames[written..next]` holds `pending` records accepted but not yet written.
+        let (mut written, mut next, mut pending, mut accepted) = (0, 0, 0, 0);
+        while next < frames.len() {
             if self.wedged.is_none() && self.file.is_none() {
                 self.open_segment();
             }
             if self.wedged.is_some() {
                 break;
             }
-            match self.fault(IoOp::Write) {
-                Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
-                Some(IoFault::ShortWrite) => {
-                    // Tear the frame: after the clean frames before it, write a strict
-                    // prefix, then wedge. Disk now ends in a torn tail for recovery to
-                    // truncate.
-                    if self.write_buffered() {
-                        self.buffer_frame(record);
-                        let torn = &self.buffer[..self.buffer.len() / 2];
+            let frame = split_frame(&frames[next..]).map(|(frame, _)| frame);
+            let fault = self.fault(IoOp::Write);
+            if let Some(IoFault::Delay(delay)) = fault {
+                std::thread::sleep(delay);
+            }
+            let refusal = match (fault, frame) {
+                (Some(IoFault::ShortWrite), _) => Some("short write injected at segment append"),
+                (Some(IoFault::Error), _) => Some("io error injected at segment append"),
+                (_, None) => Some("a record's bytes are not one whole frame"),
+                (_, Some(frame)) if frame.len() - FRAME_PREFIX_LEN > MAX_FRAME_LEN as usize => {
+                    Some("a record exceeds the frame size limit")
+                }
+                _ => None,
+            };
+            if let Some(cause) = refusal {
+                // The clean frames before it first; a short write then tears this one:
+                // a strict prefix, synced, for recovery to truncate.
+                if self.write_run(&frames[written..next], pending) {
+                    if fault == Some(IoFault::ShortWrite) {
+                        let torn = frame.unwrap_or(&frames[next..]);
                         if let Some(file) = self.file.as_mut() {
-                            let _ = file.write_all(torn);
+                            let _ = file.write_all(&torn[..torn.len() / 2]);
                             let _ = file.sync_all();
                         }
-                        self.discard_buffered();
-                        self.wedge("short write injected at segment append".into());
                     }
-                    break;
+                    self.wedge(cause.into());
                 }
-                Some(IoFault::Error) => {
-                    if self.write_buffered() {
-                        self.wedge("io error injected at segment append".into());
-                    }
-                    break;
-                }
-                None => {}
-            }
-            if !self.buffer_frame(record) {
-                if self.write_buffered() {
-                    self.wedge(format!("record {} exceeds the frame size limit", record.id));
-                }
+                (written, pending) = (next, 0);
                 break;
             }
-            if self.records_in_segment + self.buffered_frames >= self.max_segment_records {
-                if self.write_buffered() {
+            next += frame.expect("refused otherwise").len();
+            (pending, accepted) = (pending + 1, accepted + 1);
+            if self.records_in_segment + pending >= self.max_segment_records {
+                if self.write_run(&frames[written..next], pending) {
                     self.rotate();
                 }
-            } else if self.buffer.len() >= WRITE_CHUNK {
-                self.write_buffered();
+                (written, pending) = (next, 0);
             }
         }
-        self.write_buffered();
+        self.write_run(&frames[written..next], pending);
+        // Everything from a refusal on is dropped, and so is a run a real IO error
+        // refused: count them, never silent.
+        let (mut offered, mut unwalked) = (accepted, &frames[next..]);
+        while !unwalked.is_empty() {
+            offered += 1;
+            unwalked = split_frame(unwalked).map_or(&[], |(_, after)| after);
+        }
         let persisted = (self.stats.records_persisted - persisted_before) as usize;
-        self.stats.records_dropped += (records.len() - persisted) as u64;
+        self.stats.records_dropped += (offered - persisted) as u64;
         persisted
     }
 
-    /// Encodes `record` as one frame at the end of the buffer. Returns `false`, with
-    /// the buffer as it was, when the record is too large for a frame.
-    fn buffer_frame(&mut self, record: &AuditRecord) -> bool {
-        let start = self.buffer.len();
-        self.buffer.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
-        encode_record(record, &mut self.buffer);
-        let payload_start = start + FRAME_PREFIX_LEN;
-        let len = match u32::try_from(self.buffer.len() - payload_start) {
-            Ok(len) if len <= MAX_FRAME_LEN => len,
-            _ => {
-                self.buffer.truncate(start);
-                return false;
-            }
-        };
-        let sum = checksum(&self.buffer[payload_start..]);
-        self.buffer[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        self.buffer[start + 4..payload_start].copy_from_slice(&sum.to_le_bytes());
-        self.buffered_frames += 1;
-        self.buffered_head = record.hash;
-        true
-    }
-
-    fn discard_buffered(&mut self) -> usize {
-        self.buffer.clear();
-        std::mem::take(&mut self.buffered_frames)
-    }
-
-    /// Hands the buffered frames to the file in one `write_all`. Only a complete
-    /// write counts: a real IO error wedges the store and the whole buffer is
+    /// Hands a run of `records` whole frames to the file in one `write_all`. Only a
+    /// complete write counts: a real IO error wedges the store and the whole run is
     /// unpersisted (`false`), whatever part of it the OS took.
-    fn write_buffered(&mut self) -> bool {
-        if self.buffered_frames == 0 {
+    fn write_run(&mut self, run: &[u8], records: usize) -> bool {
+        if records == 0 {
             return true;
         }
-        let file = self.file.as_mut().expect("a segment is open while frames are buffered");
-        let result = file.write_all(&self.buffer);
-        let bytes = self.buffer.len() as u64;
-        let frames = self.discard_buffered();
-        match result {
+        let file = self.file.as_mut().expect("a segment is open while records are pending");
+        match file.write_all(run) {
             Ok(()) => {
-                self.stats.records_persisted += frames as u64;
-                self.stats.bytes_written += bytes;
-                self.stats.unsynced_bytes += bytes;
-                self.head_hash = self.buffered_head;
-                self.records_in_segment += frames;
+                self.stats.records_persisted += records as u64;
+                self.stats.bytes_written += run.len() as u64;
+                self.stats.unsynced_bytes += run.len() as u64;
+                self.head_hash =
+                    u64::from_le_bytes(run[run.len() - 8..].try_into().expect("eight bytes"));
+                self.records_in_segment += records;
                 true
             }
             Err(err) => {
-                self.wedge(format!("appending {frames} record(s): {err}"));
+                self.wedge(format!("appending {records} record(s): {err}"));
                 false
             }
         }
@@ -1159,6 +1162,171 @@ mod tests {
         assert_eq!(report.records, records);
         std::fs::remove_dir_all(&batch_dir).unwrap();
         std::fs::remove_dir_all(&single_dir).unwrap();
+    }
+
+    /// Every record of `records` as one run of frames, as a `BatchedAppender` holds
+    /// them.
+    fn frames_of(records: &[AuditRecord]) -> Vec<u8> {
+        let mut frames = Vec::new();
+        for record in records {
+            put_record_frame(&mut frames, record);
+        }
+        frames
+    }
+
+    /// The fault contract on the frame path: one run of frames crossing two rotations,
+    /// a short write injected at record `k`, against one `append` per record under
+    /// the same fault. The hook is asked the same questions in the same order —
+    /// `Write` once per record up to `k`, `Rotate` and `Sync` between the same
+    /// records — the files are the same bytes (frames `0..k` and the synced torn half
+    /// of `k`), and `k..` are counted dropped.
+    #[test]
+    fn frame_run_across_rotations_tears_at_record_k_like_single_appends() {
+        const N: usize = 8;
+        let records = sample_records(N);
+        let frames = frames_of(&records);
+        let logging_hook = |k: usize| {
+            let ops: Arc<std::sync::Mutex<Vec<IoOp>>> = Arc::default();
+            let seen = Arc::clone(&ops);
+            let hook: FaultHook = Box::new(move |op| {
+                let mut seen = seen.lock().unwrap();
+                seen.push(op);
+                let writes = seen.iter().filter(|op| **op == IoOp::Write).count();
+                (op == IoOp::Write && writes == k + 1).then_some(IoFault::ShortWrite)
+            });
+            (ops, hook)
+        };
+        for k in 0..N {
+            let ctx = format!("[short write at record {k} of {N}]");
+            let (run_dir, single_dir) = (temp_dir("framerun"), temp_dir("framesingle"));
+            let mut run = SegmentStore::create(&run_dir, 0, 3).unwrap();
+            let (run_ops, hook) = logging_hook(k);
+            run.set_fault_hook(hook);
+            let mut single = SegmentStore::create(&single_dir, 0, 3).unwrap();
+            let (single_ops, hook) = logging_hook(k);
+            single.set_fault_hook(hook);
+
+            assert_eq!(run.append_frames(&frames), k, "{ctx}");
+            let kept = records.iter().filter(|record| single.append(record)).count();
+            assert_eq!(kept, k, "{ctx}");
+
+            let ops = run_ops.lock().unwrap().clone();
+            assert_eq!(ops, *single_ops.lock().unwrap(), "{ctx}");
+            assert_eq!(ops.iter().filter(|op| **op == IoOp::Write).count(), k + 1, "{ctx}");
+            assert_eq!(ops.iter().filter(|op| **op == IoOp::Sync).count(), k / 3, "{ctx}");
+            assert_eq!(ops.iter().filter(|op| **op == IoOp::Rotate).count(), k / 3 + 1, "{ctx}");
+            for store in [&run, &single] {
+                assert!(store.is_wedged(), "{ctx}");
+                assert_eq!(store.stats().records_persisted, k as u64, "{ctx}");
+                assert_eq!(store.stats().records_dropped, (N - k) as u64, "{ctx}");
+                let head = if k == 0 { 0 } else { records[k - 1].hash };
+                assert_eq!(store.head_hash(), head, "{ctx}");
+            }
+            drop((run, single));
+
+            let files = segment_files(&run_dir);
+            assert_eq!(files, segment_files(&single_dir), "{ctx}");
+            // The torn half of frame `k` is on disk behind the clean frames.
+            let frame_k = split_frame(&frames_of(&records[k..])).unwrap().0.len();
+            let clean = frames_of(&records[k - k % 3..k]).len();
+            assert_eq!(files.last().unwrap().1.len(), HEADER_LEN + clean + frame_k / 2, "{ctx}");
+            let report = SegmentStore::recover(&run_dir).unwrap();
+            assert_eq!(report.records, records[..k], "{ctx}");
+            assert_eq!(report.truncations.len(), 1, "{ctx}: {:?}", report.truncations);
+            std::fs::remove_dir_all(&run_dir).unwrap();
+            std::fs::remove_dir_all(&single_dir).unwrap();
+        }
+    }
+
+    /// Bytes that are not whole frames are refused like an oversized record: what
+    /// came before them is written, the store wedges, the rest is counted.
+    #[test]
+    fn a_malformed_run_wedges_after_its_clean_prefix() {
+        let dir = temp_dir("malformed");
+        let records = sample_records(3);
+        let mut frames = frames_of(&records);
+        frames.truncate(frames.len() - 3);
+        let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
+        assert_eq!(store.append_frames(&frames), 2);
+        assert!(store.wedged_cause().unwrap().contains("not one whole frame"));
+        assert_eq!(store.stats().records_dropped, 1);
+        drop(store);
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, records[..2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The format did not move: a shard directory the previous release wrote (a
+    /// durable smart-home dataplane, `AuditDetail::Full`, committed under
+    /// `tests/fixtures`) recovers clean, both write paths reproduce its files byte for
+    /// byte from the recovered records — `append_batch` of the records, and an
+    /// appender's frames of the events through `append_frames` — and a chain resumed
+    /// on it extends it.
+    #[test]
+    fn a_directory_written_by_the_previous_release_recovers_and_extends() {
+        use crate::BatchedAppender;
+
+        let fixture =
+            Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pr21-shard-0"));
+        let dir = temp_dir("fixture");
+        std::fs::create_dir_all(&dir).unwrap();
+        let written = segment_files(fixture);
+        assert_eq!(written.len(), 2);
+        for (name, bytes) in &written {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!((report.records.len(), report.initial_anchor, report.next_id), (16, 0, 16));
+        let kinds = |kind| report.records.iter().filter(|r| r.event.kind() == kind).count();
+        assert_eq!(kinds(crate::AuditEventKind::FlowChecked), 8);
+        assert_eq!(kinds(crate::AuditEventKind::MessageQuenched), 8);
+        let authority = report.records[0].recorded_by.clone();
+
+        // Re-written from the records …
+        let rewritten = temp_dir("fixture-records");
+        let mut store = SegmentStore::create(&rewritten, 0, 10).unwrap();
+        assert_eq!(store.append_batch(&report.records), 16);
+        assert!(store.seal());
+        assert_eq!(segment_files(&rewritten), written);
+        // … and re-recorded from the events, frames straight to the store.
+        let rerecorded = temp_dir("fixture-frames");
+        let mut store = SegmentStore::create(&rerecorded, 0, 10).unwrap();
+        let mut appender = BatchedAppender::new(authority.clone(), 4);
+        for record in &report.records {
+            appender.append(record.event.clone(), record.at_millis);
+        }
+        for run in appender.retained_frames() {
+            assert_eq!(store.append_frames(run), 16);
+        }
+        assert!(store.seal());
+        assert_eq!(segment_files(&rerecorded), written);
+
+        // A new incarnation resumes the chain where the disk ends.
+        let mut store = SegmentStore::create(&dir, report.head_hash, 10).unwrap();
+        let mut appender = BatchedAppender::over(report.resume_log(authority), 4);
+        for n in 0..5 {
+            let event = AuditEvent::PolicyFired {
+                policy: format!("p{n}"),
+                trigger: "t".into(),
+                actions: n,
+            };
+            appender.append(event, 100 + n as u64);
+        }
+        for run in appender.retained_frames() {
+            assert_eq!(store.append_frames(run), 5);
+        }
+        assert!(store.seal());
+        let extended = SegmentStore::recover(&dir).unwrap();
+        assert!(extended.is_clean(), "truncations: {:?}", extended.truncations);
+        assert_eq!(extended.records.len(), 21);
+        assert_eq!(extended.records[..16], report.records[..]);
+        assert_eq!(extended.records[16..], *appender.into_log().records());
+        assert!(AuditLog::verify_records(0, &extended.records).is_intact());
+        for dir in [dir, rewritten, rerecorded] {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// A batch far larger than the write chunk goes out in several writes, and the

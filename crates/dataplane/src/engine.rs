@@ -125,14 +125,16 @@ pub struct DataplaneConfig {
     pub cache_ac_decisions: bool,
     /// Maximum cached decisions per shard (flow cache and AC cache each).
     pub cache_capacity: usize,
-    /// Events buffered per shard before a batched flush into the hash-chained log.
+    /// Records a shard appends to its hash-chained trail between two flushes — the
+    /// cadence of the retention check (and so of pruning to disk).
     pub audit_batch: usize,
     /// Per-message audit policy.
     pub audit_detail: AuditDetail,
     /// Bounded in-memory audit retention per shard: after each flush only the newest
     /// `keep` records stay resident (the chain remains anchored and verifiable — see
-    /// [`legaliot_audit::AuditLog::retain_recent`]). `None` retains everything, which
-    /// is unbounded memory under [`AuditDetail::Full`] at dataplane rates.
+    /// [`legaliot_audit::BatchedAppender::with_retention`]). `None` retains
+    /// everything, which is unbounded memory under [`AuditDetail::Full`] at dataplane
+    /// rates.
     pub audit_retention: Option<usize>,
     /// How message bodies travel through the shards (one value; see [`PayloadMode`]).
     pub payload_mode: PayloadMode,

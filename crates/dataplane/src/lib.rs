@@ -1339,6 +1339,38 @@ mod tests {
         }
     }
 
+    /// Both records a Full-mode delivery writes are audit time: the `MessageQuenched`
+    /// append (and whatever flush, prune and fsync it runs) ends in an `AuditAppend`
+    /// lap of its own, and `Quench` is what is left — mask, byte count, hand-off.
+    #[test]
+    fn full_mode_delivery_laps_audit_append_twice_and_quench_once() {
+        use legaliot_audit::AuditEventKind;
+        use legaliot_obs::ObsConfig;
+        use telemetry::Stage;
+
+        let config = DataplaneConfig {
+            audit_detail: AuditDetail::Full,
+            telemetry: ObsConfig::enabled(),
+            ..DataplaneConfig::default()
+        };
+        let dataplane = two_pair_plane(config);
+        dataplane.register_schema(reading_schema()).unwrap();
+        for t in 10..18 {
+            dataplane.publish_message("a", &reading_message(), Timestamp(t)).unwrap();
+        }
+        dataplane.drain();
+        let merged = dataplane.telemetry().merged();
+        assert_eq!(merged.stage(Stage::AuditAppend).count(), 16);
+        assert_eq!(merged.stage(Stage::Quench).count(), 8);
+        assert_eq!(merged.stage(Stage::Delivery).count(), 8);
+
+        let report = dataplane.shutdown();
+        assert_eq!(report.stats.quenched_attributes, 8);
+        let count = |kind| report.shard_audit.iter().flat_map(|log| log.of_kind(kind)).count();
+        assert_eq!(count(AuditEventKind::FlowChecked), 8);
+        assert_eq!(count(AuditEventKind::MessageQuenched), 8);
+    }
+
     fn durable_dir(tag: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static UNIQUE: AtomicUsize = AtomicUsize::new(0);

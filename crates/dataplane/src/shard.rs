@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use legaliot_audit::{AuditEvent, AuditLog, AuditRecord, BatchedAppender};
+use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{can_flow, context_hash64, DecisionCache, SecurityContext};
 use legaliot_middleware::admission::{enforce, AdmissionCache, MessageFacts, Verdict};
@@ -338,7 +338,8 @@ pub(crate) fn run_worker(
             // Durable mode: the chain resumes from the last *persisted* record of
             // the previous incarnation (hash and id recovered from disk), and every
             // record pruned out of the retention window streams to the shard's
-            // segment store before being discarded — loss-free by construction.
+            // segment store before being discarded — loss-free by construction, and
+            // as the frames the trail already holds: one `write_all` per run.
             let segments = Arc::clone(&persistence.store);
             let sync_on_flush = config.persistence.as_ref().map_or(true, |p| p.sync_on_flush);
             BatchedAppender::over(
@@ -350,9 +351,11 @@ pub(crate) fn run_worker(
                 config.audit_batch,
             )
             .with_retention(config.audit_retention)
-            .with_prune_sink(move |records: &[AuditRecord]| {
+            .with_prune_sink(move |runs| {
                 let mut segments = segments.lock();
-                segments.append_batch(records);
+                for run in runs {
+                    segments.append_frames(run);
+                }
                 if sync_on_flush {
                     segments.sync();
                 }
@@ -446,19 +449,23 @@ pub(crate) fn run_worker(
     // The worker is done with the store; drop its subscription so a store that
     // outlives the dataplane (`with_context_store`) is not pinned by dead cursors.
     state.ac_cache.detach(&store);
-    // `into_log` flushes with the prune sink still installed, so any final
-    // retention prune-out reaches disk before the log is frozen.
-    let audit = state.appender.into_log();
+    // Flush with the prune sink still installed, so any final retention prune-out
+    // reaches disk before the retained tail does.
+    state.appender.flush();
     if let Some(persistence) = shared.persistence[index].as_ref() {
-        // Graceful-exit epilogue: persist the in-memory tail and seal, so the
-        // on-disk segments hold the shard's *complete* record stream (pruned
-        // prefix + retained tail, in chain order) fsynced before the engine's
-        // join observes this worker as done. A store wedged by an IO fault
-        // counts these appends as drops instead — visible, never silent.
+        // Graceful-exit epilogue: persist the in-memory tail — the frames as they
+        // are — and seal, so the on-disk segments hold the shard's *complete*
+        // record stream (pruned prefix + retained tail, in chain order) fsynced
+        // before the engine's join observes this worker as done. A store wedged by
+        // an IO fault counts these appends as drops instead — visible, never silent.
         let mut segments = persistence.store.lock();
-        segments.append_batch(audit.records());
+        for run in state.appender.retained_frames() {
+            segments.append_frames(run);
+        }
         segments.seal();
     }
+    // Only the report reads records: decode what is retained.
+    let audit = state.appender.into_log();
     ShardReport { audit, cache_stats: state.cache.stats(), ac_cache_stats: state.ac_cache.stats() }
 }
 
@@ -485,28 +492,21 @@ impl WorkerState {
 
 /// Rebuilds the worker's derived state after a panic: decision caches cold
 /// (stale entries from the crashed incarnation can never be trusted), a fresh
-/// context snapshot, and the audit chain carried forward —
-/// [`BatchedAppender::over`] re-anchors on the existing log's last hash, so
-/// `verify_chain` still passes across the restart. Pair summaries survive: they
-/// are evidence aggregation, not derived cache state, and dropping them would
-/// lose already-counted checks from the shutdown `FlowSummary` records.
+/// context snapshot, and the audit appender carried forward as it is — flushed, so
+/// the restart ends the batch; a frame the panic interrupted was never part of the
+/// trail, so `verify_chain` still passes across the restart. Pair summaries
+/// survive: they are evidence aggregation, not derived cache state, and dropping
+/// them would lose already-counted checks from the shutdown `FlowSummary` records.
 fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>, config: &DataplaneConfig) {
     let mut appender =
         std::mem::replace(&mut state.appender, BatchedAppender::new(String::new(), 1));
-    // Flush *before* detaching the prune sink: the implicit flush inside
-    // `into_log` would otherwise prune with no sink installed and records pruned
-    // at restart time would never reach the segment store.
     appender.flush();
-    let prune_sink = appender.take_prune_sink();
-    let mut rebuilt = BatchedAppender::over(appender.into_log(), config.audit_batch)
-        .with_retention(config.audit_retention);
-    rebuilt.set_prune_sink(prune_sink);
     // Release the crashed incarnation's store subscription before dropping it:
     // an abandoned cursor would pin the store's change-history compaction (and
     // so its memory) for the rest of the store's life.
     state.ac_cache.detach(store);
     let summaries = std::mem::take(&mut state.summaries);
-    *state = WorkerState { summaries, ..WorkerState::fresh(store, config, rebuilt) };
+    *state = WorkerState { summaries, ..WorkerState::fresh(store, config, appender) };
 }
 
 /// Rolls back the effects of a panicked unit of work and evidences its loss.
@@ -956,7 +956,7 @@ fn process_delivery(
     };
     if full_record {
         failpoint::inject(&config.failpoints, FailpointSite::AuditAppend);
-        state.appender.append(flow.into_evidence(at_millis), at_millis);
+        flow.write_evidence(at_millis, &mut state.appender);
         probe.lap(Stage::AuditAppend);
     } else {
         probe.skip();
@@ -976,15 +976,16 @@ fn process_delivery(
         });
         let fresh = cached.is_none();
         if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
-            state.appender.append(
-                AuditEvent::MessageQuenched {
-                    source: src.component.name().to_string(),
-                    destination: dst.component.name().to_string(),
-                    message_type: message.message_type().to_string(),
-                    attributes: schema.mask_names(mask).map(str::to_string).collect(),
-                },
+            state.appender.append_message_quenched(
+                src.component.name(),
+                dst.component.name(),
+                message.message_type().as_str(),
+                schema.mask_names(mask),
                 at_millis,
             );
+            // The record — and the flush, prune and fsync an append may run — is
+            // audit time, not quench time (the cached-mask lookup rides along).
+            probe.lap(Stage::AuditAppend);
         }
         local.quenched_attributes += u64::from(mask.count_ones());
         // Effective bytes moved: quenched attributes' spans never reach a receiver.

@@ -5,8 +5,11 @@
 //! destination), then IFC over the message's *effective* context. It is a pure
 //! function of two [`Component`]s, the optional [`MessageFacts`] and the caller's two
 //! answers — no clock, thread, lock, queue or audit log — and returns a [`Verdict`];
-//! one that reached the flow check also builds the one `FlowChecked` record for it
-//! ([`FlowVerdict::into_evidence`]). Quenching and every effect (channel table,
+//! one that reached the flow check also yields the one `FlowChecked` record for it —
+//! built as an owned event for a log that takes events
+//! ([`FlowVerdict::into_evidence`], the bus), or written from the verdict's own
+//! borrowed fields straight into an encoded trail ([`FlowVerdict::write_evidence`],
+//! the shards: same bytes, nothing built). Quenching and every effect (channel table,
 //! mailboxes, counters, audit appends) belong to its drivers: [`admit_channel`] /
 //! [`admit_channel_cached`], [`crate::bus::Middleware`] (`establish_channel`, `send`,
 //! `reevaluate_channels`) and `legaliot-dataplane` (`Dataplane::subscribe` and each
@@ -14,7 +17,8 @@
 
 use std::borrow::Cow;
 
-use legaliot_audit::AuditEvent;
+use legaliot_audit::codec::{DataItem, FlowCheckedRef};
+use legaliot_audit::{AuditEvent, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{can_flow, FlowDecision, Label, SecurityContext, StableHasher};
 use legaliot_policy::{AcCacheStats, AcDecisionCache};
@@ -96,6 +100,23 @@ impl FlowVerdict<'_> {
             decision: self.decision,
             data_item: self.message_type.map(|message_type| format!("{message_type}@{at_millis}")),
         }
+    }
+
+    /// Appends that same record to `audit` without building it: names, contexts and
+    /// decision are encoded where they stand, the data item from its two parts.
+    pub fn write_evidence(&self, at_millis: u64, audit: &mut BatchedAppender) {
+        let fields = FlowCheckedRef {
+            source: self.source.name(),
+            destination: self.destination.name(),
+            source_context: &self.source_context,
+            destination_context: self.destination.context(),
+            decision: &self.decision,
+            data_item: self.message_type.map(|message_type| DataItem::Message {
+                message_type: message_type.as_str(),
+                at_millis,
+            }),
+        };
+        audit.append_flow_checked(&fields, at_millis);
     }
 }
 
@@ -539,9 +560,16 @@ mod tests {
                 };
                 assert_eq!(stops, case.stops, "{} (cached: {cached})", case.why);
 
-                // The one evidence record names the message, or nothing for a channel.
+                // The one evidence record names the message, or nothing for a channel;
+                // written borrowed or built owned, it is the same record.
                 if let Verdict::Flow(flow) = verdict {
-                    match flow.into_evidence(7) {
+                    let mut written = BatchedAppender::new("n", 8);
+                    flow.write_evidence(7, &mut written);
+                    let mut built = legaliot_audit::AuditLog::new("n");
+                    let evidence = flow.into_evidence(7);
+                    built.record(evidence.clone(), 7);
+                    assert_eq!(written.into_log(), built, "{}", case.why);
+                    match evidence {
                         AuditEvent::FlowChecked { source, destination, data_item, .. } => {
                             assert_eq!((source.as_str(), destination.as_str()), ("src", "dst"));
                             let named = message_type.map(|_| "reading@7".to_string());

@@ -381,7 +381,7 @@ impl FrozenSchema {
     }
 
     /// The attribute names selected by `mask`, in index order (for audit records).
-    pub fn mask_names(&self, mask: u64) -> impl Iterator<Item = &str> + '_ {
+    pub fn mask_names(&self, mask: u64) -> impl Iterator<Item = &str> + Clone + '_ {
         self.names
             .iter()
             .enumerate()

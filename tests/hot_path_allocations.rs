@@ -9,7 +9,10 @@
 //! public `ReceivedMessage::Frozen` wraps a delivery in, made by `Subscriber::drain` on
 //! the consumer's thread — and one free, on that same thread. The fraction above one
 //! is the `Vec`s each `Subscriber::drain` builds. The publisher allocates nothing once
-//! the ring covers what is in flight, and a shard nothing at all.
+//! the ring covers what is in flight, and a shard nothing at all — with full, persisted
+//! audit too: both records of a delivery are encoded from borrowed fields into trail
+//! chunks that are refilled once pruned, and a prune writes those chunks to the
+//! segment file as they are.
 //!
 //! The counts come from a counting `#[global_allocator]`; what *other* threads
 //! allocated is the global count minus this thread's own, which works because the
@@ -22,7 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use legaliot::context::{ContextSnapshot, Timestamp};
-use legaliot::dataplane::{smart_home, Dataplane, DataplaneConfig, Subscriber, TopologyBuilder};
+use legaliot::dataplane::{
+    smart_home, AuditDetail, Dataplane, DataplaneConfig, PersistenceConfig, Subscriber,
+    TopologyBuilder,
+};
 use legaliot::ifc::{SecurityContext, Tag};
 use legaliot::middleware::{Component, Message, Principal};
 
@@ -76,7 +82,13 @@ fn counted(work: impl FnOnce()) -> (u64, u64, u64) {
 
 /// An engine with `topology` installed and a receiver on every subscribing endpoint.
 fn install(topology: &legaliot::dataplane::Topology) -> (Dataplane, Vec<Subscriber>) {
-    let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
+    install_with(topology, DataplaneConfig { shards: 2, ..DataplaneConfig::default() })
+}
+
+fn install_with(
+    topology: &legaliot::dataplane::Topology,
+    config: DataplaneConfig,
+) -> (Dataplane, Vec<Subscriber>) {
     let dataplane = Dataplane::new("allocations", config);
     let admitted = topology
         .install_with_payload_schemas(&dataplane, &ContextSnapshot::default(), Timestamp(1))
@@ -167,4 +179,62 @@ fn an_unquenched_delivery_allocates_nothing_on_the_shard() {
     assert_eq!(elsewhere, 0, "the shard allocated while delivering unquenched bodies");
     assert!(allocations as f64 <= 1.1 * MESSAGES as f64, "{allocations} allocations");
     dataplane.shutdown();
+}
+
+/// Full audit, persisted: two records per delivery, a prune (segment write + fsync)
+/// every 256 of them on each shard — and still nothing allocated on a shard. A prune
+/// itself may allocate a fixed little (none today); a per-message term would be
+/// thousands here.
+#[test]
+fn a_fully_audited_persisted_delivery_allocates_nothing_on_the_shard() {
+    const RETENTION: usize = 256;
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let dir = std::env::temp_dir().join(format!("legaliot-allocations-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DataplaneConfig {
+        shards: 2,
+        audit_detail: AuditDetail::Full,
+        audit_batch: 64,
+        audit_retention: Some(RETENTION),
+        // One segment for the whole test: a rotation opens a file, which allocates.
+        persistence: Some(PersistenceConfig {
+            dir: dir.clone(),
+            max_segment_records: 1 << 20,
+            sync_on_flush: true,
+        }),
+        ..DataplaneConfig::default()
+    };
+    let topology = smart_home(8, 1);
+    let feeds = topology.publisher_messages();
+    let (dataplane, subscribers) = install_with(&topology, config);
+    // Warm-up: the trail's chunks, the store's file, queue and mailbox capacity.
+    for _ in 0..3 {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES, "fan-out 1");
+    }
+    let persisted = |dataplane: &Dataplane| {
+        dataplane.segment_stats().expect("persistence is on").records_persisted
+    };
+    let (before, persisted_before) = (dataplane.stats(), persisted(&dataplane));
+    let (allocations, frees, elsewhere) = counted(|| {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
+    });
+    let (after, persisted_after) = (dataplane.stats(), persisted(&dataplane));
+    assert_eq!(after.quenched_attributes - before.quenched_attributes, MESSAGES);
+    let pruned = persisted_after - persisted_before;
+    let prunes = pruned / RETENTION as u64;
+    println!(
+        "{MESSAGES} messages, {pruned} records pruned to disk in {prunes} prunes: \
+         {allocations} allocations ({elsewhere} off-thread), {frees} frees"
+    );
+    assert!(prunes >= 4, "the measured cycle has to span prunes, saw {prunes}");
+    assert!(
+        elsewhere <= 2 * prunes,
+        "the shards allocated {elsewhere} times over {MESSAGES} fully audited deliveries"
+    );
+    assert!(allocations as f64 <= 1.1 * MESSAGES as f64, "{allocations} allocations");
+    assert!(frees as f64 <= 1.1 * MESSAGES as f64, "{frees} frees");
+    let report = dataplane.shutdown();
+    assert_eq!(report.unsynced_bytes, 0);
+    assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
+    std::fs::remove_dir_all(&dir).expect("the temp dir goes");
 }
