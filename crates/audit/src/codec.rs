@@ -85,6 +85,8 @@
 //! before anything is allocated, so arbitrary input can neither panic the decoder nor
 //! make it reserve more than the input's own size.
 
+use std::fmt;
+
 use legaliot_ifc::{FlowDecision, FlowDenialReason, Label, SecurityContext, StableHasher, Tag};
 
 use crate::event::{AuditEvent, AuditRecord, RecordId};
@@ -189,24 +191,45 @@ pub enum DataItem<'a> {
     },
 }
 
+/// `value` in decimal — ASCII digits, written into the tail of `digits` (`u64::MAX`
+/// has twenty).
+fn decimal(value: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let (mut first, mut rest) = (digits.len(), value);
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    &digits[first..]
+}
+
+/// The item's name — the one spelling of `"{message_type}@{at_millis}"`, which the
+/// encoder writes from the same parts.
+impl fmt::Display for DataItem<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            DataItem::Text(text) => f.write_str(text),
+            DataItem::Message { message_type, at_millis } => {
+                f.write_str(message_type)?;
+                f.write_str("@")?;
+                let mut digits = [0; 20];
+                f.write_str(std::str::from_utf8(decimal(at_millis, &mut digits)).expect("ASCII"))
+            }
+        }
+    }
+}
+
 fn put_data_item(out: &mut impl Sink, item: Option<DataItem<'_>>) {
     put_bool(out, item.is_some());
     match item {
         None => {}
         Some(DataItem::Text(text)) => put_str(out, text),
         Some(DataItem::Message { message_type, at_millis }) => {
-            // Decimal digits, last first; `u64::MAX` has twenty.
-            let mut digits = [0u8; 20];
-            let (mut first, mut rest) = (digits.len(), at_millis);
-            loop {
-                first -= 1;
-                digits[first] = b'0' + (rest % 10) as u8;
-                rest /= 10;
-                if rest == 0 {
-                    break;
-                }
-            }
-            let digits = &digits[first..];
+            let mut digits = [0; 20];
+            let digits = decimal(at_millis, &mut digits);
             put_varint(out, (message_type.len() + 1 + digits.len()) as u64);
             out.put(message_type.as_bytes());
             out.put(b"@");
@@ -561,9 +584,10 @@ impl<'a> Reader<'a> {
         (0..self.len()?).map(|_| self.tag()).collect()
     }
 
+    /// The canonical form is the label's own order, so the list is the label: checked
+    /// strictly ascending and taken as it stands, not sorted again.
     fn label(&mut self) -> Option<Label> {
-        let tags = self.tags()?;
-        tags.windows(2).all(|pair| pair[0] < pair[1]).then(|| tags.into_iter().collect())
+        Label::from_ascending(self.tags()?)
     }
 
     fn context(&mut self) -> Option<SecurityContext> {
@@ -903,7 +927,42 @@ pub(crate) mod tests {
         assert!(decode_record(&[0, 0, 0, 9, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f]).is_none());
     }
 
+    /// A data item's name is spelt in one place: what `Display` prints is what the
+    /// encoder writes, at every digit count.
+    #[test]
+    fn a_data_item_prints_as_it_is_encoded() {
+        assert_eq!(DataItem::Text("reading-1").to_string(), "reading-1");
+        for at_millis in [0, 9, 10, 1_234_567_890_123, u64::MAX] {
+            let item = DataItem::Message { message_type: "sensor-reading", at_millis };
+            assert_eq!(item.to_string(), format!("sensor-reading@{at_millis}"));
+            let (mut from_parts, mut from_text) = (Vec::new(), Vec::new());
+            put_data_item(&mut from_parts, Some(item));
+            put_data_item(&mut from_text, Some(DataItem::Text(&item.to_string())));
+            assert_eq!(from_parts, from_text);
+        }
+    }
+
     proptest! {
+        /// A decoded context is built from the tag lists as they stand, and is the
+        /// context that was encoded: equal, and equal under both hashes.
+        #[test]
+        fn prop_a_decoded_context_is_the_encoded_one(context in context()) {
+            use std::hash::{Hash, Hasher};
+            let std_hash = |context: &SecurityContext| {
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                context.hash(&mut hasher);
+                hasher.finish()
+            };
+            let mut bytes = Vec::new();
+            put_context(&mut bytes, &context);
+            let mut reader = Reader { bytes: &bytes };
+            let decoded = reader.context().expect("a canonical context decodes");
+            prop_assert!(reader.bytes.is_empty());
+            prop_assert_eq!(&decoded, &context);
+            prop_assert_eq!(std_hash(&decoded), std_hash(&context));
+            prop_assert_eq!(decoded.stable_hash(), context.stable_hash());
+        }
+
         /// Any record over all 13 variants survives the round trip, its chain hash is
         /// the FNV-1a of the encoding minus the trailing hash field, and the encoding
         /// is neither extensible nor truncatable.

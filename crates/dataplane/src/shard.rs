@@ -212,7 +212,9 @@ impl BatchProgress {
         BatchProgress {
             batch: Vec::with_capacity(POP_BATCH),
             cursor: 0,
-            pending: VecDeque::new(),
+            // A task defers at most one hand-off, so this never grows: how deep a
+            // batch the scheduler happens to hand a shard costs no allocation.
+            pending: VecDeque::with_capacity(POP_BATCH),
             local: BatchCounters::default(),
             popped: 0,
             active: false,

@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_policy::Condition;
@@ -162,8 +163,9 @@ pub enum AccessDecision {
     /// Denied: either an explicit deny rule applied or no allow rule matched
     /// (default-deny).
     Denied {
-        /// Human-readable explanation.
-        reason: String,
+        /// Human-readable explanation; shared, so a cached denial is replayed without
+        /// copying it.
+        reason: Arc<str>,
     },
 }
 
@@ -289,7 +291,7 @@ impl AccessRegime {
     ) -> AccessDecision {
         let Some(rules) = self.rules.get(component) else {
             return AccessDecision::Denied {
-                reason: format!("no access rules defined for component `{component}`"),
+                reason: format!("no access rules defined for component `{component}`").into(),
             };
         };
         let mut allowed = false;
@@ -300,7 +302,8 @@ impl AccessRegime {
                         reason: format!(
                             "explicit deny: {} may not {} on `{component}`",
                             principal.name, operation
-                        ),
+                        )
+                        .into(),
                     };
                 }
                 allowed = true;
@@ -313,7 +316,8 @@ impl AccessRegime {
                 reason: format!(
                     "no allow rule matches {} performing {} on `{component}`",
                     principal.name, operation
-                ),
+                )
+                .into(),
             }
         }
     }

@@ -16,6 +16,7 @@
 //! shard worker's per-delivery step).
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use legaliot_audit::codec::{DataItem, FlowCheckedRef};
 use legaliot_audit::{AuditEvent, BatchedAppender};
@@ -45,8 +46,8 @@ pub enum Verdict<'a> {
     Isolated,
     /// The access-control regime refused; no flow check ran.
     AccessDenied {
-        /// The regime's explanation.
-        reason: String,
+        /// The regime's explanation, shared with the decision it came from.
+        reason: Arc<str>,
         /// Whether a cache answered.
         cache_hit: bool,
     },
@@ -61,7 +62,7 @@ impl Verdict<'_> {
         match self {
             Verdict::Isolated => DeliveryOutcome::Isolated,
             Verdict::AccessDenied { reason, .. } => {
-                DeliveryOutcome::DeniedByAccessControl { reason }
+                DeliveryOutcome::DeniedByAccessControl { reason: reason.as_ref().into() }
             }
             Verdict::Flow(flow) if flow.decision.is_denied() => {
                 DeliveryOutcome::DeniedByIfc(flow.decision)
@@ -89,16 +90,26 @@ pub struct FlowVerdict<'a> {
 }
 
 impl FlowVerdict<'_> {
-    /// The one `FlowChecked` record of this check. A message is named
-    /// `"{type}@{at_millis}"`; a bare channel check names no data item.
+    /// What the check was about: a message sent at `at_millis` ([`DataItem`] spells
+    /// its name), or nothing for a bare channel check.
+    fn data_item(&self, at_millis: u64) -> Option<DataItem<'_>> {
+        self.message_type.map(|message_type| DataItem::Message {
+            message_type: message_type.as_str(),
+            at_millis,
+        })
+    }
+
+    /// The one `FlowChecked` record of this check. The two contexts are shared with
+    /// the components they came from, not copied.
     pub fn into_evidence(self, at_millis: u64) -> AuditEvent {
+        let data_item = self.data_item(at_millis).map(|item| item.to_string());
         AuditEvent::FlowChecked {
             source: self.source.name().to_string(),
             destination: self.destination.name().to_string(),
             source_context: self.source_context.into_owned(),
             destination_context: self.destination.context().clone(),
             decision: self.decision,
-            data_item: self.message_type.map(|message_type| format!("{message_type}@{at_millis}")),
+            data_item,
         }
     }
 
@@ -111,10 +122,7 @@ impl FlowVerdict<'_> {
             source_context: &self.source_context,
             destination_context: self.destination.context(),
             decision: &self.decision,
-            data_item: self.message_type.map(|message_type| DataItem::Message {
-                message_type: message_type.as_str(),
-                at_millis,
-            }),
+            data_item: self.data_item(at_millis),
         };
         audit.append_flow_checked(&fields, at_millis);
     }
@@ -485,7 +493,7 @@ mod tests {
         let store = ContextStore::new();
         let snapshot = store.snapshot();
         let reading = MessageType::new("reading");
-        for case in &cases {
+        for (index, case) in cases.iter().enumerate() {
             let build = |name: &str, (secrecy, integrity): (&[&str], &[&str]), isolated| {
                 let context =
                     SecurityContext::from_names(secrecy.iter().copied(), integrity.iter().copied());
@@ -507,9 +515,11 @@ mod tests {
             let (to, principal, message_type) =
                 (dst.name(), src.principal(), facts.map(|facts| facts.message_type));
 
-            // Direct, cache-answered cold, cache-answered warm: one verdict.
+            // Direct, cache-answered cold, cache-answered warm: one verdict. The send
+            // times walk over every digit count a data item's name can take.
             for (round, cached) in [false, true, true].into_iter().enumerate() {
                 let warm = round == 2;
+                let at_millis = [0, 9, 10, u64::MAX][(index + round) % 4];
                 let ask = || {
                     let (regime, at) = (&access, &snapshot);
                     Some(if cached {
@@ -564,15 +574,15 @@ mod tests {
                 // written borrowed or built owned, it is the same record.
                 if let Verdict::Flow(flow) = verdict {
                     let mut written = BatchedAppender::new("n", 8);
-                    flow.write_evidence(7, &mut written);
+                    flow.write_evidence(at_millis, &mut written);
                     let mut built = legaliot_audit::AuditLog::new("n");
-                    let evidence = flow.into_evidence(7);
-                    built.record(evidence.clone(), 7);
+                    let evidence = flow.into_evidence(at_millis);
+                    built.record(evidence.clone(), at_millis);
                     assert_eq!(written.into_log(), built, "{}", case.why);
                     match evidence {
                         AuditEvent::FlowChecked { source, destination, data_item, .. } => {
                             assert_eq!((source.as_str(), destination.as_str()), ("src", "dst"));
-                            let named = message_type.map(|_| "reading@7".to_string());
+                            let named = message_type.map(|_| format!("reading@{at_millis}"));
                             assert_eq!(data_item, named, "{}", case.why);
                         }
                         other => panic!("{}: not a flow check: {other:?}", case.why),

@@ -144,7 +144,8 @@ pub struct Middleware {
     registry: Registry,
     access: AccessRegime,
     tag_registry: TagRegistry,
-    channels: BTreeMap<(String, String), ChannelState>,
+    /// `from → to → state`: looked up with the two names as they are given.
+    channels: BTreeMap<String, BTreeMap<String, ChannelState>>,
     mailboxes: BTreeMap<String, VecDeque<Message>>,
     notifications: Vec<(String, String)>,
     actuations: Vec<(String, String)>,
@@ -222,21 +223,29 @@ impl Middleware {
         self.audit.record(event, at_millis);
     }
 
-    /// All channels and their state.
+    /// All channels and their state, ordered by source then destination.
     pub fn channels(&self) -> Vec<Channel> {
-        self.channels
-            .iter()
-            .map(|((from, to), state)| Channel {
-                from: from.clone(),
-                to: to.clone(),
-                state: *state,
-            })
-            .collect()
+        let mut channels = Vec::new();
+        for (from, outgoing) in &self.channels {
+            for (to, state) in outgoing {
+                channels.push(Channel { from: from.clone(), to: to.clone(), state: *state });
+            }
+        }
+        channels
     }
 
     /// Number of currently open channels.
     pub fn open_channel_count(&self) -> usize {
-        self.channels.values().filter(|s| **s == ChannelState::Open).count()
+        self.channels
+            .values()
+            .flat_map(BTreeMap::values)
+            .filter(|s| **s == ChannelState::Open)
+            .count()
+    }
+
+    /// The state of the channel `from → to`, if one was ever established.
+    fn channel_state(&self, from: &str, to: &str) -> Option<ChannelState> {
+        self.channels.get(from)?.get(to).copied()
     }
 
     /// Attempts to establish a channel `from → to`.
@@ -261,7 +270,8 @@ impl Middleware {
         let outcome = admit_channel(source, destination, &self.access, snapshot, now);
 
         if outcome.is_delivered() {
-            self.channels.insert((from.to_string(), to.to_string()), ChannelState::Open);
+            let outgoing = self.channels.entry(from.to_string()).or_default();
+            outgoing.insert(to.to_string(), ChannelState::Open);
         }
         self.audit.record(outcome.channel_evidence(from, to), now.as_millis());
         Ok(outcome)
@@ -269,7 +279,7 @@ impl Middleware {
 
     /// Tears down the channel `from → to`, if present.
     pub fn teardown_channel(&mut self, from: &str, to: &str, now: Timestamp) {
-        if let Some(state) = self.channels.get_mut(&(from.to_string(), to.to_string())) {
+        if let Some(state) = self.channels.get_mut(from).and_then(|outgoing| outgoing.get_mut(to)) {
             *state = ChannelState::Closed;
             let evidence = channel_changed(from, to, false, "torn down".to_string());
             self.audit.record(evidence, now.as_millis());
@@ -278,7 +288,7 @@ impl Middleware {
 
     /// Whether an open channel `from → to` exists.
     pub fn has_open_channel(&self, from: &str, to: &str) -> bool {
-        self.channels.get(&(from.to_string(), to.to_string())) == Some(&ChannelState::Open)
+        self.channel_state(from, to) == Some(ChannelState::Open)
     }
 
     /// Re-evaluates every open channel against the endpoints' *current* state — the
@@ -287,8 +297,14 @@ impl Middleware {
     /// reconfiguration that changes labels (§8.2.2).
     pub fn reevaluate_channels(&mut self, now: Timestamp) -> Vec<(String, String)> {
         let mut closed = Vec::new();
-        let open = self.channels.iter_mut().filter(|(_, state)| **state == ChannelState::Open);
-        for ((from, to), state) in open {
+        let open = self
+            .channels
+            .iter_mut()
+            .flat_map(|(from, outgoing)| {
+                outgoing.iter_mut().map(move |(to, state)| (from, to, state))
+            })
+            .filter(|(_, _, state)| **state == ChannelState::Open);
+        for (from, to, state) in open {
             let still_allowed = match (self.registry.get(from), self.registry.get(to)) {
                 (Some(a), Some(b)) => matches!(
                     enforce(a, b, None, || None, direct_flow(b)),
@@ -319,6 +335,15 @@ impl Middleware {
     /// `SchemaViolation`, `Isolated`, `DeniedByAccessControl`) leaves no audit record —
     /// the caller sees it in the returned outcome only.
     ///
+    /// The message is consumed, and what the destination receives is that same object:
+    /// quenched in place, stamped with the sender, the send time and the effective
+    /// context (shared with the sender's, not copied), and moved into the mailbox —
+    /// nothing of it is cloned. What a delivered send still allocates is what it
+    /// keeps: the evidence record's strings (the two names, the data item, the
+    /// recording authority), the delivered message's sender name, and the names of
+    /// the quenched attributes in the outcome. Channel and mailbox are looked up with
+    /// the `&str`s given; `tests/hot_path_allocations.rs` holds the count.
+    ///
     /// # Errors
     ///
     /// Returns [`MiddlewareError::UnknownComponent`] if either endpoint is
@@ -328,14 +353,14 @@ impl Middleware {
         &mut self,
         from: &str,
         to: &str,
-        message: Message,
+        mut message: Message,
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> Result<DeliveryOutcome, MiddlewareError> {
         let source = lookup(&self.registry, from)?;
         let destination = lookup(&self.registry, to)?;
 
-        match self.channels.get(&(from.to_string(), to.to_string())) {
+        match self.channel_state(from, to) {
             Some(ChannelState::Open) => {}
             Some(ChannelState::Closed) => {
                 return Err(MiddlewareError::ChannelClosed {
@@ -373,31 +398,29 @@ impl Middleware {
             self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
             return Ok(DeliveryOutcome::DeniedByIfc(decision));
         }
-        let effective_context = flow.source_context.clone().into_owned();
+        let effective_context = flow.source_context.as_ref().clone();
         self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
 
-        // Source quenching: attributes whose message-level secrecy tags are not all
-        // present in the destination's secrecy label are removed (Fig. 10). Names are
-        // borrowed from the schema; the only `String`s allocated are the ones the
-        // outcome itself reports.
-        let mut quenched: Vec<&str> = Vec::new();
+        // Source quenching, in place: attributes whose message-level secrecy tags are
+        // not all present in the destination's secrecy label are removed (Fig. 10).
+        let mut quenched_attributes = Vec::new();
         if let Some(schema) = schema {
             for (name, label) in &schema.attribute_secrecy {
-                if message.attributes.contains_key(name)
-                    && !label.is_subset(destination.context().secrecy())
+                if !label.is_subset(destination.context().secrecy())
+                    && message.attributes.remove(name).is_some()
                 {
-                    quenched.push(name.as_str());
+                    quenched_attributes.push(name.clone());
                 }
             }
         }
-        let mut delivered = message.quenched(quenched.iter().copied());
-        delivered.sender = from.to_string();
-        delivered.sent_at_millis = now.as_millis();
-        delivered.context = effective_context;
-        self.mailboxes.entry(to.to_string()).or_default().push_back(delivered);
-        Ok(DeliveryOutcome::Delivered {
-            quenched_attributes: quenched.into_iter().map(String::from).collect(),
-        })
+        message.sender = from.to_string();
+        message.sent_at_millis = now.as_millis();
+        message.context = effective_context;
+        match self.mailboxes.get_mut(to) {
+            Some(mailbox) => mailbox.push_back(message),
+            None => drop(self.mailboxes.insert(to.to_string(), VecDeque::from([message]))),
+        }
+        Ok(DeliveryOutcome::Delivered { quenched_attributes })
     }
 
     /// Drains the mailbox of a component.
@@ -457,7 +480,7 @@ impl Middleware {
             now,
         );
         if let AccessDecision::Denied { reason } = ac {
-            return ControlOutcome::Unauthorised { reason };
+            return ControlOutcome::Unauthorised { reason: reason.as_ref().into() };
         }
 
         let mut labels_changed = false;

@@ -14,6 +14,12 @@
 //! chunks that are refilled once pruned, and a prune writes those chunks to the
 //! segment file as they are.
 //!
+//! The synchronous bus is on the same ledger. A `Middleware::send` consumes its
+//! message and delivers that same object — quenched in place, restamped, moved into
+//! the mailbox — and security contexts are shared values, so what a send still
+//! allocates is what it keeps: the evidence record's strings, the delivered sender's
+//! name and the outcome's list of quenched attributes.
+//!
 //! The counts come from a counting `#[global_allocator]`; what *other* threads
 //! allocated is the global count minus this thread's own, which works because the
 //! test thread and the engine's shard workers are the only threads doing anything.
@@ -25,12 +31,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use legaliot::context::{ContextSnapshot, Timestamp};
+use legaliot::dataplane::payload_schema;
 use legaliot::dataplane::{
     smart_home, AuditDetail, Dataplane, DataplaneConfig, PersistenceConfig, Subscriber,
     TopologyBuilder,
 };
-use legaliot::ifc::{SecurityContext, Tag};
-use legaliot::middleware::{Component, Message, Principal};
+use legaliot::ifc::{can_flow, SecurityContext, Tag};
+use legaliot::middleware::{
+    AccessRule, Component, DeliveryOutcome, Message, Middleware, Operation, Principal, Subject,
+};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
@@ -237,4 +246,128 @@ fn a_fully_audited_persisted_delivery_allocates_nothing_on_the_shard() {
     assert_eq!(report.unsynced_bytes, 0);
     assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
     std::fs::remove_dir_all(&dir).expect("the temp dir goes");
+}
+
+/// AC denials answered from a shard's decision cache: the cached decision is replayed
+/// with its explanation shared, not copied.
+#[test]
+fn a_cached_access_denial_allocates_nothing_on_the_shard() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let topology = smart_home(8, 1);
+    let feeds = topology.publisher_messages();
+    let (dataplane, subscribers) = install(&topology);
+    for _ in 0..3 {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES, "fan-out 1");
+    }
+    // Refused after the subscriptions were admitted: every delivery now stops at AC.
+    for (_, to) in &topology.edges {
+        dataplane.with_access(|access| {
+            access.add_rule(to, AccessRule::deny(Subject::Anyone, Operation::Send, None));
+        });
+    }
+    let denied_cycle = || {
+        let before = dataplane.stats();
+        for (seq, (publisher, message)) in (0..MESSAGES).zip(feeds.iter().cycle()) {
+            dataplane.publish_message(publisher, message, Timestamp(seq)).expect("publishes");
+        }
+        dataplane.drain();
+        let after = dataplane.stats();
+        assert_eq!(after.denied - before.denied, MESSAGES, "fan-out 1, all denied");
+        after.ac_cache_hits - before.ac_cache_hits
+    };
+    // Warm-up: each pair's decision is cached, its summary and the ring's bodies exist.
+    for _ in 0..3 {
+        denied_cycle();
+    }
+    let (allocations, frees, elsewhere) = counted(|| {
+        assert_eq!(denied_cycle(), MESSAGES, "every denial came from the cache");
+    });
+    println!(
+        "{MESSAGES} cached denials: {allocations} allocations ({elsewhere} off-thread), \
+         {frees} frees"
+    );
+    assert_eq!(elsewhere, 0, "a shard allocated while replaying cached AC denials");
+    assert!(subscribers.iter().all(|subscriber| subscriber.drain().is_empty()));
+    dataplane.shutdown();
+}
+
+/// A security context is a shared value: copying one, and allowing a flow between
+/// two, never reaches the allocator.
+#[test]
+fn a_context_clone_and_an_allowed_flow_allocate_nothing() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let source = SecurityContext::from_names(["ann", "medical"], ["consent"]);
+    let same_domain = source.clone();
+    let wider = SecurityContext::from_names(["ann", "medical", "stats"], Vec::<&str>::new());
+    // This thread's own count: the test harness may be reporting on another thread.
+    let (allocations, _, elsewhere) = counted(|| {
+        for _ in 0..MESSAGES {
+            let copy = std::hint::black_box(&source).clone();
+            assert_eq!(copy.len(), 3);
+            assert!(can_flow(&copy, std::hint::black_box(&same_domain)).is_allowed());
+            assert!(can_flow(&copy, std::hint::black_box(&wider)).is_allowed());
+        }
+    });
+    assert_eq!(allocations - elsewhere, 0);
+}
+
+/// The bus moves the message it owns. Smart-home topology on a `Middleware`, one
+/// attribute quenched per send; outcomes and bodies are kept, so nothing counted is a
+/// free the test itself caused.
+#[test]
+fn a_bus_send_allocates_only_what_it_keeps() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let topology = smart_home(8, 1);
+    let snapshot = ContextSnapshot::default();
+    let mut bus = Middleware::new("allocations");
+    for component in &topology.components {
+        assert!(bus.registry_mut().register(component.clone()));
+        let open = AccessRule::allow(Subject::Anyone, Operation::Send, None);
+        bus.access_mut().add_rule(component.name(), open);
+    }
+    for message_type in topology.message_types() {
+        bus.registry_mut().register_schema(payload_schema(&message_type));
+    }
+    for (from, to) in &topology.edges {
+        let admitted = bus.establish_channel(from, to, &snapshot, Timestamp(1));
+        assert!(admitted.expect("registered").is_delivered());
+    }
+    let feeds = topology.publisher_messages();
+    let edges: Vec<(&str, &str, &Message)> = feeds
+        .iter()
+        .flat_map(|(publisher, message)| {
+            let outgoing = topology.edges.iter().filter(move |(from, _)| from == publisher);
+            outgoing.map(move |(from, to)| (from.as_str(), to.as_str(), message))
+        })
+        .collect();
+    let send_all = |bus: &mut Middleware, base: u64| {
+        let inputs: Vec<Message> =
+            edges.iter().cycle().take(MESSAGES as usize).map(|edge| edge.2.clone()).collect();
+        let mut kept = Vec::with_capacity(inputs.len());
+        let counts = counted(|| {
+            for ((seq, message), (from, to, _)) in (base..).zip(inputs).zip(edges.iter().cycle()) {
+                let outcome = bus.send(from, to, message, &snapshot, Timestamp(seq));
+                kept.push((outcome, bus.try_recv(to)));
+            }
+        });
+        (counts, kept)
+    };
+    // Warm-up: every mailbox exists and the audit log has grown past the measured sends.
+    send_all(&mut bus, 0);
+    send_all(&mut bus, MESSAGES);
+    send_all(&mut bus, 2 * MESSAGES);
+    let ((allocations, frees, _), kept) = send_all(&mut bus, 3 * MESSAGES);
+
+    for ((outcome, body), (from, _, input)) in kept.iter().zip(edges.iter().cycle()) {
+        let quenched = vec!["subject-id".to_string()];
+        assert_eq!(outcome, &Ok(DeliveryOutcome::Delivered { quenched_attributes: quenched }));
+        let body = body.as_ref().expect("delivered");
+        assert_eq!(body.attributes, input.quenched(["subject-id"]).attributes);
+        assert_eq!(body.sender, *from);
+    }
+    assert!(bus.audit().verify_chain().is_intact());
+    let per_send = |count: u64| count as f64 / MESSAGES as f64;
+    println!("per send: {:.3} allocations, {:.3} frees", per_send(allocations), per_send(frees));
+    assert!(per_send(allocations) <= 10.0, "{:.3} allocations per send", per_send(allocations));
+    assert!(per_send(frees) <= 5.0, "{:.3} frees per send", per_send(frees));
 }
