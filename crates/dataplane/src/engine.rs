@@ -13,7 +13,7 @@
 //! Message bodies come from one engine-wide [`BodyRing`]: a publish refills, in place,
 //! the oldest body every receiver has let go of, so in steady state the publishing
 //! thread allocates nothing per message. The ring is bounded by what the ingress
-//! queues can hold (`shards × queue_capacity` bodies) and taken with `try_lock` only —
+//! queues can hold (`shards × QUEUE_CAPACITY` bodies) and taken with `try_lock` only —
 //! a publisher that finds another one in it builds a body of its own.
 
 use std::collections::HashMap;
@@ -29,13 +29,12 @@ use parking_lot::{Mutex, RwLock};
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStats, SegmentStore};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{context_hash64, CacheStats, SecurityContext};
-use legaliot_middleware::admission::{admit_channel, admit_channel_cached, AdmissionCache};
+use legaliot_middleware::admission::admit_channel;
 use legaliot_middleware::{
     AccessRegime, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message,
     MessageSchema, MessageType,
 };
 use legaliot_obs::ObsConfig;
-use legaliot_policy::AcCacheStats;
 
 use crate::failpoint::{self, FailpointRegistry};
 use crate::shard::{panic_message, run_worker, ShardReport, ShardState, ShardTask};
@@ -112,19 +111,13 @@ impl PersistenceConfig {
 pub struct DataplaneConfig {
     /// Number of worker shards (threads). Components hash onto shards by name.
     pub shards: usize,
-    /// Bounded ingress-queue capacity per shard; full queues backpressure publishers.
-    /// With `shards` it also bounds the engine's ring of reusable message bodies
-    /// (`shards × queue_capacity`: what the queues can hold in flight).
-    pub queue_capacity: usize,
     /// Whether to cache flow decisions per `(source ctx hash, destination ctx hash)`.
     pub cache_decisions: bool,
-    /// Whether to cache contextual AC decisions (per-message and admission checks)
-    /// keyed on the context keys the rules actually read, invalidated through the
-    /// engine's [`ContextStore`] subscription and, per component, when the rules
-    /// governing that component change.
+    /// Whether each shard caches per-message contextual AC decisions (subscribe-time
+    /// admission always evaluates the regime), invalidated through its [`ContextStore`]
+    /// subscription when a context key the rules read changes and, per component,
+    /// when the rules governing that component change.
     pub cache_ac_decisions: bool,
-    /// Maximum cached decisions per shard (flow cache and AC cache each).
-    pub cache_capacity: usize,
     /// Records a shard appends to its hash-chained trail between two flushes — the
     /// cadence of the retention check (and so of pruning to disk).
     pub audit_batch: usize,
@@ -177,10 +170,8 @@ impl Default for DataplaneConfig {
     fn default() -> Self {
         DataplaneConfig {
             shards: 4,
-            queue_capacity: 4096,
             cache_decisions: true,
             cache_ac_decisions: true,
-            cache_capacity: legaliot_ifc::DecisionCache::DEFAULT_CAPACITY,
             audit_batch: 1024,
             audit_detail: AuditDetail::Summarised,
             audit_retention: None,
@@ -195,6 +186,10 @@ impl Default for DataplaneConfig {
         }
     }
 }
+
+/// Ingress-queue capacity per shard: a full queue backpressures publishers, and what
+/// the queues can hold in flight bounds the engine's ring of reusable message bodies.
+const QUEUE_CAPACITY: usize = 4096;
 
 /// Errors from dataplane operations (enforcement denials are outcomes, not errors).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -431,14 +426,13 @@ impl EndpointTable {
 }
 
 /// Shared mutable state: the endpoint directory, registered (frozen) message schemas,
-/// the AC regime and its control-plane admission cache, plus the control-plane audit
-/// appender (subscriptions, context changes).
+/// the AC regime, plus the control-plane audit appender (subscriptions, context
+/// changes).
 #[derive(Debug)]
 pub(crate) struct Directory {
     pub endpoints: EndpointTable,
     pub schemas: HashMap<MessageType, Arc<FrozenSchema>>,
     pub access: AccessRegime,
-    pub admission_cache: AdmissionCache,
     pub control_audit: BatchedAppender,
 }
 
@@ -467,7 +461,7 @@ pub(crate) struct SharedState {
     /// when persistence is off.
     pub persistence: Vec<Option<ShardPersistence>>,
     /// The context store enforcement-time AC decisions are evaluated against; shards
-    /// keep per-batch snapshots of it and AC caches subscribe to it.
+    /// keep per-batch snapshots of it and their AC caches subscribe to it.
     pub context_store: Arc<ContextStore>,
     /// Time zero for telemetry: enqueue timestamps and worker-side clock reads are
     /// nanoseconds since this instant, so a `u64` carries them through [`ShardTask`]s.
@@ -487,9 +481,7 @@ pub struct DataplaneReport {
     /// Per-shard flow-decision-cache statistics.
     pub cache_stats: Vec<CacheStats>,
     /// Per-shard AC-decision-cache statistics (per-message contextual AC).
-    pub ac_cache_stats: Vec<AcCacheStats>,
-    /// The control plane's admission-cache statistics (subscribe-time AC).
-    pub admission_cache_stats: AcCacheStats,
+    pub ac_cache_stats: Vec<CacheStats>,
     /// `(shard index, panic message)` for every worker that did not exit
     /// cleanly at shutdown. Supervision catches worker panics and restarts the
     /// shard, so this is empty in practice; it exists so teardown *never*
@@ -576,12 +568,11 @@ impl Dataplane {
         Self::with_context_store(name, config, Arc::new(store))
     }
 
-    /// Creates the engine around an externally owned [`ContextStore`]: enforcement-
-    /// time AC decisions (per-message and admission) are evaluated against snapshots
-    /// of this store, and the per-shard AC caches subscribe to it so a
-    /// [`ContextStore::set`] on a key a rule reads forces re-evaluation on every
-    /// shard. The store's retention stays its owner's choice
-    /// ([`ContextStore::set_retention`]; unbounded by default).
+    /// Creates the engine around an externally owned [`ContextStore`]: per-message
+    /// AC decisions are evaluated against snapshots of this store, and the per-shard
+    /// AC caches subscribe to it so a [`ContextStore::set`] on a key a rule reads
+    /// forces re-evaluation on every shard. The store's retention stays its owner's
+    /// choice ([`ContextStore::set_retention`]; unbounded by default).
     ///
     /// # Panics
     ///
@@ -627,18 +618,15 @@ impl Dataplane {
                 })
                 .collect(),
         };
-        let mut admission_cache = AdmissionCache::with_capacity(config.cache_capacity);
-        admission_cache.attach(&context_store);
         let shared = Arc::new(SharedState {
             directory: RwLock::new(Directory {
                 endpoints: EndpointTable::default(),
                 schemas: HashMap::new(),
                 access: AccessRegime::new(),
-                admission_cache,
                 control_audit: BatchedAppender::new(format!("{name}-control"), 1),
             }),
             shards: (0..shards)
-                .map(|_| ShardState::new(config.queue_capacity, config.telemetry.is_enabled()))
+                .map(|_| ShardState::new(QUEUE_CAPACITY, config.telemetry.is_enabled()))
                 .collect(),
             persistence,
             context_store,
@@ -652,7 +640,7 @@ impl Dataplane {
                 thread::spawn(move || run_worker(index, shared, config))
             })
             .collect();
-        let bodies = Mutex::new(BodyRing::new(shards.saturating_mul(config.queue_capacity)));
+        let bodies = Mutex::new(BodyRing::new(shards.saturating_mul(QUEUE_CAPACITY)));
         Dataplane { shared, workers, config, counters, bodies }
     }
 
@@ -833,11 +821,10 @@ impl Dataplane {
     /// (messages published by `publisher` flow to `subscriber`).
     ///
     /// Runs the one §8.2.2 sequence ([`legaliot_middleware::admission::enforce`]:
-    /// isolation → AC → IFC) on the bare channel via [`admit_channel`] or, for the
-    /// engine store's current snapshot, [`admit_channel_cached`]. The subscription is
-    /// recorded only when admitted; the attempt is audited on the control-plane log
-    /// either way, with the record the bus writes. Per-message enforcement runs the
-    /// sequence again against current contexts.
+    /// isolation → AC → IFC) on the bare channel via [`admit_channel`]. The
+    /// subscription is recorded only when admitted; the attempt is audited on the
+    /// control-plane log either way, with the record the bus writes. Per-message
+    /// enforcement runs the sequence again against current contexts.
     ///
     /// # Errors
     ///
@@ -853,33 +840,8 @@ impl Dataplane {
         let dir = &mut *directory;
         let (subscriber_id, destination) = dir.endpoints.lookup(subscriber)?;
         let (publisher_id, source) = dir.endpoints.lookup(publisher)?;
-        let outcome = {
-            // The admission cache may only answer for snapshots that reflect the
-            // engine's own context store (its key-level invalidation watches exactly
-            // that store); ad-hoc snapshots fall back to a direct evaluation. Sync
-            // *before* the version check: sync consumes the subscription's change
-            // feed, so a write landing after it either fails the equality check here
-            // or is consumed-and-invalidated by the next sync — whereas syncing after
-            // the check could consume a change and then cache a decision from the
-            // caller's now-stale snapshot, which nothing would ever invalidate.
-            if self.config.cache_ac_decisions {
-                dir.admission_cache.sync(&self.shared.context_store, &dir.access);
-            }
-            if self.config.cache_ac_decisions
-                && snapshot.version() == self.shared.context_store.version()
-            {
-                admit_channel_cached(
-                    &source.component,
-                    &destination.component,
-                    &dir.access,
-                    snapshot,
-                    now,
-                    &mut dir.admission_cache,
-                )
-            } else {
-                admit_channel(&source.component, &destination.component, &dir.access, snapshot, now)
-            }
-        };
+        let outcome =
+            admit_channel(&source.component, &destination.component, &dir.access, snapshot, now);
         if outcome.is_delivered()
             && !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id)
         {
@@ -1189,7 +1151,7 @@ impl Dataplane {
                     worker_panics.push((index, panic_message(payload.as_ref())));
                     shard_audit.push(AuditLog::new(format!("{}-shard-{index}", self.shared.name)));
                     cache_stats.push(CacheStats::default());
-                    ac_cache_stats.push(AcCacheStats::default());
+                    ac_cache_stats.push(CacheStats::default());
                 }
             }
         }
@@ -1204,16 +1166,14 @@ impl Dataplane {
             .map(|segments| (segments.segments_sealed, segments.unsynced_bytes))
             .unwrap_or((0, 0));
         let stats = self.stats();
-        let (control_audit, admission_cache_stats) = {
+        let control_audit = {
             let mut directory = self.shared.directory.write();
             directory.control_audit.flush();
-            let admission_cache_stats = directory.admission_cache.stats();
-            let log = std::mem::replace(
+            std::mem::replace(
                 &mut directory.control_audit,
                 BatchedAppender::new(format!("{}-control", self.shared.name), 1),
             )
-            .into_log();
-            (log, admission_cache_stats)
+            .into_log()
         };
         DataplaneReport {
             stats,
@@ -1221,7 +1181,6 @@ impl Dataplane {
             control_audit,
             cache_stats,
             ac_cache_stats,
-            admission_cache_stats,
             worker_panics,
             segments_sealed,
             unsynced_bytes,

@@ -120,7 +120,7 @@ impl ShardState {
 pub(crate) struct ShardReport {
     pub audit: AuditLog,
     pub cache_stats: legaliot_ifc::CacheStats,
-    pub ac_cache_stats: legaliot_policy::AcCacheStats,
+    pub ac_cache_stats: legaliot_ifc::CacheStats,
 }
 
 /// A `(source, destination)` endpoint-name pair.
@@ -297,6 +297,9 @@ impl QuenchCache {
 /// Maximum tasks drained from the ingress queue per lock acquisition.
 const POP_BATCH: usize = 256;
 
+/// Maximum cached decisions per shard (flow, AC and quench-mask cache each).
+const CACHE_CAPACITY: usize = DecisionCache::DEFAULT_CAPACITY;
+
 /// Best-effort extraction of a panic payload's message (the two payload shapes
 /// `panic!` actually produces, then a marker for anything exotic).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -366,7 +369,7 @@ pub(crate) fn run_worker(
         None => BatchedAppender::new(authority.clone(), config.audit_batch)
             .with_retention(config.audit_retention),
     };
-    let mut state = WorkerState::fresh(&store, &config, appender);
+    let mut state = WorkerState::fresh(&store, appender);
     let mut progress = BatchProgress::new();
     let mut restarts: u32 = 0;
     loop {
@@ -386,7 +389,7 @@ pub(crate) fn run_worker(
                     // off without stalling drain for long.
                     let exponent = (restarts - 1).min(6);
                     std::thread::sleep(config.restart_backoff.saturating_mul(1u32 << exponent));
-                    rebuild_state(&mut state, &store, &config);
+                    rebuild_state(&mut state, &store);
                     state.appender.append(
                         AuditEvent::ShardRestarted {
                             shard: authority.clone(),
@@ -474,17 +477,13 @@ pub(crate) fn run_worker(
 impl WorkerState {
     /// Builds the worker's derived state from scratch around the given audit
     /// appender (fresh at spawn; chain-carrying at restart).
-    fn fresh(
-        store: &Arc<ContextStore>,
-        config: &DataplaneConfig,
-        appender: BatchedAppender,
-    ) -> Self {
-        let mut ac_cache = AdmissionCache::with_capacity(config.cache_capacity);
+    fn fresh(store: &Arc<ContextStore>, appender: BatchedAppender) -> Self {
+        let mut ac_cache = AdmissionCache::with_capacity(CACHE_CAPACITY);
         ac_cache.attach(store);
         WorkerState {
-            cache: DecisionCache::with_capacity(config.cache_capacity),
+            cache: DecisionCache::with_capacity(CACHE_CAPACITY),
             ac_cache,
-            quench_cache: QuenchCache::with_capacity(config.cache_capacity),
+            quench_cache: QuenchCache::with_capacity(CACHE_CAPACITY),
             snapshot: store.snapshot(),
             appender,
             summaries: HashMap::new(),
@@ -499,7 +498,7 @@ impl WorkerState {
 /// trail, so `verify_chain` still passes across the restart. Pair summaries
 /// survive: they are evidence aggregation, not derived cache state, and dropping
 /// them would lose already-counted checks from the shutdown `FlowSummary` records.
-fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>, config: &DataplaneConfig) {
+fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>) {
     let mut appender =
         std::mem::replace(&mut state.appender, BatchedAppender::new(String::new(), 1));
     appender.flush();
@@ -508,7 +507,7 @@ fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>, config: &Da
     // so its memory) for the rest of the store's life.
     state.ac_cache.detach(store);
     let summaries = std::mem::take(&mut state.summaries);
-    *state = WorkerState { summaries, ..WorkerState::fresh(store, config, appender) };
+    *state = WorkerState { summaries, ..WorkerState::fresh(store, appender) };
 }
 
 /// Rolls back the effects of a panicked unit of work and evidences its loss.

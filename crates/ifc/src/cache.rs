@@ -136,14 +136,17 @@ pub fn context_hash64(context: &SecurityContext) -> u64 {
     hash
 }
 
-/// Counters describing a cache's effectiveness.
+/// Counters describing a decision cache's effectiveness: a [`DecisionCache`]'s, or that
+/// of the middleware's cache of contextual access-control decisions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that required a fresh `can_flow` evaluation.
+    /// Lookups that required a fresh evaluation (`can_flow`, or the AC rule set).
     pub misses: u64,
-    /// Entries dropped by [`DecisionCache::invalidate_context`].
+    /// Entries dropped because what they were computed from changed
+    /// ([`DecisionCache::invalidate_context`]; for AC decisions, a write to a context
+    /// key the rules read).
     pub invalidated: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -244,22 +247,8 @@ impl DecisionCache {
         (decision, false)
     }
 
-    /// Looks up a cached decision without computing on miss.
-    pub fn lookup(&mut self, source_hash: u64, destination_hash: u64) -> Option<FlowDecision> {
-        match self.entries.get(&(source_hash, destination_hash)) {
-            Some(d) => {
-                self.hits += 1;
-                Some(d.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Caches a decision for the given key pair.
-    pub fn insert(&mut self, key: (u64, u64), decision: FlowDecision) {
+    fn insert(&mut self, key: (u64, u64), decision: FlowDecision) {
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             self.entries.clear();
             self.by_context.clear();
@@ -409,11 +398,11 @@ mod tests {
         // Invalidating `a` removes both directions of the (a, b) pair and nothing else.
         assert_eq!(cache.invalidate_context(ha), 2);
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(hc, hd).is_some());
-        assert!(cache.lookup(ha, hb).is_none());
         // Idempotent on an absent context.
         assert_eq!(cache.invalidate_context(ha), 0);
         assert_eq!(cache.stats().invalidated, 2);
+        assert!(cache.check(&c, hc, &d, hd).1);
+        assert!(!cache.check(&a, ha, &b, hb).1);
     }
 
     #[test]

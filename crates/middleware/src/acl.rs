@@ -7,7 +7,7 @@
 //! consulted at channel establishment, on every message, and — crucially — when a
 //! third-party reconfiguration control message arrives (Fig. 8).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -180,21 +180,20 @@ impl AccessDecision {
 /// explicit denies overriding allows.
 #[derive(Debug, Clone, Default)]
 pub struct AccessRegime {
-    /// Rules scoped to a component name (the component whose resources are accessed).
-    rules: BTreeMap<String, Vec<AccessRule>>,
+    /// One entry per component (the one whose resources are accessed) that ever had
+    /// rules: a cleared component keeps its, so its `changed_at` survives the clear.
+    components: HashMap<String, ComponentRules>,
     /// Bumped on every rule-set mutation.
     revision: u64,
-    /// What decision caches ask about a component, beside the rules so that asking
-    /// walks no rule list: one entry per component that ever had rules (a cleared
-    /// component keeps its, so its `changed_at` survives the clear).
-    cache_facts: HashMap<String, CacheFacts>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CacheFacts {
-    /// The regime revision at which the component's rules last changed.
+/// A component's rules, with what a decision cache asks about them.
+#[derive(Debug, Clone, Default)]
+struct ComponentRules {
+    rules: Vec<AccessRule>,
+    /// The regime revision at which the rules last changed.
     changed_at: u64,
-    /// Whether any of its rules has a time-dependent condition.
+    /// Whether any rule has a time-dependent condition.
     time_dependent: bool,
 }
 
@@ -207,45 +206,37 @@ impl AccessRegime {
     /// Adds a rule governing access to `component`.
     pub fn add_rule(&mut self, component: impl Into<String>, rule: AccessRule) {
         self.revision += 1;
-        let component = component.into();
-        // Only a component's first rule copies its name.
-        let facts = match self.cache_facts.get_mut(&component) {
-            Some(facts) => facts,
-            None => self.cache_facts.entry(component.clone()).or_default(),
-        };
-        facts.changed_at = self.revision;
-        facts.time_dependent |= rule.condition.is_time_dependent();
-        self.rules.entry(component).or_default().push(rule);
+        let entry = self.components.entry(component.into()).or_default();
+        entry.changed_at = self.revision;
+        entry.time_dependent |= rule.condition.is_time_dependent();
+        entry.rules.push(rule);
     }
 
     /// Removes all rules for a component, returning how many were removed.
     pub fn clear_component(&mut self, component: &str) -> usize {
         self.revision += 1;
-        if let Some(facts) = self.cache_facts.get_mut(component) {
-            *facts = CacheFacts { changed_at: self.revision, time_dependent: false };
-        }
-        self.rules.remove(component).map(|v| v.len()).unwrap_or(0)
+        let Some(entry) = self.components.get_mut(component) else { return 0 };
+        entry.changed_at = self.revision;
+        entry.time_dependent = false;
+        std::mem::take(&mut entry.rules).len()
     }
 
     /// Number of rules across all components.
     pub fn rule_count(&self) -> usize {
-        self.rules.values().map(Vec::len).sum()
-    }
-
-    /// A counter bumped on every rule mutation, whichever component it touched.
-    pub fn revision(&self) -> u64 {
-        self.revision
+        self.components.values().map(|entry| entry.rules.len()).sum()
     }
 
     /// What a decision cache needs to know about `component`, in one lookup: `None`
-    /// when its decisions must not be cached ([`Self::has_time_dependent_rules`]),
-    /// otherwise the [`Self::revision`] at which the rules governing it last changed
-    /// (0 if they never have). A decision cached for `component` stays valid exactly
-    /// as long as this value does — rule changes elsewhere do not move it.
+    /// when its decisions must not be cached — a rule governing it is time-dependent
+    /// ([`Condition::is_time_dependent`]), so they can flip without any context
+    /// change — otherwise the revision (a counter every rule mutation bumps) at which
+    /// the rules governing it last changed, 0 if they never have. A decision cached
+    /// for `component` is valid as long as this value is: other components' rule
+    /// changes do not move it.
     pub fn cacheable_revision(&self, component: &str) -> Option<u64> {
-        match self.cache_facts.get(component) {
-            Some(facts) if facts.time_dependent => None,
-            Some(facts) => Some(facts.changed_at),
+        match self.components.get(component) {
+            Some(entry) if entry.time_dependent => None,
+            Some(entry) => Some(entry.changed_at),
             None => Some(0),
         }
     }
@@ -258,22 +249,15 @@ impl AccessRegime {
     /// not just the rules that matched.
     pub fn referenced_context_keys(&self, component: &str) -> Vec<&str> {
         let mut keys: Vec<&str> = self
-            .rules
+            .components
             .get(component)
             .into_iter()
-            .flatten()
+            .flat_map(|entry| &entry.rules)
             .flat_map(|rule| rule.condition.referenced_keys())
             .collect();
         keys.sort_unstable();
         keys.dedup();
         keys
-    }
-
-    /// Whether any rule governing `component` has a time-dependent condition
-    /// ([`Condition::is_time_dependent`]); such components' decisions must not be
-    /// cached, as they can flip without any context change.
-    pub fn has_time_dependent_rules(&self, component: &str) -> bool {
-        self.cache_facts.get(component).is_some_and(|facts| facts.time_dependent)
     }
 
     /// Decides whether `principal` may perform `operation` (optionally on
@@ -289,10 +273,13 @@ impl AccessRegime {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> AccessDecision {
-        let Some(rules) = self.rules.get(component) else {
-            return AccessDecision::Denied {
-                reason: format!("no access rules defined for component `{component}`").into(),
-            };
+        // A cleared component reads like one that never had rules.
+        let rules = match self.components.get(component) {
+            Some(entry) if !entry.rules.is_empty() => &entry.rules,
+            _ => {
+                let reason = format!("no access rules defined for component `{component}`");
+                return AccessDecision::Denied { reason: reason.into() };
+            }
         };
         let mut allowed = false;
         for rule in rules {
@@ -483,16 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn revision_tracks_rule_mutations() {
-        let mut regime = AccessRegime::new();
-        assert_eq!(regime.revision(), 0);
-        regime.add_rule("c", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        assert_eq!(regime.revision(), 1);
-        regime.clear_component("c");
-        assert_eq!(regime.revision(), 2);
-    }
-
-    #[test]
     fn cacheable_revision_moves_only_with_the_components_own_rules() {
         let mut regime = AccessRegime::new();
         assert_eq!(regime.cacheable_revision("a"), Some(0));
@@ -509,7 +486,9 @@ mod tests {
         assert_eq!(regime.cacheable_revision("a"), Some(4));
         regime.clear_component("never-governed");
         assert_eq!(regime.cacheable_revision("never-governed"), Some(0));
-        assert_eq!(regime.revision(), 5);
+        // Every mutation moves the counter, whichever component it touched.
+        regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        assert_eq!(regime.cacheable_revision("b"), Some(6));
         // A cleared component reads exactly like one that never had rules.
         let decision = regime.decide(
             "a",
@@ -556,21 +535,18 @@ mod tests {
             vec!["emergency.active", "patient.heart-rate"]
         );
         assert!(regime.referenced_context_keys("missing").is_empty());
-        assert!(!regime.has_time_dependent_rules("c"));
+        assert_eq!(regime.cacheable_revision("c"), Some(2));
         regime.add_rule(
             "c",
             AccessRule::allow(Subject::Anyone, Operation::Send, None)
                 .when(Condition::within_time(0, 100)),
         );
-        assert!(regime.has_time_dependent_rules("c"));
-        assert!(!regime.has_time_dependent_rules("other"));
         assert_eq!(regime.cacheable_revision("c"), None);
         assert_eq!(regime.cacheable_revision("other"), Some(3));
         assert_eq!(regime.cacheable_revision("missing"), Some(0));
         // Clearing the rules clears the time dependence with them.
         regime.clear_component("c");
-        assert!(!regime.has_time_dependent_rules("c"));
-        assert_eq!(regime.cacheable_revision("c"), Some(regime.revision()));
+        assert_eq!(regime.cacheable_revision("c"), Some(5));
     }
 
     #[test]

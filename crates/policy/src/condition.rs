@@ -164,8 +164,8 @@ impl Condition {
     }
 
     /// Whether any part of this condition depends on the evaluation time
-    /// ([`Condition::WithinTime`]). Time-dependent conditions cannot be cached by
-    /// context-keyed decision caches ([`crate::AcDecisionCache`]): their outcome can
+    /// ([`Condition::WithinTime`]). Time-dependent conditions cannot be cached by a
+    /// decision cache that is invalidated by context-key writes: their outcome can
     /// change without any context key changing.
     pub fn is_time_dependent(&self) -> bool {
         match self {

@@ -11,8 +11,6 @@
 //! * [`action`] — the reconfiguration vocabulary: label/privilege changes, channel
 //!   establishment/teardown, routing through sanitisers, isolation, alerts
 //!   (§5.2 "Dynamic, context-aware reconfiguration");
-//! * [`cache`] — context-keyed caching of contextual AC decisions, invalidated through
-//!   [`legaliot_context::ContextStore`] subscriptions when a referenced key changes;
 //! * [`eca`] — Event–Condition–Action rules and the events that trigger them;
 //! * [`engine`] — the policy engine: holds a rule set, watches context, and emits
 //!   reconfiguration commands (Fig. 7's "application-aware policy engine");
@@ -29,7 +27,6 @@
 
 pub mod action;
 pub mod breakglass;
-pub mod cache;
 pub mod condition;
 pub mod conflict;
 pub mod eca;
@@ -39,7 +36,6 @@ pub mod template;
 
 pub use action::{Action, ReconfigurationCommand};
 pub use breakglass::{BreakGlass, BreakGlassState};
-pub use cache::{AcCacheStats, AcDecisionCache};
 pub use condition::Condition;
 pub use conflict::{ConflictReport, ConflictResolver, ResolutionStrategy};
 pub use eca::{PolicyEvent, PolicyId, PolicyPriority, PolicyRule};

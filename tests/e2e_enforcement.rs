@@ -657,7 +657,7 @@ mod mode_equivalence {
         /// accounting equals `encoded_payload_len` of that view — a count that does
         /// not go through the frozen encoder.
         #[test]
-        fn prop_subscriber_observations_agree_across_payload_modes(
+        fn prop_bus_and_dataplane_agree_on_outcome_body_and_evidence(
             count in -1_000i64..1_000,
             level in 0.0f64..100.0,
             ok in proptest::bool::ANY,
