@@ -207,48 +207,21 @@ impl AuditLog {
         ChainVerification::Intact { records: records.len() }
     }
 
-    /// Drops the oldest `split` records, re-anchoring the retained chain on the last
-    /// pruned record's hash so verification still succeeds across the cut. Returns the
-    /// removed records so callers can persist them before they vanish.
-    fn prune_at(&mut self, split: usize) -> (PruneOutcome, Vec<AuditRecord>) {
-        let removed: Vec<AuditRecord> = self.records.drain(..split).collect();
-        if let Some(last) = removed.last() {
-            self.anchor_hash = last.hash;
-        }
-        let outcome = PruneOutcome {
-            removed: removed.len(),
-            retained: self.records.len(),
-            anchor_hash: self.anchor_hash,
-        };
-        (outcome, removed)
-    }
-
     /// Prunes all records recorded strictly before `before_millis`, keeping the chain
-    /// verifiable by anchoring on the last pruned record's hash.
+    /// verifiable by anchoring on the last pruned record's hash. (The bounded in-memory
+    /// retention of long-running enforcement points is
+    /// [`crate::BatchedAppender::with_retention`].)
     pub fn prune_before(&mut self, before_millis: u64) -> PruneOutcome {
         let split = self
             .records
             .iter()
             .position(|r| r.at_millis >= before_millis)
             .unwrap_or(self.records.len());
-        self.prune_at(split).0
-    }
-
-    /// Keeps only the newest `keep` records, pruning older ones while anchoring the
-    /// retained chain on the last pruned record's hash (like [`Self::prune_before`],
-    /// but positional). This is the bounded in-memory retention used by long-running
-    /// enforcement points: tamper evidence for the retained window survives, and the
-    /// anchor proves continuity with the pruned history.
-    pub fn retain_recent(&mut self, keep: usize) -> PruneOutcome {
-        self.retain_recent_taking(keep).0
-    }
-
-    /// Like [`Self::retain_recent`], but *returns* the pruned-out records (oldest
-    /// first) instead of discarding them, so a persistence sink can write them to
-    /// durable storage before they stop being observable. The returned records are the
-    /// exact chain span between the old anchor and the new one.
-    pub fn retain_recent_taking(&mut self, keep: usize) -> (PruneOutcome, Vec<AuditRecord>) {
-        self.prune_at(self.records.len().saturating_sub(keep))
+        if split > 0 {
+            self.anchor_hash = self.records[split - 1].hash;
+        }
+        self.records.drain(..split);
+        PruneOutcome { removed: split, retained: self.records.len(), anchor_hash: self.anchor_hash }
     }
 
     /// Offloads (moves) all current records into a new log destined for a remote
@@ -360,27 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_recent_bounds_the_log_and_keeps_chain() {
-        let mut log = AuditLog::new("node-a");
-        for t in 0..10 {
-            log.record(flow_event("s", "d", false), t);
-        }
-        let outcome = log.retain_recent(3);
-        assert_eq!(outcome.removed, 7);
-        assert_eq!(outcome.retained, 3);
-        assert_eq!(log.len(), 3);
-        assert!(log.verify_chain().is_intact());
-        // Ids keep increasing and new records still chain on.
-        log.record(flow_event("s", "d", false), 99);
-        assert!(log.verify_chain().is_intact());
-        assert_eq!(log.records().last().unwrap().id, RecordId(10));
-        // A no-op when already within bounds.
-        let outcome = log.retain_recent(100);
-        assert_eq!(outcome.removed, 0);
-        assert_eq!(outcome.retained, 4);
-    }
-
-    #[test]
     fn offload_moves_history_and_keeps_chain() {
         let mut log = AuditLog::new("gateway");
         for t in 0..4 {
@@ -427,24 +379,6 @@ mod tests {
         let merged = AuditLog::merged_timeline([&a, &b]);
         let times: Vec<u64> = merged.iter().map(|r| r.at_millis).collect();
         assert_eq!(times, vec![3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn retain_recent_taking_yields_the_pruned_span() {
-        let mut log = AuditLog::new("node-a");
-        for t in 0..10 {
-            log.record(flow_event("s", "d", false), t);
-        }
-        let head_before = log.records()[6].hash;
-        let (outcome, pruned) = log.retain_recent_taking(3);
-        assert_eq!(outcome.removed, 7);
-        assert_eq!(pruned.len(), 7);
-        // The yielded records are the exact chain span up to the new anchor.
-        assert_eq!(AuditLog::verify_records(0, &pruned), ChainVerification::Intact { records: 7 });
-        assert_eq!(pruned.last().unwrap().hash, outcome.anchor_hash);
-        assert_eq!(outcome.anchor_hash, head_before);
-        assert_eq!(log.anchor_hash(), head_before);
-        assert!(log.verify_chain().is_intact());
     }
 
     #[test]
@@ -511,7 +445,7 @@ mod tests {
             log.record(flow_event("s", "d", t % 2 == 0), t);
         }
         // Pruned first, so the anchor and the first id are not the defaults.
-        log.retain_recent(4);
+        log.prune_before(2);
 
         let mut rebuilt =
             AuditLog::from_records("shard-0", log.anchor_hash(), through_the_codec(log.records()));

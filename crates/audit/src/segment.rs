@@ -1,8 +1,8 @@
 //! Crash-safe on-disk segments for retained-out audit records.
 //!
-//! In-memory retention ([`crate::AuditLog::retain_recent`]) keeps enforcement points
-//! bounded, but pruned history used to be simply dropped — and a process crash lost
-//! every record still in RAM. A [`SegmentStore`] makes the pruned history durable:
+//! In-memory retention ([`crate::BatchedAppender::with_retention`]) keeps enforcement
+//! points bounded, but pruned history used to be simply dropped — and a process crash
+//! lost every record still in RAM. A [`SegmentStore`] makes the pruned history durable:
 //! records stream into append-only segment files of length-prefixed, checksummed
 //! frames, and each segment's header carries the previous segment's anchor hash, so
 //! the on-disk prefix and the in-memory suffix verify as **one** hash chain

@@ -37,8 +37,9 @@ use legaliot_middleware::{
 use legaliot_obs::ObsConfig;
 
 use crate::failpoint::{self, FailpointRegistry};
+use crate::queue::BoundedQueue;
 use crate::shard::{panic_message, run_worker, ShardReport, ShardState, ShardTask};
-use crate::subscriber::{Mailbox, OverflowPolicy, Subscriber};
+use crate::subscriber::{OverflowPolicy, Subscriber};
 use crate::telemetry::{DataplaneStats, EngineCounters, TelemetrySnapshot};
 
 /// How much audit evidence the data path records per message.
@@ -308,7 +309,7 @@ pub(crate) struct Endpoint {
     /// push enforced (post-quench) deliveries into it after releasing that lock; a
     /// closed mailbox is skipped with one atomic load, so torn-down consumers never
     /// slow the hot path.
-    pub mailbox: Option<Arc<Mailbox>>,
+    pub mailbox: Option<Arc<BoundedQueue<FrozenMessage>>>,
 }
 
 impl Endpoint {
@@ -730,7 +731,7 @@ impl Dataplane {
         if endpoint.mailbox.as_ref().is_some_and(|mailbox| !mailbox.is_closed()) {
             return Err(DataplaneError::ReceiverAttached { name: name.to_string() });
         }
-        let mailbox = Arc::new(Mailbox::new(self.config.mailbox_capacity, self.config.overflow));
+        let mailbox = Arc::new(BoundedQueue::new(self.config.mailbox_capacity));
         endpoint.mailbox = Some(Arc::clone(&mailbox));
         Ok(Subscriber::new(Arc::clone(directory.endpoints.name(id)), mailbox))
     }

@@ -9,8 +9,11 @@
 //! Architecture (see the README's "Dataplane & scaling" section for the full picture):
 //!
 //! * **Sharding** — components hash onto `N` worker shards by name; each shard runs its
-//!   own thread and enforces the traffic of the subscribers it owns. Ingress queues are
-//!   bounded ([`queue::BoundedQueue`]): a full queue blocks the publisher.
+//!   own thread and enforces the traffic of the subscribers it owns, in one loop a
+//!   supervisor restarts after a panic and a degraded shard keeps running to evidence
+//!   what it was handed as lost. Ingress queues are bounded
+//!   ([`queue::BoundedQueue`], the one bounded hand-off — mailboxes are the same type):
+//!   a full queue blocks the publisher.
 //! * **One way in, zero-copy** — every delivery is a typed message:
 //!   [`Dataplane::publish_message`] validates and freezes it once at
 //!   ingress ([`legaliot_middleware::FrozenMessage`]: one reference-counted body
@@ -56,7 +59,8 @@
 //!   access control → IFC); admission is audited on a control-plane log.
 //! * **Streaming receivers** — [`Dataplane::open_subscriber`] /
 //!   [`Dataplane::subscribe_receiver`] hand consumers a [`Subscriber`] over a bounded
-//!   per-endpoint mailbox ([`subscriber`]): enforced, post-quench bodies arrive as
+//!   per-endpoint mailbox ([`subscriber`]) — a `BoundedQueue` of deliveries, closed
+//!   when the handle goes: enforced, post-quench bodies arrive as
 //!   handles on the body the publisher froze (zero-copy end to end), with
 //!   `recv`/`try_recv`/`recv_timeout`/`drain` receives and a configurable overflow
 //!   policy — block the shard (lossless backpressure) or drop-oldest with counted,
@@ -1171,6 +1175,52 @@ mod tests {
             })
             .collect();
         assert_eq!(lost, vec![1, 1, 1]);
+        assert!(report.shard_audit[0].verify_chain().is_intact());
+    }
+
+    /// A shard that degrades mid-way through its hand-offs finishes the batch in the
+    /// loop it always runs: the crashed hand-off and the two behind it are evidenced as
+    /// abandoned, none re-counted — their deliveries were enforced and counted already.
+    #[test]
+    fn degrading_during_hand_offs_abandons_the_rest_of_the_batch() {
+        use legaliot_audit::AuditEvent;
+
+        let registry = Arc::new(FailpointRegistry::new(5).with_spec(
+            FailpointSpec::on_hits(FailpointSite::MailboxHandOff, FaultKind::Panic, 1, 0).limit(1),
+        ));
+        let config = DataplaneConfig {
+            shards: 1,
+            restart_budget: 0,
+            failpoints: Some(registry),
+            ..DataplaneConfig::default()
+        };
+        let dataplane = two_pair_plane(config);
+        dataplane.register_schema(reading_schema()).unwrap();
+        let receiver = dataplane.open_subscriber("b").unwrap();
+        let barrier = dataplane.block_shard(0);
+        for t in 10..14 {
+            dataplane.publish_message("a", &reading_message(), Timestamp(t)).unwrap();
+        }
+        barrier.wait();
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!((stats.degraded_shards, stats.delivered, stats.deliveries_lost), (1, 4, 0));
+        assert_eq!(stats.published, stats.delivered + stats.denied + stats.missing_endpoint);
+        assert_eq!(receiver.drain().len(), 1);
+
+        let report = dataplane.shutdown();
+        let abandoned: Vec<(u64, u64)> = report
+            .merged_timeline()
+            .into_iter()
+            .filter_map(|record| match record.event {
+                AuditEvent::DeliveryLost { lost, ref cause, .. } => {
+                    assert!(cause.starts_with("mailbox hand-off abandoned"), "{cause}");
+                    Some((record.at_millis, lost))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(abandoned, vec![(11, 1), (12, 1), (13, 1)], "in hand-off order");
         assert!(report.shard_audit[0].verify_chain().is_intact());
     }
 

@@ -1,14 +1,31 @@
-//! A bounded multi-producer queue with blocking backpressure.
+//! The dataplane's one bounded hand-off, used twice on every delivery's way from
+//! `publish_message` to `recv`.
 //!
-//! Each shard owns one ingress queue. Producers (publishers, the control plane's
-//! invalidation broadcasts) push from any thread; the shard's worker thread drains in
-//! batches to amortise lock traffic. When the queue is full, [`BoundedQueue::push`]
-//! blocks the producer — backpressure instead of unbounded memory.
+//! * **Shard ingress.** Producers (publishers, the control plane's invalidation
+//!   broadcasts) push from any thread; the shard's worker drains in batches to
+//!   amortise lock traffic. A full queue blocks the producer — backpressure instead of
+//!   unbounded memory.
+//! * **Subscriber mailbox.** The shard pushes enforced deliveries — blocking on a full
+//!   mailbox, or shedding its oldest item, per the
+//!   [`OverflowPolicy`](crate::OverflowPolicy) — and the consumer pops them one at a
+//!   time or drains them through its [`Subscriber`](crate::Subscriber). A mailbox is
+//!   closed when its handle goes: pushes then discard, and pops hand out the backlog
+//!   before reporting the queue closed.
+//!
+//! One wake protocol serves every wait. A thread raises its side's waiter count under
+//! the lock before its wait releases it, so whoever changes the queue under the lock
+//! afterwards sees the count and notifies; at zero the notify — a futex wake with
+//! nobody to wake — is skipped. A push wakes one parked consumer, a single pop one
+//! parked producer, a batch pop or a drain every parked producer, and a close
+//! everybody. The queue reserves nothing up front: a fleet opens thousands of
+//! mailboxes, most of them never deep.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Condvar;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, MutexGuard, PoisonError};
+use std::time::Instant;
 
+use legaliot_obs::LatencyHistogram;
 use parking_lot::Mutex;
 
 /// How many times a consumer yields the CPU re-checking an empty queue before parking
@@ -17,15 +34,15 @@ use parking_lot::Mutex;
 /// fine-grained sharding on few cores.
 const EMPTY_SPINS: usize = 32;
 
-/// A bounded FIFO queue: blocking pushes, batch pops.
+/// A bounded FIFO queue: blocking or shedding pushes, batch or single pops.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
-    inner: Mutex<VecDeque<T>>,
+    inner: Mutex<Inner<T>>,
     not_full: Condvar,
     not_empty: Condvar,
-    /// Consumers currently parked on `not_empty`; producers skip the notify syscall
-    /// when nobody is waiting. Only written under the lock.
-    waiting_consumers: AtomicUsize,
+    /// Stored under the lock, so a close linearizes against every push and pop;
+    /// mirrored in an atomic so a shard skips a closed mailbox without locking it.
+    closed: AtomicBool,
     /// Times a consumer exhausted its spin budget and parked on the condvar
     /// (telemetry; incremented on the park slow path only).
     consumer_parks: AtomicU64,
@@ -33,6 +50,27 @@ pub struct BoundedQueue<T> {
     /// on the full slow path only).
     producer_waits: AtomicU64,
     capacity: usize,
+}
+
+#[derive(Debug)]
+struct Inner<T> {
+    items: VecDeque<T>,
+    /// Items shed by [`BoundedQueue::push_shedding`] since the queue opened.
+    shed: u64,
+    /// Threads parked on `not_empty` / `not_full`; see the module docs.
+    waiting_consumers: usize,
+    waiting_producers: usize,
+}
+
+type Guard<'a, T> = MutexGuard<'a, Inner<T>>;
+
+/// Why a single pop came back without an item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PopError {
+    /// Nothing is queued (or nothing arrived before the deadline); the queue is open.
+    Empty,
+    /// The queue is closed and everything queued before the close has been popped.
+    Closed,
 }
 
 /// Contention counters of a [`BoundedQueue`]: how often its slow paths ran.
@@ -49,15 +87,19 @@ pub struct QueueContention {
 impl<T> BoundedQueue<T> {
     /// Creates a queue holding at most `capacity` items (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         BoundedQueue {
-            inner: Mutex::new(VecDeque::with_capacity(capacity)),
+            inner: Mutex::new(Inner {
+                items: VecDeque::new(),
+                shed: 0,
+                waiting_consumers: 0,
+                waiting_producers: 0,
+            }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            waiting_consumers: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
             consumer_parks: AtomicU64::new(0),
             producer_waits: AtomicU64::new(0),
-            capacity,
+            capacity: capacity.max(1),
         }
     }
 
@@ -68,12 +110,12 @@ impl<T> BoundedQueue<T> {
 
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().items.len()
     }
 
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().items.is_empty()
     }
 
     /// How often this queue's slow paths ran (consumer parks, producer waits).
@@ -84,72 +126,187 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Items shed by [`Self::push_shedding`] since the queue opened.
+    pub(crate) fn shed(&self) -> u64 {
+        self.inner.lock().shed
+    }
+
+    /// Closes the queue and wakes every waiter: pushes discard from now on, and pops
+    /// report [`PopError::Closed`] once the backlog is gone. Idempotent.
+    pub(crate) fn close(&self) {
+        let inner = self.inner.lock();
+        self.closed.store(true, Ordering::Release);
+        let (consumers, producers) = (inner.waiting_consumers > 0, inner.waiting_producers > 0);
+        drop(inner);
+        if consumers {
+            self.not_empty.notify_all();
+        }
+        if producers {
+            self.not_full.notify_all();
+        }
+    }
+
     /// Pushes an item, blocking while the queue is full (backpressure). Returns the
     /// queue length right after the push, letting producers feed a depth
-    /// high-water-mark gauge without an extra lock acquisition.
+    /// high-water-mark gauge without an extra lock acquisition (0 when a closed queue
+    /// discarded the item).
     pub fn push(&self, item: T) -> usize {
-        let mut queue = self.inner.lock();
-        if queue.len() >= self.capacity {
+        self.push_blocking(item, None).unwrap_or(0)
+    }
+
+    /// [`Self::push`] that hands the item back if the queue is (or, while this push
+    /// waits, becomes) closed. When `stall` is given, the time spent parked on a full
+    /// queue is recorded there — one sample per push that actually waited, so the fast
+    /// path takes no timestamps.
+    pub(crate) fn push_blocking(
+        &self,
+        item: T,
+        stall: Option<&LatencyHistogram>,
+    ) -> Result<usize, T> {
+        let full = |inner: &mut Inner<T>| inner.items.len() >= self.capacity && !self.is_closed();
+        let mut inner = self.inner.lock();
+        if full(&mut inner) {
             self.producer_waits.fetch_add(1, Ordering::Relaxed);
-            while queue.len() >= self.capacity {
-                queue =
-                    self.not_full.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
+            let stalled_since = stall.map(|_| Instant::now());
+            inner.waiting_producers += 1;
+            inner = self.not_full.wait_while(inner, full).unwrap_or_else(PoisonError::into_inner);
+            inner.waiting_producers -= 1;
+            if let (Some(histogram), Some(since)) = (stall, stalled_since) {
+                histogram.record(since.elapsed().as_nanos() as u64);
             }
         }
-        queue.push_back(item);
-        let depth = queue.len();
-        // Checked under the lock: a consumer either already parked (gets the notify)
-        // or has not yet incremented the count and will re-check the queue before
-        // parking. Skipping the notify when nobody waits removes a syscall per push.
-        let wake = self.waiting_consumers.load(Ordering::Relaxed) > 0;
-        drop(queue);
-        if wake {
-            self.not_empty.notify_one();
+        if self.is_closed() {
+            return Err(item);
         }
-        depth
+        inner.items.push_back(item);
+        let depth = inner.items.len();
+        self.wake_consumer(inner);
+        Ok(depth)
+    }
+
+    /// Pushes without ever blocking: a full queue sheds its oldest item, counted and
+    /// handed back so the caller can evidence it. A closed queue hands the item back.
+    pub(crate) fn push_shedding(&self, item: T) -> Result<Option<T>, T> {
+        let mut inner = self.inner.lock();
+        if self.is_closed() {
+            return Err(item);
+        }
+        let shed = if inner.items.len() >= self.capacity {
+            inner.shed += 1;
+            inner.items.pop_front()
+        } else {
+            None
+        };
+        inner.items.push_back(item);
+        self.wake_consumer(inner);
+        Ok(shed)
     }
 
     /// Blocks until at least one item is available, then moves up to `max` items into
-    /// `out` (which is cleared first). Returns how many items were popped.
+    /// `out` (which is cleared first). Returns how many items were popped: 0 only once
+    /// the queue is closed and empty.
     ///
     /// An empty queue is first retried a bounded number of times with `yield_now`
     /// (letting producers run) before parking on the condvar.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         out.clear();
         let mut spins = 0;
-        let mut queue = loop {
-            let queue = self.inner.lock();
-            if !queue.is_empty() {
-                break queue;
+        let mut inner = loop {
+            let inner = self.inner.lock();
+            if !inner.items.is_empty() || self.is_closed() {
+                break inner;
             }
             if spins < EMPTY_SPINS {
                 spins += 1;
-                drop(queue);
+                drop(inner);
                 std::thread::yield_now();
                 continue;
             }
-            // Park: the count is raised under the lock, so a producer that pushes
-            // after we release it (inside `wait`) is guaranteed to see it and notify.
             self.consumer_parks.fetch_add(1, Ordering::Relaxed);
-            self.waiting_consumers.fetch_add(1, Ordering::Relaxed);
-            let mut queue = queue;
-            while queue.is_empty() {
-                queue =
-                    self.not_empty.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            self.waiting_consumers.fetch_sub(1, Ordering::Relaxed);
-            break queue;
+            break self.await_item(inner, None);
         };
-        let was_full = queue.len() >= self.capacity;
-        let take = queue.len().min(max.max(1));
-        out.extend(queue.drain(..take));
-        drop(queue);
-        // Producers only park when the queue is full; a batch frees `take` slots at
-        // once, so wake them all.
-        if was_full {
-            self.not_full.notify_all();
-        }
+        let take = inner.items.len().min(max.max(1));
+        out.extend(inner.items.drain(..take));
+        self.wake_producers(inner, true);
         take
+    }
+
+    /// Pops the oldest item without blocking.
+    pub(crate) fn try_pop(&self) -> Result<T, PopError> {
+        self.take_one(self.inner.lock())
+    }
+
+    /// Pops the oldest item, waiting for one until `deadline` (`None`: for as long as
+    /// the queue stays open).
+    pub(crate) fn pop(&self, deadline: Option<Instant>) -> Result<T, PopError> {
+        let inner = self.await_item(self.inner.lock(), deadline);
+        self.take_one(inner)
+    }
+
+    /// Takes everything queued, without blocking (possibly nothing).
+    pub(crate) fn drain(&self) -> Vec<T> {
+        let mut inner = self.inner.lock();
+        let items = inner.items.drain(..).collect();
+        self.wake_producers(inner, true);
+        items
+    }
+
+    /// Parks a consumer until the queue holds an item, closes, or `deadline` passes.
+    fn await_item<'a>(
+        &'a self,
+        mut inner: Guard<'a, T>,
+        deadline: Option<Instant>,
+    ) -> Guard<'a, T> {
+        let empty = |inner: &mut Inner<T>| inner.items.is_empty() && !self.is_closed();
+        // Raised under the lock even when there is nothing to wait for: it is lowered
+        // again before the lock is released, so nobody sees it.
+        inner.waiting_consumers += 1;
+        inner = match deadline {
+            None => self.not_empty.wait_while(inner, empty).unwrap_or_else(PoisonError::into_inner),
+            Some(deadline) => {
+                let timeout = deadline.saturating_duration_since(Instant::now());
+                let waited = self.not_empty.wait_timeout_while(inner, timeout, empty);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+        };
+        inner.waiting_consumers -= 1;
+        inner
+    }
+
+    fn take_one(&self, mut inner: Guard<'_, T>) -> Result<T, PopError> {
+        match inner.items.pop_front() {
+            Some(item) => {
+                self.wake_producers(inner, false);
+                Ok(item)
+            }
+            None if self.is_closed() => Err(PopError::Closed),
+            None => Err(PopError::Empty),
+        }
+    }
+
+    /// Releases the lock after a push, waking one parked consumer if any.
+    fn wake_consumer(&self, inner: Guard<'_, T>) {
+        let wake = inner.waiting_consumers > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Releases the lock after a pop, waking parked producers if any: one for the one
+    /// slot a single pop frees, all of them when a batch freed several at once.
+    fn wake_producers(&self, inner: Guard<'_, T>, all: bool) {
+        let wake = inner.waiting_producers > 0;
+        drop(inner);
+        match (wake, all) {
+            (false, _) => {}
+            (true, false) => self.not_full.notify_one(),
+            (true, true) => self.not_full.notify_all(),
+        }
     }
 }
 
@@ -158,6 +315,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_batch_pop() {
@@ -222,7 +380,7 @@ mod tests {
                 q.pop_batch(&mut out, 4)
             })
         };
-        thread::sleep(std::time::Duration::from_millis(30));
+        thread::sleep(Duration::from_millis(30));
         q.push(2);
         assert_eq!(consumer.join().unwrap(), 1);
         assert!(q.contention().consumer_parks >= 1);
@@ -239,8 +397,95 @@ mod tests {
                 out
             })
         };
-        thread::sleep(std::time::Duration::from_millis(20));
+        thread::sleep(Duration::from_millis(20));
         q.push(7u32);
         assert_eq!(consumer.join().unwrap(), vec![7]);
+    }
+
+    /// Capacity 1 makes every item a hand-off in both directions: the producer parks
+    /// on the full queue, the consumer on the empty one, and each relies on the other's
+    /// conditional notify. The consumer cycles through every pop — single (blocking
+    /// and with a deadline), drain, and the spin-then-park batch pop the shards use. A
+    /// skipped wake-up that was owed hangs this test (or trips the deadline arm), not
+    /// production.
+    #[test]
+    fn capacity_one_ping_pong_never_loses_a_wake_up() {
+        const ITEMS: u64 = 100_000;
+        let queue = Arc::new(BoundedQueue::new(1));
+        let producer = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                for item in 1..=ITEMS {
+                    assert_eq!(queue.push_blocking(item, None), Ok(1));
+                }
+            })
+        };
+        let (mut next, mut turn, mut out) = (1, 0u64, Vec::new());
+        while next <= ITEMS {
+            turn += 1;
+            let batch = match turn % 4 {
+                0 => vec![queue.pop(None).expect("open")],
+                1 => vec![queue
+                    .pop(Some(Instant::now() + Duration::from_secs(60)))
+                    .expect("a wake-up owed to a parked consumer was skipped")],
+                2 => queue.drain(),
+                _ => {
+                    queue.pop_batch(&mut out, 4);
+                    std::mem::take(&mut out)
+                }
+            };
+            for received in batch {
+                assert_eq!(received, next, "in order, exactly once");
+                next += 1;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(queue.try_pop(), Err(PopError::Empty));
+        let inner = queue.inner.lock();
+        assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
+    }
+
+    /// Closing wakes a parked producer and every kind of parked consumer. "Parked" is
+    /// observed, not slept for: the waiter count is raised under the lock the wait then
+    /// releases, so seeing it under that lock means the thread is inside the wait.
+    #[test]
+    fn close_wakes_waiters_parked_on_either_side() {
+        let wait_until = |queue: &BoundedQueue<u64>, parked: fn(&Inner<u64>) -> bool| {
+            while !parked(&queue.inner.lock()) {
+                thread::yield_now();
+            }
+        };
+        let full = Arc::new(BoundedQueue::new(1));
+        full.push(1);
+        let producer = {
+            let full = Arc::clone(&full);
+            thread::spawn(move || full.push_blocking(2, None))
+        };
+        wait_until(&full, |inner| inner.waiting_producers == 1);
+        full.close();
+        assert_eq!(producer.join().unwrap(), Err(2));
+        assert_eq!(full.push_shedding(3), Err(3), "a closed queue takes nothing");
+
+        let empty = Arc::new(BoundedQueue::<u64>::new(1));
+        let consumers: Vec<_> = (0..3)
+            .map(|index| {
+                let empty = Arc::clone(&empty);
+                thread::spawn(move || match index {
+                    0 => empty.pop(None),
+                    1 => empty.pop(Some(Instant::now() + Duration::from_secs(60))),
+                    _ => match empty.pop_batch(&mut Vec::new(), 4) {
+                        0 => Err(PopError::Closed),
+                        _ => Ok(0),
+                    },
+                })
+            })
+            .collect();
+        wait_until(&empty, |inner| inner.waiting_consumers == 3);
+        empty.close();
+        for consumer in consumers {
+            assert_eq!(consumer.join().unwrap(), Err(PopError::Closed));
+        }
+        let inner = empty.inner.lock();
+        assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
     }
 }

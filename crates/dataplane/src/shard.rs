@@ -1,12 +1,12 @@
 //! Shard worker: the per-thread enforcement loop.
 //!
-//! Each shard owns an ingress [`BoundedQueue`](crate::queue::BoundedQueue) of
-//! [`ShardTask`]s, a private [`DecisionCache`] for IFC, a private
-//! [`AdmissionCache`] for contextual AC (subscribed to the engine's context store), a
-//! private quench-mask cache, and a private [`BatchedAppender`] writing a per-shard
-//! hash-chained audit log. Components are assigned to shards by a stable hash of their
-//! name; a message is enforced on the *destination's* shard, so one overloaded
-//! subscriber backpressures only its own shard.
+//! Each shard owns an ingress [`BoundedQueue`] of [`ShardTask`]s, a private
+//! [`DecisionCache`] for IFC, a private [`AdmissionCache`] for contextual AC
+//! (subscribed to the engine's context store), a private quench-mask cache, and a
+//! private [`BatchedAppender`] writing a per-shard hash-chained audit log. Components
+//! are assigned to shards by a stable hash of their name; a message is enforced on the
+//! *destination's* shard, so one overloaded subscriber backpressures only its own
+//! shard.
 //!
 //! Everything a delivery passes through here — the queued task, the supervisor's
 //! in-flight descriptor, the deferred hand-off, the pair-summary key — names its two
@@ -17,11 +17,17 @@
 //! and the table keeps the name of an endpoint that has left, so such evidence can
 //! always be written.
 //!
-//! The loop amortises synchronisation over pop batches: one directory read-lock
-//! acquisition, one context-store freshness check, one `in_flight` decrement and one
-//! flush of the statistics counters per batch of up to [`POP_BATCH`] tasks, rather
-//! than per message. The counters themselves — the live ones, the batch-local deltas
-//! and the flush between them — are declared in [`crate::telemetry`]'s one table.
+//! A shard has one loop, [`worker_loop`]: pop a batch, run its tasks under one
+//! directory read lock, then push the batch's enforced deliveries into their mailboxes
+//! — each a [`BoundedQueue`] too — with the lock released. It amortises
+//! synchronisation over the batch: one directory read-lock acquisition, one
+//! context-store freshness check, one `in_flight` decrement and one flush of the
+//! statistics counters per batch of up to [`POP_BATCH`] tasks, rather than per
+//! message. The counters themselves — the live ones, the batch-local deltas and the
+//! flush between them — are declared in [`crate::telemetry`]'s one table. The
+//! supervisor, [`run_worker`], re-enters that loop after a panic; once its restart
+//! budget is spent it re-enters it *degraded*, and the same steps then evidence each
+//! delivery as lost and each prepared hand-off as abandoned, until `Shutdown`.
 //!
 //! The §8.2.2 sequence — isolation, contextual AC at message-type granularity, IFC
 //! over the message's *effective* context — is not written here: each delivery is one
@@ -46,12 +52,12 @@ use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{can_flow, context_hash64, DecisionCache, SecurityContext};
 use legaliot_middleware::admission::{enforce, AdmissionCache, MessageFacts, Verdict};
-use legaliot_middleware::{FrozenMessage, MessageType, Operation};
+use legaliot_middleware::{FrozenMessage, Operation};
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedState};
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::BoundedQueue;
-use crate::subscriber::MailboxPush;
+use crate::subscriber::OverflowPolicy;
 use crate::telemetry::{BatchCounters, DeliveryProbe, ShardCounters, ShardTelemetry, Stage};
 
 /// Work items delivered to a shard's ingress queue.
@@ -147,7 +153,7 @@ struct PairSummary {
 /// control-plane write — including the `deregister`/handle-drop that is supposed to
 /// release the mailbox.
 struct PendingHandOff {
-    mailbox: Arc<crate::subscriber::Mailbox>,
+    mailbox: Arc<BoundedQueue<FrozenMessage>>,
     from: EndpointId,
     to: EndpointId,
     at_millis: u64,
@@ -327,10 +333,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// restart budget with exponential backoff
 /// ([`DataplaneConfig::restart_budget`] /
 /// [`DataplaneConfig::restart_backoff`]). Once the budget is exhausted the
-/// shard degrades: everything already accepted is evidenced as lost,
-/// publishers routed here fail fast with `ShardUnavailable`, and the worker
-/// keeps draining (and evidencing) its queue so `drain` and shutdown never
-/// hang on a dead shard.
+/// shard degrades: publishers routed here fail fast with `ShardUnavailable`,
+/// and the worker re-enters the same loop, which then evidences everything
+/// already accepted as lost instead of enforcing it and keeps popping until
+/// Shutdown, so `drain` and shutdown never hang on a dead shard.
 pub(crate) fn run_worker(
     index: usize,
     shared: Arc<SharedState>,
@@ -376,40 +382,32 @@ pub(crate) fn run_worker(
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             worker_loop(index, &shared, &config, &store, &mut state, &mut progress);
         }));
-        match outcome {
-            Ok(()) => break,
-            Err(payload) => {
-                let cause = panic_message(payload.as_ref());
-                recover_unit(&shared, &mut state, &mut progress, &cause);
-                let shard = &shared.shards[index];
-                if restarts < config.restart_budget {
-                    restarts += 1;
-                    shard.counters.shard_restarts.inc();
-                    // Exponential backoff, capped: a crash-looping shard backs
-                    // off without stalling drain for long.
-                    let exponent = (restarts - 1).min(6);
-                    std::thread::sleep(config.restart_backoff.saturating_mul(1u32 << exponent));
-                    rebuild_state(&mut state, &store);
-                    state.appender.append(
-                        AuditEvent::ShardRestarted {
-                            shard: authority.clone(),
-                            restart: u64::from(restarts),
-                            cause,
-                        },
-                        progress.last_millis,
-                    );
-                } else {
-                    // Budget exhausted: degrade. Set the flag first so
-                    // publishers start failing fast, then evidence everything
-                    // already accepted and keep draining until Shutdown.
-                    shard.degraded.store(true, Ordering::SeqCst);
-                    abandon_progress(&shared, &mut state, &mut progress, shard);
-                    if !progress.shutdown {
-                        reject_until_shutdown(&shared, &mut state, shard, &mut progress);
-                    }
-                    break;
-                }
-            }
+        let Err(payload) = outcome else { break };
+        let cause = panic_message(payload.as_ref());
+        recover_unit(&shared, &mut state, &mut progress, &cause);
+        let shard = &shared.shards[index];
+        if restarts < config.restart_budget {
+            restarts += 1;
+            shard.counters.shard_restarts.inc();
+            // Exponential backoff, capped: a crash-looping shard backs off without
+            // stalling drain for long.
+            let exponent = (restarts - 1).min(6);
+            std::thread::sleep(config.restart_backoff.saturating_mul(1u32 << exponent));
+            rebuild_state(&mut state, &store);
+            state.appender.append(
+                AuditEvent::ShardRestarted {
+                    shard: authority.clone(),
+                    restart: u64::from(restarts),
+                    cause,
+                },
+                progress.last_millis,
+            );
+        } else {
+            // Budget exhausted: degrade. Publishers routed here fail fast from now on,
+            // and the loop re-entered above evidences everything it is still handed —
+            // the rest of the batch, its prepared hand-offs, whatever publishers raced
+            // the flag — as lost, until Shutdown.
+            shard.degraded.store(true, Ordering::SeqCst);
         }
     }
 
@@ -531,31 +529,22 @@ fn recover_unit(
     progress.local = progress.saved_counters;
     progress.pending.truncate(progress.saved_pending);
     if let Some(unit) = progress.unit.take() {
-        let cause = if unit.hand_off {
-            format!("mailbox hand-off abandoned: {cause}")
-        } else {
+        if !unit.hand_off {
             progress.local.deliveries_lost += 1;
             // Skip the poisoned task on resume.
             progress.cursor += 1;
-            cause.to_string()
-        };
-        evidence_loss(
-            &mut state.appender,
-            shared,
-            (unit.from, unit.to),
-            unit.message.message_type(),
-            cause,
-            unit.at_millis,
-        );
+        }
+        unit.evidence_loss(&mut state.appender, shared, cause);
     }
     // `unit == None`: the panic hit batch scanning or a non-delivery task.
     // The cursor stays put — the slot holds at worst an inert tombstone, so
     // re-running it is a no-op, and no delivery was lost.
 }
 
-/// The enforcement loop proper. Panics propagate to the supervisor in
+/// The shard loop, the one there is. Panics propagate to the supervisor in
 /// [`run_worker`]; all resumable state lives in `progress`/`state`, which the
-/// supervisor owns.
+/// supervisor owns. A degraded shard runs it too, enforcing nothing and consulting no
+/// failpoint: see [`run_batch`].
 fn worker_loop(
     index: usize,
     shared: &Arc<SharedState>,
@@ -565,16 +554,20 @@ fn worker_loop(
     progress: &mut BatchProgress,
 ) {
     let shard = &shared.shards[index];
+    // Only the supervisor sets the flag, between two runs of this loop.
+    let degraded = shard.degraded.load(Ordering::Relaxed);
     loop {
         if !progress.active {
             if progress.shutdown {
                 return;
             }
-            failpoint::inject(&config.failpoints, FailpointSite::ShardLoop);
+            if !degraded {
+                failpoint::inject(&config.failpoints, FailpointSite::ShardLoop);
+            }
             shard.queue.pop_batch(&mut progress.batch, POP_BATCH);
             progress.begin();
         }
-        run_batch(shared, config, store, state, progress, shard);
+        run_batch(shared, config, store, state, progress, shard, degraded);
         flush_batch(shard, progress);
         if progress.shutdown {
             return;
@@ -585,6 +578,11 @@ fn worker_loop(
 /// Processes (or, after a restart, resumes) the active batch: the task loop
 /// under one directory read lock, then the deferred mailbox hand-offs with the
 /// lock released.
+///
+/// On a `degraded` shard the batch takes the same steps without enforcing: a
+/// delivery is evidenced as lost and counted in `deliveries_lost` where it would be
+/// enforced, a prepared hand-off is evidenced as abandoned where it would be pushed,
+/// and no lock is taken.
 fn run_batch(
     shared: &Arc<SharedState>,
     config: &DataplaneConfig,
@@ -592,6 +590,7 @@ fn run_batch(
     state: &mut WorkerState,
     progress: &mut BatchProgress,
     shard: &ShardState,
+    degraded: bool,
 ) {
     let telemetry = &shard.telemetry;
     {
@@ -602,7 +601,7 @@ fn run_batch(
         // released, so a full mailbox never wedges control-plane writers.
         let remaining = &progress.batch[progress.cursor..];
         let has_deliver = remaining.iter().any(|t| matches!(t, ShardTask::Deliver { .. }));
-        let directory = if has_deliver {
+        let directory = if has_deliver && !degraded {
             // Directory-lock wait is a contention series: one sample per batch,
             // so a writer-heavy control plane shows up as a fat tail here.
             if telemetry.enabled() {
@@ -645,26 +644,31 @@ fn run_batch(
             match task {
                 ShardTask::Deliver { from, to, at_millis, enqueued_ns, body } => {
                     progress.last_millis = at_millis;
-                    progress.unit = Some(InFlight {
+                    let unit = progress.unit.insert(InFlight {
                         hand_off: false,
                         from,
                         to,
                         at_millis,
                         message: body.clone(),
                     });
-                    let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
-                    process_delivery(
-                        directory.as_deref().expect("lock held when batch has deliveries"),
-                        config,
-                        state,
-                        &mut progress.local,
-                        &mut progress.pending,
-                        probe,
-                        from,
-                        to,
-                        at_millis,
-                        body,
-                    );
+                    if degraded {
+                        progress.local.deliveries_lost += 1;
+                        unit.evidence_loss(&mut state.appender, shared, DEGRADED);
+                    } else {
+                        let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
+                        process_delivery(
+                            directory.as_deref().expect("lock held when batch has deliveries"),
+                            config,
+                            state,
+                            &mut progress.local,
+                            &mut progress.pending,
+                            probe,
+                            from,
+                            to,
+                            at_millis,
+                            body,
+                        );
+                    }
                 }
                 ShardTask::Invalidate { context_hash } => {
                     state.cache.invalidate_context(context_hash);
@@ -694,14 +698,18 @@ fn run_batch(
         progress.saved_counters = progress.local;
         progress.saved_pending = progress.pending.len();
         let Some(hand_off) = progress.pending.pop_front() else { break };
-        progress.unit = Some(InFlight {
+        let unit = progress.unit.insert(InFlight {
             hand_off: true,
             from: hand_off.from,
             to: hand_off.to,
             at_millis: hand_off.at_millis,
             message: hand_off.item.clone(),
         });
-        complete_hand_off(shared, config, state, &mut progress.local, telemetry, hand_off);
+        if degraded {
+            unit.evidence_loss(&mut state.appender, shared, DEGRADED);
+        } else {
+            complete_hand_off(shared, config, state, &mut progress.local, telemetry, hand_off);
+        }
         progress.unit = None;
     }
 }
@@ -718,115 +726,32 @@ fn flush_batch(shard: &ShardState, progress: &mut BatchProgress) {
 /// Why a degraded shard evidences accepted work as lost.
 const DEGRADED: &str = "shard degraded: restart budget exhausted";
 
-/// Appends the one `DeliveryLost` record for an accepted delivery (or its hand-off)
-/// that will never complete — every loss is evidenced, never silent. Runs on the
-/// supervisor's side of the worker, with no directory lock held: the names are read
-/// under a short read lock of their own, and are there whether or not either endpoint
-/// is still registered.
-fn evidence_loss(
-    appender: &mut BatchedAppender,
-    shared: &SharedState,
-    (from, to): PairKey,
-    message_type: &MessageType,
-    cause: String,
-    at_millis: u64,
-) {
-    let (source, destination) = {
-        let directory = shared.directory.read();
-        (directory.endpoints.name(from).to_string(), directory.endpoints.name(to).to_string())
-    };
-    appender.append(
-        AuditEvent::DeliveryLost {
-            source,
-            destination,
-            message_type: Some(message_type.to_string()),
-            lost: 1,
-            cause,
-        },
-        at_millis,
-    );
-}
-
-/// A degraded shard's treatment of queued tasks: every delivery is evidenced as lost
-/// and discarded, a `Shutdown` is noted. Returns how many deliveries were lost.
-fn discard_as_lost(
-    appender: &mut BatchedAppender,
-    shared: &SharedState,
-    tasks: impl Iterator<Item = ShardTask>,
-    shutdown: &mut bool,
-) -> u64 {
-    let mut lost = 0;
-    for task in tasks {
-        match task {
-            ShardTask::Deliver { from, to, at_millis, body, .. } => {
-                lost += 1;
-                let cause = DEGRADED.to_string();
-                evidence_loss(appender, shared, (from, to), body.message_type(), cause, at_millis);
-            }
-            ShardTask::Invalidate { .. } => {}
-            ShardTask::Shutdown => *shutdown = true,
-            #[cfg(test)]
-            ShardTask::Block(barrier) => {
-                barrier.wait();
-            }
-        }
-    }
-    lost
-}
-
-/// Degraded-mode turn-down of the active batch: every remaining task and
-/// prepared hand-off is evidenced as lost (never silently dropped), then the
-/// batch's counters are flushed and its `in_flight` hold released so `drain`
-/// completes.
-fn abandon_progress(
-    shared: &SharedState,
-    state: &mut WorkerState,
-    progress: &mut BatchProgress,
-    shard: &ShardState,
-) {
-    if !progress.active {
-        return;
-    }
-    let remaining = progress.batch.drain(progress.cursor..);
-    progress.local.deliveries_lost +=
-        discard_as_lost(&mut state.appender, shared, remaining, &mut progress.shutdown);
-    progress.batch.clear();
-    progress.cursor = 0;
-    while let Some(hand_off) = progress.pending.pop_front() {
-        // Already enforced and counted delivered; evidence the abandoned
-        // receiver-side hand-off without re-counting it.
-        evidence_loss(
-            &mut state.appender,
-            shared,
-            (hand_off.from, hand_off.to),
-            hand_off.item.message_type(),
-            format!("mailbox hand-off abandoned: {DEGRADED}"),
-            hand_off.at_millis,
+impl InFlight {
+    /// Appends the one `DeliveryLost` record for an accepted delivery (or its
+    /// hand-off) that will never complete — every loss is evidenced, never silent.
+    /// Runs with no directory lock held: the names are read under a short read lock
+    /// of their own, and are there whether or not either endpoint is still registered.
+    fn evidence_loss(&self, appender: &mut BatchedAppender, shared: &SharedState, cause: &str) {
+        let (source, destination) = {
+            let directory = shared.directory.read();
+            let name = |id| directory.endpoints.name(id).to_string();
+            (name(self.from), name(self.to))
+        };
+        let cause = if self.hand_off {
+            format!("mailbox hand-off abandoned: {cause}")
+        } else {
+            cause.to_string()
+        };
+        appender.append(
+            AuditEvent::DeliveryLost {
+                source,
+                destination,
+                message_type: Some(self.message.message_type().to_string()),
+                lost: 1,
+                cause,
+            },
+            self.at_millis,
         );
-    }
-    flush_batch(shard, progress);
-}
-
-/// The degraded shard's terminal loop: keep popping so publishers that raced
-/// the degraded flag — and control-plane broadcasts — are drained (deliveries
-/// evidenced as lost, their `in_flight` released) until Shutdown arrives.
-/// Without this, `drain()` and `shutdown()` would hang on a dead shard.
-fn reject_until_shutdown(
-    shared: &SharedState,
-    state: &mut WorkerState,
-    shard: &ShardState,
-    progress: &mut BatchProgress,
-) {
-    loop {
-        shard.queue.pop_batch(&mut progress.batch, POP_BATCH);
-        let popped = progress.batch.len() as u64;
-        let tasks = progress.batch.drain(..);
-        let lost = discard_as_lost(&mut state.appender, shared, tasks, &mut progress.shutdown);
-        shard.counters.deliveries_lost.add(lost);
-        shard.in_flight.fetch_sub(popped, Ordering::SeqCst);
-        if progress.shutdown {
-            return;
-        }
     }
 }
 
@@ -1043,13 +968,16 @@ fn complete_hand_off(
     // that actually waited.
     let started = telemetry.enabled().then(Instant::now);
     let stall = started.map(|_| telemetry.stage_histogram(Stage::BlockStall));
-    let outcome = mailbox.push(item, stall);
+    let outcome = match config.overflow {
+        OverflowPolicy::Block => mailbox.push_blocking(item, stall).map(|_| None),
+        OverflowPolicy::DropOldest => mailbox.push_shedding(item),
+    };
     if let Some(started) = started {
         telemetry.record_ns(Stage::Handoff, started.elapsed().as_nanos() as u64);
     }
     match outcome {
-        MailboxPush::Enqueued => local.receiver_enqueued += 1,
-        MailboxPush::DroppedOldest(shed) => {
+        Ok(None) => local.receiver_enqueued += 1,
+        Ok(Some(shed)) => {
             local.receiver_enqueued += 1;
             local.receiver_dropped += 1;
             // The shed delivery names its own source; the directory (not locked here,
@@ -1076,6 +1004,7 @@ fn complete_hand_off(
                 }
             }
         }
-        MailboxPush::Closed => {}
+        // The mailbox closed: the delivery is discarded, as its consumer is gone.
+        Err(_) => {}
     }
 }

@@ -1,16 +1,18 @@
-//! Consumer-facing streaming receivers: bounded per-subscriber mailboxes and the
-//! [`Subscriber`] handle that drains them.
+//! Consumer-facing streaming receivers: the [`Subscriber`] handle on an endpoint's
+//! mailbox.
 //!
 //! The paper's guarantee is about what a subscriber *ultimately observes* — messages
 //! admitted, IFC-checked and quenched per its context. The dataplane's shards enforce
 //! per delivery; a bounded per-endpoint mailbox is the hand-off point where an
-//! enforced (post-quench) body becomes visible to application code. The hand-off is a
-//! [`FrozenMessage`] by value — a body handle and a presence mask, two words, never a
-//! payload copy and no allocation on the shard; the `Arc` the public
-//! [`ReceivedMessage::Frozen`] wraps it in is made by the receive call, on the
-//! consumer's thread and outside the mailbox lock, which is also where it is freed.
+//! enforced (post-quench) body becomes visible to application code. A mailbox is the
+//! same [`BoundedQueue`] a shard's ingress is, holding [`FrozenMessage`]s by value — a
+//! body handle and a presence mask, two words, never a payload copy and no allocation
+//! on the shard; the `Arc` the public [`ReceivedMessage::Frozen`] wraps it in is made
+//! by the receive call, on the consumer's thread and outside the queue lock, which is
+//! also where it is freed. This module only maps the queue's pops onto the receive
+//! calls and their errors.
 //!
-//! Mailboxes are bounded. What happens on overflow is the subscriber's
+//! What happens when a delivery lands on a full mailbox is the dataplane's
 //! [`OverflowPolicy`]:
 //!
 //! * [`OverflowPolicy::Block`] — the delivering shard waits for mailbox space. The
@@ -23,21 +25,18 @@
 //!   accounts for every admitted-but-unobserved message.
 //!
 //! Closing is cooperative and never blocks the hot path: dropping (or
-//! [`Subscriber::close`]-ing) the handle marks the mailbox closed, and shards simply
-//! stop enqueueing to it — a flag check under the mailbox's own lock, no directory
-//! write. A closed mailbox still hands out what it already holds; `recv` reports
-//! [`RecvError::Disconnected`] only once the backlog is drained.
+//! [`Subscriber::close`]-ing) the handle closes the queue, and shards simply stop
+//! enqueueing to it — a flag check, no directory write. A closed mailbox still hands
+//! out what it already holds; `recv` reports [`RecvError::Disconnected`] only once the
+//! backlog is drained.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use legaliot_middleware::{AttributeValue, FrozenMessage, Message, MessageType};
-use legaliot_obs::LatencyHistogram;
+
+use crate::queue::{BoundedQueue, PopError};
 
 /// What a shard does when a delivery lands on a full mailbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,234 +164,6 @@ impl std::error::Error for RecvError {}
 impl std::error::Error for TryRecvError {}
 impl std::error::Error for RecvTimeoutError {}
 
-/// Outcome of a shard's attempt to enqueue a delivery (engine-internal).
-#[derive(Debug)]
-pub(crate) enum MailboxPush {
-    /// The delivery is queued for the consumer.
-    Enqueued,
-    /// The delivery is queued; the returned oldest queued message was shed to make
-    /// room (the caller audits it against its own source and message type).
-    DroppedOldest(FrozenMessage),
-    /// The mailbox is closed; the delivery was discarded without queueing.
-    Closed,
-}
-
-#[derive(Debug, Default)]
-struct MailboxInner {
-    queue: VecDeque<FrozenMessage>,
-    /// Deliveries shed by drop-oldest overflow since the mailbox opened.
-    dropped: u64,
-    /// Consumers parked on `not_empty` / producers parked on `not_full`. Raised
-    /// under the lock before the wait releases it, so whoever changes the queue
-    /// under the lock afterwards sees the count and notifies; at zero the notify —
-    /// a futex wake with nobody to wake — is skipped.
-    waiting_consumers: usize,
-    waiting_producers: usize,
-}
-
-impl MailboxInner {
-    /// Takes the oldest delivery and says whether a parked producer is owed a wake.
-    fn pop(&mut self) -> Option<(FrozenMessage, bool)> {
-        self.queue.pop_front().map(|item| (item, self.waiting_producers > 0))
-    }
-}
-
-/// The bounded hand-off queue between a subscriber's shard and its consumer.
-///
-/// Shards push after releasing the engine's directory lock (a Block-policy push may
-/// park); consumers pop through a [`Subscriber`] without touching the directory at
-/// all, so neither side can deadlock against the control plane. What is queued is the
-/// delivery by value; see the module docs. The `closed` flag is additionally
-/// mirrored in an atomic so the shard's common case (open mailbox) and the
-/// engine's teardown broadcast stay cheap.
-#[derive(Debug)]
-pub(crate) struct Mailbox {
-    inner: Mutex<MailboxInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    policy: OverflowPolicy,
-    closed: AtomicBool,
-}
-
-impl Mailbox {
-    pub(crate) fn new(capacity: usize, policy: OverflowPolicy) -> Self {
-        Mailbox {
-            inner: Mutex::new(MailboxInner::default()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-            policy,
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// Marks the mailbox closed and wakes every waiter (consumers observe
-    /// `Disconnected` once drained; a shard blocked on `push` discards and moves on).
-    pub(crate) fn close(&self) {
-        // The store happens under the lock so close linearizes against `push`: a
-        // push holding the lock either completes before the close (a delivery that
-        // legitimately arrived first) or re-checks the flag under the lock and
-        // discards. Waiters either see `closed` before parking or are woken by the
-        // notifies below.
-        let guard = self.inner.lock();
-        self.closed.store(true, Ordering::Release);
-        drop(guard);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Enqueues a delivery per the overflow policy. Never blocks under
-    /// [`OverflowPolicy::DropOldest`]; under [`OverflowPolicy::Block`] waits until the
-    /// consumer makes space or the mailbox closes.
-    ///
-    /// When `stall` is provided (telemetry enabled), the time a Block-policy push
-    /// spends parked on the full mailbox is recorded there — one sample per push that
-    /// actually stalled, so the fast path takes no timestamps.
-    pub(crate) fn push(
-        &self,
-        item: FrozenMessage,
-        stall: Option<&LatencyHistogram>,
-    ) -> MailboxPush {
-        // Cheap lock-free fast path for long-closed mailboxes; the authoritative
-        // check is re-done under the lock, where it linearizes against `close`.
-        if self.is_closed() {
-            return MailboxPush::Closed;
-        }
-        let mut inner = self.inner.lock();
-        if self.is_closed() {
-            return MailboxPush::Closed;
-        }
-        let mut stalled_since: Option<Instant> = None;
-        let record_stall = |since: Option<Instant>| {
-            if let (Some(histogram), Some(since)) = (stall, since) {
-                histogram.record(since.elapsed().as_nanos() as u64);
-            }
-        };
-        while inner.queue.len() >= self.capacity {
-            match self.policy {
-                OverflowPolicy::DropOldest => {
-                    let shed = inner.queue.pop_front().expect("full implies non-empty");
-                    inner.dropped += 1;
-                    inner.queue.push_back(item);
-                    let wake = inner.waiting_consumers > 0;
-                    drop(inner);
-                    if wake {
-                        self.not_empty.notify_one();
-                    }
-                    return MailboxPush::DroppedOldest(shed);
-                }
-                OverflowPolicy::Block => {
-                    if stall.is_some() && stalled_since.is_none() {
-                        stalled_since = Some(Instant::now());
-                    }
-                    inner.waiting_producers += 1;
-                    inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
-                    inner.waiting_producers -= 1;
-                    if self.is_closed() {
-                        drop(inner);
-                        record_stall(stalled_since);
-                        return MailboxPush::Closed;
-                    }
-                }
-            }
-        }
-        inner.queue.push_back(item);
-        let wake = inner.waiting_consumers > 0;
-        drop(inner);
-        record_stall(stalled_since);
-        if wake {
-            self.not_empty.notify_one();
-        }
-        MailboxPush::Enqueued
-    }
-
-    fn recv(&self) -> Result<FrozenMessage, RecvError> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some((item, wake)) = inner.pop() {
-                drop(inner);
-                if wake {
-                    self.not_full.notify_one();
-                }
-                return Ok(item);
-            }
-            if self.is_closed() {
-                return Err(RecvError::Disconnected);
-            }
-            inner.waiting_consumers += 1;
-            inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
-            inner.waiting_consumers -= 1;
-        }
-    }
-
-    fn try_recv(&self) -> Result<FrozenMessage, TryRecvError> {
-        let mut inner = self.inner.lock();
-        match inner.pop() {
-            Some((item, wake)) => {
-                drop(inner);
-                if wake {
-                    self.not_full.notify_one();
-                }
-                Ok(item)
-            }
-            None if self.is_closed() => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<FrozenMessage, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some((item, wake)) = inner.pop() {
-                drop(inner);
-                if wake {
-                    self.not_full.notify_one();
-                }
-                return Ok(item);
-            }
-            if self.is_closed() {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            inner.waiting_consumers += 1;
-            let (guard, _timed_out) = self
-                .not_empty
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            inner.waiting_consumers -= 1;
-        }
-    }
-
-    fn drain(&self) -> Vec<FrozenMessage> {
-        let mut inner = self.inner.lock();
-        let items: Vec<FrozenMessage> = inner.queue.drain(..).collect();
-        let wake = inner.waiting_producers > 0;
-        drop(inner);
-        if wake && !items.is_empty() {
-            self.not_full.notify_all();
-        }
-        items
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-}
-
 /// A consumer's handle on one endpoint's mailbox, opened with
 /// [`crate::Dataplane::open_subscriber`] (or
 /// [`crate::Dataplane::subscribe_receiver`]).
@@ -405,11 +176,11 @@ impl Mailbox {
 #[derive(Debug)]
 pub struct Subscriber {
     name: Arc<str>,
-    mailbox: Arc<Mailbox>,
+    mailbox: Arc<BoundedQueue<FrozenMessage>>,
 }
 
 impl Subscriber {
-    pub(crate) fn new(name: Arc<str>, mailbox: Arc<Mailbox>) -> Self {
+    pub(crate) fn new(name: Arc<str>, mailbox: Arc<BoundedQueue<FrozenMessage>>) -> Self {
         Subscriber { name, mailbox }
     }
 
@@ -424,7 +195,8 @@ impl Subscriber {
     ///
     /// [`RecvError::Disconnected`] once the mailbox is closed *and* drained.
     pub fn recv(&self) -> Result<ReceivedMessage, RecvError> {
-        self.mailbox.recv().map(ReceivedMessage::wrap)
+        let delivery = self.mailbox.pop(None).map_err(|_| RecvError::Disconnected)?;
+        Ok(ReceivedMessage::wrap(delivery))
     }
 
     /// Returns the next delivery without blocking.
@@ -434,17 +206,27 @@ impl Subscriber {
     /// [`TryRecvError::Empty`] when nothing is queued;
     /// [`TryRecvError::Disconnected`] once closed and drained.
     pub fn try_recv(&self) -> Result<ReceivedMessage, TryRecvError> {
-        self.mailbox.try_recv().map(ReceivedMessage::wrap)
+        let delivery = self.mailbox.try_pop().map_err(|error| match error {
+            PopError::Empty => TryRecvError::Empty,
+            PopError::Closed => TryRecvError::Disconnected,
+        })?;
+        Ok(ReceivedMessage::wrap(delivery))
     }
 
-    /// Blocks for at most `timeout` for the next delivery.
+    /// Blocks for at most `timeout` for the next delivery. A timeout too long for the
+    /// clock to represent (`Duration::MAX`) waits like [`Self::recv`].
     ///
     /// # Errors
     ///
     /// [`RecvTimeoutError::Timeout`] when the timeout elapses;
     /// [`RecvTimeoutError::Disconnected`] once closed and drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<ReceivedMessage, RecvTimeoutError> {
-        self.mailbox.recv_timeout(timeout).map(ReceivedMessage::wrap)
+        let deadline = Instant::now().checked_add(timeout);
+        let delivery = self.mailbox.pop(deadline).map_err(|error| match error {
+            PopError::Empty => RecvTimeoutError::Timeout,
+            PopError::Closed => RecvTimeoutError::Disconnected,
+        })?;
+        Ok(ReceivedMessage::wrap(delivery))
     }
 
     /// Takes everything currently queued in one batch, without blocking (possibly
@@ -468,7 +250,7 @@ impl Subscriber {
     /// (each also counted in `DataplaneStats::receiver_dropped` and evidenced as a
     /// `DeliveryDropped` audit record).
     pub fn dropped(&self) -> u64 {
-        self.mailbox.dropped()
+        self.mailbox.shed()
     }
 
     /// Whether the mailbox is closed (shards no longer enqueue; queued backlog, if
@@ -509,164 +291,110 @@ mod tests {
         FrozenMessage::freeze_stamped(&message, schema, Arc::from(""), tag).unwrap()
     }
 
+    /// A mailbox of `capacity` and the handle on it, as `open_subscriber` makes them.
+    fn open(capacity: usize) -> (Arc<BoundedQueue<FrozenMessage>>, Subscriber) {
+        let mailbox = Arc::new(BoundedQueue::new(capacity));
+        (Arc::clone(&mailbox), Subscriber::new(Arc::from("s"), mailbox))
+    }
+
     #[test]
     fn drop_oldest_sheds_and_counts() {
-        let mailbox = Mailbox::new(2, OverflowPolicy::DropOldest);
-        assert!(matches!(mailbox.push(item(1), None), MailboxPush::Enqueued));
-        assert!(matches!(mailbox.push(item(2), None), MailboxPush::Enqueued));
+        let (mailbox, subscriber) = open(2);
+        assert!(matches!(mailbox.push_shedding(item(1)), Ok(None)));
+        assert!(matches!(mailbox.push_shedding(item(2)), Ok(None)));
         // The shed message is returned so the caller can audit it.
-        match mailbox.push(item(3), None) {
-            MailboxPush::DroppedOldest(shed) => assert_eq!(shed.sent_at_millis(), 1),
-            other => panic!("expected DroppedOldest, got {other:?}"),
+        match mailbox.push_shedding(item(3)) {
+            Ok(Some(shed)) => assert_eq!(shed.sent_at_millis(), 1),
+            other => panic!("expected the oldest delivery shed, got {other:?}"),
         }
-        assert_eq!(mailbox.dropped(), 1);
-        let received: Vec<u64> = mailbox.drain().into_iter().map(|m| m.sent_at_millis()).collect();
+        assert_eq!(subscriber.dropped(), 1);
+        let received: Vec<u64> =
+            subscriber.drain().iter().map(ReceivedMessage::sent_at_millis).collect();
         assert_eq!(received, vec![2, 3]);
     }
 
     #[test]
     fn block_policy_waits_for_the_consumer() {
-        let mailbox = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
-        assert!(matches!(mailbox.push(item(1), None), MailboxPush::Enqueued));
+        let (mailbox, subscriber) = open(1);
+        assert!(mailbox.push_blocking(item(1), None).is_ok());
         let producer = {
             let mailbox = Arc::clone(&mailbox);
-            thread::spawn(move || mailbox.push(item(2), None))
+            thread::spawn(move || mailbox.push_blocking(item(2), None).is_ok())
         };
         // The producer is parked on the full mailbox until this recv frees a slot.
-        let first = mailbox.recv().unwrap();
-        assert_eq!(first.sent_at_millis(), 1);
-        assert!(matches!(producer.join().unwrap(), MailboxPush::Enqueued));
-        assert_eq!(mailbox.recv().unwrap().sent_at_millis(), 2);
-        assert_eq!(mailbox.dropped(), 0);
+        assert_eq!(subscriber.recv().unwrap().sent_at_millis(), 1);
+        assert!(producer.join().unwrap());
+        assert_eq!(subscriber.recv().unwrap().sent_at_millis(), 2);
+        assert_eq!(subscriber.dropped(), 0);
     }
 
     #[test]
     fn close_unblocks_producers_and_consumers() {
-        let mailbox = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
-        mailbox.push(item(1), None);
+        let (mailbox, subscriber) = open(1);
+        mailbox.push(item(1));
         let blocked_producer = {
             let mailbox = Arc::clone(&mailbox);
-            thread::spawn(move || mailbox.push(item(2), None))
+            thread::spawn(move || mailbox.push_blocking(item(2), None).is_err())
         };
         let blocked_consumer = {
-            let mailbox = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
-            let handle = Arc::clone(&mailbox);
+            let (idle, handle) = open(1);
             let consumer = thread::spawn(move || handle.recv());
             thread::sleep(Duration::from_millis(20));
-            mailbox.close();
+            idle.close();
             consumer
         };
         thread::sleep(Duration::from_millis(20));
-        mailbox.close();
-        assert!(matches!(blocked_producer.join().unwrap(), MailboxPush::Closed));
+        subscriber.close();
+        assert!(blocked_producer.join().unwrap(), "the close discarded the blocked push");
         assert!(matches!(blocked_consumer.join().unwrap(), Err(RecvError::Disconnected)));
         // The backlog enqueued before the close is still received, then Disconnected.
-        assert_eq!(mailbox.recv().unwrap().sent_at_millis(), 1);
-        assert_eq!(mailbox.recv().unwrap_err(), RecvError::Disconnected);
-        assert_eq!(mailbox.try_recv().unwrap_err(), TryRecvError::Disconnected);
-        assert!(matches!(mailbox.push(item(9), None), MailboxPush::Closed));
-    }
-
-    /// Capacity 1 under `Block` makes every message a hand-off in both directions:
-    /// the producer parks on the full mailbox, the consumer on the empty one, and
-    /// each relies on the other's conditional notify. A skipped wake-up that was owed
-    /// hangs this test (or trips the `recv_timeout` arm), not production.
-    #[test]
-    fn capacity_one_ping_pong_never_loses_a_wake_up() {
-        use legaliot_ifc::SecurityContext;
-        use legaliot_middleware::{FrozenSchema, MessageSchema};
-        const MESSAGES: u64 = 100_000;
-        let mailbox = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
-        let producer = {
-            let mailbox = Arc::clone(&mailbox);
-            thread::spawn(move || {
-                let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
-                let message = Message::new("t", SecurityContext::public());
-                for tag in 1..=MESSAGES {
-                    let (schema, sender) = (Arc::clone(&schema), Arc::from(""));
-                    let item = FrozenMessage::freeze_stamped(&message, schema, sender, tag);
-                    assert!(matches!(mailbox.push(item.unwrap(), None), MailboxPush::Enqueued));
-                }
-            })
-        };
-        let mut next = 1;
-        let mut turn = 0u64;
-        while next <= MESSAGES {
-            turn += 1;
-            let batch = match turn % 3 {
-                0 => vec![mailbox.recv().expect("open")],
-                1 => vec![mailbox
-                    .recv_timeout(Duration::from_secs(60))
-                    .expect("a wake-up owed to a parked consumer was skipped")],
-                _ => mailbox.drain(),
-            };
-            for received in batch {
-                assert_eq!(received.sent_at_millis(), next, "in order, exactly once");
-                next += 1;
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(mailbox.try_recv().unwrap_err(), TryRecvError::Empty);
-        let inner = mailbox.inner.lock();
-        assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
-    }
-
-    /// Closing wakes a parked producer and a parked consumer. "Parked" is observed,
-    /// not slept for: the waiter count is raised under the lock the wait then
-    /// releases, so seeing it under that lock means the thread is inside the wait.
-    #[test]
-    fn close_wakes_waiters_parked_on_either_side() {
-        let wait_until = |mailbox: &Mailbox, parked: fn(&MailboxInner) -> bool| {
-            while !parked(&mailbox.inner.lock()) {
-                thread::yield_now();
-            }
-        };
-        let full = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
-        full.push(item(1), None);
-        let producer = {
-            let full = Arc::clone(&full);
-            thread::spawn(move || full.push(item(2), None))
-        };
-        wait_until(&full, |inner| inner.waiting_producers == 1);
-        full.close();
-        assert!(matches!(producer.join().unwrap(), MailboxPush::Closed));
-
-        let empty = Arc::new(Mailbox::new(1, OverflowPolicy::Block));
-        let consumers: Vec<_> = (0..2)
-            .map(|index| {
-                let empty = Arc::clone(&empty);
-                thread::spawn(move || match index {
-                    0 => empty.recv().map_err(|_| ()),
-                    _ => empty.recv_timeout(Duration::from_secs(60)).map_err(|error| {
-                        assert_eq!(error, RecvTimeoutError::Disconnected);
-                    }),
-                })
-            })
-            .collect();
-        wait_until(&empty, |inner| inner.waiting_consumers == 2);
-        empty.close();
-        for consumer in consumers {
-            assert!(consumer.join().unwrap().is_err());
-        }
-        let inner = empty.inner.lock();
-        assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
+        assert_eq!(subscriber.recv().unwrap().sent_at_millis(), 1);
+        assert_eq!(subscriber.recv().unwrap_err(), RecvError::Disconnected);
+        assert_eq!(subscriber.try_recv().unwrap_err(), TryRecvError::Disconnected);
+        assert!(mailbox.push_blocking(item(9), None).is_err());
+        assert!(mailbox.push_shedding(item(9)).is_err());
     }
 
     #[test]
     fn try_recv_and_timeout_report_empty_vs_disconnected() {
-        let mailbox = Mailbox::new(4, OverflowPolicy::Block);
-        assert_eq!(mailbox.try_recv().unwrap_err(), TryRecvError::Empty);
+        let (mailbox, subscriber) = open(4);
+        assert_eq!(subscriber.try_recv().unwrap_err(), TryRecvError::Empty);
         assert_eq!(
-            mailbox.recv_timeout(Duration::from_millis(10)).unwrap_err(),
+            subscriber.recv_timeout(Duration::from_millis(10)).unwrap_err(),
             RecvTimeoutError::Timeout
         );
-        mailbox.push(item(5), None);
-        assert_eq!(mailbox.recv_timeout(Duration::from_millis(10)).unwrap().sent_at_millis(), 5);
-        mailbox.close();
+        mailbox.push(item(5));
+        assert_eq!(subscriber.recv_timeout(Duration::from_millis(10)).unwrap().sent_at_millis(), 5);
+        subscriber.close();
         assert_eq!(
-            mailbox.recv_timeout(Duration::from_millis(10)).unwrap_err(),
+            subscriber.recv_timeout(Duration::from_millis(10)).unwrap_err(),
             RecvTimeoutError::Disconnected
         );
+    }
+
+    /// Regression: `Instant::now() + Duration::MAX` overflows, and `recv_timeout` used
+    /// to panic on it. A deadline the clock cannot represent waits like `recv`.
+    #[test]
+    fn recv_timeout_max_waits_like_recv() {
+        let (mailbox, subscriber) = open(1);
+        let producer = thread::spawn({
+            let mailbox = Arc::clone(&mailbox);
+            move || {
+                thread::sleep(Duration::from_millis(20));
+                mailbox.push(item(7));
+            }
+        });
+        assert_eq!(subscriber.recv_timeout(Duration::MAX).unwrap().sent_at_millis(), 7);
+        producer.join().unwrap();
+        let closer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            mailbox.close();
+        });
+        assert_eq!(
+            subscriber.recv_timeout(Duration::MAX).unwrap_err(),
+            RecvTimeoutError::Disconnected
+        );
+        closer.join().unwrap();
     }
 
     #[test]
