@@ -1,5 +1,5 @@
 //! The dataplane engine: registration, subscription (admission-checked channels),
-//! sharded publishing, context changes with cache invalidation, and shutdown reports.
+//! sharded publishing, context changes, and shutdown reports.
 //!
 //! Endpoint names are interned once, in the directory's `EndpointTable`: a name gets
 //! a small `Copy` `EndpointId` the first time it registers and keeps it for the
@@ -28,7 +28,7 @@ use parking_lot::{Mutex, RwLock};
 
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStats, SegmentStore};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
-use legaliot_ifc::{context_hash64, CacheStats, SecurityContext};
+use legaliot_ifc::SecurityContext;
 use legaliot_middleware::admission::admit_channel;
 use legaliot_middleware::{
     AccessRegime, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message,
@@ -38,7 +38,7 @@ use legaliot_obs::ObsConfig;
 
 use crate::failpoint::{self, FailpointRegistry};
 use crate::queue::BoundedQueue;
-use crate::shard::{panic_message, run_worker, ShardReport, ShardState, ShardTask};
+use crate::shard::{panic_message, run_worker, ShardState, ShardTask};
 use crate::subscriber::{OverflowPolicy, Subscriber};
 use crate::telemetry::{DataplaneStats, EngineCounters, TelemetrySnapshot};
 
@@ -52,13 +52,17 @@ pub enum AuditDetail {
     /// they are folded into per-pair `FlowSummary` records emitted at shutdown, so
     /// the evidence still totals every refused message.
     Full,
-    /// Full records for every IFC denial and for the first check of each context pair;
-    /// repeats fold into one `FlowSummary` per `(source, destination)` pair, emitted at
-    /// shutdown, whose counts total *every* check in the window (including the ones
-    /// also recorded individually). Isolation and per-message AC denials carry no
-    /// flow check, so they appear in the summary counts (and, for isolation, on the
-    /// control-plane log) only. Quenching is evidenced as one `MessageQuenched`
-    /// record per freshly computed non-empty mask. Orders of magnitude cheaper than
+    /// Full records for every IFC denial, and for the first allowed check of each
+    /// message type on a `(source, destination)` pair under the pair's current
+    /// (effective source, destination) contexts — a context change on either side
+    /// makes the next allowed check of each type a full record again. The rest fold
+    /// into one `FlowSummary` per pair, emitted at shutdown, whose counts total
+    /// *every* check in the window (including the ones also recorded individually).
+    /// Isolation and per-message AC denials carry no flow check, so they appear in the
+    /// summary counts (and, for isolation, on the control-plane log) only. Quenching
+    /// is evidenced as one `MessageQuenched` record beside each allowed check written
+    /// in full whose mask is non-empty. Which records exist depends on the message
+    /// stream alone, so a model can predict them. Orders of magnitude cheaper than
     /// [`AuditDetail::Full`] at high message rates.
     Summarised,
 }
@@ -112,12 +116,14 @@ impl PersistenceConfig {
 pub struct DataplaneConfig {
     /// Number of worker shards (threads). Components hash onto shards by name.
     pub shards: usize,
-    /// Whether to cache flow decisions per `(source ctx hash, destination ctx hash)`.
+    /// Inert: shards hold no flow-decision cache, every check is a [`can_flow`]
+    /// call. Kept so `benchmark/`, which sets it, keeps compiling; it goes when the
+    /// benchmark stops naming it.
+    ///
+    /// [`can_flow`]: legaliot_ifc::can_flow
     pub cache_decisions: bool,
-    /// Whether each shard caches per-message contextual AC decisions (subscribe-time
-    /// admission always evaluates the regime), invalidated through its [`ContextStore`]
-    /// subscription when a context key the rules read changes and, per component,
-    /// when the rules governing that component change.
+    /// Inert: shards hold no AC-decision cache, every per-message AC question is
+    /// answered by the regime. Kept, like [`Self::cache_decisions`], for `benchmark/`.
     pub cache_ac_decisions: bool,
     /// Records a shard appends to its hash-chained trail between two flushes — the
     /// cadence of the retention check (and so of pruning to disk).
@@ -151,8 +157,9 @@ pub struct DataplaneConfig {
     /// supervision and churn soaks. `None` (the default) disables every probe down
     /// to a single branch, the same zero-cost-when-off discipline as `telemetry`.
     pub failpoints: Option<Arc<FailpointRegistry>>,
-    /// How many times a panicked shard worker is restarted (caches cold, audit
-    /// chain re-anchored, the in-flight batch resumed) before the shard degrades.
+    /// How many times a panicked shard worker is restarted (the crashed delivery
+    /// evidenced as lost, the audit trail flushed and carried on, the rest of the
+    /// in-flight batch resumed) before the shard degrades.
     /// Once degraded, the shard evidences everything it receives as lost and
     /// publishes routed to it fail fast with [`DataplaneError::ShardUnavailable`].
     pub restart_budget: u32,
@@ -289,12 +296,11 @@ impl EndpointId {
     }
 }
 
-/// A registered endpoint: its component (context, principal, isolation), its shard, its
-/// current stable context hash, and its subscription edges in both directions.
+/// A registered endpoint: its component (context, principal, isolation), its shard, and
+/// its subscription edges in both directions.
 #[derive(Debug)]
 pub(crate) struct Endpoint {
     pub component: Component,
-    pub context_hash: u64,
     pub shard: usize,
     /// `(subscriber, subscriber's shard)`, admission-checked at subscribe time.
     /// Behind an `Arc` so a publish can snapshot the fan-out with one refcount bump
@@ -315,7 +321,6 @@ pub(crate) struct Endpoint {
 impl Endpoint {
     fn new(component: Component, shard: usize) -> Self {
         Endpoint {
-            context_hash: context_hash64(component.context()),
             component,
             shard,
             subscribers: Arc::new(Vec::new()),
@@ -462,7 +467,7 @@ pub(crate) struct SharedState {
     /// when persistence is off.
     pub persistence: Vec<Option<ShardPersistence>>,
     /// The context store enforcement-time AC decisions are evaluated against; shards
-    /// keep per-batch snapshots of it and their AC caches subscribe to it.
+    /// refresh a snapshot of it once per batch.
     pub context_store: Arc<ContextStore>,
     /// Time zero for telemetry: enqueue timestamps and worker-side clock reads are
     /// nanoseconds since this instant, so a `u64` carries them through [`ShardTask`]s.
@@ -479,16 +484,12 @@ pub struct DataplaneReport {
     pub shard_audit: Vec<AuditLog>,
     /// The control-plane audit log (subscriptions, context changes, isolation).
     pub control_audit: AuditLog,
-    /// Per-shard flow-decision-cache statistics.
-    pub cache_stats: Vec<CacheStats>,
-    /// Per-shard AC-decision-cache statistics (per-message contextual AC).
-    pub ac_cache_stats: Vec<CacheStats>,
     /// `(shard index, panic message)` for every worker that did not exit
     /// cleanly at shutdown. Supervision catches worker panics and restarts the
     /// shard, so this is empty in practice; it exists so teardown *never*
     /// re-panics — an escaped panic is reported here (with an empty audit log
-    /// and zeroed cache stats in that shard's slots) instead of aborting
-    /// shutdown and wedging the remaining joins.
+    /// in that shard's slot) instead of aborting shutdown and wedging the
+    /// remaining joins.
     pub worker_panics: Vec<(usize, String)>,
     /// Segment files sealed (fsynced and closed) across all shard stores,
     /// including the final seal each worker performs before its join returns.
@@ -511,13 +512,15 @@ impl DataplaneReport {
     }
 }
 
-/// A sharded, decision-cached publish/subscribe enforcement engine.
+/// A sharded publish/subscribe enforcement engine.
 ///
 /// The paper's enforcement model (§8.2.2) — admission checks at channel establishment,
-/// IFC on every message, re-evaluation on security-context change — run at dataplane
-/// rates: components shard across worker threads by name hash, each shard enforces its
-/// own subscribers' traffic against a private flow-decision cache, and audit is written
-/// through per-shard batched appenders whose chains stay tamper-evident.
+/// AC and IFC on every message, re-evaluation on security-context change — run at
+/// dataplane rates: components shard across worker threads by name hash, each shard
+/// enforces its own subscribers' traffic against the directory's current contexts and
+/// rules (no decision is cached, so a change is in force for the next message judged),
+/// and audit is written through per-shard batched appenders whose chains stay
+/// tamper-evident.
 ///
 /// ```
 /// use legaliot_context::{ContextSnapshot, Timestamp};
@@ -547,7 +550,7 @@ impl DataplaneReport {
 #[derive(Debug)]
 pub struct Dataplane {
     shared: Arc<SharedState>,
-    workers: Vec<JoinHandle<ShardReport>>,
+    workers: Vec<JoinHandle<AuditLog>>,
     config: DataplaneConfig,
     counters: EngineCounters,
     /// Where published bodies come from and are reused (see the module docs). Taken
@@ -557,8 +560,8 @@ pub struct Dataplane {
 }
 
 /// Change-history retention of the store an engine creates for itself
-/// ([`Dataplane::new`]): nothing reads that history but the engine's own change-feed
-/// cursors, which compaction never overtakes, so a tail for debugging is all it keeps.
+/// ([`Dataplane::new`]): the engine reads snapshots, never the history, so a tail for
+/// debugging is all it keeps.
 const OWN_STORE_RETENTION: usize = 1024;
 
 impl Dataplane {
@@ -570,10 +573,11 @@ impl Dataplane {
     }
 
     /// Creates the engine around an externally owned [`ContextStore`]: per-message
-    /// AC decisions are evaluated against snapshots of this store, and the per-shard
-    /// AC caches subscribe to it so a [`ContextStore::set`] on a key a rule reads
-    /// forces re-evaluation on every shard. The store's retention stays its owner's
-    /// choice ([`ContextStore::set_retention`]; unbounded by default).
+    /// AC decisions are evaluated against snapshots of this store, which every shard
+    /// refreshes once per batch, so a [`ContextStore::set`] on a key a rule reads is in
+    /// force on every shard from its next batch on. The engine holds no subscription,
+    /// so the store's retention stays its owner's choice
+    /// ([`ContextStore::set_retention`]; unbounded by default).
     ///
     /// # Panics
     ///
@@ -655,8 +659,7 @@ impl Dataplane {
         &self.shared.context_store
     }
 
-    /// The shard a component name routes to (stable FNV-1a of the name, the same hash
-    /// family the decision cache uses).
+    /// The shard a component name routes to (stable FNV-1a of the name).
     pub fn shard_of(&self, name: &str) -> usize {
         (legaliot_ifc::str_hash64(name) % self.shared.shards.len() as u64) as usize
     }
@@ -936,8 +939,8 @@ impl Dataplane {
     /// the engine's ring has free when there is one — and shared zero-copy (one
     /// refcount bump per subscriber after the first). Per delivery
     /// the destination's shard calls [`legaliot_middleware::admission::enforce`] —
-    /// isolation, contextual AC at message-type granularity (cache-amortised), IFC
-    /// over the message's effective context — then quenches per attribute against the
+    /// isolation, contextual AC at message-type granularity, IFC over the message's
+    /// effective context — then quenches per attribute against the
     /// subscriber's secrecy label (Fig. 10), with quenched attribute names recorded in
     /// the per-shard audit.
     ///
@@ -979,41 +982,28 @@ impl Dataplane {
         self.enqueue_fanout(from, &subscribers, now, frozen)
     }
 
-    /// Changes an entity's security context and broadcasts invalidation of its old
-    /// cached decisions to every shard, preserving the paper's re-evaluation-on-
-    /// context-change semantics: no decision computed against the superseded context
-    /// survives, and the next message on any of the entity's channels re-walks the
-    /// lattice. The change is audited on the control-plane log.
+    /// Changes an entity's security context — one write under the directory lock,
+    /// audited on the control-plane log. That is all the paper's re-evaluation on
+    /// context change (§8.2.2) takes: shards cache no decision, so the next message on
+    /// any of the entity's channels, on every shard, is judged against the new context.
+    /// The call never waits on the data path.
     pub fn set_context(
         &self,
         name: &str,
         context: SecurityContext,
         now: Timestamp,
     ) -> Result<(), DataplaneError> {
-        let old_hash = {
-            let mut directory = self.shared.directory.write();
-            let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
-            let old_hash = endpoint.context_hash;
-            let before = endpoint.component.context().clone();
-            endpoint.component.entity_mut().set_context_trusted(context.clone());
-            endpoint.context_hash = context_hash64(&context);
-            directory.control_audit.append(
-                AuditEvent::LabelChanged {
-                    entity: name.to_string(),
-                    before,
-                    after: context,
-                    algorithm: None,
-                },
-                now.as_millis(),
-            );
-            old_hash
+        let mut directory = self.shared.directory.write();
+        let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
+        let before = endpoint.component.context().clone();
+        endpoint.component.entity_mut().set_context_trusted(context.clone());
+        let change = AuditEvent::LabelChanged {
+            entity: name.to_string(),
+            before,
+            after: context,
+            algorithm: None,
         };
-        // Broadcast after releasing the write lock: a full queue must not deadlock the
-        // workers (which take the read lock) against this writer.
-        for shard in &self.shared.shards {
-            shard.in_flight.fetch_add(1, Ordering::SeqCst);
-            shard.queue.push(ShardTask::Invalidate { context_hash: old_hash });
-        }
+        directory.control_audit.append(change, now.as_millis());
         Ok(())
     }
 
@@ -1126,7 +1116,7 @@ impl Dataplane {
     }
 
     /// Drains outstanding work, stops every worker and returns the final report with
-    /// all audit logs (chains intact) and cache statistics.
+    /// all audit logs (chains intact).
     pub fn shutdown(mut self) -> DataplaneReport {
         self.drain();
         for shard in &self.shared.shards {
@@ -1134,25 +1124,17 @@ impl Dataplane {
             shard.queue.push(ShardTask::Shutdown);
         }
         let mut shard_audit = Vec::with_capacity(self.workers.len());
-        let mut cache_stats = Vec::with_capacity(self.workers.len());
-        let mut ac_cache_stats = Vec::with_capacity(self.workers.len());
         let mut worker_panics = Vec::new();
         for (index, worker) in self.workers.drain(..).enumerate() {
             match worker.join() {
-                Ok(report) => {
-                    shard_audit.push(report.audit);
-                    cache_stats.push(report.cache_stats);
-                    ac_cache_stats.push(report.ac_cache_stats);
-                }
+                Ok(audit) => shard_audit.push(audit),
                 Err(payload) => {
                     // A panic that escaped supervision (e.g. in the shutdown
                     // epilogue). Reap it without re-panicking: capture the
-                    // payload and keep the report's per-shard vectors aligned
-                    // with placeholder slots.
+                    // payload and keep the report's shard logs aligned with a
+                    // placeholder slot.
                     worker_panics.push((index, panic_message(payload.as_ref())));
                     shard_audit.push(AuditLog::new(format!("{}-shard-{index}", self.shared.name)));
-                    cache_stats.push(CacheStats::default());
-                    ac_cache_stats.push(CacheStats::default());
                 }
             }
         }
@@ -1180,8 +1162,6 @@ impl Dataplane {
             stats,
             shard_audit,
             control_audit,
-            cache_stats,
-            ac_cache_stats,
             worker_panics,
             segments_sealed,
             unsynced_bytes,

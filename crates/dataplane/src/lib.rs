@@ -1,6 +1,6 @@
 //! # legaliot-dataplane
 //!
-//! A sharded, decision-cached publish/subscribe enforcement engine on top of the
+//! A sharded publish/subscribe enforcement engine on top of the
 //! `legaliot` middleware stack — the paper's §8.2.2 enforcement model (admission checks
 //! at channel establishment, IFC on every message, re-evaluation when a security
 //! context changes) scaled from a synchronous single-threaded bus to a multi-threaded
@@ -23,7 +23,7 @@
 //!   [`legaliot_middleware::BodyRing`] once every receiver has dropped it, and a
 //!   delivery travels by value from the publish to the mailbox, so in steady state
 //!   neither the publisher nor a shard allocates per message. Per-delivery source
-//!   quenching (Fig. 10) is a cached bitmask over the shared body instead of a map
+//!   quenching (Fig. 10) is the schema's bitmask over the shared body instead of a map
 //!   clone; quenched attribute names are evidenced in the per-shard audit
 //!   ([`legaliot_audit::AuditEvent::MessageQuenched`]).
 //! * **Endpoint handles** — a name is interned once, when it first registers, into a
@@ -31,18 +31,13 @@
 //!   queued deliveries and pair summaries carry ids, shards resolve them by index,
 //!   and the string is read only where an audit record is written — no name reference
 //!   count is touched per message.
-//! * **Decision caching** — each shard holds a private [`legaliot_ifc::DecisionCache`]
-//!   keyed by the stable 64-bit hashes of the (source, destination) security contexts.
-//!   Lookups always key on the entities' *current* hashes, and a context change
-//!   broadcasts invalidation of the superseded hash to every shard, so the paper's
-//!   re-evaluation-on-context-change semantics hold while redundant lattice walks are
-//!   skipped on the hot path. Contextual AC decisions (per-message, at message-type
-//!   granularity) are cached per shard too
-//!   ([`legaliot_middleware::AdmissionCache`]): per destination component, the
-//!   answers given under its current rules, each found by comparing the question
-//!   itself; a write to a context key those rules read drops them through the
-//!   shard's [`legaliot_context::ContextStore`] subscription, and a rule change
-//!   re-evaluates the decisions of the component it governs and no other.
+//! * **No decision caches** — a shard asks the access regime, [`legaliot_ifc::can_flow`]
+//!   and the schema's quench mask directly for every delivery, against the directory
+//!   and a context snapshot refreshed once per batch. Each answer costs about what a
+//!   cache probe did, and the paper's re-evaluation on context change (§8.2.2) needs
+//!   nothing beyond the change itself: [`Dataplane::set_context`] is one directory
+//!   write, a [`legaliot_context::ContextStore::set`] or a rule edit is in force from
+//!   each shard's next batch, and no shard subscribes to anything.
 //! * **A control plane that costs what it changes** — a context snapshot is a
 //!   reference-count bump on the store's copy-on-write map, a change-feed poll visits
 //!   only unseen changes, and `deregister` follows the leaver's own edges (each
@@ -53,7 +48,9 @@
 //!   through a [`legaliot_audit::BatchedAppender`]; in
 //!   [`AuditDetail::Summarised`] mode repeated checks of a pair fold into one
 //!   `FlowSummary` record (whose counts total every check in the window) while IFC
-//!   denials and first-of-pair checks stay individually recorded.
+//!   denials and the pair's first allowed check of each message type under its
+//!   current contexts stay individually recorded — a trail that depends on the
+//!   message stream alone, which `legaliot-fleet`'s model predicts record for record.
 //! * **One enforcement core** — subscriptions and every shard delivery call the
 //!   sequence the bus calls, [`legaliot_middleware::admission::enforce`] (isolation →
 //!   access control → IFC); admission is audited on a control-plane log.
@@ -138,6 +135,21 @@ mod tests {
         dataplane.publish_message(publisher, &tick, Timestamp(at))
     }
 
+    /// Every shard's `FlowChecked` records as `(source, destination, send time)`, in
+    /// shard then chain order.
+    fn flow_checks(report: &DataplaneReport) -> Vec<(String, String, u64)> {
+        use legaliot_audit::AuditEvent;
+        let records = report.shard_audit.iter().flat_map(|log| log.records());
+        records
+            .filter_map(|record| match &record.event {
+                AuditEvent::FlowChecked { source, destination, .. } => {
+                    Some((source.clone(), destination.clone(), record.at_millis))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn publish_enforces_and_counts() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
@@ -150,49 +162,89 @@ mod tests {
         assert_eq!(stats.published, 20);
         assert_eq!(stats.delivered, 20);
         assert_eq!(stats.denied, 0);
-        // Two unique pairs: two misses, the rest hits.
-        assert_eq!(stats.cache_misses, 2);
-        assert_eq!(stats.cache_hits, 18);
-        assert!(stats.cache_hit_ratio() > 0.85);
+        // Two pairs, one message type, contexts unchanged: each pair's first check is
+        // written in full and the other nine fold into its summary.
+        let mut checks = flow_checks(&dataplane.shutdown());
+        checks.sort();
+        assert_eq!(checks, [("a".into(), "b".into(), 10), ("c".into(), "d".into(), 10)]);
     }
 
-    /// Acceptance criterion: a context change invalidates cached decisions for exactly
-    /// the affected entity — its next message is a cache miss (fresh lattice walk),
-    /// while unrelated pairs keep hitting their cached decisions.
+    /// Acceptance criterion: a context change re-judges exactly the affected entity —
+    /// its next message is checked against the new context and evidenced in full,
+    /// while an unrelated pair goes on folding into its summary.
     #[test]
     fn context_change_invalidates_exactly_the_affected_entity() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
-        // Warm the cache for both pairs.
-        tick(&dataplane, "a", 10).unwrap();
-        tick(&dataplane, "c", 10).unwrap();
-        tick(&dataplane, "a", 11).unwrap();
-        tick(&dataplane, "c", 11).unwrap();
+        for at in [10, 11] {
+            tick(&dataplane, "a", at).unwrap();
+            tick(&dataplane, "c", at).unwrap();
+        }
         dataplane.drain();
-        let warm = dataplane.stats();
-        assert_eq!((warm.cache_misses, warm.cache_hits), (2, 2));
 
-        // `a` changes context (still flow-legal into b): its cached decision must die.
-        dataplane
-            .set_context(
-                "a",
-                SecurityContext::from_names(["t", "b-only"], Vec::<&str>::new()),
-                Timestamp(12),
-            )
-            .unwrap();
-        dataplane.drain();
+        // `a` changes context (still flow-legal into b): its next check is a new one.
+        let moved = SecurityContext::from_names(["t", "b-only"], Vec::<&str>::new());
+        dataplane.set_context("a", moved.clone(), Timestamp(12)).unwrap();
         tick(&dataplane, "a", 13).unwrap();
         tick(&dataplane, "c", 13).unwrap();
         dataplane.drain();
-        let after = dataplane.stats();
-        // Exactly one new miss (a→b recomputed) and one new hit (c→d untouched).
-        assert_eq!(after.cache_misses, warm.cache_misses + 1);
-        assert_eq!(after.cache_hits, warm.cache_hits + 1);
-        assert_eq!(after.delivered, 6);
+        assert_eq!(dataplane.stats().delivered, 6);
 
-        // The per-shard caches saw an invalidation for `a`'s old context.
+        // One full record per pair before the change, and exactly one after it: a→b,
+        // judged over `a`'s new context.
         let report = dataplane.shutdown();
-        let invalidated: u64 = report.cache_stats.iter().map(|s| s.invalidated).sum();
-        assert_eq!(invalidated, 1);
+        let mut checks = flow_checks(&report);
+        checks.sort();
+        let expected = [("a", "b", 10), ("a", "b", 13), ("c", "d", 10)];
+        assert_eq!(checks, expected.map(|(s, d, at)| (s.to_string(), d.to_string(), at)));
+        let after = report.merged_timeline().into_iter().find_map(|record| match record.event {
+            legaliot_audit::AuditEvent::FlowChecked { source_context, .. }
+                if record.at_millis == 13 =>
+            {
+                Some(source_context)
+            }
+            _ => None,
+        });
+        assert_eq!(after, Some(moved));
+    }
+
+    /// A control call never waits on data-path backpressure: with one shard parked and
+    /// its ingress queue full, a context change on another shard's endpoint returns at
+    /// once.
+    #[test]
+    fn set_context_never_waits_on_a_full_ingress_queue() {
+        use std::time::Duration;
+
+        let dataplane =
+            Dataplane::new("parked", DataplaneConfig { shards: 2, ..Default::default() });
+        dataplane.register_schema(legaliot_middleware::MessageSchema::new("tick")).unwrap();
+        let candidates = ["n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9"];
+        let on = |shard| *candidates.iter().find(|name| dataplane.shard_of(name) == shard).unwrap();
+        let (parked, elsewhere) = (on(0), on(1));
+        for name in ["pub", parked, elsewhere] {
+            dataplane.register(endpoint(name, &["t"])).unwrap();
+            dataplane.allow_sends_to(name);
+        }
+        assert!(dataplane.subscribe("pub", parked, &snap(), Timestamp(1)).unwrap().is_delivered());
+        let barrier = dataplane.block_shard(0);
+        // Shard 0's ingress holds 4096 tasks: the next push would block.
+        for at in 0..4096 {
+            assert_eq!(tick(&dataplane, "pub", 10 + at), Ok(1));
+        }
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let dataplane = &dataplane;
+            scope.spawn(move || {
+                let context = SecurityContext::from_names(["t", "moved"], Vec::<&str>::new());
+                dataplane.set_context(elsewhere, context, Timestamp(9)).unwrap();
+                done.send(()).unwrap();
+            });
+            let outcome = returned.recv_timeout(Duration::from_secs(1));
+            // Unpark the shard either way, so a hung call finishes and the test ends.
+            barrier.wait();
+            assert!(outcome.is_ok(), "set_context waited on shard 0's full ingress queue");
+        });
+        dataplane.drain();
+        assert_eq!(dataplane.stats().delivered, 4096);
     }
 
     /// §8.2.2 re-evaluation semantics: after a context change makes an established
@@ -382,11 +434,10 @@ mod tests {
     }
 
     /// Bugfix acceptance: the store an engine creates for itself keeps a bounded
-    /// change history, and bounding it loses nothing — compaction only ever drops
-    /// what both change-feed cursors (the two shards' AC caches) have consumed, and
-    /// each of them keeps flipping its cached decision.
+    /// change history — the engine holds no change-feed cursor, so nothing pins it —
+    /// and both shards judge every burst under the value its last write left.
     #[test]
-    fn own_store_history_stays_bounded_and_every_cursor_sees_every_change() {
+    fn own_store_history_stays_within_its_retention_with_no_cursor() {
         use legaliot_middleware::{AccessRule, Operation, Subject};
         use legaliot_policy::Condition;
 
@@ -438,29 +489,22 @@ mod tests {
             }
             let stats = dataplane.stats();
             assert_eq!((stats.delivered, stats.denied), (delivered, denied), "burst {burst}");
-            // The control plane holds no cursor: a repeat admission check evaluates
-            // the regime on the snapshot it is given.
+            // A repeat admission check evaluates the regime on the snapshot it is given.
             let outcome =
                 dataplane.subscribe("pub", subscribers[0], &store.snapshot(), now).unwrap();
             assert_eq!(outcome.is_delivered(), allowed, "burst {burst}");
-            // Both cursors are now at the head, so the next write compacts to the
-            // retention tail: at most one burst ever sits on top of it.
+            // No cursor holds the history back: every write compacts to the tail.
             let retained = store.history().len();
-            assert!(retained <= store.retention().unwrap() + BURST, "{retained} at burst {burst}");
+            assert!(retained <= store.retention().unwrap(), "{retained} at burst {burst}");
         }
         assert_eq!(store.version(), 10_001);
-        let report = dataplane.shutdown();
-        assert!(report.ac_cache_stats.iter().all(|shard| shard.invalidated >= 99));
+        dataplane.shutdown();
     }
 
     #[test]
     fn full_audit_records_every_message() {
-        let config = DataplaneConfig {
-            audit_detail: AuditDetail::Full,
-            cache_decisions: false,
-            shards: 2,
-            ..Default::default()
-        };
+        let config =
+            DataplaneConfig { audit_detail: AuditDetail::Full, shards: 2, ..Default::default() };
         let dataplane = two_pair_plane(config);
         for round in 0..5 {
             tick(&dataplane, "a", 10 + round).unwrap();
@@ -607,9 +651,10 @@ mod tests {
         // `b` lacks `secret-id`: exactly one attribute quenched per delivery.
         assert_eq!(stats.quenched_attributes, 4);
         assert!(stats.payload_bytes > 0);
-        // Per-message AC is cache-amortised: one rule-set evaluation, three replays.
-        assert_eq!((stats.ac_cache_misses, stats.ac_cache_hits), (1, 3));
-        assert!(stats.ac_cache_hit_ratio() > 0.7);
+        // Per-message AC asks the regime for every delivery.
+        let merged = dataplane.telemetry().merged();
+        assert_eq!(merged.stage(Stage::AcMiss).count(), 4);
+        assert!(merged.stage(Stage::AcHit).is_empty());
 
         // The receiver observes the post-quench bodies.
         let inbox = receiver.drain();
@@ -633,8 +678,8 @@ mod tests {
         assert_eq!(after.payload_bytes, stats.payload_bytes / 4 * 5);
         assert_eq!(after.receiver_enqueued, 4);
 
-        // Quenching is evidenced once per fresh mask (`b`'s and `d`'s) in summarised
-        // mode, and every shard chain stays intact.
+        // In summarised mode quenching is evidenced beside each pair's first check
+        // (a→b's and c→d's), and every shard chain stays intact.
         let report = dataplane.shutdown();
         let quench_records: usize = report
             .shard_audit
@@ -642,8 +687,8 @@ mod tests {
             .map(|log| log.of_kind(AuditEventKind::MessageQuenched).count())
             .sum();
         assert_eq!(quench_records, 2);
+        assert_eq!(flow_checks(&report).len(), 2);
         assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
-        assert_eq!(report.ac_cache_stats.iter().map(|s| s.hits).sum::<u64>(), 3);
     }
 
     #[test]
@@ -654,8 +699,8 @@ mod tests {
         dataplane.drain();
         assert_eq!(dataplane.stats().quenched_attributes, 1);
 
-        // `b` gains the `secret-id` tag: the cached quench mask for its old context
-        // must not survive, and the next delivery carries the full message.
+        // `b` gains the `secret-id` tag: its next delivery is quenched against the new
+        // context and carries the full message.
         dataplane
             .set_context(
                 "b",
@@ -670,10 +715,12 @@ mod tests {
         assert_eq!(stats.quenched_attributes, 1);
     }
 
-    /// Satellite acceptance: a rule reading `patient.heart-rate` is re-evaluated (and
-    /// flips its decision) after `ContextStore::set` bumps that key, on every shard.
+    /// Satellite acceptance: a rule reading `patient.heart-rate` flips its decision
+    /// after `ContextStore::set` bumps that key, on every shard, and a rule edit flips
+    /// exactly the component it governs. No context changed, so the trail holds each
+    /// pair's first check and nothing more.
     #[test]
-    fn ac_cache_invalidation_flips_decisions_across_shards() {
+    fn key_writes_and_rule_edits_flip_decisions_on_every_shard() {
         use legaliot_middleware::{AccessRule, Operation, Subject};
         use legaliot_policy::Condition;
 
@@ -713,10 +760,8 @@ mod tests {
         dataplane.drain();
         let warm = dataplane.stats();
         assert_eq!((warm.delivered, warm.denied), (12, 0));
-        assert!(warm.ac_cache_hits >= 6);
 
-        // Bump the key the rule reads: every shard must drop its cached allow and
-        // deny the next delivery.
+        // Bump the key the rule reads: every shard denies the next delivery.
         store.set("patient.heart-rate", 150i64, Timestamp(4));
         dataplane.publish_message("pub", &message, Timestamp(5)).unwrap();
         dataplane.drain();
@@ -731,8 +776,7 @@ mod tests {
         assert_eq!(calm.delivered, 18);
 
         // A rule change is per component: deny one subscriber on every shard, and
-        // exactly those decisions flip (one fresh evaluation each) while every other
-        // subscriber's cached allow is still served as a hit.
+        // exactly those decisions flip.
         let mut flipped = Vec::new();
         for shard in &shards {
             let name = subscribers.iter().find(|name| dataplane.shard_of(name) == *shard).unwrap();
@@ -747,12 +791,12 @@ mod tests {
         let ruled = dataplane.stats();
         assert_eq!(ruled.denied - calm.denied, changed);
         assert_eq!(ruled.delivered - calm.delivered, untouched);
-        assert_eq!(ruled.ac_cache_misses - calm.ac_cache_misses, changed);
-        assert_eq!(ruled.ac_cache_hits - calm.ac_cache_hits, untouched);
 
-        let report = dataplane.shutdown();
-        let invalidated: u64 = report.ac_cache_stats.iter().map(|s| s.invalidated).sum();
-        assert!(invalidated >= 6, "each subscriber's cached decision was dropped twice");
+        // AC denials carry no flow check, and an allowed check after one is under the
+        // contexts already evidenced: one full record per pair, at its first send.
+        let checks = flow_checks(&dataplane.shutdown());
+        assert_eq!(checks.len(), 6);
+        assert!(checks.iter().all(|(source, _, at)| (source.as_str(), *at) == ("pub", 2)));
     }
 
     /// Tentpole acceptance: the streaming receiver observes exactly the enforced,
@@ -1368,10 +1412,8 @@ mod tests {
                 assert_eq!(merged.stage(Stage::Isolation).count(), 8);
                 assert_eq!(merged.stage(Stage::Ifc).count(), 8);
                 assert_eq!(merged.stage(Stage::Quench).count(), 8);
-                assert_eq!(
-                    merged.stage(Stage::AcHit).count() + merged.stage(Stage::AcMiss).count(),
-                    8
-                );
+                assert_eq!(merged.stage(Stage::AcMiss).count(), 8);
+                assert!(merged.stage(Stage::AcHit).is_empty(), "no cache answers");
                 assert!(merged.stage(Stage::Delivery).p99() > 0);
                 let exposition = snapshot.exposition();
                 assert_eq!(exposition.counter("delivered"), Some(8));

@@ -1,8 +1,8 @@
 //! The dataplane's one bounded hand-off, used twice on every delivery's way from
 //! `publish_message` to `recv`.
 //!
-//! * **Shard ingress.** Producers (publishers, the control plane's invalidation
-//!   broadcasts) push from any thread; the shard's worker drains in batches to
+//! * **Shard ingress.** Producers (publishers, and the engine's shutdown) push from
+//!   any thread — never a control-plane call; the shard's worker drains in batches to
 //!   amortise lock traffic. A full queue blocks the producer — backpressure instead of
 //!   unbounded memory.
 //! * **Subscriber mailbox.** The shard pushes enforced deliveries — blocking on a full

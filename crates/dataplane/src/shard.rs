@@ -1,10 +1,12 @@
 //! Shard worker: the per-thread enforcement loop.
 //!
-//! Each shard owns an ingress [`BoundedQueue`] of [`ShardTask`]s, a private
-//! [`DecisionCache`] for IFC, a private [`AdmissionCache`] for contextual AC
-//! (subscribed to the engine's context store), a private quench-mask cache, and a
-//! private [`BatchedAppender`] writing a per-shard hash-chained audit log. Components
-//! are assigned to shards by a stable hash of their name; a message is enforced on the
+//! Each shard owns an ingress [`BoundedQueue`] of [`ShardTask`]s and a private
+//! [`BatchedAppender`] writing a per-shard hash-chained audit log. It holds no decision
+//! cache: every delivery asks the access regime, [`can_flow`] and the schema's quench
+//! mask directly, against the directory and the context snapshot in force when its
+//! batch runs — so a context change, a key write or a rule edit is a write the next
+//! batch reads, and nothing is sent to a shard to follow one. Components are assigned
+//! to shards by a stable hash of their name; a message is enforced on the
 //! *destination's* shard, so one overloaded subscriber backpressures only its own
 //! shard.
 //!
@@ -32,27 +34,28 @@
 //! The §8.2.2 sequence — isolation, contextual AC at message-type granularity, IFC
 //! over the message's *effective* context — is not written here: each delivery is one
 //! call of [`legaliot_middleware::admission::enforce`], the core the synchronous bus
-//! and channel admission also call, answered through this shard's caches by two
+//! and channel admission also call, answered from the regime and [`can_flow`] by two
 //! closures that also lap the stage spans (every delivery is a typed message, so both
 //! questions are always asked). This module is the driver side: counters, pair
-//! summaries, audit appends, per-attribute source quenching against the subscriber's
-//! secrecy label (Fig. 10; a cached bitmask cleared from the delivery's own presence
-//! mask, over the body the whole fan-out shares), the deferred mailbox hand-off, and
-//! the supervisor evidencing every loss. A delivery is a [`FrozenMessage`] by value —
-//! body handle and mask — from the queued task to the mailbox: the shard allocates
-//! nothing for it, quenched or not.
+//! summaries — which in summarised mode also decide which checks are written in full
+//! — audit appends, per-attribute source quenching against the subscriber's secrecy
+//! label (Fig. 10; the schema's bitmask cleared from the delivery's own presence mask,
+//! over the body the whole fan-out shares), the deferred mailbox hand-off, and the
+//! supervisor evidencing every loss. A delivery is a [`FrozenMessage`] by value — body
+//! handle and mask — from the queued task to the mailbox: the shard allocates nothing
+//! for it, quenched, denied or not.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
-use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
-use legaliot_ifc::{can_flow, context_hash64, DecisionCache, SecurityContext};
-use legaliot_middleware::admission::{enforce, AdmissionCache, MessageFacts, Verdict};
-use legaliot_middleware::{FrozenMessage, Operation};
+use legaliot_context::{ContextSnapshot, Timestamp};
+use legaliot_ifc::{can_flow, SecurityContext};
+use legaliot_middleware::admission::{enforce, MessageFacts, Verdict};
+use legaliot_middleware::{FrozenMessage, FrozenSchema, Operation};
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedState};
 use crate::failpoint::{self, FailpointSite};
@@ -78,13 +81,6 @@ pub(crate) enum ShardTask {
         /// This delivery's handle on the frozen body the whole fan-out shares (one
         /// refcount bump per subscriber after the first, at publish time).
         body: FrozenMessage,
-    },
-    /// Drop every cached decision involving this context hash (an entity changed
-    /// context — §8.2.2 re-evaluation). Also drops quench masks computed against the
-    /// superseded context.
-    Invalidate {
-        /// The superseded context's stable hash.
-        context_hash: u64,
     },
     /// Flush audit buffers and exit the worker loop.
     Shutdown,
@@ -121,18 +117,11 @@ impl ShardState {
     }
 }
 
-/// What a shard worker hands back at shutdown.
-#[derive(Debug)]
-pub(crate) struct ShardReport {
-    pub audit: AuditLog,
-    pub cache_stats: legaliot_ifc::CacheStats,
-    pub ac_cache_stats: legaliot_ifc::CacheStats,
-}
-
 /// A `(source, destination)` endpoint-name pair.
 type PairKey = (EndpointId, EndpointId);
 
-/// Per-pair counters folded into one `FlowSummary` record at shutdown.
+/// Per-pair counters folded into one `FlowSummary` record at shutdown, and what the
+/// pair's allowed checks were last evidenced under.
 #[derive(Debug, Default)]
 struct PairSummary {
     allowed: u64,
@@ -142,9 +131,63 @@ struct PairSummary {
     /// instead), folded into one `DeliveryDropped` record per `(pair, type)` at
     /// shutdown. A `BTreeMap` so the shutdown records come out in a deterministic
     /// order (reproducible audit chains).
-    dropped: std::collections::BTreeMap<String, u64>,
+    dropped: BTreeMap<String, u64>,
+    /// The first and last counted delivery's send time: the summary's window.
     first_millis: u64,
     last_millis: u64,
+    /// Summarised mode: per message type (named by its schema, a handle the pair
+    /// already shares), the (effective source, destination) contexts of the last
+    /// allowed check written in full. An allowed check under those same two contexts
+    /// is folded into the counts; contexts compare by value, which for shared labels
+    /// is a pointer compare.
+    evidenced: Vec<(Arc<FrozenSchema>, SecurityContext, SecurityContext)>,
+}
+
+impl PairSummary {
+    /// Counts one delivery sent at `at_millis`; the first one opens the window.
+    fn count(&mut self, allowed: bool, at_millis: u64) {
+        if self.allowed + self.denied == 0 {
+            self.first_millis = at_millis;
+        }
+        if allowed {
+            self.allowed += 1;
+        } else {
+            self.denied += 1;
+        }
+        self.last_millis = at_millis;
+    }
+
+    /// Whether an allowed check of `schema`'s message type was last written in full
+    /// under these two contexts.
+    fn evidenced(
+        &self,
+        schema: &FrozenSchema,
+        source: &SecurityContext,
+        destination: &SecurityContext,
+    ) -> bool {
+        self.evidenced.iter().any(|(held, held_source, held_destination)| {
+            held.message_type() == schema.message_type()
+                && held_source == source
+                && held_destination == destination
+        })
+    }
+
+    /// Remembers the contexts of an allowed check of `schema`'s type just written in
+    /// full.
+    fn remember(
+        &mut self,
+        schema: &Arc<FrozenSchema>,
+        source: &SecurityContext,
+        destination: &SecurityContext,
+    ) {
+        let held =
+            self.evidenced.iter_mut().find(|held| held.0.message_type() == schema.message_type());
+        let contexts = (source.clone(), destination.clone());
+        match held {
+            Some(held) => (held.1, held.2) = contexts,
+            None => self.evidenced.push((Arc::clone(schema), contexts.0, contexts.1)),
+        }
+    }
 }
 
 /// A mailbox hand-off prepared under the directory read lock but performed only
@@ -184,12 +227,9 @@ struct InFlight {
 /// number of restarts, so `drain` never observes a half-processed batch as
 /// done.
 struct BatchProgress {
-    /// The popped batch; processed slots are left as inert tombstones
-    /// (`Invalidate { context_hash: 0 }`) so a restart can never re-run a
-    /// completed task.
+    /// The popped batch's unprocessed tasks, last first: a task is popped off the end
+    /// before it runs, so a restart can never re-run it.
     batch: Vec<ShardTask>,
-    /// First unprocessed task in `batch`.
-    cursor: usize,
     /// Hand-offs prepared under the directory lock, performed (from the front)
     /// after it is released.
     pending: VecDeque<PendingHandOff>,
@@ -217,7 +257,6 @@ impl BatchProgress {
     fn new() -> Self {
         BatchProgress {
             batch: Vec::with_capacity(POP_BATCH),
-            cursor: 0,
             // A task defers at most one hand-off, so this never grows: how deep a
             // batch the scheduler happens to hand a shard costs no allocation.
             pending: VecDeque::with_capacity(POP_BATCH),
@@ -232,79 +271,26 @@ impl BatchProgress {
         }
     }
 
-    /// Marks a freshly popped batch as the active one.
+    /// Marks a freshly popped batch as the active one, turned round so its tasks pop
+    /// off the end in queue order.
     fn begin(&mut self) {
-        self.cursor = 0;
+        self.batch.reverse();
         self.popped = self.batch.len() as u64;
         self.local = BatchCounters::default();
         self.active = true;
     }
 }
 
-/// The worker-private enforcement state threaded through delivery processing.
+/// The worker-private state threaded through delivery processing.
 struct WorkerState {
-    /// IFC flow-decision cache keyed by (source ctx hash, destination ctx hash).
-    cache: DecisionCache,
-    /// Contextual-AC decision cache, subscribed to the engine's context store.
-    ac_cache: AdmissionCache,
-    /// Quench-mask cache: the mask is a pure function of (schema, destination
-    /// context), so it is recomputed only when either changes.
-    quench_cache: QuenchCache,
     /// Enforcement-time view of the context store, refreshed per batch when stale.
     snapshot: ContextSnapshot,
     appender: BatchedAppender,
     summaries: HashMap<PairKey, PairSummary>,
 }
 
-/// Quench masks keyed by destination context hash first, so that superseding a context
-/// ([`ShardTask::Invalidate`]) drops its masks with one removal. Under a destination
-/// sit `(schema hash, mask)` pairs — as many as message types reach that context, a
-/// handful — searched linearly.
-#[derive(Debug)]
-struct QuenchCache {
-    by_destination: HashMap<u64, Vec<(u64, u64)>>,
-    /// Masks held across all destinations, at most `capacity`.
-    len: usize,
-    capacity: usize,
-}
-
-impl QuenchCache {
-    fn with_capacity(capacity: usize) -> Self {
-        QuenchCache { by_destination: HashMap::new(), len: 0, capacity }
-    }
-
-    fn get(&self, schema_hash: u64, destination_hash: u64) -> Option<u64> {
-        let masks = self.by_destination.get(&destination_hash)?;
-        masks.iter().find(|(schema, _)| *schema == schema_hash).map(|(_, mask)| *mask)
-    }
-
-    /// Caches a mask [`Self::get`] just missed; a full cache is cleared first (epoch
-    /// eviction, as in the decision caches).
-    fn insert(&mut self, schema_hash: u64, destination_hash: u64, mask: u64) {
-        if self.len >= self.capacity {
-            self.clear();
-        }
-        self.by_destination.entry(destination_hash).or_default().push((schema_hash, mask));
-        self.len += 1;
-    }
-
-    fn invalidate_destination(&mut self, destination_hash: u64) {
-        if let Some(masks) = self.by_destination.remove(&destination_hash) {
-            self.len -= masks.len();
-        }
-    }
-
-    fn clear(&mut self) {
-        self.by_destination.clear();
-        self.len = 0;
-    }
-}
-
 /// Maximum tasks drained from the ingress queue per lock acquisition.
 const POP_BATCH: usize = 256;
-
-/// Maximum cached decisions per shard (flow, AC and quench-mask cache each).
-const CACHE_CAPACITY: usize = DecisionCache::DEFAULT_CAPACITY;
 
 /// Best-effort extraction of a panic payload's message (the two payload shapes
 /// `panic!` actually produces, then a marker for anything exotic).
@@ -326,10 +312,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`failpoint`](crate::failpoint) or real) is caught instead of taking the
 /// dataplane down: the half-processed unit's counters are rolled back and the
 /// abandoned delivery is evidenced as an [`AuditEvent::DeliveryLost`] record,
-/// then the shard's derived state is rebuilt — decision caches cold, audit
-/// chain re-anchored on the last hash so verification still passes across the
-/// restart, with an [`AuditEvent::ShardRestarted`] record first after the
-/// re-anchor — and the same batch resumes where it left off, under a bounded
+/// then the audit trail is flushed — the chain carries on from its last hash, so
+/// verification still passes across the restart, with an
+/// [`AuditEvent::ShardRestarted`] record first after it — and the same batch
+/// resumes where it left off, under a bounded
 /// restart budget with exponential backoff
 /// ([`DataplaneConfig::restart_budget`] /
 /// [`DataplaneConfig::restart_backoff`]). Once the budget is exhausted the
@@ -341,8 +327,7 @@ pub(crate) fn run_worker(
     index: usize,
     shared: Arc<SharedState>,
     config: DataplaneConfig,
-) -> ShardReport {
-    let store = Arc::clone(&shared.context_store);
+) -> AuditLog {
     let authority = format!("{}-shard-{index}", shared.name);
     let appender = match shared.persistence[index].as_ref() {
         Some(persistence) => {
@@ -375,12 +360,13 @@ pub(crate) fn run_worker(
         None => BatchedAppender::new(authority.clone(), config.audit_batch)
             .with_retention(config.audit_retention),
     };
-    let mut state = WorkerState::fresh(&store, appender);
+    let snapshot = shared.context_store.snapshot();
+    let mut state = WorkerState { snapshot, appender, summaries: HashMap::new() };
     let mut progress = BatchProgress::new();
     let mut restarts: u32 = 0;
     loop {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(index, &shared, &config, &store, &mut state, &mut progress);
+            worker_loop(index, &shared, &config, &mut state, &mut progress);
         }));
         let Err(payload) = outcome else { break };
         let cause = panic_message(payload.as_ref());
@@ -393,7 +379,11 @@ pub(crate) fn run_worker(
             // stalling drain for long.
             let exponent = (restarts - 1).min(6);
             std::thread::sleep(config.restart_backoff.saturating_mul(1u32 << exponent));
-            rebuild_state(&mut state, &store);
+            // Flushed, so the restart ends the batch: a frame the panic interrupted was
+            // never part of the trail, and `verify_chain` passes across the restart.
+            // Pair summaries carry on — they are evidence already counted, not state
+            // derived from anything the panic could have left half-written.
+            state.appender.flush();
             state.appender.append(
                 AuditEvent::ShardRestarted {
                     shard: authority.clone(),
@@ -449,9 +439,6 @@ pub(crate) fn run_worker(
             );
         }
     }
-    // The worker is done with the store; drop its subscription so a store that
-    // outlives the dataplane (`with_context_store`) is not pinned by dead cursors.
-    state.ac_cache.detach(&store);
     // Flush with the prune sink still installed, so any final retention prune-out
     // reaches disk before the retained tail does.
     state.appender.flush();
@@ -468,44 +455,7 @@ pub(crate) fn run_worker(
         segments.seal();
     }
     // Only the report reads records: decode what is retained.
-    let audit = state.appender.into_log();
-    ShardReport { audit, cache_stats: state.cache.stats(), ac_cache_stats: state.ac_cache.stats() }
-}
-
-impl WorkerState {
-    /// Builds the worker's derived state from scratch around the given audit
-    /// appender (fresh at spawn; chain-carrying at restart).
-    fn fresh(store: &Arc<ContextStore>, appender: BatchedAppender) -> Self {
-        let mut ac_cache = AdmissionCache::with_capacity(CACHE_CAPACITY);
-        ac_cache.attach(store);
-        WorkerState {
-            cache: DecisionCache::with_capacity(CACHE_CAPACITY),
-            ac_cache,
-            quench_cache: QuenchCache::with_capacity(CACHE_CAPACITY),
-            snapshot: store.snapshot(),
-            appender,
-            summaries: HashMap::new(),
-        }
-    }
-}
-
-/// Rebuilds the worker's derived state after a panic: decision caches cold
-/// (stale entries from the crashed incarnation can never be trusted), a fresh
-/// context snapshot, and the audit appender carried forward as it is — flushed, so
-/// the restart ends the batch; a frame the panic interrupted was never part of the
-/// trail, so `verify_chain` still passes across the restart. Pair summaries
-/// survive: they are evidence aggregation, not derived cache state, and dropping
-/// them would lose already-counted checks from the shutdown `FlowSummary` records.
-fn rebuild_state(state: &mut WorkerState, store: &Arc<ContextStore>) {
-    let mut appender =
-        std::mem::replace(&mut state.appender, BatchedAppender::new(String::new(), 1));
-    appender.flush();
-    // Release the crashed incarnation's store subscription before dropping it:
-    // an abandoned cursor would pin the store's change-history compaction (and
-    // so its memory) for the rest of the store's life.
-    state.ac_cache.detach(store);
-    let summaries = std::mem::take(&mut state.summaries);
-    *state = WorkerState { summaries, ..WorkerState::fresh(store, appender) };
+    state.appender.into_log()
 }
 
 /// Rolls back the effects of a panicked unit of work and evidences its loss.
@@ -531,14 +481,11 @@ fn recover_unit(
     if let Some(unit) = progress.unit.take() {
         if !unit.hand_off {
             progress.local.deliveries_lost += 1;
-            // Skip the poisoned task on resume.
-            progress.cursor += 1;
         }
         unit.evidence_loss(&mut state.appender, shared, cause);
     }
-    // `unit == None`: the panic hit batch scanning or a non-delivery task.
-    // The cursor stays put — the slot holds at worst an inert tombstone, so
-    // re-running it is a no-op, and no delivery was lost.
+    // `unit == None`: the panic hit between tasks or in a non-delivery task, and no
+    // delivery was lost. Either way the task is already out of the batch.
 }
 
 /// The shard loop, the one there is. Panics propagate to the supervisor in
@@ -549,7 +496,6 @@ fn worker_loop(
     index: usize,
     shared: &Arc<SharedState>,
     config: &DataplaneConfig,
-    store: &Arc<ContextStore>,
     state: &mut WorkerState,
     progress: &mut BatchProgress,
 ) {
@@ -567,7 +513,7 @@ fn worker_loop(
             shard.queue.pop_batch(&mut progress.batch, POP_BATCH);
             progress.begin();
         }
-        run_batch(shared, config, store, state, progress, shard, degraded);
+        run_batch(shared, config, state, progress, shard, degraded);
         flush_batch(shard, progress);
         if progress.shutdown {
             return;
@@ -586,7 +532,6 @@ fn worker_loop(
 fn run_batch(
     shared: &Arc<SharedState>,
     config: &DataplaneConfig,
-    store: &Arc<ContextStore>,
     state: &mut WorkerState,
     progress: &mut BatchProgress,
     shard: &ShardState,
@@ -599,8 +544,7 @@ fn run_batch(
         // and mailbox hand-offs — which may park this worker under the Block
         // overflow policy — are collected here and performed after the lock is
         // released, so a full mailbox never wedges control-plane writers.
-        let remaining = &progress.batch[progress.cursor..];
-        let has_deliver = remaining.iter().any(|t| matches!(t, ShardTask::Deliver { .. }));
+        let has_deliver = progress.batch.iter().any(|t| matches!(t, ShardTask::Deliver { .. }));
         let directory = if has_deliver && !degraded {
             // Directory-lock wait is a contention series: one sample per batch,
             // so a writer-heavy control plane shows up as a fat tail here.
@@ -615,30 +559,19 @@ fn run_batch(
         } else {
             None
         };
-        // Every delivery evaluates contextual AC: invalidate AC entries whose
-        // keys changed, then refresh the enforcement-time context view, once per
-        // batch (no-op version checks when the store has not moved). The order is
-        // load-bearing: sync consumes the subscription's change feed, so it must
-        // run *before* the snapshot refresh — a write landing in between is then
-        // seen by the snapshot but not yet consumed, and the next sync
-        // conservatively drops the entries it touched. The reverse order could
-        // consume a change and then cache decisions from an older snapshot,
-        // leaving a stale decision nothing ever invalidates.
-        if let Some(directory) = directory.as_deref() {
-            state.ac_cache.sync(store, &directory.access);
-            if let Some(fresh) = store.snapshot_if_newer(state.snapshot.version()) {
+        // Every delivery evaluates contextual AC: refresh the enforcement-time view
+        // of the context store once per batch (a version check when it has not moved).
+        if directory.is_some() {
+            let fresh = shared.context_store.snapshot_if_newer(state.snapshot.version());
+            if let Some(fresh) = fresh {
                 state.snapshot = fresh;
             }
         }
-        while progress.cursor < progress.batch.len() {
-            // Take the task out, leaving an inert tombstone — a panic mid-task
-            // can then never re-run (or silently discard) queued work: the
-            // supervisor resumes from `cursor`, and the crashed task itself is
-            // evidenced from the `unit` descriptor captured below.
-            let task = std::mem::replace(
-                &mut progress.batch[progress.cursor],
-                ShardTask::Invalidate { context_hash: 0 },
-            );
+        // Take each task out before running it — a panic mid-task can then never
+        // re-run (or silently discard) queued work: the supervisor resumes with the
+        // rest, and the crashed task itself is evidenced from the `unit` descriptor
+        // captured below.
+        while let Some(task) = progress.batch.pop() {
             progress.saved_counters = progress.local;
             progress.saved_pending = progress.pending.len();
             match task {
@@ -670,10 +603,6 @@ fn run_batch(
                         );
                     }
                 }
-                ShardTask::Invalidate { context_hash } => {
-                    state.cache.invalidate_context(context_hash);
-                    state.quench_cache.invalidate_destination(context_hash);
-                }
                 ShardTask::Shutdown => {
                     progress.shutdown = true;
                 }
@@ -683,11 +612,7 @@ fn run_batch(
                 }
             }
             progress.unit = None;
-            progress.cursor += 1;
         }
-        // Every slot is a tombstone now; reset for the next pop.
-        progress.batch.clear();
-        progress.cursor = 0;
     }
     // Directory lock released: hand enforced deliveries to their mailboxes. A
     // Block-policy push may park here until the consumer drains (or the mailbox
@@ -755,26 +680,6 @@ impl InFlight {
     }
 }
 
-/// The pair's summary entry, opened at `at_millis` on first use.
-fn pair_summary(
-    summaries: &mut HashMap<PairKey, PairSummary>,
-    pair: PairKey,
-    at_millis: u64,
-) -> &mut PairSummary {
-    summaries
-        .entry(pair)
-        .or_insert_with(|| PairSummary { first_millis: at_millis, ..PairSummary::default() })
-}
-
-/// Counts one AC answer by where it came from.
-fn count_access(local: &mut BatchCounters, cache_hit: bool) {
-    if cache_hit {
-        local.ac_cache_hits += 1;
-    } else {
-        local.ac_cache_misses += 1;
-    }
-}
-
 /// One delivery: the core's verdict, then this driver's effects.
 #[allow(clippy::too_many_arguments)]
 fn process_delivery(
@@ -803,70 +708,45 @@ fn process_delivery(
         message_type: message.message_type(),
         secrecy: message.extra_context().secrecy(),
     };
-    // The shard answers the core's two questions through its private caches, or from
-    // the regime and `can_flow` when the config says so, and laps the stage spans
-    // there: only the answers sit between the steps of the sequence.
-    let (ac_cache, snapshot) = (&mut state.ac_cache, &state.snapshot);
+    // The shard answers the core's two questions from the regime and `can_flow`, and
+    // laps the stage spans there: only the answers sit between the steps of the
+    // sequence. Every AC answer is an evaluation of the regime (`AcMiss`).
     let ask_access = || {
         probe.lap(Stage::Isolation);
-        let message_type = Some(facts.message_type);
-        let (access, principal, now) =
-            (&directory.access, src.component.principal(), Timestamp(at_millis));
-        let to = dst.component.name();
-        let answer = if config.cache_ac_decisions {
-            ac_cache.decide(access, to, principal, Operation::Send, message_type, snapshot, now)
-        } else {
-            (access.decide(to, principal, Operation::Send, message_type, snapshot, now), false)
-        };
-        probe.lap(if answer.1 { Stage::AcHit } else { Stage::AcMiss });
-        Some(answer)
+        let (principal, message_type) = (src.component.principal(), Some(facts.message_type));
+        let decision = directory.access.decide(
+            dst.component.name(),
+            principal,
+            Operation::Send,
+            message_type,
+            &state.snapshot,
+            Timestamp(at_millis),
+        );
+        probe.lap(Stage::AcMiss);
+        Some(decision)
     };
-    let cache = &mut state.cache;
-    let ask_flow = |source: &SecurityContext, joined: bool| {
-        let destination = dst.component.context();
-        let answer = if config.cache_decisions {
-            // With no message-level tags the endpoint's precomputed context hash keys
-            // the cache for free.
-            let source_hash = if joined { context_hash64(source) } else { src.context_hash };
-            cache.check(source, source_hash, destination, dst.context_hash)
-        } else {
-            (can_flow(source, destination), false)
-        };
+    let destination = dst.component.context();
+    let ask_flow = |source: &SecurityContext| {
+        let decision = can_flow(source, destination);
         probe.lap(Stage::Ifc);
-        answer
+        decision
     };
     let flow = match enforce(&src.component, &dst.component, Some(facts), ask_access, ask_flow) {
-        Verdict::Flow(flow) => Some(flow),
-        Verdict::Isolated => {
-            probe.lap(Stage::Isolation);
-            None
-        }
-        Verdict::AccessDenied { cache_hit, .. } => {
-            count_access(local, cache_hit);
-            None
+        Verdict::Flow(flow) => flow,
+        refused => {
+            if matches!(refused, Verdict::Isolated) {
+                probe.lap(Stage::Isolation);
+            }
+            // No flow check ran, so there is no FlowChecked record (as on the bus); the
+            // imposition of isolation itself is audited on the control-plane log, and
+            // the denial is counted in the pair summary — in *both* audit modes, where
+            // `FlowSummary` records then cover exactly these denials — so the evidence
+            // totals add up.
+            local.denied += 1;
+            state.summaries.entry((from, to)).or_default().count(false, at_millis);
+            return;
         }
     };
-    let Some(flow) = flow else {
-        // No flow check ran, so there is no FlowChecked record (as on the bus); the
-        // imposition of isolation itself is audited on the control-plane log, and the
-        // denial is counted in the pair summary — in *both* audit modes, where
-        // `FlowSummary` records then cover exactly these denials — so the evidence
-        // totals add up.
-        local.denied += 1;
-        let summary = pair_summary(&mut state.summaries, (from, to), at_millis);
-        summary.denied += 1;
-        summary.last_millis = at_millis;
-        return;
-    };
-    if let Some(cache_hit) = flow.access_hit {
-        count_access(local, cache_hit);
-    }
-    let hit = flow.flow_hit;
-    if hit {
-        local.cache_hits += 1;
-    } else {
-        local.cache_misses += 1;
-    }
     let denied = flow.decision.is_denied();
     if denied {
         local.denied += 1;
@@ -874,34 +754,34 @@ fn process_delivery(
         local.delivered += 1;
     }
 
-    // Full mode records everything; summarised mode records denials and the first
-    // check of each pair in full, folding repeats into the per-pair summary.
-    let full_record = match config.audit_detail {
-        AuditDetail::Full => true,
-        AuditDetail::Summarised => denied || !hit,
+    // Full mode records every check. Summarised mode records every denial, and an
+    // allowed check when it is the pair's first of its message type under the two
+    // contexts now in force; the pair summary counts them all.
+    let schema = message.schema();
+    let mut summary = match config.audit_detail {
+        AuditDetail::Full => None,
+        AuditDetail::Summarised => Some(state.summaries.entry((from, to)).or_default()),
     };
+    let full_record = denied
+        || summary
+            .as_ref()
+            .map_or(true, |summary| !summary.evidenced(schema, &flow.source_context, destination));
     if full_record {
         failpoint::inject(&config.failpoints, FailpointSite::AuditAppend);
         flow.write_evidence(at_millis, &mut state.appender);
+        if let Some(summary) = summary.as_mut().filter(|_| !denied) {
+            summary.remember(schema, &flow.source_context, destination);
+        }
         probe.lap(Stage::AuditAppend);
     } else {
         probe.skip();
     }
 
     if !denied {
-        // Per-attribute source quenching. The mask is a pure function of (schema,
-        // destination secrecy): cache it per (schema hash, destination context
-        // hash). A destination context change either misses (new hash) or was
-        // dropped by the invalidation broadcast, so stale masks never apply.
-        let schema = message.schema();
-        let cached = state.quench_cache.get(schema.schema_hash(), dst.context_hash);
-        let mask = cached.unwrap_or_else(|| {
-            let mask = schema.quench_mask_for(dst.component.context().secrecy());
-            state.quench_cache.insert(schema.schema_hash(), dst.context_hash, mask);
-            mask
-        });
-        let fresh = cached.is_none();
-        if mask != 0 && (config.audit_detail == AuditDetail::Full || fresh) {
+        // Per-attribute source quenching: the schema's mask for the destination's
+        // secrecy, evidenced with the check it follows.
+        let mask = schema.quench_mask_for(destination.secrecy());
+        if mask != 0 && full_record {
             state.appender.append_message_quenched(
                 src.component.name(),
                 dst.component.name(),
@@ -910,7 +790,7 @@ fn process_delivery(
                 at_millis,
             );
             // The record — and the flush, prune and fsync an append may run — is
-            // audit time, not quench time (the cached-mask lookup rides along).
+            // audit time, not quench time.
             probe.lap(Stage::AuditAppend);
         }
         local.quenched_attributes += u64::from(mask.count_ones());
@@ -936,14 +816,8 @@ fn process_delivery(
         probe.finish();
     }
 
-    if config.audit_detail == AuditDetail::Summarised {
-        let summary = pair_summary(&mut state.summaries, (from, to), at_millis);
-        if denied {
-            summary.denied += 1;
-        } else {
-            summary.allowed += 1;
-        }
-        summary.last_millis = at_millis;
+    if let Some(summary) = summary {
+        summary.count(!denied, at_millis);
     }
 }
 
@@ -998,7 +872,7 @@ fn complete_hand_off(
                 AuditDetail::Summarised => {
                     let source = shared.directory.read().endpoints.id_of(shed.sender());
                     let source = source.expect("a published message's sender has an id");
-                    let summary = pair_summary(&mut state.summaries, (source, to), at_millis);
+                    let summary = state.summaries.entry((source, to)).or_default();
                     *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
                     summary.last_millis = summary.last_millis.max(at_millis);
                 }

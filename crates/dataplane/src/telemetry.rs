@@ -33,14 +33,17 @@
 //! - `queue_wait` — publish-side enqueue to the worker popping the task (ingress
 //!   queueing delay).
 //! - `isolation` — endpoint resolution in the directory plus the isolation check.
-//! - `ac_hit` / `ac_miss` — the per-message contextual AC decision at message-type
-//!   granularity, split by whether the [`AdmissionCache`] answered.
-//! - `ifc` — the IFC flow decision over the message's effective context (including
-//!   decision-cache lookup and any lattice walk).
-//! - `quench` — per-attribute source quenching: mask lookup/computation, its
-//!   application, and any `MessageQuenched` evidence append.
-//! - `audit_append` — appending the per-message `FlowChecked` record (recorded only
-//!   when one is written, so summarised-mode cache hits do not dilute the span).
+//! - `ac_miss` — the per-message contextual AC decision at message-type granularity:
+//!   the access regime evaluated on the batch's context snapshot. Every AC answer is
+//!   recorded here. `ac_hit` is never recorded (shards hold no decision cache); the
+//!   stage stays so the names `benchmark/` reads keep their place.
+//! - `ifc` — the IFC flow decision over the message's effective context (the join
+//!   of any message-level tags, and the lattice check).
+//! - `quench` — per-attribute source quenching: the schema's mask for the
+//!   destination, its application, and the deferred hand-off's preparation.
+//! - `audit_append` — appending the per-message `FlowChecked` record and any
+//!   `MessageQuenched` record beside it (recorded only when one is written, so
+//!   summarised-mode deliveries folded into the pair summary do not dilute the span).
 //! - `handoff` — the deferred mailbox push after the directory lock is released,
 //!   including any Block-policy stall.
 //! - `delivery` — end-to-end enqueue → enforcement complete for *allowed* messages:
@@ -57,8 +60,6 @@
 //!   slow paths only). The queue depth high-water mark travels with span timing: feeding
 //!   it is a `fetch_max` on a shared line per push, so with telemetry disabled it is not
 //!   fed and reads 0.
-//!
-//! [`AdmissionCache`]: legaliot_middleware::admission::AdmissionCache
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
@@ -185,14 +186,6 @@ metrics_table! {
         denied,
         /// Messages dropped because an endpoint had been deregistered mid-flight.
         missing_endpoint,
-        /// Decision-cache hits across shards.
-        cache_hits,
-        /// Decision-cache misses across shards.
-        cache_misses,
-        /// Per-message AC cache hits across shards (payload deliveries only).
-        ac_cache_hits,
-        /// Per-message AC cache misses across shards (payload deliveries only).
-        ac_cache_misses,
         /// Attributes removed by per-delivery source quenching (Fig. 10).
         quenched_attributes,
         /// Effective payload bytes moved to receivers: the encoded size of each delivered
@@ -214,8 +207,8 @@ metrics_table! {
     }
     // Counted by a shard's supervisor straight into the live counter; summed over shards.
     live {
-        /// Times a panicked shard worker was restarted by its supervisor (caches
-        /// rebuilt cold, audit chain re-anchored; see `AuditEvent::ShardRestarted`).
+        /// Times a panicked shard worker was restarted by its supervisor (audit trail
+        /// flushed and carried on; see `AuditEvent::ShardRestarted`).
         /// Zero in normal runs.
         shard_restarts,
     }
@@ -248,25 +241,17 @@ metrics_table! {
     }
 }
 
+/// Compatibility shims: shards hold no decision cache, so both ratios read 0. They stay
+/// while `benchmark/` names them.
 impl DataplaneStats {
-    /// Flow-decision cache hit ratio in `[0, 1]`; `0` before any lookups.
+    /// Always `0`: there is no flow-decision cache.
     pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        0.0
     }
 
-    /// AC-decision cache hit ratio in `[0, 1]`; `0` before any lookups.
+    /// Always `0`: there is no AC-decision cache.
     pub fn ac_cache_hit_ratio(&self) -> f64 {
-        let total = self.ac_cache_hits + self.ac_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.ac_cache_hits as f64 / total as f64
-        }
+        0.0
     }
 }
 

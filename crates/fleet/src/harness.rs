@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use legaliot_audit::AuditEvent;
+use legaliot_audit::{AuditEvent, AuditRecord};
 use legaliot_context::{ContextStore, Timestamp};
 use legaliot_dataplane::{
     Dataplane, DataplaneConfig, DataplaneError, DataplaneStats, Subscriber, TopologyBuilder,
@@ -19,6 +19,7 @@ use legaliot_dataplane::{
 use legaliot_ifc::SecurityContext;
 use legaliot_middleware::Message;
 
+use crate::model::PairTrail;
 use crate::spec::{ControlEvent, Fleet, SchemaSpec};
 
 /// A `DeliveryLost` evidence record, keyed like a predicted delivery.
@@ -51,6 +52,8 @@ pub struct RunOutcome {
     pub stats: DataplaneStats,
     /// All `DeliveryLost` evidence from the merged audit timeline.
     pub lost: Vec<LostDelivery>,
+    /// Every shard's audit records, shard by shard, each in chain order.
+    pub shard_records: Vec<AuditRecord>,
     /// Whether every audit chain (shards + control plane) verified intact.
     pub chains_intact: bool,
     /// Workers that escaped supervision and died (must be zero).
@@ -213,15 +216,53 @@ pub fn run_fleet(
         .collect();
     let chains_intact = report.shard_audit.iter().all(|log| log.verify_chain().is_intact())
         && report.control_audit.verify_chain().is_intact();
+    let shard_records = report.shard_audit.iter().flat_map(|log| log.records()).cloned().collect();
     Ok(RunOutcome {
         admissions,
         observed,
         duplicate_deliveries,
         stats: report.stats,
         lost,
+        shard_records,
         chains_intact,
         worker_panics: report.worker_panics.len(),
     })
+}
+
+impl RunOutcome {
+    /// The shard records folded per `(source, destination)` pair into the shape
+    /// [`crate::model::Prediction::trail`] predicts: `FlowChecked`,
+    /// `MessageQuenched` and `FlowSummary` records, in chain order. Records of any
+    /// other kind (losses, drops, restarts) are not part of a pair's trail.
+    pub fn trail(&self) -> BTreeMap<(String, String), PairTrail> {
+        let mut trails: BTreeMap<(String, String), PairTrail> = BTreeMap::new();
+        for record in &self.shard_records {
+            let (source, destination) = match &record.event {
+                AuditEvent::FlowChecked { source, destination, .. }
+                | AuditEvent::MessageQuenched { source, destination, .. }
+                | AuditEvent::FlowSummary { source, destination, .. } => (source, destination),
+                _ => continue,
+            };
+            let trail = trails.entry((source.clone(), destination.clone())).or_default();
+            match &record.event {
+                AuditEvent::MessageQuenched { attributes, .. } => {
+                    trail.quenched.push((record.at_millis, attributes.clone()));
+                }
+                AuditEvent::FlowSummary {
+                    allowed,
+                    denied,
+                    window_start_millis,
+                    window_end_millis,
+                    ..
+                } => {
+                    (trail.allowed, trail.denied) = (*allowed, *denied);
+                    trail.window = (*window_start_millis, *window_end_millis);
+                }
+                _ => trail.flow_checked.push(record.at_millis),
+            }
+        }
+        trails
+    }
 }
 
 /// Everything observed from a fleet run stopped after [`Self::rounds_played`]

@@ -13,7 +13,8 @@
 //! * [`generate`] synthesizes a [`spec::Fleet`] from a seed — deterministic
 //!   down to the byte ([`spec::Fleet::manifest`]);
 //! * [`predict`] walks the fleet's script through the reference model and
-//!   returns the exact expected deliveries, denials and admission outcomes;
+//!   returns the exact expected deliveries, denials and admission outcomes, and
+//!   the Summarised-mode evidence each pair leaves;
 //! * [`run_fleet`] installs and drives the same fleet on a real
 //!   [`legaliot_dataplane::Dataplane`] (any shard count, payload mode or
 //!   fault-injection registry) and returns what actually happened, keyed
@@ -33,7 +34,7 @@ pub mod spec;
 
 pub use gen::generate;
 pub use harness::{run_fleet, run_fleet_partial, LostDelivery, PartialRun, RunOutcome};
-pub use model::{predict, AdmissionOutcome, FleetModel, PredictedOutcome, Prediction};
+pub use model::{predict, AdmissionOutcome, FleetModel, PairTrail, PredictedOutcome, Prediction};
 pub use spec::{
     AttrSpec, CondSpec, ControlEvent, Deployment, Fleet, FleetConfig, KeyValue, PublishSpec, Round,
     RuleSpec, SchemaSpec, SubjectSpec, ThingSpec,
@@ -135,5 +136,6 @@ mod tests {
             .map(|(from, to, outcome)| (from.clone(), to.clone(), outcome.admitted()))
             .collect();
         assert_eq!(outcome.admissions, predicted_admissions);
+        assert_eq!(outcome.trail(), prediction.trail);
     }
 }

@@ -14,6 +14,11 @@
 //! integrity from the sender alone) → per-attribute source quenching against
 //! the destination's secrecy. Admission at subscribe time runs the same
 //! sequence minus quenching.
+//!
+//! It also predicts the evidence a run under `AuditDetail::Summarised` leaves,
+//! record for record ([`PairTrail`]): the engine's rule for which checks are written
+//! in full depends on the message stream alone, so the model replays that rule
+//! over the same deliveries.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -66,6 +71,67 @@ pub enum PredictedOutcome {
     Denied,
 }
 
+/// The Summarised-mode evidence of one `(source, destination)` pair: what its shard's
+/// trail holds about the pair, in order. A `FlowChecked` is written in full when the
+/// check is denied, or when it is the pair's first allowed check of its message type
+/// under the (effective source, destination) contexts in force; a `MessageQuenched`
+/// beside each allowed one written in full whose quench removed something; and one
+/// `FlowSummary` at shutdown totals every delivery the pair saw.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PairTrail {
+    /// Send time of every `FlowChecked` written in full.
+    pub flow_checked: Vec<u64>,
+    /// Send time and quenched attribute names (in name order) of every
+    /// `MessageQuenched`.
+    pub quenched: Vec<(u64, Vec<String>)>,
+    /// The `FlowSummary` counts: IFC-allowed deliveries, and every denial
+    /// (isolation, access control and IFC alike).
+    pub allowed: u64,
+    /// See [`Self::allowed`].
+    pub denied: u64,
+    /// The `FlowSummary` window: the first and last counted delivery's send time.
+    pub window: (u64, u64),
+}
+
+impl PairTrail {
+    /// Counts one delivery sent at `at_millis` into the summary.
+    pub(crate) fn count(&mut self, allowed: bool, at_millis: u64) {
+        if self.allowed + self.denied == 0 {
+            self.window.0 = at_millis;
+        }
+        if allowed {
+            self.allowed += 1;
+        } else {
+            self.denied += 1;
+        }
+        self.window.1 = at_millis;
+    }
+}
+
+/// The contexts a check was judged under: effective source secrecy and integrity,
+/// then the destination's.
+type JudgedContexts = [BTreeSet<String>; 4];
+
+/// What the model decides about one delivery, with what its evidence needs.
+enum Judgement {
+    /// Stopped by isolation or access control: no flow check ran.
+    Refused,
+    /// Stopped by IFC.
+    FlowDenied,
+    /// Delivered: the post-quench message, the contexts it was judged under and the
+    /// quenched attribute names.
+    Delivered { message: Box<Message>, contexts: JudgedContexts, quenched: Vec<String> },
+}
+
+impl Judgement {
+    fn outcome(self) -> PredictedOutcome {
+        match self {
+            Judgement::Delivered { message, .. } => PredictedOutcome::Delivered(message),
+            Judgement::Refused | Judgement::FlowDenied => PredictedOutcome::Denied,
+        }
+    }
+}
+
 /// What the oracle expects of a run.
 #[derive(Debug, Clone, Default)]
 pub struct Prediction {
@@ -79,6 +145,9 @@ pub struct Prediction {
     pub delivered: u64,
     /// Expected `denied` counter in a fault-free run.
     pub denied: u64,
+    /// The Summarised-mode shard evidence of a fault-free run, per
+    /// `(source, destination)` pair that saw a delivery.
+    pub trail: BTreeMap<(String, String), PairTrail>,
 }
 
 /// The reference interpreter.
@@ -242,9 +311,9 @@ impl FleetModel {
         }
     }
 
-    /// Predicts the fate of every fan-out delivery of one publish against
-    /// current state, in subscriber order.
-    pub fn deliver(&self, publish: &PublishSpec) -> Vec<(String, PredictedOutcome)> {
+    /// Judges every fan-out delivery of one publish against current state, in
+    /// subscriber order, with what each delivery's evidence needs.
+    fn judge(&self, publish: &PublishSpec) -> Vec<(String, Judgement)> {
         let Some(subs) = self.subscriptions.get(&publish.publisher) else {
             return Vec::new();
         };
@@ -255,54 +324,52 @@ impl FleetModel {
             .schemas
             .get(&publish.message_type)
             .unwrap_or_else(|| panic!("schema for `{}` must exist", publish.message_type));
-        subs.iter()
-            .map(|sub| {
-                let outcome = self.deliver_one(publish, schema, src, sub);
-                (sub.clone(), outcome)
-            })
-            .collect()
+        subs.iter().map(|sub| (sub.clone(), self.judge_one(publish, schema, src, sub))).collect()
     }
 
-    fn deliver_one(
+    fn judge_one(
         &self,
         publish: &PublishSpec,
         schema: &SchemaSpec,
         src: &EndpointState,
         subscriber: &str,
-    ) -> PredictedOutcome {
+    ) -> Judgement {
         let Some(dst) = self.endpoints.get(subscriber) else {
             // Subscriptions to departed endpoints are removed with the
             // endpoint, so this cannot happen under the round barrier.
-            return PredictedOutcome::Denied;
+            return Judgement::Refused;
         };
         if src.isolated || dst.isolated {
-            return PredictedOutcome::Denied;
+            return Judgement::Refused;
         }
         if !self.access_allows(subscriber, &src.owner) {
-            return PredictedOutcome::Denied;
+            return Judgement::Refused;
         }
         // Effective source context: sender secrecy joined with message-level
         // tags; integrity comes from the sender alone.
         let mut effective_secrecy = src.secrecy.clone();
         effective_secrecy.extend(publish.extra_secrecy.iter().cloned());
         if !(effective_secrecy.is_subset(&dst.secrecy) && dst.integrity.is_subset(&src.integrity)) {
-            return PredictedOutcome::Denied;
+            return Judgement::FlowDenied;
         }
         // Quench: drop every attribute whose extra tags the destination does
         // not hold in full.
-        let masked: Vec<&str> = schema
+        let mut quenched: Vec<String> = schema
             .attrs
             .iter()
             .filter(|attr| {
                 !attr.secrecy.is_empty()
                     && !attr.secrecy.iter().all(|tag| dst.secrecy.contains(tag))
             })
-            .map(|attr| attr.name.as_str())
+            .map(|attr| attr.name.clone())
             .collect();
-        let mut expected = publish.message(schema).quenched(masked);
-        expected.sender = publish.publisher.clone();
-        expected.sent_at_millis = publish.at_millis;
-        PredictedOutcome::Delivered(Box::new(expected))
+        quenched.sort();
+        let mut message = publish.message(schema).quenched(&quenched);
+        message.sender = publish.publisher.clone();
+        message.sent_at_millis = publish.at_millis;
+        let contexts =
+            [effective_secrecy, src.integrity.clone(), dst.secrecy.clone(), dst.integrity.clone()];
+        Judgement::Delivered { message: Box::new(message), contexts, quenched }
     }
 }
 
@@ -310,6 +377,9 @@ impl FleetModel {
 pub fn predict(fleet: &Fleet) -> Prediction {
     let mut model = FleetModel::new();
     let mut prediction = Prediction::default();
+    // Per (source, destination, message type): the contexts of the last allowed check
+    // written in full.
+    let mut evidenced: BTreeMap<(String, String, String), JudgedContexts> = BTreeMap::new();
     for deployment in &fleet.deployments {
         prediction.admissions.extend(model.install(deployment));
     }
@@ -318,13 +388,35 @@ pub fn predict(fleet: &Fleet) -> Prediction {
             prediction.admissions.extend(model.apply(event));
         }
         for publish in &round.publishes {
-            for (subscriber, outcome) in model.deliver(publish) {
-                prediction.published += 1;
-                match &outcome {
-                    PredictedOutcome::Delivered(_) => prediction.delivered += 1,
-                    PredictedOutcome::Denied => prediction.denied += 1,
+            let at = publish.at_millis;
+            for (subscriber, judgement) in model.judge(publish) {
+                let pair = (publish.publisher.clone(), subscriber);
+                let trail = prediction.trail.entry(pair.clone()).or_default();
+                let allowed = matches!(judgement, Judgement::Delivered { .. });
+                trail.count(allowed, at);
+                match &judgement {
+                    Judgement::Refused => {}
+                    Judgement::FlowDenied => trail.flow_checked.push(at),
+                    Judgement::Delivered { contexts, quenched, .. } => {
+                        let (from, to) = pair.clone();
+                        let held = (from, to, publish.message_type.clone());
+                        if evidenced.get(&held) != Some(contexts) {
+                            trail.flow_checked.push(at);
+                            if !quenched.is_empty() {
+                                trail.quenched.push((at, quenched.clone()));
+                            }
+                            evidenced.insert(held, contexts.clone());
+                        }
+                    }
                 }
-                let key = (publish.publisher.clone(), subscriber, publish.at_millis);
+                let outcome = judgement.outcome();
+                prediction.published += 1;
+                if allowed {
+                    prediction.delivered += 1;
+                } else {
+                    prediction.denied += 1;
+                }
+                let key = (pair.0, pair.1, at);
                 let previous = prediction.outcomes.insert(key.clone(), outcome);
                 assert!(previous.is_none(), "delivery key {key:?} must be unique (global clock)");
             }

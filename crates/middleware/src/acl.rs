@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_policy::Condition;
@@ -155,18 +154,49 @@ impl AccessRule {
     }
 }
 
-/// The decision reached by the regime.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The decision reached by the regime. `Copy`: deciding allocates nothing, a denial
+/// included — its text is built by [`DenialCause::reason`] where one is wanted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessDecision {
-    /// Allowed by the named rule index.
+    /// Some allow rule applied and no deny rule did.
     Allowed,
     /// Denied: either an explicit deny rule applied or no allow rule matched
     /// (default-deny).
     Denied {
-        /// Human-readable explanation; shared, so a cached denial is replayed without
-        /// copying it.
-        reason: Arc<str>,
+        /// Which of the three ways the regime refuses.
+        cause: DenialCause,
     },
+}
+
+/// Why the regime refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DenialCause {
+    /// No rule governs the component (it never had one, or its rules were cleared).
+    NoRules,
+    /// An explicit deny rule applied.
+    ExplicitDeny {
+        /// The rule's index among the component's rules.
+        rule: usize,
+    },
+    /// Rules govern the component, but no allow rule applied (default-deny).
+    NoAllowRule,
+}
+
+impl DenialCause {
+    /// The human-readable explanation of a refusal of `principal`'s `operation` on
+    /// `component`.
+    pub fn reason(self, component: &str, principal: &Principal, operation: Operation) -> String {
+        let name = &principal.name;
+        match self {
+            DenialCause::NoRules => format!("no access rules defined for component `{component}`"),
+            DenialCause::ExplicitDeny { .. } => {
+                format!("explicit deny: {name} may not {operation} on `{component}`")
+            }
+            DenialCause::NoAllowRule => {
+                format!("no allow rule matches {name} performing {operation} on `{component}`")
+            }
+        }
+    }
 }
 
 impl AccessDecision {
@@ -276,22 +306,14 @@ impl AccessRegime {
         // A cleared component reads like one that never had rules.
         let rules = match self.components.get(component) {
             Some(entry) if !entry.rules.is_empty() => &entry.rules,
-            _ => {
-                let reason = format!("no access rules defined for component `{component}`");
-                return AccessDecision::Denied { reason: reason.into() };
-            }
+            _ => return AccessDecision::Denied { cause: DenialCause::NoRules },
         };
         let mut allowed = false;
-        for rule in rules {
+        for (index, rule) in rules.iter().enumerate() {
             if rule.applies_to(principal, operation, message_type, snapshot, now) {
                 if !rule.allow {
-                    return AccessDecision::Denied {
-                        reason: format!(
-                            "explicit deny: {} may not {} on `{component}`",
-                            principal.name, operation
-                        )
-                        .into(),
-                    };
+                    let cause = DenialCause::ExplicitDeny { rule: index };
+                    return AccessDecision::Denied { cause };
                 }
                 allowed = true;
             }
@@ -299,13 +321,7 @@ impl AccessRegime {
         if allowed {
             AccessDecision::Allowed
         } else {
-            AccessDecision::Denied {
-                reason: format!(
-                    "no allow rule matches {} performing {} on `{component}`",
-                    principal.name, operation
-                )
-                .into(),
-            }
+            AccessDecision::Denied { cause: DenialCause::NoAllowRule }
         }
     }
 }
@@ -568,6 +584,63 @@ mod tests {
         assert!(p.to_string().contains("nina"));
         assert!(p.to_string().contains("nurse(ward-3)"));
         assert_eq!(Operation::Reconfigure.to_string(), "reconfigure");
-        assert!(!AccessDecision::Denied { reason: "r".into() }.is_allowed());
+        assert!(!AccessDecision::Denied { cause: DenialCause::NoRules }.is_allowed());
+    }
+
+    /// Each way the regime refuses, the cause it returns, and the text that cause
+    /// spells — the words denials have always carried, byte for byte.
+    #[test]
+    fn denial_causes_spell_the_three_reasons() {
+        let mut regime = AccessRegime::new();
+        regime.add_rule("ruled", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        regime.add_rule(
+            "ruled",
+            AccessRule::deny(Subject::Principal("mallory".into()), Operation::Send, None),
+        );
+        regime.add_rule("cleared", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        regime.clear_component("cleared");
+        let (nina, mallory) = (nurse(), Principal::new("mallory").with_role("visitor"));
+        let cases = [
+            (
+                "unruled",
+                &nina,
+                Operation::Send,
+                DenialCause::NoRules,
+                "no access rules defined for component `unruled`",
+            ),
+            (
+                "cleared",
+                &nina,
+                Operation::Send,
+                DenialCause::NoRules,
+                "no access rules defined for component `cleared`",
+            ),
+            (
+                "ruled",
+                &mallory,
+                Operation::Send,
+                DenialCause::ExplicitDeny { rule: 1 },
+                "explicit deny: mallory may not send on `ruled`",
+            ),
+            (
+                "ruled",
+                &nina,
+                Operation::Reconfigure,
+                DenialCause::NoAllowRule,
+                "no allow rule matches nina performing reconfigure on `ruled`",
+            ),
+        ];
+        for (component, principal, operation, cause, text) in cases {
+            let decision = regime.decide(
+                component,
+                principal,
+                operation,
+                None,
+                &ContextSnapshot::default(),
+                Timestamp::ZERO,
+            );
+            assert_eq!(decision, AccessDecision::Denied { cause }, "{text}");
+            assert_eq!(cause.reason(component, principal, operation), text);
+        }
     }
 }

@@ -10,21 +10,23 @@
 //! ([`FlowVerdict::into_evidence`], the bus), or written from the verdict's own
 //! borrowed fields straight into an encoded trail ([`FlowVerdict::write_evidence`],
 //! the shards: same bytes, nothing built). Quenching and every effect (channel table,
-//! mailboxes, counters, audit appends) belong to its drivers: [`admit_channel`] /
-//! [`admit_channel_cached`], [`crate::bus::Middleware`] (`establish_channel`, `send`,
-//! `reevaluate_channels`) and `legaliot-dataplane` (`Dataplane::subscribe` and each
-//! shard worker's per-delivery step).
+//! mailboxes, counters, audit appends) belong to its drivers: [`admit_channel`],
+//! [`crate::bus::Middleware`] (`establish_channel`, `send`, `reevaluate_channels`) and
+//! `legaliot-dataplane` (`Dataplane::subscribe` and each shard worker's per-delivery
+//! step). Every driver answers from the regime and [`can_flow`] directly.
+//!
+//! [`AdmissionCache`] and [`admit_channel_cached`] have no caller left in the library:
+//! they stay, with their tests, until `benchmark/` stops naming them.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use legaliot_audit::codec::{DataItem, FlowCheckedRef};
 use legaliot_audit::{AuditEvent, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, SubscriptionId, Timestamp};
 use legaliot_ifc::{can_flow, CacheStats, DecisionCache, FlowDecision, Label, SecurityContext};
 
-use crate::acl::{AccessDecision, AccessRegime, Operation, Principal};
+use crate::acl::{AccessDecision, AccessRegime, DenialCause, Operation, Principal};
 use crate::bus::DeliveryOutcome;
 use crate::component::Component;
 use crate::schema::MessageType;
@@ -44,12 +46,14 @@ pub struct MessageFacts<'a> {
 pub enum Verdict<'a> {
     /// An endpoint is isolated; no policy question was asked.
     Isolated,
-    /// The access-control regime refused; no flow check ran.
+    /// The access-control regime refused the sender's `Send`; no flow check ran.
     AccessDenied {
-        /// The regime's explanation, shared with the decision it came from.
-        reason: Arc<str>,
-        /// Whether a cache answered.
-        cache_hit: bool,
+        /// Why the regime refused.
+        cause: DenialCause,
+        /// The sender's principal.
+        principal: &'a Principal,
+        /// The destination component, whose rules refused.
+        component: &'a str,
     },
     /// The sequence reached the IFC check; the decision may be a denial.
     Flow(FlowVerdict<'a>),
@@ -61,8 +65,9 @@ impl Verdict<'_> {
     pub fn into_outcome(self) -> DeliveryOutcome {
         match self {
             Verdict::Isolated => DeliveryOutcome::Isolated,
-            Verdict::AccessDenied { reason, .. } => {
-                DeliveryOutcome::DeniedByAccessControl { reason: reason.as_ref().into() }
+            Verdict::AccessDenied { cause, principal, component } => {
+                let reason = cause.reason(component, principal, Operation::Send);
+                DeliveryOutcome::DeniedByAccessControl { reason }
             }
             Verdict::Flow(flow) if flow.decision.is_denied() => {
                 DeliveryOutcome::DeniedByIfc(flow.decision)
@@ -83,10 +88,6 @@ pub struct FlowVerdict<'a> {
     pub source_context: Cow<'a, SecurityContext>,
     /// The flow decision.
     pub decision: FlowDecision,
-    /// Whether a cache answered the AC question; `None` when none was asked.
-    pub access_hit: Option<bool>,
-    /// Whether a cache answered the IFC question.
-    pub flow_hit: bool,
 }
 
 impl FlowVerdict<'_> {
@@ -131,33 +132,28 @@ impl FlowVerdict<'_> {
 /// The §8.2.2 enforcement sequence for `source → destination`, written once:
 /// isolation, then the AC question, then IFC over the effective source context.
 ///
-/// The caller answers the two policy questions with whatever it owns — the regime and
-/// [`can_flow`] directly, or its decision caches; an answer's boolean is `true` when
-/// a cache produced it. `access` answers "may `source`'s principal `Send` this to
+/// The caller answers the two policy questions with what it owns — the regime and
+/// [`can_flow`]. `access` answers "may `source`'s principal `Send` this to
 /// `destination`?", or `None` when the caller has no AC question because the channel
 /// was admission-checked when it was established. `flow` is handed the effective
-/// source context and whether it is a fresh join (no precomputed hash of the
-/// sender's own context applies). A message carries at least the sender's current
-/// context: message-level secrecy tags are *added* (they can only constrain further),
-/// while integrity comes from the sender alone — an application cannot endorse its
-/// own messages beyond its process-level integrity.
+/// source context. A message carries at least the sender's current context:
+/// message-level secrecy tags are *added* (they can only constrain further), while
+/// integrity comes from the sender alone — an application cannot endorse its own
+/// messages beyond its process-level integrity.
 #[inline]
 pub fn enforce<'a>(
     source: &'a Component,
     destination: &'a Component,
     message: Option<MessageFacts<'a>>,
-    access: impl FnOnce() -> Option<(AccessDecision, bool)>,
-    flow: impl FnOnce(&SecurityContext, bool) -> (FlowDecision, bool),
+    access: impl FnOnce() -> Option<AccessDecision>,
+    flow: impl FnOnce(&SecurityContext) -> FlowDecision,
 ) -> Verdict<'a> {
     if source.is_isolated() || destination.is_isolated() {
         return Verdict::Isolated;
     }
-    let mut access_hit = None;
-    if let Some((decision, cache_hit)) = access() {
-        if let AccessDecision::Denied { reason } = decision {
-            return Verdict::AccessDenied { reason, cache_hit };
-        }
-        access_hit = Some(cache_hit);
+    if let Some(AccessDecision::Denied { cause }) = access() {
+        let (principal, component) = (source.principal(), destination.name());
+        return Verdict::AccessDenied { cause, principal, component };
     }
     let source_context = match message {
         Some(facts) if !facts.secrecy.is_empty() => Cow::Owned(SecurityContext::new(
@@ -166,18 +162,9 @@ pub fn enforce<'a>(
         )),
         _ => Cow::Borrowed(source.context()),
     };
-    let joined = matches!(source_context, Cow::Owned(_));
-    let (decision, flow_hit) = flow(&source_context, joined);
+    let decision = flow(&source_context);
     let message_type = message.map(|facts| facts.message_type);
-    Verdict::Flow(FlowVerdict {
-        source,
-        destination,
-        message_type,
-        source_context,
-        decision,
-        access_hit,
-        flow_hit,
-    })
+    Verdict::Flow(FlowVerdict { source, destination, message_type, source_context, decision })
 }
 
 /// Runs the admission sequence for a prospective channel `source → destination`,
@@ -214,20 +201,20 @@ pub fn admit_channel(
     now: Timestamp,
 ) -> DeliveryOutcome {
     let (to, principal) = (destination.name(), source.principal());
-    let ask = || Some((access.decide(to, principal, Operation::Send, None, snapshot, now), false));
+    let ask = || Some(access.decide(to, principal, Operation::Send, None, snapshot, now));
     enforce(source, destination, None, ask, direct_flow(destination)).into_outcome()
 }
 
-/// The IFC answer of a caller that holds no decision cache: [`can_flow`] itself.
+/// The IFC answer of every driver: [`can_flow`] into `destination`'s context.
 pub(crate) fn direct_flow(
     destination: &Component,
-) -> impl FnOnce(&SecurityContext, bool) -> (FlowDecision, bool) + '_ {
-    |source, _joined| (can_flow(source, destination.context()), false)
+) -> impl FnOnce(&SecurityContext) -> FlowDecision + '_ {
+    |source| can_flow(source, destination.context())
 }
 
-/// A cache of [`AccessRegime`] decisions for one enforcement surface (one dataplane
-/// shard): per destination component, the answers given under one revision of its
-/// rules. A lookup compares the question itself — principal name, roles, operation,
+/// A cache of [`AccessRegime`] decisions for one caller (no dataplane shard holds
+/// one; `benchmark/` still measures it): per destination component, the answers
+/// given under one revision of its rules. A lookup compares the question itself — principal name, roles, operation,
 /// message type — so an answer is only ever replayed to the question it was given to.
 /// Two things retire an answer: a write to a context key the component's rules read
 /// ([`AdmissionCache::sync`]), and a change of those rules, seen at the component's
@@ -393,7 +380,7 @@ impl AdmissionCache {
         if let Some(cached) = self.components.get(component).filter(current) {
             if let Ok(at) = cached.position(principal, operation, message_type) {
                 self.stats.hits += 1;
-                return (cached.answers[at].decision.clone(), true);
+                return (cached.answers[at].decision, true);
             }
         }
         self.stats.misses += 1;
@@ -407,7 +394,7 @@ impl AdmissionCache {
         let cached = self.components.get_mut(component).expect("current, or just started over");
         let at = cached.position(principal, operation, message_type).unwrap_or_else(|at| at);
         let (principal, message_type) = (principal.clone(), message_type.cloned());
-        let answer = Answer { principal, operation, message_type, decision: decision.clone() };
+        let answer = Answer { principal, operation, message_type, decision };
         cached.answers.insert(at, answer);
         self.stats.entries += 1;
         (decision, false)
@@ -455,7 +442,7 @@ pub fn admit_channel_cached(
     cache: &mut AdmissionCache,
 ) -> DeliveryOutcome {
     let (to, principal) = (destination.name(), source.principal());
-    let ask = || Some(cache.decide(access, to, principal, Operation::Send, None, snapshot, now));
+    let ask = || Some(cache.decide(access, to, principal, Operation::Send, None, snapshot, now).0);
     enforce(source, destination, None, ask, direct_flow(destination)).into_outcome()
 }
 
@@ -609,45 +596,32 @@ mod tests {
             // Direct, cache-answered cold, cache-answered warm: one verdict. The send
             // times walk over every digit count a data item's name can take.
             for (round, cached) in [false, true, true].into_iter().enumerate() {
-                let warm = round == 2;
                 let at_millis = [0, 9, 10, u64::MAX][(index + round) % 4];
                 let ask = || {
-                    let (regime, at) = (&access, &snapshot);
+                    let (regime, at, send) = (&access, &snapshot, Operation::Send);
                     Some(if cached {
-                        ac_cache.decide(
-                            regime,
-                            to,
-                            principal,
-                            Operation::Send,
-                            message_type,
-                            at,
-                            NOW,
-                        )
+                        ac_cache.decide(regime, to, principal, send, message_type, at, NOW).0
                     } else {
-                        (
-                            regime.decide(to, principal, Operation::Send, message_type, at, NOW),
-                            false,
-                        )
+                        regime.decide(to, principal, send, message_type, at, NOW)
                     })
                 };
-                let flow = |source: &SecurityContext, joined: bool| {
-                    assert_eq!(joined, source != src.context(), "{}", case.why);
+                let flow = |source: &SecurityContext| {
                     if cached {
                         let hashes = (context_hash64(source), context_hash64(dst.context()));
-                        flow_cache.check(source, hashes.0, dst.context(), hashes.1)
+                        flow_cache.check(source, hashes.0, dst.context(), hashes.1).0
                     } else {
-                        (can_flow(source, dst.context()), false)
+                        can_flow(source, dst.context())
                     }
                 };
                 let verdict = enforce(&src, &dst, facts, ask, flow);
                 let stops = match &verdict {
                     Verdict::Isolated => Stops::Isolated,
-                    Verdict::AccessDenied { cache_hit, .. } => {
-                        assert_eq!(*cache_hit, warm, "{}", case.why);
+                    Verdict::AccessDenied { cause, principal, component } => {
+                        assert_eq!((principal.name.as_str(), *component), ("owner", "dst"));
+                        assert_eq!(*cause, DenialCause::NoRules, "{}", case.why);
                         Stops::AccessDenied
                     }
                     Verdict::Flow(flow) => {
-                        assert_eq!((flow.access_hit, flow.flow_hit), (Some(warm), warm));
                         let expected = Label::from_names(case.effective_secrecy.iter().copied());
                         assert_eq!(flow.source_context.secrecy(), &expected, "{}", case.why);
                         assert_eq!(flow.source_context.integrity(), src.context().integrity());

@@ -381,12 +381,8 @@ impl Middleware {
             secrecy: message.context.secrecy(),
         };
         let ask = || {
-            let principal = source.principal();
-            let message_type = Some(facts.message_type);
-            Some((
-                self.access.decide(to, principal, Operation::Send, message_type, snapshot, now),
-                false,
-            ))
+            let (principal, message_type) = (source.principal(), Some(facts.message_type));
+            Some(self.access.decide(to, principal, Operation::Send, message_type, snapshot, now))
         };
         let flow = match enforce(source, destination, Some(facts), ask, direct_flow(destination)) {
             Verdict::Flow(flow) => flow,
@@ -479,8 +475,9 @@ impl Middleware {
             snapshot,
             now,
         );
-        if let AccessDecision::Denied { reason } = ac {
-            return ControlOutcome::Unauthorised { reason: reason.as_ref().into() };
+        if let AccessDecision::Denied { cause } = ac {
+            let reason = cause.reason(&message.target, &issuer, Operation::Reconfigure);
+            return ControlOutcome::Unauthorised { reason };
         }
 
         let mut labels_changed = false;

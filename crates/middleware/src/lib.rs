@@ -28,7 +28,9 @@ pub mod component;
 pub mod control;
 pub mod schema;
 
-pub use acl::{AccessDecision, AccessRegime, AccessRule, Operation, Principal, Subject};
+pub use acl::{
+    AccessDecision, AccessRegime, AccessRule, DenialCause, Operation, Principal, Subject,
+};
 pub use admission::{admit_channel, admit_channel_cached, AdmissionCache};
 pub use bus::{Channel, ChannelState, DeliveryOutcome, Middleware, MiddlewareError};
 pub use component::{Component, ComponentBuilder, Registry};

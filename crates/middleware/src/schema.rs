@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use legaliot_ifc::{Label, SecurityContext, StableHasher};
+use legaliot_ifc::{Label, SecurityContext};
 
 /// The name of a message type (e.g. `sensor-reading`, `actuation-command`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -237,15 +237,6 @@ impl fmt::Display for Message {
 /// of a map clone.
 pub const MAX_FROZEN_ATTRIBUTES: usize = 64;
 
-fn kind_tag(kind: AttributeKind) -> &'static str {
-    match kind {
-        AttributeKind::Text => "text",
-        AttributeKind::Integer => "integer",
-        AttributeKind::Float => "float",
-        AttributeKind::Bool => "bool",
-    }
-}
-
 /// An immutable, shareable compilation of a [`MessageSchema`] for the enforcement hot
 /// path: attribute names are interned once (`Arc<[Arc<str>]>`), kinds and message-level
 /// secrecy labels are index-aligned arrays, and the sensitive attributes are a bitmask,
@@ -264,8 +255,6 @@ pub struct FrozenSchema {
     secrecy: Box<[Option<Label>]>,
     /// Bitmask of indices that carry a message-level secrecy label.
     sensitive_mask: u64,
-    /// Stable 64-bit identity of this schema (type, names, kinds, secrecy tags).
-    schema_hash: u64,
 }
 
 impl FrozenSchema {
@@ -298,23 +287,8 @@ impl FrozenSchema {
                 label
             })
             .collect();
-        let mut hasher = StableHasher::new().write_str(schema.message_type.as_str());
-        for (index, name) in names.iter().enumerate() {
-            hasher = hasher.write_str(name).write_str(kind_tag(kinds[index]));
-            if let Some(label) = &secrecy[index] {
-                for tag in label.iter() {
-                    hasher = hasher.write_str(tag.name());
-                }
-            }
-        }
-        Ok(FrozenSchema {
-            message_type: schema.message_type.clone(),
-            names,
-            kinds,
-            secrecy,
-            sensitive_mask,
-            schema_hash: hasher.finish(),
-        })
+        let message_type = schema.message_type.clone();
+        Ok(FrozenSchema { message_type, names, kinds, secrecy, sensitive_mask })
     }
 
     /// The message type this schema describes.
@@ -355,11 +329,6 @@ impl FrozenSchema {
     /// Bitmask of attributes carrying message-level secrecy tags.
     pub fn sensitive_mask(&self) -> u64 {
         self.sensitive_mask
-    }
-
-    /// Stable 64-bit identity of this schema, suitable for keying quench caches.
-    pub fn schema_hash(&self) -> u64 {
-        self.schema_hash
     }
 
     /// The bitmask of attributes that must be *source-quenched* for a destination
@@ -913,11 +882,6 @@ mod tests {
         assert_eq!(schema.sensitive_mask(), 0b001);
         assert_eq!(schema.secrecy(0), Some(&Label::from_names(["identity"])));
         assert!(schema.secrecy(1).is_none());
-        // The schema hash is stable and distinguishes schemas.
-        let again = FrozenSchema::new(&reading_schema()).unwrap();
-        assert_eq!(schema.schema_hash(), again.schema_hash());
-        let other = FrozenSchema::new(&MessageSchema::new("other")).unwrap();
-        assert_ne!(schema.schema_hash(), other.schema_hash());
     }
 
     #[test]

@@ -92,6 +92,11 @@ fn sink_rule() -> AccessRule {
 
 const PUBLISHERS: [&str; 3] = ["pub-0", "pub-1", "pub-2"];
 const SINKS: [&str; 4] = ["sink-0", "sink-1", "sink-2", "sink-3"];
+/// Most ephemeral subscribers alive at once. A control call never waits on the
+/// shards, so the churn thread runs at control-plane speed; the cap keeps the
+/// fan-out — and with it the soak's volume and memory — independent of how the
+/// threads happen to be scheduled.
+const MAX_EPHEMERAL: usize = 16;
 
 /// Installs `fleets` generated deployments as background population — things,
 /// schemas, policies and admitted edges all through the shared builder path —
@@ -205,8 +210,8 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
     );
 
     // A retention-bounded context store: the churn writes context keys
-    // constantly, and compaction must never outrun the shards' AC-cache
-    // subscriptions (satellite: bounded `ContextStore` history under load).
+    // constantly, and the history must stay bounded under load while every
+    // shard judges against the current values.
     let store = Arc::new(ContextStore::with_retention(256));
     store.set("load", 80i64, Timestamp(0));
     store.set("emergency.active", false, Timestamp(0));
@@ -245,9 +250,8 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
         }
     }
     // One "anchor" sink per shard, each subscribed to pub-0: every shard then
-    // processes payload batches throughout the run, so every shard's AC-cache
-    // store subscription keeps polling and the retention bound asserted below
-    // cannot be pinned by a shard that happens to own no other endpoint.
+    // processes payload batches throughout the run, refreshing its context
+    // snapshot, whichever endpoints it happens to own.
     let mut covered = vec![false; shards];
     let mut candidate = 0u64;
     while covered.iter().any(|shard_covered| !shard_covered) {
@@ -317,7 +321,7 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
                 match rng.gen_range(0u32..100) {
                     // Mint an ephemeral subscriber (sometimes with a live
                     // streaming receiver) and admit it behind the same rule.
-                    0..=19 => {
+                    0..=19 if ephemeral.len() < MAX_EPHEMERAL => {
                         let name = format!("eph-{minted}");
                         minted += 1;
                         if dataplane.register(endpoint(&name, &["t", "sink"])).is_ok() {
@@ -382,7 +386,7 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
                         }
                     }
                     // Regime update: reinstall a sink's rule set (an AC-regime
-                    // version bump, invalidating cached admissions).
+                    // change, in force for that sink's next delivery).
                     80..=89 => {
                         let sink = SINKS[rng.gen_range(0..SINKS.len())];
                         dataplane.with_access(|access| {
@@ -482,8 +486,8 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
     assert_eq!(lost_counted, stats.deliveries_lost);
     assert!(lost_hand_off <= stats.delivered, "hand-off losses are a subset of counted deliveries");
 
-    // The retention bound held under churn (a lagging cursor may pin a window
-    // past the bound, but never unboundedly — every subscriber polls per batch).
+    // The retention bound held under churn (no shard holds a change-feed cursor,
+    // so nothing pins a window past it).
     assert!(
         store.history().len() <= 4096,
         "context history stayed bounded: {}",

@@ -92,12 +92,15 @@ fn compliance_audit_entry_path() {
 }
 
 /// The dataplane path (`Dataplane::publish_message`): the smart-home and
-/// smart-city topologies install onto the dataplane, traffic is enforced with the
-/// decision cache hot, and every per-shard audit chain verifies.
+/// smart-city topologies install onto the dataplane, traffic is enforced, the
+/// summarised trail holds one full `FlowChecked` per (pair, message type), and every
+/// per-shard audit chain verifies.
 #[test]
 fn dataplane_entry_path() {
+    use legaliot::audit::AuditEvent;
     use legaliot::context::Timestamp;
     use legaliot::dataplane::{smart_city, smart_home, Dataplane, DataplaneConfig};
+    use std::collections::BTreeSet;
 
     for topology in [smart_home(4, 2016), smart_city(2, 3)] {
         let dataplane = Dataplane::new(topology.name.clone(), DataplaneConfig::default());
@@ -113,8 +116,35 @@ fn dataplane_entry_path() {
         dataplane.drain();
         let stats = dataplane.stats();
         assert_eq!(stats.delivered, stats.published);
-        assert!(stats.cache_hit_ratio() > 0.9);
         let report = dataplane.shutdown();
+        // Nothing changes context: each (pair, message type) is evidenced in full once,
+        // at its first message, and every repeat folds into the pair's summary.
+        let messages = topology.publisher_messages();
+        let sent: BTreeSet<(&str, &str, &str)> = topology
+            .edges
+            .iter()
+            .flat_map(|(from, to)| {
+                let types = messages.iter().filter(move |(publisher, _)| publisher == from);
+                types.map(move |(_, message)| {
+                    (from.as_str(), to.as_str(), message.message_type.as_str())
+                })
+            })
+            .collect();
+        let checked: Vec<(&str, &str, &str)> = report
+            .shard_audit
+            .iter()
+            .flat_map(|log| log.records())
+            .filter_map(|record| match &record.event {
+                AuditEvent::FlowChecked { source, destination, data_item, .. } => {
+                    let item = data_item.as_deref().expect("a message was checked");
+                    let message_type = item.split('@').next().unwrap();
+                    Some((source.as_str(), destination.as_str(), message_type))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(checked.len(), sent.len(), "one full check per (pair, message type)");
+        assert_eq!(checked.into_iter().collect::<BTreeSet<_>>(), sent);
         assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
         assert!(report.control_audit.verify_chain().is_intact());
     }

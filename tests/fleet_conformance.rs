@@ -14,7 +14,10 @@
 //!    is evidenced as `DeliveryLost` at a predicted key, the counters equal
 //!    the prediction minus precisely the evidenced losses, and the identity
 //!    `published == delivered + denied + missing + lost` holds exactly;
-//! 3. audit chains verify intact across every injected restart.
+//! 3. audit chains verify intact across every injected restart;
+//! 4. the fault-free run's Summarised evidence is the model's, pair for pair and
+//!    record for record: every full `FlowChecked`, every `MessageQuenched` with
+//!    its attribute names, and every `FlowSummary`'s totals and window.
 //!
 //! The run is reproducible from its seed: `LEGALIOT_FLEET_SEED` (default 1),
 //! `LEGALIOT_FLEET_DEPLOYMENTS` (default 1000), `LEGALIOT_FLEET_ROUNDS`
@@ -26,11 +29,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use legaliot::dataplane::AuditDetail;
 use legaliot::dataplane::{
     DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec, FaultKind,
 };
 use legaliot::fleet::{
-    generate, predict, run_fleet, Fleet, FleetConfig, PredictedOutcome, Prediction, RunOutcome,
+    generate, predict, run_fleet, Fleet, FleetConfig, PairTrail, PredictedOutcome, Prediction,
+    RunOutcome,
 };
 use legaliot::middleware::Message;
 
@@ -118,6 +123,35 @@ fn assert_deliveries_match(
     );
 }
 
+/// Asserts the shard trails equal the predicted ones, reporting the first divergent
+/// pairs rather than dumping both maps.
+fn assert_trails_match(
+    observed: &BTreeMap<(String, String), PairTrail>,
+    expected: &BTreeMap<(String, String), PairTrail>,
+    ctx: &str,
+) {
+    let pairs = expected.keys().chain(observed.keys().filter(|pair| !expected.contains_key(*pair)));
+    let diffs: Vec<String> = pairs
+        .filter(|pair| observed.get(*pair) != expected.get(*pair))
+        .take(5)
+        .map(|pair| {
+            format!(
+                "{pair:?}: observed {:?}, predicted {:?}",
+                observed.get(pair),
+                expected.get(pair)
+            )
+        })
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "Summarised evidence diverged from the oracle {ctx}: {} pairs predicted, {} observed; \
+         first diffs:\n  {}",
+        expected.len(),
+        observed.len(),
+        diffs.join("\n  ")
+    );
+}
+
 fn assert_admissions_match(outcome: &RunOutcome, prediction: &Prediction, ctx: &str) {
     let predicted: Vec<(String, String, bool)> = prediction
         .admissions
@@ -135,7 +169,8 @@ fn assert_admissions_match(outcome: &RunOutcome, prediction: &Prediction, ctx: &
 fn conformance_without_faults() {
     let (fleet, shards, ctx) = fleet_under_test();
     let prediction = predict(&fleet);
-    let config = DataplaneConfig { shards, ..DataplaneConfig::default() };
+    let config =
+        DataplaneConfig { shards, audit_detail: AuditDetail::Summarised, ..Default::default() };
     let outcome = run_fleet(&fleet, "fleet-conformance", config)
         .unwrap_or_else(|error| panic!("fleet run failed {ctx}: {error}"));
 
@@ -159,13 +194,19 @@ fn conformance_without_faults() {
     );
     assert_admissions_match(&outcome, &prediction, &ctx);
     assert_deliveries_match(&outcome.observed, &predicted_deliveries(&prediction), &ctx);
+    let trail = outcome.trail();
+    assert_trails_match(&trail, &prediction.trail, &ctx);
+    let full: usize = trail.values().map(|pair| pair.flow_checked.len()).sum();
+    let quenched: usize = trail.values().map(|pair| pair.quenched.len()).sum();
     println!(
-        "fleet conformance {ctx}: endpoints={} edges={} published={} delivered={} denied={}",
+        "fleet conformance {ctx}: endpoints={} edges={} published={} delivered={} denied={} \
+         full_flow_checks={full} quench_records={quenched} shard_records={}",
         fleet.endpoint_count(),
         fleet.edge_count(),
         outcome.stats.published,
         outcome.stats.delivered,
         outcome.stats.denied,
+        outcome.shard_records.len(),
     );
 }
 
