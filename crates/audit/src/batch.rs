@@ -142,7 +142,7 @@ impl Trail {
 ///     AuditEvent::PolicyFired { policy: "p".into(), trigger: "t".into(), actions: 1 },
 ///     10,
 /// );
-/// assert_eq!((appender.len(), appender.buffered()), (1, 1));
+/// assert_eq!(appender.len(), 1);
 /// let log = appender.into_log(); // final flush included
 /// assert_eq!(log.len(), 1);
 /// assert!(log.verify_chain().is_intact());
@@ -286,11 +286,6 @@ impl BatchedAppender {
         }
     }
 
-    /// Records appended since the last flush.
-    pub fn buffered(&self) -> usize {
-        self.buffered
-    }
-
     /// The configured auto-flush threshold.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -392,7 +387,7 @@ mod tests {
         }
         // 10 events, capacity 4: two auto-flushes have happened, two appends since.
         assert_eq!(appender.len(), 10);
-        assert_eq!(appender.buffered(), 2);
+        assert_eq!(appender.buffered, 2);
         assert_eq!(appender.capacity(), 4);
         let log = appender.into_log();
         assert_eq!(log.len(), 10);
@@ -481,7 +476,7 @@ mod tests {
     fn capacity_one_is_unbatched() {
         let mut appender = BatchedAppender::new("n", 0); // clamped to 1
         appender.append(event(0), 0);
-        assert_eq!(appender.buffered(), 0);
+        assert_eq!(appender.buffered, 0);
         assert_eq!(appender.len(), 1);
     }
 

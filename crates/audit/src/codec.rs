@@ -1,7 +1,7 @@
 //! The canonical binary encoding of an [`AuditRecord`].
 //!
 //! One encoder, one decoder, and two consumers of the same bytes: the chain hash
-//! ([`record_hash`], which [`crate::AuditLog`] calls for every record it appends or
+//! (`record_hash`, which [`crate::AuditLog`] calls for every record it appends or
 //! verifies) and the on-disk frame body ([`encode_record`] / [`decode_record`], which
 //! [`crate::SegmentStore`] reads and writes in every frame). The hash is *defined* over
 //! the encoding, so a record means the same thing to the chain and to the disk.
@@ -397,7 +397,7 @@ fn put_body<S: Sink>(
 /// The chain hash of a record with these contents: FNV-1a 64 over the record's
 /// canonical encoding up to (not including) its `hash` field. The bytes are folded
 /// into the hasher as they are produced — nothing is allocated.
-pub fn record_hash(
+pub(crate) fn record_hash(
     id: RecordId,
     at_millis: u64,
     recorded_by: &str,

@@ -274,7 +274,7 @@ impl AuditEvent {
     }
 
     /// Whether the event records a *denied* flow.
-    pub fn is_denied_flow(&self) -> bool {
+    pub(crate) fn is_denied_flow(&self) -> bool {
         matches!(
             self,
             AuditEvent::FlowChecked { decision, .. } if decision.is_denied()

@@ -12,9 +12,10 @@
 //!
 //! * [`AuditEvent`] — the vocabulary of auditable occurrences (flow checks, label
 //!   changes, declassifications, reconfigurations, policy decisions);
-//! * [`AuditLog`] — an append-only, hash-chained log with tamper-evidence, pruning and
-//!   offload support (Challenge 6: "When can logs safely be pruned? Can logs be
-//!   offloaded to others for distributed audit?");
+//! * [`AuditLog`] — an append-only, hash-chained log with tamper-evidence and offload
+//!   support, and [`BatchedAppender`], which prunes a trail to a retention bound
+//!   (Challenge 6: "When can logs safely be pruned? Can logs be offloaded to others for
+//!   distributed audit?");
 //! * [`ProvenanceGraph`] — the audit graph of Fig. 11 (data items, processes, agents)
 //!   built from the log, with ancestry/taint queries and DOT export;
 //! * [`codec`] — the one canonical binary encoding of a record, which both the chain
@@ -35,7 +36,7 @@ pub mod segment;
 
 pub use batch::{BatchedAppender, PruneSink};
 pub use event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
-pub use log::{AuditLog, ChainVerification, PruneOutcome};
+pub use log::{AuditLog, ChainVerification};
 pub use provenance::{NodeId, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode, Relation};
 pub use segment::{
     FaultHook, FsyncHistogram, IoFault, IoOp, RecoveryReport, SegmentStats, SegmentStore,

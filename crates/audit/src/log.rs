@@ -3,12 +3,13 @@
 //! Tamper evidence is provided by chaining each record's hash with its predecessor's
 //! (the paper cites hardware-backed secure logs, e.g. BBox \[6\]; we model the chain in
 //! software — the integrity *property* is what compliance checking relies on). A
-//! record's hash is [`crate::codec::record_hash`]: an algorithm and an input this
+//! record's hash is `codec::record_hash`: an algorithm and an input this
 //! repository pins (golden vectors below), because persisted segments must still verify
 //! after a toolchain upgrade — which `std`'s `DefaultHasher` does not promise.
 //! Challenge 6 asks "when can logs safely be pruned? Can logs be offloaded to others for
-//! distributed audit?" — [`AuditLog::prune_before`] and [`AuditLog::offload`] model
-//! both, preserving chain verifiability across the cut by retaining the anchor hash.
+//! distributed audit?" — [`crate::BatchedAppender::with_retention`] and
+//! [`AuditLog::offload`] model both, preserving chain verifiability across the cut by
+//! retaining the anchor hash.
 
 use std::fmt;
 
@@ -44,17 +45,6 @@ impl fmt::Display for ChainVerification {
             ChainVerification::Broken { at } => write!(f, "broken at {at}"),
         }
     }
-}
-
-/// The result of pruning a log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PruneOutcome {
-    /// Number of records removed.
-    pub removed: usize,
-    /// Number of records retained.
-    pub retained: usize,
-    /// The hash the retained chain is anchored on (the hash of the last pruned record).
-    pub anchor_hash: u64,
 }
 
 /// An append-only, hash-chained audit log for one recording authority (node, domain or
@@ -207,23 +197,6 @@ impl AuditLog {
         ChainVerification::Intact { records: records.len() }
     }
 
-    /// Prunes all records recorded strictly before `before_millis`, keeping the chain
-    /// verifiable by anchoring on the last pruned record's hash. (The bounded in-memory
-    /// retention of long-running enforcement points is
-    /// [`crate::BatchedAppender::with_retention`].)
-    pub fn prune_before(&mut self, before_millis: u64) -> PruneOutcome {
-        let split = self
-            .records
-            .iter()
-            .position(|r| r.at_millis >= before_millis)
-            .unwrap_or(self.records.len());
-        if split > 0 {
-            self.anchor_hash = self.records[split - 1].hash;
-        }
-        self.records.drain(..split);
-        PruneOutcome { removed: split, retained: self.records.len(), anchor_hash: self.anchor_hash }
-    }
-
     /// Offloads (moves) all current records into a new log destined for a remote
     /// auditor, leaving this log empty but anchored so future records still chain onto
     /// the offloaded history (distributed audit, Challenge 6).
@@ -312,24 +285,6 @@ mod tests {
         log.record(flow_event("c", "d", false), 3);
         log.records.remove(1);
         assert!(!log.verify_chain().is_intact());
-    }
-
-    #[test]
-    fn pruning_preserves_verifiability() {
-        let mut log = AuditLog::new("node-a");
-        for t in 0..10 {
-            log.record(flow_event("s", "d", false), t);
-        }
-        let outcome = log.prune_before(5);
-        assert_eq!(outcome.removed, 5);
-        assert_eq!(outcome.retained, 5);
-        assert_ne!(outcome.anchor_hash, 0);
-        assert!(log.verify_chain().is_intact());
-        // New records still chain correctly.
-        log.record(flow_event("s", "d", false), 99);
-        assert!(log.verify_chain().is_intact());
-        // Record ids keep increasing across pruning.
-        assert_eq!(log.records().last().unwrap().id, RecordId(10));
     }
 
     #[test]
@@ -442,10 +397,12 @@ mod tests {
     fn from_records_rebuilds_a_log_from_its_encoded_records() {
         let mut log = AuditLog::new("shard-0");
         for t in 0..6 {
+            if t == 2 {
+                // Offloaded first, so the anchor and the first id are not the defaults.
+                log.offload("auditor");
+            }
             log.record(flow_event("s", "d", t % 2 == 0), t);
         }
-        // Pruned first, so the anchor and the first id are not the defaults.
-        log.prune_before(2);
 
         let mut rebuilt =
             AuditLog::from_records("shard-0", log.anchor_hash(), through_the_codec(log.records()));
@@ -547,20 +504,6 @@ mod tests {
             for t in &times {
                 log.record(flow_event("a", "b", t % 2 == 0), *t);
             }
-            prop_assert!(log.verify_chain().is_intact());
-        }
-
-        /// Pruning at any point keeps the remaining chain intact and removes exactly the
-        /// records before the cut.
-        #[test]
-        fn prop_prune_keeps_chain(cut in 0u64..50, n in 1usize..40) {
-            let mut log = AuditLog::new("n");
-            for t in 0..n as u64 {
-                log.record(flow_event("a", "b", false), t);
-            }
-            let expected_removed = (0..n as u64).filter(|t| *t < cut).count();
-            let outcome = log.prune_before(cut);
-            prop_assert_eq!(outcome.removed, expected_removed);
             prop_assert!(log.verify_chain().is_intact());
         }
     }

@@ -128,7 +128,7 @@ impl ProvenanceGraph {
     }
 
     /// As [`Self::node`], also recording the node's security context.
-    pub fn node_with_context(
+    fn node_with_context(
         &mut self,
         kind: NodeKind,
         name: impl Into<String>,
@@ -140,7 +140,7 @@ impl ProvenanceGraph {
     }
 
     /// Adds an edge asserting `relation` from `from` to `to` at the given time.
-    pub fn relate(&mut self, from: NodeId, to: NodeId, relation: Relation, at_millis: u64) {
+    fn relate(&mut self, from: NodeId, to: NodeId, relation: Relation, at_millis: u64) {
         self.edges.push(ProvenanceEdge { from, to, relation, at_millis });
     }
 

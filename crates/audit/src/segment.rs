@@ -46,12 +46,11 @@
 //! they are. The store walks the length prefixes, to ask the fault hook about each
 //! record and to rotate at the right ones, and gives every contiguous stretch to the
 //! file in one `write_all` straight from the caller's bytes: the appender owns those,
-//! the store copies nothing. [`SegmentStore::append_batch`] (and [`SegmentStore::append`],
-//! its one-record case) is for callers holding [`AuditRecord`]s: it encodes them into
-//! one store-owned buffer, 256 KiB at a time so the buffer — and RSS — stays bounded,
-//! and takes the same path. That buffer is always empty when a call returns: the
-//! store holds no bytes in user space between calls, so what
-//! [`SegmentStats::records_persisted`] counts has reached the file.
+//! the store copies nothing. [`SegmentStore::append`] is for callers holding
+//! [`AuditRecord`]s: it encodes them into one store-owned buffer, 256 KiB at a time so
+//! the buffer — and RSS — stays bounded, and takes the same path. That buffer is always
+//! empty when a call returns: the store holds no bytes in user space between calls, so
+//! what [`SegmentStats::records_persisted`] counts has reached the file.
 //!
 //! # Crash model and recovery
 //!
@@ -291,16 +290,6 @@ impl SegmentStore {
         self.head_hash
     }
 
-    /// Whether an earlier fault wedged the store (appends are counted, not written).
-    pub fn is_wedged(&self) -> bool {
-        self.wedged.is_some()
-    }
-
-    /// The cause of the wedge, if any.
-    pub fn wedged_cause(&self) -> Option<&str> {
-        self.wedged.as_deref()
-    }
-
     /// IO counters so far.
     pub fn stats(&self) -> &SegmentStats {
         &self.stats
@@ -366,7 +355,7 @@ impl SegmentStore {
     /// Appends one record frame. Returns `true` when the record reached the segment
     /// file, `false` when the store is (or became) wedged — the drop is counted in
     /// [`SegmentStats::records_dropped`], never silent. The one-record case of
-    /// [`Self::append_batch`].
+    /// `append_batch`.
     pub fn append(&mut self, record: &AuditRecord) -> bool {
         self.append_batch(std::slice::from_ref(record)) == 1
     }
@@ -375,7 +364,7 @@ impl SegmentStore {
     /// buffer (256 KiB at a time) and hands that to [`Self::append_frames`], the one
     /// write path. Returns how many reached the segment file — always a prefix of
     /// `records`; the rest are counted in [`SegmentStats::records_dropped`].
-    pub fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
+    fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
         let mut buffer = std::mem::take(&mut self.buffer);
         let mut persisted = 0;
         for record in records {
@@ -935,7 +924,7 @@ mod tests {
             }
         }
         assert_eq!(persisted, 4);
-        assert!(store.is_wedged());
+        assert!(store.wedged.is_some());
         assert_eq!(store.stats().records_dropped, 2);
         // Post-wedge sealing is a no-op that reports failure.
         assert!(!store.seal());
@@ -972,8 +961,8 @@ mod tests {
         for r in &records {
             store.append(r);
         }
-        assert!(store.is_wedged());
-        assert!(store.wedged_cause().unwrap().contains("io error"));
+        assert!(store.wedged.is_some());
+        assert!(store.wedged.as_deref().unwrap().contains("io error"));
         assert_eq!(store.stats().records_dropped, 2);
         let report = SegmentStore::recover(&dir).unwrap();
         // A hard error leaves no torn bytes: the prefix is clean.
@@ -992,7 +981,7 @@ mod tests {
             assert!(store.append(r));
         }
         assert!(!store.sync());
-        assert!(store.is_wedged());
+        assert!(store.wedged.is_some());
         assert!(store.stats().unsynced_bytes > 0);
         assert_eq!(store.stats().bytes_fsynced, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1016,7 +1005,7 @@ mod tests {
         for r in &records {
             store.append(r);
         }
-        assert!(store.is_wedged());
+        assert!(store.wedged.is_some());
         let report = SegmentStore::recover(&dir).unwrap();
         assert_eq!(report.records, records[..2].to_vec());
         assert_eq!(report.truncations.len(), 1);
@@ -1036,7 +1025,7 @@ mod tests {
             assert!(store.append(r));
         }
         assert!(store.sync());
-        assert!(!store.is_wedged());
+        assert!(store.wedged.is_none());
         assert_eq!(store.stats().unsynced_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1098,9 +1087,9 @@ mod tests {
                 assert_eq!(writes.load(Ordering::Relaxed), consulted, "{ctx}");
                 assert_eq!(store.stats().records_persisted, kept as u64, "{ctx}");
                 assert_eq!(store.stats().records_dropped, (N - kept) as u64, "{ctx}");
-                assert_eq!(store.is_wedged(), fault != delay, "{ctx}");
+                assert_eq!(store.wedged.is_some(), fault != delay, "{ctx}");
                 // A wedged store keeps counting, batch or not.
-                if store.is_wedged() {
+                if store.wedged.is_some() {
                     assert_eq!(store.append_batch(&records[..2]), 0, "{ctx}");
                     assert_eq!(store.stats().records_dropped, (N - kept + 2) as u64, "{ctx}");
                 }
@@ -1216,7 +1205,7 @@ mod tests {
             assert_eq!(ops.iter().filter(|op| **op == IoOp::Sync).count(), k / 3, "{ctx}");
             assert_eq!(ops.iter().filter(|op| **op == IoOp::Rotate).count(), k / 3 + 1, "{ctx}");
             for store in [&run, &single] {
-                assert!(store.is_wedged(), "{ctx}");
+                assert!(store.wedged.is_some(), "{ctx}");
                 assert_eq!(store.stats().records_persisted, k as u64, "{ctx}");
                 assert_eq!(store.stats().records_dropped, (N - k) as u64, "{ctx}");
                 let head = if k == 0 { 0 } else { records[k - 1].hash };
@@ -1248,7 +1237,7 @@ mod tests {
         frames.truncate(frames.len() - 3);
         let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
         assert_eq!(store.append_frames(&frames), 2);
-        assert!(store.wedged_cause().unwrap().contains("not one whole frame"));
+        assert!(store.wedged.as_deref().unwrap().contains("not one whole frame"));
         assert_eq!(store.stats().records_dropped, 1);
         drop(store);
         let report = SegmentStore::recover(&dir).unwrap();

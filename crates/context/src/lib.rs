@@ -9,23 +9,15 @@
 //! * a typed attribute/value model ([`ContextValue`], [`ContextKey`]);
 //! * a versioned [`ContextStore`] with change subscriptions, so policy engines can react
 //!   to context changes (the trigger for reconfiguration in Fig. 7);
-//! * domain models for [`location`] (geographic regions, geo-fencing — used by
-//!   residency obligations) and [`time`] (a logical clock and time windows, e.g.
-//!   "only during the nurse's shift");
-//! * [`provider`]s that feed context from simulated sources (sensors, calendars,
-//!   presence detection).
+//! * simulated [`time`]: a logical clock and the timestamps every record carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod location;
-pub mod provider;
 pub mod store;
 pub mod time;
 pub mod value;
 
-pub use location::{GeoPoint, Region};
-pub use provider::{ContextProvider, PresenceProvider, ShiftProvider, StaticProvider};
 pub use store::{ContextChange, ContextSnapshot, ContextStore, SubscriptionId};
-pub use time::{LogicalClock, TimeWindow, Timestamp};
+pub use time::{LogicalClock, Timestamp};
 pub use value::{ContextKey, ContextValue};

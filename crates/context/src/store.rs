@@ -52,7 +52,6 @@ impl fmt::Display for ContextChange {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContextSnapshot {
     version: u64,
-    at: Timestamp,
     values: Arc<BTreeMap<ContextKey, ContextValue>>,
 }
 
@@ -60,11 +59,6 @@ impl ContextSnapshot {
     /// The store version this snapshot reflects.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The simulated time of the last change included.
-    pub fn taken_at(&self) -> Timestamp {
-        self.at
     }
 
     /// Looks up a value by key.
@@ -106,7 +100,6 @@ impl ContextSnapshot {
     {
         ContextSnapshot {
             version: 0,
-            at: Timestamp::ZERO,
             values: Arc::new(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect()),
         }
     }
@@ -131,7 +124,7 @@ impl StoreInner {
     /// Drops fully-delivered history beyond the retention bound. Changes are
     /// version-sorted, so the droppable region is a prefix: everything every
     /// subscriber has already polled, excluding the `keep` newest entries (kept
-    /// so `history()` and snapshot timestamps stay useful for debugging).
+    /// so `history()` stays useful for debugging).
     fn compact(&mut self) {
         let Some(keep) = self.retention else { return };
         let keep = keep.max(1);
@@ -145,11 +138,7 @@ impl StoreInner {
     }
 
     fn snapshot(&self) -> ContextSnapshot {
-        ContextSnapshot {
-            version: self.version,
-            at: self.changes.back().map(|c| c.at).unwrap_or(Timestamp::ZERO),
-            values: Arc::clone(&self.values),
-        }
+        ContextSnapshot { version: self.version, values: Arc::clone(&self.values) }
     }
 }
 
@@ -174,8 +163,8 @@ impl ContextStore {
     }
 
     /// Creates an empty store whose change history is compacted down to the
-    /// `keep` newest entries (clamped to at least 1 so snapshot timestamps
-    /// survive compaction). Compaction never discards a change that an active
+    /// `keep` newest entries (clamped to at least 1 so the latest change
+    /// survives compaction). Compaction never discards a change that an active
     /// subscriber has not yet polled, so [`ContextStore::poll`] still delivers
     /// every change exactly once — but a subscriber that never polls pins the
     /// history and defeats the bound.
@@ -330,7 +319,6 @@ mod tests {
         store.set("b", 2i64, Timestamp(2));
         let snap = store.snapshot();
         assert_eq!(snap.version(), 2);
-        assert_eq!(snap.taken_at(), Timestamp(2));
         assert_eq!(snap.len(), 2);
         assert!(!snap.is_empty());
         // Later writes do not affect the snapshot.
@@ -413,8 +401,8 @@ mod tests {
         assert_eq!(history.len(), 4);
         assert_eq!(history.last().unwrap().version, 100);
         assert_eq!(history.first().unwrap().version, 97);
-        // Snapshot timestamps survive compaction.
-        assert_eq!(store.snapshot().taken_at(), Timestamp(99));
+        // The latest change's timestamp survives compaction.
+        assert_eq!(history.last().unwrap().at, Timestamp(99));
     }
 
     #[test]

@@ -102,14 +102,6 @@ impl ContextValue {
             _ => None,
         }
     }
-
-    /// Returns `(latitude, longitude)` if this is a `Location`.
-    pub fn as_location(&self) -> Option<(f64, f64)> {
-        match self {
-            ContextValue::Location { latitude, longitude } => Some((*latitude, *longitude)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ContextValue {
@@ -179,14 +171,9 @@ mod tests {
         assert_eq!(ContextValue::Float(1.5).as_number(), Some(1.5));
         assert_eq!(ContextValue::Timestamp(10).as_number(), Some(10.0));
         assert_eq!(ContextValue::Text("ward-3".into()).as_text(), Some("ward-3"));
-        assert_eq!(
-            ContextValue::Location { latitude: 52.2, longitude: 0.1 }.as_location(),
-            Some((52.2, 0.1))
-        );
         assert_eq!(ContextValue::Bool(true).as_number(), None);
         assert_eq!(ContextValue::Integer(1).as_bool(), None);
         assert_eq!(ContextValue::Integer(1).as_text(), None);
-        assert_eq!(ContextValue::Integer(1).as_location(), None);
     }
 
     #[test]

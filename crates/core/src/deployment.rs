@@ -95,11 +95,6 @@ impl Deployment {
         &self.engine
     }
 
-    /// Mutable access to the policy engine.
-    pub fn engine_mut(&mut self) -> &mut PolicyEngine {
-        &mut self.engine
-    }
-
     /// The middleware.
     pub fn middleware(&self) -> &Middleware {
         &self.middleware
@@ -113,11 +108,6 @@ impl Deployment {
     /// The provenance graph accumulated so far.
     pub fn provenance(&self) -> &ProvenanceGraph {
         &self.provenance
-    }
-
-    /// Mutable access to the provenance graph (scenarios record derivations directly).
-    pub fn provenance_mut(&mut self) -> &mut ProvenanceGraph {
-        &mut self.provenance
     }
 
     /// Registers a thing: converts it to a component, registers it with the middleware,
@@ -321,7 +311,7 @@ impl Deployment {
     }
 
     /// Registers a tag in the global tag registry under the given owner.
-    pub fn register_tag(&mut self, tag: Tag, description: &str, owner: &str) {
+    pub(crate) fn register_tag(&mut self, tag: Tag, description: &str, owner: &str) {
         let _ = self.middleware.tag_registry_mut().register(
             tag,
             description,

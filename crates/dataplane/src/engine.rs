@@ -30,6 +30,7 @@ use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStats, Segmen
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::SecurityContext;
 use legaliot_middleware::admission::admit_channel;
+use legaliot_middleware::bus::teardown_evidence;
 use legaliot_middleware::{
     AccessRegime, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message,
     MessageSchema, MessageType,
@@ -355,7 +356,7 @@ pub(crate) struct EndpointTable {
 
 impl EndpointTable {
     /// The id of a name that is or ever was registered.
-    pub fn id_of(&self, name: &str) -> Option<EndpointId> {
+    pub(crate) fn id_of(&self, name: &str) -> Option<EndpointId> {
         self.ids.get(name).copied()
     }
 
@@ -862,18 +863,33 @@ impl Dataplane {
         Ok(outcome)
     }
 
-    /// Removes the subscription `subscriber ← publisher`, if present.
-    pub fn unsubscribe(&self, publisher: &str, subscriber: &str) -> Result<(), DataplaneError> {
+    /// Removes the subscription `subscriber ← publisher`, if present. A removal is
+    /// audited on the control-plane log with the record the bus writes when it tears a
+    /// channel down; removing an absent edge changes and records nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`DataplaneError::UnknownEndpoint`] if the publisher is unregistered.
+    pub fn unsubscribe(
+        &self,
+        publisher: &str,
+        subscriber: &str,
+        now: Timestamp,
+    ) -> Result<(), DataplaneError> {
         let mut directory = self.shared.directory.write();
-        let endpoints = &mut directory.endpoints;
-        let (publisher_id, _) = endpoints.lookup(publisher)?;
+        let dir = &mut *directory;
+        let (publisher_id, source) = dir.endpoints.lookup(publisher)?;
         // A name that never registered has no id, and so no edge to remove.
-        let Some(subscriber_id) = endpoints.id_of(subscriber) else { return Ok(()) };
-        let source = endpoints.get_mut(publisher_id).expect("looked up above");
+        let Some(subscriber_id) = dir.endpoints.id_of(subscriber) else { return Ok(()) };
+        if !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id) {
+            return Ok(());
+        }
+        let source = dir.endpoints.get_mut(publisher_id).expect("looked up above");
         Arc::make_mut(&mut source.subscribers).retain(|(sub, _)| *sub != subscriber_id);
-        if let Some(destination) = endpoints.get_mut(subscriber_id) {
+        if let Some(destination) = dir.endpoints.get_mut(subscriber_id) {
             destination.publishers.retain(|existing| *existing != publisher_id);
         }
+        dir.control_audit.append(teardown_evidence(publisher, subscriber), now.as_millis());
         Ok(())
     }
 

@@ -85,9 +85,7 @@ pub use subscriber::{
     OverflowPolicy, ReceivedMessage, RecvError, RecvTimeoutError, Subscriber, TryRecvError,
 };
 pub use telemetry::{DataplaneStats, ShardTelemetrySnapshot, Stage, TelemetrySnapshot};
-pub use topologies::{
-    payload_schema, sample_message, smart_city, smart_home, Topology, TopologyBuilder,
-};
+pub use topologies::{payload_schema, smart_city, smart_home, Topology, TopologyBuilder};
 
 #[cfg(test)]
 mod tests {
@@ -344,7 +342,7 @@ mod tests {
     #[test]
     fn unsubscribe_and_deregister_stop_fanout() {
         let dataplane = two_pair_plane(DataplaneConfig::default());
-        dataplane.unsubscribe("a", "b").unwrap();
+        dataplane.unsubscribe("a", "b", Timestamp(9)).unwrap();
         assert_eq!(tick(&dataplane, "a", 10).unwrap(), 0);
         dataplane.deregister("d").unwrap();
         assert_eq!(tick(&dataplane, "c", 11).unwrap(), 0);
@@ -356,6 +354,35 @@ mod tests {
             dataplane.register(endpoint("a", &["t"])),
             Err(DataplaneError::DuplicateEndpoint { name: "a".into() })
         );
+    }
+
+    /// An edge never vanishes without evidence: removing one writes the bus's
+    /// teardown record on the control-plane log, and removing an absent one (an edge
+    /// never made, already removed, or to a name never registered) writes nothing.
+    #[test]
+    fn unsubscribe_evidences_each_removed_edge() {
+        use legaliot_audit::AuditEvent;
+        let dataplane = two_pair_plane(DataplaneConfig::default());
+        dataplane.unsubscribe("a", "b", Timestamp(5)).unwrap();
+        dataplane.unsubscribe("a", "b", Timestamp(6)).unwrap();
+        dataplane.unsubscribe("a", "d", Timestamp(7)).unwrap();
+        dataplane.unsubscribe("a", "ghost", Timestamp(8)).unwrap();
+        let report = dataplane.shutdown();
+        let records = report.control_audit.records();
+        // Two subscriptions, then the one removal.
+        assert_eq!(records.len(), 3);
+        assert_eq!(records[2].at_millis, 5);
+        assert_eq!(
+            records[2].event,
+            AuditEvent::ChannelChanged {
+                from: "a".into(),
+                to: "b".into(),
+                established: false,
+                reason: "torn down".into(),
+            }
+        );
+        assert_eq!(records[2].event, legaliot_middleware::bus::teardown_evidence("a", "b"));
+        assert!(report.control_audit.verify_chain().is_intact());
     }
 
     /// `publishers` is the exact inverse of `subscribers` after any sequence of
@@ -398,7 +425,7 @@ mod tests {
                         });
                     }
                     3 => {
-                        let known = dataplane.unsubscribe(from, to).is_ok();
+                        let known = dataplane.unsubscribe(from, to, Timestamp(step)).is_ok();
                         assert_eq!(known, registered.contains(from));
                         model.remove(&(from.to_string(), to.to_string()));
                     }

@@ -27,7 +27,7 @@ pub fn payload_schema(message_type: &MessageType) -> MessageSchema {
 }
 
 /// A message conforming to [`payload_schema`] for the given type.
-pub fn sample_message(message_type: &MessageType) -> Message {
+fn sample_message(message_type: &MessageType) -> Message {
     Message::new(message_type.as_str(), SecurityContext::public())
         .with("value", AttributeValue::Float(98.6))
         .with("unit", AttributeValue::Text("bpm".into()))
@@ -175,7 +175,8 @@ impl Topology {
     }
 
     /// `(publisher, sample message)` pairs for payload-driving loops: each publisher
-    /// paired with a [`sample_message`] of the first type it produces.
+    /// paired with a message conforming to [`payload_schema`] for the first type it
+    /// produces.
     pub fn publisher_messages(&self) -> Vec<(String, Message)> {
         self.publishers()
             .into_iter()

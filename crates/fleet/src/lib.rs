@@ -76,10 +76,14 @@ mod tests {
         let a = generate(small_config(7));
         let b = generate(small_config(8));
         assert_ne!(a.manifest(), b.manifest());
-        let a_shape = (a.endpoint_count(), a.edge_count(), a.publish_count(), a.schema_diversity());
-        let b_shape = (b.endpoint_count(), b.edge_count(), b.publish_count(), b.schema_diversity());
+        let publishes =
+            |fleet: &Fleet| fleet.rounds.iter().map(|r| r.publishes.len()).sum::<usize>();
+        let a_shape = (a.endpoint_count(), a.edge_count(), publishes(&a));
+        let b_shape = (b.endpoint_count(), b.edge_count(), publishes(&b));
         assert_ne!(a_shape, b_shape, "seeds 7 and 8 must differ in fleet shape");
-        assert!(a.schema_diversity() > 1, "schemas must vary within one fleet");
+        let mut schemas = a.deployments.iter().flat_map(|d| &d.schemas);
+        let first = schemas.next().expect("a fleet declares schemas");
+        assert!(schemas.any(|s| s.attrs != first.attrs), "schemas must vary within one fleet");
     }
 
     #[test]

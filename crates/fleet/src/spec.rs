@@ -88,7 +88,7 @@ pub enum CondSpec {
 
 impl CondSpec {
     /// The engine-side condition.
-    pub fn to_condition(&self) -> Condition {
+    fn to_condition(&self) -> Condition {
         match self {
             CondSpec::Always => Condition::Always,
             CondSpec::IsTrue(key) => Condition::is_true(key.as_str()),
@@ -105,7 +105,7 @@ impl CondSpec {
     /// Evaluates against a key map with the engine's semantics: `IsTrue` needs
     /// the key present and `true`, `IsFalse` is its negation, `NumberBelow` is a
     /// strict `<` that is false when the key is missing or non-numeric.
-    pub fn eval(&self, keys: &BTreeMap<String, KeyValue>) -> bool {
+    pub(crate) fn eval(&self, keys: &BTreeMap<String, KeyValue>) -> bool {
         match self {
             CondSpec::Always => true,
             CondSpec::IsTrue(key) => matches!(keys.get(key), Some(KeyValue::Bool(true))),
@@ -268,7 +268,7 @@ impl ThingSpec {
     }
 
     /// The engine-side security context for the label lists.
-    pub fn security_context(&self) -> SecurityContext {
+    fn security_context(&self) -> SecurityContext {
         SecurityContext::from_names(
             self.secrecy.iter().map(String::as_str),
             self.integrity.iter().map(String::as_str),
@@ -504,30 +504,6 @@ impl Fleet {
     /// Total install-time edges.
     pub fn edge_count(&self) -> usize {
         self.deployments.iter().map(|d| d.edges.len()).sum()
-    }
-
-    /// Total scripted publishes.
-    pub fn publish_count(&self) -> usize {
-        self.rounds.iter().map(|round| round.publishes.len()).sum()
-    }
-
-    /// Distinct schema shapes (attribute-list renderings) across the fleet — a
-    /// diversity metric the determinism tests compare across seeds.
-    pub fn schema_diversity(&self) -> usize {
-        let shapes: std::collections::BTreeSet<String> = self
-            .deployments
-            .iter()
-            .flat_map(|d| d.schemas.iter())
-            .map(|schema| {
-                schema
-                    .attrs
-                    .iter()
-                    .map(|a| format!("{}:{:?}:[{}]", a.name, a.kind, a.secrecy.join(",")))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect();
-        shapes.len()
     }
 
     /// Renders the whole fleet — deployments, schemas, rules, script — into a

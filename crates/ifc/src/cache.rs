@@ -11,13 +11,8 @@
 //! 2. lookups key on the hashes of the entities' *current* contexts, so a context change
 //!    automatically misses the cache and forces a fresh lattice walk — exactly the
 //!    paper's re-evaluation-on-context-change semantics.
-//!
-//! [`DecisionCache::invalidate_context`] is the eviction hook enforcement layers call
-//! when an entity changes context: it drops every cached decision involving the
-//! superseded context hash, bounding cache growth and ensuring stale pairs cannot
-//! resurface (e.g. through a hash collision with a later context).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::flow::{can_flow, FlowDecision};
 use crate::label::Label;
@@ -91,13 +86,6 @@ impl StableHasher {
         self
     }
 
-    /// Folds in a little-endian 64-bit value.
-    #[must_use]
-    pub fn write_u64(mut self, value: u64) -> Self {
-        fnv1a(&mut self.0, &value.to_le_bytes());
-        self
-    }
-
     /// The accumulated hash.
     pub fn finish(self) -> u64 {
         self.0
@@ -144,9 +132,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that required a fresh evaluation (`can_flow`, or the AC rule set).
     pub misses: u64,
-    /// Entries dropped because what they were computed from changed
-    /// ([`DecisionCache::invalidate_context`]; for AC decisions, a write to a context
-    /// key the rules read).
+    /// Entries dropped because what they were computed from changed (for AC decisions,
+    /// a write to a context key the rules read; a [`DecisionCache`] never drops one).
     pub invalidated: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -166,9 +153,8 @@ impl CacheStats {
 
 /// A cache of flow decisions keyed by `(source context hash, destination context hash)`.
 ///
-/// Single-owner by design (no interior locking): a sharded enforcement engine gives each
-/// shard its own cache so the hot path never contends on a shared lock, and broadcasts
-/// [`DecisionCache::invalidate_context`] to every shard when an entity changes context.
+/// Single-owner by design (no interior locking). A context change needs no eviction:
+/// the changed context hashes to a new key.
 ///
 /// ```
 /// use legaliot_ifc::{context_hash64, DecisionCache, SecurityContext};
@@ -180,19 +166,14 @@ impl CacheStats {
 /// assert!(decision.is_allowed() && !hit);
 /// let (_, hit) = cache.check(&src, sh, &dst, dh);
 /// assert!(hit);
-/// assert_eq!(cache.invalidate_context(sh), 1);
-/// assert!(cache.is_empty());
+/// assert_eq!(cache.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecisionCache {
     entries: HashMap<(u64, u64), FlowDecision>,
-    /// Secondary index: context hash → partner hashes it appears with (either side),
-    /// so per-entity invalidation does not scan the whole table.
-    by_context: HashMap<u64, HashSet<u64>>,
     capacity: usize,
     hits: u64,
     misses: u64,
-    invalidated: u64,
 }
 
 impl Default for DecisionCache {
@@ -213,14 +194,7 @@ impl DecisionCache {
     /// Creates a cache holding at most `capacity` decisions. When full, the next insert
     /// clears the cache (epoch eviction: cheap, and the working set refills in one pass).
     pub fn with_capacity(capacity: usize) -> Self {
-        DecisionCache {
-            entries: HashMap::new(),
-            by_context: HashMap::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            invalidated: 0,
-        }
+        DecisionCache { entries: HashMap::new(), capacity: capacity.max(1), hits: 0, misses: 0 }
     }
 
     /// Returns the decision for `source → destination`, computing and caching it on a
@@ -251,38 +225,8 @@ impl DecisionCache {
     fn insert(&mut self, key: (u64, u64), decision: FlowDecision) {
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             self.entries.clear();
-            self.by_context.clear();
         }
-        self.by_context.entry(key.0).or_default().insert(key.1);
-        self.by_context.entry(key.1).or_default().insert(key.0);
         self.entries.insert(key, decision);
-    }
-
-    /// Drops every cached decision in which `context_hash` appears as source or
-    /// destination, returning how many entries were removed. Decisions between other
-    /// context pairs are untouched — this is the per-entity invalidation hook called
-    /// when exactly one entity changes its security context (§8.2.2 re-evaluation).
-    pub fn invalidate_context(&mut self, context_hash: u64) -> usize {
-        let Some(partners) = self.by_context.remove(&context_hash) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for partner in partners {
-            if self.entries.remove(&(context_hash, partner)).is_some() {
-                removed += 1;
-            }
-            if partner != context_hash && self.entries.remove(&(partner, context_hash)).is_some() {
-                removed += 1;
-            }
-            if let Some(set) = self.by_context.get_mut(&partner) {
-                set.remove(&context_hash);
-                if set.is_empty() {
-                    self.by_context.remove(&partner);
-                }
-            }
-        }
-        self.invalidated += removed as u64;
-        removed
     }
 
     /// Number of cached decisions.
@@ -298,7 +242,6 @@ impl DecisionCache {
     /// Drops every cached decision (counters are kept).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.by_context.clear();
     }
 
     /// Current effectiveness counters.
@@ -306,7 +249,7 @@ impl DecisionCache {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
-            invalidated: self.invalidated,
+            invalidated: 0,
             entries: self.entries.len(),
         }
     }
@@ -380,39 +323,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
         assert!((stats.hit_ratio() - 0.5).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn invalidate_context_removes_exactly_the_affected_pairs() {
-        let mut cache = DecisionCache::new();
-        let a = ctx(&["a"], &[]);
-        let b = ctx(&["a", "b"], &[]);
-        let c = ctx(&["c"], &[]);
-        let d = ctx(&["c", "d"], &[]);
-        let (ha, hb, hc, hd) =
-            (context_hash64(&a), context_hash64(&b), context_hash64(&c), context_hash64(&d));
-        cache.check(&a, ha, &b, hb);
-        cache.check(&b, hb, &a, ha);
-        cache.check(&c, hc, &d, hd);
-        assert_eq!(cache.len(), 3);
-        // Invalidating `a` removes both directions of the (a, b) pair and nothing else.
-        assert_eq!(cache.invalidate_context(ha), 2);
-        assert_eq!(cache.len(), 1);
-        // Idempotent on an absent context.
-        assert_eq!(cache.invalidate_context(ha), 0);
-        assert_eq!(cache.stats().invalidated, 2);
-        assert!(cache.check(&c, hc, &d, hd).1);
-        assert!(!cache.check(&a, ha, &b, hb).1);
-    }
-
-    #[test]
-    fn self_pair_invalidation_does_not_double_count() {
-        let mut cache = DecisionCache::new();
-        let a = ctx(&["a"], &[]);
-        let ha = context_hash64(&a);
-        cache.check(&a, ha, &a, ha);
-        assert_eq!(cache.invalidate_context(ha), 1);
-        assert!(cache.is_empty());
     }
 
     #[test]

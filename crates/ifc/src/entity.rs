@@ -11,7 +11,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::IfcError;
-use crate::flow::{can_flow, FlowDecision};
 use crate::privilege::{PrivilegeKind, PrivilegeSet};
 use crate::tag::{SecurityContext, Tag};
 
@@ -28,11 +27,6 @@ impl EntityId {
     /// Allocates a fresh entity id.
     pub fn fresh() -> Self {
         EntityId(NEXT_ENTITY_ID.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Constructs an id from a raw value (for deserialisation / cross-node references).
-    pub fn from_raw(raw: u64) -> Self {
-        EntityId(raw)
     }
 
     /// The raw numeric value.
@@ -99,11 +93,6 @@ impl Entity {
         Self::with_kind(name, EntityKind::Active, context)
     }
 
-    /// Creates a passive entity (data item) with the given name and security context.
-    pub fn passive(name: impl Into<String>, context: SecurityContext) -> Self {
-        Self::with_kind(name, EntityKind::Passive, context)
-    }
-
     /// Creates an entity of the given kind.
     pub fn with_kind(name: impl Into<String>, kind: EntityKind, context: SecurityContext) -> Self {
         Entity {
@@ -162,11 +151,6 @@ impl Entity {
     /// Number of label changes performed so far.
     pub fn label_changes(&self) -> u64 {
         self.label_changes
-    }
-
-    /// Checks whether data may flow from this entity to `destination`.
-    pub fn can_send_to(&self, destination: &Entity) -> FlowDecision {
-        can_flow(&self.context, &destination.context)
     }
 
     /// Adds `tag` to the secrecy label, if privileged.
@@ -259,6 +243,7 @@ impl fmt::Display for Entity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::can_flow;
     use crate::label::Label;
     use proptest::prelude::*;
 
@@ -298,7 +283,7 @@ mod tests {
 
     #[test]
     fn passive_entities_cannot_change_labels() {
-        let mut datum = Entity::passive("reading", ctx(&["medical"], &[]));
+        let mut datum = Entity::with_kind("reading", EntityKind::Passive, ctx(&["medical"], &[]));
         datum.privileges_mut().grant("medical", PrivilegeKind::SecrecyRemove);
         // Even with (erroneously granted) privileges, a passive entity cannot act.
         assert!(datum.remove_secrecy_tag(&Tag::new("medical")).is_err());
@@ -320,8 +305,8 @@ mod tests {
             Entity::active("ann-analyser", ctx(&["medical", "ann"], &["hosp-dev", "consent"]));
         let zeb_sensor =
             Entity::active("zeb-sensor", ctx(&["medical", "zeb"], &["zeb-dev", "consent"]));
-        assert!(ann_sensor.can_send_to(&ann_analyser).is_allowed());
-        assert!(zeb_sensor.can_send_to(&ann_analyser).is_denied());
+        assert!(can_flow(ann_sensor.context(), ann_analyser.context()).is_allowed());
+        assert!(can_flow(zeb_sensor.context(), ann_analyser.context()).is_denied());
     }
 
     #[test]
@@ -342,7 +327,7 @@ mod tests {
 
     #[test]
     fn entity_id_round_trip() {
-        let id = EntityId::from_raw(42);
+        let id = EntityId(42);
         assert_eq!(id.as_u64(), 42);
         assert_eq!(id.to_string(), "e42");
     }
@@ -361,8 +346,8 @@ mod tests {
             parent.privileges_mut().grant("some-tag", PrivilegeKind::SecrecyAdd);
             let child = parent.create_child("c", EntityKind::Active);
             prop_assert!(child.privileges().is_empty());
-            prop_assert!(parent.can_send_to(&child).is_allowed());
-            prop_assert!(child.can_send_to(&parent).is_allowed());
+            prop_assert!(can_flow(parent.context(), child.context()).is_allowed());
+            prop_assert!(can_flow(child.context(), parent.context()).is_allowed());
         }
 
         /// Privileged add-then-remove returns the context to its original state.

@@ -28,12 +28,12 @@ pub struct FlowDenialReason {
 
 impl FlowDenialReason {
     /// Whether the secrecy constraint failed.
-    pub fn secrecy_failed(&self) -> bool {
+    fn secrecy_failed(&self) -> bool {
         !self.missing_secrecy.is_empty()
     }
 
     /// Whether the integrity constraint failed.
-    pub fn integrity_failed(&self) -> bool {
+    fn integrity_failed(&self) -> bool {
         !self.missing_integrity.is_empty()
     }
 }
@@ -87,14 +87,6 @@ impl FlowDecision {
     /// Whether the flow is denied.
     pub fn is_denied(&self) -> bool {
         !self.is_allowed()
-    }
-
-    /// The denial reason, if denied.
-    pub fn denial_reason(&self) -> Option<&FlowDenialReason> {
-        match self {
-            FlowDecision::Allowed => None,
-            FlowDecision::Denied(r) => Some(r),
-        }
     }
 }
 
@@ -180,7 +172,7 @@ mod tests {
         assert!(can_flow(&low, &high).is_allowed());
         let back = can_flow(&high, &low);
         assert!(back.is_denied());
-        let reason = back.denial_reason().unwrap();
+        let FlowDecision::Denied(reason) = back else { panic!("must be denied") };
         assert!(reason.secrecy_failed());
         assert!(!reason.integrity_failed());
         assert_eq!(reason.missing_secrecy, vec![Tag::new("s2")]);
@@ -192,7 +184,7 @@ mod tests {
         let requires_sanitised = ctx(&[], &["sanitised"]);
         let decision = can_flow(&unendorsed, &requires_sanitised);
         assert!(decision.is_denied());
-        let reason = decision.denial_reason().unwrap();
+        let FlowDecision::Denied(reason) = decision else { panic!("must be denied") };
         assert!(reason.integrity_failed());
         assert_eq!(reason.missing_integrity, vec![Tag::new("sanitised")]);
         // The endorsed source can flow to the demanding destination.
@@ -209,7 +201,7 @@ mod tests {
         let zeb_sensor = ctx(&["medical", "zeb"], &["zeb-dev", "consent"]);
         let ann_analyser = ctx(&["medical", "ann"], &["hosp-dev", "consent"]);
         let decision = can_flow(&zeb_sensor, &ann_analyser);
-        let reason = decision.denial_reason().expect("must be denied");
+        let FlowDecision::Denied(reason) = decision else { panic!("must be denied") };
         assert!(reason.secrecy_failed());
         assert!(reason.integrity_failed());
         assert_eq!(reason.missing_secrecy, vec![Tag::new("zeb")]);

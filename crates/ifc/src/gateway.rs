@@ -75,24 +75,6 @@ impl Transformation {
         self
     }
 
-    /// Adds a secrecy tag addition to the transformation.
-    pub fn adding_secrecy(mut self, tag: impl Into<Tag>) -> Self {
-        self.secrecy_added.push(tag.into());
-        self
-    }
-
-    /// Adds an integrity tag removal to the transformation.
-    pub fn removing_integrity(mut self, tag: impl Into<Tag>) -> Self {
-        self.integrity_removed.push(tag.into());
-        self
-    }
-
-    /// Adds an integrity tag addition (endorsement) to the transformation.
-    pub fn adding_integrity(mut self, tag: impl Into<Tag>) -> Self {
-        self.integrity_added.push(tag.into());
-        self
-    }
-
     /// Applies the transformation to a security context, producing the output context.
     pub fn apply(&self, input: &SecurityContext) -> SecurityContext {
         let mut out = input.clone();
@@ -112,7 +94,7 @@ impl Transformation {
     }
 
     /// The privileges an entity must hold to perform this transformation on itself.
-    pub fn required_privileges(&self) -> Vec<(Tag, PrivilegeKind)> {
+    fn required_privileges(&self) -> Vec<(Tag, PrivilegeKind)> {
         let mut req = Vec::new();
         for t in &self.secrecy_removed {
             req.push((t.clone(), PrivilegeKind::SecrecyRemove));
@@ -144,9 +126,11 @@ impl Transformation {
 /// sanitiser.privileges_mut().grant(Tag::new("hosp-dev"), PrivilegeKind::IntegrityAdd);
 /// sanitiser.privileges_mut().grant(Tag::new("zeb-dev"), PrivilegeKind::IntegrityRemove);
 ///
-/// let transformation = Transformation::named("convert-to-hospital-format")
-///     .removing_integrity("zeb-dev")
-///     .adding_integrity("hosp-dev");
+/// let transformation = Transformation {
+///     integrity_removed: vec![Tag::new("zeb-dev")],
+///     integrity_added: vec![Tag::new("hosp-dev")],
+///     ..Transformation::named("convert-to-hospital-format")
+/// };
 /// let gateway = Gateway::new(sanitiser, transformation, output).unwrap();
 /// assert_eq!(gateway.kind(), GatewayKind::Endorser);
 /// ```
@@ -198,16 +182,6 @@ impl Gateway {
         &self.entity
     }
 
-    /// The input security context (the entity's context).
-    pub fn input_context(&self) -> &SecurityContext {
-        self.entity.context()
-    }
-
-    /// The output security context after transformation.
-    pub fn output_context(&self) -> &SecurityContext {
-        &self.output_context
-    }
-
     /// The approved transformation.
     pub fn transformation(&self) -> &Transformation {
         &self.transformation
@@ -229,7 +203,7 @@ impl Gateway {
     /// otherwise be denied: i.e. `source → gateway-input` and `gateway-output →
     /// destination` are both allowed.
     pub fn bridges(&self, source: &SecurityContext, destination: &SecurityContext) -> bool {
-        can_flow(source, self.input_context()).is_allowed()
+        can_flow(source, self.entity.context()).is_allowed()
             && can_flow(&self.output_context, destination).is_allowed()
     }
 }
@@ -248,15 +222,21 @@ mod tests {
         SecurityContext::from_names(s.iter().copied(), i.iter().copied())
     }
 
+    fn tags(names: &[&str]) -> Vec<Tag> {
+        names.iter().copied().map(Tag::new).collect()
+    }
+
     fn sanitiser_gateway() -> Gateway {
         let input = ctx(&["medical", "zeb"], &["zeb-dev", "consent"]);
         let output = ctx(&["medical", "zeb"], &["hosp-dev", "consent"]);
         let mut e = Entity::active("input-sanitiser", input);
         e.privileges_mut().grant("hosp-dev", PrivilegeKind::IntegrityAdd);
         e.privileges_mut().grant("zeb-dev", PrivilegeKind::IntegrityRemove);
-        let t = Transformation::named("convert-to-hospital-format")
-            .removing_integrity("zeb-dev")
-            .adding_integrity("hosp-dev");
+        let t = Transformation {
+            integrity_removed: tags(&["zeb-dev"]),
+            integrity_added: tags(&["hosp-dev"]),
+            ..Transformation::named("convert-to-hospital-format")
+        };
         Gateway::new(e, t, output).unwrap()
     }
 
@@ -276,13 +256,12 @@ mod tests {
         ] {
             e.privileges_mut().grant(t, k);
         }
-        let t = Transformation::named("k-anonymise")
-            .removing_secrecy("ann")
-            .removing_secrecy("zeb")
-            .adding_secrecy("stats")
-            .removing_integrity("hosp-dev")
-            .removing_integrity("consent")
-            .adding_integrity("anon");
+        let t = Transformation {
+            secrecy_added: tags(&["stats"]),
+            integrity_removed: tags(&["hosp-dev", "consent"]),
+            integrity_added: tags(&["anon"]),
+            ..Transformation::named("k-anonymise").removing_secrecy("ann").removing_secrecy("zeb")
+        };
         Gateway::new(e, t, output).unwrap()
     }
 
@@ -332,7 +311,10 @@ mod tests {
 
     #[test]
     fn transformation_apply_is_pure() {
-        let t = Transformation::named("anon").removing_secrecy("ann").adding_secrecy("stats");
+        let t = Transformation {
+            secrecy_added: tags(&["stats"]),
+            ..Transformation::named("anon").removing_secrecy("ann")
+        };
         let input = ctx(&["medical", "ann"], &["consent"]);
         let out = t.apply(&input);
         assert!(out.secrecy().contains_name("stats"));
@@ -344,11 +326,12 @@ mod tests {
 
     #[test]
     fn required_privileges_cover_all_changes() {
-        let t = Transformation::named("x")
-            .removing_secrecy("a")
-            .adding_secrecy("b")
-            .removing_integrity("c")
-            .adding_integrity("d");
+        let t = Transformation {
+            secrecy_added: tags(&["b"]),
+            integrity_removed: tags(&["c"]),
+            integrity_added: tags(&["d"]),
+            ..Transformation::named("x").removing_secrecy("a")
+        };
         let req = t.required_privileges();
         assert_eq!(req.len(), 4);
         assert!(req.contains(&(Tag::new("a"), PrivilegeKind::SecrecyRemove)));
@@ -372,11 +355,12 @@ mod tests {
             grant_subset in proptest::collection::vec(proptest::bool::ANY, 4),
         ) {
             let input = ctx(&["a"], &["b"]);
-            let t = Transformation::named("t")
-                .removing_secrecy("a")
-                .adding_secrecy("c")
-                .removing_integrity("b")
-                .adding_integrity("d");
+            let t = Transformation {
+                secrecy_added: tags(&["c"]),
+                integrity_removed: tags(&["b"]),
+                integrity_added: tags(&["d"]),
+                ..Transformation::named("t").removing_secrecy("a")
+            };
             let needed = t.required_privileges();
             let mut e = Entity::active("g", input);
             let mut all_granted = true;
@@ -401,8 +385,8 @@ mod tests {
             let mut dst = ctx(&["medical", "zeb"], &["hosp-dev", "consent"]);
             dst.secrecy_mut().insert(Tag::new(&extra));
             let bridged = g.bridges(&src, &dst);
-            let expected = can_flow(&src, g.input_context()).is_allowed()
-                && can_flow(g.output_context(), &dst).is_allowed();
+            let expected = can_flow(&src, g.entity().context()).is_allowed()
+                && can_flow(&g.output_context, &dst).is_allowed();
             prop_assert_eq!(bridged, expected);
         }
     }

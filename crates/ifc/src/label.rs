@@ -1,8 +1,8 @@
 //! Labels: sets of tags forming the IFC lattice.
 //!
 //! A [`Label`] is a finite set of [`Tag`]s. Labels are ordered by set inclusion; the
-//! induced lattice (join = union, meet = intersection) is what makes flow checks and
-//! label propagation well-defined.
+//! induced lattice (join = union) is what makes flow checks and label propagation
+//! well-defined.
 //!
 //! # Representation
 //!
@@ -16,11 +16,11 @@
 //! * `clone`, and so a [`crate::SecurityContext`] clone: a count bump per non-empty
 //!   label, no allocation;
 //! * `contains` / `contains_name`: a binary search;
-//! * `is_subset` / `is_superset`, `==`: a pointer comparison when both sides share
-//!   storage (two copies of one context), otherwise one walk over both slices in step;
-//! * `union` / `intersection`: a copy of whichever operand already is the result;
-//!   otherwise, like `difference` and `missing_from`, one walk in step and one
-//!   allocation — none for an empty result;
+//! * `is_subset`, `==`: a pointer comparison when both sides share storage (two copies
+//!   of one context), otherwise one walk over both slices in step;
+//! * `union`: a copy of whichever operand already is the result; otherwise, like
+//!   `difference` and `missing_from`, one walk in step and one allocation — none for
+//!   an empty result;
 //! * `insert` / `remove` / `remove_name` / `extend`: copy on write — a change builds a
 //!   new slice and leaves every other holder of the old one as it was; a call that
 //!   changes nothing allocates nothing.
@@ -101,11 +101,6 @@ impl Label {
         names.into_iter().map(Tag::new).collect()
     }
 
-    /// Creates a label holding a single tag.
-    pub fn singleton(tag: impl Into<Tag>) -> Self {
-        Label::of_ascending(vec![tag.into()])
-    }
-
     /// Creates a label from tags already in strictly ascending order — the order
     /// [`Label::iter`] yields them in, and the audit encoding stores them in — without
     /// sorting them again. `None` if a tag repeats or is out of order.
@@ -167,7 +162,7 @@ impl Label {
     }
 
     /// Removes a tag by name, returning `true` if it was present.
-    pub fn remove_name(&mut self, name: &str) -> bool {
+    fn remove_name(&mut self, name: &str) -> bool {
         let Ok(at) = self.position(name) else {
             return false;
         };
@@ -212,11 +207,6 @@ impl Label {
         ours.len() <= theirs.len() && ours.iter().all(|tag| theirs.any(|held| held == tag))
     }
 
-    /// Whether every tag of `other` is also in `self` (`other ⊆ self`).
-    pub fn is_superset(&self, other: &Label) -> bool {
-        other.is_subset(self)
-    }
-
     /// The union of two labels (lattice join for secrecy).
     pub fn union(&self, other: &Label) -> Label {
         if other.is_subset(self) {
@@ -228,24 +218,13 @@ impl Label {
         }
     }
 
-    /// The intersection of two labels (lattice meet for secrecy).
-    pub fn intersection(&self, other: &Label) -> Label {
-        if self.is_subset(other) {
-            self.clone()
-        } else if other.is_subset(self) {
-            other.clone()
-        } else {
-            Label::of_ascending(self.select(other, |in_self, in_other| in_self && in_other))
-        }
-    }
-
     /// Tags present in `self` but not in `other`.
     pub fn difference(&self, other: &Label) -> Label {
         Label::of_ascending(self.select(other, |_, in_other| !in_other))
     }
 
     /// The tags of `other` that `self` is missing; useful for explaining flow denials.
-    pub fn missing_from(&self, other: &Label) -> Vec<Tag> {
+    pub(crate) fn missing_from(&self, other: &Label) -> Vec<Tag> {
         self.select(other, |in_self, _| !in_self)
     }
 }
@@ -350,17 +329,15 @@ mod tests {
         let small = Label::from_names(["medical"]);
         let big = Label::from_names(["medical", "ann"]);
         assert!(small.is_subset(&big));
-        assert!(big.is_superset(&small));
         assert!(!big.is_subset(&small));
         assert!(small.is_subset(&small));
     }
 
     #[test]
-    fn union_intersection_difference() {
+    fn union_and_difference() {
         let a = Label::from_names(["medical", "ann"]);
         let b = Label::from_names(["medical", "zeb"]);
         assert_eq!(a.union(&b), Label::from_names(["medical", "ann", "zeb"]));
-        assert_eq!(a.intersection(&b), Label::from_names(["medical"]));
         assert_eq!(a.difference(&b), Label::from_names(["ann"]));
     }
 
@@ -386,13 +363,6 @@ mod tests {
         assert_eq!(l.len(), 2);
         let names: Vec<String> = (&l).into_iter().map(|t| t.name().to_string()).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn singleton_label() {
-        let l = Label::singleton("medical");
-        assert_eq!(l.len(), 1);
-        assert!(l.contains_name("medical"));
     }
 
     #[test]
@@ -440,7 +410,7 @@ mod tests {
         #[test]
         fn prop_a_label_behaves_as_the_sorted_set_it_replaced(
             steps in proptest::collection::vec(
-                (0u8..10, proptest::collection::vec("[a-d]{1,2}", 0..4)),
+                (0u8..9, proptest::collection::vec("[a-d]{1,2}", 0..4)),
                 0..24,
             ),
         ) {
@@ -463,21 +433,16 @@ mod tests {
                         model = model.union(&other_model).cloned().collect();
                     }
                     5 => {
-                        label = label.intersection(&other);
-                        model = model.intersection(&other_model).cloned().collect();
-                    }
-                    6 => {
                         label = label.difference(&other);
                         model = model.difference(&other_model).cloned().collect();
                     }
-                    7 => prop_assert_eq!(
+                    6 => prop_assert_eq!(
                         label.missing_from(&other),
                         other_model.difference(&model).cloned().collect::<Vec<_>>()
                     ),
-                    8 => {
+                    7 => {
                         prop_assert_eq!(label.is_subset(&other), model.is_subset(&other_model));
                         prop_assert_eq!(other.is_subset(&label), other_model.is_subset(&model));
-                        prop_assert_eq!(label.is_superset(&other), model.is_superset(&other_model));
                     }
                     _ => {
                         prop_assert_eq!(label.contains_name(first.name()), model.contains(&first));
@@ -522,24 +487,12 @@ mod tests {
             prop_assert!(j.is_subset(&ub));
         }
 
-        /// Intersection is the greatest lower bound.
-        #[test]
-        fn prop_intersection_is_glb(a in arb_label(), b in arb_label()) {
-            let m = a.intersection(&b);
-            prop_assert!(m.is_subset(&a));
-            prop_assert!(m.is_subset(&b));
-        }
-
-        /// Union and intersection are commutative and associative.
+        /// Union is idempotent, commutative and associative.
         #[test]
         fn prop_lattice_laws(a in arb_label(), b in arb_label(), c in arb_label()) {
+            prop_assert_eq!(a.union(&a), a.clone());
             prop_assert_eq!(a.union(&b), b.union(&a));
-            prop_assert_eq!(a.intersection(&b), b.intersection(&a));
             prop_assert_eq!(a.union(&b).union(&c), a.union(&b.union(&c)));
-            prop_assert_eq!(a.intersection(&b).intersection(&c), a.intersection(&b.intersection(&c)));
-            // Absorption.
-            prop_assert_eq!(a.union(&a.intersection(&b)), a.clone());
-            prop_assert_eq!(a.intersection(&a.union(&b)), a.clone());
         }
     }
 }

@@ -52,7 +52,6 @@ pub mod error;
 pub mod flow;
 pub mod gateway;
 pub mod label;
-pub mod lattice;
 pub mod privilege;
 pub mod registry;
 pub mod tag;
@@ -64,7 +63,6 @@ pub use error::IfcError;
 pub use flow::{can_flow, FlowCheck, FlowDecision, FlowDenialReason};
 pub use gateway::{Declassifier, Endorser, Gateway, GatewayKind, Transformation};
 pub use label::Label;
-pub use lattice::{context_join, context_meet, label_join, label_meet};
 pub use privilege::{Privilege, PrivilegeKind, PrivilegeSet, TagOwnership};
 pub use registry::{TagRegistry, TagScope};
 pub use tag::{SecurityContext, Tag, TagName};

@@ -34,12 +34,12 @@ impl PrivilegeKind {
     ];
 
     /// Whether this privilege targets the secrecy label.
-    pub fn is_secrecy(self) -> bool {
+    pub(crate) fn is_secrecy(self) -> bool {
         matches!(self, PrivilegeKind::SecrecyAdd | PrivilegeKind::SecrecyRemove)
     }
 
     /// Whether this privilege permits adding a tag (as opposed to removing it).
-    pub fn is_add(self) -> bool {
+    pub(crate) fn is_add(self) -> bool {
         matches!(self, PrivilegeKind::SecrecyAdd | PrivilegeKind::IntegrityAdd)
     }
 }
@@ -122,7 +122,7 @@ impl PrivilegeSet {
     }
 
     /// The tags this set may apply for the given privilege kind.
-    pub fn label_for(&self, kind: PrivilegeKind) -> &Label {
+    fn label_for(&self, kind: PrivilegeKind) -> &Label {
         match kind {
             PrivilegeKind::SecrecyAdd => &self.secrecy_add,
             PrivilegeKind::SecrecyRemove => &self.secrecy_remove,
@@ -209,12 +209,12 @@ impl TagOwnership {
     }
 
     /// The owner of `tag`, if registered.
-    pub fn owner_of(&self, tag: &Tag) -> Option<&str> {
+    fn owner_of(&self, tag: &Tag) -> Option<&str> {
         self.owners.get(tag).map(String::as_str)
     }
 
     /// Whether `candidate` owns `tag`.
-    pub fn is_owner(&self, tag: &Tag, candidate: &str) -> bool {
+    fn is_owner(&self, tag: &Tag, candidate: &str) -> bool {
         self.owner_of(tag) == Some(candidate)
     }
 

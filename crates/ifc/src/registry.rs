@@ -57,7 +57,7 @@ pub struct TagDescriptor {
 /// reg.register(Tag::new("medical"), "medical data", TagScope::Global, true, "hospital")
 ///     .unwrap();
 /// assert!(reg.lookup(&Tag::new("medical")).is_some());
-/// assert!(reg.ownership().is_owner(&Tag::new("medical"), "hospital"));
+/// assert!(reg.ownership().authorise_delegation(&Tag::new("medical"), "hospital").is_ok());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagRegistry {
@@ -111,25 +111,6 @@ impl TagRegistry {
     /// The ownership table, used to authorise privilege delegation.
     pub fn ownership(&self) -> &TagOwnership {
         &self.ownership
-    }
-
-    /// All tags registered under the given namespace prefix (e.g. `"nhs"`).
-    pub fn tags_in_namespace<'a>(
-        &'a self,
-        namespace: &'a str,
-    ) -> impl Iterator<Item = &'a Tag> + 'a {
-        self.descriptors.keys().filter(move |t| t.namespace() == Some(namespace))
-    }
-
-    /// All globally-scoped tags.
-    pub fn global_tags(&self) -> impl Iterator<Item = &Tag> + '_ {
-        self.descriptors.values().filter(|d| d.scope == TagScope::Global).map(|d| &d.tag)
-    }
-
-    /// Tags whose descriptors are marked sensitive; policy stores should restrict the
-    /// visibility of these (Challenge 2).
-    pub fn sensitive_tags(&self) -> impl Iterator<Item = &Tag> + '_ {
-        self.descriptors.values().filter(|d| d.sensitive).map(|d| &d.tag)
     }
 
     /// Number of registered tags.
@@ -202,24 +183,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, IfcError::InvalidTagName { .. }));
         // Ownership unchanged.
-        assert!(reg.ownership().is_owner(&Tag::new("medical"), "hospital"));
-    }
-
-    #[test]
-    fn namespace_queries() {
-        let reg = sample();
-        let nhs: Vec<_> = reg.tags_in_namespace("nhs").map(|t| t.name().to_string()).collect();
-        assert_eq!(nhs, vec!["nhs:consent", "nhs:hosp-dev"]);
-    }
-
-    #[test]
-    fn global_and_sensitive_queries() {
-        let reg = sample();
-        let globals: Vec<_> = reg.global_tags().map(|t| t.name().to_string()).collect();
-        assert!(globals.contains(&"medical".to_string()));
-        assert!(globals.contains(&"eu:data-residency".to_string()));
-        let sensitive: Vec<_> = reg.sensitive_tags().collect();
-        assert_eq!(sensitive, vec![&Tag::new("medical")]);
+        assert!(reg.ownership().authorise_delegation(&Tag::new("medical"), "hospital").is_ok());
     }
 
     #[test]

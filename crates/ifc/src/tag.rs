@@ -55,31 +55,9 @@ impl Tag {
         Some(Self { name: Arc::from(name) })
     }
 
-    /// Creates a namespaced tag `namespace:name`, the form recommended for the global
-    /// tag namespace (§9.3 Challenge 1).
-    pub fn namespaced(namespace: impl AsRef<TagName>, name: impl AsRef<TagName>) -> Self {
-        Tag::new(format!("{}:{}", namespace.as_ref(), name.as_ref()))
-    }
-
     /// The full name of this tag.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The namespace part of the tag name, if the name contains a `:` separator.
-    ///
-    /// ```
-    /// use legaliot_ifc::Tag;
-    /// assert_eq!(Tag::new("nhs:medical").namespace(), Some("nhs"));
-    /// assert_eq!(Tag::new("medical").namespace(), None);
-    /// ```
-    pub fn namespace(&self) -> Option<&str> {
-        self.name.rsplit_once(':').map(|(ns, _)| ns)
-    }
-
-    /// The local (non-namespace) part of the tag name.
-    pub fn local_name(&self) -> &str {
-        self.name.rsplit_once(':').map(|(_, n)| n).unwrap_or(&self.name)
     }
 }
 
@@ -193,11 +171,6 @@ impl SecurityContext {
         &mut self.integrity
     }
 
-    /// Whether both labels are empty (the public context).
-    pub fn is_public(&self) -> bool {
-        self.secrecy.is_empty() && self.integrity.is_empty()
-    }
-
     /// Total number of tags across both labels.
     pub fn len(&self) -> usize {
         self.secrecy.len() + self.integrity.len()
@@ -241,8 +214,6 @@ mod tests {
     fn tag_construction_and_accessors() {
         let t = Tag::new("medical");
         assert_eq!(t.name(), "medical");
-        assert_eq!(t.local_name(), "medical");
-        assert_eq!(t.namespace(), None);
     }
 
     #[test]
@@ -261,21 +232,6 @@ mod tests {
     #[should_panic(expected = "tag name must not be empty")]
     fn empty_tag_panics_with_new() {
         let _ = Tag::new("");
-    }
-
-    #[test]
-    fn namespaced_tags() {
-        let t = Tag::namespaced("nhs", "medical");
-        assert_eq!(t.name(), "nhs:medical");
-        assert_eq!(t.namespace(), Some("nhs"));
-        assert_eq!(t.local_name(), "medical");
-    }
-
-    #[test]
-    fn nested_namespace_uses_last_separator() {
-        let t = Tag::new("eu:uk:nhs");
-        assert_eq!(t.namespace(), Some("eu:uk"));
-        assert_eq!(t.local_name(), "nhs");
     }
 
     #[test]
@@ -310,7 +266,6 @@ mod tests {
     #[test]
     fn public_context_is_empty() {
         let ctx = SecurityContext::public();
-        assert!(ctx.is_public());
         assert!(ctx.is_empty());
         assert_eq!(ctx.len(), 0);
     }

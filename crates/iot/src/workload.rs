@@ -325,11 +325,6 @@ impl CityWorkload {
         );
         things
     }
-
-    /// Total number of sensors.
-    pub fn sensor_count(&self) -> usize {
-        self.districts * self.sensors_per_district
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +413,6 @@ mod tests {
     #[test]
     fn city_workload_shape() {
         let city = CityWorkload::new(4, 3);
-        assert_eq!(city.sensor_count(), 12);
         let things = city.things();
         // 12 sensors + 4 gateways + analytics + anonymiser + advertiser.
         assert_eq!(things.len(), 12 + 4 + 3);

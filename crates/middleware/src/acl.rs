@@ -171,7 +171,7 @@ pub enum AccessDecision {
 /// Why the regime refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenialCause {
-    /// No rule governs the component (it never had one, or its rules were cleared).
+    /// No rule governs the component.
     NoRules,
     /// An explicit deny rule applied.
     ExplicitDeny {
@@ -210,8 +210,7 @@ impl AccessDecision {
 /// explicit denies overriding allows.
 #[derive(Debug, Clone, Default)]
 pub struct AccessRegime {
-    /// One entry per component (the one whose resources are accessed) that ever had
-    /// rules: a cleared component keeps its, so its `changed_at` survives the clear.
+    /// One entry per component (the one whose resources are accessed) with rules.
     components: HashMap<String, ComponentRules>,
     /// Bumped on every rule-set mutation.
     revision: u64,
@@ -240,15 +239,6 @@ impl AccessRegime {
         entry.changed_at = self.revision;
         entry.time_dependent |= rule.condition.is_time_dependent();
         entry.rules.push(rule);
-    }
-
-    /// Removes all rules for a component, returning how many were removed.
-    pub fn clear_component(&mut self, component: &str) -> usize {
-        self.revision += 1;
-        let Some(entry) = self.components.get_mut(component) else { return 0 };
-        entry.changed_at = self.revision;
-        entry.time_dependent = false;
-        std::mem::take(&mut entry.rules).len()
     }
 
     /// Number of rules across all components.
@@ -303,10 +293,8 @@ impl AccessRegime {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> AccessDecision {
-        // A cleared component reads like one that never had rules.
-        let rules = match self.components.get(component) {
-            Some(entry) if !entry.rules.is_empty() => &entry.rules,
-            _ => return AccessDecision::Denied { cause: DenialCause::NoRules },
+        let Some(ComponentRules { rules, .. }) = self.components.get(component) else {
+            return AccessDecision::Denied { cause: DenialCause::NoRules };
         };
         let mut allowed = false;
         for (index, rule) in rules.iter().enumerate() {
@@ -496,36 +484,10 @@ mod tests {
         regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Receive, None));
         assert_eq!(regime.cacheable_revision("a"), Some(1));
         assert_eq!(regime.cacheable_revision("b"), Some(3));
-        // Clearing moves it too, and the cleared component remembers: rules re-added
-        // later can never collide with a revision handed out before the clear.
-        assert_eq!(regime.clear_component("a"), 1);
-        assert_eq!(regime.cacheable_revision("a"), Some(4));
-        regime.clear_component("never-governed");
-        assert_eq!(regime.cacheable_revision("never-governed"), Some(0));
         // Every mutation moves the counter, whichever component it touched.
-        regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        assert_eq!(regime.cacheable_revision("b"), Some(6));
-        // A cleared component reads exactly like one that never had rules.
-        let decision = regime.decide(
-            "a",
-            &nurse(),
-            Operation::Send,
-            None,
-            &ContextSnapshot::default(),
-            Timestamp::ZERO,
-        );
-        assert_eq!(
-            decision,
-            AccessRegime::new().decide(
-                "a",
-                &nurse(),
-                Operation::Send,
-                None,
-                &ContextSnapshot::default(),
-                Timestamp::ZERO,
-            )
-        );
-        assert!(regime.referenced_context_keys("a").is_empty());
+        regime.add_rule("a", AccessRule::allow(Subject::Anyone, Operation::Receive, None));
+        assert_eq!(regime.cacheable_revision("a"), Some(4));
+        assert_eq!(regime.cacheable_revision("never-governed"), Some(0));
     }
 
     #[test]
@@ -560,20 +522,6 @@ mod tests {
         assert_eq!(regime.cacheable_revision("c"), None);
         assert_eq!(regime.cacheable_revision("other"), Some(3));
         assert_eq!(regime.cacheable_revision("missing"), Some(0));
-        // Clearing the rules clears the time dependence with them.
-        regime.clear_component("c");
-        assert_eq!(regime.cacheable_revision("c"), Some(5));
-    }
-
-    #[test]
-    fn clear_component_removes_rules() {
-        let mut regime = AccessRegime::new();
-        regime.add_rule("c", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        regime.add_rule("c", AccessRule::allow(Subject::Anyone, Operation::Receive, None));
-        assert_eq!(regime.rule_count(), 2);
-        assert_eq!(regime.clear_component("c"), 2);
-        assert_eq!(regime.clear_component("c"), 0);
-        assert_eq!(regime.rule_count(), 0);
     }
 
     #[test]
@@ -597,8 +545,6 @@ mod tests {
             "ruled",
             AccessRule::deny(Subject::Principal("mallory".into()), Operation::Send, None),
         );
-        regime.add_rule("cleared", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        regime.clear_component("cleared");
         let (nina, mallory) = (nurse(), Principal::new("mallory").with_role("visitor"));
         let cases = [
             (
@@ -607,13 +553,6 @@ mod tests {
                 Operation::Send,
                 DenialCause::NoRules,
                 "no access rules defined for component `unruled`",
-            ),
-            (
-                "cleared",
-                &nina,
-                Operation::Send,
-                DenialCause::NoRules,
-                "no access rules defined for component `cleared`",
             ),
             (
                 "ruled",

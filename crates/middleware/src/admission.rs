@@ -7,7 +7,7 @@
 //! answers — no clock, thread, lock, queue or audit log — and returns a [`Verdict`];
 //! one that reached the flow check also yields the one `FlowChecked` record for it —
 //! built as an owned event for a log that takes events
-//! ([`FlowVerdict::into_evidence`], the bus), or written from the verdict's own
+//! (`FlowVerdict::into_evidence`, the bus), or written from the verdict's own
 //! borrowed fields straight into an encoded trail ([`FlowVerdict::write_evidence`],
 //! the shards: same bytes, nothing built). Quenching and every effect (channel table,
 //! mailboxes, counters, audit appends) belong to its drivers: [`admit_channel`],
@@ -62,7 +62,7 @@ pub enum Verdict<'a> {
 impl Verdict<'_> {
     /// The outcome as channel admission reports it (nothing quenched — quenching is
     /// a per-message, driver-side step).
-    pub fn into_outcome(self) -> DeliveryOutcome {
+    pub(crate) fn into_outcome(self) -> DeliveryOutcome {
         match self {
             Verdict::Isolated => DeliveryOutcome::Isolated,
             Verdict::AccessDenied { cause, principal, component } => {
@@ -102,7 +102,7 @@ impl FlowVerdict<'_> {
 
     /// The one `FlowChecked` record of this check. The two contexts are shared with
     /// the components they came from, not copied.
-    pub fn into_evidence(self, at_millis: u64) -> AuditEvent {
+    pub(crate) fn into_evidence(self, at_millis: u64) -> AuditEvent {
         let data_item = self.data_item(at_millis).map(|item| item.to_string());
         AuditEvent::FlowChecked {
             source: self.source.name().to_string(),
@@ -694,7 +694,7 @@ mod tests {
         assert!(outcome.is_delivered());
 
         // A rule-set change for the component is seen at its next lookup, sync or not.
-        access.clear_component("dst");
+        access.add_rule("dst", AccessRule::deny(Subject::Anyone, Operation::Send, None));
         let outcome =
             admit_channel_cached(&src, &dst, &access, &store.snapshot(), Timestamp(5), &mut cache);
         assert!(matches!(outcome, DeliveryOutcome::DeniedByAccessControl { .. }));
@@ -737,11 +737,6 @@ mod tests {
         assert_eq!(ask(&mut cache, &access, "a"), (false, true));
         assert_eq!(cache.stats().entries, 3, "the stale entry was replaced, not duplicated");
 
-        // Clear then re-add: neither step can resurrect a decision cached before it.
-        access.clear_component("a");
-        assert_eq!(ask(&mut cache, &access, "a"), (false, false));
-        access.add_rule("a", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        assert_eq!(ask(&mut cache, &access, "a"), (true, false));
         // The first rule ever for a component invalidates its cached default-deny.
         access
             .add_rule("never-governed", AccessRule::allow(Subject::Anyone, Operation::Send, None));
@@ -918,7 +913,7 @@ mod tests {
             for (step, (op, first, second, bits)) in ops.into_iter().enumerate() {
                 let now = Timestamp(step as u64);
                 match op {
-                    0 | 1 => {
+                    0..=2 => {
                         let condition = match bits % 8 {
                             0 | 1 => Condition::Always,
                             2 | 3 => Condition::is_true(KEYS[second]),
@@ -938,14 +933,6 @@ mod tests {
                         };
                         access.add_rule(COMPONENTS[first], rule);
                         answered.retain(|question| question.0 != first);
-                    }
-                    2 => {
-                        // Clearing a component that never had rules changes nothing.
-                        let before = access.cacheable_revision(COMPONENTS[first]);
-                        access.clear_component(COMPONENTS[first]);
-                        if access.cacheable_revision(COMPONENTS[first]) != before {
-                            answered.retain(|question| question.0 != first);
-                        }
                     }
                     3 => {
                         store.set(KEYS[first], bits & 1 == 0, now);

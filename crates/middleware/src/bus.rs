@@ -126,6 +126,12 @@ impl DeliveryOutcome {
     }
 }
 
+/// The `ChannelChanged` record of removing the channel `from → to`: what the bus's
+/// teardown and the dataplane's `unsubscribe` both write.
+pub fn teardown_evidence(from: &str, to: &str) -> AuditEvent {
+    channel_changed(from, to, false, "torn down".to_string())
+}
+
 /// The `ChannelChanged` record for `from → to`.
 fn channel_changed(from: &str, to: &str, established: bool, reason: String) -> AuditEvent {
     AuditEvent::ChannelChanged { from: from.to_string(), to: to.to_string(), established, reason }
@@ -234,15 +240,6 @@ impl Middleware {
         channels
     }
 
-    /// Number of currently open channels.
-    pub fn open_channel_count(&self) -> usize {
-        self.channels
-            .values()
-            .flat_map(BTreeMap::values)
-            .filter(|s| **s == ChannelState::Open)
-            .count()
-    }
-
     /// The state of the channel `from → to`, if one was ever established.
     fn channel_state(&self, from: &str, to: &str) -> Option<ChannelState> {
         self.channels.get(from)?.get(to).copied()
@@ -278,11 +275,10 @@ impl Middleware {
     }
 
     /// Tears down the channel `from → to`, if present.
-    pub fn teardown_channel(&mut self, from: &str, to: &str, now: Timestamp) {
+    fn teardown_channel(&mut self, from: &str, to: &str, now: Timestamp) {
         if let Some(state) = self.channels.get_mut(from).and_then(|outgoing| outgoing.get_mut(to)) {
             *state = ChannelState::Closed;
-            let evidence = channel_changed(from, to, false, "torn down".to_string());
-            self.audit.record(evidence, now.as_millis());
+            self.audit.record(teardown_evidence(from, to), now.as_millis());
         }
     }
 
@@ -295,7 +291,7 @@ impl Middleware {
     /// same sequence with no AC question, the channel having been admitted — closing
     /// those now isolated or failing IFC. Returns the closed pairs. Called after any
     /// reconfiguration that changes labels (§8.2.2).
-    pub fn reevaluate_channels(&mut self, now: Timestamp) -> Vec<(String, String)> {
+    fn reevaluate_channels(&mut self, now: Timestamp) -> Vec<(String, String)> {
         let mut closed = Vec::new();
         let open = self
             .channels
@@ -435,7 +431,8 @@ impl Middleware {
     }
 
     /// Handles a third-party reconfiguration control message (Fig. 8): authorises it
-    /// against the AC regime (`Reconfigure` on the target), applies the operation, and
+    /// against the AC regime (`Reconfigure` on the target, asked for the principal the
+    /// message names as its issuer, with no role), applies the operation, and
     /// re-evaluates channels when labels changed. Every control message is audited,
     /// accepted or not.
     pub fn handle_control(
@@ -466,7 +463,7 @@ impl Middleware {
         if self.registry.get(&message.target).is_none() {
             return ControlOutcome::UnknownTarget;
         }
-        let issuer = Principal::new(message.issued_by.clone()).with_role("policy-engine");
+        let issuer = Principal::new(message.issued_by.clone());
         let ac = self.access.decide(
             &message.target,
             &issuer,
@@ -586,7 +583,8 @@ mod tests {
     }
 
     /// Builds the home-monitoring middleware used across tests: Ann's and Zeb's sensors
-    /// and analysers, open AC for sends, and the policy engine allowed to reconfigure.
+    /// and analysers, open AC for sends, and the hospital's policy engine allowed to
+    /// reconfigure.
     fn home_monitoring() -> Middleware {
         let mut mw = Middleware::new("hospital-mw");
         for (name, owner, ctx) in [
@@ -613,7 +611,7 @@ mod tests {
             mw.access_mut().add_rule(
                 target,
                 AccessRule::allow(
-                    Subject::Role("policy-engine".into()),
+                    Subject::Principal("hospital-engine".into()),
                     Operation::Reconfigure,
                     None,
                 ),
@@ -768,21 +766,6 @@ mod tests {
         // An unauthorised issuer is refused and audited as rejected.
         let rogue =
             ControlMessage::new("ann-analyser", ReconfigureOp::Isolate, "attacker", "none", 11);
-        // The attacker principal does not hold the policy-engine role rule? It does get
-        // the role in handle_control, but the rule requires Reconfigure on the target,
-        // which "attacker" satisfies via the role. Tighten: restrict reconfiguration of
-        // the analyser to the named engine.
-        mw.access_mut().clear_component("ann-analyser");
-        mw.access_mut()
-            .add_rule("ann-analyser", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        mw.access_mut().add_rule(
-            "ann-analyser",
-            AccessRule::allow(
-                Subject::Principal("hospital-engine".into()),
-                Operation::Reconfigure,
-                None,
-            ),
-        );
         let outcome = mw.handle_control(&rogue, &snap(), Timestamp(11));
         assert!(matches!(outcome, ControlOutcome::Unauthorised { .. }));
         // Unknown targets are reported.
@@ -796,11 +779,48 @@ mod tests {
         assert_eq!(mw.audit().of_kind(legaliot_audit::AuditEventKind::Reconfigured).count(), 3);
     }
 
+    /// An issuer is the principal it names: it holds no role a rule could match, so a
+    /// role rule on the target authorises nobody's control messages.
+    #[test]
+    fn a_control_message_carries_no_role_for_its_issuer() {
+        let mut mw = Middleware::new("hospital-mw");
+        mw.registry_mut().register(
+            Component::builder("ann-sensor", Principal::new("ann"))
+                .context(medical_ctx("ann"))
+                .build(),
+        );
+        mw.access_mut().add_rule(
+            "ann-sensor",
+            AccessRule::allow(Subject::Role("policy-engine".into()), Operation::Reconfigure, None),
+        );
+        let rogue = ControlMessage::new("ann-sensor", ReconfigureOp::Isolate, "attacker", "p", 3);
+        let outcome = mw.handle_control(&rogue, &snap(), Timestamp(3));
+        assert_eq!(
+            outcome,
+            ControlOutcome::Unauthorised {
+                reason: "no allow rule matches attacker performing reconfigure on `ann-sensor`"
+                    .into()
+            }
+        );
+        assert!(!mw.registry().get("ann-sensor").unwrap().is_isolated());
+        let record = &mw.audit().records()[0];
+        assert_eq!(mw.audit().len(), 1);
+        assert_eq!(
+            record.event,
+            AuditEvent::Reconfigured {
+                component: "ann-sensor".into(),
+                issued_by: "attacker".into(),
+                action: ReconfigureOp::Isolate.to_string(),
+                accepted: false,
+            }
+        );
+    }
+
     #[test]
     fn label_change_triggers_channel_reevaluation() {
         let mut mw = home_monitoring();
         mw.establish_channel("ann-sensor", "ann-analyser", &snap(), Timestamp(1)).unwrap();
-        assert_eq!(mw.open_channel_count(), 1);
+        assert!(mw.has_open_channel("ann-sensor", "ann-analyser"));
         // The policy engine adds a secrecy tag to the sensor that the analyser lacks;
         // the existing channel must be closed on re-evaluation (§8.2.2).
         let cm = ControlMessage::new(
@@ -811,7 +831,6 @@ mod tests {
             5,
         );
         assert!(mw.handle_control(&cm, &snap(), Timestamp(5)).is_applied());
-        assert_eq!(mw.open_channel_count(), 0);
         assert!(!mw.has_open_channel("ann-sensor", "ann-analyser"));
     }
 
@@ -824,7 +843,7 @@ mod tests {
         assert!(mw.handle_control(&cm, &snap(), Timestamp(2)).is_applied());
         // Open channels involving the isolated component were closed; sending over the
         // torn-down channel is now an error, not a silent outcome.
-        assert_eq!(mw.open_channel_count(), 0);
+        assert!(!mw.has_open_channel("ann-sensor", "ann-analyser"));
         let msg = Message::new("sensor-reading", SecurityContext::public());
         assert_eq!(
             mw.send("ann-sensor", "ann-analyser", msg, &snap(), Timestamp(3)),

@@ -86,7 +86,7 @@ impl Component {
     }
 
     /// Whether the component has been isolated by policy (no channels allowed).
-    pub fn is_isolated(&self) -> bool {
+    pub(crate) fn is_isolated(&self) -> bool {
         self.isolated
     }
 
@@ -213,22 +213,6 @@ impl Registry {
     pub fn schema(&self, message_type: &MessageType) -> Option<&MessageSchema> {
         self.schemas.get(message_type)
     }
-
-    /// Components that produce the given message type (service discovery).
-    pub fn producers_of<'a>(
-        &'a self,
-        message_type: &'a MessageType,
-    ) -> impl Iterator<Item = &'a Component> + 'a {
-        self.components.values().filter(move |c| c.produces().contains(message_type))
-    }
-
-    /// Components that consume the given message type.
-    pub fn consumers_of<'a>(
-        &'a self,
-        message_type: &'a MessageType,
-    ) -> impl Iterator<Item = &'a Component> + 'a {
-        self.components.values().filter(move |c| c.consumes().contains(message_type))
-    }
 }
 
 #[cfg(test)]
@@ -276,24 +260,12 @@ mod tests {
         // Duplicate names rejected.
         assert!(!reg.register(ann_sensor()));
         assert_eq!(reg.len(), 2);
+        assert_eq!(reg.iter().count(), 2);
         assert!(reg.get("ann-sensor").is_some());
         assert!(reg.get("missing").is_none());
         assert!(reg.deregister("ann-sensor").is_some());
         assert!(reg.deregister("ann-sensor").is_none());
         assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn discovery_by_message_type() {
-        let mut reg = Registry::new();
-        reg.register(ann_sensor());
-        reg.register(ann_analyser());
-        let mt = MessageType::new("sensor-reading");
-        let producers: Vec<&str> = reg.producers_of(&mt).map(Component::name).collect();
-        let consumers: Vec<&str> = reg.consumers_of(&mt).map(Component::name).collect();
-        assert_eq!(producers, vec!["ann-sensor"]);
-        assert_eq!(consumers, vec!["ann-analyser"]);
-        assert_eq!(reg.iter().count(), 2);
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl ControlMessage {
     /// Translates a policy-engine [`ReconfigurationCommand`] into zero or more control
     /// messages. `Notify` actions produce no control message (they go to principals, not
     /// components); flow allow/deny actions are enforced by the channel layer directly.
-    pub fn from_command(command: &ReconfigurationCommand) -> Vec<ControlMessage> {
+    pub(crate) fn from_command(command: &ReconfigurationCommand) -> Vec<ControlMessage> {
         let mk = |target: &str, op: ReconfigureOp| {
             ControlMessage::new(
                 target,

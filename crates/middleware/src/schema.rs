@@ -166,11 +166,6 @@ impl MessageSchema {
         }
         Ok(())
     }
-
-    /// The extra secrecy label of an attribute, if any.
-    pub fn attribute_label(&self, name: &str) -> Option<&Label> {
-        self.attribute_secrecy.get(name)
-    }
 }
 
 /// A typed message: attributes plus the security context it carries end-to-end.
@@ -326,11 +321,6 @@ impl FrozenSchema {
         self.secrecy[index].as_ref()
     }
 
-    /// Bitmask of attributes carrying message-level secrecy tags.
-    pub fn sensitive_mask(&self) -> u64 {
-        self.sensitive_mask
-    }
-
     /// The bitmask of attributes that must be *source-quenched* for a destination
     /// holding `destination_secrecy` (Fig. 10): every attribute whose message-level
     /// tags are not all present in the destination's secrecy label. O(sensitive
@@ -458,7 +448,7 @@ impl Payload {
     }
 
     /// Total encoded size of the values in bytes.
-    pub fn byte_len(&self) -> usize {
+    fn byte_len(&self) -> usize {
         self.buffer.len() - self.values_at
     }
 
@@ -620,7 +610,7 @@ impl FrozenMessage {
     }
 
     /// Encoded payload size in bytes (shared across clones and quenched forms).
-    pub fn payload_byte_len(&self) -> usize {
+    fn payload_byte_len(&self) -> usize {
         self.body.payload.byte_len()
     }
 
@@ -750,7 +740,7 @@ pub struct BodyRing {
 }
 
 impl BodyRing {
-    /// The largest encoded payload ([`FrozenMessage::payload_byte_len`]) a ring keeps
+    /// The largest encoded payload (the bytes of [`FrozenMessage::payload`]) a ring keeps
     /// for reuse; a bigger message is frozen into a body of its own that the ring
     /// never holds, so one large message cannot raise what every kept body costs.
     pub const MAX_KEPT_PAYLOAD: usize = 1024;
@@ -853,8 +843,9 @@ mod tests {
     #[test]
     fn sensitive_attributes_carry_extra_labels() {
         let schema = reading_schema();
-        assert_eq!(schema.attribute_label("patient-name"), Some(&Label::from_names(["identity"])));
-        assert!(schema.attribute_label("value").is_none());
+        let label = |name: &str| schema.attribute_secrecy.get(name);
+        assert_eq!(label("patient-name"), Some(&Label::from_names(["identity"])));
+        assert!(label("value").is_none());
     }
 
     #[test]
@@ -879,7 +870,7 @@ mod tests {
         assert_eq!(schema.index_of("value"), Some(2));
         assert_eq!(schema.index_of("missing"), None);
         assert_eq!(schema.kind(2), AttributeKind::Float);
-        assert_eq!(schema.sensitive_mask(), 0b001);
+        assert_eq!(schema.sensitive_mask, 0b001);
         assert_eq!(schema.secrecy(0), Some(&Label::from_names(["identity"])));
         assert!(schema.secrecy(1).is_none());
     }

@@ -25,7 +25,7 @@ fn bucket_index(value: u64) -> usize {
 ///
 /// Bucket 0 is `(0, 0)`; bucket `i ≥ 1` is `(2^(i-1), 2^i - 1)` with bucket 64
 /// capped at `u64::MAX`.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+fn bucket_bounds(index: usize) -> (u64, u64) {
     assert!(index < BUCKETS, "bucket index {index} out of range");
     if index == 0 {
         (0, 0)
@@ -176,7 +176,7 @@ impl HistogramSnapshot {
     /// samples picks the second). The bucket holding that rank bounds the true sample
     /// value; the bracket is tightened by the observed global min/max, which are valid
     /// bounds for every sample.
-    pub fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
+    fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
         let count = self.count();
         if count == 0 {
             return None;

@@ -27,10 +27,10 @@
 //! - **Snapshots are mergeable.** Per-shard histograms merge into one by summing
 //!   bucket counts, which is how per-shard telemetry becomes a single dataplane-wide
 //!   percentile report.
-//! - **Quantiles are bucket-bounded estimates.** `quantile(q)` returns the upper bound
-//!   of the bucket holding the rank-`q` sample; [`HistogramSnapshot::quantile_bounds`]
-//!   exposes the full `[lo, hi]` bracket so callers (and the property tests) can reason
-//!   about the log2 error bound: the true sample quantile always lies inside it.
+//! - **Quantiles are bucket-bounded estimates.** [`HistogramSnapshot::quantile`]
+//!   returns the upper bound of the bucket holding the rank-`q` sample, tightened by the
+//!   observed maximum: the true sample quantile is never above it and, by the log2
+//!   bucketing, never below half of it.
 //! - **Disabled means nearly free.** [`ObsConfig::disabled()`] lets instrumented code
 //!   skip every clock read; the residual cost is the pre-existing relaxed counters.
 //!
@@ -43,8 +43,8 @@
 //! }
 //! let snap = h.snapshot();
 //! assert_eq!(snap.count(), 4);
-//! let (lo, hi) = snap.quantile_bounds(0.5).unwrap();
-//! assert!(lo <= 340 && 340 <= hi);
+//! let p50 = snap.p50();
+//! assert!(340 <= p50 && p50 < 2 * 340);
 //!
 //! let mut out = MetricsSnapshot::new();
 //! out.record_histogram("stage.delivery", snap);
@@ -59,7 +59,7 @@ mod histogram;
 mod metrics;
 
 pub use expose::MetricsSnapshot;
-pub use histogram::{bucket_bounds, HistogramSnapshot, LatencyHistogram, BUCKETS};
+pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use metrics::{Counter, MaxGauge};
 
 /// Whether instrumented components should take timestamps at all.

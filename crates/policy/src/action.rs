@@ -130,19 +130,6 @@ impl Action {
             Action::Notify { .. } => None,
         }
     }
-
-    /// Whether the action changes the IFC security regime (labels/privileges) rather
-    /// than performing a direct operation.
-    pub fn is_security_regime_change(&self) -> bool {
-        matches!(
-            self,
-            Action::SetSecurityContext { .. }
-                | Action::AddTag { .. }
-                | Action::RemoveTag { .. }
-                | Action::GrantPrivilege { .. }
-                | Action::RevokePrivilege { .. }
-        )
-    }
 }
 
 impl fmt::Display for Action {
@@ -236,20 +223,6 @@ mod tests {
             Action::Actuate { component: "sensor".into(), command: "faster".into() }.target(),
             Some("sensor")
         );
-    }
-
-    #[test]
-    fn security_regime_classification() {
-        assert!(Action::AddTag { component: "c".into(), tag: Tag::new("medical"), secrecy: true }
-            .is_security_regime_change());
-        assert!(Action::GrantPrivilege {
-            component: "c".into(),
-            privilege: Privilege::new("medical", PrivilegeKind::SecrecyRemove),
-        }
-        .is_security_regime_change());
-        assert!(!Action::Connect { from: "a".into(), to: "b".into() }.is_security_regime_change());
-        assert!(!Action::Notify { recipient: "r".into(), message: "m".into() }
-            .is_security_regime_change());
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl Condition {
         Condition::IsFalse { key: key.into() }
     }
 
-    /// Shorthand for [`Condition::TextEquals`].
-    pub fn text_equals(key: impl Into<String>, value: impl Into<String>) -> Self {
-        Condition::TextEquals { key: key.into(), value: value.into() }
-    }
-
     /// Shorthand for [`Condition::NumberAtLeast`].
     pub fn number_at_least(key: impl Into<String>, threshold: f64) -> Self {
         Condition::NumberAtLeast { key: key.into(), threshold }
@@ -125,11 +120,6 @@ impl Condition {
             }
             c => Condition::Any(vec![c, other]),
         }
-    }
-
-    /// Negation.
-    pub fn negate(self) -> Self {
-        Condition::Not(Box::new(self))
     }
 
     /// Evaluates the condition against a context snapshot at simulated time `now`.
@@ -262,9 +252,11 @@ mod tests {
         assert!(!Condition::is_true("nurse.on-shift").evaluate(&s, t));
         assert!(Condition::is_false("nurse.on-shift").evaluate(&s, t));
         assert!(Condition::is_false("missing-key").evaluate(&s, t));
-        assert!(Condition::text_equals("patient.ward", "ward-3").evaluate(&s, t));
-        assert!(!Condition::text_equals("patient.ward", "ward-4").evaluate(&s, t));
-        assert!(!Condition::text_equals("missing", "x").evaluate(&s, t));
+        let equals =
+            |key: &str, value: &str| Condition::TextEquals { key: key.into(), value: value.into() };
+        assert!(equals("patient.ward", "ward-3").evaluate(&s, t));
+        assert!(!equals("patient.ward", "ward-4").evaluate(&s, t));
+        assert!(!equals("missing", "x").evaluate(&s, t));
         assert!(Condition::number_at_least("patient.heart-rate", 120.0).evaluate(&s, t));
         assert!(!Condition::number_at_least("patient.heart-rate", 151.0).evaluate(&s, t));
         assert!(Condition::number_below("patient.heart-rate", 200.0).evaluate(&s, t));
@@ -290,7 +282,7 @@ mod tests {
         assert!(c.evaluate(&s, t));
         let c2 = Condition::is_true("nurse.on-shift").or(Condition::is_true("emergency.active"));
         assert!(c2.evaluate(&s, t));
-        assert!(!Condition::is_true("emergency.active").negate().evaluate(&s, t));
+        assert!(!Condition::Not(Box::new(Condition::is_true("emergency.active"))).evaluate(&s, t));
         // Empty All is true; empty Any is false.
         assert!(Condition::All(vec![]).evaluate(&s, t));
         assert!(!Condition::Any(vec![]).evaluate(&s, t));
@@ -313,7 +305,7 @@ mod tests {
     fn time_dependence_is_detected_through_combinators() {
         assert!(Condition::within_time(0, 10).is_time_dependent());
         assert!(Condition::is_true("a").and(Condition::within_time(0, 10)).is_time_dependent());
-        assert!(Condition::within_time(0, 10).negate().is_time_dependent());
+        assert!(Condition::Not(Box::new(Condition::within_time(0, 10))).is_time_dependent());
         assert!(!Condition::is_true("a")
             .and(Condition::number_below("b", 1.0))
             .is_time_dependent());
@@ -325,7 +317,10 @@ mod tests {
     fn referenced_keys_collects_all() {
         let c = Condition::is_true("a")
             .and(Condition::number_at_least("b", 1.0))
-            .and(Condition::text_equals("c", "x").negate())
+            .and(Condition::Not(Box::new(Condition::TextEquals {
+                key: "c".into(),
+                value: "x".into(),
+            })))
             .or(Condition::within_time(0, 10));
         let mut keys = c.referenced_keys();
         keys.sort_unstable();
@@ -335,7 +330,7 @@ mod tests {
     #[test]
     fn display_renders_expression() {
         let c = Condition::is_true("emergency.active")
-            .and(Condition::number_at_least("hr", 120.0).negate());
+            .and(Condition::Not(Box::new(Condition::number_at_least("hr", 120.0))));
         let s = c.to_string();
         assert!(s.contains("emergency.active"));
         assert!(s.contains("&&"));
@@ -353,12 +348,12 @@ mod tests {
             let t = Timestamp::ZERO;
             let a = Condition::is_true("a");
             let b = Condition::is_true("b");
-            prop_assert_eq!(
-                a.clone().negate().negate().evaluate(&snap, t),
-                a.clone().evaluate(&snap, t)
-            );
-            let lhs = a.clone().and(b.clone()).negate().evaluate(&snap, t);
-            let rhs = a.clone().negate().or(b.clone().negate()).evaluate(&snap, t);
+            let not_a = Condition::Not(Box::new(a.clone()));
+            let not_b = Condition::Not(Box::new(b.clone()));
+            let not_not_a = Condition::Not(Box::new(not_a.clone()));
+            prop_assert_eq!(not_not_a.evaluate(&snap, t), a.evaluate(&snap, t));
+            let lhs = Condition::Not(Box::new(a.and(b))).evaluate(&snap, t);
+            let rhs = not_a.or(not_b).evaluate(&snap, t);
             prop_assert_eq!(lhs, rhs);
         }
     }

@@ -128,11 +128,6 @@ impl ConflictResolver {
         ConflictResolver { strategy }
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> ResolutionStrategy {
-        self.strategy
-    }
-
     /// Detects conflicting pairs among `commands` without resolving them.
     pub fn detect(&self, commands: &[ReconfigurationCommand]) -> Vec<(usize, usize, String)> {
         let mut conflicts = Vec::new();
@@ -373,7 +368,6 @@ mod tests {
         ];
         let out = resolver.resolve(&[], commands.clone());
         assert_eq!(out, commands);
-        assert_eq!(resolver.strategy(), ResolutionStrategy::PriorityThenDenyOverrides);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl PolicyRule {
     }
 
     /// Whether this rule should be evaluated for the given event.
-    pub fn triggered_by(&self, event: &PolicyEvent) -> bool {
+    pub(crate) fn triggered_by(&self, event: &PolicyEvent) -> bool {
         self.trigger.matches(event)
     }
 }

@@ -29,13 +29,6 @@ pub struct EngineOutcome {
     pub conflicts_resolved: usize,
 }
 
-impl EngineOutcome {
-    /// Whether nothing fired.
-    pub fn is_quiescent(&self) -> bool {
-        self.fired.is_empty()
-    }
-}
-
 /// A policy engine holding a set of rules for one administrative authority (or a
 /// federation of them, with conflicts resolved by the configured strategy).
 #[derive(Debug, Clone)]
@@ -75,11 +68,6 @@ impl PolicyEngine {
         self.rules.insert(rule.id.clone(), rule)
     }
 
-    /// Removes a rule by id.
-    pub fn remove_rule(&mut self, id: &PolicyId) -> Option<PolicyRule> {
-        self.rules.remove(id)
-    }
-
     /// The number of rules held.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
@@ -93,11 +81,6 @@ impl PolicyEngine {
     /// Iterates over all rules.
     pub fn rules(&self) -> impl Iterator<Item = &PolicyRule> + '_ {
         self.rules.values()
-    }
-
-    /// The conflict resolver in use.
-    pub fn resolver(&self) -> &ConflictResolver {
-        &self.resolver
     }
 
     /// Evaluates an event against the rule set under the given context snapshot.
@@ -145,17 +128,6 @@ impl PolicyEngine {
         let conflicts_resolved = before - commands.len();
 
         EngineOutcome { fired, suppressed, commands, conflicts_resolved }
-    }
-
-    /// Evaluates a batch of events in order against the same snapshot, concatenating
-    /// commands (used by the middleware when draining a queue of changes).
-    pub fn evaluate_all(
-        &self,
-        events: &[PolicyEvent],
-        snapshot: &ContextSnapshot,
-        now: Timestamp,
-    ) -> Vec<EngineOutcome> {
-        events.iter().map(|e| self.evaluate(e, snapshot, now)).collect()
     }
 }
 
@@ -208,7 +180,7 @@ mod tests {
         assert_eq!(outcome.fired, vec![PolicyId::new("emergency-response")]);
         assert_eq!(outcome.suppressed, vec![PolicyId::new("night-quiet")]);
         assert_eq!(outcome.commands.len(), 3);
-        assert!(!outcome.is_quiescent());
+        assert!(!outcome.fired.is_empty());
         assert!(outcome.commands.iter().all(|c| c.issued_by_policy == "emergency-response"));
         assert!(outcome.commands.iter().all(|c| c.issued_at_millis == 5));
     }
@@ -220,22 +192,20 @@ mod tests {
         let snap = ContextSnapshot::from_pairs([("patient.heart-rate", 190i64)]);
         let event = PolicyEvent::ContextChanged { key: "unrelated.key".into() };
         let outcome = engine.evaluate(&event, &snap, Timestamp::ZERO);
-        assert!(outcome.is_quiescent());
+        assert!(outcome.fired.is_empty());
         assert!(outcome.commands.is_empty());
         assert!(outcome.suppressed.is_empty());
     }
 
     #[test]
-    fn add_remove_and_lookup_rules() {
+    fn add_replace_and_lookup_rules() {
         let mut engine = PolicyEngine::new("e");
         assert!(engine.add_rule(quiet_rule()).is_none());
         // Replacing returns the old rule.
         assert!(engine.add_rule(quiet_rule()).is_some());
         assert!(engine.rule(&PolicyId::new("night-quiet")).is_some());
         assert_eq!(engine.rules().count(), 1);
-        assert!(engine.remove_rule(&PolicyId::new("night-quiet")).is_some());
-        assert!(engine.remove_rule(&PolicyId::new("night-quiet")).is_none());
-        assert_eq!(engine.rule_count(), 0);
+        assert_eq!(engine.rule_count(), 1);
         assert_eq!(engine.name(), "e");
     }
 
@@ -262,21 +232,6 @@ mod tests {
             .collect();
         assert_eq!(actuations.len(), 1);
         assert_eq!(actuations[0].issued_by_policy, "emergency-response");
-    }
-
-    #[test]
-    fn evaluate_all_processes_each_event() {
-        let mut engine = PolicyEngine::new("e");
-        engine.add_rule(emergency_rule());
-        let snap = ContextSnapshot::from_pairs([("patient.heart-rate", 190i64)]);
-        let events = vec![
-            PolicyEvent::ContextChanged { key: "patient.heart-rate".into() },
-            PolicyEvent::Tick,
-        ];
-        let outcomes = engine.evaluate_all(&events, &snap, Timestamp::ZERO);
-        assert_eq!(outcomes.len(), 2);
-        assert!(!outcomes[0].is_quiescent());
-        assert!(outcomes[1].is_quiescent());
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! * [`breakglass`] — break-glass overrides with expiry and mandatory justification
 //!   (§3 Concern 6);
 //! * [`template`] — authoring templates that compile common legal obligations
-//!   (geo-fencing, consent, retention, anonymise-before-analytics) into rules;
-//! * [`ontology`] — a small term ontology for tag/context vocabularies (Challenge 2).
+//!   (geo-fencing, consent, retention, anonymise-before-analytics) into rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,6 @@ pub mod condition;
 pub mod conflict;
 pub mod eca;
 pub mod engine;
-pub mod ontology;
 pub mod template;
 
 pub use action::{Action, ReconfigurationCommand};
@@ -40,5 +38,4 @@ pub use condition::Condition;
 pub use conflict::{ConflictReport, ConflictResolver, ResolutionStrategy};
 pub use eca::{PolicyEvent, PolicyId, PolicyPriority, PolicyRule};
 pub use engine::{EngineOutcome, PolicyEngine};
-pub use ontology::{Ontology, TermRelation};
 pub use template::PolicyTemplate;

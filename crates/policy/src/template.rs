@@ -243,7 +243,7 @@ mod tests {
         // With consent recorded: quiescent.
         let snap = ContextSnapshot::from_pairs([("ann.consent-given", true)]);
         let outcome = engine.evaluate(&event, &snap, Timestamp::ZERO);
-        assert!(outcome.is_quiescent());
+        assert!(outcome.fired.is_empty());
     }
 
     #[test]
@@ -297,7 +297,7 @@ mod tests {
             engine.add_rule(r);
         }
         let fresh = ContextSnapshot::from_pairs([("archive.oldest-item-age", 500i64)]);
-        assert!(engine.evaluate(&PolicyEvent::Tick, &fresh, Timestamp::ZERO).is_quiescent());
+        assert!(engine.evaluate(&PolicyEvent::Tick, &fresh, Timestamp::ZERO).fired.is_empty());
         let stale = ContextSnapshot::from_pairs([("archive.oldest-item-age", 5_000i64)]);
         let outcome = engine.evaluate(&PolicyEvent::Tick, &stale, Timestamp::ZERO);
         assert_eq!(outcome.commands.len(), 1);
