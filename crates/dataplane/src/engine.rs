@@ -38,7 +38,7 @@ use legaliot_middleware::{
 use legaliot_obs::ObsConfig;
 
 use crate::failpoint::{self, FailpointRegistry};
-use crate::queue::BoundedQueue;
+use crate::queue::{BoundedQueue, WhenFull};
 use crate::shard::{panic_message, run_worker, ShardState, ShardTask};
 use crate::subscriber::{OverflowPolicy, Subscriber};
 use crate::telemetry::{DataplaneStats, EngineCounters, TelemetrySnapshot};
@@ -292,7 +292,7 @@ impl std::error::Error for DataplaneError {}
 pub(crate) struct EndpointId(u32);
 
 impl EndpointId {
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -303,9 +303,10 @@ impl EndpointId {
 pub(crate) struct Endpoint {
     pub component: Component,
     pub shard: usize,
-    /// `(subscriber, subscriber's shard)`, admission-checked at subscribe time.
-    /// Behind an `Arc` so a publish can snapshot the fan-out with one refcount bump
-    /// instead of cloning the list on every message.
+    /// `(subscriber, subscriber's shard)`, admission-checked at subscribe time and
+    /// ordered by shard (by subscription within one). Behind an `Arc` so a publish can
+    /// snapshot the fan-out with one refcount bump instead of cloning the list on every
+    /// message.
     pub subscribers: Arc<Vec<(EndpointId, usize)>>,
     /// The inverse edges: every endpoint whose `subscribers` names this one. Kept in
     /// step by `subscribe` / `unsubscribe` / `deregister`, so a leaving endpoint
@@ -856,7 +857,10 @@ impl Dataplane {
             let destination = endpoints.get_mut(subscriber_id).expect("looked up above");
             destination.publishers.push(publisher_id);
             let source = endpoints.get_mut(publisher_id).expect("looked up above");
-            Arc::make_mut(&mut source.subscribers).push((subscriber_id, subscriber_shard));
+            // Ordered by shard, so a publish pushes each shard's run of tasks as one group.
+            let subscribers = Arc::make_mut(&mut source.subscribers);
+            let at = subscribers.partition_point(|&(_, shard)| shard <= subscriber_shard);
+            subscribers.insert(at, (subscriber_id, subscriber_shard));
         }
         let evidence = outcome.channel_evidence(publisher, subscriber);
         dir.control_audit.append(evidence, now.as_millis());
@@ -896,8 +900,10 @@ impl Dataplane {
     /// The fan-out of one published message: one [`ShardTask::Deliver`] per subscriber,
     /// each carrying a handle on the frozen body — the last one the publisher's
     /// own, so at fan-out 1 the body's count is never written by publisher and shard
-    /// at once. Pushes block on a full shard queue (backpressure), and run with no
-    /// directory lock held: a blocked push must never hold the lock a worker needs.
+    /// at once. The subscribers are ordered by shard, and each shard's run of them is
+    /// one `in_flight` add and one group push. Pushes block on a full shard queue
+    /// (backpressure), and run with no directory lock held: a blocked push must never
+    /// hold the lock a worker needs.
     fn enqueue_fanout(
         &self,
         from: EndpointId,
@@ -912,35 +918,56 @@ impl Dataplane {
         } else {
             0
         };
+        let at_millis = now.as_millis();
         let mut body = Some(body);
         let mut enqueued = 0;
-        for (index, &(to, shard)) in subscribers.iter().enumerate() {
+        let mut rest = subscribers;
+        while let Some(&(_, shard)) = rest.first() {
+            let run_length = rest.iter().take_while(|(_, other)| *other == shard).count();
+            let (run, after) = rest.split_at(run_length);
+            rest = after;
             let state = &self.shared.shards[shard];
-            // A degraded shard no longer enforces anything: fail fast instead of
-            // enqueueing work that would only be evidenced as lost (or hanging on a
-            // queue nobody fully services).
-            if state.degraded.load(Ordering::Relaxed) {
-                self.counters.published.add(enqueued as u64);
-                return Err(DataplaneError::ShardUnavailable { shard });
+            // Both checks stay per delivery: the deliveries before a refused one are
+            // enqueued, and stay enqueued.
+            let mut refused = None;
+            let ready = run
+                .iter()
+                .position(|_| {
+                    // A degraded shard no longer enforces anything: fail fast instead of
+                    // enqueueing work that would only be evidenced as lost (or hanging
+                    // on a queue nobody fully services).
+                    if state.degraded.load(Ordering::Relaxed) {
+                        refused = Some(DataplaneError::ShardUnavailable { shard });
+                    // The `ingress.enqueue` failpoint: injected queue-full backpressure
+                    // (or a publisher-side delay), before any in-flight accounting.
+                    } else if failpoint::inject_ingress(&self.config.failpoints) {
+                        let capacity = state.queue.capacity();
+                        refused = Some(DataplaneError::QueueFull { shard, capacity });
+                    }
+                    refused.is_some()
+                })
+                .unwrap_or(run.len());
+            if ready > 0 {
+                let tasks = run[..ready].iter().map(|&(to, _)| {
+                    enqueued += 1;
+                    let body =
+                        if enqueued == subscribers.len() { body.take() } else { body.clone() };
+                    ShardTask::Deliver {
+                        from,
+                        to,
+                        at_millis,
+                        enqueued_ns,
+                        body: body.expect("the publisher's handle moves into the last task only"),
+                    }
+                });
+                state.in_flight.fetch_add(ready as u64, Ordering::SeqCst);
+                let pushed = state.queue.push_group(tasks, WhenFull::Block(None));
+                state.telemetry.record_queue_depth(pushed.depth);
             }
-            // The `ingress.enqueue` failpoint: injected queue-full backpressure
-            // (or a publisher-side delay), before any in-flight accounting.
-            if failpoint::inject_ingress(&self.config.failpoints) {
+            if let Some(refused) = refused {
                 self.counters.published.add(enqueued as u64);
-                return Err(DataplaneError::QueueFull { shard, capacity: state.queue.capacity() });
+                return Err(refused);
             }
-            let body = if index + 1 == subscribers.len() { body.take() } else { body.clone() };
-            let task = ShardTask::Deliver {
-                from,
-                to,
-                at_millis: now.as_millis(),
-                enqueued_ns,
-                body: body.expect("the publisher's handle moves into the last task only"),
-            };
-            state.in_flight.fetch_add(1, Ordering::SeqCst);
-            let depth = state.queue.push(task);
-            state.telemetry.record_queue_depth(depth);
-            enqueued += 1;
         }
         self.counters.published.add(enqueued as u64);
         Ok(enqueued)

@@ -281,13 +281,32 @@ impl FailpointRegistry {
 /// disabled path is one branch.
 #[inline]
 pub(crate) fn inject(failpoints: &Option<std::sync::Arc<FailpointRegistry>>, site: FailpointSite) {
+    if panic_due(failpoints, site) {
+        fire(site);
+    }
+}
+
+/// [`inject`] that leaves the panic to the caller: sleeps through a delay, and returns
+/// whether a panic is due — so a caller probing a group item by item can finish the
+/// items before the one that fires, then [`fire`].
+#[inline]
+pub(crate) fn panic_due(
+    failpoints: &Option<std::sync::Arc<FailpointRegistry>>,
+    site: FailpointSite,
+) -> bool {
     if let Some(registry) = failpoints {
         match registry.check(site) {
-            Some(FaultKind::Panic) => panic!("failpoint `{}` fired", site.name()),
+            Some(FaultKind::Panic) => return true,
             Some(FaultKind::Delay(delay)) => std::thread::sleep(delay),
             Some(FaultKind::QueueFull | FaultKind::ShortWrite | FaultKind::IoError) | None => {}
         }
     }
+    false
+}
+
+/// The panic an armed [`FaultKind::Panic`] injects at `site`.
+pub(crate) fn fire(site: FailpointSite) -> ! {
+    panic!("failpoint `{}` fired", site.name())
 }
 
 /// Probe for the ingress enqueue site: returns `true` when the publisher

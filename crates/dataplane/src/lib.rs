@@ -981,6 +981,99 @@ mod tests {
         assert_eq!(received, (10..30).collect::<Vec<u64>>());
     }
 
+    /// One batch whose deliveries alternate between two mailboxes is handed over as two
+    /// group pushes — one `handoff` sample each — and each mailbox receives its own
+    /// deliveries in publish order, even with groups three times its capacity pushed
+    /// into it while its consumer waits.
+    #[test]
+    fn one_batch_for_two_mailboxes_arrives_fifo_per_mailbox() {
+        use legaliot_obs::ObsConfig;
+        use telemetry::Stage;
+
+        let config = DataplaneConfig {
+            shards: 1,
+            mailbox_capacity: 2,
+            overflow: OverflowPolicy::Block,
+            telemetry: ObsConfig::enabled(),
+            ..DataplaneConfig::default()
+        };
+        let dataplane = two_pair_plane(config);
+        let consumers: Vec<_> = ["b", "d"]
+            .map(|name| {
+                let receiver = dataplane.open_subscriber(name).unwrap();
+                std::thread::spawn(move || {
+                    let mut received = Vec::new();
+                    while let Ok(message) = receiver.recv() {
+                        received.push(message.sent_at_millis());
+                    }
+                    received
+                })
+            })
+            .into();
+        let barrier = dataplane.block_shard(0);
+        for t in 10..22 {
+            let publisher = if t % 2 == 0 { "a" } else { "c" };
+            assert_eq!(tick(&dataplane, publisher, t), Ok(1));
+        }
+        barrier.wait();
+        dataplane.drain();
+        assert_eq!(dataplane.stats().receiver_enqueued, 12);
+        assert_eq!(dataplane.telemetry().merged().stage(Stage::Handoff).count(), 2);
+        dataplane.shutdown();
+        let received: Vec<Vec<u64>> =
+            consumers.into_iter().map(|consumer| consumer.join().unwrap()).collect();
+        assert_eq!(received[0], vec![10, 12, 14, 16, 18, 20]);
+        assert_eq!(received[1], vec![11, 13, 15, 17, 19, 21]);
+    }
+
+    /// A Full-mode drop-oldest group that overflows its mailbox writes one
+    /// `DeliveryDropped` per shed delivery, each naming that delivery's own source and
+    /// stamped with the send time of the delivery whose push shed it.
+    #[test]
+    fn a_drop_oldest_group_evidences_each_shed_with_its_own_source() {
+        use legaliot_audit::AuditEvent;
+
+        let config = DataplaneConfig {
+            shards: 1,
+            mailbox_capacity: 2,
+            overflow: OverflowPolicy::DropOldest,
+            audit_detail: AuditDetail::Full,
+            ..DataplaneConfig::default()
+        };
+        let dataplane = two_pair_plane(config);
+        dataplane.register(endpoint("e", &["t"])).unwrap();
+        assert!(dataplane.subscribe("e", "b", &snap(), Timestamp(1)).unwrap().is_delivered());
+        let receiver = dataplane.open_subscriber("b").unwrap();
+        let barrier = dataplane.block_shard(0);
+        for t in 10..15 {
+            let publisher = if t % 2 == 0 { "a" } else { "e" };
+            assert_eq!(tick(&dataplane, publisher, t), Ok(1));
+        }
+        barrier.wait();
+        dataplane.drain();
+        let stats = dataplane.stats();
+        assert_eq!((stats.receiver_enqueued, stats.receiver_dropped), (5, 3));
+        let received: Vec<u64> =
+            receiver.drain().iter().map(ReceivedMessage::sent_at_millis).collect();
+        assert_eq!(received, vec![13, 14]);
+
+        let report = dataplane.shutdown();
+        let dropped: Vec<(String, u64, u64)> = report
+            .merged_timeline()
+            .into_iter()
+            .filter_map(|record| match record.event {
+                AuditEvent::DeliveryDropped { source, destination, dropped, .. } => {
+                    assert_eq!(destination, "b");
+                    Some((source, dropped, record.at_millis))
+                }
+                _ => None,
+            })
+            .collect();
+        let expected =
+            [("a", 12), ("e", 13), ("a", 14)].map(|(source, at)| (source.to_string(), 1, at));
+        assert_eq!(dropped, expected);
+    }
+
     #[test]
     fn stats_default_and_shard_routing_are_stable() {
         let dataplane = Dataplane::new("routing", DataplaneConfig::default());

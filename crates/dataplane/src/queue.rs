@@ -12,13 +12,20 @@
 //!   closed when its handle goes: pushes then discard, and pops hand out the backlog
 //!   before reporting the queue closed.
 //!
+//! Every push is a group push (`BoundedQueue::push_group`): the items go in, in
+//! order, under one lock, and a parked consumer is woken once for the group — a shard
+//! hands each batch's deliveries for one mailbox over this way, a publisher its
+//! fan-out's run of tasks for one shard, and a single item is a group of one.
+//!
 //! One wake protocol serves every wait. A thread raises its side's waiter count under
 //! the lock before its wait releases it, so whoever changes the queue under the lock
 //! afterwards sees the count and notifies; at zero the notify — a futex wake with
-//! nobody to wake — is skipped. A push wakes one parked consumer, a single pop one
-//! parked producer, a batch pop or a drain every parked producer, and a close
-//! everybody. The queue reserves nothing up front: a fleet opens thousands of
-//! mailboxes, most of them never deep.
+//! nobody to wake — is skipped. A group push wakes one parked consumer when it is done,
+//! and also *before* it parks on a full queue mid-group: the consumer it waits for
+//! must first hear of the items already pushed, or each would wait for the other. A
+//! single pop wakes one parked producer, a batch pop or a drain every parked producer,
+//! and a close everybody. The queue reserves nothing up front: a fleet opens thousands
+//! of mailboxes, most of them never deep.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,7 +62,7 @@ pub struct BoundedQueue<T> {
 #[derive(Debug)]
 struct Inner<T> {
     items: VecDeque<T>,
-    /// Items shed by [`BoundedQueue::push_shedding`] since the queue opened.
+    /// Items shed by [`WhenFull::ShedOldest`] pushes since the queue opened.
     shed: u64,
     /// Threads parked on `not_empty` / `not_full`; see the module docs.
     waiting_consumers: usize,
@@ -71,6 +78,28 @@ pub(crate) enum PopError {
     Empty,
     /// The queue is closed and everything queued before the close has been popped.
     Closed,
+}
+
+/// What a group push does on finding the queue full.
+pub(crate) enum WhenFull<'a, T> {
+    /// Park until the consumer makes room (backpressure). Each wait is recorded in the
+    /// histogram, when one is given — one sample per wait, so a push that never waits
+    /// takes no timestamps.
+    Block(Option<&'a LatencyHistogram>),
+    /// Never wait: shed the oldest queued item, one per overflowing item, into the
+    /// vector — oldest first, so the caller can evidence each.
+    ShedOldest(&'a mut Vec<T>),
+}
+
+/// What a group push did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pushed {
+    /// Items the queue took: the whole group, or — if the queue is or becomes closed —
+    /// the ones pushed before the close (the rest were discarded).
+    pub taken: usize,
+    /// The queue's length right after the last item taken (0 when none was), so a
+    /// producer can feed a depth high-water mark without locking again.
+    pub depth: usize,
 }
 
 /// Contention counters of a [`BoundedQueue`]: how often its slow paths ran.
@@ -130,7 +159,7 @@ impl<T> BoundedQueue<T> {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Items shed by [`Self::push_shedding`] since the queue opened.
+    /// Items shed by [`WhenFull::ShedOldest`] pushes since the queue opened.
     pub(crate) fn shed(&self) -> u64 {
         self.inner.lock().shed
     }
@@ -155,55 +184,63 @@ impl<T> BoundedQueue<T> {
     /// high-water-mark gauge without an extra lock acquisition (0 when a closed queue
     /// discarded the item).
     pub fn push(&self, item: T) -> usize {
-        self.push_blocking(item, None).unwrap_or(0)
+        self.push_group([item], WhenFull::Block(None)).depth
     }
 
-    /// [`Self::push`] that hands the item back if the queue is (or, while this push
-    /// waits, becomes) closed. When `stall` is given, the time spent parked on a full
-    /// queue is recorded there — one sample per push that actually waited, so the fast
-    /// path takes no timestamps.
-    pub(crate) fn push_blocking(
+    /// Pushes `items` in order under one lock, waking a parked consumer once for the
+    /// group rather than once per item. A full queue is handled per `when_full`; a
+    /// blocking push wakes the consumer before it parks (see the module docs). A queue
+    /// that is — or, while this push waits, becomes — closed takes nothing more: the
+    /// rest of the group is discarded, and [`Pushed::taken`] says how much went in.
+    pub(crate) fn push_group(
         &self,
-        item: T,
-        stall: Option<&LatencyHistogram>,
-    ) -> Result<usize, T> {
+        items: impl IntoIterator<Item = T>,
+        mut when_full: WhenFull<'_, T>,
+    ) -> Pushed {
         let full = |inner: &mut Inner<T>| inner.items.len() >= self.capacity && !self.is_closed();
         let mut inner = self.inner.lock();
-        if full(&mut inner) {
-            self.producer_waits.fetch_add(1, Ordering::Relaxed);
-            let stalled_since = stall.map(|_| Instant::now());
-            inner.waiting_producers += 1;
-            inner = self.not_full.wait_while(inner, full).unwrap_or_else(PoisonError::into_inner);
-            inner.waiting_producers -= 1;
-            if let (Some(histogram), Some(since)) = (stall, stalled_since) {
-                histogram.record(since.elapsed().as_nanos() as u64);
-            }
-        }
+        // The flag only changes under the lock: it is read again only after a wait.
         if self.is_closed() {
-            return Err(item);
+            return Pushed { taken: 0, depth: 0 };
         }
-        inner.items.push_back(item);
+        let mut taken = 0;
+        for item in items {
+            if inner.items.len() >= self.capacity {
+                match &mut when_full {
+                    WhenFull::ShedOldest(shed) => {
+                        inner.shed += 1;
+                        shed.extend(inner.items.pop_front());
+                    }
+                    WhenFull::Block(stall) => {
+                        if inner.waiting_consumers > 0 {
+                            self.not_empty.notify_one();
+                        }
+                        self.producer_waits.fetch_add(1, Ordering::Relaxed);
+                        let stalled_since = stall.map(|_| Instant::now());
+                        inner.waiting_producers += 1;
+                        inner = self
+                            .not_full
+                            .wait_while(inner, full)
+                            .unwrap_or_else(PoisonError::into_inner);
+                        inner.waiting_producers -= 1;
+                        if let (Some(histogram), Some(since)) = (stall, stalled_since) {
+                            histogram.record(since.elapsed().as_nanos() as u64);
+                        }
+                        if self.is_closed() {
+                            break;
+                        }
+                    }
+                }
+            }
+            inner.items.push_back(item);
+            taken += 1;
+        }
+        if taken == 0 {
+            return Pushed { taken, depth: 0 };
+        }
         let depth = inner.items.len();
         self.wake_consumer(inner);
-        Ok(depth)
-    }
-
-    /// Pushes without ever blocking: a full queue sheds its oldest item, counted and
-    /// handed back so the caller can evidence it. A closed queue hands the item back.
-    pub(crate) fn push_shedding(&self, item: T) -> Result<Option<T>, T> {
-        let mut inner = self.inner.lock();
-        if self.is_closed() {
-            return Err(item);
-        }
-        let shed = if inner.items.len() >= self.capacity {
-            inner.shed += 1;
-            inner.items.pop_front()
-        } else {
-            None
-        };
-        inner.items.push_back(item);
-        self.wake_consumer(inner);
-        Ok(shed)
+        Pushed { taken, depth }
     }
 
     /// Blocks until at least one item is available, then moves up to `max` items into
@@ -416,7 +453,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             thread::spawn(move || {
                 for item in 1..=ITEMS {
-                    assert_eq!(queue.push_blocking(item, None), Ok(1));
+                    assert_eq!(queue.push(item), 1);
                 }
             })
         };
@@ -445,26 +482,30 @@ mod tests {
         assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
     }
 
-    /// Closing wakes a parked producer and every kind of parked consumer. "Parked" is
-    /// observed, not slept for: the waiter count is raised under the lock the wait then
-    /// releases, so seeing it under that lock means the thread is inside the wait.
+    /// Waits until `parked` holds. "Parked" is observed, not slept for: a waiter count
+    /// is raised under the lock the wait then releases, so seeing it under that lock
+    /// means the thread is inside the wait.
+    fn wait_until(queue: &BoundedQueue<u64>, parked: fn(&Inner<u64>) -> bool) {
+        while !parked(&queue.inner.lock()) {
+            thread::yield_now();
+        }
+    }
+
+    /// Closing wakes a parked producer and every kind of parked consumer.
     #[test]
     fn close_wakes_waiters_parked_on_either_side() {
-        let wait_until = |queue: &BoundedQueue<u64>, parked: fn(&Inner<u64>) -> bool| {
-            while !parked(&queue.inner.lock()) {
-                thread::yield_now();
-            }
-        };
         let full = Arc::new(BoundedQueue::new(1));
         full.push(1);
         let producer = {
             let full = Arc::clone(&full);
-            thread::spawn(move || full.push_blocking(2, None))
+            thread::spawn(move || full.push(2))
         };
         wait_until(&full, |inner| inner.waiting_producers == 1);
         full.close();
-        assert_eq!(producer.join().unwrap(), Err(2));
-        assert_eq!(full.push_shedding(3), Err(3), "a closed queue takes nothing");
+        assert_eq!(producer.join().unwrap(), 0, "the close discarded the parked push");
+        let mut shed = Vec::new();
+        let pushed = full.push_group([3], WhenFull::ShedOldest(&mut shed));
+        assert_eq!((pushed.taken, shed), (0, vec![]), "a closed queue takes nothing");
 
         let empty = Arc::new(BoundedQueue::<u64>::new(1));
         let consumers: Vec<_> = (0..3)
@@ -487,5 +528,82 @@ mod tests {
         }
         let inner = empty.inner.lock();
         assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
+    }
+
+    /// A group larger than the queue, pushed while the consumer is parked on the empty
+    /// queue: the producer fills the queue mid-group and must wake the consumer before
+    /// it parks itself, or each waits for the other. Capacities 1 and 2, and a consumer
+    /// cycling through every pop; a skipped wake hangs this test (or trips the deadline
+    /// arm), not production.
+    #[test]
+    fn a_group_larger_than_the_queue_wakes_the_consumer_before_parking() {
+        const GROUPS: u64 = 5_000;
+        const GROUP: u64 = 5;
+        for capacity in [1, 2] {
+            let queue = Arc::new(BoundedQueue::new(capacity));
+            let producer = {
+                let queue = Arc::clone(&queue);
+                thread::spawn(move || {
+                    for group in 0..GROUPS {
+                        let items = (1..=GROUP).map(|offset| group * GROUP + offset);
+                        let pushed = queue.push_group(items, WhenFull::Block(None));
+                        assert_eq!(pushed.taken, GROUP as usize);
+                    }
+                })
+            };
+            let (mut next, mut turn, mut out) = (1, 0u64, Vec::new());
+            while next <= GROUPS * GROUP {
+                turn += 1;
+                let batch = match turn % 3 {
+                    0 => vec![queue.pop(None).expect("open")],
+                    1 => vec![queue
+                        .pop(Some(Instant::now() + Duration::from_secs(60)))
+                        .expect("a wake-up owed to a parked consumer was skipped")],
+                    _ => {
+                        queue.pop_batch(&mut out, 4);
+                        std::mem::take(&mut out)
+                    }
+                };
+                for received in batch {
+                    assert_eq!(received, next, "in order, exactly once");
+                    next += 1;
+                }
+            }
+            producer.join().unwrap();
+            assert!(queue.contention().producer_waits > 0, "capacity {capacity} filled mid-group");
+            let inner = queue.inner.lock();
+            assert_eq!((inner.waiting_consumers, inner.waiting_producers), (0, 0));
+        }
+    }
+
+    /// A close while a group push is parked on the full queue discards the rest of the
+    /// group; the push reports what it took, and the consumer still gets that backlog.
+    #[test]
+    fn a_close_mid_group_discards_the_rest_and_counts_what_it_took() {
+        let queue = Arc::new(BoundedQueue::new(2));
+        let producer = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || queue.push_group(1..=5, WhenFull::Block(None)))
+        };
+        wait_until(&queue, |inner| inner.waiting_producers == 1);
+        queue.close();
+        assert_eq!(producer.join().unwrap(), Pushed { taken: 2, depth: 2 });
+        assert_eq!(queue.drain(), vec![1, 2]);
+        assert_eq!(queue.try_pop(), Err(PopError::Closed));
+    }
+
+    /// DropOldest within one group: every overflowing item sheds the oldest queued one,
+    /// and the shed items come back oldest first, counted.
+    #[test]
+    fn drop_oldest_within_a_group_returns_the_shed_items_oldest_first() {
+        let queue = BoundedQueue::new(2);
+        queue.push(1u64);
+        let mut shed = Vec::new();
+        let pushed = queue.push_group(2..=5, WhenFull::ShedOldest(&mut shed));
+        assert_eq!(pushed, Pushed { taken: 4, depth: 2 });
+        assert_eq!(shed, vec![1, 2, 3]);
+        assert_eq!(queue.shed(), 3);
+        assert_eq!(queue.drain(), vec![4, 5]);
+        assert_eq!(queue.contention().producer_waits, 0, "shedding never waits");
     }
 }

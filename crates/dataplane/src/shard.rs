@@ -10,26 +10,37 @@
 //! *destination's* shard, so one overloaded subscriber backpressures only its own
 //! shard.
 //!
-//! Everything a delivery passes through here — the queued task, the supervisor's
-//! in-flight descriptor, the deferred hand-off, the pair-summary key — names its two
-//! endpoints by [`EndpointId`], two `Copy` words: no name reference count is touched
-//! per message, and source and destination are resolved by index into the directory's
-//! handle table. The name strings are read only where a record is written
-//! (`MessageQuenched`, `DeliveryLost`, `DeliveryDropped`, the shutdown `FlowSummary`),
-//! and the table keeps the name of an endpoint that has left, so such evidence can
-//! always be written.
+//! Everything a delivery passes through here — the queued task, the hand-off group, the
+//! pair-summary key — names its endpoints by [`EndpointId`], a `Copy` word each: no
+//! name reference count is touched per message, and source and destination are
+//! resolved by index into the directory's handle table. The name strings are read only
+//! where a record is written (`MessageQuenched`, `DeliveryLost`, `DeliveryDropped`, the
+//! shutdown `FlowSummary`), and the table keeps the name of an endpoint that has left,
+//! so such evidence can always be written.
 //!
 //! A shard has one loop, [`worker_loop`]: pop a batch, run its tasks under one
-//! directory read lock, then push the batch's enforced deliveries into their mailboxes
-//! — each a [`BoundedQueue`] too — with the lock released. It amortises
+//! directory read lock, then hand the batch's enforced deliveries to their mailboxes —
+//! each a [`BoundedQueue`] too — with the lock released. It amortises
 //! synchronisation over the batch: one directory read-lock acquisition, one
 //! context-store freshness check, one `in_flight` decrement and one flush of the
 //! statistics counters per batch of up to [`POP_BATCH`] tasks, rather than per
 //! message. The counters themselves — the live ones, the batch-local deltas and the
-//! flush between them — are declared in [`crate::telemetry`]'s one table. The
-//! supervisor, [`run_worker`], re-enters that loop after a panic; once its restart
+//! flush between them — are declared in [`crate::telemetry`]'s one table.
+//!
+//! The hand-offs go by mailbox: a batch's deliveries are bucketed per mailbox in
+//! hand-off order ([`HandOffs`], found by endpoint index, its buffers kept from batch
+//! to batch), and each bucket is one group push — one mailbox lock, one consumer wake
+//! and one mailbox reference count per mailbox per batch, rather than per delivery.
+//! The unit of rollback and of evidence is still the single delivery: the
+//! `mailbox.handoff` failpoint is probed per delivery before its group's push, and a
+//! panic there abandons that delivery alone, after the ones before it are pushed.
+//!
+//! The supervisor, [`run_worker`], re-enters the loop after a panic; once its restart
 //! budget is spent it re-enters it *degraded*, and the same steps then evidence each
-//! delivery as lost and each prepared hand-off as abandoned, until `Shutdown`.
+//! delivery as lost and each prepared hand-off as abandoned, until `Shutdown`. It
+//! needs no copy of the work in flight: a delivery stays the batch's last task until
+//! it has run, and a hand-off the front of its group until it is pushed, and that is
+//! where the supervisor finds one a panic cut short.
 //!
 //! The §8.2.2 sequence — isolation, contextual AC at message-type granularity, IFC
 //! over the message's *effective* context — is not written here: each delivery is one
@@ -40,12 +51,12 @@
 //! summaries — which in summarised mode also decide which checks are written in full
 //! — audit appends, per-attribute source quenching against the subscriber's secrecy
 //! label (Fig. 10; the schema's bitmask cleared from the delivery's own presence mask,
-//! over the body the whole fan-out shares), the deferred mailbox hand-off, and the
+//! over the body the whole fan-out shares), the grouped mailbox hand-off, and the
 //! supervisor evidencing every loss. A delivery is a [`FrozenMessage`] by value — body
 //! handle and mask — from the queued task to the mailbox: the shard allocates nothing
 //! for it, quenched, denied or not.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,7 +70,7 @@ use legaliot_middleware::{FrozenMessage, FrozenSchema, Operation};
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedState};
 use crate::failpoint::{self, FailpointSite};
-use crate::queue::BoundedQueue;
+use crate::queue::{BoundedQueue, Pushed, WhenFull};
 use crate::subscriber::OverflowPolicy;
 use crate::telemetry::{BatchCounters, DeliveryProbe, ShardCounters, ShardTelemetry, Stage};
 
@@ -190,34 +201,175 @@ impl PairSummary {
     }
 }
 
-/// A mailbox hand-off prepared under the directory read lock but performed only
-/// after it is released: a Block-policy push may park this worker until the consumer
-/// drains, and parking while holding the directory lock would wedge every
-/// control-plane write — including the `deregister`/handle-drop that is supposed to
-/// release the mailbox.
-struct PendingHandOff {
-    mailbox: Arc<BoundedQueue<FrozenMessage>>,
-    from: EndpointId,
+/// One mailbox's share of a batch: the enforced deliveries bound for it, prepared
+/// under the directory read lock and handed over as one group push only after it is
+/// released — a Block-policy push may park this worker until the consumer drains, and
+/// parking while holding the directory lock would wedge every control-plane write,
+/// including the `deregister`/handle-drop that is supposed to release the mailbox.
+#[derive(Debug)]
+struct HandOffGroup {
+    /// Held once per group, not per delivery; `None` once the group is handed over.
+    mailbox: Option<Arc<BoundedQueue<FrozenMessage>>>,
     to: EndpointId,
-    at_millis: u64,
-    item: FrozenMessage,
+    /// The slot of the group's first delivery not yet handed over, and of its last.
+    head: u32,
+    tail: u32,
+    /// Deliveries not yet handed over.
+    len: usize,
 }
 
-/// What the supervisor knows about the unit of work currently being processed,
-/// captured before dispatch so a panic mid-unit can be evidenced as a loss
-/// (never a silent drop).
-struct InFlight {
-    /// `false`: a queued [`ShardTask::Deliver`] (a loss here was never
-    /// enforced or counted). `true`: a deferred mailbox hand-off (the delivery
-    /// was already enforced and counted `delivered`; only the receiver-side
-    /// hand-off is abandoned, so the loss is evidenced but not re-counted).
-    hand_off: bool,
-    from: EndpointId,
-    to: EndpointId,
+/// One enforced delivery of the batch, in [`HandOffs::slots`].
+#[derive(Debug)]
+struct Slot {
+    /// Taken out once pushed or abandoned.
+    item: Option<FrozenMessage>,
+    /// Its task's send time, which stamps the evidence of a shed it causes.
     at_millis: u64,
-    /// The body, held (one refcount bump) so loss evidence can name its message type
-    /// without building the string unless the evidence is actually written.
-    message: FrozenMessage,
+    /// The slot of the next delivery for the same mailbox ([`NONE`]: none).
+    next: u32,
+}
+
+/// A batch's hand-offs bucketed by mailbox. The deliveries sit in one buffer in the
+/// order the task loop added them, and each bucket is a FIFO list threaded through it,
+/// found by endpoint index however many mailboxes a batch touches. A task adds at most
+/// one hand-off, so neither the buffer nor the groups outgrow a batch: sized for one up
+/// front and reused, they make bucketing allocate nothing.
+#[derive(Debug)]
+struct HandOffs {
+    slots: Vec<Slot>,
+    /// The groups in use this batch, in the order of their first delivery.
+    groups: Vec<HandOffGroup>,
+    /// Groups already handed over this batch.
+    done: usize,
+    /// Endpoint index → its group this batch ([`NONE`]: none).
+    group_of: Vec<u32>,
+}
+
+/// A [`Slot::next`] or [`HandOffs::group_of`] entry naming nothing.
+const NONE: u32 = u32::MAX;
+
+impl HandOffs {
+    fn new() -> Self {
+        HandOffs {
+            slots: Vec::with_capacity(POP_BATCH),
+            groups: Vec::with_capacity(POP_BATCH),
+            done: 0,
+            group_of: Vec::new(),
+        }
+    }
+
+    /// Appends an enforced delivery sent at `at_millis` to the group of `to`'s
+    /// mailbox, opening the group on the batch's first delivery there.
+    fn add(
+        &mut self,
+        to: EndpointId,
+        mailbox: &Arc<BoundedQueue<FrozenMessage>>,
+        item: FrozenMessage,
+        at_millis: u64,
+    ) {
+        if to.index() >= self.group_of.len() {
+            self.group_of.resize(to.index() + 1, NONE);
+        }
+        let slot = self.slots.len() as u32;
+        self.slots.push(Slot { item: Some(item), at_millis, next: NONE });
+        // The endpoint's group holds the mailbox it had when the group opened; one
+        // re-opened since (a restart mid-batch re-reads the directory) gets a new group.
+        let index = self.group_of[to.index()] as usize;
+        match self.groups.get_mut(index) {
+            Some(group)
+                if group.mailbox.as_ref().is_some_and(|held| Arc::ptr_eq(held, mailbox)) =>
+            {
+                self.slots[group.tail as usize].next = slot;
+                group.tail = slot;
+                group.len += 1;
+            }
+            _ => {
+                self.group_of[to.index()] = self.groups.len() as u32;
+                let mailbox = Some(Arc::clone(mailbox));
+                self.groups.push(HandOffGroup { mailbox, to, head: slot, tail: slot, len: 1 });
+            }
+        }
+    }
+
+    /// The group being handed over, if the batch has one left.
+    fn current(&self) -> Option<&HandOffGroup> {
+        self.groups.get(self.done)
+    }
+
+    /// The current group's first delivery not yet handed over.
+    fn front(&self) -> Option<&FrozenMessage> {
+        let group = self.current().filter(|group| group.len > 0)?;
+        self.slots[group.head as usize].item.as_ref()
+    }
+
+    /// Takes the current group's first delivery not yet handed over.
+    fn pop_front(&mut self) -> Option<FrozenMessage> {
+        let group = self.groups.get_mut(self.done)?;
+        take_front(&mut self.slots, &mut group.head, &mut group.len)
+    }
+
+    /// Pushes the current group's first `count` deliveries into its mailbox as one
+    /// group — all of them leave the group, taken or, by a closed mailbox, discarded —
+    /// and returns what the push did with the send times of the deliveries it took, in
+    /// order: a pushed slot keeps its time and its link.
+    fn push_front(
+        &mut self,
+        count: usize,
+        when_full: WhenFull<'_, FrozenMessage>,
+    ) -> (Pushed, impl Iterator<Item = u64> + '_) {
+        let Self { slots, groups, done, .. } = self;
+        let HandOffGroup { mailbox, head, len, .. } = &mut groups[*done];
+        let mut slot = *head;
+        let mut items = std::iter::from_fn(|| take_front(slots, head, len)).take(count);
+        let mailbox = mailbox.as_ref().expect("a group in use holds its mailbox");
+        let pushed = mailbox.push_group(items.by_ref(), when_full);
+        // A closed mailbox discards the rest, as its consumer is gone.
+        items.for_each(drop);
+        let sent = std::iter::from_fn(move || {
+            let Slot { at_millis, next, .. } = slots[slot as usize];
+            slot = next;
+            Some(at_millis)
+        });
+        (pushed, sent.take(pushed.taken))
+    }
+
+    /// Ends the current group, releasing its mailbox; after the batch's last, the
+    /// buffer and the groups are emptied for the next batch.
+    fn finish_group(&mut self) {
+        self.groups[self.done].mailbox = None;
+        self.done += 1;
+        if self.done == self.groups.len() {
+            for group in self.groups.drain(..) {
+                self.group_of[group.to.index()] = NONE;
+            }
+            self.slots.clear();
+            self.done = 0;
+        }
+    }
+}
+
+/// Takes the first delivery of a group (its `head` and `len`) not yet handed over.
+fn take_front(slots: &mut [Slot], head: &mut u32, len: &mut usize) -> Option<FrozenMessage> {
+    if *len == 0 {
+        return None;
+    }
+    let slot = &mut slots[*head as usize];
+    (*head, *len) = (slot.next, *len - 1);
+    Some(slot.item.take().expect("a group's unpushed deliveries are in their slots"))
+}
+
+/// The unit of work being processed when a panic can lose a delivery. It holds
+/// nothing: the delivery is where the supervisor can reach it — a delivery is the
+/// batch's last task until it has run, and a hand-off the front of the current group
+/// until it is pushed — so supervision costs no reference count per delivery.
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    /// A queued [`ShardTask::Deliver`]: a loss here was never enforced or counted.
+    Delivery,
+    /// A mailbox hand-off: the delivery was already enforced and counted `delivered`;
+    /// only the receiver-side hand-off is abandoned, so the loss is evidenced but not
+    /// re-counted.
+    HandOff,
 }
 
 /// Cross-restart batch progress, owned by the supervisor (it lives *outside*
@@ -227,12 +379,15 @@ struct InFlight {
 /// number of restarts, so `drain` never observes a half-processed batch as
 /// done.
 struct BatchProgress {
-    /// The popped batch's unprocessed tasks, last first: a task is popped off the end
-    /// before it runs, so a restart can never re-run it.
+    /// The popped batch's unprocessed tasks, last first: a delivery is taken off the
+    /// end once it has run (a panic in it leaves it there for the supervisor to
+    /// evidence and take out), so a restart can never re-run it.
     batch: Vec<ShardTask>,
-    /// Hand-offs prepared under the directory lock, performed (from the front)
-    /// after it is released.
-    pending: VecDeque<PendingHandOff>,
+    /// Hand-offs prepared under the directory lock, handed over group by group after
+    /// it is released.
+    hand_offs: HandOffs,
+    /// Drop-oldest sheds of the group push in progress, evidenced right after it.
+    shed: Vec<FrozenMessage>,
     local: BatchCounters,
     /// Tasks popped for the active batch; `in_flight` is decremented by this
     /// once the batch fully completes (or is abandoned).
@@ -244,22 +399,22 @@ struct BatchProgress {
     /// Timestamp of the most recent task, for restart evidence.
     last_millis: u64,
     /// The unit being processed, if its loss can be evidenced.
-    unit: Option<InFlight>,
+    unit: Option<Unit>,
     /// Counter snapshot taken before the in-flight unit, restored on panic so
     /// a half-processed unit contributes nothing but its `deliveries_lost`.
     saved_counters: BatchCounters,
-    /// `pending` length before the in-flight unit (partial pushes of a crashed
-    /// delivery are truncated away on restore).
-    saved_pending: usize,
 }
 
 impl BatchProgress {
     fn new() -> Self {
         BatchProgress {
             batch: Vec::with_capacity(POP_BATCH),
-            // A task defers at most one hand-off, so this never grows: how deep a
-            // batch the scheduler happens to hand a shard costs no allocation.
-            pending: VecDeque::with_capacity(POP_BATCH),
+            // A task adds at most one hand-off, and a group push sheds at most one
+            // delivery per delivery it takes, so none of these ever grows: however
+            // deep a batch the scheduler hands a shard, its hand-offs — bucketed by
+            // mailbox or not — allocate nothing.
+            hand_offs: HandOffs::new(),
+            shed: Vec::with_capacity(POP_BATCH),
             local: BatchCounters::default(),
             popped: 0,
             active: false,
@@ -267,7 +422,6 @@ impl BatchProgress {
             last_millis: 0,
             unit: None,
             saved_counters: BatchCounters::default(),
-            saved_pending: 0,
         }
     }
 
@@ -477,15 +631,26 @@ fn recover_unit(
         return;
     }
     progress.local = progress.saved_counters;
-    progress.pending.truncate(progress.saved_pending);
-    if let Some(unit) = progress.unit.take() {
-        if !unit.hand_off {
-            progress.local.deliveries_lost += 1;
+    match progress.unit.take() {
+        // The crashed delivery is still the batch's last task: out it goes, so the
+        // resumed batch never re-runs it.
+        Some(Unit::Delivery) => {
+            if let Some(ShardTask::Deliver { to, body, .. }) = progress.batch.pop() {
+                progress.local.deliveries_lost += 1;
+                evidence_loss(&mut state.appender, shared, to, &body, false, cause);
+            }
         }
-        unit.evidence_loss(&mut state.appender, shared, cause);
+        // The abandoned hand-off is the front of the current group's unpushed tail.
+        Some(Unit::HandOff) => {
+            let to = progress.hand_offs.current().map(|group| group.to);
+            if let (Some(to), Some(item)) = (to, progress.hand_offs.pop_front()) {
+                evidence_loss(&mut state.appender, shared, to, &item, true, cause);
+            }
+        }
+        // The panic hit between tasks or in a non-delivery task, which is already out
+        // of the batch: no delivery was lost.
+        None => {}
     }
-    // `unit == None`: the panic hit between tasks or in a non-delivery task, and no
-    // delivery was lost. Either way the task is already out of the batch.
 }
 
 /// The shard loop, the one there is. Panics propagate to the supervisor in
@@ -522,13 +687,13 @@ fn worker_loop(
 }
 
 /// Processes (or, after a restart, resumes) the active batch: the task loop
-/// under one directory read lock, then the deferred mailbox hand-offs with the
-/// lock released.
+/// under one directory read lock, then the mailbox hand-offs with the lock released,
+/// one group push per mailbox.
 ///
 /// On a `degraded` shard the batch takes the same steps without enforcing: a
 /// delivery is evidenced as lost and counted in `deliveries_lost` where it would be
-/// enforced, a prepared hand-off is evidenced as abandoned where it would be pushed,
-/// and no lock is taken.
+/// enforced, each prepared hand-off is evidenced as abandoned, in hand-off order, where
+/// its group would be pushed, and no lock is taken.
 fn run_batch(
     shared: &Arc<SharedState>,
     config: &DataplaneConfig,
@@ -567,75 +732,79 @@ fn run_batch(
                 state.snapshot = fresh;
             }
         }
-        // Take each task out before running it — a panic mid-task can then never
-        // re-run (or silently discard) queued work: the supervisor resumes with the
-        // rest, and the crashed task itself is evidenced from the `unit` descriptor
-        // captured below.
-        while let Some(task) = progress.batch.pop() {
+        // A delivery runs where it sits, at the end of the batch, and is taken out once
+        // it has run: a panic mid-delivery leaves it there for the supervisor to
+        // evidence and take out, and the resumed batch carries on with the rest.
+        while let Some(task) = progress.batch.last() {
             progress.saved_counters = progress.local;
-            progress.saved_pending = progress.pending.len();
-            match task {
-                ShardTask::Deliver { from, to, at_millis, enqueued_ns, body } => {
-                    progress.last_millis = at_millis;
-                    let unit = progress.unit.insert(InFlight {
-                        hand_off: false,
-                        from,
-                        to,
-                        at_millis,
-                        message: body.clone(),
-                    });
-                    if degraded {
-                        progress.local.deliveries_lost += 1;
-                        unit.evidence_loss(&mut state.appender, shared, DEGRADED);
-                    } else {
-                        let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
-                        process_delivery(
-                            directory.as_deref().expect("lock held when batch has deliveries"),
-                            config,
-                            state,
-                            &mut progress.local,
-                            &mut progress.pending,
-                            probe,
-                            from,
-                            to,
-                            at_millis,
-                            body,
-                        );
+            let &ShardTask::Deliver { from, to, at_millis, enqueued_ns, ref body } = task else {
+                // Taken out before it runs: nothing to evidence if it panics.
+                match progress.batch.pop() {
+                    Some(ShardTask::Shutdown) => progress.shutdown = true,
+                    #[cfg(test)]
+                    Some(ShardTask::Block(barrier)) => {
+                        barrier.wait();
                     }
+                    _ => {}
                 }
-                ShardTask::Shutdown => {
-                    progress.shutdown = true;
-                }
-                #[cfg(test)]
-                ShardTask::Block(barrier) => {
-                    barrier.wait();
-                }
-            }
+                continue;
+            };
+            progress.last_millis = at_millis;
+            progress.unit = Some(Unit::Delivery);
+            let allowed = if degraded {
+                progress.local.deliveries_lost += 1;
+                evidence_loss(&mut state.appender, shared, to, body, false, DEGRADED);
+                None
+            } else {
+                let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
+                let directory = directory.as_deref().expect("lock held when batch has deliveries");
+                let local = &mut progress.local;
+                process_delivery(directory, config, state, local, &probe, from, to, at_millis, body)
+                    .map(|allowed| (allowed, probe))
+            };
+            let Some(ShardTask::Deliver { body, .. }) = progress.batch.pop() else {
+                unreachable!("the delivery just run is the batch's last task")
+            };
             progress.unit = None;
+            if let Some((Allowed { mailbox, mask }, probe)) = allowed {
+                // The zero-copy hand-off: the delivery's own handle moves on to its
+                // mailbox's group, its quenched bits cleared in place.
+                if let Some(mailbox) = mailbox {
+                    progress.hand_offs.add(to, mailbox, body.into_quenched(mask), at_millis);
+                }
+                probe.lap(Stage::Quench);
+                // End-to-end publish→enforced latency, recorded for allowed messages
+                // only (the hand-off itself is timed as its own stage).
+                probe.finish();
+            }
         }
     }
-    // Directory lock released: hand enforced deliveries to their mailboxes. A
-    // Block-policy push may park here until the consumer drains (or the mailbox
-    // closes) — `in_flight` is still held, so `drain`/`publish` observe the
-    // backpressure, while `deregister`/`set_context` remain free to run (and to
-    // close the mailbox, which unparks us).
-    loop {
+    // Directory lock released: hand each mailbox its group. A Block-policy push may park
+    // here until the consumer drains (or the mailbox closes) — `in_flight` is still
+    // held, so `drain`/`publish` observe the backpressure, while
+    // `deregister`/`set_context` remain free to run (and to close the mailbox, which
+    // unparks us).
+    while let Some(to) = progress.hand_offs.current().map(|group| group.to) {
         progress.saved_counters = progress.local;
-        progress.saved_pending = progress.pending.len();
-        let Some(hand_off) = progress.pending.pop_front() else { break };
-        let unit = progress.unit.insert(InFlight {
-            hand_off: true,
-            from: hand_off.from,
-            to: hand_off.to,
-            at_millis: hand_off.at_millis,
-            message: hand_off.item.clone(),
-        });
+        progress.unit = Some(Unit::HandOff);
         if degraded {
-            unit.evidence_loss(&mut state.appender, shared, DEGRADED);
+            while let Some(item) = progress.hand_offs.front() {
+                evidence_loss(&mut state.appender, shared, to, item, true, DEGRADED);
+                progress.hand_offs.pop_front();
+            }
         } else {
-            complete_hand_off(shared, config, state, &mut progress.local, telemetry, hand_off);
+            let local = &mut progress.local;
+            let hand_offs = &mut progress.hand_offs;
+            hand_off_group(shared, config, state, local, telemetry, &mut progress.shed, hand_offs);
+            if progress.hand_offs.front().is_some() {
+                // The failpoint fired at the group's front delivery: the ones before it
+                // are pushed and counted, and the supervisor abandons this one.
+                progress.saved_counters = progress.local;
+                failpoint::fire(FailpointSite::MailboxHandOff);
+            }
         }
         progress.unit = None;
+        progress.hand_offs.finish_group();
     }
 }
 
@@ -651,49 +820,55 @@ fn flush_batch(shard: &ShardState, progress: &mut BatchProgress) {
 /// Why a degraded shard evidences accepted work as lost.
 const DEGRADED: &str = "shard degraded: restart budget exhausted";
 
-impl InFlight {
-    /// Appends the one `DeliveryLost` record for an accepted delivery (or its
-    /// hand-off) that will never complete — every loss is evidenced, never silent.
-    /// Runs with no directory lock held: the names are read under a short read lock
-    /// of their own, and are there whether or not either endpoint is still registered.
-    fn evidence_loss(&self, appender: &mut BatchedAppender, shared: &SharedState, cause: &str) {
-        let (source, destination) = {
-            let directory = shared.directory.read();
-            let name = |id| directory.endpoints.name(id).to_string();
-            (name(self.from), name(self.to))
-        };
-        let cause = if self.hand_off {
-            format!("mailbox hand-off abandoned: {cause}")
-        } else {
-            cause.to_string()
-        };
-        appender.append(
-            AuditEvent::DeliveryLost {
-                source,
-                destination,
-                message_type: Some(self.message.message_type().to_string()),
-                lost: 1,
-                cause,
-            },
-            self.at_millis,
-        );
-    }
+/// Appends the one `DeliveryLost` record for an accepted delivery (`hand_off`: its
+/// mailbox hand-off) that will never complete — every loss is evidenced, never silent.
+/// The message names its own source, type and send time. Runs with no directory lock
+/// held: the destination's name is read under a short read lock of its own, and is
+/// there whether or not the endpoint is still registered.
+fn evidence_loss(
+    appender: &mut BatchedAppender,
+    shared: &SharedState,
+    to: EndpointId,
+    message: &FrozenMessage,
+    hand_off: bool,
+    cause: &str,
+) {
+    let destination = shared.directory.read().endpoints.name(to).to_string();
+    let cause =
+        if hand_off { format!("mailbox hand-off abandoned: {cause}") } else { cause.to_string() };
+    appender.append(
+        AuditEvent::DeliveryLost {
+            source: message.sender().to_string(),
+            destination,
+            message_type: Some(message.message_type().to_string()),
+            lost: 1,
+            cause,
+        },
+        message.sent_at_millis(),
+    );
 }
 
-/// One delivery: the core's verdict, then this driver's effects.
+/// An allowed delivery's hand-off: its open mailbox, if it has one, and the quench
+/// mask its bits are cleared by.
+struct Allowed<'d> {
+    mailbox: Option<&'d Arc<BoundedQueue<FrozenMessage>>>,
+    mask: u64,
+}
+
+/// One delivery: the core's verdict, then this driver's effects. Returns the hand-off
+/// of an allowed delivery, which its caller prepares once it owns the body.
 #[allow(clippy::too_many_arguments)]
-fn process_delivery(
-    directory: &Directory,
+fn process_delivery<'d>(
+    directory: &'d Directory,
     config: &DataplaneConfig,
     state: &mut WorkerState,
     local: &mut BatchCounters,
-    pending: &mut VecDeque<PendingHandOff>,
-    probe: DeliveryProbe<'_>,
+    probe: &DeliveryProbe<'_>,
     from: EndpointId,
     to: EndpointId,
     at_millis: u64,
-    message: FrozenMessage,
-) {
+    message: &FrozenMessage,
+) -> Option<Allowed<'d>> {
     failpoint::inject(&config.failpoints, FailpointSite::ShardProcess);
     // Read both endpoints' *current* contexts: a message is always judged against the
     // state of the world at enforcement time, so an entity's context change is in force
@@ -702,7 +877,7 @@ fn process_delivery(
     let (Some(src), Some(dst)) = (directory.endpoints.get(from), directory.endpoints.get(to))
     else {
         local.missing_endpoint += 1;
-        return;
+        return None;
     };
     let facts = MessageFacts {
         message_type: message.message_type(),
@@ -744,7 +919,7 @@ fn process_delivery(
             // totals add up.
             local.denied += 1;
             state.summaries.entry((from, to)).or_default().count(false, at_millis);
-            return;
+            return None;
         }
     };
     let denied = flow.decision.is_denied();
@@ -777,7 +952,7 @@ fn process_delivery(
         probe.skip();
     }
 
-    if !denied {
+    let allowed = (!denied).then(|| {
         // Per-attribute source quenching: the schema's mask for the destination's
         // secrecy, evidenced with the check it follows.
         let mask = schema.quench_mask_for(destination.secrecy());
@@ -798,87 +973,89 @@ fn process_delivery(
         local.payload_bytes += message.byte_len_after_quench(mask) as u64;
         // A closed mailbox is skipped with one atomic load — torn-down consumers
         // cost the hot path nothing beyond that check. The push itself happens
-        // after the batch releases the directory lock (see `PendingHandOff`).
-        if let Some(mailbox) = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed()) {
-            // The zero-copy hand-off: the delivery's own handle moves on to the
-            // mailbox, its quenched bits cleared in place.
-            pending.push_back(PendingHandOff {
-                mailbox: Arc::clone(mailbox),
-                from,
-                to,
-                at_millis,
-                item: message.into_quenched(mask),
-            });
-        }
-        probe.lap(Stage::Quench);
-        // End-to-end publish→enforced latency, recorded for allowed messages only
-        // (the mailbox hand-off itself is deferred and timed as its own stage).
-        probe.finish();
-    }
+        // after the batch releases the directory lock (see `HandOffGroup`).
+        let mailbox = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed());
+        Allowed { mailbox, mask }
+    });
 
     if let Some(summary) = summary {
         summary.count(!denied, at_millis);
     }
+    allowed
 }
 
-/// Performs a deferred mailbox hand-off (the directory lock is no longer held) and
-/// evidences drop-oldest sheds, attributing the shed (oldest) delivery to *its own*
-/// source and message type. The two audit modes partition the evidence — full mode
-/// records each shed individually as it happens; summarised mode folds sheds into one
-/// per-pair `DeliveryDropped` total emitted at shutdown — so summing `dropped` over
+/// Hands the current group to its mailbox — the directory lock is no longer held — in
+/// one push, and evidences drop-oldest sheds. The `mailbox.handoff` failpoint is probed
+/// once per delivery, before the push: when it fires, the deliveries before that one
+/// are pushed and it is left at the group's front for the caller to abandon.
+///
+/// A shed names its own source and message type, and is stamped with the send time of
+/// the delivery whose push shed it. The two audit modes partition the evidence — full
+/// mode records each shed individually as it happens; summarised mode folds sheds into
+/// one per-pair `DeliveryDropped` total emitted at shutdown — so summing `dropped` over
 /// all records counts every shed delivery exactly once in either mode.
-fn complete_hand_off(
+fn hand_off_group(
     shared: &SharedState,
     config: &DataplaneConfig,
     state: &mut WorkerState,
     local: &mut BatchCounters,
     telemetry: &ShardTelemetry,
-    hand_off: PendingHandOff,
+    shed: &mut Vec<FrozenMessage>,
+    hand_offs: &mut HandOffs,
 ) {
-    failpoint::inject(&config.failpoints, FailpointSite::MailboxHandOff);
-    let PendingHandOff { mailbox, to, at_millis, item, .. } = hand_off;
+    let Some(&HandOffGroup { to, len, .. }) = hand_offs.current() else { return };
+    let probe = || failpoint::panic_due(&config.failpoints, FailpointSite::MailboxHandOff);
+    let ready = (0..len).position(|_| probe()).unwrap_or(len);
+    if ready == 0 {
+        return;
+    }
     // The hand-off span is the whole push (including any Block stall); the stall
-    // histogram additionally isolates just the parked portion, one sample per push
-    // that actually waited.
+    // histogram additionally isolates just the parked portion, one sample per wait.
     let started = telemetry.enabled().then(Instant::now);
-    let stall = started.map(|_| telemetry.stage_histogram(Stage::BlockStall));
-    let outcome = match config.overflow {
-        OverflowPolicy::Block => mailbox.push_blocking(item, stall).map(|_| None),
-        OverflowPolicy::DropOldest => mailbox.push_shedding(item),
+    let when_full = match config.overflow {
+        OverflowPolicy::Block => {
+            WhenFull::Block(started.map(|_| telemetry.stage_histogram(Stage::BlockStall)))
+        }
+        OverflowPolicy::DropOldest => WhenFull::ShedOldest(shed),
     };
+    let (pushed, sent) = hand_offs.push_front(ready, when_full);
     if let Some(started) = started {
         telemetry.record_ns(Stage::Handoff, started.elapsed().as_nanos() as u64);
     }
-    match outcome {
-        Ok(None) => local.receiver_enqueued += 1,
-        Ok(Some(shed)) => {
-            local.receiver_enqueued += 1;
-            local.receiver_dropped += 1;
-            // The shed delivery names its own source; the directory (not locked here,
-            // so read under a short lock of its own) has the rest.
-            match config.audit_detail {
-                AuditDetail::Full => {
-                    let destination = shared.directory.read().endpoints.name(to).to_string();
-                    state.appender.append(
-                        AuditEvent::DeliveryDropped {
-                            source: shed.sender().to_string(),
-                            destination,
-                            message_type: shed.message_type().to_string(),
-                            dropped: 1,
-                        },
-                        at_millis,
-                    );
-                }
-                AuditDetail::Summarised => {
-                    let source = shared.directory.read().endpoints.id_of(shed.sender());
-                    let source = source.expect("a published message's sender has an id");
-                    let summary = state.summaries.entry((source, to)).or_default();
-                    *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
-                    summary.last_millis = summary.last_millis.max(at_millis);
-                }
+    local.receiver_enqueued += pushed.taken as u64;
+    if shed.is_empty() {
+        return;
+    }
+    local.receiver_dropped += shed.len() as u64;
+    // Once full, the mailbox stays full for the rest of the push: the last
+    // `shed.len()` deliveries it took are the ones that shed, one each, in order.
+    let shed_at = sent.skip(pushed.taken - shed.len());
+    // The directory is not locked here: names and ids are read under a short lock of
+    // their own.
+    match config.audit_detail {
+        AuditDetail::Full => {
+            let destination = Arc::clone(shared.directory.read().endpoints.name(to));
+            for (shed, at_millis) in shed.drain(..).zip(shed_at) {
+                state.appender.append(
+                    AuditEvent::DeliveryDropped {
+                        source: shed.sender().to_string(),
+                        destination: destination.to_string(),
+                        message_type: shed.message_type().to_string(),
+                        dropped: 1,
+                    },
+                    at_millis,
+                );
             }
         }
-        // The mailbox closed: the delivery is discarded, as its consumer is gone.
-        Err(_) => {}
+        AuditDetail::Summarised => {
+            let directory = shared.directory.read();
+            for (shed, at_millis) in shed.drain(..).zip(shed_at) {
+                let source = directory.endpoints.id_of(shed.sender());
+                let source = source.expect("a published message's sender has an id");
+                let summary = state.summaries.entry((source, to)).or_default();
+                *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
+                summary.last_millis = summary.last_millis.max(at_millis);
+            }
+        }
     }
 }

@@ -281,6 +281,7 @@ impl Drop for Subscriber {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::WhenFull;
     use std::thread;
 
     fn item(tag: u64) -> FrozenMessage {
@@ -300,13 +301,13 @@ mod tests {
     #[test]
     fn drop_oldest_sheds_and_counts() {
         let (mailbox, subscriber) = open(2);
-        assert!(matches!(mailbox.push_shedding(item(1)), Ok(None)));
-        assert!(matches!(mailbox.push_shedding(item(2)), Ok(None)));
-        // The shed message is returned so the caller can audit it.
-        match mailbox.push_shedding(item(3)) {
-            Ok(Some(shed)) => assert_eq!(shed.sent_at_millis(), 1),
-            other => panic!("expected the oldest delivery shed, got {other:?}"),
+        let mut shed = Vec::new();
+        for tag in 1..=3 {
+            assert_eq!(mailbox.push_group([item(tag)], WhenFull::ShedOldest(&mut shed)).taken, 1);
         }
+        // The shed message is returned so the caller can audit it.
+        let shed: Vec<u64> = shed.iter().map(FrozenMessage::sent_at_millis).collect();
+        assert_eq!(shed, vec![1], "the oldest delivery is shed");
         assert_eq!(subscriber.dropped(), 1);
         let received: Vec<u64> =
             subscriber.drain().iter().map(ReceivedMessage::sent_at_millis).collect();
@@ -316,10 +317,10 @@ mod tests {
     #[test]
     fn block_policy_waits_for_the_consumer() {
         let (mailbox, subscriber) = open(1);
-        assert!(mailbox.push_blocking(item(1), None).is_ok());
+        assert_eq!(mailbox.push(item(1)), 1);
         let producer = {
             let mailbox = Arc::clone(&mailbox);
-            thread::spawn(move || mailbox.push_blocking(item(2), None).is_ok())
+            thread::spawn(move || mailbox.push(item(2)) > 0)
         };
         // The producer is parked on the full mailbox until this recv frees a slot.
         assert_eq!(subscriber.recv().unwrap().sent_at_millis(), 1);
@@ -334,7 +335,7 @@ mod tests {
         mailbox.push(item(1));
         let blocked_producer = {
             let mailbox = Arc::clone(&mailbox);
-            thread::spawn(move || mailbox.push_blocking(item(2), None).is_err())
+            thread::spawn(move || mailbox.push(item(2)) == 0)
         };
         let blocked_consumer = {
             let (idle, handle) = open(1);
@@ -351,8 +352,9 @@ mod tests {
         assert_eq!(subscriber.recv().unwrap().sent_at_millis(), 1);
         assert_eq!(subscriber.recv().unwrap_err(), RecvError::Disconnected);
         assert_eq!(subscriber.try_recv().unwrap_err(), TryRecvError::Disconnected);
-        assert!(mailbox.push_blocking(item(9), None).is_err());
-        assert!(mailbox.push_shedding(item(9)).is_err());
+        assert_eq!(mailbox.push(item(9)), 0);
+        let mut shed = Vec::new();
+        assert_eq!(mailbox.push_group([item(9)], WhenFull::ShedOldest(&mut shed)).taken, 0);
     }
 
     #[test]

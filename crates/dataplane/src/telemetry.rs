@@ -40,12 +40,13 @@
 //! - `ifc` — the IFC flow decision over the message's effective context (the join
 //!   of any message-level tags, and the lattice check).
 //! - `quench` — per-attribute source quenching: the schema's mask for the
-//!   destination, its application, and the deferred hand-off's preparation.
+//!   destination, its application, and adding the delivery to its mailbox's group.
 //! - `audit_append` — appending the per-message `FlowChecked` record and any
 //!   `MessageQuenched` record beside it (recorded only when one is written, so
 //!   summarised-mode deliveries folded into the pair summary do not dilute the span).
-//! - `handoff` — the deferred mailbox push after the directory lock is released,
-//!   including any Block-policy stall.
+//! - `handoff` — a mailbox's group push after the directory lock is released,
+//!   including any Block-policy stall: one sample per group push, that is per mailbox
+//!   per batch, not per delivery.
 //! - `delivery` — end-to-end enqueue → enforcement complete for *allowed* messages:
 //!   the publish→deliver latency the bench reports percentiles of.
 //!
@@ -54,7 +55,7 @@
 //! - `dir_lock_wait` — time the worker waited to acquire the directory read lock
 //!   (one sample per batch containing deliveries).
 //! - `block_stall` — time a `handoff` spent parked on a full Block-policy mailbox
-//!   (one sample per push that actually stalled).
+//!   (one sample per wait; a group larger than the mailbox may wait more than once).
 //! - consumer-park / producer-wait counts come from each shard's ingress
 //!   [`BoundedQueue`](crate::queue::BoundedQueue) and are always on (relaxed counters on
 //!   slow paths only). The queue depth high-water mark travels with span timing: feeding
