@@ -117,19 +117,6 @@ impl CondSpec {
         }
     }
 
-    /// Every context key the condition reads.
-    pub fn referenced_keys(&self) -> Vec<String> {
-        match self {
-            CondSpec::Always => Vec::new(),
-            CondSpec::IsTrue(key) | CondSpec::IsFalse(key) | CondSpec::NumberBelow(key, _) => {
-                vec![key.clone()]
-            }
-            CondSpec::AnyOf(branches) => {
-                branches.iter().flat_map(CondSpec::referenced_keys).collect()
-            }
-        }
-    }
-
     fn render(&self) -> String {
         match self {
             CondSpec::Always => "always".to_string(),

@@ -6,13 +6,24 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use legaliot_fleet::{generate, ControlEvent, Fleet, FleetConfig, RuleSpec};
+use legaliot_fleet::{generate, CondSpec, ControlEvent, Fleet, FleetConfig, RuleSpec};
 use proptest::prelude::*;
 
 /// The deployment a fleet-wide name belongs to (`d0012-bed-sensor` → `d0012`,
 /// `d0012.load` → `d0012`).
 fn deployment_of(name: &str) -> &str {
     name.split(['-', '.']).next().expect("split always yields one piece")
+}
+
+/// Every context key a generated condition reads.
+fn referenced_keys(condition: &CondSpec) -> Vec<&str> {
+    match condition {
+        CondSpec::Always => Vec::new(),
+        CondSpec::IsTrue(key) | CondSpec::IsFalse(key) | CondSpec::NumberBelow(key, _) => {
+            vec![key.as_str()]
+        }
+        CondSpec::AnyOf(branches) => branches.iter().flat_map(referenced_keys).collect(),
+    }
 }
 
 fn check_rule_keys(fleet: &Fleet, rule: &RuleSpec) {
@@ -25,9 +36,9 @@ fn check_rule_keys(fleet: &Fleet, rule: &RuleSpec) {
     let defined = keys.get(deployment).unwrap_or_else(|| {
         panic!("rule on `{}` names unknown deployment `{deployment}`", rule.component)
     });
-    for key in rule.condition.referenced_keys() {
+    for key in referenced_keys(&rule.condition) {
         assert!(
-            defined.contains(key.as_str()),
+            defined.contains(key),
             "rule on `{}` reads `{key}`, undefined in {deployment}",
             rule.component
         );

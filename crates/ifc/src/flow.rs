@@ -278,5 +278,18 @@ mod tests {
                 prop_assert!(can_flow(&fixed_src, &fixed_dst).is_allowed());
             }
         }
+
+        /// `DecisionCache` answers the question asked now: after the destination's
+        /// context changes, a reused hash pair still gets `can_flow` of the current
+        /// contexts, and never a hit.
+        #[test]
+        fn prop_decision_cache_answers_the_contexts_it_is_given(
+            a in arb_ctx(), b in arb_ctx(), changed in arb_ctx(),
+        ) {
+            let (ha, hb) = (a.stable_hash(), b.stable_hash());
+            let mut cache = crate::cache::DecisionCache::new();
+            prop_assert_eq!(cache.check(&a, ha, &b, hb), (can_flow(&a, &b), false));
+            prop_assert_eq!(cache.check(&a, ha, &changed, hb), (can_flow(&a, &changed), false));
+        }
     }
 }

@@ -17,6 +17,10 @@
 //! their own labels, acting as **declassifiers** (secrecy) or **endorsers** (integrity) —
 //! the trusted gateways between security-context domains of Fig. 3.
 //!
+//! A flow question is answered by [`can_flow`] when it is asked; nothing in the crate
+//! remembers a decision, so a context change (§8.2.2) is in force for the next check.
+//! The stack's stable 64-bit hashes live in [`hash`].
+//!
 //! # Quick example
 //!
 //! ```
@@ -51,17 +55,19 @@ pub mod entity;
 pub mod error;
 pub mod flow;
 pub mod gateway;
+pub mod hash;
 pub mod label;
 pub mod privilege;
 pub mod registry;
 pub mod tag;
 
-pub use cache::{context_hash64, str_hash64, CacheStats, DecisionCache, StableHasher};
+pub use cache::DecisionCache;
 pub use creep::{CreepAnalysis, CreepReport};
 pub use entity::{Entity, EntityId, EntityKind};
 pub use error::IfcError;
 pub use flow::{can_flow, FlowCheck, FlowDecision, FlowDenialReason};
 pub use gateway::{Declassifier, Endorser, Gateway, GatewayKind, Transformation};
+pub use hash::{context_hash64, str_hash64, StableHasher};
 pub use label::Label;
 pub use privilege::{Privilege, PrivilegeKind, PrivilegeSet, TagOwnership};
 pub use registry::{TagRegistry, TagScope};

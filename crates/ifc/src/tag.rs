@@ -186,11 +186,10 @@ impl SecurityContext {
         self == other
     }
 
-    /// A stable 64-bit hash of this context (see [`crate::cache::context_hash64`]):
-    /// deterministic across runs and processes, order-independent over the tag sets,
-    /// suitable for keying flow-decision caches.
+    /// A stable 64-bit hash of this context (see [`crate::hash::context_hash64`]):
+    /// deterministic across runs and processes, order-independent over the tag sets.
     pub fn stable_hash(&self) -> u64 {
-        crate::cache::context_hash64(self)
+        crate::hash::context_hash64(self)
     }
 }
 
@@ -287,8 +286,7 @@ mod tests {
     }
 
     /// `Tag`, `Label` and `SecurityContext` all implement `Hash` consistently with
-    /// `Eq`, so callers (e.g. the dataplane's decision cache and shard router) can use
-    /// them directly as `HashMap` keys.
+    /// `Eq`, so callers can use them directly as `HashMap` keys.
     #[test]
     fn tag_label_and_context_are_hashmap_keys() {
         use crate::label::Label;

@@ -210,20 +210,8 @@ impl AccessDecision {
 /// explicit denies overriding allows.
 #[derive(Debug, Clone, Default)]
 pub struct AccessRegime {
-    /// One entry per component (the one whose resources are accessed) with rules.
-    components: HashMap<String, ComponentRules>,
-    /// Bumped on every rule-set mutation.
-    revision: u64,
-}
-
-/// A component's rules, with what a decision cache asks about them.
-#[derive(Debug, Clone, Default)]
-struct ComponentRules {
-    rules: Vec<AccessRule>,
-    /// The regime revision at which the rules last changed.
-    changed_at: u64,
-    /// Whether any rule has a time-dependent condition.
-    time_dependent: bool,
+    /// The rules governing each component (the one whose resources are accessed).
+    components: HashMap<String, Vec<AccessRule>>,
 }
 
 impl AccessRegime {
@@ -234,50 +222,12 @@ impl AccessRegime {
 
     /// Adds a rule governing access to `component`.
     pub fn add_rule(&mut self, component: impl Into<String>, rule: AccessRule) {
-        self.revision += 1;
-        let entry = self.components.entry(component.into()).or_default();
-        entry.changed_at = self.revision;
-        entry.time_dependent |= rule.condition.is_time_dependent();
-        entry.rules.push(rule);
+        self.components.entry(component.into()).or_default().push(rule);
     }
 
     /// Number of rules across all components.
     pub fn rule_count(&self) -> usize {
-        self.components.values().map(|entry| entry.rules.len()).sum()
-    }
-
-    /// What a decision cache needs to know about `component`, in one lookup: `None`
-    /// when its decisions must not be cached — a rule governing it is time-dependent
-    /// ([`Condition::is_time_dependent`]), so they can flip without any context
-    /// change — otherwise the revision (a counter every rule mutation bumps) at which
-    /// the rules governing it last changed, 0 if they never have. A decision cached
-    /// for `component` is valid as long as this value is: other components' rule
-    /// changes do not move it.
-    pub fn cacheable_revision(&self, component: &str) -> Option<u64> {
-        match self.components.get(component) {
-            Some(entry) if entry.time_dependent => None,
-            Some(entry) => Some(entry.changed_at),
-            None => Some(0),
-        }
-    }
-
-    /// The context keys any rule governing `component` references, deduplicated.
-    ///
-    /// A cached decision for `component` must be invalidated when *any* of these keys
-    /// changes: a change can both un-match a previously matching rule and match a
-    /// previously inapplicable one, so the dependency set is the union over all rules,
-    /// not just the rules that matched.
-    pub fn referenced_context_keys(&self, component: &str) -> Vec<&str> {
-        let mut keys: Vec<&str> = self
-            .components
-            .get(component)
-            .into_iter()
-            .flat_map(|entry| &entry.rules)
-            .flat_map(|rule| rule.condition.referenced_keys())
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        self.components.values().map(Vec::len).sum()
     }
 
     /// Decides whether `principal` may perform `operation` (optionally on
@@ -293,7 +243,7 @@ impl AccessRegime {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> AccessDecision {
-        let Some(ComponentRules { rules, .. }) = self.components.get(component) else {
+        let Some(rules) = self.components.get(component) else {
             return AccessDecision::Denied { cause: DenialCause::NoRules };
         };
         let mut allowed = false;
@@ -471,57 +421,6 @@ mod tests {
                 Timestamp::ZERO
             )
             .is_allowed());
-    }
-
-    #[test]
-    fn cacheable_revision_moves_only_with_the_components_own_rules() {
-        let mut regime = AccessRegime::new();
-        assert_eq!(regime.cacheable_revision("a"), Some(0));
-        regime.add_rule("a", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Send, None));
-        assert_eq!(regime.cacheable_revision("a"), Some(1));
-        assert_eq!(regime.cacheable_revision("b"), Some(2));
-        regime.add_rule("b", AccessRule::allow(Subject::Anyone, Operation::Receive, None));
-        assert_eq!(regime.cacheable_revision("a"), Some(1));
-        assert_eq!(regime.cacheable_revision("b"), Some(3));
-        // Every mutation moves the counter, whichever component it touched.
-        regime.add_rule("a", AccessRule::allow(Subject::Anyone, Operation::Receive, None));
-        assert_eq!(regime.cacheable_revision("a"), Some(4));
-        assert_eq!(regime.cacheable_revision("never-governed"), Some(0));
-    }
-
-    #[test]
-    fn referenced_keys_union_all_rules_for_a_component() {
-        let mut regime = AccessRegime::new();
-        regime.add_rule(
-            "c",
-            AccessRule::allow(Subject::Anyone, Operation::Send, None)
-                .when(Condition::is_true("emergency.active")),
-        );
-        regime.add_rule(
-            "c",
-            AccessRule::deny(Subject::Principal("mallory".into()), Operation::Send, None)
-                .when(Condition::number_at_least("patient.heart-rate", 120.0)),
-        );
-        regime.add_rule(
-            "other",
-            AccessRule::allow(Subject::Anyone, Operation::Send, None)
-                .when(Condition::is_true("unrelated")),
-        );
-        assert_eq!(
-            regime.referenced_context_keys("c"),
-            vec!["emergency.active", "patient.heart-rate"]
-        );
-        assert!(regime.referenced_context_keys("missing").is_empty());
-        assert_eq!(regime.cacheable_revision("c"), Some(2));
-        regime.add_rule(
-            "c",
-            AccessRule::allow(Subject::Anyone, Operation::Send, None)
-                .when(Condition::within_time(0, 100)),
-        );
-        assert_eq!(regime.cacheable_revision("c"), None);
-        assert_eq!(regime.cacheable_revision("other"), Some(3));
-        assert_eq!(regime.cacheable_revision("missing"), Some(0));
     }
 
     #[test]

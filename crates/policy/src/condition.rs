@@ -15,7 +15,7 @@ use legaliot_context::{ContextSnapshot, ContextValue, Timestamp};
 /// use legaliot_context::ContextSnapshot;
 ///
 /// let c = Condition::is_true("emergency.active")
-///     .and(Condition::number_at_least("patient.heart-rate", 120.0));
+///     .and(Condition::NumberAtLeast { key: "patient.heart-rate".into(), threshold: 120.0 });
 /// let snap = ContextSnapshot::from_pairs([
 ///     ("emergency.active", legaliot_context::ContextValue::Bool(true)),
 ///     ("patient.heart-rate", legaliot_context::ContextValue::Integer(150)),
@@ -85,11 +85,6 @@ impl Condition {
         Condition::IsFalse { key: key.into() }
     }
 
-    /// Shorthand for [`Condition::NumberAtLeast`].
-    pub fn number_at_least(key: impl Into<String>, threshold: f64) -> Self {
-        Condition::NumberAtLeast { key: key.into(), threshold }
-    }
-
     /// Shorthand for [`Condition::NumberBelow`].
     pub fn number_below(key: impl Into<String>, threshold: f64) -> Self {
         Condition::NumberBelow { key: key.into(), threshold }
@@ -150,42 +145,6 @@ impl Condition {
             Condition::Not(inner) => !inner.evaluate(snapshot, now),
             Condition::All(cs) => cs.iter().all(|c| c.evaluate(snapshot, now)),
             Condition::Any(cs) => cs.iter().any(|c| c.evaluate(snapshot, now)),
-        }
-    }
-
-    /// Whether any part of this condition depends on the evaluation time
-    /// ([`Condition::WithinTime`]). Time-dependent conditions cannot be cached by a
-    /// decision cache that is invalidated by context-key writes: their outcome can
-    /// change without any context key changing.
-    pub fn is_time_dependent(&self) -> bool {
-        match self {
-            Condition::WithinTime { .. } => true,
-            Condition::Always
-            | Condition::Never
-            | Condition::IsTrue { .. }
-            | Condition::IsFalse { .. }
-            | Condition::TextEquals { .. }
-            | Condition::NumberAtLeast { .. }
-            | Condition::NumberBelow { .. } => false,
-            Condition::Not(inner) => inner.is_time_dependent(),
-            Condition::All(cs) | Condition::Any(cs) => cs.iter().any(Condition::is_time_dependent),
-        }
-    }
-
-    /// The context keys this condition references (used for conflict detection and for
-    /// subscribing the engine to relevant context changes only).
-    pub fn referenced_keys(&self) -> Vec<&str> {
-        match self {
-            Condition::Always | Condition::Never | Condition::WithinTime { .. } => Vec::new(),
-            Condition::IsTrue { key }
-            | Condition::IsFalse { key }
-            | Condition::TextEquals { key, .. }
-            | Condition::NumberAtLeast { key, .. }
-            | Condition::NumberBelow { key, .. } => vec![key.as_str()],
-            Condition::Not(inner) => inner.referenced_keys(),
-            Condition::All(cs) | Condition::Any(cs) => {
-                cs.iter().flat_map(|c| c.referenced_keys()).collect()
-            }
         }
     }
 }
@@ -257,8 +216,10 @@ mod tests {
         assert!(equals("patient.ward", "ward-3").evaluate(&s, t));
         assert!(!equals("patient.ward", "ward-4").evaluate(&s, t));
         assert!(!equals("missing", "x").evaluate(&s, t));
-        assert!(Condition::number_at_least("patient.heart-rate", 120.0).evaluate(&s, t));
-        assert!(!Condition::number_at_least("patient.heart-rate", 151.0).evaluate(&s, t));
+        assert!(Condition::NumberAtLeast { key: "patient.heart-rate".into(), threshold: 120.0 }
+            .evaluate(&s, t));
+        assert!(!Condition::NumberAtLeast { key: "patient.heart-rate".into(), threshold: 151.0 }
+            .evaluate(&s, t));
         assert!(Condition::number_below("patient.heart-rate", 200.0).evaluate(&s, t));
         assert!(!Condition::number_below("missing", 200.0).evaluate(&s, t));
     }
@@ -278,7 +239,7 @@ mod tests {
         let s = snap();
         let t = Timestamp::ZERO;
         let c = Condition::is_true("emergency.active")
-            .and(Condition::number_at_least("patient.heart-rate", 120.0));
+            .and(Condition::NumberAtLeast { key: "patient.heart-rate".into(), threshold: 120.0 });
         assert!(c.evaluate(&s, t));
         let c2 = Condition::is_true("nurse.on-shift").or(Condition::is_true("emergency.active"));
         assert!(c2.evaluate(&s, t));
@@ -302,35 +263,10 @@ mod tests {
     }
 
     #[test]
-    fn time_dependence_is_detected_through_combinators() {
-        assert!(Condition::within_time(0, 10).is_time_dependent());
-        assert!(Condition::is_true("a").and(Condition::within_time(0, 10)).is_time_dependent());
-        assert!(Condition::Not(Box::new(Condition::within_time(0, 10))).is_time_dependent());
-        assert!(!Condition::is_true("a")
-            .and(Condition::number_below("b", 1.0))
-            .is_time_dependent());
-        assert!(!Condition::Always.is_time_dependent());
-        assert!(!Condition::Never.is_time_dependent());
-    }
-
-    #[test]
-    fn referenced_keys_collects_all() {
-        let c = Condition::is_true("a")
-            .and(Condition::number_at_least("b", 1.0))
-            .and(Condition::Not(Box::new(Condition::TextEquals {
-                key: "c".into(),
-                value: "x".into(),
-            })))
-            .or(Condition::within_time(0, 10));
-        let mut keys = c.referenced_keys();
-        keys.sort_unstable();
-        assert_eq!(keys, vec!["a", "b", "c"]);
-    }
-
-    #[test]
     fn display_renders_expression() {
-        let c = Condition::is_true("emergency.active")
-            .and(Condition::Not(Box::new(Condition::number_at_least("hr", 120.0))));
+        let c = Condition::is_true("emergency.active").and(Condition::Not(Box::new(
+            Condition::NumberAtLeast { key: "hr".into(), threshold: 120.0 },
+        )));
         let s = c.to_string();
         assert!(s.contains("emergency.active"));
         assert!(s.contains("&&"));

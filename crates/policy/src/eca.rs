@@ -164,7 +164,7 @@ impl Trigger {
 ///
 /// let rule = PolicyRule::builder("emergency-response", "hospital")
 ///     .on_context_key("patient.heart-rate")
-///     .when(Condition::number_at_least("patient.heart-rate", 180.0))
+///     .when(Condition::NumberAtLeast { key: "patient.heart-rate".into(), threshold: 180.0 })
 ///     .then(Action::Notify {
 ///         recipient: "emergency-doctor".into(),
 ///         message: "cardiac emergency".into(),

@@ -142,7 +142,7 @@ mod tests {
     fn emergency_rule() -> PolicyRule {
         PolicyRule::builder("emergency-response", "hospital")
             .on_context_key("patient.heart-rate")
-            .when(Condition::number_at_least("patient.heart-rate", 180.0))
+            .when(Condition::NumberAtLeast { key: "patient.heart-rate".into(), threshold: 180.0 })
             .then(Action::Notify {
                 recipient: "emergency-doctor".into(),
                 message: "cardiac emergency".into(),

@@ -151,10 +151,10 @@ impl PolicyTemplate {
             PolicyTemplate::Retention { store, retention_millis, authority } => {
                 vec![PolicyRule::builder(format!("retention-{store}"), authority.clone())
                     .on_tick()
-                    .when(Condition::number_at_least(
-                        format!("{store}.oldest-item-age"),
-                        *retention_millis as f64,
-                    ))
+                    .when(Condition::NumberAtLeast {
+                        key: format!("{store}.oldest-item-age"),
+                        threshold: *retention_millis as f64,
+                    })
                     .then(Action::Actuate {
                         component: store.clone(),
                         command: format!("purge-older-than={retention_millis}"),
