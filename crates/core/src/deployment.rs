@@ -194,7 +194,7 @@ impl Deployment {
                         action,
                         now.as_millis(),
                     );
-                    self.middleware.apply_command(&command, &snapshot, now);
+                    self.middleware.handle_control(&command, &snapshot, now);
                 }
                 true
             }
@@ -293,7 +293,7 @@ impl Deployment {
         let mut applied = 0;
         let mut rejected = 0;
         for command in commands {
-            let outcomes = self.middleware.apply_command(command, &snapshot, now);
+            let outcomes = self.middleware.handle_control(command, &snapshot, now);
             for o in outcomes {
                 if o.is_applied() {
                     applied += 1;

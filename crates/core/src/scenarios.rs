@@ -127,7 +127,7 @@ impl HomeMonitoringScenario {
         );
         let snapshot = self.deployment.context().snapshot();
         let now = self.deployment.now();
-        self.deployment.middleware_mut().apply_command(&cmd, &snapshot, now);
+        self.deployment.middleware_mut().handle_control(&cmd, &snapshot, now);
         self.deployment.connect("input-sanitiser", "zeb-analyser").expect("components exist");
     }
 
@@ -181,7 +181,7 @@ impl HomeMonitoringScenario {
         );
         let snapshot = self.deployment.context().snapshot();
         let now = self.deployment.now();
-        self.deployment.middleware_mut().apply_command(&cmd, &snapshot, now);
+        self.deployment.middleware_mut().handle_control(&cmd, &snapshot, now);
 
         let outcome =
             self.deployment.connect("stats-generator", "ward-manager").expect("components exist");
@@ -207,7 +207,7 @@ impl HomeMonitoringScenario {
         );
         let snapshot = self.deployment.context().snapshot();
         let now = self.deployment.now();
-        self.deployment.middleware_mut().apply_command(&cmd, &snapshot, now);
+        self.deployment.middleware_mut().handle_control(&cmd, &snapshot, now);
     }
 
     /// Relays one third-party reading through the input sanitiser, modelling the

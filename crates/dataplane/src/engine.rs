@@ -32,8 +32,8 @@ use legaliot_ifc::SecurityContext;
 use legaliot_middleware::admission::admit_channel;
 use legaliot_middleware::bus::teardown_evidence;
 use legaliot_middleware::{
-    AccessRegime, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message,
-    MessageSchema, MessageType,
+    AccessRegime, Action, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema,
+    Message, MessageSchema, MessageType,
 };
 use legaliot_obs::ObsConfig;
 
@@ -1052,9 +1052,10 @@ impl Dataplane {
 
     /// Isolates or de-isolates an endpoint; while isolated, every delivery involving it
     /// is denied (§8.2.2 isolation is monitored throughout the connection's lifetime).
-    /// The change is audited on the control-plane log — per-message isolation denials
-    /// are counted (stats and, in summarised mode, per-pair summaries) but carry no
-    /// individual flow-check record, as no flow check ran.
+    /// The change is audited on the control-plane log, its action spelt as [`Action`]
+    /// spells it — the text the bus writes for the same change. Per-message isolation
+    /// denials are counted (stats and, in summarised mode, per-pair summaries) but
+    /// carry no individual flow-check record, as no flow check ran.
     pub fn set_isolated(
         &self,
         name: &str,
@@ -1064,11 +1065,16 @@ impl Dataplane {
         let mut directory = self.shared.directory.write();
         let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
         endpoint.component.set_isolated(isolated);
+        let action = if isolated {
+            Action::Isolate { component: name.to_string() }
+        } else {
+            Action::Deisolate { component: name.to_string() }
+        };
         directory.control_audit.append(
             AuditEvent::Reconfigured {
                 component: name.to_string(),
                 issued_by: self.shared.name.clone(),
-                action: if isolated { "isolate".to_string() } else { "deisolate".to_string() },
+                action: action.to_string(),
                 accepted: true,
             },
             now.as_millis(),

@@ -324,8 +324,18 @@ mod tests {
         // The isolation change is control-plane evidence, and the denied delivery is
         // totalled in the pair summary.
         let report = dataplane.shutdown();
-        use legaliot_audit::{AuditEvent, AuditEventKind};
-        assert_eq!(report.control_audit.of_kind(AuditEventKind::Reconfigured).count(), 2);
+        use legaliot_audit::AuditEvent;
+        let actions: Vec<_> = report
+            .control_audit
+            .records()
+            .iter()
+            .filter_map(|r| match &r.event {
+                AuditEvent::Reconfigured { action, .. } => Some(action.as_str()),
+                _ => None,
+            })
+            .collect();
+        // Spelt as the bus spells the same change.
+        assert_eq!(actions, ["isolate b", "deisolate b"]);
         let summary = report
             .merged_timeline()
             .into_iter()

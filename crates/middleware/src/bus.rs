@@ -13,12 +13,11 @@ use std::fmt;
 use legaliot_audit::{AuditEvent, AuditLog};
 use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_ifc::{FlowDecision, TagRegistry};
-use legaliot_policy::ReconfigurationCommand;
+use legaliot_policy::{Action, ReconfigurationCommand};
 
 use crate::acl::{AccessDecision, AccessRegime, Operation, Principal};
 use crate::admission::{admit_channel, direct_flow, enforce, MessageFacts, Verdict};
 use crate::component::{Component, Registry};
-use crate::control::{ControlMessage, ControlOutcome, ReconfigureOp};
 use crate::schema::Message;
 
 /// Errors raised by middleware operations (not enforcement denials, which are outcomes).
@@ -123,6 +122,44 @@ impl DeliveryOutcome {
             DeliveryOutcome::Isolated => "endpoint isolated".to_string(),
         };
         channel_changed(from, to, self.is_delivered(), reason)
+    }
+}
+
+/// The middleware's response to one step of a reconfiguration command.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlOutcome {
+    /// The operation was authorised and applied.
+    Applied,
+    /// The issuer is not authorised to reconfigure the target.
+    Unauthorised {
+        /// Why.
+        reason: String,
+    },
+    /// The target component is unknown.
+    UnknownTarget,
+    /// The operation was authorised but could not be applied (e.g. privilege grant for
+    /// a tag the authority does not own).
+    Failed {
+        /// Why.
+        reason: String,
+    },
+}
+
+impl ControlOutcome {
+    /// Whether the operation was applied.
+    pub fn is_applied(&self) -> bool {
+        matches!(self, ControlOutcome::Applied)
+    }
+}
+
+impl fmt::Display for ControlOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ControlOutcome::Applied => write!(f, "applied"),
+            ControlOutcome::Unauthorised { reason } => write!(f, "unauthorised: {reason}"),
+            ControlOutcome::UnknownTarget => write!(f, "unknown target"),
+            ControlOutcome::Failed { reason } => write!(f, "failed: {reason}"),
+        }
     }
 }
 
@@ -321,11 +358,12 @@ impl Middleware {
     /// Sends a typed message over an established channel.
     ///
     /// The bus checks that the channel is open and that the message conforms to its
-    /// schema (if one is registered — validation at ingress, as on the dataplane), runs
-    /// the one §8.2.2 sequence, [`crate::admission::enforce`] — isolation; AC for the
-    /// sender on the destination at message-type granularity; IFC between the
-    /// *message's effective context* and the destination — then quenches per attribute
-    /// against message-level tags (Fig. 10) and enqueues in the destination's
+    /// schema (if one is registered — [`crate::FrozenSchema::validate`] at ingress, as
+    /// on the dataplane), runs the one §8.2.2 sequence, [`crate::admission::enforce`] —
+    /// isolation; AC for the sender on the destination at message-type granularity;
+    /// IFC between the *message's effective context* and the destination — then
+    /// quenches the attributes of the schema's [`crate::FrozenSchema::quench_mask_for`]
+    /// the destination's secrecy (Fig. 10) and enqueues in the destination's
     /// (unbounded) mailbox. A send that reaches the IFC check is audited as one
     /// `FlowChecked` record, allowed or denied; a send refused earlier (`NoChannel`,
     /// `SchemaViolation`, `Isolated`, `DeniedByAccessControl`) leaves no audit record —
@@ -397,11 +435,10 @@ impl Middleware {
         // not all present in the destination's secrecy label are removed (Fig. 10).
         let mut quenched_attributes = Vec::new();
         if let Some(schema) = schema {
-            for (name, label) in &schema.attribute_secrecy {
-                if !label.is_subset(destination.context().secrecy())
-                    && message.attributes.remove(name).is_some()
-                {
-                    quenched_attributes.push(name.clone());
+            let mask = schema.quench_mask_for(destination.context().secrecy());
+            for name in schema.mask_names(mask) {
+                if message.attributes.remove(name).is_some() {
+                    quenched_attributes.push(name.to_string());
                 }
             }
         }
@@ -430,23 +467,64 @@ impl Middleware {
         self.mailboxes.get_mut(component).and_then(VecDeque::pop_front)
     }
 
-    /// Handles a third-party reconfiguration control message (Fig. 8): authorises it
-    /// against the AC regime (`Reconfigure` on the target, asked for the principal the
-    /// message names as its issuer, with no role), applies the operation, and
-    /// re-evaluates channels when labels changed. Every control message is audited,
-    /// accepted or not.
+    /// Handles a third-party reconfiguration command (Fig. 8).
+    ///
+    /// "SBUS not only supports system components reconfiguring their own state; but
+    /// importantly, allows reconfiguration actions to be issued by third parties. …
+    /// These third-party instructions are executed as though the application had
+    /// initiated them … The reconfiguration commands are issued through the messaging
+    /// system via control messages … subject to the same general AC regime, to ensure
+    /// that reconfigurations are only actioned when received from trusted third
+    /// parties." (§8.1)
+    ///
+    /// A `Notify` is recorded as a notification, and `AllowFlow` / `DenyFlow` are the
+    /// channel layer's own rules: none of them is a step, so none has an outcome. A
+    /// `RouteVia` is three steps — connect `from → via`, connect `via → to`,
+    /// disconnect `from → to` — and every other action is one step on its target.
+    /// Each step is authorised on its own target (`Reconfigure`, asked for the
+    /// principal the command names as its authority, with no role), applied, followed
+    /// by channel re-evaluation when labels or isolation changed, and audited as one
+    /// `Reconfigured` record, accepted or not. Returns the steps' outcomes in order.
     pub fn handle_control(
         &mut self,
-        message: &ControlMessage,
+        command: &ReconfigurationCommand,
+        snapshot: &ContextSnapshot,
+        now: Timestamp,
+    ) -> Vec<ControlOutcome> {
+        let issuer = command.authority.as_str();
+        match &command.action {
+            Action::Notify { recipient, message } => {
+                self.notify(recipient.clone(), message.clone());
+                Vec::new()
+            }
+            Action::AllowFlow { .. } | Action::DenyFlow { .. } => Vec::new(),
+            Action::RouteVia { from, via, to } => [
+                Action::Connect { from: from.clone(), to: via.clone() },
+                Action::Connect { from: via.clone(), to: to.clone() },
+                Action::Disconnect { from: from.clone(), to: to.clone() },
+            ]
+            .iter()
+            .map(|step| self.control_step(issuer, step, snapshot, now))
+            .collect(),
+            step => vec![self.control_step(issuer, step, snapshot, now)],
+        }
+    }
+
+    /// Authorises, applies and audits one addressed step of a command.
+    fn control_step(
+        &mut self,
+        issuer: &str,
+        step: &Action,
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> ControlOutcome {
-        let outcome = self.apply_control_inner(message, snapshot, now);
+        let target = step.target().expect("a control step is addressed");
+        let outcome = self.apply_step(issuer, target, step, snapshot, now);
         self.audit.record(
             AuditEvent::Reconfigured {
-                component: message.target.clone(),
-                issued_by: message.issued_by.clone(),
-                action: message.op.to_string(),
+                component: target.to_string(),
+                issued_by: issuer.to_string(),
+                action: step.to_string(),
                 accepted: outcome.is_applied(),
             },
             now.as_millis(),
@@ -454,40 +532,36 @@ impl Middleware {
         outcome
     }
 
-    fn apply_control_inner(
+    fn apply_step(
         &mut self,
-        message: &ControlMessage,
+        issuer: &str,
+        target: &str,
+        step: &Action,
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> ControlOutcome {
-        if self.registry.get(&message.target).is_none() {
+        if self.registry.get(target).is_none() {
             return ControlOutcome::UnknownTarget;
         }
-        let issuer = Principal::new(message.issued_by.clone());
-        let ac = self.access.decide(
-            &message.target,
-            &issuer,
-            Operation::Reconfigure,
-            None,
-            snapshot,
-            now,
-        );
+        let principal = Principal::new(issuer);
+        let ac =
+            self.access.decide(target, &principal, Operation::Reconfigure, None, snapshot, now);
         if let AccessDecision::Denied { cause } = ac {
-            let reason = cause.reason(&message.target, &issuer, Operation::Reconfigure);
+            let reason = cause.reason(target, &principal, Operation::Reconfigure);
             return ControlOutcome::Unauthorised { reason };
         }
 
         let mut labels_changed = false;
-        let result = match &message.op {
-            ReconfigureOp::SetContext { context } => {
-                let target = self.registry.get_mut(&message.target).expect("checked above");
+        let result = match step {
+            Action::SetSecurityContext { context, .. } => {
+                let target = self.registry.get_mut(target).expect("checked above");
                 target.entity_mut().set_context_trusted(context.clone());
                 labels_changed = true;
                 ControlOutcome::Applied
             }
-            ReconfigureOp::AddTag { tag, secrecy } | ReconfigureOp::RemoveTag { tag, secrecy } => {
-                let add = matches!(message.op, ReconfigureOp::AddTag { .. });
-                let target = self.registry.get_mut(&message.target).expect("checked above");
+            Action::AddTag { tag, secrecy, .. } | Action::RemoveTag { tag, secrecy, .. } => {
+                let add = matches!(step, Action::AddTag { .. });
+                let target = self.registry.get_mut(target).expect("checked above");
                 let mut ctx = target.context().clone();
                 let label = if *secrecy { ctx.secrecy_mut() } else { ctx.integrity_mut() };
                 if add {
@@ -499,75 +573,55 @@ impl Middleware {
                 labels_changed = true;
                 ControlOutcome::Applied
             }
-            ReconfigureOp::GrantPrivilege { privilege } => {
+            Action::GrantPrivilege { privilege, .. } => {
                 // The issuing authority must own the tag to delegate privileges over it
                 // (§6 Tag Ownership), when the tag is registered.
                 if self.tag_registry.contains(&privilege.tag) {
-                    if let Err(e) = self
-                        .tag_registry
-                        .ownership()
-                        .authorise_delegation(&privilege.tag, &message.issued_by)
+                    if let Err(e) =
+                        self.tag_registry.ownership().authorise_delegation(&privilege.tag, issuer)
                     {
                         return ControlOutcome::Failed { reason: e.to_string() };
                     }
                 }
-                let target = self.registry.get_mut(&message.target).expect("checked above");
+                let target = self.registry.get_mut(target).expect("checked above");
                 target.entity_mut().privileges_mut().grant(privilege.tag.clone(), privilege.kind);
                 ControlOutcome::Applied
             }
-            ReconfigureOp::RevokePrivilege { privilege } => {
-                let target = self.registry.get_mut(&message.target).expect("checked above");
+            Action::RevokePrivilege { privilege, .. } => {
+                let target = self.registry.get_mut(target).expect("checked above");
                 target.entity_mut().privileges_mut().revoke(&privilege.tag, privilege.kind);
                 ControlOutcome::Applied
             }
-            ReconfigureOp::Connect { to } => {
-                match self.establish_channel(&message.target, to, snapshot, now) {
-                    Ok(outcome) if outcome.is_delivered() => ControlOutcome::Applied,
-                    Ok(other) => ControlOutcome::Failed {
-                        reason: format!("channel establishment refused: {other:?}"),
-                    },
-                    Err(e) => ControlOutcome::Failed { reason: e.to_string() },
-                }
-            }
-            ReconfigureOp::Disconnect { to } => {
-                self.teardown_channel(&message.target, to, now);
+            Action::Connect { to, .. } => match self.establish_channel(target, to, snapshot, now) {
+                Ok(outcome) if outcome.is_delivered() => ControlOutcome::Applied,
+                Ok(other) => ControlOutcome::Failed {
+                    reason: format!("channel establishment refused: {other:?}"),
+                },
+                Err(e) => ControlOutcome::Failed { reason: e.to_string() },
+            },
+            Action::Disconnect { to, .. } => {
+                self.teardown_channel(target, to, now);
                 ControlOutcome::Applied
             }
-            ReconfigureOp::Isolate | ReconfigureOp::Deisolate => {
-                let isolate = matches!(message.op, ReconfigureOp::Isolate);
-                let target = self.registry.get_mut(&message.target).expect("checked above");
-                target.set_isolated(isolate);
+            Action::Isolate { .. } | Action::Deisolate { .. } => {
+                let isolate = matches!(step, Action::Isolate { .. });
+                self.registry.get_mut(target).expect("checked above").set_isolated(isolate);
                 labels_changed = true;
                 ControlOutcome::Applied
             }
-            ReconfigureOp::Actuate { command } => {
-                self.actuations.push((message.target.clone(), command.clone()));
+            Action::Actuate { command, .. } => {
+                self.actuations.push((target.to_string(), command.clone()));
                 ControlOutcome::Applied
             }
+            Action::AllowFlow { .. }
+            | Action::DenyFlow { .. }
+            | Action::RouteVia { .. }
+            | Action::Notify { .. } => unreachable!("`handle_control` expands {step}"),
         };
         if labels_changed {
             self.reevaluate_channels(now);
         }
         result
-    }
-
-    /// Applies a policy-engine command: `Notify` actions become notifications, addressed
-    /// actions become control messages handled through the normal authorised path.
-    /// Returns the control outcomes (empty for pure notifications).
-    pub fn apply_command(
-        &mut self,
-        command: &ReconfigurationCommand,
-        snapshot: &ContextSnapshot,
-        now: Timestamp,
-    ) -> Vec<ControlOutcome> {
-        if let legaliot_policy::Action::Notify { recipient, message } = &command.action {
-            self.notify(recipient.clone(), message.clone());
-            return Vec::new();
-        }
-        ControlMessage::from_command(command)
-            .iter()
-            .map(|cm| self.handle_control(cm, snapshot, now))
-            .collect()
     }
 }
 
@@ -575,8 +629,11 @@ impl Middleware {
 mod tests {
     use super::*;
     use crate::acl::{AccessRule, Subject};
-    use crate::schema::{AttributeKind, AttributeValue, MessageSchema};
-    use legaliot_ifc::{Label, SecurityContext, Tag, TagScope};
+    use crate::schema::{
+        AttributeKind, AttributeValue, FrozenSchema, MessageSchema, MessageType,
+        MAX_FROZEN_ATTRIBUTES,
+    };
+    use legaliot_ifc::{Label, Privilege, PrivilegeKind, SecurityContext, Tag, TagScope};
 
     fn medical_ctx(patient: &str) -> SecurityContext {
         SecurityContext::from_names(["medical", patient], ["hosp-dev", "consent"])
@@ -738,6 +795,28 @@ mod tests {
         assert!(matches!(outcome, DeliveryOutcome::SchemaViolation { .. }));
     }
 
+    /// A command issued by `authority` under policy `p`.
+    fn command(authority: &str, action: Action, at: u64) -> ReconfigurationCommand {
+        ReconfigurationCommand::new("p", authority, action, at)
+    }
+
+    fn isolate(component: &str) -> Action {
+        Action::Isolate { component: component.into() }
+    }
+
+    /// Every `Reconfigured` record: (component, action, accepted).
+    fn reconfigured(mw: &Middleware) -> Vec<(&str, &str, bool)> {
+        let records = mw.audit().records().iter();
+        records
+            .filter_map(|record| match &record.event {
+                AuditEvent::Reconfigured { component, action, accepted, .. } => {
+                    Some((component.as_str(), action.as_str(), *accepted))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn third_party_reconfiguration_fig8() {
         let mut mw = home_monitoring();
@@ -752,31 +831,34 @@ mod tests {
             "emergency-doctor",
             AccessRule::allow(Subject::Anyone, Operation::Send, None),
         );
-        let cm = ControlMessage::new(
-            "ann-analyser",
-            ReconfigureOp::Connect { to: "emergency-doctor".into() },
-            "hospital-engine",
+        let connect = ReconfigurationCommand::new(
             "emergency-response",
+            "hospital-engine",
+            Action::Connect { from: "ann-analyser".into(), to: "emergency-doctor".into() },
             10,
         );
-        let outcome = mw.handle_control(&cm, &snap(), Timestamp(10));
-        assert!(outcome.is_applied());
+        assert_eq!(mw.handle_control(&connect, &snap(), Timestamp(10)), [ControlOutcome::Applied]);
         assert!(mw.has_open_channel("ann-analyser", "emergency-doctor"));
 
         // An unauthorised issuer is refused and audited as rejected.
-        let rogue =
-            ControlMessage::new("ann-analyser", ReconfigureOp::Isolate, "attacker", "none", 11);
+        let rogue = command("attacker", isolate("ann-analyser"), 11);
         let outcome = mw.handle_control(&rogue, &snap(), Timestamp(11));
-        assert!(matches!(outcome, ControlOutcome::Unauthorised { .. }));
+        assert!(matches!(outcome[..], [ControlOutcome::Unauthorised { .. }]));
         // Unknown targets are reported.
-        let ghost =
-            ControlMessage::new("ghost", ReconfigureOp::Isolate, "hospital-engine", "p", 12);
+        let ghost = command("hospital-engine", isolate("ghost"), 12);
         assert_eq!(
             mw.handle_control(&ghost, &snap(), Timestamp(12)),
-            ControlOutcome::UnknownTarget
+            [ControlOutcome::UnknownTarget]
         );
-        // All three control messages are in the audit log.
-        assert_eq!(mw.audit().of_kind(legaliot_audit::AuditEventKind::Reconfigured).count(), 3);
+        // All three control messages are in the audit log, spelt as `Action` spells them.
+        assert_eq!(
+            reconfigured(&mw),
+            [
+                ("ann-analyser", "connect ann-analyser -> emergency-doctor", true),
+                ("ann-analyser", "isolate ann-analyser", false),
+                ("ghost", "isolate ghost", false),
+            ]
+        );
     }
 
     /// An issuer is the principal it names: it holds no role a rule could match, so a
@@ -793,14 +875,14 @@ mod tests {
             "ann-sensor",
             AccessRule::allow(Subject::Role("policy-engine".into()), Operation::Reconfigure, None),
         );
-        let rogue = ControlMessage::new("ann-sensor", ReconfigureOp::Isolate, "attacker", "p", 3);
+        let rogue = command("attacker", isolate("ann-sensor"), 3);
         let outcome = mw.handle_control(&rogue, &snap(), Timestamp(3));
         assert_eq!(
             outcome,
-            ControlOutcome::Unauthorised {
+            [ControlOutcome::Unauthorised {
                 reason: "no allow rule matches attacker performing reconfigure on `ann-sensor`"
                     .into()
-            }
+            }]
         );
         assert!(!mw.registry().get("ann-sensor").unwrap().is_isolated());
         let record = &mw.audit().records()[0];
@@ -810,7 +892,7 @@ mod tests {
             AuditEvent::Reconfigured {
                 component: "ann-sensor".into(),
                 issued_by: "attacker".into(),
-                action: ReconfigureOp::Isolate.to_string(),
+                action: "isolate ann-sensor".into(),
                 accepted: false,
             }
         );
@@ -823,14 +905,17 @@ mod tests {
         assert!(mw.has_open_channel("ann-sensor", "ann-analyser"));
         // The policy engine adds a secrecy tag to the sensor that the analyser lacks;
         // the existing channel must be closed on re-evaluation (§8.2.2).
-        let cm = ControlMessage::new(
-            "ann-sensor",
-            ReconfigureOp::AddTag { tag: Tag::new("quarantine"), secrecy: true },
-            "hospital-engine",
+        let cm = ReconfigurationCommand::new(
             "incident-response",
+            "hospital-engine",
+            Action::AddTag {
+                component: "ann-sensor".into(),
+                tag: Tag::new("quarantine"),
+                secrecy: true,
+            },
             5,
         );
-        assert!(mw.handle_control(&cm, &snap(), Timestamp(5)).is_applied());
+        assert_eq!(mw.handle_control(&cm, &snap(), Timestamp(5)), [ControlOutcome::Applied]);
         assert!(!mw.has_open_channel("ann-sensor", "ann-analyser"));
     }
 
@@ -838,9 +923,8 @@ mod tests {
     fn isolation_blocks_channels_and_sends() {
         let mut mw = home_monitoring();
         mw.establish_channel("ann-sensor", "ann-analyser", &snap(), Timestamp(1)).unwrap();
-        let cm =
-            ControlMessage::new("ann-sensor", ReconfigureOp::Isolate, "hospital-engine", "p", 2);
-        assert!(mw.handle_control(&cm, &snap(), Timestamp(2)).is_applied());
+        let cm = command("hospital-engine", isolate("ann-sensor"), 2);
+        assert_eq!(mw.handle_control(&cm, &snap(), Timestamp(2)), [ControlOutcome::Applied]);
         // Open channels involving the isolated component were closed; sending over the
         // torn-down channel is now an error, not a silent outcome.
         assert!(!mw.has_open_channel("ann-sensor", "ann-analyser"));
@@ -858,8 +942,8 @@ mod tests {
         assert_eq!(outcome, DeliveryOutcome::Isolated);
         // Deisolation restores the ability to connect.
         let cm =
-            ControlMessage::new("ann-sensor", ReconfigureOp::Deisolate, "hospital-engine", "p", 5);
-        assert!(mw.handle_control(&cm, &snap(), Timestamp(5)).is_applied());
+            command("hospital-engine", Action::Deisolate { component: "ann-sensor".into() }, 5);
+        assert_eq!(mw.handle_control(&cm, &snap(), Timestamp(5)), [ControlOutcome::Applied]);
         assert!(mw
             .establish_channel("ann-sensor", "ann-analyser", &snap(), Timestamp(6))
             .unwrap()
@@ -881,90 +965,154 @@ mod tests {
         mw.tag_registry_mut()
             .register(Tag::new("city"), "city data", TagScope::Global, false, "council")
             .unwrap();
+        let privilege = |tag: &str| Privilege::new(tag, PrivilegeKind::SecrecyRemove);
+        let grant = |tag: &str, at| {
+            let component = "ann-analyser".into();
+            command(
+                "hospital-engine",
+                Action::GrantPrivilege { component, privilege: privilege(tag) },
+                at,
+            )
+        };
         // The engine owns `medical`: grant succeeds.
-        let ok = ControlMessage::new(
-            "ann-analyser",
-            ReconfigureOp::GrantPrivilege {
-                privilege: legaliot_ifc::Privilege::new(
-                    "medical",
-                    legaliot_ifc::PrivilegeKind::SecrecyRemove,
-                ),
-            },
-            "hospital-engine",
-            "p",
-            1,
+        assert_eq!(
+            mw.handle_control(&grant("medical", 1), &snap(), Timestamp(1)),
+            [ControlOutcome::Applied]
         );
-        assert!(mw.handle_control(&ok, &snap(), Timestamp(1)).is_applied());
         assert!(mw
             .registry()
             .get("ann-analyser")
             .unwrap()
             .privileges()
-            .permits(&Tag::new("medical"), legaliot_ifc::PrivilegeKind::SecrecyRemove));
+            .permits(&Tag::new("medical"), PrivilegeKind::SecrecyRemove));
         // The engine does not own `city`: grant fails.
-        let bad = ControlMessage::new(
-            "ann-analyser",
-            ReconfigureOp::GrantPrivilege {
-                privilege: legaliot_ifc::Privilege::new(
-                    "city",
-                    legaliot_ifc::PrivilegeKind::SecrecyRemove,
-                ),
-            },
-            "hospital-engine",
-            "p",
-            2,
-        );
-        assert!(matches!(
-            mw.handle_control(&bad, &snap(), Timestamp(2)),
-            ControlOutcome::Failed { .. }
-        ));
+        let outcome = mw.handle_control(&grant("city", 2), &snap(), Timestamp(2));
+        assert!(matches!(outcome[..], [ControlOutcome::Failed { .. }]));
         // Revocation is always possible for the authorised engine.
-        let revoke = ControlMessage::new(
-            "ann-analyser",
-            ReconfigureOp::RevokePrivilege {
-                privilege: legaliot_ifc::Privilege::new(
-                    "medical",
-                    legaliot_ifc::PrivilegeKind::SecrecyRemove,
-                ),
-            },
+        let revoke = command(
             "hospital-engine",
-            "p",
+            Action::RevokePrivilege {
+                component: "ann-analyser".into(),
+                privilege: privilege("medical"),
+            },
             3,
         );
-        assert!(mw.handle_control(&revoke, &snap(), Timestamp(3)).is_applied());
+        assert_eq!(mw.handle_control(&revoke, &snap(), Timestamp(3)), [ControlOutcome::Applied]);
     }
 
     #[test]
     fn apply_command_translates_policy_actions() {
         let mut mw = home_monitoring();
+        // A notification is recorded, and neither it nor a flow rule is a step: no
+        // outcome, no audit record.
         let notify = ReconfigurationCommand::new(
             "emergency-response",
             "hospital-engine",
-            legaliot_policy::Action::Notify {
-                recipient: "emergency-doctor".into(),
-                message: "go".into(),
-            },
+            Action::Notify { recipient: "emergency-doctor".into(), message: "go".into() },
             1,
         );
-        assert!(mw.apply_command(&notify, &snap(), Timestamp(1)).is_empty());
+        assert!(mw.handle_control(&notify, &snap(), Timestamp(1)).is_empty());
+        assert_eq!(mw.notifications(), &[("emergency-doctor".to_string(), "go".to_string())]);
+        for action in [
+            Action::AllowFlow { from: "ann-sensor".into(), to: "ann-analyser".into() },
+            Action::DenyFlow { from: "ann-sensor".into(), to: "ann-analyser".into() },
+        ] {
+            let flow = command("hospital-engine", action, 1);
+            assert!(mw.handle_control(&flow, &snap(), Timestamp(1)).is_empty());
+        }
         assert_eq!(mw.notifications().len(), 1);
+        assert!(mw.audit().is_empty());
 
         let actuate = ReconfigurationCommand::new(
             "emergency-response",
             "hospital-engine",
-            legaliot_policy::Action::Actuate {
+            Action::Actuate {
                 component: "ann-sensor".into(),
                 command: "sample-interval=1s".into(),
             },
             2,
         );
-        let outcomes = mw.apply_command(&actuate, &snap(), Timestamp(2));
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].is_applied());
+        let outcomes = mw.handle_control(&actuate, &snap(), Timestamp(2));
+        assert_eq!(outcomes, [ControlOutcome::Applied]);
         assert_eq!(
             mw.actuations(),
             &[("ann-sensor".to_string(), "sample-interval=1s".to_string())]
         );
+    }
+
+    /// `RouteVia` is three steps, each authorised on its own target and audited on its
+    /// own: an issuer that may reconfigure `from` but not `via` gets the two steps on
+    /// `from` and is refused the one on `via`.
+    #[test]
+    fn route_via_authorises_and_audits_each_step_on_its_own_target() {
+        let mut mw = home_monitoring();
+        mw.registry_mut().register(
+            Component::builder("ann-archive", Principal::new("hospital"))
+                .context(medical_ctx("ann"))
+                .build(),
+        );
+        mw.access_mut()
+            .add_rule("ann-archive", AccessRule::allow(Subject::Anyone, Operation::Send, None));
+        mw.access_mut().add_rule(
+            "ann-sensor",
+            AccessRule::allow(
+                Subject::Principal("records-engine".into()),
+                Operation::Reconfigure,
+                None,
+            ),
+        );
+        mw.establish_channel("ann-sensor", "ann-archive", &snap(), Timestamp(1)).unwrap();
+        let route = Action::RouteVia {
+            from: "ann-sensor".into(),
+            via: "ann-analyser".into(),
+            to: "ann-archive".into(),
+        };
+        let outcomes =
+            mw.handle_control(&command("records-engine", route, 2), &snap(), Timestamp(2));
+        assert!(matches!(
+            outcomes[..],
+            [ControlOutcome::Applied, ControlOutcome::Unauthorised { .. }, ControlOutcome::Applied]
+        ));
+        assert_eq!(
+            reconfigured(&mw),
+            [
+                ("ann-sensor", "connect ann-sensor -> ann-analyser", true),
+                ("ann-analyser", "connect ann-analyser -> ann-archive", false),
+                ("ann-sensor", "disconnect ann-sensor -> ann-archive", true),
+            ]
+        );
+        assert!(mw.has_open_channel("ann-sensor", "ann-analyser"));
+        assert!(!mw.has_open_channel("ann-sensor", "ann-archive"));
+        assert!(!mw.has_open_channel("ann-analyser", "ann-archive"));
+    }
+
+    #[test]
+    fn a_schema_too_wide_to_freeze_is_refused_and_registers_nothing() {
+        let mut mw = home_monitoring();
+        let wide = |attributes: usize| {
+            (0..attributes).fold(MessageSchema::new("wide"), |schema, i| {
+                schema.attribute(format!("a{i:02}"), AttributeKind::Bool)
+            })
+        };
+        let wide_type = MessageType::new("wide");
+        assert!(!mw.registry_mut().register_schema(wide(MAX_FROZEN_ATTRIBUTES + 1)));
+        assert!(mw.registry().schema(&wide_type).is_none());
+        // Nor does a refused schema replace the one already registered for its type.
+        assert!(mw.registry_mut().register_schema(wide(2)));
+        assert!(!mw.registry_mut().register_schema(wide(MAX_FROZEN_ATTRIBUTES + 1)));
+        assert_eq!(mw.registry().schema(&wide_type).map(FrozenSchema::len), Some(2));
+    }
+
+    #[test]
+    fn outcome_helpers() {
+        assert!(ControlOutcome::Applied.is_applied());
+        assert!(!ControlOutcome::UnknownTarget.is_applied());
+        assert!(ControlOutcome::Unauthorised { reason: "r".into() }
+            .to_string()
+            .contains("unauthorised"));
+        assert!(ControlOutcome::Failed { reason: "r".into() }.to_string().contains("failed"));
+        assert_eq!(ControlOutcome::UnknownTarget.to_string(), "unknown target");
+        assert_eq!(ControlOutcome::Applied.to_string(), "applied");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fmt;
 use legaliot_ifc::{Entity, EntityKind, PrivilegeSet, SecurityContext};
 
 use crate::acl::Principal;
-use crate::schema::{MessageSchema, MessageType};
+use crate::schema::{FrozenSchema, MessageSchema, MessageType};
 
 /// A middleware-managed component ('thing').
 #[derive(Debug, Clone, PartialEq)]
@@ -151,11 +151,12 @@ impl ComponentBuilder {
     }
 }
 
-/// The middleware's component directory, plus registered message schemas.
+/// The middleware's component directory, plus registered message schemas (each frozen
+/// once, at registration).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     components: BTreeMap<String, Component>,
-    schemas: BTreeMap<MessageType, MessageSchema>,
+    schemas: BTreeMap<MessageType, FrozenSchema>,
 }
 
 impl Registry {
@@ -204,13 +205,19 @@ impl Registry {
         self.components.values()
     }
 
-    /// Registers a message schema (replacing any previous schema for the type).
-    pub fn register_schema(&mut self, schema: MessageSchema) {
-        self.schemas.insert(schema.message_type.clone(), schema);
+    /// Registers a message schema, frozen (replacing any previous schema for the type).
+    /// Returns `false` (and leaves the registry unchanged) if the schema cannot be
+    /// frozen: it declares more than [`crate::MAX_FROZEN_ATTRIBUTES`] attributes.
+    pub fn register_schema(&mut self, schema: MessageSchema) -> bool {
+        let Ok(frozen) = FrozenSchema::new(&schema) else {
+            return false;
+        };
+        self.schemas.insert(schema.message_type, frozen);
+        true
     }
 
-    /// Looks up the schema for a message type.
-    pub fn schema(&self, message_type: &MessageType) -> Option<&MessageSchema> {
+    /// Looks up the frozen schema for a message type.
+    pub fn schema(&self, message_type: &MessageType) -> Option<&FrozenSchema> {
         self.schemas.get(message_type)
     }
 }
@@ -271,10 +278,11 @@ mod tests {
     #[test]
     fn schemas_registered_and_looked_up() {
         let mut reg = Registry::new();
-        reg.register_schema(
+        assert!(reg.register_schema(
             MessageSchema::new("sensor-reading").attribute("value", AttributeKind::Float),
-        );
-        assert!(reg.schema(&MessageType::new("sensor-reading")).is_some());
+        ));
+        let schema = reg.schema(&MessageType::new("sensor-reading")).unwrap();
+        assert_eq!(schema.index_of("value"), Some(0));
         assert!(reg.schema(&MessageType::new("unknown")).is_none());
     }
 

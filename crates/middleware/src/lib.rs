@@ -12,9 +12,9 @@
 //!   parametrised roles and contextual conditions, enforced at channel establishment;
 //! * IFC enforcement at channel establishment and on every message, with re-evaluation
 //!   when either endpoint changes security context (§8.2.2);
-//! * third-party reconfiguration via control messages (Fig. 8, [`control`]): policy
-//!   engines issue [`legaliot_policy::ReconfigurationCommand`]s, the middleware
-//!   authorises them against the AC regime and applies them to components;
+//! * third-party reconfiguration (Fig. 8): a control message is the policy engine's
+//!   [`ReconfigurationCommand`], which [`bus::Middleware::handle_control`] authorises
+//!   against the AC regime and applies, dispatching on its [`Action`];
 //! * a component registry ([`component`]) and the [`bus::Middleware`] deployment object
 //!   that ties registry, channels, enforcement and audit together.
 
@@ -25,16 +25,17 @@ pub mod acl;
 pub mod admission;
 pub mod bus;
 pub mod component;
-pub mod control;
 pub mod schema;
 
 pub use acl::{
     AccessDecision, AccessRegime, AccessRule, DenialCause, Operation, Principal, Subject,
 };
 pub use admission::{admit_channel, admit_channel_cached, AdmissionCache};
-pub use bus::{Channel, ChannelState, DeliveryOutcome, Middleware, MiddlewareError};
+pub use bus::{
+    Channel, ChannelState, ControlOutcome, DeliveryOutcome, Middleware, MiddlewareError,
+};
 pub use component::{Component, ComponentBuilder, Registry};
-pub use control::{ControlMessage, ControlOutcome, ReconfigureOp};
+pub use legaliot_policy::{Action, ReconfigurationCommand};
 pub use schema::{
     encoded_payload_len, AttributeKind, AttributeValue, BodyRing, FrozenMessage, FrozenSchema,
     Message, MessageSchema, MessageType, Payload, MAX_FROZEN_ATTRIBUTES,

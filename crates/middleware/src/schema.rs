@@ -102,6 +102,9 @@ impl AttributeValue {
 }
 
 /// The schema of a message type: attribute names, kinds and per-attribute secrecy tags.
+///
+/// This is the declaration; [`FrozenSchema::new`] compiles it into the form that
+/// validates and quenches messages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MessageSchema {
     /// The message type this schema describes.
@@ -139,32 +142,6 @@ impl MessageSchema {
         self.attributes.insert(name.clone(), kind);
         self.attribute_secrecy.insert(name, secrecy);
         self
-    }
-
-    /// Validates a message against this schema: every attribute present must be declared
-    /// with the right kind, and all declared attributes must be present.
-    pub fn validate(&self, message: &Message) -> Result<(), String> {
-        if message.message_type != self.message_type {
-            return Err(format!(
-                "message type `{}` does not match schema `{}`",
-                message.message_type, self.message_type
-            ));
-        }
-        for (name, kind) in &self.attributes {
-            match message.attributes.get(name) {
-                None => return Err(format!("missing attribute `{name}`")),
-                Some(v) if v.kind() != *kind => {
-                    return Err(format!("attribute `{name}` has the wrong type"))
-                }
-                Some(_) => {}
-            }
-        }
-        for name in message.attributes.keys() {
-            if !self.attributes.contains_key(name) {
-                return Err(format!("undeclared attribute `{name}`"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -348,8 +325,9 @@ impl FrozenSchema {
             .map(|(_, name)| &**name)
     }
 
-    /// Validates a message against this schema with the same semantics (and error
-    /// wording) as [`MessageSchema::validate`].
+    /// Validates a message against this schema: the message type must match, every
+    /// declared attribute must be present with its declared kind, and no undeclared
+    /// attribute may be present. The error names the first violation found.
     pub fn validate(&self, message: &Message) -> Result<(), String> {
         if message.message_type != self.message_type {
             return Err(format!(
@@ -542,7 +520,7 @@ impl FrozenMessage {
     ///
     /// # Errors
     ///
-    /// Returns the same schema-violation message [`MessageSchema::validate`] would.
+    /// Returns the schema-violation message [`FrozenSchema::validate`] gives.
     pub fn freeze(message: &Message, schema: Arc<FrozenSchema>) -> Result<FrozenMessage, String> {
         let sender = Arc::from(message.sender.as_str());
         Self::freeze_stamped(message, schema, sender, message.sent_at_millis)
@@ -815,29 +793,6 @@ mod tests {
             .with("value", AttributeValue::Float(72.0))
             .with("unit", AttributeValue::Text("bpm".into()))
             .with("patient-name", AttributeValue::Text("Ann".into()))
-    }
-
-    #[test]
-    fn schema_validation_accepts_conforming_messages() {
-        assert!(reading_schema().validate(&reading_message()).is_ok());
-    }
-
-    #[test]
-    fn schema_validation_rejects_missing_wrong_and_undeclared() {
-        let schema = reading_schema();
-        let missing = Message::new("sensor-reading", SecurityContext::public())
-            .with("value", AttributeValue::Float(1.0))
-            .with("unit", AttributeValue::Text("bpm".into()));
-        assert!(schema.validate(&missing).unwrap_err().contains("missing"));
-
-        let wrong_type = reading_message().with("value", AttributeValue::Text("high".into()));
-        assert!(schema.validate(&wrong_type).unwrap_err().contains("wrong type"));
-
-        let undeclared = reading_message().with("extra", AttributeValue::Bool(true));
-        assert!(schema.validate(&undeclared).unwrap_err().contains("undeclared"));
-
-        let wrong_msg_type = Message::new("other", SecurityContext::public());
-        assert!(schema.validate(&wrong_msg_type).unwrap_err().contains("does not match"));
     }
 
     #[test]

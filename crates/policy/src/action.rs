@@ -5,7 +5,8 @@
 //! security operations* (initiating/ceasing connections, forcing data through a
 //! sanitiser, disconnecting an employee, isolating a rogue 'thing'). [`Action`] is the
 //! vocabulary a policy author writes; [`ReconfigurationCommand`] is the concrete,
-//! addressed instruction the middleware delivers as a control message (Fig. 8).
+//! addressed instruction the middleware authorises and applies as a control message
+//! (Fig. 8).
 
 use std::fmt;
 
@@ -95,6 +96,11 @@ pub enum Action {
         /// The component to isolate (e.g. a rogue 'thing').
         component: String,
     },
+    /// Lift a previous isolation: the component may establish channels again.
+    Deisolate {
+        /// The component to restore.
+        component: String,
+    },
     /// Send an alert/notification to a principal (e.g. emergency services, a relative).
     Notify {
         /// Who to notify.
@@ -121,6 +127,7 @@ impl Action {
             | Action::GrantPrivilege { component, .. }
             | Action::RevokePrivilege { component, .. }
             | Action::Isolate { component }
+            | Action::Deisolate { component }
             | Action::Actuate { component, .. } => Some(component),
             Action::Connect { from, .. }
             | Action::Disconnect { from, .. }
@@ -160,6 +167,7 @@ impl fmt::Display for Action {
             Action::Disconnect { from, to } => write!(f, "disconnect {from} -> {to}"),
             Action::RouteVia { from, via, to } => write!(f, "route {from} -> {via} -> {to}"),
             Action::Isolate { component } => write!(f, "isolate {component}"),
+            Action::Deisolate { component } => write!(f, "deisolate {component}"),
             Action::Notify { recipient, message } => write!(f, "notify {recipient}: {message}"),
             Action::Actuate { component, command } => write!(f, "actuate {component}: {command}"),
         }
@@ -169,8 +177,8 @@ impl fmt::Display for Action {
 /// A concrete reconfiguration instruction issued by the policy engine, addressed to a
 /// component and attributed to the policy that produced it.
 ///
-/// The middleware wraps these in control messages (Fig. 8) subject to its own access
-/// control before applying them.
+/// This is the control message itself (Fig. 8): the middleware authorises it against
+/// its own access control before applying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigurationCommand {
     /// The policy rule that produced the command.
@@ -214,6 +222,7 @@ mod tests {
     #[test]
     fn targets() {
         assert_eq!(Action::Isolate { component: "rogue".into() }.target(), Some("rogue"));
+        assert_eq!(Action::Deisolate { component: "rogue".into() }.target(), Some("rogue"));
         assert_eq!(Action::Connect { from: "a".into(), to: "b".into() }.target(), Some("a"));
         assert_eq!(
             Action::Notify { recipient: "doctor".into(), message: "m".into() }.target(),
@@ -248,6 +257,7 @@ mod tests {
             Action::Disconnect { from: "a".into(), to: "b".into() },
             Action::RouteVia { from: "a".into(), via: "san".into(), to: "b".into() },
             Action::Isolate { component: "c".into() },
+            Action::Deisolate { component: "c".into() },
             Action::Notify { recipient: "r".into(), message: "m".into() },
             Action::Actuate { component: "c".into(), command: "x".into() },
         ];

@@ -8,9 +8,10 @@
 //! strategy.
 //!
 //! Two commands conflict when they target the same component (or the same `from → to`
-//! pair) and prescribe incompatible outcomes: connect vs disconnect/isolate, allow vs
-//! deny of the same flow, adding vs removing the same tag, granting vs revoking the same
-//! privilege, or two different actuation commands for the same device.
+//! pair) and prescribe incompatible outcomes: connect vs disconnect/isolate, isolate vs
+//! deisolate, allow vs deny of the same flow, adding vs removing the same tag, granting
+//! vs revoking the same privilege, or two different actuation commands for the same
+//! device.
 
 use std::fmt;
 
@@ -90,6 +91,12 @@ fn conflict_subject(a: &Action, b: &Action) -> Option<String> {
             if f1 == f2 && t1 == t2 =>
         {
             Some(pair_key(f1, t1))
+        }
+        (Isolate { component: c1 }, Deisolate { component: c2 })
+        | (Deisolate { component: c1 }, Isolate { component: c2 })
+            if c1 == c2 =>
+        {
+            Some(c1.clone())
         }
         (Connect { from, to }, Isolate { component })
         | (Isolate { component }, Connect { from, to })
@@ -382,6 +389,24 @@ mod tests {
         let out = resolver.resolve(&rule_refs, commands);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].action, Action::Isolate { .. }));
+    }
+
+    #[test]
+    fn isolate_and_deisolate_of_one_component_conflict() {
+        let resolver = ConflictResolver::new(ResolutionStrategy::DenyOverrides);
+        let commands = vec![
+            cmd("p1", Action::Deisolate { component: "victim".into() }),
+            cmd("p2", Action::Isolate { component: "other".into() }),
+            cmd("p3", Action::Isolate { component: "victim".into() }),
+        ];
+        assert_eq!(resolver.detect(&commands), vec![(0, 2, "victim".to_string())]);
+        // `Deisolate` is not restrictive: deny-overrides keeps the isolation.
+        let rules: Vec<PolicyRule> =
+            ["p1", "p2", "p3"].iter().map(|id| rule(id, PolicyPriority::NORMAL)).collect();
+        let rule_refs: Vec<&PolicyRule> = rules.iter().collect();
+        let out = resolver.resolve(&rule_refs, commands);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|c| matches!(c.action, Action::Isolate { .. })));
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn main() {
     );
     let snapshot = deployment.context().snapshot();
     let now = deployment.now();
-    deployment.middleware_mut().apply_command(&declassify, &snapshot, now);
+    deployment.middleware_mut().handle_control(&declassify, &snapshot, now);
     let via_anonymiser = deployment.connect("city-anonymiser", "advertiser").unwrap();
     println!("city-anonymiser -> advertiser (anonymised): {via_anonymiser:?}");
 

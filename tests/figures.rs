@@ -140,30 +140,34 @@ fn fig8_third_party_reconfiguration_authorisation() {
             "eu",
         );
     }
-    use legaliot::middleware::{ControlMessage, ReconfigureOp};
+    use legaliot::middleware::{Action, ReconfigurationCommand};
     let snapshot = deployment.context().snapshot();
     let now = deployment.now();
     // Authorised engine connects A to B.
     let ok = deployment.middleware_mut().handle_control(
-        &ControlMessage::new(
-            "component-a",
-            ReconfigureOp::Connect { to: "component-b".into() },
-            "trusted-engine",
+        &ReconfigurationCommand::new(
             "orchestration",
+            "trusted-engine",
+            Action::Connect { from: "component-a".into(), to: "component-b".into() },
             1,
         ),
         &snapshot,
         now,
     );
-    assert!(ok.is_applied());
+    assert!(ok[0].is_applied());
     assert!(deployment.middleware().has_open_channel("component-a", "component-b"));
     // An unknown third party is refused.
     let rejected = deployment.middleware_mut().handle_control(
-        &ControlMessage::new("component-a", ReconfigureOp::Isolate, "mallory", "none", 2),
+        &ReconfigurationCommand::new(
+            "none",
+            "mallory",
+            Action::Isolate { component: "component-a".into() },
+            2,
+        ),
         &snapshot,
         now,
     );
-    assert!(!rejected.is_applied());
+    assert!(!rejected[0].is_applied());
     // Both attempts are audited.
     assert_eq!(deployment.audit().of_kind(AuditEventKind::Reconfigured).count(), 2);
 }
@@ -341,21 +345,20 @@ fn fig1_feedback_loop_compliance() {
 fn failure_injection_rogue_component_and_node_crash() {
     // Rogue component isolation.
     let mut scenario = HomeMonitoringScenario::build(13);
-    use legaliot::middleware::{ControlMessage, ReconfigureOp};
+    use legaliot::middleware::{Action, ReconfigurationCommand};
     let snapshot = scenario.deployment.context().snapshot();
     let now = scenario.deployment.now();
     let outcome = scenario.deployment.middleware_mut().handle_control(
-        &ControlMessage::new(
-            "ann-sensor",
-            ReconfigureOp::Isolate,
-            "hospital-engine",
+        &ReconfigurationCommand::new(
             "incident",
+            "hospital-engine",
+            Action::Isolate { component: "ann-sensor".into() },
             1,
         ),
         &snapshot,
         now,
     );
-    assert!(outcome.is_applied());
+    assert!(outcome[0].is_applied());
     // Isolation tore down the open channel; the bus reports the closed channel as a
     // hard error until it is re-established (which isolation prevents).
     assert_eq!(
@@ -394,32 +397,17 @@ fn consent_governs_compliance_verdict() {
     deployment.add_regulation(&regulation);
     deployment.connect("ann-sensor", "ann-analyser").unwrap();
     // Tag the flow's data as personal by joining the tag into the sensor context.
-    use legaliot::middleware::{ControlMessage, ReconfigureOp};
+    use legaliot::middleware::{Action, ReconfigurationCommand};
     let snapshot = deployment.context().snapshot();
     let now = deployment.now();
-    deployment.middleware_mut().handle_control(
-        &ControlMessage::new(
-            "ann-sensor",
-            ReconfigureOp::AddTag { tag: legaliot::ifc::Tag::new("personal"), secrecy: true },
-            "engine",
-            "classification",
-            1,
-        ),
-        &snapshot,
-        now,
-    );
+    let add_personal = |component: &str, at| {
+        let tag = legaliot::ifc::Tag::new("personal");
+        let action = Action::AddTag { component: component.into(), tag, secrecy: true };
+        ReconfigurationCommand::new("classification", "engine", action, at)
+    };
+    deployment.middleware_mut().handle_control(&add_personal("ann-sensor", 1), &snapshot, now);
     // Destination also needs the tag for the flow to be allowed at all.
-    deployment.middleware_mut().handle_control(
-        &ControlMessage::new(
-            "ann-analyser",
-            ReconfigureOp::AddTag { tag: legaliot::ifc::Tag::new("personal"), secrecy: true },
-            "engine",
-            "classification",
-            2,
-        ),
-        &snapshot,
-        now,
-    );
+    deployment.middleware_mut().handle_control(&add_personal("ann-analyser", 2), &snapshot, now);
     deployment.connect("ann-sensor", "ann-analyser").unwrap();
     deployment
         .send(
