@@ -340,10 +340,14 @@ mod tests {
     use crate::codec::tests::event as any_event;
     use crate::codec::DataItem;
     use crate::event::AuditEventKind;
-    use crate::segment::checksum;
-    use legaliot_ifc::{can_flow, SecurityContext};
+    use legaliot_ifc::{can_flow, SecurityContext, StableHasher};
     use proptest::prelude::*;
     use std::sync::{Arc, Mutex};
+
+    /// The plain FNV-1a 64 of a frame payload, what its stored checksum must be.
+    fn checksum(payload: &[u8]) -> u64 {
+        StableHasher::new().write_bytes(payload).finish()
+    }
 
     fn event(n: usize) -> AuditEvent {
         AuditEvent::PolicyFired { policy: format!("p{n}"), trigger: "t".into(), actions: n }

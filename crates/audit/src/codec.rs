@@ -3,7 +3,9 @@
 //! One encoder, one decoder, and two consumers of the same bytes: the chain hash
 //! (`record_hash`, which [`crate::AuditLog`] calls for every record it appends or
 //! verifies) and the on-disk frame body ([`encode_record`] / [`decode_record`], which
-//! [`crate::SegmentStore`] reads and writes in every frame). The hash is *defined* over
+//! [`crate::SegmentStore`] reads and writes in every frame). The decoder has two
+//! outputs from one walk: the record, or only the verdict and the record's id and
+//! hashes (`check_record`, what a restart reads a frame with). The hash is *defined* over
 //! the encoding, so a record means the same thing to the chain and to the disk.
 //!
 //! Each variant has exactly one encoder. The two a dataplane writes per message —
@@ -80,6 +82,14 @@
 //!   rejected;
 //! * a record is exactly its fields: trailing bytes are rejected, and because every
 //!   field is self-delimiting no strict prefix of a record decodes.
+//!
+//! It is also what lets a reader check the chain over raw bytes. Bytes that decode are
+//! the encoding of the record they decode to, so that record's chain hash is the
+//! FNV-1a of the `body` bytes as they stand: a reader that has checked the bytes are
+//! canonical — the decoder's own walk, run in a mode that copies nothing — folds the
+//! body once and has both the chain hash and (continued over the stored hash) the
+//! frame checksum, without building the record. [`crate::SegmentStore`]'s recovery
+//! works that way.
 //!
 //! Lengths and counts read from input are bounded by the bytes actually remaining
 //! before anything is allocated, so arbitrary input can neither panic the decoder nor
@@ -489,25 +499,39 @@ pub(crate) fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
 /// else — a truncated record, trailing bytes, a non-canonical or malformed field —
 /// is `None`; no input panics.
 pub fn decode_record(bytes: &[u8]) -> Option<AuditRecord> {
-    let mut reader = Reader { bytes };
-    let record = AuditRecord {
-        id: RecordId(reader.varint()?),
-        at_millis: reader.varint()?,
-        recorded_by: reader.string()?,
-        event: reader.event()?,
-        previous_hash: reader.u64_le()?,
-        hash: reader.u64_le()?,
-    };
-    reader.bytes.is_empty().then_some(record)
+    Reader::<true>::record(bytes)
+}
+
+/// What [`decode_record`] says of `bytes`, reduced to the record's id, `previous_hash`
+/// and `hash` — by the same walk, with every check, but nothing copied or allocated.
+/// This is how a restart ([`crate::SegmentStore::reopen`]) checks a frame's record
+/// without building it.
+pub(crate) fn check_record(bytes: &[u8]) -> Option<(RecordId, u64, u64)> {
+    Reader::<false>::record(bytes).map(|record| (record.id, record.previous_hash, record.hash))
 }
 
 /// A cursor over undecoded input; every read either consumes what it returns or
-/// fails.
-struct Reader<'a> {
+/// fails. `OWN` picks what a read returns: the value (`true`, for [`decode_record`]),
+/// or — every check made all the same — an empty stand-in for any string, list or
+/// label (`false`, for [`check_record`]), so a walk that only checks allocates nothing.
+struct Reader<'a, const OWN: bool> {
     bytes: &'a [u8],
 }
 
-impl<'a> Reader<'a> {
+impl<'a, const OWN: bool> Reader<'a, OWN> {
+    fn record(bytes: &'a [u8]) -> Option<AuditRecord> {
+        let mut reader = Self { bytes };
+        let record = AuditRecord {
+            id: RecordId(reader.varint()?),
+            at_millis: reader.varint()?,
+            recorded_by: reader.string()?,
+            event: reader.event()?,
+            previous_hash: reader.u64_le()?,
+            hash: reader.u64_le()?,
+        };
+        reader.bytes.is_empty().then_some(record)
+    }
+
     fn take(&mut self, len: usize) -> Option<&'a [u8]> {
         if len > self.bytes.len() {
             return None;
@@ -556,7 +580,8 @@ impl<'a> Reader<'a> {
     }
 
     fn string(&mut self) -> Option<String> {
-        self.str().map(str::to_owned)
+        let value = self.str()?;
+        Some(if OWN { value.to_owned() } else { String::new() })
     }
 
     fn bool(&mut self) -> Option<bool> {
@@ -571,8 +596,21 @@ impl<'a> Reader<'a> {
         Some(if self.bool()? { Some(self.string()?) } else { None })
     }
 
+    /// A counted list, each item read by `item`: collected when owning, checked and
+    /// dropped when not.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let count = self.len()?;
+        if OWN {
+            return (0..count).map(|_| item(self)).collect();
+        }
+        for _ in 0..count {
+            item(self)?;
+        }
+        Some(Vec::new())
+    }
+
     fn strings(&mut self) -> Option<Vec<String>> {
-        (0..self.len()?).map(|_| self.string()).collect()
+        self.list(Self::string)
     }
 
     fn tag(&mut self) -> Option<Tag> {
@@ -580,14 +618,37 @@ impl<'a> Reader<'a> {
         Tag::try_new(name).filter(|tag| tag.name() == name)
     }
 
+    /// A tag name, held to [`Self::tag`]'s rule without building the tag:
+    /// [`Tag::try_new`] trims and refuses what is left empty, so the name returned
+    /// unchanged is a non-empty one with nothing to trim.
+    fn tag_name(&mut self) -> Option<&'a str> {
+        let name = self.str()?;
+        (!name.is_empty() && name.trim() == name).then_some(name)
+    }
+
     fn tags(&mut self) -> Option<Vec<Tag>> {
-        (0..self.len()?).map(|_| self.tag()).collect()
+        if OWN {
+            self.list(Self::tag)
+        } else {
+            self.list(Self::tag_name).map(|_| Vec::new())
+        }
     }
 
     /// The canonical form is the label's own order, so the list is the label: checked
-    /// strictly ascending and taken as it stands, not sorted again.
+    /// strictly ascending and taken as it stands, not sorted again. A tag orders by its
+    /// name, so a walk that only checks compares the names.
     fn label(&mut self) -> Option<Label> {
-        Label::from_ascending(self.tags()?)
+        if OWN {
+            return Label::from_ascending(self.tags()?);
+        }
+        let mut previous: Option<&str> = None;
+        self.list(|reader| {
+            let name = reader.tag_name()?;
+            let ascending = !previous.is_some_and(|previous| previous >= name);
+            previous = Some(name);
+            ascending.then_some(())
+        })?;
+        Some(Label::empty())
     }
 
     fn context(&mut self) -> Option<SecurityContext> {
@@ -886,20 +947,39 @@ pub(crate) mod tests {
         assert_eq!(decode_record(&expected), Some(record));
     }
 
+    /// A `LabelChanged` record whose `before` secrecy label lists `secrecy`, as given.
+    fn label_changed(secrecy: &[&[u8]]) -> Vec<u8> {
+        // id 0, at 0, recorded_by "", LabelChanged, entity "", then `before`.
+        let mut bytes = vec![0, 0, 0, 2, 0, secrecy.len() as u8];
+        for name in secrecy {
+            bytes.push(name.len() as u8);
+            bytes.extend_from_slice(name);
+        }
+        // before.integrity, after (two empty labels), no algorithm, two hashes.
+        bytes.extend_from_slice(&[0, 0, 0, 0]);
+        bytes.extend_from_slice(&[0; 16]);
+        bytes
+    }
+
+    /// A `ShardRestarted` record whose id is the varint bytes `id`, as given.
+    fn with_id(id: &[u8]) -> Vec<u8> {
+        let mut bytes = id.to_vec();
+        // at 0, recorded_by "", ShardRestarted { "", 0, "" }, two hashes.
+        bytes.extend_from_slice(&[0, 0, 11, 0, 0, 0]);
+        bytes.extend_from_slice(&[0; 16]);
+        bytes
+    }
+
+    /// `check_record` is `decode_record` reduced to the id and the two hashes.
+    fn check_agrees_with_decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let decoded = decode_record(bytes).map(|r| (r.id, r.previous_hash, r.hash));
+        let checked = check_record(bytes);
+        prop_assert!(checked == decoded, "on {bytes:?}: checked {checked:?}, decoded {decoded:?}");
+        Ok(())
+    }
+
     #[test]
     fn non_canonical_fields_are_rejected() {
-        let label_changed = |secrecy: &[&[u8]]| {
-            // id 0, at 0, recorded_by "", LabelChanged, entity "", then `before`.
-            let mut bytes = vec![0, 0, 0, 2, 0, secrecy.len() as u8];
-            for name in secrecy {
-                bytes.push(name.len() as u8);
-                bytes.extend_from_slice(name);
-            }
-            // before.integrity, after (two empty labels), no algorithm, two hashes.
-            bytes.extend_from_slice(&[0, 0, 0, 0]);
-            bytes.extend_from_slice(&[0; 16]);
-            bytes
-        };
         assert!(decode_record(&label_changed(&[b"a", b"b"])).is_some());
         assert!(decode_record(&label_changed(&[b"b", b"a"])).is_none(), "unsorted tags");
         assert!(decode_record(&label_changed(&[b"a", b"a"])).is_none(), "duplicate tag");
@@ -907,13 +987,6 @@ pub(crate) mod tests {
         assert!(decode_record(&label_changed(&[b""])).is_none(), "empty tag");
         assert!(decode_record(&label_changed(&[b"\xff"])).is_none(), "invalid UTF-8");
 
-        let with_id = |id: &[u8]| {
-            let mut bytes = id.to_vec();
-            // at 0, recorded_by "", ShardRestarted { "", 0, "" }, two hashes.
-            bytes.extend_from_slice(&[0, 0, 11, 0, 0, 0]);
-            bytes.extend_from_slice(&[0; 16]);
-            bytes
-        };
         assert_eq!(decode_record(&with_id(&[0x7f])).map(|r| r.id), Some(RecordId(127)));
         assert!(decode_record(&with_id(&[0xff, 0x00])).is_none(), "padded varint");
         let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
@@ -925,6 +998,36 @@ pub(crate) mod tests {
         assert!(decode_record(&[0, 0, 0, 8, 0, 2, 0]).is_none());
         assert!(decode_record(&[0, 0, 0, 13]).is_none());
         assert!(decode_record(&[0, 0, 0, 9, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f]).is_none());
+    }
+
+    /// The checking walk refuses each canonical-form violation the decoder refuses, and
+    /// accepts the canonical bytes next to them with the decoder's id and hashes.
+    #[test]
+    fn check_record_refuses_what_decode_record_refuses() {
+        let mut trailing = with_id(&[0x7f]);
+        trailing.push(0);
+        let mut bool_two = label_changed(&[]);
+        // `algorithm`'s option marker: neither 0 nor 1.
+        let marker = bool_two.len() - 17;
+        bool_two[marker] = 2;
+        let refused: [(&str, Vec<u8>); 8] = [
+            ("padded varint", with_id(&[0xff, 0x00])),
+            ("bool byte 2", bool_two),
+            ("unsorted label", label_changed(&[b"b", b"a"])),
+            ("duplicate tag", label_changed(&[b"a", b"a"])),
+            ("leading space", label_changed(&[b" a"])),
+            ("trailing space", label_changed(&[b"a "])),
+            ("invalid UTF-8", label_changed(&[b"\xff"])),
+            ("trailing byte", trailing),
+        ];
+        for (rule, bytes) in &refused {
+            assert!(decode_record(bytes).is_none(), "{rule}: decoded");
+            assert_eq!(check_record(bytes), None, "{rule}: checked");
+        }
+        for canonical in [with_id(&[0x7f]), label_changed(&[b"a", b"b"]), label_changed(&[])] {
+            assert!(check_record(&canonical).is_some());
+            check_agrees_with_decode(&canonical).unwrap();
+        }
     }
 
     /// A data item's name is spelt in one place: what `Display` prints is what the
@@ -955,7 +1058,7 @@ pub(crate) mod tests {
             };
             let mut bytes = Vec::new();
             put_context(&mut bytes, &context);
-            let mut reader = Reader { bytes: &bytes };
+            let mut reader = Reader::<true> { bytes: &bytes };
             let decoded = reader.context().expect("a canonical context decodes");
             prop_assert!(reader.bytes.is_empty());
             prop_assert_eq!(&decoded, &context);
@@ -986,6 +1089,31 @@ pub(crate) mod tests {
             let mut extended = bytes;
             extended.extend_from_slice(&garbage);
             prop_assert!(decode_record(&extended).is_none(), "trailing {garbage:?} accepted");
+        }
+
+        /// One walk, two outputs: on noise, on every record over all 13 variants, on
+        /// every single-byte flip of it and on every prefix of it, checking says exactly
+        /// what decoding says.
+        #[test]
+        fn prop_check_record_is_decode_record_reduced(
+            noise in bytes(0..64),
+            record in record(),
+            flip in 1u16..256,
+        ) {
+            check_agrees_with_decode(&noise)?;
+            let bytes = encoded(&record);
+            prop_assert_eq!(
+                check_record(&bytes),
+                Some((record.id, record.previous_hash, record.hash))
+            );
+            for position in 0..bytes.len() {
+                let mut damaged = bytes.clone();
+                damaged[position] ^= flip as u8;
+                check_agrees_with_decode(&damaged)?;
+            }
+            for cut in 0..bytes.len() {
+                check_agrees_with_decode(&bytes[..cut])?;
+            }
         }
 
         /// Arbitrary input never panics, and whatever does decode re-encodes to the

@@ -39,6 +39,6 @@ pub use event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 pub use log::{AuditLog, ChainVerification};
 pub use provenance::{NodeId, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode, Relation};
 pub use segment::{
-    FaultHook, FsyncHistogram, IoFault, IoOp, RecoveryReport, SegmentStats, SegmentStore,
+    FaultHook, FsyncHistogram, IoFault, IoOp, RecoveryReport, Reopened, SegmentStats, SegmentStore,
     SegmentSummary, Truncation,
 };

@@ -5,8 +5,8 @@
 //! lost every record still in RAM. A [`SegmentStore`] makes the pruned history durable:
 //! records stream into append-only segment files of length-prefixed, checksummed
 //! frames, and each segment's header carries the previous segment's anchor hash, so
-//! the on-disk prefix and the in-memory suffix verify as **one** hash chain
-//! ([`crate::AuditLog::verify_records`] over their concatenation).
+//! the on-disk prefix and the in-memory suffix verify as **one** hash chain (the
+//! records recovered here followed by the log's own, from the first segment's anchor).
 //!
 //! # On-disk format (version 2)
 //!
@@ -57,10 +57,22 @@
 //! Writes can tear: a crash mid-frame leaves a short or checksum-corrupt tail.
 //! [`SegmentStore::recover`] scans a directory, truncates each torn tail back to the
 //! last complete, checksum-clean, chain-linked frame, and reports **exactly** what
-//! was discarded ([`Truncation`]) — a loss is never silent. After the first injected
-//! or real IO failure the store *wedges*: subsequent appends are counted
-//! ([`SegmentStats::records_dropped`]) rather than written, modelling a crashed
-//! process whose disk state stays a clean prefix.
+//! was discarded ([`Truncation`]) — a loss is never silent.
+//!
+//! The scan checks each frame from its bytes, hashing them once: its lengths, then one
+//! FNV-1a fold over the record's body — that state is the record's chain hash, and
+//! continued over the stored hash it is the frame checksum, the frame's construction
+//! run backwards — then the codec's canonical-form walk, and the chain link (previous
+//! hash against the chain head, stored hash against the fold). The codec's canonical
+//! form (equal bytes ⇔ equal records) is what makes a hash over the bytes the hash of
+//! the record they encode. [`SegmentStore::recover`], which returns the records, runs
+//! that walk in the mode that builds them; a restart ([`SegmentStore::reopen`]) runs
+//! the same scan in the mode that copies nothing and decodes no record — one hash
+//! pass per persisted record, nothing allocated per record.
+//!
+//! After the first injected or real IO failure the store *wedges*: subsequent appends
+//! are counted ([`SegmentStats::records_dropped`]) rather than written, modelling a
+//! crashed process whose disk state stays a clean prefix.
 //!
 //! Fault injection is pluggable via [`FaultHook`] so the store stays decoupled from
 //! any particular failpoint registry: the hook is consulted before every record's
@@ -76,8 +88,8 @@ use std::time::{Duration, Instant};
 use legaliot_ifc::StableHasher;
 use legaliot_obs::HistogramSnapshot;
 
-use crate::codec::{decode_record, put_record_frame, split_frame, FRAME_PREFIX_LEN};
-use crate::event::AuditRecord;
+use crate::codec::{check_record, decode_record, put_record_frame, split_frame, FRAME_PREFIX_LEN};
+use crate::event::{AuditRecord, RecordId};
 use crate::log::{AuditLog, ChainVerification};
 
 /// Magic bytes opening every segment file.
@@ -94,11 +106,6 @@ const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// enough that a batch of records is a handful of writes, small enough that the buffer
 /// never shows in RSS.
 const WRITE_CHUNK: usize = 256 * 1024;
-
-/// FNV-1a 64 over the frame payload — the same fold the chain hash uses.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    StableHasher::new().write_bytes(bytes).finish()
-}
 
 /// The IO operation a [`FaultHook`] is consulted about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -548,27 +555,68 @@ impl SegmentStore {
     /// and reports every discarded byte as a [`Truncation`]. The returned
     /// [`RecoveryReport`] carries the verified records, the hash/id to re-seat an
     /// in-memory [`AuditLog::resume`] on, and the chain verification over everything
-    /// recovered.
+    /// recovered. [`Self::reopen`] makes the same scan without building the records.
     ///
     /// A missing directory is an empty (clean) recovery, not an error.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors reading or truncating segment files; corruption
-    /// is never an error, it is a reported truncation.
+    /// Propagates filesystem errors reading, measuring or truncating segment files;
+    /// corruption is never an error, it is a reported truncation.
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<RecoveryReport> {
-        let dir = dir.as_ref();
-        let mut report = RecoveryReport {
+        let mut records = Vec::new();
+        let scan = Self::scan::<AuditRecord>(dir.as_ref(), |record| records.push(record))?;
+        Ok(RecoveryReport {
+            segments: scan.segments,
+            // Every record was checked against its predecessor as it was scanned.
+            chain: ChainVerification::Intact { records: records.len() },
+            records,
+            truncations: scan.truncations,
+            initial_anchor: scan.initial_anchor,
+            head_hash: scan.head_hash,
+            next_id: scan.next_id,
+        })
+    }
+
+    /// Re-opens the store in `dir` after a restart: the scan [`Self::recover`] makes —
+    /// the same checks, truncations and reports — but no record is built, only the
+    /// chain head and the next id are kept, and the store returned appends after
+    /// them ([`Self::create`] on the recovered head). One hash pass per persisted
+    /// record, and nothing allocated per record.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors scanning, truncating or creating the directory.
+    pub fn reopen(
+        dir: impl Into<PathBuf>,
+        max_segment_records: usize,
+    ) -> io::Result<(SegmentStore, Reopened)> {
+        let dir = dir.into();
+        let scan = Self::scan::<RecordLinks>(&dir, |_| {})?;
+        let store = Self::create(dir, scan.head_hash, max_segment_records)?;
+        let reopened = Reopened {
+            head_hash: scan.head_hash,
+            next_id: scan.next_id,
+            truncations: scan.truncations,
+        };
+        Ok((store, reopened))
+    }
+
+    /// The one recovery walk, behind [`Self::recover`] and [`Self::reopen`]: reads
+    /// segments in sequence order, checks every frame ([`check_frame`]), truncates each
+    /// torn or corrupt tail and records what it discarded. `accept` is handed the
+    /// record of every frame that passed, in chain order, read as a `T`.
+    fn scan<T: FramedRecord>(dir: &Path, mut accept: impl FnMut(T)) -> io::Result<Scan> {
+        let mut scan = Scan {
             segments: Vec::new(),
-            records: Vec::new(),
             truncations: Vec::new(),
             initial_anchor: 0,
             head_hash: 0,
             next_id: 0,
-            chain: ChainVerification::Intact { records: 0 },
+            records: 0,
         };
         if !dir.exists() {
-            return Ok(report);
+            return Ok(scan);
         }
         let mut files: Vec<(u64, PathBuf)> = Vec::new();
         for entry in fs::read_dir(dir)? {
@@ -586,13 +634,13 @@ impl SegmentStore {
             if let Some(torn_seq) = stopped_at {
                 // Everything after a torn segment is chain-orphaned; report it, do
                 // not silently skip (files are left untouched as evidence).
-                let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                report.truncations.push(Truncation {
+                let bytes = fs::metadata(&path)?.len();
+                scan.truncations.push(Truncation {
                     sequence,
                     path,
                     offset: 0,
                     bytes_dropped: bytes,
-                    records_recovered_before: report.records.len(),
+                    records_recovered_before: scan.records,
                     reason: format!("unreachable: the scan stopped at segment {torn_seq}"),
                 });
                 continue;
@@ -633,19 +681,19 @@ impl SegmentStore {
                 } else if version != VERSION {
                     truncate_to = Some((0, "unsupported version".into()));
                 } else if first {
-                    report.initial_anchor = anchor;
+                    scan.initial_anchor = anchor;
                     head = anchor;
                 } else if anchor != head {
                     // Written against history we no longer have.
                     keep_whole = Some(format!("anchor {anchor:#x} does not chain from {head:#x}"));
                 }
                 if let Some(reason) = keep_whole {
-                    report.truncations.push(Truncation {
+                    scan.truncations.push(Truncation {
                         sequence,
                         path,
                         offset: 0,
                         bytes_dropped: bytes.len() as u64,
-                        records_recovered_before: report.records.len(),
+                        records_recovered_before: scan.records,
                         reason,
                     });
                     stopped_at = Some(sequence);
@@ -655,55 +703,28 @@ impl SegmentStore {
                     first = false;
                     let mut offset = HEADER_LEN;
                     while offset < bytes.len() {
-                        let remaining = bytes.len() - offset;
-                        if remaining < FRAME_PREFIX_LEN {
-                            truncate_to = Some((offset as u64, "short frame prefix".into()));
-                            break;
+                        match check_frame::<T>(&bytes[offset..], head) {
+                            Ok((frame_len, record)) => {
+                                let (id, _, hash) = record.links();
+                                accept(record);
+                                head = hash;
+                                scan.next_id = id.0 + 1;
+                                scan.records += 1;
+                                records_here += 1;
+                                offset += frame_len;
+                            }
+                            Err(reason) => {
+                                truncate_to = Some((offset as u64, reason));
+                                break;
+                            }
                         }
-                        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
-                        if len == 0 || len > MAX_FRAME_LEN {
-                            truncate_to =
-                                Some((offset as u64, format!("corrupt frame length {len}")));
-                            break;
-                        }
-                        let len = len as usize;
-                        if remaining < FRAME_PREFIX_LEN + len {
-                            truncate_to = Some((offset as u64, "short frame payload".into()));
-                            break;
-                        }
-                        let expected =
-                            u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().unwrap());
-                        let payload =
-                            &bytes[offset + FRAME_PREFIX_LEN..offset + FRAME_PREFIX_LEN + len];
-                        if checksum(payload) != expected {
-                            truncate_to = Some((offset as u64, "frame checksum mismatch".into()));
-                            break;
-                        }
-                        let Some(record) = decode_record(payload) else {
-                            truncate_to = Some((offset as u64, "frame decode failure".into()));
-                            break;
-                        };
-                        if !AuditLog::verify_records(head, std::slice::from_ref(&record))
-                            .is_intact()
-                        {
-                            truncate_to = Some((
-                                offset as u64,
-                                format!("record {} breaks the chain", record.id),
-                            ));
-                            break;
-                        }
-                        head = record.hash;
-                        report.next_id = record.id.0 + 1;
-                        report.records.push(record);
-                        records_here += 1;
-                        offset += FRAME_PREFIX_LEN + len;
                     }
                 }
             }
 
             match truncate_to {
                 None => {
-                    report.segments.push(SegmentSummary {
+                    scan.segments.push(SegmentSummary {
                         sequence,
                         path,
                         records: records_here,
@@ -717,7 +738,7 @@ impl SegmentStore {
                         // A truncated-but-headered segment still contributes its
                         // clean prefix of frames, and its tear orphans everything
                         // after it (later anchors depend on the frames just lost).
-                        report.segments.push(SegmentSummary {
+                        scan.segments.push(SegmentSummary {
                             sequence,
                             path: path.clone(),
                             records: records_here,
@@ -732,22 +753,103 @@ impl SegmentStore {
                     // segments still chain from `head` and must not be orphaned.
                     // If records *were* lost to bitrot here, the next segment's
                     // anchor check catches it.
-                    report.truncations.push(Truncation {
+                    scan.truncations.push(Truncation {
                         sequence,
                         path,
                         offset,
                         bytes_dropped: dropped,
-                        records_recovered_before: report.records.len(),
+                        records_recovered_before: scan.records,
                         reason,
                     });
                 }
             }
         }
-        report.head_hash = report.records.last().map(|r| r.hash).unwrap_or(report.initial_anchor);
-        // Every record was verified against its predecessor as it was scanned.
-        report.chain = ChainVerification::Intact { records: report.records.len() };
-        Ok(report)
+        scan.head_hash = head;
+        Ok(scan)
     }
+}
+
+/// What one scan of a segment directory found; see `SegmentStore::scan`.
+struct Scan {
+    segments: Vec<SegmentSummary>,
+    truncations: Vec<Truncation>,
+    initial_anchor: u64,
+    /// Hash of the last accepted record; the first segment's anchor when there is none.
+    head_hash: u64,
+    next_id: u64,
+    /// Frames accepted so far.
+    records: usize,
+}
+
+/// A record's id, `previous_hash` and `hash`: all a restart keeps of it.
+type RecordLinks = (RecordId, u64, u64);
+
+/// How [`SegmentStore::scan`] reads the record in a frame, after its lengths and
+/// checksum: in full ([`AuditRecord`], for [`SegmentStore::recover`]), or — checked
+/// just as strictly, nothing built — as its links alone (for
+/// [`SegmentStore::reopen`]). Either way it is one walk of the codec's decoder.
+trait FramedRecord: Sized {
+    /// The one canonical record `payload` is, or `None`.
+    fn read(payload: &[u8]) -> Option<Self>;
+    /// Its id and two hashes.
+    fn links(&self) -> RecordLinks;
+}
+
+impl FramedRecord for AuditRecord {
+    fn read(payload: &[u8]) -> Option<Self> {
+        decode_record(payload)
+    }
+
+    fn links(&self) -> RecordLinks {
+        (self.id, self.previous_hash, self.hash)
+    }
+}
+
+impl FramedRecord for RecordLinks {
+    fn read(payload: &[u8]) -> Option<Self> {
+        check_record(payload)
+    }
+
+    fn links(&self) -> RecordLinks {
+        *self
+    }
+}
+
+/// Checks the frame `bytes` start with against the chain head `head`, in this order:
+/// its lengths, its checksum, the canonical form of its record, the record's
+/// `previous_hash` against `head`, and its stored `hash` against the chain hash. The
+/// payload is hashed once: the FNV-1a fold over the record's body is its chain hash
+/// (the body is canonical, so that is the hash of the record it encodes — see
+/// [`crate::codec`]), and the same fold continued over the stored hash's eight bytes
+/// is the checksum — how [`crate::codec`] builds a frame, run backwards. Returns the
+/// frame's length and its record read as a `T`, or why the frame was refused.
+fn check_frame<T: FramedRecord>(bytes: &[u8], head: u64) -> Result<(usize, T), String> {
+    if bytes.len() < FRAME_PREFIX_LEN {
+        return Err("short frame prefix".into());
+    }
+    let len = u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"));
+    if len == 0 || len > MAX_FRAME_LEN {
+        return Err(format!("corrupt frame length {len}"));
+    }
+    let Some(payload) = bytes[FRAME_PREFIX_LEN..].get(..len as usize) else {
+        return Err("short frame payload".into());
+    };
+    let checksum = u64::from_le_bytes(bytes[4..FRAME_PREFIX_LEN].try_into().expect("eight bytes"));
+    // A payload under eight bytes holds no record; folded whole, it still gets its
+    // checksum checked first, and then fails the decode.
+    let (body, stored_hash) = payload.split_at(payload.len().saturating_sub(8));
+    let fold = StableHasher::new().write_bytes(body);
+    if fold.write_bytes(stored_hash).finish() != checksum {
+        return Err("frame checksum mismatch".into());
+    }
+    let Some(record) = T::read(payload) else {
+        return Err("frame decode failure".into());
+    };
+    let (id, previous_hash, hash) = record.links();
+    if previous_hash != head || fold.finish() != hash {
+        return Err(format!("record {id} breaks the chain"));
+    }
+    Ok((FRAME_PREFIX_LEN + payload.len(), record))
 }
 
 /// One segment file's contribution to a recovery.
@@ -820,6 +922,19 @@ impl RecoveryReport {
     pub fn resume_log(&self, authority: impl Into<String>) -> AuditLog {
         AuditLog::resume(authority, self.head_hash, self.next_id)
     }
+}
+
+/// What [`SegmentStore::reopen`] found: where the durable chain ends, and what the
+/// scan discarded on the way — a [`RecoveryReport`] without the records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reopened {
+    /// Hash of the last recovered record — what the store's next frame, and a resumed
+    /// in-memory log, chain from; the first segment's anchor when there is none.
+    pub head_hash: u64,
+    /// The id after the last recovered record (0 when nothing was recovered).
+    pub next_id: u64,
+    /// Every discarded tail / unreachable segment, as [`RecoveryReport::truncations`].
+    pub truncations: Vec<Truncation>,
 }
 
 #[cfg(test)]
@@ -1390,6 +1505,151 @@ mod tests {
         assert_eq!(report.truncations[0].reason, "unsupported version");
         assert_eq!(std::fs::metadata(dir.join(segment_file_name(2))).unwrap().len(), 0);
         assert_eq!(report.records, records, "the scan went on past the tombstone");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Recovers one copy of `files` and re-opens another — each written over the
+    /// segments of one of `dirs` — and asserts the two agree: the same chain head, next
+    /// id and truncations (all but the path, which names the copy), and the same bytes
+    /// left on disk.
+    fn assert_reopen_matches_recover(dirs: &[PathBuf; 2], files: &[(String, Vec<u8>)], ctx: &str) {
+        for dir in dirs {
+            for (name, bytes) in files {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+        }
+        let report = SegmentStore::recover(&dirs[0]).unwrap();
+        let (store, reopened) = SegmentStore::reopen(&dirs[1], 4).unwrap();
+        assert_eq!(store.head_hash(), reopened.head_hash, "{ctx}");
+        assert_eq!(
+            (reopened.head_hash, reopened.next_id),
+            (report.head_hash, report.next_id),
+            "{ctx}"
+        );
+        let shape = |truncations: &[Truncation]| -> Vec<(u64, u64, u64, String, usize)> {
+            truncations
+                .iter()
+                .map(|t| {
+                    (
+                        t.sequence,
+                        t.offset,
+                        t.bytes_dropped,
+                        t.reason.clone(),
+                        t.records_recovered_before,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(shape(&reopened.truncations), shape(&report.truncations), "{ctx}");
+        drop(store);
+        assert_eq!(segment_files(&dirs[1]), segment_files(&dirs[0]), "{ctx}");
+    }
+
+    /// A restart's scan is recovery's scan: on every cut and every bit flip of a last
+    /// segment, a retired v1 segment, an anchor mismatch and a torn header, the store
+    /// [`SegmentStore::reopen`] returns agrees with [`SegmentStore::recover`] on where
+    /// the chain ends and what was lost, and both leave the same files.
+    #[test]
+    fn reopen_scans_exactly_as_recover_does() {
+        use legaliot_ifc::{can_flow, SecurityContext};
+
+        let dir = temp_dir("walk-source");
+        let mut log = AuditLog::new("shard-0");
+        for i in 0..8 {
+            let event = AuditEvent::PolicyFired {
+                policy: format!("p{i}"),
+                trigger: "t".into(),
+                actions: i,
+            };
+            log.record(event, i as u64);
+        }
+        // The last segment holds flow checks, so the flips reach labels and decisions.
+        let medical = SecurityContext::from_names(["medical", "personal"], ["hospital"]);
+        for (i, destination) in [medical.clone(), SecurityContext::public()].iter().enumerate() {
+            let event = AuditEvent::FlowChecked {
+                source: "sensor".into(),
+                destination: "cloud".into(),
+                source_context: medical.clone(),
+                destination_context: destination.clone(),
+                decision: can_flow(&medical, destination),
+                data_item: Some(format!("reading@{i}")),
+            };
+            log.record(event, 8 + i as u64);
+        }
+        let mut store = SegmentStore::create(&dir, 0, 4).unwrap();
+        assert_eq!(store.append_batch(log.records()), 10);
+        assert!(store.seal());
+        drop(store);
+        let pristine = segment_files(&dir);
+        assert_eq!(pristine.len(), 3);
+        let dirs = [temp_dir("walk-recover"), temp_dir("walk-reopen")];
+        for dir in &dirs {
+            std::fs::create_dir_all(dir).unwrap();
+        }
+        assert_reopen_matches_recover(&dirs, &pristine, "pristine");
+
+        let last = pristine.len() - 1;
+        let with_last = |bytes: Vec<u8>| {
+            let mut files = pristine.clone();
+            files[last].1 = bytes;
+            files
+        };
+        let segment = &pristine[last].1;
+        for cut in 0..segment.len() {
+            assert_reopen_matches_recover(
+                &dirs,
+                &with_last(segment[..cut].to_vec()),
+                &format!("cut {cut}"),
+            );
+        }
+        for bit in 0..segment.len() * 8 {
+            let mut flipped = segment.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_reopen_matches_recover(&dirs, &with_last(flipped), &format!("bit {bit}"));
+        }
+
+        // Segment 1 of the retired v1 format, segment 2 after it.
+        let mut v1 = pristine.clone();
+        v1[1].1[4..8].copy_from_slice(&RETIRED_VERSION.to_le_bytes());
+        assert_reopen_matches_recover(&dirs, &v1, "v1 segment");
+        // Segment 2 anchored on history the disk does not hold.
+        let mut stranger = pristine.clone();
+        stranger[2].1[16..24].copy_from_slice(&0xdead_beef_u64.to_le_bytes());
+        assert_reopen_matches_recover(&dirs, &stranger, "anchor mismatch");
+        // Segment 1's header torn in half by a rotation.
+        let mut torn = pristine.clone();
+        torn[1].1.truncate(HEADER_LEN / 2);
+        assert_reopen_matches_recover(&dirs, &torn, "torn header");
+        for dir in dirs.iter().chain([&dir]) {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    /// A segment the scan cannot reach is reported with its size, and a segment whose
+    /// size cannot be read fails the recovery: a loss is never reported as 0 bytes.
+    #[cfg(unix)]
+    #[test]
+    fn an_unmeasurable_unreachable_segment_is_an_error_not_a_zero_byte_loss() {
+        let dir = temp_dir("unmeasurable");
+        let records = sample_records(4);
+        let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
+        assert_eq!(store.append_batch(&records), 4);
+        assert!(store.seal());
+        drop(store);
+        // Segment 0 of the retired format stops the scan; segment 1 is unreachable.
+        let first = dir.join(segment_file_name(0));
+        let mut bytes = std::fs::read(&first).unwrap();
+        bytes[4..8].copy_from_slice(&RETIRED_VERSION.to_le_bytes());
+        std::fs::write(&first, bytes).unwrap();
+        let report = SegmentStore::recover(&dir).unwrap();
+        let unreachable = &report.truncations[1];
+        assert!(unreachable.reason.contains("unreachable"), "{}", unreachable.reason);
+        let size = std::fs::metadata(dir.join(segment_file_name(1))).unwrap().len();
+        assert_eq!(unreachable.bytes_dropped, size);
+        // Segment 2: a name whose target is gone, so its size cannot be read.
+        std::os::unix::fs::symlink(dir.join("gone"), dir.join(segment_file_name(2))).unwrap();
+        assert!(SegmentStore::recover(&dir).is_err());
+        assert!(SegmentStore::reopen(&dir, 2).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

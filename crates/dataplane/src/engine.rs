@@ -89,7 +89,10 @@ pub struct PersistenceConfig {
     /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`. On
     /// engine startup each shard directory is recovered (torn tails truncated and
     /// counted in [`DataplaneStats::recovery_truncations`]) and the shard's audit
-    /// chain re-anchors on the last persisted record.
+    /// chain re-anchors on the last persisted record. That startup is one hash pass
+    /// per persisted record, with no allocation per record
+    /// ([`SegmentStore::reopen`]: every frame is checked from its bytes, none
+    /// decoded).
     pub dir: PathBuf,
     /// Records per segment before rotation (sealed segments are fsynced and
     /// closed). Clamped to ≥ 1.
@@ -581,6 +584,11 @@ impl Dataplane {
     /// so the store's retention stays its owner's choice
     /// ([`ContextStore::set_retention`]; unbounded by default).
     ///
+    /// With [`DataplaneConfig::persistence`] set, each shard's segment directory is
+    /// re-opened first ([`SegmentStore::reopen`]): one hash pass per persisted record,
+    /// with no allocation per record, so a restart costs the bytes on disk, not the
+    /// records they encode.
+    ///
     /// # Panics
     ///
     /// When [`DataplaneConfig::persistence`] is set and a shard's segment
@@ -600,27 +608,21 @@ impl Dataplane {
             Some(persistence) => (0..shards)
                 .map(|index| {
                     let dir = persistence.shard_dir(index);
-                    let report = SegmentStore::recover(&dir).unwrap_or_else(|error| {
-                        panic!("cannot recover audit segments in {}: {error}", dir.display())
-                    });
-                    let mut store = SegmentStore::create(
-                        &dir,
-                        report.head_hash,
-                        persistence.max_segment_records.max(1),
-                    )
-                    .unwrap_or_else(|error| {
-                        panic!("cannot open audit segment store in {}: {error}", dir.display())
-                    });
+                    let (mut store, reopened) =
+                        SegmentStore::reopen(&dir, persistence.max_segment_records.max(1))
+                            .unwrap_or_else(|error| {
+                                panic!("cannot reopen audit segments in {}: {error}", dir.display())
+                            });
                     if let Some(registry) = &config.failpoints {
                         store.set_fault_hook(crate::failpoint::segment_fault_hook(Arc::clone(
                             registry,
                         )));
                     }
-                    counters.recovery_truncations.add(report.truncations.len() as u64);
+                    counters.recovery_truncations.add(reopened.truncations.len() as u64);
                     Some(ShardPersistence {
                         store: Arc::new(Mutex::new(store)),
-                        resume_anchor: report.head_hash,
-                        resume_next_id: report.next_id,
+                        resume_anchor: reopened.head_hash,
+                        resume_next_id: reopened.next_id,
                     })
                 })
                 .collect(),

@@ -20,6 +20,10 @@
 //! allocates is what it keeps: the evidence record's strings, the delivered sender's
 //! name and the outcome's list of quenched attributes.
 //!
+//! A restart is on the ledger too: an engine started on a durable directory checks
+//! every persisted frame from its bytes and decodes none, so what it allocates does
+//! not grow with the history it re-opens.
+//!
 //! The counts come from a counting `#[global_allocator]`; what *other* threads
 //! allocated is the global count minus this thread's own, which works because the
 //! test thread and the engine's shard workers are the only threads doing anything.
@@ -30,6 +34,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use legaliot::audit::{AuditEvent, AuditLog, SegmentStore};
 use legaliot::context::{ContextSnapshot, Timestamp};
 use legaliot::dataplane::payload_schema;
 use legaliot::dataplane::{
@@ -246,6 +251,71 @@ fn a_fully_audited_persisted_delivery_allocates_nothing_on_the_shard() {
     assert_eq!(report.unsynced_bytes, 0);
     assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
     std::fs::remove_dir_all(&dir).expect("the temp dir goes");
+}
+
+/// A directory holding one shard's durable history: `records` fully audited flow
+/// checks, chained from 0, in one segment.
+fn persisted_history(records: u64) -> PersistenceConfig {
+    let dir =
+        std::env::temp_dir().join(format!("legaliot-restart-{records:05}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persistence = PersistenceConfig { dir, max_segment_records: 1 << 20, sync_on_flush: true };
+    let source = SecurityContext::from_names(["ann", "medical"], ["consent"]);
+    let destination = SecurityContext::from_names(["ann"], Vec::<&str>::new());
+    let mut log = AuditLog::new("allocations-shard-0");
+    let mut store = SegmentStore::create(persistence.shard_dir(0), 0, 1 << 20).unwrap();
+    for at in 0..records {
+        log.record(
+            AuditEvent::FlowChecked {
+                source: "ann-heart-monitor".into(),
+                destination: "ann-analyser".into(),
+                source_context: source.clone(),
+                destination_context: destination.clone(),
+                decision: can_flow(&source, &destination),
+                data_item: Some(format!("reading@{at}")),
+            },
+            at,
+        );
+    }
+    assert!(log.records().iter().all(|record| store.append(record)));
+    assert!(store.seal());
+    persistence
+}
+
+/// A restart on a durable directory checks every persisted frame from its bytes and
+/// builds no record: starting an engine on 8 192 persisted records allocates what
+/// starting it on 1 024 does (a decoded record is about a dozen allocations).
+#[test]
+fn a_restart_allocates_nothing_per_persisted_record() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let restart = |records: u64| {
+        let persistence = persisted_history(records);
+        let config = DataplaneConfig {
+            shards: 1,
+            persistence: Some(persistence.clone()),
+            ..DataplaneConfig::default()
+        };
+        let mut dataplane = None;
+        // This thread's own count: the restart's scan runs here, the workers elsewhere.
+        let (allocations, _, elsewhere) = counted(|| {
+            dataplane = Some(Dataplane::new("allocations", config));
+        });
+        let dataplane = dataplane.expect("started");
+        assert_eq!(dataplane.stats().recovery_truncations, 0);
+        let report = dataplane.shutdown();
+        assert!(report.shard_audit.iter().all(|log| log.verify_chain().is_intact()));
+        let recovered = SegmentStore::recover(persistence.shard_dir(0)).unwrap();
+        assert!(recovered.is_clean(), "{:?}", recovered.truncations);
+        assert_eq!(recovered.next_id, records);
+        std::fs::remove_dir_all(&persistence.dir).expect("the temp dir goes");
+        allocations - elsewhere
+    };
+    let (small, large) = (restart(1024), restart(8192));
+    println!("Dataplane::new on 1024 persisted records: {small} allocations, on 8192: {large}");
+    assert!(
+        small.abs_diff(large) <= 16,
+        "{small} allocations for 1024 records, {large} for 8192: a restart allocates per record"
+    );
 }
 
 /// AC denials: the regime answers every delivery, and a denial is a `Copy` cause —
