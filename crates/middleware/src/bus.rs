@@ -432,15 +432,13 @@ impl Middleware {
         self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
 
         // Source quenching, in place: attributes whose message-level secrecy tags are
-        // not all present in the destination's secrecy label are removed (Fig. 10).
+        // not all present in the destination's secrecy label are removed (Fig. 10). The
+        // message passed the schema, so its entries are the schema's, index for index.
         let mut quenched_attributes = Vec::new();
         if let Some(schema) = schema {
             let mask = schema.quench_mask_for(destination.context().secrecy());
-            for name in schema.mask_names(mask) {
-                if message.attributes.remove(name).is_some() {
-                    quenched_attributes.push(name.to_string());
-                }
-            }
+            message.attributes.remove_masked(mask);
+            quenched_attributes.extend(schema.mask_names(mask).map(str::to_string));
         }
         message.sender = from.to_string();
         message.sent_at_millis = now.as_millis();

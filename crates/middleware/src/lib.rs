@@ -37,6 +37,6 @@ pub use bus::{
 pub use component::{Component, ComponentBuilder, Registry};
 pub use legaliot_policy::{Action, ReconfigurationCommand};
 pub use schema::{
-    encoded_payload_len, AttributeKind, AttributeValue, BodyRing, FrozenMessage, FrozenSchema,
-    Message, MessageSchema, MessageType, Payload, MAX_FROZEN_ATTRIBUTES,
+    encoded_payload_len, AttributeKind, AttributeValue, Attributes, BodyRing, FrozenMessage,
+    FrozenSchema, Message, MessageSchema, MessageType, Payload, MAX_FROZEN_ATTRIBUTES,
 };

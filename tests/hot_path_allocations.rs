@@ -20,6 +20,10 @@
 //! allocates is what it keeps: the evidence record's strings, the delivered sender's
 //! name and the outcome's list of quenched attributes.
 //!
+//! A message copy is on the ledger too. Attribute and type names are shared strings,
+//! so a `Message` clone, or a thaw of a delivery, allocates what it carries — the
+//! attribute vector, each text value, the sender — and no name.
+//!
 //! A restart is on the ledger too: an engine started on a durable directory checks
 //! every persisted frame from its bytes and decodes none, so what it allocates does
 //! not grow with the history it re-opens.
@@ -32,7 +36,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use legaliot::audit::{AuditEvent, AuditLog, SegmentStore};
 use legaliot::context::{ContextSnapshot, Timestamp};
@@ -41,9 +45,10 @@ use legaliot::dataplane::{
     smart_home, AuditDetail, Dataplane, DataplaneConfig, PersistenceConfig, Subscriber,
     TopologyBuilder,
 };
-use legaliot::ifc::{can_flow, SecurityContext, Tag};
+use legaliot::ifc::{can_flow, Label, SecurityContext, Tag};
 use legaliot::middleware::{
-    AccessRule, Component, DeliveryOutcome, Message, Middleware, Operation, Principal, Subject,
+    AccessRule, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message, Middleware,
+    Operation, Principal, Subject,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -53,10 +58,13 @@ thread_local! {
     /// Allocations made by this thread. Const-initialised and without a destructor, so
     /// reading it from inside the allocator never allocates and never finds it gone.
     static OWN_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread's allocations requested (`Layout::size`), likewise.
+    static OWN_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting calls. A `realloc` goes through the trait's default —
-/// an `alloc` and a `dealloc` — and so counts as one of each.
+/// The system allocator, counting calls and the bytes they request. A `realloc` goes
+/// through the trait's default — an `alloc` and a `dealloc` — and so counts as one of
+/// each.
 struct Counting;
 
 // SAFETY: every request is passed to `System` unchanged and its result returned
@@ -66,6 +74,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         let _ = OWN_ALLOCATIONS.try_with(|own| own.set(own.get() + 1));
+        let _ = OWN_BYTES.try_with(|own| own.set(own.get() + layout.size() as u64));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -92,6 +101,15 @@ fn counted(work: impl FnOnce()) -> (u64, u64, u64) {
     work();
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before.0;
     (allocations, FREES.load(Ordering::SeqCst) - before.1, allocations - (own() - before.2))
+}
+
+/// `(allocations, requested bytes)` this thread made during `work`.
+fn own_cost(work: impl FnOnce()) -> (u64, u64) {
+    let own = || (OWN_ALLOCATIONS.with(Cell::get), OWN_BYTES.with(Cell::get));
+    let before = own();
+    work();
+    let after = own();
+    (after.0 - before.0, after.1 - before.1)
 }
 
 /// An engine with `topology` installed and a receiver on every subscribing endpoint.
@@ -357,6 +375,47 @@ fn an_access_denial_allocates_nothing_on_the_shard() {
     assert_eq!(elsewhere, 0, "a shard allocated while denying at AC");
     assert!(subscribers.iter().all(|subscriber| subscriber.drain().is_empty()));
     dataplane.shutdown();
+}
+
+/// A copy of a message allocates what it carries. The smart-home reading is `unit`
+/// ("bpm"), `subject-id` ("subject-0017") and a float `value`, with no sender yet: a
+/// clone is the attribute vector and the two texts. Its quenched delivery (`subject-id`
+/// gone) thaws into a two-entry vector, "bpm" and the sender. Names and the type come
+/// from the schema, shared. On x86-64 that is 3 allocations and 135 bytes a clone, and
+/// 3 and 101 a thaw; the map form cost 7 and 593, and 7 and 781.
+#[test]
+fn a_message_costs_what_it_carries() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (publisher, message) = smart_home(8, 1).publisher_messages().swap_remove(0);
+    let schema = Arc::new(FrozenSchema::new(&payload_schema(&message.message_type)).unwrap());
+    let sender: Arc<str> = Arc::from(publisher.as_str());
+    let frozen = FrozenMessage::freeze_stamped(&message, Arc::clone(&schema), sender, 7).unwrap();
+    let delivery = frozen.quench(schema.quench_mask_for(&Label::empty()));
+    assert_eq!(delivery.attribute_count(), 2, "`subject-id` is quenched");
+    let per_copy = |(allocations, bytes): (u64, u64)| {
+        (allocations as f64 / MESSAGES as f64, bytes as f64 / MESSAGES as f64)
+    };
+
+    let mut clones = Vec::with_capacity(MESSAGES as usize);
+    let clone = per_copy(own_cost(|| {
+        for _ in 0..MESSAGES {
+            clones.push(std::hint::black_box(&message).clone());
+        }
+    }));
+    let mut thaws = Vec::with_capacity(MESSAGES as usize);
+    let thaw = per_copy(own_cost(|| {
+        for _ in 0..MESSAGES {
+            thaws.push(std::hint::black_box(&delivery).thaw());
+        }
+    }));
+    let mut delivered = message.quenched(["subject-id"]);
+    (delivered.sender, delivered.sent_at_millis) = (publisher, 7);
+    assert!(clones.iter().all(|copy| *copy == message));
+    assert!(thaws.iter().all(|copy| *copy == delivered));
+    println!("Message::clone: {:.1} allocations, {:.1} bytes", clone.0, clone.1);
+    println!("FrozenMessage::thaw (quenched): {:.1} allocations, {:.1} bytes", thaw.0, thaw.1);
+    assert!(clone.0 <= 3.0 && clone.1 <= 160.0, "a clone costs {clone:?}");
+    assert!(thaw.0 <= 3.0 && thaw.1 <= 160.0, "a thaw costs {thaw:?}");
 }
 
 /// A security context is a shared value: copying one, and allowing a flow between
