@@ -29,11 +29,12 @@ use parking_lot::{Mutex, RwLock};
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStats, SegmentStore};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::SecurityContext;
-use legaliot_middleware::admission::admit_channel;
+use legaliot_middleware::admission::{admit_channel, control_steps, reconfigure, ControlDelta};
 use legaliot_middleware::bus::teardown_evidence;
 use legaliot_middleware::{
-    AccessRegime, Action, BodyRing, Component, DeliveryOutcome, FrozenMessage, FrozenSchema,
-    Message, MessageSchema, MessageType,
+    AccessRegime, Action, BodyRing, Component, ControlOutcome, DeliveryOutcome, FrozenMessage,
+    FrozenSchema, Message, MessageSchema, MessageType, Operation, Principal,
+    ReconfigurationCommand,
 };
 use legaliot_obs::ObsConfig;
 
@@ -447,6 +448,61 @@ pub(crate) struct Directory {
     pub control_audit: BatchedAppender,
 }
 
+impl Directory {
+    /// [`Dataplane::subscribe`], under the caller's write lock.
+    fn subscribe(
+        &mut self,
+        publisher: &str,
+        subscriber: &str,
+        snapshot: &ContextSnapshot,
+        now: Timestamp,
+    ) -> Result<DeliveryOutcome, DataplaneError> {
+        let (subscriber_id, destination) = self.endpoints.lookup(subscriber)?;
+        let (publisher_id, source) = self.endpoints.lookup(publisher)?;
+        let outcome =
+            admit_channel(&source.component, &destination.component, &self.access, snapshot, now);
+        if outcome.is_delivered()
+            && !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id)
+        {
+            // Both directions of the edge.
+            let subscriber_shard = destination.shard;
+            let endpoints = &mut self.endpoints;
+            let destination = endpoints.get_mut(subscriber_id).expect("looked up above");
+            destination.publishers.push(publisher_id);
+            let source = endpoints.get_mut(publisher_id).expect("looked up above");
+            // Ordered by shard, so a publish pushes each shard's run of tasks as one group.
+            let subscribers = Arc::make_mut(&mut source.subscribers);
+            let at = subscribers.partition_point(|&(_, shard)| shard <= subscriber_shard);
+            subscribers.insert(at, (subscriber_id, subscriber_shard));
+        }
+        let evidence = outcome.channel_evidence(publisher, subscriber);
+        self.control_audit.append(evidence, now.as_millis());
+        Ok(outcome)
+    }
+
+    /// [`Dataplane::unsubscribe`], under the caller's write lock.
+    fn unsubscribe(
+        &mut self,
+        publisher: &str,
+        subscriber: &str,
+        now: Timestamp,
+    ) -> Result<(), DataplaneError> {
+        let (publisher_id, source) = self.endpoints.lookup(publisher)?;
+        // A name that never registered has no id, and so no edge to remove.
+        let Some(subscriber_id) = self.endpoints.id_of(subscriber) else { return Ok(()) };
+        if !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id) {
+            return Ok(());
+        }
+        let source = self.endpoints.get_mut(publisher_id).expect("looked up above");
+        Arc::make_mut(&mut source.subscribers).retain(|(sub, _)| *sub != subscriber_id);
+        if let Some(destination) = self.endpoints.get_mut(subscriber_id) {
+            destination.publishers.retain(|existing| *existing != publisher_id);
+        }
+        self.control_audit.append(teardown_evidence(publisher, subscriber), now.as_millis());
+        Ok(())
+    }
+}
+
 /// One shard's durable-audit attachment: the open segment store plus the resume
 /// point recovered from its directory at engine startup. The store sits behind a
 /// mutex because both the shard worker (prune sink, shutdown epilogue) and the
@@ -788,7 +844,8 @@ impl Dataplane {
     /// Removes an endpoint and every subscription involving it. In-flight messages to
     /// or from it are dropped (counted as `missing_endpoint`), and its streaming
     /// receiver, if open, is closed (consumers drain the backlog, then observe
-    /// `Disconnected`).
+    /// `Disconnected`). Unlike [`Self::unsubscribe`], it leaves no control-plane record
+    /// of the edges it removes: it is given no time to stamp one.
     pub fn deregister(&self, name: &str) -> Result<(), DataplaneError> {
         let mut directory = self.shared.directory.write();
         let (id, endpoint) = directory.endpoints.retire(name)?;
@@ -844,29 +901,7 @@ impl Dataplane {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> Result<DeliveryOutcome, DataplaneError> {
-        let mut directory = self.shared.directory.write();
-        let dir = &mut *directory;
-        let (subscriber_id, destination) = dir.endpoints.lookup(subscriber)?;
-        let (publisher_id, source) = dir.endpoints.lookup(publisher)?;
-        let outcome =
-            admit_channel(&source.component, &destination.component, &dir.access, snapshot, now);
-        if outcome.is_delivered()
-            && !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id)
-        {
-            // Both directions of the edge.
-            let subscriber_shard = destination.shard;
-            let endpoints = &mut dir.endpoints;
-            let destination = endpoints.get_mut(subscriber_id).expect("looked up above");
-            destination.publishers.push(publisher_id);
-            let source = endpoints.get_mut(publisher_id).expect("looked up above");
-            // Ordered by shard, so a publish pushes each shard's run of tasks as one group.
-            let subscribers = Arc::make_mut(&mut source.subscribers);
-            let at = subscribers.partition_point(|&(_, shard)| shard <= subscriber_shard);
-            subscribers.insert(at, (subscriber_id, subscriber_shard));
-        }
-        let evidence = outcome.channel_evidence(publisher, subscriber);
-        dir.control_audit.append(evidence, now.as_millis());
-        Ok(outcome)
+        self.shared.directory.write().subscribe(publisher, subscriber, snapshot, now)
     }
 
     /// Removes the subscription `subscriber ← publisher`, if present. A removal is
@@ -882,21 +917,7 @@ impl Dataplane {
         subscriber: &str,
         now: Timestamp,
     ) -> Result<(), DataplaneError> {
-        let mut directory = self.shared.directory.write();
-        let dir = &mut *directory;
-        let (publisher_id, source) = dir.endpoints.lookup(publisher)?;
-        // A name that never registered has no id, and so no edge to remove.
-        let Some(subscriber_id) = dir.endpoints.id_of(subscriber) else { return Ok(()) };
-        if !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id) {
-            return Ok(());
-        }
-        let source = dir.endpoints.get_mut(publisher_id).expect("looked up above");
-        Arc::make_mut(&mut source.subscribers).retain(|(sub, _)| *sub != subscriber_id);
-        if let Some(destination) = dir.endpoints.get_mut(subscriber_id) {
-            destination.publishers.retain(|existing| *existing != publisher_id);
-        }
-        dir.control_audit.append(teardown_evidence(publisher, subscriber), now.as_millis());
-        Ok(())
+        self.shared.directory.write().unsubscribe(publisher, subscriber, now)
     }
 
     /// The fan-out of one published message: one [`ShardTask::Deliver`] per subscriber,
@@ -1054,34 +1075,72 @@ impl Dataplane {
 
     /// Isolates or de-isolates an endpoint; while isolated, every delivery involving it
     /// is denied (§8.2.2 isolation is monitored throughout the connection's lifetime).
-    /// The change is audited on the control-plane log, its action spelt as [`Action`]
-    /// spells it — the text the bus writes for the same change. Per-message isolation
-    /// denials are counted (stats and, in summarised mode, per-pair summaries) but
-    /// carry no individual flow-check record, as no flow check ran.
+    /// One [`reconfigure`] step under the engine's own authority, with no AC question:
+    /// its control-plane record is the bus's for an applied `Isolate` / `Deisolate`
+    /// issued in the engine's name. Per-message isolation denials are counted (stats,
+    /// pair summaries) but carry no flow-check record, as no flow check ran.
     pub fn set_isolated(
         &self,
         name: &str,
         isolated: bool,
         now: Timestamp,
     ) -> Result<(), DataplaneError> {
+        let component = name.to_string();
+        let step =
+            if isolated { Action::Isolate { component } } else { Action::Deisolate { component } };
         let mut directory = self.shared.directory.write();
         let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
-        endpoint.component.set_isolated(isolated);
-        let action = if isolated {
-            Action::Isolate { component: name.to_string() }
-        } else {
-            Action::Deisolate { component: name.to_string() }
-        };
-        directory.control_audit.append(
-            AuditEvent::Reconfigured {
-                component: name.to_string(),
-                issued_by: self.shared.name.clone(),
-                action: action.to_string(),
-                accepted: true,
-            },
-            now.as_millis(),
-        );
+        let issuer = &self.shared.name;
+        let done = reconfigure(Some(&mut endpoint.component), issuer, &step, |_| None, |_| Ok(()));
+        directory.control_audit.append(done.evidence(), now.as_millis());
         Ok(())
+    }
+
+    /// Handles a third-party reconfiguration command (Fig. 8): the second driver of
+    /// [`reconfigure`], beside the bus's `Middleware::handle_control`, with the same
+    /// steps ([`control_steps`]), outcomes and `Reconfigured` records. Each step holds
+    /// the directory write lock once: the core asks the regime whether the command's
+    /// authority may `Reconfigure` the target and changes the endpoint, a `Connect` /
+    /// `Disconnect` runs [`Self::subscribe`] / [`Self::unsubscribe`]'s code, and the
+    /// record goes to the control-plane log. The next delivery judges the changed
+    /// endpoint anew. With no tag registry, no grant needs an ownership check (the bus
+    /// checks registered tags only); with no actuator, an `Actuate` fails.
+    pub fn handle_control(
+        &self,
+        command: &ReconfigurationCommand,
+        snapshot: &ContextSnapshot,
+        now: Timestamp,
+    ) -> Vec<ControlOutcome> {
+        let issuer = command.authority.as_str();
+        let mut outcomes = Vec::new();
+        for step in control_steps(&command.action) {
+            let target = step.target().expect("a control step is addressed");
+            let mut directory = self.shared.directory.write();
+            let dir = &mut *directory;
+            let access = &dir.access;
+            let ask = |who: &Principal| {
+                Some(access.decide(target, who, Operation::Reconfigure, None, snapshot, now))
+            };
+            let endpoint =
+                dir.endpoints.lookup_mut(target).ok().map(|(_, found)| &mut found.component);
+            let mut done = reconfigure(endpoint, issuer, &step, ask, |_| Ok(()));
+            match done.delta {
+                Some(ControlDelta::Connect { to }) => {
+                    done.connected(dir.subscribe(target, to, snapshot, now));
+                }
+                Some(ControlDelta::Disconnect { to }) => {
+                    dir.unsubscribe(target, to, now).expect("the target is registered");
+                }
+                Some(ControlDelta::Actuate { .. }) => {
+                    let reason = "no actuator on the dataplane".to_string();
+                    done.outcome = ControlOutcome::Failed { reason };
+                }
+                Some(ControlDelta::Relabelled) | None => {}
+            }
+            dir.control_audit.append(done.evidence(), now.as_millis());
+            outcomes.push(done.outcome);
+        }
+        outcomes
     }
 
     /// Blocks until every enqueued task has been fully processed by its shard.

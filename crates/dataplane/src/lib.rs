@@ -94,7 +94,7 @@ mod tests {
 
     use legaliot_context::{ContextSnapshot, Timestamp};
     use legaliot_ifc::SecurityContext;
-    use legaliot_middleware::{Component, DeliveryOutcome, Principal};
+    use legaliot_middleware::{Component, DeliveryOutcome, Principal, ReconfigurationCommand};
 
     fn snap() -> ContextSnapshot {
         ContextSnapshot::default()
@@ -366,9 +366,11 @@ mod tests {
         );
     }
 
-    /// An edge never vanishes without evidence: removing one writes the bus's
-    /// teardown record on the control-plane log, and removing an absent one (an edge
-    /// never made, already removed, or to a name never registered) writes nothing.
+    /// An edge `unsubscribe` removes never vanishes without evidence: removing one
+    /// writes the bus's teardown record on the control-plane log, and removing an
+    /// absent one (an edge never made, already removed, or to a name never registered)
+    /// writes nothing. `deregister` is the exception: it drops a leaver's edges with no
+    /// record, as it is given no time to stamp one.
     #[test]
     fn unsubscribe_evidences_each_removed_edge() {
         use legaliot_audit::AuditEvent;
@@ -393,6 +395,145 @@ mod tests {
         );
         assert_eq!(records[2].event, legaliot_middleware::bus::teardown_evidence("a", "b"));
         assert!(report.control_audit.verify_chain().is_intact());
+    }
+
+    /// A control message issued by `authority`.
+    fn command(authority: &str, action: legaliot_middleware::Action) -> ReconfigurationCommand {
+        ReconfigurationCommand::new("p", authority, action, 0)
+    }
+
+    /// Every `Reconfigured` record of a log, in order.
+    fn reconfigured(log: &legaliot_audit::AuditLog) -> Vec<legaliot_audit::AuditEvent> {
+        let kind = legaliot_audit::AuditEventKind::Reconfigured;
+        log.of_kind(kind).map(|record| record.event.clone()).collect()
+    }
+
+    /// The rule that lets `issuer` reconfigure the component it is added to.
+    fn reconfigure_rule(issuer: &str) -> legaliot_middleware::AccessRule {
+        use legaliot_middleware::{AccessRule, Operation, Subject};
+        AccessRule::allow(Subject::Principal(issuer.into()), Operation::Reconfigure, None)
+    }
+
+    /// A control message from an issuer with no `Reconfigure` rule changes nothing: the
+    /// step is `Unauthorised`, its record is on the control-plane log as not accepted,
+    /// and the endpoint it would have isolated still receives. An unknown target is
+    /// the step's outcome, not an error.
+    #[test]
+    fn an_unauthorised_control_message_is_refused_and_evidenced() {
+        use legaliot_audit::AuditEvent;
+        use legaliot_middleware::{Action, ControlOutcome};
+        let dataplane = two_pair_plane(DataplaneConfig::default());
+        let isolate = command("rogue", Action::Isolate { component: "b".into() });
+        assert_eq!(
+            dataplane.handle_control(&isolate, &snap(), Timestamp(5)),
+            [ControlOutcome::Unauthorised {
+                reason: "no allow rule matches rogue performing reconfigure on `b`".into()
+            }]
+        );
+        let ghost = command("rogue", Action::Isolate { component: "ghost".into() });
+        assert_eq!(
+            dataplane.handle_control(&ghost, &snap(), Timestamp(6)),
+            [ControlOutcome::UnknownTarget]
+        );
+        assert_eq!(tick(&dataplane, "a", 7).unwrap(), 1);
+        dataplane.drain();
+        assert_eq!((dataplane.stats().delivered, dataplane.stats().denied), (1, 0));
+
+        let report = dataplane.shutdown();
+        let refused = |component: &str| AuditEvent::Reconfigured {
+            component: component.into(),
+            issued_by: "rogue".into(),
+            action: format!("isolate {component}"),
+            accepted: false,
+        };
+        assert_eq!(reconfigured(&report.control_audit), [refused("b"), refused("ghost")]);
+        assert!(report.control_audit.verify_chain().is_intact());
+    }
+
+    /// An authorised `RouteVia` is three applied steps with three records, and leaves
+    /// the dataplane's edges where the bus leaves its open channels for the same
+    /// command: the two drivers of the one reconfiguration core agree.
+    #[test]
+    fn route_via_moves_the_edges_the_bus_moves_its_channels() {
+        use legaliot_middleware::{
+            AccessRule, Action, ControlOutcome, Middleware, Operation, Subject,
+        };
+        let dataplane = two_pair_plane(DataplaneConfig::default());
+        // The via endpoint `v` may receive from `a` and send to `b`.
+        dataplane.register(endpoint("v", &["t"])).unwrap();
+        dataplane.allow_sends_to("v");
+        let mut bus = Middleware::new("test");
+        let secrecy: [(&str, &[&str]); 5] = [
+            ("a", &["t"]),
+            ("b", &["t", "b-only"]),
+            ("c", &["u"]),
+            ("d", &["u", "d-only"]),
+            ("v", &["t"]),
+        ];
+        for (name, secrecy) in secrecy {
+            bus.registry_mut().register(endpoint(name, secrecy));
+            let send = AccessRule::allow(Subject::Anyone, Operation::Send, None);
+            bus.access_mut().add_rule(name, send);
+            bus.access_mut().add_rule(name, reconfigure_rule("operator"));
+            dataplane.with_access(|access| access.add_rule(name, reconfigure_rule("operator")));
+        }
+        for (from, to) in [("a", "b"), ("c", "d")] {
+            assert!(bus.establish_channel(from, to, &snap(), Timestamp(1)).unwrap().is_delivered());
+        }
+        let route = command(
+            "operator",
+            Action::RouteVia { from: "a".into(), via: "v".into(), to: "b".into() },
+        );
+        let outcomes = dataplane.handle_control(&route, &snap(), Timestamp(2));
+        assert!(outcomes.len() == 3 && outcomes.iter().all(ControlOutcome::is_applied));
+        assert_eq!(bus.handle_control(&route, &snap(), Timestamp(2)), outcomes);
+
+        let open: Vec<(String, String)> = bus
+            .channels()
+            .into_iter()
+            .filter(|channel| bus.has_open_channel(&channel.from, &channel.to))
+            .map(|channel| (channel.from, channel.to))
+            .collect();
+        let [forward, inverse] = dataplane.edges_both_ways();
+        assert_eq!(forward, open);
+        assert_eq!(inverse, open);
+        let pairs = |edges: &[(&str, &str)]| -> Vec<(String, String)> {
+            edges.iter().map(|(from, to)| (from.to_string(), to.to_string())).collect()
+        };
+        assert_eq!(open, pairs(&[("a", "v"), ("c", "d"), ("v", "b")]));
+
+        let report = dataplane.shutdown();
+        let records = reconfigured(&report.control_audit);
+        assert_eq!(records.len(), 3);
+        assert_eq!(records, reconfigured(bus.audit()));
+    }
+
+    /// `set_isolated` is one reconfiguration step under the engine's own authority:
+    /// its record is the bus's record for an applied `Isolate` / `Deisolate` issued in
+    /// the engine's name, field for field.
+    #[test]
+    fn set_isolated_writes_the_record_the_bus_writes() {
+        use legaliot_middleware::{Action, Middleware};
+        let dataplane = two_pair_plane(DataplaneConfig::default());
+        dataplane.set_isolated("b", true, Timestamp(5)).unwrap();
+        dataplane.set_isolated("b", false, Timestamp(6)).unwrap();
+        assert_eq!(
+            dataplane.set_isolated("ghost", true, Timestamp(7)),
+            Err(DataplaneError::UnknownEndpoint { name: "ghost".into() })
+        );
+        let mut bus = Middleware::new("bus");
+        bus.registry_mut().register(endpoint("b", &["t", "b-only"]));
+        bus.access_mut().add_rule("b", reconfigure_rule("test"));
+        for (action, at) in [
+            (Action::Isolate { component: "b".into() }, 5),
+            (Action::Deisolate { component: "b".into() }, 6),
+        ] {
+            bus.handle_control(&command("test", action), &snap(), Timestamp(at));
+        }
+        let report = dataplane.shutdown();
+        let from_engine = reconfigured(&report.control_audit);
+        assert_eq!(from_engine.len(), 2);
+        assert_eq!(from_engine, reconfigured(bus.audit()));
     }
 
     /// `publishers` is the exact inverse of `subscribers` after any sequence of

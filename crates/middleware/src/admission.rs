@@ -1,31 +1,37 @@
-//! The one enforcement sequence of §8.2.2, and the channel-admission checks built on it.
+//! The middleware's two cores, each written once and driven by the bus and the
+//! dataplane alike. Both are pure functions of components and the caller's policy
+//! answers — no clock, thread, lock, queue or audit log; every other effect is a
+//! driver's.
 //!
-//! [`enforce`] is the only place the order is written: isolation, then contextual
-//! access control (the *sender's* principal must hold `Send` rights on the
-//! destination), then IFC over the message's *effective* context. It is a pure
-//! function of two [`Component`]s, the optional [`MessageFacts`] and the caller's two
-//! answers — no clock, thread, lock, queue or audit log — and returns a [`Verdict`];
-//! one that reached the flow check also yields the one `FlowChecked` record for it —
-//! built as an owned event for a log that takes events
-//! (`FlowVerdict::into_evidence`, the bus), or written from the verdict's own
-//! borrowed fields straight into an encoded trail ([`FlowVerdict::write_evidence`],
-//! the shards: same bytes, nothing built). Quenching and every effect (channel table,
-//! mailboxes, counters, audit appends) belong to its drivers: [`admit_channel`],
-//! [`crate::bus::Middleware`] (`establish_channel`, `send`, `reevaluate_channels`) and
-//! `legaliot-dataplane` (`Dataplane::subscribe` and each shard worker's per-delivery
-//! step). Every driver answers from the regime and [`can_flow`] directly, so a rule
-//! edit or a context write is in force for the next question asked.
+//! * [`enforce`], the §8.2.2 sequence: isolation, then contextual access control (the
+//!   *sender's* principal must hold `Send` rights on the destination), then IFC over
+//!   the message's *effective* context. A [`Verdict`] that reached the flow check
+//!   yields its one `FlowChecked` record — owned for the bus
+//!   (`FlowVerdict::into_evidence`), or encoded from borrowed fields for the shards
+//!   ([`FlowVerdict::write_evidence`]: same bytes). Drivers: [`admit_channel`],
+//!   [`crate::bus::Middleware`] (`establish_channel`, `send`, `reevaluate_channels`),
+//!   `Dataplane::subscribe` and each shard worker's per-delivery step.
+//! * [`reconfigure`], one step of a control message (§8.1, Fig. 8; [`control_steps`]):
+//!   unknown target, then the issuer's `Reconfigure` question, then the change inside
+//!   the component (context, tags, privileges, isolation). Its [`Reconfiguration`]
+//!   holds the [`ControlOutcome`], the [`ControlDelta`] its driver applies outside the
+//!   component, and the step's one `Reconfigured` record. Drivers:
+//!   [`crate::bus::Middleware::handle_control`], `Dataplane::handle_control` and
+//!   `Dataplane::set_isolated`.
 //!
-//! Nothing here remembers an answer. [`AdmissionCache`] and [`admit_channel_cached`]
-//! are stateless pass-throughs to [`AccessRegime::decide`] and [`admit_channel`]; they
-//! stay only until `benchmark/` stops naming them.
+//! Every driver answers from the regime and [`can_flow`] directly, so a rule edit or a
+//! context write is in force for the next question asked: nothing here remembers an
+//! answer. [`AdmissionCache`] and [`admit_channel_cached`] are stateless pass-throughs
+//! to [`AccessRegime::decide`] and [`admit_channel`], kept while `benchmark/` names them.
 
 use std::borrow::Cow;
+use std::fmt;
 
 use legaliot_audit::codec::{DataItem, FlowCheckedRef};
 use legaliot_audit::{AuditEvent, BatchedAppender};
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
-use legaliot_ifc::{can_flow, FlowDecision, Label, SecurityContext};
+use legaliot_ifc::{can_flow, FlowDecision, IfcError, Label, SecurityContext, Tag};
+use legaliot_policy::Action;
 
 use crate::acl::{AccessDecision, AccessRegime, DenialCause, Operation, Principal};
 use crate::bus::DeliveryOutcome;
@@ -211,6 +217,177 @@ pub(crate) fn direct_flow(
     destination: &Component,
 ) -> impl FnOnce(&SecurityContext) -> FlowDecision + '_ {
     |source| can_flow(source, destination.context())
+}
+
+/// The middleware's response to one step of a reconfiguration command.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlOutcome {
+    /// The operation was authorised and applied.
+    Applied,
+    /// The issuer is not authorised to reconfigure the target.
+    Unauthorised {
+        /// Why.
+        reason: String,
+    },
+    /// The target component is unknown.
+    UnknownTarget,
+    /// The operation was authorised but could not be applied (e.g. privilege grant for
+    /// a tag the authority does not own).
+    Failed {
+        /// Why.
+        reason: String,
+    },
+}
+
+impl ControlOutcome {
+    /// Whether the operation was applied.
+    pub fn is_applied(&self) -> bool {
+        matches!(self, ControlOutcome::Applied)
+    }
+}
+
+impl fmt::Display for ControlOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ControlOutcome::Applied => write!(f, "applied"),
+            ControlOutcome::Unauthorised { reason } => write!(f, "unauthorised: {reason}"),
+            ControlOutcome::UnknownTarget => write!(f, "unknown target"),
+            ControlOutcome::Failed { reason } => write!(f, "failed: {reason}"),
+        }
+    }
+}
+
+/// What an applied step leaves its driver to do outside the target component.
+#[derive(Debug, Clone, Copy)]
+pub enum ControlDelta<'a> {
+    /// The target's context or isolation changed: open channels are judged again.
+    Relabelled,
+    /// Establish the channel `target → to` through the driver's admission.
+    Connect {
+        /// The destination.
+        to: &'a str,
+    },
+    /// Tear down the channel `target → to`, if there is one.
+    Disconnect {
+        /// The destination.
+        to: &'a str,
+    },
+    /// Hand `command` to the target device.
+    Actuate {
+        /// The actuation command.
+        command: &'a str,
+    },
+}
+
+/// One control step as [`reconfigure`] decided it.
+#[derive(Debug)]
+pub struct Reconfiguration<'a> {
+    issuer: &'a str,
+    step: &'a Action,
+    /// The outcome; a driver that cannot apply the delta makes it `Failed`.
+    pub outcome: ControlOutcome,
+    /// What the driver applies outside the component, if anything.
+    pub delta: Option<ControlDelta<'a>>,
+}
+
+impl Reconfiguration<'_> {
+    /// Settles a [`ControlDelta::Connect`] with the driver's admission of the channel:
+    /// the step fails unless the channel was admitted.
+    pub fn connected(&mut self, admission: Result<DeliveryOutcome, impl fmt::Display>) {
+        let reason = match admission {
+            Ok(outcome) if outcome.is_delivered() => return,
+            Ok(other) => format!("channel establishment refused: {other:?}"),
+            Err(e) => e.to_string(),
+        };
+        self.outcome = ControlOutcome::Failed { reason };
+    }
+
+    /// The step's one `Reconfigured` record — its action spelt as [`Action`] spells
+    /// it, accepted iff the outcome is `Applied`. Written after the driver's delta.
+    pub fn evidence(&self) -> AuditEvent {
+        AuditEvent::Reconfigured {
+            component: self.step.target().expect("a control step is addressed").to_string(),
+            issued_by: self.issuer.to_string(),
+            action: self.step.to_string(),
+            accepted: self.outcome.is_applied(),
+        }
+    }
+}
+
+/// The addressed steps of an action, in order: a `RouteVia` is three (connect
+/// `from → via` and `via → to`, disconnect `from → to`), `Notify`, `AllowFlow` and
+/// `DenyFlow` none, and any other action itself.
+pub fn control_steps(action: &Action) -> Vec<Action> {
+    match action {
+        Action::Notify { .. } | Action::AllowFlow { .. } | Action::DenyFlow { .. } => Vec::new(),
+        Action::RouteVia { from, via, to } => vec![
+            Action::Connect { from: from.clone(), to: via.clone() },
+            Action::Connect { from: via.clone(), to: to.clone() },
+            Action::Disconnect { from: from.clone(), to: to.clone() },
+        ],
+        step => vec![step.clone()],
+    }
+}
+
+/// One step of a control message on its `target` (`None`: not registered): unknown
+/// target, then authorisation, then the change inside the component. `access` asks
+/// "may the issuer, as this principal (no role), `Reconfigure` the target?", `None`
+/// for the engine's own change; `ownership` asks, for a privilege grant, whether the
+/// issuer may delegate privileges over the tag (§6 Tag Ownership). What reaches past
+/// the component is the delta.
+pub fn reconfigure<'a>(
+    target: Option<&mut Component>,
+    issuer: &'a str,
+    step: &'a Action,
+    access: impl FnOnce(&Principal) -> Option<AccessDecision>,
+    ownership: impl FnOnce(&Tag) -> Result<(), IfcError>,
+) -> Reconfiguration<'a> {
+    let settled = |outcome, delta| Reconfiguration { issuer, step, outcome, delta };
+    let Some(component) = target else { return settled(ControlOutcome::UnknownTarget, None) };
+    let principal = Principal::new(issuer);
+    if let Some(AccessDecision::Denied { cause }) = access(&principal) {
+        let reason = cause.reason(component.name(), &principal, Operation::Reconfigure);
+        return settled(ControlOutcome::Unauthorised { reason }, None);
+    }
+    let delta = match step {
+        Action::SetSecurityContext { context, .. } => {
+            component.entity_mut().set_context_trusted(context.clone());
+            Some(ControlDelta::Relabelled)
+        }
+        Action::AddTag { tag, secrecy, .. } | Action::RemoveTag { tag, secrecy, .. } => {
+            let mut context = component.context().clone();
+            let label = if *secrecy { context.secrecy_mut() } else { context.integrity_mut() };
+            match step {
+                Action::AddTag { .. } => label.insert(tag.clone()),
+                _ => label.remove(tag),
+            };
+            component.entity_mut().set_context_trusted(context);
+            Some(ControlDelta::Relabelled)
+        }
+        Action::GrantPrivilege { privilege, .. } => {
+            if let Err(e) = ownership(&privilege.tag) {
+                return settled(ControlOutcome::Failed { reason: e.to_string() }, None);
+            }
+            component.entity_mut().privileges_mut().grant(privilege.tag.clone(), privilege.kind);
+            None
+        }
+        Action::RevokePrivilege { privilege, .. } => {
+            component.entity_mut().privileges_mut().revoke(&privilege.tag, privilege.kind);
+            None
+        }
+        Action::Isolate { .. } | Action::Deisolate { .. } => {
+            component.set_isolated(matches!(step, Action::Isolate { .. }));
+            Some(ControlDelta::Relabelled)
+        }
+        Action::Connect { to, .. } => Some(ControlDelta::Connect { to }),
+        Action::Disconnect { to, .. } => Some(ControlDelta::Disconnect { to }),
+        Action::Actuate { command, .. } => Some(ControlDelta::Actuate { command }),
+        Action::AllowFlow { .. }
+        | Action::DenyFlow { .. }
+        | Action::RouteVia { .. }
+        | Action::Notify { .. } => unreachable!("`control_steps` expands {step}"),
+    };
+    settled(ControlOutcome::Applied, delta)
 }
 
 /// A stateless pass-through to [`AccessRegime::decide`], kept because `benchmark/`

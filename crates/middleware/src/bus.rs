@@ -12,11 +12,14 @@ use std::fmt;
 
 use legaliot_audit::{AuditEvent, AuditLog};
 use legaliot_context::{ContextSnapshot, Timestamp};
-use legaliot_ifc::{FlowDecision, TagRegistry};
+use legaliot_ifc::{FlowDecision, Tag, TagRegistry};
 use legaliot_policy::{Action, ReconfigurationCommand};
 
-use crate::acl::{AccessDecision, AccessRegime, Operation, Principal};
-use crate::admission::{admit_channel, direct_flow, enforce, MessageFacts, Verdict};
+use crate::acl::{AccessRegime, Operation, Principal};
+use crate::admission::{
+    admit_channel, control_steps, direct_flow, enforce, reconfigure, ControlDelta, ControlOutcome,
+    MessageFacts, Verdict,
+};
 use crate::component::{Component, Registry};
 use crate::schema::Message;
 
@@ -122,44 +125,6 @@ impl DeliveryOutcome {
             DeliveryOutcome::Isolated => "endpoint isolated".to_string(),
         };
         channel_changed(from, to, self.is_delivered(), reason)
-    }
-}
-
-/// The middleware's response to one step of a reconfiguration command.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlOutcome {
-    /// The operation was authorised and applied.
-    Applied,
-    /// The issuer is not authorised to reconfigure the target.
-    Unauthorised {
-        /// Why.
-        reason: String,
-    },
-    /// The target component is unknown.
-    UnknownTarget,
-    /// The operation was authorised but could not be applied (e.g. privilege grant for
-    /// a tag the authority does not own).
-    Failed {
-        /// Why.
-        reason: String,
-    },
-}
-
-impl ControlOutcome {
-    /// Whether the operation was applied.
-    pub fn is_applied(&self) -> bool {
-        matches!(self, ControlOutcome::Applied)
-    }
-}
-
-impl fmt::Display for ControlOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ControlOutcome::Applied => write!(f, "applied"),
-            ControlOutcome::Unauthorised { reason } => write!(f, "unauthorised: {reason}"),
-            ControlOutcome::UnknownTarget => write!(f, "unknown target"),
-            ControlOutcome::Failed { reason } => write!(f, "failed: {reason}"),
-        }
     }
 }
 
@@ -326,10 +291,9 @@ impl Middleware {
 
     /// Re-evaluates every open channel against the endpoints' *current* state — the
     /// same sequence with no AC question, the channel having been admitted — closing
-    /// those now isolated or failing IFC. Returns the closed pairs. Called after any
-    /// reconfiguration that changes labels (§8.2.2).
-    fn reevaluate_channels(&mut self, now: Timestamp) -> Vec<(String, String)> {
-        let mut closed = Vec::new();
+    /// those now isolated or failing IFC. Called after any reconfiguration that
+    /// changes labels or isolation (§8.2.2).
+    fn reevaluate_channels(&mut self, now: Timestamp) {
         let open = self
             .channels
             .iter_mut()
@@ -349,10 +313,8 @@ impl Middleware {
                 *state = ChannelState::Closed;
                 let reason = "re-evaluation after context change".to_string();
                 self.audit.record(channel_changed(from, to, false, reason), now.as_millis());
-                closed.push((from.clone(), to.clone()));
             }
         }
-        closed
     }
 
     /// Sends a typed message over an established channel.
@@ -475,14 +437,14 @@ impl Middleware {
     /// that reconfigurations are only actioned when received from trusted third
     /// parties." (§8.1)
     ///
-    /// A `Notify` is recorded as a notification, and `AllowFlow` / `DenyFlow` are the
-    /// channel layer's own rules: none of them is a step, so none has an outcome. A
-    /// `RouteVia` is three steps — connect `from → via`, connect `via → to`,
-    /// disconnect `from → to` — and every other action is one step on its target.
-    /// Each step is authorised on its own target (`Reconfigure`, asked for the
-    /// principal the command names as its authority, with no role), applied, followed
-    /// by channel re-evaluation when labels or isolation changed, and audited as one
-    /// `Reconfigured` record, accepted or not. Returns the steps' outcomes in order.
+    /// A `Notify` is recorded as a notification. Each step ([`control_steps`]) goes
+    /// through the reconfiguration core, [`reconfigure`], as on the dataplane: it is
+    /// authorised on its own target (`Reconfigure`, for the principal the command names
+    /// as its authority, with no role; a grant over a registered tag needs its owner)
+    /// and applied to the component. The bus then applies the step's delta —
+    /// re-evaluates open channels, establishes or tears down a channel, or records an
+    /// actuation — and audits the step as one `Reconfigured` record, accepted or not.
+    /// Returns the steps' outcomes in order.
     pub fn handle_control(
         &mut self,
         command: &ReconfigurationCommand,
@@ -490,136 +452,35 @@ impl Middleware {
         now: Timestamp,
     ) -> Vec<ControlOutcome> {
         let issuer = command.authority.as_str();
-        match &command.action {
-            Action::Notify { recipient, message } => {
-                self.notify(recipient.clone(), message.clone());
-                Vec::new()
-            }
-            Action::AllowFlow { .. } | Action::DenyFlow { .. } => Vec::new(),
-            Action::RouteVia { from, via, to } => [
-                Action::Connect { from: from.clone(), to: via.clone() },
-                Action::Connect { from: via.clone(), to: to.clone() },
-                Action::Disconnect { from: from.clone(), to: to.clone() },
-            ]
-            .iter()
-            .map(|step| self.control_step(issuer, step, snapshot, now))
-            .collect(),
-            step => vec![self.control_step(issuer, step, snapshot, now)],
+        if let Action::Notify { recipient, message } = &command.action {
+            self.notify(recipient.clone(), message.clone());
         }
-    }
-
-    /// Authorises, applies and audits one addressed step of a command.
-    fn control_step(
-        &mut self,
-        issuer: &str,
-        step: &Action,
-        snapshot: &ContextSnapshot,
-        now: Timestamp,
-    ) -> ControlOutcome {
-        let target = step.target().expect("a control step is addressed");
-        let outcome = self.apply_step(issuer, target, step, snapshot, now);
-        self.audit.record(
-            AuditEvent::Reconfigured {
-                component: target.to_string(),
-                issued_by: issuer.to_string(),
-                action: step.to_string(),
-                accepted: outcome.is_applied(),
-            },
-            now.as_millis(),
-        );
-        outcome
-    }
-
-    fn apply_step(
-        &mut self,
-        issuer: &str,
-        target: &str,
-        step: &Action,
-        snapshot: &ContextSnapshot,
-        now: Timestamp,
-    ) -> ControlOutcome {
-        if self.registry.get(target).is_none() {
-            return ControlOutcome::UnknownTarget;
-        }
-        let principal = Principal::new(issuer);
-        let ac =
-            self.access.decide(target, &principal, Operation::Reconfigure, None, snapshot, now);
-        if let AccessDecision::Denied { cause } = ac {
-            let reason = cause.reason(target, &principal, Operation::Reconfigure);
-            return ControlOutcome::Unauthorised { reason };
-        }
-
-        let mut labels_changed = false;
-        let result = match step {
-            Action::SetSecurityContext { context, .. } => {
-                let target = self.registry.get_mut(target).expect("checked above");
-                target.entity_mut().set_context_trusted(context.clone());
-                labels_changed = true;
-                ControlOutcome::Applied
-            }
-            Action::AddTag { tag, secrecy, .. } | Action::RemoveTag { tag, secrecy, .. } => {
-                let add = matches!(step, Action::AddTag { .. });
-                let target = self.registry.get_mut(target).expect("checked above");
-                let mut ctx = target.context().clone();
-                let label = if *secrecy { ctx.secrecy_mut() } else { ctx.integrity_mut() };
-                if add {
-                    label.insert(tag.clone());
-                } else {
-                    label.remove(tag);
+        let mut outcomes = Vec::new();
+        for step in control_steps(&command.action) {
+            let target = step.target().expect("a control step is addressed");
+            let ask = |who: &Principal| {
+                Some(self.access.decide(target, who, Operation::Reconfigure, None, snapshot, now))
+            };
+            let owns = |tag: &Tag| match self.tag_registry.contains(tag) {
+                true => self.tag_registry.ownership().authorise_delegation(tag, issuer),
+                false => Ok(()),
+            };
+            let mut done = reconfigure(self.registry.get_mut(target), issuer, &step, ask, owns);
+            match done.delta {
+                Some(ControlDelta::Relabelled) => self.reevaluate_channels(now),
+                Some(ControlDelta::Connect { to }) => {
+                    done.connected(self.establish_channel(target, to, snapshot, now));
                 }
-                target.entity_mut().set_context_trusted(ctx);
-                labels_changed = true;
-                ControlOutcome::Applied
-            }
-            Action::GrantPrivilege { privilege, .. } => {
-                // The issuing authority must own the tag to delegate privileges over it
-                // (§6 Tag Ownership), when the tag is registered.
-                if self.tag_registry.contains(&privilege.tag) {
-                    if let Err(e) =
-                        self.tag_registry.ownership().authorise_delegation(&privilege.tag, issuer)
-                    {
-                        return ControlOutcome::Failed { reason: e.to_string() };
-                    }
+                Some(ControlDelta::Disconnect { to }) => self.teardown_channel(target, to, now),
+                Some(ControlDelta::Actuate { command }) => {
+                    self.actuations.push((target.to_string(), command.to_string()));
                 }
-                let target = self.registry.get_mut(target).expect("checked above");
-                target.entity_mut().privileges_mut().grant(privilege.tag.clone(), privilege.kind);
-                ControlOutcome::Applied
+                None => {}
             }
-            Action::RevokePrivilege { privilege, .. } => {
-                let target = self.registry.get_mut(target).expect("checked above");
-                target.entity_mut().privileges_mut().revoke(&privilege.tag, privilege.kind);
-                ControlOutcome::Applied
-            }
-            Action::Connect { to, .. } => match self.establish_channel(target, to, snapshot, now) {
-                Ok(outcome) if outcome.is_delivered() => ControlOutcome::Applied,
-                Ok(other) => ControlOutcome::Failed {
-                    reason: format!("channel establishment refused: {other:?}"),
-                },
-                Err(e) => ControlOutcome::Failed { reason: e.to_string() },
-            },
-            Action::Disconnect { to, .. } => {
-                self.teardown_channel(target, to, now);
-                ControlOutcome::Applied
-            }
-            Action::Isolate { .. } | Action::Deisolate { .. } => {
-                let isolate = matches!(step, Action::Isolate { .. });
-                self.registry.get_mut(target).expect("checked above").set_isolated(isolate);
-                labels_changed = true;
-                ControlOutcome::Applied
-            }
-            Action::Actuate { command, .. } => {
-                self.actuations.push((target.to_string(), command.clone()));
-                ControlOutcome::Applied
-            }
-            Action::AllowFlow { .. }
-            | Action::DenyFlow { .. }
-            | Action::RouteVia { .. }
-            | Action::Notify { .. } => unreachable!("`handle_control` expands {step}"),
-        };
-        if labels_changed {
-            self.reevaluate_channels(now);
+            self.audit.record(done.evidence(), now.as_millis());
+            outcomes.push(done.outcome);
         }
-        result
+        outcomes
     }
 }
 

@@ -14,7 +14,8 @@
 //!   when either endpoint changes security context (§8.2.2);
 //! * third-party reconfiguration (Fig. 8): a control message is the policy engine's
 //!   [`ReconfigurationCommand`], which [`bus::Middleware::handle_control`] authorises
-//!   against the AC regime and applies, dispatching on its [`Action`];
+//!   against the AC regime and applies one step at a time through
+//!   [`admission::reconfigure`], the core the dataplane drives too;
 //! * a component registry ([`component`]) and the [`bus::Middleware`] deployment object
 //!   that ties registry, channels, enforcement and audit together.
 
@@ -30,10 +31,8 @@ pub mod schema;
 pub use acl::{
     AccessDecision, AccessRegime, AccessRule, DenialCause, Operation, Principal, Subject,
 };
-pub use admission::{admit_channel, admit_channel_cached, AdmissionCache};
-pub use bus::{
-    Channel, ChannelState, ControlOutcome, DeliveryOutcome, Middleware, MiddlewareError,
-};
+pub use admission::{admit_channel, admit_channel_cached, AdmissionCache, ControlOutcome};
+pub use bus::{Channel, ChannelState, DeliveryOutcome, Middleware, MiddlewareError};
 pub use component::{Component, ComponentBuilder, Registry};
 pub use legaliot_policy::{Action, ReconfigurationCommand};
 pub use schema::{

@@ -494,7 +494,10 @@ mod mode_equivalence {
     use super::*;
     use legaliot::dataplane::AuditDetail;
     use legaliot::ifc::FlowDecision;
-    use legaliot::middleware::{AccessRule, DeliveryOutcome, Middleware, Operation, Subject};
+    use legaliot::middleware::{
+        AccessRule, Action, ControlOutcome, DeliveryOutcome, Middleware, MiddlewareError,
+        Operation, ReconfigurationCommand, Subject,
+    };
     use proptest::prelude::*;
 
     /// One generated enforcement case. Both drivers first establish `pub → sub`
@@ -766,6 +769,203 @@ mod mode_equivalence {
             prop_assert_eq!(on_bus.received.len(), 1);
             prop_assert_eq!(&on_bus.received[0], &expected);
             prop_assert_eq!(payload_bytes, encoded_payload_len(&expected) as u64);
+        }
+    }
+
+    /// The three endpoints of a control case: `pub → sub` carries the message, `via`
+    /// is the intermediary of a `RouteVia`. Every flow among them is legal at first.
+    const CONTROL_ENDPOINTS: [&str; 3] = ["pub", "sub", "via"];
+
+    fn control_endpoint(name: &str) -> Component {
+        let secrecy: &[&str] = if name == "sub" { &["s", "x"] } else { &["s"] };
+        Component::builder(name, Principal::new("owner"))
+            .context(SecurityContext::from_names(secrecy.iter().copied(), ["i"]))
+            .build()
+    }
+
+    /// `Send` is open everywhere; `operator` may `Reconfigure` the endpoints of
+    /// `allowed`, and nobody may on those of `denied` (a deny overrides an allow).
+    fn control_rules(allowed: [bool; 3], denied: [bool; 3]) -> Vec<(&'static str, AccessRule)> {
+        let mut rules = Vec::new();
+        for (index, name) in CONTROL_ENDPOINTS.into_iter().enumerate() {
+            rules.push((name, AccessRule::allow(Subject::Anyone, Operation::Send, None)));
+            if allowed[index] {
+                let operator = Subject::Principal("operator".into());
+                rules.push((name, AccessRule::allow(operator, Operation::Reconfigure, None)));
+            }
+            if denied[index] {
+                rules.push((name, AccessRule::deny(Subject::Anyone, Operation::Reconfigure, None)));
+            }
+        }
+        rules
+    }
+
+    fn reading() -> Message {
+        Message::new("reading", SecurityContext::public()).with("value", AttributeValue::Integer(7))
+    }
+
+    /// `(component, issuer, action, accepted)` of every `Reconfigured` record.
+    type Reconfigured = (String, String, String, bool);
+
+    fn reconfigured(records: &[legaliot::audit::AuditRecord]) -> Vec<Reconfigured> {
+        let fields = |record: &legaliot::audit::AuditRecord| match &record.event {
+            AuditEvent::Reconfigured { component, issued_by, action, accepted } => {
+                Some((component.clone(), issued_by.clone(), action.clone(), *accepted))
+            }
+            _ => None,
+        };
+        records.iter().filter_map(fields).collect()
+    }
+
+    /// What an observer can tell of a control case on one driver.
+    #[derive(Debug, PartialEq)]
+    struct ControlObserved {
+        outcomes: Vec<ControlOutcome>,
+        records: Vec<Reconfigured>,
+        /// Whether `sub` received the message `pub` sent after the command.
+        delivered: bool,
+    }
+
+    /// The command through the dataplane's `handle_control`, then one publish by `pub`.
+    fn control_on_dataplane(
+        command: &ReconfigurationCommand,
+        rules: &[(&str, AccessRule)],
+    ) -> ControlObserved {
+        let dataplane = Dataplane::new("equivalence", config());
+        for name in CONTROL_ENDPOINTS {
+            dataplane.register(control_endpoint(name)).unwrap();
+        }
+        dataplane.with_access(|access| {
+            for (name, rule) in rules {
+                access.add_rule(*name, rule.clone());
+            }
+        });
+        let schema = MessageSchema::new("reading").attribute("value", AttributeKind::Integer);
+        dataplane.register_schema(schema).unwrap();
+        let (outcome, subscriber) =
+            dataplane.subscribe_receiver("pub", "sub", &snap(), Timestamp(1)).unwrap();
+        assert!(outcome.is_delivered());
+        let outcomes = dataplane.handle_control(command, &snap(), Timestamp(2));
+        dataplane.publish_message("pub", &reading(), Timestamp(3)).unwrap();
+        dataplane.drain();
+        let report = dataplane.shutdown();
+        let records = reconfigured(report.control_audit.records());
+        let delivered = !receive_all(&subscriber).is_empty();
+        ControlObserved { outcomes, records, delivered }
+    }
+
+    /// The command through the bus's `handle_control`, then one `send` over `pub → sub`.
+    /// The bus re-evaluates its channels after a step, so a channel still open must
+    /// carry the message and a closed one must not.
+    fn control_on_bus(
+        command: &ReconfigurationCommand,
+        rules: &[(&str, AccessRule)],
+    ) -> ControlObserved {
+        let mut bus = Middleware::new("equivalence");
+        for name in CONTROL_ENDPOINTS {
+            bus.registry_mut().register(control_endpoint(name));
+        }
+        for (name, rule) in rules {
+            bus.access_mut().add_rule(*name, rule.clone());
+        }
+        let schema = MessageSchema::new("reading").attribute("value", AttributeKind::Integer);
+        bus.registry_mut().register_schema(schema);
+        assert!(bus.establish_channel("pub", "sub", &snap(), Timestamp(1)).unwrap().is_delivered());
+        let outcomes = bus.handle_control(command, &snap(), Timestamp(2));
+        let open = bus.has_open_channel("pub", "sub");
+        let delivered = match bus.send("pub", "sub", reading(), &snap(), Timestamp(3)) {
+            Ok(outcome) => outcome.is_delivered(),
+            Err(MiddlewareError::ChannelClosed { .. }) => false,
+            Err(other) => panic!("the bus refused the send: {other}"),
+        };
+        assert_eq!(open, delivered, "an open channel carries the message, a closed one not");
+        assert_eq!(bus.try_recv("sub").is_some(), delivered);
+        let records = reconfigured(bus.audit().records());
+        ControlObserved { outcomes, records, delivered }
+    }
+
+    proptest! {
+        /// A control message — `Isolate`, `Deisolate`, `SetSecurityContext`, `AddTag`,
+        /// `RemoveTag`, `GrantPrivilege` / `RevokePrivilege` on unregistered tags, or a
+        /// three-step `RouteVia` — from an issuer that holds a `Reconfigure` allow rule
+        /// on the target or not, under a deny or not, is handled alike by the bus and
+        /// the dataplane, the two drivers of the one reconfiguration core: equal
+        /// outcomes, equal `Reconfigured` records, and the same fate for the next
+        /// message. Both agree with the model: a step is applied iff the issuer is
+        /// allowed on its target and no deny applies, and refused as `Unauthorised`
+        /// otherwise.
+        #[test]
+        fn prop_bus_and_dataplane_agree_on_control_messages(
+            is_operator in proptest::bool::ANY,
+            allowed_bits in 0u8..8,
+            denied_bits in 0u8..8,
+            kind in 0u8..8,
+            on_sub in proptest::bool::ANY,
+            tag in 0usize..4,
+            secrecy in proptest::bool::ANY,
+            secrecy_bits in 0u8..8,
+            integrity in proptest::bool::ANY,
+            privilege_kind in 0usize..4,
+        ) {
+            use legaliot::ifc::{Privilege, PrivilegeKind, Tag};
+            let bits = |bits: u8| [0, 1, 2].map(|index| bits & (1 << index) != 0);
+            let (allowed, denied) = (bits(allowed_bits), bits(denied_bits));
+            let target = if on_sub { "sub" } else { "pub" };
+            let component = target.to_string();
+            let tag = Tag::new(["s", "x", "y", "i"][tag]);
+            let kinds = [
+                PrivilegeKind::SecrecyAdd,
+                PrivilegeKind::SecrecyRemove,
+                PrivilegeKind::IntegrityAdd,
+                PrivilegeKind::IntegrityRemove,
+            ];
+            let privilege = Privilege::new(tag.clone(), kinds[privilege_kind]);
+            let action = match kind {
+                0 => Action::Isolate { component },
+                1 => Action::Deisolate { component },
+                2 => {
+                    let secrecy = ["s", "x", "y"]
+                        .into_iter()
+                        .zip(bits(secrecy_bits))
+                        .filter_map(|(name, held)| held.then_some(name));
+                    let integrity: &[&str] = if integrity { &["i"] } else { &[] };
+                    let context = SecurityContext::from_names(secrecy, integrity.iter().copied());
+                    Action::SetSecurityContext { component, context }
+                }
+                3 => Action::AddTag { component, tag, secrecy },
+                4 => Action::RemoveTag { component, tag, secrecy },
+                5 => Action::GrantPrivilege { component, privilege },
+                6 => Action::RevokePrivilege { component, privilege },
+                _ => Action::RouteVia { from: "pub".into(), via: "via".into(), to: "sub".into() },
+            };
+            let issuer = if is_operator { "operator" } else { "stranger" };
+            let command = ReconfigurationCommand::new("p", issuer, action, 2);
+            let rules = control_rules(allowed, denied);
+
+            let on_dataplane = control_on_dataplane(&command, &rules);
+            let on_bus = control_on_bus(&command, &rules);
+            prop_assert_eq!(&on_dataplane, &on_bus);
+
+            // The model: each step's target, and whether the issuer may change it.
+            let targets: Vec<&str> = match &command.action {
+                Action::RouteVia { .. } => vec!["pub", "via", "pub"],
+                _ => vec![target],
+            };
+            let authorised = |name: &str| {
+                let index = CONTROL_ENDPOINTS.iter().position(|n| *n == name).unwrap();
+                is_operator && allowed[index] && !denied[index]
+            };
+            prop_assert_eq!(on_bus.outcomes.len(), targets.len());
+            prop_assert_eq!(on_bus.records.len(), targets.len());
+            let steps = on_bus.outcomes.iter().zip(&on_bus.records).zip(&targets);
+            for ((outcome, record), target) in steps {
+                prop_assert_eq!(outcome.is_applied(), authorised(target));
+                prop_assert!(
+                    outcome.is_applied() || matches!(outcome, ControlOutcome::Unauthorised { .. })
+                );
+                prop_assert_eq!((record.0.as_str(), record.1.as_str()), (*target, issuer));
+                prop_assert_eq!(record.3, outcome.is_applied());
+            }
         }
     }
 }
