@@ -12,8 +12,13 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::name::NameMap;
 use crate::time::Timestamp;
 use crate::value::{ContextKey, ContextValue};
+
+/// A store's values, keyed by interned key: a read hashes one integer, and a copy
+/// copies no key string.
+type Values = NameMap<ContextKey, ContextValue>;
 
 /// Identifier handed out when subscribing to the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,10 +54,14 @@ impl fmt::Display for ContextChange {
 /// Copy-on-write: the snapshot shares the store's value map, so taking (or cloning)
 /// one is a reference-count bump whatever the number of keys. The store copies the map
 /// on its first write after a snapshot that is still alive — a snapshot never changes.
+///
+/// Values are stored by key id ([`ContextKey`] is an interned name, valid for every
+/// snapshot of the process): a read is one integer hash and probe, by key or by name,
+/// and allocates nothing; the copy a write makes copies no key string.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContextSnapshot {
     version: u64,
-    values: Arc<BTreeMap<ContextKey, ContextValue>>,
+    values: Arc<Values>,
 }
 
 impl ContextSnapshot {
@@ -66,9 +75,10 @@ impl ContextSnapshot {
         self.values.get(key)
     }
 
-    /// Looks up a value by key name.
-    pub fn get_name(&self, name: &str) -> Option<&ContextValue> {
-        self.values.get(&ContextKey::new(name))
+    /// Looks up a value by key name: a lookup in the name table, then a read by key.
+    /// Allocates nothing — a name never interned is a key no snapshot holds.
+    fn get_name(&self, name: &str) -> Option<&ContextValue> {
+        self.values.get(&ContextKey::lookup(name)?)
     }
 
     /// Whether a boolean key is present and true.
@@ -86,9 +96,12 @@ impl ContextSnapshot {
         self.values.is_empty()
     }
 
-    /// Iterates over the `(key, value)` pairs in key order.
+    /// Iterates over the `(key, value)` pairs in key (name) order. Sorts a list of the
+    /// pairs first: this is for inspection, not for a hot path.
     pub fn iter(&self) -> impl Iterator<Item = (&ContextKey, &ContextValue)> + '_ {
-        self.values.iter()
+        let mut pairs: Vec<_> = self.values.iter().collect();
+        pairs.sort_unstable_by_key(|(key, _)| **key);
+        pairs.into_iter()
     }
 
     /// Builds a snapshot directly from key/value pairs (for tests and ad-hoc evaluation).
@@ -108,7 +121,7 @@ impl ContextSnapshot {
 #[derive(Debug, Default)]
 struct StoreInner {
     /// Shared with every live snapshot; written through `Arc::make_mut`.
-    values: Arc<BTreeMap<ContextKey, ContextValue>>,
+    values: Arc<Values>,
     /// Version-sorted, oldest first.
     changes: VecDeque<ContextChange>,
     version: u64,
@@ -200,7 +213,7 @@ impl ContextStore {
         let mut inner = self.inner.write();
         inner.version += 1;
         let version = inner.version;
-        let previous = Arc::make_mut(&mut inner.values).insert(key.clone(), value.clone());
+        let previous = Arc::make_mut(&mut inner.values).insert(key, value.clone());
         inner.changes.push_back(ContextChange { version, at, key, previous, current: Some(value) });
         inner.compact();
         version
@@ -218,7 +231,7 @@ impl ContextStore {
             inner.changes.push_back(ContextChange {
                 version,
                 at,
-                key: key.clone(),
+                key: *key,
                 previous,
                 current: None,
             });

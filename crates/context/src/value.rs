@@ -2,39 +2,50 @@
 
 use std::fmt;
 
+use crate::name::Name;
+
 /// The name of a context attribute, e.g. `patient.location`, `nurse.on-shift`,
 /// `emergency.active`.
 ///
 /// Keys are dotted paths; the prefix conventionally names the subject and the suffix the
 /// attribute, which keeps context for different principals separated in a flat store.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ContextKey(String);
+///
+/// A key is an interned [`Name`]: `Copy`, compared and hashed by id, ordered by its
+/// text. Building one from a string interns it; reading a snapshot by name
+/// ([`crate::ContextSnapshot::is_true`]) only looks the name up, and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ContextKey(Name);
 
 impl ContextKey {
-    /// Creates a context key.
-    pub fn new(name: impl Into<String>) -> Self {
-        ContextKey(name.into())
+    /// Creates (interns) a context key.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        ContextKey(Name::intern(name.as_ref()))
+    }
+
+    /// The key of `name` if some key of that name was ever created.
+    pub(crate) fn lookup(name: &str) -> Option<Self> {
+        Name::lookup(name).map(ContextKey)
     }
 
     /// The full dotted name.
-    pub fn name(&self) -> &str {
-        &self.0
+    pub fn name(&self) -> &'static str {
+        self.0.as_str()
     }
 
     /// The subject prefix (text before the first `.`), if present.
-    pub fn subject(&self) -> Option<&str> {
-        self.0.split_once('.').map(|(s, _)| s)
+    pub fn subject(&self) -> Option<&'static str> {
+        self.name().split_once('.').map(|(s, _)| s)
     }
 
     /// The attribute suffix (text after the first `.`), or the whole name.
-    pub fn attribute(&self) -> &str {
-        self.0.split_once('.').map(|(_, a)| a).unwrap_or(&self.0)
+    pub fn attribute(&self) -> &'static str {
+        self.name().split_once('.').map_or(self.name(), |(_, a)| a)
     }
 }
 
 impl fmt::Display for ContextKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.name())
     }
 }
 

@@ -885,15 +885,16 @@ fn process_delivery<'d>(
     };
     // The shard answers the core's two questions from the regime and `can_flow`, and
     // laps the stage spans there: only the answers sit between the steps of the
-    // sequence. Every AC answer is an evaluation of the regime (`AcMiss`).
+    // sequence. Every AC answer is an evaluation of the regime (`AcMiss`), asked with
+    // the names both components and the schema resolved once: the destination's
+    // program, integer compares and one snapshot read per condition key.
     let ask_access = || {
         probe.lap(Stage::Isolation);
-        let (principal, message_type) = (src.component.principal(), Some(facts.message_type));
-        let decision = directory.access.decide(
-            dst.component.name(),
-            principal,
+        let decision = directory.access.decide_by_id(
+            dst.component.party(),
+            src.component.party(),
             Operation::Send,
-            message_type,
+            || Some(message.schema().message_type_name()),
             &state.snapshot,
             Timestamp(at_millis),
         );

@@ -207,8 +207,8 @@ pub fn admit_channel(
     snapshot: &ContextSnapshot,
     now: Timestamp,
 ) -> DeliveryOutcome {
-    let (to, principal) = (destination.name(), source.principal());
-    let ask = || Some(access.decide(to, principal, Operation::Send, None, snapshot, now));
+    let (to, from) = (destination.party(), source.party());
+    let ask = || Some(access.decide_by_id(to, from, Operation::Send, || None, snapshot, now));
     enforce(source, destination, None, ask, direct_flow(destination)).into_outcome()
 }
 

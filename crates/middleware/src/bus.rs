@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use legaliot_audit::{AuditEvent, AuditLog};
-use legaliot_context::{ContextSnapshot, Timestamp};
+use legaliot_context::{ContextSnapshot, Name, Timestamp};
 use legaliot_ifc::{FlowDecision, Tag, TagRegistry};
 use legaliot_policy::{Action, ReconfigurationCommand};
 
@@ -377,8 +377,10 @@ impl Middleware {
             secrecy: message.context.secrecy(),
         };
         let ask = || {
-            let (principal, message_type) = (source.principal(), Some(facts.message_type));
-            Some(self.access.decide(to, principal, Operation::Send, message_type, snapshot, now))
+            // A type the process never interned matches only untyped rules: `None`.
+            let message_type = || Name::lookup(facts.message_type.as_str());
+            let (to, from) = (destination.party(), source.party());
+            Some(self.access.decide_by_id(to, from, Operation::Send, message_type, snapshot, now))
         };
         let flow = match enforce(source, destination, Some(facts), ask, direct_flow(destination)) {
             Verdict::Flow(flow) => flow,

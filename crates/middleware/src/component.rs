@@ -12,7 +12,7 @@ use std::fmt;
 
 use legaliot_ifc::{Entity, EntityKind, PrivilegeSet, SecurityContext};
 
-use crate::acl::Principal;
+use crate::acl::{Party, Principal};
 use crate::schema::{FrozenSchema, MessageSchema, MessageType};
 
 /// A middleware-managed component ('thing').
@@ -20,6 +20,8 @@ use crate::schema::{FrozenSchema, MessageSchema, MessageType};
 pub struct Component {
     entity: Entity,
     principal: Principal,
+    /// The name and principal as the AC regime knows them, interned at `build`.
+    party: Party,
     node: String,
     produces: Vec<MessageType>,
     consumes: Vec<MessageType>,
@@ -47,6 +49,13 @@ impl Component {
     /// The owning principal.
     pub fn principal(&self) -> &Principal {
         &self.principal
+    }
+
+    /// The component's name and its principal's name and roles, interned when the
+    /// component was built: what an AC question by id
+    /// ([`crate::AccessRegime::decide_by_id`]) takes.
+    pub fn party(&self) -> &Party {
+        &self.party
     }
 
     /// The node hosting the component.
@@ -141,6 +150,7 @@ impl ComponentBuilder {
     /// Finishes building the component.
     pub fn build(self) -> Component {
         Component {
+            party: Party::new(&self.name, &self.principal),
             entity: Entity::with_kind(self.name, EntityKind::Active, self.context),
             principal: self.principal,
             node: self.node,

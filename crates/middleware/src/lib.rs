@@ -29,7 +29,7 @@ pub mod component;
 pub mod schema;
 
 pub use acl::{
-    AccessDecision, AccessRegime, AccessRule, DenialCause, Operation, Principal, Subject,
+    AccessDecision, AccessRegime, AccessRule, DenialCause, Operation, Party, Principal, Subject,
 };
 pub use admission::{admit_channel, admit_channel_cached, AdmissionCache, ControlOutcome};
 pub use bus::{Channel, ChannelState, DeliveryOutcome, Middleware, MiddlewareError};

@@ -24,8 +24,9 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Index;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use legaliot_context::Name;
 use legaliot_ifc::{Label, SecurityContext};
 
 /// The name of a message type (e.g. `sensor-reading`, `actuation-command`): a shared
@@ -343,6 +344,9 @@ pub const MAX_FROZEN_ATTRIBUTES: usize = 64;
 #[derive(Debug, Clone)]
 pub struct FrozenSchema {
     message_type: MessageType,
+    /// The type's interned name, the one access rules are compiled against: interned
+    /// the first time a typed rule asks, so a regime without typed rules never pays.
+    type_name: OnceLock<Name>,
     /// Attribute names, sorted — the interned name table shared by every message.
     names: Arc<[Arc<str>]>,
     /// Attribute kinds, index-aligned with `names`.
@@ -384,12 +388,19 @@ impl FrozenSchema {
             })
             .collect();
         let message_type = schema.message_type.clone();
-        Ok(FrozenSchema { message_type, names, kinds, secrecy, sensitive_mask })
+        let type_name = OnceLock::new();
+        Ok(FrozenSchema { message_type, type_name, names, kinds, secrecy, sensitive_mask })
     }
 
     /// The message type this schema describes.
     pub fn message_type(&self) -> &MessageType {
         &self.message_type
+    }
+
+    /// The message type's interned name, what a typed rule is matched against
+    /// ([`crate::AccessRegime::decide_by_id`]): interned on the first call, read after.
+    pub fn message_type_name(&self) -> Name {
+        *self.type_name.get_or_init(|| Name::intern(self.message_type.as_str()))
     }
 
     /// Number of declared attributes.

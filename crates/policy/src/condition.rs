@@ -2,13 +2,15 @@
 
 use std::fmt;
 
-use legaliot_context::{ContextSnapshot, ContextValue, Timestamp};
+use legaliot_context::{ContextKey, ContextSnapshot, ContextValue, Timestamp};
 
 /// A boolean condition over a [`ContextSnapshot`].
 ///
 /// Conditions are a small expression tree of plain data (no closures) so that policies
 /// can be distributed to gateways and components (Challenge 1: global policy
-/// representation).
+/// representation). Keys are interned [`ContextKey`]s, resolved when the condition is
+/// built: evaluating one reads the snapshot by key id, with no string hashed or
+/// allocated.
 ///
 /// ```
 /// use legaliot_policy::Condition;
@@ -31,31 +33,31 @@ pub enum Condition {
     /// A boolean context key is present and true.
     IsTrue {
         /// The context key.
-        key: String,
+        key: ContextKey,
     },
     /// A boolean context key is absent or false.
     IsFalse {
         /// The context key.
-        key: String,
+        key: ContextKey,
     },
     /// A text context key equals the given value.
     TextEquals {
         /// The context key.
-        key: String,
+        key: ContextKey,
         /// The expected value.
         value: String,
     },
     /// A numeric context key is `>=` the given threshold.
     NumberAtLeast {
         /// The context key.
-        key: String,
+        key: ContextKey,
         /// The inclusive lower bound.
         threshold: f64,
     },
     /// A numeric context key is `<` the given threshold.
     NumberBelow {
         /// The context key.
-        key: String,
+        key: ContextKey,
         /// The exclusive upper bound.
         threshold: f64,
     },
@@ -76,17 +78,17 @@ pub enum Condition {
 
 impl Condition {
     /// Shorthand for [`Condition::IsTrue`].
-    pub fn is_true(key: impl Into<String>) -> Self {
+    pub fn is_true(key: impl Into<ContextKey>) -> Self {
         Condition::IsTrue { key: key.into() }
     }
 
     /// Shorthand for [`Condition::IsFalse`].
-    pub fn is_false(key: impl Into<String>) -> Self {
+    pub fn is_false(key: impl Into<ContextKey>) -> Self {
         Condition::IsFalse { key: key.into() }
     }
 
     /// Shorthand for [`Condition::NumberBelow`].
-    pub fn number_below(key: impl Into<String>, threshold: f64) -> Self {
+    pub fn number_below(key: impl Into<ContextKey>, threshold: f64) -> Self {
         Condition::NumberBelow { key: key.into(), threshold }
     }
 
@@ -122,20 +124,20 @@ impl Condition {
         match self {
             Condition::Always => true,
             Condition::Never => false,
-            Condition::IsTrue { key } => snapshot.is_true(key),
-            Condition::IsFalse { key } => !snapshot.is_true(key),
+            Condition::IsTrue { key } => is_true(snapshot, key),
+            Condition::IsFalse { key } => !is_true(snapshot, key),
             Condition::TextEquals { key, value } => snapshot
-                .get_name(key)
+                .get(key)
                 .and_then(ContextValue::as_text)
                 .map(|t| t == value)
                 .unwrap_or(false),
             Condition::NumberAtLeast { key, threshold } => snapshot
-                .get_name(key)
+                .get(key)
                 .and_then(ContextValue::as_number)
                 .map(|n| n >= *threshold)
                 .unwrap_or(false),
             Condition::NumberBelow { key, threshold } => snapshot
-                .get_name(key)
+                .get(key)
                 .and_then(ContextValue::as_number)
                 .map(|n| n < *threshold)
                 .unwrap_or(false),
@@ -147,6 +149,11 @@ impl Condition {
             Condition::Any(cs) => cs.iter().any(|c| c.evaluate(snapshot, now)),
         }
     }
+}
+
+/// Whether a boolean key is present and true.
+fn is_true(snapshot: &ContextSnapshot, key: &ContextKey) -> bool {
+    snapshot.get(key).and_then(ContextValue::as_bool) == Some(true)
 }
 
 impl fmt::Display for Condition {

@@ -152,7 +152,7 @@ impl PolicyTemplate {
                 vec![PolicyRule::builder(format!("retention-{store}"), authority.clone())
                     .on_tick()
                     .when(Condition::NumberAtLeast {
-                        key: format!("{store}.oldest-item-age"),
+                        key: format!("{store}.oldest-item-age").into(),
                         threshold: *retention_millis as f64,
                     })
                     .then(Action::Actuate {

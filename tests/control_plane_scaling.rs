@@ -1,14 +1,17 @@
 //! Control-plane cost must follow what an operation changes, not what the fleet
-//! holds: a join (`register`, `store.snapshot()`, `subscribe` both ways) and a leave
+//! holds: a join (`register`, `store.snapshot()`, `subscribe` both ways), a rule edit
+//! (`with_access(add_rule)`, its condition on a key never seen before) and a leave
 //! (`deregister`) are timed against a 500-endpoint / 500-key engine and against an
 //! 8000-endpoint / 8000-key one, and the per-operation cost may grow by at most 4×
 //! for 16× the fleet.
 //!
 //! A snapshot that deep-copies the key map, a `deregister` that walks every
-//! endpoint's subscriber list, or a `poll` that filters the whole change history
-//! each scale with the fleet and push the ratio towards 16×. The figure per size is
-//! the minimum of five repetitions, so a disturbance of the host has to hit all five
-//! to show. CI runs this in `--release` (the `fleet-conformance` job).
+//! endpoint's subscriber list, a `poll` that filters the whole change history, a rule
+//! edit that recompiles the whole regime rather than one component, or interning a key
+//! by walking the store each scale with the fleet and push the ratio towards 16×. The
+//! figure per size is the minimum of five repetitions, so a disturbance of the host
+//! has to hit all five to show. CI runs this in `--release` (the `fleet-conformance`
+//! job).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,7 +63,7 @@ fn engine(size: usize) -> (Dataplane, Arc<ContextStore>) {
     (dataplane, store)
 }
 
-/// Seconds per join + leave, the minimum over the repetitions.
+/// Seconds per join + rule edit + leave, the minimum over the repetitions.
 fn join_leave_cost(dataplane: &Dataplane, store: &ContextStore, size: usize) -> f64 {
     dataplane.allow_sends_to("joiner");
     let mut best = f64::INFINITY;
@@ -70,6 +73,12 @@ fn join_leave_cost(dataplane: &Dataplane, store: &ContextStore, size: usize) -> 
             let neighbour = format!("endpoint-{:05}", (repetition * CYCLES + cycle) % size);
             let now = Timestamp(2 + cycle as u64);
             dataplane.register(component("joiner")).expect("the joiner left last cycle");
+            let visit = format!("joiner.visit-{size}-{repetition}-{cycle}");
+            dataplane.with_access(|access| {
+                let rule =
+                    AccessRule::allow(Subject::Role("visitor".into()), Operation::Receive, None);
+                access.add_rule("joiner", rule.when(Condition::is_true(visit)));
+            });
             let snapshot = store.snapshot();
             for (from, to) in [("joiner", neighbour.as_str()), (neighbour.as_str(), "joiner")] {
                 let outcome = dataplane.subscribe(from, to, &snapshot, now).expect("registered");
@@ -93,13 +102,13 @@ fn join_and_leave_cost_does_not_follow_the_fleet() {
     let (small, large) = (cost_at(SMALL), cost_at(LARGE));
     let ratio = large / small;
     println!(
-        "join + leave: {:.2} µs at {SMALL} endpoints, {:.2} µs at {LARGE} ({ratio:.2}×)",
+        "join + rule edit + leave: {:.2} µs at {SMALL} endpoints, {:.2} µs at {LARGE} ({ratio:.2}×)",
         small * 1e6,
         large * 1e6
     );
     assert!(
         ratio < MAX_RATIO,
-        "a join + leave costs {ratio:.1}× as much at {LARGE} endpoints as at {SMALL} \
+        "a join + rule edit + leave costs {ratio:.1}× as much at {LARGE} endpoints as at {SMALL} \
          ({:.2} µs against {:.2} µs): some control-plane step scales with the fleet",
         large * 1e6,
         small * 1e6

@@ -50,6 +50,7 @@ use legaliot::middleware::{
     AccessRule, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message, Middleware,
     Operation, Principal, Subject,
 };
+use legaliot::policy::Condition;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
@@ -374,6 +375,48 @@ fn an_access_denial_allocates_nothing_on_the_shard() {
     );
     assert_eq!(elsewhere, 0, "a shard allocated while denying at AC");
     assert!(subscribers.iter().all(|subscriber| subscriber.drain().is_empty()));
+    dataplane.shutdown();
+}
+
+/// Conditional AC: every delivery asks the regime rules whose conditions read context
+/// keys — `IsFalse`, `Any(IsFalse, IsTrue)` and `NumberBelow`, as deny rules that do not
+/// hold, so each is evaluated on every delivery and every delivery still goes through.
+/// A rule reads its keys by id from the shard's snapshot, so none of it allocates.
+#[test]
+fn a_conditional_ac_question_allocates_nothing_on_the_shard() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let topology = smart_home(8, 1);
+    let feeds = topology.publisher_messages();
+    let (dataplane, subscribers) = install(&topology);
+    let store = dataplane.context_store();
+    store.set("home.armed", true, Timestamp(0));
+    store.set("home.away", false, Timestamp(0));
+    store.set("home.battery", 80i64, Timestamp(0));
+    let holds_not = [
+        Condition::is_false("home.armed"),
+        Condition::Any(vec![Condition::is_false("home.armed"), Condition::is_true("home.away")]),
+        Condition::number_below("home.battery", 20.0),
+    ];
+    for (_, to) in &topology.edges {
+        dataplane.with_access(|access| {
+            for condition in &holds_not {
+                let deny = AccessRule::deny(Subject::Anyone, Operation::Send, None);
+                access.add_rule(to, deny.when(condition.clone()));
+            }
+        });
+    }
+    // Warm-up, which also proves every delivery is judged and let through.
+    for _ in 0..3 {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES, "fan-out 1");
+    }
+    let (allocations, frees, elsewhere) = counted(|| {
+        assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
+    });
+    println!(
+        "{MESSAGES} conditional AC questions: {allocations} allocations ({elsewhere} \
+         off-thread), {frees} frees"
+    );
+    assert_eq!(elsewhere, 0, "a shard allocated while evaluating conditional AC rules");
     dataplane.shutdown();
 }
 
