@@ -4,10 +4,11 @@
 //! One append-only, process-wide table hands out a [`Name`] per distinct string, so a
 //! name's id means the same thing in every store, snapshot and access regime of the
 //! process — a snapshot built with [`crate::ContextSnapshot::from_pairs`] included —
-//! and nothing has to be re-resolved when a snapshot changes. A name's text is kept for
-//! the life of the process (the table never shrinks), which is what lets [`Name`] be
-//! `Copy` and carry its `&'static str`: the table grows with the distinct names a
-//! process has seen, not with how often it sees them.
+//! and nothing has to be re-resolved when a snapshot changes. An id reads back as its
+//! name ([`Name::from_id`]), so a number is all a holder has to keep. A name's text is
+//! kept for the life of the process (the table never shrinks), which is what lets
+//! [`Name`] be `Copy` and carry its `&'static str`: the table grows with the distinct
+//! names a process has seen, not with how often it sees them.
 //!
 //! Equality and hashing are by id — one integer compare, one integer hash ([`IdHasher`])
 //! — and order is by text, so a sorted collection of names sorts as its strings would.
@@ -34,6 +35,8 @@ struct Table {
     /// outside the program (a device joining under a name of its choosing), and a
     /// text hash an outsider can predict is one they can make collide.
     names: HashMap<&'static str, Name>,
+    /// id → text, for every name in `names`.
+    texts: Vec<&'static str>,
     /// The unused tail of the chunk new texts are copied into: texts are kept in a few
     /// large blocks, side by side in the order they were interned, not one small
     /// allocation each among the process's short-lived ones.
@@ -51,6 +54,7 @@ impl Table {
         let id = u32::try_from(self.names.len()).expect("under 2^32 distinct names");
         let name = Name { id, text: self.keep(text) };
         self.names.insert(name.text, name);
+        self.texts.push(name.text);
         name
     }
 
@@ -85,6 +89,14 @@ impl Name {
         table().read().names.get(text).copied()
     }
 
+    /// The name whose id is `id`, if one was handed out: the way back from a number
+    /// that stands for a name — an endpoint that has left included — to its text.
+    /// Allocates nothing.
+    pub fn from_id(id: u32) -> Option<Name> {
+        let text = *table().read().texts.get(usize::try_from(id).ok()?)?;
+        Some(Name { id, text })
+    }
+
     /// The interned text.
     pub fn as_str(self) -> &'static str {
         self.text
@@ -94,6 +106,13 @@ impl Name {
     /// names.
     pub fn id(self) -> u32 {
         self.id
+    }
+}
+
+/// Interns the text: `Name::from(text)` is [`Name::intern`].
+impl<T: AsRef<str>> From<T> for Name {
+    fn from(text: T) -> Name {
+        Name::intern(text.as_ref())
     }
 }
 
@@ -183,6 +202,19 @@ mod tests {
     }
 
     #[test]
+    fn every_id_handed_out_reads_back_as_its_name() {
+        let a = Name::intern("name-test.by-id");
+        assert_eq!(Name::from_id(a.id()).map(Name::as_str), Some("name-test.by-id"));
+        // Ids are dense: every one below the newest maps back to the name holding it.
+        let newest = Name::intern("name-test.newest").id();
+        for id in 0..=newest {
+            let name = Name::from_id(id).expect("every id up to the newest was handed out");
+            assert_eq!((name.id(), Name::lookup(name.as_str())), (id, Some(name)));
+        }
+        assert_eq!(Name::from_id(u32::MAX), None, "an id past the end");
+    }
+
+    #[test]
     fn order_is_the_texts_and_ids_hash_apart() {
         let (z, a) = (Name::intern("name-test.z"), Name::intern("name-test.a"));
         assert!(a < z, "ordered by text, not by interning order");
@@ -199,10 +231,25 @@ mod tests {
     #[test]
     fn threads_interning_one_text_get_one_name() {
         let names: Vec<Name> = std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..4).map(|_| scope.spawn(|| Name::intern("name-test.raced"))).collect();
+            let handles: Vec<_> = (0..4)
+                .map(|thread| {
+                    scope.spawn(move || {
+                        let name = Name::intern("name-test.raced");
+                        // Others intern texts of their own meanwhile: the id read agrees
+                        // with the name every time.
+                        for round in 0..64 {
+                            let own = Name::intern(&format!("name-test.raced-{thread}-{round}"));
+                            let read = |name: Name| Name::from_id(name.id()).map(Name::as_str);
+                            assert_eq!(read(own), Some(own.as_str()));
+                            assert_eq!(read(name), Some("name-test.raced"));
+                        }
+                        name
+                    })
+                })
+                .collect();
             handles.into_iter().map(|handle| handle.join().unwrap()).collect()
         });
         assert!(names.windows(2).all(|pair| pair[0] == pair[1]));
+        assert_eq!(Name::from_id(names[0].id()).map(Name::as_str), Some("name-test.raced"));
     }
 }

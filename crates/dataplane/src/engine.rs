@@ -1,13 +1,12 @@
 //! The dataplane engine: registration, subscription (admission-checked channels),
 //! sharded publishing, context changes, and shutdown reports.
 //!
-//! Endpoint names are interned once, in the directory's `EndpointTable`: a name gets
-//! a small `Copy` `EndpointId` the first time it registers and keeps it for the
-//! engine's lifetime. Subscription edges, queued deliveries and the shards' pair
-//! summaries carry ids; a shard resolves an id to the endpoint *currently* holding the
-//! name by index, and the name string is read only where an audit record is written.
-//! Memory: every distinct name ever registered costs its string plus a few words
-//! (name-table entry, slot pointer, map entry) for as long as the engine lives; the
+//! An endpoint is filed under its name's id in the process-wide table of
+//! [`Name`]s — the id its component's party holds for the access regime — as a `Copy`
+//! `EndpointId`. Subscription edges, queued deliveries and the shards' pair summaries
+//! carry ids; a shard resolves an id to the endpoint *currently* holding the name by
+//! index, and reads the name's text back from the table only where an audit record is
+//! written. Memory: one slot word per name id up to the highest one filed here; the
 //! `Endpoint` itself is freed when it leaves.
 //!
 //! Message bodies come from one engine-wide [`BodyRing`]: a publish refills, in place,
@@ -27,7 +26,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStats, SegmentStore};
-use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
+use legaliot_context::{ContextSnapshot, ContextStore, Name, Timestamp};
 use legaliot_ifc::SecurityContext;
 use legaliot_middleware::admission::{admit_channel, control_steps, reconfigure, ControlDelta};
 use legaliot_middleware::bus::teardown_evidence;
@@ -290,14 +289,29 @@ impl fmt::Display for DataplaneError {
 
 impl std::error::Error for DataplaneError {}
 
-/// The handle of an endpoint *name*: an index into the [`EndpointTable`]. `Copy`, so a
-/// queued delivery names its two endpoints in two words and no reference count.
+/// The handle of an endpoint *name*: its id in the process-wide name table
+/// ([`Name::id`]), and so its index into the [`EndpointTable`]. `Copy`, so a queued
+/// delivery names its two endpoints in two words and no reference count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct EndpointId(u32);
 
 impl EndpointId {
+    pub(crate) fn of(name: Name) -> Self {
+        EndpointId(name.id())
+    }
+
+    /// The id of the text `name`; a text nobody interned names no endpoint.
+    fn lookup(name: &str) -> Option<Self> {
+        Name::lookup(name).map(Self::of)
+    }
+
     pub(crate) fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The name behind the id, also after its endpoint has left: no directory lock.
+    pub(crate) fn name(self) -> Name {
+        Name::from_id(self.0).expect("an endpoint id is a name's id")
     }
 }
 
@@ -325,6 +339,11 @@ pub(crate) struct Endpoint {
 }
 
 impl Endpoint {
+    /// The endpoint's name, as its component's party holds it.
+    fn name(&self) -> Name {
+        self.component.party().component()
+    }
+
     fn new(component: Component, shard: usize) -> Self {
         Endpoint {
             component,
@@ -340,92 +359,57 @@ fn unknown(name: &str) -> DataplaneError {
     DataplaneError::UnknownEndpoint { name: name.to_string() }
 }
 
-/// The endpoint directory: every name ever registered, interned once, and the endpoint
-/// currently holding each.
-///
-/// A name keeps its id for the engine's lifetime and a name that registers again
-/// refills its slot, so an id always means "whoever holds this name now": lookup is by
-/// name exactly as with a name-keyed map, an id held by a queued delivery resolves to
-/// the registration in force at enforcement time (or to nothing), and evidence can
-/// name an endpoint that has left.
+/// The endpoint directory: the endpoint currently holding each name, under the name's
+/// [`EndpointId`]. It keeps no name: one that registers again refills its slot, so an
+/// id always means "whoever holds this name now" — an id held by a queued delivery
+/// resolves to the registration in force at enforcement time (or to nothing). Slots
+/// are read with `get`: a process-wide id may name a context key, a principal or
+/// another engine's endpoint, and may lie past the last slot.
 #[derive(Debug, Default)]
 pub(crate) struct EndpointTable {
-    /// id → name. Never shrinks.
-    names: Vec<Arc<str>>,
-    /// id → the endpoint holding the name, `None` once it has left. Boxed, so a
-    /// retired name costs one word here and not an `Endpoint`-sized hole.
+    /// id → the endpoint holding the name, `None` if none does. Boxed, so a name that
+    /// is not an endpoint here costs one word and not an `Endpoint`-sized hole.
     slots: Vec<Option<Box<Endpoint>>>,
-    /// name → id, for every name in `names`.
-    ids: HashMap<Arc<str>, EndpointId>,
 }
 
 impl EndpointTable {
-    /// The id of a name that is or ever was registered.
-    pub(crate) fn id_of(&self, name: &str) -> Option<EndpointId> {
-        self.ids.get(name).copied()
-    }
-
-    /// The name behind an id — also after its endpoint has left.
-    pub fn name(&self, id: EndpointId) -> &Arc<str> {
-        &self.names[id.index()]
-    }
-
     /// The endpoint currently holding the id's name.
     pub fn get(&self, id: EndpointId) -> Option<&Endpoint> {
-        self.slots[id.index()].as_deref()
+        self.slots.get(id.index())?.as_deref()
     }
 
     fn get_mut(&mut self, id: EndpointId) -> Option<&mut Endpoint> {
-        self.slots[id.index()].as_deref_mut()
+        self.slots.get_mut(id.index())?.as_deref_mut()
     }
 
-    /// The registered endpoint of this name, if there is one.
-    fn find(&self, name: &str) -> Option<(EndpointId, &Endpoint)> {
-        let id = self.id_of(name)?;
-        Some((id, self.get(id)?))
-    }
-
-    /// [`Self::find`], or the error for a name nobody holds.
+    /// The registered endpoint of this name, or the error for a name nobody holds.
     fn lookup(&self, name: &str) -> Result<(EndpointId, &Endpoint), DataplaneError> {
-        self.find(name).ok_or_else(|| unknown(name))
-    }
-
-    fn lookup_mut(&mut self, name: &str) -> Result<(EndpointId, &mut Endpoint), DataplaneError> {
-        let found = self.id_of(name).and_then(|id| Some((id, self.get_mut(id)?)));
+        let found = EndpointId::lookup(name).and_then(|id| Some((id, self.get(id)?)));
         found.ok_or_else(|| unknown(name))
     }
 
-    /// Puts `endpoint` under its component's name: a new id for a name never seen, the
-    /// old one for a name that comes back.
-    fn register(&mut self, endpoint: Endpoint) -> Result<EndpointId, DataplaneError> {
-        let name = endpoint.component.name();
-        if let Some(id) = self.id_of(name) {
-            let slot = &mut self.slots[id.index()];
-            if slot.is_some() {
-                return Err(DataplaneError::DuplicateEndpoint { name: name.to_string() });
-            }
-            *slot = Some(Box::new(endpoint));
-            return Ok(id);
+    fn lookup_mut(&mut self, name: &str) -> Result<(EndpointId, &mut Endpoint), DataplaneError> {
+        let found = EndpointId::lookup(name).and_then(|id| Some((id, self.get_mut(id)?)));
+        found.ok_or_else(|| unknown(name))
+    }
+
+    /// Puts `endpoint` under its name's id, growing the slots to reach it.
+    fn register(&mut self, endpoint: Endpoint) -> Result<(), DataplaneError> {
+        let index = EndpointId::of(endpoint.name()).index();
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
         }
-        let id = EndpointId(u32::try_from(self.names.len()).expect("under 2^32 endpoint names"));
-        let name: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&name));
-        self.ids.insert(name, id);
-        self.slots.push(Some(Box::new(endpoint)));
-        Ok(id)
+        let Some(slot @ None) = self.slots.get_mut(index) else {
+            return Err(DataplaneError::DuplicateEndpoint { name: endpoint.name().to_string() });
+        };
+        *slot = Some(Box::new(endpoint));
+        Ok(())
     }
 
-    /// Makes room for `additional` names never seen before.
-    fn reserve(&mut self, additional: usize) {
-        self.names.reserve(additional);
-        self.slots.reserve(additional);
-        self.ids.reserve(additional);
-    }
-
-    /// Takes the endpoint of this name out; the name keeps its id.
+    /// Takes the endpoint of this name out.
     fn retire(&mut self, name: &str) -> Result<(EndpointId, Box<Endpoint>), DataplaneError> {
-        let retired = self.id_of(name).and_then(|id| Some((id, self.slots[id.index()].take()?)));
-        retired.ok_or_else(|| unknown(name))
+        let take = |id: EndpointId| Some((id, self.slots.get_mut(id.index())?.take()?));
+        EndpointId::lookup(name).and_then(take).ok_or_else(|| unknown(name))
     }
 
     /// Every registered endpoint with its id.
@@ -488,8 +472,8 @@ impl Directory {
         now: Timestamp,
     ) -> Result<(), DataplaneError> {
         let (publisher_id, source) = self.endpoints.lookup(publisher)?;
-        // A name that never registered has no id, and so no edge to remove.
-        let Some(subscriber_id) = self.endpoints.id_of(subscriber) else { return Ok(()) };
+        // A text nobody interned has no id, and so no edge to remove.
+        let Some(subscriber_id) = EndpointId::lookup(subscriber) else { return Ok(()) };
         if !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id) {
             return Ok(());
         }
@@ -732,8 +716,7 @@ impl Dataplane {
     pub fn register(&self, component: Component) -> Result<(), DataplaneError> {
         let shard = self.shard_of(component.name());
         let endpoint = Endpoint::new(component, shard);
-        self.shared.directory.write().endpoints.register(endpoint)?;
-        Ok(())
+        self.shared.directory.write().endpoints.register(endpoint)
     }
 
     /// Registers a batch of components under a single directory write lock — the
@@ -759,15 +742,16 @@ impl Dataplane {
             })
             .collect();
         let mut directory = self.shared.directory.write();
-        let mut batch_names = std::collections::HashSet::with_capacity(prepared.len());
+        let mut batch = std::collections::HashSet::with_capacity(prepared.len());
         for endpoint in &prepared {
-            let name = endpoint.component.name();
-            if directory.endpoints.find(name).is_some() || !batch_names.insert(name) {
-                return Err(DataplaneError::DuplicateEndpoint { name: name.to_string() });
+            let id = EndpointId::of(endpoint.name());
+            if directory.endpoints.get(id).is_some() || !batch.insert(id) {
+                return Err(DataplaneError::DuplicateEndpoint {
+                    name: endpoint.name().to_string(),
+                });
             }
         }
         let registered = prepared.len();
-        directory.endpoints.reserve(registered);
         for endpoint in prepared {
             directory.endpoints.register(endpoint).expect("names checked above");
         }
@@ -790,13 +774,13 @@ impl Dataplane {
     /// mailbox has exactly one consuming handle).
     pub fn open_subscriber(&self, name: &str) -> Result<Subscriber, DataplaneError> {
         let mut directory = self.shared.directory.write();
-        let (id, endpoint) = directory.endpoints.lookup_mut(name)?;
+        let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
         if endpoint.mailbox.as_ref().is_some_and(|mailbox| !mailbox.is_closed()) {
             return Err(DataplaneError::ReceiverAttached { name: name.to_string() });
         }
         let mailbox = Arc::new(BoundedQueue::new(self.config.mailbox_capacity));
         endpoint.mailbox = Some(Arc::clone(&mailbox));
-        Ok(Subscriber::new(Arc::clone(directory.endpoints.name(id)), mailbox))
+        Ok(Subscriber::new(endpoint.name(), mailbox))
     }
 
     /// [`Self::open_subscriber`] plus [`Self::subscribe`] in one call: opens the
@@ -929,7 +913,6 @@ impl Dataplane {
     /// hold the lock a worker needs.
     fn enqueue_fanout(
         &self,
-        from: EndpointId,
         subscribers: &[(EndpointId, usize)],
         now: Timestamp,
         body: FrozenMessage,
@@ -976,7 +959,6 @@ impl Dataplane {
                     let body =
                         if enqueued == subscribers.len() { body.take() } else { body.clone() };
                     ShardTask::Deliver {
-                        from,
                         to,
                         at_millis,
                         enqueued_ns,
@@ -1021,15 +1003,15 @@ impl Dataplane {
         message: &Message,
         now: Timestamp,
     ) -> Result<usize, DataplaneError> {
-        let (from, subscribers, frozen) = {
+        let (subscribers, frozen) = {
             let directory = self.shared.directory.read();
-            let (id, endpoint) = directory.endpoints.lookup(publisher)?;
+            let (_, endpoint) = directory.endpoints.lookup(publisher)?;
             let schema = directory.schemas.get(&message.message_type).ok_or_else(|| {
                 DataplaneError::UnknownSchema { message_type: message.message_type.to_string() }
             })?;
-            let (sender, at_millis) = (directory.endpoints.name(id), now.as_millis());
-            // Frozen under the read lock, which lends the schema and the name: neither
-            // freeze can block.
+            let (sender, at_millis) = (endpoint.name(), now.as_millis());
+            // Frozen under the read lock, which lends the schema: neither freeze can
+            // block.
             let frozen = match self.bodies.try_lock() {
                 Some(mut ring) => {
                     let reused = ring.reused();
@@ -1038,14 +1020,13 @@ impl Dataplane {
                     frozen
                 }
                 None => {
-                    let (schema, sender) = (Arc::clone(schema), Arc::clone(sender));
-                    FrozenMessage::freeze_stamped(message, schema, sender, at_millis)
+                    FrozenMessage::freeze_stamped(message, Arc::clone(schema), sender, at_millis)
                 }
             };
-            (id, Arc::clone(&endpoint.subscribers), frozen)
+            (Arc::clone(&endpoint.subscribers), frozen)
         };
         let frozen = frozen.map_err(|reason| DataplaneError::SchemaViolation { reason })?;
-        self.enqueue_fanout(from, &subscribers, now, frozen)
+        self.enqueue_fanout(&subscribers, now, frozen)
     }
 
     /// Changes an entity's security context — one write under the directory lock,
@@ -1280,20 +1261,19 @@ impl Dataplane {
     }
 
     /// Test hook: every edge as `(publisher, subscriber)`, once as the `subscribers`
-    /// lists hold it and once as the `publishers` lists do; both sorted. Checks on the
-    /// way that the handle table is consistent: `id → name → id` round-trips for every
-    /// name ever seen, and an occupied slot holds the component of that name.
+    /// lists hold it and once as the `publishers` lists do; both sorted, each name read
+    /// back from its id. Checks on the way that every endpoint is filed under its
+    /// name's id — the one its party holds — and that `id → name → id` round-trips.
     #[cfg(test)]
     pub(crate) fn edges_both_ways(&self) -> [Vec<(String, String)>; 2] {
         let directory = self.shared.directory.read();
         let table = &directory.endpoints;
-        assert_eq!((table.names.len(), table.ids.len()), (table.slots.len(), table.slots.len()));
-        for (index, name) in table.names.iter().enumerate() {
-            let id = table.id_of(name).expect("every interned name has an id");
-            assert_eq!((id.index(), &**table.name(id)), (index, &**name));
-            assert!(table.get(id).map_or(true, |endpoint| endpoint.component.name() == &**name));
+        for (id, endpoint) in table.registered() {
+            let name = endpoint.component.party().component();
+            assert_eq!((EndpointId::of(name), id.name().as_str()), (id, endpoint.component.name()));
+            assert_eq!(EndpointId::lookup(endpoint.component.name()), Some(id));
         }
-        let name_of = |id: EndpointId| table.name(id).to_string();
+        let name_of = |id: EndpointId| id.name().to_string();
         let (mut forward, mut inverse) = (Vec::new(), Vec::new());
         for (id, endpoint) in table.registered() {
             for (subscriber, shard) in endpoint.subscribers.iter() {
@@ -1307,13 +1287,6 @@ impl Dataplane {
         forward.sort();
         inverse.sort();
         [forward, inverse]
-    }
-
-    /// Test hook: the id a name holds, as a plain number (`None` before it first
-    /// registers).
-    #[cfg(test)]
-    pub(crate) fn endpoint_id(&self, name: &str) -> Option<u32> {
-        self.shared.directory.read().endpoints.id_of(name).map(|id| id.0)
     }
 
     /// Test hook: takes the body ring, as a publisher in the middle of a freeze has it.

@@ -26,11 +26,14 @@
 //!   quenching (Fig. 10) is the schema's bitmask over the shared body instead of a map
 //!   clone; quenched attribute names are evidenced in the per-shard audit
 //!   ([`legaliot_audit::AuditEvent::MessageQuenched`]).
-//! * **Endpoint handles** — a name is interned once, when it first registers, into a
-//!   small `Copy` id that it keeps for the engine's lifetime. Subscription edges,
-//!   queued deliveries and pair summaries carry ids, shards resolve them by index,
-//!   and the string is read only where an audit record is written — no name reference
-//!   count is touched per message.
+//! * **Endpoint handles** — an endpoint is filed under its name's id in the
+//!   process-wide name table ([`legaliot_context::Name`]), the id its component's
+//!   [`legaliot_middleware::Party`] already holds for the access regime: one number per
+//!   name in every engine, for the life of the process. Subscription edges, queued
+//!   deliveries and pair summaries carry ids, shards resolve them by index, and a
+//!   name's text is read back from the table only where an audit record is written —
+//!   no name reference count is touched per message, and no directory lock is taken
+//!   to name an endpoint in evidence.
 //! * **No decision caches** — a shard asks the access regime, [`legaliot_ifc::can_flow`]
 //!   and the schema's quench mask directly for every delivery, against the directory
 //!   and a context snapshot refreshed once per batch. Each answer costs about what a
@@ -92,7 +95,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use legaliot_context::{ContextSnapshot, Timestamp};
+    use legaliot_context::{ContextSnapshot, Name, Timestamp};
     use legaliot_ifc::SecurityContext;
     use legaliot_middleware::{Component, DeliveryOutcome, Principal, ReconfigurationCommand};
 
@@ -538,9 +541,9 @@ mod tests {
 
     /// `publishers` is the exact inverse of `subscribers` after any sequence of
     /// subscribe / unsubscribe / deregister / re-register, checked against a plain
-    /// edge set; a name that leaves and comes back inherits no edge — but it does get
-    /// its id back, and `id → name → id` round-trips for every name ever registered
-    /// (asserted inside `edges_both_ways`).
+    /// edge set; a name that leaves and comes back inherits no edge — but it is filed
+    /// under its id again: every endpoint sits under its name's id, the one its party
+    /// holds, which reads back as its name (asserted inside `edges_both_ways`).
     #[test]
     fn publishers_stay_the_exact_inverse_of_subscribers() {
         use std::collections::BTreeSet;
@@ -550,7 +553,7 @@ mod tests {
             let dataplane = Dataplane::new("edges", config);
             let mut registered: BTreeSet<&str> = BTreeSet::new();
             let mut model: BTreeSet<(String, String)> = BTreeSet::new();
-            // The id each name was given when it first registered.
+            // The id each name had when it first registered.
             let mut first_ids: std::collections::BTreeMap<&str, u32> = Default::default();
             // SplitMix64: a fixed, seed-replayable operation stream.
             let mut state = seed;
@@ -596,16 +599,10 @@ mod tests {
                 let expected: Vec<(String, String)> = model.iter().cloned().collect();
                 assert_eq!(forward, expected, "seed {seed} step {step}");
                 assert_eq!(inverse, expected, "seed {seed} step {step}");
-                for name in NAMES {
-                    match (dataplane.endpoint_id(name), first_ids.get(name)) {
-                        (None, None) => assert!(!registered.contains(name)),
-                        (Some(id), None) => {
-                            // Ids are handed out densely, in order of first arrival.
-                            assert_eq!(id as usize, first_ids.len(), "seed {seed} step {step}");
-                            first_ids.insert(name, id);
-                        }
-                        (now, first) => assert_eq!(now, first.copied(), "seed {seed} step {step}"),
-                    }
+                for &name in &registered {
+                    let id = Name::lookup(name).expect("a registered name is interned").id();
+                    let first = *first_ids.entry(name).or_insert(id);
+                    assert_eq!(id, first, "a name keeps its id: seed {seed} step {step}");
                 }
             }
         }
@@ -1394,11 +1391,13 @@ mod tests {
         let config = DataplaneConfig { shards: 1, ..DataplaneConfig::default() };
         let dataplane = two_pair_plane(config);
         dataplane.register_schema(reading_schema()).unwrap();
-        let id = dataplane.endpoint_id("b");
+        let b = Name::lookup("b").expect("registered");
         let rejoin = |secrecy: &[&str]| {
             dataplane.deregister("b").unwrap();
-            dataplane.register(endpoint("b", secrecy)).unwrap();
-            assert_eq!(dataplane.endpoint_id("b"), id, "a name keeps its id");
+            let component = endpoint("b", secrecy);
+            assert_eq!(component.party().component().id(), b.id(), "a name keeps its id");
+            dataplane.register(component).unwrap();
+            dataplane.edges_both_ways();
             dataplane.open_subscriber("b").unwrap()
         };
         let queue_one = |at: u64| {
@@ -1442,13 +1441,78 @@ mod tests {
         let stats = dataplane.stats();
         assert_eq!((stats.delivered, stats.denied, stats.missing_endpoint), (1, 1, 1));
         assert_eq!(stats.published, 3);
-        assert_eq!(dataplane.endpoint_id("b"), id, "also after it has left");
+        assert_eq!(Name::from_id(b.id()).map(Name::as_str), Some("b"), "also after it has left");
     }
 
-    /// Evidence names endpoints through the handle table, which keeps the name of an
-    /// endpoint that has left: a shard that degrades over a queue of deliveries whose
-    /// destination deregistered meanwhile still writes source and destination into
-    /// every `DeliveryLost` — the crashed unit's and the abandoned remainder's.
+    /// An endpoint is filed under its name's id in the process-wide table — the id its
+    /// party holds, the same in every engine — and an id the table handed out for
+    /// anything else is no endpoint: a context key, a rule's principal, a name interned
+    /// after the last registration (an id past the slots). Every call naming one is
+    /// refused as `UnknownEndpoint`, and unsubscribing one changes and records nothing.
+    #[test]
+    fn one_id_per_name_and_names_from_elsewhere_are_not_endpoints() {
+        use legaliot_audit::AuditEvent;
+        use legaliot_middleware::{AccessRule, Message, Operation, Subject};
+
+        let b = Name::intern("b");
+        let engines = [
+            two_pair_plane(DataplaneConfig::default()),
+            Dataplane::new("other", DataplaneConfig { shards: 1, ..DataplaneConfig::default() }),
+        ];
+        engines[1].register(endpoint("b", &["t"])).unwrap();
+        assert_eq!(endpoint("b", &[]).party().component().id(), b.id());
+        for engine in &engines {
+            // Every endpoint sits under the id its party holds: `b` under `b`'s.
+            engine.edges_both_ways();
+            assert_eq!(engine.set_isolated("b", false, Timestamp(1)), Ok(()));
+        }
+
+        let dataplane = &engines[0];
+        let key = "dp-names.only-a-key";
+        dataplane.context_store().set(key, true, Timestamp(1));
+        let principal = "dp-names.only-a-principal";
+        dataplane.with_access(|access| {
+            let subject = Subject::Principal(principal.into());
+            access.add_rule("a", AccessRule::allow(subject, Operation::Receive, None));
+        });
+        // Registered after both texts were interned, so their ids fall inside the slots.
+        dataplane.register(endpoint("dp-names.last", &["t"])).unwrap();
+        let last = Name::lookup("dp-names.last").unwrap().id();
+        assert!(Name::lookup(key).unwrap().id() < last);
+        assert!(Name::lookup(principal).unwrap().id() < last);
+        let late = Name::intern("dp-names.interned-late");
+        assert!(late.id() > last, "past every slot");
+        let late = late.as_str();
+        let edges = dataplane.edges_both_ways();
+        let tick = Message::new("tick", SecurityContext::public());
+        for text in [key, principal, late] {
+            let refused = |result: Result<(), DataplaneError>| {
+                assert_eq!(result, Err(DataplaneError::UnknownEndpoint { name: text.into() }));
+            };
+            refused(dataplane.publish_message(text, &tick, Timestamp(2)).map(drop));
+            refused(dataplane.subscribe(text, "a", &snap(), Timestamp(2)).map(drop));
+            refused(dataplane.subscribe("a", text, &snap(), Timestamp(2)).map(drop));
+            refused(dataplane.unsubscribe(text, "a", Timestamp(2)));
+            refused(dataplane.set_context(text, SecurityContext::public(), Timestamp(2)));
+            refused(dataplane.set_isolated(text, true, Timestamp(2)));
+            refused(dataplane.open_subscriber(text).map(drop));
+            refused(dataplane.deregister(text));
+            assert_eq!(dataplane.unsubscribe("a", text, Timestamp(2)), Ok(()));
+            assert_eq!(dataplane.edges_both_ways(), edges);
+        }
+        let [first, _] = engines;
+        let report = first.shutdown();
+        let teardowns = report.control_audit.records().iter().filter(|record| {
+            matches!(record.event, AuditEvent::ChannelChanged { established: false, .. })
+        });
+        assert_eq!(teardowns.count(), 0);
+    }
+
+    /// Evidence names endpoints through the process-wide name table, which keeps the
+    /// name of an endpoint that has left: a shard that degrades over a queue of
+    /// deliveries whose destination deregistered meanwhile still writes source and
+    /// destination into every `DeliveryLost` — the crashed unit's and the abandoned
+    /// remainder's.
     #[test]
     fn loss_evidence_names_an_endpoint_that_has_left() {
         use legaliot_audit::AuditEvent;

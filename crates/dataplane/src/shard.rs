@@ -11,12 +11,12 @@
 //! shard.
 //!
 //! Everything a delivery passes through here — the queued task, the hand-off group, the
-//! pair-summary key — names its endpoints by [`EndpointId`], a `Copy` word each: no
-//! name reference count is touched per message, and source and destination are
-//! resolved by index into the directory's handle table. The name strings are read only
-//! where a record is written (`MessageQuenched`, `DeliveryLost`, `DeliveryDropped`, the
-//! shutdown `FlowSummary`), and the table keeps the name of an endpoint that has left,
-//! so such evidence can always be written.
+//! pair-summary key — names its endpoints by [`EndpointId`], a `Copy` word each (the
+//! source is the body's sender): no name reference count is touched per message, and
+//! source and destination are resolved by index into the directory. The names' texts
+//! are read only where a record is written (`MessageQuenched`, `DeliveryLost`,
+//! `DeliveryDropped`, the shutdown `FlowSummary`), from the process-wide name table,
+//! which keeps the name of an endpoint that has left: no directory lock is taken for it.
 //!
 //! A shard has one loop, [`worker_loop`]: pop a batch, run its tasks under one
 //! directory read lock, then hand the batch's enforced deliveries to their mailboxes —
@@ -56,14 +56,14 @@
 //! handle and mask — from the queued task to the mailbox: the shard allocates nothing
 //! for it, quenched, denied or not.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
-use legaliot_context::{ContextSnapshot, Timestamp};
+use legaliot_context::{ContextSnapshot, NameMap, Timestamp};
 use legaliot_ifc::{can_flow, SecurityContext};
 use legaliot_middleware::admission::{enforce, MessageFacts, Verdict};
 use legaliot_middleware::{FrozenMessage, FrozenSchema, Operation};
@@ -77,10 +77,8 @@ use crate::telemetry::{BatchCounters, DeliveryProbe, ShardCounters, ShardTelemet
 /// Work items delivered to a shard's ingress queue.
 #[derive(Debug)]
 pub(crate) enum ShardTask {
-    /// Enforce and deliver one message `from → to`.
+    /// Enforce and deliver one message from its body's sender to `to`.
     Deliver {
-        /// The source endpoint's name.
-        from: EndpointId,
         /// The destination endpoint's name (owned by this shard).
         to: EndpointId,
         /// Simulated send time in milliseconds.
@@ -241,7 +239,9 @@ struct HandOffs {
     groups: Vec<HandOffGroup>,
     /// Groups already handed over this batch.
     done: usize,
-    /// Endpoint index → its group this batch ([`NONE`]: none).
+    /// Endpoint index → its group this batch ([`NONE`]: none). Grows to the highest
+    /// destination id the shard has handed off to: at most one `u32` per name in the
+    /// process, as ids are name-table ids.
     group_of: Vec<u32>,
 }
 
@@ -440,7 +440,8 @@ struct WorkerState {
     /// Enforcement-time view of the context store, refreshed per batch when stale.
     snapshot: ContextSnapshot,
     appender: BatchedAppender,
-    summaries: HashMap<PairKey, PairSummary>,
+    /// Keyed by ids the name table handed out, which no outsider picks.
+    summaries: NameMap<PairKey, PairSummary>,
 }
 
 /// Maximum tasks drained from the ingress queue per lock acquisition.
@@ -515,7 +516,7 @@ pub(crate) fn run_worker(
             .with_retention(config.audit_retention),
     };
     let snapshot = shared.context_store.snapshot();
-    let mut state = WorkerState { snapshot, appender, summaries: HashMap::new() };
+    let mut state = WorkerState { snapshot, appender, summaries: NameMap::default() };
     let mut progress = BatchProgress::new();
     let mut restarts: u32 = 0;
     loop {
@@ -524,7 +525,7 @@ pub(crate) fn run_worker(
         }));
         let Err(payload) = outcome else { break };
         let cause = panic_message(payload.as_ref());
-        recover_unit(&shared, &mut state, &mut progress, &cause);
+        recover_unit(&mut state, &mut progress, &cause);
         let shard = &shared.shards[index];
         if restarts < config.restart_budget {
             restarts += 1;
@@ -555,24 +556,20 @@ pub(crate) fn run_worker(
         }
     }
 
-    // Emit one FlowSummary per pair (ordered by source then destination *name*, so
-    // chains are reproducible whatever ids the names were given), plus — in summarised
-    // mode, where sheds are not recorded individually — one DeliveryDropped total per
-    // (pair, message type) that shed mailbox deliveries, so every shed is evidenced
-    // exactly once, against its own type, in either audit mode.
-    let mut pairs: Vec<(String, String, PairSummary)> = {
-        let directory = shared.directory.read();
-        let name = |id| directory.endpoints.name(id).to_string();
-        let named = |((from, to), summary)| (name(from), name(to), summary);
-        state.summaries.into_iter().map(named).collect()
-    };
-    pairs.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+    // Emit one FlowSummary per pair (ordered by source then destination *name* — the
+    // order of `Name` — so chains are reproducible whatever ids the names were given),
+    // plus — in summarised mode, where sheds are not recorded individually — one
+    // DeliveryDropped total per (pair, message type) that shed mailbox deliveries, so
+    // every shed is evidenced exactly once, against its own type, in either audit mode.
+    let named = |((from, to), summary): (PairKey, _)| (from.name(), to.name(), summary);
+    let mut pairs: Vec<_> = state.summaries.into_iter().map(named).collect();
+    pairs.sort_by_key(|&(from, to, _)| (from, to));
     for (from, to, summary) in pairs {
         if summary.allowed + summary.denied > 0 {
             state.appender.append(
                 AuditEvent::FlowSummary {
-                    source: from.clone(),
-                    destination: to.clone(),
+                    source: from.to_string(),
+                    destination: to.to_string(),
                     allowed: summary.allowed,
                     denied: summary.denied,
                     window_start_millis: summary.first_millis,
@@ -584,8 +581,8 @@ pub(crate) fn run_worker(
         for (message_type, dropped) in summary.dropped {
             state.appender.append(
                 AuditEvent::DeliveryDropped {
-                    source: from.clone(),
-                    destination: to.clone(),
+                    source: from.to_string(),
+                    destination: to.to_string(),
                     message_type,
                     dropped,
                 },
@@ -620,12 +617,7 @@ pub(crate) fn run_worker(
 /// `deliveries_lost` (if it did not), never a partial mixture. A panicked
 /// *hand-off* is the at-most-once edge: its delivery was already enforced and
 /// counted, so the abandoned push is evidenced but not re-counted.
-fn recover_unit(
-    shared: &SharedState,
-    state: &mut WorkerState,
-    progress: &mut BatchProgress,
-    cause: &str,
-) {
+fn recover_unit(state: &mut WorkerState, progress: &mut BatchProgress, cause: &str) {
     if !progress.active {
         // Panicked between batches (the `shard.loop` site): nothing in flight.
         return;
@@ -637,14 +629,14 @@ fn recover_unit(
         Some(Unit::Delivery) => {
             if let Some(ShardTask::Deliver { to, body, .. }) = progress.batch.pop() {
                 progress.local.deliveries_lost += 1;
-                evidence_loss(&mut state.appender, shared, to, &body, false, cause);
+                evidence_loss(&mut state.appender, to, &body, false, cause);
             }
         }
         // The abandoned hand-off is the front of the current group's unpushed tail.
         Some(Unit::HandOff) => {
             let to = progress.hand_offs.current().map(|group| group.to);
             if let (Some(to), Some(item)) = (to, progress.hand_offs.pop_front()) {
-                evidence_loss(&mut state.appender, shared, to, &item, true, cause);
+                evidence_loss(&mut state.appender, to, &item, true, cause);
             }
         }
         // The panic hit between tasks or in a non-delivery task, which is already out
@@ -737,7 +729,7 @@ fn run_batch(
         // evidence and take out, and the resumed batch carries on with the rest.
         while let Some(task) = progress.batch.last() {
             progress.saved_counters = progress.local;
-            let &ShardTask::Deliver { from, to, at_millis, enqueued_ns, ref body } = task else {
+            let &ShardTask::Deliver { to, at_millis, enqueued_ns, ref body } = task else {
                 // Taken out before it runs: nothing to evidence if it panics.
                 match progress.batch.pop() {
                     Some(ShardTask::Shutdown) => progress.shutdown = true,
@@ -753,13 +745,13 @@ fn run_batch(
             progress.unit = Some(Unit::Delivery);
             let allowed = if degraded {
                 progress.local.deliveries_lost += 1;
-                evidence_loss(&mut state.appender, shared, to, body, false, DEGRADED);
+                evidence_loss(&mut state.appender, to, body, false, DEGRADED);
                 None
             } else {
                 let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
                 let directory = directory.as_deref().expect("lock held when batch has deliveries");
                 let local = &mut progress.local;
-                process_delivery(directory, config, state, local, &probe, from, to, at_millis, body)
+                process_delivery(directory, config, state, local, &probe, to, at_millis, body)
                     .map(|allowed| (allowed, probe))
             };
             let Some(ShardTask::Deliver { body, .. }) = progress.batch.pop() else {
@@ -789,13 +781,13 @@ fn run_batch(
         progress.unit = Some(Unit::HandOff);
         if degraded {
             while let Some(item) = progress.hand_offs.front() {
-                evidence_loss(&mut state.appender, shared, to, item, true, DEGRADED);
+                evidence_loss(&mut state.appender, to, item, true, DEGRADED);
                 progress.hand_offs.pop_front();
             }
         } else {
             let local = &mut progress.local;
             let hand_offs = &mut progress.hand_offs;
-            hand_off_group(shared, config, state, local, telemetry, &mut progress.shed, hand_offs);
+            hand_off_group(config, state, local, telemetry, &mut progress.shed, hand_offs);
             if progress.hand_offs.front().is_some() {
                 // The failpoint fired at the group's front delivery: the ones before it
                 // are pushed and counted, and the supervisor abandons this one.
@@ -822,18 +814,17 @@ const DEGRADED: &str = "shard degraded: restart budget exhausted";
 
 /// Appends the one `DeliveryLost` record for an accepted delivery (`hand_off`: its
 /// mailbox hand-off) that will never complete — every loss is evidenced, never silent.
-/// The message names its own source, type and send time. Runs with no directory lock
-/// held: the destination's name is read under a short read lock of its own, and is
-/// there whether or not the endpoint is still registered.
+/// The message names its own source, type and send time, and the destination's name
+/// is read from the name table — there whether or not the endpoint is still
+/// registered, and with no directory lock.
 fn evidence_loss(
     appender: &mut BatchedAppender,
-    shared: &SharedState,
     to: EndpointId,
     message: &FrozenMessage,
     hand_off: bool,
     cause: &str,
 ) {
-    let destination = shared.directory.read().endpoints.name(to).to_string();
+    let destination = to.name().to_string();
     let cause =
         if hand_off { format!("mailbox hand-off abandoned: {cause}") } else { cause.to_string() };
     appender.append(
@@ -864,7 +855,6 @@ fn process_delivery<'d>(
     state: &mut WorkerState,
     local: &mut BatchCounters,
     probe: &DeliveryProbe<'_>,
-    from: EndpointId,
     to: EndpointId,
     at_millis: u64,
     message: &FrozenMessage,
@@ -874,6 +864,7 @@ fn process_delivery<'d>(
     // state of the world at enforcement time, so an entity's context change is in force
     // for every message behind it in the queue (§8.2.2 re-evaluation). An id stands for
     // a name, so this finds whoever holds the name now — or nobody.
+    let from = EndpointId::of(message.sender_name());
     let (Some(src), Some(dst)) = (directory.endpoints.get(from), directory.endpoints.get(to))
     else {
         local.missing_endpoint += 1;
@@ -996,7 +987,6 @@ fn process_delivery<'d>(
 /// one per-pair `DeliveryDropped` total emitted at shutdown — so summing `dropped` over
 /// all records counts every shed delivery exactly once in either mode.
 fn hand_off_group(
-    shared: &SharedState,
     config: &DataplaneConfig,
     state: &mut WorkerState,
     local: &mut BatchCounters,
@@ -1031,11 +1021,11 @@ fn hand_off_group(
     // Once full, the mailbox stays full for the rest of the push: the last
     // `shed.len()` deliveries it took are the ones that shed, one each, in order.
     let shed_at = sent.skip(pushed.taken - shed.len());
-    // The directory is not locked here: names and ids are read under a short lock of
-    // their own.
+    // The directory is not locked here: the body names its sender, and the name table
+    // the destination.
     match config.audit_detail {
         AuditDetail::Full => {
-            let destination = Arc::clone(shared.directory.read().endpoints.name(to));
+            let destination = to.name();
             for (shed, at_millis) in shed.drain(..).zip(shed_at) {
                 state.appender.append(
                     AuditEvent::DeliveryDropped {
@@ -1049,10 +1039,8 @@ fn hand_off_group(
             }
         }
         AuditDetail::Summarised => {
-            let directory = shared.directory.read();
             for (shed, at_millis) in shed.drain(..).zip(shed_at) {
-                let source = directory.endpoints.id_of(shed.sender());
-                let source = source.expect("a published message's sender has an id");
+                let source = EndpointId::of(shed.sender_name());
                 let summary = state.summaries.entry((source, to)).or_default();
                 *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
                 summary.last_millis = summary.last_millis.max(at_millis);

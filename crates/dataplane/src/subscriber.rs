@@ -34,6 +34,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use legaliot_context::Name;
 use legaliot_middleware::{AttributeValue, FrozenMessage, Message, MessageType};
 
 use crate::queue::{BoundedQueue, PopError};
@@ -175,18 +176,18 @@ impl std::error::Error for RecvTimeoutError {}
 /// shutdown is still received, then `Disconnected`.
 #[derive(Debug)]
 pub struct Subscriber {
-    name: Arc<str>,
+    name: Name,
     mailbox: Arc<BoundedQueue<FrozenMessage>>,
 }
 
 impl Subscriber {
-    pub(crate) fn new(name: Arc<str>, mailbox: Arc<BoundedQueue<FrozenMessage>>) -> Self {
+    pub(crate) fn new(name: Name, mailbox: Arc<BoundedQueue<FrozenMessage>>) -> Self {
         Subscriber { name, mailbox }
     }
 
     /// The endpoint this handle receives for.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Blocks until the next enforced delivery arrives.
@@ -289,13 +290,13 @@ mod tests {
         use legaliot_middleware::{FrozenSchema, MessageSchema};
         let schema = Arc::new(FrozenSchema::new(&MessageSchema::new("t")).unwrap());
         let message = Message::new("t", SecurityContext::public());
-        FrozenMessage::freeze_stamped(&message, schema, Arc::from(""), tag).unwrap()
+        FrozenMessage::freeze_stamped(&message, schema, "", tag).unwrap()
     }
 
     /// A mailbox of `capacity` and the handle on it, as `open_subscriber` makes them.
     fn open(capacity: usize) -> (Arc<BoundedQueue<FrozenMessage>>, Subscriber) {
         let mailbox = Arc::new(BoundedQueue::new(capacity));
-        (Arc::clone(&mailbox), Subscriber::new(Arc::from("s"), mailbox))
+        (Arc::clone(&mailbox), Subscriber::new(Name::intern("s"), mailbox))
     }
 
     #[test]

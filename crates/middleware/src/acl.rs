@@ -216,7 +216,7 @@ impl AccessDecision {
 /// regime, rules added after it was built included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Party {
-    component: u32,
+    component: Name,
     principal: u32,
     roles: Box<[u32]>,
 }
@@ -225,10 +225,16 @@ impl Party {
     /// Interns the component name `component` and `principal`'s name and roles.
     pub(crate) fn new(component: &str, principal: &Principal) -> Self {
         Party {
-            component: Name::intern(component).id(),
+            component: Name::intern(component),
             principal: Name::intern(&principal.name).id(),
             roles: principal.roles.iter().map(|role| Name::intern(role).id()).collect(),
         }
+    }
+
+    /// The component's name: the one number the regime and the dataplane's directory
+    /// both file the component under.
+    pub fn component(&self) -> Name {
+        self.component
     }
 }
 
@@ -414,7 +420,7 @@ impl AccessRegime {
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> AccessDecision {
-        match self.guards.get(&guarded.component) {
+        match self.guards.get(&guarded.component.id()) {
             Some(guard) => guard.decide(asker, operation, message_type, snapshot, now),
             None => AccessDecision::Denied { cause: DenialCause::NoRules },
         }

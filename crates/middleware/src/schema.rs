@@ -14,11 +14,11 @@
 //! validated message compiled against a [`FrozenSchema`] into one reference-counted
 //! body — schema handle, message-level context, sender, send time and a [`Payload`]
 //! whose offset table and value bytes are a single buffer — plus a `u64` mask of the
-//! attributes still present. Freezing costs two allocations, payload and body (a
-//! third in [`FrozenMessage::freeze`], for the sender name the middleware otherwise
-//! supplies) — or none, through a [`BodyRing`], which refills in place a body nobody
-//! holds any more; cloning and quenching are one refcount bump, the latter with a
-//! smaller mask, and neither allocates.
+//! attributes still present. The sender is a `Copy` [`Name`] from the process-wide
+//! table ([`FrozenMessage::freeze`] interns the message's own). Freezing costs two
+//! allocations, payload and body — or none, through a [`BodyRing`], which refills in
+//! place a body nobody holds any more; cloning and quenching are one refcount bump, the
+//! latter with a smaller mask, and neither allocates.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
@@ -630,7 +630,7 @@ struct Body {
     /// The message-level security context the application attached (extra secrecy
     /// tags; integrity always comes from the sender at enforcement time).
     extra_context: SecurityContext,
-    sender: Arc<str>,
+    sender: Name,
     sent_at_millis: u64,
 }
 
@@ -644,7 +644,7 @@ impl Body {
         message: &Message,
         total: usize,
         schema: Arc<FrozenSchema>,
-        sender: Arc<str>,
+        sender: Name,
         sent_at_millis: u64,
     ) -> Body {
         payload.encode(message, &schema, total);
@@ -674,13 +674,12 @@ impl FrozenMessage {
     ///
     /// Returns the schema-violation message [`FrozenSchema::validate`] gives.
     pub fn freeze(message: &Message, schema: Arc<FrozenSchema>) -> Result<FrozenMessage, String> {
-        let sender = Arc::from(message.sender.as_str());
-        Self::freeze_stamped(message, schema, sender, message.sent_at_millis)
+        Self::freeze_stamped(message, schema, message.sender.as_str(), message.sent_at_millis)
     }
 
     /// [`Self::freeze`] with the sender and send time the middleware stamps (the
-    /// publishing endpoint's interned name, the publish timestamp) in place of the
-    /// message's own, so a publish builds its body once.
+    /// publishing endpoint's name, the publish timestamp) in place of the message's
+    /// own, so a publish builds its body once. A sender given as text is interned.
     ///
     /// # Errors
     ///
@@ -688,10 +687,11 @@ impl FrozenMessage {
     pub fn freeze_stamped(
         message: &Message,
         schema: Arc<FrozenSchema>,
-        sender: Arc<str>,
+        sender: impl Into<Name>,
         sent_at_millis: u64,
     ) -> Result<FrozenMessage, String> {
         let total = checked_payload_len(message, &schema)?;
+        let sender = sender.into();
         let body = Body::filled(Payload::default(), message, total, schema, sender, sent_at_millis);
         Ok(FrozenMessage::whole(Arc::new(body)))
     }
@@ -716,7 +716,12 @@ impl FrozenMessage {
 
     /// The sending component's name.
     pub fn sender(&self) -> &str {
-        &self.body.sender
+        self.body.sender.as_str()
+    }
+
+    /// The sending component's name as the process-wide table holds it.
+    pub fn sender_name(&self) -> Name {
+        self.body.sender
     }
 
     /// Simulated send time (ms).
@@ -863,8 +868,8 @@ impl fmt::Display for FrozenMessage {
 /// Memory: the ring starts empty and grows to the high-water mark of bodies in flight,
 /// at most `bound` × (a body of ≈128 bytes + its offset table, 4 bytes an attribute +
 /// [`Self::MAX_KEPT_PAYLOAD`]) — a message with a larger payload is built fresh and
-/// not kept — and never shrinks. An idle body pins its schema, sender name and
-/// message-level context until it is reused.
+/// not kept — and never shrinks. An idle body pins its schema and message-level context
+/// until it is reused.
 ///
 /// A message frozen through a ring is indistinguishable from one
 /// [`FrozenMessage::freeze_stamped`] built, and a message somebody still holds is never
@@ -905,13 +910,12 @@ impl BodyRing {
         &mut self,
         message: &Message,
         schema: &Arc<FrozenSchema>,
-        sender: &Arc<str>,
+        sender: Name,
         sent_at_millis: u64,
     ) -> Result<FrozenMessage, String> {
         let total = checked_payload_len(message, schema)?;
         let filled = |payload| {
-            let (schema, sender) = (Arc::clone(schema), Arc::clone(sender));
-            Body::filled(payload, message, total, schema, sender, sent_at_millis)
+            Body::filled(payload, message, total, Arc::clone(schema), sender, sent_at_millis)
         };
         if total > Self::MAX_KEPT_PAYLOAD {
             return Ok(FrozenMessage::whole(Arc::new(filled(Payload::default()))));
@@ -1100,8 +1104,7 @@ mod tests {
         let mut message = reading_message();
         message.sender = "ann-sensor".into();
         message.sent_at_millis = 42;
-        let stamped =
-            FrozenMessage::freeze_stamped(&message, schema, Arc::from("relay"), 44).unwrap();
+        let stamped = FrozenMessage::freeze_stamped(&message, schema, "relay", 44).unwrap();
         assert_eq!((stamped.sender(), stamped.sent_at_millis()), ("relay", 44));
         message.sender = "relay".into();
         message.sent_at_millis = 44;
@@ -1143,13 +1146,13 @@ mod tests {
     fn ring_refills_released_bodies_and_never_writes_to_a_held_one() {
         const BOUND: usize = 4;
         let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
-        let sender: Arc<str> = Arc::from("ann-sensor");
+        let sender = Name::intern("ann-sensor");
         let mut ring = BodyRing::new(BOUND);
-        let held = ring.freeze_stamped(&reading_message(), &schema, &sender, 7).unwrap();
+        let held = ring.freeze_stamped(&reading_message(), &schema, sender, 7).unwrap();
         let (before, buffer) = (observed(&held), held.payload().as_slice().as_ptr());
         for at in 0..3 * BOUND as u64 {
             let other = reading_message().with("unit", AttributeValue::Text(format!("u{at}")));
-            let frozen = ring.freeze_stamped(&other, &schema, &sender, 100 + at).unwrap();
+            let frozen = ring.freeze_stamped(&other, &schema, sender, 100 + at).unwrap();
             assert_eq!(frozen.thaw().attributes, other.attributes);
             assert!(ring.slots.len() <= BOUND, "{} bodies in a ring of {BOUND}", ring.slots.len());
         }
@@ -1165,9 +1168,9 @@ mod tests {
     #[test]
     fn ring_refuses_what_freeze_refuses_and_keeps_its_bodies() {
         let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
-        let sender: Arc<str> = Arc::from("ann-sensor");
+        let sender = Name::intern("ann-sensor");
         let mut ring = BodyRing::new(4);
-        let first = ring.freeze_stamped(&reading_message(), &schema, &sender, 1).unwrap();
+        let first = ring.freeze_stamped(&reading_message(), &schema, sender, 1).unwrap();
         let buffer = first.payload().as_slice().as_ptr();
         drop(first);
         let violations = [
@@ -1176,14 +1179,14 @@ mod tests {
             reading_message().with("extra", AttributeValue::Bool(true)),
         ];
         for bad in &violations {
-            let fresh = FrozenMessage::freeze_stamped(bad, Arc::clone(&schema), sender.clone(), 2);
-            let ringed = ring.freeze_stamped(bad, &schema, &sender, 2);
+            let fresh = FrozenMessage::freeze_stamped(bad, Arc::clone(&schema), sender, 2);
+            let ringed = ring.freeze_stamped(bad, &schema, sender, 2);
             assert_eq!(ringed.unwrap_err(), fresh.unwrap_err());
         }
         assert_eq!((ring.slots.len(), ring.reused()), (1, 0));
         // The one body is as the first message left it, and is the one refilled next.
         assert_eq!(ring.slots[0].sent_at_millis, 1);
-        let next = ring.freeze_stamped(&reading_message(), &schema, &sender, 3).unwrap();
+        let next = ring.freeze_stamped(&reading_message(), &schema, sender, 3).unwrap();
         assert_eq!((ring.slots.len(), ring.reused()), (1, 1));
         assert!(std::ptr::eq(next.payload().as_slice().as_ptr(), buffer));
         assert_eq!(next.sent_at_millis(), 3);
@@ -1192,17 +1195,17 @@ mod tests {
     #[test]
     fn ring_does_not_keep_a_body_with_a_large_payload() {
         let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
-        let sender: Arc<str> = Arc::from("ann-sensor");
+        let sender = Name::intern("ann-sensor");
         let mut ring = BodyRing::new(4);
         let large = reading_message()
             .with("unit", AttributeValue::Text("x".repeat(BodyRing::MAX_KEPT_PAYLOAD)));
-        let frozen = ring.freeze_stamped(&large, &schema, &sender, 1).unwrap();
+        let frozen = ring.freeze_stamped(&large, &schema, sender, 1).unwrap();
         assert_eq!(frozen.thaw().attributes, large.attributes);
         assert_eq!(Arc::strong_count(&frozen.body), 1, "the ring kept a reference");
         assert!(ring.slots.is_empty());
         // Nor does a large message grow a kept body: it leaves the free one alone.
-        drop(ring.freeze_stamped(&reading_message(), &schema, &sender, 2).unwrap());
-        drop(ring.freeze_stamped(&large, &schema, &sender, 3).unwrap());
+        drop(ring.freeze_stamped(&reading_message(), &schema, sender, 2).unwrap());
+        drop(ring.freeze_stamped(&large, &schema, sender, 3).unwrap());
         assert_eq!((ring.slots.len(), ring.reused()), (1, 0));
         assert!(ring.slots[0].payload.buffer.capacity() <= BodyRing::MAX_KEPT_PAYLOAD);
     }
@@ -1281,7 +1284,7 @@ mod tests {
                     Arc::new(FrozenSchema::new(&reading_schema()).unwrap()),
                     Arc::new(FrozenSchema::new(&wide_schema()).unwrap()),
                 ];
-                let senders: [Arc<str>; 3] = ["a", "b-sensor", ""].map(Arc::from);
+                let senders = ["a", "b-sensor", ""].map(Name::intern);
                 let mut ring = BodyRing::new(bound);
                 let mut held: Vec<(FrozenMessage, FrozenMessage)> = Vec::new();
                 for (at, (wide, text, sender, keep)) in steps.into_iter().enumerate() {
@@ -1301,12 +1304,13 @@ mod tests {
                     } else {
                         reading_message().with("unit", AttributeValue::Text(text))
                     };
-                    let (schema, sender, at) = (&schemas[usize::from(wide)], &senders[sender], at as u64);
+                    let (schema, sender, at) = (&schemas[usize::from(wide)], senders[sender], at as u64);
                     let ringed = ring.freeze_stamped(&message, schema, sender, at).unwrap();
+                    // The fresh body is given the sender as text, and interns it.
                     let fresh = FrozenMessage::freeze_stamped(
                         &message,
                         Arc::clone(schema),
-                        Arc::clone(sender),
+                        sender.as_str(),
                         at,
                     )
                     .unwrap();
