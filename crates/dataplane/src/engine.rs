@@ -327,7 +327,7 @@ pub(crate) struct Endpoint {
     /// message.
     pub subscribers: Arc<Vec<(EndpointId, usize)>>,
     /// The inverse edges: every endpoint whose `subscribers` names this one. Kept in
-    /// step by `subscribe` / `unsubscribe` / `deregister`, so a leaving endpoint
+    /// step with them by `EndpointTable::{link, unlink}`, so a leaving endpoint
     /// visits its neighbours and not the whole directory.
     pub publishers: Vec<EndpointId>,
     /// The streaming receiver's bounded mailbox, present while a [`Subscriber`] has
@@ -412,6 +412,37 @@ impl EndpointTable {
         EndpointId::lookup(name).and_then(take).ok_or_else(|| unknown(name))
     }
 
+    /// Adds the edge `publisher → subscriber` to both sides — the publisher's fan-out,
+    /// ordered by shard so a publish pushes each shard's run as one group, and the
+    /// subscriber's publishers — unless it is there or an end is not registered.
+    fn link(&mut self, publisher: EndpointId, subscriber: EndpointId) {
+        let shard = self.get(subscriber).map(|destination| destination.shard);
+        let (Some(shard), Some(source)) = (shard, self.get_mut(publisher)) else { return };
+        if source.subscribers.iter().any(|&(existing, _)| existing == subscriber) {
+            return;
+        }
+        let subscribers = Arc::make_mut(&mut source.subscribers);
+        let at = subscribers.partition_point(|&(_, other)| other <= shard);
+        subscribers.insert(at, (subscriber, shard));
+        self.get_mut(subscriber).expect("found above").publishers.push(publisher);
+    }
+
+    /// Removes the edge `publisher → subscriber` from whichever side is still registered
+    /// (a leaver is taken out before its edges), and says whether the publisher had it.
+    fn unlink(&mut self, publisher: EndpointId, subscriber: EndpointId) -> bool {
+        let linked = self.get_mut(publisher).is_some_and(|source| {
+            let linked = source.subscribers.iter().any(|&(existing, _)| existing == subscriber);
+            if linked {
+                Arc::make_mut(&mut source.subscribers).retain(|&(sub, _)| sub != subscriber);
+            }
+            linked
+        });
+        if let Some(destination) = self.get_mut(subscriber) {
+            destination.publishers.retain(|&existing| existing != publisher);
+        }
+        linked
+    }
+
     /// Every registered endpoint with its id.
     fn registered(&self) -> impl Iterator<Item = (EndpointId, &Endpoint)> + '_ {
         (0u32..)
@@ -445,19 +476,8 @@ impl Directory {
         let (publisher_id, source) = self.endpoints.lookup(publisher)?;
         let outcome =
             admit_channel(&source.component, &destination.component, &self.access, snapshot, now);
-        if outcome.is_delivered()
-            && !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id)
-        {
-            // Both directions of the edge.
-            let subscriber_shard = destination.shard;
-            let endpoints = &mut self.endpoints;
-            let destination = endpoints.get_mut(subscriber_id).expect("looked up above");
-            destination.publishers.push(publisher_id);
-            let source = endpoints.get_mut(publisher_id).expect("looked up above");
-            // Ordered by shard, so a publish pushes each shard's run of tasks as one group.
-            let subscribers = Arc::make_mut(&mut source.subscribers);
-            let at = subscribers.partition_point(|&(_, shard)| shard <= subscriber_shard);
-            subscribers.insert(at, (subscriber_id, subscriber_shard));
+        if outcome.is_delivered() {
+            self.endpoints.link(publisher_id, subscriber_id);
         }
         let evidence = outcome.channel_evidence(publisher, subscriber);
         self.control_audit.append(evidence, now.as_millis());
@@ -471,18 +491,12 @@ impl Directory {
         subscriber: &str,
         now: Timestamp,
     ) -> Result<(), DataplaneError> {
-        let (publisher_id, source) = self.endpoints.lookup(publisher)?;
+        let (publisher_id, _) = self.endpoints.lookup(publisher)?;
         // A text nobody interned has no id, and so no edge to remove.
-        let Some(subscriber_id) = EndpointId::lookup(subscriber) else { return Ok(()) };
-        if !source.subscribers.iter().any(|(existing, _)| *existing == subscriber_id) {
-            return Ok(());
+        let unlink = |id| self.endpoints.unlink(publisher_id, id);
+        if EndpointId::lookup(subscriber).is_some_and(unlink) {
+            self.control_audit.append(teardown_evidence(publisher, subscriber), now.as_millis());
         }
-        let source = self.endpoints.get_mut(publisher_id).expect("looked up above");
-        Arc::make_mut(&mut source.subscribers).retain(|(sub, _)| *sub != subscriber_id);
-        if let Some(destination) = self.endpoints.get_mut(subscriber_id) {
-            destination.publishers.retain(|existing| *existing != publisher_id);
-        }
-        self.control_audit.append(teardown_evidence(publisher, subscriber), now.as_millis());
         Ok(())
     }
 }
@@ -838,15 +852,11 @@ impl Dataplane {
         }
         // Only the neighbours hold an edge to the leaver (a self-subscription went
         // with the endpoint itself).
-        for publisher in &endpoint.publishers {
-            if let Some(neighbour) = directory.endpoints.get_mut(*publisher) {
-                Arc::make_mut(&mut neighbour.subscribers).retain(|(sub, _)| *sub != id);
-            }
+        for &publisher in &endpoint.publishers {
+            directory.endpoints.unlink(publisher, id);
         }
-        for (subscriber, _) in endpoint.subscribers.iter() {
-            if let Some(neighbour) = directory.endpoints.get_mut(*subscriber) {
-                neighbour.publishers.retain(|publisher| *publisher != id);
-            }
+        for &(subscriber, _) in endpoint.subscribers.iter() {
+            directory.endpoints.unlink(id, subscriber);
         }
         Ok(())
     }
@@ -914,7 +924,6 @@ impl Dataplane {
     fn enqueue_fanout(
         &self,
         subscribers: &[(EndpointId, usize)],
-        now: Timestamp,
         body: FrozenMessage,
     ) -> Result<usize, DataplaneError> {
         // One clock read per fan-out (not per subscriber); 0 when telemetry is off,
@@ -924,7 +933,6 @@ impl Dataplane {
         } else {
             0
         };
-        let at_millis = now.as_millis();
         let mut body = Some(body);
         let mut enqueued = 0;
         let mut rest = subscribers;
@@ -960,7 +968,6 @@ impl Dataplane {
                         if enqueued == subscribers.len() { body.take() } else { body.clone() };
                     ShardTask::Deliver {
                         to,
-                        at_millis,
                         enqueued_ns,
                         body: body.expect("the publisher's handle moves into the last task only"),
                     }
@@ -1026,7 +1033,7 @@ impl Dataplane {
             (Arc::clone(&endpoint.subscribers), frozen)
         };
         let frozen = frozen.map_err(|reason| DataplaneError::SchemaViolation { reason })?;
-        self.enqueue_fanout(&subscribers, now, frozen)
+        self.enqueue_fanout(&subscribers, frozen)
     }
 
     /// Changes an entity's security context — one write under the directory lock,

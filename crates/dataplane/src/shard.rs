@@ -46,15 +46,15 @@
 //! over the message's *effective* context — is not written here: each delivery is one
 //! call of [`legaliot_middleware::admission::enforce`], the core the synchronous bus
 //! and channel admission also call, answered from the regime and [`can_flow`] by two
-//! closures that also lap the stage spans (every delivery is a typed message, so both
-//! questions are always asked). This module is the driver side: counters, pair
-//! summaries — which in summarised mode also decide which checks are written in full
-//! — audit appends, per-attribute source quenching against the subscriber's secrecy
-//! label (Fig. 10; the schema's bitmask cleared from the delivery's own presence mask,
-//! over the body the whole fan-out shares), the grouped mailbox hand-off, and the
-//! supervisor evidencing every loss. A delivery is a [`FrozenMessage`] by value — body
-//! handle and mask — from the queued task to the mailbox: the shard allocates nothing
-//! for it, quenched, denied or not.
+//! closures that also lap the stage spans. This module is the driver side. What became
+//! of a delivery is one [`Outcome`] — endpoint missing, refused before the flow check,
+//! flow-checked, lost, hand-off abandoned or shed — and one function, [`settle`],
+//! applies its batch-local counter, pair-summary count, stage span and record, and is
+//! the only reader of the audit detail; `legaliot_fleet::reconcile` checks that the
+//! counters equal the trail. Around it: per-attribute source quenching (Fig. 10; the
+//! schema's bitmask cleared from the delivery's presence mask), the grouped mailbox
+//! hand-off, and the supervisor. A delivery is a [`FrozenMessage`] by value from the
+//! queued task to the mailbox: the shard allocates nothing for it, shed or not.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -65,10 +65,10 @@ use std::time::Instant;
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
 use legaliot_context::{ContextSnapshot, NameMap, Timestamp};
 use legaliot_ifc::{can_flow, SecurityContext};
-use legaliot_middleware::admission::{enforce, MessageFacts, Verdict};
-use legaliot_middleware::{FrozenMessage, FrozenSchema, Operation};
+use legaliot_middleware::admission::{enforce, FlowVerdict, MessageFacts, Verdict};
+use legaliot_middleware::{FrozenMessage, FrozenSchema, MessageType, Operation};
 
-use crate::engine::{AuditDetail, DataplaneConfig, Directory, EndpointId, SharedState};
+use crate::engine::{AuditDetail, DataplaneConfig, Directory, Endpoint, EndpointId, SharedState};
 use crate::failpoint::{self, FailpointSite};
 use crate::queue::{BoundedQueue, Pushed, WhenFull};
 use crate::subscriber::OverflowPolicy;
@@ -81,8 +81,6 @@ pub(crate) enum ShardTask {
     Deliver {
         /// The destination endpoint's name (owned by this shard).
         to: EndpointId,
-        /// Simulated send time in milliseconds.
-        at_millis: u64,
         /// Enqueue time in nanoseconds since the engine's epoch (0 when telemetry is
         /// disabled); the worker derives ingress-queue wait and end-to-end delivery
         /// latency from it. Taken once per fan-out, not per subscriber.
@@ -138,9 +136,9 @@ struct PairSummary {
     /// Deliveries of this pair shed by drop-oldest mailbox overflow, counted per
     /// message type (summarised mode only — full mode records each shed individually
     /// instead), folded into one `DeliveryDropped` record per `(pair, type)` at
-    /// shutdown. A `BTreeMap` so the shutdown records come out in a deterministic
-    /// order (reproducible audit chains).
-    dropped: BTreeMap<String, u64>,
+    /// shutdown. Keyed by the shared type name, so counting a shed allocates nothing; a
+    /// `BTreeMap` so the shutdown records come out in a deterministic order.
+    dropped: BTreeMap<MessageType, u64>,
     /// The first and last counted delivery's send time: the summary's window.
     first_millis: u64,
     last_millis: u64,
@@ -158,11 +156,7 @@ impl PairSummary {
         if self.allowed + self.denied == 0 {
             self.first_millis = at_millis;
         }
-        if allowed {
-            self.allowed += 1;
-        } else {
-            self.denied += 1;
-        }
+        *if allowed { &mut self.allowed } else { &mut self.denied } += 1;
         self.last_millis = at_millis;
     }
 
@@ -258,19 +252,19 @@ impl HandOffs {
         }
     }
 
-    /// Appends an enforced delivery sent at `at_millis` to the group of `to`'s
-    /// mailbox, opening the group on the batch's first delivery there.
+    /// Appends an enforced delivery to the group of `to`'s mailbox, opening the group
+    /// on the batch's first delivery there.
     fn add(
         &mut self,
         to: EndpointId,
         mailbox: &Arc<BoundedQueue<FrozenMessage>>,
         item: FrozenMessage,
-        at_millis: u64,
     ) {
         if to.index() >= self.group_of.len() {
             self.group_of.resize(to.index() + 1, NONE);
         }
         let slot = self.slots.len() as u32;
+        let at_millis = item.sent_at_millis();
         self.slots.push(Slot { item: Some(item), at_millis, next: NONE });
         // The endpoint's group holds the mailbox it had when the group opened; one
         // re-opened since (a restart mid-batch re-reads the directory) gets a new group.
@@ -364,11 +358,9 @@ fn take_front(slots: &mut [Slot], head: &mut u32, len: &mut usize) -> Option<Fro
 /// until it is pushed — so supervision costs no reference count per delivery.
 #[derive(Debug, Clone, Copy)]
 enum Unit {
-    /// A queued [`ShardTask::Deliver`]: a loss here was never enforced or counted.
+    /// A queued [`ShardTask::Deliver`], never enforced or counted: lost if it panics.
     Delivery,
-    /// A mailbox hand-off: the delivery was already enforced and counted `delivered`;
-    /// only the receiver-side hand-off is abandoned, so the loss is evidenced but not
-    /// re-counted.
+    /// A mailbox hand-off, already enforced and counted: abandoned if it panics.
     HandOff,
 }
 
@@ -525,7 +517,7 @@ pub(crate) fn run_worker(
         }));
         let Err(payload) = outcome else { break };
         let cause = panic_message(payload.as_ref());
-        recover_unit(&mut state, &mut progress, &cause);
+        recover_unit(&config, &mut state, &mut progress, &cause);
         let shard = &shared.shards[index];
         if restarts < config.restart_budget {
             restarts += 1;
@@ -583,7 +575,7 @@ pub(crate) fn run_worker(
                 AuditEvent::DeliveryDropped {
                     source: from.to_string(),
                     destination: to.to_string(),
-                    message_type,
+                    message_type: message_type.to_string(),
                     dropped,
                 },
                 summary.last_millis,
@@ -609,34 +601,38 @@ pub(crate) fn run_worker(
     state.appender.into_log()
 }
 
-/// Rolls back the effects of a panicked unit of work and evidences its loss.
+/// Rolls back the effects of a panicked unit of work and settles its loss.
 ///
-/// The counter snapshot restore plus the single `deliveries_lost` increment is
-/// what keeps the accounting identity exact: a crashed delivery contributes
-/// either its full set of effects (if it completed) or exactly one
-/// `deliveries_lost` (if it did not), never a partial mixture. A panicked
-/// *hand-off* is the at-most-once edge: its delivery was already enforced and
-/// counted, so the abandoned push is evidenced but not re-counted.
-fn recover_unit(state: &mut WorkerState, progress: &mut BatchProgress, cause: &str) {
+/// The counter snapshot restore plus settling the unit as lost is what keeps the
+/// accounting identity exact: a crashed delivery contributes either its full set of
+/// effects (if it completed) or exactly one `deliveries_lost` (if it did not), never a
+/// partial mixture. A panicked *hand-off* is the at-most-once edge: its delivery was
+/// already enforced and counted, so the abandoned push is evidenced but not re-counted.
+fn recover_unit(
+    config: &DataplaneConfig,
+    state: &mut WorkerState,
+    progress: &mut BatchProgress,
+    cause: &str,
+) {
     if !progress.active {
         // Panicked between batches (the `shard.loop` site): nothing in flight.
         return;
     }
     progress.local = progress.saved_counters;
+    let local = &mut progress.local;
     match progress.unit.take() {
         // The crashed delivery is still the batch's last task: out it goes, so the
         // resumed batch never re-runs it.
         Some(Unit::Delivery) => {
             if let Some(ShardTask::Deliver { to, body, .. }) = progress.batch.pop() {
-                progress.local.deliveries_lost += 1;
-                evidence_loss(&mut state.appender, to, &body, false, cause);
+                settle(config, state, local, None, to, &body, Outcome::Lost(cause));
             }
         }
         // The abandoned hand-off is the front of the current group's unpushed tail.
         Some(Unit::HandOff) => {
             let to = progress.hand_offs.current().map(|group| group.to);
             if let (Some(to), Some(item)) = (to, progress.hand_offs.pop_front()) {
-                evidence_loss(&mut state.appender, to, &item, true, cause);
+                settle(config, state, local, None, to, &item, Outcome::Abandoned(cause));
             }
         }
         // The panic hit between tasks or in a non-delivery task, which is already out
@@ -683,9 +679,8 @@ fn worker_loop(
 /// one group push per mailbox.
 ///
 /// On a `degraded` shard the batch takes the same steps without enforcing: a
-/// delivery is evidenced as lost and counted in `deliveries_lost` where it would be
-/// enforced, each prepared hand-off is evidenced as abandoned, in hand-off order, where
-/// its group would be pushed, and no lock is taken.
+/// delivery is settled as lost where it would be enforced, each prepared hand-off as
+/// abandoned, in hand-off order, where its group would be pushed, and no lock is taken.
 fn run_batch(
     shared: &Arc<SharedState>,
     config: &DataplaneConfig,
@@ -702,20 +697,16 @@ fn run_batch(
         // overflow policy — are collected here and performed after the lock is
         // released, so a full mailbox never wedges control-plane writers.
         let has_deliver = progress.batch.iter().any(|t| matches!(t, ShardTask::Deliver { .. }));
-        let directory = if has_deliver && !degraded {
+        let directory = (has_deliver && !degraded).then(|| {
             // Directory-lock wait is a contention series: one sample per batch,
             // so a writer-heavy control plane shows up as a fat tail here.
-            if telemetry.enabled() {
-                let requested = Instant::now();
-                let guard = shared.directory.read();
+            let requested = telemetry.enabled().then(Instant::now);
+            let guard = shared.directory.read();
+            if let Some(requested) = requested {
                 telemetry.record_ns(Stage::DirLockWait, requested.elapsed().as_nanos() as u64);
-                Some(guard)
-            } else {
-                Some(shared.directory.read())
             }
-        } else {
-            None
-        };
+            guard
+        });
         // Every delivery evaluates contextual AC: refresh the enforcement-time view
         // of the context store once per batch (a version check when it has not moved).
         if directory.is_some() {
@@ -729,7 +720,7 @@ fn run_batch(
         // evidence and take out, and the resumed batch carries on with the rest.
         while let Some(task) = progress.batch.last() {
             progress.saved_counters = progress.local;
-            let &ShardTask::Deliver { to, at_millis, enqueued_ns, ref body } = task else {
+            let &ShardTask::Deliver { to, enqueued_ns, ref body } = task else {
                 // Taken out before it runs: nothing to evidence if it panics.
                 match progress.batch.pop() {
                     Some(ShardTask::Shutdown) => progress.shutdown = true,
@@ -741,28 +732,32 @@ fn run_batch(
                 }
                 continue;
             };
-            progress.last_millis = at_millis;
+            progress.last_millis = body.sent_at_millis();
             progress.unit = Some(Unit::Delivery);
-            let allowed = if degraded {
-                progress.local.deliveries_lost += 1;
-                evidence_loss(&mut state.appender, to, body, false, DEGRADED);
-                None
-            } else {
-                let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
-                let directory = directory.as_deref().expect("lock held when batch has deliveries");
-                let local = &mut progress.local;
-                process_delivery(directory, config, state, local, &probe, to, at_millis, body)
-                    .map(|allowed| (allowed, probe))
+            // A degraded shard takes no lock and enforces nothing: its deliveries are lost.
+            let (outcome, probe) = match directory.as_deref() {
+                Some(directory) => {
+                    let probe = DeliveryProbe::begin(telemetry, shared.epoch, enqueued_ns);
+                    let snapshot = &state.snapshot;
+                    (process_delivery(directory, config, snapshot, &probe, to, body), Some(probe))
+                }
+                None => (Outcome::Lost(DEGRADED), None),
             };
+            let local = &mut progress.local;
+            let allowed = settle(config, state, local, probe.as_ref(), to, body, outcome);
             let Some(ShardTask::Deliver { body, .. }) = progress.batch.pop() else {
                 unreachable!("the delivery just run is the batch's last task")
             };
             progress.unit = None;
-            if let Some((Allowed { mailbox, mask }, probe)) = allowed {
+            if let (Some((dst, mask)), Some(probe)) = (allowed, probe) {
                 // The zero-copy hand-off: the delivery's own handle moves on to its
-                // mailbox's group, its quenched bits cleared in place.
+                // mailbox's group, its quenched bits cleared in place. A closed mailbox is
+                // skipped with one atomic load — torn-down consumers cost the hot path
+                // nothing beyond that check. The push itself happens after the batch
+                // releases the directory lock (see `HandOffGroup`).
+                let mailbox = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed());
                 if let Some(mailbox) = mailbox {
-                    progress.hand_offs.add(to, mailbox, body.into_quenched(mask), at_millis);
+                    progress.hand_offs.add(to, mailbox, body.into_quenched(mask));
                 }
                 probe.lap(Stage::Quench);
                 // End-to-end publish→enforced latency, recorded for allowed messages
@@ -781,13 +776,12 @@ fn run_batch(
         progress.unit = Some(Unit::HandOff);
         if degraded {
             while let Some(item) = progress.hand_offs.front() {
-                evidence_loss(&mut state.appender, to, item, true, DEGRADED);
+                let local = &mut progress.local;
+                settle(config, state, local, None, to, item, Outcome::Abandoned(DEGRADED));
                 progress.hand_offs.pop_front();
             }
         } else {
-            let local = &mut progress.local;
-            let hand_offs = &mut progress.hand_offs;
-            hand_off_group(config, state, local, telemetry, &mut progress.shed, hand_offs);
+            hand_off_group(config, state, telemetry, progress);
             if progress.hand_offs.front().is_some() {
                 // The failpoint fired at the group's front delivery: the ones before it
                 // are pushed and counted, and the supervisor abandons this one.
@@ -812,53 +806,32 @@ fn flush_batch(shard: &ShardState, progress: &mut BatchProgress) {
 /// Why a degraded shard evidences accepted work as lost.
 const DEGRADED: &str = "shard degraded: restart budget exhausted";
 
-/// Appends the one `DeliveryLost` record for an accepted delivery (`hand_off`: its
-/// mailbox hand-off) that will never complete — every loss is evidenced, never silent.
-/// The message names its own source, type and send time, and the destination's name
-/// is read from the name table — there whether or not the endpoint is still
-/// registered, and with no directory lock.
-fn evidence_loss(
-    appender: &mut BatchedAppender,
-    to: EndpointId,
-    message: &FrozenMessage,
-    hand_off: bool,
-    cause: &str,
-) {
-    let destination = to.name().to_string();
-    let cause =
-        if hand_off { format!("mailbox hand-off abandoned: {cause}") } else { cause.to_string() };
-    appender.append(
-        AuditEvent::DeliveryLost {
-            source: message.sender().to_string(),
-            destination,
-            message_type: Some(message.message_type().to_string()),
-            lost: 1,
-            cause,
-        },
-        message.sent_at_millis(),
-    );
+/// What became of one delivery: the value [`settle`] books.
+enum Outcome<'d, 'm> {
+    /// An endpoint had left the directory.
+    Missing,
+    /// Refused by isolation or AC before any flow check; only its pair summary evidences it.
+    Refused,
+    /// Flow-checked, allowed or denied.
+    Checked { flow: FlowVerdict<'m>, src: &'d Endpoint, dst: &'d Endpoint },
+    /// Never enforced, for this cause: a degraded shard, or a panic.
+    Lost(&'m str),
+    /// Enforced and counted, but its mailbox hand-off abandoned for this cause.
+    Abandoned(&'m str),
+    /// Shed from a full mailbox by the push of a delivery sent at `at_millis`.
+    Shed { at_millis: u64 },
 }
 
-/// An allowed delivery's hand-off: its open mailbox, if it has one, and the quench
-/// mask its bits are cleared by.
-struct Allowed<'d> {
-    mailbox: Option<&'d Arc<BoundedQueue<FrozenMessage>>>,
-    mask: u64,
-}
-
-/// One delivery: the core's verdict, then this driver's effects. Returns the hand-off
-/// of an allowed delivery, which its caller prepares once it owns the body.
-#[allow(clippy::too_many_arguments)]
-fn process_delivery<'d>(
+/// One delivery's verdict: whether both its endpoints are still registered, then the
+/// core's answer. Its effects are [`settle`]'s.
+fn process_delivery<'d: 'm, 'm>(
     directory: &'d Directory,
     config: &DataplaneConfig,
-    state: &mut WorkerState,
-    local: &mut BatchCounters,
+    snapshot: &ContextSnapshot,
     probe: &DeliveryProbe<'_>,
     to: EndpointId,
-    at_millis: u64,
-    message: &FrozenMessage,
-) -> Option<Allowed<'d>> {
+    message: &'m FrozenMessage,
+) -> Outcome<'d, 'm> {
     failpoint::inject(&config.failpoints, FailpointSite::ShardProcess);
     // Read both endpoints' *current* contexts: a message is always judged against the
     // state of the world at enforcement time, so an entity's context change is in force
@@ -867,8 +840,7 @@ fn process_delivery<'d>(
     let from = EndpointId::of(message.sender_name());
     let (Some(src), Some(dst)) = (directory.endpoints.get(from), directory.endpoints.get(to))
     else {
-        local.missing_endpoint += 1;
-        return None;
+        return Outcome::Missing;
     };
     let facts = MessageFacts {
         message_type: message.message_type(),
@@ -886,8 +858,8 @@ fn process_delivery<'d>(
             src.component.party(),
             Operation::Send,
             || Some(message.schema().message_type_name()),
-            &state.snapshot,
-            Timestamp(at_millis),
+            snapshot,
+            Timestamp(message.sent_at_millis()),
         );
         probe.lap(Stage::AcMiss);
         Some(decision)
@@ -898,102 +870,155 @@ fn process_delivery<'d>(
         probe.lap(Stage::Ifc);
         decision
     };
-    let flow = match enforce(&src.component, &dst.component, Some(facts), ask_access, ask_flow) {
-        Verdict::Flow(flow) => flow,
-        refused => {
-            if matches!(refused, Verdict::Isolated) {
-                probe.lap(Stage::Isolation);
-            }
-            // No flow check ran, so there is no FlowChecked record (as on the bus); the
-            // imposition of isolation itself is audited on the control-plane log, and
-            // the denial is counted in the pair summary — in *both* audit modes, where
-            // `FlowSummary` records then cover exactly these denials — so the evidence
-            // totals add up.
-            local.denied += 1;
-            state.summaries.entry((from, to)).or_default().count(false, at_millis);
-            return None;
+    match enforce(&src.component, &dst.component, Some(facts), ask_access, ask_flow) {
+        Verdict::Flow(flow) => Outcome::Checked { flow, src, dst },
+        Verdict::Isolated => {
+            probe.lap(Stage::Isolation);
+            Outcome::Refused
         }
-    };
-    let denied = flow.decision.is_denied();
-    if denied {
-        local.denied += 1;
-    } else {
-        local.delivered += 1;
+        Verdict::AccessDenied { .. } => Outcome::Refused,
     }
-
-    // Full mode records every check. Summarised mode records every denial, and an
-    // allowed check when it is the pair's first of its message type under the two
-    // contexts now in force; the pair summary counts them all.
-    let schema = message.schema();
-    let mut summary = match config.audit_detail {
-        AuditDetail::Full => None,
-        AuditDetail::Summarised => Some(state.summaries.entry((from, to)).or_default()),
-    };
-    let full_record = denied
-        || summary
-            .as_ref()
-            .map_or(true, |summary| !summary.evidenced(schema, &flow.source_context, destination));
-    if full_record {
-        failpoint::inject(&config.failpoints, FailpointSite::AuditAppend);
-        flow.write_evidence(at_millis, &mut state.appender);
-        if let Some(summary) = summary.as_mut().filter(|_| !denied) {
-            summary.remember(schema, &flow.source_context, destination);
-        }
-        probe.lap(Stage::AuditAppend);
-    } else {
-        probe.skip();
-    }
-
-    let allowed = (!denied).then(|| {
-        // Per-attribute source quenching: the schema's mask for the destination's
-        // secrecy, evidenced with the check it follows.
-        let mask = schema.quench_mask_for(destination.secrecy());
-        if mask != 0 && full_record {
-            state.appender.append_message_quenched(
-                src.component.name(),
-                dst.component.name(),
-                message.message_type().as_str(),
-                schema.mask_names(mask),
-                at_millis,
-            );
-            // The record — and the flush, prune and fsync an append may run — is
-            // audit time, not quench time.
-            probe.lap(Stage::AuditAppend);
-        }
-        local.quenched_attributes += u64::from(mask.count_ones());
-        // Effective bytes moved: quenched attributes' spans never reach a receiver.
-        local.payload_bytes += message.byte_len_after_quench(mask) as u64;
-        // A closed mailbox is skipped with one atomic load — torn-down consumers
-        // cost the hot path nothing beyond that check. The push itself happens
-        // after the batch releases the directory lock (see `HandOffGroup`).
-        let mailbox = dst.mailbox.as_ref().filter(|mailbox| !mailbox.is_closed());
-        Allowed { mailbox, mask }
-    });
-
-    if let Some(summary) = summary {
-        summary.count(!denied, at_millis);
-    }
-    allowed
 }
 
-/// Hands the current group to its mailbox — the directory lock is no longer held — in
-/// one push, and evidences drop-oldest sheds. The `mailbox.handoff` failpoint is probed
-/// once per delivery, before the push: when it fires, the deliveries before that one
-/// are pushed and it is left at the group's front for the caller to abandon.
-///
-/// A shed names its own source and message type, and is stamped with the send time of
-/// the delivery whose push shed it. The two audit modes partition the evidence — full
-/// mode records each shed individually as it happens; summarised mode folds sheds into
-/// one per-pair `DeliveryDropped` total emitted at shutdown — so summing `dropped` over
-/// all records counts every shed delivery exactly once in either mode.
-fn hand_off_group(
+/// Books `outcome`, what became of `message` bound for `to`: its batch-local counter,
+/// pair-summary count, stage span (on `probe`, for an enforced delivery) and record —
+/// each applied here and nowhere else, as the audit detail is read here and nowhere
+/// else. Returns an allowed delivery's destination and quench mask, for its hand-off.
+/// The pair summary is counted last: the supervisor does not roll it back, so nothing
+/// that can panic may follow it.
+fn settle<'d>(
     config: &DataplaneConfig,
     state: &mut WorkerState,
     local: &mut BatchCounters,
+    probe: Option<&DeliveryProbe<'_>>,
+    to: EndpointId,
+    message: &FrozenMessage,
+    outcome: Outcome<'d, '_>,
+) -> Option<(&'d Endpoint, u64)> {
+    let at_millis = match outcome {
+        Outcome::Shed { at_millis } => at_millis,
+        _ => message.sent_at_millis(),
+    };
+    let lap = |stage| probe.map_or((), |probe| probe.lap(stage));
+    let summarised = config.audit_detail == AuditDetail::Summarised;
+    // A refusal is counted in its pair's summary in both modes, a flow check or a shed in
+    // summarised mode only.
+    let mut summary = match outcome {
+        Outcome::Refused => true,
+        Outcome::Checked { .. } | Outcome::Shed { .. } => summarised,
+        _ => false,
+    }
+    .then(|| state.summaries.entry((EndpointId::of(message.sender_name()), to)).or_default());
+    let (allowed, hand_off) = match outcome {
+        Outcome::Missing => {
+            local.missing_endpoint += 1;
+            return None;
+        }
+        // Every loss is evidenced, never silent. The name table names the destination,
+        // whether or not it is still registered, with no directory lock.
+        Outcome::Lost(cause) | Outcome::Abandoned(cause) => {
+            let cause = if let Outcome::Lost(_) = outcome {
+                local.deliveries_lost += 1;
+                cause.to_string()
+            } else {
+                format!("mailbox hand-off abandoned: {cause}")
+            };
+            let lost = AuditEvent::DeliveryLost {
+                source: message.sender().to_string(),
+                destination: to.name().to_string(),
+                message_type: Some(message.message_type().to_string()),
+                lost: 1,
+                cause,
+            };
+            state.appender.append(lost, at_millis);
+            return None;
+        }
+        // Full mode records each shed as it happens, summarised mode folds them into one
+        // `DeliveryDropped` total per pair and type at shutdown: summing `dropped` over
+        // the trail counts every shed exactly once in either mode.
+        Outcome::Shed { .. } => {
+            local.receiver_dropped += 1;
+            if let Some(summary) = summary {
+                *summary.dropped.entry(message.message_type().clone()).or_default() += 1;
+                summary.last_millis = summary.last_millis.max(at_millis);
+            } else {
+                let dropped = AuditEvent::DeliveryDropped {
+                    source: message.sender().to_string(),
+                    destination: to.name().to_string(),
+                    message_type: message.message_type().to_string(),
+                    dropped: 1,
+                };
+                state.appender.append(dropped, at_millis);
+            }
+            return None;
+        }
+        Outcome::Refused => (false, None),
+        Outcome::Checked { flow, src, dst } => {
+            let allowed = !flow.decision.is_denied();
+            // Full mode records every check. Summarised mode records every denial, and an
+            // allowed check when it is the pair's first of its message type under the two
+            // contexts now in force.
+            let (schema, destination) = (message.schema(), dst.component.context());
+            let full_record = !allowed
+                || summary.as_ref().map_or(true, |summary| {
+                    !summary.evidenced(schema, &flow.source_context, destination)
+                });
+            if full_record {
+                failpoint::inject(&config.failpoints, FailpointSite::AuditAppend);
+                flow.write_evidence(at_millis, &mut state.appender);
+                if let Some(summary) = summary.as_mut().filter(|_| allowed) {
+                    summary.remember(schema, &flow.source_context, destination);
+                }
+                lap(Stage::AuditAppend);
+            } else if let Some(probe) = probe {
+                probe.skip();
+            }
+            let hand_off = allowed.then(|| {
+                // Per-attribute source quenching: the schema's mask for the destination's
+                // secrecy, evidenced with the check it follows.
+                let mask = schema.quench_mask_for(destination.secrecy());
+                if mask != 0 && full_record {
+                    state.appender.append_message_quenched(
+                        src.component.name(),
+                        dst.component.name(),
+                        message.message_type().as_str(),
+                        schema.mask_names(mask),
+                        at_millis,
+                    );
+                    // The record — and the flush, prune and fsync an append may run — is
+                    // audit time, not quench time.
+                    lap(Stage::AuditAppend);
+                }
+                local.quenched_attributes += u64::from(mask.count_ones());
+                // Effective bytes moved: quenched attributes' spans never reach a receiver.
+                local.payload_bytes += message.byte_len_after_quench(mask) as u64;
+                (dst, mask)
+            });
+            (allowed, hand_off)
+        }
+    };
+    if allowed {
+        local.delivered += 1;
+    } else {
+        local.denied += 1;
+    }
+    if let Some(summary) = summary {
+        summary.count(allowed, at_millis);
+    }
+    hand_off
+}
+
+/// Hands the current group to its mailbox — the directory lock is no longer held — in
+/// one push, and settles drop-oldest sheds. The `mailbox.handoff` failpoint is probed
+/// once per delivery, before the push: when it fires, the deliveries before that one
+/// are pushed and it is left at the group's front for the caller to abandon.
+fn hand_off_group(
+    config: &DataplaneConfig,
+    state: &mut WorkerState,
     telemetry: &ShardTelemetry,
-    shed: &mut Vec<FrozenMessage>,
-    hand_offs: &mut HandOffs,
+    progress: &mut BatchProgress,
 ) {
+    let BatchProgress { local, shed, hand_offs, .. } = progress;
     let Some(&HandOffGroup { to, len, .. }) = hand_offs.current() else { return };
     let probe = || failpoint::panic_due(&config.failpoints, FailpointSite::MailboxHandOff);
     let ready = (0..len).position(|_| probe()).unwrap_or(len);
@@ -1014,37 +1039,10 @@ fn hand_off_group(
         telemetry.record_ns(Stage::Handoff, started.elapsed().as_nanos() as u64);
     }
     local.receiver_enqueued += pushed.taken as u64;
-    if shed.is_empty() {
-        return;
-    }
-    local.receiver_dropped += shed.len() as u64;
     // Once full, the mailbox stays full for the rest of the push: the last
     // `shed.len()` deliveries it took are the ones that shed, one each, in order.
     let shed_at = sent.skip(pushed.taken - shed.len());
-    // The directory is not locked here: the body names its sender, and the name table
-    // the destination.
-    match config.audit_detail {
-        AuditDetail::Full => {
-            let destination = to.name();
-            for (shed, at_millis) in shed.drain(..).zip(shed_at) {
-                state.appender.append(
-                    AuditEvent::DeliveryDropped {
-                        source: shed.sender().to_string(),
-                        destination: destination.to_string(),
-                        message_type: shed.message_type().to_string(),
-                        dropped: 1,
-                    },
-                    at_millis,
-                );
-            }
-        }
-        AuditDetail::Summarised => {
-            for (shed, at_millis) in shed.drain(..).zip(shed_at) {
-                let source = EndpointId::of(shed.sender_name());
-                let summary = state.summaries.entry((source, to)).or_default();
-                *summary.dropped.entry(shed.message_type().to_string()).or_default() += 1;
-                summary.last_millis = summary.last_millis.max(at_millis);
-            }
-        }
+    for (item, at_millis) in shed.drain(..).zip(shed_at) {
+        settle(config, state, local, None, to, &item, Outcome::Shed { at_millis });
     }
 }

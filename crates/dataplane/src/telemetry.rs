@@ -181,9 +181,10 @@ metrics_table! {
     batched {
         /// Messages whose flow check allowed delivery.
         delivered,
-        /// Messages denied: by isolation, by per-message contextual AC (payload
-        /// deliveries) or by IFC. Only IFC denials carry a `FlowChecked` record; the
-        /// other two are evidenced in the per-pair `FlowSummary` counts.
+        /// Messages denied: by isolation, by per-message contextual AC or by IFC. Only IFC
+        /// denials carry a `FlowChecked` record; all are counted in the per-pair
+        /// `FlowSummary` in summarised mode, isolation and AC ones in either mode
+        /// (`legaliot_fleet::reconcile` checks the totals).
         denied,
         /// Messages dropped because an endpoint had been deregistered mid-flight.
         missing_endpoint,
@@ -203,7 +204,8 @@ metrics_table! {
         /// evidenced as an `AuditEvent::DeliveryLost` record — the accounting
         /// identity `published == delivered + denied + missing_endpoint +
         /// deliveries_lost` holds exactly after
-        /// [`Dataplane::drain`](crate::Dataplane::drain). Zero in normal runs.
+        /// [`Dataplane::drain`](crate::Dataplane::drain), and those records (less
+        /// abandoned hand-offs) total it (`legaliot_fleet::reconcile`). Zero in normal runs.
         deliveries_lost,
     }
     // Counted by a shard's supervisor straight into the live counter; summed over shards.

@@ -2,7 +2,7 @@
 //!
 //! Everything — device populations, labels, schemas, policies, the churn and
 //! publish script — is a pure function of [`FleetConfig`]: the same seed
-//! regenerates a byte-identical fleet (see [`crate::spec::Fleet::manifest`]),
+//! regenerates an equal fleet (`Fleet` compares by value, field for field),
 //! which is how conformance failures are reproduced from the seed printed in
 //! the assertion message.
 

@@ -10,8 +10,8 @@
 //!
 //! The pieces compose differentially:
 //!
-//! * [`generate`] synthesizes a [`spec::Fleet`] from a seed — deterministic
-//!   down to the byte ([`spec::Fleet::manifest`]);
+//! * [`generate`] synthesizes a [`spec::Fleet`] from a seed — the same seed, the
+//!   same fleet;
 //! * [`predict`] walks the fleet's script through the reference model and
 //!   returns the exact expected deliveries, denials and admission outcomes, and
 //!   the Summarised-mode evidence each pair leaves;
@@ -22,7 +22,7 @@
 //!
 //! `tests/fleet_conformance.rs` at the workspace root asserts the two agree
 //! record-for-record at 1000+ deployments; any failure message carries the
-//! reproducing seed.
+//! reproducing seed; [`reconcile`] holds a run's counters to its audit trail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,11 +30,13 @@
 pub mod gen;
 pub mod harness;
 pub mod model;
+mod reconcile;
 pub mod spec;
 
 pub use gen::generate;
 pub use harness::{run_fleet, run_fleet_partial, LostDelivery, PartialRun, RunOutcome};
 pub use model::{predict, AdmissionOutcome, FleetModel, PairTrail, PredictedOutcome, Prediction};
+pub use reconcile::reconcile;
 pub use spec::{
     AttrSpec, CondSpec, ControlEvent, Deployment, Fleet, FleetConfig, KeyValue, PublishSpec, Round,
     RuleSpec, SchemaSpec, SubjectSpec, ThingSpec,
@@ -43,8 +45,10 @@ pub use spec::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legaliot_dataplane::DataplaneConfig;
+    use legaliot_dataplane::{AuditDetail, DataplaneConfig};
     use model::PredictedOutcome;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn small_config(seed: u64) -> FleetConfig {
         FleetConfig { seed, deployments: 40, rounds: 3 }
@@ -54,7 +58,6 @@ mod tests {
     fn same_seed_regenerates_byte_identical_fleet() {
         let a = generate(small_config(7));
         let b = generate(small_config(7));
-        assert_eq!(a.manifest(), b.manifest());
         assert_eq!(a, b);
     }
 
@@ -75,7 +78,7 @@ mod tests {
     fn different_seeds_generate_materially_different_fleets() {
         let a = generate(small_config(7));
         let b = generate(small_config(8));
-        assert_ne!(a.manifest(), b.manifest());
+        assert_ne!(a, b);
         let publishes =
             |fleet: &Fleet| fleet.rounds.iter().map(|r| r.publishes.len()).sum::<usize>();
         let a_shape = (a.endpoint_count(), a.edge_count(), publishes(&a));
@@ -141,5 +144,51 @@ mod tests {
             .collect();
         assert_eq!(outcome.admissions, predicted_admissions);
         assert_eq!(outcome.trail(), prediction.trail);
+        reconcile(&outcome.stats, &outcome.shard_records, AuditDetail::Summarised)
+            .unwrap_or_else(|unequal| panic!("counters and trail disagree:\n{unequal}"));
+    }
+
+    /// The counters reconcile with the trail in both audit modes, with and without
+    /// injected faults: delivery and audit-append panics (losses and restarts), panicked
+    /// hand-offs (abandoned) and drop-oldest mailboxes too small for a round (sheds).
+    #[test]
+    fn counters_reconcile_with_the_trail_in_both_modes_with_and_without_faults() {
+        use legaliot_dataplane::{
+            FailpointRegistry, FailpointSite, FailpointSpec, FaultKind, OverflowPolicy,
+        };
+        let fleet = generate(FleetConfig { seed: 5, deployments: 12, rounds: 3 });
+        let panics =
+            |site, first, every| FailpointSpec::on_hits(site, FaultKind::Panic, first, every);
+        for detail in [AuditDetail::Summarised, AuditDetail::Full] {
+            for faults in [false, true] {
+                let registry = FailpointRegistry::new(5)
+                    .with_spec(panics(FailpointSite::ShardProcess, 3, 17).limit(4))
+                    .with_spec(panics(FailpointSite::AuditAppend, 2, 11).limit(4))
+                    .with_spec(panics(FailpointSite::MailboxHandOff, 4, 13).limit(3));
+                let config = DataplaneConfig {
+                    shards: 2,
+                    audit_detail: detail,
+                    overflow: OverflowPolicy::DropOldest,
+                    mailbox_capacity: 1,
+                    failpoints: faults.then(|| Arc::new(registry)),
+                    restart_budget: 64,
+                    restart_backoff: Duration::from_micros(50),
+                    ..DataplaneConfig::default()
+                };
+                let outcome = run_fleet(&fleet, "fleet-reconcile", config).expect("fleet runs");
+                let stats = outcome.stats;
+                let ctx = format!("{detail:?}, faults {faults}");
+                assert!(stats.receiver_dropped > 0, "no shed to reconcile ({ctx})");
+                if faults {
+                    assert!(stats.shard_restarts > 0, "no restart to reconcile ({ctx})");
+                    assert!(stats.deliveries_lost > 0, "no loss to reconcile ({ctx})");
+                    let abandoned = outcome.lost.iter().any(|lost| lost.cause.contains("hand-off"));
+                    assert!(abandoned, "no abandoned hand-off to reconcile ({ctx})");
+                }
+                reconcile(&stats, &outcome.shard_records, detail).unwrap_or_else(|unequal| {
+                    panic!("{ctx}: counters and trail disagree:\n{unequal}")
+                });
+            }
+        }
     }
 }

@@ -3,12 +3,9 @@
 //! Generated fleets are described in a small, self-contained IR — plain strings,
 //! sorted collections, no engine types — so the enforcement oracle in
 //! [`crate::model`] can interpret the *same* description the harness installs,
-//! without sharing any enforcement code with the dataplane it checks. The IR
-//! also renders to a deterministic [`Fleet::manifest`] used by the
-//! byte-identical-determinism tests.
+//! without sharing any enforcement code with the dataplane it checks.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use legaliot_context::ContextValue;
 use legaliot_ifc::{Label, SecurityContext};
@@ -36,13 +33,6 @@ impl KeyValue {
             KeyValue::Number(n) => ContextValue::Float(n),
         }
     }
-
-    fn render(self) -> String {
-        match self {
-            KeyValue::Bool(b) => format!("bool:{b}"),
-            KeyValue::Number(n) => format!("num:{n}"),
-        }
-    }
 }
 
 /// The subject of a generated access rule.
@@ -59,13 +49,6 @@ impl SubjectSpec {
         match self {
             SubjectSpec::Anyone => Subject::Anyone,
             SubjectSpec::Principal(name) => Subject::Principal(name.clone()),
-        }
-    }
-
-    fn render(&self) -> String {
-        match self {
-            SubjectSpec::Anyone => "anyone".to_string(),
-            SubjectSpec::Principal(name) => format!("principal:{name}"),
         }
     }
 }
@@ -116,19 +99,6 @@ impl CondSpec {
             CondSpec::AnyOf(branches) => branches.iter().any(|branch| branch.eval(keys)),
         }
     }
-
-    fn render(&self) -> String {
-        match self {
-            CondSpec::Always => "always".to_string(),
-            CondSpec::IsTrue(key) => format!("is-true({key})"),
-            CondSpec::IsFalse(key) => format!("is-false({key})"),
-            CondSpec::NumberBelow(key, threshold) => format!("below({key},{threshold})"),
-            CondSpec::AnyOf(branches) => {
-                let inner: Vec<String> = branches.iter().map(CondSpec::render).collect();
-                format!("any-of[{}]", inner.join("|"))
-            }
-        }
-    }
 }
 
 /// A generated access rule on a consuming component: all fleet rules govern
@@ -155,16 +125,6 @@ impl RuleSpec {
             AccessRule::deny(self.subject.to_subject(), Operation::Send, None)
         };
         rule.when(self.condition.to_condition())
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "rule {} {} {} when {}",
-            self.component,
-            if self.allow { "allow" } else { "deny" },
-            self.subject.render(),
-            self.condition.render()
-        )
     }
 }
 
@@ -206,19 +166,10 @@ impl SchemaSpec {
         }
         schema
     }
-
-    fn render(&self) -> String {
-        let attrs: Vec<String> = self
-            .attrs
-            .iter()
-            .map(|a| format!("{}:{:?}:[{}]", a.name, a.kind, a.secrecy.join(",")))
-            .collect();
-        format!("schema {} {{{}}}", self.message_type, attrs.join(" "))
-    }
 }
 
 /// A generated thing: [`Thing`] plus label lists kept as sorted strings for
-/// manifest rendering and oracle-side set logic.
+/// oracle-side set logic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThingSpec {
     /// Endpoint name (unique across the whole fleet).
@@ -259,19 +210,6 @@ impl ThingSpec {
         SecurityContext::from_names(
             self.secrecy.iter().map(String::as_str),
             self.integrity.iter().map(String::as_str),
-        )
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "thing {} kind={} owner={} node={} s=[{}] i=[{}] produces=[{}]",
-            self.name,
-            self.kind,
-            self.owner,
-            self.node,
-            self.secrecy.join(","),
-            self.integrity.join(","),
-            self.produces.join(",")
         )
     }
 }
@@ -360,31 +298,6 @@ pub enum ControlEvent {
     },
 }
 
-impl ControlEvent {
-    fn render(&self) -> String {
-        match self {
-            ControlEvent::SetKey { key, value } => format!("set-key {key}={}", value.render()),
-            ControlEvent::SetContext { endpoint, secrecy, integrity } => {
-                format!(
-                    "set-context {endpoint} s=[{}] i=[{}]",
-                    secrecy.join(","),
-                    integrity.join(",")
-                )
-            }
-            ControlEvent::SetIsolated { endpoint, isolated } => {
-                format!("set-isolated {endpoint}={isolated}")
-            }
-            ControlEvent::AddRule(rule) => format!("add-{}", rule.render()),
-            ControlEvent::Join { thing, edges } => {
-                let edges: Vec<String> =
-                    edges.iter().map(|(from, to)| format!("{from}->{to}")).collect();
-                format!("join {} edges=[{}]", thing.render(), edges.join(","))
-            }
-            ControlEvent::Leave { endpoint } => format!("leave {endpoint}"),
-        }
-    }
-}
-
 /// A scripted publish. The message it denotes is a pure function of the spec
 /// and the deployment's schema, so the harness and the oracle construct the
 /// *same* message independently.
@@ -428,18 +341,6 @@ impl PublishSpec {
             message = message.with(attr.name.as_str(), value);
         }
         message
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "publish {}@{} type={} value={} subject={} extra=[{}]",
-            self.publisher,
-            self.at_millis,
-            self.message_type,
-            self.value,
-            self.subject_id,
-            self.extra_secrecy.join(",")
-        )
     }
 }
 
@@ -491,53 +392,5 @@ impl Fleet {
     /// Total install-time edges.
     pub fn edge_count(&self) -> usize {
         self.deployments.iter().map(|d| d.edges.len()).sum()
-    }
-
-    /// Renders the whole fleet — deployments, schemas, rules, script — into a
-    /// deterministic text manifest. Two fleets are byte-identical iff their
-    /// manifests are equal; a reproducing seed is reported alongside any
-    /// conformance failure so `Fleet` state can be regenerated exactly.
-    pub fn manifest(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "fleet seed={} deployments={} rounds={}",
-            self.config.seed, self.config.deployments, self.config.rounds
-        );
-        for deployment in &self.deployments {
-            let _ = writeln!(
-                out,
-                "deployment {} kind={} s-universe=[{}] i-universe=[{}]",
-                deployment.name,
-                deployment.kind.name(),
-                deployment.secrecy_universe.join(","),
-                deployment.integrity_universe.join(",")
-            );
-            for thing in &deployment.things {
-                let _ = writeln!(out, "  {}", thing.render());
-            }
-            for schema in &deployment.schemas {
-                let _ = writeln!(out, "  {}", schema.render());
-            }
-            for (from, to) in &deployment.edges {
-                let _ = writeln!(out, "  edge {from}->{to}");
-            }
-            for rule in &deployment.rules {
-                let _ = writeln!(out, "  {}", rule.render());
-            }
-            for (key, value) in &deployment.initial_keys {
-                let _ = writeln!(out, "  key {key}={}", value.render());
-            }
-        }
-        for (index, round) in self.rounds.iter().enumerate() {
-            let _ = writeln!(out, "round {index}");
-            for (at, event) in &round.events {
-                let _ = writeln!(out, "  @{at} {}", event.render());
-            }
-            for publish in &round.publishes {
-                let _ = writeln!(out, "  {}", publish.render());
-            }
-        }
-        out
     }
 }

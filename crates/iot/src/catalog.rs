@@ -38,17 +38,6 @@ pub enum DeploymentKind {
     VehicleFleet,
 }
 
-impl DeploymentKind {
-    /// Stable lowercase name, used in generated deployment manifests.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeploymentKind::Home => "home",
-            DeploymentKind::Hospital => "hospital",
-            DeploymentKind::VehicleFleet => "vehicle-fleet",
-        }
-    }
-}
-
 /// A deployment profile: the device population one kind of deployment draws
 /// from. `devices` are producers (sensors/actuators reporting state); `hubs`
 /// are consumers (gateways, applications, cloud services) that subscribe to
@@ -207,16 +196,13 @@ mod tests {
             kinds,
             vec![DeploymentKind::Home, DeploymentKind::Hospital, DeploymentKind::VehicleFleet]
         );
-        assert_eq!(DeploymentKind::Home.name(), "home");
-        assert_eq!(DeploymentKind::Hospital.name(), "hospital");
-        assert_eq!(DeploymentKind::VehicleFleet.name(), "vehicle-fleet");
     }
 
     #[test]
     fn every_profile_has_devices_and_hubs() {
         for profile in PROFILES {
-            assert!(!profile.devices.is_empty(), "{} has no devices", profile.kind.name());
-            assert!(!profile.hubs.is_empty(), "{} has no hubs", profile.kind.name());
+            assert!(!profile.devices.is_empty(), "{:?} has no devices", profile.kind);
+            assert!(!profile.hubs.is_empty(), "{:?} has no hubs", profile.kind);
             for hub in profile.hubs {
                 assert!(
                     !matches!(hub.kind, ThingKind::Sensor | ThingKind::Actuator),
@@ -233,8 +219,8 @@ mod tests {
             let all: Vec<_> = profile.devices.iter().chain(profile.hubs).collect();
             let stems: BTreeSet<_> = all.iter().map(|a| a.stem).collect();
             let msgs: BTreeSet<_> = all.iter().map(|a| a.message_stem).collect();
-            assert_eq!(stems.len(), all.len(), "duplicate stem in {}", profile.kind.name());
-            assert_eq!(msgs.len(), all.len(), "duplicate message stem in {}", profile.kind.name());
+            assert_eq!(stems.len(), all.len(), "duplicate stem in {:?}", profile.kind);
+            assert_eq!(msgs.len(), all.len(), "duplicate message stem in {:?}", profile.kind);
         }
     }
 }

@@ -32,8 +32,8 @@ use legaliot::dataplane::{
     FaultKind, PersistenceConfig,
 };
 use legaliot::fleet::{
-    generate, predict, run_fleet, run_fleet_partial, Fleet, FleetConfig, PredictedOutcome,
-    Prediction,
+    generate, predict, reconcile, run_fleet, run_fleet_partial, Fleet, FleetConfig,
+    PredictedOutcome, Prediction,
 };
 use legaliot::ifc::SecurityContext;
 use legaliot::middleware::{
@@ -206,12 +206,17 @@ fn durable_fleet_run_leaves_complete_verified_history_on_disk() {
 
     let mut disk_records = 0u64;
     let mut disk_allowed = 0u64;
-    for (shard, report) in recover_all(&dir, shards).iter().enumerate() {
+    let recovered = recover_all(&dir, shards);
+    for (shard, report) in recovered.iter().enumerate() {
         assert!(report.is_clean(), "shard {shard} truncations {ctx}: {:?}", report.truncations);
         let (_, allowed) = check_recovered_shard(shard, report, &prediction, &ctx);
         disk_records += report.records.len() as u64;
         disk_allowed += allowed;
     }
+    // The disk evidences exactly what the counters count.
+    let on_disk = recovered.iter().flat_map(|report| &report.records);
+    reconcile(&outcome.stats, on_disk, AuditDetail::Full)
+        .unwrap_or_else(|unequal| panic!("counters and disk disagree {ctx}:\n{unequal}"));
     assert_eq!(
         disk_records, outcome.stats.segment_records_persisted,
         "every persisted record is recoverable {ctx}"

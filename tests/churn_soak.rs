@@ -9,9 +9,10 @@
 //! 3. the accounting identity is exact: every accepted publish is delivered,
 //!    denied, counted against a missing endpoint, or *evidenced* lost — never
 //!    silently dropped;
-//! 4. the evidence matches the counters: one `ShardRestarted` record per
-//!    restart, and the non-hand-off `DeliveryLost` records total exactly
-//!    `deliveries_lost`.
+//! 4. the evidence matches the counters (`legaliot_fleet::reconcile`): one
+//!    `ShardRestarted` record per restart, the non-hand-off `DeliveryLost`
+//!    records total exactly `deliveries_lost`, and the pair summaries and
+//!    `DeliveryDropped` records total every verdict and shed.
 //!
 //! The run is reproducible from its seed (`LEGALIOT_SOAK_SEED`, default 1);
 //! the shard count (`LEGALIOT_SOAK_SHARDS`, default 2), publish volume
@@ -29,11 +30,12 @@ use std::time::Duration;
 
 use legaliot::audit::AuditEvent;
 use legaliot::context::{ContextSnapshot, ContextStore, Timestamp};
+use legaliot::dataplane::AuditDetail;
 use legaliot::dataplane::{
     Dataplane, DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec, FaultKind,
     OverflowPolicy, Subscriber, TopologyBuilder,
 };
-use legaliot::fleet::{generate, FleetConfig};
+use legaliot::fleet::{generate, reconcile, FleetConfig};
 use legaliot::ifc::{Label, SecurityContext};
 use legaliot::middleware::{
     AccessRule, AttributeKind, AttributeValue, Component, Message, MessageSchema, Operation,
@@ -462,28 +464,23 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
     assert!(report.control_audit.verify_chain().is_intact());
 
     // Evidence ↔ counter cross-check: one ShardRestarted record per counted
-    // restart, and the non-hand-off DeliveryLost records total exactly the
-    // lost counter (hand-off losses are at-most-once evidence of deliveries
-    // already counted as delivered, so they stay outside the identity).
-    let mut restart_records = 0u64;
-    let mut lost_counted = 0u64;
+    // restart, the non-hand-off DeliveryLost records total exactly the lost
+    // counter, and every verdict and shed is evidenced once (summarised audit,
+    // the default). Hand-off losses are at-most-once evidence of deliveries
+    // already counted as delivered, so they stay outside the identity.
+    let shard_records = report.shard_audit.iter().flat_map(|log| log.records());
+    reconcile(&report.stats, shard_records, AuditDetail::Summarised).unwrap_or_else(|unequal| {
+        panic!("counters and trail disagree (seed {seed}, shards {shards}):\n{unequal}")
+    });
     let mut lost_hand_off = 0u64;
     for record in report.merged_timeline() {
-        match record.event {
-            AuditEvent::ShardRestarted { .. } => restart_records += 1,
-            AuditEvent::DeliveryLost { lost, ref cause, ref message_type, .. } => {
-                assert!(message_type.is_some(), "every lost delivery names its type: {cause}");
-                if cause.starts_with("mailbox hand-off abandoned") {
-                    lost_hand_off += lost;
-                } else {
-                    lost_counted += lost;
-                }
+        if let AuditEvent::DeliveryLost { lost, ref cause, ref message_type, .. } = record.event {
+            assert!(message_type.is_some(), "every lost delivery names its type: {cause}");
+            if cause.starts_with("mailbox hand-off abandoned") {
+                lost_hand_off += lost;
             }
-            _ => {}
         }
     }
-    assert_eq!(restart_records, stats.shard_restarts);
-    assert_eq!(lost_counted, stats.deliveries_lost);
     assert!(lost_hand_off <= stats.delivered, "hand-off losses are a subset of counted deliveries");
 
     // The retention bound held under churn (no shard holds a change-feed cursor,

@@ -34,8 +34,8 @@ use legaliot::dataplane::{
     DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec, FaultKind,
 };
 use legaliot::fleet::{
-    generate, predict, run_fleet, Fleet, FleetConfig, PairTrail, PredictedOutcome, Prediction,
-    RunOutcome,
+    generate, predict, reconcile, run_fleet, Fleet, FleetConfig, PairTrail, PredictedOutcome,
+    Prediction, RunOutcome,
 };
 use legaliot::middleware::Message;
 
@@ -152,6 +152,12 @@ fn assert_trails_match(
     );
 }
 
+/// The run's counters equal a fold of its shards' records, to the unit.
+fn assert_reconciled(outcome: &RunOutcome, detail: AuditDetail, ctx: &str) {
+    reconcile(&outcome.stats, &outcome.shard_records, detail)
+        .unwrap_or_else(|unequal| panic!("counters and trail disagree {ctx}:\n{unequal}"));
+}
+
 fn assert_admissions_match(outcome: &RunOutcome, prediction: &Prediction, ctx: &str) {
     let predicted: Vec<(String, String, bool)> = prediction
         .admissions
@@ -194,6 +200,7 @@ fn conformance_without_faults() {
     );
     assert_admissions_match(&outcome, &prediction, &ctx);
     assert_deliveries_match(&outcome.observed, &predicted_deliveries(&prediction), &ctx);
+    assert_reconciled(&outcome, AuditDetail::Summarised, &ctx);
     let trail = outcome.trail();
     assert_trails_match(&trail, &prediction.trail, &ctx);
     let full: usize = trail.values().map(|pair| pair.flow_checked.len()).sum();
@@ -280,7 +287,6 @@ fn generated_fleet_conformance_survives_injected_faults() {
     // a unit is rolled back before any payload hand-off, never after.
     let mut lost_at_delivered = 0u64;
     let mut lost_at_denied = 0u64;
-    let mut lost_total = 0u64;
     for lost in &outcome.lost {
         let key = (lost.source.clone(), lost.destination.clone(), lost.at_millis);
         assert!(
@@ -296,9 +302,9 @@ fn generated_fleet_conformance_survives_injected_faults() {
             Some(PredictedOutcome::Denied) => lost_at_denied += lost.lost,
             None => panic!("lost record at unpredicted key {key:?} {ctx}"),
         }
-        lost_total += lost.lost;
     }
-    assert_eq!(lost_total, outcome.stats.deliveries_lost, "evidence totals the counter {ctx}");
+    // The evidence totals the counters: losses, restarts and every verdict.
+    assert_reconciled(&outcome, AuditDetail::Summarised, &ctx);
 
     // Counters: the prediction minus exactly the evidenced losses.
     assert_eq!(outcome.stats.published, prediction.published, "published diverged {ctx}");

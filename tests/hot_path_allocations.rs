@@ -42,8 +42,8 @@ use legaliot::audit::{AuditEvent, AuditLog, SegmentStore};
 use legaliot::context::{ContextSnapshot, Timestamp};
 use legaliot::dataplane::payload_schema;
 use legaliot::dataplane::{
-    smart_home, AuditDetail, Dataplane, DataplaneConfig, PersistenceConfig, Subscriber,
-    TopologyBuilder,
+    smart_home, AuditDetail, Dataplane, DataplaneConfig, OverflowPolicy, PersistenceConfig,
+    Subscriber, TopologyBuilder,
 };
 use legaliot::ifc::{can_flow, Label, SecurityContext, Tag};
 use legaliot::middleware::{
@@ -375,6 +375,47 @@ fn an_access_denial_allocates_nothing_on_the_shard() {
     );
     assert_eq!(elsewhere, 0, "a shard allocated while denying at AC");
     assert!(subscribers.iter().all(|subscriber| subscriber.drain().is_empty()));
+    dataplane.shutdown();
+}
+
+/// Drop-oldest sheds under summarised audit: a mailbox nobody drains sheds its oldest
+/// delivery for every new one, and each shed is counted in its pair's summary under
+/// the message's shared type name, so a shed of a type already counted allocates
+/// nothing on the shard.
+#[test]
+fn a_summarised_shed_allocates_nothing_on_the_shard() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let topology = smart_home(8, 1);
+    let feeds = topology.publisher_messages();
+    let config = DataplaneConfig {
+        shards: 2,
+        audit_detail: AuditDetail::Summarised,
+        overflow: OverflowPolicy::DropOldest,
+        mailbox_capacity: 4,
+        ..DataplaneConfig::default()
+    };
+    let (dataplane, _subscribers) = install_with(&topology, config);
+    let shed_cycle = || {
+        let before = dataplane.stats();
+        for (seq, (publisher, message)) in (0..MESSAGES).zip(feeds.iter().cycle()) {
+            dataplane.publish_message(publisher, message, Timestamp(seq)).expect("publishes");
+        }
+        dataplane.drain();
+        let after = dataplane.stats();
+        (after.delivered - before.delivered, after.receiver_dropped - before.receiver_dropped)
+    };
+    // Warm-up: the mailboxes fill, and each pair's summary counts its first sheds.
+    for _ in 0..3 {
+        shed_cycle();
+    }
+    let (allocations, frees, elsewhere) = counted(|| {
+        assert_eq!(shed_cycle(), (MESSAGES, MESSAGES), "every delivery sheds the oldest");
+    });
+    println!(
+        "{MESSAGES} summarised sheds: {allocations} allocations ({elsewhere} off-thread), \
+         {frees} frees"
+    );
+    assert_eq!(elsewhere, 0, "a shard allocated while shedding under summarised audit");
     dataplane.shutdown();
 }
 
