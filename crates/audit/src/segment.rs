@@ -47,10 +47,10 @@
 //! record and to rotate at the right ones, and gives every contiguous stretch to the
 //! file in one `write_all` straight from the caller's bytes: the appender owns those,
 //! the store copies nothing. [`SegmentStore::append`] is for callers holding
-//! [`AuditRecord`]s: it encodes them into one store-owned buffer, 256 KiB at a time so
-//! the buffer — and RSS — stays bounded, and takes the same path. That buffer is always
-//! empty when a call returns: the store holds no bytes in user space between calls, so
-//! what [`SegmentStats::records_persisted`] counts has reached the file.
+//! [`AuditRecord`]s: it frames its one record into a store-owned buffer, reused for its
+//! capacity, and takes the same path. That buffer is always empty when a call returns:
+//! the store holds no bytes in user space between calls, so what
+//! [`SegmentStats::records_persisted`] counts has reached the file.
 //!
 //! # Crash model and recovery
 //!
@@ -102,10 +102,6 @@ const RETIRED_VERSION: u32 = 1;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// Upper bound on a frame payload; anything larger is treated as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
-/// Bytes [`SegmentStore::append_batch`] encodes before handing them to the file: large
-/// enough that a batch of records is a handful of writes, small enough that the buffer
-/// never shows in RSS.
-const WRITE_CHUNK: usize = 256 * 1024;
 
 /// The IO operation a [`FaultHook`] is consulted about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,8 +204,8 @@ pub struct SegmentStore {
     wedged: Option<String>,
     stats: SegmentStats,
     hook: Option<FaultHook>,
-    /// Where [`Self::append_batch`] encodes records into frames. Reused across calls
-    /// for its capacity only: empty whenever a public method returns.
+    /// Where [`Self::append`] frames its record. Reused across calls for its capacity
+    /// only: empty whenever a public method returns.
     buffer: Vec<u8>,
 }
 
@@ -359,29 +355,14 @@ impl SegmentStore {
         }
     }
 
-    /// Appends one record frame. Returns `true` when the record reached the segment
-    /// file, `false` when the store is (or became) wedged — the drop is counted in
-    /// [`SegmentStats::records_dropped`], never silent. The one-record case of
-    /// `append_batch`.
+    /// Appends one record frame: encodes it into the store's buffer and hands that to
+    /// [`Self::append_frames`], the one write path. Returns `true` when the record
+    /// reached the segment file, `false` when the store is (or became) wedged — the
+    /// drop is counted in [`SegmentStats::records_dropped`], never silent.
     pub fn append(&mut self, record: &AuditRecord) -> bool {
-        self.append_batch(std::slice::from_ref(record)) == 1
-    }
-
-    /// Appends `records`, in order, as one frame each: encodes them into the store's
-    /// buffer (256 KiB at a time) and hands that to [`Self::append_frames`], the one
-    /// write path. Returns how many reached the segment file — always a prefix of
-    /// `records`; the rest are counted in [`SegmentStats::records_dropped`].
-    fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
         let mut buffer = std::mem::take(&mut self.buffer);
-        let mut persisted = 0;
-        for record in records {
-            put_record_frame(&mut buffer, record);
-            if buffer.len() >= WRITE_CHUNK {
-                persisted += self.append_frames(&buffer);
-                buffer.clear();
-            }
-        }
-        persisted += self.append_frames(&buffer);
+        put_record_frame(&mut buffer, record);
+        let persisted = self.append_frames(&buffer) == 1;
         buffer.clear();
         self.buffer = buffer;
         persisted
@@ -1198,14 +1179,14 @@ mod tests {
                 let writes = fault_write(&mut store, k, fault);
                 let (kept, consulted) = if fault == delay { (N, N) } else { (k, k + 1) };
 
-                assert_eq!(store.append_batch(&records), kept, "{ctx}");
+                assert_eq!(store.append_frames(&frames_of(&records)), kept, "{ctx}");
                 assert_eq!(writes.load(Ordering::Relaxed), consulted, "{ctx}");
                 assert_eq!(store.stats().records_persisted, kept as u64, "{ctx}");
                 assert_eq!(store.stats().records_dropped, (N - kept) as u64, "{ctx}");
                 assert_eq!(store.wedged.is_some(), fault != delay, "{ctx}");
                 // A wedged store keeps counting, batch or not.
                 if store.wedged.is_some() {
-                    assert_eq!(store.append_batch(&records[..2]), 0, "{ctx}");
+                    assert_eq!(store.append_frames(&frames_of(&records[..2])), 0, "{ctx}");
                     assert_eq!(store.stats().records_dropped, (N - kept + 2) as u64, "{ctx}");
                 }
                 drop(store);
@@ -1239,7 +1220,7 @@ mod tests {
         let records = sample_records(10);
         let (batch_dir, single_dir) = (temp_dir("rotbatch"), temp_dir("rotsingle"));
         let mut batched = SegmentStore::create(&batch_dir, 0, 3).unwrap();
-        assert_eq!(batched.append_batch(&records), 10);
+        assert_eq!(batched.append_frames(&frames_of(&records)), 10);
         let mut single = SegmentStore::create(&single_dir, 0, 3).unwrap();
         for record in &records {
             assert!(single.append(record));
@@ -1364,7 +1345,7 @@ mod tests {
     /// The format did not move: a shard directory the previous release wrote (a
     /// durable smart-home dataplane, `AuditDetail::Full`, committed under
     /// `tests/fixtures`) recovers clean, both write paths reproduce its files byte for
-    /// byte from the recovered records — `append_batch` of the records, and an
+    /// byte from the recovered records — `append` of each record, and an
     /// appender's frames of the events through `append_frames` — and a chain resumed
     /// on it extends it.
     #[test]
@@ -1391,7 +1372,9 @@ mod tests {
         // Re-written from the records …
         let rewritten = temp_dir("fixture-records");
         let mut store = SegmentStore::create(&rewritten, 0, 10).unwrap();
-        assert_eq!(store.append_batch(&report.records), 16);
+        for record in &report.records {
+            assert!(store.append(record));
+        }
         assert!(store.seal());
         assert_eq!(segment_files(&rewritten), written);
         // … and re-recorded from the events, frames straight to the store.
@@ -1433,8 +1416,8 @@ mod tests {
         }
     }
 
-    /// A batch far larger than the write chunk goes out in several writes, and the
-    /// store's buffer stays chunk-sized however large the batch was.
+    /// A record goes out through the store's buffer as one frame: the buffer holds
+    /// that frame, never a run of them, and is empty between calls.
     #[test]
     fn batch_buffer_stays_bounded() {
         let dir = temp_dir("chunks");
@@ -1447,12 +1430,15 @@ mod tests {
             };
             log.record(event, i);
         }
+        let frame = frames_of(&log.records()[..1]).len();
         let mut store = SegmentStore::create(&dir, 0, 1000).unwrap();
-        assert_eq!(store.append_batch(log.records()), 40);
-        assert!(store.stats().bytes_written > 4 * WRITE_CHUNK as u64);
-        assert!(store.buffer.is_empty());
-        // One chunk plus the frame that crossed it, at `Vec`'s doubling growth.
-        assert!(store.buffer.capacity() < 3 * WRITE_CHUNK, "{}", store.buffer.capacity());
+        for record in log.records() {
+            assert!(store.append(record));
+            assert!(store.buffer.is_empty());
+            // One frame, at `Vec`'s doubling growth.
+            assert!(store.buffer.capacity() <= 2 * frame, "{}", store.buffer.capacity());
+        }
+        assert!(store.stats().bytes_written > 40 * frame as u64);
         assert!(store.seal());
         let report = SegmentStore::recover(&dir).unwrap();
         assert!(report.is_clean(), "truncations: {:?}", report.truncations);
@@ -1468,7 +1454,7 @@ mod tests {
         let dir = temp_dir("v1");
         let records = sample_records(5);
         let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
-        assert_eq!(store.append_batch(&records[..4]), 4); // segments 0 and 1, sealed
+        assert_eq!(store.append_frames(&frames_of(&records[..4])), 4); // segments 0 and 1, sealed
         drop(store);
         // Segment 2: what the previous release wrote. Segment 3: written after it.
         let mut v1 = encode_header(2, records[3].hash).to_vec();
@@ -1577,7 +1563,7 @@ mod tests {
             log.record(event, 8 + i as u64);
         }
         let mut store = SegmentStore::create(&dir, 0, 4).unwrap();
-        assert_eq!(store.append_batch(log.records()), 10);
+        assert_eq!(store.append_frames(&frames_of(log.records())), 10);
         assert!(store.seal());
         drop(store);
         let pristine = segment_files(&dir);
@@ -1633,7 +1619,7 @@ mod tests {
         let dir = temp_dir("unmeasurable");
         let records = sample_records(4);
         let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
-        assert_eq!(store.append_batch(&records), 4);
+        assert_eq!(store.append_frames(&frames_of(&records)), 4);
         assert!(store.seal());
         drop(store);
         // Segment 0 of the retired format stops the scan; segment 1 is unreachable.

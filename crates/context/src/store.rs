@@ -2,9 +2,14 @@
 //!
 //! Policy engines "monitor environments and use the MW's remote-reconfiguration
 //! functionality to issue instructions to components, when/where necessary" (§8.1).
-//! The store is the piece they monitor: every update produces a [`ContextChange`] with a
-//! monotonically increasing version, and subscribers can drain the changes since the
-//! last version they processed.
+//! The store is the piece they monitor: every update bumps a monotonically increasing
+//! version, and a subscriber drains, as [`ContextChange`]s, the updates made since it
+//! last polled.
+//!
+//! The change feed is kept for its readers only. A change is recorded while some live
+//! subscriber has not yet polled it and dropped once every one has; with no subscriber,
+//! a write sets the value and bumps the version, and records nothing. So the feed holds
+//! what the laggiest subscriber has still to read, and no knob bounds it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -122,32 +127,36 @@ impl ContextSnapshot {
 struct StoreInner {
     /// Shared with every live snapshot; written through `Arc::make_mut`.
     values: Arc<Values>,
-    /// Version-sorted, oldest first.
+    /// The changes some live subscriber has not yet polled, version-sorted, oldest
+    /// first.
     changes: VecDeque<ContextChange>,
     version: u64,
     next_subscription: u64,
-    /// Last version delivered to each subscriber.
+    /// Last version delivered to each live subscriber.
     cursors: BTreeMap<SubscriptionId, u64>,
-    /// When `Some(keep)`, compaction trims the change history down to the `keep`
-    /// newest entries, but never past a change an active subscriber has not polled.
-    retention: Option<usize>,
 }
 
 impl StoreInner {
-    /// Drops fully-delivered history beyond the retention bound. Changes are
-    /// version-sorted, so the droppable region is a prefix: everything every
-    /// subscriber has already polled, excluding the `keep` newest entries (kept
-    /// so `history()` stays useful for debugging).
-    fn compact(&mut self) {
-        let Some(keep) = self.retention else { return };
-        let keep = keep.max(1);
-        let len = self.changes.len();
-        if len <= keep {
-            return;
+    /// Records the change that made the current version, if a subscriber will read it.
+    fn record(
+        &mut self,
+        at: Timestamp,
+        key: ContextKey,
+        previous: Option<ContextValue>,
+        current: Option<ContextValue>,
+    ) {
+        if !self.cursors.is_empty() {
+            let version = self.version;
+            self.changes.push_back(ContextChange { version, at, key, previous, current });
         }
-        let min_cursor = self.cursors.values().copied().min().unwrap_or(u64::MAX);
-        let cut = self.changes.partition_point(|c| c.version <= min_cursor).min(len - keep);
-        self.changes.drain(..cut);
+    }
+
+    /// Drops the changes every live subscriber has polled — a prefix, as the feed is
+    /// version-sorted, and all of it once no subscriber is left.
+    fn compact(&mut self) {
+        let oldest = self.cursors.values().copied().min().unwrap_or(u64::MAX);
+        let polled = self.changes.partition_point(|c| c.version <= oldest);
+        self.changes.drain(..polled);
     }
 
     fn snapshot(&self) -> ContextSnapshot {
@@ -175,33 +184,8 @@ impl ContextStore {
         Self::default()
     }
 
-    /// Creates an empty store whose change history is compacted down to the
-    /// `keep` newest entries (clamped to at least 1 so the latest change
-    /// survives compaction). Compaction never discards a change that an active
-    /// subscriber has not yet polled, so [`ContextStore::poll`] still delivers
-    /// every change exactly once — but a subscriber that never polls pins the
-    /// history and defeats the bound.
-    pub fn with_retention(keep: usize) -> Self {
-        let store = Self::default();
-        store.inner.write().retention = Some(keep);
-        store
-    }
-
-    /// Reconfigures the retention bound at runtime. `None` restores the default
-    /// unbounded history; `Some(keep)` applies the same policy as
-    /// [`ContextStore::with_retention`] and compacts immediately.
-    pub fn set_retention(&self, retention: Option<usize>) {
-        let mut inner = self.inner.write();
-        inner.retention = retention;
-        inner.compact();
-    }
-
-    /// The configured retention bound, if any.
-    pub fn retention(&self) -> Option<usize> {
-        self.inner.read().retention
-    }
-
-    /// Sets a key to a value, recording the change. Returns the new store version.
+    /// Sets a key to a value, recording the change for the subscribers (if any).
+    /// Returns the new store version.
     pub fn set(
         &self,
         key: impl Into<ContextKey>,
@@ -212,30 +196,22 @@ impl ContextStore {
         let value = value.into();
         let mut inner = self.inner.write();
         inner.version += 1;
-        let version = inner.version;
-        let previous = Arc::make_mut(&mut inner.values).insert(key, value.clone());
-        inner.changes.push_back(ContextChange { version, at, key, previous, current: Some(value) });
-        inner.compact();
-        version
+        // The value is copied into the feed only when a subscriber will read it.
+        let current = (!inner.cursors.is_empty()).then(|| value.clone());
+        let previous = Arc::make_mut(&mut inner.values).insert(key, value);
+        inner.record(at, key, previous, current);
+        inner.version
     }
 
-    /// Removes a key, recording the change if the key existed. Returns the new version
-    /// (unchanged if the key was absent).
+    /// Removes a key, recording the change for the subscribers (if any) when the key
+    /// existed. Returns the new version (unchanged if the key was absent).
     pub fn remove(&self, key: &ContextKey, at: Timestamp) -> u64 {
         let mut inner = self.inner.write();
         // Checked first so that removing an absent key never copies a shared map.
         if inner.values.contains_key(key) {
             let previous = Arc::make_mut(&mut inner.values).remove(key);
             inner.version += 1;
-            let version = inner.version;
-            inner.changes.push_back(ContextChange {
-                version,
-                at,
-                key: *key,
-                previous,
-                current: None,
-            });
-            inner.compact();
+            inner.record(at, *key, previous, None);
         }
         inner.version
     }
@@ -265,7 +241,8 @@ impl ContextStore {
     }
 
     /// Registers a subscriber; its cursor starts at the current version, so it will
-    /// only see future changes.
+    /// only see future changes, and from now on every change is recorded until it has
+    /// polled it.
     pub fn subscribe(&self) -> SubscriptionId {
         let mut inner = self.inner.write();
         inner.next_subscription += 1;
@@ -275,32 +252,31 @@ impl ContextStore {
         id
     }
 
-    /// Removes a subscriber's cursor. Call when a subscription's owner goes
-    /// away: under a retention bound an abandoned cursor pins change-history
-    /// compaction forever (compaction never drops past the laggiest cursor).
-    /// Polling a removed id afterwards behaves like a fresh cursor at 0, so
-    /// only unsubscribe cursors that are truly done.
+    /// Removes a subscriber, dropping the changes only it had left to poll. Call when a
+    /// subscription's owner goes away: a subscriber that never polls holds every change
+    /// made since it last did. Polling a removed id afterwards yields nothing.
     pub fn unsubscribe(&self, id: SubscriptionId) {
         let mut inner = self.inner.write();
         inner.cursors.remove(&id);
         inner.compact();
     }
 
-    /// Returns (and consumes) the changes a subscriber has not yet seen.
+    /// Returns (and consumes) the changes a subscriber has not yet seen, in version
+    /// order; nothing for an id that is not subscribed.
     pub fn poll(&self, id: SubscriptionId) -> Vec<ContextChange> {
         let mut inner = self.inner.write();
-        let cursor = inner.cursors.get(&id).copied().unwrap_or(0);
-        // The history is version-sorted: only the unseen suffix is visited.
-        let seen = inner.changes.partition_point(|c| c.version <= cursor);
-        let fresh: Vec<ContextChange> = inner.changes.range(seen..).cloned().collect();
-        let newest = inner.version;
-        inner.cursors.insert(id, newest);
+        let version = inner.version;
+        let Some(cursor) = inner.cursors.get_mut(&id) else { return Vec::new() };
+        let seen = std::mem::replace(cursor, version);
+        // The feed is version-sorted: only the unseen suffix is visited.
+        let unseen = inner.changes.partition_point(|c| c.version <= seen);
+        let fresh = inner.changes.range(unseen..).cloned().collect();
         inner.compact();
         fresh
     }
 
-    /// The retained change history (for audit and tests). Unbounded by default;
-    /// with a retention bound set this is only the compacted tail.
+    /// The changes some live subscriber has not yet polled, oldest first (for audit and
+    /// tests): empty when no one subscribes or every subscriber has caught up.
     pub fn history(&self) -> Vec<ContextChange> {
         self.inner.read().changes.iter().cloned().collect()
     }
@@ -389,7 +365,9 @@ mod tests {
 
     #[test]
     fn history_records_everything() {
+        // Everything a subscriber has yet to poll, and nothing once it has.
         let store = ContextStore::new();
+        let sub = store.subscribe();
         store.set("k", 1i64, Timestamp(1));
         store.set("k", 2i64, Timestamp(2));
         store.remove(&ContextKey::new("k"), Timestamp(3));
@@ -398,60 +376,95 @@ mod tests {
         assert_eq!(history[2].current, None);
         assert!(history[0].to_string().contains("k"));
         assert!(history[2].to_string().contains("removed"));
+        assert_eq!(store.poll(sub), history);
+        assert!(store.history().is_empty());
     }
 
     #[test]
     fn retention_bounds_history() {
-        let store = ContextStore::with_retention(4);
-        assert_eq!(store.retention(), Some(4));
+        // With no subscriber nothing is recorded, and the version keeps counting.
+        let store = ContextStore::new();
         for i in 0..100u64 {
             store.set("k", i as i64, Timestamp(i));
-            assert!(store.history().len() <= 4, "history exceeded bound at write {i}");
+            assert!(store.history().is_empty(), "a change recorded at write {i}");
         }
-        // The bound keeps the *newest* entries and the version keeps counting.
-        assert_eq!(store.version(), 100);
-        let history = store.history();
-        assert_eq!(history.len(), 4);
-        assert_eq!(history.last().unwrap().version, 100);
-        assert_eq!(history.first().unwrap().version, 97);
-        // The latest change's timestamp survives compaction.
-        assert_eq!(history.last().unwrap().at, Timestamp(99));
+        store.remove(&ContextKey::new("k"), Timestamp(100));
+        assert_eq!(store.version(), 101);
+        assert!(store.history().is_empty());
+        assert_eq!(store.get(&ContextKey::new("k")), None);
     }
 
     #[test]
     fn retention_never_drops_unpolled_changes() {
-        let store = ContextStore::with_retention(2);
+        let store = ContextStore::new();
         let sub = store.subscribe();
         for i in 0..10u64 {
             store.set("k", i as i64, Timestamp(i));
         }
-        // The lagging subscriber pins the history: every change is still there.
+        // The lagging subscriber holds the feed: every change is still there.
+        assert_eq!(store.history().len(), 10);
         let changes = store.poll(sub);
         assert_eq!(changes.len(), 10);
         assert_eq!(changes.first().unwrap().version, 1);
-        // Once delivered, the next write compacts back down to the bound.
+        // Once delivered, it is gone; the next write is held until it is polled.
+        assert!(store.history().is_empty());
         store.set("k", 99i64, Timestamp(10));
+        assert_eq!(store.history().len(), 1);
         assert_eq!(store.poll(sub).len(), 1);
-        assert!(store.history().len() <= 2);
+        assert!(store.history().is_empty());
     }
 
     #[test]
     fn set_retention_reconfigures_at_runtime() {
+        // Subscribing and unsubscribing are the only knob: the feed records from the
+        // first subscription on and stops at the last one's end.
         let store = ContextStore::new();
         for i in 0..8u64 {
             store.set("k", i as i64, Timestamp(i));
         }
-        assert_eq!(store.history().len(), 8);
-        store.set_retention(Some(3));
-        assert_eq!(store.history().len(), 3);
-        store.set_retention(None);
+        assert!(store.history().is_empty());
+        let sub = store.subscribe();
         for i in 8..16u64 {
             store.set("k", i as i64, Timestamp(i));
         }
-        assert_eq!(store.history().len(), 11);
-        // A zero bound is clamped so the newest change always survives.
-        store.set_retention(Some(0));
-        assert_eq!(store.history().len(), 1);
+        assert_eq!(store.history().len(), 8);
+        store.unsubscribe(sub);
+        assert!(store.history().is_empty());
+        store.set("k", 16i64, Timestamp(16));
+        assert!(store.history().is_empty());
+        assert!(store.poll(sub).is_empty(), "an unsubscribed id polls nothing");
+        assert_eq!(store.version(), 17);
+    }
+
+    #[test]
+    fn history_is_what_the_laggard_has_not_polled() {
+        let versions = |changes: Vec<ContextChange>| -> Vec<u64> {
+            changes.iter().map(|c| c.version).collect()
+        };
+        let store = ContextStore::new();
+        let (first, second) = (store.subscribe(), store.subscribe());
+        for i in 0..4u64 {
+            store.set("k", i as i64, Timestamp(i));
+        }
+        assert_eq!(versions(store.poll(first)), vec![1, 2, 3, 4]);
+        store.set("k", 4i64, Timestamp(4));
+        store.remove(&ContextKey::new("k"), Timestamp(5));
+        // `second` lags: the feed is its six unpolled changes, `first`'s two among them.
+        assert_eq!(versions(store.history()), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(versions(store.poll(second)), vec![1, 2, 3, 4, 5, 6]);
+        // Now `first` lags, by two.
+        assert_eq!(versions(store.history()), vec![5, 6]);
+        assert_eq!(versions(store.poll(first)), vec![5, 6]);
+        assert!(store.history().is_empty(), "both have polled");
+        store.set("k", 7i64, Timestamp(7));
+        store.set("k", 8i64, Timestamp(8));
+        assert_eq!(versions(store.poll(first)), vec![7, 8]);
+        assert_eq!(versions(store.history()), vec![7, 8]);
+        store.unsubscribe(second);
+        assert!(store.history().is_empty(), "the laggard left");
+        store.unsubscribe(first);
+        store.set("k", 9i64, Timestamp(9));
+        assert!(store.history().is_empty(), "no subscriber, no record");
     }
 
     #[test]
@@ -491,9 +504,13 @@ mod tests {
         assert_eq!(versions(store.poll(late)), vec![51, 52]);
         assert_eq!(versions(store.poll(early)), (1..=52).collect::<Vec<u64>>());
         assert!(store.poll(late).is_empty());
-        // An unknown (unsubscribed) id polls like a fresh cursor at 0.
+        // An unknown (unsubscribed) id polls nothing and subscribes no one.
         store.unsubscribe(late);
-        assert_eq!(store.poll(late).len(), 52);
+        assert!(store.poll(late).is_empty());
+        store.unsubscribe(early);
+        store.set("k", 52i64, Timestamp(52));
+        assert!(store.poll(late).is_empty());
+        assert!(store.history().is_empty());
     }
 
     #[test]
@@ -504,10 +521,12 @@ mod tests {
     }
 
     proptest! {
-        /// The version equals the number of effective changes, and history length matches.
+        /// The version equals the number of effective changes, and history length
+        /// matches while a subscriber has polled none of them.
         #[test]
         fn prop_version_counts_changes(keys in proptest::collection::vec("[a-c]", 1..20)) {
             let store = ContextStore::new();
+            let _subscriber = store.subscribe();
             for (i, k) in keys.iter().enumerate() {
                 store.set(k.as_str(), i as i64, Timestamp(i as u64));
             }
@@ -536,7 +555,8 @@ mod tests {
         /// The store against a naive deep-copy model under random operations: every
         /// snapshot equals the model at its version forever after (copy-on-write
         /// isolation), and every subscriber receives every change made while it was
-        /// subscribed exactly once and in order, whatever the retention bound.
+        /// subscribed exactly once and in order, and the feed holds exactly what the
+        /// laggiest subscriber has not polled.
         #[test]
         fn prop_store_matches_a_deep_copy_model(
             ops in proptest::collection::vec((0u8..8, 0usize..4, 0i64..100, 0usize..3), 1..80)
@@ -591,7 +611,14 @@ mod tests {
                         false
                     }
                     _ => {
-                        store.set_retention((value % 2 == 0).then_some(value as usize % 5));
+                        let laggard = subscribers
+                            .iter()
+                            .flatten()
+                            .map(|(_, received, expected)| &expected[received.len()..])
+                            .max_by_key(|unpolled| unpolled.len())
+                            .unwrap_or_default();
+                        let held: Vec<u64> = store.history().iter().map(|c| c.version).collect();
+                        prop_assert_eq!(held.as_slice(), laggard);
                         false
                     }
                 };

@@ -186,7 +186,12 @@ impl Deployment {
         match bg.activate(justification, now) {
             Ok(actions) => {
                 let policy_id = bg.id.as_str().to_string();
-                self.middleware.audit_record_breakglass(&policy_id, true, justification, now);
+                let event = AuditEvent::BreakGlass {
+                    policy: policy_id.clone(),
+                    active: true,
+                    justification: justification.to_string(),
+                };
+                self.middleware.record_audit_event(event, now.as_millis());
                 for action in actions {
                     let command = legaliot_policy::ReconfigurationCommand::new(
                         policy_id.clone(),
@@ -278,8 +283,10 @@ impl Deployment {
                 expired.push(b.id.as_str().to_string());
             }
         }
-        for id in expired {
-            self.middleware.audit_record_breakglass(&id, false, "expired", now);
+        for policy in expired {
+            let event =
+                AuditEvent::BreakGlass { policy, active: false, justification: "expired".into() };
+            self.middleware.record_audit_event(event, now.as_millis());
         }
         report
     }
@@ -348,37 +355,6 @@ impl Deployment {
     }
 }
 
-/// Small extension used by [`Deployment`] to record break-glass transitions in the
-/// middleware's audit log without exposing the log mutably.
-trait BreakGlassAudit {
-    fn audit_record_breakglass(
-        &mut self,
-        policy: &str,
-        active: bool,
-        justification: &str,
-        now: Timestamp,
-    );
-}
-
-impl BreakGlassAudit for Middleware {
-    fn audit_record_breakglass(
-        &mut self,
-        policy: &str,
-        active: bool,
-        justification: &str,
-        now: Timestamp,
-    ) {
-        self.record_audit_event(
-            AuditEvent::BreakGlass {
-                policy: policy.to_string(),
-                active,
-                justification: justification.to_string(),
-            },
-            now.as_millis(),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,6 +369,20 @@ mod tests {
             d.add_thing(&thing, "eu");
         }
         d
+    }
+
+    #[test]
+    fn a_ticking_deployment_holds_no_change_after_each_tick() {
+        let mut d = basic_deployment();
+        for round in 0..5i64 {
+            for key in 0..1_000 {
+                d.set_context(format!("sensor.{key}"), round * 1_000 + key);
+            }
+            assert_eq!(d.context().history().len(), 1_000, "round {round}: unpolled");
+            d.tick();
+            assert!(d.context().history().is_empty(), "round {round}: the tick polled all");
+        }
+        assert_eq!(d.context().version(), 5_000);
     }
 
     #[test]

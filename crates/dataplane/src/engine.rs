@@ -618,25 +618,18 @@ pub struct Dataplane {
     bodies: Mutex<BodyRing>,
 }
 
-/// Change-history retention of the store an engine creates for itself
-/// ([`Dataplane::new`]): the engine reads snapshots, never the history, so a tail for
-/// debugging is all it keeps.
-const OWN_STORE_RETENTION: usize = 1024;
-
 impl Dataplane {
-    /// Creates the engine (with a fresh private [`ContextStore`], its change history
-    /// compacted to a fixed tail) and spawns one worker thread per shard.
+    /// Creates the engine (with a fresh private [`ContextStore`]) and spawns one worker
+    /// thread per shard.
     pub fn new(name: impl Into<String>, config: DataplaneConfig) -> Self {
-        let store = ContextStore::with_retention(OWN_STORE_RETENTION);
-        Self::with_context_store(name, config, Arc::new(store))
+        Self::with_context_store(name, config, Arc::new(ContextStore::new()))
     }
 
     /// Creates the engine around an externally owned [`ContextStore`]: per-message
     /// AC decisions are evaluated against snapshots of this store, which every shard
     /// refreshes once per batch, so a [`ContextStore::set`] on a key a rule reads is in
-    /// force on every shard from its next batch on. The engine holds no subscription,
-    /// so the store's retention stays its owner's choice
-    /// ([`ContextStore::set_retention`]; unbounded by default).
+    /// force on every shard from its next batch on. The engine reads snapshots and
+    /// holds no subscription, so its writes keep no change for it.
     ///
     /// With [`DataplaneConfig::persistence`] set, each shard's segment directory is
     /// re-opened first ([`SegmentStore::reopen`]): one hash pass per persisted record,

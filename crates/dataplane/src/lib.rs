@@ -608,9 +608,9 @@ mod tests {
         }
     }
 
-    /// Bugfix acceptance: the store an engine creates for itself keeps a bounded
-    /// change history — the engine holds no change-feed cursor, so nothing pins it —
-    /// and both shards judge every burst under the value its last write left.
+    /// The store an engine creates for itself records no change — the engine holds no
+    /// change-feed cursor, so no one would read one — and both shards judge every burst
+    /// under the value its last write left.
     #[test]
     fn own_store_history_stays_within_its_retention_with_no_cursor() {
         use legaliot_middleware::{AccessRule, Operation, Subject};
@@ -620,7 +620,6 @@ mod tests {
         let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
         let dataplane = Dataplane::new("bounded-history", config);
         let store = Arc::clone(dataplane.context_store());
-        assert!(store.retention().is_some());
         dataplane.register(endpoint("pub", &["t"])).unwrap();
         // One subscriber per shard, each guarded by a rule reading the churned key.
         let candidates = ["s-alpha", "s-beta", "s-gamma", "s-delta", "s-epsilon", "s-zeta"];
@@ -668,9 +667,9 @@ mod tests {
             let outcome =
                 dataplane.subscribe("pub", subscribers[0], &store.snapshot(), now).unwrap();
             assert_eq!(outcome.is_delivered(), allowed, "burst {burst}");
-            // No cursor holds the history back: every write compacts to the tail.
+            // No subscriber, no record: the writes kept no change.
             let retained = store.history().len();
-            assert!(retained <= store.retention().unwrap(), "{retained} at burst {burst}");
+            assert_eq!(retained, 0, "{retained} changes held at burst {burst}");
         }
         assert_eq!(store.version(), 10_001);
         dataplane.shutdown();

@@ -34,8 +34,9 @@
 //! the two components' parties ([`AccessRegime::decide_by_id`]): one probe of an
 //! integer-keyed map, integer compares, and one snapshot read by key id per condition —
 //! no string hashed or compared, nothing allocated. A question by name
-//! ([`AccessRegime::decide`], as control steps ask it for an issuer) first looks the
-//! component and message type up in the name table, once per call.
+//! ([`AccessRegime::decide`], as control steps ask it for an issuer) runs the same
+//! evaluator, looking the component up in the name table first and the message type,
+//! the principal and its roles only when a rule names one — interning nothing.
 //!
 //! **Why no answer is kept.** A decision depends on the rules, the context snapshot and
 //! the time, and the last two move under every message. The regime holds the compiled
@@ -238,35 +239,6 @@ impl Party {
     }
 }
 
-/// The principal a question is asked for, as the evaluator matches subjects against
-/// it: by name ([`Principal`], on the name-keyed path) or by id ([`Party`]).
-trait Asker {
-    /// Whether the asker is the principal `name`.
-    fn is(&self, name: Name) -> bool;
-    /// Whether the asker holds the role `role`.
-    fn holds(&self, role: Name) -> bool;
-}
-
-impl Asker for Principal {
-    fn is(&self, name: Name) -> bool {
-        self.name == name.as_str()
-    }
-
-    fn holds(&self, role: Name) -> bool {
-        self.has_role(role.as_str())
-    }
-}
-
-impl Asker for Party {
-    fn is(&self, name: Name) -> bool {
-        self.principal == name.id()
-    }
-
-    fn holds(&self, role: Name) -> bool {
-        self.roles.contains(&role.id())
-    }
-}
-
 /// A rule's subject over interned names.
 #[derive(Debug, Clone, Copy)]
 enum Who {
@@ -316,11 +288,14 @@ impl Guard {
     }
 
     /// The one evaluator: the operation's denies in source order, the first that
-    /// applies being the answer, then its allows until one applies. The message type
-    /// is resolved once, and only if a typed rule is met.
+    /// applies being the answer, then its allows until one applies. A subject is
+    /// matched by id against the asker's principal (`None`: a name no rule holds) and
+    /// role ids, each read only when a rule names one. The message type is resolved
+    /// once, and only if a typed rule is met.
     fn decide(
         &self,
-        asker: &impl Asker,
+        principal: impl Fn() -> Option<u32>,
+        roles: impl Iterator<Item = u32> + Clone,
         operation: Operation,
         message_type: impl FnOnce() -> Option<Name>,
         snapshot: &ContextSnapshot,
@@ -330,8 +305,8 @@ impl Guard {
         let mut type_name = || *resolved.get_or_insert_with(|| resolve.take().and_then(|f| f()));
         let mut applies = |rule: &&Compiled| {
             let subject = match rule.who {
-                Who::Principal(name) => asker.is(name),
-                Who::Role(role) => asker.holds(role),
+                Who::Principal(name) => principal() == Some(name.id()),
+                Who::Role(role) => roles.clone().any(|id| id == role.id()),
                 Who::Anyone => true,
             };
             subject
@@ -386,8 +361,9 @@ impl AccessRegime {
     /// `message_type`) against `component`, in the given context.
     ///
     /// Deny rules override allow rules; with no matching rule the default is deny.
-    /// The component and message type are looked up in the name table once; a name the
-    /// process never interned is one no rule holds.
+    /// The component, the message type, the principal and its roles are looked up in
+    /// the name table, interning nothing, the last three only when a rule names one; a
+    /// name the process never interned is one no rule holds.
     pub fn decide(
         &self,
         component: &str,
@@ -403,7 +379,9 @@ impl AccessRegime {
         };
         // An unknown type matches exactly the rules no type at all matches: untyped ones.
         let message_type = || message_type.and_then(|t| Name::lookup(t.as_str()));
-        guard.decide(principal, operation, message_type, snapshot, now)
+        let id = |name: &str| Name::lookup(name).map(Name::id);
+        let roles = principal.roles.iter().filter_map(|role| id(role));
+        guard.decide(|| id(&principal.name), roles, operation, message_type, snapshot, now)
     }
 
     /// [`Self::decide`] with the names already resolved: may `asker`'s principal
@@ -421,7 +399,10 @@ impl AccessRegime {
         now: Timestamp,
     ) -> AccessDecision {
         match self.guards.get(&guarded.component.id()) {
-            Some(guard) => guard.decide(asker, operation, message_type, snapshot, now),
+            Some(guard) => {
+                let (principal, roles) = (|| Some(asker.principal), asker.roles.iter().copied());
+                guard.decide(principal, roles, operation, message_type, snapshot, now)
+            }
             None => AccessDecision::Denied { cause: DenialCause::NoRules },
         }
     }

@@ -166,7 +166,7 @@ fn churn_soak_entry_path() {
     let registry = Arc::new(FailpointRegistry::new(9).with_spec(
         FailpointSpec::on_hits(FailpointSite::ShardProcess, FaultKind::Panic, 5, 0).limit(1),
     ));
-    let store = Arc::new(ContextStore::with_retention(64));
+    let store = Arc::new(ContextStore::new());
     let config = DataplaneConfig {
         shards: 1,
         failpoints: Some(Arc::clone(&registry)),
