@@ -77,9 +77,10 @@ pub struct AuditLog {
 }
 
 impl AuditLog {
-    /// Creates an empty log recorded by the given authority.
+    /// Creates an empty log recorded by the given authority: a chain started afresh,
+    /// [`Self::resume`] from hash 0 at id 0.
     pub fn new(authority: impl Into<String>) -> Self {
-        AuditLog { authority: authority.into(), records: Vec::new(), anchor_hash: 0, next_id: 0 }
+        Self::resume(authority, 0, 0)
     }
 
     /// Creates an empty log that resumes an earlier chain: the first record appended

@@ -116,18 +116,7 @@ impl HomeMonitoringScenario {
             .expect("zeb present")
             .clone();
         let standard = HomeMonitoringWorkload::analyser_context(&zeb);
-        let cmd = legaliot_policy::ReconfigurationCommand::new(
-            "sanitise-output",
-            "hospital-engine",
-            legaliot_policy::Action::SetSecurityContext {
-                component: "input-sanitiser".into(),
-                context: standard,
-            },
-            self.deployment.now().as_millis(),
-        );
-        let snapshot = self.deployment.context().snapshot();
-        let now = self.deployment.now();
-        self.deployment.middleware_mut().handle_control(&cmd, &snapshot, now);
+        self.set_security_context("sanitise-output", "input-sanitiser", standard);
         self.deployment.connect("input-sanitiser", "zeb-analyser").expect("components exist");
     }
 
@@ -170,18 +159,7 @@ impl HomeMonitoringScenario {
 
         // The hospital engine declassifies the generator (approved anonymisation).
         let anon_ctx = SecurityContext::from_names(["medical", "stats"], ["anon"]);
-        let cmd = legaliot_policy::ReconfigurationCommand::new(
-            "anonymise-statistics",
-            "hospital-engine",
-            legaliot_policy::Action::SetSecurityContext {
-                component: "stats-generator".into(),
-                context: anon_ctx,
-            },
-            self.deployment.now().as_millis(),
-        );
-        let snapshot = self.deployment.context().snapshot();
-        let now = self.deployment.now();
-        self.deployment.middleware_mut().handle_control(&cmd, &snapshot, now);
+        self.set_security_context("anonymise-statistics", "stats-generator", anon_ctx);
 
         let outcome =
             self.deployment.connect("stats-generator", "ward-manager").expect("components exist");
@@ -195,18 +173,17 @@ impl HomeMonitoringScenario {
             .expect("components exist")
     }
 
-    fn set_sanitiser_context(&mut self, context: SecurityContext) {
+    /// The hospital engine's policy `policy` moves `component` into `context`: one
+    /// `SetSecurityContext` command through the bus's control path.
+    fn set_security_context(&mut self, policy: &str, component: &str, context: SecurityContext) {
+        let now = self.deployment.now();
         let cmd = legaliot_policy::ReconfigurationCommand::new(
-            "sanitiser-context-switch",
+            policy,
             "hospital-engine",
-            legaliot_policy::Action::SetSecurityContext {
-                component: "input-sanitiser".into(),
-                context,
-            },
-            self.deployment.now().as_millis(),
+            legaliot_policy::Action::SetSecurityContext { component: component.into(), context },
+            now.as_millis(),
         );
         let snapshot = self.deployment.context().snapshot();
-        let now = self.deployment.now();
         self.deployment.middleware_mut().handle_control(&cmd, &snapshot, now);
     }
 
@@ -223,7 +200,11 @@ impl HomeMonitoringScenario {
         let analyser = format!("{patient}-analyser");
 
         // Phase 1: input context — receive the raw, non-standard reading.
-        self.set_sanitiser_context(HomeMonitoringWorkload::sensor_context(&p));
+        self.set_security_context(
+            "sanitiser-context-switch",
+            "input-sanitiser",
+            HomeMonitoringWorkload::sensor_context(&p),
+        );
         let _ = self.deployment.connect(&sensor, "input-sanitiser");
         let raw = Message::new("sensor-reading", SecurityContext::public())
             .with("value", legaliot_middleware::AttributeValue::Integer(heart_rate));
@@ -238,7 +219,11 @@ impl HomeMonitoringScenario {
         let _ = self.deployment.receive("input-sanitiser");
 
         // Phase 2: endorsement — change context and forward the converted reading.
-        self.set_sanitiser_context(HomeMonitoringWorkload::analyser_context(&p));
+        self.set_security_context(
+            "sanitiser-context-switch",
+            "input-sanitiser",
+            HomeMonitoringWorkload::analyser_context(&p),
+        );
         let _ = self.deployment.connect("input-sanitiser", &analyser);
         let converted = Message::new("sensor-reading", SecurityContext::public())
             .with("value", legaliot_middleware::AttributeValue::Integer(heart_rate));

@@ -550,13 +550,11 @@ pub struct DataplaneReport {
     /// in that shard's slot) instead of aborting shutdown and wedging the
     /// remaining joins.
     pub worker_panics: Vec<(usize, String)>,
-    /// Segment files sealed (fsynced and closed) across all shard stores,
-    /// including the final seal each worker performs before its join returns.
-    /// Zero when persistence is off.
+    /// [`SegmentStats::segments_sealed`] of [`Self::segment_stats`] (0 without it): it
+    /// counts the final seal each worker makes before its join returns.
     pub segments_sealed: u64,
-    /// Bytes written to segments but never covered by a successful fsync. Zero
-    /// after a clean shutdown; non-zero means a store wedged on an IO fault and
-    /// the tail on disk may be torn — visible here rather than silently lost.
+    /// [`SegmentStats::unsynced_bytes`] of [`Self::segment_stats`] (0 without it):
+    /// non-zero after a shutdown means a store wedged on an IO fault.
     pub unsynced_bytes: u64,
     /// Merged per-shard segment-store statistics (`None` when persistence is off).
     pub segment_stats: Option<SegmentStats>,
@@ -1206,43 +1204,39 @@ impl Dataplane {
         }
     }
 
-    /// Drains outstanding work, stops every worker and returns the final report with
-    /// all audit logs (chains intact).
-    pub fn shutdown(mut self) -> DataplaneReport {
-        self.drain();
+    /// The one stop: closes each shard's ingress queue — its worker enforces the backlog,
+    /// then returns — and joins the worker. A panic that escaped supervision (e.g. in the
+    /// shutdown epilogue) is reaped without re-panicking: a placeholder log fills its
+    /// slot, and the panic is returned beside the trails.
+    fn stop_workers(&mut self) -> (Vec<AuditLog>, Vec<(usize, String)>) {
         for shard in &self.shared.shards {
-            shard.in_flight.fetch_add(1, Ordering::SeqCst);
-            shard.queue.push(ShardTask::Shutdown);
+            shard.queue.close();
         }
         let mut shard_audit = Vec::with_capacity(self.workers.len());
         let mut worker_panics = Vec::new();
         for (index, worker) in self.workers.drain(..).enumerate() {
-            match worker.join() {
-                Ok(audit) => shard_audit.push(audit),
-                Err(payload) => {
-                    // A panic that escaped supervision (e.g. in the shutdown
-                    // epilogue). Reap it without re-panicking: capture the
-                    // payload and keep the report's shard logs aligned with a
-                    // placeholder slot.
-                    worker_panics.push((index, panic_message(payload.as_ref())));
-                    shard_audit.push(AuditLog::new(format!("{}-shard-{index}", self.shared.name)));
-                }
-            }
+            shard_audit.push(worker.join().unwrap_or_else(|payload| {
+                worker_panics.push((index, panic_message(payload.as_ref())));
+                AuditLog::new(format!("{}-shard-{index}", self.shared.name))
+            }));
         }
+        (shard_audit, worker_panics)
+    }
+
+    /// Drains outstanding work, stops every worker and returns the final report with
+    /// all audit logs (chains intact).
+    pub fn shutdown(mut self) -> DataplaneReport {
+        self.drain();
+        let (shard_audit, worker_panics) = self.stop_workers();
         // Workers are gone, so every enforced delivery is in its mailbox; closing now
         // lets consumers drain the backlog and then observe Disconnected.
         self.close_mailboxes();
         // Workers sealed their stores in the shutdown epilogue (before the joins
         // above returned), so these merged stats already cover the final fsyncs.
         let segment_stats = self.segment_stats();
-        let (segments_sealed, unsynced_bytes) = segment_stats
-            .as_ref()
-            .map(|segments| (segments.segments_sealed, segments.unsynced_bytes))
-            .unwrap_or((0, 0));
         let stats = self.stats();
         let control_audit = {
             let mut directory = self.shared.directory.write();
-            directory.control_audit.flush();
             std::mem::replace(
                 &mut directory.control_audit,
                 BatchedAppender::new(format!("{}-control", self.shared.name), 1),
@@ -1254,17 +1248,36 @@ impl Dataplane {
             shard_audit,
             control_audit,
             worker_panics,
-            segments_sealed,
-            unsynced_bytes,
+            segments_sealed: segment_stats.as_ref().map_or(0, |s| s.segments_sealed),
+            unsynced_bytes: segment_stats.as_ref().map_or(0, |s| s.unsynced_bytes),
             segment_stats,
         }
     }
+}
 
+impl Drop for Dataplane {
+    fn drop(&mut self) {
+        // Stop the workers if `shutdown()` was never called, so threads never leak.
+        if self.workers.is_empty() {
+            return;
+        }
+        // Close mailboxes *before* the stop, or a shard parked on a full Block-policy
+        // mailbox never returns to its queue and the join hangs. The abandon path: the
+        // backlog is still enforced, its hand-offs discarded (`shutdown()` closes them
+        // only once the workers are done).
+        self.close_mailboxes();
+        self.stop_workers();
+    }
+}
+
+/// Test hooks, kept apart: outside them, only [`Dataplane::enqueue_fanout`] pushes into
+/// a shard's ingress queue, and only [`Dataplane::stop_workers`] closes one.
+#[cfg(test)]
+impl Dataplane {
     /// Test hook: every edge as `(publisher, subscriber)`, once as the `subscribers`
     /// lists hold it and once as the `publishers` lists do; both sorted, each name read
     /// back from its id. Checks on the way that every endpoint is filed under its
     /// name's id — the one its party holds — and that `id → name → id` round-trips.
-    #[cfg(test)]
     pub(crate) fn edges_both_ways(&self) -> [Vec<(String, String)>; 2] {
         let directory = self.shared.directory.read();
         let table = &directory.endpoints;
@@ -1290,7 +1303,6 @@ impl Dataplane {
     }
 
     /// Test hook: takes the body ring, as a publisher in the middle of a freeze has it.
-    #[cfg(test)]
     pub(crate) fn hold_body_ring(&self) -> impl Drop + '_ {
         self.bodies.lock()
     }
@@ -1298,7 +1310,6 @@ impl Dataplane {
     /// Test hook: parks the worker of a drained shard on the returned barrier. Returns
     /// once the worker has taken the task — alone in its batch, so it parks holding no
     /// directory lock and the test may run control-plane writes meanwhile.
-    #[cfg(test)]
     pub(crate) fn block_shard(&self, shard: usize) -> Arc<std::sync::Barrier> {
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let state = &self.shared.shards[shard];
@@ -1309,26 +1320,14 @@ impl Dataplane {
         }
         barrier
     }
-}
 
-impl Drop for Dataplane {
-    fn drop(&mut self) {
-        // Shut workers down if `shutdown()` was never called, so threads never leak.
-        if self.workers.is_empty() {
-            return;
-        }
-        // Close mailboxes *before* joining: a shard parked on a full Block-policy
-        // mailbox would otherwise never pop the Shutdown task and the join below
-        // would hang forever. This is the abandon path — discarding undelivered
-        // mailbox items is fine (`shutdown()` is the graceful path and closes only
-        // after the workers have finished enqueueing).
-        self.close_mailboxes();
-        for shard in &self.shared.shards {
-            shard.in_flight.fetch_add(1, Ordering::SeqCst);
-            shard.queue.push(ShardTask::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    /// Test hook: closes a shard's ingress queue as the stop does, joining nothing.
+    pub(crate) fn close_ingress(&self, shard: usize) {
+        self.shared.shards[shard].queue.close();
+    }
+
+    /// Test hook: whether a shard's worker has returned.
+    pub(crate) fn worker_exited(&self, shard: usize) -> bool {
+        self.workers[shard].is_finished()
     }
 }

@@ -1173,6 +1173,45 @@ mod tests {
         assert_eq!(received[1], vec![11, 13, 15, 17, 19, 21]);
     }
 
+    /// A shard ends as a mailbox's consumer does: once its ingress queue is closed, the
+    /// worker enforces the backlog queued before the close, in queue order, and returns.
+    /// Nothing is pushed to stop it.
+    #[test]
+    fn a_shard_stops_when_its_ingress_queue_closes() {
+        use std::time::{Duration, Instant};
+        const N: u64 = 64;
+
+        let dataplane = two_pair_plane(DataplaneConfig { shards: 1, ..DataplaneConfig::default() });
+        let receiver = dataplane.open_subscriber("b").unwrap();
+        let barrier = dataplane.block_shard(0);
+        for t in 10..10 + N {
+            assert_eq!(tick(&dataplane, "a", t), Ok(1));
+        }
+        dataplane.close_ingress(0);
+        barrier.wait();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !dataplane.worker_exited(0) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if !dataplane.worker_exited(0) {
+            // Leaked, not dropped: dropping would join a worker that never returns.
+            std::mem::forget(dataplane);
+            panic!("the worker did not return after its ingress queue closed");
+        }
+        let received: Vec<u64> =
+            receiver.drain().iter().map(|message| message.sent_at_millis()).collect();
+        assert_eq!(received, (10..10 + N).collect::<Vec<_>>());
+        let stats = dataplane.stats();
+        assert_eq!((stats.published, stats.delivered), (N, N));
+        assert_eq!(
+            stats.published,
+            stats.delivered + stats.denied + stats.missing_endpoint + stats.deliveries_lost
+        );
+        let report = dataplane.shutdown();
+        assert!(report.worker_panics.is_empty());
+        assert!(report.shard_audit[0].verify_chain().is_intact());
+    }
+
     /// A Full-mode drop-oldest group that overflows its mailbox writes one
     /// `DeliveryDropped` per shed delivery, each naming that delivery's own source and
     /// stamped with the send time of the delivery whose push shed it.

@@ -1,16 +1,19 @@
 //! The dataplane's one bounded hand-off, used twice on every delivery's way from
 //! `publish_message` to `recv`.
 //!
-//! * **Shard ingress.** Producers (publishers, and the engine's shutdown) push from
-//!   any thread — never a control-plane call; the shard's worker drains in batches to
-//!   amortise lock traffic. A full queue blocks the producer — backpressure instead of
-//!   unbounded memory.
+//! * **Shard ingress.** Publishers push deliveries from any thread — never a
+//!   control-plane call; the shard's worker drains in batches to amortise lock
+//!   traffic. A full queue blocks the producer — backpressure instead of unbounded
+//!   memory. The engine stops a worker by closing its queue, not by pushing into it:
+//!   the worker pops the backlog, and its first empty pop of the closed queue ends it.
 //! * **Subscriber mailbox.** The shard pushes enforced deliveries — blocking on a full
 //!   mailbox, or shedding its oldest item, per the
 //!   [`OverflowPolicy`](crate::OverflowPolicy) — and the consumer pops them one at a
 //!   time or drains them through its [`Subscriber`](crate::Subscriber). A mailbox is
-//!   closed when its handle goes: pushes then discard, and pops hand out the backlog
-//!   before reporting the queue closed.
+//!   closed when its handle goes, its endpoint deregisters or the engine stops.
+//!
+//! Both end their stream the same way, by `close`: pushes then discard, and pops hand
+//! out the backlog before reporting the queue closed.
 //!
 //! Every push is a group push (`BoundedQueue::push_group`): the items go in, in
 //! order, under one lock, and a parked consumer is woken once for the group — a shard

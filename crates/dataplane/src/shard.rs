@@ -1,11 +1,11 @@
 //! Shard worker: the per-thread enforcement loop.
 //!
-//! Each shard owns an ingress [`BoundedQueue`] of [`ShardTask`]s and a private
-//! [`BatchedAppender`] writing a per-shard hash-chained audit log. It holds no decision
-//! cache: every delivery asks the access regime, [`can_flow`] and the schema's quench
-//! mask directly, against the directory and the context snapshot in force when its
-//! batch runs — so a context change, a key write or a rule edit is a write the next
-//! batch reads, and nothing is sent to a shard to follow one. Components are assigned
+//! Each shard owns an ingress [`BoundedQueue`] of deliveries ([`ShardTask`]s) and a
+//! private [`BatchedAppender`] writing a per-shard hash-chained audit log. It holds no
+//! decision cache: every delivery asks the access regime, [`can_flow`] and the
+//! schema's quench mask directly, against the directory and the context snapshot in
+//! force when its batch runs — so a context change, a key write or a rule edit is a
+//! write the next batch reads, and nothing is sent to a shard to follow one. Components are assigned
 //! to shards by a stable hash of their name; a message is enforced on the
 //! *destination's* shard, so one overloaded subscriber backpressures only its own
 //! shard.
@@ -20,12 +20,14 @@
 //!
 //! A shard has one loop, [`worker_loop`]: pop a batch, run its tasks under one
 //! directory read lock, then hand the batch's enforced deliveries to their mailboxes —
-//! each a [`BoundedQueue`] too — with the lock released. It amortises
-//! synchronisation over the batch: one directory read-lock acquisition, one
-//! context-store freshness check, one `in_flight` decrement and one flush of the
-//! statistics counters per batch of up to [`POP_BATCH`] tasks, rather than per
-//! message. The counters themselves — the live ones, the batch-local deltas and the
-//! flush between them — are declared in [`crate::telemetry`]'s one table.
+//! each a [`BoundedQueue`] too — with the lock released. It amortises synchronisation
+//! over the batch: one directory read-lock acquisition, one context-store freshness
+//! check, one `in_flight` decrement and one flush of the statistics counters per batch
+//! of up to [`POP_BATCH`] tasks, rather than per message. The counters themselves —
+//! the live ones, the batch-local deltas and the flush between them — are declared in
+//! [`crate::telemetry`]'s one table. The loop ends as a mailbox's consumer does: the
+//! engine closes the ingress queue, the loop pops and enforces the backlog in queue
+//! order, and the first empty pop of the closed queue returns.
 //!
 //! The hand-offs go by mailbox: a batch's deliveries are bucketed per mailbox in
 //! hand-off order ([`HandOffs`], found by endpoint index, its buffers kept from batch
@@ -37,7 +39,7 @@
 //!
 //! The supervisor, [`run_worker`], re-enters the loop after a panic; once its restart
 //! budget is spent it re-enters it *degraded*, and the same steps then evidence each
-//! delivery as lost and each prepared hand-off as abandoned, until `Shutdown`. It
+//! delivery as lost and each prepared hand-off as abandoned, until the queue closes. It
 //! needs no copy of the work in flight: a delivery stays the batch's last task until
 //! it has run, and a hand-off the front of its group until it is pushed, and that is
 //! where the supervisor finds one a panic cut short.
@@ -89,8 +91,6 @@ pub(crate) enum ShardTask {
         /// refcount bump per subscriber after the first, at publish time).
         body: FrozenMessage,
     },
-    /// Flush audit buffers and exit the worker loop.
-    Shutdown,
     /// Test hook: park the worker on a barrier so tests can fill the queue
     /// deterministically.
     #[cfg(test)]
@@ -387,7 +387,6 @@ struct BatchProgress {
     /// Whether a popped batch is mid-processing (a restart then resumes it
     /// instead of popping a new one).
     active: bool,
-    shutdown: bool,
     /// Timestamp of the most recent task, for restart evidence.
     last_millis: u64,
     /// The unit being processed, if its loss can be evidenced.
@@ -410,7 +409,6 @@ impl BatchProgress {
             local: BatchCounters::default(),
             popped: 0,
             active: false,
-            shutdown: false,
             last_millis: 0,
             unit: None,
             saved_counters: BatchCounters::default(),
@@ -451,8 +449,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The supervised worker for shard `index`. Runs until a
-/// [`ShardTask::Shutdown`] arrives.
+/// The supervised worker for shard `index`. Runs until its ingress queue is closed
+/// and everything queued before the close has been popped and enforced, then writes
+/// the shutdown evidence, persists and seals, and returns the shard's trail.
 ///
 /// The enforcement loop itself lives in [`worker_loop`]; this function is the
 /// supervisor around it. A panic anywhere inside the loop (injected by a
@@ -468,45 +467,39 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`DataplaneConfig::restart_backoff`]). Once the budget is exhausted the
 /// shard degrades: publishers routed here fail fast with `ShardUnavailable`,
 /// and the worker re-enters the same loop, which then evidences everything
-/// already accepted as lost instead of enforcing it and keeps popping until
-/// Shutdown, so `drain` and shutdown never hang on a dead shard.
+/// already accepted as lost instead of enforcing it and keeps popping until the queue
+/// closes, so `drain` and shutdown never hang on a dead shard.
 pub(crate) fn run_worker(
     index: usize,
     shared: Arc<SharedState>,
     config: DataplaneConfig,
 ) -> AuditLog {
     let authority = format!("{}-shard-{index}", shared.name);
-    let appender = match shared.persistence[index].as_ref() {
-        Some(persistence) => {
-            // Durable mode: the chain resumes from the last *persisted* record of
-            // the previous incarnation (hash and id recovered from disk), and every
-            // record pruned out of the retention window streams to the shard's
-            // segment store before being discarded — loss-free by construction, and
-            // as the frames the trail already holds: one `write_all` per run.
-            let segments = Arc::clone(&persistence.store);
-            let sync_on_flush = config.persistence.as_ref().map_or(true, |p| p.sync_on_flush);
-            BatchedAppender::over(
-                AuditLog::resume(
-                    authority.clone(),
-                    persistence.resume_anchor,
-                    persistence.resume_next_id,
-                ),
-                config.audit_batch,
-            )
-            .with_retention(config.audit_retention)
-            .with_prune_sink(move |runs| {
-                let mut segments = segments.lock();
-                for run in runs {
-                    segments.append_frames(run);
-                }
-                if sync_on_flush {
-                    segments.sync();
-                }
-            })
-        }
-        None => BatchedAppender::new(authority.clone(), config.audit_batch)
-            .with_retention(config.audit_retention),
-    };
+    // The chain resumes from the last *persisted* record of the previous incarnation
+    // (hash and id recovered from disk); with no persistence it starts afresh.
+    let persistence = shared.persistence[index].as_ref();
+    let (anchor, next_id) = persistence.map_or((0, 0), |p| (p.resume_anchor, p.resume_next_id));
+    let mut appender = BatchedAppender::over(
+        AuditLog::resume(authority.clone(), anchor, next_id),
+        config.audit_batch,
+    )
+    .with_retention(config.audit_retention);
+    if let Some(persistence) = persistence {
+        // Every record pruned out of the retention window streams to the shard's
+        // segment store before being discarded — loss-free by construction, and as the
+        // frames the trail already holds: one `write_all` per run.
+        let segments = Arc::clone(&persistence.store);
+        let sync_on_flush = config.persistence.as_ref().map_or(true, |p| p.sync_on_flush);
+        appender = appender.with_prune_sink(move |runs| {
+            let mut segments = segments.lock();
+            for run in runs {
+                segments.append_frames(run);
+            }
+            if sync_on_flush {
+                segments.sync();
+            }
+        });
+    }
     let snapshot = shared.context_store.snapshot();
     let mut state = WorkerState { snapshot, appender, summaries: NameMap::default() };
     let mut progress = BatchProgress::new();
@@ -543,7 +536,7 @@ pub(crate) fn run_worker(
             // Budget exhausted: degrade. Publishers routed here fail fast from now on,
             // and the loop re-entered above evidences everything it is still handed —
             // the rest of the batch, its prepared hand-offs, whatever publishers raced
-            // the flag — as lost, until Shutdown.
+            // the flag — as lost, until the queue closes.
             shard.degraded.store(true, Ordering::SeqCst);
         }
     }
@@ -585,7 +578,7 @@ pub(crate) fn run_worker(
     // Flush with the prune sink still installed, so any final retention prune-out
     // reaches disk before the retained tail does.
     state.appender.flush();
-    if let Some(persistence) = shared.persistence[index].as_ref() {
+    if let Some(persistence) = persistence {
         // Graceful-exit epilogue: persist the in-memory tail — the frames as they
         // are — and seal, so the on-disk segments hold the shard's *complete*
         // record stream (pruned prefix + retained tail, in chain order) fsynced
@@ -641,10 +634,11 @@ fn recover_unit(
     }
 }
 
-/// The shard loop, the one there is. Panics propagate to the supervisor in
-/// [`run_worker`]; all resumable state lives in `progress`/`state`, which the
-/// supervisor owns. A degraded shard runs it too, enforcing nothing and consulting no
-/// failpoint: see [`run_batch`].
+/// The shard loop, the one there is. Returns once its ingress queue is closed and
+/// empty: [`BoundedQueue::pop_batch`] pops nothing only then. Panics propagate to the
+/// supervisor in [`run_worker`]; all resumable state lives in `progress`/`state`, which
+/// the supervisor owns. A degraded shard runs it too, enforcing nothing and consulting
+/// no failpoint: see [`run_batch`].
 fn worker_loop(
     index: usize,
     shared: &Arc<SharedState>,
@@ -657,20 +651,16 @@ fn worker_loop(
     let degraded = shard.degraded.load(Ordering::Relaxed);
     loop {
         if !progress.active {
-            if progress.shutdown {
-                return;
-            }
             if !degraded {
                 failpoint::inject(&config.failpoints, FailpointSite::ShardLoop);
             }
-            shard.queue.pop_batch(&mut progress.batch, POP_BATCH);
+            if shard.queue.pop_batch(&mut progress.batch, POP_BATCH) == 0 {
+                return;
+            }
             progress.begin();
         }
         run_batch(shared, config, state, progress, shard, degraded);
         flush_batch(shard, progress);
-        if progress.shutdown {
-            return;
-        }
     }
 }
 
@@ -720,17 +710,16 @@ fn run_batch(
         // evidence and take out, and the resumed batch carries on with the rest.
         while let Some(task) = progress.batch.last() {
             progress.saved_counters = progress.local;
-            let &ShardTask::Deliver { to, enqueued_ns, ref body } = task else {
-                // Taken out before it runs: nothing to evidence if it panics.
-                match progress.batch.pop() {
-                    Some(ShardTask::Shutdown) => progress.shutdown = true,
-                    #[cfg(test)]
-                    Some(ShardTask::Block(barrier)) => {
+            let (to, enqueued_ns, body) = match task {
+                &ShardTask::Deliver { to, enqueued_ns, ref body } => (to, enqueued_ns, body),
+                // Taken out before it parks: nothing to evidence if it panics.
+                #[cfg(test)]
+                ShardTask::Block(_) => {
+                    if let Some(ShardTask::Block(barrier)) = progress.batch.pop() {
                         barrier.wait();
                     }
-                    _ => {}
+                    continue;
                 }
-                continue;
             };
             progress.last_millis = body.sent_at_millis();
             progress.unit = Some(Unit::Delivery);

@@ -60,10 +60,9 @@ pub struct RunOutcome {
     pub worker_panics: usize,
 }
 
-/// A fleet installed on a live dataplane, ready to play rounds — the shared
-/// machinery behind [`run_fleet`] (which plays everything and shuts down
-/// gracefully) and [`run_fleet_partial`] (which stops mid-churn and hands the
-/// live engine back, e.g. to model a crash).
+/// A fleet installed on a live dataplane, ready to play rounds — the machinery
+/// behind [`run_fleet_partial`], which hands the live engine back after the rounds it
+/// plays; [`run_fleet`] is that run over every round, shut down gracefully.
 struct FleetSession {
     dataplane: Dataplane,
     store: Arc<ContextStore>,
@@ -185,7 +184,8 @@ impl FleetSession {
     }
 }
 
-/// Installs and runs `fleet` on a dataplane with the given configuration.
+/// Installs and runs `fleet` on a dataplane with the given configuration: every
+/// round through [`run_fleet_partial`], then a graceful shutdown.
 ///
 /// # Errors
 ///
@@ -196,13 +196,8 @@ pub fn run_fleet(
     name: &str,
     config: DataplaneConfig,
 ) -> Result<RunOutcome, DataplaneError> {
-    let mut session = FleetSession::install(fleet, name, config)?;
-    for round in &fleet.rounds {
-        session.play_round(round)?;
-    }
-    let FleetSession { dataplane, subscribers, admissions, observed, duplicate_deliveries, .. } =
-        session;
-    drop(subscribers);
+    let PartialRun { admissions, observed, duplicate_deliveries, dataplane, .. } =
+        run_fleet_partial(fleet, name, config, fleet.rounds.len())?;
     let report = dataplane.shutdown();
     let lost = report
         .merged_timeline()

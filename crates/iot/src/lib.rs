@@ -22,4 +22,4 @@ pub mod workload;
 
 pub use catalog::{DeploymentKind, DeploymentProfile, DeviceArchetype, PROFILES};
 pub use things::{Chain, Thing, ThingKind};
-pub use workload::{CityWorkload, HomeMonitoringWorkload, Patient, SensorReading, WorkloadEvent};
+pub use workload::{CityWorkload, HomeMonitoringWorkload, Patient, SensorReading};

@@ -45,24 +45,6 @@ impl SensorReading {
     }
 }
 
-/// An event produced by a workload generator.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadEvent {
-    /// A sensor produced a reading.
-    Reading(SensorReading),
-    /// A nurse arrived at or left a patient's home.
-    NursePresence {
-        /// The nurse's name.
-        nurse: String,
-        /// The patient whose home it is.
-        patient: String,
-        /// Whether the nurse is now present.
-        present: bool,
-        /// When (ms).
-        at_millis: u64,
-    },
-}
-
 /// The medical home-monitoring workload of §7.
 ///
 /// Generates the things (sensors, analysers, sanitiser, statistics generator, ward
