@@ -24,7 +24,8 @@ pub struct TickReport {
 }
 
 /// A full deployment: clock, context, policy engine, middleware, provenance and
-/// compliance, operated together.
+/// compliance, operated together. The middleware's audit log is its one trail:
+/// provenance and compliance are read from it.
 #[derive(Debug)]
 pub struct Deployment {
     name: String,
@@ -32,7 +33,6 @@ pub struct Deployment {
     context: ContextStore,
     engine: PolicyEngine,
     middleware: Middleware,
-    provenance: ProvenanceGraph,
     breakglass: Vec<BreakGlass>,
     engine_subscription: SubscriptionId,
     /// Component name → region (for residency compliance checks).
@@ -54,7 +54,6 @@ impl Deployment {
             middleware: Middleware::new(format!("{name}-mw")),
             engine: PolicyEngine::new(engine_authority),
             clock: LogicalClock::new(),
-            provenance: ProvenanceGraph::new(),
             breakglass: Vec::new(),
             engine_subscription,
             component_regions: Vec::new(),
@@ -105,9 +104,10 @@ impl Deployment {
         &mut self.middleware
     }
 
-    /// The provenance graph accumulated so far.
-    pub fn provenance(&self) -> &ProvenanceGraph {
-        &self.provenance
+    /// The provenance graph of everything recorded so far, built from the audit trail:
+    /// its derivations and its allowed flows.
+    pub fn provenance(&self) -> ProvenanceGraph {
+        ProvenanceGraph::from_log(self.audit())
     }
 
     /// Registers a thing: converts it to a component, registers it with the middleware,
@@ -328,8 +328,9 @@ impl Deployment {
         );
     }
 
-    /// Records a data derivation in the provenance graph (called by scenario code when
-    /// a component processes data).
+    /// Records a data derivation as a `DataDerived` record in the audit trail at the
+    /// current time (called by scenario code when a component processes data), where
+    /// [`provenance`](Self::provenance) and the compliance checks read it.
     pub fn record_derivation(
         &mut self,
         output: &str,
@@ -338,8 +339,15 @@ impl Deployment {
         agent: &str,
         context: SecurityContext,
     ) {
-        let now = self.now().as_millis();
-        self.provenance.record_derivation(output, inputs, process, agent, context, now);
+        let event = AuditEvent::DataDerived {
+            output: output.to_string(),
+            inputs: inputs.iter().map(|i| i.to_string()).collect(),
+            process: process.to_string(),
+            agent: agent.to_string(),
+            context,
+        };
+        let now = self.now();
+        self.middleware.record_audit_event(event, now.as_millis());
     }
 
     /// Runs a compliance check of the given regulation over everything recorded so far.
@@ -347,7 +355,7 @@ impl Deployment {
         let checker = ComplianceChecker::new(regulation.clone());
         checker.check(
             &[self.middleware.audit()],
-            &self.provenance,
+            &self.provenance(),
             &self.component_regions,
             &self.consent_given,
             &self.notified_authorities,
@@ -358,9 +366,10 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legaliot_compliance::Obligation;
     use legaliot_ifc::can_flow;
     use legaliot_iot::{HomeMonitoringWorkload, ThingKind};
-    use legaliot_policy::{Action, Condition, PolicyPriority};
+    use legaliot_policy::{Action, Condition, PolicyPriority, ReconfigurationCommand};
 
     fn basic_deployment() -> Deployment {
         let mut d = Deployment::new("test", "hospital-engine");
@@ -499,8 +508,36 @@ mod tests {
         d.record_derivation("ann-reading-1", &[], "ann-sensor", "ann", ctx.clone());
         d.record_derivation("ann-analysis-1", &["ann-reading-1"], "ann-analyser", "hospital", ctx);
         assert_eq!(d.provenance().node_count(), 6);
-        let liability = ComplianceChecker::liability(d.provenance(), "ann-reading-1");
+        let liability = ComplianceChecker::liability(&d.provenance(), "ann-reading-1");
         assert!(liability.responsible_agents.contains(&"hospital".to_string()));
+    }
+
+    #[test]
+    fn a_retention_limit_fires_from_the_trail_until_the_store_is_purged() {
+        let mut d = basic_deployment();
+        let store = "ann-analyser";
+        let reg = RegulationSet::new("retention", "regulator")
+            .with(Obligation::Retention { store: store.into(), retention_millis: 1_000 });
+        let ctx = SecurityContext::from_names(["medical", "ann"], Vec::<&str>::new());
+        d.record_derivation("ann-analysis-1", &["ann-reading-1"], store, "hospital", ctx);
+        d.advance(5_000);
+        d.connect("ann-sensor", store).unwrap();
+        let report = d.compliance_report(&reg);
+        assert_eq!(report.violations.len(), 1, "violations: {:?}", report.violations);
+        assert!(report.violations[0].involved.contains(&"ann-analysis-1".to_string()));
+
+        // A purge under the engine's authority, which `add_thing` authorised, clears it.
+        let purge = ReconfigurationCommand::new(
+            "retention-purge",
+            d.engine().name(),
+            Action::Actuate { component: store.into(), command: "purge".into() },
+            d.now().as_millis(),
+        );
+        let (snapshot, now) = (d.context().snapshot(), d.now());
+        let outcomes = d.middleware_mut().handle_control(&purge, &snapshot, now);
+        assert!(outcomes.iter().all(|o| o.is_applied()), "{outcomes:?}");
+        let report = d.compliance_report(&reg);
+        assert!(report.is_compliant(), "violations: {:?}", report.violations);
     }
 
     #[test]

@@ -320,7 +320,8 @@ mod tests {
         assert!(outcome.is_delivered());
         assert_eq!(scenario.deployment.receive("ward-manager").len(), 1);
         // Provenance shows the statistics derive from both patients' analyses.
-        let ancestry = scenario.deployment.provenance().ancestry("monthly-statistics");
+        let provenance = scenario.deployment.provenance();
+        let ancestry = provenance.ancestry("monthly-statistics");
         assert!(ancestry.iter().any(|n| n.name == "ann-reading"));
         assert!(ancestry.iter().any(|n| n.name == "zeb-reading"));
     }

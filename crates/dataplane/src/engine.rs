@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -167,9 +167,6 @@ pub struct DataplaneConfig {
     /// Once degraded, the shard evidences everything it receives as lost and
     /// publishes routed to it fail fast with [`DataplaneError::ShardUnavailable`].
     pub restart_budget: u32,
-    /// Base backoff slept before each restart; doubles per consecutive restart
-    /// (capped at ×64), so a crash-looping shard backs off without wedging drain.
-    pub restart_backoff: Duration,
     /// Durable audit: when set, every record pruned out of a shard's in-memory
     /// retention window streams to a per-shard on-disk [`SegmentStore`], and the
     /// remaining in-memory records are persisted and fsynced at shutdown. `None`
@@ -193,7 +190,6 @@ impl Default for DataplaneConfig {
             telemetry: ObsConfig::default(),
             failpoints: None,
             restart_budget: 4,
-            restart_backoff: Duration::from_millis(1),
             persistence: None,
         }
     }

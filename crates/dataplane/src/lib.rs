@@ -1318,14 +1318,12 @@ mod tests {
     #[test]
     fn shard_panic_restarts_worker_and_accounts_exactly() {
         use legaliot_audit::{AuditEvent, AuditEventKind};
-        use std::time::Duration;
 
         let registry = Arc::new(FailpointRegistry::new(42).with_spec(
             FailpointSpec::on_hits(FailpointSite::ShardProcess, FaultKind::Panic, 3, 0).limit(1),
         ));
         let config = DataplaneConfig {
             shards: 1,
-            restart_backoff: Duration::from_micros(100),
             failpoints: Some(Arc::clone(&registry)),
             ..DataplaneConfig::default()
         };
@@ -1379,14 +1377,12 @@ mod tests {
     #[test]
     fn hand_off_panic_is_evidenced_without_double_counting() {
         use legaliot_audit::AuditEvent;
-        use std::time::Duration;
 
         let registry = Arc::new(FailpointRegistry::new(1).with_spec(
             FailpointSpec::on_hits(FailpointSite::MailboxHandOff, FaultKind::Panic, 2, 0).limit(1),
         ));
         let config = DataplaneConfig {
             shards: 1,
-            restart_backoff: Duration::from_micros(100),
             failpoints: Some(Arc::clone(&registry)),
             ..DataplaneConfig::default()
         };
@@ -1713,7 +1709,6 @@ mod tests {
         let config = DataplaneConfig {
             shards: 1,
             restart_budget: 2,
-            restart_backoff: Duration::from_micros(50),
             failpoints: Some(registry),
             ..DataplaneConfig::default()
         };

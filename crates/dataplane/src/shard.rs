@@ -461,10 +461,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// then the audit trail is flushed — the chain carries on from its last hash, so
 /// verification still passes across the restart, with an
 /// [`AuditEvent::ShardRestarted`] record first after it — and the same batch
-/// resumes where it left off, under a bounded
-/// restart budget with exponential backoff
-/// ([`DataplaneConfig::restart_budget`] /
-/// [`DataplaneConfig::restart_backoff`]). Once the budget is exhausted the
+/// resumes where it left off at once, under a bounded restart budget
+/// ([`DataplaneConfig::restart_budget`]). Once the budget is exhausted the
 /// shard degrades: publishers routed here fail fast with `ShardUnavailable`,
 /// and the worker re-enters the same loop, which then evidences everything
 /// already accepted as lost instead of enforcing it and keeps popping until the queue
@@ -515,10 +513,6 @@ pub(crate) fn run_worker(
         if restarts < config.restart_budget {
             restarts += 1;
             shard.counters.shard_restarts.inc();
-            // Exponential backoff, capped: a crash-looping shard backs off without
-            // stalling drain for long.
-            let exponent = (restarts - 1).min(6);
-            std::thread::sleep(config.restart_backoff.saturating_mul(1u32 << exponent));
             // Flushed, so the restart ends the batch: a frame the panic interrupted was
             // never part of the trail, and `verify_chain` passes across the restart.
             // Pair summaries carry on — they are evidence already counted, not state

@@ -48,7 +48,6 @@ mod tests {
     use legaliot_dataplane::{AuditDetail, DataplaneConfig};
     use model::PredictedOutcome;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn small_config(seed: u64) -> FleetConfig {
         FleetConfig { seed, deployments: 40, rounds: 3 }
@@ -172,7 +171,6 @@ mod tests {
                     mailbox_capacity: 1,
                     failpoints: faults.then(|| Arc::new(registry)),
                     restart_budget: 64,
-                    restart_backoff: Duration::from_micros(50),
                     ..DataplaneConfig::default()
                 };
                 let outcome = run_fleet(&fleet, "fleet-reconcile", config).expect("fleet runs");
@@ -189,6 +187,63 @@ mod tests {
                     panic!("{ctx}: counters and trail disagree:\n{unequal}")
                 });
             }
+        }
+    }
+
+    /// A degraded shard's run reconciles too. `run_fleet` stops at the first
+    /// `ShardUnavailable`, so this drives the engine itself: with no restart budget the
+    /// first panic degrades the one shard, what it had accepted is evidenced as lost,
+    /// later publishes fail fast, and the counters still equal the trail.
+    #[test]
+    fn counters_reconcile_with_the_trail_of_a_degraded_shard_in_both_modes() {
+        use legaliot_context::{ContextSnapshot, Timestamp};
+        use legaliot_dataplane::{
+            smart_home, Dataplane, DataplaneError, FailpointRegistry, FailpointSite, FailpointSpec,
+            FaultKind,
+        };
+        for detail in [AuditDetail::Summarised, AuditDetail::Full] {
+            let registry = FailpointRegistry::new(3).with_spec(
+                FailpointSpec::on_hits(FailpointSite::ShardProcess, FaultKind::Panic, 5, 0)
+                    .limit(1),
+            );
+            let config = DataplaneConfig {
+                shards: 1,
+                audit_detail: detail,
+                failpoints: Some(Arc::new(registry)),
+                restart_budget: 0,
+                ..DataplaneConfig::default()
+            };
+            let dataplane = Dataplane::new("fleet-degraded", config);
+            let topology = smart_home(2, 7);
+            topology
+                .install_with_payload_schemas(&dataplane, &ContextSnapshot::default(), Timestamp(1))
+                .expect("topology installs");
+            let receivers: std::collections::BTreeSet<&str> =
+                topology.edges.iter().map(|(_, to)| to.as_str()).collect();
+            let _subscribers: Vec<_> = receivers
+                .into_iter()
+                .map(|name| dataplane.open_subscriber(name).expect("receiver opens"))
+                .collect();
+            let pairs = topology.publisher_messages();
+            let mut clock = 2;
+            for _ in 0..40 {
+                for (publisher, message) in &pairs {
+                    match dataplane.publish_message(publisher, message, Timestamp(clock)) {
+                        Ok(_) | Err(DataplaneError::ShardUnavailable { .. }) => {}
+                        Err(other) => panic!("{detail:?}: publish failed: {other:?}"),
+                    }
+                    clock += 1;
+                }
+            }
+            dataplane.drain();
+            let report = dataplane.shutdown();
+            let stats = report.stats;
+            assert_eq!(stats.degraded_shards, 1, "{detail:?}");
+            assert!(stats.deliveries_lost >= 1, "{detail:?}: no loss to reconcile");
+            let records = report.shard_audit.iter().flat_map(|log| log.records());
+            reconcile(&stats, records, detail).unwrap_or_else(|unequal| {
+                panic!("{detail:?}: counters and trail disagree:\n{unequal}")
+            });
         }
     }
 }

@@ -53,7 +53,7 @@ fn main() {
     }
 
     // Liability: who handled the statistics and their inputs?
-    let liability = ComplianceChecker::liability(scenario.deployment.provenance(), "ann-analysis");
+    let liability = ComplianceChecker::liability(&scenario.deployment.provenance(), "ann-analysis");
     println!("\nliability for `{}`:", liability.data_item);
     println!("  responsible agents : {:?}", liability.responsible_agents);
     println!("  involved processes : {:?}", liability.involved_processes);

@@ -227,7 +227,6 @@ fn churn_soak_with_injected_faults_keeps_the_accounting_exact() {
         mailbox_capacity: 32,
         failpoints: Some(Arc::clone(&registry)),
         restart_budget: 64,
-        restart_backoff: Duration::from_micros(200),
         ..DataplaneConfig::default()
     };
     let dataplane =

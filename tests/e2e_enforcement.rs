@@ -395,7 +395,8 @@ fn teardown_races_release_shards_and_report_disconnected() {
 
     // (3) Dropping the *dataplane* while a live handle keeps a Block-policy mailbox
     // full: Drop must close mailboxes before joining the workers, or the shard
-    // parked on the full mailbox would never pop its Shutdown task (deadlock).
+    // parked on the full mailbox would never return to its closed ingress queue
+    // (deadlock).
     {
         let config = DataplaneConfig { mailbox_capacity: 1, ..config() };
         let dataplane = Dataplane::new("abandoned", config);

@@ -87,7 +87,7 @@ fn compliance_audit_entry_path() {
     let report = scenario.deployment.compliance_report(&regulation);
     assert!(report.evidence_intact);
 
-    let liability = ComplianceChecker::liability(scenario.deployment.provenance(), "ann-analysis");
+    let liability = ComplianceChecker::liability(&scenario.deployment.provenance(), "ann-analysis");
     assert_eq!(liability.data_item, "ann-analysis");
 }
 
@@ -161,7 +161,6 @@ fn churn_soak_entry_path() {
         Dataplane, DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec, FaultKind,
     };
     use std::sync::Arc;
-    use std::time::Duration;
 
     let registry = Arc::new(FailpointRegistry::new(9).with_spec(
         FailpointSpec::on_hits(FailpointSite::ShardProcess, FaultKind::Panic, 5, 0).limit(1),
@@ -170,7 +169,6 @@ fn churn_soak_entry_path() {
     let config = DataplaneConfig {
         shards: 1,
         failpoints: Some(Arc::clone(&registry)),
-        restart_backoff: Duration::from_micros(100),
         ..DataplaneConfig::default()
     };
     let dataplane = Dataplane::with_context_store("soak-smoke", config, store);

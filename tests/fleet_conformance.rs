@@ -266,7 +266,6 @@ fn generated_fleet_conformance_survives_injected_faults() {
         shards,
         failpoints: Some(Arc::clone(&registry)),
         restart_budget: 64,
-        restart_backoff: Duration::from_micros(200),
         ..DataplaneConfig::default()
     };
     let outcome = run_fleet(&fleet, "fleet-conformance-faults", config)
