@@ -503,9 +503,11 @@ pub fn decode_record(bytes: &[u8]) -> Option<AuditRecord> {
 }
 
 /// What [`decode_record`] says of `bytes`, reduced to the record's id, `previous_hash`
-/// and `hash` — by the same walk, with every check, but nothing copied or allocated.
-/// This is how a restart ([`crate::SegmentStore::reopen`]) checks a frame's record
-/// without building it.
+/// and `hash` — by the same walk, with every check, but nothing copied or allocated:
+/// a string is held to being UTF-8 (at once when it is ASCII) and a tag name to
+/// [`Tag::try_new`]'s rule on its bytes, neither built. This is how a restart
+/// ([`crate::SegmentStore::reopen`]) checks a frame's record without building it, on
+/// whichever thread the scan gives the frame to.
 pub(crate) fn check_record(bytes: &[u8]) -> Option<(RecordId, u64, u64)> {
     Reader::<false>::record(bytes).map(|record| (record.id, record.previous_hash, record.hash))
 }
@@ -579,9 +581,20 @@ impl<'a, const OWN: bool> Reader<'a, OWN> {
         std::str::from_utf8(self.take(len)?).ok()
     }
 
+    /// What [`Self::str`] reads, as the bytes it checked: a walk that only checks asks
+    /// no more of a string than that it is UTF-8, which ASCII text is.
+    fn utf8(&mut self) -> Option<&'a [u8]> {
+        let len = self.len()?;
+        let bytes = self.take(len)?;
+        (bytes.is_ascii() || std::str::from_utf8(bytes).is_ok()).then_some(bytes)
+    }
+
     fn string(&mut self) -> Option<String> {
-        let value = self.str()?;
-        Some(if OWN { value.to_owned() } else { String::new() })
+        if OWN {
+            self.str().map(str::to_owned)
+        } else {
+            self.utf8().map(|_| String::new())
+        }
     }
 
     fn bool(&mut self) -> Option<bool> {
@@ -621,9 +634,16 @@ impl<'a, const OWN: bool> Reader<'a, OWN> {
     /// A tag name, held to [`Self::tag`]'s rule without building the tag:
     /// [`Tag::try_new`] trims and refuses what is left empty, so the name returned
     /// unchanged is a non-empty one with nothing to trim.
-    fn tag_name(&mut self) -> Option<&'a str> {
-        let name = self.str()?;
-        (!name.is_empty() && name.trim() == name).then_some(name)
+    fn tag_name(&mut self) -> Option<&'a [u8]> {
+        let name = self.utf8()?;
+        let untrimmed = match (name.first(), name.last()) {
+            (Some(&first), Some(&last)) if first.is_ascii() && last.is_ascii() => {
+                !char::from(first).is_whitespace() && !char::from(last).is_whitespace()
+            }
+            (Some(_), Some(_)) => std::str::from_utf8(name).is_ok_and(|name| name.trim() == name),
+            _ => false,
+        };
+        untrimmed.then_some(name)
     }
 
     fn tags(&mut self) -> Option<Vec<Tag>> {
@@ -641,7 +661,7 @@ impl<'a, const OWN: bool> Reader<'a, OWN> {
         if OWN {
             return Label::from_ascending(self.tags()?);
         }
-        let mut previous: Option<&str> = None;
+        let mut previous: Option<&[u8]> = None;
         self.list(|reader| {
             let name = reader.tag_name()?;
             let ascending = !previous.is_some_and(|previous| previous >= name);

@@ -67,8 +67,16 @@
 //! form (equal bytes ⇔ equal records) is what makes a hash over the bytes the hash of
 //! the record they encode. [`SegmentStore::recover`], which returns the records, runs
 //! that walk in the mode that builds them; a restart ([`SegmentStore::reopen`]) runs
-//! the same scan in the mode that copies nothing and decodes no record — one hash
-//! pass per persisted record, nothing allocated per record.
+//! the same scan in the mode that copies nothing and decodes no record — each body
+//! hashed once, nothing allocated per record.
+//!
+//! Only a frame's length and its link to the record before depend on the frames
+//! before it, so the scan reads each segment on the calling thread, walks its length
+//! prefixes a window at a time, and checks the window's frames in shares of a few
+//! hundred on every core (four bodies folded at once on each,
+//! [`legaliot_ifc::StableHasher::fold_each`]) before it reads the verdicts back in
+//! chain order: the first frame that fails decides the truncation, as it would one
+//! frame at a time, and no frame after it is accepted.
 //!
 //! After the first injected or real IO failure the store *wedges*: subsequent appends
 //! are counted ([`SegmentStats::records_dropped`]) rather than written, modelling a
@@ -82,7 +90,10 @@
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use legaliot_ifc::StableHasher;
@@ -263,7 +274,13 @@ impl SegmentStore {
                 next_sequence = next_sequence.max(seq + 1);
             }
         }
-        Ok(SegmentStore {
+        Ok(Self::new(dir, anchor_hash, max_segment_records, next_sequence))
+    }
+
+    /// A store appending into `dir`, which exists, chaining from `anchor_hash`; its
+    /// first segment is numbered `next_sequence`, after every segment file `dir` holds.
+    fn new(dir: PathBuf, anchor_hash: u64, max_segment_records: usize, next_sequence: u64) -> Self {
+        SegmentStore {
             dir,
             max_segment_records: max_segment_records.max(1),
             file: None,
@@ -274,7 +291,7 @@ impl SegmentStore {
             stats: SegmentStats::default(),
             hook: None,
             buffer: Vec::new(),
-        })
+        }
     }
 
     /// Installs a fault-injection hook consulted before every IO operation.
@@ -562,8 +579,8 @@ impl SegmentStore {
     /// Re-opens the store in `dir` after a restart: the scan [`Self::recover`] makes —
     /// the same checks, truncations and reports — but no record is built, only the
     /// chain head and the next id are kept, and the store returned appends after
-    /// them ([`Self::create`] on the recovered head). One hash pass per persisted
-    /// record, and nothing allocated per record.
+    /// them, numbering its segments after the ones the scan listed. Each frame's body
+    /// is hashed once, and nothing is allocated per record.
     ///
     /// # Errors
     ///
@@ -573,8 +590,9 @@ impl SegmentStore {
         max_segment_records: usize,
     ) -> io::Result<(SegmentStore, Reopened)> {
         let dir = dir.into();
-        let scan = Self::scan::<RecordLinks>(&dir, |_| {})?;
-        let store = Self::create(dir, scan.head_hash, max_segment_records)?;
+        let scan = Self::scan::<RecordLinks>(&dir, |()| {})?;
+        fs::create_dir_all(&dir)?;
+        let store = Self::new(dir, scan.head_hash, max_segment_records, scan.next_sequence);
         let reopened = Reopened {
             head_hash: scan.head_hash,
             next_id: scan.next_id,
@@ -584,10 +602,12 @@ impl SegmentStore {
     }
 
     /// The one recovery walk, behind [`Self::recover`] and [`Self::reopen`]: reads
-    /// segments in sequence order, checks every frame ([`check_frame`]), truncates each
-    /// torn or corrupt tail and records what it discarded. `accept` is handed the
-    /// record of every frame that passed, in chain order, read as a `T`.
-    fn scan<T: FramedRecord>(dir: &Path, mut accept: impl FnMut(T)) -> io::Result<Scan> {
+    /// segments in sequence order on the calling thread, checks their headers, checks
+    /// every frame ([`Window::check_segment`]: a window of frames at a time, on every
+    /// core), truncates each torn or corrupt tail and records what it discarded.
+    /// `accept` is handed what is kept of every frame that passed
+    /// ([`FramedRecord::Kept`]), in chain order.
+    fn scan<T: FramedRecord>(dir: &Path, mut accept: impl FnMut(T::Kept)) -> io::Result<Scan> {
         let mut scan = Scan {
             segments: Vec::new(),
             truncations: Vec::new(),
@@ -595,6 +615,7 @@ impl SegmentStore {
             head_hash: 0,
             next_id: 0,
             records: 0,
+            next_sequence: 0,
         };
         if !dir.exists() {
             return Ok(scan);
@@ -607,8 +628,9 @@ impl SegmentStore {
             }
         }
         files.sort();
+        scan.next_sequence = files.last().map_or(0, |(seq, _)| seq + 1);
 
-        let mut head = 0u64;
+        let mut window = Window::<T>::new();
         let mut first = true;
         let mut stopped_at: Option<u64> = None;
         for (sequence, path) in files {
@@ -663,9 +685,10 @@ impl SegmentStore {
                     truncate_to = Some((0, "unsupported version".into()));
                 } else if first {
                     scan.initial_anchor = anchor;
-                    head = anchor;
-                } else if anchor != head {
+                    scan.head_hash = anchor;
+                } else if anchor != scan.head_hash {
                     // Written against history we no longer have.
+                    let head = scan.head_hash;
                     keep_whole = Some(format!("anchor {anchor:#x} does not chain from {head:#x}"));
                 }
                 if let Some(reason) = keep_whole {
@@ -682,24 +705,9 @@ impl SegmentStore {
                 }
                 if truncate_to.is_none() {
                     first = false;
-                    let mut offset = HEADER_LEN;
-                    while offset < bytes.len() {
-                        match check_frame::<T>(&bytes[offset..], head) {
-                            Ok((frame_len, record)) => {
-                                let (id, _, hash) = record.links();
-                                accept(record);
-                                head = hash;
-                                scan.next_id = id.0 + 1;
-                                scan.records += 1;
-                                records_here += 1;
-                                offset += frame_len;
-                            }
-                            Err(reason) => {
-                                truncate_to = Some((offset as u64, reason));
-                                break;
-                            }
-                        }
-                    }
+                    let before = scan.records;
+                    truncate_to = window.check_segment(&bytes, &mut scan, &mut accept);
+                    records_here = scan.records - before;
                 }
             }
 
@@ -745,7 +753,6 @@ impl SegmentStore {
                 }
             }
         }
-        scan.head_hash = head;
         Ok(scan)
     }
 }
@@ -756,27 +763,37 @@ struct Scan {
     truncations: Vec<Truncation>,
     initial_anchor: u64,
     /// Hash of the last accepted record; the first segment's anchor when there is none.
+    /// The chain head every next frame is checked against.
     head_hash: u64,
     next_id: u64,
     /// Frames accepted so far.
     records: usize,
+    /// The sequence after the highest-numbered segment file listed.
+    next_sequence: u64,
 }
 
-/// A record's id, `previous_hash` and `hash`: all a restart keeps of it.
+/// A record's id, `previous_hash` and `hash`.
 type RecordLinks = (RecordId, u64, u64);
 
 /// How [`SegmentStore::scan`] reads the record in a frame, after its lengths and
-/// checksum: in full ([`AuditRecord`], for [`SegmentStore::recover`]), or — checked
-/// just as strictly, nothing built — as its links alone (for
-/// [`SegmentStore::reopen`]). Either way it is one walk of the codec's decoder.
-trait FramedRecord: Sized {
+/// checksum, and what it keeps of it: in full, and kept ([`AuditRecord`], for
+/// [`SegmentStore::recover`]), or — checked just as strictly, nothing built — as its
+/// links alone, and nothing kept (for [`SegmentStore::reopen`]). Either way it is one
+/// walk of the codec's decoder.
+trait FramedRecord: Sized + Send {
+    /// What the scan hands on of a record that passed: the record, or `()`.
+    type Kept: Send;
     /// The one canonical record `payload` is, or `None`.
     fn read(payload: &[u8]) -> Option<Self>;
     /// Its id and two hashes.
     fn links(&self) -> RecordLinks;
+    /// What the scan hands on of it.
+    fn kept(self) -> Self::Kept;
 }
 
 impl FramedRecord for AuditRecord {
+    type Kept = AuditRecord;
+
     fn read(payload: &[u8]) -> Option<Self> {
         decode_record(payload)
     }
@@ -784,9 +801,17 @@ impl FramedRecord for AuditRecord {
     fn links(&self) -> RecordLinks {
         (self.id, self.previous_hash, self.hash)
     }
+
+    fn kept(self) -> AuditRecord {
+        self
+    }
 }
 
+/// A restart keeps nothing of a record but, for the last one, its links — and a
+/// `Vec<()>` counts without allocating.
 impl FramedRecord for RecordLinks {
+    type Kept = ();
+
     fn read(payload: &[u8]) -> Option<Self> {
         check_record(payload)
     }
@@ -794,17 +819,177 @@ impl FramedRecord for RecordLinks {
     fn links(&self) -> RecordLinks {
         *self
     }
+
+    fn kept(self) {}
 }
 
-/// Checks the frame `bytes` start with against the chain head `head`, in this order:
-/// its lengths, its checksum, the canonical form of its record, the record's
-/// `previous_hash` against `head`, and its stored `hash` against the chain hash. The
-/// payload is hashed once: the FNV-1a fold over the record's body is its chain hash
-/// (the body is canonical, so that is the hash of the record it encodes — see
-/// [`crate::codec`]), and the same fold continued over the stored hash's eight bytes
-/// is the checksum — how [`crate::codec`] builds a frame, run backwards. Returns the
-/// frame's length and its record read as a `T`, or why the frame was refused.
-fn check_frame<T: FramedRecord>(bytes: &[u8], head: u64) -> Result<(usize, T), String> {
+/// Frames whose length prefixes the scan walks before it checks them: bounds what a
+/// scan holds for a segment (a share and a verdict per [`PARALLEL_FLOOR`] frames),
+/// whatever the segment holds.
+const WINDOW_FRAMES: usize = 8192;
+
+/// The frames in a share: what a check thread claims at a time. A window of no more
+/// than this many is checked on the calling thread alone.
+const PARALLEL_FLOOR: usize = 256;
+
+/// A segment's frames as [`SegmentStore::scan`] checks them, a window of up to
+/// [`WINDOW_FRAMES`] at a time. Each frame is checked, in this order: its lengths, its
+/// checksum, the canonical form of its record, and its chain link — its
+/// `previous_hash` against the chain head, its stored `hash` against the chain hash;
+/// the first frame that fails ends the segment's clean prefix. The payload is hashed
+/// once: the FNV-1a fold over the record's body is its chain hash (the body is
+/// canonical, so that is the hash of the record it encodes — see [`crate::codec`]),
+/// and the same fold continued over the stored hash's eight bytes is the checksum —
+/// how [`crate::codec`] builds a frame, run backwards.
+///
+/// Only the lengths and the chain link depend on the frames before. The calling thread
+/// walks a window's length prefixes and cuts the window into shares of
+/// [`PARALLEL_FLOOR`] frames; the shares are checked on up to every core, each in
+/// chain order from its first frame, whose link to the head before it is all that is
+/// left; and the calling thread reads the shares' verdicts back in chain order. The
+/// buffers are reused from window to window and segment to segment.
+struct Window<T: FramedRecord> {
+    /// The window's shares: each its frames' bytes in the segment.
+    shares: Vec<Range<usize>>,
+    /// Each share's verdict.
+    verdicts: Vec<Verdict<T::Kept>>,
+    /// The threads a window may use; asked for once a window has two shares.
+    cores: Option<usize>,
+}
+
+/// What a share's frames say, checked in chain order from its first frame.
+struct Verdict<K> {
+    /// The links of the first and of the last frame that passed, if any did: the
+    /// share chains from the first's `previous_hash`, and the last's `hash` is where
+    /// the chain stands after it.
+    ends: Option<(RecordLinks, RecordLinks)>,
+    /// What the scan keeps of each frame that passed, in chain order.
+    passed: Vec<K>,
+    /// The frame that failed, if one did: its offset in the segment and why.
+    failed: Option<(usize, Refusal)>,
+}
+
+/// Why a frame ended its segment's clean prefix.
+enum Refusal {
+    /// Its bytes are no frame of a record.
+    Frame(&'static str),
+    /// Its record, with this id, does not chain from the record before it.
+    Chain(RecordId),
+}
+
+impl fmt::Display for Refusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Refusal::Frame(reason) => f.write_str(reason),
+            Refusal::Chain(id) => write!(f, "record {id} breaks the chain"),
+        }
+    }
+}
+
+impl<T: FramedRecord> Window<T> {
+    fn new() -> Self {
+        Window { shares: Vec::new(), verdicts: Vec::new(), cores: None }
+    }
+
+    /// Checks the frames of `segment` after its header, chaining from
+    /// `scan.head_hash`, and hands on what is kept of each that passes to `accept`, in
+    /// chain order, counting it into `scan`. Returns the offset of the first frame that
+    /// failed and why, if one did; no frame after it is accepted.
+    fn check_segment(
+        &mut self,
+        segment: &[u8],
+        scan: &mut Scan,
+        accept: &mut impl FnMut(T::Kept),
+    ) -> Option<(u64, String)> {
+        let mut offset = HEADER_LEN;
+        while offset < segment.len() {
+            let refused = self.walk(segment, &mut offset);
+            self.check(segment);
+            for (share, verdict) in self.shares.iter().zip(self.verdicts.drain(..)) {
+                if let Some(((id, previous_hash, _), (last, _, hash))) = verdict.ends {
+                    if previous_hash != scan.head_hash {
+                        return Some((share.start as u64, Refusal::Chain(id).to_string()));
+                    }
+                    scan.head_hash = hash;
+                    scan.next_id = last.0 + 1;
+                }
+                scan.records += verdict.passed.len();
+                verdict.passed.into_iter().for_each(&mut *accept);
+                if let Some((at, refusal)) = verdict.failed {
+                    return Some((at as u64, refusal.to_string()));
+                }
+            }
+            if let Some(reason) = refused {
+                return Some((offset as u64, reason));
+            }
+        }
+        None
+    }
+
+    /// Walks the length prefixes of `segment` from `*offset` over up to
+    /// [`WINDOW_FRAMES`] whole frames, cutting them into shares, and leaves `*offset`
+    /// after the last. Returns why the frame at `*offset` was refused, if its lengths
+    /// are what stopped the walk.
+    fn walk(&mut self, segment: &[u8], offset: &mut usize) -> Option<String> {
+        self.shares.clear();
+        let (mut start, mut frames) = (*offset, 0);
+        let mut refused = None;
+        while frames < WINDOW_FRAMES && *offset < segment.len() {
+            match frame_len(&segment[*offset..]) {
+                Ok(len) => *offset += len,
+                Err(reason) => {
+                    refused = Some(reason);
+                    break;
+                }
+            }
+            frames += 1;
+            if frames % PARALLEL_FLOOR == 0 {
+                self.shares.push(start..*offset);
+                start = *offset;
+            }
+        }
+        if start < *offset {
+            self.shares.push(start..*offset);
+        }
+        refused
+    }
+
+    /// Reaches the verdict on every share of the window. The calling thread and, for a
+    /// window of two shares or more, up to one helper per other core claim the shares
+    /// in turn, so a helper that starts late takes less and keeps no one waiting long;
+    /// each writes the verdicts of the shares it claimed.
+    fn check(&mut self, segment: &[u8]) {
+        self.verdicts.resize_with(self.shares.len(), || Verdict {
+            ends: None,
+            passed: Vec::new(),
+            failed: None,
+        });
+        let threads = if self.shares.len() < 2 {
+            1
+        } else {
+            let cores = self.cores.get_or_insert_with(|| {
+                thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            });
+            self.shares.len().min(*cores)
+        };
+        let claims = Mutex::new(self.shares.iter().zip(self.verdicts.iter_mut()));
+        let claim = || loop {
+            let claimed = claims.lock().expect("a share is claimed whole").next();
+            let Some((share, verdict)) = claimed else { break };
+            *verdict = check_share::<T>(segment, share.clone());
+        };
+        thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(claim);
+            }
+            claim();
+        });
+    }
+}
+
+/// The length of the frame `bytes` start with, prefix and payload, or why its lengths
+/// refuse it.
+fn frame_len(bytes: &[u8]) -> Result<usize, String> {
     if bytes.len() < FRAME_PREFIX_LEN {
         return Err("short frame prefix".into());
     }
@@ -812,25 +997,74 @@ fn check_frame<T: FramedRecord>(bytes: &[u8], head: u64) -> Result<(usize, T), S
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(format!("corrupt frame length {len}"));
     }
-    let Some(payload) = bytes[FRAME_PREFIX_LEN..].get(..len as usize) else {
+    let end = FRAME_PREFIX_LEN + len as usize;
+    if bytes.len() < end {
         return Err("short frame payload".into());
-    };
-    let checksum = u64::from_le_bytes(bytes[4..FRAME_PREFIX_LEN].try_into().expect("eight bytes"));
-    // A payload under eight bytes holds no record; folded whole, it still gets its
-    // checksum checked first, and then fails the decode.
-    let (body, stored_hash) = payload.split_at(payload.len().saturating_sub(8));
-    let fold = StableHasher::new().write_bytes(body);
-    if fold.write_bytes(stored_hash).finish() != checksum {
-        return Err("frame checksum mismatch".into());
     }
-    let Some(record) = T::read(payload) else {
-        return Err("frame decode failure".into());
+    Ok(end)
+}
+
+/// Checks the frames of `share`, whole ones the walk measured, in chain order, each
+/// against the one before; the first frame's link to the head is left to the caller.
+/// The bodies are folded first, four at a time ([`StableHasher::fold_each`]). Nothing
+/// is allocated but what is kept of the records that pass.
+fn check_share<T: FramedRecord>(segment: &[u8], share: Range<usize>) -> Verdict<T::Kept> {
+    let frames = || {
+        let mut offset = share.start;
+        std::iter::from_fn(move || {
+            let (frame, _) = split_frame(&segment[offset..share.end])?;
+            offset += frame.len();
+            Some((offset - frame.len(), frame))
+        })
     };
-    let (id, previous_hash, hash) = record.links();
-    if previous_hash != head || fold.finish() != hash {
-        return Err(format!("record {id} breaks the chain"));
+    let mut folds = [StableHasher::new(); PARALLEL_FLOOR];
+    let bodies = frames().map(|(_, frame)| split_payload(&frame[FRAME_PREFIX_LEN..]).0);
+    StableHasher::fold_each(bodies, |i, fold| folds[i] = fold);
+    let mut verdict = Verdict { ends: None, passed: Vec::new(), failed: None };
+    for ((offset, frame), fold) in frames().zip(folds) {
+        let chained = read_frame::<T>(frame, fold).and_then(|record| {
+            let links = record.links();
+            match verdict.ends {
+                Some((_, (_, _, head))) if links.1 != head => Err(Refusal::Chain(links.0)),
+                _ => Ok((links, record)),
+            }
+        });
+        match chained {
+            Ok((links, record)) => {
+                verdict.ends = Some((verdict.ends.map_or(links, |(first, _)| first), links));
+                verdict.passed.push(record.kept());
+            }
+            Err(refusal) => {
+                verdict.failed = Some((offset, refusal));
+                break;
+            }
+        }
     }
-    Ok((FRAME_PREFIX_LEN + payload.len(), record))
+    verdict
+}
+
+/// What the frame `frame` says on its own, its body already folded into `fold`: its
+/// checksum, its record's canonical form ([`FramedRecord::read`]), and its stored hash
+/// against the chain hash.
+fn read_frame<T: FramedRecord>(frame: &[u8], fold: StableHasher) -> Result<T, Refusal> {
+    let (prefix, payload) = frame.split_at(FRAME_PREFIX_LEN);
+    let stored_hash = split_payload(payload).1;
+    if fold.write_bytes(stored_hash).finish().to_le_bytes() != prefix[4..] {
+        return Err(Refusal::Frame("frame checksum mismatch"));
+    }
+    let record = T::read(payload).ok_or(Refusal::Frame("frame decode failure"))?;
+    let (id, _, hash) = record.links();
+    if fold.finish() != hash {
+        return Err(Refusal::Chain(id));
+    }
+    Ok(record)
+}
+
+/// A frame's payload as its record's body and the stored hash after it. A payload
+/// under eight bytes holds no record; folded whole, it still gets its checksum
+/// checked first, and then fails the decode.
+fn split_payload(payload: &[u8]) -> (&[u8], &[u8]) {
+    payload.split_at(payload.len().saturating_sub(8))
 }
 
 /// One segment file's contribution to a recovery.
@@ -921,6 +1155,7 @@ pub struct Reopened {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_record;
     use crate::event::AuditEvent;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1609,6 +1844,259 @@ mod tests {
         for dir in dirs.iter().chain([&dir]) {
             std::fs::remove_dir_all(dir).unwrap();
         }
+    }
+
+    /// Checks the frame `bytes` start with against the chain head `head`, one frame on
+    /// its own, in this order: its lengths, its checksum, the canonical form of its
+    /// record, the record's `previous_hash` against `head`, and its stored `hash`
+    /// against the chain hash. Returns the frame's length and its record read as a `T`,
+    /// or why the frame was refused. The scan's per-frame contract, kept as the
+    /// reference the windowed scan is held to.
+    fn check_frame<T: FramedRecord>(bytes: &[u8], head: u64) -> Result<(usize, T), String> {
+        if bytes.len() < FRAME_PREFIX_LEN {
+            return Err("short frame prefix".into());
+        }
+        let len = u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"));
+        if len == 0 || len > MAX_FRAME_LEN {
+            return Err(format!("corrupt frame length {len}"));
+        }
+        let Some(payload) = bytes[FRAME_PREFIX_LEN..].get(..len as usize) else {
+            return Err("short frame payload".into());
+        };
+        let checksum =
+            u64::from_le_bytes(bytes[4..FRAME_PREFIX_LEN].try_into().expect("eight bytes"));
+        let (body, stored_hash) = payload.split_at(payload.len().saturating_sub(8));
+        let fold = StableHasher::new().write_bytes(body);
+        if fold.write_bytes(stored_hash).finish() != checksum {
+            return Err("frame checksum mismatch".into());
+        }
+        let Some(record) = T::read(payload) else {
+            return Err("frame decode failure".into());
+        };
+        let (id, previous_hash, hash) = record.links();
+        if previous_hash != head || fold.finish() != hash {
+            return Err(format!("record {id} breaks the chain"));
+        }
+        Ok((FRAME_PREFIX_LEN + payload.len(), record))
+    }
+
+    /// A truncation as the scans must agree on it: all but the path.
+    type Shape = (u64, u64, u64, String, usize);
+
+    fn shapes(truncations: &[Truncation]) -> Vec<Shape> {
+        let shape = |t: &Truncation| {
+            (t.sequence, t.offset, t.bytes_dropped, t.reason.clone(), t.records_recovered_before)
+        };
+        truncations.iter().map(shape).collect()
+    }
+
+    /// What the per-frame loop finds in `files` — segments numbered from 0, with sound,
+    /// chained headers, damaged in their frames only — running [`check_frame`] one
+    /// frame after another: the chain head, the next id, and every truncation.
+    fn serial_scan(files: &[(String, Vec<u8>)]) -> (u64, u64, Vec<Shape>) {
+        let anchor = |bytes: &[u8]| u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        let (mut head, mut next_id, mut records) = (anchor(&files[0].1), 0, 0);
+        let mut truncations = Vec::new();
+        let mut stopped_at = None;
+        for (sequence, (_, bytes)) in (0u64..).zip(files) {
+            if let Some(torn) = stopped_at {
+                let reason = format!("unreachable: the scan stopped at segment {torn}");
+                truncations.push((sequence, 0, bytes.len() as u64, reason, records));
+                continue;
+            }
+            assert_eq!(anchor(bytes), head, "segment {sequence} chains on");
+            let mut offset = HEADER_LEN;
+            while offset < bytes.len() {
+                match check_frame::<RecordLinks>(&bytes[offset..], head) {
+                    Ok((len, (id, _, hash))) => {
+                        (head, next_id, records) = (hash, id.0 + 1, records + 1);
+                        offset += len;
+                    }
+                    Err(reason) => {
+                        let dropped = (bytes.len() - offset) as u64;
+                        truncations.push((sequence, offset as u64, dropped, reason, records));
+                        stopped_at = Some(sequence);
+                        break;
+                    }
+                }
+            }
+        }
+        (head, next_id, truncations)
+    }
+
+    /// Records like a shard's trail: flow checks with their labels, and the shorter
+    /// quench records between them, so the four-lane fold meets bodies of unequal length.
+    fn trail_records(n: usize) -> Vec<AuditRecord> {
+        use legaliot_ifc::{can_flow, SecurityContext};
+
+        let source = SecurityContext::from_names(["medical", "patient-0"], ["consent", "hosp-dev"]);
+        let wide = SecurityContext::from_names(
+            ["medical", "patient-0", "patient-1", "patient-2", "patient-3"],
+            ["consent", "hosp-dev"],
+        );
+        let mut log = AuditLog::new("shard-0");
+        for i in 0..n {
+            let event = if i % 3 == 2 {
+                AuditEvent::MessageQuenched {
+                    source: "patient-0-analyser".into(),
+                    destination: "stats-generator".into(),
+                    message_type: "analysis-report".into(),
+                    attributes: vec!["subject-id".into()],
+                }
+            } else {
+                let destination = if i % 2 == 0 { &wide } else { &source };
+                AuditEvent::FlowChecked {
+                    source: "patient-0-analyser".into(),
+                    destination: "stats-generator".into(),
+                    source_context: source.clone(),
+                    destination_context: destination.clone(),
+                    decision: can_flow(&source, destination),
+                    data_item: Some(format!("analysis-report@{i}")),
+                }
+            };
+            log.record(event, i as u64);
+        }
+        log.records().to_vec()
+    }
+
+    /// At the scale where the scan goes parallel — three segments, the first two longer
+    /// than a window, so each has a second window of several shares — damage planted in
+    /// segment 1's second window is found where the per-frame loop finds it: a flipped
+    /// checksum byte, a corrupt length, a torn tail, a `previous_hash` broken (its frame
+    /// re-sealed) at the window's first frame, at a share's first frame and within a
+    /// share, and a record altered under a fresh checksum. [`SegmentStore::recover`] and
+    /// [`SegmentStore::reopen`] agree with [`check_frame`], run frame by frame, on the
+    /// chain head, the next id and every truncation, and `recover` returns exactly the
+    /// records before the damage.
+    #[test]
+    fn a_parallel_scan_finds_damage_where_the_per_frame_loop_does() {
+        let per_segment = WINDOW_FRAMES + 4 * PARALLEL_FLOOR;
+        let records = trail_records(2 * per_segment + PARALLEL_FLOOR);
+        let source = temp_dir("parallel-source");
+        let mut store = SegmentStore::create(&source, 0, per_segment).unwrap();
+        assert_eq!(store.append_frames(&frames_of(&records)), records.len());
+        assert!(store.seal());
+        drop(store);
+        let pristine = segment_files(&source);
+        assert_eq!(pristine.len(), 3);
+
+        let segment = &pristine[1].1;
+        let mut offsets = vec![HEADER_LEN];
+        while let Some((frame, _)) = split_frame(&segment[*offsets.last().unwrap()..]) {
+            offsets.push(offsets.last().unwrap() + frame.len());
+        }
+        assert_eq!(offsets.len(), per_segment + 1);
+        // Frame `k` of the second window's share `share`, and its bytes' range.
+        let frame = |share: usize, k: usize| {
+            let index = WINDOW_FRAMES + share * PARALLEL_FLOOR + k;
+            (per_segment + index, offsets[index]..offsets[index + 1])
+        };
+        let damaged = |damage: &dyn Fn(&mut Vec<u8>)| {
+            let mut files = pristine.clone();
+            damage(&mut files[1].1);
+            files
+        };
+        // Frame `at` re-sealed on a `previous_hash` that is not its predecessor's hash:
+        // its checksum and its own hash hold, only its link to the chain breaks.
+        let forged = |at: Range<usize>| {
+            move |bytes: &mut Vec<u8>| {
+                let mut record =
+                    decode_record(&bytes[at.start + FRAME_PREFIX_LEN..at.end]).unwrap();
+                record.previous_hash ^= 1;
+                let mut payload = Vec::new();
+                encode_record(&record, &mut payload);
+                record.hash = StableHasher::new().write_bytes(split_payload(&payload).0).finish();
+                let mut frame = Vec::new();
+                put_record_frame(&mut frame, &record);
+                bytes[at.clone()].copy_from_slice(&frame);
+            }
+        };
+        // Frame `at`'s record altered and its frame re-checksummed: its stored hash is
+        // no longer the hash of its bytes.
+        let altered = |at: Range<usize>| {
+            move |bytes: &mut Vec<u8>| {
+                let mut record =
+                    decode_record(&bytes[at.start + FRAME_PREFIX_LEN..at.end]).unwrap();
+                record.at_millis ^= 1;
+                let mut frame = Vec::new();
+                put_record_frame(&mut frame, &record);
+                bytes[at.clone()].copy_from_slice(&frame);
+            }
+        };
+        let breaks = |id: usize| Some((id, format!("record #{id} breaks the chain")));
+        let (checksum_id, checksum) = frame(0, 17);
+        let (length_id, length) = frame(2, 1);
+        let (torn_id, torn) = frame(3, PARALLEL_FLOOR - 3);
+        let [(window_id, window), (share_id, share), (within_id, within), (body_id, body)] =
+            [frame(0, 0), frame(1, 0), frame(3, PARALLEL_FLOOR / 2), frame(2, 100)];
+        let cases = [
+            ("pristine", pristine.clone(), None),
+            (
+                "flipped checksum byte",
+                damaged(&|bytes| bytes[checksum.start + 9] ^= 0x40),
+                Some((checksum_id, "frame checksum mismatch".to_string())),
+            ),
+            (
+                "corrupt length",
+                damaged(&|bytes| bytes[length.start..length.start + 4].fill(0xff)),
+                Some((length_id, format!("corrupt frame length {}", u32::MAX))),
+            ),
+            (
+                "torn tail",
+                damaged(&|bytes| bytes.truncate(torn.start + FRAME_PREFIX_LEN + 5)),
+                Some((torn_id, "short frame payload".to_string())),
+            ),
+            (
+                "previous_hash broken opening the window",
+                damaged(&forged(window)),
+                breaks(window_id),
+            ),
+            ("previous_hash broken opening a share", damaged(&forged(share)), breaks(share_id)),
+            ("previous_hash broken within a share", damaged(&forged(within)), breaks(within_id)),
+            (
+                "a record altered, its frame re-checksummed",
+                damaged(&altered(body)),
+                breaks(body_id),
+            ),
+        ];
+        for (case, files, expected) in cases {
+            let (head, next_id, truncations) = serial_scan(&files);
+            // The damage is what the case says, where it says.
+            match &expected {
+                None => assert!(truncations.is_empty(), "{case}"),
+                Some((records_before, reason)) => {
+                    let found = (&truncations[0].3, truncations[0].4);
+                    assert_eq!(found, (reason, *records_before), "{case}");
+                    assert_eq!(truncations.len(), 2, "{case}: segment 2 is unreachable");
+                }
+            }
+            let dirs = [temp_dir("parallel-recover"), temp_dir("parallel-reopen")];
+            for dir in &dirs {
+                std::fs::create_dir_all(dir).unwrap();
+                for (name, bytes) in &files {
+                    std::fs::write(dir.join(name), bytes).unwrap();
+                }
+            }
+            let report = SegmentStore::recover(&dirs[0]).unwrap();
+            assert_eq!(
+                (report.head_hash, report.next_id, shapes(&report.truncations)),
+                (head, next_id, truncations.clone()),
+                "{case}: recover"
+            );
+            assert_eq!(report.records, records[..next_id as usize], "{case}");
+            let (store, reopened) = SegmentStore::reopen(&dirs[1], per_segment).unwrap();
+            assert_eq!(
+                (reopened.head_hash, reopened.next_id, shapes(&reopened.truncations)),
+                (head, next_id, truncations),
+                "{case}: reopen"
+            );
+            assert_eq!(store.head_hash(), head, "{case}");
+            drop(store);
+            for dir in &dirs {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+        std::fs::remove_dir_all(&source).unwrap();
     }
 
     /// A segment the scan cannot reach is reported with its size, and a segment whose

@@ -209,8 +209,11 @@ impl ComplianceChecker {
             }
             Obligation::Retention { store, retention_millis } => {
                 // Evidence comes from DataDerived events at the store: an item recorded
-                // at time t must have a corresponding purge actuation before t+retention
-                // or before the end of the timeline.
+                // at time t must be purged (an accepted purge actuation of the store) in
+                // (t, t + retention]. The horizon is the trail's last record, not the
+                // time of the report: an item whose limit lapses after the last record
+                // is not yet judged. A purge after the limit does not clear a breach the
+                // trail already shows.
                 let horizon = timeline.last().map(|r| r.at_millis).unwrap_or(0);
                 let purges: Vec<u64> = timeline
                     .iter()
@@ -229,7 +232,9 @@ impl ComplianceChecker {
                         AuditEvent::DataDerived { output, process, .. }
                             if process == store
                                 && horizon.saturating_sub(r.at_millis) > *retention_millis
-                                && !purges.iter().any(|p| *p > r.at_millis) =>
+                                && !purges.iter().any(|p| {
+                                    *p > r.at_millis && *p - r.at_millis <= *retention_millis
+                                }) =>
                         {
                             Some(Violation {
                                 obligation: obligation.id(),
@@ -427,6 +432,42 @@ mod tests {
         let report =
             checker().check(&[&log], &graph, &[], &["ann".to_string()], &["regulator".into()]);
         assert!(report.violations.iter().any(|v| v.obligation.starts_with("retention")));
+    }
+
+    /// A purge clears an item only within its limit: an item purged in time is not
+    /// reported, and one purged after its limit lapsed is, the late purge
+    /// notwithstanding.
+    #[test]
+    fn a_purge_after_the_retention_limit_does_not_clear_the_breach() {
+        let retention = Obligation::Retention { store: "archive".into(), retention_millis: 1_000 };
+        let reg = RegulationSet::new("retention", "regulator").with(retention);
+        let mut log = AuditLog::new("node");
+        let stored = |output: &str| AuditEvent::DataDerived {
+            output: output.into(),
+            inputs: vec![],
+            process: "archive".into(),
+            agent: "hospital".into(),
+            context: personal_ctx(),
+        };
+        let purge = || AuditEvent::Reconfigured {
+            component: "archive".into(),
+            issued_by: "engine".into(),
+            action: "actuate archive: purge".into(),
+            accepted: true,
+        };
+        log.record(stored("timely"), 0);
+        log.record(purge(), 1_000);
+        log.record(stored("late"), 2_000);
+        log.record(purge(), 3_500);
+        log.record(
+            AuditEvent::PolicyFired { policy: "tick".into(), trigger: "tick".into(), actions: 0 },
+            10_000,
+        );
+        let report =
+            ComplianceChecker::new(reg).check(&[&log], &ProvenanceGraph::new(), &[], &[], &[]);
+        let reported: Vec<&str> =
+            report.violations.iter().map(|v| v.involved[0].as_str()).collect();
+        assert_eq!(reported, ["late"], "violations: {:?}", report.violations);
     }
 
     #[test]

@@ -36,7 +36,12 @@ pub enum Obligation {
         /// The raw data source.
         source: String,
     },
-    /// Data held by `store` must not be retained longer than `retention_millis`.
+    /// Data held by `store` must not be retained longer than `retention_millis`: an
+    /// item the trail shows stored at `t` (a `DataDerived` record processed by `store`)
+    /// must be purged — an accepted purge actuation of `store` — in
+    /// `(t, t + retention_millis]`. The check judges the trail up to its last record: an
+    /// item whose limit lapses after that is not yet reported, whatever time the report
+    /// is made at.
     Retention {
         /// The storage component.
         store: String,

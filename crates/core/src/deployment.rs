@@ -519,6 +519,7 @@ mod tests {
         let reg = RegulationSet::new("retention", "regulator")
             .with(Obligation::Retention { store: store.into(), retention_millis: 1_000 });
         let ctx = SecurityContext::from_names(["medical", "ann"], Vec::<&str>::new());
+        let ctx_2 = ctx.clone();
         d.record_derivation("ann-analysis-1", &["ann-reading-1"], store, "hospital", ctx);
         d.advance(5_000);
         d.connect("ann-sensor", store).unwrap();
@@ -537,7 +538,30 @@ mod tests {
         let outcomes = d.middleware_mut().handle_control(&purge, &snapshot, now);
         assert!(outcomes.iter().all(|o| o.is_applied()), "{outcomes:?}");
         let report = d.compliance_report(&reg);
-        assert!(report.is_compliant(), "violations: {:?}", report.violations);
+        // The purge came 4 s after the limit lapsed: the breach stands.
+        assert_eq!(report.violations.len(), 1, "violations: {:?}", report.violations);
+        assert!(report.violations[0].involved.contains(&"ann-analysis-1".to_string()));
+
+        // A second derivation, purged within its limit, is not reported, though the
+        // trail runs on well past that limit.
+        d.advance(100);
+        d.record_derivation("ann-analysis-2", &["ann-reading-2"], store, "hospital", ctx_2);
+        d.advance(500);
+        let purge = ReconfigurationCommand::new(
+            "retention-purge-2",
+            d.engine().name(),
+            Action::Actuate { component: store.into(), command: "purge".into() },
+            d.now().as_millis(),
+        );
+        let (snapshot, now) = (d.context().snapshot(), d.now());
+        let outcomes = d.middleware_mut().handle_control(&purge, &snapshot, now);
+        assert!(outcomes.iter().all(|o| o.is_applied()), "{outcomes:?}");
+        d.advance(5_000);
+        d.connect("ann-sensor", store).unwrap();
+        let report = d.compliance_report(&reg);
+        let reported: Vec<_> = report.violations.iter().map(|v| &v.involved).collect();
+        assert_eq!(reported.len(), 1, "violations: {:?}", report.violations);
+        assert!(reported[0].contains(&"ann-analysis-1".to_string()), "{reported:?}");
     }
 
     #[test]

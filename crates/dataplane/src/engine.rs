@@ -89,10 +89,11 @@ pub struct PersistenceConfig {
     /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`. On
     /// engine startup each shard directory is recovered (torn tails truncated and
     /// counted in [`DataplaneStats::recovery_truncations`]) and the shard's audit
-    /// chain re-anchors on the last persisted record. That startup is one hash pass
-    /// per persisted record, with no allocation per record
+    /// chain re-anchors on the last persisted record. That startup hashes each
+    /// persisted record's bytes once and allocates nothing per record
     /// ([`SegmentStore::reopen`]: every frame is checked from its bytes, none
-    /// decoded).
+    /// decoded, a segment's frames on every core). The shards are re-opened one
+    /// after another, each segment read on the calling thread.
     pub dir: PathBuf,
     /// Records per segment before rotation (sealed segments are fsynced and
     /// closed). Clamped to ≥ 1.
@@ -626,9 +627,10 @@ impl Dataplane {
     /// holds no subscription, so its writes keep no change for it.
     ///
     /// With [`DataplaneConfig::persistence`] set, each shard's segment directory is
-    /// re-opened first ([`SegmentStore::reopen`]): one hash pass per persisted record,
-    /// with no allocation per record, so a restart costs the bytes on disk, not the
-    /// records they encode.
+    /// re-opened first, one shard after another ([`SegmentStore::reopen`]): each
+    /// persisted record's bytes are hashed once and checked, on every core, with no
+    /// allocation per record, so a restart costs the bytes on disk, not the records
+    /// they encode.
     ///
     /// # Panics
     ///
