@@ -71,12 +71,13 @@
 //! hashed once, nothing allocated per record.
 //!
 //! Only a frame's length and its link to the record before depend on the frames
-//! before it, so the scan reads each segment on the calling thread, walks its length
-//! prefixes a window at a time, and checks the window's frames in shares of a few
-//! hundred on every core (four bodies folded at once on each,
-//! [`legaliot_ifc::StableHasher::fold_each`]) before it reads the verdicts back in
-//! chain order: the first frame that fails decides the truncation, as it would one
-//! frame at a time, and no frame after it is accepted.
+//! before it, so the scan reads each segment whole on the calling thread, walks all its
+//! length prefixes, and checks its frames in shares of a few hundred on every core
+//! (four bodies folded at once on each, [`legaliot_ifc::StableHasher::fold_each`])
+//! before it reads the verdicts back in chain order: the first frame that fails
+//! decides the truncation, as it would one frame at a time, and no frame after it is
+//! accepted. [`SegmentStore::recover`] and [`SegmentStore::reopen`] differ only in the
+//! function that reads a frame's record.
 //!
 //! After the first injected or real IO failure the store *wedges*: subsequent appends
 //! are counted ([`SegmentStats::records_dropped`]) rather than written, modelling a
@@ -87,6 +88,7 @@
 //! write (once per record, in order, batched or not), every fsync and every rotation,
 //! and may demand a short write, a hard error or a delay.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -563,7 +565,11 @@ impl SegmentStore {
     /// corruption is never an error, it is a reported truncation.
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<RecoveryReport> {
         let mut records = Vec::new();
-        let scan = Self::scan::<AuditRecord>(dir.as_ref(), |record| records.push(record))?;
+        let read = |payload: &[u8]| {
+            decode_record(payload)
+                .map(|record| ((record.id, record.previous_hash, record.hash), record))
+        };
+        let scan = Self::scan(dir.as_ref(), read, |record| records.push(record))?;
         Ok(RecoveryReport {
             segments: scan.segments,
             // Every record was checked against its predecessor as it was scanned.
@@ -590,7 +596,9 @@ impl SegmentStore {
         max_segment_records: usize,
     ) -> io::Result<(SegmentStore, Reopened)> {
         let dir = dir.into();
-        let scan = Self::scan::<RecordLinks>(&dir, |()| {})?;
+        // A restart keeps nothing of a record, and a `Vec<()>` counts without allocating.
+        let read = |payload: &[u8]| check_record(payload).map(|links| (links, ()));
+        let scan = Self::scan(&dir, read, |()| {})?;
         fs::create_dir_all(&dir)?;
         let store = Self::new(dir, scan.head_hash, max_segment_records, scan.next_sequence);
         let reopened = Reopened {
@@ -603,11 +611,15 @@ impl SegmentStore {
 
     /// The one recovery walk, behind [`Self::recover`] and [`Self::reopen`]: reads
     /// segments in sequence order on the calling thread, checks their headers, checks
-    /// every frame ([`Window::check_segment`]: a window of frames at a time, on every
-    /// core), truncates each torn or corrupt tail and records what it discarded.
-    /// `accept` is handed what is kept of every frame that passed
-    /// ([`FramedRecord::Kept`]), in chain order.
-    fn scan<T: FramedRecord>(dir: &Path, mut accept: impl FnMut(T::Kept)) -> io::Result<Scan> {
+    /// every frame ([`check_segment`]: a whole segment at a time, on every core, each
+    /// record read by `read`), truncates each torn or corrupt tail and records what it
+    /// discarded. `accept` is handed what is kept of every frame that passed, in chain
+    /// order.
+    fn scan<K: Send>(
+        dir: &Path,
+        read: ReadRecord<K>,
+        mut accept: impl FnMut(K),
+    ) -> io::Result<Scan> {
         let mut scan = Scan {
             segments: Vec::new(),
             truncations: Vec::new(),
@@ -630,7 +642,8 @@ impl SegmentStore {
         files.sort();
         scan.next_sequence = files.last().map_or(0, |(seq, _)| seq + 1);
 
-        let mut window = Window::<T>::new();
+        // The threads a segment's check may use; asked for once a segment has two shares.
+        let cores = OnceCell::new();
         let mut first = true;
         let mut stopped_at: Option<u64> = None;
         for (sequence, path) in files {
@@ -706,7 +719,7 @@ impl SegmentStore {
                 if truncate_to.is_none() {
                     first = false;
                     let before = scan.records;
-                    truncate_to = window.check_segment(&bytes, &mut scan, &mut accept);
+                    truncate_to = check_segment(&bytes, read, &cores, &mut scan, &mut accept);
                     records_here = scan.records - before;
                 }
             }
@@ -776,86 +789,16 @@ struct Scan {
 type RecordLinks = (RecordId, u64, u64);
 
 /// How [`SegmentStore::scan`] reads the record in a frame, after its lengths and
-/// checksum, and what it keeps of it: in full, and kept ([`AuditRecord`], for
-/// [`SegmentStore::recover`]), or — checked just as strictly, nothing built — as its
-/// links alone, and nothing kept (for [`SegmentStore::reopen`]). Either way it is one
-/// walk of the codec's decoder.
-trait FramedRecord: Sized + Send {
-    /// What the scan hands on of a record that passed: the record, or `()`.
-    type Kept: Send;
-    /// The one canonical record `payload` is, or `None`.
-    fn read(payload: &[u8]) -> Option<Self>;
-    /// Its id and two hashes.
-    fn links(&self) -> RecordLinks;
-    /// What the scan hands on of it.
-    fn kept(self) -> Self::Kept;
-}
+/// checksum: the one canonical record the payload is — its links and what the scan
+/// keeps of it — or `None`. [`SegmentStore::recover`] reads it in full and keeps it
+/// ([`decode_record`]); [`SegmentStore::reopen`] checks it just as strictly, builds
+/// nothing and keeps `()` ([`check_record`]). Either way it is one walk of the codec's
+/// decoder.
+type ReadRecord<K> = fn(&[u8]) -> Option<(RecordLinks, K)>;
 
-impl FramedRecord for AuditRecord {
-    type Kept = AuditRecord;
-
-    fn read(payload: &[u8]) -> Option<Self> {
-        decode_record(payload)
-    }
-
-    fn links(&self) -> RecordLinks {
-        (self.id, self.previous_hash, self.hash)
-    }
-
-    fn kept(self) -> AuditRecord {
-        self
-    }
-}
-
-/// A restart keeps nothing of a record but, for the last one, its links — and a
-/// `Vec<()>` counts without allocating.
-impl FramedRecord for RecordLinks {
-    type Kept = ();
-
-    fn read(payload: &[u8]) -> Option<Self> {
-        check_record(payload)
-    }
-
-    fn links(&self) -> RecordLinks {
-        *self
-    }
-
-    fn kept(self) {}
-}
-
-/// Frames whose length prefixes the scan walks before it checks them: bounds what a
-/// scan holds for a segment (a share and a verdict per [`PARALLEL_FLOOR`] frames),
-/// whatever the segment holds.
-const WINDOW_FRAMES: usize = 8192;
-
-/// The frames in a share: what a check thread claims at a time. A window of no more
+/// The frames in a share: what a check thread claims at a time. A segment of no more
 /// than this many is checked on the calling thread alone.
 const PARALLEL_FLOOR: usize = 256;
-
-/// A segment's frames as [`SegmentStore::scan`] checks them, a window of up to
-/// [`WINDOW_FRAMES`] at a time. Each frame is checked, in this order: its lengths, its
-/// checksum, the canonical form of its record, and its chain link — its
-/// `previous_hash` against the chain head, its stored `hash` against the chain hash;
-/// the first frame that fails ends the segment's clean prefix. The payload is hashed
-/// once: the FNV-1a fold over the record's body is its chain hash (the body is
-/// canonical, so that is the hash of the record it encodes — see [`crate::codec`]),
-/// and the same fold continued over the stored hash's eight bytes is the checksum —
-/// how [`crate::codec`] builds a frame, run backwards.
-///
-/// Only the lengths and the chain link depend on the frames before. The calling thread
-/// walks a window's length prefixes and cuts the window into shares of
-/// [`PARALLEL_FLOOR`] frames; the shares are checked on up to every core, each in
-/// chain order from its first frame, whose link to the head before it is all that is
-/// left; and the calling thread reads the shares' verdicts back in chain order. The
-/// buffers are reused from window to window and segment to segment.
-struct Window<T: FramedRecord> {
-    /// The window's shares: each its frames' bytes in the segment.
-    shares: Vec<Range<usize>>,
-    /// Each share's verdict.
-    verdicts: Vec<Verdict<T::Kept>>,
-    /// The threads a window may use; asked for once a window has two shares.
-    cores: Option<usize>,
-}
 
 /// What a share's frames say, checked in chain order from its first frame.
 struct Verdict<K> {
@@ -886,105 +829,91 @@ impl fmt::Display for Refusal {
     }
 }
 
-impl<T: FramedRecord> Window<T> {
-    fn new() -> Self {
-        Window { shares: Vec::new(), verdicts: Vec::new(), cores: None }
-    }
-
-    /// Checks the frames of `segment` after its header, chaining from
-    /// `scan.head_hash`, and hands on what is kept of each that passes to `accept`, in
-    /// chain order, counting it into `scan`. Returns the offset of the first frame that
-    /// failed and why, if one did; no frame after it is accepted.
-    fn check_segment(
-        &mut self,
-        segment: &[u8],
-        scan: &mut Scan,
-        accept: &mut impl FnMut(T::Kept),
-    ) -> Option<(u64, String)> {
-        let mut offset = HEADER_LEN;
-        while offset < segment.len() {
-            let refused = self.walk(segment, &mut offset);
-            self.check(segment);
-            for (share, verdict) in self.shares.iter().zip(self.verdicts.drain(..)) {
-                if let Some(((id, previous_hash, _), (last, _, hash))) = verdict.ends {
-                    if previous_hash != scan.head_hash {
-                        return Some((share.start as u64, Refusal::Chain(id).to_string()));
-                    }
-                    scan.head_hash = hash;
-                    scan.next_id = last.0 + 1;
-                }
-                scan.records += verdict.passed.len();
-                verdict.passed.into_iter().for_each(&mut *accept);
-                if let Some((at, refusal)) = verdict.failed {
-                    return Some((at as u64, refusal.to_string()));
-                }
-            }
-            if let Some(reason) = refused {
-                return Some((offset as u64, reason));
-            }
-        }
-        None
-    }
-
-    /// Walks the length prefixes of `segment` from `*offset` over up to
-    /// [`WINDOW_FRAMES`] whole frames, cutting them into shares, and leaves `*offset`
-    /// after the last. Returns why the frame at `*offset` was refused, if its lengths
-    /// are what stopped the walk.
-    fn walk(&mut self, segment: &[u8], offset: &mut usize) -> Option<String> {
-        self.shares.clear();
-        let (mut start, mut frames) = (*offset, 0);
-        let mut refused = None;
-        while frames < WINDOW_FRAMES && *offset < segment.len() {
-            match frame_len(&segment[*offset..]) {
-                Ok(len) => *offset += len,
-                Err(reason) => {
-                    refused = Some(reason);
-                    break;
-                }
-            }
-            frames += 1;
-            if frames % PARALLEL_FLOOR == 0 {
-                self.shares.push(start..*offset);
-                start = *offset;
+/// Checks the frames of `segment` after its header, chaining from `scan.head_hash`,
+/// and hands on what is kept of each that passes to `accept`, in chain order, counting
+/// it into `scan`. Returns the offset of the first frame that failed and why, if one
+/// did; no frame after it is accepted.
+///
+/// Each frame is checked, in this order: its lengths, its checksum, the canonical form
+/// of its record (`read`), and its chain link — its `previous_hash` against the chain
+/// head, its stored `hash` against the chain hash. The payload is hashed once: the
+/// FNV-1a fold over the record's body is its chain hash (the body is canonical, so that
+/// is the hash of the record it encodes — see [`crate::codec`]), and the same fold
+/// continued over the stored hash's eight bytes is the checksum — how [`crate::codec`]
+/// builds a frame, run backwards.
+///
+/// Only the lengths and the chain link depend on the frames before. The calling thread
+/// walks the segment's length prefixes and cuts its frames into shares of
+/// [`PARALLEL_FLOOR`]; the caller and, for two shares or more, up to one helper per
+/// other core (`cores`) claim the shares in turn, so a helper that starts late takes
+/// less and keeps no one waiting long, and each checks its shares in chain order from
+/// their first frame, whose link to the head before it is all that is left; the caller
+/// then reads the verdicts back in chain order.
+fn check_segment<K: Send>(
+    segment: &[u8],
+    read: ReadRecord<K>,
+    cores: &OnceCell<usize>,
+    scan: &mut Scan,
+    accept: &mut impl FnMut(K),
+) -> Option<(u64, String)> {
+    let mut shares = Vec::new();
+    let (mut offset, mut start, mut frames) = (HEADER_LEN, HEADER_LEN, 0);
+    let mut refused = None;
+    while offset < segment.len() {
+        match frame_len(&segment[offset..]) {
+            Ok(len) => offset += len,
+            Err(reason) => {
+                refused = Some(reason);
+                break;
             }
         }
-        if start < *offset {
-            self.shares.push(start..*offset);
+        frames += 1;
+        if frames % PARALLEL_FLOOR == 0 {
+            shares.push(start..offset);
+            start = offset;
         }
-        refused
+    }
+    if start < offset {
+        shares.push(start..offset);
     }
 
-    /// Reaches the verdict on every share of the window. The calling thread and, for a
-    /// window of two shares or more, up to one helper per other core claim the shares
-    /// in turn, so a helper that starts late takes less and keeps no one waiting long;
-    /// each writes the verdicts of the shares it claimed.
-    fn check(&mut self, segment: &[u8]) {
-        self.verdicts.resize_with(self.shares.len(), || Verdict {
-            ends: None,
-            passed: Vec::new(),
-            failed: None,
-        });
-        let threads = if self.shares.len() < 2 {
-            1
-        } else {
-            let cores = self.cores.get_or_insert_with(|| {
-                thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-            self.shares.len().min(*cores)
-        };
-        let claims = Mutex::new(self.shares.iter().zip(self.verdicts.iter_mut()));
-        let claim = || loop {
-            let claimed = claims.lock().expect("a share is claimed whole").next();
-            let Some((share, verdict)) = claimed else { break };
-            *verdict = check_share::<T>(segment, share.clone());
-        };
-        thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(claim);
+    let mut verdicts: Vec<Verdict<K>> =
+        shares.iter().map(|_| Verdict { ends: None, passed: Vec::new(), failed: None }).collect();
+    let threads = if shares.len() < 2 {
+        1
+    } else {
+        let cores = cores
+            .get_or_init(|| thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
+        shares.len().min(*cores)
+    };
+    let claims = Mutex::new(shares.iter().zip(verdicts.iter_mut()));
+    let claim = || loop {
+        let claimed = claims.lock().expect("a share is claimed whole").next();
+        let Some((share, verdict)) = claimed else { break };
+        *verdict = check_share(segment, share.clone(), read);
+    };
+    thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(claim);
+        }
+        claim();
+    });
+
+    for (share, verdict) in shares.iter().zip(verdicts) {
+        if let Some(((id, previous_hash, _), (last, _, hash))) = verdict.ends {
+            if previous_hash != scan.head_hash {
+                return Some((share.start as u64, Refusal::Chain(id).to_string()));
             }
-            claim();
-        });
+            scan.head_hash = hash;
+            scan.next_id = last.0 + 1;
+        }
+        scan.records += verdict.passed.len();
+        verdict.passed.into_iter().for_each(&mut *accept);
+        if let Some((at, refusal)) = verdict.failed {
+            return Some((at as u64, refusal.to_string()));
+        }
     }
+    refused.map(|reason| (offset as u64, reason))
 }
 
 /// The length of the frame `bytes` start with, prefix and payload, or why its lengths
@@ -1008,7 +937,7 @@ fn frame_len(bytes: &[u8]) -> Result<usize, String> {
 /// against the one before; the first frame's link to the head is left to the caller.
 /// The bodies are folded first, four at a time ([`StableHasher::fold_each`]). Nothing
 /// is allocated but what is kept of the records that pass.
-fn check_share<T: FramedRecord>(segment: &[u8], share: Range<usize>) -> Verdict<T::Kept> {
+fn check_share<K>(segment: &[u8], share: Range<usize>, read: ReadRecord<K>) -> Verdict<K> {
     let frames = || {
         let mut offset = share.start;
         std::iter::from_fn(move || {
@@ -1022,17 +951,14 @@ fn check_share<T: FramedRecord>(segment: &[u8], share: Range<usize>) -> Verdict<
     StableHasher::fold_each(bodies, |i, fold| folds[i] = fold);
     let mut verdict = Verdict { ends: None, passed: Vec::new(), failed: None };
     for ((offset, frame), fold) in frames().zip(folds) {
-        let chained = read_frame::<T>(frame, fold).and_then(|record| {
-            let links = record.links();
-            match verdict.ends {
-                Some((_, (_, _, head))) if links.1 != head => Err(Refusal::Chain(links.0)),
-                _ => Ok((links, record)),
-            }
+        let chained = read_frame(frame, fold, read).and_then(|(links, kept)| match verdict.ends {
+            Some((_, (_, _, head))) if links.1 != head => Err(Refusal::Chain(links.0)),
+            _ => Ok((links, kept)),
         });
         match chained {
-            Ok((links, record)) => {
+            Ok((links, kept)) => {
                 verdict.ends = Some((verdict.ends.map_or(links, |(first, _)| first), links));
-                verdict.passed.push(record.kept());
+                verdict.passed.push(kept);
             }
             Err(refusal) => {
                 verdict.failed = Some((offset, refusal));
@@ -1044,20 +970,23 @@ fn check_share<T: FramedRecord>(segment: &[u8], share: Range<usize>) -> Verdict<
 }
 
 /// What the frame `frame` says on its own, its body already folded into `fold`: its
-/// checksum, its record's canonical form ([`FramedRecord::read`]), and its stored hash
-/// against the chain hash.
-fn read_frame<T: FramedRecord>(frame: &[u8], fold: StableHasher) -> Result<T, Refusal> {
+/// checksum, its record's canonical form (`read`), and its stored hash against the
+/// chain hash.
+fn read_frame<K>(
+    frame: &[u8],
+    fold: StableHasher,
+    read: ReadRecord<K>,
+) -> Result<(RecordLinks, K), Refusal> {
     let (prefix, payload) = frame.split_at(FRAME_PREFIX_LEN);
     let stored_hash = split_payload(payload).1;
     if fold.write_bytes(stored_hash).finish().to_le_bytes() != prefix[4..] {
         return Err(Refusal::Frame("frame checksum mismatch"));
     }
-    let record = T::read(payload).ok_or(Refusal::Frame("frame decode failure"))?;
-    let (id, _, hash) = record.links();
-    if fold.finish() != hash {
-        return Err(Refusal::Chain(id));
+    let (links, kept) = read(payload).ok_or(Refusal::Frame("frame decode failure"))?;
+    if fold.finish() != links.2 {
+        return Err(Refusal::Chain(links.0));
     }
-    Ok(record)
+    Ok((links, kept))
 }
 
 /// A frame's payload as its record's body and the stored hash after it. A payload
@@ -1849,10 +1778,10 @@ mod tests {
     /// Checks the frame `bytes` start with against the chain head `head`, one frame on
     /// its own, in this order: its lengths, its checksum, the canonical form of its
     /// record, the record's `previous_hash` against `head`, and its stored `hash`
-    /// against the chain hash. Returns the frame's length and its record read as a `T`,
-    /// or why the frame was refused. The scan's per-frame contract, kept as the
-    /// reference the windowed scan is held to.
-    fn check_frame<T: FramedRecord>(bytes: &[u8], head: u64) -> Result<(usize, T), String> {
+    /// against the chain hash. Returns the frame's length and its record's links, or why
+    /// the frame was refused. The scan's per-frame contract, kept as the reference the
+    /// share-parallel scan is held to.
+    fn check_frame(bytes: &[u8], head: u64) -> Result<(usize, RecordLinks), String> {
         if bytes.len() < FRAME_PREFIX_LEN {
             return Err("short frame prefix".into());
         }
@@ -1870,14 +1799,14 @@ mod tests {
         if fold.write_bytes(stored_hash).finish() != checksum {
             return Err("frame checksum mismatch".into());
         }
-        let Some(record) = T::read(payload) else {
+        let Some(links) = check_record(payload) else {
             return Err("frame decode failure".into());
         };
-        let (id, previous_hash, hash) = record.links();
+        let (id, previous_hash, hash) = links;
         if previous_hash != head || fold.finish() != hash {
             return Err(format!("record {id} breaks the chain"));
         }
-        Ok((FRAME_PREFIX_LEN + payload.len(), record))
+        Ok((FRAME_PREFIX_LEN + payload.len(), links))
     }
 
     /// A truncation as the scans must agree on it: all but the path.
@@ -1890,24 +1819,32 @@ mod tests {
         truncations.iter().map(shape).collect()
     }
 
-    /// What the per-frame loop finds in `files` — segments numbered from 0, with sound,
-    /// chained headers, damaged in their frames only — running [`check_frame`] one
-    /// frame after another: the chain head, the next id, and every truncation.
+    /// What the per-frame loop finds in `files` — segments in sequence order, some
+    /// perhaps missing, with sound headers, damaged in their frames only — running
+    /// [`check_frame`] one frame after another, and checking each segment's anchor
+    /// against the chain head: the chain head, the next id, and every truncation.
     fn serial_scan(files: &[(String, Vec<u8>)]) -> (u64, u64, Vec<Shape>) {
         let anchor = |bytes: &[u8]| u64::from_le_bytes(bytes[16..24].try_into().unwrap());
         let (mut head, mut next_id, mut records) = (anchor(&files[0].1), 0, 0);
         let mut truncations = Vec::new();
         let mut stopped_at = None;
-        for (sequence, (_, bytes)) in (0u64..).zip(files) {
+        for (name, bytes) in files {
+            let sequence = parse_segment_sequence(name).expect("a segment file");
+            let whole = bytes.len() as u64;
             if let Some(torn) = stopped_at {
                 let reason = format!("unreachable: the scan stopped at segment {torn}");
-                truncations.push((sequence, 0, bytes.len() as u64, reason, records));
+                truncations.push((sequence, 0, whole, reason, records));
                 continue;
             }
-            assert_eq!(anchor(bytes), head, "segment {sequence} chains on");
+            if anchor(bytes) != head {
+                let reason = format!("anchor {:#x} does not chain from {head:#x}", anchor(bytes));
+                truncations.push((sequence, 0, whole, reason, records));
+                stopped_at = Some(sequence);
+                continue;
+            }
             let mut offset = HEADER_LEN;
             while offset < bytes.len() {
-                match check_frame::<RecordLinks>(&bytes[offset..], head) {
+                match check_frame(&bytes[offset..], head) {
                     Ok((len, (id, _, hash))) => {
                         (head, next_id, records) = (hash, id.0 + 1, records + 1);
                         offset += len;
@@ -1959,26 +1896,29 @@ mod tests {
         log.records().to_vec()
     }
 
-    /// At the scale where the scan goes parallel — three segments, the first two longer
-    /// than a window, so each has a second window of several shares — damage planted in
-    /// segment 1's second window is found where the per-frame loop finds it: a flipped
-    /// checksum byte, a corrupt length, a torn tail, a `previous_hash` broken (its frame
-    /// re-sealed) at the window's first frame, at a share's first frame and within a
-    /// share, and a record altered under a fresh checksum. [`SegmentStore::recover`] and
+    /// At the scale where the scan goes parallel — four segments, the first three of
+    /// eight shares each — damage planted in segment 1 is found where the per-frame loop
+    /// finds it: a flipped checksum byte, a corrupt length, a torn tail, a
+    /// `previous_hash` broken (its frame re-sealed) at the segment's first frame, at a
+    /// share's first frame and within a share, and a record altered under a fresh
+    /// checksum. So is a missing segment: with segment 1 gone, segment 2's anchor does
+    /// not chain and the file is kept whole, segment 3 unreachable; with the newest gone,
+    /// the prefix before it is clean. [`SegmentStore::recover`] and
     /// [`SegmentStore::reopen`] agree with [`check_frame`], run frame by frame, on the
-    /// chain head, the next id and every truncation, and `recover` returns exactly the
-    /// records before the damage.
+    /// chain head, the next id and every truncation, and leave the same files;
+    /// `recover` returns exactly the records before the damage, and the store `reopen`
+    /// returns numbers its segments after the highest one listed.
     #[test]
     fn a_parallel_scan_finds_damage_where_the_per_frame_loop_does() {
-        let per_segment = WINDOW_FRAMES + 4 * PARALLEL_FLOOR;
-        let records = trail_records(2 * per_segment + PARALLEL_FLOOR);
+        let per_segment = 8 * PARALLEL_FLOOR;
+        let records = trail_records(3 * per_segment + PARALLEL_FLOOR);
         let source = temp_dir("parallel-source");
         let mut store = SegmentStore::create(&source, 0, per_segment).unwrap();
         assert_eq!(store.append_frames(&frames_of(&records)), records.len());
         assert!(store.seal());
         drop(store);
         let pristine = segment_files(&source);
-        assert_eq!(pristine.len(), 3);
+        assert_eq!(pristine.len(), 4);
 
         let segment = &pristine[1].1;
         let mut offsets = vec![HEADER_LEN];
@@ -1986,14 +1926,19 @@ mod tests {
             offsets.push(offsets.last().unwrap() + frame.len());
         }
         assert_eq!(offsets.len(), per_segment + 1);
-        // Frame `k` of the second window's share `share`, and its bytes' range.
+        // Frame `k` of segment 1's share `share`, and its bytes' range.
         let frame = |share: usize, k: usize| {
-            let index = WINDOW_FRAMES + share * PARALLEL_FLOOR + k;
+            let index = share * PARALLEL_FLOOR + k;
             (per_segment + index, offsets[index]..offsets[index + 1])
         };
         let damaged = |damage: &dyn Fn(&mut Vec<u8>)| {
             let mut files = pristine.clone();
             damage(&mut files[1].1);
+            files
+        };
+        let without = |segment: usize| {
+            let mut files = pristine.clone();
+            files.remove(segment);
             files
         };
         // Frame `at` re-sealed on a `previous_hash` that is not its predecessor's hash:
@@ -2024,11 +1969,13 @@ mod tests {
             }
         };
         let breaks = |id: usize| Some((id, format!("record #{id} breaks the chain")));
-        let (checksum_id, checksum) = frame(0, 17);
-        let (length_id, length) = frame(2, 1);
-        let (torn_id, torn) = frame(3, PARALLEL_FLOOR - 3);
-        let [(window_id, window), (share_id, share), (within_id, within), (body_id, body)] =
-            [frame(0, 0), frame(1, 0), frame(3, PARALLEL_FLOOR / 2), frame(2, 100)];
+        let (checksum_id, checksum) = frame(1, 17);
+        let (length_id, length) = frame(3, 1);
+        let (torn_id, torn) = frame(7, PARALLEL_FLOOR - 3);
+        let [(opening_id, opening), (share_id, share), (within_id, within), (body_id, body)] =
+            [frame(0, 0), frame(2, 0), frame(5, PARALLEL_FLOOR / 2), frame(4, 100)];
+        let (seg0_head, seg2_anchor) =
+            (records[per_segment - 1].hash, records[2 * per_segment - 1].hash);
         let cases = [
             ("pristine", pristine.clone(), None),
             (
@@ -2047,9 +1994,9 @@ mod tests {
                 Some((torn_id, "short frame payload".to_string())),
             ),
             (
-                "previous_hash broken opening the window",
-                damaged(&forged(window)),
-                breaks(window_id),
+                "previous_hash broken opening the segment",
+                damaged(&forged(opening)),
+                breaks(opening_id),
             ),
             ("previous_hash broken opening a share", damaged(&forged(share)), breaks(share_id)),
             ("previous_hash broken within a share", damaged(&forged(within)), breaks(within_id)),
@@ -2058,16 +2005,32 @@ mod tests {
                 damaged(&altered(body)),
                 breaks(body_id),
             ),
+            (
+                "a middle segment deleted",
+                without(1),
+                Some((
+                    per_segment,
+                    format!("anchor {seg2_anchor:#x} does not chain from {seg0_head:#x}"),
+                )),
+            ),
+            ("the newest segment deleted", without(3), None),
         ];
         for (case, files, expected) in cases {
             let (head, next_id, truncations) = serial_scan(&files);
-            // The damage is what the case says, where it says.
+            // The damage is what the case says, where it says, and every segment after
+            // the one it stopped the scan at is unreachable.
             match &expected {
                 None => assert!(truncations.is_empty(), "{case}"),
                 Some((records_before, reason)) => {
                     let found = (&truncations[0].3, truncations[0].4);
                     assert_eq!(found, (reason, *records_before), "{case}");
-                    assert_eq!(truncations.len(), 2, "{case}: segment 2 is unreachable");
+                    let unreachable = &truncations[1..];
+                    assert!(!unreachable.is_empty(), "{case}: a later segment is unreachable");
+                    assert!(
+                        unreachable.iter().all(|t| t.3.starts_with("unreachable") && t.1 == 0),
+                        "{case}: {unreachable:?}"
+                    );
+                    assert_eq!(unreachable.last().unwrap().0, 3, "{case}: up to the last");
                 }
             }
             let dirs = [temp_dir("parallel-recover"), temp_dir("parallel-reopen")];
@@ -2087,11 +2050,24 @@ mod tests {
             let (store, reopened) = SegmentStore::reopen(&dirs[1], per_segment).unwrap();
             assert_eq!(
                 (reopened.head_hash, reopened.next_id, shapes(&reopened.truncations)),
-                (head, next_id, truncations),
+                (head, next_id, truncations.clone()),
                 "{case}: reopen"
             );
             assert_eq!(store.head_hash(), head, "{case}");
+            let highest = parse_segment_sequence(&files.last().unwrap().0).unwrap();
+            assert_eq!(store.next_sequence, highest + 1, "{case}: numbered after the files");
             drop(store);
+            let left = segment_files(&dirs[0]);
+            assert_eq!(segment_files(&dirs[1]), left, "{case}: the same files left");
+            // A segment the scan stopped at without cutting it, and every one after it,
+            // is kept byte for byte.
+            for (sequence, offset, ..) in &truncations {
+                if *offset == 0 {
+                    let name = segment_file_name(*sequence);
+                    let kept = files.iter().find(|(file, _)| *file == name).unwrap();
+                    assert!(left.contains(kept), "{case}: segment {sequence} kept whole");
+                }
+            }
             for dir in &dirs {
                 std::fs::remove_dir_all(dir).unwrap();
             }

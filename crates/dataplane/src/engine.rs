@@ -92,8 +92,9 @@ pub struct PersistenceConfig {
     /// chain re-anchors on the last persisted record. That startup hashes each
     /// persisted record's bytes once and allocates nothing per record
     /// ([`SegmentStore::reopen`]: every frame is checked from its bytes, none
-    /// decoded, a segment's frames on every core). The shards are re-opened one
-    /// after another, each segment read on the calling thread.
+    /// decoded). The shards are re-opened one after another; each segment is read
+    /// whole and its length prefixes walked once on the calling thread, and its frames
+    /// are checked in one pass on every core.
     pub dir: PathBuf,
     /// Records per segment before rotation (sealed segments are fsynced and
     /// closed). Clamped to ≥ 1.
@@ -628,9 +629,9 @@ impl Dataplane {
     ///
     /// With [`DataplaneConfig::persistence`] set, each shard's segment directory is
     /// re-opened first, one shard after another ([`SegmentStore::reopen`]): each
-    /// persisted record's bytes are hashed once and checked, on every core, with no
-    /// allocation per record, so a restart costs the bytes on disk, not the records
-    /// they encode.
+    /// segment is walked once and its frames checked in one pass on every core, each
+    /// persisted record's bytes hashed once with no allocation per record, so a
+    /// restart costs the bytes on disk, not the records they encode.
     ///
     /// # Panics
     ///

@@ -30,7 +30,8 @@
 //!
 //! The counts come from a counting `#[global_allocator]`; what *other* threads
 //! allocated is the global count minus this thread's own, which works because the
-//! test thread and the engine's shard workers are the only threads doing anything.
+//! test thread, the engine's shard workers and the restart scan's check threads are
+//! the only threads doing anything.
 //! CI runs this in `--release` (the `e2e-enforcement` job).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -303,7 +304,10 @@ fn persisted_history(records: u64) -> PersistenceConfig {
 
 /// A restart on a durable directory checks every persisted frame from its bytes and
 /// builds no record: starting an engine on 8 192 persisted records allocates what
-/// starting it on 1 024 does (a decoded record is about a dozen allocations).
+/// starting it on 1 024 does (a decoded record is about a dozen allocations). The scan
+/// checks a segment's frames on every core, so it is counted on every thread too:
+/// [`SegmentStore::reopen`] on its own starts no shard worker, and every test here
+/// holds `ONE_AT_A_TIME`, so what all threads allocate during it is the scan's.
 #[test]
 fn a_restart_allocates_nothing_per_persisted_record() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -314,6 +318,12 @@ fn a_restart_allocates_nothing_per_persisted_record() {
             persistence: Some(persistence.clone()),
             ..DataplaneConfig::default()
         };
+        let (reopen, _, _) = counted(|| {
+            let (store, reopened) = SegmentStore::reopen(persistence.shard_dir(0), 1 << 20)
+                .expect("the directory re-opens");
+            assert_eq!((reopened.next_id, reopened.truncations.len()), (records, 0));
+            drop(store);
+        });
         let mut dataplane = None;
         // This thread's own count: the restart's scan runs here, the workers elsewhere.
         let (allocations, _, elsewhere) = counted(|| {
@@ -327,13 +337,21 @@ fn a_restart_allocates_nothing_per_persisted_record() {
         assert!(recovered.is_clean(), "{:?}", recovered.truncations);
         assert_eq!(recovered.next_id, records);
         std::fs::remove_dir_all(&persistence.dir).expect("the temp dir goes");
-        allocations - elsewhere
+        (allocations - elsewhere, reopen)
     };
-    let (small, large) = (restart(1024), restart(8192));
-    println!("Dataplane::new on 1024 persisted records: {small} allocations, on 8192: {large}");
+    let ((small, small_reopen), (large, large_reopen)) = (restart(1024), restart(8192));
+    println!(
+        "Dataplane::new on 1024 persisted records: {small} allocations, on 8192: {large}; \
+         SegmentStore::reopen on every thread: {small_reopen}, {large_reopen}"
+    );
     assert!(
         small.abs_diff(large) <= 16,
         "{small} allocations for 1024 records, {large} for 8192: a restart allocates per record"
+    );
+    assert!(
+        small_reopen.abs_diff(large_reopen) <= 16,
+        "{small_reopen} allocations on every thread for 1024 records, {large_reopen} for 8192: \
+         the scan allocates per record"
     );
 }
 
