@@ -21,8 +21,9 @@
 //! * [`codec`] — the one canonical binary encoding of a record, which both the chain
 //!   hash and the on-disk frames are defined over;
 //! * [`SegmentStore`] — crash-safe on-disk segments for retained-out records, with
-//!   torn-write recovery ([`SegmentStore::recover`]) and pluggable IO fault injection,
-//!   so the tamper-evident chain survives pruning *and* process crashes.
+//!   torn-write recovery ([`SegmentStore::recover`]) and IO fault injection from the
+//!   stack's one failpoint schedule ([`SegmentStore::set_failpoints`]), so the
+//!   tamper-evident chain survives pruning *and* process crashes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +40,6 @@ pub use event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 pub use log::{AuditLog, ChainVerification};
 pub use provenance::{NodeId, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode, Relation};
 pub use segment::{
-    FaultHook, FsyncHistogram, IoFault, IoOp, RecoveryReport, Reopened, SegmentStats, SegmentStore,
-    SegmentSummary, Truncation,
+    FsyncHistogram, RecoveryReport, Reopened, SegmentStats, SegmentStore, SegmentSummary,
+    Truncation,
 };

@@ -43,10 +43,10 @@
 //! frames — encoded, hashed and checksummed once, when each was appended (the
 //! checksum is the chain hash's FNV-1a fold continued over the hash's own eight
 //! bytes, see [`crate::codec`]) — and hands the pruned ones over as the byte runs
-//! they are. The store walks the length prefixes, to ask the fault hook about each
-//! record and to rotate at the right ones, and gives every contiguous stretch to the
-//! file in one `write_all` straight from the caller's bytes: the appender owns those,
-//! the store copies nothing. [`SegmentStore::append`] is for callers holding
+//! they are. The store walks the length prefixes, to probe the `segment.write`
+//! failpoint once per record and to rotate at the right ones, and gives every
+//! contiguous stretch to the file in one `write_all` straight from the caller's bytes:
+//! the appender owns those, the store copies nothing. [`SegmentStore::append`] is for callers holding
 //! [`AuditRecord`]s: it frames its one record into a store-owned buffer, reused for its
 //! capacity, and takes the same path. That buffer is always empty when a call returns:
 //! the store holds no bytes in user space between calls, so what
@@ -83,10 +83,13 @@
 //! are counted ([`SegmentStats::records_dropped`]) rather than written, modelling a
 //! crashed process whose disk state stays a clean prefix.
 //!
-//! Fault injection is pluggable via [`FaultHook`] so the store stays decoupled from
-//! any particular failpoint registry: the hook is consulted before every record's
-//! write (once per record, in order, batched or not), every fsync and every rotation,
-//! and may demand a short write, a hard error or a delay.
+//! Faults are injected by the stack's one failpoint schedule
+//! ([`legaliot_obs::FailpointRegistry`], attached with [`SegmentStore::set_failpoints`]):
+//! the store probes `segment.write` before every record's write (once per record, in
+//! order, batched or not), `segment.sync` before every fsync and `segment.rotate`
+//! before opening every segment. A probe sleeps through a delay; a short write or an
+//! IO error it returns wedges the store. With no registry each probe is one `Option`
+//! branch.
 
 use std::cell::OnceCell;
 use std::fmt;
@@ -94,12 +97,12 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use legaliot_ifc::StableHasher;
-use legaliot_obs::HistogramSnapshot;
+use legaliot_obs::{FailpointRegistry, FailpointSite, FaultKind, HistogramSnapshot};
 
 use crate::codec::{check_record, decode_record, put_record_frame, split_frame, FRAME_PREFIX_LEN};
 use crate::event::{AuditRecord, RecordId};
@@ -115,33 +118,6 @@ const RETIRED_VERSION: u32 = 1;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// Upper bound on a frame payload; anything larger is treated as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
-
-/// The IO operation a [`FaultHook`] is consulted about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoOp {
-    /// Appending a record frame to the current segment.
-    Write,
-    /// Fsyncing the current segment.
-    Sync,
-    /// Opening a new segment file (initial open and every rotation).
-    Rotate,
-}
-
-/// A fault a [`FaultHook`] can demand for an [`IoOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFault {
-    /// Write only part of the bytes, then wedge the store — leaves a torn tail on
-    /// disk, exactly what [`SegmentStore::recover`] must truncate.
-    ShortWrite,
-    /// Fail the operation outright and wedge the store (disk stays a clean prefix).
-    Error,
-    /// Delay the operation (e.g. a slow fsync), then proceed normally.
-    Delay(Duration),
-}
-
-/// Pluggable fault injection, consulted before every segment IO operation. Returning
-/// `None` lets the operation proceed.
-pub type FaultHook = Box<dyn FnMut(IoOp) -> Option<IoFault> + Send>;
 
 /// A store's fsync latency distribution: a view over the workspace's one histogram
 /// type, [`HistogramSnapshot`] (nanosecond samples, recorded by the store under its
@@ -216,7 +192,7 @@ pub struct SegmentStore {
     head_hash: u64,
     wedged: Option<String>,
     stats: SegmentStats,
-    hook: Option<FaultHook>,
+    failpoints: Option<Arc<FailpointRegistry>>,
     /// Where [`Self::append`] frames its record. Reused across calls for its capacity
     /// only: empty whenever a public method returns.
     buffer: Vec<u8>,
@@ -230,7 +206,7 @@ impl fmt::Debug for SegmentStore {
             .field("head_hash", &self.head_hash)
             .field("wedged", &self.wedged)
             .field("stats", &self.stats)
-            .field("hook", &self.hook.is_some())
+            .field("failpoints", &self.failpoints.is_some())
             .finish()
     }
 }
@@ -291,14 +267,14 @@ impl SegmentStore {
             head_hash: anchor_hash,
             wedged: None,
             stats: SegmentStats::default(),
-            hook: None,
+            failpoints: None,
             buffer: Vec::new(),
         }
     }
 
-    /// Installs a fault-injection hook consulted before every IO operation.
-    pub fn set_fault_hook(&mut self, hook: FaultHook) {
-        self.hook = Some(hook);
+    /// Attaches the failpoint schedule whose `segment.*` sites this store probes.
+    pub fn set_failpoints(&mut self, registry: Arc<FailpointRegistry>) {
+        self.failpoints = Some(registry);
     }
 
     /// The directory this store writes into.
@@ -317,8 +293,10 @@ impl SegmentStore {
         &self.stats
     }
 
-    fn fault(&mut self, op: IoOp) -> Option<IoFault> {
-        self.hook.as_mut().and_then(|hook| hook(op))
+    /// Probes `site`: a delay has been slept through, any fault returned is one the
+    /// site honours.
+    fn fault(&self, site: FailpointSite) -> Option<FaultKind> {
+        self.failpoints.as_deref().and_then(|registry| registry.probe(site))
     }
 
     fn wedge(&mut self, cause: String) {
@@ -330,9 +308,8 @@ impl SegmentStore {
 
     /// Opens the next segment file and writes its header. Wedges on fault/IO error.
     fn open_segment(&mut self) {
-        match self.fault(IoOp::Rotate) {
-            Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
-            Some(IoFault::ShortWrite) => {
+        match self.fault(FailpointSite::SegmentRotate) {
+            Some(FaultKind::ShortWrite) => {
                 // A torn header: the new segment exists but is unusable. Recovery
                 // must discard it without losing the sealed prefix.
                 let path = self.dir.join(segment_file_name(self.next_sequence));
@@ -346,7 +323,8 @@ impl SegmentStore {
                 self.wedge("short write injected at segment rotation".into());
                 return;
             }
-            Some(IoFault::Error) => {
+            // An IO error, the other fault the site honours.
+            Some(_) => {
                 self.wedge("io error injected at segment rotation".into());
                 return;
             }
@@ -395,9 +373,9 @@ impl SegmentStore {
     /// segment file — always a prefix of the run; the rest, once the store is (or
     /// becomes) wedged, are counted in [`SegmentStats::records_dropped`], never silent.
     ///
-    /// The fault hook sees exactly what it would for one [`Self::append`] per record:
-    /// `IoOp::Write` once per record in order, rotations and their fsyncs between the
-    /// same records. A fault at record *k* leaves frames `0..k` in the file (plus, for
+    /// The failpoints see exactly what they would for one [`Self::append`] per record:
+    /// `segment.write` probed once per record in order, rotations and their fsyncs
+    /// between the same records. A fault at record *k* leaves frames `0..k` in the file (plus, for
     /// a short write, the synced torn half of frame *k*) and drops `k..`. Bytes that
     /// are not whole frames wedge the store like an oversized record does.
     pub fn append_frames(&mut self, frames: &[u8]) -> usize {
@@ -412,13 +390,10 @@ impl SegmentStore {
                 break;
             }
             let frame = split_frame(&frames[next..]).map(|(frame, _)| frame);
-            let fault = self.fault(IoOp::Write);
-            if let Some(IoFault::Delay(delay)) = fault {
-                std::thread::sleep(delay);
-            }
+            let fault = self.fault(FailpointSite::SegmentWrite);
             let refusal = match (fault, frame) {
-                (Some(IoFault::ShortWrite), _) => Some("short write injected at segment append"),
-                (Some(IoFault::Error), _) => Some("io error injected at segment append"),
+                (Some(FaultKind::ShortWrite), _) => Some("short write injected at segment append"),
+                (Some(_), _) => Some("io error injected at segment append"), // IoError
                 (_, None) => Some("a record's bytes are not one whole frame"),
                 (_, Some(frame)) if frame.len() - FRAME_PREFIX_LEN > MAX_FRAME_LEN as usize => {
                     Some("a record exceeds the frame size limit")
@@ -429,7 +404,7 @@ impl SegmentStore {
                 // The clean frames before it first; a short write then tears this one:
                 // a strict prefix, synced, for recovery to truncate.
                 if self.write_run(&frames[written..next], pending) {
-                    if fault == Some(IoFault::ShortWrite) {
+                    if fault == Some(FaultKind::ShortWrite) {
                         let torn = frame.unwrap_or(&frames[next..]);
                         if let Some(file) = self.file.as_mut() {
                             let _ = file.write_all(&torn[..torn.len() / 2]);
@@ -499,18 +474,10 @@ impl SegmentStore {
         if self.file.is_none() {
             return true;
         }
-        match self.fault(IoOp::Sync) {
-            Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
-            Some(IoFault::Error) => {
-                self.wedge("io error injected at segment fsync".into());
-                return false;
-            }
-            // A short write makes no sense for fsync; treat it as a hard error.
-            Some(IoFault::ShortWrite) => {
-                self.wedge("short write injected at segment fsync".into());
-                return false;
-            }
-            None => {}
+        // An IO error, the one fault `segment.sync` honours (a delay was slept through).
+        if self.fault(FailpointSite::SegmentSync).is_some() {
+            self.wedge("io error injected at segment fsync".into());
+            return false;
         }
         let started = Instant::now();
         let file = self.file.as_mut().expect("segment open");
@@ -1086,9 +1053,10 @@ mod tests {
     use super::*;
     use crate::codec::encode_record;
     use crate::event::AuditEvent;
+    use legaliot_obs::FailpointSpec;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static UNIQUE: AtomicUsize = AtomicUsize::new(0);
@@ -1097,6 +1065,20 @@ mod tests {
             std::env::temp_dir().join(format!("legaliot-segment-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Arms `store` with one fault, `kind` at hit `k` (0-based) of `site`, and returns
+    /// the registry, whose `hits` and `fired` count the store's probes and faults.
+    fn arm(
+        store: &mut SegmentStore,
+        site: FailpointSite,
+        kind: FaultKind,
+        k: u64,
+    ) -> Arc<FailpointRegistry> {
+        let registry =
+            Arc::new(FailpointRegistry::new(0).with_spec(FailpointSpec::on_hits(site, kind, k, 0)));
+        store.set_failpoints(Arc::clone(&registry));
+        registry
     }
 
     fn sample_records(n: usize) -> Vec<AuditRecord> {
@@ -1168,15 +1150,7 @@ mod tests {
         let records = sample_records(6);
         let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
         // Tear the 5th write.
-        let calls = Arc::new(AtomicUsize::new(0));
-        let hook_calls = Arc::clone(&calls);
-        store.set_fault_hook(Box::new(move |op| {
-            if op == IoOp::Write && hook_calls.fetch_add(1, Ordering::Relaxed) == 4 {
-                Some(IoFault::ShortWrite)
-            } else {
-                None
-            }
-        }));
+        arm(&mut store, FailpointSite::SegmentWrite, FaultKind::ShortWrite, 4);
         let mut persisted = 0;
         for r in &records {
             if store.append(r) {
@@ -1209,15 +1183,7 @@ mod tests {
         let dir = temp_dir("ioerror");
         let records = sample_records(5);
         let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let hook_calls = Arc::clone(&calls);
-        store.set_fault_hook(Box::new(move |op| {
-            if op == IoOp::Write && hook_calls.fetch_add(1, Ordering::Relaxed) == 3 {
-                Some(IoFault::Error)
-            } else {
-                None
-            }
-        }));
+        arm(&mut store, FailpointSite::SegmentWrite, FaultKind::IoError, 3);
         for r in &records {
             store.append(r);
         }
@@ -1236,7 +1202,7 @@ mod tests {
         let dir = temp_dir("syncerror");
         let records = sample_records(3);
         let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
-        store.set_fault_hook(Box::new(|op| (op == IoOp::Sync).then_some(IoFault::Error)));
+        arm(&mut store, FailpointSite::SegmentSync, FaultKind::IoError, 0);
         for r in &records {
             assert!(store.append(r));
         }
@@ -1252,15 +1218,7 @@ mod tests {
         let dir = temp_dir("tornrotate");
         let records = sample_records(4);
         let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
-        let rotations = Arc::new(AtomicUsize::new(0));
-        let hook_rotations = Arc::clone(&rotations);
-        store.set_fault_hook(Box::new(move |op| {
-            if op == IoOp::Rotate && hook_rotations.fetch_add(1, Ordering::Relaxed) == 1 {
-                Some(IoFault::ShortWrite)
-            } else {
-                None
-            }
-        }));
+        arm(&mut store, FailpointSite::SegmentRotate, FaultKind::ShortWrite, 1);
         // Records 0,1 fill segment 0; opening segment 1 tears its header.
         for r in &records {
             store.append(r);
@@ -1278,9 +1236,8 @@ mod tests {
         let dir = temp_dir("delay");
         let records = sample_records(2);
         let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
-        store.set_fault_hook(Box::new(|op| {
-            (op == IoOp::Sync).then_some(IoFault::Delay(Duration::from_micros(50)))
-        }));
+        let delay = FaultKind::Delay(Duration::from_micros(50));
+        arm(&mut store, FailpointSite::SegmentSync, delay, 0);
         for r in &records {
             assert!(store.append(r));
         }
@@ -1288,6 +1245,48 @@ mod tests {
         assert!(store.wedged.is_none());
         assert_eq!(store.stats().unsynced_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every kind each `segment.*` site honours, armed on its first probe, against
+    /// three records two to a segment: a delay only slows the store, any other kind
+    /// wedges it where the site stands, and `fired` counts exactly the one fault
+    /// injected.
+    #[test]
+    fn every_honoured_fault_at_every_segment_site_is_injected_and_counted() {
+        use FailpointSite::{SegmentRotate, SegmentSync, SegmentWrite};
+        let delay = FaultKind::Delay(Duration::from_micros(20));
+        let records = sample_records(3);
+        // (site, kind, records persisted, torn tails recovery reports)
+        let cases = [
+            (SegmentWrite, FaultKind::ShortWrite, 0, 1),
+            (SegmentWrite, FaultKind::IoError, 0, 0),
+            (SegmentWrite, delay, 3, 0),
+            // The first fsync seals segment 0 after its two records.
+            (SegmentSync, FaultKind::IoError, 2, 0),
+            (SegmentSync, delay, 3, 0),
+            (SegmentRotate, FaultKind::ShortWrite, 0, 1),
+            (SegmentRotate, FaultKind::IoError, 0, 0),
+            (SegmentRotate, delay, 3, 0),
+        ];
+        for (site, kind, persisted, torn) in cases {
+            let ctx = format!("[{kind:?} at {site}]");
+            let dir = temp_dir("everyfault");
+            let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
+            let registry = arm(&mut store, site, kind, 0);
+            let kept = store.append_frames(&frames_of(&records));
+            assert_eq!(store.seal(), kind == delay, "{ctx}");
+            assert_eq!(kept, persisted, "{ctx}");
+            assert_eq!(store.wedged.is_some(), kind != delay, "{ctx}");
+            let fired: Vec<u64> = FailpointSite::ALL.map(|s| registry.fired(s)).to_vec();
+            let expected: Vec<u64> = FailpointSite::ALL.map(|s| u64::from(s == site)).to_vec();
+            assert_eq!(fired, expected, "{ctx}");
+            drop(store);
+
+            let report = SegmentStore::recover(&dir).unwrap();
+            assert_eq!(report.records, records[..persisted], "{ctx}");
+            assert_eq!(report.truncations.len(), torn, "{ctx}: {:?}", report.truncations);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1315,36 +1314,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Arms `store` to fault the `k`-th (0-based) record write and returns the counter
-    /// of `IoOp::Write` consultations.
-    fn fault_write(store: &mut SegmentStore, k: usize, fault: IoFault) -> Arc<AtomicUsize> {
-        let writes = Arc::new(AtomicUsize::new(0));
-        let hook_writes = Arc::clone(&writes);
-        store.set_fault_hook(Box::new(move |op| {
-            (op == IoOp::Write && hook_writes.fetch_add(1, Ordering::Relaxed) == k).then_some(fault)
-        }));
-        writes
-    }
-
     /// A fault at record `k` of a batch behaves as it would in a loop of single
-    /// appends: frames `0..k` are on disk, `k..` are counted dropped, the hook was
-    /// asked once per record up to and including `k`, and only a short write leaves a
-    /// torn tail. A delay is not a failure: everything persists.
+    /// appends: frames `0..k` are on disk, `k..` are counted dropped, `segment.write`
+    /// was probed once per record up to and including `k`, and only a short write
+    /// leaves a torn tail. A delay is not a failure: everything persists.
     #[test]
     fn batch_fault_at_record_k_keeps_exactly_the_first_k() {
         const N: usize = 6;
         let records = sample_records(N);
-        let delay = IoFault::Delay(Duration::from_micros(20));
-        for fault in [IoFault::ShortWrite, IoFault::Error, delay] {
+        let delay = FaultKind::Delay(Duration::from_micros(20));
+        for fault in [FaultKind::ShortWrite, FaultKind::IoError, delay] {
             for k in 0..N {
                 let ctx = format!("[{fault:?} at record {k} of {N}]");
                 let dir = temp_dir("batchfault");
                 let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
-                let writes = fault_write(&mut store, k, fault);
+                let registry = arm(&mut store, FailpointSite::SegmentWrite, fault, k as u64);
                 let (kept, consulted) = if fault == delay { (N, N) } else { (k, k + 1) };
 
                 assert_eq!(store.append_frames(&frames_of(&records)), kept, "{ctx}");
-                assert_eq!(writes.load(Ordering::Relaxed), consulted, "{ctx}");
+                assert_eq!(registry.hits(FailpointSite::SegmentWrite), consulted as u64, "{ctx}");
                 assert_eq!(store.stats().records_persisted, kept as u64, "{ctx}");
                 assert_eq!(store.stats().records_dropped, (N - kept) as u64, "{ctx}");
                 assert_eq!(store.wedged.is_some(), fault != delay, "{ctx}");
@@ -1358,7 +1346,7 @@ mod tests {
                 let report = SegmentStore::recover(&dir).unwrap();
                 assert_eq!(report.records, records[..kept], "{ctx}");
                 assert!(report.chain.is_intact(), "{ctx}");
-                let torn = usize::from(fault == IoFault::ShortWrite);
+                let torn = usize::from(fault == FaultKind::ShortWrite);
                 assert_eq!(report.truncations.len(), torn, "{ctx}: {:?}", report.truncations);
                 std::fs::remove_dir_all(&dir).unwrap();
             }
@@ -1425,45 +1413,34 @@ mod tests {
 
     /// The fault contract on the frame path: one run of frames crossing two rotations,
     /// a short write injected at record `k`, against one `append` per record under
-    /// the same fault. The hook is asked the same questions in the same order —
-    /// `Write` once per record up to `k`, `Rotate` and `Sync` between the same
-    /// records — the files are the same bytes (frames `0..k` and the synced torn half
-    /// of `k`), and `k..` are counted dropped.
+    /// the same fault. Each `segment.*` site is probed as often in both — `write` once
+    /// per record up to `k`, `rotate` and `sync` once per segment opened and sealed —
+    /// the files are the same bytes (frames `0..k` and the synced torn half of `k`),
+    /// and `k..` are counted dropped.
     #[test]
     fn frame_run_across_rotations_tears_at_record_k_like_single_appends() {
         const N: usize = 8;
         let records = sample_records(N);
         let frames = frames_of(&records);
-        let logging_hook = |k: usize| {
-            let ops: Arc<std::sync::Mutex<Vec<IoOp>>> = Arc::default();
-            let seen = Arc::clone(&ops);
-            let hook: FaultHook = Box::new(move |op| {
-                let mut seen = seen.lock().unwrap();
-                seen.push(op);
-                let writes = seen.iter().filter(|op| **op == IoOp::Write).count();
-                (op == IoOp::Write && writes == k + 1).then_some(IoFault::ShortWrite)
-            });
-            (ops, hook)
-        };
+        let sites =
+            [FailpointSite::SegmentWrite, FailpointSite::SegmentSync, FailpointSite::SegmentRotate];
         for k in 0..N {
             let ctx = format!("[short write at record {k} of {N}]");
             let (run_dir, single_dir) = (temp_dir("framerun"), temp_dir("framesingle"));
             let mut run = SegmentStore::create(&run_dir, 0, 3).unwrap();
-            let (run_ops, hook) = logging_hook(k);
-            run.set_fault_hook(hook);
+            let short_write = FaultKind::ShortWrite;
+            let run_probes = arm(&mut run, FailpointSite::SegmentWrite, short_write, k as u64);
             let mut single = SegmentStore::create(&single_dir, 0, 3).unwrap();
-            let (single_ops, hook) = logging_hook(k);
-            single.set_fault_hook(hook);
+            let single_probes =
+                arm(&mut single, FailpointSite::SegmentWrite, short_write, k as u64);
 
             assert_eq!(run.append_frames(&frames), k, "{ctx}");
             let kept = records.iter().filter(|record| single.append(record)).count();
             assert_eq!(kept, k, "{ctx}");
 
-            let ops = run_ops.lock().unwrap().clone();
-            assert_eq!(ops, *single_ops.lock().unwrap(), "{ctx}");
-            assert_eq!(ops.iter().filter(|op| **op == IoOp::Write).count(), k + 1, "{ctx}");
-            assert_eq!(ops.iter().filter(|op| **op == IoOp::Sync).count(), k / 3, "{ctx}");
-            assert_eq!(ops.iter().filter(|op| **op == IoOp::Rotate).count(), k / 3 + 1, "{ctx}");
+            let hits = |registry: &FailpointRegistry| sites.map(|site| registry.hits(site));
+            assert_eq!(hits(&run_probes), hits(&single_probes), "{ctx}");
+            assert_eq!(hits(&run_probes), [k + 1, k / 3, k / 3 + 1].map(|n| n as u64), "{ctx}");
             for store in [&run, &single] {
                 assert!(store.wedged.is_some(), "{ctx}");
                 assert_eq!(store.stats().records_persisted, k as u64, "{ctx}");

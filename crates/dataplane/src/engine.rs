@@ -35,9 +35,9 @@ use legaliot_middleware::{
     FrozenSchema, Message, MessageSchema, MessageType, Operation, Principal,
     ReconfigurationCommand,
 };
-use legaliot_obs::ObsConfig;
+use legaliot_obs::{FailpointRegistry, ObsConfig};
 
-use crate::failpoint::{self, FailpointRegistry};
+use crate::failpoint;
 use crate::queue::{BoundedQueue, WhenFull};
 use crate::shard::{panic_message, run_worker, ShardState, ShardTask};
 use crate::subscriber::{OverflowPolicy, Subscriber};
@@ -158,10 +158,11 @@ pub struct DataplaneConfig {
     /// stay on either way (relaxed atomics, the latter on slow paths only); the
     /// queue-depth high-water mark travels with span timing and reads 0 when disabled.
     pub telemetry: ObsConfig,
-    /// Deterministic, seeded fault injection ([`crate::failpoint`]): panics, delays
-    /// and queue-full faults at named sites on the data path, for exercising shard
-    /// supervision and churn soaks. `None` (the default) disables every probe down
-    /// to a single branch, the same zero-cost-when-off discipline as `telemetry`.
+    /// Deterministic, seeded fault injection ([`FailpointRegistry`]): panics, delays,
+    /// queue-full faults and segment IO faults at named sites on the data path and in
+    /// each shard's [`SegmentStore`], for exercising shard supervision, churn soaks and
+    /// crash recovery. `None` (the default) disables every probe down to a single
+    /// branch, the same zero-cost-when-off discipline as `telemetry`.
     pub failpoints: Option<Arc<FailpointRegistry>>,
     /// How many times a panicked shard worker is restarted (the crashed delivery
     /// evidenced as lost, the audit trail flushed and carried on, the rest of the
@@ -658,9 +659,7 @@ impl Dataplane {
                                 panic!("cannot reopen audit segments in {}: {error}", dir.display())
                             });
                     if let Some(registry) = &config.failpoints {
-                        store.set_fault_hook(crate::failpoint::segment_fault_hook(Arc::clone(
-                            registry,
-                        )));
+                        store.set_failpoints(Arc::clone(registry));
                     }
                     counters.recovery_truncations.add(reopened.truncations.len() as u64);
                     Some(ShardPersistence {

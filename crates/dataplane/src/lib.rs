@@ -70,19 +70,19 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod failpoint;
 pub mod queue;
 pub mod subscriber;
 pub mod telemetry;
 pub mod topologies;
 
+mod failpoint;
 mod shard;
 
 pub use engine::{
     AuditDetail, Dataplane, DataplaneConfig, DataplaneError, DataplaneReport, PayloadMode,
     PersistenceConfig,
 };
-pub use failpoint::{FailpointRegistry, FailpointSite, FailpointSpec, FaultKind};
+pub use legaliot_obs::{FailpointRegistry, FailpointSite, FailpointSpec, FaultKind};
 pub use queue::QueueContention;
 pub use subscriber::{
     OverflowPolicy, ReceivedMessage, RecvError, RecvTimeoutError, Subscriber, TryRecvError,

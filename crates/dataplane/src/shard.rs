@@ -69,9 +69,10 @@ use legaliot_context::{ContextSnapshot, NameMap, Timestamp};
 use legaliot_ifc::{can_flow, SecurityContext};
 use legaliot_middleware::admission::{enforce, FlowVerdict, MessageFacts, Verdict};
 use legaliot_middleware::{FrozenMessage, FrozenSchema, MessageType, Operation};
+use legaliot_obs::FailpointSite;
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, Endpoint, EndpointId, SharedState};
-use crate::failpoint::{self, FailpointSite};
+use crate::failpoint;
 use crate::queue::{BoundedQueue, Pushed, WhenFull};
 use crate::subscriber::OverflowPolicy;
 use crate::telemetry::{BatchCounters, DeliveryProbe, ShardCounters, ShardTelemetry, Stage};
@@ -455,7 +456,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// The enforcement loop itself lives in [`worker_loop`]; this function is the
 /// supervisor around it. A panic anywhere inside the loop (injected by a
-/// [`failpoint`](crate::failpoint) or real) is caught instead of taking the
+/// [`failpoint`](crate::FailpointRegistry) or real) is caught instead of taking the
 /// dataplane down: the half-processed unit's counters are rolled back and the
 /// abandoned delivery is evidenced as an [`AuditEvent::DeliveryLost`] record,
 /// then the audit trail is flushed — the chain carries on from its last hash, so

@@ -5,7 +5,10 @@
 //! [`HistogramSnapshot`]s and `p50/p90/p99/p999` estimation, and a stable text / JSON
 //! exposition surface ([`MetricsSnapshot`]). A leaf crate: it depends on nothing, so
 //! every layer that measures a distribution — the shards' stage spans, the audit
-//! segment stores' fsyncs — records into this one histogram type.
+//! segment stores' fsyncs — records into this one histogram type. For the same reason
+//! it holds the stack's one fault vocabulary, the seeded failpoint schedule
+//! ([`FailpointRegistry`], [`FailpointSite`], [`FaultKind`]): the dataplane's shards
+//! and ingress and the audit crate's segment stores all probe it.
 //!
 //! The paper's central claim (Singh et al., Middleware 2016) is that policy enforcement
 //! can live *inside* the messaging layer at low overhead. Substantiating that requires
@@ -55,10 +58,12 @@
 #![warn(missing_docs)]
 
 mod expose;
+mod failpoint;
 mod histogram;
 mod metrics;
 
 pub use expose::MetricsSnapshot;
+pub use failpoint::{FailpointRegistry, FailpointSite, FailpointSpec, FaultKind};
 pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use metrics::{Counter, MaxGauge};
 
