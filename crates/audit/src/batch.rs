@@ -14,11 +14,12 @@
 //! ([`BatchedAppender::append`]) is encoded and dropped.
 //!
 //! The trail is a queue of fixed-size chunks of whole frames (one appender per shard,
-//! no locks). Retention — checked every `capacity` appends, the batch — prunes from the
-//! front: the pruned frames go to the [`PruneSink`] as the byte runs they already are,
-//! so persisting them is a `write_all`, and their chunks are reused for new frames.
-//! Records exist as structs only for a reader: [`BatchedAppender::into_log`] decodes
-//! what is retained.
+//! no locks). [`BatchedAppender::hand_over`] passes on the frames appended since the
+//! last hand-over as the byte runs they already are — persisting them is a `write_all`
+//! — and retention, checked every `capacity` appends (the batch), prunes only frames
+//! handed over, from the front, reusing their chunks: no frame leaves RAM before it is
+//! handed over. Records exist as structs only for a reader:
+//! [`BatchedAppender::into_log`] decodes what is retained.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -26,16 +27,6 @@ use std::fmt;
 use crate::codec::{self, FlowCheckedRef, FRAME_PREFIX_LEN};
 use crate::event::{AuditEvent, AuditRecord, RecordId};
 use crate::log::AuditLog;
-
-/// A callback receiving records at the moment retention prunes them out of the
-/// in-memory trail — the last point at which they are observable — as runs of whole
-/// segment frames, oldest first (one run per chunk the pruned span touches; their
-/// concatenation is the span). A persistence layer installs one to stream retained-out
-/// history to durable storage ([`crate::SegmentStore::append_frames`] takes a run as
-/// it is); because the sink runs *before* the frames are released, no record can be
-/// both pruned and unpersisted. `Sync` is required so appenders can live behind shared
-/// locks; sinks are still only ever *called* under `&mut self`.
-pub type PruneSink = Box<dyn FnMut(&mut dyn Iterator<Item = &[u8]>) + Send + Sync>;
 
 /// Bytes after which a chunk takes no further frame. A chunk is allocated with an
 /// eighth more, so the frame that crosses the line rarely grows it.
@@ -63,6 +54,10 @@ struct Trail {
     spare: Vec<Vec<u8>>,
     /// Frames held across all chunks.
     frames: usize,
+    /// Of those, the oldest ones already handed over: the frames behind the mark.
+    handed: usize,
+    /// Where the frame after the last one handed over starts: chunk index, byte offset.
+    mark: (usize, usize),
 }
 
 impl Trail {
@@ -89,14 +84,10 @@ impl Trail {
         self.frames += 1;
     }
 
-    fn runs(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(Chunk::retained)
-    }
-
-    /// Drops the oldest `frames` frames (at least one, at most all), handing them to
-    /// `sink` first, and returns the hash of the last one dropped. Whole chunks are
-    /// emptied for reuse; the one the cut falls inside just moves its `start`.
-    fn prune(&mut self, frames: usize, sink: Option<&mut PruneSink>) -> u64 {
+    /// Drops the oldest `frames` frames (at least one, at most all handed over) and
+    /// returns the hash of the last one dropped. Whole chunks are emptied for reuse;
+    /// the one the cut falls inside just moves its `start`.
+    fn prune(&mut self, frames: usize) -> u64 {
         let (mut whole, mut partial) = (0, frames);
         while partial > 0 && self.chunks[whole].frames <= partial {
             partial -= self.chunks[whole].frames;
@@ -115,9 +106,6 @@ impl Trail {
         let cut_run = cut.map(|cut| &self.chunks[whole].bytes[self.chunks[whole].start..cut]);
         let last_run = cut_run.unwrap_or_else(|| self.chunks[whole - 1].retained());
         let hash = last_run[last_run.len() - 8..].try_into().expect("a frame ends in its hash");
-        if let Some(sink) = sink {
-            sink(&mut self.chunks.iter().take(whole).map(Chunk::retained).chain(cut_run));
-        }
         for mut chunk in self.chunks.drain(..whole) {
             chunk.bytes.clear();
             self.spare.push(chunk.bytes);
@@ -128,6 +116,9 @@ impl Trail {
             chunk.frames -= partial;
         }
         self.frames -= frames;
+        self.handed -= frames;
+        // Only a chunk the mark ends could go with the ones before it.
+        self.mark = self.mark.0.checked_sub(whole).map_or((0, 0), |chunk| (chunk, self.mark.1));
         u64::from_le_bytes(hash)
     }
 }
@@ -155,11 +146,12 @@ pub struct BatchedAppender {
     /// Hash of the newest record: what the next one chains from.
     head_hash: u64,
     next_id: u64,
-    /// Appends since the last [`Self::flush`].
+    /// Appends since the last batch ended.
     buffered: usize,
     capacity: usize,
     retention: Option<usize>,
-    prune_sink: Option<PruneSink>,
+    /// Whether retention has pruned since the last hand-over.
+    pruned: bool,
 }
 
 impl fmt::Debug for BatchedAppender {
@@ -173,7 +165,7 @@ impl fmt::Debug for BatchedAppender {
             .field("buffered", &self.buffered)
             .field("capacity", &self.capacity)
             .field("retention", &self.retention)
-            .field("prune_sink", &self.prune_sink.is_some())
+            .field("handed", &self.trail.handed)
             .finish()
     }
 }
@@ -204,27 +196,16 @@ impl BatchedAppender {
             buffered: 0,
             capacity: capacity.max(1),
             retention: None,
-            prune_sink: None,
+            pruned: false,
         }
     }
 
-    /// Bounds in-memory retention: once the trail holds `2 × keep` records at a
-    /// flush, it is pruned back to the newest `keep`, re-anchored on the last pruned
-    /// record's hash (the chain stays verifiable; the hysteresis keeps pruning
-    /// amortised O(1) per record). `None` (the default) retains everything.
+    /// Bounds in-memory retention: once the trail holds `2 × keep` records at a flush,
+    /// it is pruned back to the newest `keep`, or to the oldest not handed over if that
+    /// is older, re-anchored on the last pruned record's hash (the chain stays verifiable;
+    /// the hysteresis keeps pruning amortised O(1) per record). `None` keeps everything.
     pub fn with_retention(mut self, keep: Option<usize>) -> Self {
         self.retention = keep.map(|k| k.max(1));
-        self
-    }
-
-    /// Installs a [`PruneSink`] invoked with every frame retention prunes out, at the
-    /// moment of pruning and in chain order — so a persistence layer sees each record
-    /// before it stops being observable.
-    pub fn with_prune_sink(
-        mut self,
-        sink: impl FnMut(&mut dyn Iterator<Item = &[u8]>) + Send + Sync + 'static,
-    ) -> Self {
-        self.prune_sink = Some(Box::new(sink));
         self
     }
 
@@ -270,20 +251,45 @@ impl BatchedAppender {
         self.next_id += 1;
         self.buffered += 1;
         if self.buffered >= self.capacity {
+            self.buffered = 0;
             self.flush();
         }
     }
 
-    /// Ends the batch: applies the retention bound (if configured), handing what it
-    /// prunes to the sink.
+    /// Applies the retention bound (if configured) to the frames already handed over;
+    /// every `capacity`-th append ends a batch with it.
     pub fn flush(&mut self) {
-        self.buffered = 0;
         let Some(keep) = self.retention else { return };
-        if self.trail.frames >= keep.saturating_mul(2) {
-            // The sink sees the pruned frames *before* their chunks are released:
-            // that is what makes persistence loss-free by construction.
-            self.anchor_hash = self.trail.prune(self.trail.frames - keep, self.prune_sink.as_mut());
+        let frames = self.trail.frames.saturating_sub(keep).min(self.trail.handed);
+        if self.trail.frames >= keep.saturating_mul(2) && frames > 0 {
+            self.anchor_hash = self.trail.prune(frames);
+            self.pruned = true;
         }
+    }
+
+    /// Hands the frames appended since the last hand-over to `write` — runs of whole
+    /// segment frames for [`crate::SegmentStore::append_frames`], oldest first, one per
+    /// chunk from the mark's — then applies retention ([`Self::flush`]), which may now
+    /// free them. Returns whether retention has pruned since the last hand-over; `None`,
+    /// and `write` is not called, when no frame is new.
+    pub fn hand_over(
+        &mut self,
+        write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>),
+    ) -> Option<bool> {
+        let trail = &mut self.trail;
+        if trail.handed == trail.frames {
+            return None;
+        }
+        let (first, offset) = trail.mark;
+        trail.mark = (trail.chunks.len() - 1, trail.chunks.back().expect("a new frame").end);
+        trail.handed = trail.frames;
+        write(
+            &mut trail.chunks.range(first..).enumerate().map(|(n, chunk)| {
+                &chunk.bytes[if n == 0 { offset } else { chunk.start }..chunk.end]
+            }),
+        );
+        self.flush();
+        Some(std::mem::take(&mut self.pruned))
     }
 
     /// The configured auto-flush threshold.
@@ -305,12 +311,6 @@ impl BatchedAppender {
     /// record will chain from.
     pub fn head_hash(&self) -> u64 {
         self.head_hash
-    }
-
-    /// The retained records as runs of whole segment frames, oldest first — what a
-    /// graceful shutdown persists behind the pruned prefix.
-    pub fn retained_frames(&self) -> impl Iterator<Item = &[u8]> {
-        self.trail.runs()
     }
 
     /// Flushes, then decodes the retained frames into the log a reader works with,
@@ -342,7 +342,6 @@ mod tests {
     use crate::event::AuditEventKind;
     use legaliot_ifc::{can_flow, SecurityContext, StableHasher};
     use proptest::prelude::*;
-    use std::sync::{Arc, Mutex};
 
     /// The plain FNV-1a 64 of a frame payload, what its stored checksum must be.
     fn checksum(payload: &[u8]) -> u64 {
@@ -369,18 +368,11 @@ mod tests {
         records
     }
 
-    /// An appender whose sink decodes what it is handed into the returned vector.
-    fn with_decoding_sink(
-        appender: BatchedAppender,
-    ) -> (BatchedAppender, Arc<Mutex<Vec<AuditRecord>>>) {
-        let pruned: Arc<Mutex<Vec<AuditRecord>>> = Arc::default();
-        let target = Arc::clone(&pruned);
-        let appender = appender.with_prune_sink(move |runs| {
-            for run in runs {
-                target.lock().unwrap().extend(decoded(run));
-            }
-        });
-        (appender, pruned)
+    /// What `appender` hands over, as one run.
+    fn hand_over(appender: &mut BatchedAppender) -> Vec<u8> {
+        let mut handed = Vec::new();
+        appender.hand_over(|runs| runs.for_each(|run| handed.extend_from_slice(run)));
+        handed
     }
 
     #[test]
@@ -438,6 +430,7 @@ mod tests {
         let mut appender = BatchedAppender::new("n", 4).with_retention(Some(6));
         for n in 0..40 {
             appender.append(event(n), n as u64);
+            appender.hand_over(|_| {});
         }
         let log = appender.into_log();
         assert!(log.len() <= 12, "retention keeps the log near 2x its bound, got {}", log.len());
@@ -448,32 +441,68 @@ mod tests {
 
     #[test]
     fn no_record_is_both_pruned_and_unpersisted() {
-        let (mut appender, persisted) =
-            with_decoding_sink(BatchedAppender::new("n", 4).with_retention(Some(6)));
+        let mut appender = BatchedAppender::new("n", 4).with_retention(Some(6));
+        let mut persisted = Vec::new();
         for n in 0..40 {
             appender.append(event(n), n as u64);
+            // Every record not yet handed over is still retained.
+            assert!(appender.len() >= n + 1 - persisted.len());
+            if n % 5 == 4 {
+                persisted.extend(decoded(&hand_over(&mut appender)));
+            }
         }
+        persisted.extend(decoded(&hand_over(&mut appender)));
         let log = appender.into_log();
         assert!(log.verify_chain().is_intact());
 
-        // Every record ever appended is observable somewhere: either it survived
-        // retention (still in the log) or the sink received it at prune time. The two
-        // sets are disjoint and their concatenation is the full chain from genesis.
-        let mut all = persisted.lock().unwrap().clone();
-        let sunk = all.len();
-        assert!(sunk > 0, "retention must have pruned something");
-        all.extend(log.records().iter().cloned());
-        assert_eq!(all.len(), 40, "pruned + retained must cover every appended record");
-        assert!(AuditLog::verify_records(0, &all).is_intact());
-        let ids: Vec<u64> = all.iter().map(|r| r.id.0).collect();
+        // Every record ever appended was handed over, as the full chain from genesis,
+        // and what retention kept is its newest part, anchored on the last one freed.
+        assert!(log.len() < 40, "retention must have pruned something");
+        assert_eq!(persisted.len(), 40, "the hand-overs must cover every appended record");
+        assert!(AuditLog::verify_records(0, &persisted).is_intact());
+        let ids: Vec<u64> = persisted.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, (0..40).collect::<Vec<u64>>());
+        let kept = 40 - log.len();
+        assert_eq!(log.records(), &persisted[kept..]);
+        assert_eq!(log.anchor_hash(), persisted[kept - 1].hash);
     }
 
     #[test]
-    fn debug_shows_sink_presence_not_contents() {
-        let appender = BatchedAppender::new("n", 2).with_prune_sink(|_| {});
+    fn debug_shows_the_mark_not_contents() {
+        let mut appender = BatchedAppender::new("n", 2);
+        appender.append(event(0), 0);
+        hand_over(&mut appender);
         let s = format!("{appender:?}");
-        assert!(s.contains("prune_sink: true"));
+        assert!(s.contains("handed: 1"), "{s}");
+        assert!(!s.contains("p0"), "{s}");
+    }
+
+    /// Retention smaller than a batch waits for the hand-over: with room for one
+    /// record and a flush every 11, no frame is freed before it has been handed over,
+    /// and a trail that is never handed over keeps every frame.
+    #[test]
+    fn no_frame_is_freed_before_it_is_handed_over() {
+        let mut unbatched = AuditLog::new("n");
+        let mut appender = BatchedAppender::new("n", 11).with_retention(Some(1));
+        let mut kept = BatchedAppender::new("n", 11).with_retention(Some(1));
+        let mut handed = Vec::new();
+        for n in 0..100 {
+            unbatched.record(event(n), n as u64);
+            appender.append(event(n), n as u64);
+            kept.append(event(n), n as u64);
+            assert!(appender.len() >= n + 1 - handed.len(), "freed before its hand-over");
+            if n % 7 == 6 {
+                handed.extend(decoded(&hand_over(&mut appender)));
+            }
+        }
+        handed.extend(decoded(&hand_over(&mut appender)));
+        assert_eq!(handed, unbatched.records());
+        appender.flush();
+        assert_eq!(appender.len(), 1, "all handed over: retention keeps its one");
+        let log = appender.into_log();
+        assert_eq!(log.records(), &handed[99..]);
+        assert_eq!(log.anchor_hash(), handed[98].hash);
+        assert_eq!(kept.into_log(), unbatched);
     }
 
     #[test]
@@ -485,8 +514,9 @@ mod tests {
     }
 
     /// Enough bytes for several chunks, one record larger than a chunk among them:
-    /// prunes that release whole chunks, cut inside one, and refill the released ones
-    /// still hand the sink, then the log, exactly the unbatched chain.
+    /// hand-overs that span chunks, and prunes that release whole chunks, cut inside
+    /// one and refill the released ones, still hand over exactly the unbatched chain
+    /// and leave its newest part in the log.
     #[test]
     fn pruning_across_chunks_hands_over_the_unbatched_chain() {
         const RECORDS: usize = 6000;
@@ -496,24 +526,26 @@ mod tests {
             cause: "x".repeat(if n == 2500 { 2 * CHUNK_BYTES } else { 40 }),
         };
         let mut unbatched = AuditLog::new("n");
-        let (mut appender, pruned) =
-            with_decoding_sink(BatchedAppender::new("n", 64).with_retention(Some(700)));
+        let mut appender = BatchedAppender::new("n", 64).with_retention(Some(700));
+        let mut handed = Vec::new();
         for n in 0..RECORDS {
             unbatched.record(wide(n), n as u64);
             appender.append(wide(n), n as u64);
             assert!(appender.len() < 1400 + 64);
+            if n % 100 == 99 {
+                handed.extend(decoded(&hand_over(&mut appender)));
+            }
         }
         // 6000 records of ≈80 B went through ≈1500 records' worth of chunks.
         let chunks = appender.trail.chunks.len() + appender.trail.spare.len();
         assert!((2..=8).contains(&chunks), "{chunks} chunks allocated");
         appender.flush();
-        let retained: Vec<AuditRecord> = appender.retained_frames().flat_map(decoded).collect();
+        handed.extend(decoded(&hand_over(&mut appender)));
         let log = appender.into_log();
-        assert_eq!(log.records(), retained);
-        let mut all = pruned.lock().unwrap().clone();
-        assert_eq!(log.anchor_hash(), all.last().unwrap().hash);
-        all.extend(retained);
-        assert_eq!(all, unbatched.records());
+        assert_eq!(handed, unbatched.records());
+        let kept = RECORDS - log.len();
+        assert_eq!(log.records(), &handed[kept..]);
+        assert_eq!(log.anchor_hash(), handed[kept - 1].hash);
         assert_eq!((log.head_hash(), log.next_id()), (unbatched.head_hash(), RECORDS as u64));
     }
 
@@ -591,9 +623,7 @@ mod tests {
             };
             owned.append(event, 5);
         }
-        let runs =
-            |appender: &BatchedAppender| appender.retained_frames().collect::<Vec<_>>().concat();
-        assert_eq!(runs(&borrowed), runs(&owned));
+        assert_eq!(hand_over(&mut borrowed), hand_over(&mut owned));
         assert_eq!(borrowed.len(), 2 * 5 * 3 + 3);
         let log = borrowed.into_log();
         assert!(log.verify_chain().is_intact());
@@ -602,36 +632,36 @@ mod tests {
 
     proptest! {
         /// The trail is the log, byte for byte: any sequence over all 13 variants, any
-        /// batch size, with or without a (small) retention bound, leaves what
-        /// `AuditLog::record` would have — the sink's frames then the retained ones
-        /// are its records, each frame is `encode_record`'s bytes behind the payload's
-        /// own checksum, and anchor, head and numbering agree.
+        /// batch size, with or without a (small) retention bound, handed over at any
+        /// cadence, hands over every record as a frame — `encode_record`'s bytes
+        /// behind the payload's own checksum — in the order `AuditLog::record` would
+        /// have chained them, and leaves that log's newest records, anchor, head and
+        /// numbering.
         #[test]
         fn prop_the_trail_is_the_unbatched_log(
             events in collection::vec((any_event(), 0u64..1000), 0..40),
             capacity in 1usize..12,
             retention in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+            every in 1usize..8,
         ) {
             let mut unbatched = AuditLog::new("shard-é");
-            let (mut appender, pruned) = with_decoding_sink(
-                BatchedAppender::new("shard-é", capacity).with_retention(retention),
-            );
-            for (event, at_millis) in &events {
+            let mut appender = BatchedAppender::new("shard-é", capacity).with_retention(retention);
+            let mut handed = Vec::new();
+            for (n, (event, at_millis)) in events.iter().enumerate() {
                 unbatched.record(event.clone(), *at_millis);
                 appender.append(event.clone(), *at_millis);
                 prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
+                if n % every == 0 {
+                    handed.extend(hand_over(&mut appender));
+                }
             }
-            appender.flush();
-            let retained: Vec<u8> = appender.retained_frames().collect::<Vec<_>>().concat();
+            handed.extend(hand_over(&mut appender));
             let log = appender.into_log();
-            let pruned = pruned.lock().unwrap().clone();
             if retention.is_none() {
-                prop_assert!(pruned.is_empty());
                 prop_assert_eq!(&log, &unbatched);
             }
-            prop_assert_eq!(decoded(&retained), log.records());
             let mut expected_frames = Vec::new();
-            for record in log.records() {
+            for record in unbatched.records() {
                 let start = expected_frames.len();
                 expected_frames.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
                 codec::encode_record(record, &mut expected_frames);
@@ -641,15 +671,16 @@ mod tests {
                 expected_frames[start + 4..start + FRAME_PREFIX_LEN]
                     .copy_from_slice(&checksum(&payload).to_le_bytes());
             }
-            prop_assert_eq!(retained, expected_frames);
+            prop_assert_eq!(&handed, &expected_frames);
+            let all = decoded(&handed);
+            prop_assert_eq!(all.as_slice(), unbatched.records());
 
-            prop_assert_eq!(log.anchor_hash(), pruned.last().map_or(0, |record| record.hash));
+            let kept = all.len() - log.len();
+            prop_assert_eq!(log.records(), &all[kept..]);
+            prop_assert_eq!(log.anchor_hash(), kept.checked_sub(1).map_or(0, |n| all[n].hash));
             prop_assert_eq!(log.head_hash(), unbatched.head_hash());
             prop_assert_eq!(log.next_id(), unbatched.next_id());
             prop_assert!(log.verify_chain().is_intact());
-            let mut all = pruned;
-            all.extend(log.records().iter().cloned());
-            prop_assert_eq!(all.as_slice(), unbatched.records());
             let ids: Vec<u64> = all.iter().map(|record| record.id.0).collect();
             prop_assert_eq!(ids, (0..events.len() as u64).collect::<Vec<u64>>());
             prop_assert!(AuditLog::verify_records(0, &all).is_intact());

@@ -20,7 +20,7 @@
 //!   built from the log, with ancestry/taint queries and DOT export;
 //! * [`codec`] — the one canonical binary encoding of a record, which both the chain
 //!   hash and the on-disk frames are defined over;
-//! * [`SegmentStore`] — crash-safe on-disk segments for retained-out records, with
+//! * [`SegmentStore`] — crash-safe on-disk segments for handed-over records, with
 //!   torn-write recovery ([`SegmentStore::recover`]) and IO fault injection from the
 //!   stack's one failpoint schedule ([`SegmentStore::set_failpoints`]), so the
 //!   tamper-evident chain survives pruning *and* process crashes.
@@ -35,7 +35,7 @@ pub mod log;
 pub mod provenance;
 pub mod segment;
 
-pub use batch::{BatchedAppender, PruneSink};
+pub use batch::BatchedAppender;
 pub use event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 pub use log::{AuditLog, ChainVerification};
 pub use provenance::{NodeId, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode, Relation};

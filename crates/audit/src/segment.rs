@@ -1,10 +1,10 @@
-//! Crash-safe on-disk segments for retained-out audit records.
+//! Crash-safe on-disk segments for audit records.
 //!
 //! In-memory retention ([`crate::BatchedAppender::with_retention`]) keeps enforcement
-//! points bounded, but pruned history used to be simply dropped — and a process crash
-//! lost every record still in RAM. A [`SegmentStore`] makes the pruned history durable:
-//! records stream into append-only segment files of length-prefixed, checksummed
-//! frames, and each segment's header carries the previous segment's anchor hash, so
+//! points bounded, and a [`SegmentStore`] keeps the whole history: records stream into
+//! append-only segment files of length-prefixed, checksummed frames as they are
+//! handed over ([`crate::BatchedAppender::hand_over`]), before retention may free
+//! them, and each segment's header carries the previous segment's anchor hash, so
 //! the on-disk prefix and the in-memory suffix verify as **one** hash chain (the
 //! records recovered here followed by the log's own, from the first segment's anchor).
 //!
@@ -42,8 +42,8 @@
 //! that already exist: a [`crate::BatchedAppender`] holds its records *as* these
 //! frames — encoded, hashed and checksummed once, when each was appended (the
 //! checksum is the chain hash's FNV-1a fold continued over the hash's own eight
-//! bytes, see [`crate::codec`]) — and hands the pruned ones over as the byte runs
-//! they are. The store walks the length prefixes, to probe the `segment.write`
+//! bytes, see [`crate::codec`]) — and hands the new ones over as the byte runs they
+//! are. The store walks the length prefixes, to probe the `segment.write`
 //! failpoint once per record and to rotate at the right ones, and gives every
 //! contiguous stretch to the file in one `write_all` straight from the caller's bytes:
 //! the appender owns those, the store copies nothing. [`SegmentStore::append`] is for callers holding
@@ -366,7 +366,7 @@ impl SegmentStore {
     }
 
     /// Appends a run of whole frames — what a [`crate::BatchedAppender`] holds and
-    /// hands its prune sink — as they are: nothing is encoded or checksummed here.
+    /// hands over — as they are: nothing is encoded or checksummed here.
     /// The length prefixes are walked to find the records, and each contiguous stretch
     /// of them goes to the file in one `write_all` straight from `frames` (a stretch
     /// ends where a segment fills and rotates). Returns how many records reached the
@@ -1525,9 +1525,12 @@ mod tests {
         for record in &report.records {
             appender.append(record.event.clone(), record.at_millis);
         }
-        for run in appender.retained_frames() {
-            assert_eq!(store.append_frames(run), 16);
-        }
+        let handed = appender.hand_over(|runs| {
+            runs.for_each(|run| {
+                assert_eq!(store.append_frames(run), 16);
+            })
+        });
+        assert_eq!(handed, Some(false));
         assert!(store.seal());
         assert_eq!(segment_files(&rerecorded), written);
 
@@ -1542,9 +1545,12 @@ mod tests {
             };
             appender.append(event, 100 + n as u64);
         }
-        for run in appender.retained_frames() {
-            assert_eq!(store.append_frames(run), 5);
-        }
+        let handed = appender.hand_over(|runs| {
+            runs.for_each(|run| {
+                assert_eq!(store.append_frames(run), 5);
+            })
+        });
+        assert_eq!(handed, Some(false));
         assert!(store.seal());
         let extended = SegmentStore::recover(&dir).unwrap();
         assert!(extended.is_clean(), "truncations: {:?}", extended.truncations);

@@ -80,10 +80,10 @@ pub enum PayloadMode {
     ZeroCopy,
 }
 
-/// Durable-audit persistence: stream retained-out audit records into per-shard
-/// on-disk [`SegmentStore`]s, and persist each shard's remaining in-memory records
-/// at graceful shutdown — so the complete tamper-evident chain survives both
-/// pruning and process crashes (see [`SegmentStore::recover`]).
+/// Durable audit: a shard writes each batch's records to its [`SegmentStore`] before
+/// the batch's hand-offs, and retention frees only written records. A process kill
+/// keeps every record written, so under [`AuditDetail::Full`] every delivery received
+/// is evidenced; a power cut keeps what was fsynced ([`SegmentStore::recover`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistenceConfig {
     /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`. On
@@ -99,8 +99,8 @@ pub struct PersistenceConfig {
     /// Records per segment before rotation (sealed segments are fsynced and
     /// closed). Clamped to ≥ 1.
     pub max_segment_records: usize,
-    /// Fsync after every retention flush (`true`, the durable default) or only at
-    /// segment rotation and shutdown (`false`, faster, wider loss window).
+    /// Fsync after each retention prune (`true`, the durable default) or only at
+    /// rotation and shutdown (`false`): what a power cut keeps; a kill keeps all written.
     pub sync_on_flush: bool,
 }
 
@@ -132,7 +132,7 @@ pub struct DataplaneConfig {
     /// answered by the regime. Kept, like [`Self::cache_decisions`], for `benchmark/`.
     pub cache_ac_decisions: bool,
     /// Records a shard appends to its hash-chained trail between two flushes — the
-    /// cadence of the retention check (and so of pruning to disk).
+    /// cadence of the retention check.
     pub audit_batch: usize,
     /// Per-message audit policy.
     pub audit_detail: AuditDetail,
@@ -170,11 +170,10 @@ pub struct DataplaneConfig {
     /// Once degraded, the shard evidences everything it receives as lost and
     /// publishes routed to it fail fast with [`DataplaneError::ShardUnavailable`].
     pub restart_budget: u32,
-    /// Durable audit: when set, every record pruned out of a shard's in-memory
-    /// retention window streams to a per-shard on-disk [`SegmentStore`], and the
-    /// remaining in-memory records are persisted and fsynced at shutdown. `None`
-    /// (the default) keeps the hot path free of any IO — the same
-    /// zero-cost-when-off discipline as `telemetry` and `failpoints`.
+    /// Durable audit: when set, a shard writes each batch's records to a per-shard
+    /// on-disk [`SegmentStore`] before the batch's hand-offs — what a process kill
+    /// keeps; a power cut keeps what was fsynced ([`PersistenceConfig`]). `None` (the
+    /// default) keeps the hot path free of any IO, as `telemetry` and `failpoints` do.
     pub persistence: Option<PersistenceConfig>,
 }
 
@@ -502,9 +501,9 @@ impl Directory {
 
 /// One shard's durable-audit attachment: the open segment store plus the resume
 /// point recovered from its directory at engine startup. The store sits behind a
-/// mutex because both the shard worker (prune sink, shutdown epilogue) and the
-/// engine handle (`stats`, report assembly) touch it; all critical sections are
-/// short and no other lock is held across them.
+/// mutex because both the shard worker (a write per batch — kept by a kill — an fsync
+/// per prune — kept by a power cut — and the seal) and the engine handle (`stats`,
+/// report assembly) touch it; all critical sections are short and hold no other lock.
 #[derive(Debug)]
 pub(crate) struct ShardPersistence {
     pub store: Arc<Mutex<SegmentStore>>,

@@ -1801,7 +1801,7 @@ mod tests {
     }
 
     /// Both records a Full-mode delivery writes are audit time: the `MessageQuenched`
-    /// append (and whatever flush, prune and fsync it runs) ends in an `AuditAppend`
+    /// append (and whatever flush and prune it runs) ends in an `AuditAppend`
     /// lap of its own, and `Quench` is what is left — mask, byte count, hand-off.
     #[test]
     fn full_mode_delivery_laps_audit_append_twice_and_quench_once() {
@@ -1852,7 +1852,7 @@ mod tests {
         }
     }
 
-    /// Durable audit end to end: retention prune-outs stream to per-shard
+    /// Durable audit end to end: every batch's records stream to per-shard
     /// segments, shutdown seals everything fsynced, the on-disk stream is each
     /// shard's complete dense history, and a second incarnation on the same
     /// directories extends the very same verifiable chain.

@@ -64,12 +64,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
+use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStore};
 use legaliot_context::{ContextSnapshot, NameMap, Timestamp};
 use legaliot_ifc::{can_flow, SecurityContext};
 use legaliot_middleware::admission::{enforce, FlowVerdict, MessageFacts, Verdict};
 use legaliot_middleware::{FrozenMessage, FrozenSchema, MessageType, Operation};
 use legaliot_obs::FailpointSite;
+use parking_lot::Mutex;
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, Endpoint, EndpointId, SharedState};
 use crate::failpoint;
@@ -433,6 +434,26 @@ struct WorkerState {
     appender: BatchedAppender,
     /// Keyed by ids the name table handed out, which no outsider picks.
     summaries: NameMap<PairKey, PairSummary>,
+    /// The segment store of a durable shard, and its `sync_on_flush`.
+    segments: Option<(Arc<Mutex<SegmentStore>>, bool)>,
+}
+
+/// Hands over the new frames; a durable shard writes them (one lock, one `write_all` per
+/// run) and, with `sync_on_flush`, fsyncs after a prune unless the write sealed a segment.
+fn write_frames(state: &mut WorkerState) {
+    let segments = state.segments.as_ref();
+    let mut sealed = false;
+    let pruned = state.appender.hand_over(|runs| {
+        let Some(mut segments) = segments.map(|(store, _)| store.lock()) else { return };
+        let before = segments.stats().segments_sealed;
+        for run in runs {
+            segments.append_frames(run);
+        }
+        sealed = segments.stats().segments_sealed > before;
+    });
+    if let (Some((segments, true)), Some(true), false) = (segments, pruned, sealed) {
+        segments.lock().sync();
+    }
 }
 
 /// Maximum tasks drained from the ingress queue per lock acquisition.
@@ -478,29 +499,15 @@ pub(crate) fn run_worker(
     // (hash and id recovered from disk); with no persistence it starts afresh.
     let persistence = shared.persistence[index].as_ref();
     let (anchor, next_id) = persistence.map_or((0, 0), |p| (p.resume_anchor, p.resume_next_id));
-    let mut appender = BatchedAppender::over(
+    let appender = BatchedAppender::over(
         AuditLog::resume(authority.clone(), anchor, next_id),
         config.audit_batch,
     )
     .with_retention(config.audit_retention);
-    if let Some(persistence) = persistence {
-        // Every record pruned out of the retention window streams to the shard's
-        // segment store before being discarded — loss-free by construction, and as the
-        // frames the trail already holds: one `write_all` per run.
-        let segments = Arc::clone(&persistence.store);
-        let sync_on_flush = config.persistence.as_ref().map_or(true, |p| p.sync_on_flush);
-        appender = appender.with_prune_sink(move |runs| {
-            let mut segments = segments.lock();
-            for run in runs {
-                segments.append_frames(run);
-            }
-            if sync_on_flush {
-                segments.sync();
-            }
-        });
-    }
+    let sync_on_flush = config.persistence.as_ref().is_some_and(|p| p.sync_on_flush);
+    let segments = persistence.map(|p| (Arc::clone(&p.store), sync_on_flush));
     let snapshot = shared.context_store.snapshot();
-    let mut state = WorkerState { snapshot, appender, summaries: NameMap::default() };
+    let mut state = WorkerState { snapshot, appender, summaries: NameMap::default(), segments };
     let mut progress = BatchProgress::new();
     let mut restarts: u32 = 0;
     loop {
@@ -542,7 +549,7 @@ pub(crate) fn run_worker(
     // DeliveryDropped total per (pair, message type) that shed mailbox deliveries, so
     // every shed is evidenced exactly once, against its own type, in either audit mode.
     let named = |((from, to), summary): (PairKey, _)| (from.name(), to.name(), summary);
-    let mut pairs: Vec<_> = state.summaries.into_iter().map(named).collect();
+    let mut pairs: Vec<_> = std::mem::take(&mut state.summaries).into_iter().map(named).collect();
     pairs.sort_by_key(|&(from, to, _)| (from, to));
     for (from, to, summary) in pairs {
         if summary.allowed + summary.denied > 0 {
@@ -570,20 +577,11 @@ pub(crate) fn run_worker(
             );
         }
     }
-    // Flush with the prune sink still installed, so any final retention prune-out
-    // reaches disk before the retained tail does.
-    state.appender.flush();
-    if let Some(persistence) = persistence {
-        // Graceful-exit epilogue: persist the in-memory tail — the frames as they
-        // are — and seal, so the on-disk segments hold the shard's *complete*
-        // record stream (pruned prefix + retained tail, in chain order) fsynced
-        // before the engine's join observes this worker as done. A store wedged by
-        // an IO fault counts these appends as drops instead — visible, never silent.
-        let mut segments = persistence.store.lock();
-        for run in state.appender.retained_frames() {
-            segments.append_frames(run);
-        }
-        segments.seal();
+    // The epilogue goes to disk as every batch does, and the seal fsyncs it: the segments
+    // hold the shard's complete record stream before the engine's join returns.
+    write_frames(&mut state);
+    if let Some((segments, _)) = &state.segments {
+        segments.lock().seal();
     }
     // Only the report reads records: decode what is retained.
     state.appender.into_log()
@@ -750,6 +748,8 @@ fn run_batch(
             }
         }
     }
+    // Evidence before effect: the batch's records are written before its hand-offs.
+    write_frames(state);
     // Directory lock released: hand each mailbox its group. A Block-policy push may park
     // here until the consumer drains (or the mailbox closes) — `in_flight` is still
     // held, so `drain`/`publish` observe the backpressure, while
@@ -969,8 +969,8 @@ fn settle<'d>(
                         schema.mask_names(mask),
                         at_millis,
                     );
-                    // The record — and the flush, prune and fsync an append may run — is
-                    // audit time, not quench time.
+                    // The record — and the flush and prune an append may run — is audit
+                    // time, not quench time.
                     lap(Stage::AuditAppend);
                 }
                 local.quenched_attributes += u64::from(mask.count_ones());

@@ -228,8 +228,8 @@ metrics_table! {
         /// Segment files opened for writing across all shard stores. Zero when
         /// persistence is off.
         segments_written <- segments_written,
-        /// Audit records persisted to on-disk segments (retention prune-outs plus the
-        /// shutdown tail). Zero when persistence is off.
+        /// Audit records persisted to on-disk segments (each batch's, then the
+        /// shutdown epilogue's). Zero when persistence is off.
         segment_records_persisted <- records_persisted,
         /// Bytes covered by successful segment fsyncs. Zero when persistence is off.
         segment_bytes_fsynced <- bytes_fsynced,

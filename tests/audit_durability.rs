@@ -1,5 +1,5 @@
 //! Durable-audit crash-recovery conformance: a seeded fleet runs on a
-//! dataplane whose audit chains stream retained-out records to on-disk
+//! dataplane whose audit chains stream every batch's records to on-disk
 //! segment stores, and the disk is checked against the same reference model
 //! that checks the live engine:
 //!
@@ -82,9 +82,9 @@ fn durable_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// Durable-audit configuration: full per-check records, a small batch and
-/// retention window so the bulk of the history streams to disk *mid-run*
-/// (not just at the shutdown epilogue), and fsync on every flush.
+/// Durable-audit configuration: full per-check records, and a small batch and
+/// retention window, smaller than a shard's batch of deliveries, so retention
+/// prunes mid-run behind the batch writes and fsyncs after each prune.
 fn durable_config(shards: usize, dir: &std::path::Path) -> DataplaneConfig {
     DataplaneConfig {
         shards,

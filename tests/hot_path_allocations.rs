@@ -11,7 +11,7 @@
 //! is the `Vec`s each `Subscriber::drain` builds. The publisher allocates nothing once
 //! the ring covers what is in flight, and a shard nothing at all — with full, persisted
 //! audit too: both records of a delivery are encoded from borrowed fields into trail
-//! chunks that are refilled once pruned, and a prune writes those chunks to the
+//! chunks that are refilled once pruned, and each batch writes its new frames to the
 //! segment file as they are.
 //!
 //! The synchronous bus is on the same ledger. A `Middleware::send` consumes its
@@ -215,10 +215,10 @@ fn an_unquenched_delivery_allocates_nothing_on_the_shard() {
     dataplane.shutdown();
 }
 
-/// Full audit, persisted: two records per delivery, a prune (segment write + fsync)
-/// every 256 of them on each shard — and still nothing allocated on a shard. A prune
-/// itself may allocate a fixed little (none today); a per-message term would be
-/// thousands here.
+/// Full audit, persisted: two records per delivery, each batch's written to the
+/// segment file, a prune every 256 of them on each shard and an fsync at the write
+/// after it — and still nothing allocated on a shard. A prune may allocate a fixed
+/// little (none today); a per-message term would be thousands here.
 #[test]
 fn a_fully_audited_persisted_delivery_allocates_nothing_on_the_shard() {
     const RETENTION: usize = 256;
