@@ -18,8 +18,9 @@
 //! last hand-over as the byte runs they already are — persisting them is a `write_all`
 //! — and retention, checked every `capacity` appends (the batch), prunes only frames
 //! handed over, from the front, reusing their chunks: no frame leaves RAM before it is
-//! handed over. Records exist as structs only for a reader:
-//! [`BatchedAppender::into_log`] decodes what is retained.
+//! handed over, and a hand-over reports nothing back: when they are fsynced is the
+//! segment store's decision ([`crate::segment`]). Records exist as structs only for a
+//! reader: [`BatchedAppender::into_log`] decodes what is retained.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -150,8 +151,6 @@ pub struct BatchedAppender {
     buffered: usize,
     capacity: usize,
     retention: Option<usize>,
-    /// Whether retention has pruned since the last hand-over.
-    pruned: bool,
 }
 
 impl fmt::Debug for BatchedAppender {
@@ -196,7 +195,6 @@ impl BatchedAppender {
             buffered: 0,
             capacity: capacity.max(1),
             retention: None,
-            pruned: false,
         }
     }
 
@@ -263,22 +261,17 @@ impl BatchedAppender {
         let frames = self.trail.frames.saturating_sub(keep).min(self.trail.handed);
         if self.trail.frames >= keep.saturating_mul(2) && frames > 0 {
             self.anchor_hash = self.trail.prune(frames);
-            self.pruned = true;
         }
     }
 
     /// Hands the frames appended since the last hand-over to `write` — runs of whole
     /// segment frames for [`crate::SegmentStore::append_frames`], oldest first, one per
     /// chunk from the mark's — then applies retention ([`Self::flush`]), which may now
-    /// free them. Returns whether retention has pruned since the last hand-over; `None`,
-    /// and `write` is not called, when no frame is new.
-    pub fn hand_over(
-        &mut self,
-        write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>),
-    ) -> Option<bool> {
+    /// free them. `write` is not called when no frame is new.
+    pub fn hand_over(&mut self, write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>)) {
         let trail = &mut self.trail;
         if trail.handed == trail.frames {
-            return None;
+            return;
         }
         let (first, offset) = trail.mark;
         trail.mark = (trail.chunks.len() - 1, trail.chunks.back().expect("a new frame").end);
@@ -289,7 +282,6 @@ impl BatchedAppender {
             }),
         );
         self.flush();
-        Some(std::mem::take(&mut self.pruned))
     }
 
     /// The configured auto-flush threshold.

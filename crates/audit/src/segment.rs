@@ -40,19 +40,23 @@
 //!
 //! There is one write path, [`SegmentStore::append_frames`], and it takes frames
 //! that already exist: a [`crate::BatchedAppender`] holds its records *as* these
-//! frames — encoded, hashed and checksummed once, when each was appended (the
-//! checksum is the chain hash's FNV-1a fold continued over the hash's own eight
-//! bytes, see [`crate::codec`]) — and hands the new ones over as the byte runs they
-//! are. The store walks the length prefixes, to probe the `segment.write`
-//! failpoint once per record and to rotate at the right ones, and gives every
-//! contiguous stretch to the file in one `write_all` straight from the caller's bytes:
-//! the appender owns those, the store copies nothing. [`SegmentStore::append`] is for callers holding
-//! [`AuditRecord`]s: it frames its one record into a store-owned buffer, reused for its
-//! capacity, and takes the same path. That buffer is always empty when a call returns:
-//! the store holds no bytes in user space between calls, so what
-//! [`SegmentStats::records_persisted`] counts has reached the file.
+//! frames — encoded, hashed and checksummed once, when each was appended (see
+//! [`crate::codec`]) — and hands the new ones over as the byte runs they are. The
+//! store walks the length prefixes, to probe the `segment.write` failpoint once per
+//! record and to rotate at the right ones, and gives every contiguous stretch to the
+//! file in one `write_all` straight from the caller's bytes. [`SegmentStore::append`]
+//! frames its one [`AuditRecord`] into a store-owned buffer, empty again when it
+//! returns, and takes the same path: no bytes wait in user space between calls.
+//!
+//! Every fsync is decided here; a caller only hands over bytes. A rotation and the seal
+//! fsync the segment they close, [`SegmentStore::sync`] fsyncs on request, and a store
+//! re-opened with a group commit of `n` ([`SegmentStore::reopen`]) ends an
+//! `append_frames` call with an fsync once `n` records were written since the last one.
 //!
 //! # Crash model and recovery
+//!
+//! A process kill keeps every record `append_frames` has written. A power cut keeps
+//! what was fsynced: with a group commit of `n`, all but fewer than `n` of them.
 //!
 //! Writes can tear: a crash mid-frame leaves a short or checksum-corrupt tail.
 //! [`SegmentStore::recover`] scans a directory, truncates each torn tail back to the
@@ -193,6 +197,10 @@ pub struct SegmentStore {
     wedged: Option<String>,
     stats: SegmentStats,
     failpoints: Option<Arc<FailpointRegistry>>,
+    /// Group commit: [`Self::append_frames`] ends with an fsync once this many are unsynced.
+    group_commit: Option<usize>,
+    /// Records written since the last fsync.
+    unsynced_records: usize,
     /// Where [`Self::append`] frames its record. Reused across calls for its capacity
     /// only: empty whenever a public method returns.
     buffer: Vec<u8>,
@@ -233,7 +241,7 @@ impl SegmentStore {
     /// Opens a store writing new segments into `dir` (created if missing), chaining
     /// the first record from `anchor_hash`. Numbering continues after any segment
     /// files already present, so a store re-opened after [`Self::recover`] appends —
-    /// it never overwrites recovered history.
+    /// it never overwrites recovered history. It fsyncs at rotation, seal and sync only.
     ///
     /// # Errors
     ///
@@ -261,6 +269,8 @@ impl SegmentStore {
         SegmentStore {
             dir,
             max_segment_records: max_segment_records.max(1),
+            group_commit: None,
+            unsynced_records: 0,
             file: None,
             next_sequence,
             records_in_segment: 0,
@@ -275,11 +285,6 @@ impl SegmentStore {
     /// Attaches the failpoint schedule whose `segment.*` sites this store probes.
     pub fn set_failpoints(&mut self, registry: Arc<FailpointRegistry>) {
         self.failpoints = Some(registry);
-    }
-
-    /// The directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Hash of the last persisted record — what the next frame (and a resumed
@@ -377,7 +382,8 @@ impl SegmentStore {
     /// `segment.write` probed once per record in order, rotations and their fsyncs
     /// between the same records. A fault at record *k* leaves frames `0..k` in the file (plus, for
     /// a short write, the synced torn half of frame *k*) and drops `k..`. Bytes that
-    /// are not whole frames wedge the store like an oversized record does.
+    /// are not whole frames wedge the store like an oversized record does. With a group
+    /// commit of `n` ([`Self::reopen`]), fewer than `n` records are unsynced on return.
     pub fn append_frames(&mut self, frames: &[u8]) -> usize {
         let persisted_before = self.stats.records_persisted;
         // `frames[written..next]` holds `pending` records accepted but not yet written.
@@ -420,12 +426,15 @@ impl SegmentStore {
             (pending, accepted) = (pending + 1, accepted + 1);
             if self.records_in_segment + pending >= self.max_segment_records {
                 if self.write_run(&frames[written..next], pending) {
-                    self.rotate();
+                    self.seal();
                 }
                 (written, pending) = (next, 0);
             }
         }
         self.write_run(&frames[written..next], pending);
+        if self.group_commit.is_some_and(|n| self.unsynced_records >= n) {
+            self.sync();
+        }
         // Everything from a refusal on is dropped, and so is a run a real IO error
         // refused: count them, never silent.
         let (mut offered, mut unwalked) = (accepted, &frames[next..]);
@@ -454,6 +463,7 @@ impl SegmentStore {
                 self.head_hash =
                     u64::from_le_bytes(run[run.len() - 8..].try_into().expect("eight bytes"));
                 self.records_in_segment += records;
+                self.unsynced_records += records;
                 true
             }
             Err(err) => {
@@ -480,13 +490,13 @@ impl SegmentStore {
             return false;
         }
         let started = Instant::now();
-        let file = self.file.as_mut().expect("segment open");
-        match file.sync_all() {
+        match self.file.as_mut().expect("segment open").sync_all() {
             Ok(()) => {
                 let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 self.stats.fsync.0.record(elapsed);
                 self.stats.bytes_fsynced += self.stats.unsynced_bytes;
                 self.stats.unsynced_bytes = 0;
+                self.unsynced_records = 0;
                 true
             }
             Err(err) => {
@@ -496,24 +506,17 @@ impl SegmentStore {
         }
     }
 
-    /// Seals the current segment (fsync + close); the next append opens a fresh one
-    /// anchored on the sealed segment's last record. Returns `false` if the seal
-    /// could not complete (wedged).
-    pub fn rotate(&mut self) -> bool {
+    /// Seals the open segment — a rotation, or the last at shutdown: fsyncs and closes
+    /// it, and the next append opens a fresh one anchored on its last record.
+    /// Idempotent. Returns `true` when the store is fully durable (nothing unsynced).
+    pub fn seal(&mut self) -> bool {
         if !self.sync() {
             return false;
         }
         if self.file.take().is_some() {
             self.stats.segments_sealed += 1;
         }
-        self.records_in_segment = 0;
         true
-    }
-
-    /// Final seal at shutdown: fsyncs and closes the open segment. Idempotent.
-    /// Returns `true` when the store is fully durable (no wedge, nothing unsynced).
-    pub fn seal(&mut self) -> bool {
-        self.rotate() && self.stats.unsynced_bytes == 0
     }
 
     /// Scans `dir` and rebuilds the durable record stream: reads segments in
@@ -553,7 +556,9 @@ impl SegmentStore {
     /// the same checks, truncations and reports — but no record is built, only the
     /// chain head and the next id are kept, and the store returned appends after
     /// them, numbering its segments after the ones the scan listed. Each frame's body
-    /// is hashed once, and nothing is allocated per record.
+    /// is hashed once, and nothing is allocated per record. A `group_commit` of `n`
+    /// (clamped to ≥ 1) ends an [`Self::append_frames`] call with an fsync once `n`
+    /// records are unsynced.
     ///
     /// # Errors
     ///
@@ -561,13 +566,15 @@ impl SegmentStore {
     pub fn reopen(
         dir: impl Into<PathBuf>,
         max_segment_records: usize,
+        group_commit: Option<usize>,
     ) -> io::Result<(SegmentStore, Reopened)> {
         let dir = dir.into();
         // A restart keeps nothing of a record, and a `Vec<()>` counts without allocating.
         let read = |payload: &[u8]| check_record(payload).map(|links| (links, ()));
         let scan = Self::scan(&dir, read, |()| {})?;
         fs::create_dir_all(&dir)?;
-        let store = Self::new(dir, scan.head_hash, max_segment_records, scan.next_sequence);
+        let mut store = Self::new(dir, scan.head_hash, max_segment_records, scan.next_sequence);
+        store.group_commit = group_commit.map(|n| n.max(1));
         let reopened = Reopened {
             head_hash: scan.head_hash,
             next_id: scan.next_id,
@@ -1054,6 +1061,7 @@ mod tests {
     use crate::codec::encode_record;
     use crate::event::AuditEvent;
     use legaliot_obs::FailpointSpec;
+    use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -1525,12 +1533,11 @@ mod tests {
         for record in &report.records {
             appender.append(record.event.clone(), record.at_millis);
         }
-        let handed = appender.hand_over(|runs| {
+        appender.hand_over(|runs| {
             runs.for_each(|run| {
                 assert_eq!(store.append_frames(run), 16);
             })
         });
-        assert_eq!(handed, Some(false));
         assert!(store.seal());
         assert_eq!(segment_files(&rerecorded), written);
 
@@ -1545,12 +1552,11 @@ mod tests {
             };
             appender.append(event, 100 + n as u64);
         }
-        let handed = appender.hand_over(|runs| {
+        appender.hand_over(|runs| {
             runs.for_each(|run| {
                 assert_eq!(store.append_frames(run), 5);
             })
         });
-        assert_eq!(handed, Some(false));
         assert!(store.seal());
         let extended = SegmentStore::recover(&dir).unwrap();
         assert!(extended.is_clean(), "truncations: {:?}", extended.truncations);
@@ -1652,7 +1658,7 @@ mod tests {
             }
         }
         let report = SegmentStore::recover(&dirs[0]).unwrap();
-        let (store, reopened) = SegmentStore::reopen(&dirs[1], 4).unwrap();
+        let (store, reopened) = SegmentStore::reopen(&dirs[1], 4, None).unwrap();
         assert_eq!(store.head_hash(), reopened.head_hash, "{ctx}");
         assert_eq!(
             (reopened.head_hash, reopened.next_id),
@@ -2030,7 +2036,7 @@ mod tests {
                 "{case}: recover"
             );
             assert_eq!(report.records, records[..next_id as usize], "{case}");
-            let (store, reopened) = SegmentStore::reopen(&dirs[1], per_segment).unwrap();
+            let (store, reopened) = SegmentStore::reopen(&dirs[1], per_segment, None).unwrap();
             assert_eq!(
                 (reopened.head_hash, reopened.next_id, shapes(&reopened.truncations)),
                 (head, next_id, truncations.clone()),
@@ -2082,8 +2088,62 @@ mod tests {
         // Segment 2: a name whose target is gone, so its size cannot be read.
         std::os::unix::fs::symlink(dir.join("gone"), dir.join(segment_file_name(2))).unwrap();
         assert!(SegmentStore::recover(&dir).is_err());
-        assert!(SegmentStore::reopen(&dir, 2).is_err());
+        assert!(SegmentStore::reopen(&dir, 2, None).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        /// Group commit against a reference counter. Runs of any size through a store
+        /// re-opened with a group commit of `n` fsync exactly when the model does: at
+        /// each rotation, which restarts the count, and at the end of a call that
+        /// leaves `n` or more records written since the last fsync. So fewer than `n`
+        /// are unsynced after every call, and the seal leaves nothing unsynced. The
+        /// same runs through a `create`d store fsync at its rotations and seal only.
+        #[test]
+        fn prop_group_commit_follows_its_reference_counter(
+            runs in collection::vec(0usize..10, 1..12),
+            n in 1usize..12,
+            per_segment in 2usize..24,
+        ) {
+            let records = sample_records(runs.iter().sum());
+            let (grouped_dir, plain_dir) = (temp_dir("group"), temp_dir("no-group"));
+            let (mut grouped, _) = SegmentStore::reopen(&grouped_dir, per_segment, Some(n)).unwrap();
+            let mut plain = SegmentStore::create(&plain_dir, 0, per_segment).unwrap();
+            // The model: records in the open segment, records since the last fsync, and
+            // the fsyncs of rotations and of group commits.
+            let (mut in_segment, mut unsynced, mut rotations, mut commits) = (0, 0, 0u64, 0u64);
+            let mut at = 0;
+            for run in runs {
+                for _ in 0..run {
+                    (in_segment, unsynced) = (in_segment + 1, unsynced + 1);
+                    if in_segment == per_segment {
+                        (in_segment, unsynced, rotations) = (0, 0, rotations + 1);
+                    }
+                }
+                if unsynced >= n {
+                    (unsynced, commits) = (0, commits + 1);
+                }
+                let frames = frames_of(&records[at..at + run]);
+                at += run;
+                prop_assert_eq!(grouped.append_frames(&frames), run);
+                prop_assert_eq!(plain.append_frames(&frames), run);
+                prop_assert_eq!(grouped.stats().fsync.count(), rotations + commits);
+                prop_assert_eq!(grouped.unsynced_records, unsynced);
+                prop_assert!(grouped.unsynced_records < n);
+                prop_assert_eq!(plain.stats().fsync.count(), rotations);
+            }
+            let sealing = u64::from(in_segment > 0);
+            for store in [&mut grouped, &mut plain] {
+                prop_assert!(store.seal());
+                prop_assert_eq!(store.stats().unsynced_bytes, 0);
+                prop_assert_eq!(store.unsynced_records, 0);
+            }
+            prop_assert_eq!(grouped.stats().fsync.count(), rotations + commits + sealing);
+            prop_assert_eq!(plain.stats().fsync.count(), rotations + sealing);
+            for dir in [grouped_dir, plain_dir] {
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -80,33 +80,35 @@ pub enum PayloadMode {
     ZeroCopy,
 }
 
-/// Durable audit: a shard writes each batch's records to its [`SegmentStore`] before
-/// the batch's hand-offs, and retention frees only written records. A process kill
-/// keeps every record written, so under [`AuditDetail::Full`] every delivery received
-/// is evidenced; a power cut keeps what was fsynced ([`SegmentStore::recover`]).
+/// Durable audit: a shard writes a batch's records to its [`SegmentStore`] before the
+/// batch's hand-offs, and what they evidence before the batch ends; retention frees
+/// only written records. The store fsyncs by itself, in groups of
+/// [`DataplaneConfig::audit_retention`] records ([`Self::sync_on_flush`]), at rotation
+/// and at shutdown. A kill keeps every record written, so under [`AuditDetail::Full`]
+/// every delivery received is evidenced; a power cut keeps what was fsynced.
+///
+/// The control-plane trail is never persisted: it is a [`legaliot_audit::BatchedAppender`]
+/// in RAM, and each incarnation starts a fresh chain under the same authority.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistenceConfig {
-    /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`. On
-    /// engine startup each shard directory is recovered (torn tails truncated and
-    /// counted in [`DataplaneStats::recovery_truncations`]) and the shard's audit
-    /// chain re-anchors on the last persisted record. That startup hashes each
-    /// persisted record's bytes once and allocates nothing per record
-    /// ([`SegmentStore::reopen`]: every frame is checked from its bytes, none
-    /// decoded). The shards are re-opened one after another; each segment is read
-    /// whole and its length prefixes walked once on the calling thread, and its frames
-    /// are checked in one pass on every core.
+    /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`. At engine
+    /// startup the shard directories are re-opened one after another
+    /// ([`SegmentStore::reopen`]: each frame checked from its bytes on every core, none
+    /// decoded), torn tails truncated and counted in
+    /// [`DataplaneStats::recovery_truncations`], and each shard's audit chain
+    /// re-anchors on its last persisted record.
     pub dir: PathBuf,
     /// Records per segment before rotation (sealed segments are fsynced and
     /// closed). Clamped to ≥ 1.
     pub max_segment_records: usize,
-    /// Fsync after each retention prune (`true`, the durable default) or only at
-    /// rotation and shutdown (`false`): what a power cut keeps; a kill keeps all written.
+    /// Group commit (`true`, the default): a store fsyncs once every
+    /// [`DataplaneConfig::audit_retention`] records written, so a power cut loses fewer.
+    /// `false`, or no retention bound, fsyncs at rotation and shutdown only.
     pub sync_on_flush: bool,
 }
 
 impl PersistenceConfig {
-    /// Durable defaults rooted at `dir`: 4096 records per segment, fsync on every
-    /// flush.
+    /// Durable defaults rooted at `dir`: 4096 records per segment, group commit on.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         PersistenceConfig { dir: dir.into(), max_segment_records: 4096, sync_on_flush: true }
     }
@@ -140,7 +142,8 @@ pub struct DataplaneConfig {
     /// `keep` records stay resident (the chain remains anchored and verifiable — see
     /// [`legaliot_audit::BatchedAppender::with_retention`]). `None` retains
     /// everything, which is unbounded memory under [`AuditDetail::Full`] at dataplane
-    /// rates.
+    /// rates. It is also a durable shard's group commit
+    /// ([`PersistenceConfig::sync_on_flush`]).
     pub audit_retention: Option<usize>,
     /// How message bodies travel through the shards (one value; see [`PayloadMode`]).
     pub payload_mode: PayloadMode,
@@ -165,15 +168,15 @@ pub struct DataplaneConfig {
     /// branch, the same zero-cost-when-off discipline as `telemetry`.
     pub failpoints: Option<Arc<FailpointRegistry>>,
     /// How many times a panicked shard worker is restarted (the crashed delivery
-    /// evidenced as lost, the audit trail flushed and carried on, the rest of the
+    /// evidenced as lost, the audit trail carried on and written, the rest of the
     /// in-flight batch resumed) before the shard degrades.
     /// Once degraded, the shard evidences everything it receives as lost and
     /// publishes routed to it fail fast with [`DataplaneError::ShardUnavailable`].
     pub restart_budget: u32,
     /// Durable audit: when set, a shard writes each batch's records to a per-shard
-    /// on-disk [`SegmentStore`] before the batch's hand-offs — what a process kill
-    /// keeps; a power cut keeps what was fsynced ([`PersistenceConfig`]). `None` (the
-    /// default) keeps the hot path free of any IO, as `telemetry` and `failpoints` do.
+    /// on-disk [`SegmentStore`] before its hand-offs, and theirs before it ends — what a
+    /// process kill keeps; a power cut keeps what was fsynced ([`PersistenceConfig`]).
+    /// `None` (the default) keeps the hot path free of IO, as `telemetry` does.
     pub persistence: Option<PersistenceConfig>,
 }
 
@@ -500,10 +503,9 @@ impl Directory {
 }
 
 /// One shard's durable-audit attachment: the open segment store plus the resume
-/// point recovered from its directory at engine startup. The store sits behind a
-/// mutex because both the shard worker (a write per batch — kept by a kill — an fsync
-/// per prune — kept by a power cut — and the seal) and the engine handle (`stats`,
-/// report assembly) touch it; all critical sections are short and hold no other lock.
+/// point recovered from its directory at engine startup. The shard worker hands the
+/// store bytes and the store fsyncs them by itself; the mutex is for the engine handle
+/// (`stats`, report assembly). Every critical section is short and holds no other lock.
 #[derive(Debug)]
 pub(crate) struct ShardPersistence {
     pub store: Arc<Mutex<SegmentStore>>,
@@ -652,8 +654,9 @@ impl Dataplane {
             Some(persistence) => (0..shards)
                 .map(|index| {
                     let dir = persistence.shard_dir(index);
+                    let group_commit = config.audit_retention.filter(|_| persistence.sync_on_flush);
                     let (mut store, reopened) =
-                        SegmentStore::reopen(&dir, persistence.max_segment_records.max(1))
+                        SegmentStore::reopen(&dir, persistence.max_segment_records, group_commit)
                             .unwrap_or_else(|error| {
                                 panic!("cannot reopen audit segments in {}: {error}", dir.display())
                             });

@@ -434,26 +434,20 @@ struct WorkerState {
     appender: BatchedAppender,
     /// Keyed by ids the name table handed out, which no outsider picks.
     summaries: NameMap<PairKey, PairSummary>,
-    /// The segment store of a durable shard, and its `sync_on_flush`.
-    segments: Option<(Arc<Mutex<SegmentStore>>, bool)>,
+    /// The segment store of a durable shard.
+    segments: Option<Arc<Mutex<SegmentStore>>>,
 }
 
-/// Hands over the new frames; a durable shard writes them (one lock, one `write_all` per
-/// run) and, with `sync_on_flush`, fsyncs after a prune unless the write sealed a segment.
+/// Hands over the new frames; a durable shard appends them to its segment store under
+/// one lock, one `write_all` per run. The store decides when they are fsynced.
 fn write_frames(state: &mut WorkerState) {
-    let segments = state.segments.as_ref();
-    let mut sealed = false;
-    let pruned = state.appender.hand_over(|runs| {
-        let Some(mut segments) = segments.map(|(store, _)| store.lock()) else { return };
-        let before = segments.stats().segments_sealed;
+    let segments = state.segments.as_deref();
+    state.appender.hand_over(|runs| {
+        let Some(mut segments) = segments.map(Mutex::lock) else { return };
         for run in runs {
             segments.append_frames(run);
         }
-        sealed = segments.stats().segments_sealed > before;
     });
-    if let (Some((segments, true)), Some(true), false) = (segments, pruned, sealed) {
-        segments.lock().sync();
-    }
 }
 
 /// Maximum tasks drained from the ingress queue per lock acquisition.
@@ -479,11 +473,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// supervisor around it. A panic anywhere inside the loop (injected by a
 /// [`failpoint`](crate::FailpointRegistry) or real) is caught instead of taking the
 /// dataplane down: the half-processed unit's counters are rolled back and the
-/// abandoned delivery is evidenced as an [`AuditEvent::DeliveryLost`] record,
-/// then the audit trail is flushed — the chain carries on from its last hash, so
-/// verification still passes across the restart, with an
-/// [`AuditEvent::ShardRestarted`] record first after it — and the same batch
-/// resumes where it left off at once, under a bounded restart budget
+/// abandoned delivery is evidenced as an [`AuditEvent::DeliveryLost`] record, the
+/// chain carries on from its last hash — so verification still passes across the
+/// restart — with an [`AuditEvent::ShardRestarted`] record first after it, both are
+/// written to a durable shard's segments, and the same batch resumes where it left
+/// off at once, under a bounded restart budget
 /// ([`DataplaneConfig::restart_budget`]). Once the budget is exhausted the
 /// shard degrades: publishers routed here fail fast with `ShardUnavailable`,
 /// and the worker re-enters the same loop, which then evidences everything
@@ -504,8 +498,7 @@ pub(crate) fn run_worker(
         config.audit_batch,
     )
     .with_retention(config.audit_retention);
-    let sync_on_flush = config.persistence.as_ref().is_some_and(|p| p.sync_on_flush);
-    let segments = persistence.map(|p| (Arc::clone(&p.store), sync_on_flush));
+    let segments = persistence.map(|p| Arc::clone(&p.store));
     let snapshot = shared.context_store.snapshot();
     let mut state = WorkerState { snapshot, appender, summaries: NameMap::default(), segments };
     let mut progress = BatchProgress::new();
@@ -521,11 +514,10 @@ pub(crate) fn run_worker(
         if restarts < config.restart_budget {
             restarts += 1;
             shard.counters.shard_restarts.inc();
-            // Flushed, so the restart ends the batch: a frame the panic interrupted was
-            // never part of the trail, and `verify_chain` passes across the restart.
-            // Pair summaries carry on — they are evidence already counted, not state
-            // derived from anything the panic could have left half-written.
-            state.appender.flush();
+            // A frame the panic interrupted was never part of the trail, so the chain
+            // carries on and `verify_chain` passes across the restart. Pair summaries
+            // carry on too — they are evidence already counted, not state derived from
+            // anything the panic could have left half-written.
             state.appender.append(
                 AuditEvent::ShardRestarted {
                     shard: authority.clone(),
@@ -541,6 +533,8 @@ pub(crate) fn run_worker(
             // the flag — as lost, until the queue closes.
             shard.degraded.store(true, Ordering::SeqCst);
         }
+        // The lost unit's record, and the restart's, go to disk before the loop resumes.
+        write_frames(&mut state);
     }
 
     // Emit one FlowSummary per pair (ordered by source then destination *name* — the
@@ -580,7 +574,7 @@ pub(crate) fn run_worker(
     // The epilogue goes to disk as every batch does, and the seal fsyncs it: the segments
     // hold the shard's complete record stream before the engine's join returns.
     write_frames(&mut state);
-    if let Some((segments, _)) = &state.segments {
+    if let Some(segments) = &state.segments {
         segments.lock().seal();
     }
     // Only the report reads records: decode what is retained.
@@ -776,6 +770,9 @@ fn run_batch(
         progress.unit = None;
         progress.hand_offs.finish_group();
     }
+    // What the hand-offs evidenced — sheds, abandoned hand-offs — is on disk before
+    // `flush_batch` releases the batch's `in_flight`.
+    write_frames(state);
 }
 
 /// Flushes the completed batch's counters and releases its `in_flight` hold.

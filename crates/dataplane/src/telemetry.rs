@@ -211,7 +211,7 @@ metrics_table! {
     // Counted by a shard's supervisor straight into the live counter; summed over shards.
     live {
         /// Times a panicked shard worker was restarted by its supervisor (audit trail
-        /// flushed and carried on; see `AuditEvent::ShardRestarted`).
+        /// carried on; see `AuditEvent::ShardRestarted`).
         /// Zero in normal runs.
         shard_restarts,
     }

@@ -13,7 +13,9 @@
 //!    record, with the accounting identity exact at the teardown point and
 //!    every truncated tail reported — never silently lost;
 //! 3. a second incarnation on the same directories re-anchors on the last
-//!    persisted hash and extends the same verifiable chain.
+//!    persisted hash and extends the same verifiable chain;
+//! 4. every record a batch appends — a drop-oldest shed, an abandoned hand-off — is
+//!    on disk when `drain` returns, with the engine still up.
 //!
 //! Reproducible from its seed: `LEGALIOT_FLEET_SEED` (default 1),
 //! `LEGALIOT_FLEET_DEPLOYMENTS` (default 200), `LEGALIOT_FLEET_ROUNDS`
@@ -29,7 +31,7 @@ use legaliot::audit::{AuditEvent, RecoveryReport, SegmentStore};
 use legaliot::context::{ContextSnapshot, Timestamp};
 use legaliot::dataplane::{
     AuditDetail, Dataplane, DataplaneConfig, FailpointRegistry, FailpointSite, FailpointSpec,
-    FaultKind, PersistenceConfig,
+    FaultKind, OverflowPolicy, PersistenceConfig, Subscriber,
 };
 use legaliot::fleet::{
     generate, predict, reconcile, run_fleet, run_fleet_partial, Fleet, FleetConfig,
@@ -84,7 +86,8 @@ fn durable_root(tag: &str) -> PathBuf {
 
 /// Durable-audit configuration: full per-check records, and a small batch and
 /// retention window, smaller than a shard's batch of deliveries, so retention
-/// prunes mid-run behind the batch writes and fsyncs after each prune.
+/// prunes mid-run behind the batch writes, and each store commits in groups of as
+/// many records.
 fn durable_config(shards: usize, dir: &std::path::Path) -> DataplaneConfig {
     DataplaneConfig {
         shards,
@@ -362,4 +365,105 @@ fn durable_fleet_recovers_from_mid_churn_teardown() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
     done.store(true, Ordering::Relaxed);
+}
+
+/// A durable engine with a publisher `pub` that every name in `subscribers` subscribes
+/// to, a schema for its messages and one mailbox opened per subscriber.
+fn fan_out_plane(
+    config: DataplaneConfig,
+    subscribers: &[&str],
+) -> (Dataplane, Vec<Subscriber>, Message) {
+    let dataplane = Dataplane::new("fleet-durability-drain", config);
+    let context = SecurityContext::from_names(["drain"], Vec::<&str>::new());
+    for name in std::iter::once("pub").chain(subscribers.iter().copied()) {
+        let component = Component::builder(name, Principal::new("op")).context(context.clone());
+        dataplane.register(component.build()).unwrap();
+        dataplane.allow_sends_to(name);
+    }
+    let snapshot = ContextSnapshot::default();
+    for name in subscribers {
+        assert!(dataplane.subscribe("pub", name, &snapshot, Timestamp(1)).unwrap().is_delivered());
+    }
+    dataplane
+        .register_schema(MessageSchema::new("drain").attribute("n", AttributeKind::Integer))
+        .unwrap();
+    let mailboxes = subscribers.iter().map(|name| dataplane.open_subscriber(name).unwrap());
+    let mailboxes = mailboxes.collect();
+    let message =
+        Message::new("drain", SecurityContext::public()).with("n", AttributeValue::Integer(1));
+    (dataplane, mailboxes, message)
+}
+
+/// Every shed is on disk once `drain` returns: a drop-oldest mailbox of one that is
+/// never received from sheds all but the newest delivery during the batches'
+/// hand-offs, and the `DeliveryDropped` records those hand-offs append are written
+/// before the batch ends — recovered from the live engine's directories, they total
+/// the engine's own shed count.
+#[test]
+fn every_shed_is_on_disk_when_drain_returns() {
+    let (_, shards, ctx) = fleet_under_test();
+    let dir = durable_root("drain-shed");
+    let config = DataplaneConfig {
+        mailbox_capacity: 1,
+        overflow: OverflowPolicy::DropOldest,
+        ..durable_config(shards, &dir)
+    };
+    let (dataplane, _mailboxes, message) = fan_out_plane(config, &["sub"]);
+    const PUBLISHES: u64 = 200;
+    for t in 0..PUBLISHES {
+        dataplane.publish_message("pub", &message, Timestamp(10 + t)).unwrap();
+    }
+    dataplane.drain();
+    let shed = dataplane.stats().receiver_dropped;
+    assert_eq!(shed, PUBLISHES - 1, "a mailbox of one keeps the newest {ctx}");
+    let on_disk: u64 = recover_all(&dir, shards)
+        .iter()
+        .flat_map(|report| &report.records)
+        .map(|record| match record.event {
+            AuditEvent::DeliveryDropped { dropped, .. } => dropped,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(on_disk, shed, "every shed is evidenced on disk when drain returns {ctx}");
+    dataplane.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every abandoned hand-off is on disk once `drain` returns: the first hand-off of a
+/// one-publish batch panics with no restart budget left, the shard degrades, and it
+/// abandons the second subscriber's hand-off in the same batch. Both `DeliveryLost`
+/// records — the one the supervisor settled and the one the degraded batch appended
+/// — are recovered from the live engine's directory.
+#[test]
+fn every_abandoned_hand_off_is_on_disk_when_drain_returns() {
+    let (_, _, ctx) = fleet_under_test();
+    let dir = durable_root("drain-abandoned");
+    let seed = env_u64("LEGALIOT_FLEET_SEED", 1);
+    let registry = Arc::new(FailpointRegistry::new(seed).with_spec(
+        FailpointSpec::on_hits(FailpointSite::MailboxHandOff, FaultKind::Panic, 0, 0).limit(1),
+    ));
+    let config = DataplaneConfig {
+        restart_budget: 0,
+        failpoints: Some(registry),
+        ..durable_config(1, &dir)
+    };
+    let (dataplane, _mailboxes, message) = fan_out_plane(config, &["sub-a", "sub-b"]);
+    dataplane.publish_message("pub", &message, Timestamp(10)).unwrap();
+    dataplane.drain();
+    assert_eq!(dataplane.stats().degraded_shards, 1, "the hand-off panic degraded the shard {ctx}");
+    let mut lost: Vec<String> = recover_all(&dir, 1)[0]
+        .records
+        .iter()
+        .filter_map(|record| match &record.event {
+            AuditEvent::DeliveryLost { destination, cause, .. } => {
+                assert!(cause.starts_with("mailbox hand-off abandoned"), "{cause} {ctx}");
+                Some(destination.clone())
+            }
+            _ => None,
+        })
+        .collect();
+    lost.sort();
+    assert_eq!(lost, ["sub-a", "sub-b"], "both abandoned hand-offs are on disk {ctx}");
+    dataplane.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -216,9 +216,10 @@ fn an_unquenched_delivery_allocates_nothing_on_the_shard() {
 }
 
 /// Full audit, persisted: two records per delivery, each batch's written to the
-/// segment file, a prune every 256 of them on each shard and an fsync at the write
-/// after it — and still nothing allocated on a shard. A prune may allocate a fixed
-/// little (none today); a per-message term would be thousands here.
+/// segment file, a prune every 256 of them on each shard and a group commit (the
+/// store's own fsync) every 256 written — and still nothing allocated on a shard. A
+/// commit may allocate a fixed little (none today); a per-message term would be
+/// thousands here.
 #[test]
 fn a_fully_audited_persisted_delivery_allocates_nothing_on_the_shard() {
     const RETENTION: usize = 256;
@@ -245,24 +246,22 @@ fn a_fully_audited_persisted_delivery_allocates_nothing_on_the_shard() {
     for _ in 0..3 {
         assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES, "fan-out 1");
     }
-    let persisted = |dataplane: &Dataplane| {
-        dataplane.segment_stats().expect("persistence is on").records_persisted
-    };
-    let (before, persisted_before) = (dataplane.stats(), persisted(&dataplane));
+    let segments = |dataplane: &Dataplane| dataplane.segment_stats().expect("persistence is on");
+    let (before, segments_before) = (dataplane.stats(), segments(&dataplane));
     let (allocations, frees, elsewhere) = counted(|| {
         assert_eq!(cycle(&dataplane, &subscribers, &feeds), MESSAGES);
     });
-    let (after, persisted_after) = (dataplane.stats(), persisted(&dataplane));
+    let (after, segments_after) = (dataplane.stats(), segments(&dataplane));
     assert_eq!(after.quenched_attributes - before.quenched_attributes, MESSAGES);
-    let pruned = persisted_after - persisted_before;
-    let prunes = pruned / RETENTION as u64;
+    let written = segments_after.records_persisted - segments_before.records_persisted;
+    let commits = segments_after.fsync.count() - segments_before.fsync.count();
     println!(
-        "{MESSAGES} messages, {pruned} records pruned to disk in {prunes} prunes: \
+        "{MESSAGES} messages, {written} records written to disk in {commits} group commits: \
          {allocations} allocations ({elsewhere} off-thread), {frees} frees"
     );
-    assert!(prunes >= 4, "the measured cycle has to span prunes, saw {prunes}");
+    assert!(commits >= 4, "the measured cycle has to span group commits, saw {commits}");
     assert!(
-        elsewhere <= 2 * prunes,
+        elsewhere <= 2 * commits,
         "the shards allocated {elsewhere} times over {MESSAGES} fully audited deliveries"
     );
     assert!(allocations as f64 <= 1.1 * MESSAGES as f64, "{allocations} allocations");
@@ -319,7 +318,7 @@ fn a_restart_allocates_nothing_per_persisted_record() {
             ..DataplaneConfig::default()
         };
         let (reopen, _, _) = counted(|| {
-            let (store, reopened) = SegmentStore::reopen(persistence.shard_dir(0), 1 << 20)
+            let (store, reopened) = SegmentStore::reopen(persistence.shard_dir(0), 1 << 20, None)
                 .expect("the directory re-opens");
             assert_eq!((reopened.next_id, reopened.truncations.len()), (records, 0));
             drop(store);
