@@ -2,11 +2,14 @@
 //!
 //! Hash-chaining means every record is serialised and hashed when it is appended; a
 //! durable log means it is serialised again when it reaches disk. A
-//! [`BatchedAppender`] does both once: an append assigns the record its id and
-//! previous hash, encodes it **as the segment frame it will be on disk**
-//! (`len ‖ checksum ‖ body ‖ hash`, see [`crate::segment`]) straight into the trail,
-//! takes the chain hash in one pass over those bytes and derives the frame checksum
-//! by continuing that pass (see [`crate::codec`]). The chain is byte for byte the one
+//! [`BatchedAppender`] does both once: an append assigns the record its id and encodes
+//! it **as the segment frame it will be on disk** (`len ‖ checksum ‖ body ‖ hash`, see
+//! [`crate::segment`]) straight into the trail, its two hashes and checksum left zero.
+//! The chain is sealed once per batch, when the trail is next read — handed over, its
+//! head asked for, or decoded: the chain-independent bytes of every new frame are
+//! folded four frames at a time, and only each frame's last sixteen bytes are then
+//! folded in chain order, giving its `previous_hash`, its hash and (continuing that
+//! pass) its checksum (see [`crate::codec`]). The chain is byte for byte the one
 //! [`AuditLog::record`] would have produced; what differs is that nothing is built,
 //! cloned or freed per record — the two records a dataplane writes per message are
 //! encoded from borrowed fields ([`BatchedAppender::append_flow_checked`],
@@ -24,6 +27,8 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+
+use legaliot_ifc::StableHasher;
 
 use crate::codec::{self, FlowCheckedRef, FRAME_PREFIX_LEN};
 use crate::event::{AuditEvent, AuditRecord, RecordId};
@@ -48,6 +53,14 @@ impl Chunk {
     }
 }
 
+/// The frames in `chunks` from `mark` to the end, as one run per chunk.
+fn runs(chunks: &VecDeque<Chunk>, (first, offset): (usize, usize)) -> impl Iterator<Item = &[u8]> {
+    chunks
+        .range(first..)
+        .enumerate()
+        .map(move |(n, chunk)| &chunk.bytes[if n == 0 { offset } else { chunk.start }..chunk.end])
+}
+
 /// The retained frames, oldest first, and the emptied chunks waiting to be refilled.
 #[derive(Default)]
 struct Trail {
@@ -59,6 +72,13 @@ struct Trail {
     handed: usize,
     /// Where the frame after the last one handed over starts: chunk index, byte offset.
     mark: (usize, usize),
+    /// Of the frames held, the oldest ones whose hashes and checksum are written: at
+    /// least those behind the mark.
+    sealed: usize,
+    /// Where the first unsealed frame starts, as `mark` says it.
+    seal_mark: (usize, usize),
+    /// [`Self::seal`]'s folds, one per unsealed frame, kept from batch to batch.
+    folds: Vec<StableHasher>,
 }
 
 impl Trail {
@@ -118,9 +138,60 @@ impl Trail {
         }
         self.frames -= frames;
         self.handed -= frames;
-        // Only a chunk the mark ends could go with the ones before it.
-        self.mark = self.mark.0.checked_sub(whole).map_or((0, 0), |chunk| (chunk, self.mark.1));
+        self.sealed -= frames;
+        // Only a chunk a mark ends could go with the ones before it.
+        let shift = |(chunk, offset): (usize, usize)| {
+            chunk.checked_sub(whole).map_or((0, 0), |chunk| (chunk, offset))
+        };
+        self.mark = shift(self.mark);
+        self.seal_mark = shift(self.seal_mark);
         u64::from_le_bytes(hash)
+    }
+
+    /// The mark that lies after every frame held.
+    fn end_mark(&self) -> (usize, usize) {
+        self.chunks.back().map_or((0, 0), |chunk| (self.chunks.len() - 1, chunk.end))
+    }
+
+    /// Seals the frames appended since the last seal, the first chained from `head`,
+    /// and returns the newest one's hash. Each frame's bytes up to its `previous_hash`
+    /// are folded four frames at a time; then, oldest first, its fold is continued over
+    /// the hash before it (the frame's chain hash) and over its own hash (the checksum),
+    /// and all three are written into the frame.
+    fn seal(&mut self, mut head: u64) -> u64 {
+        let unsealed = self.frames - self.sealed;
+        if unsealed == 0 {
+            return head;
+        }
+        let folds = &mut self.folds;
+        folds.clear();
+        folds.resize(unsealed, StableHasher::new());
+        let frames = runs(&self.chunks, self.seal_mark).flat_map(|run| {
+            std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
+        });
+        let chain_free = frames.map(|(frame, _)| &frame[FRAME_PREFIX_LEN..frame.len() - 16]);
+        StableHasher::fold_each(chain_free, |index, fold| folds[index] = fold);
+        let (first, offset) = self.seal_mark;
+        let mut fold = folds.iter();
+        for (n, chunk) in self.chunks.range_mut(first..).enumerate() {
+            let mut at = if n == 0 { offset } else { chunk.start };
+            while at < chunk.end {
+                let len = u32::from_le_bytes(chunk.bytes[at..at + 4].try_into().expect("4 bytes"));
+                let frame = &mut chunk.bytes[at..at + FRAME_PREFIX_LEN + len as usize];
+                let hashes = frame.len() - 16;
+                frame[hashes..hashes + 8].copy_from_slice(&head.to_le_bytes());
+                let chained =
+                    fold.next().expect("a fold per frame").write_bytes(&head.to_le_bytes());
+                head = chained.finish();
+                frame[hashes + 8..].copy_from_slice(&head.to_le_bytes());
+                let checksum = chained.write_bytes(&head.to_le_bytes()).finish();
+                frame[4..FRAME_PREFIX_LEN].copy_from_slice(&checksum.to_le_bytes());
+                at += frame.len();
+            }
+        }
+        self.sealed = self.frames;
+        self.seal_mark = self.end_mark();
+        head
     }
 }
 
@@ -144,7 +215,7 @@ pub struct BatchedAppender {
     trail: Trail,
     /// Hash the oldest retained record chains from.
     anchor_hash: u64,
-    /// Hash of the newest record: what the next one chains from.
+    /// Hash of the newest sealed record: what the next one sealed chains from.
     head_hash: u64,
     next_id: u64,
     /// Appends since the last batch ended.
@@ -159,12 +230,12 @@ impl fmt::Debug for BatchedAppender {
             .field("authority", &self.authority)
             .field("len", &self.trail.frames)
             .field("anchor_hash", &self.anchor_hash)
-            .field("head_hash", &self.head_hash)
             .field("next_id", &self.next_id)
             .field("buffered", &self.buffered)
             .field("capacity", &self.capacity)
             .field("retention", &self.retention)
             .field("handed", &self.trail.handed)
+            .field("sealed", &self.trail.sealed)
             .finish()
     }
 }
@@ -179,13 +250,16 @@ impl BatchedAppender {
 
     /// Creates an appender continuing an existing log (e.g. one resumed from a
     /// persisted head, or after an offload): its anchor, numbering and records carry
-    /// over, the records re-encoded exactly as they are.
+    /// over, the records re-encoded exactly as they are — sealed already, so never
+    /// rewritten, whatever hashes they claim.
     pub fn over(log: AuditLog, capacity: usize) -> Self {
         let mut trail = Trail::default();
         for record in log.records() {
             codec::put_record_frame(trail.writable(), record);
             trail.commit();
         }
+        trail.sealed = trail.frames;
+        trail.seal_mark = trail.end_mark();
         BatchedAppender {
             authority: log.authority().to_string(),
             trail,
@@ -233,18 +307,12 @@ impl BatchedAppender {
         });
     }
 
-    /// The one append: the next id, the head hash and `event`'s bytes become a frame
-    /// at the end of the trail. The frame counts only once it is whole, so a panic
-    /// inside `event` leaves the trail as it was.
+    /// The one append: the next id and `event`'s bytes become an unsealed frame at the
+    /// end of the trail, chained when the batch is sealed. The frame counts only once
+    /// it is whole, so a panic inside `event` leaves the trail as it was.
     fn append_with(&mut self, at_millis: u64, event: impl FnOnce(&mut Vec<u8>)) {
-        self.head_hash = codec::put_frame(
-            self.trail.writable(),
-            RecordId(self.next_id),
-            at_millis,
-            &self.authority,
-            event,
-            self.head_hash,
-        );
+        let id = RecordId(self.next_id);
+        codec::put_unsealed_frame(self.trail.writable(), id, at_millis, &self.authority, event);
         self.trail.commit();
         self.next_id += 1;
         self.buffered += 1;
@@ -264,23 +332,20 @@ impl BatchedAppender {
         }
     }
 
-    /// Hands the frames appended since the last hand-over to `write` — runs of whole
-    /// segment frames for [`crate::SegmentStore::append_frames`], oldest first, one per
-    /// chunk from the mark's — then applies retention ([`Self::flush`]), which may now
-    /// free them. `write` is not called when no frame is new.
+    /// Seals the frames appended since the last hand-over and hands them to `write` —
+    /// runs of whole segment frames for [`crate::SegmentStore::append_frames`], oldest
+    /// first, one per chunk from the mark's — then applies retention ([`Self::flush`]),
+    /// which may now free them. `write` is not called when no frame is new.
     pub fn hand_over(&mut self, write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>)) {
-        let trail = &mut self.trail;
-        if trail.handed == trail.frames {
+        if self.trail.handed == self.trail.frames {
             return;
         }
-        let (first, offset) = trail.mark;
-        trail.mark = (trail.chunks.len() - 1, trail.chunks.back().expect("a new frame").end);
+        self.head_hash = self.trail.seal(self.head_hash);
+        let trail = &mut self.trail;
+        let end = trail.end_mark();
+        let from = std::mem::replace(&mut trail.mark, end);
         trail.handed = trail.frames;
-        write(
-            &mut trail.chunks.range(first..).enumerate().map(|(n, chunk)| {
-                &chunk.bytes[if n == 0 { offset } else { chunk.start }..chunk.end]
-            }),
-        );
+        write(&mut runs(&trail.chunks, from));
         self.flush();
     }
 
@@ -300,14 +365,16 @@ impl BatchedAppender {
     }
 
     /// The hash of the newest record (the anchor while there is none) — what the next
-    /// record will chain from.
-    pub fn head_hash(&self) -> u64 {
+    /// record will chain from. Seals the frames not yet sealed to learn it.
+    pub fn head_hash(&mut self) -> u64 {
+        self.head_hash = self.trail.seal(self.head_hash);
         self.head_hash
     }
 
-    /// Flushes, then decodes the retained frames into the log a reader works with,
-    /// releasing each chunk as it is decoded.
+    /// Seals and flushes, then decodes the retained frames into the log a reader works
+    /// with, releasing each chunk as it is decoded.
     pub fn into_log(mut self) -> AuditLog {
+        self.head_hash = self.trail.seal(self.head_hash);
         self.flush();
         let mut records: Vec<AuditRecord> = Vec::with_capacity(self.trail.frames);
         while let Some(chunk) = self.trail.chunks.pop_front() {
@@ -412,7 +479,7 @@ mod tests {
         assert_eq!(log.of_kind(AuditEventKind::PolicyFired).count(), 2);
 
         // A resumed, still empty chain keeps its place: anchor and numbering.
-        let resumed = BatchedAppender::over(AuditLog::resume("gateway", 7, 40), 2);
+        let mut resumed = BatchedAppender::over(AuditLog::resume("gateway", 7, 40), 2);
         assert_eq!((resumed.len(), resumed.head_hash()), (0, 7));
         assert_eq!(resumed.into_log(), AuditLog::resume("gateway", 7, 40));
     }
@@ -620,6 +687,76 @@ mod tests {
         let log = borrowed.into_log();
         assert!(log.verify_chain().is_intact());
         assert_eq!(log, owned.into_log());
+    }
+
+    /// Mostly any event, now and then one wide enough to cross a chunk's line or to
+    /// fill chunks of its own.
+    fn any_event_or_wide() -> impl Strategy<Value = AuditEvent> {
+        (any_event(), 0usize..10).prop_map(|(event, pick)| match pick {
+            0 | 1 => AuditEvent::ShardRestarted {
+                shard: "s".into(),
+                restart: 1,
+                cause: "x".repeat([CHUNK_BYTES / 3, 2 * CHUNK_BYTES][pick]),
+            },
+            _ => event,
+        })
+    }
+
+    proptest! {
+        /// Sealing writes what the unbatched log holds and rewrites nothing it did not
+        /// append: over an existing log one of whose records claims a hash that does not
+        /// chain, with records that cross chunks, a small retention bound, hand-overs at
+        /// any cadence and the head asked for in between, the trail hands over
+        /// `encode_record`'s frame of every record `AuditLog::record` chains — the
+        /// existing ones exactly as `put_record_frame` wrote them.
+        #[test]
+        fn prop_sealing_hands_over_the_unbatched_frames(
+            existing in collection::vec((any_event(), 0u64..1000), 0..4),
+            tamper in 0u64..u64::MAX,
+            events in collection::vec((any_event_or_wide(), 0u64..1000), 0..30),
+            capacity in 1usize..12,
+            retention in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
+            every in 1usize..8,
+            peek in 1usize..5,
+        ) {
+            let mut records = AuditLog::new("n");
+            for (event, at_millis) in &existing {
+                records.record(event.clone(), *at_millis);
+            }
+            let mut records = records.records().to_vec();
+            let count = records.len().max(1);
+            if let Some(record) = records.get_mut(tamper as usize % count) {
+                record.hash ^= tamper | 1;
+            }
+            let mut written = Vec::new();
+            records.iter().for_each(|record| codec::put_record_frame(&mut written, record));
+            let mut unbatched = AuditLog::from_records("n", 0, records);
+            let mut appender =
+                BatchedAppender::over(unbatched.clone(), capacity).with_retention(retention);
+            let mut handed = Vec::new();
+            for (n, (event, at_millis)) in events.iter().enumerate() {
+                unbatched.record(event.clone(), *at_millis);
+                appender.append(event.clone(), *at_millis);
+                if n % peek == 0 {
+                    prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
+                }
+                if n % every == 0 {
+                    handed.extend(hand_over(&mut appender));
+                }
+            }
+            handed.extend(hand_over(&mut appender));
+            prop_assert_eq!(&handed[..written.len()], written.as_slice());
+            let mut expected = Vec::new();
+            for record in unbatched.records() {
+                let mut payload = Vec::new();
+                codec::encode_record(record, &mut payload);
+                expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                expected.extend_from_slice(&checksum(&payload).to_le_bytes());
+                expected.extend_from_slice(&payload);
+            }
+            prop_assert!(handed == expected, "the handed-over frames are not the log's");
+            prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
+        }
     }
 
     proptest! {

@@ -54,12 +54,16 @@
 //!
 //! On disk, and in a [`crate::BatchedAppender`]'s memory, a record travels as a
 //! *frame*: `len:u32le checksum:u64le record`, the checksum being the FNV-1a 64 of the
-//! record's bytes (see [`crate::segment`] for the file around it). A frame is built in
-//! one pass: the body is encoded, folded into the hasher once — that state is the
-//! chain hash — and the same fold is continued over the hash's eight bytes, which
-//! makes it the FNV-1a of `body ‖ hash`, the checksum a reader recomputes over the
-//! whole payload. FNV-1a being a plain running fold, and [`StableHasher::finish`]
-//! the fold's state unchanged, is what allows that; nothing about the format moves.
+//! record's bytes (see [`crate::segment`] for the file around it). A new record's frame
+//! is first *encoded* — its length and its body up to `previous_hash`, with the two
+//! hashes and the checksum left zero — and then *sealed* with its batch: the bytes that
+//! do not depend on the chain are folded, four frames at once
+//! ([`StableHasher::fold_each`]); then, oldest first, each fold is continued over the
+//! previous record's hash — that state is the chain hash — and over the hash's eight
+//! bytes, which makes it the FNV-1a of `body ‖ hash`, the checksum a reader recomputes
+//! over the whole payload. FNV-1a being a plain running fold, and
+//! [`StableHasher::finish`] the fold's state unchanged, is what allows that; nothing
+//! about the format moves.
 //!
 //! # Canonical form
 //!
@@ -105,11 +109,20 @@ use crate::event::{AuditEvent, AuditRecord, RecordId};
 /// is written once against this, so the hash is over the frame's bytes by construction.
 pub(crate) trait Sink {
     fn put(&mut self, bytes: &[u8]);
+
+    /// One byte — a short varint, a marker or a variant tag — as `put` would write it.
+    fn put_byte(&mut self, byte: u8) {
+        self.put(&[byte]);
+    }
 }
 
 impl Sink for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+
+    fn put_byte(&mut self, byte: u8) {
+        self.push(byte);
     }
 }
 
@@ -120,6 +133,10 @@ impl Sink for StableHasher {
 }
 
 fn put_varint(out: &mut impl Sink, mut value: u64) {
+    if value < 0x80 {
+        out.put_byte(value as u8);
+        return;
+    }
     let mut bytes = [0u8; 10];
     let mut len = 0;
     while value >= 0x80 {
@@ -137,7 +154,7 @@ fn put_str(out: &mut impl Sink, value: &str) {
 }
 
 fn put_bool(out: &mut impl Sink, value: bool) {
-    out.put(&[u8::from(value)]);
+    out.put_byte(u8::from(value));
 }
 
 fn put_opt_str(out: &mut impl Sink, value: Option<&str>) {
@@ -242,7 +259,7 @@ fn put_data_item(out: &mut impl Sink, item: Option<DataItem<'_>>) {
             let digits = decimal(at_millis, &mut digits);
             put_varint(out, (message_type.len() + 1 + digits.len()) as u64);
             out.put(message_type.as_bytes());
-            out.put(b"@");
+            out.put_byte(b'@');
             out.put(digits);
         }
     }
@@ -250,7 +267,7 @@ fn put_data_item(out: &mut impl Sink, item: Option<DataItem<'_>>) {
 
 /// Variant 0, `FlowChecked`.
 pub(crate) fn put_flow_checked(out: &mut impl Sink, fields: &FlowCheckedRef<'_>) {
-    out.put(&[0]);
+    out.put_byte(0);
     put_str(out, fields.source);
     put_str(out, fields.destination);
     put_context(out, fields.source_context);
@@ -268,7 +285,7 @@ pub(crate) fn put_message_quenched<'a>(
     message_type: &str,
     attributes: impl Iterator<Item = &'a str> + Clone,
 ) {
-    out.put(&[9]);
+    out.put_byte(9);
     put_str(out, source);
     put_str(out, destination);
     put_str(out, message_type);
@@ -303,7 +320,7 @@ pub(crate) fn put_event(out: &mut impl Sink, event: &AuditEvent) {
             window_start_millis,
             window_end_millis,
         } => {
-            out.put(&[1]);
+            out.put_byte(1);
             put_str(out, source);
             put_str(out, destination);
             put_varint(out, *allowed);
@@ -312,41 +329,41 @@ pub(crate) fn put_event(out: &mut impl Sink, event: &AuditEvent) {
             put_varint(out, *window_end_millis);
         }
         AuditEvent::LabelChanged { entity, before, after, algorithm } => {
-            out.put(&[2]);
+            out.put_byte(2);
             put_str(out, entity);
             put_context(out, before);
             put_context(out, after);
             put_opt_str(out, algorithm.as_deref());
         }
         AuditEvent::PrivilegeChanged { entity, tag, change, authority } => {
-            out.put(&[3]);
+            out.put_byte(3);
             put_str(out, entity);
             put_str(out, tag);
             put_str(out, change);
             put_str(out, authority);
         }
         AuditEvent::Reconfigured { component, issued_by, action, accepted } => {
-            out.put(&[4]);
+            out.put_byte(4);
             put_str(out, component);
             put_str(out, issued_by);
             put_str(out, action);
             put_bool(out, *accepted);
         }
         AuditEvent::PolicyFired { policy, trigger, actions } => {
-            out.put(&[5]);
+            out.put_byte(5);
             put_str(out, policy);
             put_str(out, trigger);
             put_varint(out, *actions as u64);
         }
         AuditEvent::ChannelChanged { from, to, established, reason } => {
-            out.put(&[6]);
+            out.put_byte(6);
             put_str(out, from);
             put_str(out, to);
             put_bool(out, *established);
             put_str(out, reason);
         }
         AuditEvent::DataDerived { output, inputs, process, agent, context } => {
-            out.put(&[7]);
+            out.put_byte(7);
             put_str(out, output);
             put_strs(out, inputs.len(), inputs.iter());
             put_str(out, process);
@@ -354,7 +371,7 @@ pub(crate) fn put_event(out: &mut impl Sink, event: &AuditEvent) {
             put_context(out, context);
         }
         AuditEvent::BreakGlass { policy, active, justification } => {
-            out.put(&[8]);
+            out.put_byte(8);
             put_str(out, policy);
             put_bool(out, *active);
             put_str(out, justification);
@@ -364,20 +381,20 @@ pub(crate) fn put_event(out: &mut impl Sink, event: &AuditEvent) {
             put_message_quenched(out, source, destination, message_type, attributes);
         }
         AuditEvent::DeliveryDropped { source, destination, message_type, dropped } => {
-            out.put(&[10]);
+            out.put_byte(10);
             put_str(out, source);
             put_str(out, destination);
             put_str(out, message_type);
             put_varint(out, *dropped);
         }
         AuditEvent::ShardRestarted { shard, restart, cause } => {
-            out.put(&[11]);
+            out.put_byte(11);
             put_str(out, shard);
             put_varint(out, *restart);
             put_str(out, cause);
         }
         AuditEvent::DeliveryLost { source, destination, message_type, lost, cause } => {
-            out.put(&[12]);
+            out.put_byte(12);
             put_str(out, source);
             put_str(out, destination);
             put_opt_str(out, message_type.as_deref());
@@ -437,54 +454,41 @@ pub fn encode_record(record: &AuditRecord, out: &mut Vec<u8>) {
 /// [`crate::segment`] for the file around it.
 pub(crate) const FRAME_PREFIX_LEN: usize = 4 + 8;
 
-/// Appends one complete frame — `len ‖ checksum ‖ body ‖ hash` — to `out`, the body
-/// written by `body`, and returns the hash it stored: `stored_hash`, or the body's
-/// chain hash when there is none yet.
-///
-/// The body is hashed once. FNV-1a is a running fold and [`StableHasher::finish`] is
-/// the fold's state, so the chain hash is the state after the body, and the frame
-/// checksum — FNV-1a of `body ‖ hash`, what a reader recomputes over the payload — is
-/// that same state continued over the hash's eight bytes.
-fn put_frame_with(
-    out: &mut Vec<u8>,
-    body: impl FnOnce(&mut Vec<u8>),
-    stored_hash: Option<u64>,
-) -> u64 {
-    let start = out.len();
+/// Appends one frame — `len ‖ checksum ‖ payload` — its payload written by `payload`
+/// and its checksum left zero, and returns where the payload starts.
+fn put_framed(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len() + FRAME_PREFIX_LEN;
     out.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
-    body(out);
-    let fold = StableHasher::new().write_bytes(&out[start + FRAME_PREFIX_LEN..]);
-    let hash = stored_hash.unwrap_or(fold.finish());
-    let checksum = fold.write_bytes(&hash.to_le_bytes()).finish();
-    out.extend_from_slice(&hash.to_le_bytes());
-    let len = u32::try_from(out.len() - start - FRAME_PREFIX_LEN)
-        .expect("one audit record encodes to less than 4 GiB");
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + FRAME_PREFIX_LEN].copy_from_slice(&checksum.to_le_bytes());
-    hash
+    payload(out);
+    let len =
+        u32::try_from(out.len() - start).expect("one audit record encodes to less than 4 GiB");
+    out[start - FRAME_PREFIX_LEN..start - 8].copy_from_slice(&len.to_le_bytes());
+    start
 }
 
-/// Appends the frame of a new record — numbered `id`, chained from `previous_hash`,
-/// its event written by `event` — and returns the record's chain hash.
-pub(crate) fn put_frame(
+/// Appends the frame of a new record — numbered `id`, its event written by `event` —
+/// *unsealed*: its `previous_hash`, `hash` and checksum are zeros until the frame is
+/// sealed with its batch (the last sixteen bytes of a frame are always the two hashes;
+/// see [`crate::BatchedAppender`]). Nothing is hashed here.
+pub(crate) fn put_unsealed_frame(
     out: &mut Vec<u8>,
     id: RecordId,
     at_millis: u64,
     recorded_by: &str,
     event: impl FnOnce(&mut Vec<u8>),
-    previous_hash: u64,
-) -> u64 {
-    put_frame_with(out, |out| put_body(out, id, at_millis, recorded_by, event, previous_hash), None)
+) {
+    put_framed(out, |out| {
+        put_body(out, id, at_millis, recorded_by, event, 0);
+        out.put(&[0; 8]);
+    });
 }
 
 /// Appends the frame of an existing record, exactly as it is: the payload is
-/// [`encode_record`]'s bytes, whatever hash the record claims.
+/// [`encode_record`]'s bytes, whatever hash the record claims, behind its checksum.
 pub(crate) fn put_record_frame(out: &mut Vec<u8>, record: &AuditRecord) {
-    let event = |out: &mut Vec<u8>| put_event(out, &record.event);
-    let body = |out: &mut Vec<u8>| {
-        put_body(out, record.id, record.at_millis, &record.recorded_by, event, record.previous_hash)
-    };
-    put_frame_with(out, body, Some(record.hash));
+    let start = put_framed(out, |out| encode_record(record, out));
+    let checksum = StableHasher::new().write_bytes(&out[start..]).finish();
+    out[start - 8..start].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Splits the first frame — prefix and payload — off a run of frames. `None` when

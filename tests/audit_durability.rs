@@ -15,7 +15,10 @@
 //! 3. a second incarnation on the same directories re-anchors on the last
 //!    persisted hash and extends the same verifiable chain;
 //! 4. every record a batch appends — a drop-oldest shed, an abandoned hand-off — is
-//!    on disk when `drain` returns, with the engine still up.
+//!    on disk when `drain` returns, with the engine still up;
+//! 5. a shard that panics in the middle of a durable batch, the records before the
+//!    panic not yet sealed, restarts and leaves an intact chain on disk, its restart
+//!    record right after the records appended before the panic.
 //!
 //! Reproducible from its seed: `LEGALIOT_FLEET_SEED` (default 1),
 //! `LEGALIOT_FLEET_DEPLOYMENTS` (default 200), `LEGALIOT_FLEET_ROUNDS`
@@ -465,5 +468,79 @@ fn every_abandoned_hand_off_is_on_disk_when_drain_returns() {
     lost.sort();
     assert_eq!(lost, ["sub-a", "sub-b"], "both abandoned hand-offs are on disk {ctx}");
     dataplane.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A shard restart inside a durable batch: one publish fans out to eight subscribers
+/// on one shard, and the `shard.process` failpoint panics on a delivery the seed picks
+/// in the middle of that batch, while the records of the deliveries before it are
+/// still unsealed frames. The supervisor settles the delivery as lost, appends the
+/// `ShardRestarted` record and writes the frames; recovered from disk after shutdown,
+/// the chain is intact across the restart, the restart follows the records appended
+/// before the panic (the lost delivery's own record between them), and the
+/// accounting identity holds.
+#[test]
+fn a_shard_restart_inside_a_durable_batch_keeps_the_chain_on_disk() {
+    let (_, _, ctx) = fleet_under_test();
+    let dir = durable_root("restart");
+    let seed = env_u64("LEGALIOT_FLEET_SEED", 1);
+    let before_panic = 1 + seed % 6;
+    let registry = Arc::new(
+        FailpointRegistry::new(seed).with_spec(
+            FailpointSpec::on_hits(FailpointSite::ShardProcess, FaultKind::Panic, before_panic, 0)
+                .limit(1),
+        ),
+    );
+    let config = DataplaneConfig {
+        restart_budget: 1,
+        failpoints: Some(Arc::clone(&registry)),
+        ..durable_config(1, &dir)
+    };
+    let subscribers: Vec<String> = (0..8).map(|n| format!("sub-{n}")).collect();
+    let names: Vec<&str> = subscribers.iter().map(String::as_str).collect();
+    let (dataplane, _mailboxes, message) = fan_out_plane(config, &names);
+    const PUBLISHES: u64 = 3;
+    for t in 0..PUBLISHES {
+        dataplane.publish_message("pub", &message, Timestamp(10 + t)).unwrap();
+    }
+    dataplane.drain();
+    let stats = dataplane.shutdown().stats;
+    assert_eq!(registry.fired(FailpointSite::ShardProcess), 1, "the panic fired once {ctx}");
+    assert_eq!((stats.shard_restarts, stats.deliveries_lost), (1, 1), "{stats:?} {ctx}");
+    assert_eq!(stats.published, 8 * PUBLISHES, "{ctx}");
+    assert_eq!(
+        stats.published,
+        stats.delivered + stats.denied + stats.missing_endpoint + stats.deliveries_lost,
+        "accounting identity across the restart {ctx}: {stats:?}"
+    );
+
+    let report = &recover_all(&dir, 1)[0];
+    assert!(report.chain.is_intact(), "the chain verifies across the restart {ctx}");
+    assert!(report.truncations.is_empty(), "a clean shutdown leaves no torn tail {ctx}");
+    let records = &report.records;
+    let restarts: Vec<usize> = (0..records.len())
+        .filter(|&n| matches!(records[n].event, AuditEvent::ShardRestarted { .. }))
+        .collect();
+    assert_eq!(restarts.len(), 1, "one restart on disk {ctx}");
+    let restart = restarts[0];
+    let flow_checked = |record: &legaliot::audit::AuditRecord| matches!(&record.event, AuditEvent::FlowChecked { decision, .. } if decision.is_allowed());
+    let lost = &records[restart - 1];
+    assert!(
+        matches!(&lost.event, AuditEvent::DeliveryLost { cause, .. } if cause.contains("failpoint")),
+        "the lost delivery is settled just before the restart {ctx}: {:?}",
+        lost.event
+    );
+    assert_eq!(
+        restart - 1,
+        before_panic as usize,
+        "every delivery enforced before the panic is on disk before its loss {ctx}"
+    );
+    assert!(records[..restart - 1].iter().all(flow_checked), "{ctx}");
+    for pair in records[restart - 2..=restart].windows(2) {
+        assert_eq!(pair[1].previous_hash, pair[0].hash, "the restart chains on {ctx}");
+        assert_eq!(pair[1].id.0, pair[0].id.0 + 1, "{ctx}");
+    }
+    let after = records[restart + 1..].iter().filter(|record| flow_checked(record)).count();
+    assert_eq!(before_panic + after as u64, stats.delivered, "every delivery is on disk {ctx}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
