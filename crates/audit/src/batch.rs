@@ -5,7 +5,7 @@
 //! [`BatchedAppender`] does both once: an append assigns the record its id and encodes
 //! it **as the segment frame it will be on disk** (`len ‖ checksum ‖ body ‖ hash`, see
 //! [`crate::segment`]) straight into the trail, its two hashes and checksum left zero.
-//! The chain is sealed once per batch, when the trail is next read — handed over, its
+//! The chain is sealed once per batch, when the trail is next read — written, its
 //! head asked for, or decoded: the chain-independent bytes of every new frame are
 //! folded four frames at a time, and only each frame's last sixteen bytes are then
 //! folded in chain order, giving its `previous_hash`, its hash and (continuing that
@@ -16,23 +16,26 @@
 //! [`BatchedAppender::append_message_quenched`]), and an owned [`AuditEvent`]
 //! ([`BatchedAppender::append`]) is encoded and dropped.
 //!
-//! The trail is a queue of fixed-size chunks of whole frames (one appender per shard,
-//! no locks). [`BatchedAppender::hand_over`] passes on the frames appended since the
-//! last hand-over as the byte runs they already are — persisting them is a `write_all`
-//! — and retention, checked every `capacity` appends (the batch), prunes only frames
-//! handed over, from the front, reusing their chunks: no frame leaves RAM before it is
-//! handed over, and a hand-over reports nothing back: when they are fsynced is the
-//! segment store's decision ([`crate::segment`]). Records exist as structs only for a
-//! reader: [`BatchedAppender::into_log`] decodes what is retained.
+//! The trail is a queue of fixed-size chunks of whole frames (no locks). Every trail lives
+//! the same way: [`BatchedAppender::open`] resumes the chain a segment directory holds,
+//! each unit of work ends with [`BatchedAppender::write`], which passes the new frames to
+//! the [`SegmentStore`] as the byte runs they already are (a `write_all`; when they are
+//! fsynced is the store's decision), and [`BatchedAppender::close`] writes the rest and
+//! seals the store. Retention, checked every `capacity` appends (the batch), prunes only
+//! frames written, from the front, reusing their chunks. Records exist as structs only for
+//! a reader: [`BatchedAppender::into_log`] decodes what is retained.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use legaliot_ifc::StableHasher;
+use parking_lot::Mutex;
 
 use crate::codec::{self, FlowCheckedRef, FRAME_PREFIX_LEN};
 use crate::event::{AuditEvent, AuditRecord, RecordId};
 use crate::log::AuditLog;
+use crate::segment::{SegmentStore, Truncation};
 
 /// Bytes after which a chunk takes no further frame. A chunk is allocated with an
 /// eighth more, so the frame that crosses the line rarely grows it.
@@ -222,6 +225,8 @@ pub struct BatchedAppender {
     buffered: usize,
     capacity: usize,
     retention: Option<usize>,
+    /// Where a durable trail writes; shared so that its owner's engine can read stats.
+    store: Option<Arc<Mutex<SegmentStore>>>,
 }
 
 impl fmt::Debug for BatchedAppender {
@@ -269,7 +274,38 @@ impl BatchedAppender {
             buffered: 0,
             capacity: capacity.max(1),
             retention: None,
+            store: None,
         }
+    }
+
+    /// [`Self::new`] with [`Self::with_retention`], durable with `segments` — a
+    /// directory, its records per segment and group commit ([`SegmentStore::reopen`]):
+    /// the chain resumes where the directory's ends, [`Self::write`] appends there, and
+    /// the torn tails truncated are returned. Without, it writes nowhere.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors re-opening the directory.
+    pub fn open(
+        authority: impl Into<String>,
+        capacity: usize,
+        retention: Option<usize>,
+        segments: Option<(std::path::PathBuf, usize, Option<usize>)>,
+    ) -> std::io::Result<(Self, Vec<Truncation>)> {
+        let mut trail = Self::new(authority, capacity).with_retention(retention);
+        let Some((dir, max_segment_records, group_commit)) = segments else {
+            return Ok((trail, Vec::new()));
+        };
+        let (store, reopened) = SegmentStore::reopen(dir, max_segment_records, group_commit)?;
+        (trail.anchor_hash, trail.head_hash) = (reopened.head_hash, reopened.head_hash);
+        trail.next_id = reopened.next_id;
+        trail.store = Some(Arc::new(Mutex::new(store)));
+        Ok((trail, reopened.truncations))
+    }
+
+    /// The segment store a durable trail writes to.
+    pub fn store(&self) -> Option<&Arc<Mutex<SegmentStore>>> {
+        self.store.as_ref()
     }
 
     /// Bounds in-memory retention: once the trail holds `2 × keep` records at a flush,
@@ -333,10 +369,10 @@ impl BatchedAppender {
     }
 
     /// Seals the frames appended since the last hand-over and hands them to `write` —
-    /// runs of whole segment frames for [`crate::SegmentStore::append_frames`], oldest
-    /// first, one per chunk from the mark's — then applies retention ([`Self::flush`]),
-    /// which may now free them. `write` is not called when no frame is new.
-    pub fn hand_over(&mut self, write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>)) {
+    /// runs of whole segment frames for [`SegmentStore::append_frames`], oldest first,
+    /// one per chunk from the mark's — then applies retention ([`Self::flush`]), which
+    /// may now free them. `write` is not called when no frame is new.
+    pub(crate) fn hand_over(&mut self, write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>)) {
         if self.trail.handed == self.trail.frames {
             return;
         }
@@ -347,6 +383,29 @@ impl BatchedAppender {
         trail.handed = trail.frames;
         write(&mut runs(&trail.chunks, from));
         self.flush();
+    }
+
+    /// Ends a unit of work: hands the frames appended since the last write to the
+    /// segment store of a durable trail, one `write_all` per run, then applies retention.
+    pub fn write(&mut self) {
+        let store = self.store.clone();
+        self.hand_over(|runs| {
+            let Some(store) = store else { return };
+            let mut store = store.lock();
+            for run in runs {
+                store.append_frames(run);
+            }
+        });
+    }
+
+    /// Writes the rest, seals the segment store and decodes what is retained, as
+    /// [`Self::into_log`] does, leaving the appender empty where its chain stands.
+    pub fn close(&mut self) -> AuditLog {
+        self.write();
+        if let Some(store) = &self.store {
+            store.lock().seal();
+        }
+        self.decode()
     }
 
     /// The configured auto-flush threshold.
@@ -374,6 +433,11 @@ impl BatchedAppender {
     /// Seals and flushes, then decodes the retained frames into the log a reader works
     /// with, releasing each chunk as it is decoded.
     pub fn into_log(mut self) -> AuditLog {
+        self.decode()
+    }
+
+    /// [`Self::into_log`] in place: the appender is left empty, anchored on its head.
+    fn decode(&mut self) -> AuditLog {
         self.head_hash = self.trail.seal(self.head_hash);
         self.flush();
         let mut records: Vec<AuditRecord> = Vec::with_capacity(self.trail.frames);
@@ -385,11 +449,13 @@ impl BatchedAppender {
                 rest = after;
             }
         }
+        self.trail = Trail::default();
+        let anchor = std::mem::replace(&mut self.anchor_hash, self.head_hash);
         if records.is_empty() {
             // `from_records` numbers an empty log from 0; this chain may be further on.
-            return AuditLog::resume(self.authority, self.anchor_hash, self.next_id);
+            return AuditLog::resume(self.authority.clone(), anchor, self.next_id);
         }
-        AuditLog::from_records(self.authority, self.anchor_hash, records)
+        AuditLog::from_records(self.authority.clone(), anchor, records)
     }
 }
 
@@ -687,6 +753,50 @@ mod tests {
         let log = borrowed.into_log();
         assert!(log.verify_chain().is_intact());
         assert_eq!(log, owned.into_log());
+    }
+
+    /// The trail's lifecycle: opened on a directory it resumes the chain the directory
+    /// holds, each write puts the new frames there, and closing seals the store and
+    /// leaves the appender empty where its chain stands — so two lifetimes leave one
+    /// dense chain on disk, and each close returns that chain's retained suffix. Opened
+    /// on no directory, a trail writes nowhere.
+    #[test]
+    fn an_opened_trail_resumes_writes_and_seals_its_directory() {
+        let dir = std::env::temp_dir().join(format!("legaliot-trail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut unbatched = AuditLog::new("n");
+        for life in 0..2 {
+            let segments = Some((dir.clone(), 4, Some(3)));
+            let (mut trail, truncations) =
+                BatchedAppender::open("n", 2, Some(2), segments).unwrap();
+            assert!(truncations.is_empty());
+            assert_eq!(trail.head_hash(), unbatched.head_hash(), "resumed at the disk's head");
+            for n in 0..5 {
+                unbatched.record(event(n), (10 * life + n) as u64);
+                trail.append(event(n), (10 * life + n) as u64);
+                trail.write();
+            }
+            let store = Arc::clone(trail.store().expect("opened on a directory"));
+            let log = trail.close();
+            assert!(log.len() <= 4 && log.verify_chain().is_intact(), "{}", log.len());
+            assert_eq!(log.records(), &unbatched.records()[unbatched.len() - log.len()..]);
+            let stats = store.lock().stats().clone();
+            assert_eq!((stats.records_persisted, stats.unsynced_bytes), (5, 0));
+            assert!(trail.is_empty());
+            assert_eq!(trail.head_hash(), unbatched.head_hash(), "closed where the chain stands");
+        }
+        let recovered = SegmentStore::recover(&dir).unwrap();
+        assert!(recovered.is_clean(), "{:?}", recovered.truncations);
+        assert_eq!(recovered.records, unbatched.records());
+
+        let (mut nowhere, truncations) = BatchedAppender::open("n", 2, None, None).unwrap();
+        assert!(nowhere.store().is_none() && truncations.is_empty());
+        nowhere.append(event(0), 0);
+        nowhere.write();
+        let mut expected = AuditLog::new("n");
+        expected.record(event(0), 0);
+        assert_eq!(nowhere.close(), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Mostly any event, now and then one wide enough to cross a chunk's line or to

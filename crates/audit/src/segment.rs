@@ -2,11 +2,12 @@
 //!
 //! In-memory retention ([`crate::BatchedAppender::with_retention`]) keeps enforcement
 //! points bounded, and a [`SegmentStore`] keeps the whole history: records stream into
-//! append-only segment files of length-prefixed, checksummed frames as they are
-//! handed over ([`crate::BatchedAppender::hand_over`]), before retention may free
-//! them, and each segment's header carries the previous segment's anchor hash, so
-//! the on-disk prefix and the in-memory suffix verify as **one** hash chain (the
-//! records recovered here followed by the log's own, from the first segment's anchor).
+//! append-only segment files of length-prefixed, checksummed frames each time the trail
+//! that owns the store writes ([`crate::BatchedAppender::write`], at the end of each
+//! unit of work), before retention may free them, and each segment's header carries
+//! the previous segment's anchor hash, so the on-disk prefix and the in-memory suffix
+//! verify as **one** hash chain (the records recovered here followed by the log's own,
+//! from the first segment's anchor).
 //!
 //! # On-disk format (version 2)
 //!
@@ -38,15 +39,16 @@
 //!
 //! # Writing
 //!
-//! There is one write path, [`SegmentStore::append_frames`], and it takes frames
-//! that already exist: a [`crate::BatchedAppender`] holds its records *as* these
-//! frames — encoded, hashed and checksummed once, when each was appended (see
-//! [`crate::codec`]) — and hands the new ones over as the byte runs they are. The
-//! store walks the length prefixes, to probe the `segment.write` failpoint once per
-//! record and to rotate at the right ones, and gives every contiguous stretch to the
-//! file in one `write_all` straight from the caller's bytes. [`SegmentStore::append`]
-//! frames its one [`AuditRecord`] into a store-owned buffer, empty again when it
-//! returns, and takes the same path: no bytes wait in user space between calls.
+//! There is one write path, the store's `append_frames`, and it takes frames that
+//! already exist: a [`crate::BatchedAppender`] opened on the directory
+//! ([`crate::BatchedAppender::open`]) holds its records *as* these frames — encoded,
+//! hashed and checksummed once per batch (see [`crate::codec`]) — and at each write
+//! hands the new ones over as the byte runs they are. The store walks the length
+//! prefixes, to probe the `segment.write` failpoint once per record and to rotate at
+//! the right ones, and gives every contiguous stretch to the file in one `write_all`
+//! straight from the caller's bytes. [`SegmentStore::append`] frames its one
+//! [`AuditRecord`] into a store-owned buffer, empty again when it returns, and takes
+//! the same path: no bytes wait in user space between calls.
 //!
 //! Every fsync is decided here; a caller only hands over bytes. A rotation and the seal
 //! fsync the segment they close, [`SegmentStore::sync`] fsyncs on request, and a store
@@ -358,7 +360,7 @@ impl SegmentStore {
     }
 
     /// Appends one record frame: encodes it into the store's buffer and hands that to
-    /// [`Self::append_frames`], the one write path. Returns `true` when the record
+    /// `append_frames`, the one write path. Returns `true` when the record
     /// reached the segment file, `false` when the store is (or became) wedged — the
     /// drop is counted in [`SegmentStats::records_dropped`], never silent.
     pub fn append(&mut self, record: &AuditRecord) -> bool {
@@ -384,7 +386,7 @@ impl SegmentStore {
     /// a short write, the synced torn half of frame *k*) and drops `k..`. Bytes that
     /// are not whole frames wedge the store like an oversized record does. With a group
     /// commit of `n` ([`Self::reopen`]), fewer than `n` records are unsynced on return.
-    pub fn append_frames(&mut self, frames: &[u8]) -> usize {
+    pub(crate) fn append_frames(&mut self, frames: &[u8]) -> usize {
         let persisted_before = self.stats.records_persisted;
         // `frames[written..next]` holds `pending` records accepted but not yet written.
         let (mut written, mut next, mut pending, mut accepted) = (0, 0, 0, 0);
@@ -552,13 +554,12 @@ impl SegmentStore {
         })
     }
 
-    /// Re-opens the store in `dir` after a restart: the scan [`Self::recover`] makes —
-    /// the same checks, truncations and reports — but no record is built, only the
-    /// chain head and the next id are kept, and the store returned appends after
-    /// them, numbering its segments after the ones the scan listed. Each frame's body
-    /// is hashed once, and nothing is allocated per record. A `group_commit` of `n`
-    /// (clamped to ≥ 1) ends an [`Self::append_frames`] call with an fsync once `n`
-    /// records are unsynced.
+    /// Re-opens the store in `dir` after a restart: the scan [`Self::recover`] makes — the
+    /// same checks, truncations and reports — but no record is built, only the chain head
+    /// and the next id are kept, and the store returned appends after them, numbering its
+    /// segments after the ones the scan listed. Each frame's body is hashed once, and
+    /// nothing is allocated per record. A `group_commit` of `n` (clamped to ≥ 1) ends an
+    /// `append_frames` call with an fsync once `n` records are unsynced.
     ///
     /// # Errors
     ///

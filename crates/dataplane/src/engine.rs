@@ -80,23 +80,22 @@ pub enum PayloadMode {
     ZeroCopy,
 }
 
-/// Durable audit: a shard writes a batch's records to its [`SegmentStore`] before the
-/// batch's hand-offs, and what they evidence before the batch ends; retention frees
-/// only written records. The store fsyncs by itself, in groups of
-/// [`DataplaneConfig::audit_retention`] records ([`Self::sync_on_flush`]), at rotation
-/// and at shutdown. A kill keeps every record written, so under [`AuditDetail::Full`]
-/// every delivery received is evidenced; a power cut keeps what was fsynced.
-///
-/// The control-plane trail is never persisted: it is a [`legaliot_audit::BatchedAppender`]
-/// in RAM, and each incarnation starts a fresh chain under the same authority.
+/// Durable audit: every trail — each shard's and the control plane's — is written to
+/// its own [`SegmentStore`] at the end of each unit of work: a shard's batch, before
+/// its hand-offs and again once they are evidenced; a control call, before it releases
+/// the directory lock. Retention frees only written records. A store fsyncs by itself,
+/// in groups of [`DataplaneConfig::audit_retention`] records ([`Self::sync_on_flush`]),
+/// at rotation and at shutdown. A kill keeps every record written, so under
+/// [`AuditDetail::Full`] every delivery received is evidenced, and so is every channel
+/// it came by; a power cut keeps what was fsynced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistenceConfig {
-    /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`. At engine
-    /// startup the shard directories are re-opened one after another
-    /// ([`SegmentStore::reopen`]: each frame checked from its bytes on every core, none
-    /// decoded), torn tails truncated and counted in
-    /// [`DataplaneStats::recovery_truncations`], and each shard's audit chain
-    /// re-anchors on its last persisted record.
+    /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`, the control
+    /// plane under `<dir>/control/`. At engine startup each directory is re-opened in
+    /// turn ([`SegmentStore::reopen`]: each frame checked from its bytes on every core,
+    /// none decoded), torn tails truncated and counted in
+    /// [`DataplaneStats::recovery_truncations`], and each trail's chain re-anchors on
+    /// its last persisted record.
     pub dir: PathBuf,
     /// Records per segment before rotation (sealed segments are fsynced and
     /// closed). Clamped to ≥ 1.
@@ -116,6 +115,11 @@ impl PersistenceConfig {
     /// The segment directory of one shard.
     pub fn shard_dir(&self, shard: usize) -> PathBuf {
         self.dir.join(format!("shard-{shard}"))
+    }
+
+    /// The segment directory of the control-plane trail.
+    pub fn control_dir(&self) -> PathBuf {
+        self.dir.join("control")
     }
 }
 
@@ -138,11 +142,11 @@ pub struct DataplaneConfig {
     pub audit_batch: usize,
     /// Per-message audit policy.
     pub audit_detail: AuditDetail,
-    /// Bounded in-memory audit retention per shard: after each flush only the newest
+    /// Bounded in-memory audit retention per trail: after each flush only the newest
     /// `keep` records stay resident (the chain remains anchored and verifiable — see
     /// [`legaliot_audit::BatchedAppender::with_retention`]). `None` retains
     /// everything, which is unbounded memory under [`AuditDetail::Full`] at dataplane
-    /// rates. It is also a durable shard's group commit
+    /// rates. It is also a durable trail's group commit
     /// ([`PersistenceConfig::sync_on_flush`]).
     pub audit_retention: Option<usize>,
     /// How message bodies travel through the shards (one value; see [`PayloadMode`]).
@@ -163,7 +167,8 @@ pub struct DataplaneConfig {
     pub telemetry: ObsConfig,
     /// Deterministic, seeded fault injection ([`FailpointRegistry`]): panics, delays,
     /// queue-full faults and segment IO faults at named sites on the data path and in
-    /// each shard's [`SegmentStore`], for exercising shard supervision, churn soaks and
+    /// each shard's [`SegmentStore`] (not the control plane's: its writes would take
+    /// the hits armed for the shards), for exercising shard supervision, churn soaks and
     /// crash recovery. `None` (the default) disables every probe down to a single
     /// branch, the same zero-cost-when-off discipline as `telemetry`.
     pub failpoints: Option<Arc<FailpointRegistry>>,
@@ -173,9 +178,9 @@ pub struct DataplaneConfig {
     /// Once degraded, the shard evidences everything it receives as lost and
     /// publishes routed to it fail fast with [`DataplaneError::ShardUnavailable`].
     pub restart_budget: u32,
-    /// Durable audit: when set, a shard writes each batch's records to a per-shard
-    /// on-disk [`SegmentStore`] before its hand-offs, and theirs before it ends — what a
-    /// process kill keeps; a power cut keeps what was fsynced ([`PersistenceConfig`]).
+    /// Durable audit: when set, every trail writes each unit of work's records to its
+    /// own on-disk [`SegmentStore`] — what a process kill keeps; a power cut keeps what
+    /// was fsynced ([`PersistenceConfig`]).
     /// `None` (the default) keeps the hot path free of IO, as `telemetry` does.
     pub persistence: Option<PersistenceConfig>,
 }
@@ -454,8 +459,7 @@ impl EndpointTable {
 }
 
 /// Shared mutable state: the endpoint directory, registered (frozen) message schemas,
-/// the AC regime, plus the control-plane audit appender (subscriptions, context
-/// changes).
+/// the AC regime, plus the control-plane trail (subscriptions, context changes).
 #[derive(Debug)]
 pub(crate) struct Directory {
     pub endpoints: EndpointTable,
@@ -465,6 +469,13 @@ pub(crate) struct Directory {
 }
 
 impl Directory {
+    /// Evidences one control-plane change: appended to the control trail and written —
+    /// on disk, on a durable engine, before the caller releases the write lock.
+    fn record(&mut self, event: AuditEvent, now: Timestamp) {
+        self.control_audit.append(event, now.as_millis());
+        self.control_audit.write();
+    }
+
     /// [`Dataplane::subscribe`], under the caller's write lock.
     fn subscribe(
         &mut self,
@@ -480,8 +491,7 @@ impl Directory {
         if outcome.is_delivered() {
             self.endpoints.link(publisher_id, subscriber_id);
         }
-        let evidence = outcome.channel_evidence(publisher, subscriber);
-        self.control_audit.append(evidence, now.as_millis());
+        self.record(outcome.channel_evidence(publisher, subscriber), now);
         Ok(outcome)
     }
 
@@ -496,24 +506,32 @@ impl Directory {
         // A text nobody interned has no id, and so no edge to remove.
         let unlink = |id| self.endpoints.unlink(publisher_id, id);
         if EndpointId::lookup(subscriber).is_some_and(unlink) {
-            self.control_audit.append(teardown_evidence(publisher, subscriber), now.as_millis());
+            self.record(teardown_evidence(publisher, subscriber), now);
         }
         Ok(())
     }
 }
 
-/// One shard's durable-audit attachment: the open segment store plus the resume
-/// point recovered from its directory at engine startup. The shard worker hands the
-/// store bytes and the store fsyncs them by itself; the mutex is for the engine handle
-/// (`stats`, report assembly). Every critical section is short and holds no other lock.
-#[derive(Debug)]
-pub(crate) struct ShardPersistence {
-    pub store: Arc<Mutex<SegmentStore>>,
-    /// Hash of the last record persisted before this incarnation started; the
-    /// shard's in-memory chain re-anchors here so `verify_chain` spans disk + RAM.
-    pub resume_anchor: u64,
-    /// First record id this incarnation may assign (recovered `next_id`).
-    pub resume_next_id: u64,
+/// Opens a trail, a shard's or the control plane's alike: flushed every `audit_batch`
+/// appends and bounded by `audit_retention`; on a durable engine resumed from and written
+/// to `dir`, committing in groups of `audit_retention` under `sync_on_flush`, its torn
+/// tails counted in `recovery_truncations`.
+fn open_trail(
+    authority: String,
+    dir: impl FnOnce(&PersistenceConfig) -> PathBuf,
+    config: &DataplaneConfig,
+    counters: &EngineCounters,
+) -> BatchedAppender {
+    let segments = config.persistence.as_ref().map(|persistence| {
+        let group_commit = config.audit_retention.filter(|_| persistence.sync_on_flush);
+        (dir(persistence), persistence.max_segment_records, group_commit)
+    });
+    let shown = segments.as_ref().map(|(dir, ..)| dir.display().to_string()).unwrap_or_default();
+    let (trail, truncations) =
+        BatchedAppender::open(authority, config.audit_batch, config.audit_retention, segments)
+            .unwrap_or_else(|error| panic!("cannot reopen audit segments in {shown}: {error}"));
+    counters.recovery_truncations.add(truncations.len() as u64);
+    trail
 }
 
 /// State shared between the engine handle and the shard workers.
@@ -522,9 +540,6 @@ pub(crate) struct SharedState {
     pub name: String,
     pub directory: RwLock<Directory>,
     pub shards: Vec<ShardState>,
-    /// Per-shard durable-audit stores, index-aligned with `shards`; all `None`
-    /// when persistence is off.
-    pub persistence: Vec<Option<ShardPersistence>>,
     /// The context store enforcement-time AC decisions are evaluated against; shards
     /// refresh a snapshot of it once per batch.
     pub context_store: Arc<ContextStore>,
@@ -541,7 +556,9 @@ pub struct DataplaneReport {
     /// Per-shard hash-chained audit logs (flow checks and summaries), index-aligned
     /// with the shard numbering.
     pub shard_audit: Vec<AuditLog>,
-    /// The control-plane audit log (subscriptions, context changes, isolation).
+    /// The control-plane audit log (subscriptions, context changes, isolation): the
+    /// suffix [`DataplaneConfig::audit_retention`] keeps, anchored on the record before
+    /// it. On a durable engine the whole trail is in [`PersistenceConfig::control_dir`].
     pub control_audit: AuditLog,
     /// `(shard index, panic message)` for every worker that did not exit
     /// cleanly at shutdown. Supervision catches worker panics and restarts the
@@ -556,7 +573,7 @@ pub struct DataplaneReport {
     /// [`SegmentStats::unsynced_bytes`] of [`Self::segment_stats`] (0 without it):
     /// non-zero after a shutdown means a store wedged on an IO fault.
     pub unsynced_bytes: u64,
-    /// Merged per-shard segment-store statistics (`None` when persistence is off).
+    /// Merged statistics of the shards' segment stores (`None` when persistence is off).
     pub segment_stats: Option<SegmentStats>,
 }
 
@@ -608,6 +625,8 @@ impl DataplaneReport {
 pub struct Dataplane {
     shared: Arc<SharedState>,
     workers: Vec<JoinHandle<AuditLog>>,
+    /// The shards' segment stores, which [`Self::segment_stats`] merges (durable only).
+    stores: Vec<Arc<Mutex<SegmentStore>>>,
     config: DataplaneConfig,
     counters: EngineCounters,
     /// Where published bodies come from and are reused (see the module docs). Taken
@@ -629,18 +648,17 @@ impl Dataplane {
     /// force on every shard from its next batch on. The engine reads snapshots and
     /// holds no subscription, so its writes keep no change for it.
     ///
-    /// With [`DataplaneConfig::persistence`] set, each shard's segment directory is
-    /// re-opened first, one shard after another ([`SegmentStore::reopen`]): each
+    /// With [`DataplaneConfig::persistence`] set, each trail's segment directory is
+    /// re-opened first, one after another ([`SegmentStore::reopen`]): each
     /// segment is walked once and its frames checked in one pass on every core, each
     /// persisted record's bytes hashed once with no allocation per record, so a
     /// restart costs the bytes on disk, not the records they encode.
     ///
     /// # Panics
     ///
-    /// When [`DataplaneConfig::persistence`] is set and a shard's segment
-    /// directory cannot be recovered or reopened (unreadable directory,
-    /// permission failure). Durable audit that cannot start is a configuration
-    /// error, not something to silently disable.
+    /// When [`DataplaneConfig::persistence`] is set and a trail's segment directory
+    /// cannot be re-opened (unreadable directory, permission failure). Durable audit
+    /// that cannot start is a configuration error, not something to silently disable.
     pub fn with_context_store(
         name: impl Into<String>,
         config: DataplaneConfig,
@@ -649,53 +667,42 @@ impl Dataplane {
         let name = name.into();
         let shards = config.shards.max(1);
         let counters = EngineCounters::default();
-        let persistence: Vec<Option<ShardPersistence>> = match &config.persistence {
-            None => (0..shards).map(|_| None).collect(),
-            Some(persistence) => (0..shards)
-                .map(|index| {
-                    let dir = persistence.shard_dir(index);
-                    let group_commit = config.audit_retention.filter(|_| persistence.sync_on_flush);
-                    let (mut store, reopened) =
-                        SegmentStore::reopen(&dir, persistence.max_segment_records, group_commit)
-                            .unwrap_or_else(|error| {
-                                panic!("cannot reopen audit segments in {}: {error}", dir.display())
-                            });
-                    if let Some(registry) = &config.failpoints {
-                        store.set_failpoints(Arc::clone(registry));
-                    }
-                    counters.recovery_truncations.add(reopened.truncations.len() as u64);
-                    Some(ShardPersistence {
-                        store: Arc::new(Mutex::new(store)),
-                        resume_anchor: reopened.head_hash,
-                        resume_next_id: reopened.next_id,
-                    })
-                })
-                .collect(),
-        };
+        let trails: Vec<BatchedAppender> = (0..shards)
+            .map(|i| {
+                open_trail(format!("{name}-shard-{i}"), |p| p.shard_dir(i), &config, &counters)
+            })
+            .collect();
+        let stores: Vec<_> = trails.iter().filter_map(BatchedAppender::store).cloned().collect();
+        // The failpoint schedule reaches the shards' stores only.
+        if let Some(registry) = &config.failpoints {
+            stores.iter().for_each(|store| store.lock().set_failpoints(Arc::clone(registry)));
+        }
+        let control_audit =
+            open_trail(format!("{name}-control"), |p| p.control_dir(), &config, &counters);
         let shared = Arc::new(SharedState {
             directory: RwLock::new(Directory {
                 endpoints: EndpointTable::default(),
                 schemas: HashMap::new(),
                 access: AccessRegime::new(),
-                control_audit: BatchedAppender::new(format!("{name}-control"), 1),
+                control_audit,
             }),
             shards: (0..shards)
                 .map(|_| ShardState::new(QUEUE_CAPACITY, config.telemetry.is_enabled()))
                 .collect(),
-            persistence,
             context_store,
             epoch: Instant::now(),
             name,
         });
         let workers = (0..shards)
-            .map(|index| {
+            .zip(trails)
+            .map(|(index, trail)| {
                 let shared = Arc::clone(&shared);
                 let config = config.clone();
-                thread::spawn(move || run_worker(index, shared, config))
+                thread::spawn(move || run_worker(index, shared, config, trail))
             })
             .collect();
         let bodies = Mutex::new(BodyRing::new(shards.saturating_mul(QUEUE_CAPACITY)));
-        Dataplane { shared, workers, config, counters, bodies }
+        Dataplane { shared, workers, stores, config, counters, bodies }
     }
 
     /// The configuration this engine runs with.
@@ -1048,7 +1055,7 @@ impl Dataplane {
             after: context,
             algorithm: None,
         };
-        directory.control_audit.append(change, now.as_millis());
+        directory.record(change, now);
         Ok(())
     }
 
@@ -1071,7 +1078,7 @@ impl Dataplane {
         let (_, endpoint) = directory.endpoints.lookup_mut(name)?;
         let issuer = &self.shared.name;
         let done = reconfigure(Some(&mut endpoint.component), issuer, &step, |_| None, |_| Ok(()));
-        directory.control_audit.append(done.evidence(), now.as_millis());
+        directory.record(done.evidence(), now);
         Ok(())
     }
 
@@ -1116,7 +1123,7 @@ impl Dataplane {
                 }
                 Some(ControlDelta::Relabelled) | None => {}
             }
-            dir.control_audit.append(done.evidence(), now.as_millis());
+            dir.record(done.evidence(), now);
             outcomes.push(done.outcome);
         }
         outcomes
@@ -1154,16 +1161,14 @@ impl Dataplane {
         DataplaneStats::collect(&self.counters, &self.shared.shards, &segments)
     }
 
-    /// Merged per-shard segment-store statistics, including fsync latency
+    /// Merged statistics of the shards' segment stores, including fsync latency
     /// histograms; `None` when [`DataplaneConfig::persistence`] is off.
     pub fn segment_stats(&self) -> Option<SegmentStats> {
         let mut merged = SegmentStats::default();
-        let mut enabled = false;
-        for shard in self.shared.persistence.iter().flatten() {
-            merged.merge(shard.store.lock().stats());
-            enabled = true;
+        for store in &self.stores {
+            merged.merge(store.lock().stats());
         }
-        enabled.then_some(merged)
+        (!self.stores.is_empty()).then_some(merged)
     }
 
     /// A point-in-time [`TelemetrySnapshot`]: aggregated counters plus per-shard
@@ -1205,10 +1210,11 @@ impl Dataplane {
     }
 
     /// The one stop: closes each shard's ingress queue — its worker enforces the backlog,
-    /// then returns — and joins the worker. A panic that escaped supervision (e.g. in the
-    /// shutdown epilogue) is reaped without re-panicking: a placeholder log fills its
-    /// slot, and the panic is returned beside the trails.
-    fn stop_workers(&mut self) -> (Vec<AuditLog>, Vec<(usize, String)>) {
+    /// then closes its trail and returns — and joins the worker, then closes the control
+    /// trail as a worker's epilogue closes a shard's. A panic that escaped supervision
+    /// (e.g. in the shutdown epilogue) is reaped without re-panicking: a placeholder log
+    /// fills its slot, and the panic is returned beside the trails.
+    fn stop_workers(&mut self) -> (Vec<AuditLog>, AuditLog, Vec<(usize, String)>) {
         for shard in &self.shared.shards {
             shard.queue.close();
         }
@@ -1220,14 +1226,15 @@ impl Dataplane {
                 AuditLog::new(format!("{}-shard-{index}", self.shared.name))
             }));
         }
-        (shard_audit, worker_panics)
+        let control_audit = self.shared.directory.write().control_audit.close();
+        (shard_audit, control_audit, worker_panics)
     }
 
     /// Drains outstanding work, stops every worker and returns the final report with
     /// all audit logs (chains intact).
     pub fn shutdown(mut self) -> DataplaneReport {
         self.drain();
-        let (shard_audit, worker_panics) = self.stop_workers();
+        let (shard_audit, control_audit, worker_panics) = self.stop_workers();
         // Workers are gone, so every enforced delivery is in its mailbox; closing now
         // lets consumers drain the backlog and then observe Disconnected.
         self.close_mailboxes();
@@ -1235,14 +1242,6 @@ impl Dataplane {
         // above returned), so these merged stats already cover the final fsyncs.
         let segment_stats = self.segment_stats();
         let stats = self.stats();
-        let control_audit = {
-            let mut directory = self.shared.directory.write();
-            std::mem::replace(
-                &mut directory.control_audit,
-                BatchedAppender::new(format!("{}-control", self.shared.name), 1),
-            )
-            .into_log()
-        };
         DataplaneReport {
             stats,
             shard_audit,

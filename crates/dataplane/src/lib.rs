@@ -47,8 +47,9 @@
 //!   endpoint keeps its publishers beside its subscribers), so joins, leaves and
 //!   rule updates do not slow as the fleet grows
 //!   (`tests/control_plane_scaling.rs`).
-//! * **Batched, tamper-evident audit** — every shard writes its own hash-chained log
-//!   through a [`legaliot_audit::BatchedAppender`]; in
+//! * **Batched, tamper-evident audit** — every shard, and the control plane, keeps its
+//!   own hash-chained trail, each opened, written and sealed the same way
+//!   ([`legaliot_audit::BatchedAppender`], persisted side by side when durable); in
 //!   [`AuditDetail::Summarised`] mode repeated checks of a pair fold into one
 //!   `FlowSummary` record (whose counts total every check in the window) while IFC
 //!   denials and the pair's first allowed check of each message type under its
@@ -1895,6 +1896,11 @@ mod tests {
             disk_records += recovered.records.len() as u64;
         }
         assert_eq!(disk_records, report.stats.segment_records_persisted);
+        // The control trail is on disk beside them, whole: the two subscriptions.
+        let control = legaliot_audit::SegmentStore::recover(persistence.control_dir()).unwrap();
+        assert!(control.is_clean(), "truncations: {:?}", control.truncations);
+        assert!(control.chain.is_intact());
+        assert_eq!(control.records, report.control_audit.records());
 
         // Second incarnation on the same directories: each shard re-anchors on
         // its persisted head, and the combined disk stream still verifies as one
@@ -1919,6 +1925,76 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The control plane's trail lives as a shard's does: each incarnation resumes the
+    /// chain its control directory holds, so subscriptions and relabellings across two
+    /// incarnations are one chain on disk with ids dense from 0, while the reports
+    /// keep only what retention bounds.
+    #[test]
+    fn a_restart_continues_the_control_chain() {
+        use legaliot_audit::{AuditEvent, AuditEventKind};
+        let dir = durable_dir("control");
+        let config = durable_config(&dir);
+        let persistence = config.persistence.clone().unwrap();
+        let mut retained = Vec::new();
+        for incarnation in 0..2u64 {
+            let dataplane = two_pair_plane(config.clone());
+            for round in 0..10 {
+                let secrecy = if round % 2 == 0 { vec!["t", "x"] } else { vec!["t"] };
+                let at = Timestamp(100 * (incarnation + 1) + round);
+                let context = SecurityContext::from_names(secrecy, Vec::<&str>::new());
+                dataplane.set_context("b", context, at).unwrap();
+            }
+            dataplane.unsubscribe("a", "b", Timestamp(100 * (incarnation + 1) + 50)).unwrap();
+            let report = dataplane.shutdown();
+            assert!(report.control_audit.verify_chain().is_intact());
+            assert!(report.control_audit.len() <= 16, "retention bounds the control trail");
+            retained.push(report.control_audit);
+        }
+        let recovered = legaliot_audit::SegmentStore::recover(persistence.control_dir()).unwrap();
+        assert!(recovered.is_clean(), "truncations: {:?}", recovered.truncations);
+        assert!(recovered.chain.is_intact(), "one chain across both incarnations");
+        assert_eq!(recovered.initial_anchor, 0, "the chain starts at genesis");
+        // Per incarnation: two subscriptions, ten relabellings, one teardown.
+        assert_eq!(recovered.records.len(), 2 * 13);
+        for (i, record) in recovered.records.iter().enumerate() {
+            assert_eq!(record.id.0, i as u64, "ids are dense from 0");
+            assert_eq!(record.recorded_by, "test-control");
+        }
+        let kinds = |kind| recovered.records.iter().filter(|r| r.event.kind() == kind).count();
+        assert_eq!(kinds(AuditEventKind::ChannelChanged), 2 * 3);
+        assert_eq!(kinds(AuditEventKind::LabelChanged), 2 * 10);
+        assert!(matches!(
+            &recovered.records[13].event,
+            AuditEvent::ChannelChanged { from, to, established: true, .. } if from == "a" && to == "b"
+        ));
+        // What each report kept is the newest part of that chain.
+        for (log, end) in retained.iter().zip([13, 26]) {
+            assert_eq!(log.records(), &recovered.records[end - log.len()..end]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Retention bounds the control trail as it bounds a shard's: 100 relabellings
+    /// under a retention of 8 leave at most 16 records in the report, re-anchored on
+    /// the last one freed, and the chain still verifies.
+    #[test]
+    fn the_control_trail_is_bounded_by_retention() {
+        let config = DataplaneConfig { audit_retention: Some(8), ..DataplaneConfig::default() };
+        let dataplane = two_pair_plane(config);
+        for round in 0..100 {
+            let secrecy = if round % 2 == 0 { vec!["t", "x"] } else { vec!["t"] };
+            let context = SecurityContext::from_names(secrecy, Vec::<&str>::new());
+            dataplane.set_context("b", context, Timestamp(10 + round)).unwrap();
+        }
+        let report = dataplane.shutdown();
+        let control = &report.control_audit;
+        assert!(control.len() <= 16, "{} control records retained", control.len());
+        assert!(control.verify_chain().is_intact());
+        assert_ne!(control.anchor_hash(), 0, "re-anchored on the last record freed");
+        assert_eq!(control.next_id(), 102, "two subscriptions and 100 relabellings");
+        assert_eq!(control.records().last().map(|record| record.at_millis), Some(109));
+    }
+
     /// Startup recovery semantics: a torn tail (crash mid-frame) is truncated,
     /// surfaced in `stats().recovery_truncations`, and the next incarnation
     /// re-anchors on the last *persisted* record so the chain still verifies.
@@ -1936,13 +2012,16 @@ mod tests {
         dataplane.drain();
         drop(dataplane);
 
-        // Tear the tail of every shard directory that has segments: cut the
-        // highest-sequence file a few bytes short, mid-frame.
+        // Tear the tail of every trail directory that has segments — each shard's and
+        // the control plane's: cut the highest-sequence file a few bytes short, mid-frame.
         let shards = config.shards;
+        let trail_dirs: Vec<_> = (0..shards)
+            .map(|shard| persistence.shard_dir(shard))
+            .chain([persistence.control_dir()])
+            .collect();
         let mut torn = 0u64;
-        for shard in 0..shards {
-            let shard_dir = persistence.shard_dir(shard);
-            let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&shard_dir)
+        for trail_dir in &trail_dirs {
+            let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(trail_dir)
                 .map(|entries| entries.map(|e| e.unwrap().path()).collect())
                 .unwrap_or_default();
             files.sort();
@@ -1958,7 +2037,7 @@ mod tests {
                 torn += 1;
             }
         }
-        assert!(torn >= 1, "the workload persisted segments to tear");
+        assert!(torn >= 2, "the workload persisted segments to tear, the control trail's too");
 
         // The next incarnation surfaces exactly the torn tails it repaired and
         // still verifies one chain across the truncation point.
@@ -1971,9 +2050,8 @@ mod tests {
         let report = dataplane.shutdown();
         assert_eq!(report.stats.recovery_truncations, torn);
         assert_eq!(report.unsynced_bytes, 0);
-        for shard in 0..report.shard_audit.len() {
-            let recovered =
-                legaliot_audit::SegmentStore::recover(persistence.shard_dir(shard)).unwrap();
+        for trail_dir in &trail_dirs {
+            let recovered = legaliot_audit::SegmentStore::recover(trail_dir).unwrap();
             assert!(
                 recovered.is_clean(),
                 "recovery repaired the tear: {:?}",

@@ -1,14 +1,13 @@
 //! Shard worker: the per-thread enforcement loop.
 //!
-//! Each shard owns an ingress [`BoundedQueue`] of deliveries ([`ShardTask`]s) and a
-//! private [`BatchedAppender`] writing a per-shard hash-chained audit log. It holds no
-//! decision cache: every delivery asks the access regime, [`can_flow`] and the
-//! schema's quench mask directly, against the directory and the context snapshot in
-//! force when its batch runs — so a context change, a key write or a rule edit is a
-//! write the next batch reads, and nothing is sent to a shard to follow one. Components are assigned
-//! to shards by a stable hash of their name; a message is enforced on the
-//! *destination's* shard, so one overloaded subscriber backpressures only its own
-//! shard.
+//! Each shard owns an ingress [`BoundedQueue`] of deliveries ([`ShardTask`]s) and the
+//! hash-chained trail ([`BatchedAppender`]) the engine opened for it. It holds no decision
+//! cache: every delivery asks the access regime, [`can_flow`] and the schema's quench mask
+//! directly, against the directory and the context snapshot in force when its batch runs —
+//! so a context change, a key write or a rule edit is a write the next batch reads, and
+//! nothing is sent to a shard to follow one. Components are assigned to shards by a stable
+//! hash of their name; a message is enforced on the *destination's* shard, so one
+//! overloaded subscriber backpressures only its own shard.
 //!
 //! Everything a delivery passes through here — the queued task, the hand-off group, the
 //! pair-summary key — names its endpoints by [`EndpointId`], a `Copy` word each (the
@@ -64,13 +63,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStore};
+use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
 use legaliot_context::{ContextSnapshot, NameMap, Timestamp};
 use legaliot_ifc::{can_flow, SecurityContext};
 use legaliot_middleware::admission::{enforce, FlowVerdict, MessageFacts, Verdict};
 use legaliot_middleware::{FrozenMessage, FrozenSchema, MessageType, Operation};
 use legaliot_obs::FailpointSite;
-use parking_lot::Mutex;
 
 use crate::engine::{AuditDetail, DataplaneConfig, Directory, Endpoint, EndpointId, SharedState};
 use crate::failpoint;
@@ -434,20 +432,6 @@ struct WorkerState {
     appender: BatchedAppender,
     /// Keyed by ids the name table handed out, which no outsider picks.
     summaries: NameMap<PairKey, PairSummary>,
-    /// The segment store of a durable shard.
-    segments: Option<Arc<Mutex<SegmentStore>>>,
-}
-
-/// Hands over the new frames; a durable shard appends them to its segment store under
-/// one lock, one `write_all` per run. The store decides when they are fsynced.
-fn write_frames(state: &mut WorkerState) {
-    let segments = state.segments.as_deref();
-    state.appender.hand_over(|runs| {
-        let Some(mut segments) = segments.map(Mutex::lock) else { return };
-        for run in runs {
-            segments.append_frames(run);
-        }
-    });
 }
 
 /// Maximum tasks drained from the ingress queue per lock acquisition.
@@ -465,9 +449,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The supervised worker for shard `index`. Runs until its ingress queue is closed
-/// and everything queued before the close has been popped and enforced, then writes
-/// the shutdown evidence, persists and seals, and returns the shard's trail.
+/// The supervised worker for shard `index`, writing to `appender`, its trail. Runs
+/// until its ingress queue is closed and everything queued before the close has been
+/// popped and enforced, then writes the shutdown evidence, closes the trail and
+/// returns what it retains.
 ///
 /// The enforcement loop itself lives in [`worker_loop`]; this function is the
 /// supervisor around it. A panic anywhere inside the loop (injected by a
@@ -487,20 +472,10 @@ pub(crate) fn run_worker(
     index: usize,
     shared: Arc<SharedState>,
     config: DataplaneConfig,
+    appender: BatchedAppender,
 ) -> AuditLog {
-    let authority = format!("{}-shard-{index}", shared.name);
-    // The chain resumes from the last *persisted* record of the previous incarnation
-    // (hash and id recovered from disk); with no persistence it starts afresh.
-    let persistence = shared.persistence[index].as_ref();
-    let (anchor, next_id) = persistence.map_or((0, 0), |p| (p.resume_anchor, p.resume_next_id));
-    let appender = BatchedAppender::over(
-        AuditLog::resume(authority.clone(), anchor, next_id),
-        config.audit_batch,
-    )
-    .with_retention(config.audit_retention);
-    let segments = persistence.map(|p| Arc::clone(&p.store));
     let snapshot = shared.context_store.snapshot();
-    let mut state = WorkerState { snapshot, appender, summaries: NameMap::default(), segments };
+    let mut state = WorkerState { snapshot, appender, summaries: NameMap::default() };
     let mut progress = BatchProgress::new();
     let mut restarts: u32 = 0;
     loop {
@@ -520,7 +495,7 @@ pub(crate) fn run_worker(
             // anything the panic could have left half-written.
             state.appender.append(
                 AuditEvent::ShardRestarted {
-                    shard: authority.clone(),
+                    shard: format!("{}-shard-{index}", shared.name),
                     restart: u64::from(restarts),
                     cause,
                 },
@@ -534,7 +509,7 @@ pub(crate) fn run_worker(
             shard.degraded.store(true, Ordering::SeqCst);
         }
         // The lost unit's record, and the restart's, go to disk before the loop resumes.
-        write_frames(&mut state);
+        state.appender.write();
     }
 
     // Emit one FlowSummary per pair (ordered by source then destination *name* — the
@@ -571,14 +546,10 @@ pub(crate) fn run_worker(
             );
         }
     }
-    // The epilogue goes to disk as every batch does, and the seal fsyncs it: the segments
-    // hold the shard's complete record stream before the engine's join returns.
-    write_frames(&mut state);
-    if let Some(segments) = &state.segments {
-        segments.lock().seal();
-    }
-    // Only the report reads records: decode what is retained.
-    state.appender.into_log()
+    // Closing writes the epilogue as every batch is written, and seals the store: the
+    // segments hold the shard's complete record stream before the engine's join
+    // returns. Only the report reads records: what is retained is decoded.
+    state.appender.close()
 }
 
 /// Rolls back the effects of a panicked unit of work and settles its loss.
@@ -743,7 +714,7 @@ fn run_batch(
         }
     }
     // Evidence before effect: the batch's records are written before its hand-offs.
-    write_frames(state);
+    state.appender.write();
     // Directory lock released: hand each mailbox its group. A Block-policy push may park
     // here until the consumer drains (or the mailbox closes) — `in_flight` is still
     // held, so `drain`/`publish` observe the backpressure, while
@@ -772,7 +743,7 @@ fn run_batch(
     }
     // What the hand-offs evidenced — sheds, abandoned hand-offs — is on disk before
     // `flush_batch` releases the batch's `in_flight`.
-    write_frames(state);
+    state.appender.write();
 }
 
 /// Flushes the completed batch's counters and releases its `in_flight` hold.

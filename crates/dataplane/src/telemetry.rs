@@ -165,7 +165,7 @@ macro_rules! metrics_table {
 }
 
 metrics_table! {
-    // Counted by the engine handle: per fan-out, and once per shard directory at startup.
+    // Counted by the engine handle: per fan-out, and once per trail directory at startup.
     engine {
         /// Deliveries enqueued on shard queues by `publish_message`: one per admitted
         /// subscriber of each published message.
@@ -174,7 +174,8 @@ metrics_table! {
         /// effectiveness, read against messages published.
         bodies_reused,
         /// Torn or corrupt segment tails truncated while recovering the persistence
-        /// directories at engine startup. Zero in normal runs.
+        /// directories (every shard's and the control plane's) at engine startup.
+        /// Zero in normal runs.
         recovery_truncations,
     }
     // Counted by the shard workers per delivery, batch-locally; summed over shards.

@@ -1,15 +1,19 @@
 //! Evidence before effect, under a process kill: every delivery a consumer received
 //! from a durable, fully audited dataplane has its allowed `FlowChecked` record on
-//! disk after the process is SIGKILLed — no graceful exit, no shutdown epilogue.
+//! disk after the process is SIGKILLed — no graceful exit, no shutdown epilogue — and
+//! the channel it came by has its established `ChannelChanged` record on the control
+//! plane's trail.
 //!
 //! The test re-executes its own binary as a child (`--exact` on the child test, with
 //! `LEGALIOT_KILL_CHILD_DIR` naming the persistence root). The child runs the smart-home
 //! topology on a durable dataplane — two shards, `AuditDetail::Full`, retention 8 192,
 //! batch 1 024 — publishing without end, every message with its own `sent_at_millis`,
-//! and one consumer thread per mailbox prints one `recv <destination> <data item>` line
-//! per delivery, flushed. The parent reads a seeded number of those lines, kills the
-//! child, recovers each shard's segments and checks that every shard's chain is intact
-//! and holds an allowed `FlowChecked` record for every line it read.
+//! and one consumer thread per mailbox prints one `recv <sender> <destination> <data
+//! item>` line per delivery, flushed. The parent reads a seeded number of those lines,
+//! kills the child, recovers each shard's segments and the control directory, and checks
+//! that every chain is intact, that the shards hold an allowed `FlowChecked` record for
+//! every line it read, and that the control trail holds an established `ChannelChanged`
+//! record for the `(sender, destination)` pair of each.
 //!
 //! Reproducible from its seed: `LEGALIOT_FLEET_SEED` (default 1) picks the topology's
 //! seed and the number of lines read before the kill.
@@ -74,7 +78,8 @@ fn child_runs_a_durable_dataplane_until_killed() {
             while let Ok(message) = subscriber.recv() {
                 let mut out = std::io::stdout().lock();
                 let (message_type, at) = (message.message_type(), message.sent_at_millis());
-                writeln!(out, "{PREFIX}{} {message_type}@{at}", subscriber.name()).unwrap();
+                let (sender, destination) = (message.sender(), subscriber.name());
+                writeln!(out, "{PREFIX}{sender} {destination} {message_type}@{at}").unwrap();
                 out.flush().unwrap();
             }
         });
@@ -143,11 +148,15 @@ fn every_delivery_a_consumer_saw_survives_a_kill() {
         assert!(recovered.chain.is_intact(), "shard {shard}: {:?} {ctx}", recovered.chain);
         for record in recovered.records {
             if let AuditEvent::FlowChecked {
-                destination, decision, data_item: Some(item), ..
+                source,
+                destination,
+                decision,
+                data_item: Some(item),
+                ..
             } = record.event
             {
                 if !decision.is_denied() {
-                    evidenced.insert(format!("{destination} {item}"));
+                    evidenced.insert(format!("{source} {destination} {item}"));
                 }
             }
         }
@@ -161,6 +170,36 @@ fn every_delivery_a_consumer_saw_survives_a_kill() {
         seen.len(),
         missing.first()
     );
-    println!("{} deliveries received, each evidenced on disk {ctx}", seen.len());
+
+    let control_dir = PersistenceConfig::at(&dir).control_dir();
+    let control = SegmentStore::recover(&control_dir)
+        .unwrap_or_else(|error| panic!("the control trail recovers: {error} {ctx}"));
+    assert!(control.chain.is_intact(), "control: {:?} {ctx}", control.chain);
+    let mut established = HashSet::new();
+    for record in control.records {
+        if let AuditEvent::ChannelChanged { from, to, established: true, .. } = record.event {
+            established.insert(format!("{from} {to}"));
+        }
+    }
+    let unchannelled: Vec<&String> = seen
+        .iter()
+        .filter(|line| {
+            let pair: Vec<&str> = line.splitn(3, ' ').take(2).collect();
+            !established.contains(&pair.join(" "))
+        })
+        .collect();
+    assert!(
+        unchannelled.is_empty(),
+        "{} of {} deliveries received before the kill came by a channel with no \
+         established ChannelChanged on disk, first {:?} {ctx}",
+        unchannelled.len(),
+        seen.len(),
+        unchannelled.first()
+    );
+    println!(
+        "{} deliveries received, each evidenced on disk with its channel ({} established) {ctx}",
+        seen.len(),
+        established.len()
+    );
     std::fs::remove_dir_all(&dir).expect("the temp dir goes");
 }
