@@ -5,25 +5,26 @@
 //! [`BatchedAppender`] does both once: an append assigns the record its id and encodes
 //! it **as the segment frame it will be on disk** (`len ‖ checksum ‖ body ‖ hash`, see
 //! [`crate::segment`]) straight into the trail, its two hashes and checksum left zero.
-//! The chain is sealed once per batch, when the trail is next read — written, its
-//! head asked for, or decoded: the chain-independent bytes of every new frame are
-//! folded four frames at a time, and only each frame's last sixteen bytes are then
-//! folded in chain order, giving its `previous_hash`, its hash and (continuing that
-//! pass) its checksum (see [`crate::codec`]). The chain is byte for byte the one
-//! [`AuditLog::record`] would have produced; what differs is that nothing is built,
-//! cloned or freed per record — the two records a dataplane writes per message are
-//! encoded from borrowed fields ([`BatchedAppender::append_flow_checked`],
+//! The chain is sealed once per batch, when the batch is written: the chain-independent
+//! bytes of every new frame are folded four frames at a time, and only each frame's
+//! last sixteen bytes are then folded in chain order, giving its `previous_hash`, its
+//! hash and (continuing that pass) its checksum (see [`crate::codec`]). The chain is
+//! byte for byte the one [`AuditLog::record`] would have produced; what differs is that
+//! nothing is built, cloned or freed per record — the two records a dataplane writes
+//! per message are encoded from borrowed fields
+//! ([`BatchedAppender::append_flow_checked`],
 //! [`BatchedAppender::append_message_quenched`]), and an owned [`AuditEvent`]
 //! ([`BatchedAppender::append`]) is encoded and dropped.
 //!
 //! The trail is a queue of fixed-size chunks of whole frames (no locks). Every trail lives
-//! the same way: [`BatchedAppender::open`] resumes the chain a segment directory holds,
-//! each unit of work ends with [`BatchedAppender::write`], which passes the new frames to
-//! the [`SegmentStore`] as the byte runs they already are (a `write_all`; when they are
-//! fsynced is the store's decision), and [`BatchedAppender::close`] writes the rest and
-//! seals the store. Retention, checked every `capacity` appends (the batch), prunes only
-//! frames written, from the front, reusing their chunks. Records exist as structs only for
-//! a reader: [`BatchedAppender::into_log`] decodes what is retained.
+//! one way: [`BatchedAppender::open`] resumes the chain a segment directory holds (or
+//! starts one that is written nowhere), each unit of work ends with
+//! [`BatchedAppender::write`], which seals the new frames and passes them to the
+//! [`SegmentStore`] as the byte runs they already are (a `write_all`; when they are
+//! fsynced is the store's decision), and [`BatchedAppender::close`] writes the rest,
+//! seals the store and decodes what is retained: records exist as structs only for a
+//! reader. Retention is applied as each write ends, and prunes only frames written, from
+//! the front, reusing their chunks.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -74,13 +75,9 @@ struct Trail {
     /// Of those, the oldest ones already handed over: the frames behind the mark.
     handed: usize,
     /// Where the frame after the last one handed over starts: chunk index, byte offset.
+    /// The frames behind it are sealed; the ones after it are not.
     mark: (usize, usize),
-    /// Of the frames held, the oldest ones whose hashes and checksum are written: at
-    /// least those behind the mark.
-    sealed: usize,
-    /// Where the first unsealed frame starts, as `mark` says it.
-    seal_mark: (usize, usize),
-    /// [`Self::seal`]'s folds, one per unsealed frame, kept from batch to batch.
+    /// [`Self::seal`]'s folds, one per frame not handed over, kept from batch to batch.
     folds: Vec<StableHasher>,
 }
 
@@ -141,13 +138,8 @@ impl Trail {
         }
         self.frames -= frames;
         self.handed -= frames;
-        self.sealed -= frames;
-        // Only a chunk a mark ends could go with the ones before it.
-        let shift = |(chunk, offset): (usize, usize)| {
-            chunk.checked_sub(whole).map_or((0, 0), |chunk| (chunk, offset))
-        };
-        self.mark = shift(self.mark);
-        self.seal_mark = shift(self.seal_mark);
+        // Only a chunk the mark ends could go with the ones before it.
+        self.mark = self.mark.0.checked_sub(whole).map_or((0, 0), |chunk| (chunk, self.mark.1));
         u64::from_le_bytes(hash)
     }
 
@@ -156,25 +148,21 @@ impl Trail {
         self.chunks.back().map_or((0, 0), |chunk| (self.chunks.len() - 1, chunk.end))
     }
 
-    /// Seals the frames appended since the last seal, the first chained from `head`,
-    /// and returns the newest one's hash. Each frame's bytes up to its `previous_hash`
-    /// are folded four frames at a time; then, oldest first, its fold is continued over
-    /// the hash before it (the frame's chain hash) and over its own hash (the checksum),
-    /// and all three are written into the frame.
+    /// Seals the frames after the mark, the first chained from `head`, and returns the
+    /// newest one's hash. Each frame's bytes up to its `previous_hash` are folded four
+    /// frames at a time; then, oldest first, its fold is continued over the hash before
+    /// it (the frame's chain hash) and over its own hash (the checksum), and all three
+    /// are written into the frame.
     fn seal(&mut self, mut head: u64) -> u64 {
-        let unsealed = self.frames - self.sealed;
-        if unsealed == 0 {
-            return head;
-        }
         let folds = &mut self.folds;
         folds.clear();
-        folds.resize(unsealed, StableHasher::new());
-        let frames = runs(&self.chunks, self.seal_mark).flat_map(|run| {
+        folds.resize(self.frames - self.handed, StableHasher::new());
+        let frames = runs(&self.chunks, self.mark).flat_map(|run| {
             std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
         });
         let chain_free = frames.map(|(frame, _)| &frame[FRAME_PREFIX_LEN..frame.len() - 16]);
         StableHasher::fold_each(chain_free, |index, fold| folds[index] = fold);
-        let (first, offset) = self.seal_mark;
+        let (first, offset) = self.mark;
         let mut fold = folds.iter();
         for (n, chunk) in self.chunks.range_mut(first..).enumerate() {
             let mut at = if n == 0 { offset } else { chunk.start };
@@ -192,14 +180,12 @@ impl Trail {
                 at += frame.len();
             }
         }
-        self.sealed = self.frames;
-        self.seal_mark = self.end_mark();
         head
     }
 }
 
-/// Appends audit records to a hash-chained trail of encoded frames, pruning it to a
-/// retention bound in batches.
+/// Appends audit records to a hash-chained trail of encoded frames, sealing them and
+/// pruning the trail to a retention bound each time it is written.
 ///
 /// ```
 /// use legaliot_audit::{AuditEvent, BatchedAppender};
@@ -209,7 +195,7 @@ impl Trail {
 ///     10,
 /// );
 /// assert_eq!(appender.len(), 1);
-/// let log = appender.into_log(); // final flush included
+/// let log = appender.close(); // written (nowhere), sealed and decoded
 /// assert_eq!(log.len(), 1);
 /// assert!(log.verify_chain().is_intact());
 /// ```
@@ -218,12 +204,9 @@ pub struct BatchedAppender {
     trail: Trail,
     /// Hash the oldest retained record chains from.
     anchor_hash: u64,
-    /// Hash of the newest sealed record: what the next one sealed chains from.
+    /// Hash of the newest record handed over: what the next one sealed chains from.
     head_hash: u64,
     next_id: u64,
-    /// Appends since the last batch ended.
-    buffered: usize,
-    capacity: usize,
     retention: Option<usize>,
     /// Where a durable trail writes; shared so that its owner's engine can read stats.
     store: Option<Arc<Mutex<SegmentStore>>>,
@@ -236,43 +219,23 @@ impl fmt::Debug for BatchedAppender {
             .field("len", &self.trail.frames)
             .field("anchor_hash", &self.anchor_hash)
             .field("next_id", &self.next_id)
-            .field("buffered", &self.buffered)
-            .field("capacity", &self.capacity)
             .field("retention", &self.retention)
             .field("handed", &self.trail.handed)
-            .field("sealed", &self.trail.sealed)
             .finish()
     }
 }
 
 impl BatchedAppender {
-    /// Creates an appender starting a fresh chain recorded by `authority`, flushing
-    /// (checking retention) whenever `capacity` records have been appended since the
-    /// last flush. A capacity of 1 checks after every record.
-    pub fn new(authority: impl Into<String>, capacity: usize) -> Self {
-        Self::over(AuditLog::new(authority), capacity)
-    }
-
-    /// Creates an appender continuing an existing log (e.g. one resumed from a
-    /// persisted head, or after an offload): its anchor, numbering and records carry
-    /// over, the records re-encoded exactly as they are — sealed already, so never
-    /// rewritten, whatever hashes they claim.
-    pub fn over(log: AuditLog, capacity: usize) -> Self {
-        let mut trail = Trail::default();
-        for record in log.records() {
-            codec::put_record_frame(trail.writable(), record);
-            trail.commit();
-        }
-        trail.sealed = trail.frames;
-        trail.seal_mark = trail.end_mark();
+    /// Creates an appender starting a fresh chain recorded by `authority`, written
+    /// nowhere. Inert: `capacity` — a trail is sealed and pruned only when it is
+    /// written — kept while `benchmark/` names it.
+    pub fn new(authority: impl Into<String>, _capacity: usize) -> Self {
         BatchedAppender {
-            authority: log.authority().to_string(),
-            trail,
-            anchor_hash: log.anchor_hash(),
-            head_hash: log.head_hash(),
-            next_id: log.next_id(),
-            buffered: 0,
-            capacity: capacity.max(1),
+            authority: authority.into(),
+            trail: Trail::default(),
+            anchor_hash: 0,
+            head_hash: 0,
+            next_id: 0,
             retention: None,
             store: None,
         }
@@ -288,11 +251,10 @@ impl BatchedAppender {
     /// Propagates filesystem errors re-opening the directory.
     pub fn open(
         authority: impl Into<String>,
-        capacity: usize,
         retention: Option<usize>,
         segments: Option<(std::path::PathBuf, usize, Option<usize>)>,
     ) -> std::io::Result<(Self, Vec<Truncation>)> {
-        let mut trail = Self::new(authority, capacity).with_retention(retention);
+        let mut trail = Self::new(authority, 0).with_retention(retention);
         let Some((dir, max_segment_records, group_commit)) = segments else {
             return Ok((trail, Vec::new()));
         };
@@ -308,10 +270,12 @@ impl BatchedAppender {
         self.store.as_ref()
     }
 
-    /// Bounds in-memory retention: once the trail holds `2 × keep` records at a flush,
-    /// it is pruned back to the newest `keep`, or to the oldest not handed over if that
-    /// is older, re-anchored on the last pruned record's hash (the chain stays verifiable;
-    /// the hysteresis keeps pruning amortised O(1) per record). `None` keeps everything.
+    /// Bounds in-memory retention: once the trail holds `2 × keep` records when it is
+    /// written, it is pruned by a whole multiple of `keep` to between `keep` and
+    /// `2 × keep` of the newest, re-anchored on the last pruned record's hash (the chain
+    /// stays verifiable; the hysteresis keeps pruning amortised O(1) per record). Whole
+    /// multiples make what stays depend on the number of records alone, not on where
+    /// the writes fell. `None` keeps everything.
     pub fn with_retention(mut self, keep: Option<usize>) -> Self {
         self.retention = keep.map(|k| k.max(1));
         self
@@ -344,26 +308,21 @@ impl BatchedAppender {
     }
 
     /// The one append: the next id and `event`'s bytes become an unsealed frame at the
-    /// end of the trail, chained when the batch is sealed. The frame counts only once
+    /// end of the trail, chained when it is next written. The frame counts only once
     /// it is whole, so a panic inside `event` leaves the trail as it was.
     fn append_with(&mut self, at_millis: u64, event: impl FnOnce(&mut Vec<u8>)) {
         let id = RecordId(self.next_id);
         codec::put_unsealed_frame(self.trail.writable(), id, at_millis, &self.authority, event);
         self.trail.commit();
         self.next_id += 1;
-        self.buffered += 1;
-        if self.buffered >= self.capacity {
-            self.buffered = 0;
-            self.flush();
-        }
     }
 
-    /// Applies the retention bound (if configured) to the frames already handed over;
-    /// every `capacity`-th append ends a batch with it.
+    /// Applies the retention bound (if configured) to the frames already handed over,
+    /// as every hand-over ends.
     pub fn flush(&mut self) {
         let Some(keep) = self.retention else { return };
-        let frames = self.trail.frames.saturating_sub(keep).min(self.trail.handed);
-        if self.trail.frames >= keep.saturating_mul(2) && frames > 0 {
+        let frames = (self.trail.frames.saturating_sub(keep) / keep * keep).min(self.trail.handed);
+        if frames > 0 {
             self.anchor_hash = self.trail.prune(frames);
         }
     }
@@ -398,19 +357,31 @@ impl BatchedAppender {
         });
     }
 
-    /// Writes the rest, seals the segment store and decodes what is retained, as
-    /// [`Self::into_log`] does, leaving the appender empty where its chain stands.
+    /// Ends the trail: writes the rest, seals the segment store, and decodes what is
+    /// retained — every frame of it handed over — into the log a reader works with,
+    /// releasing each chunk as it is decoded. The appender is left empty, anchored on
+    /// its head, so what is appended next continues the chain and the next close
+    /// returns the log after this one.
     pub fn close(&mut self) -> AuditLog {
         self.write();
         if let Some(store) = &self.store {
             store.lock().seal();
         }
-        self.decode()
-    }
-
-    /// The configured auto-flush threshold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        let mut records: Vec<AuditRecord> = Vec::with_capacity(self.trail.frames);
+        for chunk in std::mem::take(&mut self.trail).chunks {
+            let mut rest = chunk.retained();
+            while let Some((frame, after)) = codec::split_frame(rest) {
+                let record = codec::decode_record(&frame[FRAME_PREFIX_LEN..]);
+                records.push(record.expect("the appender's own frames decode"));
+                rest = after;
+            }
+        }
+        let anchor = std::mem::replace(&mut self.anchor_hash, self.head_hash);
+        if records.is_empty() {
+            // `from_records` numbers an empty log from 0; this chain may be further on.
+            return AuditLog::resume(self.authority.clone(), anchor, self.next_id);
+        }
+        AuditLog::from_records(self.authority.clone(), anchor, records)
     }
 
     /// Records currently retained.
@@ -421,41 +392,6 @@ impl BatchedAppender {
     /// Whether no record is retained.
     pub fn is_empty(&self) -> bool {
         self.trail.frames == 0
-    }
-
-    /// The hash of the newest record (the anchor while there is none) — what the next
-    /// record will chain from. Seals the frames not yet sealed to learn it.
-    pub fn head_hash(&mut self) -> u64 {
-        self.head_hash = self.trail.seal(self.head_hash);
-        self.head_hash
-    }
-
-    /// Seals and flushes, then decodes the retained frames into the log a reader works
-    /// with, releasing each chunk as it is decoded.
-    pub fn into_log(mut self) -> AuditLog {
-        self.decode()
-    }
-
-    /// [`Self::into_log`] in place: the appender is left empty, anchored on its head.
-    fn decode(&mut self) -> AuditLog {
-        self.head_hash = self.trail.seal(self.head_hash);
-        self.flush();
-        let mut records: Vec<AuditRecord> = Vec::with_capacity(self.trail.frames);
-        while let Some(chunk) = self.trail.chunks.pop_front() {
-            let mut rest = chunk.retained();
-            while let Some((frame, after)) = codec::split_frame(rest) {
-                let record = codec::decode_record(&frame[FRAME_PREFIX_LEN..]);
-                records.push(record.expect("the appender's own frames decode"));
-                rest = after;
-            }
-        }
-        self.trail = Trail::default();
-        let anchor = std::mem::replace(&mut self.anchor_hash, self.head_hash);
-        if records.is_empty() {
-            // `from_records` numbers an empty log from 0; this chain may be further on.
-            return AuditLog::resume(self.authority.clone(), anchor, self.next_id);
-        }
-        AuditLog::from_records(self.authority.clone(), anchor, records)
     }
 }
 
@@ -500,22 +436,30 @@ mod tests {
         handed
     }
 
+    /// `new`'s capacity is inert: whatever it is, every append is retained until the
+    /// trail is closed, and the log closed is the same, in arrival order.
     #[test]
-    fn auto_flush_at_capacity_preserves_order_and_chain() {
-        let mut appender = BatchedAppender::new("shard-0", 4);
-        for n in 0..10 {
-            appender.append(event(n), n as u64);
-        }
-        // 10 events, capacity 4: two auto-flushes have happened, two appends since.
-        assert_eq!(appender.len(), 10);
-        assert_eq!(appender.buffered, 2);
-        assert_eq!(appender.capacity(), 4);
-        let log = appender.into_log();
+    fn a_closed_trail_keeps_arrival_order_and_chain_whatever_its_capacity() {
+        let logs: Vec<AuditLog> = [0, 1, 4]
+            .into_iter()
+            .map(|capacity| {
+                let mut appender = BatchedAppender::new("shard-0", capacity);
+                appender.append(event(0), 0);
+                assert_eq!(appender.len(), 1);
+                for n in 1..10 {
+                    appender.append(event(n), n as u64);
+                }
+                assert_eq!(appender.len(), 10);
+                appender.close()
+            })
+            .collect();
+        let log = &logs[0];
         assert_eq!(log.len(), 10);
         assert!(log.verify_chain().is_intact());
         // Order is arrival order.
         let times: Vec<u64> = log.records().iter().map(|r| r.at_millis).collect();
         assert_eq!(times, (0..10).collect::<Vec<u64>>());
+        assert!(logs.iter().all(|other| other == log));
     }
 
     #[test]
@@ -526,28 +470,42 @@ mod tests {
             unbatched.record(event(n), n as u64);
             appender.append(event(n), n as u64);
         }
-        assert_eq!(appender.head_hash(), unbatched.head_hash());
-        let batched = appender.into_log();
+        let batched = appender.close();
         // Identical inputs produce the identical tamper-evident chain.
         assert_eq!(batched, unbatched);
     }
 
+    /// A trail opened on a directory continues the chain it holds: anchor and numbering
+    /// carry over, and the directory then holds one chain. Opened again with nothing
+    /// appended, it keeps its place.
     #[test]
-    fn over_resumes_an_existing_log() {
-        let mut log = AuditLog::new("gateway");
-        log.record(event(0), 0);
-        let mut appender = BatchedAppender::over(log, 2);
+    fn open_resumes_an_existing_chain() {
+        let dir = std::env::temp_dir().join(format!("legaliot-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || BatchedAppender::open("gateway", None, Some((dir.clone(), 8, None))).unwrap();
+        let (mut first, _) = open();
+        first.append(event(0), 0);
+        let head = first.close().head_hash();
+        let (mut appender, truncations) = open();
+        assert!(truncations.is_empty());
+        assert_eq!(appender.head_hash, head, "resumed at the disk's head");
         appender.append(event(1), 1);
         appender.flush();
-        let log = appender.into_log();
-        assert_eq!(log.len(), 2);
-        assert!(log.verify_chain().is_intact());
-        assert_eq!(log.of_kind(AuditEventKind::PolicyFired).count(), 2);
+        let log = appender.close();
+        assert_eq!((log.anchor_hash(), log.len()), (head, 1));
+
+        let recovered = SegmentStore::recover(&dir).unwrap();
+        let all = AuditLog::from_records("gateway", recovered.initial_anchor, recovered.records);
+        assert_eq!(all.len(), 2);
+        assert!(all.verify_chain().is_intact());
+        assert_eq!(all.of_kind(AuditEventKind::PolicyFired).count(), 2);
+        assert_eq!(log.records(), &all.records()[1..]);
 
         // A resumed, still empty chain keeps its place: anchor and numbering.
-        let mut resumed = BatchedAppender::over(AuditLog::resume("gateway", 7, 40), 2);
-        assert_eq!((resumed.len(), resumed.head_hash()), (0, 7));
-        assert_eq!(resumed.into_log(), AuditLog::resume("gateway", 7, 40));
+        let (mut resumed, _) = open();
+        assert_eq!((resumed.len(), resumed.head_hash), (0, all.head_hash()));
+        assert_eq!(resumed.close(), AuditLog::resume("gateway", all.head_hash(), 2));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -557,7 +515,7 @@ mod tests {
             appender.append(event(n), n as u64);
             appender.hand_over(|_| {});
         }
-        let log = appender.into_log();
+        let log = appender.close();
         assert!(log.len() <= 12, "retention keeps the log near 2x its bound, got {}", log.len());
         assert!(log.verify_chain().is_intact());
         // The newest records survive.
@@ -577,7 +535,7 @@ mod tests {
             }
         }
         persisted.extend(decoded(&hand_over(&mut appender)));
-        let log = appender.into_log();
+        let log = appender.close();
         assert!(log.verify_chain().is_intact());
 
         // Every record ever appended was handed over, as the full chain from genesis,
@@ -603,8 +561,8 @@ mod tests {
     }
 
     /// Retention smaller than a batch waits for the hand-over: with room for one
-    /// record and a flush every 11, no frame is freed before it has been handed over,
-    /// and a trail that is never handed over keeps every frame.
+    /// record, no frame is freed before it has been handed over, and a trail that is
+    /// never handed over keeps every frame until it is closed.
     #[test]
     fn no_frame_is_freed_before_it_is_handed_over() {
         let mut unbatched = AuditLog::new("n");
@@ -624,18 +582,11 @@ mod tests {
         assert_eq!(handed, unbatched.records());
         appender.flush();
         assert_eq!(appender.len(), 1, "all handed over: retention keeps its one");
-        let log = appender.into_log();
+        let log = appender.close();
         assert_eq!(log.records(), &handed[99..]);
         assert_eq!(log.anchor_hash(), handed[98].hash);
-        assert_eq!(kept.into_log(), unbatched);
-    }
-
-    #[test]
-    fn capacity_one_is_unbatched() {
-        let mut appender = BatchedAppender::new("n", 0); // clamped to 1
-        appender.append(event(0), 0);
-        assert_eq!(appender.buffered, 0);
-        assert_eq!(appender.len(), 1);
+        assert_eq!(kept.len(), 100, "never handed over: nothing freed");
+        assert_eq!(kept.close(), log, "closing hands over, then retention applies");
     }
 
     /// Enough bytes for several chunks, one record larger than a chunk among them:
@@ -656,7 +607,8 @@ mod tests {
         for n in 0..RECORDS {
             unbatched.record(wide(n), n as u64);
             appender.append(wide(n), n as u64);
-            assert!(appender.len() < 1400 + 64);
+            // Pruned back to 700 at a hand-over once 1 400 are held; 100 appends between.
+            assert!(appender.len() < 1400 + 100);
             if n % 100 == 99 {
                 handed.extend(decoded(&hand_over(&mut appender)));
             }
@@ -666,7 +618,7 @@ mod tests {
         assert!((2..=8).contains(&chunks), "{chunks} chunks allocated");
         appender.flush();
         handed.extend(decoded(&hand_over(&mut appender)));
-        let log = appender.into_log();
+        let log = appender.close();
         assert_eq!(handed, unbatched.records());
         let kept = RECORDS - log.len();
         assert_eq!(log.records(), &handed[kept..]);
@@ -694,7 +646,7 @@ mod tests {
         let mut expected = AuditLog::new("n");
         expected.record(event(0), 0);
         expected.record(event(2), 2);
-        assert_eq!(appender.into_log(), expected);
+        assert_eq!(appender.close(), expected);
     }
 
     /// The borrowed writers are the owned events' encoders: same bytes, same chain —
@@ -750,9 +702,9 @@ mod tests {
         }
         assert_eq!(hand_over(&mut borrowed), hand_over(&mut owned));
         assert_eq!(borrowed.len(), 2 * 5 * 3 + 3);
-        let log = borrowed.into_log();
+        let log = borrowed.close();
         assert!(log.verify_chain().is_intact());
-        assert_eq!(log, owned.into_log());
+        assert_eq!(log, owned.close());
     }
 
     /// The trail's lifecycle: opened on a directory it resumes the chain the directory
@@ -767,10 +719,9 @@ mod tests {
         let mut unbatched = AuditLog::new("n");
         for life in 0..2 {
             let segments = Some((dir.clone(), 4, Some(3)));
-            let (mut trail, truncations) =
-                BatchedAppender::open("n", 2, Some(2), segments).unwrap();
+            let (mut trail, truncations) = BatchedAppender::open("n", Some(2), segments).unwrap();
             assert!(truncations.is_empty());
-            assert_eq!(trail.head_hash(), unbatched.head_hash(), "resumed at the disk's head");
+            assert_eq!(trail.head_hash, unbatched.head_hash(), "resumed at the disk's head");
             for n in 0..5 {
                 unbatched.record(event(n), (10 * life + n) as u64);
                 trail.append(event(n), (10 * life + n) as u64);
@@ -783,13 +734,13 @@ mod tests {
             let stats = store.lock().stats().clone();
             assert_eq!((stats.records_persisted, stats.unsynced_bytes), (5, 0));
             assert!(trail.is_empty());
-            assert_eq!(trail.head_hash(), unbatched.head_hash(), "closed where the chain stands");
+            assert_eq!(trail.head_hash, unbatched.head_hash(), "closed where the chain stands");
         }
         let recovered = SegmentStore::recover(&dir).unwrap();
         assert!(recovered.is_clean(), "{:?}", recovered.truncations);
         assert_eq!(recovered.records, unbatched.records());
 
-        let (mut nowhere, truncations) = BatchedAppender::open("n", 2, None, None).unwrap();
+        let (mut nowhere, truncations) = BatchedAppender::open("n", None, None).unwrap();
         assert!(nowhere.store().is_none() && truncations.is_empty());
         nowhere.append(event(0), 0);
         nowhere.write();
@@ -813,49 +764,27 @@ mod tests {
     }
 
     proptest! {
-        /// Sealing writes what the unbatched log holds and rewrites nothing it did not
-        /// append: over an existing log one of whose records claims a hash that does not
-        /// chain, with records that cross chunks, a small retention bound, hand-overs at
-        /// any cadence and the head asked for in between, the trail hands over
-        /// `encode_record`'s frame of every record `AuditLog::record` chains — the
-        /// existing ones exactly as `put_record_frame` wrote them.
+        /// Sealing writes what the unbatched log holds: with records that cross chunks,
+        /// a small retention bound and hand-overs at any cadence, the trail hands over
+        /// `encode_record`'s frame of every record `AuditLog::record` chains, and closes
+        /// at its head.
         #[test]
         fn prop_sealing_hands_over_the_unbatched_frames(
-            existing in collection::vec((any_event(), 0u64..1000), 0..4),
-            tamper in 0u64..u64::MAX,
             events in collection::vec((any_event_or_wide(), 0u64..1000), 0..30),
-            capacity in 1usize..12,
             retention in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
             every in 1usize..8,
-            peek in 1usize..5,
         ) {
-            let mut records = AuditLog::new("n");
-            for (event, at_millis) in &existing {
-                records.record(event.clone(), *at_millis);
-            }
-            let mut records = records.records().to_vec();
-            let count = records.len().max(1);
-            if let Some(record) = records.get_mut(tamper as usize % count) {
-                record.hash ^= tamper | 1;
-            }
-            let mut written = Vec::new();
-            records.iter().for_each(|record| codec::put_record_frame(&mut written, record));
-            let mut unbatched = AuditLog::from_records("n", 0, records);
-            let mut appender =
-                BatchedAppender::over(unbatched.clone(), capacity).with_retention(retention);
+            let mut unbatched = AuditLog::new("n");
+            let mut appender = BatchedAppender::new("n", 0).with_retention(retention);
             let mut handed = Vec::new();
             for (n, (event, at_millis)) in events.iter().enumerate() {
                 unbatched.record(event.clone(), *at_millis);
                 appender.append(event.clone(), *at_millis);
-                if n % peek == 0 {
-                    prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
-                }
                 if n % every == 0 {
                     handed.extend(hand_over(&mut appender));
                 }
             }
             handed.extend(hand_over(&mut appender));
-            prop_assert_eq!(&handed[..written.len()], written.as_slice());
             let mut expected = Vec::new();
             for record in unbatched.records() {
                 let mut payload = Vec::new();
@@ -865,7 +794,7 @@ mod tests {
                 expected.extend_from_slice(&payload);
             }
             prop_assert!(handed == expected, "the handed-over frames are not the log's");
-            prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
+            prop_assert_eq!(appender.close().head_hash(), unbatched.head_hash());
         }
     }
 
@@ -875,7 +804,7 @@ mod tests {
         /// cadence, hands over every record as a frame — `encode_record`'s bytes
         /// behind the payload's own checksum — in the order `AuditLog::record` would
         /// have chained them, and leaves that log's newest records, anchor, head and
-        /// numbering.
+        /// numbering: the same ones a trail written after every append leaves.
         #[test]
         fn prop_the_trail_is_the_unbatched_log(
             events in collection::vec((any_event(), 0u64..1000), 0..40),
@@ -885,17 +814,21 @@ mod tests {
         ) {
             let mut unbatched = AuditLog::new("shard-é");
             let mut appender = BatchedAppender::new("shard-é", capacity).with_retention(retention);
+            let mut every_append = BatchedAppender::new("shard-é", 0).with_retention(retention);
             let mut handed = Vec::new();
             for (n, (event, at_millis)) in events.iter().enumerate() {
                 unbatched.record(event.clone(), *at_millis);
                 appender.append(event.clone(), *at_millis);
-                prop_assert_eq!(appender.head_hash(), unbatched.head_hash());
+                every_append.append(event.clone(), *at_millis);
+                every_append.write();
                 if n % every == 0 {
                     handed.extend(hand_over(&mut appender));
+                    prop_assert_eq!(appender.head_hash, unbatched.head_hash());
                 }
             }
             handed.extend(hand_over(&mut appender));
-            let log = appender.into_log();
+            let log = appender.close();
+            prop_assert_eq!(&every_append.close(), &log);
             if retention.is_none() {
                 prop_assert_eq!(&log, &unbatched);
             }

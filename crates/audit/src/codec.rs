@@ -56,8 +56,9 @@
 //! *frame*: `len:u32le checksum:u64le record`, the checksum being the FNV-1a 64 of the
 //! record's bytes (see [`crate::segment`] for the file around it). A new record's frame
 //! is first *encoded* — its length and its body up to `previous_hash`, with the two
-//! hashes and the checksum left zero — and then *sealed* with its batch: the bytes that
-//! do not depend on the chain are folded, four frames at once
+//! hashes and the checksum left zero — and then *sealed* with its batch, when the batch
+//! is written ([`crate::BatchedAppender::write`], or `close`, which decodes the frames
+//! for a reader only after that): the bytes that do not depend on the chain are folded, four frames at once
 //! ([`StableHasher::fold_each`]); then, oldest first, each fold is continued over the
 //! previous record's hash — that state is the chain hash — and over the hash's eight
 //! bytes, which makes it the FNV-1a of `body ‖ hash`, the checksum a reader recomputes

@@ -54,6 +54,8 @@
 //! fsync the segment they close, [`SegmentStore::sync`] fsyncs on request, and a store
 //! re-opened with a group commit of `n` ([`SegmentStore::reopen`]) ends an
 //! `append_frames` call with an fsync once `n` records were written since the last one.
+//! A restart continues the newest segment while it has room ([`SegmentStore::reopen`]),
+//! so incarnations that write little share one file.
 //!
 //! # Crash model and recovery
 //!
@@ -93,9 +95,9 @@
 //! ([`legaliot_obs::FailpointRegistry`], attached with [`SegmentStore::set_failpoints`]):
 //! the store probes `segment.write` before every record's write (once per record, in
 //! order, batched or not), `segment.sync` before every fsync and `segment.rotate`
-//! before opening every segment. A probe sleeps through a delay; a short write or an
-//! IO error it returns wedges the store. With no registry each probe is one `Option`
-//! branch.
+//! before opening every new segment (not the tail a re-opened store continues). A
+//! probe sleeps through a delay; a short write or an IO error it returns wedges the
+//! store. With no registry each probe is one `Option` branch.
 
 use std::cell::OnceCell;
 use std::fmt;
@@ -153,7 +155,8 @@ impl FsyncHistogram {
 /// Counters describing one store's (or several merged stores') segment IO.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentStats {
-    /// Segment files opened (including the currently open one).
+    /// Segment files opened for writing (including the currently open one). A segment
+    /// a re-opened store continues counts once, when its first append opens it.
     pub segments_written: u64,
     /// Segment files sealed (synced and closed) cleanly.
     pub segments_sealed: u64,
@@ -193,6 +196,9 @@ pub struct SegmentStore {
     dir: PathBuf,
     max_segment_records: usize,
     file: Option<File>,
+    /// The newest segment file and its records, when a re-opened store continues it:
+    /// opened for appending by the first append, and only then.
+    tail: Option<(PathBuf, usize)>,
     next_sequence: u64,
     records_in_segment: usize,
     head_hash: u64,
@@ -230,6 +236,19 @@ fn parse_segment_sequence(name: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
+/// The segment files `dir` holds, in sequence order.
+fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_sequence) {
+            files.push((seq, entry.path()));
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 fn encode_header(sequence: u64, anchor: u64) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC);
@@ -255,13 +274,7 @@ impl SegmentStore {
     ) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut next_sequence = 0u64;
-        for entry in fs::read_dir(&dir)? {
-            let entry = entry?;
-            if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_sequence) {
-                next_sequence = next_sequence.max(seq + 1);
-            }
-        }
+        let next_sequence = list_segments(&dir)?.last().map_or(0, |(seq, _)| seq + 1);
         Ok(Self::new(dir, anchor_hash, max_segment_records, next_sequence))
     }
 
@@ -274,6 +287,7 @@ impl SegmentStore {
             group_commit: None,
             unsynced_records: 0,
             file: None,
+            tail: None,
             next_sequence,
             records_in_segment: 0,
             head_hash: anchor_hash,
@@ -313,8 +327,21 @@ impl SegmentStore {
         self.file = None;
     }
 
-    /// Opens the next segment file and writes its header. Wedges on fault/IO error.
+    /// Opens the segment the next record goes to: the newest file, when a re-opened
+    /// store continues it, else the next one, its header written. Wedges on fault/IO
+    /// error.
     fn open_segment(&mut self) {
+        if let Some((path, records)) = self.tail.take() {
+            match OpenOptions::new().append(true).open(&path) {
+                Ok(file) => {
+                    self.file = Some(file);
+                    self.records_in_segment = records;
+                    self.stats.segments_written += 1;
+                }
+                Err(err) => self.wedge(format!("continuing {}: {err}", path.display())),
+            }
+            return;
+        }
         match self.fault(FailpointSite::SegmentRotate) {
             Some(FaultKind::ShortWrite) => {
                 // A torn header: the new segment exists but is unusable. Recovery
@@ -556,10 +583,17 @@ impl SegmentStore {
 
     /// Re-opens the store in `dir` after a restart: the scan [`Self::recover`] makes — the
     /// same checks, truncations and reports — but no record is built, only the chain head
-    /// and the next id are kept, and the store returned appends after them, numbering its
-    /// segments after the ones the scan listed. Each frame's body is hashed once, and
-    /// nothing is allocated per record. A `group_commit` of `n` (clamped to ≥ 1) ends an
-    /// `append_frames` call with an fsync once `n` records are unsynced.
+    /// and the next id are kept, and the store returned appends after them. Each frame's
+    /// body is hashed once, and nothing is allocated per record. A `group_commit` of `n`
+    /// (clamped to ≥ 1) ends an `append_frames` call with an fsync once `n` records are
+    /// unsynced.
+    ///
+    /// The store continues the newest segment file when the scan accepted it, whole or
+    /// cut back to a clean prefix, no file follows it, and it holds fewer than
+    /// `max_segment_records` records; the first append opens it for appending, so a
+    /// store that writes nothing opens and fsyncs nothing. Any other directory — its
+    /// newest file a tombstone, kept whole as evidence, unreachable, or full — gets a
+    /// new segment numbered after every file listed.
     ///
     /// # Errors
     ///
@@ -572,10 +606,14 @@ impl SegmentStore {
         let dir = dir.into();
         // A restart keeps nothing of a record, and a `Vec<()>` counts without allocating.
         let read = |payload: &[u8]| check_record(payload).map(|links| (links, ()));
-        let scan = Self::scan(&dir, read, |()| {})?;
+        let mut scan = Self::scan(&dir, read, |()| {})?;
         fs::create_dir_all(&dir)?;
         let mut store = Self::new(dir, scan.head_hash, max_segment_records, scan.next_sequence);
         store.group_commit = group_commit.map(|n| n.max(1));
+        store.tail = (scan.segments.pop())
+            .filter(|tail| tail.sequence + 1 == scan.next_sequence)
+            .filter(|tail| tail.records < store.max_segment_records)
+            .map(|tail| (tail.path, tail.records));
         let reopened = Reopened {
             head_hash: scan.head_hash,
             next_id: scan.next_id,
@@ -607,14 +645,7 @@ impl SegmentStore {
         if !dir.exists() {
             return Ok(scan);
         }
-        let mut files: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_sequence) {
-                files.push((seq, entry.path()));
-            }
-        }
-        files.sort();
+        let files = list_segments(dir)?;
         scan.next_sequence = files.last().map_or(0, |(seq, _)| seq + 1);
 
         // The threads a segment's check may use; asked for once a segment has two shares.
@@ -1323,6 +1354,94 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A restart that writes nothing leaves the directory as it found it: the newest
+    /// segment it would continue is never opened, so nothing is written or fsynced,
+    /// sealed or not.
+    #[test]
+    fn a_reopen_that_appends_nothing_changes_no_file_and_fsyncs_nothing() {
+        let dir = temp_dir("idle-reopen");
+        let mut store = SegmentStore::create(&dir, 0, 8).unwrap();
+        assert_eq!(store.append_frames(&frames_of(&sample_records(3))), 3);
+        assert!(store.seal());
+        let before = segment_files(&dir);
+        for _ in 0..3 {
+            let (mut store, reopened) = SegmentStore::reopen(&dir, 8, Some(1)).unwrap();
+            assert!(reopened.truncations.is_empty());
+            assert!(store.tail.is_some(), "the newest segment has room");
+            assert!(store.sync() && store.seal());
+            assert_eq!(*store.stats(), SegmentStats::default(), "nothing opened or fsynced");
+        }
+        assert_eq!(segment_files(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A tail the restart's scan cut back to its clean prefix is continued from there:
+    /// the records appended after the restart follow in the same file, which then
+    /// recovers clean as one chain; the segment fills and rotates as if never closed.
+    #[test]
+    fn a_torn_tail_cut_back_is_continued_and_recovers_clean() {
+        let dir = temp_dir("torn-continued");
+        let records = sample_records(7);
+        let mut store = SegmentStore::create(&dir, 0, 5).unwrap();
+        assert_eq!(store.append_frames(&frames_of(&records[..3])), 3);
+        assert!(store.seal());
+        let path = dir.join(segment_file_name(0));
+        let whole = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(whole - 3).unwrap();
+
+        let (mut store, reopened) = SegmentStore::reopen(&dir, 5, None).unwrap();
+        assert_eq!(reopened.truncations.len(), 1, "{:?}", reopened.truncations);
+        assert_eq!((reopened.next_id, reopened.head_hash), (2, records[1].hash));
+        assert_eq!(store.append_frames(&frames_of(&records[2..])), 5);
+        assert!(store.seal());
+        let stats = store.stats();
+        assert_eq!((stats.segments_written, stats.segments_sealed), (2, 2));
+        assert_eq!(stats.bytes_written, (frames_of(&records[2..]).len() + HEADER_LEN) as u64);
+        let names: Vec<String> = segment_files(&dir).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, [segment_file_name(0), segment_file_name(1)]);
+
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, records);
+        let held: Vec<usize> = report.segments.iter().map(|segment| segment.records).collect();
+        assert_eq!(held, [5, 2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Only a newest segment that is clean, reachable and not full is continued: after
+    /// a zero-length tombstone, a segment kept whole as evidence or a full segment, the
+    /// next record opens a new segment numbered after every file, and the files there
+    /// are left as they were.
+    #[test]
+    fn a_restart_continues_no_tombstone_evidence_or_full_segment() {
+        let records = sample_records(3);
+        let cases = [
+            ("a zero-length tombstone", Some(Vec::new())),
+            ("an anchor that does not chain", Some(encode_header(1, 7).to_vec())),
+            ("a full segment", None),
+        ];
+        for (case, newest) in cases {
+            let dir = temp_dir("no-continue");
+            let mut store = SegmentStore::create(&dir, 0, 2).unwrap();
+            assert_eq!(store.append_frames(&frames_of(&records[..2])), 2);
+            assert!(store.seal());
+            if let Some(bytes) = newest {
+                std::fs::write(dir.join(segment_file_name(1)), bytes).unwrap();
+            }
+            let before = segment_files(&dir);
+
+            let (mut store, _) = SegmentStore::reopen(&dir, 2, None).unwrap();
+            assert!(store.tail.is_none(), "{case}");
+            assert!(store.append(&records[2]), "{case}");
+            assert!(store.seal());
+            let mut after = segment_files(&dir);
+            let (name, _) = after.pop().unwrap();
+            assert_eq!(name, segment_file_name(before.len() as u64), "{case}: a new segment");
+            assert_eq!(after, before, "{case}: the older files are untouched");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     /// A fault at record `k` of a batch behaves as it would in a loop of single
     /// appends: frames `0..k` are on disk, `k..` are counted dropped, `segment.write`
     /// was probed once per record up to and including `k`, and only a short write
@@ -1543,8 +1662,10 @@ mod tests {
         assert_eq!(segment_files(&rerecorded), written);
 
         // A new incarnation resumes the chain where the disk ends.
-        let mut store = SegmentStore::create(&dir, report.head_hash, 10).unwrap();
-        let mut appender = BatchedAppender::over(report.resume_log(authority), 4);
+        let (mut appender, truncations) =
+            BatchedAppender::open(authority, None, Some((dir.clone(), 10, None))).unwrap();
+        assert!(truncations.is_empty());
+        let store = Arc::clone(appender.store().expect("opened on a directory"));
         for n in 0..5 {
             let event = AuditEvent::PolicyFired {
                 policy: format!("p{n}"),
@@ -1555,15 +1676,15 @@ mod tests {
         }
         appender.hand_over(|runs| {
             runs.for_each(|run| {
-                assert_eq!(store.append_frames(run), 5);
+                assert_eq!(store.lock().append_frames(run), 5);
             })
         });
-        assert!(store.seal());
+        assert!(store.lock().seal());
         let extended = SegmentStore::recover(&dir).unwrap();
         assert!(extended.is_clean(), "truncations: {:?}", extended.truncations);
         assert_eq!(extended.records.len(), 21);
         assert_eq!(extended.records[..16], report.records[..]);
-        assert_eq!(extended.records[16..], *appender.into_log().records());
+        assert_eq!(extended.records[16..], *appender.close().records());
         assert!(AuditLog::verify_records(0, &extended.records).is_intact());
         for dir in [dir, rewritten, rerecorded] {
             std::fs::remove_dir_all(&dir).unwrap();
@@ -2046,6 +2167,11 @@ mod tests {
             assert_eq!(store.head_hash(), head, "{case}");
             let highest = parse_segment_sequence(&files.last().unwrap().0).unwrap();
             assert_eq!(store.next_sequence, highest + 1, "{case}: numbered after the files");
+            // Only an unfilled newest segment the scan reached is continued.
+            let tail = store.tail.as_ref().map(|(path, _)| path.file_name().unwrap());
+            let newest = segment_file_name(highest);
+            let continued = (case == "pristine").then_some(std::ffi::OsStr::new(&newest));
+            assert_eq!(tail, continued, "{case}");
             drop(store);
             let left = segment_files(&dirs[0]);
             assert_eq!(segment_files(&dirs[1]), left, "{case}: the same files left");

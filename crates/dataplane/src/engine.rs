@@ -137,16 +137,17 @@ pub struct DataplaneConfig {
     /// Inert: shards hold no AC-decision cache, every per-message AC question is
     /// answered by the regime. Kept, like [`Self::cache_decisions`], for `benchmark/`.
     pub cache_ac_decisions: bool,
-    /// Records a shard appends to its hash-chained trail between two flushes — the
-    /// cadence of the retention check.
+    /// Inert: a trail is sealed, and its retention applied, each time it is written —
+    /// once per unit of work — whatever this says. Kept while `benchmark/`, which
+    /// sets it, names it.
     pub audit_batch: usize,
     /// Per-message audit policy.
     pub audit_detail: AuditDetail,
-    /// Bounded in-memory audit retention per trail: after each flush only the newest
-    /// `keep` records stay resident (the chain remains anchored and verifiable — see
-    /// [`legaliot_audit::BatchedAppender::with_retention`]). `None` retains
-    /// everything, which is unbounded memory under [`AuditDetail::Full`] at dataplane
-    /// rates. It is also a durable trail's group commit
+    /// Bounded in-memory audit retention per trail: after each write fewer than
+    /// `2 × keep` of the newest records stay resident (the chain remains anchored and
+    /// verifiable — see [`legaliot_audit::BatchedAppender::with_retention`]). `None`
+    /// retains everything, which is unbounded memory under [`AuditDetail::Full`] at
+    /// dataplane rates. It is also a durable trail's group commit
     /// ([`PersistenceConfig::sync_on_flush`]).
     pub audit_retention: Option<usize>,
     /// How message bodies travel through the shards (one value; see [`PayloadMode`]).
@@ -512,10 +513,11 @@ impl Directory {
     }
 }
 
-/// Opens a trail, a shard's or the control plane's alike: flushed every `audit_batch`
-/// appends and bounded by `audit_retention`; on a durable engine resumed from and written
-/// to `dir`, committing in groups of `audit_retention` under `sync_on_flush`, its torn
-/// tails counted in `recovery_truncations`.
+/// Opens a trail, a shard's or the control plane's alike: bounded by `audit_retention`
+/// each time it is written; on a durable engine resumed from and written to `dir` (its
+/// newest segment continued while it has room), committing in groups of
+/// `audit_retention` under `sync_on_flush`, its torn tails counted in
+/// `recovery_truncations`.
 fn open_trail(
     authority: String,
     dir: impl FnOnce(&PersistenceConfig) -> PathBuf,
@@ -527,9 +529,8 @@ fn open_trail(
         (dir(persistence), persistence.max_segment_records, group_commit)
     });
     let shown = segments.as_ref().map(|(dir, ..)| dir.display().to_string()).unwrap_or_default();
-    let (trail, truncations) =
-        BatchedAppender::open(authority, config.audit_batch, config.audit_retention, segments)
-            .unwrap_or_else(|error| panic!("cannot reopen audit segments in {shown}: {error}"));
+    let (trail, truncations) = BatchedAppender::open(authority, config.audit_retention, segments)
+        .unwrap_or_else(|error| panic!("cannot reopen audit segments in {shown}: {error}"));
     counters.recovery_truncations.add(truncations.len() as u64);
     trail
 }

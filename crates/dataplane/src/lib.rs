@@ -1974,6 +1974,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A restart continues each trail's newest segment while it has room: five
+    /// incarnations that each install the smart home leave at most one segment file in
+    /// every trail directory (none where nothing was written), and the control
+    /// directory's one file holds one chain from genesis.
+    #[test]
+    fn incarnations_that_write_little_share_one_segment_per_trail() {
+        let dir = durable_dir("incarnations");
+        let config = durable_config(&dir);
+        let persistence = config.persistence.clone().unwrap();
+        for _ in 0..5 {
+            let dataplane = Dataplane::new("home", config.clone());
+            smart_home(8, 1)
+                .install_with_payload_schemas(&dataplane, &snap(), Timestamp(1))
+                .unwrap();
+            dataplane.shutdown();
+        }
+        let shards = (0..config.shards).map(|shard| persistence.shard_dir(shard));
+        for trail in shards.chain([persistence.control_dir()]) {
+            let files = std::fs::read_dir(&trail).map_or(0, Iterator::count);
+            assert!(files <= 1, "{}: {files} segment files", trail.display());
+        }
+        let control = legaliot_audit::SegmentStore::recover(persistence.control_dir()).unwrap();
+        assert!(control.is_clean(), "truncations: {:?}", control.truncations);
+        assert_eq!((control.segments.len(), control.initial_anchor), (1, 0));
+        assert_eq!(control.records.len() % 5, 0, "every incarnation wrote the same records");
+        for (i, record) in control.records.iter().enumerate() {
+            assert_eq!(record.id.0, i as u64, "ids are dense from 0");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Retention bounds the control trail as it bounds a shard's: 100 relabellings
     /// under a retention of 8 leave at most 16 records in the report, re-anchored on
     /// the last one freed, and the chain still verifies.

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use legaliot_audit::{AuditEvent, AuditLog};
+use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender};
 use legaliot_ifc::{
     Entity, EntityKind, FlowDecision, IfcError, PrivilegeKind, SecurityContext, Tag,
 };
@@ -141,7 +141,7 @@ pub struct Os {
     objects: BTreeMap<KernelObjectId, KernelObject>,
     next_pid: u32,
     next_oid: u32,
-    audit: AuditLog,
+    audit: BatchedAppender,
 }
 
 impl Os {
@@ -149,7 +149,7 @@ impl Os {
     pub fn new(name: impl Into<String>, mode: EnforcementMode) -> Self {
         let name = name.into();
         Os {
-            audit: AuditLog::new(format!("os:{name}")),
+            audit: BatchedAppender::new(format!("os:{name}"), 1),
             name,
             hooks: LsmHooks::new(mode),
             processes: BTreeMap::new(),
@@ -174,14 +174,11 @@ impl Os {
         self.hooks.set_mode(mode);
     }
 
-    /// The audit log recorded by this OS instance.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// Takes the audit log, leaving an empty one (offload to the middleware/auditor).
+    /// Takes the audit records written since the last take (offload to the
+    /// middleware/auditor). The trail goes on: the next log taken is anchored on this
+    /// one's head and continues its ids, so the logs taken in turn verify as one chain.
     pub fn take_audit(&mut self) -> AuditLog {
-        std::mem::replace(&mut self.audit, AuditLog::new(format!("os:{}", self.name)))
+        self.audit.close()
     }
 
     /// Spawns a process with the given security context.
@@ -248,7 +245,7 @@ impl Os {
         }
         let after = process.entity.context().clone();
         let entity_name = process.entity.name().to_string();
-        self.audit.record(
+        self.audit.append(
             AuditEvent::LabelChanged { entity: entity_name, before, after, algorithm: None },
             at_millis,
         );
@@ -302,7 +299,7 @@ impl Os {
     ) -> SyscallOutcome {
         let (decision, permitted) = self.hooks.check_flow(&source_ctx, &dest_ctx);
         if self.hooks.mode() != EnforcementMode::Disabled {
-            self.audit.record(
+            self.audit.append(
                 AuditEvent::FlowChecked {
                     source: source_name,
                     destination: dest_name,
@@ -444,8 +441,9 @@ mod tests {
         let outcome = os.write(curious, file, 4).unwrap();
         assert!(!outcome.is_completed());
         // All four checks were audited.
-        assert_eq!(os.audit().len(), 4);
-        assert_eq!(os.audit().denied_flows().count(), 2);
+        let audit = os.take_audit();
+        assert_eq!(audit.len(), 4);
+        assert_eq!(audit.denied_flows().count(), 2);
     }
 
     #[test]
@@ -469,7 +467,7 @@ mod tests {
         let public = os.spawn("public", SecurityContext::public());
         assert!(os.ipc(secret, public, 1).unwrap().is_completed());
         assert_eq!(os.hook_stats().observed_violations, 1);
-        assert_eq!(os.audit().denied_flows().count(), 1);
+        assert_eq!(os.take_audit().denied_flows().count(), 1);
     }
 
     #[test]
@@ -478,7 +476,7 @@ mod tests {
         let secret = os.spawn("secret", medical_ctx());
         let public = os.spawn("public", SecurityContext::public());
         assert!(os.ipc(secret, public, 1).unwrap().is_completed());
-        assert_eq!(os.audit().len(), 0);
+        assert_eq!(os.take_audit().len(), 0);
         assert_eq!(os.hook_stats().invocations, 1);
     }
 
@@ -533,7 +531,8 @@ mod tests {
         assert!(os.write(sanitiser, standard, 4).unwrap().is_completed());
         assert!(os.read(analyser, standard, 5).unwrap().is_completed());
         // The label change is in the audit trail.
-        assert_eq!(os.audit().of_kind(legaliot_audit::AuditEventKind::LabelChanged).count(), 1);
+        let changes = os.take_audit().of_kind(legaliot_audit::AuditEventKind::LabelChanged).count();
+        assert_eq!(changes, 1);
     }
 
     #[test]
@@ -544,8 +543,35 @@ mod tests {
         os.ipc(a, b, 1).unwrap();
         let taken = os.take_audit();
         assert_eq!(taken.len(), 1);
-        assert!(os.audit().is_empty());
+        assert!(os.take_audit().is_empty());
         assert_eq!(os.name(), "node");
+    }
+
+    /// Each take continues the chain the last one ended: its anchor is the previous
+    /// log's head and its ids follow on, so the logs taken in turn verify as one chain
+    /// from genesis.
+    #[test]
+    fn successive_takes_continue_one_chain() {
+        let mut os = Os::new("node", EnforcementMode::Enforce);
+        let a = os.spawn("a", medical_ctx());
+        let b = os.spawn("b", SecurityContext::public());
+        os.ipc(a, b, 1).unwrap();
+        os.ipc(b, a, 2).unwrap();
+        let first = os.take_audit();
+        os.ipc(a, a, 3).unwrap();
+        os.grant_privilege(b, Tag::new("medical"), PrivilegeKind::SecrecyAdd).unwrap();
+        os.change_label(b, &[Tag::new("medical")], &[], &[], &[], 4).unwrap();
+        os.ipc(a, b, 5).unwrap();
+        let second = os.take_audit();
+
+        assert_eq!((first.len(), second.len()), (2, 3));
+        assert!(first.verify_chain().is_intact() && second.verify_chain().is_intact());
+        assert_eq!(second.anchor_hash(), first.head_hash());
+        let ids: Vec<u64> =
+            first.records().iter().chain(second.records()).map(|record| record.id.0).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        let both = [first.records(), second.records()].concat();
+        assert!(AuditLog::verify_records(0, &both).is_intact());
     }
 
     #[test]

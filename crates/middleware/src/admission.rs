@@ -646,7 +646,7 @@ mod tests {
                     let mut built = legaliot_audit::AuditLog::new("n");
                     let evidence = flow.into_evidence(at_millis);
                     built.record(evidence.clone(), at_millis);
-                    assert_eq!(written.into_log(), built, "{}", case.why);
+                    assert_eq!(written.close(), built, "{}", case.why);
                     match evidence {
                         AuditEvent::FlowChecked { source, destination, data_item, .. } => {
                             assert_eq!((source.as_str(), destination.as_str()), ("src", "dst"));
