@@ -436,17 +436,16 @@ mod tests {
         handed
     }
 
-    /// `new`'s capacity is inert: whatever it is, every append is retained until the
-    /// trail is closed, and the log closed is the same, in arrival order.
+    /// Appending past the capacity `new` was given flushes nothing (the capacity is
+    /// inert): every append is retained until the trail is closed, and the log closed
+    /// is intact, in arrival order, and the same whatever the capacity.
     #[test]
-    fn a_closed_trail_keeps_arrival_order_and_chain_whatever_its_capacity() {
-        let logs: Vec<AuditLog> = [0, 1, 4]
+    fn auto_flush_at_capacity_preserves_order_and_chain() {
+        let logs: Vec<AuditLog> = [4, 64]
             .into_iter()
             .map(|capacity| {
                 let mut appender = BatchedAppender::new("shard-0", capacity);
-                appender.append(event(0), 0);
-                assert_eq!(appender.len(), 1);
-                for n in 1..10 {
+                for n in 0..10 {
                     appender.append(event(n), n as u64);
                 }
                 assert_eq!(appender.len(), 10);
@@ -459,7 +458,23 @@ mod tests {
         // Order is arrival order.
         let times: Vec<u64> = log.records().iter().map(|r| r.at_millis).collect();
         assert_eq!(times, (0..10).collect::<Vec<u64>>());
-        assert!(logs.iter().all(|other| other == log));
+        assert_eq!(logs[1], *log);
+    }
+
+    /// A capacity of one, or of zero, is the unbatched log: each append is retained at
+    /// once, and the trail closes to the chain [`AuditLog::record`] builds.
+    #[test]
+    fn capacity_one_is_unbatched() {
+        for capacity in [0, 1] {
+            let mut unbatched = AuditLog::new("n");
+            let mut appender = BatchedAppender::new("n", capacity);
+            for n in 0..3 {
+                unbatched.record(event(n), n as u64);
+                appender.append(event(n), n as u64);
+                assert_eq!(appender.len(), n + 1);
+            }
+            assert_eq!(appender.close(), unbatched);
+        }
     }
 
     #[test]
