@@ -22,9 +22,11 @@
 //! [`BatchedAppender::write`], which seals the new frames and passes them to the
 //! [`SegmentStore`] as the byte runs they already are (a `write_all`; when they are
 //! fsynced is the store's decision), and [`BatchedAppender::close`] writes the rest,
-//! seals the store and decodes what is retained: records exist as structs only for a
-//! reader. Retention is applied as each write ends, and prunes only frames written, from
-//! the front, reusing their chunks.
+//! seals the store and hands the retained chunks to the [`AuditLog`] it returns, as
+//! they are: a record is decoded only when a reader of that log asks for it.
+//! Retention is applied as each write ends, and prunes only frames written, from the
+//! front, reusing their chunks. The same chunks hold an [`AuditLog`]'s frames, so a
+//! trail is one representation in RAM and on disk.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -44,6 +46,7 @@ const CHUNK_BYTES: usize = 64 * 1024;
 
 /// A run of whole frames: `bytes[start..end]`. Frames before `start` were pruned;
 /// bytes past `end` are a frame whose encoding a panic interrupted.
+#[derive(Clone)]
 struct Chunk {
     bytes: Vec<u8>,
     start: usize,
@@ -65,9 +68,11 @@ fn runs(chunks: &VecDeque<Chunk>, (first, offset): (usize, usize)) -> impl Itera
         .map(move |(n, chunk)| &chunk.bytes[if n == 0 { offset } else { chunk.start }..chunk.end])
 }
 
-/// The retained frames, oldest first, and the emptied chunks waiting to be refilled.
-#[derive(Default)]
-struct Trail {
+/// The retained frames, oldest first, and the emptied chunks waiting to be refilled:
+/// an appender's trail, and the records of an [`AuditLog`], which holds the frames an
+/// appender hands it on `close` and seals each record it appends on its own.
+#[derive(Default, Clone)]
+pub(crate) struct Trail {
     chunks: VecDeque<Chunk>,
     spare: Vec<Vec<u8>>,
     /// Frames held across all chunks.
@@ -103,6 +108,53 @@ impl Trail {
         chunk.end = chunk.bytes.len();
         chunk.frames += 1;
         self.frames += 1;
+    }
+
+    /// Appends a new record's frame, unsealed: numbered `id`, its event written by
+    /// `event`. The frame counts only once it is whole, so a panic inside `event`
+    /// leaves the trail as it was.
+    pub(crate) fn push(
+        &mut self,
+        id: RecordId,
+        at_millis: u64,
+        recorded_by: &str,
+        event: impl FnOnce(&mut Vec<u8>),
+    ) {
+        codec::put_unsealed_frame(self.writable(), id, at_millis, recorded_by, event);
+        self.commit();
+    }
+
+    /// Appends the frame of an existing record as it stands, hashes included, and
+    /// counts it handed over: it is sealed already.
+    pub(crate) fn push_sealed(&mut self, record: &AuditRecord) {
+        codec::put_record_frame(self.writable(), record);
+        self.commit();
+        self.mark = self.end_mark();
+        self.handed = self.frames;
+    }
+
+    /// Frames held.
+    pub(crate) fn len(&self) -> usize {
+        self.frames
+    }
+
+    /// Each chunk's frames, oldest first, as one run of whole frames per chunk.
+    pub(crate) fn retained(&self) -> impl DoubleEndedIterator<Item = &[u8]> {
+        self.chunks.iter().map(Chunk::retained)
+    }
+
+    /// Every frame held, oldest first.
+    pub(crate) fn each_frame(&self) -> impl Iterator<Item = &[u8]> {
+        self.retained().flat_map(|run| {
+            std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
+                .map(|(frame, _)| frame)
+        })
+    }
+
+    /// The hash the newest frame ends in, if a frame is held.
+    pub(crate) fn head(&self) -> Option<u64> {
+        let run = self.retained().rev().find(|run| !run.is_empty())?;
+        Some(u64::from_le_bytes(run[run.len() - 8..].try_into().expect("a frame ends in its hash")))
     }
 
     /// Drops the oldest `frames` frames (at least one, at most all handed over) and
@@ -182,6 +234,16 @@ impl Trail {
         }
         head
     }
+
+    /// Seals the frames after the mark, the first chained from `head`, and moves the
+    /// mark past them: they are handed over. Returns the newest frame's hash and where
+    /// the frames just handed over start.
+    pub(crate) fn hand_over(&mut self, head: u64) -> (u64, (usize, usize)) {
+        let (head, end) = (self.seal(head), self.end_mark());
+        let from = std::mem::replace(&mut self.mark, end);
+        self.handed = self.frames;
+        (head, from)
+    }
 }
 
 /// Appends audit records to a hash-chained trail of encoded frames, sealing them and
@@ -195,7 +257,7 @@ impl Trail {
 ///     10,
 /// );
 /// assert_eq!(appender.len(), 1);
-/// let log = appender.close(); // written (nowhere), sealed and decoded
+/// let log = appender.close(); // written (nowhere), sealed and handed over
 /// assert_eq!(log.len(), 1);
 /// assert!(log.verify_chain().is_intact());
 /// ```
@@ -311,9 +373,7 @@ impl BatchedAppender {
     /// end of the trail, chained when it is next written. The frame counts only once
     /// it is whole, so a panic inside `event` leaves the trail as it was.
     fn append_with(&mut self, at_millis: u64, event: impl FnOnce(&mut Vec<u8>)) {
-        let id = RecordId(self.next_id);
-        codec::put_unsealed_frame(self.trail.writable(), id, at_millis, &self.authority, event);
-        self.trail.commit();
+        self.trail.push(RecordId(self.next_id), at_millis, &self.authority, event);
         self.next_id += 1;
     }
 
@@ -335,12 +395,9 @@ impl BatchedAppender {
         if self.trail.handed == self.trail.frames {
             return;
         }
-        self.head_hash = self.trail.seal(self.head_hash);
-        let trail = &mut self.trail;
-        let end = trail.end_mark();
-        let from = std::mem::replace(&mut trail.mark, end);
-        trail.handed = trail.frames;
-        write(&mut runs(&trail.chunks, from));
+        let from;
+        (self.head_hash, from) = self.trail.hand_over(self.head_hash);
+        write(&mut runs(&self.trail.chunks, from));
         self.flush();
     }
 
@@ -357,31 +414,20 @@ impl BatchedAppender {
         });
     }
 
-    /// Ends the trail: writes the rest, seals the segment store, and decodes what is
-    /// retained — every frame of it handed over — into the log a reader works with,
-    /// releasing each chunk as it is decoded. The appender is left empty, anchored on
-    /// its head, so what is appended next continues the chain and the next close
-    /// returns the log after this one.
+    /// Ends the trail: writes the rest, seals the segment store, and hands what is
+    /// retained — every frame of it handed over and sealed — to the log a reader works
+    /// with, chunks and all: nothing is copied or decoded. The appender is left empty,
+    /// anchored on its head, so what is appended next continues the chain and the next
+    /// close returns the log after this one.
     pub fn close(&mut self) -> AuditLog {
         self.write();
         if let Some(store) = &self.store {
             store.lock().seal();
         }
-        let mut records: Vec<AuditRecord> = Vec::with_capacity(self.trail.frames);
-        for chunk in std::mem::take(&mut self.trail).chunks {
-            let mut rest = chunk.retained();
-            while let Some((frame, after)) = codec::split_frame(rest) {
-                let record = codec::decode_record(&frame[FRAME_PREFIX_LEN..]);
-                records.push(record.expect("the appender's own frames decode"));
-                rest = after;
-            }
-        }
+        let Trail { chunks, frames, handed, mark, .. } = std::mem::take(&mut self.trail);
+        let trail = Trail { chunks, frames, handed, mark, ..Trail::default() };
         let anchor = std::mem::replace(&mut self.anchor_hash, self.head_hash);
-        if records.is_empty() {
-            // `from_records` numbers an empty log from 0; this chain may be further on.
-            return AuditLog::resume(self.authority.clone(), anchor, self.next_id);
-        }
-        AuditLog::from_records(self.authority.clone(), anchor, records)
+        AuditLog::from_trail(self.authority.clone(), anchor, self.next_id, trail)
     }
 
     /// Records currently retained.

@@ -1,12 +1,14 @@
 //! The canonical binary encoding of an [`AuditRecord`].
 //!
 //! One encoder, one decoder, and two consumers of the same bytes: the chain hash
-//! (`record_hash`, which [`crate::AuditLog`] calls for every record it appends or
-//! verifies) and the on-disk frame body ([`encode_record`] / [`decode_record`], which
-//! [`crate::SegmentStore`] reads and writes in every frame). The decoder has two
-//! outputs from one walk: the record, or only the verdict and the record's id and
-//! hashes (`check_record`, what a restart reads a frame with). The hash is *defined* over
-//! the encoding, so a record means the same thing to the chain and to the disk.
+//! (`record_hash`, which [`crate::AuditLog::verify_records`] calls for every record it
+//! verifies) and the frame body ([`encode_record`] / [`decode_record`], which
+//! [`crate::SegmentStore`] reads and writes in every frame on disk, and
+//! [`crate::AuditLog`] holds in memory). The decoder has two outputs from one walk:
+//! the record, or only the verdict and the record's id and hashes (`check_record`, what
+//! a restart and [`crate::AuditLog::verify_chain`] read a frame with). The hash is
+//! *defined* over the encoding, so a record means the same thing to the chain and to
+//! the disk. One frame check (`check_frames`) serves frames on disk and in memory.
 //!
 //! Each variant has exactly one encoder. The two a dataplane writes per message —
 //! `FlowChecked` and `MessageQuenched` — take their fields *borrowed*
@@ -52,14 +54,16 @@
 //!
 //! # Frames
 //!
-//! On disk, and in a [`crate::BatchedAppender`]'s memory, a record travels as a
-//! *frame*: `len:u32le checksum:u64le record`, the checksum being the FNV-1a 64 of the
-//! record's bytes (see [`crate::segment`] for the file around it). A new record's frame
-//! is first *encoded* — its length and its body up to `previous_hash`, with the two
-//! hashes and the checksum left zero — and then *sealed* with its batch, when the batch
-//! is written ([`crate::BatchedAppender::write`], or `close`, which decodes the frames
-//! for a reader only after that): the bytes that do not depend on the chain are folded, four frames at once
-//! ([`StableHasher::fold_each`]); then, oldest first, each fold is continued over the
+//! On disk, and in the memory of a [`crate::BatchedAppender`] and of a
+//! [`crate::AuditLog`], a record travels as a *frame*: `len:u32le checksum:u64le
+//! record`, the checksum being the FNV-1a 64 of the record's bytes (see
+//! [`crate::segment`] for the file around it). A new record's frame is first *encoded* —
+//! its length and its body up to `previous_hash`, with the two hashes and the checksum
+//! left zero — and then *sealed* with its batch, when the batch is written
+//! ([`crate::BatchedAppender::write`], or `close`, which then hands the sealed frames to
+//! the log it returns, decoding none; [`crate::AuditLog::record`] seals each record as a
+//! batch of one): the bytes that do not depend on the chain are folded, four frames at
+//! once ([`StableHasher::fold_each`]); then, oldest first, each fold is continued over the
 //! previous record's hash — that state is the chain hash — and over the hash's eight
 //! bytes, which makes it the FNV-1a of `body ‖ hash`, the checksum a reader recomputes
 //! over the whole payload. FNV-1a being a plain running fold, and
@@ -101,6 +105,7 @@
 //! make it reserve more than the input's own size.
 
 use std::fmt;
+use std::ops::Range;
 
 use legaliot_ifc::{FlowDecision, FlowDenialReason, Label, SecurityContext, StableHasher, Tag};
 
@@ -513,8 +518,133 @@ pub fn decode_record(bytes: &[u8]) -> Option<AuditRecord> {
 /// [`Tag::try_new`]'s rule on its bytes, neither built. This is how a restart
 /// ([`crate::SegmentStore::reopen`]) checks a frame's record without building it, on
 /// whichever thread the scan gives the frame to.
-pub(crate) fn check_record(bytes: &[u8]) -> Option<(RecordId, u64, u64)> {
+pub(crate) fn check_record(bytes: &[u8]) -> Option<RecordLinks> {
     Reader::<false>::record(bytes).map(|record| (record.id, record.previous_hash, record.hash))
+}
+
+/// A record's id, `previous_hash` and `hash`.
+pub(crate) type RecordLinks = (RecordId, u64, u64);
+
+/// How [`check_frames`] reads the record in a frame, after its lengths and checksum:
+/// the one canonical record the payload is — its links and what the caller keeps of
+/// it — or `None`. [`crate::SegmentStore::recover`] reads it in full and keeps it
+/// ([`decode_record`]); a restart and [`crate::AuditLog::verify_chain`] check it just
+/// as strictly, build nothing and keep `()` ([`check_record`]). Either way it is one
+/// walk of the decoder.
+pub(crate) type ReadRecord<K> = fn(&[u8]) -> Option<(RecordLinks, K)>;
+
+/// Frames whose bodies [`check_frames`] folds at once.
+const FOLD_BLOCK: usize = 256;
+
+/// What a run of frames says, checked in chain order from its first frame.
+pub(crate) struct Verdict<K> {
+    /// The links of the first and of the last frame that passed, if any did: the
+    /// run chains from the first's `previous_hash`, and the last's `hash` is where
+    /// the chain stands after it.
+    pub(crate) ends: Option<(RecordLinks, RecordLinks)>,
+    /// What is kept of each frame that passed, in chain order.
+    pub(crate) passed: Vec<K>,
+    /// The frame that failed, if one did: its offset in the bytes and why.
+    pub(crate) failed: Option<(usize, Refusal)>,
+}
+
+/// Why a frame ended a run's clean prefix.
+pub(crate) enum Refusal {
+    /// Its bytes are no frame of a record.
+    Frame(&'static str),
+    /// Its record, with this id, does not chain from the record before it.
+    Chain(RecordId),
+}
+
+impl fmt::Display for Refusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Refusal::Frame(reason) => f.write_str(reason),
+            Refusal::Chain(id) => write!(f, "record {id} breaks the chain"),
+        }
+    }
+}
+
+/// The one frame check, for frames on disk and in memory: checks the frames of
+/// `bytes[run]`, whole ones whose lengths the caller has measured, in chain order, each
+/// against the one before; the first frame's link to whatever precedes the run is left
+/// to the caller. Each frame is checked, in this order: its checksum, the canonical
+/// form of its record (`read`), and its stored `hash` against the chain hash.
+///
+/// The payload is hashed once: the FNV-1a fold over the record's body is its chain
+/// hash (the body is canonical, so that is the hash of the record it encodes), and the
+/// same fold continued over the stored hash's eight bytes is the checksum — how a frame
+/// is built, run backwards. The bodies are folded a block at a time, four at once
+/// ([`StableHasher::fold_each`]). Nothing is allocated but what is kept of the records
+/// that pass.
+pub(crate) fn check_frames<K>(bytes: &[u8], run: Range<usize>, read: ReadRecord<K>) -> Verdict<K> {
+    let mut verdict = Verdict { ends: None, passed: Vec::new(), failed: None };
+    let (mut block, end) = (run.start, run.end);
+    while block < end {
+        let start = block;
+        let frames = move || {
+            let mut offset = start;
+            std::iter::from_fn(move || {
+                let (frame, _) = split_frame(&bytes[offset..end])?;
+                offset += frame.len();
+                Some((offset - frame.len(), frame))
+            })
+            .take(FOLD_BLOCK)
+        };
+        let mut folds = [StableHasher::new(); FOLD_BLOCK];
+        let bodies = frames().map(|(_, frame)| split_payload(&frame[FRAME_PREFIX_LEN..]).0);
+        StableHasher::fold_each(bodies, |i, fold| folds[i] = fold);
+        for ((offset, frame), fold) in frames().zip(folds) {
+            let chained =
+                read_frame(frame, fold, read).and_then(|(links, kept)| match verdict.ends {
+                    Some((_, (_, _, head))) if links.1 != head => Err(Refusal::Chain(links.0)),
+                    _ => Ok((links, kept)),
+                });
+            match chained {
+                Ok((links, kept)) => {
+                    verdict.ends = Some((verdict.ends.map_or(links, |(first, _)| first), links));
+                    verdict.passed.push(kept);
+                }
+                Err(refusal) => {
+                    verdict.failed = Some((offset, refusal));
+                    return verdict;
+                }
+            }
+            block = offset + frame.len();
+        }
+        if block == start {
+            // Bytes that are no whole frame: nothing more to check.
+            break;
+        }
+    }
+    verdict
+}
+
+/// What the frame `frame` says on its own, its body already folded into `fold`: its
+/// checksum, its record's canonical form (`read`), and its stored hash against the
+/// chain hash.
+fn read_frame<K>(
+    frame: &[u8],
+    fold: StableHasher,
+    read: ReadRecord<K>,
+) -> Result<(RecordLinks, K), Refusal> {
+    let (prefix, payload) = frame.split_at(FRAME_PREFIX_LEN);
+    let stored_hash = split_payload(payload).1;
+    if fold.write_bytes(stored_hash).finish().to_le_bytes() != prefix[4..] {
+        return Err(Refusal::Frame("frame checksum mismatch"));
+    }
+    let (links, kept) = read(payload).ok_or(Refusal::Frame("frame decode failure"))?;
+    if fold.finish() != links.2 {
+        return Err(Refusal::Chain(links.0));
+    }
+    Ok((links, kept))
+}
+
+/// A frame's payload as its record's body and the stored hash after it. A payload
+/// under eight bytes holds no record; folded whole, it still gets its checksum
+/// checked first, and then fails the decode.
+pub(crate) fn split_payload(payload: &[u8]) -> (&[u8], &[u8]) {
+    payload.split_at(payload.len().saturating_sub(8))
 }
 
 /// A cursor over undecoded input; every read either consumes what it returns or

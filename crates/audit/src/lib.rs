@@ -13,7 +13,8 @@
 //! * [`AuditEvent`] — the vocabulary of auditable occurrences (flow checks, label
 //!   changes, declassifications, reconfigurations, policy decisions);
 //! * [`AuditLog`] — an append-only, hash-chained log with tamper-evidence and offload
-//!   support, and [`BatchedAppender`], which prunes a trail to a retention bound
+//!   support, held as its records' sealed frames and decoded only when read, and
+//!   [`BatchedAppender`], which prunes a trail to a retention bound
 //!   (Challenge 6: "When can logs safely be pruned? Can logs be offloaded to others for
 //!   distributed audit?");
 //! * [`ProvenanceGraph`] — the audit graph of Fig. 11 (data items, processes, agents)

@@ -1,19 +1,30 @@
-//! The append-only, hash-chained audit log.
+//! The append-only, hash-chained audit log, held as its records' frames.
+//!
+//! A log is a read view over a trail's bytes: it holds the sealed segment frames
+//! ([`crate::codec`]) a [`crate::BatchedAppender`] hands over on `close`, the same
+//! bytes the trail writes to disk, and decodes them only when a reader asks for
+//! records — once, keeping what it decoded. Its chain is verified over the frames by
+//! the check a restart makes on disk, decoding nothing; validate once, then let
+//! readers navigate without building a tree (Langdale and Lemire, *Parsing Gigabytes
+//! of JSON per Second*, VLDB J. 2019).
 //!
 //! Tamper evidence is provided by chaining each record's hash with its predecessor's
 //! (the paper cites hardware-backed secure logs, e.g. BBox \[6\]; we model the chain in
 //! software — the integrity *property* is what compliance checking relies on). A
-//! record's hash is `codec::record_hash`: an algorithm and an input this
-//! repository pins (golden vectors below), because persisted segments must still verify
-//! after a toolchain upgrade — which `std`'s `DefaultHasher` does not promise.
+//! record's hash is the FNV-1a 64 of its encoded body (`codec::record_hash` from a
+//! record's fields): an algorithm and an input this repository pins (golden vectors
+//! below), because persisted segments must still verify after a toolchain upgrade —
+//! which `std`'s `DefaultHasher` does not promise.
 //! Challenge 6 asks "when can logs safely be pruned? Can logs be offloaded to others for
 //! distributed audit?" — [`crate::BatchedAppender::with_retention`] and
 //! [`AuditLog::offload`] model both, preserving chain verifiability across the cut by
 //! retaining the anchor hash.
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use crate::codec::record_hash;
+use crate::batch::Trail;
+use crate::codec::{self, record_hash, Refusal, FRAME_PREFIX_LEN};
 use crate::event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 
 /// The outcome of verifying the hash chain of a log.
@@ -48,7 +59,14 @@ impl fmt::Display for ChainVerification {
 }
 
 /// An append-only, hash-chained audit log for one recording authority (node, domain or
-/// gateway).
+/// gateway), held as its records' sealed segment frames.
+///
+/// The frames are the bytes a [`crate::BatchedAppender`] writes to disk: its `close`
+/// hands them over as they are, and [`Self::record`] encodes and seals each record it
+/// appends the same way. Nothing is decoded until a reader asks for records
+/// ([`Self::records`] and the filters over it): the first one decodes them all, and
+/// the decoded view is kept, and kept current by [`Self::record`]. [`Self::verify_chain`],
+/// [`Self::len`] and the hashes read the frames themselves.
 ///
 /// ```
 /// use legaliot_audit::{AuditLog, AuditEvent};
@@ -66,14 +84,17 @@ impl fmt::Display for ChainVerification {
 /// }, 10);
 /// assert!(log.verify_chain().is_intact());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct AuditLog {
     authority: String,
-    records: Vec<AuditRecord>,
+    /// The records as sealed frames, oldest first, every one of them handed over.
+    trail: Trail,
     /// Hash the first retained record chains from (non-zero after pruning/offload).
     anchor_hash: u64,
     /// Id to assign to the next record (ids keep increasing across pruning).
     next_id: u64,
+    /// The records decoded, built by the first read that needs them.
+    view: OnceLock<Vec<AuditRecord>>,
 }
 
 impl AuditLog {
@@ -88,21 +109,34 @@ impl AuditLog {
     /// restart re-anchors on the crashed incarnation's last *persisted* record — the
     /// on-disk prefix plus the resumed log verify as one chain.
     pub fn resume(authority: impl Into<String>, anchor_hash: u64, next_id: u64) -> Self {
-        AuditLog { authority: authority.into(), records: Vec::new(), anchor_hash, next_id }
+        Self::from_trail(authority.into(), anchor_hash, next_id, Trail::default())
     }
 
     /// Rebuilds a log from records that came from outside this process — decoded from a
     /// file, received from another party — so it can be verified, judged and appended
-    /// to. Nothing is trusted: no hash is checked here, [`Self::verify_chain`] decides
-    /// whether `records` chain from `anchor_hash`. The next id follows the last record
-    /// (0 when there is none; use [`Self::resume`] to continue an empty span elsewhere).
+    /// to. Nothing is trusted: each record is framed as it stands, whatever hashes it
+    /// claims, and [`Self::verify_chain`] decides whether `records` chain from
+    /// `anchor_hash`. The next id follows the last record (0 when there is none; use
+    /// [`Self::resume`] to continue an empty span elsewhere).
     pub fn from_records(
         authority: impl Into<String>,
         anchor_hash: u64,
         records: Vec<AuditRecord>,
     ) -> Self {
         let next_id = records.last().map_or(0, |last| last.id.0.saturating_add(1));
-        AuditLog { authority: authority.into(), records, anchor_hash, next_id }
+        let mut trail = Trail::default();
+        records.iter().for_each(|record| trail.push_sealed(record));
+        Self::from_trail(authority.into(), anchor_hash, next_id, trail)
+    }
+
+    /// The log of `trail`'s frames, all handed over: a closed appender's.
+    pub(crate) fn from_trail(
+        authority: String,
+        anchor_hash: u64,
+        next_id: u64,
+        trail: Trail,
+    ) -> Self {
+        AuditLog { authority, trail, anchor_hash, next_id, view: OnceLock::new() }
     }
 
     /// The recording authority's name.
@@ -123,67 +157,99 @@ impl AuditLog {
     /// The hash of the newest record, or the anchor if the log is empty — exactly what
     /// the next appended record will chain from.
     pub fn head_hash(&self) -> u64 {
-        self.records.last().map(|r| r.hash).unwrap_or(self.anchor_hash)
+        self.trail.head().unwrap_or(self.anchor_hash)
     }
 
-    /// Appends an event at the given simulated time, returning the new record's id.
+    /// Appends an event at the given simulated time, returning the new record's id: the
+    /// event is encoded into a frame, sealed onto the chain and dropped — unless the
+    /// records were read already, when it joins their decoded view.
     pub fn record(&mut self, event: AuditEvent, at_millis: u64) -> RecordId {
-        let previous_hash = self.records.last().map(|r| r.hash).unwrap_or(self.anchor_hash);
-        let id = RecordId(self.next_id);
+        let (id, previous_hash) = (RecordId(self.next_id), self.head_hash());
+        self.trail.push(id, at_millis, &self.authority, |out| codec::put_event(out, &event));
+        let (hash, _) = self.trail.hand_over(previous_hash);
         self.next_id += 1;
-        let hash = record_hash(id, at_millis, &self.authority, &event, previous_hash);
-        self.records.push(AuditRecord {
-            id,
-            at_millis,
-            recorded_by: self.authority.clone(),
-            event,
-            previous_hash,
-            hash,
-        });
+        if let Some(records) = self.view.get_mut() {
+            let recorded_by = self.authority.clone();
+            records.push(AuditRecord { id, at_millis, recorded_by, event, previous_hash, hash });
+        }
         id
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.trail.len()
     }
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.trail.len() == 0
     }
 
-    /// All records, oldest first.
+    /// All records, oldest first: decoded from the frames by the first call, and kept.
     pub fn records(&self) -> &[AuditRecord] {
-        &self.records
+        self.view.get_or_init(|| self.decode())
+    }
+
+    /// Every frame decoded, oldest first.
+    fn decode(&self) -> Vec<AuditRecord> {
+        let mut records = Vec::with_capacity(self.len());
+        records.extend(self.trail.each_frame().map(|frame| {
+            codec::decode_record(&frame[FRAME_PREFIX_LEN..]).expect("a log's frames decode")
+        }));
+        records
     }
 
     /// Iterates records of a given kind.
     pub fn of_kind(&self, kind: AuditEventKind) -> impl Iterator<Item = &AuditRecord> + '_ {
-        self.records.iter().filter(move |r| r.event.kind() == kind)
+        self.records().iter().filter(move |r| r.event.kind() == kind)
     }
 
     /// Records mentioning the given entity name.
     pub fn involving<'a>(&'a self, entity: &'a str) -> impl Iterator<Item = &'a AuditRecord> + 'a {
-        self.records.iter().filter(move |r| r.event.entities().contains(&entity))
+        self.records().iter().filter(move |r| r.event.entities().contains(&entity))
     }
 
     /// Records of denied flows — the first thing an investigator looks at.
     pub fn denied_flows(&self) -> impl Iterator<Item = &AuditRecord> + '_ {
-        self.records.iter().filter(|r| r.event.is_denied_flow())
+        self.records().iter().filter(|r| r.event.is_denied_flow())
     }
 
-    /// Verifies the hash chain from the anchor to the newest record.
+    /// Verifies the hash chain from the anchor to the newest record, over the frames:
+    /// each is checked as a restart checks a frame on disk (`codec::check_frames`),
+    /// and no record is built.
     pub fn verify_chain(&self) -> ChainVerification {
-        Self::verify_records(self.anchor_hash, &self.records)
+        let (mut head, mut records) = (self.anchor_hash, 0);
+        let check = |payload: &[u8]| codec::check_record(payload).map(|links| (links, ()));
+        for run in self.trail.retained() {
+            let verdict = codec::check_frames(run, 0..run.len(), check);
+            if let Some(((first, previous_hash, _), (_, _, hash))) = verdict.ends {
+                if previous_hash != head {
+                    return ChainVerification::Broken { at: first };
+                }
+                head = hash;
+            }
+            records += verdict.passed.len();
+            if let Some((_, refusal)) = verdict.failed {
+                let at = match refusal {
+                    Refusal::Chain(id) => id,
+                    // Frames this log encoded always read back; were one not to, it is
+                    // named by its place in the numbering.
+                    Refusal::Frame(_) => {
+                        RecordId(self.next_id.saturating_sub((self.len() - records) as u64))
+                    }
+                };
+                return ChainVerification::Broken { at };
+            }
+        }
+        ChainVerification::Intact { records }
     }
 
     /// Verifies an arbitrary record slice as a chain anchored on `anchor_hash`.
     ///
-    /// This is the same check as [`Self::verify_chain`], exposed so external stores of
-    /// records (e.g. recovered on-disk segments) can be verified — including spans that
-    /// cross storage boundaries, by concatenating the disk prefix with the in-memory
-    /// suffix and anchoring on the first segment's anchor.
+    /// This is the check [`Self::verify_chain`] makes, over records instead of frames,
+    /// so external stores of records (e.g. recovered on-disk segments) can be verified —
+    /// including spans that cross storage boundaries, by concatenating the disk prefix
+    /// with the in-memory suffix and anchoring on the first segment's anchor.
     pub fn verify_records(anchor_hash: u64, records: &[AuditRecord]) -> ChainVerification {
         let mut expected_prev = anchor_hash;
         for r in records {
@@ -202,24 +268,25 @@ impl AuditLog {
     /// auditor, leaving this log empty but anchored so future records still chain onto
     /// the offloaded history (distributed audit, Challenge 6).
     pub fn offload(&mut self, auditor: impl Into<String>) -> AuditLog {
-        let offloaded = AuditLog {
+        let head = self.head_hash();
+        AuditLog {
             authority: auditor.into(),
-            records: std::mem::take(&mut self.records),
-            anchor_hash: self.anchor_hash,
+            trail: std::mem::take(&mut self.trail),
+            anchor_hash: std::mem::replace(&mut self.anchor_hash, head),
             next_id: self.next_id,
-        };
-        if let Some(last) = offloaded.records.last() {
-            self.anchor_hash = last.hash;
+            view: std::mem::take(&mut self.view),
         }
-        offloaded
     }
 
     /// Merges the records of several per-node logs into a single timeline ordered by
     /// timestamp (then by recording authority for determinism). The merged view is used
     /// by system-wide compliance checking; per-node chains remain the tamper evidence.
+    /// A log whose records were not read yet is decoded for the timeline alone.
     pub fn merged_timeline<'a>(logs: impl IntoIterator<Item = &'a AuditLog>) -> Vec<AuditRecord> {
-        let mut all: Vec<AuditRecord> =
-            logs.into_iter().flat_map(|l| l.records.iter().cloned()).collect();
+        let mut all: Vec<AuditRecord> = logs
+            .into_iter()
+            .flat_map(|l| l.view.get().cloned().unwrap_or_else(|| l.decode()))
+            .collect();
         all.sort_by(|a, b| {
             a.at_millis
                 .cmp(&b.at_millis)
@@ -230,10 +297,34 @@ impl AuditLog {
     }
 }
 
+/// Two logs are equal when they hold the same frames on the same anchor, under the
+/// same authority and numbering: the encoding is canonical, so equal frames are equal
+/// records, hashes included.
+impl PartialEq for AuditLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.authority == other.authority
+            && self.anchor_hash == other.anchor_hash
+            && self.next_id == other.next_id
+            && self.trail.each_frame().eq(other.trail.each_frame())
+    }
+}
+
+impl fmt::Debug for AuditLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuditLog")
+            .field("authority", &self.authority)
+            .field("records", &self.records())
+            .field("anchor_hash", &self.anchor_hash)
+            .field("next_id", &self.next_id)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::{decode_record, encode_record};
+    use crate::BatchedAppender;
     use legaliot_ifc::{can_flow, SecurityContext};
     use proptest::prelude::*;
 
@@ -269,9 +360,11 @@ mod tests {
         log.record(flow_event("s", "d", true), 2);
         log.record(flow_event("s", "d", false), 3);
         // Tamper with the middle record's event.
-        if let AuditEvent::FlowChecked { destination, .. } = &mut log.records[1].event {
+        let mut records = log.records().to_vec();
+        if let AuditEvent::FlowChecked { destination, .. } = &mut records[1].event {
             *destination = "covered-up".into();
         }
+        let log = AuditLog::from_records("node-a", 0, records);
         let v = log.verify_chain();
         assert_eq!(v, ChainVerification::Broken { at: RecordId(1) });
         assert!(!v.is_intact());
@@ -284,7 +377,9 @@ mod tests {
         log.record(flow_event("a", "b", false), 1);
         log.record(flow_event("b", "c", false), 2);
         log.record(flow_event("c", "d", false), 3);
-        log.records.remove(1);
+        let mut records = log.records().to_vec();
+        records.remove(1);
+        let log = AuditLog::from_records("node-a", 0, records);
         assert!(!log.verify_chain().is_intact());
     }
 
@@ -497,6 +592,81 @@ mod tests {
     }
 
     proptest! {
+        /// The frame walk is the record walk: on a log built by `record` (its records
+        /// read now and then between appends), on one an appender's `close` hands over
+        /// (pruned by retention, so anchored past genesis), on one `from_records` builds
+        /// with one record's `hash` or `previous_hash` changed or on the wrong anchor, and
+        /// on both halves of an offload, `verify_chain` over the frames says what
+        /// `verify_records` says over the decoded records — the id of a break included.
+        #[test]
+        fn prop_the_frame_walk_agrees_with_the_record_walk(
+            events in collection::vec((crate::codec::tests::event(), 0u64..1000), 1..30),
+            retention in 1usize..5,
+            read_every in 1usize..6,
+            forged in 0usize..1000,
+            forge_hash in prop::bool::ANY,
+            offload_at in 0usize..1000,
+        ) {
+            let record_walk = |log: &AuditLog| AuditLog::verify_records(log.anchor_hash(), log.records());
+            let mut unread = AuditLog::new("n");
+            let mut read = AuditLog::new("n");
+            for (n, (event, at_millis)) in events.iter().enumerate() {
+                unread.record(event.clone(), *at_millis);
+                read.record(event.clone(), *at_millis);
+                if n % read_every == 0 {
+                    prop_assert_eq!(read.records().len(), n + 1);
+                    prop_assert_eq!(&read.records()[n].event, event);
+                }
+            }
+            prop_assert_eq!(read.records(), unread.records());
+            prop_assert_eq!(&read, &unread);
+            prop_assert_eq!(read.verify_chain(), ChainVerification::Intact { records: events.len() });
+            prop_assert_eq!(read.verify_chain(), record_walk(&read));
+
+            let mut appender = BatchedAppender::new("n", 0).with_retention(Some(retention));
+            for (event, at_millis) in &events {
+                appender.append(event.clone(), *at_millis);
+                appender.write();
+            }
+            let closed = appender.close();
+            let kept = events.len() - closed.len();
+            prop_assert_eq!(closed.records(), &read.records()[kept..]);
+            prop_assert_eq!(closed.anchor_hash(), kept.checked_sub(1).map_or(0, |n| read.records()[n].hash));
+            prop_assert_eq!(closed.verify_chain(), ChainVerification::Intact { records: closed.len() });
+            prop_assert_eq!(closed.verify_chain(), record_walk(&closed));
+
+            let mut records = read.records().to_vec();
+            let at = forged % records.len();
+            if forge_hash {
+                records[at].hash ^= 1;
+            } else {
+                records[at].previous_hash ^= 1;
+            }
+            let forged = AuditLog::from_records("n", 0, records);
+            prop_assert_eq!(forged.verify_chain(), ChainVerification::Broken { at: RecordId(at as u64) });
+            prop_assert_eq!(forged.verify_chain(), record_walk(&forged));
+            let misanchored = AuditLog::from_records("n", 1, closed.records().to_vec());
+            prop_assert_eq!(misanchored.verify_chain(), record_walk(&misanchored));
+            prop_assert_eq!(misanchored.verify_chain().is_intact(), closed.is_empty());
+
+            let cut = offload_at % (events.len() + 1);
+            let mut kept_here = AuditLog::new("n");
+            for (event, at_millis) in &events[..cut] {
+                kept_here.record(event.clone(), *at_millis);
+            }
+            let offloaded = kept_here.offload("auditor");
+            for (event, at_millis) in &events[cut..] {
+                kept_here.record(event.clone(), *at_millis);
+            }
+            prop_assert_eq!(kept_here.anchor_hash(), offloaded.head_hash());
+            prop_assert_eq!(kept_here.head_hash(), read.head_hash());
+            for half in [&offloaded, &kept_here] {
+                prop_assert!(half.verify_chain().is_intact());
+                prop_assert_eq!(half.verify_chain(), record_walk(half));
+            }
+            prop_assert_eq!((offloaded.len(), kept_here.len()), (cut, events.len() - cut));
+        }
+
         /// Chain verification always succeeds on an untampered log, for any sequence of
         /// events and timestamps.
         #[test]

@@ -103,17 +103,18 @@ use std::cell::OnceCell;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use legaliot_ifc::StableHasher;
 use legaliot_obs::{FailpointRegistry, FailpointSite, FaultKind, HistogramSnapshot};
 
-use crate::codec::{check_record, decode_record, put_record_frame, split_frame, FRAME_PREFIX_LEN};
-use crate::event::{AuditRecord, RecordId};
+use crate::codec::{
+    check_frames, check_record, decode_record, put_record_frame, split_frame, ReadRecord, Refusal,
+    Verdict, FRAME_PREFIX_LEN,
+};
+use crate::event::AuditRecord;
 use crate::log::{AuditLog, ChainVerification};
 
 /// Magic bytes opening every segment file.
@@ -791,62 +792,20 @@ struct Scan {
     next_sequence: u64,
 }
 
-/// A record's id, `previous_hash` and `hash`.
-type RecordLinks = (RecordId, u64, u64);
-
-/// How [`SegmentStore::scan`] reads the record in a frame, after its lengths and
-/// checksum: the one canonical record the payload is — its links and what the scan
-/// keeps of it — or `None`. [`SegmentStore::recover`] reads it in full and keeps it
-/// ([`decode_record`]); [`SegmentStore::reopen`] checks it just as strictly, builds
-/// nothing and keeps `()` ([`check_record`]). Either way it is one walk of the codec's
-/// decoder.
-type ReadRecord<K> = fn(&[u8]) -> Option<(RecordLinks, K)>;
-
 /// The frames in a share: what a check thread claims at a time. A segment of no more
 /// than this many is checked on the calling thread alone.
 const PARALLEL_FLOOR: usize = 256;
-
-/// What a share's frames say, checked in chain order from its first frame.
-struct Verdict<K> {
-    /// The links of the first and of the last frame that passed, if any did: the
-    /// share chains from the first's `previous_hash`, and the last's `hash` is where
-    /// the chain stands after it.
-    ends: Option<(RecordLinks, RecordLinks)>,
-    /// What the scan keeps of each frame that passed, in chain order.
-    passed: Vec<K>,
-    /// The frame that failed, if one did: its offset in the segment and why.
-    failed: Option<(usize, Refusal)>,
-}
-
-/// Why a frame ended its segment's clean prefix.
-enum Refusal {
-    /// Its bytes are no frame of a record.
-    Frame(&'static str),
-    /// Its record, with this id, does not chain from the record before it.
-    Chain(RecordId),
-}
-
-impl fmt::Display for Refusal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Refusal::Frame(reason) => f.write_str(reason),
-            Refusal::Chain(id) => write!(f, "record {id} breaks the chain"),
-        }
-    }
-}
 
 /// Checks the frames of `segment` after its header, chaining from `scan.head_hash`,
 /// and hands on what is kept of each that passes to `accept`, in chain order, counting
 /// it into `scan`. Returns the offset of the first frame that failed and why, if one
 /// did; no frame after it is accepted.
 ///
-/// Each frame is checked, in this order: its lengths, its checksum, the canonical form
-/// of its record (`read`), and its chain link — its `previous_hash` against the chain
-/// head, its stored `hash` against the chain hash. The payload is hashed once: the
-/// FNV-1a fold over the record's body is its chain hash (the body is canonical, so that
-/// is the hash of the record it encodes — see [`crate::codec`]), and the same fold
-/// continued over the stored hash's eight bytes is the checksum — how [`crate::codec`]
-/// builds a frame, run backwards.
+/// Each frame is checked, in this order: its lengths here, then, by the codec's one
+/// frame check ([`check_frames`], which an in-memory log verifies with too), its
+/// checksum, the canonical form of its record (`read`), and its chain link — its
+/// `previous_hash` against the chain head, its stored `hash` against the chain hash.
+/// The payload is hashed once.
 ///
 /// Only the lengths and the chain link depend on the frames before. The calling thread
 /// walks the segment's length prefixes and cuts its frames into shares of
@@ -896,7 +855,7 @@ fn check_segment<K: Send>(
     let claim = || loop {
         let claimed = claims.lock().expect("a share is claimed whole").next();
         let Some((share, verdict)) = claimed else { break };
-        *verdict = check_share(segment, share.clone(), read);
+        *verdict = check_frames(segment, share.clone(), read);
     };
     thread::scope(|scope| {
         for _ in 1..threads {
@@ -937,69 +896,6 @@ fn frame_len(bytes: &[u8]) -> Result<usize, String> {
         return Err("short frame payload".into());
     }
     Ok(end)
-}
-
-/// Checks the frames of `share`, whole ones the walk measured, in chain order, each
-/// against the one before; the first frame's link to the head is left to the caller.
-/// The bodies are folded first, four at a time ([`StableHasher::fold_each`]). Nothing
-/// is allocated but what is kept of the records that pass.
-fn check_share<K>(segment: &[u8], share: Range<usize>, read: ReadRecord<K>) -> Verdict<K> {
-    let frames = || {
-        let mut offset = share.start;
-        std::iter::from_fn(move || {
-            let (frame, _) = split_frame(&segment[offset..share.end])?;
-            offset += frame.len();
-            Some((offset - frame.len(), frame))
-        })
-    };
-    let mut folds = [StableHasher::new(); PARALLEL_FLOOR];
-    let bodies = frames().map(|(_, frame)| split_payload(&frame[FRAME_PREFIX_LEN..]).0);
-    StableHasher::fold_each(bodies, |i, fold| folds[i] = fold);
-    let mut verdict = Verdict { ends: None, passed: Vec::new(), failed: None };
-    for ((offset, frame), fold) in frames().zip(folds) {
-        let chained = read_frame(frame, fold, read).and_then(|(links, kept)| match verdict.ends {
-            Some((_, (_, _, head))) if links.1 != head => Err(Refusal::Chain(links.0)),
-            _ => Ok((links, kept)),
-        });
-        match chained {
-            Ok((links, kept)) => {
-                verdict.ends = Some((verdict.ends.map_or(links, |(first, _)| first), links));
-                verdict.passed.push(kept);
-            }
-            Err(refusal) => {
-                verdict.failed = Some((offset, refusal));
-                break;
-            }
-        }
-    }
-    verdict
-}
-
-/// What the frame `frame` says on its own, its body already folded into `fold`: its
-/// checksum, its record's canonical form (`read`), and its stored hash against the
-/// chain hash.
-fn read_frame<K>(
-    frame: &[u8],
-    fold: StableHasher,
-    read: ReadRecord<K>,
-) -> Result<(RecordLinks, K), Refusal> {
-    let (prefix, payload) = frame.split_at(FRAME_PREFIX_LEN);
-    let stored_hash = split_payload(payload).1;
-    if fold.write_bytes(stored_hash).finish().to_le_bytes() != prefix[4..] {
-        return Err(Refusal::Frame("frame checksum mismatch"));
-    }
-    let (links, kept) = read(payload).ok_or(Refusal::Frame("frame decode failure"))?;
-    if fold.finish() != links.2 {
-        return Err(Refusal::Chain(links.0));
-    }
-    Ok((links, kept))
-}
-
-/// A frame's payload as its record's body and the stored hash after it. A payload
-/// under eight bytes holds no record; folded whole, it still gets its checksum
-/// checked first, and then fails the decode.
-fn split_payload(payload: &[u8]) -> (&[u8], &[u8]) {
-    payload.split_at(payload.len().saturating_sub(8))
 }
 
 /// One segment file's contribution to a recovery.
@@ -1090,10 +986,12 @@ pub struct Reopened {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_record;
+    use crate::codec::{encode_record, split_payload, RecordLinks};
     use crate::event::AuditEvent;
+    use legaliot_ifc::StableHasher;
     use legaliot_obs::FailpointSpec;
     use proptest::prelude::*;
+    use std::ops::Range;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;

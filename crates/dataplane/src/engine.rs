@@ -555,11 +555,14 @@ pub struct DataplaneReport {
     /// Final aggregated statistics.
     pub stats: DataplaneStats,
     /// Per-shard hash-chained audit logs (flow checks and summaries), index-aligned
-    /// with the shard numbering.
+    /// with the shard numbering: what each shard's trail retains, handed over by its
+    /// `close` as the sealed frames it holds — a record is decoded only when a reader
+    /// asks for the log's records, and [`AuditLog::verify_chain`] decodes none.
     pub shard_audit: Vec<AuditLog>,
     /// The control-plane audit log (subscriptions, context changes, isolation): the
     /// suffix [`DataplaneConfig::audit_retention`] keeps, anchored on the record before
-    /// it. On a durable engine the whole trail is in [`PersistenceConfig::control_dir`].
+    /// it, handed over as frames like a shard's. On a durable engine the whole trail is
+    /// in [`PersistenceConfig::control_dir`].
     pub control_audit: AuditLog,
     /// `(shard index, panic message)` for every worker that did not exit
     /// cleanly at shutdown. Supervision catches worker panics and restarts the

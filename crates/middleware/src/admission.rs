@@ -25,7 +25,7 @@
 //! to [`AccessRegime::decide`] and [`admit_channel`], kept while `benchmark/` names them.
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use legaliot_audit::codec::{DataItem, FlowCheckedRef};
 use legaliot_audit::{AuditEvent, BatchedAppender};
@@ -110,7 +110,13 @@ impl FlowVerdict<'_> {
     /// The one `FlowChecked` record of this check. The two contexts are shared with
     /// the components they came from, not copied.
     pub(crate) fn into_evidence(self, at_millis: u64) -> AuditEvent {
-        let data_item = self.data_item(at_millis).map(|item| item.to_string());
+        let data_item = self.data_item(at_millis).map(|item| {
+            // The type, `@` and at most twenty digits, spelt without growing the buffer.
+            let type_len = self.message_type.map_or(0, |message_type| message_type.as_str().len());
+            let mut name = String::with_capacity(type_len + 21);
+            write!(name, "{item}").expect("a String takes any text");
+            name
+        });
         AuditEvent::FlowChecked {
             source: self.source.name().to_string(),
             destination: self.destination.name().to_string(),

@@ -334,11 +334,12 @@ impl Middleware {
     /// The message is consumed, and what the destination receives is that same object:
     /// quenched in place, stamped with the sender, the send time and the effective
     /// context (shared with the sender's, not copied), and moved into the mailbox —
-    /// nothing of it is cloned. What a delivered send still allocates is what it
-    /// keeps: the evidence record's strings (the two names, the data item, the
-    /// recording authority), the delivered message's sender name, and the names of
-    /// the quenched attributes in the outcome. Channel and mailbox are looked up with
-    /// the `&str`s given; `tests/hot_path_allocations.rs` holds the count.
+    /// nothing of it is cloned. What a delivered send still allocates is the evidence
+    /// record's strings (the two names and the data item, which the audit log encodes
+    /// into its frame and frees), and what it keeps: the delivered message's sender
+    /// name and the names of the quenched attributes in the outcome. Channel and
+    /// mailbox are looked up with the `&str`s given; `tests/hot_path_allocations.rs`
+    /// holds the count.
     ///
     /// # Errors
     ///
