@@ -202,18 +202,26 @@ impl Trail {
 
     /// Seals the frames after the mark, the first chained from `head`, and returns the
     /// newest one's hash. Each frame's bytes up to its `previous_hash` are folded four
-    /// frames at a time; then, oldest first, its fold is continued over the hash before
-    /// it (the frame's chain hash) and over its own hash (the checksum), and all three
-    /// are written into the frame.
+    /// frames at a time (a lone frame on its own); then, oldest first, its fold is
+    /// continued over the hash before it (the frame's chain hash) and over its own hash
+    /// (the checksum), and all three are written into the frame.
     fn seal(&mut self, mut head: u64) -> u64 {
         let folds = &mut self.folds;
         folds.clear();
         folds.resize(self.frames - self.handed, StableHasher::new());
-        let frames = runs(&self.chunks, self.mark).flat_map(|run| {
-            std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
-        });
-        let chain_free = frames.map(|(frame, _)| &frame[FRAME_PREFIX_LEN..frame.len() - 16]);
-        StableHasher::fold_each(chain_free, |index, fold| folds[index] = fold);
+        {
+            let frames = runs(&self.chunks, self.mark).flat_map(|run| {
+                std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
+            });
+            let mut chain_free =
+                frames.map(|(frame, _)| &frame[FRAME_PREFIX_LEN..frame.len() - 16]);
+            if let [only] = folds.as_mut_slice() {
+                // A batch of one, as a log seals each record it appends: no lanes to fill.
+                *only = StableHasher::new().write_bytes(chain_free.next().expect("one frame"));
+            } else {
+                StableHasher::fold_each(chain_free, |index, fold| folds[index] = fold);
+            }
+        }
         let (first, offset) = self.mark;
         let mut fold = folds.iter();
         for (n, chunk) in self.chunks.range_mut(first..).enumerate() {
