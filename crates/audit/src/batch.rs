@@ -42,7 +42,7 @@ use crate::segment::{SegmentStore, Truncation};
 
 /// Bytes after which a chunk takes no further frame. A chunk is allocated with an
 /// eighth more, so the frame that crosses the line rarely grows it.
-const CHUNK_BYTES: usize = 64 * 1024;
+pub(crate) const CHUNK_BYTES: usize = 64 * 1024;
 
 /// A run of whole frames: `bytes[start..end]`. Frames before `start` were pruned;
 /// bytes past `end` are a frame whose encoding a panic interrupted.
@@ -68,9 +68,18 @@ fn runs(chunks: &VecDeque<Chunk>, (first, offset): (usize, usize)) -> impl Itera
         .map(move |(n, chunk)| &chunk.bytes[if n == 0 { offset } else { chunk.start }..chunk.end])
 }
 
+/// Each frame of `runs` of whole frames, in order.
+fn split_frames<'a>(runs: impl Iterator<Item = &'a [u8]>) -> impl Iterator<Item = &'a [u8]> {
+    runs.flat_map(|run| {
+        std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
+            .map(|(frame, _)| frame)
+    })
+}
+
 /// The retained frames, oldest first, and the emptied chunks waiting to be refilled:
 /// an appender's trail, and the records of an [`AuditLog`], which holds the frames an
-/// appender hands it on `close` and seals each record it appends on its own.
+/// appender hands it on `close` and seals the records it appends in batches, as an
+/// appender does.
 #[derive(Default, Clone)]
 pub(crate) struct Trail {
     chunks: VecDeque<Chunk>,
@@ -138,6 +147,11 @@ impl Trail {
         self.frames
     }
 
+    /// Frames appended since the last hand-over: unsealed.
+    pub(crate) fn unsealed(&self) -> usize {
+        self.frames - self.handed
+    }
+
     /// Each chunk's frames, oldest first, as one run of whole frames per chunk.
     pub(crate) fn retained(&self) -> impl DoubleEndedIterator<Item = &[u8]> {
         self.chunks.iter().map(Chunk::retained)
@@ -145,10 +159,7 @@ impl Trail {
 
     /// Every frame held, oldest first.
     pub(crate) fn each_frame(&self) -> impl Iterator<Item = &[u8]> {
-        self.retained().flat_map(|run| {
-            std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
-                .map(|(frame, _)| frame)
-        })
+        split_frames(self.retained())
     }
 
     /// The hash the newest frame ends in, if a frame is held.
@@ -210,13 +221,11 @@ impl Trail {
         folds.clear();
         folds.resize(self.frames - self.handed, StableHasher::new());
         {
-            let frames = runs(&self.chunks, self.mark).flat_map(|run| {
-                std::iter::successors(codec::split_frame(run), |(_, rest)| codec::split_frame(rest))
-            });
-            let mut chain_free =
-                frames.map(|(frame, _)| &frame[FRAME_PREFIX_LEN..frame.len() - 16]);
+            let mut chain_free = split_frames(runs(&self.chunks, self.mark))
+                .map(|frame| &frame[FRAME_PREFIX_LEN..frame.len() - 16]);
             if let [only] = folds.as_mut_slice() {
-                // A batch of one, as a log seals each record it appends: no lanes to fill.
+                // A batch of one, as a log with a decoded view seals each record it
+                // appends: no lanes to fill.
                 *only = StableHasher::new().write_bytes(chain_free.next().expect("one frame"));
             } else {
                 StableHasher::fold_each(chain_free, |index, fold| folds[index] = fold);
@@ -400,7 +409,7 @@ impl BatchedAppender {
     /// one per chunk from the mark's — then applies retention ([`Self::flush`]), which
     /// may now free them. `write` is not called when no frame is new.
     pub(crate) fn hand_over(&mut self, write: impl FnOnce(&mut dyn Iterator<Item = &[u8]>)) {
-        if self.trail.handed == self.trail.frames {
+        if self.trail.unsealed() == 0 {
             return;
         }
         let from;

@@ -61,8 +61,8 @@
 //! its length and its body up to `previous_hash`, with the two hashes and the checksum
 //! left zero — and then *sealed* with its batch, when the batch is written
 //! ([`crate::BatchedAppender::write`], or `close`, which then hands the sealed frames to
-//! the log it returns, decoding none; [`crate::AuditLog::record`] seals each record as a
-//! batch of one): the bytes that do not depend on the chain are folded, four frames at
+//! the log it returns, decoding none; [`crate::AuditLog::record`] seals its records in
+//! batches too, and before any read): the bytes that do not depend on the chain are folded, four frames at
 //! once ([`StableHasher::fold_each`]); then, oldest first, each fold is continued over the
 //! previous record's hash — that state is the chain hash — and over the hash's eight
 //! bytes, which makes it the FNV-1a of `body ‖ hash`, the checksum a reader recomputes

@@ -917,7 +917,7 @@ fn settle<'d>(
                 });
             if full_record {
                 failpoint::inject(&config.failpoints, FailpointSite::AuditAppend);
-                flow.write_evidence(at_millis, &mut state.appender);
+                state.appender.append_flow_checked(&flow.evidence(at_millis), at_millis);
                 if let Some(summary) = summary.as_mut().filter(|_| allowed) {
                     summary.remember(schema, &flow.source_context, destination);
                 }

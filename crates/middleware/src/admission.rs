@@ -6,9 +6,8 @@
 //! * [`enforce`], the §8.2.2 sequence: isolation, then contextual access control (the
 //!   *sender's* principal must hold `Send` rights on the destination), then IFC over
 //!   the message's *effective* context. A [`Verdict`] that reached the flow check
-//!   yields its one `FlowChecked` record — owned for the bus
-//!   (`FlowVerdict::into_evidence`), or encoded from borrowed fields for the shards
-//!   ([`FlowVerdict::write_evidence`]: same bytes). Drivers: [`admit_channel`],
+//!   yields its one `FlowChecked` record as borrowed fields ([`FlowVerdict::evidence`]),
+//!   which the bus's log and a shard's trail encode alike. Drivers: [`admit_channel`],
 //!   [`crate::bus::Middleware`] (`establish_channel`, `send`, `reevaluate_channels`),
 //!   `Dataplane::subscribe` and each shard worker's per-delivery step.
 //! * [`reconfigure`], one step of a control message (§8.1, Fig. 8; [`control_steps`]):
@@ -25,10 +24,10 @@
 //! to [`AccessRegime::decide`] and [`admit_channel`], kept while `benchmark/` names them.
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use legaliot_audit::codec::{DataItem, FlowCheckedRef};
-use legaliot_audit::{AuditEvent, BatchedAppender};
+use legaliot_audit::AuditEvent;
 use legaliot_context::{ContextSnapshot, ContextStore, Timestamp};
 use legaliot_ifc::{can_flow, FlowDecision, IfcError, Label, SecurityContext, Tag};
 use legaliot_policy::Action;
@@ -107,38 +106,18 @@ impl FlowVerdict<'_> {
         })
     }
 
-    /// The one `FlowChecked` record of this check. The two contexts are shared with
-    /// the components they came from, not copied.
-    pub(crate) fn into_evidence(self, at_millis: u64) -> AuditEvent {
-        let data_item = self.data_item(at_millis).map(|item| {
-            // The type, `@` and at most twenty digits, spelt without growing the buffer.
-            let type_len = self.message_type.map_or(0, |message_type| message_type.as_str().len());
-            let mut name = String::with_capacity(type_len + 21);
-            write!(name, "{item}").expect("a String takes any text");
-            name
-        });
-        AuditEvent::FlowChecked {
-            source: self.source.name().to_string(),
-            destination: self.destination.name().to_string(),
-            source_context: self.source_context.into_owned(),
-            destination_context: self.destination.context().clone(),
-            decision: self.decision,
-            data_item,
-        }
-    }
-
-    /// Appends that same record to `audit` without building it: names, contexts and
-    /// decision are encoded where they stand, the data item from its two parts.
-    pub fn write_evidence(&self, at_millis: u64, audit: &mut BatchedAppender) {
-        let fields = FlowCheckedRef {
+    /// The one `FlowChecked` record of this check, as borrowed fields: names, contexts
+    /// and decision where they stand, the data item as its two parts. A shard appends
+    /// it to its trail, the bus to its log; both encode it without building it.
+    pub fn evidence(&self, at_millis: u64) -> FlowCheckedRef<'_> {
+        FlowCheckedRef {
             source: self.source.name(),
             destination: self.destination.name(),
             source_context: &self.source_context,
             destination_context: self.destination.context(),
             decision: &self.decision,
             data_item: self.data_item(at_millis),
-        };
-        audit.append_flow_checked(&fields, at_millis);
+        }
     }
 }
 
@@ -450,6 +429,7 @@ pub fn admit_channel_cached(
 mod tests {
     use super::*;
     use crate::acl::{AccessRule, Principal, Subject};
+    use legaliot_audit::{AuditLog, BatchedAppender};
     use legaliot_ifc::SecurityContext;
 
     fn component(name: &str, secrecy: &[&str]) -> Component {
@@ -644,20 +624,41 @@ mod tests {
                 };
                 assert_eq!(stops, case.stops, "{} (cached: {cached})", case.why);
 
-                // The one evidence record names the message, or nothing for a channel;
-                // written borrowed or built owned, it is the same record.
+                // The one evidence record names the message, or nothing for a channel.
+                // Appended to a trail, recorded borrowed and recorded as the owned event
+                // built by hand, it is the same record.
                 if let Verdict::Flow(flow) = verdict {
-                    let mut written = BatchedAppender::new("n", 8);
-                    flow.write_evidence(at_millis, &mut written);
-                    let mut built = legaliot_audit::AuditLog::new("n");
-                    let evidence = flow.into_evidence(at_millis);
-                    built.record(evidence.clone(), at_millis);
-                    assert_eq!(written.close(), built, "{}", case.why);
-                    match evidence {
+                    let named = message_type.map(|_| format!("reading@{at_millis}"));
+                    let context = |secrecy: &[&str], integrity: &[&str]| {
+                        SecurityContext::from_names(secrecy.to_vec(), integrity.to_vec())
+                    };
+                    let source_context = context(case.effective_secrecy, case.source.1);
+                    let destination_context = context(case.destination.0, case.destination.1);
+                    let owned = AuditEvent::FlowChecked {
+                        source: "src".into(),
+                        destination: "dst".into(),
+                        decision: can_flow(&source_context, &destination_context),
+                        source_context,
+                        destination_context,
+                        data_item: named.clone(),
+                    };
+                    let mut trail = BatchedAppender::new("n", 8);
+                    trail.append_flow_checked(&flow.evidence(at_millis), at_millis);
+                    let mut borrowed = AuditLog::new("n");
+                    borrowed.record_flow_checked(&flow.evidence(at_millis), at_millis);
+                    let mut built = AuditLog::new("n");
+                    built.record(owned, at_millis);
+                    assert_eq!(trail.close(), built, "{}", case.why);
+                    assert_eq!(borrowed, built, "{}", case.why);
+                    // Read before the append, the borrowed record joins the view built.
+                    let mut viewed = AuditLog::new("n");
+                    assert!(viewed.records().is_empty());
+                    viewed.record_flow_checked(&flow.evidence(at_millis), at_millis);
+                    assert_eq!(viewed.records(), built.records(), "{}", case.why);
+                    match &borrowed.records()[0].event {
                         AuditEvent::FlowChecked { source, destination, data_item, .. } => {
                             assert_eq!((source.as_str(), destination.as_str()), ("src", "dst"));
-                            let named = message_type.map(|_| format!("reading@{at_millis}"));
-                            assert_eq!(data_item, named, "{}", case.why);
+                            assert_eq!(data_item, &named, "{}", case.why);
                         }
                         other => panic!("{}: not a flow check: {other:?}", case.why),
                     }

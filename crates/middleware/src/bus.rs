@@ -334,12 +334,12 @@ impl Middleware {
     /// The message is consumed, and what the destination receives is that same object:
     /// quenched in place, stamped with the sender, the send time and the effective
     /// context (shared with the sender's, not copied), and moved into the mailbox —
-    /// nothing of it is cloned. What a delivered send still allocates is the evidence
-    /// record's strings (the two names and the data item, which the audit log encodes
-    /// into its frame and frees), and what it keeps: the delivered message's sender
-    /// name and the names of the quenched attributes in the outcome. Channel and
-    /// mailbox are looked up with the `&str`s given; `tests/hot_path_allocations.rs`
-    /// holds the count.
+    /// nothing of it is cloned. Its evidence is encoded from borrowed fields straight
+    /// into the audit log's frame ([`crate::admission::FlowVerdict::evidence`]) and
+    /// sealed with the log's batch, so a delivered send allocates only what it keeps:
+    /// the delivered message's sender name and the names of the quenched attributes in
+    /// the outcome. Channel and mailbox are looked up with the `&str`s given;
+    /// `tests/hot_path_allocations.rs` holds the count.
     ///
     /// # Errors
     ///
@@ -388,13 +388,11 @@ impl Middleware {
             refused => return Ok(refused.into_outcome()),
         };
 
+        self.audit.record_flow_checked(&flow.evidence(now.as_millis()), now.as_millis());
         if flow.decision.is_denied() {
-            let decision = flow.decision.clone();
-            self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
-            return Ok(DeliveryOutcome::DeniedByIfc(decision));
+            return Ok(DeliveryOutcome::DeniedByIfc(flow.decision));
         }
-        let effective_context = flow.source_context.as_ref().clone();
-        self.audit.record(flow.into_evidence(now.as_millis()), now.as_millis());
+        let effective_context = flow.source_context.into_owned();
 
         // Source quenching, in place: attributes whose message-level secrecy tags are
         // not all present in the destination's secrecy label are removed (Fig. 10). The
