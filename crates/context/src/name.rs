@@ -1,14 +1,19 @@
-//! Interned names: every context key, principal, role, component and message-type name
-//! the policy layers compare, turned into a number once.
+//! Interned names: every context key, principal, role, component, message type and
+//! attribute name the policy layers compare, turned into a number once.
 //!
 //! One append-only, process-wide table hands out a [`Name`] per distinct string, so a
-//! name's id means the same thing in every store, snapshot and access regime of the
-//! process — a snapshot built with [`crate::ContextSnapshot::from_pairs`] included —
-//! and nothing has to be re-resolved when a snapshot changes. An id reads back as its
-//! name ([`Name::from_id`]), so a number is all a holder has to keep. A name's text is
-//! kept for the life of the process (the table never shrinks), which is what lets
-//! [`Name`] be `Copy` and carry its `&'static str`: the table grows with the distinct
-//! names a process has seen, not with how often it sees them.
+//! name's id means the same thing in every store, snapshot, schema, message and access
+//! regime of the process — a snapshot built with [`crate::ContextSnapshot::from_pairs`]
+//! included — and nothing has to be re-resolved when a snapshot changes. A [`Name`] *is*
+//! its id, 4 bytes: its text is read back from the table ([`Name::as_str`],
+//! [`Name::from_id`]) with no lock, from slots that are set once and never move. A
+//! name's text is kept for the life of the process (the table never shrinks), which is
+//! what lets [`Name`] be `Copy` and hand out a `&'static str`: the table grows with the
+//! distinct names a process has seen — every name a process builds a message or a
+//! schema from included — not with how often it sees them.
+//!
+//! Only [`Name::intern`] and [`Name::lookup`] take a lock, the one around the text → id
+//! map; reading a name's text, printing it and ordering names take none.
 //!
 //! Equality and hashing are by id — one integer compare, one integer hash ([`IdHasher`])
 //! — and order is by text, so a sorted collection of names sorts as its strings would.
@@ -17,26 +22,25 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
 
-/// A string interned in the process-wide name table.
-#[derive(Clone, Copy)]
-pub struct Name {
-    id: u32,
-    text: &'static str,
-}
+/// A string interned in the process-wide name table: its id, and nothing else.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Name(u32);
 
-/// Every name handed out, by text. Never shrinks.
+const _: () = assert!(std::mem::size_of::<Name>() == 4);
+
+/// Every name handed out, by text, and the chunk new texts are copied into. Never
+/// shrinks. Only interning and [`Name::lookup`] read it, under its lock.
 #[derive(Default)]
 struct Table {
     /// Keyed by the standard library's randomly seeded hasher: names can come from
     /// outside the program (a device joining under a name of its choosing), and a
     /// text hash an outsider can predict is one they can make collide.
     names: HashMap<&'static str, Name>,
-    /// id → text, for every name in `names`.
-    texts: Vec<&'static str>,
     /// The unused tail of the chunk new texts are copied into: texts are kept in a few
     /// large blocks, side by side in the order they were interned, not one small
     /// allocation each among the process's short-lived ones.
@@ -51,10 +55,9 @@ impl Table {
         if let Some(name) = self.names.get(text) {
             return *name;
         }
-        let id = u32::try_from(self.names.len()).expect("under 2^32 distinct names");
-        let name = Name { id, text: self.keep(text) };
-        self.names.insert(name.text, name);
-        self.texts.push(name.text);
+        let text = self.keep(text);
+        let name = Name(TEXTS.push(text));
+        self.names.insert(text, name);
         name
     }
 
@@ -76,6 +79,68 @@ fn table() -> &'static RwLock<Table> {
     TABLE.get_or_init(RwLock::default)
 }
 
+/// Slots in the id → text table's first chunk; chunk `k` holds `FIRST_SLOTS << k`.
+const FIRST_SLOTS: usize = 256;
+
+/// Chunks enough for every `u32` id: chunk `k` starts at id `FIRST_SLOTS × (2^k − 1)`.
+const CHUNKS: usize = 25;
+
+/// id → text, read with no lock. Slots sit in chunks that double in size, each
+/// allocated when its first id is handed out and never moved or freed, so the table
+/// grows without copying and a text once read stays where it is. Every slot is set
+/// once, before its id is published.
+struct Texts {
+    /// How many ids were handed out: the slot of every id below it is set. Stored with
+    /// `Release` after the slot is, loaded with `Acquire` before an id from outside
+    /// ([`Name::from_id`]) is read. A [`Name`]'s own text skips it: the slot is a
+    /// `OnceLock`, set before the name existed.
+    len: AtomicU32,
+    chunks: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS],
+}
+
+impl Texts {
+    const fn new() -> Self {
+        Texts { len: AtomicU32::new(0), chunks: [const { OnceLock::new() }; CHUNKS] }
+    }
+
+    /// The chunk holding `id`'s slot, and the slot's index in it.
+    fn slot_of(id: u32) -> (usize, usize) {
+        let id = id as usize;
+        let chunk = (id / FIRST_SLOTS + 1).ilog2() as usize;
+        (chunk, id - FIRST_SLOTS * ((1 << chunk) - 1))
+    }
+
+    /// Sets the next id's slot to `text`, then publishes the id. Callers push one at a
+    /// time (the name table's write lock); a second pusher of the same id panics.
+    fn push(&self, text: &'static str) -> u32 {
+        let id = self.len.load(AtomicOrdering::Relaxed);
+        let next = id.checked_add(1).expect("under 2^32 distinct names");
+        let (chunk, at) = Self::slot_of(id);
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..FIRST_SLOTS << chunk).map(|_| OnceLock::new()).collect());
+        slots[at].set(text).expect("one pusher at a time, so every slot is set once");
+        self.len.store(next, AtomicOrdering::Release);
+        id
+    }
+
+    /// The text of `id`, if it was published.
+    fn get(&self, id: u32) -> Option<&'static str> {
+        if id >= self.len.load(AtomicOrdering::Acquire) {
+            return None;
+        }
+        self.text(id)
+    }
+
+    /// The text in `id`'s slot, if it is set. A [`Name`] is handed out only after its
+    /// slot is, so reading its text needs no look at the count.
+    fn text(&self, id: u32) -> Option<&'static str> {
+        let (chunk, at) = Self::slot_of(id);
+        self.chunks[chunk].get()?[at].get().copied()
+    }
+}
+
+static TEXTS: Texts = Texts::new();
+
 impl Name {
     /// The name of `text`: its id if the process has seen it, a new one otherwise.
     pub fn intern(text: &str) -> Name {
@@ -91,21 +156,20 @@ impl Name {
 
     /// The name whose id is `id`, if one was handed out: the way back from a number
     /// that stands for a name — an endpoint that has left included — to its text.
-    /// Allocates nothing.
+    /// Takes no lock and allocates nothing.
     pub fn from_id(id: u32) -> Option<Name> {
-        let text = *table().read().texts.get(usize::try_from(id).ok()?)?;
-        Some(Name { id, text })
+        TEXTS.get(id).map(|_| Name(id))
     }
 
-    /// The interned text.
+    /// The interned text, read with no lock.
     pub fn as_str(self) -> &'static str {
-        self.text
+        TEXTS.text(self.0).expect("a name is handed out after its text is set")
     }
 
     /// The name's number: the count of names interned before it. Equal ids, equal
     /// names.
     pub fn id(self) -> u32 {
-        self.id
+        self.0
     }
 }
 
@@ -116,41 +180,31 @@ impl<T: AsRef<str>> From<T> for Name {
     }
 }
 
-impl PartialEq for Name {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-impl Eq for Name {}
-
-impl Hash for Name {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u32(self.id);
-    }
-}
-
 impl PartialOrd for Name {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// By text, as the strings order (bytewise); equal ids are equal without a text read.
 impl Ord for Name {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.text.cmp(other.text)
+        if self == other {
+            return Ordering::Equal;
+        }
+        self.as_str().cmp(other.as_str())
     }
 }
 
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.text, f)
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.text)
+        f.write_str(self.as_str())
     }
 }
 
@@ -226,6 +280,48 @@ mod tests {
             })
             .collect();
         assert!(hashes.len() > 64, "the top seven bits vary across small ids");
+    }
+
+    #[test]
+    fn slots_fill_each_chunk_then_the_next_twice_its_size() {
+        let at = |id: u32| Texts::slot_of(id);
+        let first = FIRST_SLOTS as u32;
+        assert_eq!((at(0), at(first - 1)), ((0, 0), (0, FIRST_SLOTS - 1)));
+        assert_eq!((at(first), at(3 * first - 1)), ((1, 0), (1, 2 * FIRST_SLOTS - 1)));
+        assert_eq!((at(3 * first), at(7 * first)), ((2, 0), (3, 0)));
+        let (chunk, slot) = at(u32::MAX);
+        assert!(chunk < CHUNKS && slot < FIRST_SLOTS << chunk, "every id has a slot");
+    }
+
+    /// Readers race one pusher across the first two chunk boundaries: every id below
+    /// the published count reads back the text pushed under it, never a missing slot.
+    #[test]
+    fn readers_racing_a_pusher_read_every_published_id() {
+        let texts = Texts::new();
+        let total = 3 * FIRST_SLOTS as u32 + 64;
+        let text = |id: u32| -> &'static str { Box::leak(format!("t{id}").into_boxed_str()) };
+        let expected: Vec<&'static str> = (0..total).map(text).collect();
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut seen = 0;
+                    while seen < total {
+                        seen = texts.len.load(AtomicOrdering::Acquire);
+                        for id in 0..seen {
+                            assert_eq!(texts.get(id), Some(expected[id as usize]), "id {id}");
+                        }
+                        assert_eq!(texts.get(total), None, "past the count");
+                    }
+                });
+            }
+            start.wait();
+            for (id, text) in (0..).zip(&expected) {
+                assert_eq!(texts.push(text), id);
+            }
+        });
+        assert!(texts.chunks[2].get().is_some() && texts.chunks[3].get().is_none());
     }
 
     #[test]

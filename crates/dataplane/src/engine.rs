@@ -15,7 +15,6 @@
 //! queues can hold (`shards × QUEUE_CAPACITY` bodies) and taken with `try_lock` only —
 //! a publisher that finds another one in it builds a body of its own.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -26,7 +25,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use legaliot_audit::{AuditEvent, AuditLog, BatchedAppender, SegmentStats, SegmentStore};
-use legaliot_context::{ContextSnapshot, ContextStore, Name, Timestamp};
+use legaliot_context::{ContextSnapshot, ContextStore, Name, NameMap, Timestamp};
 use legaliot_ifc::SecurityContext;
 use legaliot_middleware::admission::{admit_channel, control_steps, reconfigure, ControlDelta};
 use legaliot_middleware::bus::teardown_evidence;
@@ -464,7 +463,7 @@ impl EndpointTable {
 #[derive(Debug)]
 pub(crate) struct Directory {
     pub endpoints: EndpointTable,
-    pub schemas: HashMap<MessageType, Arc<FrozenSchema>>,
+    pub schemas: NameMap<MessageType, Arc<FrozenSchema>>,
     pub access: AccessRegime,
     pub control_audit: BatchedAppender,
 }
@@ -686,7 +685,7 @@ impl Dataplane {
         let shared = Arc::new(SharedState {
             directory: RwLock::new(Directory {
                 endpoints: EndpointTable::default(),
-                schemas: HashMap::new(),
+                schemas: NameMap::default(),
                 access: AccessRegime::new(),
                 control_audit,
             }),
@@ -837,7 +836,7 @@ impl Dataplane {
         let frozen = FrozenSchema::new(&schema)
             .map_err(|reason| DataplaneError::SchemaViolation { reason })?;
         let mut directory = self.shared.directory.write();
-        directory.schemas.insert(schema.message_type.clone(), Arc::new(frozen));
+        directory.schemas.insert(schema.message_type, Arc::new(frozen));
         Ok(())
     }
 

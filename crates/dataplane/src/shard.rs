@@ -136,7 +136,7 @@ struct PairSummary {
     /// Deliveries of this pair shed by drop-oldest mailbox overflow, counted per
     /// message type (summarised mode only — full mode records each shed individually
     /// instead), folded into one `DeliveryDropped` record per `(pair, type)` at
-    /// shutdown. Keyed by the shared type name, so counting a shed allocates nothing; a
+    /// shutdown. Keyed by the `Copy` type name, so counting a shed allocates nothing; a
     /// `BTreeMap` so the shutdown records come out in a deterministic order.
     dropped: BTreeMap<MessageType, u64>,
     /// The first and last counted delivery's send time: the summary's window.
@@ -809,7 +809,7 @@ fn process_delivery<'d: 'm, 'm>(
             dst.component.party(),
             src.component.party(),
             Operation::Send,
-            || Some(message.schema().message_type_name()),
+            Some(message.message_type().name()),
             snapshot,
             Timestamp(message.sent_at_millis()),
         );
@@ -891,7 +891,7 @@ fn settle<'d>(
         Outcome::Shed { .. } => {
             local.receiver_dropped += 1;
             if let Some(summary) = summary {
-                *summary.dropped.entry(message.message_type().clone()).or_default() += 1;
+                *summary.dropped.entry(*message.message_type()).or_default() += 1;
                 summary.last_millis = summary.last_millis.max(at_millis);
             } else {
                 let dropped = AuditEvent::DeliveryDropped {

@@ -278,7 +278,7 @@ impl Guard {
                 Subject::Role(role) => Who::Role(Name::intern(role)),
                 Subject::Anyone => Who::Anyone,
             },
-            message_type: rule.message_type.as_ref().map(|t| Name::intern(t.as_str())),
+            message_type: rule.message_type.map(MessageType::name),
             operation: rule.operation,
             allow: rule.allow,
             conditional: rule.condition != Condition::Always,
@@ -290,19 +290,17 @@ impl Guard {
     /// The one evaluator: the operation's denies in source order, the first that
     /// applies being the answer, then its allows until one applies. A subject is
     /// matched by id against the asker's principal (`None`: a name no rule holds) and
-    /// role ids, each read only when a rule names one. The message type is resolved
-    /// once, and only if a typed rule is met.
+    /// role ids, each read only when a rule names one, and a typed rule against the
+    /// message type's id.
     fn decide(
         &self,
         principal: impl Fn() -> Option<u32>,
         roles: impl Iterator<Item = u32> + Clone,
         operation: Operation,
-        message_type: impl FnOnce() -> Option<Name>,
+        message_type: Option<Name>,
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> AccessDecision {
-        let (mut resolve, mut resolved) = (Some(message_type), None);
-        let mut type_name = || *resolved.get_or_insert_with(|| resolve.take().and_then(|f| f()));
         let mut applies = |rule: &&Compiled| {
             let subject = match rule.who {
                 Who::Principal(name) => principal() == Some(name.id()),
@@ -310,7 +308,7 @@ impl Guard {
                 Who::Anyone => true,
             };
             subject
-                && rule.message_type.map_or(true, |typed| type_name() == Some(typed))
+                && rule.message_type.map_or(true, |typed| message_type == Some(typed))
                 && (!rule.conditional
                     || self.rules[rule.source as usize].condition.evaluate(snapshot, now))
         };
@@ -361,9 +359,9 @@ impl AccessRegime {
     /// `message_type`) against `component`, in the given context.
     ///
     /// Deny rules override allow rules; with no matching rule the default is deny.
-    /// The component, the message type, the principal and its roles are looked up in
-    /// the name table, interning nothing, the last three only when a rule names one; a
-    /// name the process never interned is one no rule holds.
+    /// The component, the principal and its roles are looked up in the name table,
+    /// interning nothing, the last two only when a rule names one; a name the process
+    /// never interned is one no rule holds. A message type is its interned name.
     pub fn decide(
         &self,
         component: &str,
@@ -377,24 +375,22 @@ impl AccessRegime {
         else {
             return AccessDecision::Denied { cause: DenialCause::NoRules };
         };
-        // An unknown type matches exactly the rules no type at all matches: untyped ones.
-        let message_type = || message_type.and_then(|t| Name::lookup(t.as_str()));
+        let message_type = message_type.copied().map(MessageType::name);
         let id = |name: &str| Name::lookup(name).map(Name::id);
         let roles = principal.roles.iter().filter_map(|role| id(role));
         guard.decide(|| id(&principal.name), roles, operation, message_type, snapshot, now)
     }
 
     /// [`Self::decide`] with the names already resolved: may `asker`'s principal
-    /// perform `operation` against `guarded`'s component, on the message type
-    /// `message_type` names (`None`: no type, or one no rule holds) — called only if a
-    /// typed rule is met. The same evaluator and the same answers, with no string
-    /// hashed, compared or allocated.
+    /// perform `operation` against `guarded`'s component, on the message type named
+    /// `message_type` (`None`: no type). The same evaluator and the same answers, with
+    /// no string hashed, compared or allocated.
     pub fn decide_by_id(
         &self,
         guarded: &Party,
         asker: &Party,
         operation: Operation,
-        message_type: impl FnOnce() -> Option<Name>,
+        message_type: Option<Name>,
         snapshot: &ContextSnapshot,
         now: Timestamp,
     ) -> AccessDecision {
@@ -864,7 +860,7 @@ mod tests {
                 reference.decide(name, principal, operation, message_type.as_ref(), &values, now);
             let by_name =
                 regime.decide(name, principal, operation, message_type.as_ref(), &snapshot, now);
-            let type_name = || message_type.as_ref().map(|t| Name::intern(t.as_str()));
+            let type_name = message_type.map(MessageType::name);
             let by_id = regime.decide_by_id(
                 &guarded[component],
                 asker,

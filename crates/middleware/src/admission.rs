@@ -193,7 +193,7 @@ pub fn admit_channel(
     now: Timestamp,
 ) -> DeliveryOutcome {
     let (to, from) = (destination.party(), source.party());
-    let ask = || Some(access.decide_by_id(to, from, Operation::Send, || None, snapshot, now));
+    let ask = || Some(access.decide_by_id(to, from, Operation::Send, None, snapshot, now));
     enforce(source, destination, None, ask, direct_flow(destination)).into_outcome()
 }
 

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use legaliot_audit::{AuditEvent, AuditLog};
-use legaliot_context::{ContextSnapshot, Name, Timestamp};
+use legaliot_context::{ContextSnapshot, Timestamp};
 use legaliot_ifc::{FlowDecision, Tag, TagRegistry};
 use legaliot_policy::{Action, ReconfigurationCommand};
 
@@ -378,8 +378,8 @@ impl Middleware {
             secrecy: message.context.secrecy(),
         };
         let ask = || {
-            // A type the process never interned matches only untyped rules: `None`.
-            let message_type = || Name::lookup(facts.message_type.as_str());
+            // The type is its interned name: a typed rule matches it by id.
+            let message_type = Some(message.message_type.name());
             let (to, from) = (destination.party(), source.party());
             Some(self.access.decide_by_id(to, from, Operation::Send, message_type, snapshot, now))
         };

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use legaliot_context::NameMap;
 use legaliot_ifc::{Entity, EntityKind, PrivilegeSet, SecurityContext};
 
 use crate::acl::{Party, Principal};
@@ -162,11 +163,11 @@ impl ComponentBuilder {
 }
 
 /// The middleware's component directory, plus registered message schemas (each frozen
-/// once, at registration).
+/// once, at registration, and found by the type's id).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     components: BTreeMap<String, Component>,
-    schemas: BTreeMap<MessageType, FrozenSchema>,
+    schemas: NameMap<MessageType, FrozenSchema>,
 }
 
 impl Registry {

@@ -9,8 +9,11 @@
 //!
 //! Two forms of a message live here. [`Message`] is the mutable form the bus carries:
 //! its [`Attributes`] are one vector sorted by name, and every name — the type's and
-//! each attribute's — is a shared `Arc<str>`, so a clone or a thaw copies values, not
-//! names. [`FrozenMessage`] is what the dataplane shares between threads: a
+//! each attribute's — is a 4-byte [`Name`] from the process-wide table, so a clone or a
+//! thaw copies values, never a name, and a schema check matches names by id. Building a
+//! message interns its names ([`MessageType::new`], [`Message::with`]): the table grows
+//! with each distinct type or attribute name the process builds a message from, not
+//! with the messages. [`FrozenMessage`] is what the dataplane shares between threads: a
 //! validated message compiled against a [`FrozenSchema`] into one reference-counted
 //! body — schema handle, message-level context, sender, send time and a [`Payload`]
 //! whose offset table and value bytes are a single buffer — plus a `u64` mask of the
@@ -24,32 +27,41 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Index;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use legaliot_context::Name;
 use legaliot_ifc::{Label, SecurityContext};
 
-/// The name of a message type (e.g. `sensor-reading`, `actuation-command`): a shared
-/// string, so copying one — into every clone, thaw and registry entry — is a refcount
-/// bump.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MessageType(Arc<str>);
+/// The name of a message type (e.g. `sensor-reading`, `actuation-command`): an
+/// interned [`Name`], so copying one — into every clone, thaw and registry entry — is
+/// copying 4 bytes, and a map keyed by types hashes one integer. Equal by id, ordered
+/// by text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct MessageType(Name);
+
+const _: () = assert!(std::mem::size_of::<MessageType>() == 4);
 
 impl MessageType {
-    /// Creates a message type name.
-    pub fn new(name: impl Into<Arc<str>>) -> Self {
-        MessageType(name.into())
+    /// The message type named `name`, interned in the process-wide table.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        MessageType(Name::intern(name.as_ref()))
     }
 
     /// The type's name.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(self) -> &'static str {
+        self.0.as_str()
+    }
+
+    /// The type's interned name, what a typed access rule is matched against
+    /// ([`crate::AccessRegime::decide_by_id`]).
+    pub fn name(self) -> Name {
+        self.0
     }
 }
 
 impl fmt::Display for MessageType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        fmt::Display::fmt(&self.0, f)
     }
 }
 
@@ -152,17 +164,18 @@ impl MessageSchema {
     }
 }
 
-/// One attribute of a [`Message`]: its shared name and its value.
-type Entry = (Arc<str>, AttributeValue);
+/// One attribute of a [`Message`]: its interned name and its value.
+type Entry = (Name, AttributeValue);
 
 /// The attribute values of a [`Message`]: one vector of `(name, value)` entries,
 /// strictly ascending by the names' bytes — the order a `BTreeMap<String, _>` keeps,
 /// which a [`FrozenSchema`]'s name table and the [`Payload`] encoding share.
 ///
-/// Names are shared `Arc<str>`s, so a copy allocates the vector and the text values
-/// and never a name: cloning the smart-home reading (`value`, `unit`, `subject-id`)
-/// is 3 allocations and 135 requested bytes on x86-64, where the map this replaced
-/// took 7 and 593. A lookup is a binary search over a handful of entries.
+/// Names are 4-byte interned [`Name`]s, so a copy allocates the vector and the text
+/// values and never a name: cloning the smart-home reading (`value`, `unit`,
+/// `subject-id`) is 3 allocations and 111 requested bytes on x86-64, where
+/// reference-counted string names took 135 and the map before them 7 allocations and
+/// 593 bytes. A lookup by text is a binary search over a handful of entries.
 #[derive(Clone, Default, PartialEq)]
 pub struct Attributes(Vec<Entry>);
 
@@ -192,14 +205,14 @@ impl Attributes {
         self.into_iter()
     }
 
+    /// The values, in name order, without reading a name's text.
+    fn values(&self) -> impl Iterator<Item = &AttributeValue> {
+        self.0.iter().map(|(_, value)| value)
+    }
+
     /// Sets the attribute `name` to `value`, returning the value it replaces.
-    pub(crate) fn insert(
-        &mut self,
-        name: impl Into<Arc<str>>,
-        value: AttributeValue,
-    ) -> Option<AttributeValue> {
-        let name = name.into();
-        match self.position(&name) {
+    pub(crate) fn insert(&mut self, name: Name, value: AttributeValue) -> Option<AttributeValue> {
+        match self.position(name.as_str()) {
             Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
             Err(at) => {
                 self.0.insert(at, (name, value));
@@ -222,14 +235,14 @@ impl Attributes {
 
     /// The attributes not named in `removed`: only the kept entries are copied.
     fn without(&self, removed: &[impl AsRef<str>]) -> Attributes {
-        let kept = |(name, _): &&Entry| !removed.iter().any(|gone| gone.as_ref() == &**name);
+        let kept = |(name, _): &&Entry| !removed.iter().any(|gone| gone.as_ref() == name.as_str());
         let mut entries = Vec::with_capacity(self.0.iter().filter(kept).count());
         entries.extend(self.0.iter().filter(kept).cloned());
         Attributes(entries)
     }
 
     fn position(&self, name: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(candidate, _)| candidate.as_bytes().cmp(name.as_bytes()))
+        self.0.binary_search_by(|(candidate, _)| candidate.as_str().cmp(name))
     }
 }
 
@@ -239,7 +252,7 @@ impl<'a> IntoIterator for &'a Attributes {
         std::iter::Map<std::slice::Iter<'a, Entry>, fn(&'a Entry) -> (&'a str, &'a AttributeValue)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().map(|(name, value)| (&**name, value))
+        self.0.iter().map(|(name, value)| (name.as_str(), value))
     }
 }
 
@@ -263,11 +276,14 @@ impl fmt::Debug for Attributes {
 
 /// A typed message: attributes plus the security context it carries end-to-end.
 ///
-/// Its type and attribute names are shared strings, so what a copy allocates is what
-/// it carries — the [`Attributes`] vector, each text value and the sender: a clone of
-/// the smart-home reading is 3 allocations and 135 requested bytes on x86-64 (the map
-/// form before it, 7 and 593), and [`FrozenMessage::thaw`] of its quenched delivery is
-/// 3 and 101 with an 18-byte sender (7 and 781), its names taken from the schema's table.
+/// Its type and attribute names are interned [`Name`]s, so what a copy allocates is
+/// what it carries — the [`Attributes`] vector, each text value and the sender: a clone
+/// of the smart-home reading is 3 allocations and 111 requested bytes on x86-64 (135
+/// with reference-counted string names, 7 and 593 as a map), and
+/// [`FrozenMessage::thaw`] of its quenched delivery is 3 and 85 with an 18-byte sender
+/// (101; 7 and 781), its names taken from the schema's table. Building one from names
+/// the process already holds allocates the vector and the text values and nothing
+/// else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// The message's type.
@@ -295,9 +311,9 @@ impl Message {
         }
     }
 
-    /// Adds an attribute.
-    pub fn with(mut self, name: impl Into<Arc<str>>, value: AttributeValue) -> Self {
-        self.attributes.insert(name, value);
+    /// Adds an attribute, interning its name.
+    pub fn with(mut self, name: impl Into<Name>, value: AttributeValue) -> Self {
+        self.attributes.insert(name.into(), value);
         self
     }
 
@@ -313,7 +329,7 @@ impl Message {
     {
         let removed: Vec<I::Item> = removed.into_iter().collect();
         Message {
-            message_type: self.message_type.clone(),
+            message_type: self.message_type,
             attributes: self.attributes.without(&removed),
             context: self.context.clone(),
             sender: self.sender.clone(),
@@ -335,7 +351,7 @@ impl fmt::Display for Message {
 pub const MAX_FROZEN_ATTRIBUTES: usize = 64;
 
 /// An immutable, shareable compilation of a [`MessageSchema`] for the enforcement hot
-/// path: attribute names are interned once (`Arc<[Arc<str>]>`), kinds and message-level
+/// path: attribute names are interned once (`Arc<[Name]>`), kinds and message-level
 /// secrecy labels are index-aligned arrays, and the sensitive attributes are a bitmask,
 /// so per-delivery source quenching (Fig. 10) touches no allocations.
 ///
@@ -344,11 +360,9 @@ pub const MAX_FROZEN_ATTRIBUTES: usize = 64;
 #[derive(Debug, Clone)]
 pub struct FrozenSchema {
     message_type: MessageType,
-    /// The type's interned name, the one access rules are compiled against: interned
-    /// the first time a typed rule asks, so a regime without typed rules never pays.
-    type_name: OnceLock<Name>,
-    /// Attribute names, sorted — the interned name table shared by every message.
-    names: Arc<[Arc<str>]>,
+    /// Attribute names, sorted by text — the name table every message of the type
+    /// shares.
+    names: Arc<[Name]>,
     /// Attribute kinds, index-aligned with `names`.
     kinds: Box<[AttributeKind]>,
     /// Message-level secrecy labels, index-aligned with `names`.
@@ -372,35 +386,27 @@ impl FrozenSchema {
                 MAX_FROZEN_ATTRIBUTES
             ));
         }
-        let names: Arc<[Arc<str>]> =
-            schema.attributes.keys().map(|name| Arc::from(name.as_str())).collect();
+        let names: Arc<[Name]> = schema.attributes.keys().map(Name::from).collect();
         let kinds: Box<[AttributeKind]> = schema.attributes.values().copied().collect();
         let mut sensitive_mask = 0u64;
         let secrecy: Box<[Option<Label>]> = names
             .iter()
             .enumerate()
             .map(|(index, name)| {
-                let label = schema.attribute_secrecy.get(&**name).cloned();
+                let label = schema.attribute_secrecy.get(name.as_str()).cloned();
                 if label.is_some() {
                     sensitive_mask |= 1 << index;
                 }
                 label
             })
             .collect();
-        let message_type = schema.message_type.clone();
-        let type_name = OnceLock::new();
-        Ok(FrozenSchema { message_type, type_name, names, kinds, secrecy, sensitive_mask })
+        let message_type = schema.message_type;
+        Ok(FrozenSchema { message_type, names, kinds, secrecy, sensitive_mask })
     }
 
     /// The message type this schema describes.
     pub fn message_type(&self) -> &MessageType {
         &self.message_type
-    }
-
-    /// The message type's interned name, what a typed rule is matched against
-    /// ([`crate::AccessRegime::decide_by_id`]): interned on the first call, read after.
-    pub fn message_type_name(&self) -> Name {
-        *self.type_name.get_or_init(|| Name::intern(self.message_type.as_str()))
     }
 
     /// Number of declared attributes.
@@ -413,14 +419,14 @@ impl FrozenSchema {
         self.names.is_empty()
     }
 
-    /// The interned attribute-name table (sorted).
-    pub fn names(&self) -> &Arc<[Arc<str>]> {
+    /// The interned attribute-name table (sorted by text).
+    pub fn names(&self) -> &[Name] {
         &self.names
     }
 
     /// The index of an attribute name, if declared.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.binary_search_by(|candidate| (**candidate).cmp(name)).ok()
+        self.names.binary_search_by(|candidate| candidate.as_str().cmp(name)).ok()
     }
 
     /// The kind of the attribute at `index`.
@@ -457,7 +463,7 @@ impl FrozenSchema {
             .iter()
             .enumerate()
             .filter(move |(index, _)| mask & (1 << index) != 0)
-            .map(|(_, name)| &**name)
+            .map(|(_, name)| name.as_str())
     }
 
     /// Validates a message against this schema: the message type must match, every
@@ -465,7 +471,8 @@ impl FrozenSchema {
     /// attribute may be present. The error names the first missing or wrong-typed
     /// declared attribute in name order, else the first undeclared one.
     ///
-    /// Both name lists are sorted, so this is one lockstep walk over the two.
+    /// Both name lists are sorted, so this is one lockstep walk over the two. Names
+    /// match by id; their texts are compared only where the ids differ.
     pub fn validate(&self, message: &Message) -> Result<(), String> {
         if message.message_type != self.message_type {
             return Err(format!(
@@ -480,7 +487,7 @@ impl FrozenSchema {
                 let Some((name, value)) = given.get(at) else {
                     return Err(format!("missing attribute `{declared}`"));
                 };
-                match name.as_bytes().cmp(declared.as_bytes()) {
+                match name.cmp(declared) {
                     Ordering::Less => {
                         undeclared.get_or_insert(name);
                         at += 1;
@@ -515,7 +522,7 @@ fn encoded_value_len(value: &AttributeValue) -> usize {
 /// [`Payload`] wire format, without encoding anything (a count independent of the
 /// frozen encoder, which tests check the dataplane's bytes-moved accounting against).
 pub fn encoded_payload_len(message: &Message) -> usize {
-    message.attributes.iter().map(|(_, value)| encoded_value_len(value)).sum()
+    message.attributes.values().map(encoded_value_len).sum()
 }
 
 /// Every check a freeze makes, before anything is written: `message` conforms to
@@ -554,7 +561,7 @@ impl Payload {
         // A validated message holds exactly the schema's names, and both are sorted:
         // its values are already in table order.
         debug_assert!(
-            message.attributes.iter().map(|(name, _)| name).eq(schema.names.iter().map(|n| &**n)),
+            message.attributes.0.iter().map(|(name, _)| name).eq(schema.names.iter()),
             "a payload is encoded from a message holding its schema's names, in order"
         );
         let values_at = 4 * message.attributes.len();
@@ -564,7 +571,7 @@ impl Payload {
             *buffer = Vec::with_capacity(values_at + total);
         }
         buffer.resize(values_at, 0);
-        for (index, (_, value)) in message.attributes.iter().enumerate() {
+        for (index, value) in message.attributes.values().enumerate() {
             match value {
                 AttributeValue::Text(s) => buffer.extend_from_slice(s.as_bytes()),
                 AttributeValue::Integer(i) => buffer.extend_from_slice(&i.to_le_bytes()),
@@ -791,18 +798,18 @@ impl FrozenMessage {
     /// Iterates the present attributes as `(name, value)` in name order, decoding
     /// values on the fly.
     pub fn attributes(&self) -> impl Iterator<Item = (&str, AttributeValue)> + '_ {
-        self.entries().map(|(name, value)| (&**name, value))
+        self.entries().map(|(name, value)| (name.as_str(), value))
     }
 
-    /// [`Self::attributes`] under the schema's shared names.
-    fn entries(&self) -> impl Iterator<Item = (&Arc<str>, AttributeValue)> + '_ {
+    /// [`Self::attributes`] under the schema's interned names.
+    fn entries(&self) -> impl Iterator<Item = (Name, AttributeValue)> + '_ {
         let body = &*self.body;
         body.schema
             .names
             .iter()
             .enumerate()
             .filter(move |(index, _)| self.present & (1 << index) != 0)
-            .map(move |(index, name)| (name, body.payload.decode(index, body.schema.kind(index))))
+            .map(move |(index, name)| (*name, body.payload.decode(index, body.schema.kind(index))))
     }
 
     /// The source-quenched form with the attributes in `mask` removed: the same body,
@@ -823,13 +830,13 @@ impl FrozenMessage {
     /// Reconstructs the mutable [`Message`] form (decoding every present attribute).
     /// `freeze` followed by `thaw` round-trips exactly.
     ///
-    /// The type and attribute names are the schema's own, shared: a thaw allocates the
+    /// The type and attribute names are the schema's own ids: a thaw allocates the
     /// attribute vector, at its exact length, each text value and the sender.
     pub fn thaw(&self) -> Message {
         let mut attributes = Vec::with_capacity(self.attribute_count());
-        attributes.extend(self.entries().map(|(name, value)| (Arc::clone(name), value)));
+        attributes.extend(self.entries());
         Message {
-            message_type: self.message_type().clone(),
+            message_type: *self.message_type(),
             attributes: Attributes(attributes),
             context: self.body.extra_context.clone(),
             sender: String::from(self.sender()),
@@ -1343,7 +1350,7 @@ mod tests {
             ));
         }
         for (index, name) in schema.names.iter().enumerate() {
-            match message.attributes.get(name) {
+            match message.attributes.get(name.as_str()) {
                 None => return Err(format!("missing attribute `{name}`")),
                 Some(v) if v.kind() != schema.kinds[index] => {
                     return Err(format!("attribute `{name}` has the wrong type"))
@@ -1374,18 +1381,19 @@ mod tests {
         assert_eq!(message.attributes["value"], AttributeValue::Float(72.0));
     }
 
+    /// A thaw and its clone carry the schema's own names, the same ids.
     #[test]
     fn a_thaw_shares_the_schema_names_and_type() {
         let schema = Arc::new(FrozenSchema::new(&reading_schema()).unwrap());
         let frozen = FrozenMessage::freeze(&reading_message(), Arc::clone(&schema)).unwrap();
         let thawed = frozen.quench(0b001).thaw();
-        assert!(Arc::ptr_eq(&thawed.message_type.0, &schema.message_type.0));
+        assert_eq!(thawed.message_type.name().id(), schema.message_type.name().id());
         for ((name, _), declared) in thawed.attributes.0.iter().zip(&schema.names[1..]) {
-            assert!(Arc::ptr_eq(name, declared), "`{name}` was copied");
+            assert_eq!(name.id(), declared.id(), "`{name}` is not the schema's name");
         }
         assert_eq!(thawed.attributes.0.capacity(), 2);
         let copy = thawed.clone();
-        assert!(Arc::ptr_eq(&copy.attributes.0[0].0, &schema.names[1]));
+        assert_eq!(copy.attributes.0[0].0.id(), schema.names[1].id());
     }
 
     mod attributes_model {
@@ -1420,7 +1428,7 @@ mod tests {
                     let name = NAMES[name];
                     match op {
                         0..=2 => prop_assert_eq!(
-                            attributes.insert(name, value(pick)),
+                            attributes.insert(Name::intern(name), value(pick)),
                             model.insert(name.to_string(), value(pick))
                         ),
                         3 => {
@@ -1457,7 +1465,7 @@ mod tests {
                     }
                     let mut rebuilt = Attributes::default();
                     for (name, value) in model.iter().rev() {
-                        rebuilt.insert(name.as_str(), value.clone());
+                        rebuilt.insert(Name::intern(name), value.clone());
                     }
                     prop_assert_eq!(&attributes, &rebuilt);
                     prop_assert_eq!(format!("{attributes:?}"), format!("{model:?}"));
@@ -1496,8 +1504,9 @@ mod tests {
             /// Over random schemas of up to 8 attributes and messages with declared
             /// attributes missing, of the wrong kind or present, plus undeclared names
             /// and second values for declared ones — each name either the schema's own
-            /// `Arc` or a fresh copy — the lockstep walk returns exactly what the
-            /// map-style check returned, error text included.
+            /// `Name` or its text interned again, which must give the same id — the
+            /// lockstep walk returns exactly what the map-style check returned, error
+            /// text included.
             #[test]
             fn prop_lockstep_validate_is_the_map_validate(
                 declared in proptest::collection::vec((0usize..POOL.len(), 0usize..4), 0..9),
@@ -1514,9 +1523,10 @@ mod tests {
                 let frozen = FrozenSchema::new(&schema).unwrap();
                 let mut message =
                     Message::new(if other_type == 0 { "u" } else { "t" }, SecurityContext::public());
-                for (index, name) in frozen.names().iter().enumerate() {
+                for (index, &declared) in frozen.names().iter().enumerate() {
                     let (fate, shared) = fates[index];
-                    let name = if shared { Arc::clone(name) } else { Arc::from(&**name) };
+                    let name = if shared { declared } else { Name::intern(declared.as_str()) };
+                    prop_assert_eq!(name.id(), declared.id());
                     let kind = frozen.kind(index);
                     match fate {
                         0 => {}
@@ -1526,8 +1536,13 @@ mod tests {
                 }
                 for (name, kind, shared) in extras {
                     let name = match frozen.index_of(POOL[name]) {
-                        Some(index) if shared => Arc::clone(&frozen.names()[index]),
-                        _ => Arc::from(POOL[name]),
+                        Some(index) if shared => frozen.names()[index],
+                        Some(index) => {
+                            let interned = Name::intern(POOL[name]);
+                            prop_assert_eq!(interned.id(), frozen.names()[index].id());
+                            interned
+                        }
+                        None => Name::intern(POOL[name]),
                     };
                     message = message.with(name, value_of(KINDS[kind]));
                 }

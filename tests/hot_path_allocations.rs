@@ -25,9 +25,10 @@
 //! frames to the log it returns, so what it allocates does not grow with the records
 //! it hands over.
 //!
-//! A message copy is on the ledger too. Attribute and type names are shared strings,
-//! so a `Message` clone, or a thaw of a delivery, allocates what it carries — the
-//! attribute vector, each text value, the sender — and no name.
+//! A message copy is on the ledger too. Attribute and type names are 4-byte interned
+//! names, so a `Message` clone, or a thaw of a delivery, allocates what it carries —
+//! the attribute vector, each text value, the sender — and no name; and a message built
+//! from names the process already holds allocates its vector and text values only.
 //!
 //! A restart is on the ledger too: an engine started on a durable directory checks
 //! every persisted frame from its bytes and decodes none, so what it allocates does
@@ -53,8 +54,8 @@ use legaliot::dataplane::{
 };
 use legaliot::ifc::{can_flow, Label, SecurityContext, Tag};
 use legaliot::middleware::{
-    AccessRule, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message, Middleware,
-    Operation, Principal, Subject,
+    AccessRule, AttributeValue, Component, DeliveryOutcome, FrozenMessage, FrozenSchema, Message,
+    Middleware, Operation, Principal, Subject,
 };
 use legaliot::policy::Condition;
 
@@ -486,9 +487,10 @@ fn a_conditional_ac_question_allocates_nothing_on_the_shard() {
 /// A copy of a message allocates what it carries. The smart-home reading is `unit`
 /// ("bpm"), `subject-id` ("subject-0017") and a float `value`, with no sender yet: a
 /// clone is the attribute vector and the two texts. Its quenched delivery (`subject-id`
-/// gone) thaws into a two-entry vector, "bpm" and the sender. Names and the type come
-/// from the schema, shared. On x86-64 that is 3 allocations and 135 bytes a clone, and
-/// 3 and 101 a thaw; the map form cost 7 and 593, and 7 and 781.
+/// gone) thaws into a two-entry vector, "bpm" and the sender. Names and the type are
+/// interned ids taken from the schema. On x86-64 that is 3 allocations and 111 bytes a
+/// clone (32-byte entries), and 3 and 85 a thaw; with `Arc<str>` names it was 135 and
+/// 101, and the map form cost 7 and 593, and 7 and 781.
 #[test]
 fn a_message_costs_what_it_carries() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -520,8 +522,37 @@ fn a_message_costs_what_it_carries() {
     assert!(thaws.iter().all(|copy| *copy == delivered));
     println!("Message::clone: {:.1} allocations, {:.1} bytes", clone.0, clone.1);
     println!("FrozenMessage::thaw (quenched): {:.1} allocations, {:.1} bytes", thaw.0, thaw.1);
-    assert!(clone.0 <= 3.0 && clone.1 <= 160.0, "a clone costs {clone:?}");
-    assert!(thaw.0 <= 3.0 && thaw.1 <= 160.0, "a thaw costs {thaw:?}");
+    assert!(clone.0 <= 3.0 && clone.1 <= 111.0, "a clone costs {clone:?}");
+    assert!(thaw.0 <= 3.0 && thaw.1 <= 85.0, "a thaw costs {thaw:?}");
+}
+
+/// Building a message interns its type and attribute names, and a name the process
+/// already holds is found, not allocated: the smart-home reading built with
+/// `Message::new(..).with(..)` from text allocates its attribute vector (room for four
+/// 32-byte entries at the first insert) and its two text values, "bpm" and
+/// "subject-0017" — 3 allocations and 143 bytes on x86-64. With a shared `Arc<str>` per
+/// name it was 7: the type and each of the three names were copied.
+#[test]
+fn a_message_built_from_held_names_allocates_no_name() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // Building the topology's reading interned every name the test builds with.
+    let (_, reading) = smart_home(8, 1).publisher_messages().swap_remove(0);
+    let (message_type, context) = (reading.message_type.as_str(), reading.context.clone());
+    let mut built = Vec::with_capacity(MESSAGES as usize);
+    let (allocations, bytes) = own_cost(|| {
+        for _ in 0..MESSAGES {
+            let message = Message::new(std::hint::black_box(message_type), context.clone())
+                .with("value", AttributeValue::Float(98.6))
+                .with("unit", AttributeValue::Text("bpm".into()))
+                .with("subject-id", AttributeValue::Text("subject-0017".into()));
+            built.push(message);
+        }
+    });
+    assert!(built.iter().all(|message| *message == reading));
+    let (allocations, bytes) =
+        (allocations as f64 / MESSAGES as f64, bytes as f64 / MESSAGES as f64);
+    println!("Message::new(..).with(..): {allocations:.1} allocations, {bytes:.1} bytes");
+    assert!(allocations <= 3.0 && bytes <= 143.0, "a build costs {allocations} / {bytes}");
 }
 
 /// A security context is a shared value: copying one, and allowing a flow between
