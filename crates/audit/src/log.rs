@@ -17,7 +17,11 @@
 //! record's hash is the FNV-1a 64 of its encoded body (`codec::record_hash` from a
 //! record's fields): an algorithm and an input this repository pins (golden vectors
 //! below), because persisted segments must still verify after a toolchain upgrade —
-//! which `std`'s `DefaultHasher` does not promise.
+//! which `std`'s `DefaultHasher` does not promise. The hash has no key, so the chain
+//! detects corruption, and any edit that leaves the later hashes as they were, but not
+//! a writer of the trail directory who re-records the trail from its anchor:
+//! [`crate::SegmentStore::recover`] reads such a trail clean. A keyed chain is
+//! ROADMAP's "evidence an adversary cannot rewrite" item.
 //! Challenge 6 asks "when can logs safely be pruned? Can logs be offloaded to others for
 //! distributed audit?" — [`crate::BatchedAppender::with_retention`] and
 //! [`AuditLog::offload`] model both, preserving chain verifiability across the cut by

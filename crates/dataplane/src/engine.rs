@@ -1041,7 +1041,10 @@ impl Dataplane {
     /// audited on the control-plane log. That is all the paper's re-evaluation on
     /// context change (§8.2.2) takes: shards cache no decision, so the next message on
     /// any of the entity's channels, on every shard, is judged against the new context.
-    /// The call never waits on the data path.
+    /// The call never waits on data-path backpressure: a full ingress queue does not hold
+    /// it up. It does wait for the batches in flight, since each shard holds the
+    /// directory's read lock across a whole batch's enforcement, until ROADMAP's
+    /// "directory as published snapshots" item takes that lock off the data path.
     pub fn set_context(
         &self,
         name: &str,

@@ -10,16 +10,25 @@
 # private or deleted), so the allowlist cannot go stale.
 #
 # The check is by name, so it errs towards passing: a `pub fn new` is "referenced"
-# wherever any `new` appears. Run it from anywhere: scripts/public_surface.sh
+# wherever any `new` appears. A path it reads that is missing, or a crate that declares
+# no `pub fn`, fails it: either would leave the check reading nothing there. Run it from
+# anywhere: scripts/public_surface.sh
 set -euo pipefail
 export LC_ALL=C
 cd "$(dirname "$0")/.."
 allowlist=scripts/public_surface.allow
+callers=(src tests examples benchmark/src benchmark/tests benchmark/build.rs)
 
-# The `pub fn` names declared under a crate directory, once each.
+for path in $(printf '%s/src\n' crates/*) "${callers[@]}"; do
+    [ -e "$path" ] || {
+        echo "$path is missing: the check would read nothing there" >&2
+        exit 1
+    }
+done
+
+# The `pub fn` names declared under a crate directory, once each; fails when there is none.
 declared() {
-    { grep -rhoE --include='*.rs' '\bpub fn [A-Za-z_][A-Za-z0-9_]*' "$1/src" || true; } |
-        awk '{ print $3 }' | sort -u
+    grep -rhoE --include='*.rs' '\bpub fn [A-Za-z_][A-Za-z0-9_]*' "$1/src" | awk '{ print $3 }' | sort -u
 }
 
 # Every identifier-like word in the .rs files under the given paths, once each.
@@ -29,11 +38,15 @@ words() {
 
 unreferenced=$(
     for dir in crates/*; do
-        outside=(src tests examples benchmark/src benchmark/tests benchmark/build.rs)
+        names=$(declared "$dir") || {
+            echo "$dir/src declares no pub fn" >&2
+            exit 1
+        }
+        outside=("${callers[@]}")
         for other in crates/*; do
             [ "$other" = "$dir" ] || outside+=("$other")
         done
-        comm -23 <(declared "$dir") <(words "${outside[@]}") | sed "s|^|${dir#crates/} |"
+        comm -23 <(echo "$names") <(words "${outside[@]}") | sed "s|^|${dir#crates/} |"
     done | sort
 )
 
