@@ -431,15 +431,17 @@ impl BatchedAppender {
         });
     }
 
-    /// Ends the trail: writes the rest, seals the segment store, and hands what is
-    /// retained — every frame of it handed over and sealed — to the log a reader works
-    /// with, chunks and all: nothing is copied or decoded. The appender is left empty,
-    /// anchored on its head, so what is appended next continues the chain and the next
-    /// close returns the log after this one.
+    /// Ends the trail: writes the rest, seals the segment store and, when it wrote
+    /// records since the directory's checkpoint, leaves a new one there (so the next
+    /// restart reads only what comes after it; see [`SegmentStore::reopen`]), and hands
+    /// what is retained — every frame of it handed over and sealed — to the log a reader
+    /// works with, chunks and all: nothing is copied or decoded. The appender is left
+    /// empty, anchored on its head, so what is appended next continues the chain and the
+    /// next close returns the log after this one.
     pub fn close(&mut self) -> AuditLog {
         self.write();
         if let Some(store) = &self.store {
-            store.lock().seal();
+            store.lock().close();
         }
         let Trail { chunks, frames, handed, mark, .. } = std::mem::take(&mut self.trail);
         let trail = Trail { chunks, frames, handed, mark, ..Trail::default() };

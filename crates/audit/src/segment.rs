@@ -30,6 +30,23 @@
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! Beside the segments, a directory a trail closed cleanly holds one small file,
+//! `checkpoint` (its name, and that of `checkpoint.tmp` it is written through, sort
+//! before every segment's):
+//!
+//! ```text
+//! checkpoint (76 bytes, every field u64 LE)
+//!   magic b"LGCP"                    4 bytes
+//!   first                            the oldest segment listed
+//!   sequence                         the segment holding the newest record
+//!   length                           that segment's bytes up to the record's end
+//!   segment_records                  its records
+//!   last_frame                       offset of the newest record's frame
+//!   head_hash, next_id               the chain after that record
+//!   records                          the records from `first` on
+//!   checksum                         FNV-1a 64 of the 68 bytes before it
+//! ```
+//!
 //! The payload is the record's canonical binary encoding — the same bytes its chain
 //! hash is computed over, see [`crate::codec`] for the field-by-field layout. Version
 //! 1 (a JSON payload, chain hashes over `Debug` strings under `std`'s unpinned
@@ -55,7 +72,17 @@
 //! re-opened with a group commit of `n` ([`SegmentStore::reopen`]) ends an
 //! `append_frames` call with an fsync once `n` records were written since the last one.
 //! A restart continues the newest segment while it has room ([`SegmentStore::reopen`]),
-//! so incarnations that write little share one file.
+//! so incarnations that write little share one file. Creating a segment fsyncs the
+//! directory too, and so does creating a store's directory its parent: syncing a file
+//! does not sync its directory entry (fsync(2)). These directory fsyncs are not timed
+//! in [`SegmentStats::fsync`], which counts the segments' own.
+//!
+//! A clean close of a durable trail ([`crate::BatchedAppender::close`]) seals the
+//! store — its fsync first — and then, when records were written since the
+//! directory's checkpoint, replaces the checkpoint with one for the chain's new end:
+//! written to `checkpoint.tmp`, fsynced, renamed over `checkpoint`, and the directory
+//! fsynced. A close that wrote nothing writes no file and fsyncs nothing, so the old
+//! checkpoint stays valid. A rotation writes none.
 //!
 //! # Crash model and recovery
 //!
@@ -84,7 +111,31 @@
 //! (four bodies folded at once on each, [`legaliot_ifc::StableHasher::fold_each`])
 //! before it reads the verdicts back in chain order: the first frame that fails
 //! decides the truncation, as it would one frame at a time, and no frame after it is
-//! accepted. [`SegmentStore::recover`] and [`SegmentStore::reopen`] differ only in the
+//! accepted.
+//!
+//! [`SegmentStore::recover`], the auditor's path, scans every segment from the first
+//! and ignores the checkpoint. A restart ([`SegmentStore::reopen`]) runs the same scan
+//! but starts it where a checkpoint that agrees with the directory says the chain ends,
+//! and reads only the bytes after it: the tail an incarnation killed after the last
+//! clean close wrote. The checkpoint agrees when no `checkpoint.tmp` is left, the
+//! segments `first..=sequence` are listed with headers the scan would accept (a
+//! zero-length tombstone is skipped, as the scan skips it), the vouched segment is at
+//! least `length` bytes, and its frame at `last_frame` — one small read — passes its
+//! checksum, reads as a record and hashes to `head_hash`, numbered `next_id - 1`.
+//! Anything else — no checkpoint, a torn or garbled one, a leftover temporary file, a
+//! shorter or missing segment, a hash that differs — falls back to the full scan.
+//!
+//! The trust rule: the bytes a checkpoint vouches for were fsynced before it was
+//! renamed in, and under this crash model only unsynced bytes tear, so a crash cannot
+//! change them. A bit flipped inside a vouched prefix is therefore not caught by a
+//! restart; [`SegmentStore::recover`] still reports it. Nor does a restart re-check the
+//! anchors of the segments before the vouched one: the close that wrote the checkpoint
+//! had a scan behind it that reached every file, and a store whose scan stopped at a
+//! file it kept whole writes none. A checkpoint only ever vouches for bytes that are on
+//! disk unchanged: a truncation that cuts a segment at or below what it vouches for —
+//! by either scan — removes it, and fsyncs the directory, before anything is appended.
+//!
+//! Otherwise [`SegmentStore::recover`] and [`SegmentStore::reopen`] differ only in the
 //! function that reads a frame's record.
 //!
 //! After the first injected or real IO failure the store *wedges*: subsequent appends
@@ -102,17 +153,18 @@
 use std::cell::OnceCell;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
+use legaliot_ifc::StableHasher;
 use legaliot_obs::{FailpointRegistry, FailpointSite, FaultKind, HistogramSnapshot};
 
 use crate::codec::{
-    check_frames, check_record, decode_record, put_record_frame, split_frame, ReadRecord, Refusal,
-    Verdict, FRAME_PREFIX_LEN,
+    check_frames, check_record, decode_record, put_record_frame, split_frame, ReadRecord,
+    RecordLinks, Refusal, Verdict, FRAME_PREFIX_LEN,
 };
 use crate::event::AuditRecord;
 use crate::log::{AuditLog, ChainVerification};
@@ -127,6 +179,205 @@ const RETIRED_VERSION: u32 = 1;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// Upper bound on a frame payload; anything larger is treated as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+/// The file a clean close leaves, and the one it is written through first. Both sort
+/// before every `segment-` name.
+const CHECKPOINT: &str = "checkpoint";
+const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// Magic bytes opening a checkpoint.
+const CHECKPOINT_MAGIC: [u8; 4] = *b"LGCP";
+/// A checkpoint's length: magic, eight fields and the checksum.
+const CHECKPOINT_LEN: usize = 4 + 8 * 8 + 8;
+
+/// Where a directory's chain ends, as a clean close left it: the segments
+/// `first..=sequence`, the last of them up to `length` bytes, whose frame at
+/// `last_frame` holds the newest record. A restart that trusts it starts its scan there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Checkpoint {
+    first: u64,
+    sequence: u64,
+    length: u64,
+    segment_records: u64,
+    last_frame: u64,
+    head_hash: u64,
+    next_id: u64,
+    /// Records in the chain from `first` on.
+    records: u64,
+}
+
+impl Checkpoint {
+    fn fields(&self) -> [u64; 8] {
+        [
+            self.first,
+            self.sequence,
+            self.length,
+            self.segment_records,
+            self.last_frame,
+            self.head_hash,
+            self.next_id,
+            self.records,
+        ]
+    }
+
+    fn encode(&self) -> [u8; CHECKPOINT_LEN] {
+        let mut bytes = [0u8; CHECKPOINT_LEN];
+        bytes[..4].copy_from_slice(&CHECKPOINT_MAGIC);
+        for (field, value) in bytes[4..].chunks_exact_mut(8).zip(self.fields()) {
+            field.copy_from_slice(&value.to_le_bytes());
+        }
+        let checksum = StableHasher::new().write_bytes(&bytes[..CHECKPOINT_LEN - 8]).finish();
+        bytes[CHECKPOINT_LEN - 8..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    /// The checkpoint `bytes` are, or `None` when they are not exactly one.
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() != CHECKPOINT_LEN || bytes[..4] != CHECKPOINT_MAGIC {
+            return None;
+        }
+        let (body, checksum) = bytes.split_at(CHECKPOINT_LEN - 8);
+        if StableHasher::new().write_bytes(body).finish().to_le_bytes() != checksum {
+            return None;
+        }
+        let mut fields = body[4..]
+            .chunks_exact(8)
+            .map(|field| u64::from_le_bytes(field.try_into().expect("eight bytes")));
+        let mut field = || fields.next().expect("eight fields");
+        Some(Checkpoint {
+            first: field(),
+            sequence: field(),
+            length: field(),
+            segment_records: field(),
+            last_frame: field(),
+            head_hash: field(),
+            next_id: field(),
+            records: field(),
+        })
+    }
+
+    /// The checkpoint in `dir`; `None` when there is none or it cannot be read as one.
+    fn read(dir: &Path) -> Option<Self> {
+        fs::read(dir.join(CHECKPOINT)).ok().and_then(|bytes| Self::decode(&bytes))
+    }
+
+    /// Replaces `dir`'s checkpoint with this one: written to `checkpoint.tmp`, fsynced,
+    /// renamed over `checkpoint`, and the directory fsynced.
+    fn write(&self, dir: &Path) -> io::Result<()> {
+        let tmp = dir.join(CHECKPOINT_TMP);
+        let mut file = File::create(&tmp)?;
+        file.write_all(&self.encode())?;
+        file.sync_all()?;
+        fs::rename(&tmp, dir.join(CHECKPOINT))?;
+        sync_dir(dir)
+    }
+
+    /// Removes `dir`'s checkpoint, if there is one, and fsyncs the directory.
+    fn remove(dir: &Path) -> io::Result<()> {
+        match fs::remove_file(dir.join(CHECKPOINT)) {
+            Ok(()) => sync_dir(dir),
+            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(err) => Err(err),
+        }
+    }
+
+    /// Whether cutting segment `sequence` to `offset` bytes cuts what this vouches for.
+    fn is_cut_by(&self, sequence: u64, offset: u64) -> bool {
+        sequence < self.sequence || (sequence == self.sequence && offset <= self.length)
+    }
+
+    /// Whether `files`, a directory's segments in sequence order, agree with this
+    /// checkpoint — `first..=sequence` listed, each header one the scan accepts, the
+    /// vouched segment at least `length` bytes and its frame at `last_frame` the chain's
+    /// head — and, if so, the anchor the first segment chains from.
+    fn agrees(&self, files: &[(u64, PathBuf)]) -> Option<u64> {
+        let vouched = &files[..files.partition_point(|(sequence, _)| *sequence <= self.sequence)];
+        let listed = vouched.first()?.0 == self.first
+            && vouched.last()?.0 == self.sequence
+            && vouched.len() as u64 == self.sequence - self.first + 1;
+        if !listed {
+            return None;
+        }
+        let mut anchor = None;
+        for (sequence, path) in vouched {
+            let mut file = File::open(path).ok()?;
+            let length = file.metadata().ok()?.len();
+            if length == 0 && *sequence < self.sequence {
+                continue;
+            }
+            let mut header = [0u8; HEADER_LEN];
+            file.read_exact(&mut header).ok()?;
+            let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
+            let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+            if header[..4] != MAGIC || version != VERSION || field(8) != *sequence {
+                return None;
+            }
+            anchor.get_or_insert(field(16));
+            if *sequence == self.sequence {
+                if length < self.length {
+                    return None;
+                }
+                let (id, _, hash) = frame_links(&mut file, self.last_frame, self.length)?;
+                if hash != self.head_hash || id.0.checked_add(1) != Some(self.next_id) {
+                    return None;
+                }
+            }
+        }
+        anchor
+    }
+}
+
+/// The links of the record in the one frame that `file` holds from `at` to `end`, if
+/// that frame passes its checksum and reads as a record whose bytes hash to its stored
+/// hash: one small read. What a close vouches for and a restart trusts.
+fn frame_links(file: &mut File, at: u64, end: u64) -> Option<RecordLinks> {
+    let len = usize::try_from(end.checked_sub(at)?).ok()?;
+    if at < HEADER_LEN as u64 || len > FRAME_PREFIX_LEN + MAX_FRAME_LEN as usize {
+        return None;
+    }
+    let mut frame = vec![0; len];
+    file.seek(SeekFrom::Start(at)).ok()?;
+    file.read_exact(&mut frame).ok()?;
+    if frame_len(&frame).ok()? != len {
+        return None;
+    }
+    let read: ReadRecord<()> = |payload| check_record(payload).map(|links| (links, ()));
+    match check_frames(&frame, 0..len, read) {
+        Verdict { ends: Some((_, links)), failed: None, .. } => Some(links),
+        _ => None,
+    }
+}
+
+/// Fsyncs the directory `dir`, so the entries created, renamed or removed in it survive
+/// a power cut: syncing a file does not sync its directory entry (fsync(2)).
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Creates `dir` and whatever parents it lacks, fsyncing the parent of each directory
+/// created.
+fn create_dir(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    let parent = match dir.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    create_dir(parent)?;
+    match fs::create_dir(dir) {
+        Ok(()) => sync_dir(parent),
+        Err(err) if err.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
+        Err(err) => Err(err),
+    }
+}
+
+/// The bytes of the file at `path` from `offset` on: one seek, one read.
+fn read_from(path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
 
 /// A store's fsync latency distribution: a view over the workspace's one histogram
 /// type, [`HistogramSnapshot`] (nanosecond samples, recorded by the store under its
@@ -202,6 +453,15 @@ pub struct SegmentStore {
     tail: Option<(PathBuf, usize)>,
     next_sequence: u64,
     records_in_segment: usize,
+    /// Bytes of the segment written last, and the offset of its newest frame.
+    segment_bytes: u64,
+    last_frame: u64,
+    /// The oldest segment listed and the records in the chain from it, when the store
+    /// knows them: re-opened on a directory whose scan reached every file. A store
+    /// without them writes no checkpoint.
+    chain: Option<(u64, u64)>,
+    /// Whether records were written since the directory's checkpoint was.
+    unvouched: bool,
     head_hash: u64,
     wedged: Option<String>,
     stats: SegmentStats,
@@ -263,7 +523,8 @@ impl SegmentStore {
     /// Opens a store writing new segments into `dir` (created if missing), chaining
     /// the first record from `anchor_hash`. Numbering continues after any segment
     /// files already present, so a store re-opened after [`Self::recover`] appends —
-    /// it never overwrites recovered history. It fsyncs at rotation, seal and sync only.
+    /// it never overwrites recovered history. It fsyncs segments at rotation, seal and
+    /// sync only, and writes no checkpoint.
     ///
     /// # Errors
     ///
@@ -274,7 +535,7 @@ impl SegmentStore {
         max_segment_records: usize,
     ) -> io::Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        create_dir(&dir)?;
         let next_sequence = list_segments(&dir)?.last().map_or(0, |(seq, _)| seq + 1);
         Ok(Self::new(dir, anchor_hash, max_segment_records, next_sequence))
     }
@@ -291,6 +552,10 @@ impl SegmentStore {
             tail: None,
             next_sequence,
             records_in_segment: 0,
+            segment_bytes: 0,
+            last_frame: 0,
+            chain: None,
+            unvouched: false,
             head_hash: anchor_hash,
             wedged: None,
             stats: SegmentStats::default(),
@@ -329,14 +594,16 @@ impl SegmentStore {
     }
 
     /// Opens the segment the next record goes to: the newest file, when a re-opened
-    /// store continues it, else the next one, its header written. Wedges on fault/IO
-    /// error.
+    /// store continues it, else the next one, its header written and the directory
+    /// fsynced. Wedges on fault/IO error.
     fn open_segment(&mut self) {
         if let Some((path, records)) = self.tail.take() {
-            match OpenOptions::new().append(true).open(&path) {
-                Ok(file) => {
+            let opened = OpenOptions::new().append(true).open(&path);
+            match opened.and_then(|file| file.metadata().map(|meta| (file, meta.len()))) {
+                Ok((file, bytes)) => {
                     self.file = Some(file);
                     self.records_in_segment = records;
+                    self.segment_bytes = bytes;
                     self.stats.segments_written += 1;
                 }
                 Err(err) => self.wedge(format!("continuing {}: {err}", path.display())),
@@ -373,12 +640,14 @@ impl SegmentStore {
             .create(true)
             .truncate(true)
             .open(&path)
-            .and_then(|mut file| file.write_all(&header).map(|()| file));
+            .and_then(|mut file| file.write_all(&header).map(|()| file))
+            .and_then(|file| sync_dir(&self.dir).map(|()| file));
         match result {
             Ok(file) => {
                 self.file = Some(file);
                 self.next_sequence = sequence + 1;
                 self.records_in_segment = 0;
+                self.segment_bytes = HEADER_LEN as u64;
                 self.stats.segments_written += 1;
                 self.stats.bytes_written += HEADER_LEN as u64;
                 self.stats.unsynced_bytes += HEADER_LEN as u64;
@@ -416,8 +685,9 @@ impl SegmentStore {
     /// commit of `n` ([`Self::reopen`]), fewer than `n` records are unsynced on return.
     pub(crate) fn append_frames(&mut self, frames: &[u8]) -> usize {
         let persisted_before = self.stats.records_persisted;
-        // `frames[written..next]` holds `pending` records accepted but not yet written.
-        let (mut written, mut next, mut pending, mut accepted) = (0, 0, 0, 0);
+        // `frames[written..next]` holds `pending` records accepted but not yet written,
+        // the newest from `last`.
+        let (mut written, mut next, mut last, mut pending, mut accepted) = (0, 0, 0, 0, 0);
         while next < frames.len() {
             if self.wedged.is_none() && self.file.is_none() {
                 self.open_segment();
@@ -439,7 +709,7 @@ impl SegmentStore {
             if let Some(cause) = refusal {
                 // The clean frames before it first; a short write then tears this one:
                 // a strict prefix, synced, for recovery to truncate.
-                if self.write_run(&frames[written..next], pending) {
+                if self.write_run(&frames[written..next], pending, next - last) {
                     if fault == Some(FaultKind::ShortWrite) {
                         let torn = frame.unwrap_or(&frames[next..]);
                         if let Some(file) = self.file.as_mut() {
@@ -452,16 +722,17 @@ impl SegmentStore {
                 (written, pending) = (next, 0);
                 break;
             }
+            last = next;
             next += frame.expect("refused otherwise").len();
             (pending, accepted) = (pending + 1, accepted + 1);
             if self.records_in_segment + pending >= self.max_segment_records {
-                if self.write_run(&frames[written..next], pending) {
+                if self.write_run(&frames[written..next], pending, next - last) {
                     self.seal();
                 }
                 (written, pending) = (next, 0);
             }
         }
-        self.write_run(&frames[written..next], pending);
+        self.write_run(&frames[written..next], pending, next - last);
         if self.group_commit.is_some_and(|n| self.unsynced_records >= n) {
             self.sync();
         }
@@ -477,10 +748,10 @@ impl SegmentStore {
         persisted
     }
 
-    /// Hands a run of `records` whole frames to the file in one `write_all`. Only a
-    /// complete write counts: a real IO error wedges the store and the whole run is
-    /// unpersisted (`false`), whatever part of it the OS took.
-    fn write_run(&mut self, run: &[u8], records: usize) -> bool {
+    /// Hands a run of `records` whole frames, the newest `newest` bytes long, to the file
+    /// in one `write_all`. Only a complete write counts: a real IO error wedges the store
+    /// and the whole run is unpersisted (`false`), whatever part of it the OS took.
+    fn write_run(&mut self, run: &[u8], records: usize, newest: usize) -> bool {
         if records == 0 {
             return true;
         }
@@ -494,6 +765,12 @@ impl SegmentStore {
                     u64::from_le_bytes(run[run.len() - 8..].try_into().expect("eight bytes"));
                 self.records_in_segment += records;
                 self.unsynced_records += records;
+                self.segment_bytes += run.len() as u64;
+                self.last_frame = self.segment_bytes - newest as u64;
+                if let Some((_, chained)) = &mut self.chain {
+                    *chained += records as u64;
+                }
+                self.unvouched = true;
                 true
             }
             Err(err) => {
@@ -549,6 +826,48 @@ impl SegmentStore {
         true
     }
 
+    /// Ends the store's incarnation, as a trail's clean close does: [`Self::seal`]s it
+    /// and then, when records were written since the directory's checkpoint, replaces
+    /// that with one for the chain's new end (see the [module docs](self)). A store that
+    /// wrote nothing writes no file and fsyncs nothing. A checkpoint that cannot be
+    /// written leaves the old one, still true of the bytes it vouches for, and costs the
+    /// next restart a full scan only. Returns what the seal returns.
+    pub(crate) fn close(&mut self) -> bool {
+        let sealed = self.seal();
+        if sealed && self.unvouched {
+            self.checkpoint();
+        }
+        sealed
+    }
+
+    /// Writes the checkpoint for where the chain now ends, its newest frame read back
+    /// and checked as a restart will check it; nothing when the store does not know the
+    /// chain or the frame does not hold its head.
+    fn checkpoint(&mut self) {
+        let Some((first, records)) = self.chain else { return };
+        let sequence = self.next_sequence - 1;
+        let path = self.dir.join(segment_file_name(sequence));
+        let links = File::open(&path)
+            .ok()
+            .and_then(|mut file| frame_links(&mut file, self.last_frame, self.segment_bytes));
+        let Some((id, _, head_hash)) = links.filter(|(_, _, hash)| *hash == self.head_hash) else {
+            return;
+        };
+        let checkpoint = Checkpoint {
+            first,
+            sequence,
+            length: self.segment_bytes,
+            segment_records: self.records_in_segment as u64,
+            last_frame: self.last_frame,
+            head_hash,
+            next_id: id.0 + 1,
+            records,
+        };
+        if checkpoint.write(&self.dir).is_ok() {
+            self.unvouched = false;
+        }
+    }
+
     /// Scans `dir` and rebuilds the durable record stream: reads segments in
     /// sequence order, validates headers, checksums and chain linkage frame by
     /// frame, **truncates** each torn or corrupt tail back to the last clean frame,
@@ -569,7 +888,7 @@ impl SegmentStore {
             decode_record(payload)
                 .map(|record| ((record.id, record.previous_hash, record.hash), record))
         };
-        let scan = Self::scan(dir.as_ref(), read, |record| records.push(record))?;
+        let scan = Self::scan(dir.as_ref(), read, |record| records.push(record), false)?;
         Ok(RecoveryReport {
             segments: scan.segments,
             // Every record was checked against its predecessor as it was scanned.
@@ -589,12 +908,22 @@ impl SegmentStore {
     /// (clamped to ≥ 1) ends an `append_frames` call with an fsync once `n` records are
     /// unsynced.
     ///
+    /// The scan starts where the directory's checkpoint says the chain ends, when it
+    /// agrees with the directory, and reads only the bytes after it — after a kill, the
+    /// tail the killed incarnation wrote; its torn tails are cut back and reported as
+    /// [`Self::recover`] would. What a restart then no longer checks — the bytes the
+    /// checkpoint vouches for, fsynced before it was written — and when it falls back to
+    /// the full scan are in the [module docs](self); [`Self::recover`] checks everything.
+    /// A directory with no checkpoint, such as one an earlier release wrote, is scanned
+    /// whole.
+    ///
     /// The store continues the newest segment file when the scan accepted it, whole or
     /// cut back to a clean prefix, no file follows it, and it holds fewer than
     /// `max_segment_records` records; the first append opens it for appending, so a
     /// store that writes nothing opens and fsyncs nothing. Any other directory — its
     /// newest file a tombstone, kept whole as evidence, unreachable, or full — gets a
-    /// new segment numbered after every file listed.
+    /// new segment numbered after every file listed. A directory created here has its
+    /// parent fsynced.
     ///
     /// # Errors
     ///
@@ -607,10 +936,11 @@ impl SegmentStore {
         let dir = dir.into();
         // A restart keeps nothing of a record, and a `Vec<()>` counts without allocating.
         let read = |payload: &[u8]| check_record(payload).map(|links| (links, ()));
-        let mut scan = Self::scan(&dir, read, |()| {})?;
-        fs::create_dir_all(&dir)?;
+        let mut scan = Self::scan(&dir, read, |()| {}, true)?;
+        create_dir(&dir)?;
         let mut store = Self::new(dir, scan.head_hash, max_segment_records, scan.next_sequence);
         store.group_commit = group_commit.map(|n| n.max(1));
+        store.chain = scan.whole.then_some((scan.first_sequence, scan.records as u64));
         store.tail = (scan.segments.pop())
             .filter(|tail| tail.sequence + 1 == scan.next_sequence)
             .filter(|tail| tail.records < store.max_segment_records)
@@ -628,11 +958,14 @@ impl SegmentStore {
     /// every frame ([`check_segment`]: a whole segment at a time, on every core, each
     /// record read by `read`), truncates each torn or corrupt tail and records what it
     /// discarded. `accept` is handed what is kept of every frame that passed, in chain
-    /// order.
+    /// order. With `trust`, it starts after what a checkpoint that agrees with the
+    /// directory vouches for; a truncation that cuts into what the checkpoint vouches
+    /// for removes it first, trusted or not.
     fn scan<K: Send>(
         dir: &Path,
         read: ReadRecord<K>,
         mut accept: impl FnMut(K),
+        trust: bool,
     ) -> io::Result<Scan> {
         let mut scan = Scan {
             segments: Vec::new(),
@@ -641,17 +974,31 @@ impl SegmentStore {
             head_hash: 0,
             next_id: 0,
             records: 0,
+            first_sequence: 0,
             next_sequence: 0,
+            whole: true,
         };
         if !dir.exists() {
             return Ok(scan);
         }
         let files = list_segments(dir)?;
         scan.next_sequence = files.last().map_or(0, |(seq, _)| seq + 1);
+        scan.first_sequence = files.first().map_or(0, |(seq, _)| *seq);
+        let mut vouched = Checkpoint::read(dir);
+        let start = vouched
+            .filter(|_| trust && !dir.join(CHECKPOINT_TMP).exists())
+            .and_then(|checkpoint| Some((checkpoint, checkpoint.agrees(&files)?)));
+        if let Some((checkpoint, anchor)) = start {
+            scan.initial_anchor = anchor;
+            scan.head_hash = checkpoint.head_hash;
+            scan.next_id = checkpoint.next_id;
+            scan.records = checkpoint.records as usize;
+        }
+        let start = start.map(|(checkpoint, _)| checkpoint);
 
         // The threads a segment's check may use; asked for once a segment has two shares.
         let cores = OnceCell::new();
-        let mut first = true;
+        let mut first = start.is_none();
         let mut stopped_at: Option<u64> = None;
         for (sequence, path) in files {
             if let Some(torn_seq) = stopped_at {
@@ -666,10 +1013,22 @@ impl SegmentStore {
                     records_recovered_before: scan.records,
                     reason: format!("unreachable: the scan stopped at segment {torn_seq}"),
                 });
+                scan.whole = false;
                 continue;
             }
-            let bytes = fs::read(&path)?;
-            if bytes.is_empty() {
+            // The segment the checkpoint vouches for is read from where it ends, and the
+            // ones before it not at all.
+            let resume = match start {
+                Some(checkpoint) if sequence < checkpoint.sequence => continue,
+                Some(checkpoint) if sequence == checkpoint.sequence => Some(checkpoint),
+                _ => None,
+            };
+            let (bytes, base) = match resume {
+                Some(checkpoint) => (read_from(&path, checkpoint.length)?, checkpoint.length),
+                None => (fs::read(&path)?, 0),
+            };
+            let len = base + bytes.len() as u64;
+            if len == 0 {
                 // A zero-length file carries no records by construction: either a
                 // crash between create and the header write, or the tombstone a
                 // previous recovery left behind. Skipping it (instead of reporting)
@@ -678,9 +1037,12 @@ impl SegmentStore {
                 continue;
             }
             let mut truncate_to: Option<(u64, String)> = None;
-            let mut records_here = 0usize;
+            // Where the frames left to check start in `bytes`, and the records before them.
+            let mut frames = resume.map(|checkpoint| (0, checkpoint.segment_records as usize));
 
-            if bytes.len() < HEADER_LEN {
+            if resume.is_some() {
+                // Its header was read when the checkpoint was found to agree.
+            } else if bytes.len() < HEADER_LEN {
                 truncate_to = Some((0, "short segment header".into()));
             } else if bytes[0..4] != MAGIC {
                 truncate_to = Some((0, "bad magic".into()));
@@ -716,19 +1078,25 @@ impl SegmentStore {
                         sequence,
                         path,
                         offset: 0,
-                        bytes_dropped: bytes.len() as u64,
+                        bytes_dropped: len,
                         records_recovered_before: scan.records,
                         reason,
                     });
                     stopped_at = Some(sequence);
+                    scan.whole = false;
                     continue;
                 }
                 if truncate_to.is_none() {
                     first = false;
-                    let before = scan.records;
-                    truncate_to = check_segment(&bytes, read, &cores, &mut scan, &mut accept);
-                    records_here = scan.records - before;
+                    frames = Some((HEADER_LEN, 0));
                 }
+            }
+            let mut records_here = 0usize;
+            if let Some((from, before)) = frames {
+                let counted = scan.records;
+                let (frames, at) = (&bytes[from..], base + from as u64);
+                truncate_to = check_segment(frames, at, read, &cores, &mut scan, &mut accept);
+                records_here = before + scan.records - counted;
             }
 
             match truncate_to {
@@ -737,11 +1105,15 @@ impl SegmentStore {
                         sequence,
                         path,
                         records: records_here,
-                        bytes: bytes.len() as u64,
+                        bytes: len,
                     });
                 }
                 Some((offset, reason)) => {
-                    let dropped = bytes.len() as u64 - offset;
+                    if vouched.is_some_and(|checkpoint| checkpoint.is_cut_by(sequence, offset)) {
+                        Checkpoint::remove(dir)?;
+                        vouched = None;
+                    }
+                    let dropped = len - offset;
                     OpenOptions::new().write(true).open(&path)?.set_len(offset)?;
                     if offset as usize >= HEADER_LEN {
                         // A truncated-but-headered segment still contributes its
@@ -788,18 +1160,23 @@ struct Scan {
     next_id: u64,
     /// Frames accepted so far.
     records: usize,
+    /// The lowest-numbered segment file listed.
+    first_sequence: u64,
     /// The sequence after the highest-numbered segment file listed.
     next_sequence: u64,
+    /// Whether the scan reached every file listed: none kept whole, none unreachable.
+    whole: bool,
 }
 
 /// The frames in a share: what a check thread claims at a time. A segment of no more
 /// than this many is checked on the calling thread alone.
 const PARALLEL_FLOOR: usize = 256;
 
-/// Checks the frames of `segment` after its header, chaining from `scan.head_hash`,
-/// and hands on what is kept of each that passes to `accept`, in chain order, counting
-/// it into `scan`. Returns the offset of the first frame that failed and why, if one
-/// did; no frame after it is accepted.
+/// Checks the frames `segment` holds — a segment's bytes from file offset `base` on, all
+/// after its header — chaining from `scan.head_hash`, and hands on what is kept of each
+/// that passes to `accept`, in chain order, counting it into `scan`. Returns the file
+/// offset of the first frame that failed and why, if one did; no frame after it is
+/// accepted.
 ///
 /// Each frame is checked, in this order: its lengths here, then, by the codec's one
 /// frame check ([`check_frames`], which an in-memory log verifies with too), its
@@ -816,13 +1193,14 @@ const PARALLEL_FLOOR: usize = 256;
 /// then reads the verdicts back in chain order.
 fn check_segment<K: Send>(
     segment: &[u8],
+    base: u64,
     read: ReadRecord<K>,
     cores: &OnceCell<usize>,
     scan: &mut Scan,
     accept: &mut impl FnMut(K),
 ) -> Option<(u64, String)> {
     let mut shares = Vec::new();
-    let (mut offset, mut start, mut frames) = (HEADER_LEN, HEADER_LEN, 0);
+    let (mut offset, mut start, mut frames) = (0, 0, 0);
     let mut refused = None;
     while offset < segment.len() {
         match frame_len(&segment[offset..]) {
@@ -867,7 +1245,7 @@ fn check_segment<K: Send>(
     for (share, verdict) in shares.iter().zip(verdicts) {
         if let Some(((id, previous_hash, _), (last, _, hash))) = verdict.ends {
             if previous_hash != scan.head_hash {
-                return Some((share.start as u64, Refusal::Chain(id).to_string()));
+                return Some((base + share.start as u64, Refusal::Chain(id).to_string()));
             }
             scan.head_hash = hash;
             scan.next_id = last.0 + 1;
@@ -875,10 +1253,10 @@ fn check_segment<K: Send>(
         scan.records += verdict.passed.len();
         verdict.passed.into_iter().for_each(&mut *accept);
         if let Some((at, refusal)) = verdict.failed {
-            return Some((at as u64, refusal.to_string()));
+            return Some((base + at as u64, refusal.to_string()));
         }
     }
-    refused.map(|reason| (offset as u64, reason))
+    refused.map(|reason| (base + offset as u64, reason))
 }
 
 /// The length of the frame `bytes` start with, prefix and payload, or why its lengths
@@ -2114,6 +2492,309 @@ mod tests {
         std::os::unix::fs::symlink(dir.join("gone"), dir.join(segment_file_name(2))).unwrap();
         assert!(SegmentStore::recover(&dir).is_err());
         assert!(SegmentStore::reopen(&dir, 2, None).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `records` written by a store re-opened on `dir`, `per_segment` to a segment, and
+    /// closed cleanly: the checkpoint it leaves, which vouches for them all.
+    fn closed_cleanly(dir: &Path, records: &[AuditRecord], per_segment: usize) -> Checkpoint {
+        let (mut store, _) = SegmentStore::reopen(dir, per_segment, None).unwrap();
+        assert_eq!(store.append_frames(&frames_of(records)), records.len());
+        assert!(store.close());
+        assert!(!dir.join(CHECKPOINT_TMP).exists(), "renamed over the checkpoint");
+        Checkpoint::read(dir).expect("a clean close leaves a checkpoint")
+    }
+
+    /// How many frames a restart's scan of `dir` checks: those after a checkpoint it
+    /// trusts, or every one.
+    fn frames_checked(dir: &Path) -> usize {
+        let mut checked = 0;
+        let read: ReadRecord<()> = |payload| check_record(payload).map(|links| (links, ()));
+        SegmentStore::scan(dir, read, |()| checked += 1, true).unwrap();
+        checked
+    }
+
+    /// Writes `files` into two fresh directories, recovers one and re-opens the other
+    /// (four records to a segment), and asserts the two agree: the same chain head, next
+    /// id and truncations, and the same files left. Returns the truncations and the
+    /// files.
+    fn reopen_beside_recover(
+        files: &[(String, Vec<u8>)],
+        ctx: &str,
+    ) -> (Vec<Shape>, Vec<(String, Vec<u8>)>) {
+        let dirs = [temp_dir("beside-recover"), temp_dir("beside-reopen")];
+        for dir in &dirs {
+            std::fs::create_dir_all(dir).unwrap();
+            for (name, bytes) in files {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+        }
+        let report = SegmentStore::recover(&dirs[0]).unwrap();
+        let (store, reopened) = SegmentStore::reopen(&dirs[1], 4, None).unwrap();
+        let recovered = (report.head_hash, report.next_id, shapes(&report.truncations));
+        let restarted = (reopened.head_hash, reopened.next_id, shapes(&reopened.truncations));
+        assert_eq!(restarted, recovered, "{ctx}");
+        assert_eq!(store.head_hash(), reopened.head_hash, "{ctx}");
+        drop(store);
+        let left = segment_files(&dirs[0]);
+        assert_eq!(segment_files(&dirs[1]), left, "{ctx}: the same files left");
+        for dir in &dirs {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+        (recovered.2, left)
+    }
+
+    /// A checkpoint a restart cannot trust sends it back to the full scan: none at all, a
+    /// torn or a garbled one, a `checkpoint.tmp` left beside it, the vouched segment
+    /// shorter than it says or missing, the oldest segment missing, a header before it
+    /// that the scan would not accept, and a head that does not agree — another head
+    /// hash or next id, a frame offset that is no frame, a last frame that fails its
+    /// checksum. In every case a byte is also flipped inside the prefix it vouches for,
+    /// which only a full scan sees: `reopen` agrees with `recover` — on the chain head,
+    /// the next id, the truncations and the files left — because it scanned it too.
+    #[test]
+    fn a_checkpoint_that_disagrees_with_the_directory_is_not_trusted() {
+        use std::collections::BTreeMap;
+
+        let source = temp_dir("distrust");
+        let checkpoint = closed_cleanly(&source, &sample_records(10), 4);
+        let pristine: BTreeMap<String, Vec<u8>> = segment_files(&source).into_iter().collect();
+        std::fs::remove_dir_all(&source).unwrap();
+        let [oldest, middle, newest] = [0, 1, 2].map(segment_file_name);
+        let names: Vec<&String> = pristine.keys().collect();
+        assert_eq!(names, [CHECKPOINT, &oldest, &middle, &newest]);
+        assert_eq!((checkpoint.first, checkpoint.sequence, checkpoint.next_id), (0, 2, 10));
+        let rewritten = |edit: fn(&mut Checkpoint)| {
+            let mut edited = checkpoint;
+            edit(&mut edited);
+            edited.encode().to_vec()
+        };
+        let cases = [
+            "no checkpoint",
+            "a torn checkpoint",
+            "a garbled checkpoint",
+            "a checkpoint.tmp left beside it",
+            "the vouched segment shorter",
+            "the vouched segment missing",
+            "the oldest segment missing",
+            "a retired header before it",
+            "another head hash",
+            "another next id",
+            "a frame offset that is no frame",
+            "a last frame that fails its checksum",
+        ];
+        for case in cases {
+            let mut files = pristine.clone();
+            let file = |files: &mut BTreeMap<String, Vec<u8>>, name: &str| {
+                std::mem::take(files.get_mut(name).unwrap())
+            };
+            match case {
+                "no checkpoint" => drop(files.remove(CHECKPOINT)),
+                "a torn checkpoint" => {
+                    files.get_mut(CHECKPOINT).unwrap().truncate(CHECKPOINT_LEN / 2);
+                }
+                "a garbled checkpoint" => files.get_mut(CHECKPOINT).unwrap()[12] ^= 1,
+                "a checkpoint.tmp left beside it" => {
+                    files.insert(CHECKPOINT_TMP.into(), checkpoint.encode().to_vec());
+                }
+                "the vouched segment shorter" => {
+                    let mut bytes = file(&mut files, &newest);
+                    bytes.truncate(checkpoint.length as usize - 3);
+                    files.insert(newest.clone(), bytes);
+                }
+                "the vouched segment missing" => drop(files.remove(&newest)),
+                "the oldest segment missing" => drop(files.remove(&oldest)),
+                "a retired header before it" => {
+                    let mut bytes = file(&mut files, &oldest);
+                    bytes[4..8].copy_from_slice(&RETIRED_VERSION.to_le_bytes());
+                    files.insert(oldest.clone(), bytes);
+                }
+                "another head hash" => {
+                    files.insert(CHECKPOINT.into(), rewritten(|c| c.head_hash ^= 1));
+                }
+                "another next id" => {
+                    files.insert(CHECKPOINT.into(), rewritten(|c| c.next_id += 1));
+                }
+                "a frame offset that is no frame" => {
+                    files.insert(CHECKPOINT.into(), rewritten(|c| c.last_frame += 1));
+                }
+                "a last frame that fails its checksum" => {
+                    let mut bytes = file(&mut files, &newest);
+                    bytes[checkpoint.last_frame as usize + 5] ^= 1;
+                    files.insert(newest.clone(), bytes);
+                }
+                _ => unreachable!("{case}"),
+            }
+            // Only a scan of the vouched prefix finds this: segment 1's first frame.
+            files.get_mut(&middle).unwrap()[HEADER_LEN + FRAME_PREFIX_LEN] ^= 1;
+            let files: Vec<(String, Vec<u8>)> = files.into_iter().collect();
+            let (truncations, _) = reopen_beside_recover(&files, case);
+            assert!(!truncations.is_empty(), "{case}: the full scan found damage");
+        }
+    }
+
+    /// A kill after a clean close: the checkpoint vouches for six records, the killed
+    /// incarnation appended four more — filling the vouched segment and rotating — and
+    /// its tail may have torn. A restart trusts the checkpoint and checks only the
+    /// frames after it; it cuts a tear back where `recover` does, reports it the same
+    /// way (the records before it counted from the first segment) and leaves the same
+    /// files. The checkpoint stays, as the cut is past what it vouches for, unless the
+    /// cut falls at its very end.
+    #[test]
+    fn a_torn_tail_past_the_checkpoint_is_cut_back_as_recover_cuts_it() {
+        let records = sample_records(10);
+        let source = temp_dir("killed-tail");
+        let checkpoint = closed_cleanly(&source, &records[..6], 4);
+        let vouched = (checkpoint.sequence, checkpoint.segment_records, checkpoint.records);
+        assert_eq!(vouched, (1, 2, 6));
+        let (mut store, reopened) = SegmentStore::reopen(&source, 4, None).unwrap();
+        assert_eq!((reopened.head_hash, reopened.next_id), (records[5].hash, 6));
+        assert_eq!(store.append_frames(&frames_of(&records[6..])), 4);
+        drop(store); // killed: no close, so the checkpoint still vouches for six
+        assert_eq!(Checkpoint::read(&source), Some(checkpoint));
+        assert_eq!(frames_checked(&source), 4, "only the killed incarnation's frames");
+        let written = segment_files(&source);
+        std::fs::remove_dir_all(&source).unwrap();
+        let [middle, newest] = [1, 2].map(segment_file_name);
+        let len = |name: &str| written.iter().find(|(file, _)| file == name).unwrap().1.len();
+        let end = checkpoint.length as usize;
+        let cases = [
+            ("nothing torn", None, true),
+            ("the vouched segment torn past its end", Some((&middle, len(&middle) - 3)), true),
+            ("the first frame after its end torn", Some((&middle, end + 3)), false),
+            ("the newest segment torn", Some((&newest, len(&newest) - 3)), true),
+        ];
+        for (case, cut, kept) in cases {
+            let mut files = written.clone();
+            if let Some((name, at)) = cut {
+                files.iter_mut().find(|(file, _)| file == name).unwrap().1.truncate(at);
+            }
+            let (truncations, left) = reopen_beside_recover(&files, case);
+            assert_eq!(truncations.is_empty(), cut.is_none(), "{case}: {truncations:?}");
+            let still =
+                left.iter().any(|(name, bytes)| name == CHECKPOINT && *bytes == written[0].1);
+            assert_eq!(still, kept, "{case}");
+        }
+    }
+
+    /// The trust rule: a restart does not re-read what a checkpoint vouches for, so a
+    /// byte flipped inside that prefix after the clean close goes unseen by `reopen`,
+    /// while `recover`, the auditor's path, reports it, cuts it and removes the
+    /// checkpoint — after which a restart scans everything and agrees with it.
+    #[test]
+    fn a_restart_trusts_the_vouched_prefix_and_recover_still_checks_it() {
+        let records = sample_records(10);
+        let dir = temp_dir("trusted");
+        closed_cleanly(&dir, &records, 4);
+        let middle = dir.join(segment_file_name(1));
+        let mut bytes = std::fs::read(&middle).unwrap();
+        bytes[HEADER_LEN + FRAME_PREFIX_LEN] ^= 1;
+        std::fs::write(&middle, &bytes).unwrap();
+
+        assert_eq!(frames_checked(&dir), 0);
+        let (store, reopened) = SegmentStore::reopen(&dir, 4, None).unwrap();
+        assert!(reopened.truncations.is_empty());
+        assert_eq!((reopened.head_hash, reopened.next_id), (records[9].hash, 10));
+        drop(store);
+
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert_eq!(report.records, records[..4]);
+        let found: Vec<(u64, u64)> =
+            report.truncations.iter().map(|t| (t.sequence, t.offset)).collect();
+        assert_eq!(found, [(1, HEADER_LEN as u64), (2, 0)], "{:?}", report.truncations);
+        assert!(!dir.join(CHECKPOINT).exists(), "the cut removed it");
+        assert_eq!(frames_checked(&dir), 4);
+        let (_, reopened) = SegmentStore::reopen(&dir, 4, None).unwrap();
+        assert_eq!((reopened.head_hash, reopened.next_id), (records[3].hash, 4));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A cut inside what a checkpoint vouches for removes it, and fsyncs the directory,
+    /// before anything is appended: a restart whose fallback cuts the vouched segment
+    /// below the checkpointed length leaves none, the next append goes after the cut,
+    /// and the clean close leaves a checkpoint for the new end, which the next restart
+    /// trusts and `recover` agrees with.
+    #[test]
+    fn a_cut_inside_the_vouched_prefix_removes_the_checkpoint_before_the_next_append() {
+        let records = sample_records(8);
+        let dir = temp_dir("cut-vouched");
+        let checkpoint = closed_cleanly(&dir, &records[..6], 4);
+        let middle = dir.join(segment_file_name(1));
+        OpenOptions::new()
+            .write(true)
+            .open(&middle)
+            .unwrap()
+            .set_len(checkpoint.length - 3)
+            .unwrap();
+
+        let (mut store, reopened) = SegmentStore::reopen(&dir, 4, None).unwrap();
+        let cut: Vec<(u64, u64)> =
+            reopened.truncations.iter().map(|t| (t.sequence, t.offset)).collect();
+        assert_eq!(cut, [(1, checkpoint.last_frame)]);
+        assert_eq!((reopened.head_hash, reopened.next_id), (records[4].hash, 5));
+        assert!(!dir.join(CHECKPOINT).exists(), "removed before the next append");
+        assert_eq!(store.append_frames(&frames_of(&records[5..])), 3);
+        assert!(store.close());
+
+        let renewed = Checkpoint::read(&dir).expect("the clean close leaves a new one");
+        let vouched = (renewed.sequence, renewed.segment_records, renewed.next_id, renewed.records);
+        assert_eq!(vouched, (1, 4, 8, 8), "segment 1 continued from the cut, and filled");
+        assert_eq!(frames_checked(&dir), 0);
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A close that wrote nothing changes nothing: three restarts on a cleanly closed
+    /// directory, each closed without appending, check no frame, open and fsync nothing,
+    /// and leave every file — the checkpoint too, not even replaced by its own bytes —
+    /// byte for byte as it was.
+    #[test]
+    fn an_idle_close_leaves_the_checkpoint_byte_for_byte() {
+        let dir = temp_dir("idle-close");
+        closed_cleanly(&dir, &sample_records(6), 4);
+        let before = segment_files(&dir);
+        #[cfg(unix)]
+        let inode = || {
+            use std::os::unix::fs::MetadataExt;
+            std::fs::metadata(dir.join(CHECKPOINT)).unwrap().ino()
+        };
+        #[cfg(unix)]
+        let original = inode();
+        for _ in 0..3 {
+            assert_eq!(frames_checked(&dir), 0);
+            let (mut store, reopened) = SegmentStore::reopen(&dir, 4, Some(1)).unwrap();
+            assert!(reopened.truncations.is_empty());
+            assert_eq!(reopened.next_id, 6);
+            assert!(store.close());
+            assert_eq!(*store.stats(), SegmentStats::default(), "nothing opened or fsynced");
+        }
+        assert_eq!(segment_files(&dir), before);
+        #[cfg(unix)]
+        assert_eq!(inode(), original, "the checkpoint was not renamed over");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store whose scan stopped at a file it kept whole — an anchor that does not
+    /// chain — cannot vouch for the directory, so its clean close writes no checkpoint,
+    /// and every restart reports that file as `recover` does.
+    #[test]
+    fn a_store_whose_scan_left_a_file_unread_writes_no_checkpoint() {
+        let records = sample_records(5);
+        let dir = temp_dir("unvouched");
+        closed_cleanly(&dir, &records[..2], 2);
+        std::fs::write(dir.join(segment_file_name(1)), encode_header(1, 7)).unwrap();
+        std::fs::remove_file(dir.join(CHECKPOINT)).unwrap();
+        for restart in 0..2 {
+            let (mut store, reopened) = SegmentStore::reopen(&dir, 2, None).unwrap();
+            let reasons: Vec<&str> =
+                reopened.truncations.iter().map(|t| t.reason.as_str()).collect();
+            assert!(reasons[0].starts_with("anchor"), "restart {restart}: {reasons:?}");
+            assert!(store.append(&records[2 + restart]));
+            assert!(store.close());
+            assert!(!dir.join(CHECKPOINT).exists(), "restart {restart}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -91,8 +91,9 @@ pub enum PayloadMode {
 pub struct PersistenceConfig {
     /// Base directory; shard `i` writes segments under `<dir>/shard-<i>/`, the control
     /// plane under `<dir>/control/`. At engine startup each directory is re-opened in
-    /// turn ([`SegmentStore::reopen`]: each frame checked from its bytes on every core,
-    /// none decoded), torn tails truncated and counted in
+    /// turn ([`SegmentStore::reopen`]: each frame after the checkpoint the last clean
+    /// shutdown left checked from its bytes on every core, none decoded), torn tails
+    /// truncated and counted in
     /// [`DataplaneStats::recovery_truncations`], and each trail's chain re-anchors on
     /// its last persisted record.
     pub dir: PathBuf,

@@ -1976,8 +1976,9 @@ mod tests {
 
     /// A restart continues each trail's newest segment while it has room: five
     /// incarnations that each install the smart home leave at most one segment file in
-    /// every trail directory (none where nothing was written), and the control
-    /// directory's one file holds one chain from genesis.
+    /// every trail directory (none where nothing was written), each beside exactly one
+    /// checkpoint, the last clean close's, and nothing else; the control directory's one
+    /// segment holds one chain from genesis.
     #[test]
     fn incarnations_that_write_little_share_one_segment_per_trail() {
         let dir = durable_dir("incarnations");
@@ -1992,8 +1993,15 @@ mod tests {
         }
         let shards = (0..config.shards).map(|shard| persistence.shard_dir(shard));
         for trail in shards.chain([persistence.control_dir()]) {
-            let files = std::fs::read_dir(&trail).map_or(0, Iterator::count);
-            assert!(files <= 1, "{}: {files} segment files", trail.display());
+            let names: Vec<String> = std::fs::read_dir(&trail)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            let segments = names.iter().filter(|name| name.starts_with("segment-")).count();
+            assert!(segments <= 1, "{}: {names:?}", trail.display());
+            let checkpoints = names.iter().filter(|name| *name == "checkpoint").count();
+            assert_eq!(checkpoints, segments, "{}: {names:?}", trail.display());
+            assert_eq!(names.len(), segments + checkpoints, "{}: {names:?}", trail.display());
         }
         let control = legaliot_audit::SegmentStore::recover(persistence.control_dir()).unwrap();
         assert!(control.is_clean(), "truncations: {:?}", control.truncations);

@@ -31,8 +31,9 @@
 //! from names the process already holds allocates its vector and text values only.
 //!
 //! A restart is on the ledger too: an engine started on a durable directory checks
-//! every persisted frame from its bytes and decodes none, so what it allocates does
-//! not grow with the history it re-opens.
+//! every persisted frame after the last clean close's checkpoint — every frame, with
+//! none — from its bytes and decodes none, so what it allocates does not grow with the
+//! history it re-opens, and after a clean close neither do the bytes it reads.
 //!
 //! The counts come from a counting `#[global_allocator]`; what *other* threads
 //! allocated is the global count minus this thread's own, which works because the
@@ -358,6 +359,76 @@ fn a_restart_allocates_nothing_per_persisted_record() {
         "{small_reopen} allocations on every thread for 1024 records, {large_reopen} for 8192: \
          the scan allocates per record"
     );
+}
+
+/// A restart's cost does not follow history: after a clean close, `SegmentStore::reopen`
+/// reads only what no checkpoint vouches for, so the bytes it asks the allocator for are
+/// the same within 64 KiB on 1 024 persisted records and on 8 192, written by one clean
+/// incarnation or by fifty. Without the checkpoint, the same directory's scan asks for
+/// the whole segment.
+#[test]
+fn a_restart_after_a_clean_close_requests_the_same_bytes_whatever_the_history() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let source = SecurityContext::from_names(["ann", "medical"], ["consent"]);
+    let destination = SecurityContext::from_names(["ann"], Vec::<&str>::new());
+    // `records` flow checks written by `incarnations` trails opened on one directory in
+    // turn, each closed cleanly.
+    let history = |records: u64, incarnations: u64| {
+        let dir = std::env::temp_dir().join(format!(
+            "legaliot-checkpoint-{records:05}-{incarnations:02}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        for incarnation in 0..incarnations {
+            let segments = Some((dir.clone(), 1 << 20, None));
+            let (mut trail, truncations) =
+                BatchedAppender::open("allocations-shard-0", None, segments).unwrap();
+            assert!(truncations.is_empty());
+            let ends = (records * incarnation / incarnations)
+                ..(records * (incarnation + 1) / incarnations);
+            for at in ends {
+                let event = AuditEvent::FlowChecked {
+                    source: "ann-heart-monitor".into(),
+                    destination: "ann-analyser".into(),
+                    source_context: source.clone(),
+                    destination_context: destination.clone(),
+                    decision: can_flow(&source, &destination),
+                    data_item: Some(format!("reading@{at}")),
+                };
+                trail.append(event, at);
+            }
+            trail.close();
+        }
+        dir
+    };
+    let requested = |dir: &std::path::Path, records: u64| {
+        let (_, bytes) = own_cost(|| {
+            let (store, reopened) =
+                SegmentStore::reopen(dir, 1 << 20, None).expect("the directory re-opens");
+            assert_eq!((reopened.next_id, reopened.truncations.len()), (records, 0));
+            drop(store);
+        });
+        bytes
+    };
+    let mut costs = Vec::new();
+    for (records, incarnations) in [(1024, 1), (8192, 1), (1024, 50), (8192, 50)] {
+        let dir = history(records, incarnations);
+        let bytes = requested(&dir, records);
+        println!(
+            "SegmentStore::reopen after {incarnations} clean incarnation(s), {records} records: \
+             {bytes} bytes requested"
+        );
+        costs.push(bytes);
+        if (records, incarnations) == (8192, 1) {
+            std::fs::remove_file(dir.join("checkpoint")).unwrap();
+            let whole = requested(&dir, records);
+            println!("… and with no checkpoint: {whole} bytes requested");
+            assert!(whole > bytes + (64 << 10), "the full scan reads the segment: {whole} bytes");
+        }
+        std::fs::remove_dir_all(&dir).expect("the temp dir goes");
+    }
+    let (least, most) = (costs.iter().min().unwrap(), costs.iter().max().unwrap());
+    assert!(most - least <= 64 << 10, "{costs:?} bytes: a restart reads history");
 }
 
 /// AC denials: the regime answers every delivery, and a denial is a `Copy` cause —
