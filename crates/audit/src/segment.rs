@@ -1094,8 +1094,8 @@ impl SegmentStore {
             let mut records_here = 0usize;
             if let Some((from, before)) = frames {
                 let counted = scan.records;
-                let (frames, at) = (&bytes[from..], base + from as u64);
-                truncate_to = check_segment(frames, at, read, &cores, &mut scan, &mut accept);
+                let (unchecked, at) = (&bytes[from..], base + from as u64);
+                truncate_to = check_segment(unchecked, at, read, &cores, &mut scan, &mut accept);
                 records_here = before + scan.records - counted;
             }
 
